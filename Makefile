@@ -1,10 +1,11 @@
 # Tier-1 gate, race gate, fuzz smoke, benchmark baseline, placer perf
-# comparison, differential-oracle campaign, ECO smoke, golden tables, and
-# coverage gate. See scripts/ci.sh. `make ci` chains the deterministic gates.
+# comparison, differential-oracle campaign, ECO smoke, golden tables, skew
+# kernel gate, and coverage gate. See scripts/ci.sh. `make ci` chains the
+# deterministic gates.
 
 SEEDS ?= 25
 
-.PHONY: test race fuzz serve bench benchcmp scaling scaling-smoke eco eco-bench oracle ml timing golden cover ci
+.PHONY: test race fuzz serve bench benchcmp scaling scaling-smoke eco eco-bench oracle ml timing skew golden cover ci
 
 test:
 	sh scripts/ci.sh test
@@ -60,10 +61,15 @@ ml:
 timing:
 	sh scripts/ci.sh timing
 
+# Skew kernel gate: kernel-vs-reference differential and early-exit tests,
+# the min-Delta oracle negative test, and the golden tables.
+skew:
+	sh scripts/ci.sh skew
+
 golden:
 	sh scripts/ci.sh golden
 
 cover:
 	sh scripts/ci.sh cover
 
-ci: test race golden oracle serve eco ml timing cover
+ci: test race golden oracle serve eco ml timing skew cover

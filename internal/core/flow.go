@@ -440,7 +440,7 @@ func Run(c *netlist.Circuit, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, stageErr(2, 0, err)
 	}
-	M, sched, err := skew.MaxSlackExactStop(cfg.Stop, n, pairs, cfg.Params.Period, cfg.TModel.TSetup, cfg.TModel.THold)
+	M, sched, err := skew.MaxSlackExactStop(cfg.Stop, reg, n, pairs, cfg.Params.Period, cfg.TModel.TSetup, cfg.TModel.THold)
 	if err != nil {
 		if stop.IsStop(err) {
 			res.OptSeconds += time.Since(tOpt).Seconds()
@@ -602,7 +602,7 @@ loop:
 		}
 		mWork := res.WorkSlack
 		var msSched []float64 // fresh max-slack schedule, stage 4's last-resort fallback
-		if mi, ms, err := skew.MaxSlackExactStop(cfg.Stop, n, pairs, cfg.Params.Period, cfg.TModel.TSetup, cfg.TModel.THold); err == nil {
+		if mi, ms, err := skew.MaxSlackExactStop(cfg.Stop, reg, n, pairs, cfg.Params.Period, cfg.TModel.TSetup, cfg.TModel.THold); err == nil {
 			mWork = workSlack(cfg.SlackFrac, mi)
 			msSched = ms
 		} else if stop.IsStop(err) {
@@ -898,7 +898,7 @@ func costDrivenRecover(c *netlist.Circuit, cfg Config, arr *rotary.Array, ffCell
 	for li, m := range ladder {
 		cons := skew.Constraints(pairs, T, m, cfg.TModel.TSetup, cfg.TModel.THold)
 		var t []float64
-		t, err = costDriven(c, cfg, arr, ffCells, asg, sched, cons)
+		t, err = costDriven(c, cfg, reg, arr, ffCells, asg, sched, cons)
 		if err == nil {
 			return t, m, nil
 		}
@@ -922,7 +922,7 @@ func costDrivenRecover(c *netlist.Circuit, cfg Config, arr *rotary.Array, ffCell
 // costDriven runs the stage-4 skew optimization: anchors are the phases at
 // the nearest points of each flip-flop's assigned ring, period-shifted next
 // to the current schedule so the |t - target| costs are meaningful.
-func costDriven(c *netlist.Circuit, cfg Config, arr *rotary.Array, ffCells []int, asg *assign.Assignment, sched []float64, cons []skew.DiffConstraint) ([]float64, error) {
+func costDriven(c *netlist.Circuit, cfg Config, reg *obs.Registry, arr *rotary.Array, ffCells []int, asg *assign.Assignment, sched []float64, cons []skew.DiffConstraint) ([]float64, error) {
 	n := len(ffCells)
 	T := cfg.Params.Period
 	anchors := make([]skew.Anchor, n)
@@ -947,7 +947,7 @@ func costDriven(c *netlist.Circuit, cfg Config, arr *rotary.Array, ffCells []int
 		_, t, err := skew.WeightedSumStop(cfg.Stop, n, cons, targets, weights)
 		return t, err
 	}
-	_, t, err := skew.MinDeltaStop(cfg.Stop, n, cons, anchors, 0)
+	_, t, err := skew.MinDeltaStop(cfg.Stop, reg, n, cons, anchors, 0)
 	return t, err
 }
 

@@ -216,7 +216,7 @@ func Apply(st *State, deltas []Delta, opt Options) (*Outcome, error) {
 	margin, schedOK, allFFsDirty := 0.0, false, false
 	for li, m := range ladder {
 		cons := skew.Constraints(pairs, T, m, st.TModel.TSetup, st.TModel.THold)
-		t, rounds, feasible, werr := skew.WarmStartStop(tok, n, cons, seed)
+		t, rounds, feasible, werr := skew.WarmStartStop(tok, reg, n, cons, seed)
 		if werr != nil {
 			schedSp.End()
 			return fail("schedule re-check", werr)
@@ -235,7 +235,7 @@ func Apply(st *State, deltas []Delta, opt Options) (*Outcome, error) {
 		// Even the zero-margin warm start failed: the edit moved timing past
 		// the old schedule's neighborhood. Fall back to a fresh max-slack
 		// solve (feasible whenever any schedule is) and re-route everything.
-		M, ms, merr := skew.MaxSlackExactStop(tok, n, pairs, T, st.TModel.TSetup, st.TModel.THold)
+		M, ms, merr := skew.MaxSlackExactStop(tok, reg, n, pairs, T, st.TModel.TSetup, st.TModel.THold)
 		if merr != nil {
 			schedSp.End()
 			return fail("schedule re-check", merr)

@@ -95,7 +95,10 @@ type Outcome struct {
 	SystemPatched int  // net edits absorbed by CSR patching
 	SystemRebuilt bool // a class-changing edit forced a full rebuild
 
-	SchedRounds int     // warm-start relaxation rounds
+	// SchedRounds counts the warm-start relaxation rounds of the last margin
+	// tried. An infeasible margin stops at the round that exposes its
+	// negative cycle, usually far below the n+1 cap.
+	SchedRounds int
 	WorkSlack   float64 // margin the committed schedule is feasible at
 
 	// Degraded reports a non-strict failure: the state and circuit were

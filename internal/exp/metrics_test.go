@@ -31,6 +31,13 @@ func TestMetricsCountersDeterministicAcrossWorkerCounts(t *testing.T) {
 		if s.Flow.Metrics == nil || s.ILPFlow.Metrics == nil {
 			t.Fatalf("%s: serial run carries no metrics", s.Bench.Name)
 		}
+		// The skew kernel's work counters ride in the compared payload; they
+		// must actually be recorded for the comparison to cover them.
+		for _, name := range []string{"skew.probes", "skew.rounds", "skew.edge_visits"} {
+			if s.Flow.Metrics.Counter(name) <= 0 {
+				t.Errorf("%s: network-flow run recorded no %s", s.Bench.Name, name)
+			}
+		}
 		if got, want := p.Flow.Metrics.CountersJSON(), s.Flow.Metrics.CountersJSON(); !bytes.Equal(got, want) {
 			t.Errorf("%s: network-flow counters differ across worker counts\nserial:   %s\nparallel: %s",
 				s.Bench.Name, want, got)

@@ -170,6 +170,23 @@ func genSkew(rng *rand.Rand) *SkewInstance {
 	return in
 }
 
+// genMinDelta draws a cost-driven skew instance: a genSkew sequential graph
+// at 5 ps below its reference max slack (so the base system is feasible)
+// and one ring anchor per flip-flop with a phase uniform over the period and
+// a stub delay up to 40 ps.
+func genMinDelta(rng *rand.Rand) *SkewInstance {
+	in := genSkew(rng)
+	m, ok := refMaxSlack(in, 1e-3)
+	if !ok {
+		return nil
+	}
+	in.Slack = m - 5
+	for i := 0; i < in.N; i++ {
+		in.Anchors = append(in.Anchors, skew.Anchor{A: rng.Float64() * in.T, TCI: rng.Float64() * 40})
+	}
+	return in
+}
+
 // genPlace draws a tiny placement instance: 5-12 cells (a couple fixed on
 // the boundary), random 2-4 pin nets with distinct drivers, and an optional
 // pseudo-net overlay.
@@ -358,6 +375,15 @@ func RunCampaign(o Options) (*Report, error) {
 		if vs := check(CheckSkew(si, seed)); len(vs) > 0 {
 			sh := shrinkSkew(si, func(c *SkewInstance) bool { return len(CheckSkew(c, seed)) > 0 })
 			record(vs, &Repro{Skew: sh})
+		}
+
+		// The min-Delta instance draws from its own stream so the instances
+		// of every other check stay what they were for this seed.
+		if di := genMinDelta(rand.New(rand.NewSource(seed + 1<<32))); di != nil {
+			if vs := check(CheckMinDelta(di, seed)); len(vs) > 0 {
+				sh := shrinkSkew(di, func(c *SkewInstance) bool { return len(CheckMinDelta(c, seed)) > 0 })
+				record(vs, &Repro{Skew: sh})
+			}
 		}
 
 		pi := genPlace(rng)

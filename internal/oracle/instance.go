@@ -106,18 +106,25 @@ type TapInstance struct {
 	Target float64
 }
 
-// SkewInstance is one max-slack skew instance over N flip-flops.
+// SkewInstance is one skew instance over N flip-flops. Without anchors it
+// is a max-slack instance; with one anchor per flip-flop it is a
+// cost-driven min-Delta instance over the Fishburn system at slack Slack.
 type SkewInstance struct {
-	N     int
-	Pairs []skew.SeqPair
-	T     float64 // clock period, ps
-	Setup float64
-	Hold  float64
+	N       int
+	Pairs   []skew.SeqPair
+	T       float64 // clock period, ps
+	Setup   float64
+	Hold    float64
+	Slack   float64       `json:",omitempty"`
+	Anchors []skew.Anchor `json:",omitempty"`
 }
 
 func (in *SkewInstance) clone() *SkewInstance {
-	out := &SkewInstance{N: in.N, T: in.T, Setup: in.Setup, Hold: in.Hold}
+	out := &SkewInstance{N: in.N, T: in.T, Setup: in.Setup, Hold: in.Hold, Slack: in.Slack}
 	out.Pairs = append([]skew.SeqPair(nil), in.Pairs...)
+	if len(in.Anchors) > 0 {
+		out.Anchors = append([]skew.Anchor(nil), in.Anchors...)
+	}
 	return out
 }
 

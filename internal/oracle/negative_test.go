@@ -89,6 +89,38 @@ func TestFaultSkewDetected(t *testing.T) {
 	assertDetected(t, rep, dir, "skew/maxslack")
 }
 
+// TestFaultSkewMinDeltaDetected: failing every cost-driven Delta search must
+// fire the skew/mindelta reference check with a shrunk repro, and the same
+// repro must pass once the site is disarmed.
+func TestFaultSkewMinDeltaDetected(t *testing.T) {
+	rep, dir := runFaultCampaign(t, faultinject.SiteSkewMinDelta)
+	assertDetected(t, rep, dir, "skew/mindelta")
+	replayed := 0
+	for _, path := range rep.Repros {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var r Repro
+		if err := json.Unmarshal(data, &r); err != nil {
+			t.Fatal(err)
+		}
+		if r.Oracle != "skew/mindelta" {
+			continue
+		}
+		if r.Skew == nil || len(r.Skew.Anchors) != r.Skew.N || len(r.Skew.Pairs) > 1 {
+			t.Fatalf("repro %s: not a shrunk min-Delta instance: %+v", path, r.Skew)
+		}
+		if vs := CheckMinDelta(r.Skew, r.Seed); len(vs) > 0 {
+			t.Fatalf("skew/mindelta fails on clean code: %v", &vs[0])
+		}
+		replayed++
+	}
+	if replayed == 0 {
+		t.Fatal("no skew/mindelta repro written")
+	}
+}
+
 func TestFaultRotaryDetected(t *testing.T) {
 	rep, dir := runFaultCampaign(t, faultinject.SiteRotarySolveTap)
 	assertDetected(t, rep, dir, "rotary/tapscan")

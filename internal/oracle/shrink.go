@@ -6,6 +6,8 @@ package oracle
 // The predicates re-run the exact check that fired, so a shrunk repro is a
 // still-failing instance, not merely a smaller one.
 
+import "rotaryclk/internal/skew"
+
 // shrinkAssign minimizes a failing assignment instance by dropping
 // flip-flops, then rings (with their capacity entries), to a fixpoint.
 func shrinkAssign(in *AssignInstance, fails func(*AssignInstance) bool) *AssignInstance {
@@ -38,7 +40,8 @@ func shrinkAssign(in *AssignInstance, fails func(*AssignInstance) bool) *AssignI
 }
 
 // shrinkSkew minimizes a failing skew instance by dropping sequential
-// pairs, then compacting unused flip-flop indices.
+// pairs, then compacting unused flip-flop indices (anchors, when present,
+// follow their flip-flops).
 func shrinkSkew(in *SkewInstance, fails func(*SkewInstance) bool) *SkewInstance {
 	cur := in.clone()
 	for changed := true; changed; {
@@ -66,6 +69,12 @@ func shrinkSkew(in *SkewInstance, fails func(*SkewInstance) bool) *SkewInstance 
 		cand.Pairs[i].V = remap[p.V]
 	}
 	cand.N = len(remap)
+	if len(cur.Anchors) > 0 {
+		cand.Anchors = make([]skew.Anchor, cand.N)
+		for old, nu := range remap {
+			cand.Anchors[nu] = cur.Anchors[old]
+		}
+	}
 	if cand.N > 0 && fails(cand) {
 		return cand
 	}

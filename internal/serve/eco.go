@@ -162,7 +162,7 @@ type ECOResponse struct {
 	DirtyFFs      int  `json:"dirty_ffs"`
 	SystemPatched int  `json:"system_patched"`
 	SystemRebuilt bool `json:"system_rebuilt"`
-	SchedRounds   int  `json:"sched_rounds"`
+	SchedRounds   int  `json:"sched_rounds"` // see eco.Outcome.SchedRounds
 
 	WorkSlackPS float64      `json:"work_slack_ps"`
 	TapTotalUM  float64      `json:"tap_total_um"`

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"rotaryclk/internal/faultinject"
+	"rotaryclk/internal/obs"
 	"rotaryclk/internal/stop"
 )
 
@@ -104,18 +105,20 @@ func minCycleMean(tok *stop.Token, n int, cons []DiffConstraint) (float64, error
 // and is asymptotically faster (one O(n*m) pass instead of O(log(1/eps))
 // Bellman-Ford runs).
 func MaxSlackExact(n int, pairs []SeqPair, T, setup, hold float64) (float64, []float64, error) {
-	return MaxSlackExactStop(nil, n, pairs, T, setup, hold)
+	return MaxSlackExactStop(nil, nil, n, pairs, T, setup, hold)
 }
 
 // MaxSlackExactStop is MaxSlackExact with a cooperative stop token, checked
 // once per Karp DP row and once per Bellman-Ford round of the recovery
 // probes. A fired token aborts with an error wrapping the stop sentinel; no
 // partial schedule is returned (the caller keeps its previous schedule as
-// the best-so-far).
-func MaxSlackExactStop(tok *stop.Token, n int, pairs []SeqPair, T, setup, hold float64) (float64, []float64, error) {
+// the best-so-far). The recovery probes' skew.* counters are recorded into
+// reg (resolved through obs.Resolve).
+func MaxSlackExactStop(tok *stop.Token, reg *obs.Registry, n int, pairs []SeqPair, T, setup, hold float64) (float64, []float64, error) {
 	if err := faultinject.Hook(faultinject.SiteSkewMaxSlack); err != nil {
 		return 0, nil, err
 	}
+	reg = obs.Resolve(reg)
 	base := Constraints(pairs, T, 0, setup, hold)
 	m, err := minCycleMean(tok, n, base)
 	if err != nil {
@@ -128,7 +131,7 @@ func MaxSlackExactStop(tok *stop.Token, n int, pairs []SeqPair, T, setup, hold f
 	// covers naturally; still, guard the recovered schedule with a
 	// feasibility check, backing off by a tiny epsilon for float safety.
 	for _, eps := range []float64{0, 1e-9, 1e-6, 1e-3} {
-		t, ok, err := feasible(tok, n, Constraints(pairs, T, m-eps, setup, hold))
+		t, ok, err := feasible(tok, reg, n, Constraints(pairs, T, m-eps, setup, hold))
 		if err != nil {
 			return 0, nil, err
 		}
@@ -137,5 +140,5 @@ func MaxSlackExactStop(tok *stop.Token, n int, pairs []SeqPair, T, setup, hold f
 		}
 	}
 	// Extremely ill-conditioned input: fall back to the binary search.
-	return MaxSlackStop(tok, n, pairs, T, setup, hold, 1e-6)
+	return MaxSlackStop(tok, reg, n, pairs, T, setup, hold, 1e-6)
 }

@@ -28,6 +28,7 @@ import (
 
 	"rotaryclk/internal/faultinject"
 	"rotaryclk/internal/mcmf"
+	"rotaryclk/internal/obs"
 	"rotaryclk/internal/stop"
 )
 
@@ -80,42 +81,33 @@ const Eps = 1e-9
 // Feasible solves the difference-constraint system over n variables with
 // Bellman-Ford. On success it returns a satisfying assignment (shortest-path
 // potentials, shifted so the minimum is zero); the assignment satisfies
-// every constraint to within Eps. Constraints referencing variables outside
-// [0,n) cause a panic.
+// every constraint to within Eps. An infeasible system is rejected as soon
+// as the relaxation exposes a negative constraint cycle, usually within a
+// few rounds rather than the n+1-round cap. Constraints referencing
+// variables outside [0,n) cause a panic.
 func Feasible(n int, cons []DiffConstraint) ([]float64, bool) {
-	t, ok, _ := feasible(nil, n, cons)
+	t, ok, _ := feasible(nil, nil, n, cons)
 	return t, ok
 }
 
 // feasible is Feasible with a cooperative stop token checked once per
-// Bellman-Ford round (each round is O(m) work). A fired token abandons the
-// relaxation and reports the stop error; the partial distance vector is not
-// a certificate and is discarded.
-func feasible(tok *stop.Token, n int, cons []DiffConstraint) ([]float64, bool, error) {
+// Bellman-Ford round (each round is O(m) work) and the kernel's counters
+// recorded into reg. A fired token abandons the relaxation and reports the
+// stop error; the partial distance vector is not a certificate and is
+// discarded.
+func feasible(tok *stop.Token, reg *obs.Registry, n int, cons []DiffConstraint) ([]float64, bool, error) {
 	// Virtual source with zero-weight edges to every node is equivalent to
 	// initializing all distances to zero.
 	dist := make([]float64, n)
-	for iter := 0; iter <= n; iter++ {
-		if err := stop.Check(tok, faultinject.SiteSkewIterCancel); err != nil {
-			return nil, false, fmt.Errorf("skew: feasibility check: %w", err)
-		}
-		changed := false
-		for _, c := range cons {
-			if c.U < 0 || c.U >= n || c.V < 0 || c.V >= n {
-				panic(fmt.Sprintf("skew: constraint %+v out of range n=%d", c, n))
-			}
-			// t_U <= t_V + Bound: relax edge V -> U with weight Bound.
-			if nd := dist[c.V] + c.Bound; nd < dist[c.U]-Eps {
-				dist[c.U] = nd
-				changed = true
-			}
-		}
-		if !changed {
-			normalize(dist)
-			return dist, true, nil
-		}
+	_, ok, err := relax(tok, reg, n, cons, dist)
+	if err != nil {
+		return nil, false, fmt.Errorf("skew: feasibility check: %w", err)
 	}
-	return nil, false, nil
+	if !ok {
+		return nil, false, nil
+	}
+	normalize(dist)
+	return dist, true, nil
 }
 
 func normalize(t []float64) {
@@ -138,13 +130,15 @@ func normalize(t []float64) {
 // formulation (5)-(7) of the paper). The slack is found by binary search to
 // tol; Bellman-Ford provides each feasibility certificate.
 func MaxSlack(n int, pairs []SeqPair, T, setup, hold, tol float64) (float64, []float64, error) {
-	return MaxSlackStop(nil, n, pairs, T, setup, hold, tol)
+	return MaxSlackStop(nil, nil, n, pairs, T, setup, hold, tol)
 }
 
-// MaxSlackStop is MaxSlack with a cooperative stop token; the token is
-// checked once per Bellman-Ford round of every feasibility probe, so a fired
-// deadline surfaces within one O(m) pass.
-func MaxSlackStop(tok *stop.Token, n int, pairs []SeqPair, T, setup, hold, tol float64) (float64, []float64, error) {
+// MaxSlackStop is MaxSlack with a cooperative stop token, checked once per
+// Bellman-Ford round of every feasibility probe so a fired deadline surfaces
+// within one O(m) pass, and the probes' skew.* counters recorded into reg
+// (resolved through obs.Resolve).
+func MaxSlackStop(tok *stop.Token, reg *obs.Registry, n int, pairs []SeqPair, T, setup, hold, tol float64) (float64, []float64, error) {
+	reg = obs.Resolve(reg)
 	if tol <= 0 {
 		tol = 1e-3
 	}
@@ -154,7 +148,7 @@ func MaxSlackStop(tok *stop.Token, n int, pairs []SeqPair, T, setup, hold, tol f
 	// design that cannot close timing at this period.
 	lo, hi := -T, T
 	for {
-		_, ok, err := feasible(tok, n, Constraints(pairs, T, lo, setup, hold))
+		_, ok, err := feasible(tok, reg, n, Constraints(pairs, T, lo, setup, hold))
 		if err != nil {
 			return 0, nil, err
 		}
@@ -167,7 +161,7 @@ func MaxSlackStop(tok *stop.Token, n int, pairs []SeqPair, T, setup, hold, tol f
 		}
 	}
 	var bestT []float64
-	t, ok, err := feasible(tok, n, Constraints(pairs, T, hi, setup, hold))
+	t, ok, err := feasible(tok, reg, n, Constraints(pairs, T, hi, setup, hold))
 	if err != nil {
 		return 0, nil, err
 	}
@@ -176,7 +170,7 @@ func MaxSlackStop(tok *stop.Token, n int, pairs []SeqPair, T, setup, hold, tol f
 	}
 	for hi-lo > tol {
 		mid := (lo + hi) / 2
-		t, ok, err := feasible(tok, n, Constraints(pairs, T, mid, setup, hold))
+		t, ok, err := feasible(tok, reg, n, Constraints(pairs, T, mid, setup, hold))
 		if err != nil {
 			return 0, nil, err
 		}
@@ -187,7 +181,7 @@ func MaxSlackStop(tok *stop.Token, n int, pairs []SeqPair, T, setup, hold, tol f
 		}
 	}
 	if bestT == nil {
-		t, ok, err := feasible(tok, n, Constraints(pairs, T, lo, setup, hold))
+		t, ok, err := feasible(tok, reg, n, Constraints(pairs, T, lo, setup, hold))
 		if err != nil {
 			return 0, nil, err
 		}
@@ -214,14 +208,18 @@ type Anchor struct {
 //	A_i + 2 TCI_i - t_i <= Delta   and   t_i - A_i <= Delta.
 //
 // It binary-searches Delta, checking feasibility of the extended constraint
-// graph (a ground node pins the absolute values).
+// graph (a ground node pins the absolute values). Each probe runs from zero
+// potentials, so an infeasible Delta is rejected at its first negative
+// anchor cycle and a feasible one costs the same rounds as a lone Feasible
+// call on that system.
 func MinDelta(n int, cons []DiffConstraint, anchors []Anchor, tol float64) (float64, []float64, error) {
-	return MinDeltaStop(nil, n, cons, anchors, tol)
+	return MinDeltaStop(nil, nil, n, cons, anchors, tol)
 }
 
 // MinDeltaStop is MinDelta with a cooperative stop token threaded into every
-// feasibility probe of the Delta binary search.
-func MinDeltaStop(tok *stop.Token, n int, cons []DiffConstraint, anchors []Anchor, tol float64) (float64, []float64, error) {
+// feasibility probe of the Delta binary search and the probes' skew.*
+// counters recorded into reg (resolved through obs.Resolve).
+func MinDeltaStop(tok *stop.Token, reg *obs.Registry, n int, cons []DiffConstraint, anchors []Anchor, tol float64) (float64, []float64, error) {
 	if err := faultinject.Hook(faultinject.SiteSkewMinDelta); err != nil {
 		return 0, nil, err
 	}
@@ -231,26 +229,37 @@ func MinDeltaStop(tok *stop.Token, n int, cons []DiffConstraint, anchors []Ancho
 	if tol <= 0 {
 		tol = 1e-3
 	}
+	reg = obs.Resolve(reg)
 	// Base feasibility (Delta = inf) and an initial schedule to bound Delta.
-	t0, ok, err := feasible(tok, n, cons)
+	t0, ok, err := feasible(tok, reg, n, cons)
 	if err != nil {
 		return 0, nil, err
 	}
 	if !ok {
 		return 0, nil, fmt.Errorf("skew: difference constraints: %w", ErrInfeasible)
 	}
-	// Ground node n: t[n] = 0 by convention (it only enters via bound arcs,
-	// and the bound arcs force consistency with the absolute anchors).
-	build := func(delta float64) []DiffConstraint {
-		out := make([]DiffConstraint, 0, len(cons)+2*n)
-		out = append(out, cons...)
+	// The extended system is cons followed by two anchor arcs per flip-flop
+	// through a ground node n (t[n] = 0 by convention: it only enters via the
+	// anchor arcs, which force consistency with the absolute anchors). It is
+	// built once; a probe rewrites only the anchor bounds.
+	ext := make([]DiffConstraint, len(cons), len(cons)+2*n)
+	copy(ext, cons)
+	for i := range anchors {
+		ext = append(ext, DiffConstraint{U: i, V: n}, DiffConstraint{U: n, V: i})
+	}
+	arcs := ext[len(cons):]
+	probe, best := make([]float64, n+1), make([]float64, n+1)
+	feasibleAt := func(delta float64) (bool, error) {
 		for i, a := range anchors {
-			// t_i - t_g <= A_i + Delta
-			out = append(out, DiffConstraint{U: i, V: n, Bound: a.A + delta})
-			// t_g - t_i <= -(A_i + 2 TCI_i - Delta)
-			out = append(out, DiffConstraint{U: n, V: i, Bound: delta - a.A - 2*a.TCI})
+			arcs[2*i].Bound = a.A + delta             // t_i - t_g <= A_i + Delta
+			arcs[2*i+1].Bound = delta - a.A - 2*a.TCI // t_g - t_i <= -(A_i + 2 TCI_i - Delta)
 		}
-		return out
+		clear(probe)
+		_, ok, err := relax(tok, reg, n+1, ext, probe)
+		if err != nil {
+			return false, fmt.Errorf("skew: feasibility check: %w", err)
+		}
+		return ok, nil
 	}
 	// Lower bound: Delta >= max TCI_i (adding the two per-FF constraints).
 	lo := 0.0
@@ -268,31 +277,32 @@ func MinDeltaStop(tok *stop.Token, n int, cons []DiffConstraint, anchors []Ancho
 		hi = math.Max(hi, math.Max(a.A+2*a.TCI-ti, ti-a.A))
 	}
 	hi += 1 // strictly feasible margin
-	var best []float64
+	found := false
 	for hi-lo > tol {
 		mid := (lo + hi) / 2
-		t, ok, err := feasible(tok, n+1, build(mid))
+		ok, err := feasibleAt(mid)
 		if err != nil {
 			return 0, nil, err
 		}
 		if ok {
-			hi = mid
-			best = rebase(t)
+			hi, found = mid, true
+			probe, best = best, probe
 		} else {
 			lo = mid
 		}
 	}
-	if best == nil {
-		t, ok, err := feasible(tok, n+1, build(hi))
+	if !found {
+		ok, err := feasibleAt(hi)
 		if err != nil {
 			return 0, nil, err
 		}
 		if !ok {
 			return 0, nil, fmt.Errorf("skew: internal: upper bound infeasible")
 		}
-		best = rebase(t)
+		best = probe
 	}
-	return hi, best, nil
+	normalize(best)
+	return hi, rebase(best), nil
 }
 
 // rebase shifts a schedule with ground node at index n so the ground sits at
@@ -348,7 +358,7 @@ func WeightedSumStop(tok *stop.Token, n int, cons []DiffConstraint, targets []fl
 	if len(targets) != n || len(weights) != n {
 		return 0, nil, fmt.Errorf("skew: targets/weights length mismatch")
 	}
-	if _, ok, err := feasible(tok, n, cons); err != nil {
+	if _, ok, err := feasible(tok, nil, n, cons); err != nil {
 		return 0, nil, err
 	} else if !ok {
 		return 0, nil, fmt.Errorf("skew: difference constraints: %w", ErrInfeasible)

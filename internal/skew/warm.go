@@ -3,12 +3,12 @@ package skew
 import (
 	"fmt"
 
-	"rotaryclk/internal/faultinject"
+	"rotaryclk/internal/obs"
 	"rotaryclk/internal/stop"
 )
 
 // WarmStart re-checks a previous schedule against an (edited) constraint
-// system and minimally repairs it: Bellman-Ford relaxation initialized from
+// system and minimally repairs it: the Bellman-Ford kernel initialized from
 // the seed instead of zeros, so entries only move when a constraint forces
 // them, and a seed that already satisfies every constraint comes back
 // bit-identical after a single O(m) verification round — the bounded
@@ -21,39 +21,32 @@ import (
 // inputs return bit-identical schedules regardless of how the edits were
 // batched. It returns the repaired schedule, the number of relaxation
 // rounds, and ok=false when the system is infeasible (negative constraint
-// cycle); the seed is never mutated. A seed of the wrong length or a
-// constraint referencing variables outside [0,n) panics, matching Feasible.
+// cycle). An infeasible system is rejected at the first round that exposes
+// the cycle, so its round count is usually far below n+1. The seed is never
+// mutated. A seed of the wrong length or a constraint referencing variables
+// outside [0,n) panics, matching Feasible.
 func WarmStart(n int, cons []DiffConstraint, seed []float64) ([]float64, int, bool) {
-	t, rounds, ok, _ := WarmStartStop(nil, n, cons, seed)
+	t, rounds, ok, _ := WarmStartStop(nil, nil, n, cons, seed)
 	return t, rounds, ok
 }
 
 // WarmStartStop is WarmStart with a cooperative stop token checked once per
-// relaxation round. A fired token abandons the repair and reports the stop
-// error; the partial vector is not a certificate and is discarded.
-func WarmStartStop(tok *stop.Token, n int, cons []DiffConstraint, seed []float64) ([]float64, int, bool, error) {
+// relaxation round and the kernel's skew.* counters recorded into reg
+// (resolved through obs.Resolve). A fired token abandons the repair and
+// reports the stop error; the partial vector is not a certificate and is
+// discarded.
+func WarmStartStop(tok *stop.Token, reg *obs.Registry, n int, cons []DiffConstraint, seed []float64) ([]float64, int, bool, error) {
 	if len(seed) != n {
 		panic(fmt.Sprintf("skew: warm start seed has %d entries for %d variables", len(seed), n))
 	}
 	dist := make([]float64, n)
 	copy(dist, seed)
-	for iter := 0; iter <= n; iter++ {
-		if err := stop.Check(tok, faultinject.SiteSkewIterCancel); err != nil {
-			return nil, iter, false, fmt.Errorf("skew: warm-start repair: %w", err)
-		}
-		changed := false
-		for _, c := range cons {
-			if c.U < 0 || c.U >= n || c.V < 0 || c.V >= n {
-				panic(fmt.Sprintf("skew: constraint %+v out of range n=%d", c, n))
-			}
-			if nd := dist[c.V] + c.Bound; nd < dist[c.U]-Eps {
-				dist[c.U] = nd
-				changed = true
-			}
-		}
-		if !changed {
-			return dist, iter + 1, true, nil
-		}
+	rounds, ok, err := relax(tok, obs.Resolve(reg), n, cons, dist)
+	if err != nil {
+		return nil, rounds, false, fmt.Errorf("skew: warm-start repair: %w", err)
 	}
-	return nil, n + 1, false, nil
+	if !ok {
+		return nil, rounds, false, nil
+	}
+	return dist, rounds, true, nil
 }

@@ -59,8 +59,14 @@ func TestWarmStartInfeasible(t *testing.T) {
 		{U: 0, V: 1, Bound: -1},
 		{U: 1, V: 0, Bound: -1},
 	}
-	if _, _, ok := WarmStart(2, cons, []float64{0, 0}); ok {
+	_, rounds, ok := WarmStart(2, cons, []float64{0, 0})
+	if ok {
 		t.Fatal("negative cycle reported feasible")
+	}
+	// The kernel rejects the cycle as soon as it shows up in the parent
+	// pointers, before the n+1-round cap.
+	if rounds >= 3 {
+		t.Fatalf("infeasible warm start took %d rounds, want < n+1 = 3", rounds)
 	}
 }
 
@@ -103,7 +109,7 @@ func TestWarmStartSeedLengthPanics(t *testing.T) {
 func TestWarmStartStopToken(t *testing.T) {
 	tok, cancel := stop.WithTimeout(-time.Second)
 	defer cancel()
-	_, _, _, err := WarmStartStop(tok, 2, []DiffConstraint{{U: 0, V: 1, Bound: 0}}, []float64{0, 0})
+	_, _, _, err := WarmStartStop(tok, nil, 2, []DiffConstraint{{U: 0, V: 1, Bound: 0}}, []float64{0, 0})
 	if !stop.IsStop(err) {
 		t.Fatalf("err = %v, want stop error", err)
 	}

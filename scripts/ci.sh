@@ -51,6 +51,11 @@
 #                         at 1 and 8 workers), the swallowed-STA-error
 #                         surface test, and the Table VIII worst-slack
 #                         acceptance run (improvement on >= 2 circuits)
+#   scripts/ci.sh skew    difference-constraint kernel gate: the kernel vs
+#                         the reference n+1-round loop (random raw, Fishburn
+#                         and guard-band systems, bit-identical potentials),
+#                         the early negative-cycle exit tests, the min-Delta
+#                         oracle negative test, and the golden tables
 #   scripts/ci.sh golden  run only the golden-table regression harness
 #                         (UPDATE=1 re-records the goldens after a reviewed
 #                         table change)
@@ -236,6 +241,11 @@ timing)
     go test ./internal/oracle/ -run '^TestFaultReweightDetected$' -count=1
     go test -timeout 20m ./internal/exp/ -run '^(TestTimingSmoke|TestVarPairsSurfacesAnalysisError)$' -count=1 -v
     ;;
+skew)
+    go test ./internal/skew/ -run '^(TestRelax|TestMinDeltaMatchesReferenceLoop|TestWarmStart)' -count=1 -v
+    go test ./internal/oracle/ -run '^TestFaultSkewMinDeltaDetected$' -count=1
+    go test ./internal/exp -run '^TestGolden' -count=1
+    ;;
 golden)
     if [ "${UPDATE:-0}" = "1" ]; then
         go test ./internal/exp -run '^TestGolden' -count=1 -update
@@ -267,7 +277,7 @@ cover)
     fi
     ;;
 *)
-    echo "usage: scripts/ci.sh {test|race|fuzz|serve|bench|benchcmp|scaling|eco|oracle|ml|timing|golden|cover}" >&2
+    echo "usage: scripts/ci.sh {test|race|fuzz|serve|bench|benchcmp|scaling|eco|oracle|ml|timing|skew|golden|cover}" >&2
     exit 2
     ;;
 esac
