@@ -4,8 +4,9 @@
 # deterministic gates.
 
 SEEDS ?= 25
+BASE ?= HEAD~1
 
-.PHONY: test race fuzz serve bench benchcmp scaling scaling-smoke eco eco-bench oracle ml timing skew golden cover ci
+.PHONY: test race fuzz serve bench benchcmp scaling scaling-smoke eco eco-bench oracle ml timing skew golden cover loc ci
 
 test:
 	sh scripts/ci.sh test
@@ -71,5 +72,9 @@ golden:
 
 cover:
 	sh scripts/ci.sh cover
+
+# Non-test Go line delta against BASE (default HEAD~1).
+loc:
+	BASE=$(BASE) sh scripts/ci.sh loc
 
 ci: test race golden oracle serve eco ml timing skew cover

@@ -304,7 +304,7 @@ func BenchmarkAblationSkewSolver(b *testing.B) {
 	}
 	b.Run("graph-binary-search", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := skew.MaxSlack(n, pairs, 1000, 30, 15, 1e-3); err != nil {
+			if _, _, err := skew.MaxSlack(nil, nil, n, pairs, 1000, 30, 15, 1e-3); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -481,7 +481,7 @@ func BenchmarkWeightedSumCirculation(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := skew.WeightedSum(n, cons, targets, weights); err != nil {
+		if _, _, err := skew.WeightedSum(nil, n, cons, targets, weights); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -3,11 +3,9 @@ package core
 import (
 	"fmt"
 
-	"rotaryclk/internal/assign"
 	"rotaryclk/internal/eco"
 	"rotaryclk/internal/netlist"
 	"rotaryclk/internal/obs"
-	"rotaryclk/internal/placer"
 )
 
 // ECOResult is the outcome of one ApplyECO call plus the full quality
@@ -35,24 +33,9 @@ func NewECOState(c *netlist.Circuit, cfg Config, res *Result) (*eco.State, error
 	if len(res.Schedule) != len(res.FFCells) || len(res.Assign.Ring) != len(res.FFCells) {
 		return nil, fmt.Errorf("core: result schedule/assignment out of step with its flip-flop list")
 	}
-	reg := obs.Resolve(cfg.Obs)
-	var sys *placer.System
-	if cfg.System != nil {
-		fk, err := cfg.System.Fork(c, reg)
-		if err != nil {
-			return nil, fmt.Errorf("core: forking placement system for ECO: %w", err)
-		}
-		sys = fk
-	} else {
-		ns, err := placer.NewSystem(c, reg)
-		if err != nil {
-			return nil, fmt.Errorf("core: placement system for ECO: %w", err)
-		}
-		sys = ns
-	}
-	cache := cfg.TapCache
-	if cache == nil {
-		cache = assign.NewTapCache()
+	sys, cache, se := placementState(c, cfg, obs.Resolve(cfg.Obs))
+	if se != nil {
+		return nil, fmt.Errorf("core: ECO state: %w", se.Err)
 	}
 	return &eco.State{
 		Circuit:     c,

@@ -263,6 +263,29 @@ func (r *Result) event(stage, iter int, kind Kind, action string, err error) {
 	r.Events = append(r.Events, StageEvent{Stage: stage, Iter: iter, Kind: kind, Action: action, Err: err})
 }
 
+// flow is the state one Run threads through its stages: the inputs, the
+// solver resources every stage shares, and the current and best iterates of
+// the stage 3-6 loop.
+type flow struct {
+	c     *netlist.Circuit
+	cfg   Config
+	res   *Result
+	reg   *obs.Registry
+	root  *obs.Span
+	ffIdx map[int]int
+	psys  *placer.System
+	cache *assign.TapCache
+	arr   *rotary.Array
+
+	sched    []float64          // current schedule
+	asg      *assign.Assignment // current assignment
+	netScale []float64          // timing-driven net criticality; nil when the mode is off
+	best     snapshot
+	bestCost float64
+	prevCost float64
+	stall    int // consecutive iterations below the convergence tolerance
+}
+
 // Run executes the integrated flow on the circuit (placement is written onto
 // it). The circuit must validate and have a non-empty die.
 func Run(c *netlist.Circuit, cfg Config) (*Result, error) {
@@ -272,20 +295,16 @@ func Run(c *netlist.Circuit, cfg Config) (*Result, error) {
 	}
 	res := &Result{FFCells: c.FlipFlops()}
 	n := len(res.FFCells)
-	if n == 0 {
+	if n == 0 && cfg.Strict {
 		// A circuit with no flip-flops has nothing for stages 2-6 to
-		// optimize, but it is still a placeable netlist. Strict mode keeps
-		// the hard error; otherwise the flow degenerates gracefully to
-		// stage 1 (placement) plus the ring array, with an empty assignment
-		// and signal-only metrics.
-		if cfg.Strict {
-			return nil, &StageError{Stage: 1, Kind: InvalidInput, Err: fmt.Errorf("circuit %q has no flip-flops", c.Name)}
-		}
-		return runSignalOnly(c, cfg, res)
+		// optimize. Strict mode keeps the hard error; otherwise the circuit
+		// is still a placeable netlist and leaves through the partial-result
+		// exit after stage 1 and the ring array.
+		return nil, &StageError{Stage: 1, Kind: InvalidInput, Err: fmt.Errorf("circuit %q has no flip-flops", c.Name)}
 	}
-	ffIdx := make(map[int]int, n)
+	f := &flow{c: c, cfg: cfg, res: res, ffIdx: make(map[int]int, n)}
 	for i, id := range res.FFCells {
-		ffIdx[id] = i
+		f.ffIdx[id] = i
 	}
 
 	// Observability: one root span for the run, a child per stage, and a
@@ -293,8 +312,8 @@ func Run(c *netlist.Circuit, cfg Config) (*Result, error) {
 	// structural guarantee that every span closes on every exit path —
 	// recovery ladders, Degraded breaks, and hard errors included — since
 	// End recursively closes open children. The snapshot flushed into
-	// Result.Metrics is taken after an explicit End at the result-returning
-	// exits, so recorded durations are final.
+	// Result.Metrics is taken after an explicit End in finish, so recorded
+	// durations are final.
 	reg := obs.Resolve(cfg.Obs)
 	reg.Add("core.runs", 1)
 	root := reg.StartSpan("core.Run",
@@ -303,49 +322,39 @@ func Run(c *netlist.Circuit, cfg Config) (*Result, error) {
 		obs.I("rings", cfg.NumRings),
 		obs.I("flipflops", n))
 	defer root.End()
+	f.reg, f.root = reg, root
 
-	// The quadratic placement system is assembled once here and reused by
-	// every placer call of the run — the initial global placement and all
-	// stage-6 incremental re-placements — because the net connectivity it
-	// encodes never changes across flow iterations; only the anchor overlay
-	// (pseudo-nets, stability anchors) differs per solve. A caller-supplied
-	// template system skips even that one assembly: the fork shares the
-	// immutable connectivity and carries job-local mutable state.
-	var psys *placer.System
-	if cfg.System != nil {
-		fk, err := cfg.System.Fork(c, reg)
-		if err != nil {
-			return nil, &StageError{Stage: 1, Kind: InvalidInput, Err: fmt.Errorf("forking placement system: %w", err)}
-		}
-		psys = fk
-	} else {
-		ns, err := placer.NewSystem(c, reg)
-		if err != nil {
-			return nil, stageErr(1, 0, fmt.Errorf("placement system: %w", err))
-		}
-		psys = ns
+	// The quadratic placement system is assembled (or forked) once here and
+	// reused by every placer call of the run — the initial global placement
+	// and all stage-6 incremental re-placements — because the net
+	// connectivity it encodes never changes across flow iterations. The
+	// tapping-solve cache likewise lives for the whole flow.
+	var se *StageError
+	if f.psys, f.cache, se = placementState(c, cfg, reg); se != nil {
+		return nil, se
 	}
 
-	// degradeEarly finishes a run stopped before the base case exists. The
-	// consistent prefix reached so far (best-effort legalized placement,
-	// ring array, possibly a stage-2 schedule) is still a valid — if
-	// empty-handed — result, so non-strict callers get it back Degraded
-	// with the stop event recorded instead of an error; strict callers get
-	// the typed failure. Only stop errors route here.
-	degradeEarly := func(stage int, err error) (*Result, error) {
-		se := stageErr(stage, 0, err)
-		if cfg.Strict {
-			return nil, se
-		}
-		res.event(stage, 0, se.Kind, "stopped before the base case; returning partial result", err)
-		res.Degraded = true
-		if stage == 1 && !cfg.SkipInitialPlace {
-			// The canceled solve wrote its best iterate onto the circuit;
-			// legalization turns it into a usable (overlap-free) placement.
-			if lerr := placer.Legalize(c); lerr != nil {
-				res.event(1, 0, Internal, "legalizing partial placement failed", lerr)
+	// finish is the one result-returning exit, shared by clean, Degraded
+	// and partial runs: End the root span explicitly (idempotent;
+	// recursively closes spans a failure left open) so every recorded
+	// duration is final, then snapshot the telemetry into the result.
+	finish := func() (*Result, error) {
+		if reg != nil {
+			reg.Add("core.events", int64(len(res.Events)))
+			if res.Degraded {
+				reg.Add("core.degraded", 1)
 			}
+			root.End()
+			res.Metrics = reg.Snapshot()
 		}
+		return res, nil
+	}
+	// partial finishes a run that has no base case: a circuit without
+	// flip-flops, or a stop before the first assignment. The consistent
+	// prefix reached so far (placement, ring array, possibly a stage-2
+	// schedule) is completed with an empty assignment and schedule and
+	// measured, so the result is valid, if empty-handed.
+	partial := func() (*Result, error) {
 		if res.Array == nil {
 			if a, aerr := rotary.SquareArray(c.Die, cfg.NumRings, cfg.RingFill, cfg.Params); aerr == nil {
 				res.Array = a
@@ -368,40 +377,43 @@ func Run(c *netlist.Circuit, cfg Config) (*Result, error) {
 		res.Base = measure(c, cfg, res.Assign, n)
 		res.Final = res.Base
 		res.PerIter = append(res.PerIter, res.Base)
-		if reg != nil {
-			reg.Add("core.events", int64(len(res.Events)))
-			reg.Add("core.degraded", 1)
-			root.End()
-			res.Metrics = reg.Snapshot()
+		return finish()
+	}
+	// degradeEarly finishes a run stopped before the base case exists:
+	// non-strict callers get the partial result back Degraded with the stop
+	// event recorded instead of an error; strict callers get the typed
+	// failure. Only stop errors route here.
+	degradeEarly := func(stage int, err error) (*Result, error) {
+		se := stageErr(stage, 0, err)
+		if cfg.Strict {
+			return nil, se
 		}
-		return res, nil
+		res.event(stage, 0, se.Kind, "stopped before the base case; returning partial result", err)
+		res.Degraded = true
+		if stage == 1 && !cfg.SkipInitialPlace {
+			// The canceled solve wrote its best iterate onto the circuit;
+			// legalization turns it into a usable (overlap-free) placement.
+			if lerr := placer.Legalize(c); lerr != nil {
+				res.event(1, 0, Internal, "legalizing partial placement failed", lerr)
+			}
+		}
+		return partial()
 	}
 
 	// Stage 1: initial placement. Conjugate-gradients stagnation is the one
-	// recoverable failure here: the positions written back are a usable
-	// iterate, and one retry at a 100x looser tolerance almost always
-	// converges. Anything else in stage 1 is a hard error.
-	tPlace := time.Now()
-	s1 := root.Child("stage1.place")
+	// recoverable failure here (see retryCG); anything else is a hard error.
+	s1 := startStage(root, &res.PlaceSeconds, "stage1.place")
 	if !cfg.SkipInitialPlace {
 		if cfg.Multilevel {
 			reg.Add("core.ml.runs", 1)
-			s1.Set(obs.S("multilevel", "on"))
+			s1.span.Set(obs.S("multilevel", "on"))
 		}
-		err := psys.Global(placer.Options{Parallelism: cfg.Parallelism, Obs: reg, Stop: cfg.Stop, Multilevel: cfg.Multilevel})
-		if err != nil && errors.Is(err, placer.ErrNonConverged) && !cfg.Strict {
-			res.event(1, 0, NonConverged, "retrying global placement at 100x looser CG tolerance", err)
-			err = psys.Global(placer.Options{Parallelism: cfg.Parallelism, CGTol: 1e-4, Obs: reg, Stop: cfg.Stop, Multilevel: cfg.Multilevel})
-			if err != nil && errors.Is(err, placer.ErrNonConverged) {
-				// Both solves stagnated; the best-effort iterate is on the
-				// circuit and legalization makes it usable.
-				res.event(1, 0, NonConverged, "keeping best-effort placement from stagnated solve", err)
-				err = nil
-			}
-		}
+		err := f.retryCG(1, 0, "global placement", func(cgTol float64) error {
+			return f.psys.Global(placer.Options{Parallelism: cfg.Parallelism, CGTol: cgTol, Obs: reg, Stop: cfg.Stop, Multilevel: cfg.Multilevel})
+		})
 		if err != nil {
 			if stop.IsStop(err) {
-				res.PlaceSeconds += time.Since(tPlace).Seconds()
+				s1.end()
 				return degradeEarly(1, fmt.Errorf("global placement: %w", err))
 			}
 			return nil, stageErr(1, 0, fmt.Errorf("global placement: %w", err))
@@ -416,8 +428,7 @@ func Run(c *netlist.Circuit, cfg Config) (*Result, error) {
 			return nil, stageErr(1, 0, fmt.Errorf("detailed placement: %w", err))
 		}
 	}
-	s1.End()
-	res.PlaceSeconds += time.Since(tPlace).Seconds()
+	s1.end()
 	if serr := cfg.Stop.Err(); serr != nil {
 		// Placement is complete and legal; the run stops at the stage
 		// boundary with a placement-only result.
@@ -429,51 +440,47 @@ func Run(c *netlist.Circuit, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, &StageError{Stage: 3, Kind: InvalidInput, Err: fmt.Errorf("ring array: %w", err)}
 	}
-	res.Array = arr
+	res.Array, f.arr = arr, arr
+	if n == 0 {
+		// Stages 2-6 have no sequential elements to operate on: the placed
+		// circuit and the ring array leave with signal-only metrics.
+		res.event(2, 0, InvalidInput, "no flip-flops: skipping skew, assignment, and re-optimization stages", nil)
+		return partial()
+	}
 
 	// Stage 2: max-slack skew optimization. No recovery ladder exists here:
 	// with nothing assigned yet there is no weaker schedule to fall back to,
 	// so an unsatisfiable constraint system is a hard (typed) failure.
-	tOpt := time.Now()
-	s2 := root.Child("stage2.maxslack")
-	pairs, err := seqPairs(c, cfg.TModel, ffIdx)
+	s2 := startStage(root, &res.OptSeconds, "stage2.maxslack")
+	pairs, err := seqPairs(c, cfg.TModel, f.ffIdx)
 	if err != nil {
 		return nil, stageErr(2, 0, err)
 	}
-	M, sched, err := skew.MaxSlackExactStop(cfg.Stop, reg, n, pairs, cfg.Params.Period, cfg.TModel.TSetup, cfg.TModel.THold)
+	M, sched, err := skew.MaxSlackExact(cfg.Stop, reg, n, pairs, cfg.Params.Period, cfg.TModel.TSetup, cfg.TModel.THold)
 	if err != nil {
 		if stop.IsStop(err) {
-			res.OptSeconds += time.Since(tOpt).Seconds()
+			s2.end()
 			return degradeEarly(2, fmt.Errorf("max-slack skew optimization: %w", err))
 		}
 		return nil, stageErr(2, 0, fmt.Errorf("max-slack skew optimization: %w", err))
 	}
 	res.MaxSlack = M
 	res.Schedule = sched
-	s2.Set(obs.I("pairs", len(pairs)), obs.F("max_slack_ps", M))
-	s2.End()
+	s2.span.Set(obs.I("pairs", len(pairs)), obs.F("max_slack_ps", M))
+	s2.end()
 
-	// Stage 3: initial assignment -> base case metrics. The tapping-solve
-	// cache lives for the whole flow: across the re-optimization loop most
-	// flip-flops keep their (position, target) pair from one iteration to
-	// the next, so their candidate arcs come from the cache instead of
-	// being re-solved.
-	tapCache := cfg.TapCache
-	if tapCache == nil {
-		tapCache = assign.NewTapCache()
-	}
-	s3 := root.Child("stage3.assign")
-	asg, err := assignRecover(c, cfg, arr, res.FFCells, sched, tapCache, res, 0, reg)
+	// Stage 3: initial assignment -> base case metrics.
+	s3 := startStage(root, &res.OptSeconds, "stage3.assign")
+	asg, err := f.assignRecover(sched, 0)
 	if err != nil {
 		if stop.IsStop(err) {
-			res.OptSeconds += time.Since(tOpt).Seconds()
+			s3.end()
 			return degradeEarly(3, fmt.Errorf("assignment: %w", err))
 		}
 		return nil, stageErr(3, 0, err)
 	}
-	s3.End()
+	s3.end()
 	res.Assign = asg
-	res.OptSeconds += time.Since(tOpt).Seconds()
 	res.Base = measure(c, cfg, asg, n)
 	res.Final = res.Base
 	res.PerIter = append(res.PerIter, res.Base)
@@ -484,299 +491,238 @@ func Run(c *netlist.Circuit, cfg Config) (*Result, error) {
 	// iterate is kept; its placement is restored at the end, so the
 	// reported schedule provably satisfies the timing constraints of the
 	// reported cell locations.
-	res.WorkSlack = workSlack(cfg.SlackFrac, M)
-	best := snapshot{
-		pos:   c.Positions(),
-		sched: sched,
-		asg:   asg,
-		m:     res.Base,
-		mWork: res.WorkSlack,
-	}
-	// Stage-5 evaluation: the network-flow formulation optimizes wirelength
-	// (weighted sum of tapping and signal WL); the ILP formulation optimizes
-	// frequency, so its iterations are judged by the wirelength-capacitance
-	// product instead (Table VII's metric).
-	cost := func(m Metrics) float64 {
-		if cfg.Assigner == ILP {
-			return m.WCP
-		}
-		return cfg.TapWeight*m.TapWL + m.SignalWL
-	}
-	prevCost := cost(res.Base)
-	bestCost := prevCost
-	stall := 0
+	res.WorkSlack = skew.WorkSlack(cfg.SlackFrac, M)
+	f.sched, f.asg = sched, asg
+	f.best = snapshot{pos: c.Positions(), sched: sched, asg: asg, m: res.Base, mWork: res.WorkSlack}
+	f.prevCost = f.cost(res.Base)
+	f.bestCost = f.prevCost
 	// Timing-driven mode: one criticality scale per net, persistent across
 	// iterations so the exponential-decay history damps oscillation. Nil
 	// when the mode is off — the placer then takes its untouched base path.
-	var netScale []float64
 	if cfg.TimingDriven {
-		netScale = make([]float64, len(c.Nets))
-		for i := range netScale {
-			netScale[i] = 1
+		f.netScale = make([]float64, len(c.Nets))
+		for i := range f.netScale {
+			f.netScale[i] = 1
 		}
 	}
-	// fail handles an unrecoverable mid-loop failure: a hard StageError in
-	// strict mode, otherwise a degradation event. It returns the StageError
-	// to raise, or nil to degrade (caller breaks the loop).
-	fail := func(stage, iter int, err error) *StageError {
-		se := stageErr(stage, iter, err)
-		if cfg.Strict {
-			return se
-		}
-		res.event(stage, iter, se.Kind, "stopping re-optimization; keeping best snapshot", err)
-		res.Degraded = true
-		return nil
-	}
-loop:
 	for iter := 1; iter <= cfg.MaxIters; iter++ {
-		if serr := cfg.Stop.Err(); serr != nil {
-			if se := fail(6, iter, fmt.Errorf("before iteration: %w", serr)); se != nil {
-				return nil, se
-			}
-			break loop
-		}
-		reg.Add("core.iterations", 1)
-		itSp := root.Child("flow.iter", obs.I("iter", iter))
-		// Timing-driven reweighting: rank the lowest-slack sequential pairs
-		// under the current schedule and boost the nets their D_max paths
-		// cross, so the stage-6 re-place pulls them shorter.
-		if cfg.TimingDriven {
-			tw := itSp.Child("stage6.reweight")
-			timingReweight(c, &cfg, res, ffIdx, sched, netScale, iter, reg)
-			tw.End()
-		}
-		// Stage 6: pseudo-net incremental placement toward the current
-		// assignment's tapping points.
-		tPlace = time.Now()
-		sp6 := itSp.Child("stage6.place")
-		pn := make([]placer.PseudoNet, 0, n)
-		for i, id := range res.FFCells {
-			pn = append(pn, placer.PseudoNet{
-				Cell:   id,
-				Target: asg.Taps[i].Point,
-				Weight: cfg.PseudoWeight * float64(iter),
-			})
-		}
-		err := psys.Incremental(placer.Options{PseudoNets: pn, NetWeights: netScale, Parallelism: cfg.Parallelism, Obs: reg, Stop: cfg.Stop})
-		if err != nil && errors.Is(err, placer.ErrNonConverged) && !cfg.Strict {
-			res.event(6, iter, NonConverged, "retrying incremental placement at 100x looser CG tolerance", err)
-			err = psys.Incremental(placer.Options{PseudoNets: pn, NetWeights: netScale, Parallelism: cfg.Parallelism, CGTol: 1e-4, Obs: reg, Stop: cfg.Stop})
-			if err != nil && errors.Is(err, placer.ErrNonConverged) {
-				res.event(6, iter, NonConverged, "keeping best-effort placement from stagnated solve", err)
-				err = nil
-			}
-		}
+		converged, stage, err := f.iterate(iter)
 		if err != nil {
-			if se := fail(6, iter, fmt.Errorf("incremental placement: %w", err)); se != nil {
+			// The loop's one failure site: a hard StageError in strict mode,
+			// otherwise a degradation event that keeps the best snapshot.
+			se := stageErr(stage, iter, err)
+			if cfg.Strict {
 				return nil, se
 			}
-			break loop
+			res.event(stage, iter, se.Kind, "stopping re-optimization; keeping best snapshot", err)
+			res.Degraded = true
+			break
 		}
-		if err := placer.Legalize(c); err != nil {
-			if se := fail(6, iter, fmt.Errorf("legalization: %w", err)); se != nil {
-				return nil, se
-			}
-			break loop
-		}
-		// Recover signal wirelength disturbed by the pull + legalization,
-		// holding the flip-flops where the pseudo-nets put them.
-		if _, err := placer.DetailedExcluding(c, 1, res.FFCells); err != nil {
-			if se := fail(6, iter, fmt.Errorf("detailed placement: %w", err)); se != nil {
-				return nil, se
-			}
-			break loop
-		}
-		sp6.End()
-		res.PlaceSeconds += time.Since(tPlace).Seconds()
-
-		// Stage 4 on the new placement: re-derive the working slack and the
-		// cost-driven schedule.
-		tOpt = time.Now()
-		sp4 := itSp.Child("stage4.slack-refresh")
-		pairs, err = seqPairs(c, cfg.TModel, ffIdx)
-		if err != nil {
-			if se := fail(4, iter, err); se != nil {
-				return nil, se
-			}
-			break loop
-		}
-		mWork := res.WorkSlack
-		var msSched []float64 // fresh max-slack schedule, stage 4's last-resort fallback
-		if mi, ms, err := skew.MaxSlackExactStop(cfg.Stop, reg, n, pairs, cfg.Params.Period, cfg.TModel.TSetup, cfg.TModel.THold); err == nil {
-			mWork = workSlack(cfg.SlackFrac, mi)
-			msSched = ms
-		} else if stop.IsStop(err) {
-			// A fired token is not a property of this placement; stop the
-			// loop on the snapshot rather than optimizing against stale
-			// margins.
-			if se := fail(2, iter, fmt.Errorf("in-loop slack refresh: %w", err)); se != nil {
-				return nil, se
-			}
-			break loop
-		} else if cfg.Strict {
-			return nil, stageErr(2, iter, fmt.Errorf("in-loop slack refresh: %w", err))
-		} else {
-			// The placement moved into a state the slack solver rejects;
-			// keep optimizing against the previous margin rather than
-			// silently pretending the refresh happened.
-			res.event(2, iter, classify(err), "in-loop slack refresh failed; reusing previous working slack", err)
-		}
-		sp4.End()
-		// Inner fixed point of stages 4 and 3: the schedule chases the
-		// nearest ring phases and the assignment chases the schedule; two
-		// rounds settle the pair for the current placement.
-		for inner := 0; inner < 2; inner++ {
-			c4 := itSp.Child("stage4.skew", obs.I("round", inner))
-			sched, mWork, err = costDrivenRecover(c, cfg, arr, res.FFCells, asg, sched, pairs, mWork, msSched, res, iter, reg)
-			if err != nil {
-				if se := fail(4, iter, fmt.Errorf("cost-driven skew: %w", err)); se != nil {
-					return nil, se
-				}
-				break loop
-			}
-			c4.End()
-			c3 := itSp.Child("stage3.assign", obs.I("round", inner))
-			asg, err = assignRecover(c, cfg, arr, res.FFCells, sched, tapCache, res, iter, reg)
-			if err != nil {
-				if se := fail(3, iter, fmt.Errorf("assignment: %w", err)); se != nil {
-					return nil, se
-				}
-				break loop
-			}
-			c3.End()
-		}
-		res.OptSeconds += time.Since(tOpt).Seconds()
-
-		sp5 := itSp.Child("stage5.evaluate")
-		m := measure(c, cfg, asg, n)
-		res.PerIter = append(res.PerIter, m)
-		res.Iterations = iter
-		if cost(m) < bestCost {
-			bestCost = cost(m)
-			best = snapshot{pos: c.Positions(), sched: sched, asg: asg, m: m, mWork: mWork}
-		}
-
-		// Stage 5: convergence on the overall cost, the paper's weighted sum
-		// of total tapping cost and traditional placement cost. One stalled
-		// iteration is tolerated (the pseudo-net ramp often recovers it);
-		// two in a row end the loop.
-		converged := false
-		if prevCost-cost(m) < cfg.ConvergeTol*prevCost {
-			stall++
-			converged = stall >= 2
-		} else {
-			stall = 0
-		}
-		sp5.Set(obs.F("cost", cost(m)))
-		sp5.End()
-		itSp.End()
 		if converged {
 			break
 		}
-		prevCost = cost(m)
 	}
 
 	// Restore the best iterate.
-	if err := c.SetPositions(best.pos); err != nil {
+	if err := c.SetPositions(f.best.pos); err != nil {
 		// The snapshot came from this circuit, so a mismatch here is a
 		// broken flow invariant, not recoverable state.
 		return nil, &StageError{Stage: 5, Iter: res.Iterations, Kind: Internal, Err: fmt.Errorf("restoring best placement: %w", err)}
 	}
-	res.Assign = best.asg
-	res.Schedule = best.sched
-	res.Final = best.m
-	res.WorkSlack = best.mWork
-	// Flush telemetry into the result. This is the one result-returning
-	// exit, shared by clean and Degraded runs alike: End the root span
-	// explicitly (idempotent; recursively closes spans a Degraded break
-	// left open) so every recorded duration is final, then snapshot.
-	if reg != nil {
-		reg.Add("core.events", int64(len(res.Events)))
-		if res.Degraded {
-			reg.Add("core.degraded", 1)
-		}
-		root.End()
-		res.Metrics = reg.Snapshot()
-	}
-	return res, nil
+	res.Assign = f.best.asg
+	res.Schedule = f.best.sched
+	res.Final = f.best.m
+	res.WorkSlack = f.best.mWork
+	return finish()
 }
 
-// runSignalOnly is the zero-flip-flop degenerate flow: stage-1 placement and
-// the ring array are still built (the circuit is a legitimate placement
-// instance and the array a legitimate clock resource), but stages 2-5 have no
-// sequential elements to operate on, so the result carries an empty
-// assignment, a zero max-slack schedule, and signal-only metrics. Only
-// reached in non-strict mode.
-func runSignalOnly(c *netlist.Circuit, cfg Config, res *Result) (*Result, error) {
-	reg := obs.Resolve(cfg.Obs)
-	reg.Add("core.runs", 1)
-	root := reg.StartSpan("core.Run",
-		obs.S("circuit", c.Name),
-		obs.S("assigner", cfg.Assigner.String()),
-		obs.I("rings", cfg.NumRings),
-		obs.I("flipflops", 0))
-	defer root.End()
-
-	psys, err := placer.NewSystem(c, reg)
-	if err != nil {
-		return nil, stageErr(1, 0, fmt.Errorf("placement system: %w", err))
+// iterate runs iteration iter of the re-optimization loop: stage 6 moves
+// the flip-flops toward their current tapping points, stages 4 and 3
+// re-derive the schedule and assignment for the new placement, and stage 5
+// measures it and judges convergence. An unrecoverable failure returns the
+// stage it happened in; Run decides between a strict error and a Degraded
+// stop, and the root span closes whatever spans the failure left open.
+func (f *flow) iterate(iter int) (converged bool, stage int, err error) {
+	c, cfg, res, reg := f.c, &f.cfg, f.res, f.reg
+	n := len(res.FFCells)
+	if serr := cfg.Stop.Err(); serr != nil {
+		return false, 6, fmt.Errorf("before iteration: %w", serr)
 	}
-	tPlace := time.Now()
-	s1 := root.Child("stage1.place")
-	if !cfg.SkipInitialPlace {
-		if cfg.Multilevel {
-			reg.Add("core.ml.runs", 1)
-			s1.Set(obs.S("multilevel", "on"))
+	reg.Add("core.iterations", 1)
+	itSp := f.root.Child("flow.iter", obs.I("iter", iter))
+	// Timing-driven reweighting: rank the lowest-slack sequential pairs
+	// under the current schedule and boost the nets their D_max paths
+	// cross, so the stage-6 re-place pulls them shorter.
+	if cfg.TimingDriven {
+		tw := itSp.Child("stage6.reweight")
+		timingReweight(c, cfg, res, f.ffIdx, f.sched, f.netScale, iter, reg)
+		tw.End()
+	}
+
+	// Stage 6: pseudo-net incremental placement toward the current
+	// assignment's tapping points.
+	sp6 := startStage(itSp, &res.PlaceSeconds, "stage6.place")
+	pn := make([]placer.PseudoNet, 0, n)
+	for i, id := range res.FFCells {
+		pn = append(pn, placer.PseudoNet{
+			Cell:   id,
+			Target: f.asg.Taps[i].Point,
+			Weight: cfg.PseudoWeight * float64(iter),
+		})
+	}
+	if err := f.retryCG(6, iter, "incremental placement", func(cgTol float64) error {
+		return f.psys.Incremental(placer.Options{PseudoNets: pn, NetWeights: f.netScale, Parallelism: cfg.Parallelism, CGTol: cgTol, Obs: reg, Stop: cfg.Stop})
+	}); err != nil {
+		return false, 6, fmt.Errorf("incremental placement: %w", err)
+	}
+	if err := placer.Legalize(c); err != nil {
+		return false, 6, fmt.Errorf("legalization: %w", err)
+	}
+	// Recover signal wirelength disturbed by the pull + legalization,
+	// holding the flip-flops where the pseudo-nets put them.
+	if _, err := placer.DetailedExcluding(c, 1, res.FFCells); err != nil {
+		return false, 6, fmt.Errorf("detailed placement: %w", err)
+	}
+	sp6.end()
+
+	// Stage 4 on the new placement: re-derive the working slack and the
+	// cost-driven schedule.
+	sp4 := startStage(itSp, &res.OptSeconds, "stage4.slack-refresh")
+	pairs, err := seqPairs(c, cfg.TModel, f.ffIdx)
+	if err != nil {
+		return false, 4, err
+	}
+	mWork := res.WorkSlack
+	var msSched []float64 // fresh max-slack schedule, stage 4's last-resort fallback
+	if mi, ms, err := skew.MaxSlackExact(cfg.Stop, reg, n, pairs, cfg.Params.Period, cfg.TModel.TSetup, cfg.TModel.THold); err == nil {
+		mWork = skew.WorkSlack(cfg.SlackFrac, mi)
+		msSched = ms
+	} else if stop.IsStop(err) || cfg.Strict {
+		// A fired token is not a property of this placement: stop the loop
+		// on the snapshot rather than optimizing against stale margins.
+		// Strict mode raises every refresh failure.
+		return false, 2, fmt.Errorf("in-loop slack refresh: %w", err)
+	} else {
+		// The placement moved into a state the slack solver rejects; keep
+		// optimizing against the previous margin rather than silently
+		// pretending the refresh happened.
+		res.event(2, iter, classify(err), "in-loop slack refresh failed; reusing previous working slack", err)
+	}
+	sp4.end()
+	// Inner fixed point of stages 4 and 3: the schedule chases the nearest
+	// ring phases and the assignment chases the schedule; two rounds settle
+	// the pair for the current placement.
+	for inner := 0; inner < 2; inner++ {
+		c4 := startStage(itSp, &res.OptSeconds, "stage4.skew", obs.I("round", inner))
+		if f.sched, mWork, err = f.costDrivenRecover(pairs, mWork, msSched, iter); err != nil {
+			return false, 4, fmt.Errorf("cost-driven skew: %w", err)
 		}
-		err := psys.Global(placer.Options{Parallelism: cfg.Parallelism, Obs: reg, Stop: cfg.Stop, Multilevel: cfg.Multilevel})
-		if err != nil && errors.Is(err, placer.ErrNonConverged) {
-			res.event(1, 0, NonConverged, "keeping best-effort placement from stagnated solve", err)
-			err = nil
+		c4.end()
+		c3 := startStage(itSp, &res.OptSeconds, "stage3.assign", obs.I("round", inner))
+		if f.asg, err = f.assignRecover(f.sched, iter); err != nil {
+			return false, 3, fmt.Errorf("assignment: %w", err)
 		}
-		if err != nil && stop.IsStop(err) {
-			// Only reached in non-strict mode: keep the best-effort iterate
-			// and degrade, like the flip-flop flow's early-degrade path.
-			res.event(1, 0, classify(err), "stopped during placement; keeping best-effort iterate", err)
-			res.Degraded = true
-			err = nil
-		}
+		c3.end()
+	}
+
+	// Stage 5: convergence on the overall cost, the paper's weighted sum of
+	// total tapping cost and traditional placement cost. One stalled
+	// iteration is tolerated (the pseudo-net ramp often recovers it); two
+	// in a row end the loop.
+	sp5 := itSp.Child("stage5.evaluate")
+	m := measure(c, *cfg, f.asg, n)
+	res.PerIter = append(res.PerIter, m)
+	res.Iterations = iter
+	cost := f.cost(m)
+	if cost < f.bestCost {
+		f.bestCost = cost
+		f.best = snapshot{pos: c.Positions(), sched: f.sched, asg: f.asg, m: m, mWork: mWork}
+	}
+	if f.prevCost-cost < cfg.ConvergeTol*f.prevCost {
+		f.stall++
+		converged = f.stall >= 2
+	} else {
+		f.stall = 0
+	}
+	f.prevCost = cost
+	sp5.Set(obs.F("cost", cost))
+	sp5.End()
+	itSp.End()
+	return converged, 0, nil
+}
+
+// cost is the stage-5 evaluation: the network-flow formulation optimizes
+// wirelength (weighted sum of tapping and signal WL); the ILP formulation
+// optimizes frequency, so its iterations are judged by the
+// wirelength-capacitance product instead (Table VII's metric).
+func (f *flow) cost(m Metrics) float64 {
+	if f.cfg.Assigner == ILP {
+		return m.WCP
+	}
+	return f.cfg.TapWeight*m.TapWL + m.SignalWL
+}
+
+// stageClock times one stage region once: it opens the stage's span and,
+// when the region ends, adds its wall time to a Result field (PlaceSeconds
+// or OptSeconds), so the trace and the CPU columns time the same region.
+// The clock runs even with observability disarmed, when the span is nil.
+type stageClock struct {
+	span  *obs.Span
+	acc   *float64
+	start time.Time
+}
+
+func startStage(parent *obs.Span, acc *float64, name string, attrs ...obs.Attr) stageClock {
+	return stageClock{span: parent.Child(name, attrs...), acc: acc, start: time.Now()}
+}
+
+// end closes the span and charges the elapsed time.
+func (s stageClock) end() {
+	s.span.End()
+	*s.acc += time.Since(s.start).Seconds()
+}
+
+// placementState forks cfg.System (a template built for a structurally
+// identical circuit) or assembles a fresh quadratic placement system for c,
+// and resolves the tapping-solve cache: cfg.TapCache, or a run-local one. A
+// fork mismatch is an input error; a failed assembly is classified like any
+// stage-1 failure.
+func placementState(c *netlist.Circuit, cfg Config, reg *obs.Registry) (*placer.System, *assign.TapCache, *StageError) {
+	cache := cfg.TapCache
+	if cache == nil {
+		cache = assign.NewTapCache()
+	}
+	if cfg.System != nil {
+		sys, err := cfg.System.Fork(c, reg)
 		if err != nil {
-			return nil, stageErr(1, 0, fmt.Errorf("global placement: %w", err))
+			return nil, nil, &StageError{Stage: 1, Kind: InvalidInput, Err: fmt.Errorf("forking placement system: %w", err)}
 		}
-		if err := placer.Legalize(c); err != nil {
-			return nil, stageErr(1, 0, fmt.Errorf("legalization: %w", err))
-		}
-		if _, err := placer.Detailed(c, 2); err != nil {
-			return nil, stageErr(1, 0, fmt.Errorf("detailed placement: %w", err))
-		}
+		return sys, cache, nil
 	}
-	s1.End()
-	res.PlaceSeconds += time.Since(tPlace).Seconds()
-
-	arr, err := rotary.SquareArray(c.Die, cfg.NumRings, cfg.RingFill, cfg.Params)
+	sys, err := placer.NewSystem(c, reg)
 	if err != nil {
-		return nil, &StageError{Stage: 3, Kind: InvalidInput, Err: fmt.Errorf("ring array: %w", err)}
+		return nil, nil, stageErr(1, 0, fmt.Errorf("placement system: %w", err))
 	}
-	res.Array = arr
-	res.Assign = &assign.Assignment{
-		Ring:  []int{},
-		Taps:  []rotary.Tap{},
-		Loads: make([]float64, len(arr.Rings)),
+	return sys, cache, nil
+}
+
+// retryCG runs one placer solve under the stagnation policy stages 1 and 6
+// share. Conjugate-gradients stagnation leaves a usable iterate on the
+// circuit, so outside strict mode the solve is retried once at a 100x looser
+// tolerance, which almost always converges; when the retry stagnates too,
+// the best-effort iterate is kept (legalization makes it usable). solve
+// receives the CG tolerance, 0 meaning the placer default.
+func (f *flow) retryCG(stage, iter int, what string, solve func(cgTol float64) error) error {
+	err := solve(0)
+	if err == nil || f.cfg.Strict || !errors.Is(err, placer.ErrNonConverged) {
+		return err
 	}
-	res.Schedule = []float64{}
-	res.event(2, 0, InvalidInput, "no flip-flops: skipping skew, assignment, and re-optimization stages", nil)
-	res.Base = measure(c, cfg, res.Assign, 0)
-	res.Final = res.Base
-	res.PerIter = append(res.PerIter, res.Base)
-	if reg != nil {
-		reg.Add("core.events", int64(len(res.Events)))
-		if res.Degraded {
-			reg.Add("core.degraded", 1)
-		}
-		root.End()
-		res.Metrics = reg.Snapshot()
+	f.res.event(stage, iter, NonConverged, "retrying "+what+" at 100x looser CG tolerance", err)
+	if err = solve(1e-4); errors.Is(err, placer.ErrNonConverged) {
+		f.res.event(stage, iter, NonConverged, "keeping best-effort placement from stagnated solve", err)
+		return nil
 	}
-	return res, nil
+	return err
 }
 
 // snapshot captures one consistent (placement, schedule, assignment) state.
@@ -790,164 +736,129 @@ type snapshot struct {
 
 // seqPairs runs STA and maps cell IDs to flip-flop indices.
 func seqPairs(c *netlist.Circuit, m timing.Model, ffIdx map[int]int) ([]skew.SeqPair, error) {
-	sta, err := timing.Analyze(c, m)
+	pairs, err := timing.SeqPairs(c, m, ffIdx)
 	if err != nil {
 		return nil, fmt.Errorf("core: timing analysis: %w", err)
-	}
-	pairs := make([]skew.SeqPair, len(sta.Pairs))
-	for i, p := range sta.Pairs {
-		pairs[i] = skew.SeqPair{U: ffIdx[p.From], V: ffIdx[p.To], DMax: p.DMax, DMin: p.DMin}
 	}
 	return pairs, nil
 }
 
-// runAssign builds and solves one stage-3 assignment instance with explicit
-// relaxation knobs (k candidate rings, per-ring capacity, tapping fallback).
-// A nil capacity uses assign's default.
-func runAssign(c *netlist.Circuit, cfg Config, arr *rotary.Array, ffCells []int, sched []float64, cache *assign.TapCache, k int, capacity []int, fallback bool, reg *obs.Registry) (*assign.Assignment, error) {
-	ffs := make([]assign.FF, len(ffCells))
-	for i, id := range ffCells {
-		ffs[i] = assign.FF{Cell: id, Pos: c.Cells[id].Pos, Target: sched[i]}
+// solveAssign builds and solves one stage-3 instance of the schedule at the
+// rung's relaxation knobs with the configured formulation.
+func (f *flow) solveAssign(sched []float64, r assign.Relaxation) (*assign.Assignment, error) {
+	ffs := make([]assign.FF, len(f.res.FFCells))
+	for i, id := range f.res.FFCells {
+		ffs[i] = assign.FF{Cell: id, Pos: f.c.Cells[id].Pos, Target: sched[i]}
 	}
 	p := &assign.Problem{
-		Array:       arr,
+		Array:       f.arr,
 		FFs:         ffs,
-		K:           k,
-		Capacity:    capacity,
-		Parallelism: cfg.Parallelism,
-		Cache:       cache,
-		TapFallback: fallback,
-		Obs:         reg,
-		Stop:        cfg.Stop,
+		K:           r.K,
+		Capacity:    r.Capacity,
+		Parallelism: f.cfg.Parallelism,
+		Cache:       f.cache,
+		TapFallback: r.Fallback,
+		Obs:         f.reg,
+		Stop:        f.cfg.Stop,
 	}
-	if cfg.Assigner == ILP {
+	if f.cfg.Assigner == ILP {
 		a, _, err := assign.MinMaxCap(p)
 		return a, err
 	}
 	return assign.MinCost(p)
 }
 
-// assignRecover runs stage 3 under the infeasibility-recovery ladder: the
-// configured instance first, then progressively wider candidate sets and
-// relaxed ring capacities, and as a last resort the nearest-point tapping
-// fallback (recorded, since fallback taps do not realize the skew targets).
-// Strict mode and non-infeasibility errors skip the ladder entirely.
-func assignRecover(c *netlist.Circuit, cfg Config, arr *rotary.Array, ffCells []int, sched []float64, cache *assign.TapCache, res *Result, iter int, reg *obs.Registry) (*assign.Assignment, error) {
-	numRings := len(arr.Rings)
-	k2 := cfg.K * 2
-	if k2 > numRings {
-		k2 = numRings
-	}
-	// Base uniform capacity, matching assign's default headroom of 1.25x.
-	baseCap := float64((len(ffCells)*5/4)/numRings + 1)
-	uniform := func(scale float64) []int {
-		cap := make([]int, numRings)
-		for j := range cap {
-			cap[j] = int(math.Ceil(baseCap * scale))
-		}
-		return cap
-	}
-	steps := []struct {
-		k        int
-		capacity []int
-		fallback bool
-		action   string
-	}{
-		{k: cfg.K},
-		{k: k2, capacity: uniform(1.5),
-			action: fmt.Sprintf("relaxing assignment: K widened to %d, ring capacity x1.5", k2)},
-		{k: numRings, capacity: uniform(2.25),
-			action: fmt.Sprintf("relaxing assignment: all %d rings candidate, ring capacity x2.25", numRings)},
-		{k: numRings, capacity: uniform(2.25), fallback: true,
-			action: "enabling nearest-point tapping fallback (taps may miss skew targets)"},
-	}
+// assignRecover runs stage 3 under the infeasibility-recovery ladder
+// (assign.Ladder): the configured instance first, then progressively wider
+// candidate sets and relaxed ring capacities, and as a last resort the
+// nearest-point tapping fallback (recorded, since fallback taps do not
+// realize the skew targets). Strict mode and non-infeasibility errors skip
+// the ladder entirely.
+func (f *flow) assignRecover(sched []float64, iter int) (*assign.Assignment, error) {
+	steps := append([]assign.Relaxation{{K: f.cfg.K}}, assign.Ladder(f.cfg.K, len(f.res.FFCells), len(f.arr.Rings))...)
 	var err error
 	for si, st := range steps {
 		if si > 0 {
-			res.event(3, iter, Infeasible, st.action, err)
-			reg.Add("core.recover.assign", 1)
+			f.res.event(3, iter, Infeasible, st.Action, err)
+			f.reg.Add("core.recover.assign", 1)
 		}
 		var a *assign.Assignment
-		a, err = runAssign(c, cfg, arr, ffCells, sched, cache, st.k, st.capacity, st.fallback, reg)
-		if err == nil {
+		if a, err = f.solveAssign(sched, st); err == nil {
 			if len(a.Fallbacks) > 0 {
-				res.event(3, iter, Infeasible,
+				f.res.event(3, iter, Infeasible,
 					fmt.Sprintf("%d flip-flop(s) tapped via nearest-point fallback", len(a.Fallbacks)), nil)
 			}
 			return a, nil
 		}
-		if cfg.Strict || !errors.Is(err, assign.ErrInfeasible) {
+		if f.cfg.Strict || !errors.Is(err, assign.ErrInfeasible) {
 			return nil, err
 		}
 	}
 	return nil, err
 }
 
-// costDrivenRecover runs stage 4 under the slack-relaxation ladder: the full
-// working slack, half of it, then none; if even the zero-margin system is
-// infeasible it falls back to the fresh max-slack schedule (feasible by
-// construction). It returns the schedule and the margin it is feasible at.
-// Strict mode and non-infeasibility errors skip the ladder entirely.
-func costDrivenRecover(c *netlist.Circuit, cfg Config, arr *rotary.Array, ffCells []int, asg *assign.Assignment, sched []float64, pairs []skew.SeqPair, mWork float64, msSched []float64, res *Result, iter int, reg *obs.Registry) ([]float64, float64, error) {
-	T := cfg.Params.Period
-	ladder := []float64{mWork}
-	if mWork > 0 {
-		ladder = append(ladder, mWork/2, 0)
-	}
+// costDrivenRecover runs stage 4 under the slack-relaxation ladder
+// (skew.SlackLadder: the full working slack, half of it, then none); if even
+// the zero-margin system is infeasible it falls back to the fresh max-slack
+// schedule (feasible by construction). It returns the schedule and the
+// margin it is feasible at. Strict mode and non-infeasibility errors skip
+// the ladder entirely.
+func (f *flow) costDrivenRecover(pairs []skew.SeqPair, mWork float64, msSched []float64, iter int) ([]float64, float64, error) {
+	cfg := &f.cfg
+	ladder := skew.SlackLadder(mWork)
 	var err error
 	for li, m := range ladder {
-		cons := skew.Constraints(pairs, T, m, cfg.TModel.TSetup, cfg.TModel.THold)
 		var t []float64
-		t, err = costDriven(c, cfg, reg, arr, ffCells, asg, sched, cons)
-		if err == nil {
+		if t, err = f.costDriven(skew.Constraints(pairs, cfg.Params.Period, m, cfg.TModel.TSetup, cfg.TModel.THold)); err == nil {
 			return t, m, nil
 		}
 		if cfg.Strict || !errors.Is(err, skew.ErrInfeasible) {
 			return nil, mWork, err
 		}
 		if li+1 < len(ladder) {
-			res.event(4, iter, Infeasible,
+			f.res.event(4, iter, Infeasible,
 				fmt.Sprintf("relaxing working slack to %.4g ps", ladder[li+1]), err)
-			reg.Add("core.recover.skew", 1)
+			f.reg.Add("core.recover.skew", 1)
 		}
 	}
 	if msSched != nil {
-		res.event(4, iter, Infeasible, "falling back to the max-slack schedule", err)
-		reg.Add("core.recover.skew", 1)
+		f.res.event(4, iter, Infeasible, "falling back to the max-slack schedule", err)
+		f.reg.Add("core.recover.skew", 1)
 		return msSched, mWork, nil
 	}
 	return nil, mWork, err
 }
 
-// costDriven runs the stage-4 skew optimization: anchors are the phases at
-// the nearest points of each flip-flop's assigned ring, period-shifted next
-// to the current schedule so the |t - target| costs are meaningful.
-func costDriven(c *netlist.Circuit, cfg Config, reg *obs.Registry, arr *rotary.Array, ffCells []int, asg *assign.Assignment, sched []float64, cons []skew.DiffConstraint) ([]float64, error) {
-	n := len(ffCells)
-	T := cfg.Params.Period
+// costDriven runs the stage-4 skew optimization of the current schedule
+// and assignment: anchors are the phases at the nearest points of each
+// flip-flop's assigned ring, period-shifted next to the current schedule so
+// the |t - target| costs are meaningful.
+func (f *flow) costDriven(cons []skew.DiffConstraint) ([]float64, error) {
+	n := len(f.res.FFCells)
+	T := f.cfg.Params.Period
 	anchors := make([]skew.Anchor, n)
 	targets := make([]float64, n)
 	weights := make([]float64, n)
-	for i, id := range ffCells {
-		ring := arr.Rings[asg.Ring[i]]
-		pos := c.Cells[id].Pos
+	for i, id := range f.res.FFCells {
+		ring := f.arr.Rings[f.asg.Ring[i]]
+		pos := f.c.Cells[id].Pos
 		s, _, dist := ring.Nearest(pos)
 		a := ring.DelayAt(s, T)
 		// Shift the anchor by whole periods to sit nearest the current
 		// schedule (clock phase is periodic; the absolute differences in
 		// the cost-driven formulations are not).
-		k := math.Round((sched[i] - a) / T)
+		k := math.Round((f.sched[i] - a) / T)
 		a += k * T
-		tci := cfg.Params.StubDelay(dist)
+		tci := f.cfg.Params.StubDelay(dist)
 		anchors[i] = skew.Anchor{A: a, TCI: tci}
 		targets[i] = a + tci
 		weights[i] = math.Max(1, dist)
 	}
-	if cfg.Objective == WeightedSum {
-		_, t, err := skew.WeightedSumStop(cfg.Stop, n, cons, targets, weights)
+	if f.cfg.Objective == WeightedSum {
+		_, t, err := skew.WeightedSum(f.cfg.Stop, n, cons, targets, weights)
 		return t, err
 	}
-	_, t, err := skew.MinDeltaStop(cfg.Stop, reg, n, cons, anchors, 0)
+	_, t, err := skew.MinDelta(f.cfg.Stop, f.reg, n, cons, anchors, 0)
 	return t, err
 }
 
@@ -967,15 +878,4 @@ func measure(c *netlist.Circuit, cfg Config, asg *assign.Assignment, numFF int) 
 	m.LeakPower = cfg.PowerPar.Leakage(st.Cells-st.FlipFlops, st.FlipFlops)
 	m.WCP = m.TotalWL * m.MaxCap / 1000 // um * pF
 	return m
-}
-
-// workSlack reserves a fraction of the max slack as timing margin during
-// the cost-driven stage. A negative max slack (a design that cannot close
-// timing at this period) leaves no margin to reserve: taking a fraction
-// would tighten the constraints past feasibility, so the full slack is used.
-func workSlack(frac, m float64) float64 {
-	if m <= 0 {
-		return m
-	}
-	return frac * m
 }

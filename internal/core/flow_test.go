@@ -68,13 +68,9 @@ func TestRunScheduleMeetsConstraints(t *testing.T) {
 		ffIdx[id] = i
 	}
 	model := timing.DefaultModel()
-	sta, err := timing.Analyze(c, model)
+	pairs, err := timing.SeqPairs(c, model, ffIdx)
 	if err != nil {
 		t.Fatal(err)
-	}
-	pairs := make([]skew.SeqPair, len(sta.Pairs))
-	for i, p := range sta.Pairs {
-		pairs[i] = skew.SeqPair{U: ffIdx[p.From], V: ffIdx[p.To], DMax: p.DMax, DMin: p.DMin}
 	}
 	// The flow reports the slack margin the final schedule is feasible at
 	// (recomputed for the final placement's timing).

@@ -9,6 +9,7 @@ import (
 	"rotaryclk/internal/assign"
 	"rotaryclk/internal/faultinject"
 	"rotaryclk/internal/lp"
+	"rotaryclk/internal/obs"
 	"rotaryclk/internal/placer"
 	"rotaryclk/internal/rotary"
 	"rotaryclk/internal/skew"
@@ -405,5 +406,81 @@ func TestCleanRunHasNoEvents(t *testing.T) {
 	}
 	if res.Degraded || len(res.Events) != 0 {
 		t.Errorf("clean run: degraded=%v events=%v", res.Degraded, res.Events)
+	}
+}
+
+// A zero-flip-flop circuit runs Run's own stage 1, so a caller-supplied
+// template system is forked rather than rebuilt, and the run leaves through
+// the partial-result exit with the "no flip-flops" event, not Degraded.
+func TestZeroFFRunForksTemplateSystem(t *testing.T) {
+	tmpl, err := placer.NewSystem(genCircuit(t, 120, 0, 21), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := recoveryConfig()
+	cfg.System = tmpl
+	cfg.Obs = obs.NewRegistry()
+	res, err := Run(genCircuit(t, 120, 0, 21), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Metrics.Counter("placer.system.forks"); got != 1 {
+		t.Errorf("placer.system.forks = %d, want 1", got)
+	}
+	if got := res.Metrics.Counter("placer.system.builds"); got != 0 {
+		t.Errorf("placer.system.builds = %d, want 0", got)
+	}
+	if res.Degraded {
+		t.Error("zero-FF run marked Degraded")
+	}
+	if eventMatching(res.Events, "no flip-flops") == nil {
+		t.Errorf("events = %v, want the no-flip-flops event", res.Events)
+	}
+	if len(res.Assign.Ring) != 0 || len(res.Schedule) != 0 || res.Final.SignalWL <= 0 {
+		t.Errorf("zero-FF result: %d rings, %d schedule entries, signal WL %v",
+			len(res.Assign.Ring), len(res.Schedule), res.Final.SignalWL)
+	}
+}
+
+// A zero-flip-flop run shares stage 1's CG retry: a stagnated global
+// placement is retried at the looser tolerance, as with flip-flops.
+func TestZeroFFRunRetriesStagnatedPlacement(t *testing.T) {
+	defer faultinject.Enable(faultinject.Rule{
+		Site: faultinject.SitePlacerGlobal, Call: 1,
+		Err: fmt.Errorf("injected: %w", placer.ErrNonConverged),
+	})()
+	res, err := Run(genCircuit(t, 120, 0, 22), recoveryConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := eventMatching(res.Events, "retrying global placement")
+	if ev == nil || ev.Stage != 1 || ev.Kind != NonConverged {
+		t.Fatalf("events = %v, want a stage-1 non-converged retry", res.Events)
+	}
+	if res.Degraded {
+		t.Error("retried zero-FF run marked Degraded")
+	}
+}
+
+// Kind: NonConverged, stage 6. A stagnated incremental placement is retried
+// once at the looser tolerance and the loop carries on undegraded.
+func TestRecoveryIncrementalNonConverged(t *testing.T) {
+	defer faultinject.Enable(faultinject.Rule{
+		Site: faultinject.SitePlacerIncremental, Call: 1,
+		Err: fmt.Errorf("injected: %w", placer.ErrNonConverged),
+	})()
+	res, err := Run(genCircuit(t, 200, 24, 15), recoveryConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := eventMatching(res.Events, "retrying incremental placement")
+	if ev == nil || ev.Stage != 6 || ev.Iter != 1 || ev.Kind != NonConverged {
+		t.Fatalf("events = %v, want a stage-6 iter-1 non-converged retry", res.Events)
+	}
+	if res.Degraded {
+		t.Error("retried incremental placement degraded the run")
+	}
+	if res.Iterations < 1 {
+		t.Errorf("iterations = %d, want the retried iteration to complete", res.Iterations)
 	}
 }

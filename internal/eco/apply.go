@@ -184,14 +184,10 @@ func Apply(st *State, deltas []Delta, opt Options) (*Outcome, error) {
 	for i, id := range ffCells {
 		ffIdx[id] = i
 	}
-	sta, err := timing.Analyze(c, st.TModel)
+	pairs, err := timing.SeqPairs(c, st.TModel, ffIdx)
 	if err != nil {
 		schedSp.End()
 		return fail("timing analysis", err)
-	}
-	pairs := make([]skew.SeqPair, len(sta.Pairs))
-	for i, p := range sta.Pairs {
-		pairs[i] = skew.SeqPair{U: ffIdx[p.From], V: ffIdx[p.To], DMax: p.DMax, DMin: p.DMin}
 	}
 	oldSched := make(map[int]float64, len(st.FFCells))
 	for i, id := range st.FFCells {
@@ -208,15 +204,12 @@ func Apply(st *State, deltas []Delta, opt Options) (*Outcome, error) {
 		}
 	}
 	T := st.Params.Period
-	ladder := []float64{st.WorkSlack}
-	if st.WorkSlack > 0 {
-		ladder = append(ladder, st.WorkSlack/2, 0)
-	}
+	ladder := skew.SlackLadder(st.WorkSlack)
 	var sched []float64
 	margin, schedOK, allFFsDirty := 0.0, false, false
 	for li, m := range ladder {
 		cons := skew.Constraints(pairs, T, m, st.TModel.TSetup, st.TModel.THold)
-		t, rounds, feasible, werr := skew.WarmStartStop(tok, reg, n, cons, seed)
+		t, rounds, feasible, werr := skew.WarmStart(tok, reg, n, cons, seed)
 		if werr != nil {
 			schedSp.End()
 			return fail("schedule re-check", werr)
@@ -235,20 +228,12 @@ func Apply(st *State, deltas []Delta, opt Options) (*Outcome, error) {
 		// Even the zero-margin warm start failed: the edit moved timing past
 		// the old schedule's neighborhood. Fall back to a fresh max-slack
 		// solve (feasible whenever any schedule is) and re-route everything.
-		M, ms, merr := skew.MaxSlackExactStop(tok, reg, n, pairs, T, st.TModel.TSetup, st.TModel.THold)
+		M, ms, merr := skew.MaxSlackExact(tok, reg, n, pairs, T, st.TModel.TSetup, st.TModel.THold)
 		if merr != nil {
 			schedSp.End()
 			return fail("schedule re-check", merr)
 		}
-		frac := st.SlackFrac
-		if frac <= 0 || frac > 1 {
-			frac = 0.5
-		}
-		margin = M
-		if M > 0 {
-			margin = frac * M
-		}
-		sched = ms
+		margin, sched = skew.WorkSlack(st.SlackFrac, M), ms
 		allFFsDirty = true
 		out.Events = append(out.Events, "warm start infeasible at every margin; fell back to a fresh max-slack schedule")
 		reg.Add("eco.recover.sched", 1)
@@ -302,7 +287,7 @@ func Apply(st *State, deltas []Delta, opt Options) (*Outcome, error) {
 			}
 		}
 	}
-	mkProblem := func(k int, capacity []int, fallback bool) *assign.Problem {
+	mkProblem := func(r assign.Relaxation) *assign.Problem {
 		ffs := make([]assign.FF, n)
 		for i, id := range ffCells {
 			ffs[i] = assign.FF{Cell: id, Pos: c.Cells[id].Pos, Target: sched[i]}
@@ -310,12 +295,12 @@ func Apply(st *State, deltas []Delta, opt Options) (*Outcome, error) {
 		return &assign.Problem{
 			Array:       st.Array,
 			FFs:         ffs,
-			K:           k,
-			Capacity:    capacity,
+			K:           r.K,
+			Capacity:    r.Capacity,
 			Pin:         pin,
 			Parallelism: st.Parallelism,
 			Cache:       cache,
-			TapFallback: fallback,
+			TapFallback: r.Fallback,
 			Obs:         reg,
 			Stop:        tok,
 		}
@@ -325,44 +310,21 @@ func Apply(st *State, deltas []Delta, opt Options) (*Outcome, error) {
 		k = 6
 	}
 	var asg *assign.Assignment
+	first := assign.Relaxation{K: k, Capacity: st.Capacity}
 	if opt.Scratch {
-		asg, err = assign.MinCost(mkProblem(k, st.Capacity, false))
+		asg, err = assign.MinCost(mkProblem(first))
 	} else {
-		asg, err = assign.PatchMinCost(mkProblem(k, st.Capacity, false), prev, dirtyIdx)
+		asg, err = assign.PatchMinCost(mkProblem(first), prev, dirtyIdx)
 	}
 	if err != nil && errors.Is(err, assign.ErrInfeasible) && !opt.Strict {
-		// The same relaxation ladder the flow's stage 3 uses: wider
-		// candidate sets, looser capacities, and last the nearest-point
-		// fallback. Relaxed steps solve cold — the previous assignment is
-		// not a feasible warm start for an instance the patch already
-		// rejected.
-		numRings := len(st.Array.Rings)
-		k2 := k * 2
-		if k2 > numRings {
-			k2 = numRings
-		}
-		baseCap := float64((n*5/4)/numRings + 1)
-		uniform := func(scale float64) []int {
-			caps := make([]int, numRings)
-			for j := range caps {
-				caps[j] = int(math.Ceil(baseCap * scale))
-			}
-			return caps
-		}
-		steps := []struct {
-			k        int
-			capacity []int
-			fallback bool
-			action   string
-		}{
-			{k: k2, capacity: uniform(1.5), action: fmt.Sprintf("relaxing assignment: K widened to %d, ring capacity x1.5", k2)},
-			{k: numRings, capacity: uniform(2.25), action: fmt.Sprintf("relaxing assignment: all %d rings candidate, ring capacity x2.25", numRings)},
-			{k: numRings, capacity: uniform(2.25), fallback: true, action: "enabling nearest-point tapping fallback (taps may miss skew targets)"},
-		}
-		for _, stp := range steps {
-			out.Events = append(out.Events, stp.action)
+		// The flow's stage-3 relaxation ladder: wider candidate sets, looser
+		// capacities, and last the nearest-point fallback. Relaxed rungs
+		// solve cold — the previous assignment is not a feasible warm start
+		// for an instance the patch already rejected.
+		for _, r := range assign.Ladder(k, n, len(st.Array.Rings)) {
+			out.Events = append(out.Events, r.Action)
 			reg.Add("eco.recover.assign", 1)
-			asg, err = assign.MinCost(mkProblem(stp.k, stp.capacity, stp.fallback))
+			asg, err = assign.MinCost(mkProblem(r))
 			if err == nil || !errors.Is(err, assign.ErrInfeasible) {
 				break
 			}

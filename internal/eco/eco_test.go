@@ -1,13 +1,17 @@
 package eco_test
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"rotaryclk/internal/assign"
 	"rotaryclk/internal/core"
 	"rotaryclk/internal/eco"
+	"rotaryclk/internal/faultinject"
 	"rotaryclk/internal/geom"
 	"rotaryclk/internal/netlist"
 	"rotaryclk/internal/obs"
@@ -298,6 +302,51 @@ func TestApplyStrictRollbackOnFailure(t *testing.T) {
 	sameSched(t, "rollback", prevSched, st.Sched)
 	if st.Assign != prevAsg {
 		t.Fatal("assignment replaced despite rollback")
+	}
+}
+
+// TestApplyClimbsSharedAssignLadder: a patch instance too tight to solve
+// climbs the flow's stage-3 relaxation ladder, logging the same actions the
+// flow logs for the same rungs.
+func TestApplyClimbsSharedAssignLadder(t *testing.T) {
+	// The flow's actions, from a base assignment forced infeasible.
+	restore := faultinject.Enable(faultinject.Rule{
+		Site: faultinject.SiteAssignMinCost, Call: 1,
+		Err: fmt.Errorf("injected: %w", assign.ErrInfeasible),
+	})
+	fc, _ := chainCircuit(t)
+	fres, err := core.Run(fc, testConfig())
+	restore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var flowActions []string
+	for _, e := range fres.Events {
+		if e.Stage == 3 && e.Kind == core.Infeasible && e.Err != nil {
+			flowActions = append(flowActions, e.Action)
+		}
+	}
+
+	c, ids := chainCircuit(t)
+	st, _ := baseState(t, c)
+	st.Capacity = make([]int, len(st.Array.Rings)) // all-zero: infeasible
+	reg := obs.NewRegistry()
+	out, err := eco.Apply(st, []eco.Delta{
+		{Op: eco.OpMoveFF, Cell: ids[0].f1, X: 500, Y: 500},
+	}, eco.Options{Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Degraded {
+		t.Fatalf("ladder did not recover: %v", out.Events)
+	}
+	climbed := int(reg.Snapshot().Counter("eco.recover.assign"))
+	if climbed < 1 || climbed > len(out.Events) {
+		t.Fatalf("eco.recover.assign = %d with events %v", climbed, out.Events)
+	}
+	// The ladder's events are the last ones logged on a successful apply.
+	if got := out.Events[len(out.Events)-climbed:]; !reflect.DeepEqual(got, flowActions) {
+		t.Errorf("ECO ladder actions %q, flow's %q", got, flowActions)
 	}
 }
 

@@ -76,7 +76,7 @@ func CheckSkew(in *SkewInstance, seed int64) []Violation {
 	const name = "skew/maxslack"
 	const tol = 1e-4
 	refM, refOK := refMaxSlack(in, tol)
-	m, sched, err := skew.MaxSlackExact(in.N, in.Pairs, in.T, in.Setup, in.Hold)
+	m, sched, err := skew.MaxSlackExact(nil, nil, in.N, in.Pairs, in.T, in.Setup, in.Hold)
 	if err != nil {
 		if refOK {
 			return violationf(name, seed, "solver failed (%v) but the reference finds a feasible schedule at slack %.6g ps", err, refM)
@@ -167,7 +167,7 @@ func CheckMinDelta(in *SkewInstance, seed int64) []Violation {
 	const name = "skew/mindelta"
 	refD, refOK := refMinDelta(in, minDeltaTol)
 	cons := skew.Constraints(in.Pairs, in.T, in.Slack, in.Setup, in.Hold)
-	d, sched, err := skew.MinDelta(in.N, cons, in.Anchors, minDeltaTol)
+	d, sched, err := skew.MinDelta(nil, nil, in.N, cons, in.Anchors, minDeltaTol)
 	if err != nil {
 		if refOK {
 			return violationf(name, seed, "solver failed (%v) but the reference finds Delta %.6g ps", err, refD)

@@ -1,13 +1,11 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
-	"sync"
 	"time"
 
 	"rotaryclk/internal/assign"
@@ -58,35 +56,12 @@ type ECORequest struct {
 // sane indices, finite coordinates) so the worker only ever sees semantic
 // failures, which eco.Apply reports per delta.
 func ParseECORequest(data []byte, lim Limits) (*ECORequest, error) {
-	if lim.MaxCells <= 0 {
-		lim.MaxCells = 50000
-	}
-	if lim.MaxDeadline <= 0 {
-		lim.MaxDeadline = 5 * time.Minute
-	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var req ECORequest
-	if err := dec.Decode(&req); err != nil {
-		return nil, fmt.Errorf("decoding eco request: %w", err)
+	if err := decodeStrict(data, "eco", &req); err != nil {
+		return nil, err
 	}
-	if dec.More() {
-		return nil, fmt.Errorf("decoding eco request: trailing data after JSON object")
-	}
-	if req.Circuit.Cells < 1 || req.Circuit.Cells > lim.MaxCells {
-		return nil, fmt.Errorf("circuit.cells %d out of range [1, %d]", req.Circuit.Cells, lim.MaxCells)
-	}
-	if req.Circuit.FlipFlops < 0 || req.Circuit.FlipFlops > req.Circuit.Cells {
-		return nil, fmt.Errorf("circuit.flipflops %d out of range [0, %d]", req.Circuit.FlipFlops, req.Circuit.Cells)
-	}
-	if req.Rings < 0 || req.Rings > 1024 {
-		return nil, fmt.Errorf("rings %d out of range [0, 1024]", req.Rings)
-	}
-	if req.Iters < 0 || req.Iters > 100 {
-		return nil, fmt.Errorf("iters %d out of range [0, 100]", req.Iters)
-	}
-	if req.DeadlineMS < 0 || time.Duration(req.DeadlineMS)*time.Millisecond > lim.MaxDeadline {
-		return nil, fmt.Errorf("deadline_ms %d out of range [0, %d]", req.DeadlineMS, lim.MaxDeadline.Milliseconds())
+	if err := checkCommon(req.Circuit, req.Rings, req.Iters, req.DeadlineMS, lim); err != nil {
+		return nil, err
 	}
 	if len(req.Deltas) == 0 {
 		return nil, fmt.Errorf("deltas: empty (an ECO request must edit something)")
@@ -185,55 +160,6 @@ type ecoBase struct {
 	res     *core.Result
 	sys     *placer.System
 	tap     *assign.TapCache
-}
-
-// ecoBaseCache is the keyed singleflight for base placements, the same
-// discipline as templateCache: one build per spec no matter how many
-// concurrent requests arrive, failed builds evicted.
-type ecoBaseCache struct {
-	mu sync.Mutex
-	m  map[string]*ecoBaseEntry
-}
-
-type ecoBaseEntry struct {
-	ready chan struct{} // closed when b/err are set
-	b     *ecoBase
-	err   error
-}
-
-func (c *ecoBaseCache) init() {
-	c.m = make(map[string]*ecoBaseEntry)
-}
-
-func (c *ecoBaseCache) get(key string, build func() (*ecoBase, error)) (b *ecoBase, hit bool, err error) {
-	c.mu.Lock()
-	e, ok := c.m[key]
-	if ok {
-		c.mu.Unlock()
-		<-e.ready
-		return e.b, true, e.err
-	}
-	e = &ecoBaseEntry{ready: make(chan struct{})}
-	c.m[key] = e
-	c.mu.Unlock()
-
-	e.b, e.err = build()
-	close(e.ready)
-	if e.err != nil {
-		c.mu.Lock()
-		if c.m[key] == e {
-			delete(c.m, key)
-		}
-		c.mu.Unlock()
-	}
-	return e.b, false, e.err
-}
-
-// Len reports the number of cached bases (testing hook).
-func (c *ecoBaseCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
 }
 
 // buildECOBase runs the full flow once for a spec and captures everything

@@ -49,7 +49,7 @@ type JobRequest struct {
 	Telemetry bool `json:"telemetry,omitempty"`
 }
 
-// Limits are the admission bounds ParseJobRequest enforces. The zero value
+// Limits are the admission bounds both request parsers enforce. The zero value
 // means the package defaults (50000 cells, 5m).
 type Limits struct {
 	MaxCells    int
@@ -61,31 +61,12 @@ type Limits struct {
 // numeric field is range-checked against the limits, so a decoded request
 // is safe to hand to the generator and the flow unchecked.
 func ParseJobRequest(data []byte, lim Limits) (*JobRequest, error) {
-	if lim.MaxCells <= 0 {
-		lim.MaxCells = 50000
-	}
-	if lim.MaxDeadline <= 0 {
-		lim.MaxDeadline = 5 * time.Minute
-	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var req JobRequest
-	if err := dec.Decode(&req); err != nil {
-		return nil, fmt.Errorf("decoding job request: %w", err)
+	if err := decodeStrict(data, "job", &req); err != nil {
+		return nil, err
 	}
-	// A second document after the first is a malformed request, not data
-	// to ignore.
-	if dec.More() {
-		return nil, fmt.Errorf("decoding job request: trailing data after JSON object")
-	}
-	if req.Circuit.Cells < 1 || req.Circuit.Cells > lim.MaxCells {
-		return nil, fmt.Errorf("circuit.cells %d out of range [1, %d]", req.Circuit.Cells, lim.MaxCells)
-	}
-	if req.Circuit.FlipFlops < 0 || req.Circuit.FlipFlops > req.Circuit.Cells {
-		return nil, fmt.Errorf("circuit.flipflops %d out of range [0, %d]", req.Circuit.FlipFlops, req.Circuit.Cells)
-	}
-	if req.Rings < 0 || req.Rings > 1024 {
-		return nil, fmt.Errorf("rings %d out of range [0, 1024]", req.Rings)
+	if err := checkCommon(req.Circuit, req.Rings, req.Iters, req.DeadlineMS, lim); err != nil {
+		return nil, err
 	}
 	switch req.Assigner {
 	case "", "flow", "ilp":
@@ -97,13 +78,50 @@ func ParseJobRequest(data []byte, lim Limits) (*JobRequest, error) {
 	default:
 		return nil, fmt.Errorf("unknown objective %q (want delta or sum)", req.Objective)
 	}
-	if req.Iters < 0 || req.Iters > 100 {
-		return nil, fmt.Errorf("iters %d out of range [0, 100]", req.Iters)
-	}
-	if req.DeadlineMS < 0 || time.Duration(req.DeadlineMS)*time.Millisecond > lim.MaxDeadline {
-		return nil, fmt.Errorf("deadline_ms %d out of range [0, %d]", req.DeadlineMS, lim.MaxDeadline.Milliseconds())
-	}
 	return &req, nil
+}
+
+// decodeStrict decodes one request body into v under the discipline both
+// endpoints share: unknown fields are rejected — a typoed knob silently
+// ignored is worse than a 400 — and a second document after the first is a
+// malformed request, not data to ignore. what names the request kind.
+func decodeStrict(data []byte, what string, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("decoding %s request: %w", what, err)
+	}
+	if dec.More() {
+		return fmt.Errorf("decoding %s request: trailing data after JSON object", what)
+	}
+	return nil
+}
+
+// checkCommon range-checks the fields every request carries against the
+// limits (the zero Limits fields mean the package defaults).
+func checkCommon(c CircuitSpec, rings, iters, deadlineMS int, lim Limits) error {
+	if lim.MaxCells <= 0 {
+		lim.MaxCells = 50000
+	}
+	if lim.MaxDeadline <= 0 {
+		lim.MaxDeadline = 5 * time.Minute
+	}
+	if c.Cells < 1 || c.Cells > lim.MaxCells {
+		return fmt.Errorf("circuit.cells %d out of range [1, %d]", c.Cells, lim.MaxCells)
+	}
+	if c.FlipFlops < 0 || c.FlipFlops > c.Cells {
+		return fmt.Errorf("circuit.flipflops %d out of range [0, %d]", c.FlipFlops, c.Cells)
+	}
+	if rings < 0 || rings > 1024 {
+		return fmt.Errorf("rings %d out of range [0, 1024]", rings)
+	}
+	if iters < 0 || iters > 100 {
+		return fmt.Errorf("iters %d out of range [0, 100]", iters)
+	}
+	if deadlineMS < 0 || time.Duration(deadlineMS)*time.Millisecond > lim.MaxDeadline {
+		return fmt.Errorf("deadline_ms %d out of range [0, %d]", deadlineMS, lim.MaxDeadline.Milliseconds())
+	}
+	return nil
 }
 
 // deadline resolves the job's effective time budget.

@@ -125,8 +125,8 @@ type Server struct {
 
 	workers sync.WaitGroup
 
-	templates templateCache
-	ecoBases  ecoBaseCache
+	templates cache[*template]
+	ecoBases  cache[*ecoBase]
 	stats     stats
 
 	// runFlow and runECO are the solver entry points; tests replace them to
@@ -147,8 +147,6 @@ func New(cfg Config) *Server {
 		runFlow: core.Run,
 		runECO:  core.ApplyECO,
 	}
-	s.templates.init()
-	s.ecoBases.init()
 	s.mux.HandleFunc("/v1/jobs", s.handleJobs)
 	s.mux.HandleFunc("/v1/eco", s.handleECO)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)

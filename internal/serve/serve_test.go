@@ -344,8 +344,7 @@ func TestConcurrentDeterminism(t *testing.T) {
 // TestTemplateSingleflight: concurrent gets for one key run the builder
 // exactly once, and a failed build is evicted instead of poisoning the key.
 func TestTemplateSingleflight(t *testing.T) {
-	var c templateCache
-	c.init()
+	var c cache[*template]
 	var builds atomic32
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {

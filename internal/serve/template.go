@@ -16,43 +16,43 @@ type template struct {
 	tap *assign.TapCache
 }
 
-// templateCache is a keyed singleflight: the first job for a spec builds
-// the template while every concurrent job for the same spec waits on the
-// entry's ready channel, so an expensive system assembly happens exactly
-// once per spec no matter how many identical jobs arrive together. Failed
-// builds are evicted so a transient failure does not poison the key.
-type templateCache struct {
+// cache is a keyed singleflight, used for job templates and ECO base
+// placements alike: the first request for a key builds the value while
+// every concurrent request for the same key waits on the entry's ready
+// channel, so an expensive build happens exactly once per key no matter how
+// many identical requests arrive together. Failed builds are evicted so a
+// transient failure does not poison the key. The zero value is ready to use.
+type cache[V any] struct {
 	mu sync.Mutex
-	m  map[string]*templateEntry
+	m  map[string]*cacheEntry[V]
 }
 
-type templateEntry struct {
-	ready chan struct{} // closed when t/err are set
-	t     *template
+type cacheEntry[V any] struct {
+	ready chan struct{} // closed when v/err are set
+	v     V
 	err   error
 }
 
-func (c *templateCache) init() {
-	c.m = make(map[string]*templateEntry)
-}
-
-// get returns the template for key, building it with build if this is the
-// first request. hit reports whether the template already existed (or was
-// being built by another job) — the caller's build ran only when hit is
+// get returns the value for key, building it with build if this is the
+// first request. hit reports whether the value already existed (or was
+// being built by another request) — the caller's build ran only when hit is
 // false and err may be non-nil.
-func (c *templateCache) get(key string, build func() (*template, error)) (t *template, hit bool, err error) {
+func (c *cache[V]) get(key string, build func() (V, error)) (v V, hit bool, err error) {
 	c.mu.Lock()
 	e, ok := c.m[key]
 	if ok {
 		c.mu.Unlock()
 		<-e.ready
-		return e.t, true, e.err
+		return e.v, true, e.err
 	}
-	e = &templateEntry{ready: make(chan struct{})}
+	if c.m == nil {
+		c.m = make(map[string]*cacheEntry[V])
+	}
+	e = &cacheEntry[V]{ready: make(chan struct{})}
 	c.m[key] = e
 	c.mu.Unlock()
 
-	e.t, e.err = build()
+	e.v, e.err = build()
 	close(e.ready)
 	if e.err != nil {
 		c.mu.Lock()
@@ -63,11 +63,11 @@ func (c *templateCache) get(key string, build func() (*template, error)) (t *tem
 		}
 		c.mu.Unlock()
 	}
-	return e.t, false, e.err
+	return e.v, false, e.err
 }
 
-// Len reports the number of cached templates (testing hook).
-func (c *templateCache) Len() int {
+// Len reports the number of cached values (testing hook).
+func (c *cache[V]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.m)

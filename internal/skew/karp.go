@@ -104,17 +104,14 @@ func minCycleMean(tok *stop.Token, n int, cons []DiffConstraint) (float64, error
 // schedule at that slack. It matches MaxSlack to within numerical tolerance
 // and is asymptotically faster (one O(n*m) pass instead of O(log(1/eps))
 // Bellman-Ford runs).
-func MaxSlackExact(n int, pairs []SeqPair, T, setup, hold float64) (float64, []float64, error) {
-	return MaxSlackExactStop(nil, nil, n, pairs, T, setup, hold)
-}
-
-// MaxSlackExactStop is MaxSlackExact with a cooperative stop token, checked
-// once per Karp DP row and once per Bellman-Ford round of the recovery
-// probes. A fired token aborts with an error wrapping the stop sentinel; no
-// partial schedule is returned (the caller keeps its previous schedule as
-// the best-so-far). The recovery probes' skew.* counters are recorded into
-// reg (resolved through obs.Resolve).
-func MaxSlackExactStop(tok *stop.Token, reg *obs.Registry, n int, pairs []SeqPair, T, setup, hold float64) (float64, []float64, error) {
+//
+// The optional stop token is checked once per Karp DP row and once per
+// Bellman-Ford round of the recovery probes. A fired token aborts with an
+// error wrapping the stop sentinel; no partial schedule is returned (the
+// caller keeps its previous schedule as the best-so-far). The recovery
+// probes' skew.* counters are recorded into reg (resolved through
+// obs.Resolve). Both may be nil.
+func MaxSlackExact(tok *stop.Token, reg *obs.Registry, n int, pairs []SeqPair, T, setup, hold float64) (float64, []float64, error) {
 	if err := faultinject.Hook(faultinject.SiteSkewMaxSlack); err != nil {
 		return 0, nil, err
 	}
@@ -140,5 +137,5 @@ func MaxSlackExactStop(tok *stop.Token, reg *obs.Registry, n int, pairs []SeqPai
 		}
 	}
 	// Extremely ill-conditioned input: fall back to the binary search.
-	return MaxSlackStop(tok, reg, n, pairs, T, setup, hold, 1e-6)
+	return MaxSlack(tok, reg, n, pairs, T, setup, hold, 1e-6)
 }

@@ -71,11 +71,11 @@ func TestMaxSlackExactMatchesBinarySearch(t *testing.T) {
 		if len(pairs) == 0 {
 			continue
 		}
-		mBS, schedBS, err := MaxSlack(n, pairs, T, setup, hold, 1e-6)
+		mBS, schedBS, err := MaxSlack(nil, nil, n, pairs, T, setup, hold, 1e-6)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		mEx, schedEx, err := MaxSlackExact(n, pairs, T, setup, hold)
+		mEx, schedEx, err := MaxSlackExact(nil, nil, n, pairs, T, setup, hold)
 		if err != nil {
 			t.Fatalf("trial %d: exact: %v", trial, err)
 		}
@@ -92,7 +92,7 @@ func TestMaxSlackExactMatchesBinarySearch(t *testing.T) {
 // TestMaxSlackExactTimingDoesNotClose mirrors the negative-slack case.
 func TestMaxSlackExactTimingDoesNotClose(t *testing.T) {
 	pairs := []SeqPair{{U: 0, V: 0, DMax: 5000, DMin: 5000}}
-	M, _, err := MaxSlackExact(1, pairs, 1000, 30, 15)
+	M, _, err := MaxSlackExact(nil, nil, 1, pairs, 1000, 30, 15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func BenchmarkMaxSlackBinarySearch(b *testing.B) {
 	pairs := buildRandomPairs(rng, 40)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := MaxSlack(40, pairs, 1000, 30, 15, 1e-6); err != nil {
+		if _, _, err := MaxSlack(nil, nil, 40, pairs, 1000, 30, 15, 1e-6); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -117,7 +117,7 @@ func BenchmarkMaxSlackKarp(b *testing.B) {
 	pairs := buildRandomPairs(rng, 40)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := MaxSlackExact(40, pairs, 1000, 30, 15); err != nil {
+		if _, _, err := MaxSlackExact(nil, nil, 40, pairs, 1000, 30, 15); err != nil {
 			b.Fatal(err)
 		}
 	}

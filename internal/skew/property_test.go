@@ -114,7 +114,7 @@ func TestPropertyMaxSlackAchievesItsSlack(t *testing.T) {
 			continue
 		}
 		trials++
-		M, sched, err := MaxSlack(n, pairs, propT, propSetup, propHold, propTol)
+		M, sched, err := MaxSlack(nil, nil, n, pairs, propT, propSetup, propHold, propTol)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trials, err)
 		}
@@ -159,7 +159,7 @@ func TestPropertyMinDeltaKeepsWorkingSlack(t *testing.T) {
 		if len(pairs) == 0 {
 			continue
 		}
-		M, sched, err := MaxSlack(n, pairs, propT, propSetup, propHold, propTol)
+		M, sched, err := MaxSlack(nil, nil, n, pairs, propT, propSetup, propHold, propTol)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +167,7 @@ func TestPropertyMinDeltaKeepsWorkingSlack(t *testing.T) {
 		// Work at half the max slack, the flow's own convention.
 		work := M / 2
 		cons := Constraints(pairs, propT, work, propSetup, propHold)
-		delta, dt, err := MinDelta(n, cons, randomAnchors(rng, sched), propTol)
+		delta, dt, err := MinDelta(nil, nil, n, cons, randomAnchors(rng, sched), propTol)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trials, err)
 		}
@@ -196,7 +196,7 @@ func TestPropertyWeightedSumKeepsWorkingSlack(t *testing.T) {
 		if len(pairs) == 0 {
 			continue
 		}
-		M, sched, err := MaxSlack(n, pairs, propT, propSetup, propHold, propTol)
+		M, sched, err := MaxSlack(nil, nil, n, pairs, propT, propSetup, propHold, propTol)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,7 +209,7 @@ func TestPropertyWeightedSumKeepsWorkingSlack(t *testing.T) {
 			targets[i] = sched[i] + (rng.Float64()-0.5)*100
 			weights[i] = 1 + rng.Float64()*10
 		}
-		obj, wt, err := WeightedSum(n, cons, targets, weights)
+		obj, wt, err := WeightedSum(nil, n, cons, targets, weights)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trials, err)
 		}

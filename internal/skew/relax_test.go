@@ -210,7 +210,7 @@ func checkAgainstRef(t *testing.T, rng *rand.Rand, label string, n int, cons []D
 		seed[i] = (rng.Float64() - 0.5) * 200
 	}
 	wWant, wRoundsWant, wOKWant, _ := refLoopWarmStart(nil, n, cons, seed)
-	wGot, wRounds, wOK := WarmStart(n, cons, seed)
+	wGot, wRounds, wOK, _ := WarmStart(nil, nil, n, cons, seed)
 	if wOK != wOKWant {
 		t.Fatalf("%s: WarmStart ok=%v, reference ok=%v", label, wOK, wOKWant)
 	}
@@ -272,7 +272,7 @@ func TestMinDeltaMatchesReferenceLoop(t *testing.T) {
 			anchors[i] = Anchor{A: rng.Float64() * propT, TCI: rng.Float64() * 40}
 		}
 		wantD, want, wantErr := refLoopMinDelta(n, cons, anchors, 0)
-		gotD, got, gotErr := MinDelta(n, cons, anchors, 0)
+		gotD, got, gotErr := MinDelta(nil, nil, n, cons, anchors, 0)
 		if (gotErr == nil) != (wantErr == nil) {
 			t.Fatalf("trial %d: err %v, reference err %v", trial, gotErr, wantErr)
 		}
@@ -323,8 +323,8 @@ func TestRelaxRejectsNegativeCycleEarly(t *testing.T) {
 func TestRelaxCounters(t *testing.T) {
 	reg := obs.NewRegistry()
 	cons := []DiffConstraint{{U: 1, V: 2, Bound: -3}, {U: 0, V: 1, Bound: -2}}
-	if _, rounds, ok, err := WarmStartStop(nil, reg, 3, cons, []float64{0, 0, 0}); err != nil || !ok || rounds != 2 {
-		t.Fatalf("WarmStartStop = rounds %d, ok %v, err %v; want 2 rounds, feasible", rounds, ok, err)
+	if _, rounds, ok, err := WarmStart(nil, reg, 3, cons, []float64{0, 0, 0}); err != nil || !ok || rounds != 2 {
+		t.Fatalf("WarmStart = rounds %d, ok %v, err %v; want 2 rounds, feasible", rounds, ok, err)
 	}
 	for name, want := range map[string]int64{
 		"skew.probes": 1, "skew.rounds": 2, "skew.edge_visits": 4, "skew.negcycle.early": 0,

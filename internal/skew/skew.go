@@ -51,6 +51,31 @@ type DiffConstraint struct {
 	Bound float64
 }
 
+// WorkSlack reserves the fraction frac of the max slack m as the timing
+// margin cost-driven optimization works at (frac outside (0, 1] means 0.5).
+// A negative max slack (a design that cannot close timing at this period)
+// leaves no margin to reserve: taking a fraction would tighten the
+// constraints past feasibility, so the full slack is used.
+func WorkSlack(frac, m float64) float64 {
+	if m <= 0 {
+		return m
+	}
+	if frac <= 0 || frac > 1 {
+		frac = 0.5
+	}
+	return frac * m
+}
+
+// SlackLadder is the relaxation ladder for a working slack m that proved
+// infeasible: the full margin, half of it, then none. A non-positive margin
+// has nothing to relax and is its own one-rung ladder.
+func SlackLadder(m float64) []float64 {
+	if m > 0 {
+		return []float64{m, m / 2, 0}
+	}
+	return []float64{m}
+}
+
 // Constraints expands sequential pairs into the Fishburn difference
 // constraints (6)-(7) for period T, slack M, and the given setup/hold times:
 //
@@ -128,16 +153,11 @@ func normalize(t []float64) {
 // MaxSlack computes the maximum slack M such that the constraint system of
 // the pairs is feasible, together with a schedule achieving it (the
 // formulation (5)-(7) of the paper). The slack is found by binary search to
-// tol; Bellman-Ford provides each feasibility certificate.
-func MaxSlack(n int, pairs []SeqPair, T, setup, hold, tol float64) (float64, []float64, error) {
-	return MaxSlackStop(nil, nil, n, pairs, T, setup, hold, tol)
-}
-
-// MaxSlackStop is MaxSlack with a cooperative stop token, checked once per
-// Bellman-Ford round of every feasibility probe so a fired deadline surfaces
-// within one O(m) pass, and the probes' skew.* counters recorded into reg
-// (resolved through obs.Resolve).
-func MaxSlackStop(tok *stop.Token, reg *obs.Registry, n int, pairs []SeqPair, T, setup, hold, tol float64) (float64, []float64, error) {
+// tol; Bellman-Ford provides each feasibility certificate. The optional stop
+// token is checked once per Bellman-Ford round of every probe, so a fired
+// deadline surfaces within one O(m) pass; the probes' skew.* counters are
+// recorded into reg (resolved through obs.Resolve).
+func MaxSlack(tok *stop.Token, reg *obs.Registry, n int, pairs []SeqPair, T, setup, hold, tol float64) (float64, []float64, error) {
 	reg = obs.Resolve(reg)
 	if tol <= 0 {
 		tol = 1e-3
@@ -211,15 +231,10 @@ type Anchor struct {
 // graph (a ground node pins the absolute values). Each probe runs from zero
 // potentials, so an infeasible Delta is rejected at its first negative
 // anchor cycle and a feasible one costs the same rounds as a lone Feasible
-// call on that system.
-func MinDelta(n int, cons []DiffConstraint, anchors []Anchor, tol float64) (float64, []float64, error) {
-	return MinDeltaStop(nil, nil, n, cons, anchors, tol)
-}
-
-// MinDeltaStop is MinDelta with a cooperative stop token threaded into every
-// feasibility probe of the Delta binary search and the probes' skew.*
-// counters recorded into reg (resolved through obs.Resolve).
-func MinDeltaStop(tok *stop.Token, reg *obs.Registry, n int, cons []DiffConstraint, anchors []Anchor, tol float64) (float64, []float64, error) {
+// call on that system. The optional stop token is threaded into every probe
+// and the probes' skew.* counters are recorded into reg (resolved through
+// obs.Resolve).
+func MinDelta(tok *stop.Token, reg *obs.Registry, n int, cons []DiffConstraint, anchors []Anchor, tol float64) (float64, []float64, error) {
 	if err := faultinject.Hook(faultinject.SiteSkewMinDelta); err != nil {
 		return 0, nil, err
 	}
@@ -344,14 +359,10 @@ func bestShift(t []float64, anchors []Anchor) float64 {
 // The LP dual is a min-cost circulation: each difference constraint
 // t_U - t_V <= b becomes an infinite-capacity arc U->V of cost b, and each
 // flip-flop exchanges up to w_i units with a ground node at cost +-target_i.
-// Optimal node potentials of the residual network recover the schedule.
-func WeightedSum(n int, cons []DiffConstraint, targets []float64, weights []float64) (float64, []float64, error) {
-	return WeightedSumStop(nil, n, cons, targets, weights)
-}
-
-// WeightedSumStop is WeightedSum with a cooperative stop token threaded into
-// the base feasibility probe and the min-cost circulation.
-func WeightedSumStop(tok *stop.Token, n int, cons []DiffConstraint, targets []float64, weights []float64) (float64, []float64, error) {
+// Optimal node potentials of the residual network recover the schedule. The
+// optional stop token is threaded into the base feasibility probe and the
+// min-cost circulation.
+func WeightedSum(tok *stop.Token, n int, cons []DiffConstraint, targets []float64, weights []float64) (float64, []float64, error) {
 	if err := faultinject.Hook(faultinject.SiteSkewWeightedSum); err != nil {
 		return 0, nil, err
 	}

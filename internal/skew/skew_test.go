@@ -99,7 +99,7 @@ func TestMaxSlackVsLP(t *testing.T) {
 		if len(pairs) == 0 {
 			continue
 		}
-		M, sched, err := MaxSlack(n, pairs, T, setup, hold, 1e-4)
+		M, sched, err := MaxSlack(nil, nil, n, pairs, T, setup, hold, 1e-4)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -137,7 +137,7 @@ func TestMaxSlackNegativeWhenTimingDoesNotClose(t *testing.T) {
 	// only at a (large) negative slack, honestly reporting a design that
 	// cannot close timing. The self-loop forces M <= T - DMax - setup.
 	pairs := []SeqPair{{U: 0, V: 0, DMax: 5000, DMin: 5000}}
-	M, sched, err := MaxSlack(1, pairs, 1000, 30, 15, 1e-3)
+	M, sched, err := MaxSlack(nil, nil, 1, pairs, 1000, 30, 15, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestMinDeltaPinsToAnchors(t *testing.T) {
 	// No difference constraints: Delta should reach max TCI and every t_i
 	// should land inside [A_i + 2 TCI_i - Delta, A_i + Delta].
 	anchors := []Anchor{{A: 100, TCI: 5}, {A: 400, TCI: 20}, {A: 900, TCI: 1}}
-	delta, tt, err := MinDelta(3, nil, anchors, 1e-4)
+	delta, tt, err := MinDelta(nil, nil, 3, nil, anchors, 1e-4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestMinDeltaRespectsConstraints(t *testing.T) {
 	// between the two flip-flops.
 	anchors := []Anchor{{A: 0, TCI: 0}, {A: 500, TCI: 0}}
 	cons := []DiffConstraint{{U: 1, V: 0, Bound: 100}}
-	delta, tt, err := MinDelta(2, cons, anchors, 1e-4)
+	delta, tt, err := MinDelta(nil, nil, 2, cons, anchors, 1e-4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestMinDeltaVsLP(t *testing.T) {
 		for i := range anchors {
 			anchors[i] = Anchor{A: rng.Float64() * 1000, TCI: rng.Float64() * 50}
 		}
-		delta, tt, err := MinDelta(n, cons, anchors, 1e-5)
+		delta, tt, err := MinDelta(nil, nil, n, cons, anchors, 1e-5)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -237,7 +237,7 @@ func TestMinDeltaVsLP(t *testing.T) {
 func TestWeightedSumUnconstrained(t *testing.T) {
 	targets := []float64{100, 200, 300}
 	weights := []float64{1, 2, 3}
-	obj, tt, err := WeightedSum(3, nil, targets, weights)
+	obj, tt, err := WeightedSum(nil, 3, nil, targets, weights)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestWeightedSumConflict(t *testing.T) {
 	targets := []float64{0, 500}
 	weights := []float64{1, 3}
 	cons := []DiffConstraint{{U: 1, V: 0, Bound: 100}}
-	obj, tt, err := WeightedSum(2, cons, targets, weights)
+	obj, tt, err := WeightedSum(nil, 2, cons, targets, weights)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestWeightedSumVsLP(t *testing.T) {
 			targets[i] = float64(rng.Intn(1000))
 			weights[i] = float64(1 + rng.Intn(5))
 		}
-		obj, tt, err := WeightedSum(n, cons, targets, weights)
+		obj, tt, err := WeightedSum(nil, n, cons, targets, weights)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -328,7 +328,7 @@ func TestWeightedSumInfeasible(t *testing.T) {
 		{U: 0, V: 1, Bound: -3},
 		{U: 1, V: 0, Bound: -3},
 	}
-	if _, _, err := WeightedSum(2, cons, []float64{0, 0}, []float64{1, 1}); err == nil {
+	if _, _, err := WeightedSum(nil, 2, cons, []float64{0, 0}, []float64{1, 1}); err == nil {
 		t.Fatal("expected infeasibility error")
 	}
 }

@@ -25,17 +25,12 @@ import (
 // the cycle, so its round count is usually far below n+1. The seed is never
 // mutated. A seed of the wrong length or a constraint referencing variables
 // outside [0,n) panics, matching Feasible.
-func WarmStart(n int, cons []DiffConstraint, seed []float64) ([]float64, int, bool) {
-	t, rounds, ok, _ := WarmStartStop(nil, nil, n, cons, seed)
-	return t, rounds, ok
-}
-
-// WarmStartStop is WarmStart with a cooperative stop token checked once per
-// relaxation round and the kernel's skew.* counters recorded into reg
-// (resolved through obs.Resolve). A fired token abandons the repair and
-// reports the stop error; the partial vector is not a certificate and is
-// discarded.
-func WarmStartStop(tok *stop.Token, reg *obs.Registry, n int, cons []DiffConstraint, seed []float64) ([]float64, int, bool, error) {
+//
+// The optional stop token is checked once per relaxation round and the
+// kernel's skew.* counters are recorded into reg (resolved through
+// obs.Resolve). A fired token abandons the repair and reports the stop
+// error; the partial vector is not a certificate and is discarded.
+func WarmStart(tok *stop.Token, reg *obs.Registry, n int, cons []DiffConstraint, seed []float64) ([]float64, int, bool, error) {
 	if len(seed) != n {
 		panic(fmt.Sprintf("skew: warm start seed has %d entries for %d variables", len(seed), n))
 	}

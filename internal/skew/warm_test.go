@@ -15,7 +15,7 @@ func TestWarmStartFeasibleSeedUnchanged(t *testing.T) {
 		{U: 2, V: 0, Bound: 3},
 	}
 	seed := []float64{10, 7.5, 8.25}
-	got, rounds, ok := WarmStart(3, cons, seed)
+	got, rounds, ok, _ := WarmStart(nil, nil, 3, cons, seed)
 	if !ok {
 		t.Fatal("feasible seed reported infeasible")
 	}
@@ -37,7 +37,7 @@ func TestWarmStartRepairsViolation(t *testing.T) {
 	// t0 - t1 <= -2 forces t0 at least 2 below t1; the seed violates it.
 	cons := []DiffConstraint{{U: 0, V: 1, Bound: -2}}
 	seed := []float64{5, 5}
-	got, _, ok := WarmStart(2, cons, seed)
+	got, _, ok, _ := WarmStart(nil, nil, 2, cons, seed)
 	if !ok {
 		t.Fatal("repairable system reported infeasible")
 	}
@@ -59,7 +59,7 @@ func TestWarmStartInfeasible(t *testing.T) {
 		{U: 0, V: 1, Bound: -1},
 		{U: 1, V: 0, Bound: -1},
 	}
-	_, rounds, ok := WarmStart(2, cons, []float64{0, 0})
+	_, rounds, ok, _ := WarmStart(nil, nil, 2, cons, []float64{0, 0})
 	if ok {
 		t.Fatal("negative cycle reported feasible")
 	}
@@ -78,15 +78,15 @@ func TestWarmStartDeterministicAcrossBatching(t *testing.T) {
 	both := append(append([]DiffConstraint{}, consA...), consB...)
 	seed := []float64{1, 1, 2, 2}
 
-	batch, _, ok := WarmStart(4, both, seed)
+	batch, _, ok, _ := WarmStart(nil, nil, 4, both, seed)
 	if !ok {
 		t.Fatal("batch infeasible")
 	}
-	step1, _, ok := WarmStart(4, consA, seed)
+	step1, _, ok, _ := WarmStart(nil, nil, 4, consA, seed)
 	if !ok {
 		t.Fatal("step1 infeasible")
 	}
-	step2, _, ok := WarmStart(4, consB, step1)
+	step2, _, ok, _ := WarmStart(nil, nil, 4, consB, step1)
 	if !ok {
 		t.Fatal("step2 infeasible")
 	}
@@ -103,13 +103,13 @@ func TestWarmStartSeedLengthPanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	WarmStart(3, nil, []float64{0})
+	WarmStart(nil, nil, 3, nil, []float64{0})
 }
 
 func TestWarmStartStopToken(t *testing.T) {
 	tok, cancel := stop.WithTimeout(-time.Second)
 	defer cancel()
-	_, _, _, err := WarmStartStop(tok, nil, 2, []DiffConstraint{{U: 0, V: 1, Bound: 0}}, []float64{0, 0})
+	_, _, _, err := WarmStart(tok, nil, 2, []DiffConstraint{{U: 0, V: 1, Bound: 0}}, []float64{0, 0})
 	if !stop.IsStop(err) {
 		t.Fatalf("err = %v, want stop error", err)
 	}

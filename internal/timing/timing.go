@@ -15,6 +15,7 @@ import (
 	"sort"
 
 	"rotaryclk/internal/netlist"
+	"rotaryclk/internal/skew"
 )
 
 // ErrCycle reports a combinational cycle: the circuit has a gate loop not
@@ -203,6 +204,21 @@ func topoOrder(c *netlist.Circuit, adj [][]edge) ([]int, error) {
 		return nil, fmt.Errorf("%w (%d of %d cells ordered)", ErrCycle, seen, n)
 	}
 	return idx, nil
+}
+
+// SeqPairs runs Analyze and maps its pairs onto the skew solver's flip-flop
+// indices (ffIdx maps a flip-flop's cell ID to its schedule index). The
+// analysis error is returned unwrapped.
+func SeqPairs(c *netlist.Circuit, m Model, ffIdx map[int]int) ([]skew.SeqPair, error) {
+	sta, err := Analyze(c, m)
+	if err != nil {
+		return nil, err
+	}
+	pairs := make([]skew.SeqPair, len(sta.Pairs))
+	for i, p := range sta.Pairs {
+		pairs[i] = skew.SeqPair{U: ffIdx[p.From], V: ffIdx[p.To], DMax: p.DMax, DMin: p.DMin}
+	}
+	return pairs, nil
 }
 
 // Analyze runs block-based STA over the placed circuit and returns the

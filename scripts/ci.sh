@@ -63,6 +63,10 @@
 #                         statement coverage drops more than 2 points below
 #                         the recorded COVERAGE_baseline.txt (UPDATE=1
 #                         re-records the baseline)
+#   scripts/ci.sh loc     added, removed and net non-test Go lines of the
+#                         working tree against BASE (default HEAD~1), the
+#                         delta each change reports in CHANGES.md; files new
+#                         since BASE count once staged with git add
 #
 # BENCHTIME overrides the bench sampling (default 1x: one timed iteration
 # per benchmark keeps the whole suite under a couple of minutes; use e.g.
@@ -276,8 +280,14 @@ cover)
         exit 1
     fi
     ;;
+loc)
+    base="${BASE:-HEAD~1}"
+    git diff --numstat "$base" -- '*.go' ':(exclude)*_test.go' | awk -v base="$base" '
+        { added += $1; removed += $2 }
+        END { printf "non-test Go lines vs %s: +%d -%d, net %+d\n", base, added, removed, added - removed }'
+    ;;
 *)
-    echo "usage: scripts/ci.sh {test|race|fuzz|serve|bench|benchcmp|scaling|eco|oracle|ml|timing|skew|golden|cover}" >&2
+    echo "usage: scripts/ci.sh {test|race|fuzz|serve|bench|benchcmp|scaling|eco|oracle|ml|timing|skew|golden|cover|loc}" >&2
     exit 2
     ;;
 esac
