@@ -1,12 +1,12 @@
 # Tier-1 gate, race gate, fuzz smoke, benchmark baseline, placer perf
 # comparison, differential-oracle campaign, ECO smoke, golden tables, skew
-# kernel gate, and coverage gate. See scripts/ci.sh. `make ci` chains the
+# kernel gate, stage-3 flow gate, and coverage gate. See scripts/ci.sh. `make ci` chains the
 # deterministic gates.
 
 SEEDS ?= 25
 BASE ?= HEAD~1
 
-.PHONY: test race fuzz serve bench benchcmp scaling scaling-smoke eco eco-bench oracle ml timing skew golden cover loc ci
+.PHONY: test race fuzz serve bench benchcmp scaling scaling-smoke eco eco-bench oracle ml timing skew assign golden cover loc ci
 
 test:
 	sh scripts/ci.sh test
@@ -67,6 +67,12 @@ timing:
 skew:
 	sh scripts/ci.sh skew
 
+# Stage-3 flow gate: preload-vs-reference differential, dual feasibility,
+# canceler early-exit tests, ECO patch tests, the assignment and ECO oracle
+# negative tests, and the golden tables.
+assign:
+	sh scripts/ci.sh assign
+
 golden:
 	sh scripts/ci.sh golden
 
@@ -77,4 +83,4 @@ cover:
 loc:
 	BASE=$(BASE) sh scripts/ci.sh loc
 
-ci: test race golden oracle serve eco ml timing skew cover
+ci: test race golden oracle serve eco ml timing skew assign cover

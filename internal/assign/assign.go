@@ -341,6 +341,15 @@ func (p *Problem) finish(choice []candidate) *Assignment {
 // subject to ring capacities, via min-cost max-flow. The flow network is
 // exactly Fig. 4: source -> flip-flops (cap 1) -> candidate rings (cap 1,
 // cost c_ij) -> target (cap U_j).
+//
+// The solve starts from a flow that is nearly optimal already: each
+// flip-flop, in index order, is preloaded on its cheapest candidate while
+// that ring has capacity left, with the closed-form duals of that flow as
+// potentials, and only the flip-flops left over are routed by successive
+// shortest paths (DESIGN.md section 19). The counters
+// assign.mincost.preloaded and assign.mincost.deficit record the split.
+// When optima tie, the ring chosen may differ from a zero-start solve's;
+// the total does not.
 func MinCost(p *Problem) (*Assignment, error) {
 	if err := faultinject.Hook(faultinject.SiteAssignMinCost); err != nil {
 		return nil, err
@@ -353,38 +362,96 @@ func MinCost(p *Problem) (*Assignment, error) {
 		return nil, err
 	}
 	p.obsReg.Add("assign.mincost.calls", 1)
-	nFF, nR := len(p.FFs), len(p.Array.Rings)
-	g := mcmf.NewGraph(2 + nFF + nR)
+	choice, err := p.solveFlow(cands, p.preloadCheapest)
+	if err != nil {
+		return nil, err
+	}
+	return p.finish(choice), nil
+}
+
+// network is the Fig. 4 flow network of one MinCost or PatchMinCost solve,
+// with the arc IDs that preloads push on and the choice is read back from.
+type network struct {
+	g         *mcmf.Graph
+	cands     [][]candidate
+	src       []mcmf.ArcID   // per FF: source -> FF
+	arcs      [][]mcmf.ArcID // per FF, parallel to its candidate row
+	sink      []mcmf.ArcID   // per ring: ring -> target
+	capacity  []int
+	used      []int // per ring: units preloaded
+	preloaded int
+}
+
+// Node numbering of the network: source, target, flip-flops, rings.
+const srcNode, sinkNode, ffBase = 0, 1, 2
+
+// route preloads flip-flop i along its k-th candidate if that ring has
+// capacity left.
+func (n *network) route(i, k int) {
+	j := n.cands[i][k].ring
+	if n.used[j] >= n.capacity[j] {
+		return
+	}
+	n.g.Push(n.src[i], 1)
+	n.g.Push(n.arcs[i][k], 1)
+	n.g.Push(n.sink[j], 1)
+	n.used[j]++
+	n.preloaded++
+}
+
+// solveFlow is the one Fig. 4 solver behind MinCost and PatchMinCost: it
+// builds the network over cands, lets preload route a first flow and return
+// potentials feasible for it (nil: mcmf computes Bellman-Ford ones), routes
+// the remaining flip-flops along successive shortest paths, and reads back
+// each flip-flop's candidate. Errors from preload pass through unwrapped.
+func (p *Problem) solveFlow(cands [][]candidate, preload func(*network) ([]float64, error)) ([]candidate, error) {
+	nFF, nR := len(cands), len(p.Array.Rings)
+	g := mcmf.NewGraph(ffBase + nFF + nR)
 	g.Obs = p.obsReg
 	g.Stop = p.Stop
-	s, t := 0, 1
-	ffNode := func(i int) int { return 2 + i }
-	ringNode := func(j int) int { return 2 + nFF + j }
-	for i := range p.FFs {
-		g.AddArc(s, ffNode(i), 1, 0)
+	n := &network{
+		g:        g,
+		cands:    cands,
+		src:      make([]mcmf.ArcID, nFF),
+		arcs:     make([][]mcmf.ArcID, nFF),
+		sink:     make([]mcmf.ArcID, nR),
+		capacity: p.Capacity,
+		used:     make([]int, nR),
 	}
-	arcIDs := make([][]mcmf.ArcID, nFF)
+	for i := range cands {
+		n.src[i] = g.AddArc(srcNode, ffBase+i, 1, 0)
+	}
 	for i, cs := range cands {
-		arcIDs[i] = make([]mcmf.ArcID, len(cs))
+		n.arcs[i] = make([]mcmf.ArcID, len(cs))
 		for k, c := range cs {
-			arcIDs[i][k] = g.AddArc(ffNode(i), ringNode(c.ring), 1, c.cost)
+			n.arcs[i][k] = g.AddArc(ffBase+i, ffBase+nFF+c.ring, 1, c.cost)
 		}
 	}
-	for j := 0; j < nR; j++ {
-		g.AddArc(ringNode(j), t, p.Capacity[j], 0)
+	for j := range n.sink {
+		n.sink[j] = g.AddArc(ffBase+nFF+j, sinkNode, p.Capacity[j], 0)
 	}
-	flow, _, err := g.MinCostMaxFlow(s, t)
+	pot, err := preload(n)
+	if err != nil {
+		return nil, err
+	}
+	deficit := nFF - n.preloaded
+	var flow int
+	if pot != nil {
+		flow, _, err = g.MinCostFlowFrom(srcNode, sinkNode, deficit, pot)
+	} else {
+		flow, _, err = g.MinCostFlow(srcNode, sinkNode, deficit)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("assign: flow solve: %w", err)
 	}
-	if flow < nFF {
-		return nil, fmt.Errorf("assign: only %d of %d flip-flops assignable under capacities (increase K or capacity): %w", flow, nFF, ErrInfeasible)
+	if flow < deficit {
+		return nil, fmt.Errorf("assign: only %d of %d flip-flops assignable under capacities (increase K or capacity): %w", n.preloaded+flow, nFF, ErrInfeasible)
 	}
 	choice := make([]candidate, nFF)
 	for i, cs := range cands {
 		found := false
 		for k := range cs {
-			if g.Flow(arcIDs[i][k]) > 0 {
+			if g.Flow(n.arcs[i][k]) > 0 {
 				choice[i] = cs[k]
 				found = true
 				break
@@ -394,7 +461,25 @@ func MinCost(p *Problem) (*Assignment, error) {
 			return nil, fmt.Errorf("assign: internal: flip-flop %d carries no flow", i)
 		}
 	}
-	return p.finish(choice), nil
+	return choice, nil
+}
+
+// preloadCheapest is MinCost's preload: every flip-flop, in index order, on
+// its cheapest candidate (rows are sorted by cost) while that ring has
+// capacity left. Its potentials are pot[FF_i] = -c_min(i) and 0 at the
+// source, target and rings, under which every residual arc except the
+// reverse arcs into the source has a non-negative reduced cost: unused
+// FF->ring arcs c_ij - c_min(i), reverses of used ones 0, ring<->target
+// arcs 0, open source arcs c_min(i).
+func (p *Problem) preloadCheapest(n *network) ([]float64, error) {
+	pot := make([]float64, n.g.NumNodes())
+	for i, cs := range n.cands {
+		pot[ffBase+i] = -cs[0].cost
+		n.route(i, 0)
+	}
+	p.obsReg.Add("assign.mincost.preloaded", int64(n.preloaded))
+	p.obsReg.Add("assign.mincost.deficit", int64(len(n.cands)-n.preloaded))
+	return pot, nil
 }
 
 // Relax is the LP-relaxation result backing Table I.

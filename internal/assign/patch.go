@@ -25,6 +25,11 @@ import (
 // prior ring is no longer a candidate, or whose ring is already full, are
 // demoted to dirty rather than erroring.
 //
+// It runs MinCost's Fig. 4 solver with a different preload: each clean
+// flip-flop on its previous ring, then mcmf.CancelNegativeCycles to make
+// that flow minimum-cost for its value, then Bellman-Ford potentials for
+// augmenting the remaining flip-flops.
+//
 // The result is cost-equal to MinCost on the same Problem (the assignment
 // itself may differ when optima tie). If cycle canceling fails to converge
 // (mcmf.ErrCancelLimit — numerically pathological costs), the patch falls
@@ -61,96 +66,37 @@ func PatchMinCost(p *Problem, prevRing []int, dirty []int) (*Assignment, error) 
 			isDirty[i] = true
 		}
 	}
-
-	nFF, nR := len(p.FFs), len(p.Array.Rings)
-	g := mcmf.NewGraph(2 + nFF + nR)
-	g.Obs = reg
-	g.Stop = p.Stop
-	s, t := 0, 1
-	srcArc := make([]mcmf.ArcID, nFF)
-	for i := range p.FFs {
-		srcArc[i] = g.AddArc(s, 2+i, 1, 0)
-	}
-	arcIDs := make([][]mcmf.ArcID, nFF)
-	for i, cs := range cands {
-		arcIDs[i] = make([]mcmf.ArcID, len(cs))
-		for k, c := range cs {
-			arcIDs[i][k] = g.AddArc(2+i, 2+nFF+c.ring, 1, c.cost)
-		}
-	}
-	sinkArc := make([]mcmf.ArcID, nR)
-	for j := 0; j < nR; j++ {
-		sinkArc[j] = g.AddArc(2+nFF+j, t, p.Capacity[j], 0)
-	}
-
 	// Preload the clean flip-flops along their previous rings, respecting
 	// the (possibly changed) capacities; anything that no longer fits routes
 	// with the dirty set instead.
-	used := make([]int, nR)
-	preloaded := 0
-	for i := range p.FFs {
-		if isDirty[i] {
-			continue
-		}
-		j := prevRing[i]
-		if j < 0 || j >= nR || used[j] >= p.Capacity[j] {
-			isDirty[i] = true
-			continue
-		}
-		arc := mcmf.ArcID(-1)
-		for k, c := range cands[i] {
-			if c.ring == j {
-				arc = arcIDs[i][k]
-				break
+	preloadPrevious := func(n *network) ([]float64, error) {
+		for i := range n.cands {
+			if isDirty[i] {
+				continue
+			}
+			for k, c := range n.cands[i] {
+				if c.ring == prevRing[i] {
+					n.route(i, k)
+					break
+				}
 			}
 		}
-		if arc < 0 {
-			isDirty[i] = true
-			continue
-		}
-		g.Push(srcArc[i], 1)
-		g.Push(arc, 1)
-		g.Push(sinkArc[j], 1)
-		used[j]++
-		preloaded++
-	}
-	reg.Add("assign.patch.preloaded", int64(preloaded))
-	reg.Add("assign.patch.dirty", int64(nFF-preloaded))
-
-	canceled, _, err := g.CancelNegativeCycles()
-	if err != nil {
-		if errors.Is(err, mcmf.ErrCancelLimit) {
-			reg.Add("assign.patch.coldfall", 1)
-			return MinCost(p)
-		}
-		return nil, fmt.Errorf("assign: patch: %w", err)
-	}
-	reg.Add("assign.patch.cycles", int64(canceled))
-
-	deficit := nFF - preloaded
-	if deficit > 0 {
-		flow, _, err := g.MinCostFlow(s, t, deficit)
+		reg.Add("assign.patch.preloaded", int64(n.preloaded))
+		reg.Add("assign.patch.dirty", int64(len(n.cands)-n.preloaded))
+		canceled, _, err := n.g.CancelNegativeCycles()
 		if err != nil {
-			return nil, fmt.Errorf("assign: patch flow solve: %w", err)
+			return nil, err
 		}
-		if flow < deficit {
-			return nil, fmt.Errorf("assign: patch: only %d of %d flip-flops assignable under capacities (increase K or capacity): %w", preloaded+flow, nFF, ErrInfeasible)
-		}
+		reg.Add("assign.patch.cycles", int64(canceled))
+		return nil, nil
 	}
-
-	choice := make([]candidate, nFF)
-	for i, cs := range cands {
-		found := false
-		for k := range cs {
-			if g.Flow(arcIDs[i][k]) > 0 {
-				choice[i] = cs[k]
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("assign: patch: internal: flip-flop %d carries no flow", i)
-		}
+	choice, err := p.solveFlow(cands, preloadPrevious)
+	if errors.Is(err, mcmf.ErrCancelLimit) {
+		reg.Add("assign.patch.coldfall", 1)
+		return MinCost(p)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("assign: patch: %w", err)
 	}
 	return p.finish(choice), nil
 }

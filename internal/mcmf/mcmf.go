@@ -4,6 +4,14 @@
 // circulation solver additionally powers the weighted-sum skew optimization
 // of Section VII through linear programming duality.
 //
+// Every solve runs one augmenting loop, MinCostFlowFrom, which takes its
+// starting potentials as an argument: MinCostFlow computes zero or
+// Bellman-Ford ones, while a caller that preloads a near-optimal flow with
+// Push passes closed-form duals and augments only the remainder. The
+// potential initialization and CancelNegativeCycles share one residual
+// Bellman-Ford loop that stops at the first negative cycle its predecessor
+// walk proves, instead of after n rounds.
+//
 // Error discipline: solve methods return errors for conditions determined by
 // the caller-supplied graph (a negative cycle makes the min-cost objective
 // unbounded; a circulation whose saturated excess cannot be rerouted is not
@@ -48,7 +56,6 @@ type Graph struct {
 	n    int
 	arcs []arc
 	adj  [][]int32 // node -> arc indices
-	pot  []float64 // Johnson potentials
 	orig []int     // original capacity per forward arc (even indices)
 
 	// Obs receives solver telemetry (augmenting paths, shortest-path edge
@@ -127,10 +134,13 @@ func (p *pq) Pop() interface{} {
 	return it
 }
 
-// dijkstra computes shortest reduced-cost distances from s. Reduced costs
-// must be non-negative (guaranteed by the potential invariant). It returns
-// dist and the predecessor arc per node (-1 if unreached).
-func (g *Graph) dijkstra(s int) (dist []float64, prev []int32, relaxed int) {
+// dijkstra computes shortest reduced-cost distances from s under the
+// potentials pot. Reduced costs of the arcs it relaxes must be non-negative
+// (the caller's potential invariant); arcs into an already settled node are
+// never relaxed, so s, settled first, may have residual arcs of any reduced
+// cost entering it. It returns dist and the predecessor arc per node (-1 if
+// unreached).
+func (g *Graph) dijkstra(s int, pot []float64) (dist []float64, prev []int32, relaxed int) {
 	dist = make([]float64, g.n)
 	prev = make([]int32, g.n)
 	done := make([]bool, g.n)
@@ -152,7 +162,7 @@ func (g *Graph) dijkstra(s int) (dist []float64, prev []int32, relaxed int) {
 			if a.cap <= 0 || done[a.to] {
 				continue
 			}
-			rc := a.cost + g.pot[u] - g.pot[a.to]
+			rc := a.cost + pot[u] - pot[a.to]
 			if rc < 0 {
 				// Tiny negative reduced costs arise from float rounding;
 				// clamp them so Dijkstra stays correct.
@@ -172,45 +182,53 @@ func (g *Graph) dijkstra(s int) (dist []float64, prev []int32, relaxed int) {
 	return dist, prev, relaxed
 }
 
-// bellmanFord initializes potentials when negative-cost arcs are present.
-// It returns false if a negative cycle is reachable (costs unbounded).
-func (g *Graph) bellmanFord() (ok bool, relaxed int, err error) {
-	for i := range g.pot {
-		g.pot[i] = 0
-	}
-	for iter := 0; iter < g.n; iter++ {
-		if err := stop.Check(g.Stop, faultinject.SiteMcmfPathCancel); err != nil {
-			return false, relaxed, fmt.Errorf("mcmf: potential initialization: %w", err)
-		}
-		changed := false
-		for u := 0; u < g.n; u++ {
-			for _, ai := range g.adj[u] {
-				a := &g.arcs[ai]
-				if a.cap <= 0 {
-					continue
-				}
-				if nd := g.pot[u] + a.cost; nd < g.pot[a.to]-1e-12 {
-					g.pot[a.to] = nd
-					relaxed++
-					changed = true
-				}
-			}
-		}
-		if !changed {
-			return true, relaxed, nil
-		}
-	}
-	return false, relaxed, nil
-}
-
 // MinCostFlow pushes up to maxFlow units from s to t along successive
 // shortest paths, returning the flow achieved and its total cost. Pass
-// maxFlow < 0 for max flow. Arc costs must be non-negative unless
-// negative-cost arcs were neutralized beforehand (see MinCostCirculation);
-// a reachable negative cycle returns ErrNegativeCycle.
+// maxFlow < 0 for max flow. The starting potentials are zero when no
+// residual arc has a negative cost, and otherwise the Bellman-Ford
+// distances of the residual graph from a zero start (the loop shared with
+// CancelNegativeCycles); a negative residual cycle returns
+// ErrNegativeCycle, as soon as the predecessor walk proves one.
 func (g *Graph) MinCostFlow(s, t, maxFlow int) (flow int, cost float64, err error) {
+	hasNeg := false
+	for i := range g.arcs {
+		if g.arcs[i].cap > 0 && g.arcs[i].cost < 0 {
+			hasNeg = true
+			break
+		}
+	}
+	pot := make([]float64, g.n)
+	if hasNeg {
+		b := g.newBellmanFord()
+		cycle, berr := b.run(g)
+		if reg := obs.Resolve(g.Obs); reg != nil {
+			reg.Add("mcmf.relaxations", int64(b.relaxed))
+		}
+		if berr != nil {
+			return 0, 0, fmt.Errorf("mcmf: potential initialization: %w", berr)
+		}
+		if cycle >= 0 {
+			return 0, 0, ErrNegativeCycle
+		}
+		pot = b.dist
+	}
+	return g.MinCostFlowFrom(s, t, maxFlow, pot)
+}
+
+// MinCostFlowFrom is MinCostFlow started from the caller's potentials pot,
+// one per node: the augmenting loop every solve runs. Every residual arc
+// that does not enter s must have a non-negative reduced cost
+// cost + pot[u] - pot[v] (below -1e-6 panics as a violated invariant);
+// arcs into s are exempt because s is settled first and never re-entered.
+// A caller that knows a near-optimal flow preloads it with Push and passes
+// closed-form duals for it, so only the remaining units need augmenting
+// paths. pot is updated in place and left holding the final potentials.
+func (g *Graph) MinCostFlowFrom(s, t, maxFlow int, pot []float64) (flow int, cost float64, err error) {
 	if err := faultinject.Hook(faultinject.SiteMcmfMinCostFlow); err != nil {
 		return 0, 0, err
+	}
+	if len(pot) != g.n {
+		panic(fmt.Sprintf("mcmf: %d potentials for %d nodes", len(pot), g.n))
 	}
 	if s == t {
 		return 0, 0, nil
@@ -229,29 +247,11 @@ func (g *Graph) MinCostFlow(s, t, maxFlow int) (flow int, cost float64, err erro
 			reg.Add("mcmf.flow", int64(flow))
 		}()
 	}
-	g.pot = make([]float64, g.n)
-	hasNeg := false
-	for i := range g.arcs {
-		if g.arcs[i].cap > 0 && g.arcs[i].cost < 0 {
-			hasNeg = true
-			break
-		}
-	}
-	if hasNeg {
-		ok, r, berr := g.bellmanFord()
-		relaxed += r
-		if berr != nil {
-			return 0, 0, berr
-		}
-		if !ok {
-			return 0, 0, ErrNegativeCycle
-		}
-	}
 	for flow < maxFlow {
 		if cerr := stop.Check(g.Stop, faultinject.SiteMcmfPathCancel); cerr != nil {
 			return flow, cost, fmt.Errorf("mcmf: augmenting-path search: %w", cerr)
 		}
-		dist, prev, r := g.dijkstra(s)
+		dist, prev, r := g.dijkstra(s, pot)
 		relaxed += r
 		if prev[t] < 0 {
 			break
@@ -277,7 +277,7 @@ func (g *Graph) MinCostFlow(s, t, maxFlow int) (flow int, cost float64, err erro
 		// Update potentials; unreachable nodes keep their old potential.
 		for v := 0; v < g.n; v++ {
 			if !math.IsInf(dist[v], 1) {
-				g.pot[v] += dist[v]
+				pot[v] += dist[v]
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"rotaryclk/internal/obs"
 	"rotaryclk/internal/stop"
 )
 
@@ -179,5 +180,135 @@ func TestCancelNegativeCyclesStops(t *testing.T) {
 	_, _, err := g.CancelNegativeCycles()
 	if !stop.IsStop(err) {
 		t.Fatalf("err = %v, want a stop error", err)
+	}
+}
+
+// twoCycleGraph is an n-node residual graph that is clean except for one
+// 2-cycle 0->1->0 of the given arc costs; nodes 2..n-1 form a chain of
+// non-negative arcs that never relaxes.
+func twoCycleGraph(n int, c01, c10 float64) (*Graph, *obs.Registry) {
+	g := NewGraph(n)
+	reg := obs.NewRegistry()
+	g.Obs = reg
+	g.AddArc(0, 1, 1, c01)
+	g.AddArc(1, 0, 1, c10)
+	for v := 2; v+1 < n; v++ {
+		g.AddArc(v, v+1, 1, 1)
+	}
+	return g, reg
+}
+
+// TestCancelDeepCycleEarly: a negative 2-cycle in a 500-node graph is found
+// by the predecessor walk after the first round, not after n Bellman-Ford
+// rounds, and the whole call takes at most 4 rounds.
+func TestCancelDeepCycleEarly(t *testing.T) {
+	const n = 500
+	g, reg := twoCycleGraph(n, -5, 1)
+	canceled, delta, err := g.CancelNegativeCycles()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if canceled != 1 || delta != -4 {
+		t.Fatalf("canceled %d cycles, delta %v; want 1, -4", canceled, delta)
+	}
+	if r := reg.Counter("mcmf.cancel.rounds"); r > 4 {
+		t.Fatalf("%d Bellman-Ford rounds, want <= 4", r)
+	}
+	if e := reg.Counter("mcmf.cancel.early"); e != 1 {
+		t.Fatalf("mcmf.cancel.early = %d, want 1", e)
+	}
+	if v, r := reg.Counter("mcmf.cancel.edge_visits"), reg.Counter("mcmf.cancel.rounds"); v != r*int64(len(g.arcs)) {
+		t.Fatalf("edge visits %d != rounds %d x %d arc slots", v, r, len(g.arcs))
+	}
+}
+
+// TestCancelGuardBandCycleUsesWitnessWalk: a cycle of weight -3e-12 sits
+// inside the guard band -2(k+1)*1e-12, so the early walk must not claim it;
+// the n-round witness walk still finds and cancels it.
+func TestCancelGuardBandCycleUsesWitnessWalk(t *testing.T) {
+	const n = 500
+	g, reg := twoCycleGraph(n, 1, -1-3e-12)
+	canceled, _, err := g.CancelNegativeCycles()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if canceled != 1 {
+		t.Fatalf("canceled %d cycles, want 1", canceled)
+	}
+	if e := reg.Counter("mcmf.cancel.early"); e != 0 {
+		t.Fatalf("mcmf.cancel.early = %d on a guard-band cycle, want 0", e)
+	}
+	if r := reg.Counter("mcmf.cancel.rounds"); r < n {
+		t.Fatalf("%d rounds: the guard-band cycle was not left to the n-round walk", r)
+	}
+	if g.Flow(ArcID(0)) != 1 || g.Flow(ArcID(2)) != 1 {
+		t.Fatal("guard-band cycle not saturated")
+	}
+}
+
+// TestMinCostFlowNegativeCycleEarly: the potential initialization shares
+// the early exit, so a deep negative cycle is reported after a handful of
+// relaxations instead of n rounds of them.
+func TestMinCostFlowNegativeCycleEarly(t *testing.T) {
+	const n = 500
+	g, reg := twoCycleGraph(n, -5, 1)
+	if _, _, err := g.MinCostFlow(2, n-1, -1); err != ErrNegativeCycle {
+		t.Fatalf("err = %v, want ErrNegativeCycle", err)
+	}
+	if r := reg.Counter("mcmf.relaxations"); r > 4 {
+		t.Fatalf("%d relaxations before reporting the cycle, want <= 4", r)
+	}
+}
+
+// TestMinCostFlowFromSeedPotentials: augmenting from a preloaded flow with
+// closed-form duals reaches the zero-start optimum with only the remaining
+// units routed; negative reduced costs on arcs into the source are exempt.
+func TestMinCostFlowFromSeedPotentials(t *testing.T) {
+	costs := [][]float64{
+		{1, 3, math.Inf(1)},
+		{2, 1, 4},
+		{1, 2, 6},
+		{5, math.Inf(1), 2},
+	}
+	caps := []int{1, 2, 1}
+	scratch, s, tt, _ := assignGraph(costs, caps)
+	_, want, err := scratch.MinCostMaxFlow(s, tt)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	g, s2, t2, arcs := assignGraph(costs, caps)
+	reg := obs.NewRegistry()
+	g.Obs = reg
+	nFF := len(costs)
+	ringArcBase := len(g.arcs) - 2*len(caps)
+	pot := make([]float64, g.NumNodes())
+	used := make([]int, len(caps))
+	preloaded := 0
+	for i, row := range costs {
+		best := 0
+		for j := range row {
+			if row[j] < row[best] {
+				best = j
+			}
+		}
+		pot[2+i] = -row[best]
+		if used[best] < caps[best] {
+			g.Push(ArcID(2*i), 1)
+			g.Push(arcs[i][best], 1)
+			g.Push(ArcID(ringArcBase+2*best), 1)
+			used[best]++
+			preloaded++
+		}
+	}
+	flow, _, err := g.MinCostFlowFrom(s2, t2, nFF-preloaded, pot)
+	if err != nil || flow != nFF-preloaded {
+		t.Fatalf("augment: flow %d err %v", flow, err)
+	}
+	if got := g.TotalCost(); math.Abs(got-want) > 1e-9 {
+		t.Fatalf("seeded total %v != zero-start total %v", got, want)
+	}
+	if p := reg.Counter("mcmf.paths"); p != int64(nFF-preloaded) {
+		t.Fatalf("%d augmenting paths for %d remaining units", p, nFF-preloaded)
 	}
 }

@@ -56,6 +56,13 @@
 #                         and guard-band systems, bit-identical potentials),
 #                         the early negative-cycle exit tests, the min-Delta
 #                         oracle negative test, and the golden tables
+#   scripts/ci.sh assign  stage-3 min-cost flow gate: the cheapest-ring
+#                         preload vs the zero-start reference solve (loose,
+#                         tight, pinned, pruned, fallback, ladder and tied
+#                         instances), its dual feasibility, the canceler's
+#                         early-exit and guard-band tests, the ECO patch
+#                         tests, the assignment and ECO oracle negative
+#                         tests, and the golden tables
 #   scripts/ci.sh golden  run only the golden-table regression harness
 #                         (UPDATE=1 re-records the goldens after a reviewed
 #                         table change)
@@ -250,6 +257,12 @@ skew)
     go test ./internal/oracle/ -run '^TestFaultSkewMinDeltaDetected$' -count=1
     go test ./internal/exp -run '^TestGolden' -count=1
     ;;
+assign)
+    go test ./internal/assign/ -run '^(TestMinCostMatchesReference|TestPreloadDualFeasible|TestPatch)' -count=1 -v
+    go test ./internal/mcmf/ -run '^(TestCancel|TestPreloadCancelAugmentMatchesScratch|TestMinCostFlow)' -count=1 -v
+    go test ./internal/oracle/ -run '^(TestFaultMcmfDetected|TestFaultECODetected)$' -count=1
+    go test ./internal/exp -run '^TestGolden' -count=1
+    ;;
 golden)
     if [ "${UPDATE:-0}" = "1" ]; then
         go test ./internal/exp -run '^TestGolden' -count=1 -update
@@ -287,7 +300,7 @@ loc)
         END { printf "non-test Go lines vs %s: +%d -%d, net %+d\n", base, added, removed, added - removed }'
     ;;
 *)
-    echo "usage: scripts/ci.sh {test|race|fuzz|serve|bench|benchcmp|scaling|eco|oracle|ml|timing|skew|golden|cover|loc}" >&2
+    echo "usage: scripts/ci.sh {test|race|fuzz|serve|bench|benchcmp|scaling|eco|oracle|ml|timing|skew|assign|golden|cover|loc}" >&2
     exit 2
     ;;
 esac
