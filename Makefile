@@ -1,12 +1,12 @@
 # Tier-1 gate, race gate, fuzz smoke, benchmark baseline, placer perf
 # comparison, differential-oracle campaign, ECO smoke, golden tables, skew
-# kernel gate, stage-3 flow gate, and coverage gate. See scripts/ci.sh. `make ci` chains the
-# deterministic gates.
+# kernel gate, stage-3 flow gate, benchmark-harness gate, and coverage gate.
+# See scripts/ci.sh. `make ci` chains the deterministic gates.
 
 SEEDS ?= 25
 BASE ?= HEAD~1
 
-.PHONY: test race fuzz serve bench benchcmp scaling scaling-smoke eco eco-bench oracle ml timing skew assign golden cover loc ci
+.PHONY: test race fuzz serve bench benchcmp scaling scaling-smoke eco eco-bench oracle ml timing skew assign benchmark golden cover loc ci
 
 test:
 	sh scripts/ci.sh test
@@ -73,6 +73,11 @@ skew:
 assign:
 	sh scripts/ci.sh assign
 
+# Benchmark-harness gate: vet and test the separate benchmark/ module, which
+# root `go test ./...` never compiles (build cache under .bench_build/).
+benchmark:
+	sh scripts/ci.sh benchmark
+
 golden:
 	sh scripts/ci.sh golden
 
@@ -83,4 +88,4 @@ cover:
 loc:
 	BASE=$(BASE) sh scripts/ci.sh loc
 
-ci: test race golden oracle serve eco ml timing skew assign cover
+ci: test race golden oracle serve eco ml timing skew assign benchmark cover

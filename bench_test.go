@@ -6,10 +6,12 @@
 //
 //	go test -bench=. -benchmem
 //
-// Each BenchmarkTableX measures the cost of regenerating that table at a
-// reduced scale (the full-size tables are produced by cmd/rotarytables
-// -scale 1) and reports the table's headline quantity as a custom metric so
-// the paper-shape can be read off the bench output.
+// BenchmarkTableI and BenchmarkTableIII measure the cost of regenerating
+// those tables at a reduced scale (the full-size tables are produced by
+// cmd/rotarytables -scale 1) and report the table's headline quantity as a
+// custom metric so the paper-shape can be read off the bench output. Tables
+// II and IV-VII only re-render finished flow runs, so they get no benchmark;
+// the golden tables (internal/exp) lock their numbers.
 package rotaryclk
 
 import (
@@ -76,17 +78,6 @@ func BenchmarkTableI(b *testing.B) {
 	b.ReportMetric(lastIG, "greedy-IG")
 }
 
-func BenchmarkTableII(b *testing.B) {
-	runs := sharedRuns(b)
-	b.ResetTimer()
-	var pl float64
-	for i := 0; i < b.N; i++ {
-		rows := exp.TableII(runs)
-		pl = rows[0].PL
-	}
-	b.ReportMetric(pl, "tree-PL-um")
-}
-
 func BenchmarkTableIII(b *testing.B) {
 	// Table III is the base-case flow itself: benchmark one full base run.
 	var afd float64
@@ -102,50 +93,6 @@ func BenchmarkTableIII(b *testing.B) {
 		afd = res.Base.AFD
 	}
 	b.ReportMetric(afd, "base-AFD-um")
-}
-
-func BenchmarkTableIV(b *testing.B) {
-	runs := sharedRuns(b)
-	b.ResetTimer()
-	var imp float64
-	for i := 0; i < b.N; i++ {
-		rows := exp.TableIV(runs)
-		imp = rows[0].TapImp * 100
-	}
-	b.ReportMetric(imp, "tapWL-imp-%")
-}
-
-func BenchmarkTableV(b *testing.B) {
-	runs := sharedRuns(b)
-	b.ResetTimer()
-	var imp float64
-	for i := 0; i < b.N; i++ {
-		rows := exp.TableV(runs)
-		imp = rows[0].CapImp * 100
-	}
-	b.ReportMetric(imp, "maxCap-imp-%")
-}
-
-func BenchmarkTableVI(b *testing.B) {
-	runs := sharedRuns(b)
-	b.ResetTimer()
-	var imp float64
-	for i := 0; i < b.N; i++ {
-		rows := exp.TableVI(runs)
-		imp = rows[0].FlowTotalImp * 100
-	}
-	b.ReportMetric(imp, "flow-totalP-imp-%")
-}
-
-func BenchmarkTableVII(b *testing.B) {
-	runs := sharedRuns(b)
-	b.ResetTimer()
-	var imp float64
-	for i := 0; i < b.N; i++ {
-		rows := exp.TableVII(runs)
-		imp = rows[0].Imp * 100
-	}
-	b.ReportMetric(imp, "WCP-imp-%")
 }
 
 func BenchmarkFig2Curve(b *testing.B) {

@@ -55,13 +55,17 @@ type FF struct {
 	Target float64
 }
 
+// defaultK is the number of candidate rings per flip-flop the flow and the
+// ECO path solve with before any relaxation.
+const defaultK = 6
+
 // Problem is a flip-flop-to-ring assignment instance.
 type Problem struct {
 	Array *rotary.Array
 	FFs   []FF
 	// K is the number of candidate rings considered per flip-flop (arc
 	// pruning, as in the paper's flow network: far-away rings get no arc).
-	// Default 6.
+	// Zero means defaultK.
 	K int
 	// LP selects MinMaxCap's relaxation solver: LPSparse (default, the
 	// bipartite-basis simplex) or LPDense (the generic simplex reference).
@@ -132,7 +136,7 @@ func (p *Problem) normalize() error {
 		return fmt.Errorf("assign: no flip-flops")
 	}
 	if p.K <= 0 {
-		p.K = 6
+		p.K = defaultK
 	}
 	if p.K > len(p.Array.Rings) {
 		p.K = len(p.Array.Rings)

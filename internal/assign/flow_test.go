@@ -135,7 +135,7 @@ func TestMinCostMatchesReference(t *testing.T) {
 			p.K = len(p.Array.Rings)
 		}},
 		{"ladder", func(p *Problem, rng *rand.Rand) {
-			rung := Ladder(6, len(p.FFs), len(p.Array.Rings))[rng.Intn(3)]
+			rung := Ladder(len(p.FFs), len(p.Array.Rings))[rng.Intn(3)]
 			p.K, p.Capacity, p.TapFallback = rung.K, rung.Capacity, rung.Fallback
 		}},
 	}

@@ -16,15 +16,15 @@ type Relaxation struct {
 	Action   string
 }
 
-// Ladder returns the relaxed rungs to try, in order, after an instance of n
-// flip-flops over numRings rings with k candidate rings per flip-flop proved
-// infeasible: K doubled (capped at numRings) with ring capacity x1.5, then
-// every ring a candidate with capacity x2.25, and last the same with the
-// nearest-point fallback, whose taps may miss their skew targets. The
+// Ladder returns the relaxed rungs to try, in order, after a default
+// instance (the zero Relaxation) of n flip-flops over numRings rings proved
+// infeasible: defaultK doubled (capped at numRings) with ring capacity x1.5,
+// then every ring a candidate with capacity x2.25, and last the same with
+// the nearest-point fallback, whose taps may miss their skew targets. The
 // capacities scale the default uniform capacity (Problem.Capacity's 5/4
 // headroom).
-func Ladder(k, n, numRings int) []Relaxation {
-	k2 := min(k*2, numRings)
+func Ladder(n, numRings int) []Relaxation {
+	k2 := min(defaultK*2, numRings)
 	baseCap := float64((n*5/4)/numRings + 1)
 	uniform := func(scale float64) []int {
 		caps := make([]int, numRings)

@@ -27,12 +27,6 @@ func AutoRings(gen func() (*netlist.Circuit, error), cfg Config, counts []int) (
 		counts = []int{4, 9, 16, 25, 36, 49}
 	}
 	cfg.normalize()
-	score := func(m Metrics) float64 {
-		if cfg.Assigner == ILP {
-			return m.WCP
-		}
-		return cfg.TapWeight*m.TapWL + m.SignalWL
-	}
 	bestCount, bestScore := 0, math.Inf(1)
 	var points []RingSweepPoint
 	for _, r := range counts {
@@ -50,7 +44,7 @@ func AutoRings(gen func() (*netlist.Circuit, error), cfg Config, counts []int) (
 			return 0, nil, fmt.Errorf("core: ring sweep at %d rings: %w", r, err)
 		}
 		points = append(points, RingSweepPoint{Rings: r, Final: res.Final, Result: res})
-		if s := score(res.Final); s < bestScore {
+		if s := overallCost(cfg.Assigner, res.Final); s < bestScore {
 			bestScore, bestCount = s, r
 		}
 	}

@@ -29,17 +29,15 @@ func TestAutoRings(t *testing.T) {
 	if !found {
 		t.Fatalf("best count %d not among sweep points", best)
 	}
-	// The best must actually minimize the flow cost among points.
-	cfg := Config{MaxIters: 2}
-	cfg.normalize()
+	// The best must actually minimize the stage-5 flow cost among points.
 	bestScore := 0.0
 	for _, p := range points {
 		if p.Rings == best {
-			bestScore = cfg.TapWeight*p.Final.TapWL + p.Final.SignalWL
+			bestScore = overallCost(NetworkFlow, p.Final)
 		}
 	}
 	for _, p := range points {
-		if s := cfg.TapWeight*p.Final.TapWL + p.Final.SignalWL; s < bestScore-1e-9 {
+		if s := overallCost(NetworkFlow, p.Final); s < bestScore-1e-9 {
 			t.Errorf("ring count %d scores %v, better than chosen %d (%v)", p.Rings, s, best, bestScore)
 		}
 	}

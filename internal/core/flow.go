@@ -62,44 +62,30 @@ type Config struct {
 	TModel   timing.Model  // STA calibration
 	PowerPar power.Params
 
-	NumRings int     // rings in the array (Table II's final column)
-	RingFill float64 // ring side as a fraction of its tile (default 0.6)
+	NumRings int // rings in the array (Table II's final column)
 
 	Assigner  Assigner
 	Objective SkewObjective
-	K         int // candidate rings per flip-flop (default 6)
 
 	MaxIters     int     // stage 3-6 iterations (default 5, as in the paper)
 	PseudoWeight float64 // pseudo-net pull weight, ramped by iteration (default 4)
-	TapWeight    float64 // weight of tapping WL in the stage-5 overall cost (default 8)
-	SlackFrac    float64 // fraction of max slack reserved during stage 4 (default 0.5)
-	ConvergeTol  float64 // relative cost improvement to keep iterating (default 0.01)
 
 	SkipInitialPlace bool // reuse the circuit's existing placement
 
 	// TimingDriven enables critical-path net reweighting inside the
 	// re-optimization loop (ROADMAP item 3): before each stage-6 re-place,
-	// the K lowest-slack sequential pairs under the current schedule are
+	// the 8 lowest-slack sequential pairs under the current schedule are
 	// extracted and the nets their D_max paths cross get a bounded weight
 	// boost in the quadratic system (placer.Options.NetWeights), pulling
-	// slow paths shorter. Default off; with it off the flow is bit-identical
-	// to earlier releases.
+	// slow paths shorter (see timingReweight). Default off; with it off the
+	// flow is bit-identical to earlier releases.
 	TimingDriven bool
-	// TimingPaths is K, the number of critical paths reweighted per
-	// iteration (default 8).
-	TimingPaths int
 	// TimingBoost is the scale increment applied to the most critical
 	// path's nets, tapering linearly with rank (default 1.0). Negative
 	// means zero boost: the overlay machinery runs but every net scale
 	// stays exactly 1.0 — the identity mode the oracle checks against the
 	// default flow.
 	TimingBoost float64
-	// TimingDecay is the fraction of the accumulated boost a net retains
-	// each iteration (exponential history, so weights on paths that leave
-	// the critical set relax instead of oscillating; default 0.3).
-	TimingDecay float64
-	// TimingMaxW caps any net's weight scale (default 4).
-	TimingMaxW float64
 
 	// Multilevel switches stage-1 global placement to the mPL-style
 	// V-cycle (placer.Options.Multilevel): coarsen the circuit into a
@@ -173,38 +159,14 @@ func (c *Config) normalize() {
 	if c.NumRings <= 0 {
 		c.NumRings = 16
 	}
-	if c.RingFill <= 0 || c.RingFill > 1 {
-		c.RingFill = 0.6
-	}
-	if c.K <= 0 {
-		c.K = 6
-	}
 	if c.MaxIters <= 0 {
 		c.MaxIters = 5
 	}
 	if c.PseudoWeight <= 0 {
 		c.PseudoWeight = 4
 	}
-	if c.TapWeight <= 0 {
-		c.TapWeight = 8
-	}
-	if c.SlackFrac <= 0 || c.SlackFrac > 1 {
-		c.SlackFrac = 0.5
-	}
-	if c.ConvergeTol <= 0 {
-		c.ConvergeTol = 0.01
-	}
-	if c.TimingPaths <= 0 {
-		c.TimingPaths = 8
-	}
 	if c.TimingBoost == 0 {
 		c.TimingBoost = 1.0
-	}
-	if c.TimingDecay <= 0 || c.TimingDecay >= 1 {
-		c.TimingDecay = 0.3
-	}
-	if c.TimingMaxW <= 1 {
-		c.TimingMaxW = 4
 	}
 }
 
@@ -262,6 +224,9 @@ type Result struct {
 func (r *Result) event(stage, iter int, kind Kind, action string, err error) {
 	r.Events = append(r.Events, StageEvent{Stage: stage, Iter: iter, Kind: kind, Action: action, Err: err})
 }
+
+// ringFill is each ring's side as a fraction of its array tile.
+const ringFill = 0.6
 
 // flow is the state one Run threads through its stages: the inputs, the
 // solver resources every stage shares, and the current and best iterates of
@@ -356,7 +321,7 @@ func Run(c *netlist.Circuit, cfg Config) (*Result, error) {
 	// measured, so the result is valid, if empty-handed.
 	partial := func() (*Result, error) {
 		if res.Array == nil {
-			if a, aerr := rotary.SquareArray(c.Die, cfg.NumRings, cfg.RingFill, cfg.Params); aerr == nil {
+			if a, aerr := rotary.SquareArray(c.Die, cfg.NumRings, ringFill, cfg.Params); aerr == nil {
 				res.Array = a
 			}
 		}
@@ -436,7 +401,7 @@ func Run(c *netlist.Circuit, cfg Config) (*Result, error) {
 	}
 
 	// Rotary ring array over the die.
-	arr, err := rotary.SquareArray(c.Die, cfg.NumRings, cfg.RingFill, cfg.Params)
+	arr, err := rotary.SquareArray(c.Die, cfg.NumRings, ringFill, cfg.Params)
 	if err != nil {
 		return nil, &StageError{Stage: 3, Kind: InvalidInput, Err: fmt.Errorf("ring array: %w", err)}
 	}
@@ -491,10 +456,10 @@ func Run(c *netlist.Circuit, cfg Config) (*Result, error) {
 	// iterate is kept; its placement is restored at the end, so the
 	// reported schedule provably satisfies the timing constraints of the
 	// reported cell locations.
-	res.WorkSlack = skew.WorkSlack(cfg.SlackFrac, M)
+	res.WorkSlack = skew.WorkSlack(M)
 	f.sched, f.asg = sched, asg
 	f.best = snapshot{pos: c.Positions(), sched: sched, asg: asg, m: res.Base, mWork: res.WorkSlack}
-	f.prevCost = f.cost(res.Base)
+	f.prevCost = overallCost(cfg.Assigner, res.Base)
 	f.bestCost = f.prevCost
 	// Timing-driven mode: one criticality scale per net, persistent across
 	// iterations so the exponential-decay history damps oscillation. Nil
@@ -595,7 +560,7 @@ func (f *flow) iterate(iter int) (converged bool, stage int, err error) {
 	mWork := res.WorkSlack
 	var msSched []float64 // fresh max-slack schedule, stage 4's last-resort fallback
 	if mi, ms, err := skew.MaxSlackExact(cfg.Stop, reg, n, pairs, cfg.Params.Period, cfg.TModel.TSetup, cfg.TModel.THold); err == nil {
-		mWork = skew.WorkSlack(cfg.SlackFrac, mi)
+		mWork = skew.WorkSlack(mi)
 		msSched = ms
 	} else if stop.IsStop(err) || cfg.Strict {
 		// A fired token is not a property of this placement: stop the loop
@@ -633,12 +598,13 @@ func (f *flow) iterate(iter int) (converged bool, stage int, err error) {
 	m := measure(c, *cfg, f.asg, n)
 	res.PerIter = append(res.PerIter, m)
 	res.Iterations = iter
-	cost := f.cost(m)
+	cost := overallCost(cfg.Assigner, m)
 	if cost < f.bestCost {
 		f.bestCost = cost
 		f.best = snapshot{pos: c.Positions(), sched: f.sched, asg: f.asg, m: m, mWork: mWork}
 	}
-	if f.prevCost-cost < cfg.ConvergeTol*f.prevCost {
+	const convergeTol = 0.01 // relative cost improvement that keeps the loop going
+	if f.prevCost-cost < convergeTol*f.prevCost {
 		f.stall++
 		converged = f.stall >= 2
 	} else {
@@ -651,15 +617,19 @@ func (f *flow) iterate(iter int) (converged bool, stage int, err error) {
 	return converged, 0, nil
 }
 
-// cost is the stage-5 evaluation: the network-flow formulation optimizes
-// wirelength (weighted sum of tapping and signal WL); the ILP formulation
-// optimizes frequency, so its iterations are judged by the
+// tapWeight weighs tapping wirelength against signal wirelength in the
+// stage-5 overall cost.
+const tapWeight = 8
+
+// overallCost is the stage-5 evaluation: the network-flow formulation
+// optimizes wirelength (the weighted sum of tapping and signal WL); the ILP
+// formulation optimizes frequency, so its iterations are judged by the
 // wirelength-capacitance product instead (Table VII's metric).
-func (f *flow) cost(m Metrics) float64 {
-	if f.cfg.Assigner == ILP {
+func overallCost(a Assigner, m Metrics) float64 {
+	if a == ILP {
 		return m.WCP
 	}
-	return f.cfg.TapWeight*m.TapWL + m.SignalWL
+	return tapWeight*m.TapWL + m.SignalWL
 }
 
 // stageClock times one stage region once: it opens the stage's span and,
@@ -775,7 +745,7 @@ func (f *flow) solveAssign(sched []float64, r assign.Relaxation) (*assign.Assign
 // realize the skew targets). Strict mode and non-infeasibility errors skip
 // the ladder entirely.
 func (f *flow) assignRecover(sched []float64, iter int) (*assign.Assignment, error) {
-	steps := append([]assign.Relaxation{{K: f.cfg.K}}, assign.Ladder(f.cfg.K, len(f.res.FFCells), len(f.arr.Rings))...)
+	steps := append([]assign.Relaxation{{}}, assign.Ladder(len(f.res.FFCells), len(f.arr.Rings))...)
 	var err error
 	for si, st := range steps {
 		if si > 0 {

@@ -14,23 +14,31 @@ import (
 
 // timingReweight updates the per-net criticality scales for one loop
 // iteration: decay every scale toward 1 (exponential history), extract the
-// cfg.TimingPaths lowest-slack pairs under the current schedule, and boost
-// the nets on their D_max paths by TimingBoost tapered linearly with rank,
-// capped at TimingMaxW. A failed extraction (combinational cycle — possible
+// timingPaths lowest-slack pairs under the current schedule, and boost the
+// nets on their D_max paths by TimingBoost tapered linearly with rank,
+// capped at timingMaxW. A failed extraction (combinational cycle — possible
 // only if the circuit changed under us) is recorded as a stage-6 event and
 // leaves the scales at their previous values.
+//
+// The three constants were picked once by a small sweep on the Table VIII
+// circuits (DESIGN.md section 15.2).
 func timingReweight(c *netlist.Circuit, cfg *Config, res *Result, ffIdx map[int]int, sched, scale []float64, iter int, reg *obs.Registry) {
 	slackOf := func(p timing.Pair) float64 {
 		x := sched[ffIdx[p.From]] - sched[ffIdx[p.To]]
 		return cfg.TModel.SlackUnder(p, x, cfg.Params.Period)
 	}
-	paths, err := timing.ExtractCritical(c, cfg.TModel, slackOf, cfg.TimingPaths)
+	const (
+		timingPaths = 8   // critical paths reweighted per iteration
+		timingDecay = 0.3 // fraction of the accumulated boost a net keeps per iteration
+		timingMaxW  = 4   // cap on any net's weight scale
+	)
+	paths, err := timing.ExtractCritical(c, cfg.TModel, slackOf, timingPaths)
 	if err != nil {
 		res.event(6, iter, classify(err), "critical-path extraction failed; keeping previous net weights", err)
 		return
 	}
 	for i := range scale {
-		scale[i] = 1 + cfg.TimingDecay*(scale[i]-1)
+		scale[i] = 1 + timingDecay*(scale[i]-1)
 	}
 	boost := cfg.TimingBoost
 	if boost < 0 {
@@ -42,8 +50,8 @@ func timingReweight(c *netlist.Circuit, cfg *Config, res *Result, ffIdx map[int]
 		crit := float64(k-j) / float64(k)
 		for _, ni := range p.Nets {
 			s := scale[ni] + boost*crit
-			if s > cfg.TimingMaxW {
-				s = cfg.TimingMaxW
+			if s > timingMaxW {
+				s = timingMaxW
 			}
 			scale[ni] = s
 			boosts++

@@ -142,25 +142,59 @@ func TestWorstSlackSchedulePanicGuard(t *testing.T) {
 	}
 }
 
-// TestTimingConfigDefaults locks the normalized timing-driven knobs.
+// TestTimingConfigDefaults locks the normalized boost and the reweighting
+// rule's fixed constants as behavior: at most 8 paths per extraction, no
+// scale above 4, and 30% of a boost kept per iteration.
 func TestTimingConfigDefaults(t *testing.T) {
 	var cfg Config
 	cfg.normalize()
-	if cfg.TimingPaths != 8 {
-		t.Errorf("TimingPaths default = %d, want 8", cfg.TimingPaths)
-	}
 	if cfg.TimingBoost != 1.0 {
 		t.Errorf("TimingBoost default = %v, want 1.0", cfg.TimingBoost)
-	}
-	if cfg.TimingDecay != 0.3 {
-		t.Errorf("TimingDecay default = %v, want 0.3", cfg.TimingDecay)
-	}
-	if cfg.TimingMaxW != 4 {
-		t.Errorf("TimingMaxW default = %v, want 4", cfg.TimingMaxW)
 	}
 	neg := Config{TimingBoost: -1}
 	neg.normalize()
 	if neg.TimingBoost != -1 {
 		t.Errorf("negative TimingBoost not preserved: %v", neg.TimingBoost)
+	}
+
+	c := genCircuit(t, 200, 30, 3)
+	cfg = Config{NumRings: 4, MaxIters: 1, TimingBoost: 100}
+	res, err := Run(c, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.normalize()
+	ffIdx := make(map[int]int, len(res.FFCells))
+	for i, id := range res.FFCells {
+		ffIdx[id] = i
+	}
+	scale := make([]float64, len(c.Nets))
+	for i := range scale {
+		scale[i] = 1
+	}
+	reg := obs.NewRegistry()
+	timingReweight(c, &cfg, res, ffIdx, res.Schedule, scale, 1, reg)
+	if k := reg.Counter("core.timing.paths"); k < 1 || k > 8 {
+		t.Fatalf("core.timing.paths = %d, want 1..8", k)
+	}
+	capped := 0
+	for i, s := range scale {
+		if s < 1 || s > 4 {
+			t.Fatalf("net %d scale %v outside [1, 4]", i, s)
+		}
+		if s == 4 {
+			capped++
+		}
+	}
+	if capped == 0 {
+		t.Fatal("a boost of 100 capped no net at 4")
+	}
+	cfg.TimingBoost = -1 // decay only
+	prev := append([]float64(nil), scale...)
+	timingReweight(c, &cfg, res, ffIdx, res.Schedule, scale, 2, reg)
+	for i := range scale {
+		if want := 1 + 0.3*(prev[i]-1); math.Abs(scale[i]-want) > 1e-12 {
+			t.Fatalf("net %d decayed to %v, want %v", i, scale[i], want)
+		}
 	}
 }

@@ -155,7 +155,7 @@ func Apply(st *State, deltas []Delta, opt Options) (*Outcome, error) {
 	}
 	sort.Ints(dirtyCells)
 	if len(dirtyCells) > 0 {
-		moved, err := sys.SolveDirty(dirtyCells, 0, tok)
+		moved, err := sys.SolveDirty(dirtyCells, tok)
 		if err != nil {
 			plSp.End()
 			return fail("dirty-region placement", err)
@@ -233,7 +233,7 @@ func Apply(st *State, deltas []Delta, opt Options) (*Outcome, error) {
 			schedSp.End()
 			return fail("schedule re-check", merr)
 		}
-		margin, sched = skew.WorkSlack(st.SlackFrac, M), ms
+		margin, sched = skew.WorkSlack(M), ms
 		allFFsDirty = true
 		out.Events = append(out.Events, "warm start infeasible at every margin; fell back to a fresh max-slack schedule")
 		reg.Add("eco.recover.sched", 1)
@@ -249,9 +249,11 @@ func Apply(st *State, deltas []Delta, opt Options) (*Outcome, error) {
 	// old schedule); everything else preloads its previous ring.
 	asgSp := span.Child("eco.assign")
 	prevRingByCell := make(map[int]int, len(st.FFCells))
-	for i, id := range st.FFCells {
-		if i < len(st.Ring) {
-			prevRingByCell[id] = st.Ring[i]
+	if st.Assign != nil {
+		for i, id := range st.FFCells {
+			if i < len(st.Assign.Ring) {
+				prevRingByCell[id] = st.Assign.Ring[i]
+			}
 		}
 	}
 	prev := make([]int, n)
@@ -305,12 +307,8 @@ func Apply(st *State, deltas []Delta, opt Options) (*Outcome, error) {
 			Stop:        tok,
 		}
 	}
-	k := st.K
-	if k <= 0 {
-		k = 6
-	}
 	var asg *assign.Assignment
-	first := assign.Relaxation{K: k, Capacity: st.Capacity}
+	first := assign.Relaxation{}
 	if opt.Scratch {
 		asg, err = assign.MinCost(mkProblem(first))
 	} else {
@@ -321,7 +319,7 @@ func Apply(st *State, deltas []Delta, opt Options) (*Outcome, error) {
 		// capacities, and last the nearest-point fallback. Relaxed rungs
 		// solve cold — the previous assignment is not a feasible warm start
 		// for an instance the patch already rejected.
-		for _, r := range assign.Ladder(k, n, len(st.Array.Rings)) {
+		for _, r := range assign.Ladder(n, len(st.Array.Rings)) {
 			out.Events = append(out.Events, r.Action)
 			reg.Add("eco.recover.assign", 1)
 			asg, err = assign.MinCost(mkProblem(r))
@@ -340,7 +338,6 @@ func Apply(st *State, deltas []Delta, opt Options) (*Outcome, error) {
 	st.Sys = sys
 	st.FFCells = ffCells
 	st.Sched = sched
-	st.Ring = append([]int(nil), asg.Ring...)
 	st.Assign = asg
 	st.WorkSlack = margin
 	st.Pinned = pinned

@@ -208,7 +208,7 @@ func TestApplyAddRemoveRestores(t *testing.T) {
 	c, ids := chainCircuit(t)
 	st, _ := baseState(t, c)
 	prevSched := append([]float64(nil), st.Sched...)
-	prevRing := append([]int(nil), st.Ring...)
+	prevRing := append([]int(nil), st.Assign.Ring...)
 	prevTotal := st.Assign.Total
 	g := ids[0].g2
 	out, err := eco.Apply(st, []eco.Delta{
@@ -232,8 +232,8 @@ func TestApplyAddRemoveRestores(t *testing.T) {
 		t.Fatalf("DirtyFFs = %d, want 0 (pure preload)", out.DirtyFFs)
 	}
 	for i := range prevRing {
-		if st.Ring[i] != prevRing[i] {
-			t.Fatalf("ring[%d] = %d, want %d", i, st.Ring[i], prevRing[i])
+		if st.Assign.Ring[i] != prevRing[i] {
+			t.Fatalf("ring[%d] = %d, want %d", i, st.Assign.Ring[i], prevRing[i])
 		}
 	}
 	if math.Abs(st.Assign.Total-prevTotal) > 1e-9*math.Max(1, prevTotal) {
@@ -268,10 +268,10 @@ func TestApplyAddFFCommits(t *testing.T) {
 	if idx < 0 {
 		t.Fatalf("new flip-flop %d missing from FFCells %v", g, st.FFCells)
 	}
-	if len(st.Sched) != len(st.FFCells) || len(st.Ring) != len(st.FFCells) {
-		t.Fatalf("schedule/ring out of step: %d/%d for %d FFs", len(st.Sched), len(st.Ring), len(st.FFCells))
+	if len(st.Sched) != len(st.FFCells) || len(st.Assign.Ring) != len(st.FFCells) {
+		t.Fatalf("schedule/ring out of step: %d/%d for %d FFs", len(st.Sched), len(st.Assign.Ring), len(st.FFCells))
 	}
-	if r := st.Ring[idx]; r < 0 || r >= len(st.Array.Rings) {
+	if r := st.Assign.Ring[idx]; r < 0 || r >= len(st.Array.Rings) {
 		t.Fatalf("new flip-flop on ring %d, want [0, %d)", r, len(st.Array.Rings))
 	}
 	if out.DirtyFFs < 1 {
@@ -279,12 +279,21 @@ func TestApplyAddFFCommits(t *testing.T) {
 	}
 }
 
+// infeasiblePatch makes the next assignment solve (the ECO patch) report
+// an infeasible instance; the returned function disarms the injector.
+func infeasiblePatch() func() {
+	return faultinject.Enable(faultinject.Rule{
+		Site: faultinject.SiteAssignCandidates, Call: 1,
+		Err: fmt.Errorf("injected: %w", assign.ErrInfeasible),
+	})
+}
+
 // TestApplyStrictRollbackOnFailure: a solver failure in strict mode raises
 // the error with the circuit and state bit-restored to their pre-call values.
 func TestApplyStrictRollbackOnFailure(t *testing.T) {
 	c, ids := chainCircuit(t)
 	st, _ := baseState(t, c)
-	st.Capacity = make([]int, len(st.Array.Rings)) // all-zero: infeasible
+	defer infeasiblePatch()()
 	prevPos := c.Positions()
 	prevSched := append([]float64(nil), st.Sched...)
 	prevAsg := st.Assign
@@ -305,7 +314,7 @@ func TestApplyStrictRollbackOnFailure(t *testing.T) {
 	}
 }
 
-// TestApplyClimbsSharedAssignLadder: a patch instance too tight to solve
+// TestApplyClimbsSharedAssignLadder: a patch instance that proves infeasible
 // climbs the flow's stage-3 relaxation ladder, logging the same actions the
 // flow logs for the same rungs.
 func TestApplyClimbsSharedAssignLadder(t *testing.T) {
@@ -329,7 +338,7 @@ func TestApplyClimbsSharedAssignLadder(t *testing.T) {
 
 	c, ids := chainCircuit(t)
 	st, _ := baseState(t, c)
-	st.Capacity = make([]int, len(st.Array.Rings)) // all-zero: infeasible
+	defer infeasiblePatch()()
 	reg := obs.NewRegistry()
 	out, err := eco.Apply(st, []eco.Delta{
 		{Op: eco.OpMoveFF, Cell: ids[0].f1, X: 500, Y: 500},
@@ -542,7 +551,7 @@ func TestApplyPatchVsScratch(t *testing.T) {
 		return []eco.Delta{
 			{Op: eco.OpMoveFF, Cell: f0, X: die.Lo.X + 0.25*die.W(), Y: die.Lo.Y + 0.7*die.H()},
 			{Op: eco.OpMoveFF, Cell: f1, X: die.Lo.X + 0.8*die.W(), Y: die.Lo.Y + 0.3*die.H()},
-			{Op: eco.OpRetargetRing, Cell: ffs[1], Ring: (st.Ring[1] + 1) % len(st.Array.Rings)},
+			{Op: eco.OpRetargetRing, Cell: ffs[1], Ring: (st.Assign.Ring[1] + 1) % len(st.Array.Rings)},
 			{Op: eco.OpEditNet, Net: netID, Cell: gate, Add: true},
 		}
 	}

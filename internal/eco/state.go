@@ -44,27 +44,20 @@ type State struct {
 	Array   *rotary.Array    // the rotary ring array
 	Cache   *assign.TapCache // tapping solves shared across applies
 
-	FFCells []int     // flip-flop cell IDs, in cell-ID order
-	Sched   []float64 // delay targets, parallel to FFCells
-	Ring    []int     // assigned rings, parallel to FFCells
-	Assign  *assign.Assignment
+	FFCells []int              // flip-flop cell IDs, in cell-ID order
+	Sched   []float64          // delay targets, parallel to FFCells
+	Assign  *assign.Assignment // Assign.Ring is parallel to FFCells
 
 	// WorkSlack is the timing margin (ps) the schedule is feasible at; the
 	// warm-started re-check starts from it and relaxes along the same
 	// ladder the flow uses.
 	WorkSlack float64
-	// SlackFrac is the fraction of a fresh max slack reserved as margin
-	// when the warm start falls back to a full re-solve (default 0.5,
-	// matching the flow).
-	SlackFrac float64
 
 	// Pinned accumulates RetargetRing deltas: cell ID -> forced ring.
 	Pinned map[int]int
 
 	Params      rotary.Params
 	TModel      timing.Model
-	K           int   // candidate rings per flip-flop
-	Capacity    []int // per-ring capacity; nil = assign's default
 	Parallelism int
 }
 

@@ -227,17 +227,18 @@ func (s *System) PatchNet(netID int, oldPins []int) (*System, bool, error) {
 // the star nodes of nets touching it form the unknowns; each connected
 // component solves independently with serial CG (so disjoint edits compose
 // bit-identically whether batched or sequential), with stability anchors at
-// weight anchorWeight (default 6.0, matching Incremental) keeping the
-// region from drifting. Positions write back clamped to the die. It returns
-// the number of cells whose position changed. Cell IDs that are fixed or
-// unknown are ignored.
-func (s *System) SolveDirty(dirtyCells []int, anchorWeight float64, tok *stop.Token) (int, error) {
+// Incremental's weight keeping the region from drifting. Positions write
+// back clamped to the die. It returns the number of cells whose position
+// changed. Cell IDs that are fixed or unknown are ignored.
+//
+// A component whose CG solve runs out of iterations keeps its best-effort
+// iterate, as a stagnated Incremental does; the counters
+// placer.dirty.cg.iters and placer.dirty.cg.stagnated (one per axis solve)
+// record the work and any such solve.
+func (s *System) SolveDirty(dirtyCells []int, tok *stop.Token) (int, error) {
 	c := s.c
 	if err := validate(c); err != nil {
 		return 0, err
-	}
-	if anchorWeight <= 0 {
-		anchorWeight = 6.0
 	}
 	sub := map[int]bool{}
 	for _, id := range dirtyCells {
@@ -293,11 +294,7 @@ func (s *System) SolveDirty(dirtyCells []int, anchorWeight float64, tok *stop.To
 			}
 		}
 		sort.Ints(comp)
-		m, err := s.solveComponent(comp, anchorWeight)
-		if err != nil {
-			return moved, err
-		}
-		moved += m
+		moved += s.solveComponent(comp)
 		s.obs.Add("placer.dirty.components", 1)
 	}
 	return moved, nil
@@ -306,7 +303,7 @@ func (s *System) SolveDirty(dirtyCells []int, anchorWeight float64, tok *stop.To
 // solveComponent solves one connected dirty component: a small SPD system
 // over the component's unknowns, with clean neighbors folded into the
 // right-hand side at their current positions.
-func (s *System) solveComponent(comp []int, anchorWeight float64) (int, error) {
+func (s *System) solveComponent(comp []int) int {
 	c := s.c
 	m := len(comp)
 	local := make(map[int]int, m)
@@ -329,9 +326,9 @@ func (s *System) solveComponent(comp []int, anchorWeight float64) (int, error) {
 		by[li] = s.baseBy[i]
 		if i < s.nMov {
 			pos := c.Cells[s.cells[i]].Pos
-			diag[li] += anchorWeight
-			bx[li] += anchorWeight * pos.X
-			by[li] += anchorWeight * pos.Y
+			diag[li] += stabilityAnchor
+			bx[li] += stabilityAnchor * pos.X
+			by[li] += stabilityAnchor * pos.Y
 			x[li], y[li] = pos.X, pos.Y
 		} else {
 			// Seed the star at its pin centroid, like prepare does.
@@ -376,12 +373,15 @@ func (s *System) solveComponent(comp []int, anchorWeight float64) (int, error) {
 			out[li] = acc
 		}
 	}
-	if err := cgSerial(mul, x, bx); err != nil {
-		return 0, err
+	solve := func(v, b []float64) {
+		iters, converged := cgSerial(mul, v, b)
+		s.obs.Add("placer.dirty.cg.iters", int64(iters))
+		if !converged {
+			s.obs.Add("placer.dirty.cg.stagnated", 1)
+		}
 	}
-	if err := cgSerial(mul, y, by); err != nil {
-		return 0, err
-	}
+	solve(x, bx)
+	solve(y, by)
 	moved := 0
 	for li, i := range comp {
 		if i >= s.nMov {
@@ -394,12 +394,14 @@ func (s *System) solveComponent(comp []int, anchorWeight float64) (int, error) {
 		}
 		cell.Pos = p
 	}
-	return moved, nil
+	return moved
 }
 
 // cgSerial is a deterministic single-threaded conjugate-gradients solve of
-// mul(x) = b, warm-started from x. Tolerances match the placer defaults.
-func cgSerial(mul func(v, out []float64), x, b []float64) error {
+// mul(x) = b, warm-started from x, at the placer's default tolerance and
+// cgMaxIter cap. It returns the iterations run and whether the residual
+// reached the tolerance.
+func cgSerial(mul func(v, out []float64), x, b []float64) (iters int, converged bool) {
 	n := len(b)
 	r := make([]float64, n)
 	p := make([]float64, n)
@@ -416,7 +418,7 @@ func cgSerial(mul func(v, out []float64), x, b []float64) error {
 		bb += b[i] * b[i]
 	}
 	tol2 := 1e-6 * 1e-6 * math.Max(bb, 1)
-	for iter := 0; iter < 600 && rr > tol2; iter++ {
+	for ; iters < cgMaxIter && rr > tol2; iters++ {
 		mul(p, ap)
 		pap := 0.0
 		for i := range p {
@@ -440,5 +442,5 @@ func cgSerial(mul func(v, out []float64), x, b []float64) error {
 			p[i] = r[i] + beta*p[i]
 		}
 	}
-	return nil
+	return iters, rr <= tol2
 }

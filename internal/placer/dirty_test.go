@@ -261,7 +261,7 @@ func TestSolveDirtyBatchMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sysB.SolveDirty(append(append([]int{}, aCells...), bCells...), 0, nil); err != nil {
+	if _, err := sysB.SolveDirty(append(append([]int{}, aCells...), bCells...), nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -270,10 +270,10 @@ func TestSolveDirtyBatchMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sysS.SolveDirty(aCells2, 0, nil); err != nil {
+	if _, err := sysS.SolveDirty(aCells2, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sysS.SolveDirty(bCells2, 0, nil); err != nil {
+	if _, err := sysS.SolveDirty(bCells2, nil); err != nil {
 		t.Fatal(err)
 	}
 	samePositions(t, "batch vs sequential", cb.Positions(), cs.Positions())
@@ -290,7 +290,7 @@ func TestSolveDirtyPullsTowardConnectivity(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := c.Positions()
-	moved, err := sys.SolveDirty(aCells[:1], 0, nil)
+	moved, err := sys.SolveDirty(aCells[:1], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,6 +323,60 @@ func TestSolveDirtyPullsTowardConnectivity(t *testing.T) {
 	}
 }
 
+// TestSolveDirtyCGCounters: the dirty-region CG reports its work
+// deterministically (two identical solves record equal counters), and on
+// this well-conditioned instance no axis solve runs out of iterations.
+func TestSolveDirtyCGCounters(t *testing.T) {
+	run := func() (iters, stagnated int64) {
+		c, aCells, bCells := twoClusters(t)
+		reg := obs.NewRegistry()
+		sys, err := NewSystem(c, reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.SolveDirty(append(aCells, bCells...), nil); err != nil {
+			t.Fatal(err)
+		}
+		return reg.Counter("placer.dirty.cg.iters"), reg.Counter("placer.dirty.cg.stagnated")
+	}
+	i1, s1 := run()
+	i2, s2 := run()
+	if i1 != i2 || s1 != s2 {
+		t.Fatalf("identical solves: iters %d vs %d, stagnated %d vs %d", i1, i2, s1, s2)
+	}
+	if i1 <= 0 {
+		t.Errorf("placer.dirty.cg.iters = %d, want > 0", i1)
+	}
+	if s1 != 0 {
+		t.Errorf("placer.dirty.cg.stagnated = %d, want 0", s1)
+	}
+}
+
+// TestCGSerialReportsStagnation: a system too ill-conditioned to converge
+// within cgMaxIter reports every iteration and no convergence; a trivial
+// one converges at once.
+func TestCGSerialReportsStagnation(t *testing.T) {
+	const n = 2000
+	d := make([]float64, n)
+	b := make([]float64, n)
+	for i := range d {
+		d[i] = math.Pow(10, 8*float64(i)/float64(n-1)) // condition number 1e8
+		b[i] = 1
+	}
+	diag := func(v, out []float64) {
+		for i := range v {
+			out[i] = d[i] * v[i]
+		}
+	}
+	if iters, converged := cgSerial(diag, make([]float64, n), b); converged || iters != cgMaxIter {
+		t.Errorf("ill-conditioned: iters=%d converged=%v, want %d/false", iters, converged, cgMaxIter)
+	}
+	ident := func(v, out []float64) { copy(out, v) }
+	if iters, converged := cgSerial(ident, make([]float64, n), b); !converged || iters != 1 {
+		t.Errorf("identity: iters=%d converged=%v, want 1/true", iters, converged)
+	}
+}
+
 // TestSolveDirtyEmptyAndUnknown: no dirty cells (or only fixed/unknown IDs)
 // is a no-op, not an error.
 func TestSolveDirtyEmptyAndUnknown(t *testing.T) {
@@ -332,11 +386,11 @@ func TestSolveDirtyEmptyAndUnknown(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := c.Positions()
-	moved, err := sys.SolveDirty(nil, 0, nil)
+	moved, err := sys.SolveDirty(nil, nil)
 	if err != nil || moved != 0 {
 		t.Fatalf("empty dirty set: moved=%d err=%v", moved, err)
 	}
-	moved, err = sys.SolveDirty([]int{0, 9999}, 0, nil) // fixed pad + unknown ID
+	moved, err = sys.SolveDirty([]int{0, 9999}, nil) // fixed pad + unknown ID
 	if err != nil || moved != 0 {
 		t.Fatalf("fixed/unknown dirty set: moved=%d err=%v", moved, err)
 	}
@@ -352,7 +406,7 @@ func TestSolveDirtyStops(t *testing.T) {
 	}
 	tok, cancel := stop.WithTimeout(-time.Second)
 	defer cancel()
-	if _, err := sys.SolveDirty(aCells, 0, tok); !stop.IsStop(err) {
+	if _, err := sys.SolveDirty(aCells, tok); !stop.IsStop(err) {
 		t.Fatalf("err = %v, want a stop error", err)
 	}
 }

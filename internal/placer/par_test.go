@@ -86,7 +86,7 @@ func BenchmarkCGSolve(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				sys.prepare(&opt, nil, 0)
 				ws := wsPool.Get().(*solveWS)
-				sys.solve(opt.CGTol, opt.CGMaxIter, workers, ws, nil)
+				sys.solve(opt.CGTol, cgMaxIter, workers, ws, nil)
 				wsPool.Put(ws)
 			}
 		}

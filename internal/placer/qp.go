@@ -61,9 +61,6 @@ type Options struct {
 	// SpreadIters is the number of density-equalization + re-solve rounds
 	// of global placement (default 24, locked by TestOptionsDefaults).
 	SpreadIters int
-	// Bins is the spreading grid resolution per axis (default derived from
-	// the movable cell count).
-	Bins int
 	// PseudoNets are the flip-flop anchor nets.
 	PseudoNets []PseudoNet
 	// NetWeights, when non-empty, scales every term net i contributes to the
@@ -73,15 +70,9 @@ type Options struct {
 	// untouched; a vector of all-1.0 is bit-identical to that path (the
 	// contract TestNetWeightIdentity locks).
 	NetWeights []float64
-	// AnchorWeight, when positive, adds a stability anchor from every
-	// movable cell to its current position (incremental placement).
-	AnchorWeight float64
-	// SpreadAlpha scales the spreading anchor weight per iteration
-	// (default 0.05; larger converges faster but hurts wirelength).
-	SpreadAlpha float64
-	// CGTol and CGMaxIter control the linear solver (defaults 1e-6, 600).
-	CGTol     float64
-	CGMaxIter int
+	// CGTol is the linear solver's relative residual tolerance (default
+	// 1e-6); each solve stops after cgMaxIter iterations either way.
+	CGTol float64
 	// Parallelism bounds the worker count of the CG kernels and the
 	// concurrent x/y-axis solves: 0 = GOMAXPROCS, 1 = serial (no
 	// goroutines). Results are bit-identical for every value — chunk
@@ -100,7 +91,7 @@ type Options struct {
 
 	// Multilevel switches Global to the mPL-style V-cycle (see vcycle.go):
 	// the circuit is clustered into a hierarchy of coarser circuits, fully
-	// placed at the coarsest level, then interpolated down with MLRefine
+	// placed at the coarsest level, then interpolated down with mlRefine
 	// bounded refinement rounds per level. Default off; the off path is
 	// structurally unchanged (bit-identical, locked by TestMultilevelOff-
 	// Identity). Instances too small or too connected to coarsen fall back
@@ -110,37 +101,43 @@ type Options struct {
 	// MLCoarsest is the movable-cell count at which coarsening stops and
 	// the full spreading schedule runs (default 2500).
 	MLCoarsest int
-	// MLRefine is the number of equalize+re-solve rounds per level on the
-	// way back down (default 2).
-	MLRefine int
 
+	// bins is the spreading grid resolution per axis, derived from the
+	// movable cell count by normalize (each V-cycle level re-derives it).
+	bins int
+	// anchorWeight, when positive, adds a stability anchor from every
+	// movable cell to its current position (Incremental sets
+	// stabilityAnchor).
+	anchorWeight float64
 	// rebuildEachSolve (test-only) assembles a fresh System before every
 	// re-solve, reproducing the pre-reuse rebuild-every-time path so tests
 	// can assert the two paths are bit-identical.
 	rebuildEachSolve bool
 }
 
+// Fixed solver constants. spreadAlpha scales the spreading anchor weight
+// per round (larger converges faster but hurts wirelength); cgMaxIter caps
+// every CG solve, the parallel kernel's and the dirty-region serial one's;
+// stabilityAnchor is the weight holding cells at their current positions
+// in Incremental and SolveDirty.
+const (
+	spreadAlpha     = 0.05
+	cgMaxIter       = 600
+	stabilityAnchor = 6.0
+)
+
 func (o *Options) normalize(movable int) {
 	if o.SpreadIters <= 0 {
 		o.SpreadIters = 24
 	}
-	if o.SpreadAlpha <= 0 {
-		o.SpreadAlpha = 0.05
-	}
-	if o.Bins <= 0 {
-		o.Bins = int(math.Max(4, math.Sqrt(float64(movable)/4)))
+	if o.bins <= 0 {
+		o.bins = int(math.Max(4, math.Sqrt(float64(movable)/4)))
 	}
 	if o.CGTol <= 0 {
 		o.CGTol = 1e-6
 	}
-	if o.CGMaxIter <= 0 {
-		o.CGMaxIter = 600
-	}
 	if o.MLCoarsest <= 0 {
 		o.MLCoarsest = 2500
-	}
-	if o.MLRefine <= 0 {
-		o.MLRefine = 2
 	}
 }
 
@@ -450,9 +447,9 @@ func (s *System) prepare(opt *Options, extra []PseudoNet, extraScale float64) {
 			}
 		}
 	}
-	if opt.AnchorWeight > 0 {
+	if opt.anchorWeight > 0 {
 		for i := 0; i < s.nMov; i++ {
-			s.anchor(i, c.Cells[s.cells[i]].Pos, opt.AnchorWeight)
+			s.anchor(i, c.Cells[s.cells[i]].Pos, opt.anchorWeight)
 		}
 	}
 	// Regularize fully disconnected unknowns toward the die center so the
@@ -557,7 +554,7 @@ func (s *System) solveRound(opt *Options, extra []PseudoNet, extraScale float64,
 		sys = fresh
 	}
 	sys.prepare(opt, extra, extraScale)
-	converged, serr := sys.solve(opt.CGTol, opt.CGMaxIter, workers, ws, opt.Stop)
+	converged, serr := sys.solve(opt.CGTol, cgMaxIter, workers, ws, opt.Stop)
 	// Best-effort positions reach the circuit even on cancellation, so the
 	// caller's snapshot/degrade path always sees a consistent placement.
 	sys.writeBack(s.c)

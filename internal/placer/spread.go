@@ -70,11 +70,11 @@ func (s *System) globalLoop(opt Options, workers int) error {
 	}
 
 	for iter := 1; iter <= opt.SpreadIters; iter++ {
-		targets := equalize(c, opt.Bins)
+		targets := equalize(c, opt.bins)
 		// Re-solve with anchors toward the shifted positions; the anchor
 		// strength ramps so early rounds preserve connectivity structure
 		// and late rounds enforce density.
-		w := opt.SpreadAlpha * float64(iter)
+		w := spreadAlpha * float64(iter)
 		converged, err = s.solveRound(&opt, targets, w, workers, ws)
 		if err != nil {
 			return err
@@ -117,9 +117,7 @@ func (s *System) Incremental(opt Options) error {
 	if c.NumMovable() == 0 {
 		return nil
 	}
-	if opt.AnchorWeight <= 0 {
-		opt.AnchorWeight = 6.0
-	}
+	opt.anchorWeight = stabilityAnchor
 	s.obs = obs.Resolve(opt.Obs)
 	s.obs.Add("placer.incremental.calls", 1)
 	workers := par.Workers(opt.Parallelism)
@@ -143,7 +141,7 @@ func (s *System) Incremental(opt Options) error {
 	for _, pn := range opt.PseudoNets {
 		pulled[pn.Cell] = true
 	}
-	targets := equalize(c, opt.Bins)
+	targets := equalize(c, opt.bins)
 	filtered := targets[:0]
 	for _, tg := range targets {
 		if pulled[tg.Cell] {

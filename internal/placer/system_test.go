@@ -18,28 +18,26 @@ func TestOptionsDefaults(t *testing.T) {
 	if opt.SpreadIters != 24 {
 		t.Errorf("SpreadIters default = %d, want 24", opt.SpreadIters)
 	}
-	if opt.SpreadAlpha != 0.05 {
-		t.Errorf("SpreadAlpha default = %v, want 0.05", opt.SpreadAlpha)
-	}
-	if want := int(math.Max(4, math.Sqrt(100.0/4))); opt.Bins != want {
-		t.Errorf("Bins default = %d, want %d for 100 movable cells", opt.Bins, want)
+	if want := int(math.Max(4, math.Sqrt(100.0/4))); opt.bins != want {
+		t.Errorf("bins = %d, want %d for 100 movable cells", opt.bins, want)
 	}
 	if opt.CGTol != 1e-6 {
 		t.Errorf("CGTol default = %v, want 1e-6", opt.CGTol)
 	}
-	if opt.CGMaxIter != 600 {
-		t.Errorf("CGMaxIter default = %d, want 600", opt.CGMaxIter)
+	if opt.MLCoarsest != 2500 {
+		t.Errorf("MLCoarsest default = %d, want 2500", opt.MLCoarsest)
 	}
-	// The Bins derivation floors at 4 for tiny circuits.
+	// The bins derivation floors at 4 for tiny circuits.
 	var small Options
 	small.normalize(0)
-	if small.Bins != 4 {
-		t.Errorf("Bins default for 0 movable cells = %d, want 4", small.Bins)
+	if small.bins != 4 {
+		t.Errorf("bins for 0 movable cells = %d, want 4", small.bins)
 	}
-	// Explicit settings survive normalization untouched.
-	set := Options{SpreadIters: 3, SpreadAlpha: 0.2, Bins: 7, CGTol: 1e-4, CGMaxIter: 50}
+	// Explicit settings survive normalization untouched, and a grid already
+	// derived (a V-cycle level's) is not re-derived.
+	set := Options{SpreadIters: 3, CGTol: 1e-4, MLCoarsest: 200, bins: 7}
 	set.normalize(100)
-	if set.SpreadIters != 3 || set.SpreadAlpha != 0.2 || set.Bins != 7 || set.CGTol != 1e-4 || set.CGMaxIter != 50 {
+	if set.SpreadIters != 3 || set.CGTol != 1e-4 || set.MLCoarsest != 200 || set.bins != 7 {
 		t.Errorf("normalize overwrote explicit options: %+v", set)
 	}
 }

@@ -32,6 +32,10 @@ import (
 // guards against a degenerate coarsener looping.
 const mlMaxLevels = 16
 
+// mlRefine is the number of equalize+re-solve rounds per level on the way
+// back down.
+const mlRefine = 2
+
 // mlLevel is one rung of the hierarchy. Level 0 is the real circuit and
 // System; deeper levels own a coarse circuit, its freshly built System, and
 // the coarsening that links it to the next finer level.
@@ -112,7 +116,7 @@ func (s *System) vcycle(opt Options, workers int) (handled bool, err error) {
 		// peak live heap off the fine-level solves, which at 512k cells is
 		// worth more than a full refinement round.
 		levels[l+1] = nil
-		if err := s.mlSolveLevel(levels, l, opt, opt.MLRefine, workers); err != nil {
+		if err := s.mlSolveLevel(levels, l, opt, mlRefine, workers); err != nil {
 			return true, err
 		}
 	}
@@ -137,7 +141,7 @@ func (s *System) mlSolveLevel(levels []*mlLevel, l int, opt Options, rounds int,
 	lopt := opt
 	lopt.Multilevel = false
 	if l > 0 {
-		lopt.Bins = 0 // re-derive the grid for this level's movable count
+		lopt.bins = 0 // re-derive the grid for this level's movable count
 	}
 	lopt.PseudoNets = lv.pseudo
 	lopt.NetWeights = lv.weights
@@ -177,7 +181,7 @@ func (s *System) mlSolveLevel(levels []*mlLevel, l int, opt Options, rounds int,
 // refineLoop is the per-level refinement of the V-cycle descent: rounds of
 // density equalization re-anchored into the quadratic system, with the anchor
 // weight ramping up to the flat schedule's final strength
-// (SpreadAlpha*SpreadIters). Anchors are present from the first solve — the
+// (spreadAlpha*SpreadIters). Anchors are present from the first solve — the
 // interpolated coarse placement, not a fresh unanchored QP solution, is the
 // structure being refined — which also keeps every CG solve strongly
 // diagonally dominant and therefore cheap. opt must already be normalized.
@@ -186,10 +190,10 @@ func (s *System) refineLoop(opt Options, workers int, rounds int) error {
 	s.obs = obs.Resolve(opt.Obs)
 	ws := wsPool.Get().(*solveWS)
 	defer wsPool.Put(ws)
-	final := opt.SpreadAlpha * float64(opt.SpreadIters)
+	final := spreadAlpha * float64(opt.SpreadIters)
 	converged := true
 	for iter := 1; iter <= rounds; iter++ {
-		targets := equalize(c, opt.Bins)
+		targets := equalize(c, opt.bins)
 		w := final * float64(iter) / float64(rounds)
 		var err error
 		converged, err = s.solveRound(&opt, targets, w, workers, ws)

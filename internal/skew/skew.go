@@ -51,19 +51,20 @@ type DiffConstraint struct {
 	Bound float64
 }
 
-// WorkSlack reserves the fraction frac of the max slack m as the timing
-// margin cost-driven optimization works at (frac outside (0, 1] means 0.5).
-// A negative max slack (a design that cannot close timing at this period)
-// leaves no margin to reserve: taking a fraction would tighten the
-// constraints past feasibility, so the full slack is used.
-func WorkSlack(frac, m float64) float64 {
+// slackFrac is the fraction of the max slack that stage 4 reserves as its
+// working margin.
+const slackFrac = 0.5
+
+// WorkSlack reserves slackFrac of the max slack m as the timing margin
+// cost-driven optimization works at. A negative max slack (a design that
+// cannot close timing at this period) leaves no margin to reserve: taking a
+// fraction would tighten the constraints past feasibility, so the full
+// slack is used.
+func WorkSlack(m float64) float64 {
 	if m <= 0 {
 		return m
 	}
-	if frac <= 0 || frac > 1 {
-		frac = 0.5
-	}
-	return frac * m
+	return slackFrac * m
 }
 
 // SlackLadder is the relaxation ladder for a working slack m that proved

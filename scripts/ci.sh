@@ -63,6 +63,14 @@
 #                         early-exit and guard-band tests, the ECO patch
 #                         tests, the assignment and ECO oracle negative
 #                         tests, and the golden tables
+#   scripts/ci.sh benchmark
+#                         go vet + go test of the benchmark harness, a
+#                         separate module (benchmark/go.mod) that root
+#                         `go test ./...` never compiles, so an API change
+#                         it depends on cannot break it unseen; built with
+#                         benchmark/run.sh's environment isolation (every
+#                         file the toolchain writes stays under
+#                         .bench_build/)
 #   scripts/ci.sh golden  run only the golden-table regression harness
 #                         (UPDATE=1 re-records the goldens after a reviewed
 #                         table change)
@@ -263,6 +271,15 @@ assign)
     go test ./internal/oracle/ -run '^(TestFaultMcmfDetected|TestFaultECODetected)$' -count=1
     go test ./internal/exp -run '^TestGolden' -count=1
     ;;
+benchmark)
+    out="$(pwd)/.bench_build"
+    mkdir -p "$out/gocache" "$out/gopath" "$out/tmp" "$out/home"
+    export HOME="$out/home" XDG_CONFIG_HOME="$out/home/.config"
+    export GOCACHE="$out/gocache" GOPATH="$out/gopath" GOTMPDIR="$out/tmp"
+    export GOENV=off GOFLAGS= GOTOOLCHAIN=local GOPROXY=off GOWORK=off
+    go -C benchmark vet ./...
+    go -C benchmark test ./...
+    ;;
 golden)
     if [ "${UPDATE:-0}" = "1" ]; then
         go test ./internal/exp -run '^TestGolden' -count=1 -update
@@ -300,7 +317,7 @@ loc)
         END { printf "non-test Go lines vs %s: +%d -%d, net %+d\n", base, added, removed, added - removed }'
     ;;
 *)
-    echo "usage: scripts/ci.sh {test|race|fuzz|serve|bench|benchcmp|scaling|eco|oracle|ml|timing|skew|assign|golden|cover|loc}" >&2
+    echo "usage: scripts/ci.sh {test|race|fuzz|serve|bench|benchcmp|scaling|eco|oracle|ml|timing|skew|assign|benchmark|golden|cover|loc}" >&2
     exit 2
     ;;
 esac
