@@ -63,7 +63,9 @@ timing:
 	sh scripts/ci.sh timing
 
 # Skew kernel gate: kernel-vs-reference differential and early-exit tests,
-# the min-Delta oracle negative test, and the golden tables.
+# the max-slack cycle iteration tests (known graphs, vs LP, vs Karp, linear
+# memory), the max-slack and min-Delta oracle negative tests, and the golden
+# tables.
 skew:
 	sh scripts/ci.sh skew
 

@@ -421,7 +421,7 @@ func Run(c *netlist.Circuit, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, stageErr(2, 0, err)
 	}
-	M, sched, err := skew.MaxSlackExact(cfg.Stop, reg, n, pairs, cfg.Params.Period, cfg.TModel.TSetup, cfg.TModel.THold)
+	M, sched, err := skew.MaxSlack(cfg.Stop, reg, n, pairs, cfg.Params.Period, cfg.TModel.TSetup, cfg.TModel.THold)
 	if err != nil {
 		if stop.IsStop(err) {
 			s2.end()
@@ -559,7 +559,7 @@ func (f *flow) iterate(iter int) (converged bool, stage int, err error) {
 	}
 	mWork := res.WorkSlack
 	var msSched []float64 // fresh max-slack schedule, stage 4's last-resort fallback
-	if mi, ms, err := skew.MaxSlackExact(cfg.Stop, reg, n, pairs, cfg.Params.Period, cfg.TModel.TSetup, cfg.TModel.THold); err == nil {
+	if mi, ms, err := skew.MaxSlack(cfg.Stop, reg, n, pairs, cfg.Params.Period, cfg.TModel.TSetup, cfg.TModel.THold); err == nil {
 		mWork = skew.WorkSlack(mi)
 		msSched = ms
 	} else if stop.IsStop(err) || cfg.Strict {
@@ -825,7 +825,7 @@ func (f *flow) costDriven(cons []skew.DiffConstraint) ([]float64, error) {
 		weights[i] = math.Max(1, dist)
 	}
 	if f.cfg.Objective == WeightedSum {
-		_, t, err := skew.WeightedSum(f.cfg.Stop, n, cons, targets, weights)
+		_, t, err := skew.WeightedSum(f.cfg.Stop, f.reg, n, cons, targets, weights)
 		return t, err
 	}
 	_, t, err := skew.MinDelta(f.cfg.Stop, f.reg, n, cons, anchors, 0)

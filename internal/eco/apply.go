@@ -228,7 +228,7 @@ func Apply(st *State, deltas []Delta, opt Options) (*Outcome, error) {
 		// Even the zero-margin warm start failed: the edit moved timing past
 		// the old schedule's neighborhood. Fall back to a fresh max-slack
 		// solve (feasible whenever any schedule is) and re-route everything.
-		M, ms, merr := skew.MaxSlackExact(tok, reg, n, pairs, T, st.TModel.TSetup, st.TModel.THold)
+		M, ms, merr := skew.MaxSlack(tok, reg, n, pairs, T, st.TModel.TSetup, st.TModel.THold)
 		if merr != nil {
 			schedSp.End()
 			return fail("schedule re-check", merr)

@@ -33,7 +33,7 @@ const (
 	SitePlacerGlobal      = "placer.Global"
 	SitePlacerIncremental = "placer.Incremental"
 	SitePlacerCG          = "placer.cg"
-	SiteSkewMaxSlack      = "skew.MaxSlackExact"
+	SiteSkewMaxSlack      = "skew.MaxSlack"
 	SiteSkewMinDelta      = "skew.MinDelta"
 	SiteSkewWeightedSum   = "skew.WeightedSum"
 	SiteAssignMinCost     = "assign.MinCost"

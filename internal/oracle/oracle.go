@@ -7,9 +7,9 @@
 //
 //   - Reference oracles: exhaustive or dense re-solves of tiny instances —
 //     brute-force FF→ring enumeration against assign.MinCost/MinMaxCap, a
-//     dense 1-D delay scan against rotary.SolveTap, binary-search-over-M
-//     Bellman-Ford against skew.MaxSlackExact, and a dense Gaussian
-//     elimination against the placer's CG/CSR System. Each reference is
+//     dense 1-D delay scan against rotary.SolveTap, Karp's minimum cycle
+//     mean against skew.MaxSlack, and a dense Gaussian elimination against
+//     the placer's CG/CSR System. Each reference is
 //     deliberately slow and structurally unlike the production solver; the
 //     checks are asymmetric where the feasible sets may differ (a reference
 //     that misses a solution never indicts the solver, a solver that misses

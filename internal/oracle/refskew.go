@@ -35,9 +35,10 @@ func refFeasible(n int, cons []skew.DiffConstraint) ([]float64, bool) {
 }
 
 // refMaxSlack binary-searches the largest slack M at which the Fishburn
-// constraint system stays feasible, to tolerance tol. Like the production
-// solver, an unconditionally feasible system (acyclic constraint graph) is
-// capped at M = T. ok is false when no feasible M was bracketed.
+// constraint system stays feasible, to tolerance tol; genMinDelta places its
+// working slack below it. Like the production solver, an unconditionally
+// feasible system (acyclic constraint graph) is capped at M = T. ok is false
+// when no feasible M was bracketed.
 func refMaxSlack(in *SkewInstance, tol float64) (m float64, ok bool) {
 	feas := func(M float64) bool {
 		_, f := refFeasible(in.N, skew.Constraints(in.Pairs, in.T, M, in.Setup, in.Hold))
@@ -68,44 +69,72 @@ func refMaxSlack(in *SkewInstance, tol float64) (m float64, ok bool) {
 	return lo, true
 }
 
-// CheckSkew differentially tests skew.MaxSlackExact (Karp minimum cycle
-// mean plus feasibility recovery) against the binary-search-over-M
-// Bellman-Ford reference: the slacks must agree to the search tolerance and
-// the production schedule must satisfy its own constraint system.
+// refMinCycleMean is Karp's dynamic program for the minimum mean weight over
+// all directed cycles of the constraint graph (edge V -> U of weight Bound
+// per constraint), +Inf when the graph is acyclic. Row d[k][v] is the least
+// weight of a walk of exactly k edges ending at v from anywhere (d[0] = 0, a
+// virtual super-source that keeps every cycle reachable), and the minimum
+// cycle mean is min over v of max over k of (d[n][v]-d[k][v])/(n-k). It
+// does O(n*m) work and keeps all n+1 rows of n floats, which is why it is a
+// reference and not the production solver.
+func refMinCycleMean(n int, cons []skew.DiffConstraint) float64 {
+	inf := math.Inf(1)
+	d := make([][]float64, n+1)
+	d[0] = make([]float64, n)
+	for k := 1; k <= n; k++ {
+		d[k] = make([]float64, n)
+		for v := range d[k] {
+			d[k][v] = inf
+		}
+		for _, c := range cons {
+			if w := d[k-1][c.V] + c.Bound; w < d[k][c.U] {
+				d[k][c.U] = w
+			}
+		}
+	}
+	best := inf
+	for v := 0; v < n; v++ {
+		if math.IsInf(d[n][v], 1) {
+			continue // no n-edge walk ends here; v is not on a long cycle path
+		}
+		worst := math.Inf(-1)
+		for k := 0; k < n; k++ {
+			// An unreachable d[k][v] = +Inf gives r = -Inf, which never wins.
+			if r := (d[n][v] - d[k][v]) / float64(n-k); r > worst {
+				worst = r
+			}
+		}
+		if worst < best {
+			best = worst
+		}
+	}
+	return best
+}
+
+// CheckSkew differentially tests skew.MaxSlack (cycle iteration on the
+// Bellman-Ford kernel) against Karp's minimum cycle mean of the M=0
+// constraint graph, capped at T for an acyclic graph like the solver: the
+// slacks must agree to 1e-9 relative, and the production schedule must
+// satisfy its constraint system at the claimed slack itself to within Eps.
 func CheckSkew(in *SkewInstance, seed int64) []Violation {
 	const name = "skew/maxslack"
-	const tol = 1e-4
-	refM, refOK := refMaxSlack(in, tol)
-	m, sched, err := skew.MaxSlackExact(nil, nil, in.N, in.Pairs, in.T, in.Setup, in.Hold)
+	refM := math.Min(in.T, refMinCycleMean(in.N, skew.Constraints(in.Pairs, in.T, 0, in.Setup, in.Hold)))
+	m, sched, err := skew.MaxSlack(nil, nil, in.N, in.Pairs, in.T, in.Setup, in.Hold)
 	if err != nil {
-		if refOK {
-			return violationf(name, seed, "solver failed (%v) but the reference finds a feasible schedule at slack %.6g ps", err, refM)
-		}
-		return nil
-	}
-	if !refOK {
-		// The reference could not bracket a feasible slack even at -2^60*T;
-		// generated instances never get here, so treat it as a skip.
-		return nil
+		return violationf(name, seed, "solver failed (%v) but Karp's minimum cycle mean gives slack %.6g ps", err, refM)
 	}
 	var out []Violation
-	// The production slack may sit up to its own 1e-3 feasibility backoff
-	// below the exact optimum; the reference adds its binary-search tol.
-	if math.Abs(m-refM) > 5e-3*(1+math.Abs(refM)) {
+	if math.Abs(m-refM) > 1e-9*(1+math.Abs(refM)) {
 		out = append(out, Violation{Oracle: name, Seed: seed,
-			Detail: fmt.Sprintf("solver slack %.9g ps vs reference %.9g ps (|diff| %.3g beyond tolerance)", m, refM, math.Abs(m-refM))})
+			Detail: fmt.Sprintf("solver slack %.12g ps vs Karp %.12g ps (|diff| %.3g beyond 1e-9 relative)", m, refM, math.Abs(m-refM))})
 	}
 	if len(sched) != in.N {
 		return append(out, Violation{Oracle: name, Seed: seed,
 			Detail: fmt.Sprintf("schedule has %d entries for %d flip-flops", len(sched), in.N)})
 	}
-	// The returned schedule must certify a slack near the claimed one:
-	// verify it against the constraint system at m minus the solver's
-	// documented backoff ladder, with the shared Eps slop.
-	cons := skew.Constraints(in.Pairs, in.T, m-1e-3, in.Setup, in.Hold)
-	if v := skew.Verify(sched, cons); v > skew.Eps+1e-9 {
+	if v := skew.Verify(sched, skew.Constraints(in.Pairs, in.T, m, in.Setup, in.Hold)); v > skew.Eps {
 		out = append(out, Violation{Oracle: name, Seed: seed,
-			Detail: fmt.Sprintf("schedule violates its own constraints by %.3g ps at slack %.9g", v, m-1e-3)})
+			Detail: fmt.Sprintf("schedule violates its own constraints by %.3g ps at slack %.12g", v, m)})
 	}
 	return out
 }

@@ -19,7 +19,7 @@ const (
 	propSetup = 30.0
 	propHold  = 15.0
 	propTol   = 1e-4
-	// slackEps absorbs the binary-search tolerance and Bellman-Ford's Eps
+	// slackEps absorbs the Delta search tolerance and Bellman-Ford's Eps
 	// relaxation slop.
 	slackEps = 1e-3
 )
@@ -114,7 +114,7 @@ func TestPropertyMaxSlackAchievesItsSlack(t *testing.T) {
 			continue
 		}
 		trials++
-		M, sched, err := MaxSlack(nil, nil, n, pairs, propT, propSetup, propHold, propTol)
+		M, sched, err := MaxSlack(nil, nil, n, pairs, propT, propSetup, propHold)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trials, err)
 		}
@@ -129,8 +129,9 @@ func TestPropertyMaxSlackAchievesItsSlack(t *testing.T) {
 		if M >= 0 && worst < -slackEps {
 			t.Fatalf("trial %d: M=%v but negative slack %v", trials, M, worst)
 		}
-		// And M is maximal: no uniform slack M + 2*tol is feasible.
-		if _, ok := Feasible(n, Constraints(pairs, propT, M+10*propTol, propSetup, propHold)); ok {
+		// And M is maximal: the exact optimum leaves no uniform slack
+		// M + 1e-6 feasible.
+		if _, ok := Feasible(n, Constraints(pairs, propT, M+1e-6, propSetup, propHold)); ok {
 			t.Fatalf("trial %d: M=%v is not maximal", trials, M)
 		}
 	}
@@ -159,7 +160,7 @@ func TestPropertyMinDeltaKeepsWorkingSlack(t *testing.T) {
 		if len(pairs) == 0 {
 			continue
 		}
-		M, sched, err := MaxSlack(nil, nil, n, pairs, propT, propSetup, propHold, propTol)
+		M, sched, err := MaxSlack(nil, nil, n, pairs, propT, propSetup, propHold)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +197,7 @@ func TestPropertyWeightedSumKeepsWorkingSlack(t *testing.T) {
 		if len(pairs) == 0 {
 			continue
 		}
-		M, sched, err := MaxSlack(nil, nil, n, pairs, propT, propSetup, propHold, propTol)
+		M, sched, err := MaxSlack(nil, nil, n, pairs, propT, propSetup, propHold)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,7 +210,7 @@ func TestPropertyWeightedSumKeepsWorkingSlack(t *testing.T) {
 			targets[i] = sched[i] + (rng.Float64()-0.5)*100
 			weights[i] = 1 + rng.Float64()*10
 		}
-		obj, wt, err := WeightedSum(nil, n, cons, targets, weights)
+		obj, wt, err := WeightedSum(nil, nil, n, cons, targets, weights)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trials, err)
 		}

@@ -60,7 +60,7 @@ func TestQuickMaxSlackMonotone(t *testing.T) {
 		if len(pairs) == 0 {
 			return true
 		}
-		m1, _, err := MaxSlackExact(nil, nil, n, pairs, 1000, 30, 15)
+		m1, _, err := MaxSlack(nil, nil, n, pairs, 1000, 30, 15)
 		if err != nil {
 			return false
 		}
@@ -68,7 +68,7 @@ func TestQuickMaxSlackMonotone(t *testing.T) {
 		for i := range worse {
 			worse[i].DMax += 100
 		}
-		m2, _, err := MaxSlackExact(nil, nil, n, worse, 1000, 30, 15)
+		m2, _, err := MaxSlack(nil, nil, n, worse, 1000, 30, 15)
 		if err != nil {
 			return false
 		}

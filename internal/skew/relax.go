@@ -18,31 +18,31 @@ import (
 // Each lowering records the constraint as the node's parent. After every
 // round that changed something, negCycle walks the parent pointers in O(n),
 // and the call stops with ok=false if they close a cycle of k constraints
-// whose bounds sum to W < -2(k+1)*Eps: at a no-change round every constraint
-// holds to within Eps, so every k-cycle has W >= -k*Eps, and the plain
-// n+1-round loop could never have settled. Shallower cycles are left to the
-// round cap. The bookkeeping never writes dist, so feasible potentials and
-// their round counts are bit-identical to the plain loop's (DESIGN.md
-// section 17).
+// whose bounds sum to W < -2(k+1)*Eps, handing back that witness cycle's
+// constraint indices in cycle: at a no-change round every constraint holds
+// to within Eps, so every k-cycle has W >= -k*Eps, and the plain n+1-round
+// loop could never have settled. Shallower cycles are left to the round cap,
+// which returns ok=false with a nil cycle. The bookkeeping never writes
+// dist, so feasible potentials and their round counts are bit-identical to
+// the plain loop's (DESIGN.md section 17).
 //
 // The stop token is checked once per round; a fired token returns its error
 // with the rounds completed so far, and dist is then not a certificate. A
 // constraint referencing a variable outside [0,n) panics. The call records
 // the skew.probes, skew.rounds, skew.edge_visits and skew.negcycle.early
 // counters into reg (nil records nothing).
-func relax(tok *stop.Token, reg *obs.Registry, n int, cons []DiffConstraint, dist []float64) (rounds int, ok bool, err error) {
+func relax(tok *stop.Token, reg *obs.Registry, n int, cons []DiffConstraint, dist []float64) (rounds int, ok bool, cycle []int, err error) {
 	for _, c := range cons {
 		if c.U < 0 || c.U >= n || c.V < 0 || c.V >= n {
 			panic(fmt.Sprintf("skew: constraint %+v out of range n=%d", c, n))
 		}
 	}
-	early := false
 	if reg != nil {
 		defer func() {
 			reg.Add("skew.probes", 1)
 			reg.Add("skew.rounds", int64(rounds))
 			reg.Add("skew.edge_visits", int64(rounds)*int64(len(cons)))
-			if early {
+			if cycle != nil {
 				reg.Add("skew.negcycle.early", 1)
 			}
 		}()
@@ -55,7 +55,7 @@ func relax(tok *stop.Token, reg *obs.Registry, n int, cons []DiffConstraint, dis
 	walk := 0
 	for rounds < n+1 {
 		if err := stop.Check(tok, faultinject.SiteSkewIterCancel); err != nil {
-			return rounds, false, err
+			return rounds, false, nil, err
 		}
 		rounds++
 		changed := false
@@ -67,19 +67,20 @@ func relax(tok *stop.Token, reg *obs.Registry, n int, cons []DiffConstraint, dis
 			}
 		}
 		if !changed {
-			return rounds, true, nil
+			return rounds, true, nil, nil
 		}
-		if walk, early = negCycle(cons, parent, stamp, walk); early {
-			return rounds, false, nil
+		if walk, cycle = negCycle(cons, parent, stamp, walk); cycle != nil {
+			return rounds, false, cycle, nil
 		}
 	}
-	return rounds, false, nil
+	return rounds, false, nil, nil
 }
 
 // negCycle walks the parent graph of relax once, each node at most once, and
-// reports whether it holds a cycle below the guard -2(k+1)*Eps. Walk ids
-// continue from walk, so stamps never need clearing; the last id is returned.
-func negCycle(cons []DiffConstraint, parent, stamp []int, walk int) (int, bool) {
+// returns the constraint indices of the first cycle below the guard
+// -2(k+1)*Eps it meets, in parent order, or nil. Walk ids continue from walk,
+// so stamps never need clearing; the last id is returned.
+func negCycle(cons []DiffConstraint, parent, stamp []int, walk int) (int, []int) {
 	first := walk + 1 // ids of this pass are >= first
 	for s := range parent {
 		if stamp[s] >= first {
@@ -107,8 +108,12 @@ func negCycle(cons []DiffConstraint, parent, stamp []int, walk int) (int, bool) 
 			}
 		}
 		if w < -2*float64(k+1)*Eps {
-			return walk, true
+			cycle := make([]int, 0, k)
+			for u := v; len(cycle) < k; u = cons[parent[u]].V {
+				cycle = append(cycle, parent[u])
+			}
+			return walk, cycle
 		}
 	}
-	return walk, false
+	return walk, nil
 }

@@ -290,8 +290,8 @@ func TestMinDeltaMatchesReferenceLoop(t *testing.T) {
 }
 
 // TestRelaxRejectsNegativeCycleEarly: one 2-node negative cycle inside an
-// otherwise slack n=500 chain is rejected within 4 rounds; the reference
-// loop runs all 501.
+// otherwise slack n=500 chain is rejected within 4 rounds, with that cycle's
+// two constraints as the witness; the reference loop runs all 501.
 func TestRelaxRejectsNegativeCycleEarly(t *testing.T) {
 	const n = 500
 	var cons []DiffConstraint
@@ -300,9 +300,12 @@ func TestRelaxRejectsNegativeCycleEarly(t *testing.T) {
 	}
 	cons = append(cons, DiffConstraint{U: 200, V: 300, Bound: 1}, DiffConstraint{U: 300, V: 200, Bound: -2})
 	reg := obs.NewRegistry()
-	rounds, ok, err := relax(nil, reg, n, cons, make([]float64, n))
+	rounds, ok, cycle, err := relax(nil, reg, n, cons, make([]float64, n))
 	if err != nil || ok {
 		t.Fatalf("relax = ok %v, err %v; want infeasible", ok, err)
+	}
+	if len(cycle) != 2 || min(cycle[0], cycle[1]) != n-1 || max(cycle[0], cycle[1]) != n {
+		t.Fatalf("witness cycle = %v, want the constraints %d and %d", cycle, n-1, n)
 	}
 	if rounds > 4 {
 		t.Fatalf("negative cycle rejected after %d rounds, want <= 4", rounds)

@@ -2,8 +2,8 @@
 // VII of the paper:
 //
 //   - MaxSlack: the classic Fishburn max-slack schedule under long-path and
-//     short-path constraints, solved with the graph-based binary search of
-//     Deokar/Sapatnekar (Bellman-Ford feasibility on the constraint graph).
+//     short-path constraints, solved exactly as the minimum cycle mean of
+//     the constraint graph by cycle iteration on the Bellman-Ford kernel.
 //   - MinDelta: the cost-driven variant that pulls every flip-flop's delay
 //     target toward the phase available at the nearest point of its rotary
 //     ring, minimizing the maximum mismatch Delta.
@@ -125,7 +125,7 @@ func feasible(tok *stop.Token, reg *obs.Registry, n int, cons []DiffConstraint) 
 	// Virtual source with zero-weight edges to every node is equivalent to
 	// initializing all distances to zero.
 	dist := make([]float64, n)
-	_, ok, err := relax(tok, reg, n, cons, dist)
+	_, ok, _, err := relax(tok, reg, n, cons, dist)
 	if err != nil {
 		return nil, false, fmt.Errorf("skew: feasibility check: %w", err)
 	}
@@ -151,67 +151,59 @@ func normalize(t []float64) {
 	}
 }
 
-// MaxSlack computes the maximum slack M such that the constraint system of
-// the pairs is feasible, together with a schedule achieving it (the
-// formulation (5)-(7) of the paper). The slack is found by binary search to
-// tol; Bellman-Ford provides each feasibility certificate. The optional stop
-// token is checked once per Bellman-Ford round of every probe, so a fired
-// deadline surfaces within one O(m) pass; the probes' skew.* counters are
-// recorded into reg (resolved through obs.Resolve).
-func MaxSlack(tok *stop.Token, reg *obs.Registry, n int, pairs []SeqPair, T, setup, hold, tol float64) (float64, []float64, error) {
-	reg = obs.Resolve(reg)
-	if tol <= 0 {
-		tol = 1e-3
-	}
-	// The system is always feasible for sufficiently negative M (every
-	// constraint bound grows as M falls), so widen the lower bracket until
-	// it certifies feasibility. A very negative optimum honestly reports a
-	// design that cannot close timing at this period.
-	lo, hi := -T, T
-	for {
-		_, ok, err := feasible(tok, reg, n, Constraints(pairs, T, lo, setup, hold))
-		if err != nil {
-			return 0, nil, err
-		}
-		if ok {
-			break
-		}
-		lo *= 2
-		if lo < -1e6*T {
-			return 0, nil, fmt.Errorf("skew: constraints unsatisfiable even at slack %v: %w", lo, ErrInfeasible)
-		}
-	}
-	var bestT []float64
-	t, ok, err := feasible(tok, reg, n, Constraints(pairs, T, hi, setup, hold))
-	if err != nil {
+// MaxSlack computes Fishburn's maximum slack M* — the largest M at which the
+// constraint system (5)-(7) of the pairs is feasible — together with a
+// schedule achieving it, by cycle iteration on the relax kernel. Every
+// constraint bound shrinks by exactly one unit per unit of M, so M* is the
+// minimum cycle mean of the M=0 constraint graph. The iteration starts at
+// M = T (the cap of an acyclic graph) and probes from zero potentials; a
+// feasible probe returns M and its normalized potentials, and an infeasible
+// one hands back a witness cycle C, after which M becomes C's mean
+// sum(Bound_0)/|C| under the M=0 bounds. relax only reports cycles with
+// W < -2(|C|+1)*Eps, so every step lowers M by more than 2*Eps to the mean of
+// a different simple cycle, and the loop ends after finitely many probes
+// (DESIGN.md section 20). A probe that hits the round cap without a witness
+// (a cycle inside the guard band) is reported as an error wrapping
+// ErrInfeasible.
+//
+// The optional stop token is checked once per Bellman-Ford round of every
+// probe. A fired token aborts with an error wrapping the stop sentinel; no
+// partial schedule is returned (the caller keeps its previous schedule as
+// the best-so-far). The probes' skew.* counters and one
+// skew.maxslack.cycles count per witness cycle are recorded into reg
+// (resolved through obs.Resolve). Both may be nil.
+func MaxSlack(tok *stop.Token, reg *obs.Registry, n int, pairs []SeqPair, T, setup, hold float64) (float64, []float64, error) {
+	if err := faultinject.Hook(faultinject.SiteSkewMaxSlack); err != nil {
 		return 0, nil, err
 	}
-	if ok {
-		return hi, t, nil
-	}
-	for hi-lo > tol {
-		mid := (lo + hi) / 2
-		t, ok, err := feasible(tok, reg, n, Constraints(pairs, T, mid, setup, hold))
+	reg = obs.Resolve(reg)
+	base := Constraints(pairs, T, 0, setup, hold)
+	cons := make([]DiffConstraint, len(base))
+	dist := make([]float64, n)
+	for m := T; ; {
+		// Bound_0 - m is bit-identical to Constraints(pairs, T, m, ...).
+		for i, c := range base {
+			cons[i] = DiffConstraint{U: c.U, V: c.V, Bound: c.Bound - m}
+		}
+		clear(dist)
+		_, ok, cycle, err := relax(tok, reg, n, cons, dist)
 		if err != nil {
-			return 0, nil, err
+			return 0, nil, fmt.Errorf("skew: max-slack probe: %w", err)
 		}
 		if ok {
-			lo, bestT = mid, t
-		} else {
-			hi = mid
+			normalize(dist)
+			return m, dist, nil
 		}
+		if cycle == nil {
+			return 0, nil, fmt.Errorf("skew: max-slack probe at slack %v hit the round cap without a witness cycle: %w", m, ErrInfeasible)
+		}
+		reg.Add("skew.maxslack.cycles", 1)
+		w := 0.0
+		for _, i := range cycle {
+			w += base[i].Bound
+		}
+		m = w / float64(len(cycle))
 	}
-	if bestT == nil {
-		t, ok, err := feasible(tok, reg, n, Constraints(pairs, T, lo, setup, hold))
-		if err != nil {
-			return 0, nil, err
-		}
-		if !ok {
-			return 0, nil, fmt.Errorf("skew: internal: feasible lower bound lost")
-		}
-		bestT = t
-	}
-	return lo, bestT, nil
 }
 
 // Anchor carries the rotary-ring attraction data of one flip-flop for the
@@ -271,7 +263,7 @@ func MinDelta(tok *stop.Token, reg *obs.Registry, n int, cons []DiffConstraint, 
 			arcs[2*i+1].Bound = delta - a.A - 2*a.TCI // t_g - t_i <= -(A_i + 2 TCI_i - Delta)
 		}
 		clear(probe)
-		_, ok, err := relax(tok, reg, n+1, ext, probe)
+		_, ok, _, err := relax(tok, reg, n+1, ext, probe)
 		if err != nil {
 			return false, fmt.Errorf("skew: feasibility check: %w", err)
 		}
@@ -362,21 +354,24 @@ func bestShift(t []float64, anchors []Anchor) float64 {
 // flip-flop exchanges up to w_i units with a ground node at cost +-target_i.
 // Optimal node potentials of the residual network recover the schedule. The
 // optional stop token is threaded into the base feasibility probe and the
-// min-cost circulation.
-func WeightedSum(tok *stop.Token, n int, cons []DiffConstraint, targets []float64, weights []float64) (float64, []float64, error) {
+// min-cost circulation, and both record their skew.* and mcmf.* counters
+// into reg (resolved through obs.Resolve).
+func WeightedSum(tok *stop.Token, reg *obs.Registry, n int, cons []DiffConstraint, targets []float64, weights []float64) (float64, []float64, error) {
 	if err := faultinject.Hook(faultinject.SiteSkewWeightedSum); err != nil {
 		return 0, nil, err
 	}
 	if len(targets) != n || len(weights) != n {
 		return 0, nil, fmt.Errorf("skew: targets/weights length mismatch")
 	}
-	if _, ok, err := feasible(tok, nil, n, cons); err != nil {
+	reg = obs.Resolve(reg)
+	if _, ok, err := feasible(tok, reg, n, cons); err != nil {
 		return 0, nil, err
 	} else if !ok {
 		return 0, nil, fmt.Errorf("skew: difference constraints: %w", ErrInfeasible)
 	}
 	g := mcmf.NewGraph(n + 1)
 	g.Stop = tok
+	g.Obs = reg
 	ground := n
 	wi := make([]int, n)
 	total := 0
@@ -405,11 +400,9 @@ func WeightedSum(tok *stop.Token, n int, cons []DiffConstraint, targets []float6
 			fromG: g.AddArc(ground, i, wi[i], -targets[i]),
 		}
 	}
-	negCost, err := g.MinCostCirculation()
-	if err != nil {
+	if _, err := g.MinCostCirculation(); err != nil {
 		return 0, nil, fmt.Errorf("skew: weighted-sum circulation: %w", err)
 	}
-	obj := -negCost
 
 	dist, ok := g.ResidualDistances(ground)
 	if !ok {
@@ -434,7 +427,6 @@ func WeightedSum(tok *stop.Token, n int, cons []DiffConstraint, targets []float6
 	for i := 0; i < n; i++ {
 		trueObj += weights[i] * math.Abs(t[i]-targets[i])
 	}
-	_ = obj
 	return trueObj, t, nil
 }
 

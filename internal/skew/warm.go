@@ -36,7 +36,7 @@ func WarmStart(tok *stop.Token, reg *obs.Registry, n int, cons []DiffConstraint,
 	}
 	dist := make([]float64, n)
 	copy(dist, seed)
-	rounds, ok, err := relax(tok, obs.Resolve(reg), n, cons, dist)
+	rounds, ok, _, err := relax(tok, obs.Resolve(reg), n, cons, dist)
 	if err != nil {
 		return nil, rounds, false, fmt.Errorf("skew: warm-start repair: %w", err)
 	}

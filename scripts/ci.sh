@@ -54,8 +54,11 @@
 #   scripts/ci.sh skew    difference-constraint kernel gate: the kernel vs
 #                         the reference n+1-round loop (random raw, Fishburn
 #                         and guard-band systems, bit-identical potentials),
-#                         the early negative-cycle exit tests, the min-Delta
-#                         oracle negative test, and the golden tables
+#                         the early negative-cycle exit tests, the max-slack
+#                         cycle iteration tests (known graphs, vs LP, vs
+#                         Karp, linear memory at 10k flip-flops), the
+#                         max-slack and min-Delta oracle negative tests, and
+#                         the golden tables
 #   scripts/ci.sh assign  stage-3 min-cost flow gate: the cheapest-ring
 #                         preload vs the zero-start reference solve (loose,
 #                         tight, pinned, pruned, fallback, ladder and tied
@@ -261,8 +264,8 @@ timing)
     go test -timeout 20m ./internal/exp/ -run '^(TestTimingSmoke|TestVarPairsSurfacesAnalysisError)$' -count=1 -v
     ;;
 skew)
-    go test ./internal/skew/ -run '^(TestRelax|TestMinDeltaMatchesReferenceLoop|TestWarmStart)' -count=1 -v
-    go test ./internal/oracle/ -run '^TestFaultSkewMinDeltaDetected$' -count=1
+    go test ./internal/skew/ -run '^(TestRelax|TestMinDeltaMatchesReferenceLoop|TestWarmStart|TestMaxSlack)' -count=1 -v
+    go test ./internal/oracle/ -run '^(TestMinCycleMean|TestMaxSlackMatchesKarp|TestFaultSkewDetected$|TestFaultSkewMinDeltaDetected$)' -count=1
     go test ./internal/exp -run '^TestGolden' -count=1
     ;;
 assign)
