@@ -70,8 +70,9 @@ skew:
 	sh scripts/ci.sh skew
 
 # Stage-3 flow gate: preload-vs-reference differential, dual feasibility,
-# canceler early-exit tests, ECO patch tests, the assignment and ECO oracle
-# negative tests, and the golden tables.
+# canceler early-exit tests, ECO patch tests, candidate-row reuse against
+# cold solves (bit-equal, across worker counts), the assignment and ECO
+# oracle negative tests, and the golden tables.
 assign:
 	sh scripts/ci.sh assign
 

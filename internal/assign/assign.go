@@ -33,20 +33,6 @@ import (
 // recovery (widen K, relax capacity, enable TapFallback).
 var ErrInfeasible = errors.New("assign: infeasible")
 
-// LPPath selects the solver behind MinMaxCap's LP relaxation.
-type LPPath int
-
-const (
-	// LPSparse (the default) solves the relaxation with the specialized
-	// bipartite-basis simplex (lp.SolveAssignLP), whose per-pivot cost is an
-	// rings×rings working inverse instead of the dense (FFs+rings)² tableau.
-	LPSparse LPPath = iota
-	// LPDense routes through the generic dense two-phase simplex, kept as
-	// the differential-oracle reference path (internal/oracle cross-checks
-	// the two optima to 1e-9 on random instances).
-	LPDense
-)
-
 // FF is one flip-flop to assign: its cell ID, placed location, and the clock
 // delay target produced by skew optimization.
 type FF struct {
@@ -67,9 +53,6 @@ type Problem struct {
 	// pruning, as in the paper's flow network: far-away rings get no arc).
 	// Zero means defaultK.
 	K int
-	// LP selects MinMaxCap's relaxation solver: LPSparse (default, the
-	// bipartite-basis simplex) or LPDense (the generic simplex reference).
-	LP LPPath
 	// Capacity is the per-ring flip-flop limit U_j for MinCost. Empty means
 	// a uniform default of ceil(1.25 * len(FFs) / numRings).
 	Capacity []int
@@ -88,10 +71,6 @@ type Problem struct {
 	// (each tapping solve is independent): 0 = GOMAXPROCS, 1 = serial.
 	// The result is identical for every value.
 	Parallelism int
-	// Cache, when non-nil, memoizes tapping solves across calls so the
-	// flow's re-optimization loop stops re-solving unchanged flip-flops.
-	// Must be dedicated to this problem's Array (see TapCache).
-	Cache *TapCache
 	// TapFallback, when set, keeps a flip-flop whose every candidate tapping
 	// solve failed in the problem by tapping the nearest point of its nearest
 	// ring instead of erroring. The fallback tap does not realize the skew
@@ -100,10 +79,10 @@ type Problem struct {
 	// by default.
 	TapFallback bool
 	// Obs receives assignment telemetry: tapping-query case distribution
-	// counters (deterministic — the query set depends only on the instance)
-	// and TapCache hit/miss stats (scheduling-dependent: concurrent misses
-	// on one key may both compute). Nil falls back to the armed global
-	// registry; disarmed costs one atomic load per solve.
+	// counters, deterministic because the query set depends only on the
+	// instance (and, for PatchMinCost, on the previous assignment). Nil
+	// falls back to the armed global registry; disarmed costs one atomic
+	// load per solve.
 	Obs *obs.Registry
 	// Stop is the cooperative cancellation token, checked once per flip-flop
 	// candidate row and threaded into the downstream flow/LP solvers. Nil
@@ -125,6 +104,32 @@ type Assignment struct {
 	// Fallbacks lists FF indices tapped via the nearest-point fallback
 	// (Problem.TapFallback); their taps do not realize the skew target.
 	Fallbacks []int
+
+	m *matrix // the candidate matrix this assignment was solved over
+}
+
+// matrix is the candidate matrix of one solve together with every input its
+// rows depend on. A row is a pure function of the ring array, the
+// flip-flop's position and target, its pinned ring, and the normalized K,
+// TapFallback and MaxStub, so PatchMinCost reuses a previous assignment's
+// row wherever those inputs are bit-equal. A matrix is never written after
+// the solve that built it, so concurrent patches may share one.
+type matrix struct {
+	array    *rotary.Array
+	k        int
+	fallback bool
+	maxStub  float64
+	ffs      []FF  // per flip-flop: cell, position, target
+	pin      []int // Problem.Pin as solved (nil: nothing pinned)
+	rows     [][]candidate
+}
+
+// pinOf is flip-flop i's pinned ring under pin, -1 when it is free.
+func pinOf(pin []int, i int) int {
+	if len(pin) == 0 {
+		return -1
+	}
+	return pin[i]
 }
 
 func (p *Problem) normalize() error {
@@ -182,29 +187,13 @@ type candidate struct {
 	fallback bool    // nearest-point tap; does not realize the skew target
 }
 
-// solveTap solves (or cache-looks-up) the tapping point of one candidate arc.
-// It is the telemetry point for the four-case distribution: the query set is
-// a pure function of the instance, so per-query counters stay deterministic
-// even though cache hit/miss (a stat) depends on scheduling.
+// solveTap solves the tapping point of one candidate arc. It is the
+// telemetry point for the four-case distribution: the query set is a pure
+// function of the instance, so per-query counters stay deterministic.
 func (p *Problem) solveTap(ring int, pos geom.Point, target float64) (rotary.Tap, bool) {
-	reg := p.obsReg
-	var tap rotary.Tap
-	var ok bool
-	if p.Cache != nil {
-		var hit bool
-		tap, ok, hit = p.Cache.solve(p.Array, ring, pos, target)
-		if reg != nil {
-			if hit {
-				reg.Stat("assign.tapcache.hits", 1)
-			} else {
-				reg.Stat("assign.tapcache.misses", 1)
-			}
-		}
-	} else {
-		t, err := rotary.SolveTap(p.Array.Rings[ring], p.Array.Params, pos, target)
-		tap, ok = t, err == nil
-	}
-	if reg != nil {
+	tap, err := rotary.SolveTap(p.Array.Rings[ring], p.Array.Params, pos, target)
+	ok := err == nil
+	if reg := p.obsReg; reg != nil {
 		reg.Add("assign.tap.queries", 1)
 		switch {
 		case !ok:
@@ -222,9 +211,11 @@ func (p *Problem) solveTap(ring int, pos geom.Point, target float64) (rotary.Tap
 
 // candidates computes the pruned arc set: for each flip-flop, the K nearest
 // rings with their solved taps. Every flip-flop keeps at least one arc.
-// Flip-flops are independent, so the matrix builds in parallel (each worker
-// writes only its own rows); the output is identical for every worker count.
-func (p *Problem) candidates() ([][]candidate, error) {
+// A non-nil reuse[i] is flip-flop i's row from an earlier solve of the same
+// inputs (see matrix); it is copied instead of solved. Flip-flops are
+// independent, so the matrix builds in parallel (each worker writes only
+// its own rows); the output is identical for every worker count.
+func (p *Problem) candidates(reuse [][]candidate) ([][]candidate, error) {
 	if err := faultinject.Hook(faultinject.SiteAssignCandidates); err != nil {
 		return nil, err
 	}
@@ -234,17 +225,22 @@ func (p *Problem) candidates() ([][]candidate, error) {
 	// One arena holds every candidate row at a fixed stride of K (normalize
 	// clamps K to the ring count), so the hot loop never grows a slice:
 	// each worker fills only its own K-capacity window and publishes a
-	// capacity-clipped prefix of it.
+	// capacity-clipped prefix of it. Reused rows are copied in too, so an
+	// assignment never keeps an earlier one's arena alive.
 	arena := make([]candidate, len(p.FFs)*p.K)
 	par.For(p.Parallelism, len(p.FFs), func(i int) {
 		if err := stop.Check(p.Stop, faultinject.SiteAssignCandCancel); err != nil {
 			errs[i] = fmt.Errorf("assign: candidate construction: %w", err)
 			return
 		}
+		if i < len(reuse) && reuse[i] != nil {
+			out[i] = append(arena[i*p.K:i*p.K:i*p.K+len(reuse[i])], reuse[i]...)
+			return
+		}
 		ff := p.FFs[i]
 		rings := p.Array.NearestRings(ff.Pos, p.K)
-		if len(p.Pin) > 0 && p.Pin[i] >= 0 {
-			rings = []int{p.Pin[i]}
+		if pin := pinOf(p.Pin, i); pin >= 0 {
+			rings = []int{pin}
 		}
 		row := arena[i*p.K : i*p.K : (i+1)*p.K]
 		for _, j := range rings {
@@ -313,12 +309,22 @@ func (p *Problem) fallbackCandidate(j int, pos geom.Point) (candidate, bool) {
 	return candidate{ring: j, tap: tap, cost: dist, cap: prm.StubCap(dist), fallback: true}, true
 }
 
-// finish assembles an Assignment from per-FF choices.
-func (p *Problem) finish(choice []candidate) *Assignment {
+// finish assembles an Assignment from per-FF choices and keeps the
+// candidate matrix they were chosen from.
+func (p *Problem) finish(cands [][]candidate, choice []candidate) *Assignment {
 	a := &Assignment{
 		Ring:  make([]int, len(choice)),
 		Taps:  make([]rotary.Tap, len(choice)),
 		Loads: make([]float64, len(p.Array.Rings)),
+		m: &matrix{
+			array:    p.Array,
+			k:        p.K,
+			fallback: p.TapFallback,
+			maxStub:  p.MaxStub,
+			ffs:      append([]FF(nil), p.FFs...),
+			pin:      append([]int(nil), p.Pin...),
+			rows:     cands,
+		},
 	}
 	for i, c := range choice {
 		a.Ring[i] = c.ring
@@ -361,7 +367,7 @@ func MinCost(p *Problem) (*Assignment, error) {
 	if err := p.normalize(); err != nil {
 		return nil, err
 	}
-	cands, err := p.candidates()
+	cands, err := p.candidates(nil)
 	if err != nil {
 		return nil, err
 	}
@@ -370,7 +376,7 @@ func MinCost(p *Problem) (*Assignment, error) {
 	if err != nil {
 		return nil, err
 	}
-	return p.finish(choice), nil
+	return p.finish(cands, choice), nil
 }
 
 // network is the Fig. 4 flow network of one MinCost or PatchMinCost solve,
@@ -504,48 +510,23 @@ func MinMaxCap(p *Problem) (*Assignment, *Relax, error) {
 	if err := p.normalize(); err != nil {
 		return nil, nil, err
 	}
-	cands, err := p.candidates()
+	cands, err := p.candidates(nil)
 	if err != nil {
 		return nil, nil, err
 	}
 	p.obsReg.Add("assign.minmaxcap.calls", 1)
-	var (
-		x     [][]float64
-		lpOpt float64
-		iters int
-	)
-	if p.LP == LPDense {
-		p.obsReg.Add("assign.lp.path.dense", 1)
-		prob, vars, z := buildMinMaxLP(p, cands, false)
-		sol, err := prob.SolveOpts(lp.Options{Obs: p.obsReg, Stop: p.Stop})
-		if err != nil {
-			return nil, nil, err
-		}
-		if sol.Status != lp.Optimal {
-			if sol.BudgetExceeded() {
-				return nil, nil, fmt.Errorf("assign: LP relaxation %v: %w", sol.Status, lp.ErrBudget)
-			}
-			return nil, nil, fmt.Errorf("assign: LP relaxation %v", sol.Status)
-		}
-		x = perFFValues(cands, vars, sol.X)
-		lpOpt, iters = sol.X[z], sol.Iters
-	} else {
-		p.obsReg.Add("assign.lp.path.sparse", 1)
-		res, err := lp.SolveAssignLP(sparseArcs(cands), len(p.Array.Rings), lp.Options{Obs: p.obsReg, Stop: p.Stop})
-		if err != nil {
-			return nil, nil, err
-		}
-		if res.Status != lp.Optimal {
-			if res.Status == lp.IterLimit {
-				return nil, nil, fmt.Errorf("assign: LP relaxation %v: %w", res.Status, lp.ErrBudget)
-			}
-			return nil, nil, fmt.Errorf("assign: LP relaxation %v", res.Status)
-		}
-		x, lpOpt, iters = res.X, res.Z, res.Pivots
+	res, err := lp.SolveAssignLP(sparseArcs(cands), len(p.Array.Rings), lp.Options{Obs: p.obsReg, Stop: p.Stop})
+	if err != nil {
+		return nil, nil, err
 	}
-	choice := greedyRound(cands, x)
-	a := p.finish(choice)
-	rel := &Relax{LPOpt: lpOpt, Solution: a.MaxCap, LPIters: iters}
+	if res.Status != lp.Optimal {
+		if res.Status == lp.IterLimit {
+			return nil, nil, fmt.Errorf("assign: LP relaxation %v: %w", res.Status, lp.ErrBudget)
+		}
+		return nil, nil, fmt.Errorf("assign: LP relaxation %v", res.Status)
+	}
+	a := p.finish(cands, greedyRound(cands, res.X))
+	rel := &Relax{LPOpt: res.Z, Solution: a.MaxCap, LPIters: res.Pivots}
 	if rel.LPOpt > 0 {
 		rel.IG = rel.Solution / rel.LPOpt
 	}
@@ -603,9 +584,9 @@ func greedyRound(cands [][]candidate, x [][]float64) []candidate {
 	return choice
 }
 
-// buildMinMaxLP constructs min z s.t. sum_j x_ij = 1, sum_i C_ij x_ij <= z.
-// When integer is true the x variables are integral (for the B&B baseline).
-func buildMinMaxLP(p *Problem, cands [][]candidate, integer bool) (*lp.Problem, [][]int, int) {
+// buildMinMaxLP constructs the ILP min z s.t. sum_j x_ij = 1,
+// sum_i C_ij x_ij <= z, x_ij in {0, 1} for the B&B baseline.
+func buildMinMaxLP(p *Problem, cands [][]candidate) (*lp.Problem, [][]int, int) {
 	prob := lp.NewProblem()
 	z := prob.AddVar("z", 1, 0, lp.Inf)
 	vars := make([][]int, len(cands))
@@ -614,24 +595,17 @@ func buildMinMaxLP(p *Problem, cands [][]candidate, integer bool) (*lp.Problem, 
 		vars[i] = make([]int, len(cs))
 		rowCoefs := make([]lp.Coef, len(cs))
 		for k, c := range cs {
-			name := fmt.Sprintf("x_%d_%d", i, c.ring)
-			var v int
-			if integer {
-				v = prob.AddIntVar(name, 0, 0, 1)
-			} else {
-				v = prob.AddVar(name, 0, 0, 1)
-			}
+			v := prob.AddIntVar(fmt.Sprintf("x_%d_%d", i, c.ring), 0, 0, 1)
 			vars[i][k] = v
 			rowCoefs[k] = lp.Coef{Var: v, Val: 1}
 			ringCoefs[c.ring] = append(ringCoefs[c.ring], lp.Coef{Var: v, Val: c.cap})
 		}
 		prob.AddConstraint(lp.EQ, 1, rowCoefs...)
 	}
-	for j, coefs := range ringCoefs {
+	for _, coefs := range ringCoefs {
 		if len(coefs) == 0 {
 			continue
 		}
-		_ = j
 		prob.AddConstraint(lp.LE, 0, append(coefs, lp.Coef{Var: z, Val: -1})...)
 	}
 	return prob, vars, z
@@ -645,11 +619,11 @@ func MinMaxCapILP(p *Problem, opts lp.ILPOptions) (*Assignment, lp.ILPSolution, 
 	if err := p.normalize(); err != nil {
 		return nil, lp.ILPSolution{}, err
 	}
-	cands, err := p.candidates()
+	cands, err := p.candidates(nil)
 	if err != nil {
 		return nil, lp.ILPSolution{}, err
 	}
-	prob, vars, _ := buildMinMaxLP(p, cands, true)
+	prob, vars, _ := buildMinMaxLP(p, cands)
 	if opts.Obs == nil {
 		opts.Obs = p.obsReg
 	}
@@ -664,7 +638,7 @@ func MinMaxCapILP(p *Problem, opts lp.ILPOptions) (*Assignment, lp.ILPSolution, 
 		return nil, sol, nil
 	}
 	choice := greedyRound(cands, perFFValues(cands, vars, sol.X)) // integral X: picks the 1s
-	return p.finish(choice), sol, nil
+	return p.finish(cands, choice), sol, nil
 }
 
 // NearestOnly is the naive baseline: every flip-flop taps its nearest ring,
@@ -673,7 +647,7 @@ func NearestOnly(p *Problem) (*Assignment, error) {
 	if err := p.normalize(); err != nil {
 		return nil, err
 	}
-	cands, err := p.candidates()
+	cands, err := p.candidates(nil)
 	if err != nil {
 		return nil, err
 	}
@@ -687,7 +661,7 @@ func NearestOnly(p *Problem) (*Assignment, error) {
 		}
 		choice[i] = cs[best]
 	}
-	return p.finish(choice), nil
+	return p.finish(cands, choice), nil
 }
 
 // FirstFitDecreasing is an alternative rounding-free heuristic for the
@@ -698,7 +672,7 @@ func FirstFitDecreasing(p *Problem) (*Assignment, error) {
 	if err := p.normalize(); err != nil {
 		return nil, err
 	}
-	cands, err := p.candidates()
+	cands, err := p.candidates(nil)
 	if err != nil {
 		return nil, err
 	}
@@ -730,5 +704,5 @@ func FirstFitDecreasing(p *Problem) (*Assignment, error) {
 		choice[i] = cands[i][best]
 		loads[choice[i].ring] += choice[i].cap
 	}
-	return p.finish(choice), nil
+	return p.finish(cands, choice), nil
 }

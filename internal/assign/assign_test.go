@@ -125,7 +125,7 @@ func TestMinCostOptimalSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cands, err := p.candidates()
+	cands, err := p.candidates(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +324,7 @@ func TestMaxStubKeepsCandidatesUnderLimit(t *testing.T) {
 	if err := p.normalize(); err != nil {
 		t.Fatal(err)
 	}
-	cands, err := p.candidates()
+	cands, err := p.candidates(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +351,7 @@ func TestMinMaxCapBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cands, err := p.candidates()
+		cands, err := p.candidates(nil)
 		if err != nil {
 			t.Fatal(err)
 		}

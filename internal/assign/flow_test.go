@@ -58,7 +58,7 @@ func referenceMinCost(p *Problem, cands [][]candidate) (*Assignment, error) {
 			return nil, fmt.Errorf("assign: internal: flip-flop %d carries no flow", i)
 		}
 	}
-	return p.finish(choice), nil
+	return p.finish(cands, choice), nil
 }
 
 // preparedCands normalizes p and builds its candidate matrix, the common
@@ -68,7 +68,7 @@ func preparedCands(t *testing.T, p *Problem) [][]candidate {
 	if err := p.normalize(); err != nil {
 		t.Fatal(err)
 	}
-	cands, err := p.candidates()
+	cands, err := p.candidates(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func solveBoth(t *testing.T, p *Problem, cands [][]candidate, reg *obs.Registry)
 	p.obsReg = reg
 	choice, gotErr := p.solveFlow(cands, p.preloadCheapest)
 	if gotErr == nil {
-		got = p.finish(choice)
+		got = p.finish(cands, choice)
 	}
 	return got, want, gotErr, wantErr
 }

@@ -30,106 +30,86 @@ func parProblem(t testing.TB, nFF int, seed int64) *Problem {
 
 // TestAssignDeterministicAcrossWorkerCounts: every assigner must return the
 // same rings, taps, and totals whether the candidate matrix was built by 1
-// worker or 8, with or without the tapping cache.
+// worker or 8, and whether its rows were solved or reused from a previous
+// assignment.
 func TestAssignDeterministicAcrossWorkerCounts(t *testing.T) {
-	solve := func(workers int, cache *TapCache) (*Assignment, *Assignment) {
+	solve := func(workers int) (*Assignment, *Assignment) {
 		p := parProblem(t, 150, 42)
 		p.Parallelism = workers
-		p.Cache = cache
 		mc, err := MinCost(p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		p2 := parProblem(t, 150, 42)
 		p2.Parallelism = workers
-		p2.Cache = cache
 		mm, _, err := MinMaxCap(p2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return mc, mm
 	}
-	mcWant, mmWant := solve(1, nil)
-	for _, cfg := range []struct {
-		name    string
-		workers int
-		cache   *TapCache
-	}{
-		{"workers=8", 8, nil},
-		{"workers=8+cache", 8, NewTapCache()},
-		{"workers=3+cache", 3, NewTapCache()},
-	} {
-		mc, mm := solve(cfg.workers, cfg.cache)
-		if !reflect.DeepEqual(mc, mcWant) {
-			t.Errorf("%s: MinCost differs from serial run", cfg.name)
-		}
-		if !reflect.DeepEqual(mm, mmWant) {
-			t.Errorf("%s: MinMaxCap differs from serial run", cfg.name)
-		}
+	mcWant, mmWant := solve(1)
+	mc, mm := solve(8)
+	if !reflect.DeepEqual(mc, mcWant) {
+		t.Error("workers=8: MinCost differs from serial run")
 	}
-}
+	if !reflect.DeepEqual(mm, mmWant) {
+		t.Error("workers=8: MinMaxCap differs from serial run")
+	}
 
-// TestTapCacheMemoizes: a second identical solve must hit the cache (no new
-// entries) and return identical results; moving one flip-flop adds only that
-// flip-flop's new arcs.
-func TestTapCacheMemoizes(t *testing.T) {
-	cache := NewTapCache()
-	p := parProblem(t, 80, 7)
-	p.Cache = cache
-	a1, err := MinCost(p)
+	// Row reuse: patch an edit of every seventh flip-flop onto a serial
+	// MinCost answer; half the rows come from the previous assignment.
+	base := parProblem(t, 150, 42)
+	base.Parallelism = 1
+	prev, err := MinCost(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm := cache.Len()
-	if warm == 0 {
-		t.Fatal("cache empty after first solve")
+	patch := func(workers int) *Assignment {
+		p := parProblem(t, 150, 42)
+		p.Array = base.Array
+		p.Parallelism = workers
+		var dirty []int
+		for i := 0; i < len(p.FFs); i += 7 {
+			p.FFs[i].Pos = geom.Pt(p.FFs[i].Pos.X+25, p.FFs[i].Pos.Y)
+			dirty = append(dirty, i)
+		}
+		a, err := PatchMinCost(p, prev, dirty)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
 	}
-
-	p2 := parProblem(t, 80, 7)
-	p2.Cache = cache
-	a2, err := MinCost(p2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cache.Len() != warm {
-		t.Errorf("identical re-solve grew the cache: %d -> %d", warm, cache.Len())
-	}
-	if !reflect.DeepEqual(a1, a2) {
-		t.Error("cached re-solve returned a different assignment")
-	}
-
-	p3 := parProblem(t, 80, 7)
-	p3.Cache = cache
-	p3.FFs[0].Pos = geom.Pt(p3.FFs[0].Pos.X+10, p3.FFs[0].Pos.Y)
-	if _, err := MinCost(p3); err != nil {
-		t.Fatal(err)
-	}
-	grown := cache.Len() - warm
-	if grown <= 0 || grown > p3.K {
-		t.Errorf("moving one FF added %d entries, want 1..%d", grown, p3.K)
+	want := patch(1)
+	for _, workers := range []int{3, 8} {
+		if got := patch(workers); !reflect.DeepEqual(got, want) {
+			t.Errorf("workers=%d+reuse: PatchMinCost differs from serial run", workers)
+		}
 	}
 }
 
 // BenchmarkCandidates measures the FF×ring candidate-matrix construction —
-// the O(|FF|×|rings|) SolveTap sweep — serial, parallel, and cache-warmed.
+// the O(|FF|×|rings|) SolveTap sweep — serial, parallel, and with every row
+// reused from a previous solve.
 func BenchmarkCandidates(b *testing.B) {
-	run := func(workers int, cached bool) func(*testing.B) {
+	run := func(workers int, reused bool) func(*testing.B) {
 		return func(b *testing.B) {
 			p := parProblem(b, 400, 3)
 			if err := p.normalize(); err != nil {
 				b.Fatal(err)
 			}
 			p.Parallelism = workers
-			if cached {
-				p.Cache = NewTapCache()
-				if _, err := p.candidates(); err != nil { // warm
+			var reuse [][]candidate
+			if reused {
+				var err error
+				if reuse, err = p.candidates(nil); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := p.candidates(); err != nil {
+				if _, err := p.candidates(reuse); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -137,5 +117,5 @@ func BenchmarkCandidates(b *testing.B) {
 	}
 	b.Run("serial", run(1, false))
 	b.Run("parallel", run(0, false))
-	b.Run("cache-warm", run(0, true))
+	b.Run("reused", run(0, true))
 }

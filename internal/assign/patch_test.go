@@ -3,6 +3,7 @@ package assign
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -38,7 +39,7 @@ func TestPatchMinCostMatchesScratch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, err := PatchMinCost(edited, base.Ring, dirty)
+	got, err := PatchMinCost(edited, base, dirty)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestPatchMinCostAllClean(t *testing.T) {
 	reg := obs.NewRegistry()
 	p2 := testProblem(t, 40, 23)
 	p2.Obs = reg
-	got, err := PatchMinCost(p2, base.Ring, nil)
+	got, err := PatchMinCost(p2, base, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,13 +87,14 @@ func TestPatchMinCostStalePrior(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prev := append([]int(nil), base.Ring...)
-	prev[0] = -1   // no prior
-	prev[1] = 9999 // out of range
+	prev := *base
+	prev.Ring = append([]int(nil), base.Ring...)
+	prev.Ring[0] = -1   // no prior
+	prev.Ring[1] = 9999 // out of range
 	p2 := testProblem(t, 30, 31)
 	reg := obs.NewRegistry()
 	p2.Obs = reg
-	got, err := PatchMinCost(p2, prev, nil)
+	got, err := PatchMinCost(p2, &prev, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +134,7 @@ func TestPatchMinCostRespectsPin(t *testing.T) {
 	p2 := testProblem(t, 25, 7)
 	p2.Pin = pin
 	p2.TapFallback = true
-	got, err := PatchMinCost(p2, base.Ring, []int{3})
+	got, err := PatchMinCost(p2, base, []int{3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +159,7 @@ func TestPatchMinCostCorruptionSite(t *testing.T) {
 		Site: faultinject.SiteAssignPatch, Err: errors.New("corrupt"),
 	})()
 	p2 := testProblem(t, 30, 47)
-	got, err := PatchMinCost(p2, base.Ring, nil)
+	got, err := PatchMinCost(p2, base, nil)
 	if err != nil {
 		t.Fatalf("corruption must be silent, got error %v", err)
 	}
@@ -177,7 +179,7 @@ func TestPatchMinCostInfeasibleAndStop(t *testing.T) {
 
 	bad := testProblem(t, 20, 3)
 	bad.Capacity = make([]int, 9)
-	if _, err := PatchMinCost(bad, base.Ring, nil); !errors.Is(err, ErrInfeasible) {
+	if _, err := PatchMinCost(bad, base, nil); !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("zero capacity: err = %v, want ErrInfeasible", err)
 	}
 
@@ -185,16 +187,128 @@ func TestPatchMinCostInfeasibleAndStop(t *testing.T) {
 	tok, cancel := stop.WithTimeout(-time.Second)
 	defer cancel()
 	stopped.Stop = tok
-	if _, err := PatchMinCost(stopped, base.Ring, nil); !stop.IsStop(err) {
+	if _, err := PatchMinCost(stopped, base, nil); !stop.IsStop(err) {
 		t.Fatalf("expired token: err = %v, want stop error", err)
 	}
 }
 
-// TestPatchMinCostPrevRingLengthMismatch rejects a stale prior vector.
+// TestPatchMinCostPrevRingLengthMismatch rejects a previous assignment
+// whose rings are out of step with the flip-flops it was solved for, and
+// treats a nil one as no prior at all.
 func TestPatchMinCostPrevRingLengthMismatch(t *testing.T) {
-	p := testProblem(t, 10, 5)
-	if _, err := PatchMinCost(p, make([]int, 3), nil); err == nil {
+	base, err := MinCost(testProblem(t, 10, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := *base
+	stale.Ring = stale.Ring[:3]
+	if _, err := PatchMinCost(testProblem(t, 10, 5), &stale, nil); err == nil {
 		t.Fatal("length mismatch accepted")
+	}
+	reg := obs.NewRegistry()
+	p := testProblem(t, 10, 5)
+	p.Obs = reg
+	got, err := PatchMinCost(p, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(got.Total-base.Total) > 1e-6 {
+		t.Fatalf("patch with no prior: total %v != scratch %v", got.Total, base.Total)
+	}
+	if n := reg.Counter("assign.patch.preloaded"); n != 0 {
+		t.Errorf("preloaded = %d with no prior, want 0", n)
+	}
+}
+
+// TestPatchReusesUnchangedRows: patching an unchanged instance reuses every
+// row, solves no tapping query and returns the previous assignment; moving
+// one flip-flop re-solves only that flip-flop's row, at most K queries.
+func TestPatchReusesUnchangedRows(t *testing.T) {
+	p := parProblem(t, 80, 7)
+	prev, err := MinCost(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	patch := func(edit func(*Problem)) (*Assignment, *obs.Registry) {
+		t.Helper()
+		reg := obs.NewRegistry()
+		q := parProblem(t, 80, 7)
+		q.Array, q.Obs = p.Array, reg
+		edit(q)
+		a, err := PatchMinCost(q, prev, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a, reg
+	}
+
+	same, reg := patch(func(*Problem) {})
+	if n := reg.Counter("assign.tap.queries"); n != 0 {
+		t.Errorf("unchanged instance solved %d tap queries, want 0", n)
+	}
+	if n := reg.Counter("assign.patch.reused"); n != 80 {
+		t.Errorf("unchanged instance reused %d rows, want 80", n)
+	}
+	if !reflect.DeepEqual(same, prev) {
+		t.Error("patch of an unchanged instance differs from the previous assignment")
+	}
+
+	_, reg = patch(func(q *Problem) { q.FFs[0].Pos = geom.Pt(q.FFs[0].Pos.X+10, q.FFs[0].Pos.Y) })
+	if n := reg.Counter("assign.tap.queries"); n < 1 || n > int64(p.K) {
+		t.Errorf("moving one flip-flop solved %d tap queries, want 1..%d", n, p.K)
+	}
+	if n := reg.Counter("assign.patch.reused"); n != 79 {
+		t.Errorf("moving one flip-flop reused %d rows, want 79", n)
+	}
+}
+
+// TestPatchReuseNeedsSameInputs: a row is reused only when every input it
+// depends on is unchanged. A new pin re-solves that flip-flop's row; a
+// different K, TapFallback, MaxStub or ring array re-solves every row.
+func TestPatchReuseNeedsSameInputs(t *testing.T) {
+	p := parProblem(t, 40, 9)
+	prev, err := MinCost(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		edit   func(*Problem)
+		reused int64
+	}{
+		{"unchanged", func(*Problem) {}, 40},
+		{"pin", func(q *Problem) {
+			q.Pin = make([]int, len(q.FFs))
+			for i := range q.Pin {
+				q.Pin[i] = -1
+			}
+			q.Pin[5] = prev.Ring[5]
+		}, 39},
+		{"K", func(q *Problem) { q.K = 5 }, 0},
+		{"TapFallback", func(q *Problem) { q.TapFallback = true }, 0},
+		{"MaxStub", func(q *Problem) { q.MaxStub = 1e6 }, 0},
+		{"array", func(q *Problem) { q.Array = parProblem(t, 1, 1).Array }, 0},
+	} {
+		reg := obs.NewRegistry()
+		q := parProblem(t, 40, 9)
+		q.Array, q.Obs = p.Array, reg
+		tc.edit(q)
+		got, err := PatchMinCost(q, prev, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if n := reg.Counter("assign.patch.reused"); n != tc.reused {
+			t.Errorf("%s: reused %d rows, want %d", tc.name, n, tc.reused)
+		}
+		cold := *q // the edited instance, normalized by the patch
+		cold.Obs = nil
+		want, err := MinCost(&cold)
+		if err != nil {
+			t.Fatalf("%s cold: %v", tc.name, err)
+		}
+		if math.Abs(got.Total-want.Total) > 1e-6*math.Max(1, want.Total) {
+			t.Errorf("%s: patched total %v != cold %v", tc.name, got.Total, want.Total)
+		}
 	}
 }
 

@@ -1,11 +1,11 @@
 package assign
 
-// Property tests for the tapping-solve cache and the nearest-point
-// fallback. The cache tests assert bit-equality, not tolerance-equality:
-// a cache hit must return the very float64s the solver would have
-// produced, or flow results become dependent on cache warmth. The
-// fallback tests arm the tapping solver's fault-injection site, so they
-// must not run in parallel with other injection tests.
+// Property tests for candidate-row reuse and the nearest-point fallback.
+// The reuse tests assert bit-equality, not tolerance-equality: a reused row
+// must carry the very float64s the solver would have produced, or results
+// become dependent on which rows a patch happened to keep. The fallback
+// tests arm the tapping solver's fault-injection site, so they must not run
+// in parallel with other injection tests.
 
 import (
 	"errors"
@@ -13,6 +13,8 @@ import (
 	"testing"
 
 	"rotaryclk/internal/faultinject"
+	"rotaryclk/internal/geom"
+	"rotaryclk/internal/obs"
 )
 
 // assertBitEqual asserts two assignments are bit-for-bit identical in every
@@ -44,55 +46,77 @@ func assertBitEqual(t *testing.T, a, b *Assignment) {
 	}
 }
 
-// TestMinCostCacheBitEquality solves the same problems with no cache, a
-// cold cache, and a warm cache; all three must agree to the bit.
-func TestMinCostCacheBitEquality(t *testing.T) {
+// sameArray is a copy of p's flip-flops over p's ring array, so a patch
+// from an assignment of p may reuse its rows.
+func sameArray(p *Problem) *Problem {
+	return &Problem{Array: p.Array, FFs: append([]FF(nil), p.FFs...), Parallelism: 1}
+}
+
+// TestMinCostRowReuseBitEquality edits a solved instance — one flip-flop
+// moved, one retargeted — and patches it from the previous answer, reusing
+// every other row. The patch must agree to the bit with a cold MinCost of
+// the edited instance, and must have solved only the two edited rows.
+func TestMinCostRowReuseBitEquality(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
-		pNone := testProblem(t, 14, seed)
-		pNone.Parallelism = 1
-		base, err := MinCost(pNone)
+		p := testProblem(t, 14, seed)
+		p.Parallelism = 1
+		prev, err := MinCost(p)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		cache := NewTapCache()
-		pCold := testProblem(t, 14, seed)
-		pCold.Parallelism = 1
-		pCold.Cache = cache
-		cold, err := MinCost(pCold)
-		if err != nil {
-			t.Fatalf("seed %d cold cache: %v", seed, err)
+		edit := func() *Problem {
+			q := sameArray(p)
+			q.FFs[3].Pos = geom.Pt(q.FFs[3].Pos.X+40, q.FFs[3].Pos.Y-15)
+			q.FFs[9].Target += 37
+			return q
 		}
-		assertBitEqual(t, base, cold)
-		pWarm := testProblem(t, 14, seed)
-		pWarm.Parallelism = 1
-		pWarm.Cache = cache // every solve now hits
-		warm, err := MinCost(pWarm)
+		cold, err := MinCost(edit())
 		if err != nil {
-			t.Fatalf("seed %d warm cache: %v", seed, err)
+			t.Fatalf("seed %d cold: %v", seed, err)
 		}
-		assertBitEqual(t, base, warm)
+		reg := obs.NewRegistry()
+		q := edit()
+		q.Obs = reg
+		warm, err := PatchMinCost(q, prev, []int{3, 9})
+		if err != nil {
+			t.Fatalf("seed %d patch: %v", seed, err)
+		}
+		assertBitEqual(t, cold, warm)
+		if n := reg.Counter("assign.patch.reused"); n != 12 {
+			t.Fatalf("seed %d: reused %d rows, want 12", seed, n)
+		}
+		if n := reg.Counter("assign.tap.queries"); n < 1 || n > 2*int64(q.K) {
+			t.Fatalf("seed %d: %d tap queries for 2 edited flip-flops, want 1..%d", seed, n, 2*q.K)
+		}
 	}
 }
 
-// TestMinMaxCapCacheBitEquality: the same for the load-balancing objective.
-func TestMinMaxCapCacheBitEquality(t *testing.T) {
+// TestMinMaxCapRowReuseBitEquality: the load-balancing objective keeps the
+// same candidate matrix, so an unchanged instance patched from a MinMaxCap
+// answer reuses every row, solves nothing, and lands bit-for-bit on the
+// cold MinCost optimum.
+func TestMinMaxCapRowReuseBitEquality(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
-		pNone := testProblem(t, 12, seed)
-		pNone.Parallelism = 1
-		base, _, err := MinMaxCap(pNone)
+		p := testProblem(t, 12, seed)
+		p.Parallelism = 1
+		prev, _, err := MinMaxCap(p)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		cache := NewTapCache()
-		for pass := 0; pass < 2; pass++ {
-			p := testProblem(t, 12, seed)
-			p.Parallelism = 1
-			p.Cache = cache
-			got, _, err := MinMaxCap(p)
-			if err != nil {
-				t.Fatalf("seed %d pass %d: %v", seed, pass, err)
-			}
-			assertBitEqual(t, base, got)
+		cold, err := MinCost(sameArray(p))
+		if err != nil {
+			t.Fatalf("seed %d cold: %v", seed, err)
+		}
+		reg := obs.NewRegistry()
+		q := sameArray(p)
+		q.Obs = reg
+		warm, err := PatchMinCost(q, prev, nil)
+		if err != nil {
+			t.Fatalf("seed %d patch: %v", seed, err)
+		}
+		assertBitEqual(t, cold, warm)
+		if n := reg.Counter("assign.tap.queries"); n != 0 {
+			t.Fatalf("seed %d: %d tap queries on an unchanged instance, want 0", seed, n)
 		}
 	}
 }

@@ -23,8 +23,8 @@ type ECOResult struct {
 // timing constants and Parallelism carry over so edits re-solve the same
 // problem the flow solved. As in Run, cfg.System may supply a prebuilt
 // template system to fork instead of assembling the connectivity from
-// scratch, and cfg.TapCache seeds the tapping cache — ideally the same
-// cache the run filled.
+// scratch. The first edit re-solves only the tapping rows its changes
+// touch: res.Assign carries the candidate matrix the run solved over.
 func NewECOState(c *netlist.Circuit, cfg Config, res *Result) (*eco.State, error) {
 	cfg.normalize()
 	if res == nil || res.Assign == nil || res.Array == nil || len(res.FFCells) == 0 {
@@ -33,7 +33,7 @@ func NewECOState(c *netlist.Circuit, cfg Config, res *Result) (*eco.State, error
 	if len(res.Schedule) != len(res.FFCells) || len(res.Assign.Ring) != len(res.FFCells) {
 		return nil, fmt.Errorf("core: result schedule/assignment out of step with its flip-flop list")
 	}
-	sys, cache, se := placementState(c, cfg, obs.Resolve(cfg.Obs))
+	sys, se := placementState(c, cfg, obs.Resolve(cfg.Obs))
 	if se != nil {
 		return nil, fmt.Errorf("core: ECO state: %w", se.Err)
 	}
@@ -41,7 +41,6 @@ func NewECOState(c *netlist.Circuit, cfg Config, res *Result) (*eco.State, error
 		Circuit:     c,
 		Sys:         sys,
 		Array:       res.Array,
-		Cache:       cache,
 		FFCells:     append([]int(nil), res.FFCells...),
 		Sched:       append([]float64(nil), res.Schedule...),
 		Assign:      res.Assign,

@@ -140,10 +140,6 @@ type Config struct {
 	// generation guarantees this for equal specs); an obvious mismatch is
 	// rejected as InvalidInput. Nil builds a fresh system.
 	System *placer.System
-
-	// TapCache optionally carries tapping-point solves across runs sharing
-	// a ring array geometry. Nil uses a run-local cache.
-	TapCache *assign.TapCache
 }
 
 func (c *Config) normalize() {
@@ -239,7 +235,6 @@ type flow struct {
 	root  *obs.Span
 	ffIdx map[int]int
 	psys  *placer.System
-	cache *assign.TapCache
 	arr   *rotary.Array
 
 	sched    []float64          // current schedule
@@ -292,10 +287,9 @@ func Run(c *netlist.Circuit, cfg Config) (*Result, error) {
 	// The quadratic placement system is assembled (or forked) once here and
 	// reused by every placer call of the run — the initial global placement
 	// and all stage-6 incremental re-placements — because the net
-	// connectivity it encodes never changes across flow iterations. The
-	// tapping-solve cache likewise lives for the whole flow.
+	// connectivity it encodes never changes across flow iterations.
 	var se *StageError
-	if f.psys, f.cache, se = placementState(c, cfg, reg); se != nil {
+	if f.psys, se = placementState(c, cfg, reg); se != nil {
 		return nil, se
 	}
 
@@ -653,27 +647,22 @@ func (s stageClock) end() {
 }
 
 // placementState forks cfg.System (a template built for a structurally
-// identical circuit) or assembles a fresh quadratic placement system for c,
-// and resolves the tapping-solve cache: cfg.TapCache, or a run-local one. A
-// fork mismatch is an input error; a failed assembly is classified like any
-// stage-1 failure.
-func placementState(c *netlist.Circuit, cfg Config, reg *obs.Registry) (*placer.System, *assign.TapCache, *StageError) {
-	cache := cfg.TapCache
-	if cache == nil {
-		cache = assign.NewTapCache()
-	}
+// identical circuit) or assembles a fresh quadratic placement system for c.
+// A fork mismatch is an input error; a failed assembly is classified like
+// any stage-1 failure.
+func placementState(c *netlist.Circuit, cfg Config, reg *obs.Registry) (*placer.System, *StageError) {
 	if cfg.System != nil {
 		sys, err := cfg.System.Fork(c, reg)
 		if err != nil {
-			return nil, nil, &StageError{Stage: 1, Kind: InvalidInput, Err: fmt.Errorf("forking placement system: %w", err)}
+			return nil, &StageError{Stage: 1, Kind: InvalidInput, Err: fmt.Errorf("forking placement system: %w", err)}
 		}
-		return sys, cache, nil
+		return sys, nil
 	}
 	sys, err := placer.NewSystem(c, reg)
 	if err != nil {
-		return nil, nil, stageErr(1, 0, fmt.Errorf("placement system: %w", err))
+		return nil, stageErr(1, 0, fmt.Errorf("placement system: %w", err))
 	}
-	return sys, cache, nil
+	return sys, nil
 }
 
 // retryCG runs one placer solve under the stagnation policy stages 1 and 6
@@ -726,7 +715,6 @@ func (f *flow) solveAssign(sched []float64, r assign.Relaxation) (*assign.Assign
 		K:           r.K,
 		Capacity:    r.Capacity,
 		Parallelism: f.cfg.Parallelism,
-		Cache:       f.cache,
 		TapFallback: r.Fallback,
 		Obs:         f.reg,
 		Stop:        f.cfg.Stop,

@@ -246,24 +246,12 @@ func Apply(st *State, deltas []Delta, opt Options) (*Outcome, error) {
 
 	// Phase 4: assignment patch. Dirty flip-flops are the edited ones plus
 	// any whose schedule entry the repair moved (bit-compare against the
-	// old schedule); everything else preloads its previous ring.
+	// old schedule); everything else preloads its previous ring. The patch
+	// re-solves the tapping rows of flip-flops whose position, target or pin
+	// changed, and copies the rest from st.Assign.
 	asgSp := span.Child("eco.assign")
-	prevRingByCell := make(map[int]int, len(st.FFCells))
-	if st.Assign != nil {
-		for i, id := range st.FFCells {
-			if i < len(st.Assign.Ring) {
-				prevRingByCell[id] = st.Assign.Ring[i]
-			}
-		}
-	}
-	prev := make([]int, n)
 	var dirtyIdx []int
 	for i, id := range ffCells {
-		r, ok := prevRingByCell[id]
-		if !ok {
-			r = -1
-		}
-		prev[i] = r
 		old, had := oldSched[id]
 		schedChanged := !had || math.Float64bits(old) != math.Float64bits(sched[i])
 		if allFFsDirty || dirtyFFSet[id] || schedChanged {
@@ -273,10 +261,6 @@ func Apply(st *State, deltas []Delta, opt Options) (*Outcome, error) {
 	out.DirtyFFs = len(dirtyIdx)
 	reg.Add("eco.dirty.ffs", int64(len(dirtyIdx)))
 
-	cache := st.Cache
-	if opt.Scratch || cache == nil {
-		cache = assign.NewTapCache()
-	}
 	var pin []int
 	if len(pinned) > 0 {
 		pin = make([]int, n)
@@ -301,7 +285,6 @@ func Apply(st *State, deltas []Delta, opt Options) (*Outcome, error) {
 			Capacity:    r.Capacity,
 			Pin:         pin,
 			Parallelism: st.Parallelism,
-			Cache:       cache,
 			TapFallback: r.Fallback,
 			Obs:         reg,
 			Stop:        tok,
@@ -312,7 +295,7 @@ func Apply(st *State, deltas []Delta, opt Options) (*Outcome, error) {
 	if opt.Scratch {
 		asg, err = assign.MinCost(mkProblem(first))
 	} else {
-		asg, err = assign.PatchMinCost(mkProblem(first), prev, dirtyIdx)
+		asg, err = assign.PatchMinCost(mkProblem(first), st.Assign, dirtyIdx)
 	}
 	if err != nil && errors.Is(err, assign.ErrInfeasible) && !opt.Strict {
 		// The flow's stage-3 relaxation ladder: wider candidate sets, looser
@@ -341,9 +324,6 @@ func Apply(st *State, deltas []Delta, opt Options) (*Outcome, error) {
 	st.Assign = asg
 	st.WorkSlack = margin
 	st.Pinned = pinned
-	if st.Cache == nil && !opt.Scratch {
-		st.Cache = cache
-	}
 	out.FFCells = append([]int(nil), ffCells...)
 	out.Sched = append([]float64(nil), sched...)
 	out.Assign = asg

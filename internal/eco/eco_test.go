@@ -585,3 +585,44 @@ func TestApplyPatchVsScratch(t *testing.T) {
 		t.Fatalf("patch total %v != scratch total %v", outP.Total, outS.Total)
 	}
 }
+
+// TestApplyReusesTapRows: the patch re-solves tapping rows only for the
+// flip-flops whose position, target or pin changed and copies every other
+// row from the state's assignment; the scratch arm solves every row.
+func TestApplyReusesTapRows(t *testing.T) {
+	apply := func(scratch bool) (*eco.Outcome, *obs.Registry, int64) {
+		c := genCircuit(t, 300, 24, 99)
+		st, _ := baseState(t, c)
+		ffs := c.FlipFlops()
+		move := eco.Delta{Op: eco.OpMoveFF, Cell: ffs[0], X: c.Die.Lo.X + 0.25*c.Die.W(), Y: c.Die.Lo.Y + 0.7*c.Die.H()}
+		reg := obs.NewRegistry()
+		out, err := eco.Apply(st, []eco.Delta{move}, eco.Options{Scratch: scratch, Obs: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Degraded {
+			t.Fatalf("scratch=%v: degraded: %v", scratch, out.Events)
+		}
+		return out, reg, int64(len(ffs))
+	}
+	// testConfig's 4 rings clamp K to 4, so every row is 4 queries.
+	const k = 4
+	outS, regS, n := apply(true)
+	if got := regS.Counter("assign.patch.reused"); got != 0 {
+		t.Errorf("scratch reused %d rows, want 0", got)
+	}
+	if got := regS.Counter("assign.tap.queries"); got != n*k {
+		t.Errorf("scratch solved %d tap queries, want %d", got, n*k)
+	}
+	outP, regP, _ := apply(false)
+	reused := regP.Counter("assign.patch.reused")
+	if reused == 0 || reused >= n {
+		t.Fatalf("patch reused %d of %d rows, want some but not all", reused, n)
+	}
+	if got := regP.Counter("assign.tap.queries"); got != (n-reused)*k {
+		t.Errorf("patch solved %d tap queries, want %d for %d fresh rows", got, (n-reused)*k, n-reused)
+	}
+	if math.Abs(outP.Total-outS.Total) > 1e-6*math.Max(1, math.Abs(outS.Total)) {
+		t.Fatalf("patch total %v != scratch total %v", outP.Total, outS.Total)
+	}
+}

@@ -40,13 +40,14 @@ import (
 // on success, the state; a failed or degraded Apply rolls both back.
 type State struct {
 	Circuit *netlist.Circuit
-	Sys     *placer.System   // quadratic system bound to Circuit
-	Array   *rotary.Array    // the rotary ring array
-	Cache   *assign.TapCache // tapping solves shared across applies
+	Sys     *placer.System // quadratic system bound to Circuit
+	Array   *rotary.Array  // the rotary ring array
 
-	FFCells []int              // flip-flop cell IDs, in cell-ID order
-	Sched   []float64          // delay targets, parallel to FFCells
-	Assign  *assign.Assignment // Assign.Ring is parallel to FFCells
+	FFCells []int     // flip-flop cell IDs, in cell-ID order
+	Sched   []float64 // delay targets, parallel to FFCells
+	// Assign is parallel to FFCells. It also carries the candidate matrix
+	// it was solved over, which the next Apply's patch reuses row by row.
+	Assign *assign.Assignment
 
 	// WorkSlack is the timing margin (ps) the schedule is feasible at; the
 	// warm-started re-check starts from it and relaxes along the same
@@ -70,7 +71,7 @@ type Options struct {
 	// Scratch disables the three incremental layers: the quadratic system
 	// rebuilds instead of patching, the schedule still warm-starts from the
 	// same seed (the seed is semantics, not machinery), and the assignment
-	// solves cold with a fresh tapping cache. Same orchestration, full
+	// solves cold, every tapping row included. Same orchestration, full
 	// recompute — the oracle's reference arm.
 	Scratch bool
 	Stop    *stop.Token

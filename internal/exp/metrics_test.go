@@ -8,8 +8,7 @@ import (
 // TestMetricsCountersDeterministicAcrossWorkerCounts extends the determinism
 // gate to the observability layer: the counter section of each flow's metrics
 // snapshot must be bit-identical whether the suite ran serially or on 8
-// workers. Gauges (last-write-wins) and stats (cache hits, worker
-// utilization) are legitimately scheduling-dependent and are excluded — that
+// workers. Gauges (last-write-wins) and stats (worker utilization) are legitimately scheduling-dependent and are excluded — that
 // three-way split is the metric-class contract of internal/obs.
 func TestMetricsCountersDeterministicAcrossWorkerCounts(t *testing.T) {
 	runMetrics := func(workers int) []*CircuitRun {

@@ -162,11 +162,11 @@ func RenderFig2(f *Fig2) string {
 
 // RenderTelemetry renders the per-circuit solver-effort table.
 func RenderTelemetry(rows []RowT) string {
-	t := report.New("Telemetry: solver effort per circuit (hit rate and seconds are nondeterministic)",
-		"circuit", "CG solves", "CG iters", "MCMF paths", "tap queries", "cache hit", "ILP pivots", "B&B nodes", "flow s", "ILP s")
+	t := report.New("Telemetry: solver effort per circuit (seconds are nondeterministic)",
+		"circuit", "CG solves", "CG iters", "MCMF paths", "tap queries", "ILP pivots", "B&B nodes", "flow s", "ILP s")
 	for _, r := range rows {
 		t.Row(r.Name, r.CGSolves, r.CGIters, r.MCMFPaths, r.TapQueries,
-			report.Percent(r.CacheHit), r.Pivots, r.BBNodes,
+			r.Pivots, r.BBNodes,
 			fmt.Sprintf("%.2f", r.FlowSec), fmt.Sprintf("%.2f", r.ILPSec))
 	}
 	return t.String()

@@ -1,19 +1,15 @@
 package exp
 
-import "rotaryclk/internal/obs"
-
 // RowT is one row of the per-circuit telemetry table: solver effort counters
 // read from the flows' metrics snapshots (Options.Metrics must be on). The
-// counter columns are deterministic across worker counts; the cache hit rate
-// is a scheduling-dependent stat and the seconds are wall-clock — neither is
-// compared by the determinism harness.
+// counter columns are deterministic across worker counts; the seconds are
+// wall-clock and are not compared by the determinism harness.
 type RowT struct {
 	Name       string
 	CGSolves   int64   // placer CG solves, network-flow run
 	CGIters    int64   // total CG iterations, network-flow run
 	MCMFPaths  int64   // augmenting paths, network-flow run
 	TapQueries int64   // tapping-point queries, network-flow run
-	CacheHit   float64 // TapCache hit fraction (stat; scheduling-dependent)
 	Pivots     int64   // simplex pivots, ILP run
 	BBNodes    int64   // branch-and-bound nodes, ILP run
 	FlowSec    float64 // core.Run span seconds, network-flow run
@@ -36,7 +32,6 @@ func TelemetryTable(runs []*CircuitRun) []RowT {
 			CGIters:    fm.Counter("placer.cg.iters"),
 			MCMFPaths:  fm.Counter("mcmf.paths"),
 			TapQueries: fm.Counter("assign.tap.queries"),
-			CacheHit:   cacheHitRate(fm),
 			FlowSec:    fm.SpanSeconds("core.Run"),
 		}
 		if im := cr.ILPFlow.Metrics; im != nil {
@@ -47,13 +42,4 @@ func TelemetryTable(runs []*CircuitRun) []RowT {
 		rows = append(rows, row)
 	}
 	return rows
-}
-
-func cacheHitRate(s *obs.Snapshot) float64 {
-	hits := s.Stats["assign.tapcache.hits"]
-	total := hits + s.Stats["assign.tapcache.misses"]
-	if total == 0 {
-		return 0
-	}
-	return float64(hits) / float64(total)
 }

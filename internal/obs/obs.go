@@ -17,7 +17,7 @@
 //     every circuit run its own registry.
 //   - Global: Enable() installs a process-wide default that Resolve(nil)
 //     returns; packages with no natural options struct on the hot path
-//     (par, rotary) record there. The CLIs arm it for -metrics/-trace.
+//     (par) record there. The CLIs arm it for -metrics/-trace.
 //
 // Metric classes and the determinism contract (DESIGN.md section 9):
 //
@@ -29,8 +29,8 @@
 //     residual). Concurrent axis solves race on the "last" write, so gauges
 //     are excluded from cross-worker-count comparison.
 //   - Stats (Stat) are int64 tallies that legitimately depend on scheduling
-//     (TapCache hits vs misses under concurrent misses, par worker
-//     utilization). They are reported but never compared across -j values.
+//     (par worker utilization, branch-and-bound budget stops under time
+//     limits). They are reported but never compared across -j values.
 package obs
 
 import (

@@ -31,7 +31,9 @@ type Params struct {
 
 	// MaxStub is the longest acceptable tapping stub, um. Beyond this the
 	// off-ring variation penalty defeats the purpose of rotary clocking
-	// (the stub length limit of Wood et al.). Used by candidate pruning.
+	// (the stub length limit of Wood et al.). Validate requires it to be
+	// positive, but no solver reads it: candidate pruning takes
+	// assign.Problem.MaxStub, which the flow leaves at zero.
 	MaxStub float64
 }
 

@@ -113,17 +113,15 @@ type TapSegment struct {
 // Segments returns the eight tappable segments (paper Fig. 2: four inside
 // plus four outside segments). The inner line is co-located with the outer
 // one (the differential pair runs together); it differs only in polarity.
-func (r *Ring) Segments(T float64) []TapSegment {
+func (r *Ring) Segments(T float64) [8]TapSegment {
 	c := r.corners()
 	rho := r.Rho(T)
-	segs := make([]TapSegment, 0, 8)
+	var segs [8]TapSegment
 	for i := 0; i < 4; i++ {
 		s := geom.Segment{A: c[i], B: c[(i+1)%4]}
 		t0 := r.T0 + rho*float64(i)*r.Side
-		segs = append(segs,
-			TapSegment{Seg: s, T0: t0, Complement: false},
-			TapSegment{Seg: s, T0: t0 + T/2, Complement: true},
-		)
+		segs[2*i] = TapSegment{Seg: s, T0: t0, Complement: false}
+		segs[2*i+1] = TapSegment{Seg: s, T0: t0 + T/2, Complement: true}
 	}
 	return segs
 }

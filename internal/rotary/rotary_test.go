@@ -158,22 +158,26 @@ func TestInvertStubDelay(t *testing.T) {
 
 func TestQuadRoots(t *testing.T) {
 	// (x-2)(x-5) = x^2 -7x + 10
-	rs := quadRoots(1, -7, 10)
-	if len(rs) != 2 {
-		t.Fatalf("roots = %v", rs)
+	rs, n := quadRoots(1, -7, 10)
+	if n != 2 {
+		t.Fatalf("roots = %v", rs[:n])
 	}
 	lo, hi := math.Min(rs[0], rs[1]), math.Max(rs[0], rs[1])
 	if math.Abs(lo-2) > 1e-9 || math.Abs(hi-5) > 1e-9 {
 		t.Errorf("roots = %v", rs)
 	}
-	if rs := quadRoots(1, 0, 1); rs != nil {
-		t.Errorf("complex roots returned %v", rs)
+	if rs, n := quadRoots(1, 0, 1); n != 0 {
+		t.Errorf("complex roots returned %v", rs[:n])
 	}
-	if rs := quadRoots(0, 2, -4); len(rs) != 1 || math.Abs(rs[0]-2) > 1e-9 {
-		t.Errorf("linear roots = %v", rs)
+	if rs, n := quadRoots(0, 2, -4); n != 1 || math.Abs(rs[0]-2) > 1e-9 {
+		t.Errorf("linear roots = %v", rs[:n])
 	}
-	if rs := quadRoots(0, 0, 1); rs != nil {
-		t.Errorf("degenerate roots = %v", rs)
+	if rs, n := quadRoots(0, 0, 1); n != 0 {
+		t.Errorf("degenerate roots = %v", rs[:n])
+	}
+	// A double root is reported once.
+	if rs, n := quadRoots(1, -4, 4); n != 1 || rs[0] != 2 {
+		t.Errorf("double root = %v", rs[:n])
 	}
 }
 
@@ -464,6 +468,33 @@ func TestSolveTapDeterministic(t *testing.T) {
 	}
 	if a != b {
 		t.Errorf("tap solve not deterministic: %+v vs %+v", a, b)
+	}
+}
+
+// TestSolveTapAllocationFree: a feasible tapping solve allocates nothing,
+// so building the assignment's candidate matrix leaves no garbage. Targets
+// span three periods, so the period-shifting loop runs too.
+func TestSolveTapAllocationFree(t *testing.T) {
+	r := testRing()
+	p := DefaultParams()
+	rng := rand.New(rand.NewSource(29))
+	type query struct {
+		ff   geom.Point
+		tHat float64
+	}
+	qs := make([]query, 64)
+	for i := range qs {
+		qs[i] = query{geom.Pt(rng.Float64()*1000, rng.Float64()*1000), rng.Float64() * 3 * p.Period}
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		for _, q := range qs {
+			if _, err := SolveTap(r, p, q.ff, q.tHat); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("SolveTap allocated %v times per %d queries, want 0", allocs, len(qs))
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"rotaryclk/internal/faultinject"
 	"rotaryclk/internal/geom"
-	"rotaryclk/internal/obs"
 )
 
 // ErrNoTap reports that a ring has no tapping point realizing the requested
@@ -44,11 +43,6 @@ func SolveTap(r *Ring, params Params, ff geom.Point, tHat float64) (Tap, error) 
 	if err := faultinject.Hook(faultinject.SiteRotarySolveTap); err != nil {
 		return Tap{}, err
 	}
-	// Raw solve tally on the global registry (rotary has no options struct
-	// on this hot path). A stat, not a counter: with a TapCache upstream the
-	// number of solves reaching here depends on scheduling. The per-query
-	// case distribution is counted deterministically in assign.solveTap.
-	obs.Resolve(nil).Stat("rotary.solvetap.solves", 1)
 	if err := params.Validate(); err != nil {
 		return Tap{}, err
 	}
@@ -131,19 +125,22 @@ func solveSegment(seg TapSegment, rho float64, params Params, ff geom.Point, tHa
 	// right branch (s >= sFF); on the left branch it may dip where
 	// rho = dStubDelay/dl. Candidate extremes: endpoints, the projection,
 	// and the left-branch stationary point.
-	cands := []float64{0, b}
+	cands := [4]float64{0, b}
+	nc := 2
 	if sFF > 0 && sFF < b {
-		cands = append(cands, sFF)
+		cands[nc] = sFF
+		nc++
 	}
 	// Left branch stationary point: rho - q'(l) = 0 with l = sFF - s + d.
 	lStar := (rho/params.RWire - params.CFF) / params.CWire
 	if lStar > d {
 		if s := sFF + d - lStar; s > 0 && s < math.Min(b, sFF) {
-			cands = append(cands, s)
+			cands[nc] = s
+			nc++
 		}
 	}
 	minF, maxF := math.Inf(1), math.Inf(-1)
-	for _, s := range cands {
+	for _, s := range cands[:nc] {
 		v := f(s)
 		minF = math.Min(minF, v)
 		maxF = math.Max(maxF, v)
@@ -166,7 +163,8 @@ func solveSegment(seg TapSegment, rho float64, params Params, ff geom.Point, tHa
 			break
 		}
 		// Cases 2-3: direct solutions on the two parabola branches.
-		for _, root := range segmentRoots(seg.T0, rho, params, sFF, d, b, tau) {
+		roots, nr := segmentRoots(seg.T0, rho, params, sFF, d, b, tau)
+		for _, root := range roots[:nr] {
 			l := math.Abs(root-sFF) + d
 			if l < best.WireLen {
 				best = Tap{
@@ -211,19 +209,21 @@ func solveSegment(seg TapSegment, rho float64, params Params, ff geom.Point, tHa
 }
 
 // segmentRoots returns the tap positions s in [0,b] solving
-// t0 + rho*s + StubDelay(|s-sFF|+d) = tau on both parabola branches.
-func segmentRoots(t0, rho float64, params Params, sFF, d, b, tau float64) []float64 {
+// t0 + rho*s + StubDelay(|s-sFF|+d) = tau on both parabola branches: the
+// first n entries of roots, at most two per branch.
+func segmentRoots(t0, rho float64, params Params, sFF, d, b, tau float64) (roots [4]float64, n int) {
 	rc := params.RWire * params.CWire
 	rcf := params.RWire * params.CFF
-	var roots []float64
 	add := func(s float64) {
 		if s >= -1e-9 && s <= b+1e-9 {
-			roots = append(roots, math.Min(b, math.Max(0, s)))
+			roots[n] = math.Min(b, math.Max(0, s))
+			n++
 		}
 	}
 	// Right branch: s >= sFF, l = s - sFF + d, s = l + sFF - d.
 	// 0.5 rc l^2 + (rcf + rho) l + (t0 + rho (sFF - d) - tau) = 0.
-	for _, l := range quadRoots(0.5*rc, rcf+rho, t0+rho*(sFF-d)-tau) {
+	ls, nl := quadRoots(0.5*rc, rcf+rho, t0+rho*(sFF-d)-tau)
+	for _, l := range ls[:nl] {
 		if l >= d-1e-9 {
 			s := l + sFF - d
 			if s >= sFF-1e-9 {
@@ -233,7 +233,8 @@ func segmentRoots(t0, rho float64, params Params, sFF, d, b, tau float64) []floa
 	}
 	// Left branch: s <= sFF, l = sFF - s + d, s = sFF + d - l.
 	// 0.5 rc l^2 + (rcf - rho) l + (t0 + rho (sFF + d) - tau) = 0.
-	for _, l := range quadRoots(0.5*rc, rcf-rho, t0+rho*(sFF+d)-tau) {
+	ls, nl = quadRoots(0.5*rc, rcf-rho, t0+rho*(sFF+d)-tau)
+	for _, l := range ls[:nl] {
 		if l >= d-1e-9 {
 			s := sFF + d - l
 			if s <= sFF+1e-9 {
@@ -241,21 +242,22 @@ func segmentRoots(t0, rho float64, params Params, sFF, d, b, tau float64) []floa
 			}
 		}
 	}
-	return roots
+	return roots, n
 }
 
 // quadRoots returns the real roots of a x^2 + b x + c = 0 (degenerating to
-// linear when a is tiny).
-func quadRoots(a, b, c float64) []float64 {
+// linear when a is tiny) as the first n entries of roots.
+func quadRoots(a, b, c float64) (roots [2]float64, n int) {
 	if math.Abs(a) < 1e-18 {
 		if math.Abs(b) < 1e-18 {
-			return nil
+			return roots, 0
 		}
-		return []float64{-c / b}
+		roots[0] = -c / b
+		return roots, 1
 	}
 	disc := b*b - 4*a*c
 	if disc < 0 {
-		return nil
+		return roots, 0
 	}
 	sq := math.Sqrt(disc)
 	// Numerically stable form.
@@ -265,16 +267,14 @@ func quadRoots(a, b, c float64) []float64 {
 	} else {
 		q = -0.5 * (b - sq)
 	}
-	roots := []float64{q / a}
+	roots[0] = q / a
 	if q != 0 {
-		roots = append(roots, c/q)
-	} else {
-		roots = append(roots, 0)
+		roots[1] = c / q
 	}
 	if roots[0] == roots[1] {
-		return roots[:1]
+		return roots, 1
 	}
-	return roots
+	return roots, 2
 }
 
 // invertStubDelay solves StubDelay(l) = target for l >= 0.
@@ -284,7 +284,8 @@ func invertStubDelay(params Params, target float64) (float64, bool) {
 	}
 	rc := params.RWire * params.CWire
 	rcf := params.RWire * params.CFF
-	for _, l := range quadRoots(0.5*rc, rcf, -target) {
+	ls, n := quadRoots(0.5*rc, rcf, -target)
+	for _, l := range ls[:n] {
 		if l >= 0 {
 			return l, true
 		}

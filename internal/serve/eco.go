@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"time"
 
-	"rotaryclk/internal/assign"
 	"rotaryclk/internal/core"
 	"rotaryclk/internal/eco"
 	"rotaryclk/internal/netlist"
@@ -106,10 +105,20 @@ func (r *ECORequest) rings() int {
 	return 16
 }
 
+// iters is the base flow's iteration count: an omitted iters runs the
+// flow's default of 5.
+func (r *ECORequest) iters() int {
+	if r.Iters > 0 {
+		return r.Iters
+	}
+	return 5
+}
+
 // baseKey identifies the shareable base state: the circuit spec plus every
-// knob that shapes the base flow's answer.
+// knob that shapes the base flow's answer, normalized so that requests
+// running the same base flow share one build.
 func (r *ECORequest) baseKey() string {
-	return fmt.Sprintf("c%d-f%d-s%d-r%d-i%d", r.Circuit.Cells, r.Circuit.FlipFlops, r.Circuit.Seed, r.rings(), r.Iters)
+	return fmt.Sprintf("c%d-f%d-s%d-r%d-i%d", r.Circuit.Cells, r.Circuit.FlipFlops, r.Circuit.Seed, r.rings(), r.iters())
 }
 
 func (r *ECORequest) spec() netlist.GenSpec {
@@ -153,13 +162,13 @@ type ECOResponse struct {
 // ecoBase is the per-spec state every ECO request against the same base
 // placement shares: the placed circuit (cloned per request — requests mutate
 // their clone), the completed result that seeds each request's ECO state,
-// the CSR template forked per request, and the tapping cache the base run
-// filled (internally synchronized, shared directly).
+// and the CSR template forked per request. The result's assignment carries
+// the candidate matrix the base run solved over; requests only read it, so
+// each one re-solves just the tapping rows its edit touches.
 type ecoBase struct {
 	circuit *netlist.Circuit
 	res     *core.Result
 	sys     *placer.System
-	tap     *assign.TapCache
 }
 
 // buildECOBase runs the full flow once for a spec and captures everything
@@ -175,13 +184,11 @@ func (s *Server) buildECOBase(req *ECORequest) (*ecoBase, error) {
 	if err != nil {
 		return nil, err
 	}
-	tap := assign.NewTapCache()
 	cfg := core.Config{
 		NumRings:    req.rings(),
-		MaxIters:    req.Iters,
+		MaxIters:    req.iters(),
 		Parallelism: s.perJobWorkers(),
 		System:      sys,
-		TapCache:    tap,
 	}
 	res, err := s.runFlow(c, cfg)
 	if err != nil {
@@ -190,7 +197,7 @@ func (s *Server) buildECOBase(req *ECORequest) (*ecoBase, error) {
 	if res == nil || res.Degraded || res.Assign == nil {
 		return nil, fmt.Errorf("base flow yielded no clean state to edit")
 	}
-	return &ecoBase{circuit: c, res: res, sys: sys, tap: tap}, nil
+	return &ecoBase{circuit: c, res: res, sys: sys}, nil
 }
 
 // handleECO admits, runs, and answers one ECO request through the same
@@ -252,13 +259,12 @@ func (s *Server) executeECO(j *job) {
 	reg := obs.NewRegistry()
 	cfg := core.Config{
 		NumRings:    req.rings(),
-		MaxIters:    req.Iters,
+		MaxIters:    req.iters(),
 		Strict:      req.Strict,
 		Parallelism: s.perJobWorkers(),
 		Obs:         reg,
 		Stop:        j.tok,
 		System:      base.sys,
-		TapCache:    base.tap,
 	}
 	st, err := core.NewECOState(clone, cfg, base.res)
 	if err != nil {

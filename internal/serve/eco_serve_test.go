@@ -264,3 +264,88 @@ func TestECOMetricsSnapshot(t *testing.T) {
 		t.Errorf("admitted/completed = %d/%d, want 1/1", snap.Admitted, snap.Completed)
 	}
 }
+
+// TestECOBaseKeyNormalizesIters: iters omitted and iters 5 run the same base
+// flow, so the second request must hit the first one's base build.
+func TestECOBaseKeyNormalizesIters(t *testing.T) {
+	s := New(testConfig())
+	defer drainNow(t, s)
+
+	ff, x, y := ecoProbe(t, 60, 8, 1)
+	delta := fmt.Sprintf(`"deltas":[{"op":"move_ff","cell":%d,"x":%.4f,"y":%.4f}]`, ff, x, y)
+	for i, body := range []string{
+		`{"circuit":{"cells":60,"flipflops":8,"seed":1},"rings":4,` + delta + `}`,
+		`{"circuit":{"cells":60,"flipflops":8,"seed":1},"rings":4,"iters":5,` + delta + `}`,
+	} {
+		rr := postECO(s, body)
+		if rr.Code != http.StatusOK {
+			t.Fatalf("request %d: status %d body %s", i, rr.Code, rr.Body)
+		}
+		var resp ECOResponse
+		if err := json.Unmarshal(rr.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.BaseHit != (i == 1) {
+			t.Errorf("request %d: base_hit = %v, want %v", i, resp.BaseHit, i == 1)
+		}
+	}
+	if b := s.stats.ecoBaseBuilds.Load(); b != 1 {
+		t.Errorf("ecoBaseBuilds = %d, want 1", b)
+	}
+}
+
+// TestECOConcurrentSharedBase: concurrent /v1/eco requests patch from the
+// one shared base assignment and its candidate rows. Run under -race this
+// is the check that requests only read those rows; every answer must also
+// equal the same request's answer on a fresh server.
+func TestECOConcurrentSharedBase(t *testing.T) {
+	cfg := testConfig()
+	cfg.Workers, cfg.QueueDepth = 4, 16
+	ff, x, y := ecoProbe(t, 60, 8, 1)
+	bodies := make([]string, 4)
+	for k := range bodies {
+		bodies[k] = fmt.Sprintf(
+			`{"circuit":{"cells":60,"flipflops":8,"seed":1},"rings":4,"iters":2,"deltas":[{"op":"move_ff","cell":%d,"x":%.4f,"y":%.4f}]}`,
+			ff, x+float64(10*k), y-float64(5*k))
+	}
+	decode := func(rr *httptest.ResponseRecorder) ECOResponse {
+		t.Helper()
+		if rr.Code != http.StatusOK {
+			t.Fatalf("status %d body %s", rr.Code, rr.Body)
+		}
+		var resp ECOResponse
+		if err := json.Unmarshal(rr.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.Degraded {
+			t.Fatalf("degraded: %v", resp.Events)
+		}
+		return resp
+	}
+
+	s := New(cfg)
+	defer drainNow(t, s)
+	chs := make([]<-chan *httptest.ResponseRecorder, 2*len(bodies))
+	for i := range chs {
+		chs[i] = postECOAsync(s, bodies[i%len(bodies)])
+	}
+	got := make([]ECOResponse, len(chs))
+	for i, ch := range chs {
+		got[i] = decode(<-ch)
+	}
+	if b := s.stats.ecoBaseBuilds.Load(); b != 1 {
+		t.Errorf("ecoBaseBuilds = %d, want 1", b)
+	}
+
+	fresh := New(cfg)
+	defer drainNow(t, fresh)
+	for k, body := range bodies {
+		want := decode(postECO(fresh, body))
+		for i := k; i < len(got); i += len(bodies) {
+			if got[i].TapTotalUM != want.TapTotalUM || got[i].Final != want.Final || got[i].DirtyFFs != want.DirtyFFs {
+				t.Errorf("request %d: concurrent answer (tap %v, dirty %d) differs from a fresh server's (tap %v, dirty %d)",
+					i, got[i].TapTotalUM, got[i].DirtyFFs, want.TapTotalUM, want.DirtyFFs)
+			}
+		}
+	}
+}

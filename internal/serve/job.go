@@ -7,7 +7,6 @@ import (
 	"math"
 	"time"
 
-	"rotaryclk/internal/assign"
 	"rotaryclk/internal/core"
 	"rotaryclk/internal/netlist"
 	"rotaryclk/internal/obs"
@@ -21,7 +20,7 @@ const maxRequestBytes = 1 << 20
 // CircuitSpec names a deterministic synthetic circuit: the full generator
 // input. Equal specs generate identical circuits (netlist.Generate is
 // seed-deterministic), which is what lets the server share one placement
-// system and tapping cache across every job carrying the same spec.
+// system across every job carrying the same spec.
 type CircuitSpec struct {
 	Cells     int   `json:"cells"`
 	FlipFlops int   `json:"flipflops"`
@@ -133,9 +132,9 @@ func (r *JobRequest) deadline(def time.Duration) time.Duration {
 }
 
 // templateKey identifies the immutable state jobs with this request can
-// share: the circuit spec plus everything that shapes the ring array.
+// share: the placement system depends on the circuit spec alone.
 func (r *JobRequest) templateKey() string {
-	return fmt.Sprintf("c%d-f%d-s%d-r%d", r.Circuit.Cells, r.Circuit.FlipFlops, r.Circuit.Seed, r.rings())
+	return fmt.Sprintf("c%d-f%d-s%d", r.Circuit.Cells, r.Circuit.FlipFlops, r.Circuit.Seed)
 }
 
 func (r *JobRequest) rings() int {
@@ -206,7 +205,7 @@ func (s *Server) execute(j *job) {
 		s.stats.add(&s.stats.failed, 1)
 		return
 	}
-	tmpl, hit, err := s.templates.get(j.req.templateKey(), func() (*template, error) {
+	tmpl, hit, err := s.templates.get(j.req.templateKey(), func() (*placer.System, error) {
 		return buildTemplate(j.req)
 	})
 	if err != nil {
@@ -228,8 +227,7 @@ func (s *Server) execute(j *job) {
 		Parallelism: s.perJobWorkers(),
 		Obs:         reg,
 		Stop:        j.tok,
-		System:      tmpl.sys,
-		TapCache:    tmpl.tap,
+		System:      tmpl,
 	}
 	if j.req.Assigner == "ilp" {
 		cfg.Assigner = core.ILP
@@ -316,19 +314,14 @@ func (s *Server) perJobWorkers() int {
 
 // buildTemplate assembles the shareable immutable state for a circuit spec:
 // a placement system built over a template-owned circuit (jobs fork it, the
-// template itself is never solved on) and a tapping-solve cache. The
-// template registry is nil on purpose — builds are a shared cost no single
-// job should account for.
-func buildTemplate(req *JobRequest) (*template, error) {
+// template itself is never solved on). The template registry is nil on
+// purpose — builds are a shared cost no single job should account for.
+func buildTemplate(req *JobRequest) (*placer.System, error) {
 	tc, err := netlist.Generate(req.spec())
 	if err != nil {
 		return nil, err
 	}
-	sys, err := placer.NewSystem(tc, nil)
-	if err != nil {
-		return nil, err
-	}
-	return &template{sys: sys, tap: assign.NewTapCache()}, nil
+	return placer.NewSystem(tc, nil)
 }
 
 // sanitize replaces non-finite floats with 0 so the response always

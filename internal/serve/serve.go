@@ -15,9 +15,9 @@
 //     talk), its own forked placer.System, and a panic guard that converts
 //     a crashing job into a 500 response without taking the daemon down.
 //   - Amortization: the expensive immutable state — the quadratic placement
-//     system's CSR connectivity and the tapping-solve cache — is built once
-//     per circuit spec behind a singleflight guard and shared by every job
-//     with that spec (see template.go).
+//     system's CSR connectivity — is built once per circuit spec behind a
+//     singleflight guard and forked by every job with that spec (see
+//     cache.go).
 //
 // The server is an http.Handler; cmd/rotaryd wires it to a listener and the
 // process lifecycle (SIGTERM -> Drain -> exit 0).
@@ -37,6 +37,7 @@ import (
 	"rotaryclk/internal/core"
 	"rotaryclk/internal/eco"
 	"rotaryclk/internal/netlist"
+	"rotaryclk/internal/placer"
 	"rotaryclk/internal/stop"
 )
 
@@ -125,7 +126,7 @@ type Server struct {
 
 	workers sync.WaitGroup
 
-	templates cache[*template]
+	templates cache[*placer.System] // job templates, forked per job
 	ecoBases  cache[*ecoBase]
 	stats     stats
 

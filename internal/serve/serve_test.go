@@ -294,9 +294,8 @@ func TestRealDeadlineDegrades(t *testing.T) {
 }
 
 // TestConcurrentDeterminism: two identical jobs racing on the same template
-// and tapping cache must report bit-identical deterministic counters — the
-// per-job registry isolation and the cache's counter discipline guarantee
-// it regardless of scheduling.
+// must report bit-identical deterministic counters — per-job registry
+// isolation guarantees it regardless of scheduling.
 func TestConcurrentDeterminism(t *testing.T) {
 	cfg := testConfig()
 	cfg.Workers = 2
@@ -344,17 +343,17 @@ func TestConcurrentDeterminism(t *testing.T) {
 // TestTemplateSingleflight: concurrent gets for one key run the builder
 // exactly once, and a failed build is evicted instead of poisoning the key.
 func TestTemplateSingleflight(t *testing.T) {
-	var c cache[*template]
+	var c cache[*int]
 	var builds atomic32
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c.get("k", func() (*template, error) {
+			c.get("k", func() (*int, error) {
 				builds.add(1)
 				time.Sleep(5 * time.Millisecond) // widen the race window
-				return &template{}, nil
+				return new(int), nil
 			})
 		}()
 	}
@@ -366,7 +365,7 @@ func TestTemplateSingleflight(t *testing.T) {
 		t.Errorf("cache len %d, want 1", c.Len())
 	}
 
-	if _, _, err := c.get("bad", func() (*template, error) {
+	if _, _, err := c.get("bad", func() (*int, error) {
 		return nil, fmt.Errorf("boom")
 	}); err == nil {
 		t.Fatal("failed build reported no error")
@@ -374,8 +373,8 @@ func TestTemplateSingleflight(t *testing.T) {
 	if c.Len() != 1 {
 		t.Errorf("failed build not evicted: len %d", c.Len())
 	}
-	if _, _, err := c.get("bad", func() (*template, error) {
-		return &template{}, nil
+	if _, _, err := c.get("bad", func() (*int, error) {
+		return new(int), nil
 	}); err != nil {
 		t.Errorf("retry after failed build: %v", err)
 	}

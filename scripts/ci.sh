@@ -64,8 +64,10 @@
 #                         tight, pinned, pruned, fallback, ladder and tied
 #                         instances), its dual feasibility, the canceler's
 #                         early-exit and guard-band tests, the ECO patch
-#                         tests, the assignment and ECO oracle negative
-#                         tests, and the golden tables
+#                         tests, candidate-row reuse (bit-equal to cold
+#                         solves, identical across worker counts), the
+#                         assignment and ECO oracle negative tests, and the
+#                         golden tables
 #   scripts/ci.sh benchmark
 #                         go vet + go test of the benchmark harness, a
 #                         separate module (benchmark/go.mod) that root
@@ -269,7 +271,7 @@ skew)
     go test ./internal/exp -run '^TestGolden' -count=1
     ;;
 assign)
-    go test ./internal/assign/ -run '^(TestMinCostMatchesReference|TestPreloadDualFeasible|TestPatch)' -count=1 -v
+    go test ./internal/assign/ -run '^(TestMinCostMatchesReference|TestPreloadDualFeasible|TestPatch|TestMinCostRowReuseBitEquality|TestMinMaxCapRowReuseBitEquality|TestAssignDeterministicAcrossWorkerCounts)' -count=1 -v
     go test ./internal/mcmf/ -run '^(TestCancel|TestPreloadCancelAugmentMatchesScratch|TestMinCostFlow)' -count=1 -v
     go test ./internal/oracle/ -run '^(TestFaultMcmfDetected|TestFaultECODetected)$' -count=1
     go test ./internal/exp -run '^TestGolden' -count=1
