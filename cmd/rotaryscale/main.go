@@ -6,8 +6,9 @@
 //
 // With -eco it instead runs the ECO edit-latency benchmark — a base flow at
 // -eco-cells, then -eco-edits random edit batches through core.ApplyECO,
-// timed against a full from-scratch re-run — and merges the row into the
-// report's eco section, leaving the sweep points untouched.
+// each checked against a from-scratch arm and timed against a full
+// from-scratch re-run — and merges the row into the report's eco section,
+// leaving the sweep points untouched.
 //
 // With -ml it runs the same sweep through the multilevel V-cycle placer and
 // merges the rows into the report's ml section, leaving the flat points and
@@ -20,7 +21,7 @@
 //	            [-spread 8] [-p 0]
 //	rotaryscale -ml [same sweep flags]
 //	rotaryscale -eco [-eco-cells 50000] [-eco-edits 20] [-eco-deltas 1]
-//	            [-eco-check] [-eco-min-speedup 0] [-out BENCH_scaling.json]
+//	            [-eco-min-speedup 0] [-out BENCH_scaling.json]
 package main
 
 import (
@@ -49,13 +50,12 @@ func main() {
 		ecoCells   = flag.Int("eco-cells", 50000, "circuit size for the ECO benchmark")
 		ecoEdits   = flag.Int("eco-edits", 20, "sequential edit batches to apply")
 		ecoDeltas  = flag.Int("eco-deltas", 1, "deltas per edit batch")
-		ecoCheck   = flag.Bool("eco-check", false, "verify patch-vs-scratch equivalence after every edit")
 		ecoSpeedup = flag.Float64("eco-min-speedup", 0, "exit nonzero if the eco-vs-rerun speedup falls below this (0 = no bound)")
 	)
 	flag.Parse()
 
 	if *ecoMode {
-		os.Exit(runECO(*out, *seed, *par, *ecoCells, *ecoEdits, *ecoDeltas, *ecoCheck, *ecoSpeedup))
+		os.Exit(runECO(*out, *seed, *par, *ecoCells, *ecoEdits, *ecoDeltas, *ecoSpeedup))
 	}
 
 	opt := bench.ScalingOptions{
@@ -138,14 +138,13 @@ func mergeML(path string, swept *bench.ScalingReport) int {
 
 // runECO executes the edit-latency benchmark and merges the row into the
 // report at path, preserving any recorded sweep points.
-func runECO(path string, seed int64, par, cells, edits, deltas int, check bool, minSpeedup float64) int {
+func runECO(path string, seed int64, par, cells, edits, deltas int, minSpeedup float64) int {
 	pt, err := bench.RunECOBench(bench.ECOOptions{
 		Cells:         cells,
 		Edits:         edits,
 		DeltasPerEdit: deltas,
 		Seed:          seed,
 		Parallelism:   par,
-		Check:         check,
 		Log: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		},
@@ -167,9 +166,9 @@ func runECO(path string, seed int64, par, cells, edits, deltas int, check bool, 
 		fmt.Fprintln(os.Stderr, "rotaryscale:", err)
 		return 1
 	}
-	fmt.Printf("eco @ %d cells: %.1fx speedup (eco mean %.2f ms vs full re-run %.0f ms, %.2f%% dirty, checked=%v); merged into %s\n",
+	fmt.Printf("eco @ %d cells: %.1fx speedup (eco mean %.2f ms vs full re-run %.0f ms, %.2f%% dirty, checked); merged into %s\n",
 		pt.Cells, pt.Speedup, float64(pt.EcoMeanNS)/1e6, float64(pt.FullNS)/1e6,
-		100*pt.DirtyCellFrac, pt.Checked, path)
+		100*pt.DirtyCellFrac, path)
 	if minSpeedup > 0 && pt.Speedup < minSpeedup {
 		fmt.Fprintf(os.Stderr, "rotaryscale: speedup %.1fx below the required %.1fx\n", pt.Speedup, minSpeedup)
 		return 1

@@ -35,12 +35,6 @@ type ECOOptions struct {
 	Seed int64
 	// Parallelism bounds solver workers (0 = GOMAXPROCS).
 	Parallelism int
-	// Check runs a from-scratch arm (eco.Options.Scratch) beside the
-	// incremental arm on a cloned state and verifies after every edit that
-	// positions and schedules agree within 1e-9 and tapping totals within
-	// 1e-6 relative — the differential-oracle contract, enforced inline at
-	// benchmark scale.
-	Check bool
 	// Log, when non-nil, receives one progress line per edit.
 	Log func(format string, args ...any)
 }
@@ -84,14 +78,18 @@ type ECOPoint struct {
 
 	// Speedup is FullNS / EcoMeanNS — the headline ratio.
 	Speedup float64 `json:"speedup"`
-	// Checked records whether the inline patch-vs-scratch equivalence check
-	// ran (and, since a violation is an error, passed).
+	// Checked records that the inline patch-vs-scratch equivalence check
+	// ran (and, since a violation is an error, passed). RunECOBench always
+	// runs it; older reports may hold rows recorded without it.
 	Checked bool `json:"checked"`
 }
 
-// RunECOBench measures ECO edit latency at one size. With opt.Check it also
-// proves the incremental arm equivalent to a from-scratch arm after every
-// edit, so the speedup number can never come from skipped work.
+// RunECOBench measures ECO edit latency at one size. It also runs a
+// from-scratch arm (eco.Options.Scratch) beside the incremental arm on a
+// cloned state and verifies after every edit that positions and schedules
+// agree within 1e-9 and tapping totals within 1e-6 relative — the
+// differential-oracle contract, enforced inline at benchmark scale — so the
+// speedup number can never come from skipped work.
 func RunECOBench(opt ECOOptions) (*ECOPoint, error) {
 	opt.normalize()
 	c, err := netlist.Generate(netlist.GenSpec{
@@ -122,19 +120,16 @@ func RunECOBench(opt ECOOptions) (*ECOPoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	var stScratch *eco.State
-	if opt.Check {
-		stScratch, err = core.NewECOState(c.Clone(), cfg, res)
-		if err != nil {
-			return nil, err
-		}
+	stScratch, err := core.NewECOState(c.Clone(), cfg, res)
+	if err != nil {
+		return nil, err
 	}
 
 	rng := rand.New(rand.NewSource(opt.Seed + 31*int64(opt.Cells)))
 	pt := &ECOPoint{
 		Cells: opt.Cells, FFs: len(st.FFCells), Rings: len(st.Array.Rings),
 		Edits: opt.Edits, DeltasPerEdit: opt.DeltasPerEdit,
-		BaseNS: baseNS, Checked: opt.Check,
+		BaseNS: baseNS, Checked: true,
 	}
 	var ecoTotal, ecoMax int64
 	var dirtyFrac float64
@@ -155,17 +150,15 @@ func RunECOBench(opt ECOOptions) (*ECOPoint, error) {
 		}
 		pt.NoOps += out.Outcome.NoOps
 		dirtyFrac += float64(out.Outcome.DirtyCells) / float64(len(st.Circuit.Cells))
-		if opt.Check {
-			out2, err := core.ApplyECO(stScratch, deltas, cfg, eco.Options{Scratch: true})
-			if err != nil {
-				return nil, fmt.Errorf("edit %d scratch arm: %w", e, err)
-			}
-			if out2.Outcome.Degraded {
-				return nil, fmt.Errorf("edit %d scratch arm degraded: %v", e, out2.Outcome.Events)
-			}
-			if err := compareArms(st, stScratch, out.Outcome.Total, out2.Outcome.Total); err != nil {
-				return nil, fmt.Errorf("edit %d: eco/scratch divergence: %w", e, err)
-			}
+		out2, err := core.ApplyECO(stScratch, deltas, cfg, eco.Options{Scratch: true})
+		if err != nil {
+			return nil, fmt.Errorf("edit %d scratch arm: %w", e, err)
+		}
+		if out2.Outcome.Degraded {
+			return nil, fmt.Errorf("edit %d scratch arm degraded: %v", e, out2.Outcome.Events)
+		}
+		if err := compareArms(st, stScratch, out.Outcome.Total, out2.Outcome.Total); err != nil {
+			return nil, fmt.Errorf("edit %d: eco/scratch divergence: %w", e, err)
 		}
 		if opt.Log != nil {
 			opt.Log("edit %3d: %8.2f ms, %d dirty cells",

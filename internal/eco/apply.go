@@ -17,12 +17,12 @@ import (
 )
 
 // Apply absorbs a batch of deltas into the state with bounded recompute:
-// netlist edits (with copy-on-write system patching), a dirty-region
-// placement solve, a warm-started schedule re-check, and a residual-flow
-// assignment patch. On success the circuit and state hold the new optimum;
-// on failure both roll back to their pre-call values — strict mode then
-// returns the error, non-strict returns a Degraded outcome describing the
-// restored state.
+// netlist edits (rebuilding the quadratic system after a net edit), a
+// dirty-region placement solve, a warm-started schedule re-check, and a
+// residual-flow assignment patch. On success the circuit and state hold the
+// new optimum; on failure both roll back to their pre-call values — strict
+// mode then returns the error, non-strict returns a Degraded outcome
+// describing the restored state.
 //
 // Deltas apply in order, each seeing its predecessors' effects. Invalid
 // deltas (unknown cells, class violations, out-of-range rings) are input
@@ -73,9 +73,9 @@ func Apply(st *State, deltas []Delta, opt Options) (*Outcome, error) {
 		return out, nil
 	}
 
-	// Phase 1: netlist edits + system patching. Net edits patch the system
-	// immediately so each patch sees only the edits before it (the patched
-	// CSR must stay consistent with the circuit it was derived from).
+	// Phase 1: netlist edits. A net edit changes the connectivity, so the
+	// quadratic system rebuilds from the edited circuit once the whole
+	// batch has applied.
 	nlSp := span.Child("eco.netlist")
 	sys := st.Sys
 	needRebuild := opt.Scratch
@@ -103,19 +103,8 @@ func Apply(st *State, deltas []Delta, opt Options) (*Outcome, error) {
 		if ap.dirtyFF >= 0 {
 			dirtyFFSet[ap.dirtyFF] = true
 		}
-		if ap.editedNet >= 0 && !needRebuild {
-			ns, ok, perr := sys.PatchNet(ap.editedNet, ap.oldPins)
-			if perr != nil {
-				rollback()
-				return nil, fmt.Errorf("eco: system patch: %w", perr)
-			}
-			if !ok {
-				needRebuild = true
-			} else {
-				sys = ns
-				out.SystemPatched++
-				reg.Add("eco.system.patches", 1)
-			}
+		if ap.editedNet >= 0 {
+			needRebuild = true
 		}
 	}
 	nlSp.End()

@@ -61,10 +61,9 @@ type applied struct {
 	dirtyCells []int
 	// dirtyFF is a cell ID whose assignment must re-route (-1: none).
 	dirtyFF int
-	// editedNet is the net a system patch must cover (-1: none), with the
-	// pin list it had before this delta.
+	// editedNet is the net whose pins this delta changed (-1: none); any
+	// edited net forces a system rebuild.
 	editedNet int
-	oldPins   []int
 	undo      func()
 }
 
@@ -167,7 +166,6 @@ func applyDelta(st *State, pinned map[int]int, i int, d Delta) (applied, error) 
 				dirtyCells: movablePins(c, oldPins, net.Pins),
 				dirtyFF:    -1,
 				editedNet:  d.Net,
-				oldPins:    oldPins,
 				undo: func() {
 					net.Pins = net.Pins[:len(net.Pins)-1]
 					cell.Fanin = cell.Fanin[:len(cell.Fanin)-1]
@@ -209,7 +207,6 @@ func applyDelta(st *State, pinned map[int]int, i int, d Delta) (applied, error) 
 			dirtyCells: movablePins(c, oldPins, net.Pins),
 			dirtyFF:    -1,
 			editedNet:  d.Net,
-			oldPins:    oldPins,
 			undo: func() {
 				net.Pins = append(net.Pins[:pinAt], append([]int{d.Cell}, net.Pins[pinAt:]...)...)
 				cell.Fanin = append(cell.Fanin[:faninAt], append([]int{d.Net}, cell.Fanin[faninAt:]...)...)

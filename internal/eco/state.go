@@ -4,9 +4,10 @@
 // with bounded recompute instead of a full re-run. Three incremental layers
 // do the work:
 //
-//  1. dirty-region placement — the quadratic system is patched in place
-//     (placer.System.PatchNet) and only the cells whose connectivity or
-//     neighborhood changed re-solve (placer.System.SolveDirty);
+//  1. dirty-region placement — only the cells whose connectivity or
+//     neighborhood changed re-solve (placer.System.SolveDirty); a net edit
+//     first rebuilds the quadratic system (placer.NewSystem), the one
+//     builder of it;
 //  2. warm-started skew scheduling — the previous schedule seeds a
 //     Bellman-Ford repair (skew.WarmStart) that re-checks every constraint
 //     in one O(m) round and moves only the entries the edit forces;
@@ -14,13 +15,12 @@
 //     preloaded onto the residual network, stale routing is canceled away,
 //     and only edited flip-flops re-route (assign.PatchMinCost).
 //
-// Every layer is exact, not approximate: the patched quadratic system is
-// bit-identical to a rebuild, the warm-started schedule is the same fixpoint
-// a batch solve reaches, and the patched assignment is cost-equal to a
-// scratch solve. Options.Scratch switches all three layers to their
-// from-scratch counterparts on the same orchestration, which is what the
-// ECO-vs-scratch differential oracle (internal/oracle.CheckECO) compares
-// against.
+// Every layer is exact, not approximate: the warm-started schedule is the
+// same fixpoint a batch solve reaches, and the patched assignment is
+// cost-equal to a scratch solve. Options.Scratch switches the layers to
+// their from-scratch counterparts on the same orchestration, which is what
+// the ECO-vs-scratch differential oracle (internal/oracle.CheckECO)
+// compares against.
 package eco
 
 import (
@@ -68,11 +68,11 @@ type Options struct {
 	// Non-strict (default) rolls back too but reports the failure as a
 	// Degraded outcome instead, mirroring the flow's degraded-result path.
 	Strict bool
-	// Scratch disables the three incremental layers: the quadratic system
-	// rebuilds instead of patching, the schedule still warm-starts from the
-	// same seed (the seed is semantics, not machinery), and the assignment
-	// solves cold, every tapping row included. Same orchestration, full
-	// recompute — the oracle's reference arm.
+	// Scratch disables the incremental machinery: the quadratic system
+	// rebuilds even when no net was edited, the schedule still warm-starts
+	// from the same seed (the seed is semantics, not machinery), and the
+	// assignment solves cold, every tapping row included. Same
+	// orchestration, full recompute — the oracle's reference arm.
 	Scratch bool
 	Stop    *stop.Token
 	Obs     *obs.Registry
@@ -86,8 +86,7 @@ type Outcome struct {
 	DirtyCells    int  // movable cells re-placed by the dirty-region solve
 	MovedCells    int  // of those, how many actually changed position
 	DirtyFFs      int  // flip-flops re-routed by the assignment patch
-	SystemPatched int  // net edits absorbed by CSR patching
-	SystemRebuilt bool // a class-changing edit forced a full rebuild
+	SystemRebuilt bool // a net edit (or Scratch) rebuilt the quadratic system
 
 	// SchedRounds counts the warm-start relaxation rounds of the last margin
 	// tried. An infeasible margin stops at the round that exposes its

@@ -1,7 +1,7 @@
-// Dirty-region incremental placement for the ECO flow: patching the
-// immutable CSR connectivity after a single-net edit (instead of a full
-// NewSystem assembly) and re-solving only a bounded dirty set of cells with
-// the rest of the placement held as boundary conditions.
+// Dirty-region incremental placement for the ECO flow: re-solving only a
+// bounded dirty set of cells with the rest of the placement held as
+// boundary conditions. A net edit changes the connectivity, so the ECO
+// flow rebuilds the System with NewSystem first; this file only solves.
 package placer
 
 import (
@@ -13,214 +13,6 @@ import (
 	"rotaryclk/internal/geom"
 	"rotaryclk/internal/stop"
 )
-
-// PatchNet returns a System rebound to the bound circuit after net netID's
-// pin list changed from oldPins to its current value, recomputing only the
-// CSR rows whose connectivity the edit touched (the net's old and new
-// movable pins plus its star row) and block-copying every other row. The
-// patched System is a new value sharing no immutable arrays with the
-// receiver, so a receiver forked from a shared template stays untouched and
-// the caller can roll back by keeping the old pointer.
-//
-// Only star-class-preserving edits are patchable: the edit must leave the
-// net with 3+ pins before and after (a 2-pin net's class flips on any pin
-// edit, shifting every star index after it). Class-changing edits return
-// patched == false with a nil System; the caller rebuilds via NewSystem.
-// The result is bit-identical to NewSystem on the edited circuit — the
-// contract TestPatchNetMatchesRebuild locks.
-func (s *System) PatchNet(netID int, oldPins []int) (*System, bool, error) {
-	c := s.c
-	if netID < 0 || netID >= len(c.Nets) {
-		return nil, false, fmt.Errorf("placer: patch: net %d out of range (%d nets)", netID, len(c.Nets))
-	}
-	if err := validate(c); err != nil {
-		return nil, false, err
-	}
-	newPins := c.Nets[netID].Pins
-	if len(oldPins) < 3 || len(newPins) < 3 {
-		return nil, false, nil
-	}
-
-	// Star ordinals are stable under a class-preserving edit: the star of
-	// net e is still the count of 3+-pin nets before e.
-	starOf := make(map[int]int)
-	ord := 0
-	for id, net := range c.Nets {
-		if len(net.Pins) >= 3 {
-			starOf[id] = ord
-			ord++
-		}
-	}
-	starIdx := s.nMov + starOf[netID]
-
-	// Affected rows: every movable pin of the old and new pin lists (the
-	// star weight k/(k-1)/2 changed for all of them) plus the star row.
-	affected := map[int]bool{starIdx: true}
-	for _, pid := range oldPins {
-		if i, ok := s.idx[pid]; ok {
-			affected[i] = true
-		}
-	}
-	for _, pid := range newPins {
-		if i, ok := s.idx[pid]; ok {
-			affected[i] = true
-		}
-	}
-
-	// Per-row entry-count deltas from the pin diff: a movable pin gained
-	// (lost) adds (removes) one entry in its own row and one in the star
-	// row. Fixed pins carry no CSR entries (they fold into the base RHS).
-	diff := map[int]int{}
-	for _, pid := range oldPins {
-		diff[pid]--
-	}
-	for _, pid := range newPins {
-		diff[pid]++
-	}
-	degDelta := map[int]int{}
-	for pid, d := range diff {
-		if d == 0 {
-			continue
-		}
-		if i, ok := s.idx[pid]; ok {
-			degDelta[i] += d
-			degDelta[starIdx] += d
-		}
-	}
-
-	n := s.n
-	ns := &System{
-		c:        c,
-		n:        n,
-		nMov:     s.nMov,
-		rowStart: make([]int32, n+1),
-		baseDiag: make([]float64, n),
-		baseBx:   make([]float64, n),
-		baseBy:   make([]float64, n),
-		starRow:  make([]int32, len(s.starRow)),
-		cells:    s.cells,
-		idx:      s.idx,
-		diag:     make([]float64, n),
-		bx:       make([]float64, n),
-		by:       make([]float64, n),
-		posX:     make([]float64, n),
-		posY:     make([]float64, n),
-		obs:      s.obs,
-	}
-	for i := 0; i < n; i++ {
-		deg := int(s.rowStart[i+1]-s.rowStart[i]) + degDelta[i]
-		ns.rowStart[i+1] = ns.rowStart[i] + int32(deg)
-	}
-	total := int(ns.rowStart[n])
-	ns.cols = make([]int32, total)
-	ns.w = make([]float64, total)
-	ns.wcur = ns.w
-	copy(ns.baseDiag, s.baseDiag)
-	copy(ns.baseBx, s.baseBx)
-	copy(ns.baseBy, s.baseBy)
-
-	// Unaffected rows: block-copy entries (offsets may have shifted).
-	for i := 0; i < n; i++ {
-		if affected[i] {
-			continue
-		}
-		src := s.rowStart[i]
-		dst := ns.rowStart[i]
-		cnt := s.rowStart[i+1] - src
-		copy(ns.cols[dst:dst+cnt], s.cols[src:src+cnt])
-		copy(ns.w[dst:dst+cnt], s.w[src:src+cnt])
-	}
-
-	// Affected rows: recompute from the edited circuit in NewSystem's
-	// traversal order. A cell row's entries appear in ascending incident
-	// net order (the fill pass walks nets in ID order); a star row's in the
-	// net's pin order.
-	for i := range affected {
-		ns.baseDiag[i] = 0
-		ns.baseBx[i] = 0
-		ns.baseBy[i] = 0
-		at := ns.rowStart[i]
-		put := func(j int, w float64) {
-			ns.cols[at] = int32(j)
-			ns.w[at] = w
-			at++
-		}
-		if i >= s.nMov {
-			// Star row: the edited net's pins in order.
-			net := c.Nets[netID]
-			k := len(net.Pins)
-			w := float64(k) / float64(k-1) / 2
-			for _, pid := range net.Pins {
-				if ip, ok := s.idx[pid]; ok {
-					ns.baseDiag[i] += w
-					put(ip, w)
-				} else {
-					pos := c.Cells[pid].Pos
-					ns.baseDiag[i] += w
-					ns.baseBx[i] += w * pos.X
-					ns.baseBy[i] += w * pos.Y
-				}
-			}
-			continue
-		}
-		cid := s.cells[i]
-		cell := c.Cells[cid]
-		nets := make([]int, 0, len(cell.Fanin)+1)
-		nets = append(nets, cell.Fanin...)
-		if cell.Fanout >= 0 {
-			nets = append(nets, cell.Fanout)
-		}
-		sort.Ints(nets)
-		for _, e := range nets {
-			net := c.Nets[e]
-			k := len(net.Pins)
-			if k < 2 {
-				continue
-			}
-			if k == 2 {
-				other := net.Pins[0]
-				if other == cid {
-					other = net.Pins[1]
-				}
-				if j, ok := s.idx[other]; ok {
-					ns.baseDiag[i]++
-					put(j, 1)
-				} else {
-					pos := c.Cells[other].Pos
-					ns.baseDiag[i]++
-					ns.baseBx[i] += pos.X
-					ns.baseBy[i] += pos.Y
-				}
-				continue
-			}
-			w := float64(k) / float64(k-1) / 2
-			ns.baseDiag[i] += w
-			put(s.nMov+starOf[e], w)
-		}
-		if at != ns.rowStart[i+1] {
-			return nil, false, fmt.Errorf("placer: patch: row %d filled %d of %d entries", i, at-ns.rowStart[i], ns.rowStart[i+1]-ns.rowStart[i])
-		}
-	}
-
-	// Star pin list: splice the edited net's pins in place; offsets after
-	// it shift by the length difference.
-	st := starOf[netID]
-	lo, hi := s.starRow[st], s.starRow[st+1]
-	shift := int32(len(newPins)) - (hi - lo)
-	ns.starPin = make([]int32, int32(len(s.starPin))+shift)
-	copy(ns.starPin[:lo], s.starPin[:lo])
-	for k, pid := range newPins {
-		ns.starPin[int(lo)+k] = int32(pid)
-	}
-	copy(ns.starPin[lo+int32(len(newPins)):], s.starPin[hi:])
-	copy(ns.starRow[:st+1], s.starRow[:st+1])
-	for k := st + 1; k < len(s.starRow); k++ {
-		ns.starRow[k] = s.starRow[k] + shift
-	}
-
-	ns.obs.Add("placer.system.patches", 1)
-	return ns, true, nil
-}
 
 // SolveDirty re-places only the dirty movable cells, holding every other
 // cell at its current position as a boundary condition. The dirty set plus

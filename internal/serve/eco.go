@@ -144,7 +144,6 @@ type ECOResponse struct {
 	DirtyCells    int  `json:"dirty_cells"`
 	MovedCells    int  `json:"moved_cells"`
 	DirtyFFs      int  `json:"dirty_ffs"`
-	SystemPatched int  `json:"system_patched"`
 	SystemRebuilt bool `json:"system_rebuilt"`
 	SchedRounds   int  `json:"sched_rounds"` // see eco.Outcome.SchedRounds
 
@@ -298,7 +297,6 @@ func (s *Server) executeECO(j *job) {
 		DirtyCells:    out.DirtyCells,
 		MovedCells:    out.MovedCells,
 		DirtyFFs:      out.DirtyFFs,
-		SystemPatched: out.SystemPatched,
 		SystemRebuilt: out.SystemRebuilt,
 		SchedRounds:   out.SchedRounds,
 		WorkSlackPS:   sanitize(out.WorkSlack),

@@ -2,6 +2,7 @@ package timing
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"rotaryclk/internal/netlist"
@@ -25,11 +26,11 @@ func (m Model) SlackUnder(p Pair, x, T float64) float64 {
 	return math.Min(x-lo, hi-x)
 }
 
-// ExtractCritical re-runs the D_max propagation of Analyze with predecessor
-// tracking and returns the k lowest-slack pairs under slackOf, each carrying
-// the net trail of its maximum-delay path. Results are ordered most critical
-// first; ties break on (From, To) so the selection is deterministic. Like
-// Analyze it errors on a combinational cycle.
+// ExtractCritical runs Analyze's propagation and returns the k lowest-slack
+// pairs under slackOf, each carrying the net trail of its maximum-delay
+// path. Results are ordered most critical first; ties break on (From, To)
+// so the selection is deterministic. Like Analyze it errors on a
+// combinational cycle.
 //
 // slackOf maps a pair to its criticality under the caller's current skew
 // schedule (see Model.SlackUnder); smaller is more critical.
@@ -37,109 +38,13 @@ func ExtractCritical(c *netlist.Circuit, m Model, slackOf func(Pair) float64, k 
 	if k <= 0 {
 		return nil, nil
 	}
-	n := len(c.Cells)
-	adj := buildArcs(c, m)
-	topoIdx, err := topoOrder(c, adj)
+	var paths []CriticalPath
+	err := propagate(c, m, func(cn *cone, src, v int, dMax, dMin float64) {
+		p := Pair{From: src, To: v, DMax: dMax, DMin: dMin}
+		paths = append(paths, CriticalPath{Pair: p, Slack: slackOf(p), Nets: cn.trail(v)})
+	})
 	if err != nil {
 		return nil, err
-	}
-
-	dmax := make([]float64, n)
-	dmin := make([]float64, n)
-	predU := make([]int32, n)
-	predNet := make([]int32, n)
-	stamp := make([]int, n)
-	epoch := 0
-	reach := make([]int, 0, n)
-	var paths []CriticalPath
-
-	// traceNets walks the predecessor chain from v back to src and returns
-	// the crossed nets in launch-to-capture order. tail, when >= 0, is the
-	// closing arc of a self-loop path (appended last).
-	traceNets := func(src, v int, tail int32) []int {
-		var rev []int
-		if tail >= 0 {
-			rev = append(rev, int(tail))
-		}
-		for u := v; u != src; u = int(predU[u]) {
-			rev = append(rev, int(predNet[u]))
-		}
-		nets := make([]int, 0, len(rev))
-		for i := len(rev) - 1; i >= 0; i-- {
-			nets = append(nets, rev[i])
-		}
-		return nets
-	}
-
-	for _, src := range c.FlipFlops() {
-		epoch++
-		reach = reach[:0]
-		stamp[src] = epoch
-		reach = append(reach, src)
-		for qi := 0; qi < len(reach); qi++ {
-			u := reach[qi]
-			if u != src && c.Cells[u].Kind == netlist.FF {
-				continue
-			}
-			for _, e := range adj[u] {
-				if stamp[e.to] != epoch {
-					stamp[e.to] = epoch
-					reach = append(reach, e.to)
-				}
-			}
-		}
-		sort.Slice(reach, func(a, b int) bool { return topoIdx[reach[a]] < topoIdx[reach[b]] })
-		for _, u := range reach {
-			dmax[u], dmin[u] = math.Inf(-1), math.Inf(1)
-			predU[u], predNet[u] = -1, -1
-		}
-		dmax[src], dmin[src] = 0, 0
-		selfMax, selfMin := math.Inf(-1), math.Inf(1)
-		selfU, selfNet := int32(-1), int32(-1)
-		for _, u := range reach {
-			if (u != src && c.Cells[u].Kind == netlist.FF) || math.IsInf(dmax[u], -1) {
-				continue
-			}
-			for _, e := range adj[u] {
-				v := e.to
-				if stamp[v] != epoch {
-					continue
-				}
-				if v == src {
-					if d := dmax[u] + e.delay; d > selfMax {
-						selfMax, selfU, selfNet = d, int32(u), e.net
-					}
-					selfMin = math.Min(selfMin, dmin[u]+e.delay)
-					continue
-				}
-				if d := dmax[u] + e.delay; d > dmax[v] {
-					dmax[v] = d
-					predU[v], predNet[v] = int32(u), e.net
-				}
-				if d := dmin[u] + e.delay; d < dmin[v] {
-					dmin[v] = d
-				}
-			}
-		}
-		if !math.IsInf(selfMax, -1) {
-			p := Pair{From: src, To: src, DMax: selfMax, DMin: selfMin}
-			paths = append(paths, CriticalPath{
-				Pair:  p,
-				Slack: slackOf(p),
-				Nets:  traceNets(src, int(selfU), selfNet),
-			})
-		}
-		for _, v := range reach {
-			if v == src || c.Cells[v].Kind != netlist.FF || math.IsInf(dmax[v], -1) {
-				continue
-			}
-			p := Pair{From: src, To: v, DMax: dmax[v], DMin: dmin[v]}
-			paths = append(paths, CriticalPath{
-				Pair:  p,
-				Slack: slackOf(p),
-				Nets:  traceNets(src, v, -1),
-			})
-		}
 	}
 
 	sort.Slice(paths, func(a, b int) bool {
@@ -155,4 +60,19 @@ func ExtractCritical(c *netlist.Circuit, m Model, slackOf func(Pair) float64, k 
 		paths = paths[:k]
 	}
 	return paths, nil
+}
+
+// trail returns the nets the D_max path from the source to capture point v
+// crosses, in launch-to-capture order; v == src names the self-loop path.
+func (k *cone) trail(v int) []int {
+	var nets []int
+	if v == k.src {
+		nets = append(nets, int(k.selfNet))
+		v = int(k.selfU)
+	}
+	for u := v; u != k.src; u = int(k.predU[u]) {
+		nets = append(nets, int(k.predNet[u]))
+	}
+	slices.Reverse(nets)
+	return nets
 }

@@ -208,7 +208,8 @@ func topoOrder(c *netlist.Circuit, adj [][]edge) ([]int, error) {
 
 // SeqPairs runs Analyze and maps its pairs onto the skew solver's flip-flop
 // indices (ffIdx maps a flip-flop's cell ID to its schedule index). The
-// analysis error is returned unwrapped.
+// analysis error is returned unwrapped; a pair whose flip-flop has no
+// schedule index is an error naming the pair.
 func SeqPairs(c *netlist.Circuit, m Model, ffIdx map[int]int) ([]skew.SeqPair, error) {
 	sta, err := Analyze(c, m)
 	if err != nil {
@@ -216,7 +217,12 @@ func SeqPairs(c *netlist.Circuit, m Model, ffIdx map[int]int) ([]skew.SeqPair, e
 	}
 	pairs := make([]skew.SeqPair, len(sta.Pairs))
 	for i, p := range sta.Pairs {
-		pairs[i] = skew.SeqPair{U: ffIdx[p.From], V: ffIdx[p.To], DMax: p.DMax, DMin: p.DMin}
+		u, okU := ffIdx[p.From]
+		v, okV := ffIdx[p.To]
+		if !okU || !okV {
+			return nil, fmt.Errorf("timing: pair %d -> %d: flip-flop without a schedule index", p.From, p.To)
+		}
+		pairs[i] = skew.SeqPair{U: u, V: v, DMax: p.DMax, DMin: p.DMin}
 	}
 	return pairs, nil
 }
@@ -224,22 +230,52 @@ func SeqPairs(c *netlist.Circuit, m Model, ffIdx map[int]int) ([]skew.SeqPair, e
 // Analyze runs block-based STA over the placed circuit and returns the
 // sequential adjacency pairs. It returns an error on combinational cycles.
 func Analyze(c *netlist.Circuit, m Model) (*Result, error) {
+	res := &Result{}
+	err := propagate(c, m, func(_ *cone, src, v int, dMax, dMin float64) {
+		res.Pairs = append(res.Pairs, Pair{From: src, To: v, DMax: dMax, DMin: dMin})
+		if dMax > res.MaxComb {
+			res.MaxComb = dMax
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// cone is the D_max predecessor state of the current flip-flop source: the
+// arc realizing each reached cell's D_max, and the last arc of the
+// self-loop path back into the source. Its arrays are reused across
+// sources.
+type cone struct {
+	src            int
+	predU, predNet []int32
+	selfU, selfNet int32
+}
+
+// propagate is the STA kernel. For each flip-flop source in cell-ID order
+// it discovers the source's combinational cone (stopping at flip-flops),
+// orders it topologically and relaxes D_max/D_min with the D_max
+// predecessor arc, then calls capture once per sequential pair the source
+// launches: the self-loop (v == src) first, then each reached flip-flop in
+// topological order. It errors on a combinational cycle.
+func propagate(c *netlist.Circuit, m Model, capture func(k *cone, src, v int, dMax, dMin float64)) error {
 	n := len(c.Cells)
 	adj := buildArcs(c, m)
 	topoIdx, err := topoOrder(c, adj)
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	dmax := make([]float64, n)
 	dmin := make([]float64, n)
+	k := &cone{predU: make([]int32, n), predNet: make([]int32, n)}
 	stamp := make([]int, n)
 	epoch := 0
-	pairIdx := map[int64]int{}
-	res := &Result{}
 	reach := make([]int, 0, n)
 
 	for _, src := range c.FlipFlops() {
+		k.src = src
 		epoch++
 		// Discover the combinational cone of src (stop at flip-flops).
 		reach = reach[:0]
@@ -261,11 +297,13 @@ func Analyze(c *netlist.Circuit, m Model) (*Result, error) {
 		sort.Slice(reach, func(a, b int) bool { return topoIdx[reach[a]] < topoIdx[reach[b]] })
 		for _, u := range reach {
 			dmax[u], dmin[u] = math.Inf(-1), math.Inf(1)
+			k.predU[u], k.predNet[u] = -1, -1
 		}
 		dmax[src], dmin[src] = 0, 0
 		// Self-loop paths (src back to its own D input) are tracked
 		// separately so they cannot corrupt the source seed.
 		selfMax, selfMin := math.Inf(-1), math.Inf(1)
+		k.selfU, k.selfNet = -1, -1
 		for _, u := range reach {
 			if (u != src && c.Cells[u].Kind == netlist.FF) || math.IsInf(dmax[u], -1) {
 				continue
@@ -276,42 +314,31 @@ func Analyze(c *netlist.Circuit, m Model) (*Result, error) {
 					continue
 				}
 				if v == src {
-					selfMax = math.Max(selfMax, dmax[u]+e.delay)
+					if d := dmax[u] + e.delay; d > selfMax {
+						selfMax, k.selfU, k.selfNet = d, int32(u), e.net
+					}
 					selfMin = math.Min(selfMin, dmin[u]+e.delay)
 					continue
 				}
 				if d := dmax[u] + e.delay; d > dmax[v] {
 					dmax[v] = d
+					k.predU[v], k.predNet[v] = int32(u), e.net
 				}
 				if d := dmin[u] + e.delay; d < dmin[v] {
 					dmin[v] = d
 				}
 			}
 		}
-		// Record flip-flop capture points (including self-loops).
-		record := func(v int, dMax, dMin float64) {
-			key := int64(src)<<32 | int64(v)
-			if pi, ok := pairIdx[key]; ok {
-				p := &res.Pairs[pi]
-				p.DMax = math.Max(p.DMax, dMax)
-				p.DMin = math.Min(p.DMin, dMin)
-			} else {
-				pairIdx[key] = len(res.Pairs)
-				res.Pairs = append(res.Pairs, Pair{From: src, To: v, DMax: dMax, DMin: dMin})
-			}
-			if dMax > res.MaxComb {
-				res.MaxComb = dMax
-			}
-		}
+		// Report the flip-flop capture points, the self-loop first.
 		if !math.IsInf(selfMax, -1) {
-			record(src, selfMax, selfMin)
+			capture(k, src, src, selfMax, selfMin)
 		}
 		for _, v := range reach {
 			if v == src || c.Cells[v].Kind != netlist.FF || math.IsInf(dmax[v], -1) {
 				continue
 			}
-			record(v, dmax[v], dmin[v])
+			capture(k, src, v, dmax[v], dmin[v])
 		}
 	}
-	return res, nil
+	return nil
 }

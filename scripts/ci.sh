@@ -45,7 +45,11 @@
 #                         flat-vs-V-cycle sweep point with a 5% wirelength
 #                         bound (ML_TIMEOUT, default 15m); the full sweep arm
 #                         is `make scaling` (cmd/rotaryscale -ml)
-#   scripts/ci.sh timing  timing-driven placement smoke: the critical-path
+#   scripts/ci.sh timing  timing-driven placement smoke: the STA
+#                         propagation differential tests (Analyze and
+#                         ExtractCritical bit-identical to their
+#                         pre-refactor copies on 24 generated circuits,
+#                         self-loops included), the critical-path
 #                         reweighting identity tests (feature off or boost
 #                         disabled must be bit-identical to the base flow,
 #                         at 1 and 8 workers), the swallowed-STA-error
@@ -260,6 +264,7 @@ ml)
         -run '^TestScalingML50k$' -count=1 -v ./internal/bench/
     ;;
 timing)
+    go test ./internal/timing/ -run '^(TestAnalyzeMatchesReference|TestExtractCriticalMatchesReference)$' -count=1 -v
     go test ./internal/core/ -run '^(TestTiming|TestWorstSlack)' -count=1
     go test ./internal/placer/ -run '^TestNetWeight' -count=1
     go test ./internal/oracle/ -run '^TestFaultReweightDetected$' -count=1
