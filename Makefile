@@ -17,7 +17,8 @@ race:
 fuzz:
 	sh scripts/ci.sh fuzz
 
-# End-to-end daemon smoke: rotaryd under load, deadline degradation, drain.
+# End-to-end daemon smoke: rotaryd under job and ECO load, deadline
+# degradation, drain.
 serve:
 	sh scripts/ci.sh serve
 

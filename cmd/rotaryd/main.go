@@ -10,6 +10,7 @@
 // Endpoints:
 //
 //	POST /v1/jobs   run one placement job (JSON in, JSON out; synchronous)
+//	POST /v1/eco    re-optimize a cached base placement after netlist deltas
 //	GET  /metrics   operational snapshot (counters, queue, p50/p90/p99)
 //	GET  /healthz   liveness ("ok" or "draining")
 //

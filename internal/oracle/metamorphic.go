@@ -166,7 +166,6 @@ func scaleInstance(in *AssignInstance) *AssignInstance {
 	out.Params.RWire = in.Params.RWire / 4
 	out.Params.CFF = in.Params.CFF * 2
 	out.Params.CRing = in.Params.CRing / 2
-	out.Params.MaxStub = in.Params.MaxStub * 2
 	for i, rs := range out.Rings {
 		out.Rings[i].Center = rs.Center.Scale(2)
 		out.Rings[i].Side = rs.Side * 2

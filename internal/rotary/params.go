@@ -28,26 +28,18 @@ type Params struct {
 	CFF    float64 // flip-flop clock-pin input capacitance, fF
 	CRing  float64 // ring self-capacitance per unit length, fF/um
 	LRing  float64 // ring inductance per unit length, pH/um
-
-	// MaxStub is the longest acceptable tapping stub, um. Beyond this the
-	// off-ring variation penalty defeats the purpose of rotary clocking
-	// (the stub length limit of Wood et al.). Validate requires it to be
-	// positive, but no solver reads it: candidate pruning takes
-	// assign.Problem.MaxStub, which the flow leaves at zero.
-	MaxStub float64
 }
 
 // DefaultParams returns the calibration used by all experiments: 1 GHz,
 // r = 0.1 Ohm/um, c = 0.2 fF/um, 8 fF flip-flop clock pins.
 func DefaultParams() Params {
 	return Params{
-		Period:  1000,   // 1 GHz
-		RWire:   0.0001, // 0.1 Ohm/um in kOhm/um
-		CWire:   0.2,
-		CFF:     8,
-		CRing:   0.8,
-		LRing:   40, // calibrated so a ~0.6 mm ring self-oscillates near 1 GHz
-		MaxStub: 600,
+		Period: 1000,   // 1 GHz
+		RWire:  0.0001, // 0.1 Ohm/um in kOhm/um
+		CWire:  0.2,
+		CFF:    8,
+		CRing:  0.8,
+		LRing:  40, // calibrated so a ~0.6 mm ring self-oscillates near 1 GHz
 	}
 }
 
@@ -60,8 +52,6 @@ func (p Params) Validate() error {
 		return fmt.Errorf("rotary: wire RC must be positive, got r=%v c=%v", p.RWire, p.CWire)
 	case p.CFF < 0:
 		return fmt.Errorf("rotary: CFF must be non-negative, got %v", p.CFF)
-	case p.MaxStub <= 0:
-		return fmt.Errorf("rotary: MaxStub must be positive, got %v", p.MaxStub)
 	}
 	return nil
 }

@@ -1,13 +1,17 @@
 package serve
 
-import "sync"
+import (
+	"errors"
+	"sync"
+)
 
-// cache is a keyed singleflight, used for job templates and ECO base
+// cache is a keyed singleflight, used for placement templates and ECO base
 // placements alike: the first request for a key builds the value while
 // every concurrent request for the same key waits on the entry's ready
 // channel, so an expensive build happens exactly once per key no matter how
-// many identical requests arrive together. Failed builds are evicted so a
-// transient failure does not poison the key. The zero value is ready to use.
+// many identical requests arrive together. Failed builds, panicked ones
+// included, are evicted so a transient failure does not poison the key. The
+// zero value is ready to use.
 type cache[V any] struct {
 	mu sync.Mutex
 	m  map[string]*cacheEntry[V]
@@ -34,21 +38,25 @@ func (c *cache[V]) get(key string, build func() (V, error)) (v V, hit bool, err 
 	if c.m == nil {
 		c.m = make(map[string]*cacheEntry[V])
 	}
-	e = &cacheEntry[V]{ready: make(chan struct{})}
+	// The entry reads as failed until build returns, so a build that panics
+	// still releases its waiters with an error and is evicted; the panic
+	// itself goes on to the caller's guard.
+	e = &cacheEntry[V]{ready: make(chan struct{}), err: errors.New("build panicked")}
 	c.m[key] = e
 	c.mu.Unlock()
-
-	e.v, e.err = build()
-	close(e.ready)
-	if e.err != nil {
-		c.mu.Lock()
-		// Evict only our own failed entry: a concurrent retry may already
-		// have replaced it.
-		if c.m[key] == e {
-			delete(c.m, key)
+	defer func() {
+		close(e.ready)
+		if e.err != nil {
+			c.mu.Lock()
+			// Evict only our own failed entry: a concurrent retry may
+			// already have replaced it.
+			if c.m[key] == e {
+				delete(c.m, key)
+			}
+			c.mu.Unlock()
 		}
-		c.mu.Unlock()
-	}
+	}()
+	e.v, e.err = build()
 	return e.v, false, e.err
 }
 

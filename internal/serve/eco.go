@@ -3,7 +3,6 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"time"
@@ -11,9 +10,6 @@ import (
 	"rotaryclk/internal/core"
 	"rotaryclk/internal/eco"
 	"rotaryclk/internal/netlist"
-	"rotaryclk/internal/obs"
-	"rotaryclk/internal/placer"
-	"rotaryclk/internal/stop"
 )
 
 // maxECODeltas caps the delta batch one request may carry. ECO is for small
@@ -90,44 +86,8 @@ func ParseECORequest(data []byte, lim Limits) (*ECORequest, error) {
 	return &req, nil
 }
 
-// deadline resolves the request's effective time budget.
-func (r *ECORequest) deadline(def time.Duration) time.Duration {
-	if r.DeadlineMS > 0 {
-		return time.Duration(r.DeadlineMS) * time.Millisecond
-	}
-	return def
-}
-
-func (r *ECORequest) rings() int {
-	if r.Rings > 0 {
-		return r.Rings
-	}
-	return 16
-}
-
-// iters is the base flow's iteration count: an omitted iters runs the
-// flow's default of 5.
-func (r *ECORequest) iters() int {
-	if r.Iters > 0 {
-		return r.Iters
-	}
-	return 5
-}
-
-// baseKey identifies the shareable base state: the circuit spec plus every
-// knob that shapes the base flow's answer, normalized so that requests
-// running the same base flow share one build.
-func (r *ECORequest) baseKey() string {
-	return fmt.Sprintf("c%d-f%d-s%d-r%d-i%d", r.Circuit.Cells, r.Circuit.FlipFlops, r.Circuit.Seed, r.rings(), r.iters())
-}
-
-func (r *ECORequest) spec() netlist.GenSpec {
-	return netlist.GenSpec{
-		Name:      fmt.Sprintf("eco-c%d-f%d-s%d", r.Circuit.Cells, r.Circuit.FlipFlops, r.Circuit.Seed),
-		Cells:     r.Circuit.Cells,
-		FlipFlops: r.Circuit.FlipFlops,
-		Seed:      r.Circuit.Seed,
-	}
+func (r *ECORequest) params(defDeadline time.Duration) params {
+	return newParams(r.Rings, r.Iters, r.DeadlineMS, r.Strict, r.Telemetry, defDeadline)
 }
 
 // ECOResponse is the wire format of a completed ECO request: what the apply
@@ -160,93 +120,46 @@ type ECOResponse struct {
 
 // ecoBase is the per-spec state every ECO request against the same base
 // placement shares: the placed circuit (cloned per request — requests mutate
-// their clone), the completed result that seeds each request's ECO state,
-// and the CSR template forked per request. The result's assignment carries
-// the candidate matrix the base run solved over; requests only read it, so
-// each one re-solves just the tapping rows its edit touches.
+// their clone) and the completed result that seeds each request's ECO state.
+// The result's assignment carries the candidate matrix the base run solved
+// over; requests only read it, so each one re-solves just the tapping rows
+// its edit touches.
 type ecoBase struct {
 	circuit *netlist.Circuit
 	res     *core.Result
-	sys     *placer.System
 }
 
-// buildECOBase runs the full flow once for a spec and captures everything
-// later ECO requests reuse. Like template builds, the base run carries no
-// deadline and no registry — it is a shared cost no single request should
-// account for or be able to truncate for everyone else.
-func (s *Server) buildECOBase(req *ECORequest) (*ecoBase, error) {
-	c, err := netlist.Generate(req.spec())
+// applyECO is /v1/eco's own step: fork the spec's template, pick up (or
+// build) the shared base placement for the request's rings and iterations,
+// clone it, seed a fresh ECO state over the clone, and absorb the delta
+// batch. The clone means a failed or degraded apply never poisons the
+// shared base.
+func (s *Server) applyECO(req *ECORequest, cfg core.Config) (*answer, error) {
+	tmpl, _, err := s.template(req.Circuit)
 	if err != nil {
 		return nil, err
 	}
-	sys, err := placer.NewSystem(c, nil)
-	if err != nil {
-		return nil, err
-	}
-	cfg := core.Config{
-		NumRings:    req.rings(),
-		MaxIters:    req.iters(),
-		Parallelism: s.perJobWorkers(),
-		System:      sys,
-	}
-	res, err := s.runFlow(c, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if res == nil || res.Degraded || res.Assign == nil {
-		return nil, fmt.Errorf("base flow yielded no clean state to edit")
-	}
-	return &ecoBase{circuit: c, res: res, sys: sys}, nil
-}
-
-// handleECO admits, runs, and answers one ECO request through the same
-// queue, worker pool, deadline, and drain machinery as placement jobs.
-func (s *Server) handleECO(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("reading request: %v", err))
-		return
-	}
-	req, err := ParseECORequest(body, s.cfg.limits())
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-
-	tok, release := stop.WithTimeout(req.deadline(s.cfg.DefaultDeadline))
-	j := &job{ecoReq: req, tok: tok, release: release, admitted: time.Now(), done: make(chan struct{})}
-	if !s.admit(w, j) {
-		return
-	}
-	s.awaitAndReply(w, j)
-}
-
-// executeECO runs one admitted ECO request: pick up (or build) the shared
-// base placement, clone it, seed a fresh ECO state over the clone, and
-// absorb the delta batch under the request's token and registry. The clone
-// means a failed or degraded apply never poisons the shared base.
-func (s *Server) executeECO(j *job) {
-	start := j.admitted
-	defer func() {
-		s.mu.Lock()
-		delete(s.active, j)
-		s.mu.Unlock()
-		j.release()
-		close(j.done)
-	}()
-
-	req := j.ecoReq
-	base, hit, err := s.ecoBases.get(req.baseKey(), func() (*ecoBase, error) {
-		return s.buildECOBase(req)
+	cfg.System = tmpl
+	key := fmt.Sprintf("%s-r%d-i%d", req.Circuit.key(), cfg.NumRings, cfg.MaxIters)
+	base, hit, err := s.ecoBases.get(key, func() (*ecoBase, error) {
+		// Like template builds, the base run carries no deadline and no
+		// registry — it is a shared cost no single request should account
+		// for or be able to truncate for everyone else.
+		c, err := netlist.Generate(req.Circuit.genSpec("eco"))
+		if err != nil {
+			return nil, err
+		}
+		res, err := s.runFlow(c, core.Config{NumRings: cfg.NumRings, MaxIters: cfg.MaxIters, Parallelism: cfg.Parallelism, System: tmpl})
+		if err != nil {
+			return nil, err
+		}
+		if res == nil || res.Degraded || res.Assign == nil {
+			return nil, fmt.Errorf("base flow yielded no clean state to edit")
+		}
+		return &ecoBase{circuit: c, res: res}, nil
 	})
 	if err != nil {
-		j.status, j.errMsg = 500, fmt.Sprintf("building ECO base placement: %v", err)
-		s.stats.add(&s.stats.failed, 1)
-		return
+		return nil, &statusError{http.StatusInternalServerError, fmt.Errorf("building ECO base placement: %w", err)}
 	}
 	if hit {
 		s.stats.add(&s.stats.ecoBaseHits, 1)
@@ -255,36 +168,13 @@ func (s *Server) executeECO(j *job) {
 	}
 
 	clone := base.circuit.Clone()
-	reg := obs.NewRegistry()
-	cfg := core.Config{
-		NumRings:    req.rings(),
-		MaxIters:    req.iters(),
-		Strict:      req.Strict,
-		Parallelism: s.perJobWorkers(),
-		Obs:         reg,
-		Stop:        j.tok,
-		System:      base.sys,
-	}
 	st, err := core.NewECOState(clone, cfg, base.res)
 	if err != nil {
-		j.status, j.errMsg = 500, fmt.Sprintf("seeding ECO state: %v", err)
-		s.stats.add(&s.stats.failed, 1)
-		return
+		return nil, &statusError{http.StatusInternalServerError, fmt.Errorf("seeding ECO state: %w", err)}
 	}
-
-	res, runErr, panicked := s.runECOProtected(st, req.Deltas, cfg, eco.Options{Strict: req.Strict})
-	elapsed := time.Since(start)
-	if panicked {
-		s.stats.add(&s.stats.panics, 1)
-		j.status, j.errMsg = 500, fmt.Sprintf("job panicked: %v", runErr)
-		return
-	}
-	if runErr != nil {
-		// Invalid deltas and strict-mode failures land here; a deadline in
-		// non-strict mode comes back as a degraded (rolled-back) outcome.
-		s.stats.add(&s.stats.failed, 1)
-		j.status, j.errMsg = 422, runErr.Error()
-		return
+	res, err := s.runECO(st, req.Deltas, cfg, eco.Options{Strict: cfg.Strict})
+	if err != nil {
+		return nil, err
 	}
 
 	out := res.Outcome
@@ -302,33 +192,15 @@ func (s *Server) executeECO(j *job) {
 		WorkSlackPS:   sanitize(out.WorkSlack),
 		TapTotalUM:    sanitize(out.Total),
 		Final:         sanitizeMetrics(res.Final),
-		ElapsedMS:     float64(elapsed) / float64(time.Millisecond),
 		BaseHit:       hit,
 	}
-	if req.Telemetry {
-		snap := reg.Snapshot()
-		resp.Counters = json.RawMessage(snap.CountersJSON())
-		resp.Trace = snap.Text()
-	}
-	j.status, j.resp = 200, resp
-
-	s.stats.add(&s.stats.completed, 1)
-	if out.Degraded {
-		s.stats.add(&s.stats.degraded, 1)
-	}
-	if j.tok.Stopped() {
-		s.stats.add(&s.stats.deadlined, 1)
-	}
-	s.stats.observe(elapsed)
-}
-
-// runECOProtected calls the ECO entry point with a per-request panic guard.
-func (s *Server) runECOProtected(st *eco.State, deltas []eco.Delta, cfg core.Config, opt eco.Options) (res *core.ECOResult, err error, panicked bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			res, err, panicked = nil, fmt.Errorf("%v", r), true
-		}
-	}()
-	res, err = s.runECO(st, deltas, cfg, opt)
-	return res, err, false
+	return &answer{
+		degraded: out.Degraded,
+		// A token that fires after a clean apply degraded nothing.
+		deadlined: out.Degraded && cfg.Stop.Stopped(),
+		reply: func(elapsedMS float64, counters json.RawMessage, trace string) any {
+			resp.ElapsedMS, resp.Counters, resp.Trace = elapsedMS, counters, trace
+			return resp
+		},
+	}, nil
 }

@@ -55,14 +55,18 @@ func FuzzParseECORequest(f *testing.F) {
 		if req.Circuit.FlipFlops < 0 || req.Circuit.FlipFlops > req.Circuit.Cells {
 			t.Fatalf("accepted flipflops %d with %d cells", req.Circuit.FlipFlops, req.Circuit.Cells)
 		}
-		if req.rings() < 1 || req.rings() > 1024 {
-			t.Fatalf("effective rings %d outside [1, 1024]", req.rings())
+		p := req.params(30 * time.Second)
+		if p.rings < 1 || p.rings > 1024 {
+			t.Fatalf("effective rings %d outside [1, 1024]", p.rings)
 		}
 		if req.Iters < 0 || req.Iters > 100 {
 			t.Fatalf("accepted iters %d", req.Iters)
 		}
-		if d := req.deadline(30 * time.Second); d <= 0 || d > lim.MaxDeadline {
-			t.Fatalf("effective deadline %v outside (0, %v]", d, lim.MaxDeadline)
+		if p.iters < 1 || p.iters > 100 {
+			t.Fatalf("effective iters %d outside [1, 100]", p.iters)
+		}
+		if p.deadline <= 0 || p.deadline > lim.MaxDeadline {
+			t.Fatalf("effective deadline %v outside (0, %v]", p.deadline, lim.MaxDeadline)
 		}
 		if len(req.Deltas) < 1 || len(req.Deltas) > maxECODeltas {
 			t.Fatalf("accepted %d deltas outside [1, %d]", len(req.Deltas), maxECODeltas)
@@ -83,8 +87,8 @@ func FuzzParseECORequest(f *testing.F) {
 				t.Fatalf("accepted delta %d with non-finite coordinates", i)
 			}
 		}
-		if req.baseKey() == "" {
-			t.Fatal("empty base key")
+		if req.Circuit.key() == "" {
+			t.Fatal("empty template key")
 		}
 		// Round trip: an accepted request re-encodes to a request the
 		// decoder accepts and that encodes identically — field-order and

@@ -156,6 +156,86 @@ func TestECODeadlineDegrades(t *testing.T) {
 	}
 }
 
+// TestECOCleanAnswerPastDeadline: deadline_exceeded counts answers the fired
+// token degraded, not every answer that returns after it fired. The hooked
+// apply runs untimed, so its answer is clean, and returns only once the
+// request's token has fired.
+func TestECOCleanAnswerPastDeadline(t *testing.T) {
+	s := New(testConfig())
+	defer drainNow(t, s)
+	s.runECO = func(st *eco.State, deltas []eco.Delta, cfg core.Config, opt eco.Options) (*core.ECOResult, error) {
+		tok := cfg.Stop
+		cfg.Stop = nil
+		res, err := core.ApplyECO(st, deltas, cfg, opt)
+		for !tok.Stopped() {
+			time.Sleep(time.Millisecond)
+		}
+		return res, err
+	}
+
+	ff, x, y := ecoProbe(t, 60, 8, 8)
+	body := fmt.Sprintf(
+		`{"circuit":{"cells":60,"flipflops":8,"seed":8},"rings":4,"iters":2,"deadline_ms":20,"deltas":[{"op":"move_ff","cell":%d,"x":%.4f,"y":%.4f}]}`,
+		ff, x, y)
+	rr := postECO(s, body)
+	if rr.Code != http.StatusOK {
+		t.Fatalf("status %d body %s", rr.Code, rr.Body)
+	}
+	var resp ECOResponse
+	if err := json.Unmarshal(rr.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Degraded {
+		t.Fatalf("untimed apply degraded: %v", resp.Events)
+	}
+	if got := s.stats.deadlined.Load(); got != 0 {
+		t.Errorf("deadlined = %d for a clean answer, want 0", got)
+	}
+}
+
+// TestTemplateSharedAcrossEndpoints: a job and an ECO request on one spec
+// build the spec's placement template once — the ECO request and its base
+// flow fork the system the job built — and each answer equals the one a
+// fresh server gives that request alone.
+func TestTemplateSharedAcrossEndpoints(t *testing.T) {
+	ff, x, y := ecoProbe(t, 60, 8, 9)
+	jobBody := `{"circuit":{"cells":60,"flipflops":8,"seed":9},"rings":4,"iters":2}`
+	ecoBody := fmt.Sprintf(
+		`{"circuit":{"cells":60,"flipflops":8,"seed":9},"rings":4,"iters":2,"deltas":[{"op":"move_ff","cell":%d,"x":%.4f,"y":%.4f}]}`,
+		ff, x, y)
+	decode := func(rr *httptest.ResponseRecorder, v any) {
+		t.Helper()
+		if rr.Code != http.StatusOK {
+			t.Fatalf("status %d body %s", rr.Code, rr.Body)
+		}
+		if err := json.Unmarshal(rr.Body.Bytes(), v); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s := New(testConfig())
+	defer drainNow(t, s)
+	var job, freshJob JobResponse
+	var edit, freshEdit ECOResponse
+	decode(post(s, jobBody), &job)
+	decode(postECO(s, ecoBody), &edit)
+	if b, h := s.stats.templateBuilds.Load(), s.stats.templateHits.Load(); b != 1 || h != 1 {
+		t.Errorf("template builds/hits = %d/%d, want 1/1", b, h)
+	}
+
+	freshJobs, freshECO := New(testConfig()), New(testConfig())
+	defer drainNow(t, freshJobs)
+	defer drainNow(t, freshECO)
+	decode(post(freshJobs, jobBody), &freshJob)
+	decode(postECO(freshECO, ecoBody), &freshEdit)
+	if job.Final != freshJob.Final || job.MaxSlackPS != freshJob.MaxSlackPS {
+		t.Errorf("job on a shared template differs from a fresh server's: %+v vs %+v", job.Final, freshJob.Final)
+	}
+	if edit.Final != freshEdit.Final || edit.TapTotalUM != freshEdit.TapTotalUM || edit.DirtyFFs != freshEdit.DirtyFFs {
+		t.Errorf("ECO on a shared template differs from a fresh server's: tap %v vs %v", edit.TapTotalUM, freshEdit.TapTotalUM)
+	}
+}
+
 // TestECODrainAnswersInFlight: Drain lets an in-flight ECO request finish
 // and answer its caller while new ECO work is rejected with 503 — the same
 // graceful-drain contract placement jobs have.

@@ -47,14 +47,18 @@ func FuzzParseJobRequest(f *testing.F) {
 		if req.Circuit.FlipFlops < 0 || req.Circuit.FlipFlops > req.Circuit.Cells {
 			t.Fatalf("accepted flipflops %d with %d cells", req.Circuit.FlipFlops, req.Circuit.Cells)
 		}
-		if req.rings() < 1 || req.rings() > 1024 {
-			t.Fatalf("effective rings %d outside [1, 1024]", req.rings())
+		p := req.params(30 * time.Second)
+		if p.rings < 1 || p.rings > 1024 {
+			t.Fatalf("effective rings %d outside [1, 1024]", p.rings)
 		}
 		if req.Iters < 0 || req.Iters > 100 {
 			t.Fatalf("accepted iters %d", req.Iters)
 		}
-		if d := req.deadline(30 * time.Second); d <= 0 || d > lim.MaxDeadline {
-			t.Fatalf("effective deadline %v outside (0, %v]", d, lim.MaxDeadline)
+		if p.iters < 1 || p.iters > 100 {
+			t.Fatalf("effective iters %d outside [1, 100]", p.iters)
+		}
+		if p.deadline <= 0 || p.deadline > lim.MaxDeadline {
+			t.Fatalf("effective deadline %v outside (0, %v]", p.deadline, lim.MaxDeadline)
 		}
 		switch req.Assigner {
 		case "", "flow", "ilp":
@@ -66,7 +70,7 @@ func FuzzParseJobRequest(f *testing.F) {
 		default:
 			t.Fatalf("accepted objective %q", req.Objective)
 		}
-		if req.templateKey() == "" {
+		if req.Circuit.key() == "" {
 			t.Fatal("empty template key")
 		}
 		// Round trip: an accepted request re-encodes to a request the

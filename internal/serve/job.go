@@ -5,12 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"net/http"
 	"time"
 
 	"rotaryclk/internal/core"
 	"rotaryclk/internal/netlist"
-	"rotaryclk/internal/obs"
-	"rotaryclk/internal/placer"
 )
 
 // maxRequestBytes bounds the request body; a job spec is a few hundred
@@ -100,10 +99,10 @@ func decodeStrict(data []byte, what string, v any) error {
 // limits (the zero Limits fields mean the package defaults).
 func checkCommon(c CircuitSpec, rings, iters, deadlineMS int, lim Limits) error {
 	if lim.MaxCells <= 0 {
-		lim.MaxCells = 50000
+		lim.MaxCells = defaultMaxCells
 	}
 	if lim.MaxDeadline <= 0 {
-		lim.MaxDeadline = 5 * time.Minute
+		lim.MaxDeadline = defaultMaxDeadline
 	}
 	if c.Cells < 1 || c.Cells > lim.MaxCells {
 		return fmt.Errorf("circuit.cells %d out of range [1, %d]", c.Cells, lim.MaxCells)
@@ -123,34 +122,52 @@ func checkCommon(c CircuitSpec, rings, iters, deadlineMS int, lim Limits) error 
 	return nil
 }
 
-// deadline resolves the job's effective time budget.
-func (r *JobRequest) deadline(def time.Duration) time.Duration {
-	if r.DeadlineMS > 0 {
-		return time.Duration(r.DeadlineMS) * time.Millisecond
-	}
-	return def
+// Flow and admission defaults. defaultRings and defaultIters are core.Run's
+// own defaults, resolved here so that equal base flows share one ECO base
+// key; the limits apply when Config (or Limits) leaves them zero.
+const (
+	defaultRings       = 16
+	defaultIters       = 5
+	defaultMaxCells    = 50000
+	defaultMaxDeadline = 5 * time.Minute
+)
+
+// params are the request fields both endpoints carry, defaulted once: rings
+// and iterations to the flow's defaults, the deadline to the server's.
+type params struct {
+	rings, iters      int
+	deadline          time.Duration
+	strict, telemetry bool
 }
 
-// templateKey identifies the immutable state jobs with this request can
-// share: the placement system depends on the circuit spec alone.
-func (r *JobRequest) templateKey() string {
-	return fmt.Sprintf("c%d-f%d-s%d", r.Circuit.Cells, r.Circuit.FlipFlops, r.Circuit.Seed)
+func newParams(rings, iters, deadlineMS int, strict, telemetry bool, defDeadline time.Duration) params {
+	p := params{rings: rings, iters: iters, deadline: time.Duration(deadlineMS) * time.Millisecond, strict: strict, telemetry: telemetry}
+	if p.rings <= 0 {
+		p.rings = defaultRings
+	}
+	if p.iters <= 0 {
+		p.iters = defaultIters
+	}
+	if p.deadline <= 0 {
+		p.deadline = defDeadline
+	}
+	return p
 }
 
-func (r *JobRequest) rings() int {
-	if r.Rings > 0 {
-		return r.Rings
-	}
-	return 16
+func (r *JobRequest) params(defDeadline time.Duration) params {
+	return newParams(r.Rings, r.Iters, r.DeadlineMS, r.Strict, r.Telemetry, defDeadline)
 }
 
-func (r *JobRequest) spec() netlist.GenSpec {
-	return netlist.GenSpec{
-		Name:      fmt.Sprintf("job-c%d-f%d-s%d", r.Circuit.Cells, r.Circuit.FlipFlops, r.Circuit.Seed),
-		Cells:     r.Circuit.Cells,
-		FlipFlops: r.Circuit.FlipFlops,
-		Seed:      r.Circuit.Seed,
-	}
+// key identifies the spec's circuit, and so the placement template every
+// request with this spec shares: the system depends on the spec alone.
+func (c CircuitSpec) key() string {
+	return fmt.Sprintf("c%d-f%d-s%d", c.Cells, c.FlipFlops, c.Seed)
+}
+
+// genSpec is the generator input for the spec; kind prefixes the circuit
+// name the response reports.
+func (c CircuitSpec) genSpec(kind string) netlist.GenSpec {
+	return netlist.GenSpec{Name: kind + "-" + c.key(), Cells: c.Cells, FlipFlops: c.FlipFlops, Seed: c.Seed}
 }
 
 // JobEvent is one recovery/degradation action in the response.
@@ -183,72 +200,27 @@ type JobResponse struct {
 	Trace    string          `json:"trace,omitempty"`
 }
 
-// execute runs one admitted job start to finish: generate the circuit, pick
-// up (or build) the shared template, run the flow under the job's token and
-// registry, and translate the outcome into an HTTP response. A panic
-// anywhere in the solver stack is confined to this job.
-func (s *Server) execute(j *job) {
-	// Latency counts from admission, like the deadline does: queue wait is
-	// time the caller spent waiting, so p99 must include it.
-	start := j.admitted
-	defer func() {
-		s.mu.Lock()
-		delete(s.active, j)
-		s.mu.Unlock()
-		j.release()
-		close(j.done)
-	}()
-
-	c, err := netlist.Generate(j.req.spec())
+// placeJob is /v1/jobs' own step: generate the circuit, fork the spec's
+// template, and run the flow.
+func (s *Server) placeJob(req *JobRequest, cfg core.Config) (*answer, error) {
+	c, err := netlist.Generate(req.Circuit.genSpec("job"))
 	if err != nil {
-		j.status, j.errMsg = 400, fmt.Sprintf("generating circuit: %v", err)
-		s.stats.add(&s.stats.failed, 1)
-		return
+		return nil, &statusError{http.StatusBadRequest, fmt.Errorf("generating circuit: %w", err)}
 	}
-	tmpl, hit, err := s.templates.get(j.req.templateKey(), func() (*placer.System, error) {
-		return buildTemplate(j.req)
-	})
+	tmpl, hit, err := s.template(req.Circuit)
 	if err != nil {
-		j.status, j.errMsg = 500, fmt.Sprintf("building placement template: %v", err)
-		s.stats.add(&s.stats.failed, 1)
-		return
+		return nil, err
 	}
-	if hit {
-		s.stats.add(&s.stats.templateHits, 1)
-	} else {
-		s.stats.add(&s.stats.templateBuilds, 1)
-	}
-
-	reg := obs.NewRegistry()
-	cfg := core.Config{
-		NumRings:    j.req.rings(),
-		MaxIters:    j.req.Iters,
-		Strict:      j.req.Strict,
-		Parallelism: s.perJobWorkers(),
-		Obs:         reg,
-		Stop:        j.tok,
-		System:      tmpl,
-	}
-	if j.req.Assigner == "ilp" {
+	cfg.System = tmpl
+	if req.Assigner == "ilp" {
 		cfg.Assigner = core.ILP
 	}
-	if j.req.Objective == "sum" {
+	if req.Objective == "sum" {
 		cfg.Objective = core.WeightedSum
 	}
-
-	res, runErr, panicked := s.runProtected(c, cfg)
-	elapsed := time.Since(start)
-	if panicked {
-		s.stats.add(&s.stats.panics, 1)
-		j.status, j.errMsg = 500, fmt.Sprintf("job panicked: %v", runErr)
-		return
-	}
-	if runErr != nil {
-		// Only strict jobs and genuinely broken instances land here; a
-		// deadline in non-strict mode comes back as a degraded result.
-		s.stats.add(&s.stats.failed, 1)
-		j.status, j.errMsg = 422, runErr.Error()
-		return
+	res, err := s.runFlow(c, cfg)
+	if err != nil {
+		return nil, err
 	}
 
 	resp := &JobResponse{
@@ -258,70 +230,24 @@ func (s *Server) execute(j *job) {
 		MaxSlackPS:  sanitize(res.MaxSlack),
 		Base:        sanitizeMetrics(res.Base),
 		Final:       sanitizeMetrics(res.Final),
-		ElapsedMS:   float64(elapsed) / float64(time.Millisecond),
 		TemplateHit: hit,
 	}
-	deadlined := false
+	a := &answer{degraded: res.Degraded}
 	for _, ev := range res.Events {
 		e := JobEvent{Stage: ev.Stage, Iter: ev.Iter, Kind: ev.Kind.String(), Action: ev.Action}
 		if ev.Err != nil {
 			e.Err = ev.Err.Error()
 		}
 		resp.Events = append(resp.Events, e)
-		switch ev.Kind {
-		case core.DeadlineExceeded:
-			deadlined = true
-		case core.Canceled:
-			deadlined = true
+		if ev.Kind == core.DeadlineExceeded || ev.Kind == core.Canceled {
+			a.deadlined = true
 		}
 	}
-	if j.req.Telemetry {
-		snap := reg.Snapshot()
-		resp.Counters = json.RawMessage(snap.CountersJSON())
-		resp.Trace = snap.Text()
+	a.reply = func(elapsedMS float64, counters json.RawMessage, trace string) any {
+		resp.ElapsedMS, resp.Counters, resp.Trace = elapsedMS, counters, trace
+		return resp
 	}
-	j.status, j.resp = 200, resp
-
-	s.stats.add(&s.stats.completed, 1)
-	if res.Degraded {
-		s.stats.add(&s.stats.degraded, 1)
-	}
-	if deadlined {
-		s.stats.add(&s.stats.deadlined, 1)
-	}
-	s.stats.observe(elapsed)
-}
-
-// runProtected calls the flow with a per-job panic guard.
-func (s *Server) runProtected(c *netlist.Circuit, cfg core.Config) (res *core.Result, err error, panicked bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			res, err, panicked = nil, fmt.Errorf("%v", r), true
-		}
-	}()
-	res, err = s.runFlow(c, cfg)
-	return res, err, false
-}
-
-// perJobWorkers carves the shared kernel-worker budget across the pool.
-func (s *Server) perJobWorkers() int {
-	w := s.cfg.Parallelism / s.cfg.Workers
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// buildTemplate assembles the shareable immutable state for a circuit spec:
-// a placement system built over a template-owned circuit (jobs fork it, the
-// template itself is never solved on). The template registry is nil on
-// purpose — builds are a shared cost no single job should account for.
-func buildTemplate(req *JobRequest) (*placer.System, error) {
-	tc, err := netlist.Generate(req.spec())
-	if err != nil {
-		return nil, err
-	}
-	return placer.NewSystem(tc, nil)
+	return a, nil
 }
 
 // sanitize replaces non-finite floats with 0 so the response always

@@ -55,14 +55,17 @@ func TestParseJobRequestDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatalf("max-cells request rejected under default limits: %v", err)
 	}
-	if got := req.rings(); got != 16 {
+	if got := req.params(30 * time.Second).rings; got != 16 {
 		t.Errorf("default rings = %d, want 16", got)
 	}
-	if got := req.deadline(30 * time.Second); got != 30*time.Second {
+	if got := req.params(30 * time.Second).iters; got != 5 {
+		t.Errorf("default iters = %d, want 5", got)
+	}
+	if got := req.params(30 * time.Second).deadline; got != 30*time.Second {
 		t.Errorf("unset deadline = %v, want server default", got)
 	}
 	req.DeadlineMS = 1500
-	if got := req.deadline(30 * time.Second); got != 1500*time.Millisecond {
+	if got := req.params(30 * time.Second).deadline; got != 1500*time.Millisecond {
 		t.Errorf("explicit deadline = %v, want 1.5s", got)
 	}
 	if _, err := ParseJobRequest([]byte(`{"circuit":{"cells":50001}}`), Limits{}); err == nil {
@@ -132,10 +135,10 @@ func TestParseECORequestRejects(t *testing.T) {
 	if err != nil {
 		t.Fatalf("minimal eco request rejected under default limits: %v", err)
 	}
-	if req.rings() != 16 {
-		t.Errorf("default eco rings = %d, want 16", req.rings())
+	if got := req.params(7 * time.Second).rings; got != 16 {
+		t.Errorf("default eco rings = %d, want 16", got)
 	}
-	if got := req.deadline(7 * time.Second); got != 7*time.Second {
+	if got := req.params(7 * time.Second).deadline; got != 7*time.Second {
 		t.Errorf("unset eco deadline = %v, want server default", got)
 	}
 }

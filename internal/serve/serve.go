@@ -1,6 +1,9 @@
 // Package serve implements placement-as-a-service: an HTTP/JSON front end
-// over core.Run with the robustness plumbing a long-lived daemon needs and a
-// one-shot CLI does not.
+// over core.Run (POST /v1/jobs) and core.ApplyECO (POST /v1/eco) with the
+// robustness plumbing a long-lived daemon needs and a one-shot CLI does not.
+// Both endpoints take one request path — one handler, one executor, one
+// panic guard — and differ only in their parser and their step (see
+// placeJob and applyECO).
 //
 //   - Admission control: a bounded job queue ahead of a fixed worker pool.
 //     A full queue sheds load immediately (HTTP 429 + Retry-After) instead
@@ -16,8 +19,8 @@
 //     a crashing job into a 500 response without taking the daemon down.
 //   - Amortization: the expensive immutable state — the quadratic placement
 //     system's CSR connectivity — is built once per circuit spec behind a
-//     singleflight guard and forked by every job with that spec (see
-//     cache.go).
+//     singleflight guard and forked by every request with that spec, on
+//     either endpoint (see cache.go).
 //
 // The server is an http.Handler; cmd/rotaryd wires it to a listener and the
 // process lifecycle (SIGTERM -> Drain -> exit 0).
@@ -26,6 +29,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -37,6 +41,7 @@ import (
 	"rotaryclk/internal/core"
 	"rotaryclk/internal/eco"
 	"rotaryclk/internal/netlist"
+	"rotaryclk/internal/obs"
 	"rotaryclk/internal/placer"
 	"rotaryclk/internal/stop"
 )
@@ -78,38 +83,46 @@ func (c *Config) normalize() {
 	if c.DefaultDeadline <= 0 {
 		c.DefaultDeadline = 30 * time.Second
 	}
-	if c.MaxDeadline <= 0 {
-		c.MaxDeadline = 5 * time.Minute
-	}
-	if c.MaxCells <= 0 {
-		c.MaxCells = 50000
-	}
-}
-
-// limits returns the admission bounds ParseJobRequest validates against.
-func (c *Config) limits() Limits {
-	return Limits{MaxCells: c.MaxCells, MaxDeadline: c.MaxDeadline}
 }
 
 // job is one admitted request flowing from the handler goroutine through the
-// queue to a worker and back — a placement job (req) or an ECO request
-// (ecoReq); exactly one is set. The handler blocks on done; the worker owns
+// queue to a worker and back. The handler blocks on done; the worker owns
 // every other field until it closes done.
 type job struct {
-	req      *JobRequest
-	ecoReq   *ECORequest
+	params
+	// solve is the endpoint's own step: fetch its cached state, run its
+	// solver under cfg, and shape the answer.
+	solve    func(cfg core.Config) (*answer, error)
 	tok      *stop.Token
 	release  func()
 	admitted time.Time
 
-	// Filled by the worker before close(done): resp is a *JobResponse or an
-	// *ECOResponse on success, nil with status/errMsg on failure.
+	// Filled by the worker before close(done): resp is the 200 body on
+	// success, nil with status/errMsg on failure.
 	status int
 	resp   any
 	errMsg string
 
 	done chan struct{}
 }
+
+// answer is an endpoint step's success: the accounting facts the executor
+// records, and reply, which shapes the 200 body from the fields every
+// response carries — latency from admission and the telemetry payload.
+type answer struct {
+	degraded  bool
+	deadlined bool // the fired token is what degraded it
+	reply     func(elapsedMS float64, counters json.RawMessage, trace string) any
+}
+
+// statusError is a step failure answered with its own status instead of the
+// 422 a solver error gets.
+type statusError struct {
+	status int
+	err    error
+}
+
+func (e *statusError) Error() string { return e.err.Error() }
 
 // Server is the placement service. Create with New, serve it as an
 // http.Handler, stop it with Drain.
@@ -126,7 +139,7 @@ type Server struct {
 
 	workers sync.WaitGroup
 
-	templates cache[*placer.System] // job templates, forked per job
+	templates cache[*placer.System] // per circuit spec, forked per request
 	ecoBases  cache[*ecoBase]
 	stats     stats
 
@@ -148,8 +161,26 @@ func New(cfg Config) *Server {
 		runFlow: core.Run,
 		runECO:  core.ApplyECO,
 	}
-	s.mux.HandleFunc("/v1/jobs", s.handleJobs)
-	s.mux.HandleFunc("/v1/eco", s.handleECO)
+	// Zero limits fall back to the package defaults in the parsers.
+	lim := Limits{MaxCells: cfg.MaxCells, MaxDeadline: cfg.MaxDeadline}
+	s.mux.HandleFunc("/v1/jobs", s.handle(func(body []byte) (*job, error) {
+		req, err := ParseJobRequest(body, lim)
+		if err != nil {
+			return nil, err
+		}
+		return &job{params: req.params(s.cfg.DefaultDeadline), solve: func(cfg core.Config) (*answer, error) {
+			return s.placeJob(req, cfg)
+		}}, nil
+	}))
+	s.mux.HandleFunc("/v1/eco", s.handle(func(body []byte) (*job, error) {
+		req, err := ParseECORequest(body, lim)
+		if err != nil {
+			return nil, err
+		}
+		return &job{params: req.params(s.cfg.DefaultDeadline), solve: func(cfg core.Config) (*answer, error) {
+			return s.applyECO(req, cfg)
+		}}, nil
+	}))
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	for i := 0; i < cfg.Workers; i++ {
@@ -166,11 +197,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 func (s *Server) worker() {
 	defer s.workers.Done()
 	for j := range s.queue {
-		if j.ecoReq != nil {
-			s.executeECO(j)
-		} else {
-			s.execute(j)
-		}
+		s.execute(j)
 	}
 }
 
@@ -219,30 +246,33 @@ func (s *Server) Draining() bool {
 	return s.draining
 }
 
-// handleJobs admits, runs, and answers one placement job synchronously.
-func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
+// handle returns the one POST handler both endpoints share: method check,
+// bounded body read, the endpoint's parser, a deadline token armed at
+// admission, admission itself, and the synchronous reply.
+func (s *Server) handle(parse func(body []byte) (*job, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			http.Error(w, "POST only", http.StatusMethodNotAllowed)
+			return
+		}
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+		if err != nil {
+			httpError(w, http.StatusBadRequest, fmt.Sprintf("reading request: %v", err))
+			return
+		}
+		j, err := parse(body)
+		if err != nil {
+			httpError(w, http.StatusBadRequest, err.Error())
+			return
+		}
+		j.tok, j.release = stop.WithTimeout(j.deadline)
+		j.admitted = time.Now()
+		j.done = make(chan struct{})
+		if !s.admit(w, j) {
+			return
+		}
+		s.awaitAndReply(w, j)
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("reading request: %v", err))
-		return
-	}
-	req, err := ParseJobRequest(body, s.cfg.limits())
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-
-	deadline := req.deadline(s.cfg.DefaultDeadline)
-	tok, release := stop.WithTimeout(deadline)
-	j := &job{req: req, tok: tok, release: release, admitted: time.Now(), done: make(chan struct{})}
-	if !s.admit(w, j) {
-		return
-	}
-	s.awaitAndReply(w, j)
 }
 
 // admit enqueues one job under the admission rules — draining rejects with
@@ -287,6 +317,95 @@ func (s *Server) awaitAndReply(w http.ResponseWriter, j *job) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(j.resp) //nolint:errcheck // client gone is not our failure
+}
+
+// execute runs one admitted job through the path every endpoint shares: a
+// per-job registry and base config, the endpoint's step under the panic
+// guard, and the accounting every answer gets.
+func (s *Server) execute(j *job) {
+	defer func() {
+		s.mu.Lock()
+		delete(s.active, j)
+		s.mu.Unlock()
+		j.release()
+		close(j.done)
+	}()
+	// The daemon's one panic guard: a panic anywhere in the endpoint's step
+	// is confined to its job instead of taking the worker down.
+	defer func() {
+		if r := recover(); r != nil {
+			s.stats.add(&s.stats.panics, 1)
+			j.status, j.resp, j.errMsg = http.StatusInternalServerError, nil, fmt.Sprintf("job panicked: %v", r)
+		}
+	}()
+
+	// Each job runs its solvers on its share of the kernel-worker budget.
+	reg := obs.NewRegistry()
+	cfg := core.Config{
+		NumRings:    j.rings,
+		MaxIters:    j.iters,
+		Strict:      j.strict,
+		Parallelism: max(1, s.cfg.Parallelism/s.cfg.Workers),
+		Obs:         reg,
+		Stop:        j.tok,
+	}
+	a, err := j.solve(cfg)
+	// Latency counts from admission, like the deadline does: queue wait is
+	// time the caller spent waiting, so p99 must include it.
+	elapsed := time.Since(j.admitted)
+	var se *statusError
+	switch {
+	case errors.As(err, &se):
+		s.stats.add(&s.stats.failed, 1)
+		j.status, j.errMsg = se.status, se.Error()
+		return
+	case err != nil:
+		// Invalid input and strict-mode failures land here; a deadline in
+		// non-strict mode comes back as a degraded answer.
+		s.stats.add(&s.stats.failed, 1)
+		j.status, j.errMsg = http.StatusUnprocessableEntity, err.Error()
+		return
+	}
+
+	var counters json.RawMessage
+	var trace string
+	if j.telemetry {
+		snap := reg.Snapshot()
+		counters, trace = json.RawMessage(snap.CountersJSON()), snap.Text()
+	}
+	j.status, j.resp = http.StatusOK, a.reply(float64(elapsed)/float64(time.Millisecond), counters, trace)
+
+	s.stats.add(&s.stats.completed, 1)
+	if a.degraded {
+		s.stats.add(&s.stats.degraded, 1)
+	}
+	if a.deadlined {
+		s.stats.add(&s.stats.deadlined, 1)
+	}
+	s.stats.observe(elapsed)
+}
+
+// template returns the spec's shared placement system, building it on first
+// use, and counts the build or hit. The system is built over a template-owned
+// circuit that requests fork and never solve on; its registry is nil on
+// purpose — builds are a shared cost no single request should account for.
+func (s *Server) template(spec CircuitSpec) (*placer.System, bool, error) {
+	tmpl, hit, err := s.templates.get(spec.key(), func() (*placer.System, error) {
+		tc, err := netlist.Generate(spec.genSpec("template"))
+		if err != nil {
+			return nil, err
+		}
+		return placer.NewSystem(tc, nil)
+	})
+	if err != nil {
+		return nil, false, &statusError{http.StatusInternalServerError, fmt.Errorf("building placement template: %w", err)}
+	}
+	if hit {
+		s.stats.add(&s.stats.templateHits, 1)
+	} else {
+		s.stats.add(&s.stats.templateBuilds, 1)
+	}
+	return tmpl, hit, nil
 }
 
 // handleMetrics serves the operational snapshot.

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"rotaryclk/internal/core"
+	"rotaryclk/internal/eco"
 	"rotaryclk/internal/netlist"
 )
 
@@ -182,48 +183,84 @@ func TestQueueFullShed(t *testing.T) {
 	}
 }
 
-// TestPanicIsolation: a job that panics inside the solver stack answers 500
-// and the daemon keeps serving — the next job on the same worker succeeds.
-func TestPanicIsolation(t *testing.T) {
-	s := New(testConfig())
-	first := true
-	s.runFlow = func(c *netlist.Circuit, cfg core.Config) (*core.Result, error) {
-		if first {
-			first = false
-			panic("solver invariant broken")
-		}
-		return &core.Result{}, nil
+// TestFailureIsolation: on either endpoint, a request whose solver panics
+// answers 500 and one whose strict solve fails answers 422, each counted once
+// under its own counter, and the daemon keeps serving — the next request on
+// the same worker succeeds. The hooked solver fails on its first call only
+// and runs the real one after. A panic in the shared ECO base flow must not
+// poison the base cache either: the next request builds it again.
+func TestFailureIsolation(t *testing.T) {
+	ff, x, y := ecoProbe(t, 60, 8, 1)
+	ecoBody := fmt.Sprintf(
+		`{"circuit":{"cells":60,"flipflops":8,"seed":1},"rings":4,"iters":2,"strict":true,"deltas":[{"op":"move_ff","cell":%d,"x":%.4f,"y":%.4f}]}`,
+		ff, x, y)
+	jobBody := `{"circuit":{"cells":60,"flipflops":8,"seed":1},"rings":4,"iters":2,"strict":true}`
+	panics := func() error { panic("solver invariant broken") }
+	infeasible := func() error { return fmt.Errorf("infeasible instance") }
+	tests := []struct {
+		name          string
+		eco           bool // request /v1/eco instead of /v1/jobs
+		hookECO       bool // fail in core.ApplyECO instead of core.Run
+		fail          func() error
+		status        int
+		panics, fails int64
+	}{
+		{"jobs-panic", false, false, panics, http.StatusInternalServerError, 1, 0},
+		{"jobs-strict", false, false, infeasible, http.StatusUnprocessableEntity, 0, 1},
+		{"eco-panic", true, true, panics, http.StatusInternalServerError, 1, 0},
+		{"eco-strict", true, true, infeasible, http.StatusUnprocessableEntity, 0, 1},
+		{"eco-base-panic", true, false, panics, http.StatusInternalServerError, 1, 0},
 	}
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(testConfig())
+			first := true
+			failFirst := func() error {
+				if first {
+					first = false
+					return tc.fail()
+				}
+				return nil
+			}
+			if tc.hookECO {
+				s.runECO = func(st *eco.State, deltas []eco.Delta, cfg core.Config, opt eco.Options) (*core.ECOResult, error) {
+					if err := failFirst(); err != nil {
+						return nil, err
+					}
+					return core.ApplyECO(st, deltas, cfg, opt)
+				}
+			} else {
+				s.runFlow = func(c *netlist.Circuit, cfg core.Config) (*core.Result, error) {
+					if err := failFirst(); err != nil {
+						return nil, err
+					}
+					return core.Run(c, cfg)
+				}
+			}
+			send, body := post, jobBody
+			if tc.eco {
+				send, body = postECO, ecoBody
+			}
 
-	rr := post(s, smallJob)
-	if rr.Code != http.StatusInternalServerError {
-		t.Fatalf("panicking job: status %d, want 500", rr.Code)
+			rr := send(s, body)
+			if rr.Code != tc.status {
+				t.Fatalf("failing request: status %d body %s, want %d", rr.Code, rr.Body, tc.status)
+			}
+			if tc.panics > 0 && !strings.Contains(rr.Body.String(), "job panicked") {
+				t.Errorf("panic body: %s", rr.Body)
+			}
+			if rr := send(s, body); rr.Code != http.StatusOK {
+				t.Fatalf("request after the failure: status %d body %s", rr.Code, rr.Body)
+			}
+			drainNow(t, s)
+			if got := s.stats.panics.Load(); got != tc.panics {
+				t.Errorf("panics = %d, want %d", got, tc.panics)
+			}
+			if got := s.stats.failed.Load(); got != tc.fails {
+				t.Errorf("failed = %d, want %d", got, tc.fails)
+			}
+		})
 	}
-	if !strings.Contains(rr.Body.String(), "job panicked") {
-		t.Errorf("panic body: %s", rr.Body)
-	}
-	rr = post(s, smallJob)
-	if rr.Code != http.StatusOK {
-		t.Fatalf("job after panic: status %d body %s", rr.Code, rr.Body)
-	}
-	drainNow(t, s)
-	if got := s.stats.panics.Load(); got != 1 {
-		t.Errorf("panics = %d, want 1", got)
-	}
-}
-
-// TestStrictFailureIs422: a strict job whose flow errors maps to 422, not a
-// daemon failure.
-func TestStrictFailureIs422(t *testing.T) {
-	s := New(testConfig())
-	s.runFlow = func(c *netlist.Circuit, cfg core.Config) (*core.Result, error) {
-		return nil, fmt.Errorf("infeasible instance")
-	}
-	rr := post(s, smallJob)
-	if rr.Code != http.StatusUnprocessableEntity {
-		t.Fatalf("status %d, want 422", rr.Code)
-	}
-	drainNow(t, s)
 }
 
 // TestBadRequests: malformed admission inputs answer 400 without touching

@@ -6,8 +6,9 @@
 #   scripts/ci.sh race    go test -race over every package (parallel kernels)
 #   scripts/ci.sh fuzz    smoke-fuzz every Fuzz target (10s each) on top of
 #                         the checked-in corpora under testdata/fuzz/
-#   scripts/ci.sh serve   end-to-end daemon smoke: rotaryd under rotaryload
-#                         (concurrent jobs, zero failures), a deadline-bound
+#   scripts/ci.sh serve   end-to-end daemon smoke over both endpoints:
+#                         rotaryd under rotaryload (concurrent /v1/jobs and
+#                         /v1/eco requests, zero failures), a deadline-bound
 #                         oversized job that must degrade within its budget,
 #                         and SIGTERM -> graceful drain -> exit 0
 #   scripts/ci.sh bench   run the benchmark suite with -benchmem and record
@@ -126,9 +127,10 @@ fuzz)
     ;;
 serve)
     # End-to-end daemon smoke: build rotaryd + rotaryload, drive a small
-    # concurrent load (zero failures tolerated), prove a deadline-bound big
-    # job degrades instead of stalling, then SIGTERM mid-life and require a
-    # clean drain (exit 0).
+    # concurrent load through each endpoint of the one request path —
+    # placement jobs, then ECO edits against a warm base (zero failures
+    # tolerated) — prove a deadline-bound big job degrades instead of
+    # stalling, then SIGTERM mid-life and require a clean drain (exit 0).
     bin="$(mktemp -d)"
     trap 'rm -rf "$bin"' EXIT
     go build -o "$bin/rotaryd" ./cmd/rotaryd
@@ -147,10 +149,11 @@ serve)
     done
     addr="$(cat "$bin/addr")"
     "$bin/rotaryload" -addr "$addr" -n 12 -c 8 -cells 800 -iters 2 -seed 1
+    "$bin/rotaryload" -addr "$addr" -eco -n 12 -c 4 -cells 800 -iters 2 -seed 1
     "$bin/rotaryload" -addr "$addr" -n 2 -c 2 -cells 20000 -iters 2 -deadline-ms 200 -max-p99-ms 5000 -seed 99
     kill -TERM "$pid"
     wait "$pid"
-    echo "serve smoke: load + deadline degradation + graceful drain ok"
+    echo "serve smoke: job + ECO load + deadline degradation + graceful drain ok"
     ;;
 oracle)
     seeds="${SEEDS:-25}"
