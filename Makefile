@@ -41,8 +41,10 @@ scaling:
 scaling-smoke:
 	sh scripts/ci.sh scaling
 
-# ECO smoke: 20 random edits at 20k cells, each proven equivalent to the
-# from-scratch arm, mean edit latency >= 5x a full re-run.
+# ECO gate: the CG kernel's stagnation test, the dirty-region solve against
+# the reference serial CG, the in-component CG cancel tests, and the smoke:
+# 20 random edits at 20k cells, each proven equivalent to the from-scratch
+# arm, mean edit latency >= 5x a full re-run.
 eco:
 	sh scripts/ci.sh eco
 

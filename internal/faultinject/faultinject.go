@@ -65,7 +65,7 @@ const (
 	// stop.ErrCanceled) simulates a deadline firing at an exact iteration of
 	// that loop, which is how the recovery-matrix tests prove every loop
 	// degrades instead of hanging or corrupting state.
-	SitePlacerCGCancel    = "placer.cg.cancel"         // per CG iteration (both axes)
+	SitePlacerCGCancel    = "placer.cg.cancel"         // per CG iteration (both axes, dirty components too)
 	SiteLPPivotCancel     = "lp.pivot.cancel"          // per simplex pivot (dense + assignment LP)
 	SiteLPNodeCancel      = "lp.bb.cancel"             // per branch-and-bound node
 	SiteMcmfPathCancel    = "mcmf.path.cancel"         // per augmenting path / reroute

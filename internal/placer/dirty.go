@@ -6,7 +6,6 @@ package placer
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"rotaryclk/internal/faultinject"
@@ -17,16 +16,20 @@ import (
 // SolveDirty re-places only the dirty movable cells, holding every other
 // cell at its current position as a boundary condition. The dirty set plus
 // the star nodes of nets touching it form the unknowns; each connected
-// component solves independently with serial CG (so disjoint edits compose
-// bit-identically whether batched or sequential), with stability anchors at
-// Incremental's weight keeping the region from drifting. Positions write
-// back clamped to the die. It returns the number of cells whose position
-// changed. Cell IDs that are fixed or unknown are ignored.
+// component solves independently with the placer's CG kernel run serially
+// (so disjoint edits compose bit-identically whether batched or
+// sequential), with stability anchors at Incremental's weight keeping the
+// region from drifting. Positions write back clamped to the die. It returns
+// the number of cells whose position changed. Cell IDs that are fixed or
+// unknown are ignored.
 //
 // A component whose CG solve runs out of iterations keeps its best-effort
 // iterate, as a stagnated Incremental does; the counters
 // placer.dirty.cg.iters and placer.dirty.cg.stagnated (one per axis solve)
-// record the work and any such solve.
+// record the work and any such solve. The stop token is checked between
+// components and once per CG iteration; a fired token returns an error
+// wrapping the stop sentinel, with the interrupted component's cells left
+// where they were.
 func (s *System) SolveDirty(dirtyCells []int, tok *stop.Token) (int, error) {
 	c := s.c
 	if err := validate(c); err != nil {
@@ -63,6 +66,8 @@ func (s *System) SolveDirty(dirtyCells []int, tok *stop.Token) (int, error) {
 	s.obs.Add("placer.dirty.solves", 1)
 	s.obs.Add("placer.dirty.cells", int64(len(order)))
 
+	ws := wsPool.Get().(*solveWS)
+	defer wsPool.Put(ws)
 	moved := 0
 	seen := map[int]bool{}
 	for _, root := range order {
@@ -86,60 +91,50 @@ func (s *System) SolveDirty(dirtyCells []int, tok *stop.Token) (int, error) {
 			}
 		}
 		sort.Ints(comp)
-		moved += s.solveComponent(comp)
+		m, err := s.solveComponent(comp, &ws.x, tok)
+		if err != nil {
+			return moved, fmt.Errorf("placer: dirty-region solve: %w", err)
+		}
+		moved += m
 		s.obs.Add("placer.dirty.components", 1)
 	}
 	return moved, nil
 }
 
-// solveComponent solves one connected dirty component: a small SPD system
-// over the component's unknowns, with clean neighbors folded into the
-// right-hand side at their current positions.
-func (s *System) solveComponent(comp []int) int {
+// solveComponent solves one connected dirty component: the component's
+// local SPD system, with clean neighbors folded into the right-hand side at
+// their current positions, through the CG kernel at the default tolerance.
+func (s *System) solveComponent(comp []int, cs *cgScratch, tok *stop.Token) (int, error) {
 	c := s.c
 	m := len(comp)
 	local := make(map[int]int, m)
 	for li, i := range comp {
 		local[i] = li
 	}
-	diag := make([]float64, m)
+	a := spd{diag: make([]float64, m), rowStart: make([]int32, m+1)}
 	bx := make([]float64, m)
 	by := make([]float64, m)
 	x := make([]float64, m)
 	y := make([]float64, m)
-	type entry struct {
-		j int
-		w float64
-	}
-	rows := make([][]entry, m)
 	for li, i := range comp {
-		diag[li] = s.baseDiag[i]
+		a.diag[li] = s.baseDiag[i]
 		bx[li] = s.baseBx[i]
 		by[li] = s.baseBy[i]
 		if i < s.nMov {
 			pos := c.Cells[s.cells[i]].Pos
-			diag[li] += stabilityAnchor
+			a.diag[li] += stabilityAnchor
 			bx[li] += stabilityAnchor * pos.X
 			by[li] += stabilityAnchor * pos.Y
 			x[li], y[li] = pos.X, pos.Y
 		} else {
-			// Seed the star at its pin centroid, like prepare does.
-			st := i - s.nMov
-			lo, hi := s.starRow[st], s.starRow[st+1]
-			var cx, cy float64
-			for _, pid := range s.starPin[lo:hi] {
-				pos := c.Cells[pid].Pos
-				cx += pos.X
-				cy += pos.Y
-			}
-			k := float64(hi - lo)
-			x[li], y[li] = cx/k, cy/k
+			x[li], y[li] = s.starSeed(i)
 		}
-		for a := s.rowStart[i]; a < s.rowStart[i+1]; a++ {
-			j := int(s.cols[a])
-			w := s.w[a]
+		for k := s.rowStart[i]; k < s.rowStart[i+1]; k++ {
+			j := int(s.cols[k])
+			w := s.w[k]
 			if lj, ok := local[j]; ok {
-				rows[li] = append(rows[li], entry{j: lj, w: w})
+				a.cols = append(a.cols, int32(lj))
+				a.w = append(a.w, w)
 			} else {
 				// Clean movable neighbor: a boundary condition at its
 				// current position. (Stars adjacent to component members
@@ -149,31 +144,28 @@ func (s *System) solveComponent(comp []int) int {
 				by[li] += w * pos.Y
 			}
 		}
-		if diag[li] == 0 {
+		a.rowStart[li+1] = int32(len(a.cols))
+		if a.diag[li] == 0 {
 			center := c.Die.Center()
-			diag[li] = 1e-3
+			a.diag[li] = 1e-3
 			bx[li] = 1e-3 * center.X
 			by[li] = 1e-3 * center.Y
 		}
 	}
-	mul := func(v, out []float64) {
-		for li := range out {
-			acc := diag[li] * v[li]
-			for _, e := range rows[li] {
-				acc -= e.w * v[e.j]
-			}
-			out[li] = acc
-		}
-	}
-	solve := func(v, b []float64) {
-		iters, converged := cgSerial(mul, v, b)
-		s.obs.Add("placer.dirty.cg.iters", int64(iters))
-		if !converged {
+	solve := func(v, b []float64) error {
+		res, err := a.cg(v, b, 1e-6, cgMaxIter, 1, cs, tok)
+		s.obs.Add("placer.dirty.cg.iters", int64(res.iters))
+		if !res.converged && !res.stopped {
 			s.obs.Add("placer.dirty.cg.stagnated", 1)
 		}
+		return err
 	}
-	solve(x, bx)
-	solve(y, by)
+	if err := solve(x, bx); err != nil {
+		return 0, err
+	}
+	if err := solve(y, by); err != nil {
+		return 0, err
+	}
 	moved := 0
 	for li, i := range comp {
 		if i >= s.nMov {
@@ -186,53 +178,5 @@ func (s *System) solveComponent(comp []int) int {
 		}
 		cell.Pos = p
 	}
-	return moved
-}
-
-// cgSerial is a deterministic single-threaded conjugate-gradients solve of
-// mul(x) = b, warm-started from x, at the placer's default tolerance and
-// cgMaxIter cap. It returns the iterations run and whether the residual
-// reached the tolerance.
-func cgSerial(mul func(v, out []float64), x, b []float64) (iters int, converged bool) {
-	n := len(b)
-	r := make([]float64, n)
-	p := make([]float64, n)
-	ap := make([]float64, n)
-	mul(x, r)
-	for i := range r {
-		r[i] = b[i] - r[i]
-	}
-	copy(p, r)
-	rr := 0.0
-	bb := 0.0
-	for i := range r {
-		rr += r[i] * r[i]
-		bb += b[i] * b[i]
-	}
-	tol2 := 1e-6 * 1e-6 * math.Max(bb, 1)
-	for ; iters < cgMaxIter && rr > tol2; iters++ {
-		mul(p, ap)
-		pap := 0.0
-		for i := range p {
-			pap += p[i] * ap[i]
-		}
-		if pap <= 0 {
-			break
-		}
-		alpha := rr / pap
-		for i := range x {
-			x[i] += alpha * p[i]
-			r[i] -= alpha * ap[i]
-		}
-		nrr := 0.0
-		for i := range r {
-			nrr += r[i] * r[i]
-		}
-		beta := nrr / rr
-		rr = nrr
-		for i := range p {
-			p[i] = r[i] + beta*p[i]
-		}
-	}
-	return iters, rr <= tol2
+	return moved, nil
 }

@@ -1,10 +1,10 @@
 package placer
 
 import (
-	"math"
 	"testing"
 	"time"
 
+	"rotaryclk/internal/faultinject"
 	"rotaryclk/internal/geom"
 	"rotaryclk/internal/netlist"
 	"rotaryclk/internal/obs"
@@ -136,28 +136,40 @@ func TestSolveDirtyCGCounters(t *testing.T) {
 	}
 }
 
-// TestCGSerialReportsStagnation: a system too ill-conditioned to converge
+// TestCGKernelReportsStagnation: a system too ill-conditioned to converge
 // within cgMaxIter reports every iteration and no convergence; a trivial
-// one converges at once.
-func TestCGSerialReportsStagnation(t *testing.T) {
+// one converges at once. The ill-conditioned case is a 2000-node path
+// Laplacian held by a 1e-8 anchor at one end: not diagonal, so the Jacobi
+// preconditioner cannot solve it in one step, and CG needs about one
+// iteration per hop to carry the anchor's information down the path.
+func TestCGKernelReportsStagnation(t *testing.T) {
 	const n = 2000
-	d := make([]float64, n)
+	path := spd{diag: make([]float64, n), rowStart: make([]int32, n+1)}
 	b := make([]float64, n)
-	for i := range d {
-		d[i] = math.Pow(10, 8*float64(i)/float64(n-1)) // condition number 1e8
+	for i := 0; i < n; i++ {
+		for _, j := range []int{i - 1, i + 1} {
+			if j >= 0 && j < n {
+				path.cols = append(path.cols, int32(j))
+				path.w = append(path.w, 1)
+				path.diag[i]++
+			}
+		}
+		path.rowStart[i+1] = int32(len(path.cols))
 		b[i] = 1
 	}
-	diag := func(v, out []float64) {
-		for i := range v {
-			out[i] = d[i] * v[i]
-		}
+	path.diag[0] += 1e-8
+	var ws cgScratch
+	res, err := path.cg(make([]float64, n), b, 1e-6, cgMaxIter, 1, &ws, nil)
+	if err != nil || res.converged || res.stopped || res.iters != cgMaxIter {
+		t.Errorf("ill-conditioned: %+v err=%v, want %d iterations, unconverged", res, err, cgMaxIter)
 	}
-	if iters, converged := cgSerial(diag, make([]float64, n), b); converged || iters != cgMaxIter {
-		t.Errorf("ill-conditioned: iters=%d converged=%v, want %d/false", iters, converged, cgMaxIter)
+	ident := spd{diag: make([]float64, n), rowStart: make([]int32, n+1)}
+	for i := range ident.diag {
+		ident.diag[i] = 1
 	}
-	ident := func(v, out []float64) { copy(out, v) }
-	if iters, converged := cgSerial(ident, make([]float64, n), b); !converged || iters != 1 {
-		t.Errorf("identity: iters=%d converged=%v, want 1/true", iters, converged)
+	res, err = ident.cg(make([]float64, n), b, 1e-6, cgMaxIter, 1, &ws, nil)
+	if err != nil || !res.converged || res.iters != 1 {
+		t.Errorf("identity: %+v err=%v, want 1 iteration, converged", res, err)
 	}
 }
 
@@ -193,4 +205,24 @@ func TestSolveDirtyStops(t *testing.T) {
 	if _, err := sys.SolveDirty(aCells, tok); !stop.IsStop(err) {
 		t.Fatalf("err = %v, want a stop error", err)
 	}
+}
+
+// TestSolveDirtyCGCancel: the stop token reaches the CG iterations inside a
+// component, not only the checks between components. With the per-iteration
+// cancel site armed, the one-component solve returns a stop error and
+// leaves the component's cells where they were.
+func TestSolveDirtyCGCancel(t *testing.T) {
+	c, aCells, _ := twoClusters(t)
+	sys, err := NewSystem(c, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := c.Positions()
+	defer faultinject.Enable(faultinject.Rule{
+		Site: faultinject.SitePlacerCGCancel, Call: 1, Err: stop.ErrCanceled,
+	})()
+	if _, err := sys.SolveDirty(aCells, nil); !stop.IsStop(err) {
+		t.Fatalf("err = %v, want a stop error", err)
+	}
+	samePositions(t, "canceled dirty solve", c.Positions(), before)
 }

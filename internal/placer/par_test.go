@@ -107,12 +107,13 @@ func BenchmarkCGScratchReuse(b *testing.B) {
 		b.Fatal(err)
 	}
 	sys.prepare(&opt, nil, 0)
+	a := spd{diag: sys.diag, rowStart: sys.rowStart, cols: sys.cols, w: sys.wcur}
 	ws := wsPool.Get().(*solveWS)
 	defer wsPool.Put(ws)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sys.cg(sys.posX, sys.bx, opt.CGTol, 40, 1, &ws.x, nil)
+		a.cg(sys.posX, sys.bx, opt.CGTol, 40, 1, &ws.x, nil)
 	}
 }
 

@@ -117,7 +117,7 @@ type Options struct {
 
 // Fixed solver constants. spreadAlpha scales the spreading anchor weight
 // per round (larger converges faster but hurts wirelength); cgMaxIter caps
-// every CG solve, the parallel kernel's and the dirty-region serial one's;
+// every CG solve, the flow's and the dirty-region ones alike;
 // stabilityAnchor is the weight holding cells at their current positions
 // in Incremental and SolveDirty.
 const (
@@ -178,9 +178,9 @@ type System struct {
 	posY []float64
 
 	// Net-weight overlay (Options.NetWeights). wcur is the weight array the
-	// CG kernels read: s.w on the untouched path, wScaled (a lazily
+	// CG kernel reads: s.w on the untouched path, wScaled (a lazily
 	// allocated scratch refilled by applyNetWeights) when a scale vector is
-	// in effect. rowNext is the replay's per-row fill cursor scratch.
+	// in effect. rowNext is the overlay fill's per-row cursor scratch.
 	wcur    []float64
 	wScaled []float64
 	rowNext []int32
@@ -245,7 +245,8 @@ func NewSystem(c *netlist.Circuit, reg *obs.Registry) (*System, error) {
 	copy(s.cells, cells)
 
 	// Counting pass: per-row adjacency degrees (each edge contributes one
-	// entry to both endpoint rows).
+	// entry to both endpoint rows) and the pin list of every star net, so
+	// prepare can re-seed each star at its pins' current centroid.
 	deg := make([]int32, n+1)
 	star := nMov
 	for _, net := range c.Nets {
@@ -263,12 +264,14 @@ func NewSystem(c *netlist.Circuit, reg *obs.Registry) (*System, error) {
 			continue
 		}
 		for _, pid := range net.Pins {
+			s.starPin = append(s.starPin, int32(pid))
 			if ip, ok := idx[pid]; ok {
 				deg[ip]++
 				deg[star]++
 			}
 		}
 		star++
+		s.starRow[star-nMov] = int32(len(s.starPin))
 	}
 	s.rowStart = make([]int32, n+1)
 	for i := 0; i < n; i++ {
@@ -278,64 +281,7 @@ func NewSystem(c *netlist.Circuit, reg *obs.Registry) (*System, error) {
 	s.cols = make([]int32, total)
 	s.w = make([]float64, total)
 	s.wcur = s.w
-
-	// Fill pass: identical net traversal, so per-row neighbor order and the
-	// diag/bx/by accumulation order match the historical slice-of-slices
-	// build exactly (the bit-identity contract of DESIGN.md section 10).
-	next := make([]int32, n)
-	copy(next, s.rowStart[:n])
-	addEdge := func(i, j int, w float64) {
-		s.baseDiag[i] += w
-		s.baseDiag[j] += w
-		s.cols[next[i]] = int32(j)
-		s.w[next[i]] = w
-		next[i]++
-		s.cols[next[j]] = int32(i)
-		s.w[next[j]] = w
-		next[j]++
-	}
-	addAnchor := func(i int, p geom.Point, w float64) {
-		s.baseDiag[i] += w
-		s.baseBx[i] += w * p.X
-		s.baseBy[i] += w * p.Y
-	}
-	star = nMov
-	si := 0
-	for _, net := range c.Nets {
-		k := len(net.Pins)
-		if k < 2 {
-			continue
-		}
-		if k == 2 {
-			a, b := net.Pins[0], net.Pins[1]
-			ia, aOK := idx[a]
-			ib, bOK := idx[b]
-			switch {
-			case aOK && bOK:
-				addEdge(ia, ib, 1)
-			case aOK:
-				addAnchor(ia, c.Cells[b].Pos, 1)
-			case bOK:
-				addAnchor(ib, c.Cells[a].Pos, 1)
-			}
-			continue
-		}
-		// Star: every pin connects to the star node with weight k/(k-1).
-		// The pin list is recorded so prepare can re-seed the star at the
-		// pins' current centroid before every solve.
-		w := float64(k) / float64(k-1) / 2
-		for _, pid := range net.Pins {
-			s.starPin = append(s.starPin, int32(pid))
-			if ip, ok := idx[pid]; ok {
-				addEdge(ip, star, w)
-			} else {
-				addAnchor(star, c.Cells[pid].Pos, w)
-			}
-		}
-		s.starRow[si+1] = int32(len(s.starPin))
-		si++
-		star++
-	}
+	s.fill(nil, s.cols, s.w, s.baseDiag, s.baseBx, s.baseBy, make([]int32, n))
 	s.obs.Add("placer.system.builds", 1)
 	return s, nil
 }
@@ -402,9 +348,9 @@ func (s *System) Fork(c *netlist.Circuit, reg *obs.Registry) (*System, error) {
 // opt.PseudoNets, then extra pseudo-nets at extraScale times their weight,
 // then stability anchors, then the disconnected-node regularization.
 //
-// With opt.NetWeights set, the reset step replays the build's fill pass with
-// each net's terms scaled instead of copying the base arrays; the immutable
-// CSR is never mutated either way.
+// With opt.NetWeights set, the reset step reruns the build's fill with each
+// net's terms scaled instead of copying the base arrays; the immutable CSR is
+// never mutated either way.
 func (s *System) prepare(opt *Options, extra []PseudoNet, extraScale float64) {
 	s.obs.Add("placer.system.reuses", 1)
 	if len(opt.NetWeights) > 0 {
@@ -421,17 +367,8 @@ func (s *System) prepare(opt *Options, extra []PseudoNet, extraScale float64) {
 		s.posX[i] = pos.X
 		s.posY[i] = pos.Y
 	}
-	for st := 0; st < len(s.starRow)-1; st++ {
-		lo, hi := s.starRow[st], s.starRow[st+1]
-		var cx, cy float64
-		for _, pid := range s.starPin[lo:hi] {
-			pos := c.Cells[pid].Pos
-			cx += pos.X
-			cy += pos.Y
-		}
-		k := float64(hi - lo)
-		s.posX[s.nMov+st] = cx / k
-		s.posY[s.nMov+st] = cy / k
+	for i := s.nMov; i < s.n; i++ {
+		s.posX[i], s.posY[i] = s.starSeed(i)
 	}
 
 	// Pseudo-nets and stability anchors.
@@ -462,12 +399,25 @@ func (s *System) prepare(opt *Options, extra []PseudoNet, extraScale float64) {
 	}
 }
 
+// starSeed returns the warm-start position of star node i (an unknown
+// index >= nMov): the current centroid of the star net's pins.
+func (s *System) starSeed(i int) (x, y float64) {
+	st := i - s.nMov
+	lo, hi := s.starRow[st], s.starRow[st+1]
+	for _, pid := range s.starPin[lo:hi] {
+		pos := s.c.Cells[pid].Pos
+		x += pos.X
+		y += pos.Y
+	}
+	k := float64(hi - lo)
+	return x / k, y / k
+}
+
 // applyNetWeights rebuilds the working diag/bx/by and the scaled weight
-// array by replaying NewSystem's fill pass with every term of net i
-// multiplied by scale[i] (out-of-range indices scale at 1). The traversal
-// and accumulation order are identical to the build's, so a scale vector of
-// all-1.0 reproduces the base arrays bit-for-bit (w * 1.0 == w in IEEE 754)
-// and therefore the untouched path's positions exactly.
+// array with the build's fill, every term of net i multiplied by scale[i]
+// (out-of-range indices scale at 1). A scale vector of all-1.0 therefore
+// reproduces the base arrays bit-for-bit (w * 1.0 == w in IEEE 754) and the
+// untouched path's positions exactly.
 func (s *System) applyNetWeights(scale []float64) {
 	s.obs.Add("placer.system.reweights", 1)
 	if s.wScaled == nil {
@@ -478,22 +428,6 @@ func (s *System) applyNetWeights(scale []float64) {
 	for i := 0; i < s.n; i++ {
 		s.diag[i], s.bx[i], s.by[i] = 0, 0, 0
 	}
-	c := s.c
-	next := s.rowNext
-	copy(next, s.rowStart[:s.n])
-	addEdge := func(i, j int, w float64) {
-		s.diag[i] += w
-		s.diag[j] += w
-		s.wScaled[next[i]] = w
-		next[i]++
-		s.wScaled[next[j]] = w
-		next[j]++
-	}
-	addAnchor := func(i int, p geom.Point, w float64) {
-		s.diag[i] += w
-		s.bx[i] += w * p.X
-		s.by[i] += w * p.Y
-	}
 	// Armed SitePlacerReweight silently perturbs every scale, breaking the
 	// all-ones bit-identity contract — the wrong-answer failure mode the
 	// core/timing-identity oracle must catch.
@@ -501,20 +435,56 @@ func (s *System) applyNetWeights(scale []float64) {
 	if faultinject.Hook(faultinject.SitePlacerReweight) != nil {
 		perturb = 1e-3
 	}
-	sc := func(ni int) float64 {
-		f := perturb
+	s.fill(func(ni int) float64 {
 		if ni < len(scale) {
-			return scale[ni] + f
+			return scale[ni] + perturb
 		}
-		return 1 + f
+		return 1 + perturb
+	}, nil, s.wScaled, s.diag, s.bx, s.by, s.rowNext)
+}
+
+// fill is the one net walk that accumulates the quadratic system's
+// connectivity terms, in net order: each 2-pin net is an edge of weight 1
+// and each k-pin net (k >= 3) connects every pin to its star node with
+// weight k/(k-1)/2; an edge adds its weight to both endpoints' diag and to
+// w at both CSR slots, and a fixed pin anchors the other endpoint in
+// diag/bx/by. Every term of net i is multiplied by scale(i), and a nil
+// scale multiplies by 1, which leaves each term bit-unchanged. diag, bx and
+// by must be zero on entry; next is an n-length cursor scratch. cols
+// receives each slot's neighbor index when non-nil — only the build passes
+// it, so the overlay writes nothing a Fork shares. The traversal fixes
+// per-row neighbor order and the accumulation order of every sum, which is
+// the bit-identity contract of DESIGN.md section 10.
+func (s *System) fill(scale func(net int) float64, cols []int32, w, diag, bx, by []float64, next []int32) {
+	copy(next, s.rowStart[:s.n])
+	addEdge := func(i, j int, wt float64) {
+		diag[i] += wt
+		diag[j] += wt
+		if cols != nil {
+			cols[next[i]] = int32(j)
+			cols[next[j]] = int32(i)
+		}
+		w[next[i]] = wt
+		next[i]++
+		w[next[j]] = wt
+		next[j]++
 	}
+	addAnchor := func(i int, p geom.Point, wt float64) {
+		diag[i] += wt
+		bx[i] += wt * p.X
+		by[i] += wt * p.Y
+	}
+	c := s.c
 	star := s.nMov
 	for ni, net := range c.Nets {
 		k := len(net.Pins)
 		if k < 2 {
 			continue
 		}
-		f := sc(ni)
+		f := 1.0
+		if scale != nil {
+			f = scale(ni)
+		}
 		if k == 2 {
 			a, b := net.Pins[0], net.Pins[1]
 			ia, aOK := s.idx[a]
@@ -529,12 +499,12 @@ func (s *System) applyNetWeights(scale []float64) {
 			}
 			continue
 		}
-		w := float64(k) / float64(k-1) / 2 * f
+		wt := float64(k) / float64(k-1) / 2 * f
 		for _, pid := range net.Pins {
 			if ip, ok := s.idx[pid]; ok {
-				addEdge(ip, star, w)
+				addEdge(ip, star, wt)
 			} else {
-				addAnchor(star, c.Cells[pid].Pos, w)
+				addAnchor(star, c.Cells[pid].Pos, wt)
 			}
 		}
 		star++
@@ -599,46 +569,69 @@ type solveWS struct {
 // state between solves.
 var wsPool = sync.Pool{New: func() any { return new(solveWS) }}
 
-// solve runs Jacobi-preconditioned CG for both dimensions, starting from the
-// current positions, and leaves the solutions in posX/posY. The x and y
-// systems share the (read-only) matrix but nothing else, so with more than
-// one worker they solve concurrently, splitting the worker budget. It
-// reports whether both axes converged (posX/posY hold the best-effort
-// iterates either way).
+// solve runs the CG kernel for both dimensions on the working system,
+// starting from the current positions, and leaves the solutions in
+// posX/posY. The x and y systems share the (read-only) matrix but nothing
+// else, so with more than one worker they solve concurrently, splitting the
+// worker budget. It reports whether both axes converged (posX/posY hold the
+// best-effort iterates either way).
 func (s *System) solve(tol float64, maxIter, workers int, ws *solveWS, tok *stop.Token) (bool, error) {
 	if faultinject.Hook(faultinject.SitePlacerCG) != nil {
 		return false, nil // injected stagnation: exercise the retry path
 	}
+	a := spd{diag: s.diag, rowStart: s.rowStart, cols: s.cols, w: s.wcur}
+	axis := func(x, b []float64, workers int, cs *cgScratch) (bool, error) {
+		res, err := a.cg(x, b, tol, maxIter, workers, cs, tok)
+		// Counters (solves, iterations) are deterministic; the exit residual
+		// is a last-write gauge because the two axis solves race on it.
+		s.obs.Add("placer.cg.solves", 1)
+		s.obs.Add("placer.cg.iters", int64(res.iters))
+		switch {
+		case res.stopped:
+			s.obs.Add("placer.cg.canceled", 1)
+		case !res.converged:
+			s.obs.Add("placer.cg.stagnated", 1)
+		}
+		s.obs.Gauge("placer.cg.residual", res.rel)
+		return res.converged, err
+	}
+	var okX, okY bool
+	var errX, errY error
 	if workers > 1 {
 		half := workers / 2
-		var okX, okY bool
-		var errX, errY error
 		par.Do(workers,
-			func() { okX, errX = s.cg(s.posX, s.bx, tol, maxIter, half, &ws.x, tok) },
-			func() { okY, errY = s.cg(s.posY, s.by, tol, maxIter, workers-half, &ws.y, tok) })
-		if errX != nil {
-			return okX && okY, errX // x before y: deterministic error choice
-		}
-		return okX && okY, errY
+			func() { okX, errX = axis(s.posX, s.bx, half, &ws.x) },
+			func() { okY, errY = axis(s.posY, s.by, workers-half, &ws.y) })
+	} else {
+		okX, errX = axis(s.posX, s.bx, 1, &ws.x)
+		okY, errY = axis(s.posY, s.by, 1, &ws.y)
 	}
-	okX, errX := s.cg(s.posX, s.bx, tol, maxIter, 1, &ws.x, tok)
-	okY, errY := s.cg(s.posY, s.by, tol, maxIter, 1, &ws.y, tok)
 	if errX != nil {
-		return okX && okY, errX
+		return okX && okY, errX // x before y: deterministic error choice
 	}
 	return okX && okY, errY
 }
 
-// mulvec computes out = A*v for the Laplacian-plus-diagonal system. The CSR
-// row walk is over contiguous cols/w memory, in the same per-row neighbor
-// order the build recorded. Rows are independent, so chunked execution is
-// deterministic for any worker count.
-func (s *System) mulvec(v, out []float64, workers int) {
-	par.Chunks(workers, s.n, mulGrain, func(lo, hi int) {
+// spd is a sparse symmetric positive-definite system in CSR form: row i is
+// diag[i] on the diagonal and -w[k] at column cols[k] for k in
+// [rowStart[i], rowStart[i+1]). The placer's working system and an ECO
+// dirty component's local system are both one.
+type spd struct {
+	diag     []float64
+	rowStart []int32
+	cols     []int32
+	w        []float64
+}
+
+// mulvec computes out = A*v. The CSR row walk is over contiguous cols/w
+// memory, in the per-row neighbor order the fill recorded. Rows are
+// independent, so chunked execution is deterministic for any worker count.
+func (a spd) mulvec(v, out []float64, workers int) {
+	par.Chunks(workers, len(a.diag), mulGrain, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			acc := s.diag[i] * v[i]
-			cols := s.cols[s.rowStart[i]:s.rowStart[i+1]]
-			wts := s.wcur[s.rowStart[i]:s.rowStart[i+1]]
+			acc := a.diag[i] * v[i]
+			cols := a.cols[a.rowStart[i]:a.rowStart[i+1]]
+			wts := a.w[a.rowStart[i]:a.rowStart[i+1]]
 			for k, j := range cols {
 				acc -= wts[k] * v[j]
 			}
@@ -661,40 +654,28 @@ func dot(a, b []float64, workers int) float64 {
 	}, addF)
 }
 
-// cg reports whether it reached the residual tolerance; on a false return
-// (iteration budget exhausted or numerical breakdown with the residual still
-// high) x holds the best iterate reached. A fired stop token additionally
-// returns an error wrapping the stop sentinel; x still holds the best
-// iterate, exactly as on budget exhaustion.
-func (s *System) cg(x, b []float64, tol float64, maxIter, workers int, ws *cgScratch, tok *stop.Token) (bool, error) {
-	n := s.n
-	if n == 0 {
-		return true, nil
-	}
-	// Telemetry accumulates locally and records once at exit (registry
-	// methods lock; the CG inner loop must stay lock-free). Counters
-	// (solves, iterations) are deterministic; the exit residual is a
-	// last-write gauge because the two axis solves race on it.
-	iters := 0
-	converged := false
-	stopped := false
-	rel := math.Inf(1)
-	if reg := s.obs; reg != nil {
-		defer func() {
-			reg.Add("placer.cg.solves", 1)
-			reg.Add("placer.cg.iters", int64(iters))
-			switch {
-			case stopped:
-				reg.Add("placer.cg.canceled", 1)
-			case !converged:
-				reg.Add("placer.cg.stagnated", 1)
-			}
-			reg.Gauge("placer.cg.residual", rel)
-		}()
-	}
+// cgResult is the outcome of one kernel solve: the iterations run, whether
+// the residual met the tolerance, whether a fired stop token ended the
+// solve, and the exit residual relative to |b|.
+type cgResult struct {
+	iters     int
+	converged bool
+	stopped   bool
+	rel       float64
+}
+
+// cg is the placer's one conjugate-gradients kernel: Jacobi-preconditioned
+// CG on A*x = b, warm-started from x, stopping when |r| <= tol*|b| or after
+// maxIter iterations. The stop token is checked once per iteration. When the
+// result is unconverged (budget exhausted, numerical breakdown, or a fired
+// token) x holds the best iterate reached; a fired token additionally
+// returns an error wrapping the stop sentinel. The caller records counters.
+func (a spd) cg(x, b []float64, tol float64, maxIter, workers int, ws *cgScratch, tok *stop.Token) (cgResult, error) {
+	n := len(a.diag)
+	res := cgResult{rel: math.Inf(1)}
 	ws.ensure(n)
 	r, z, p, ap := ws.r, ws.z, ws.p, ws.ap
-	s.mulvec(x, r, workers)
+	a.mulvec(x, r, workers)
 	par.Chunks(workers, n, vecGrain, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			r[i] = b[i] - r[i]
@@ -704,38 +685,39 @@ func (s *System) cg(x, b []float64, tol float64, maxIter, workers int, ws *cgScr
 	if bnorm == 0 {
 		bnorm = 1
 	}
+	// exit records the residual at an unconverged-looking exit: converged
+	// only if it already meets the tolerance.
+	exit := func() {
+		rcur := math.Sqrt(dot(r, r, workers))
+		res.rel = rcur / bnorm
+		res.converged = rcur <= tol*bnorm
+	}
 	rz := par.MapReduce(workers, n, vecGrain, func(lo, hi int) float64 {
 		acc := 0.0
 		for i := lo; i < hi; i++ {
-			z[i] = r[i] / s.diag[i]
+			z[i] = r[i] / a.diag[i]
 			p[i] = z[i]
 			acc += r[i] * z[i]
 		}
 		return acc
 	}, addF)
-	for iter := 0; iter < maxIter; iter++ {
+	for ; res.iters < maxIter; res.iters++ {
 		if serr := stop.Check(tok, faultinject.SitePlacerCGCancel); serr != nil {
-			stopped = true
-			rcur := math.Sqrt(dot(r, r, workers))
-			rel = rcur / bnorm
-			converged = rcur <= tol*bnorm
-			return converged, fmt.Errorf("placer: conjugate gradients: %w", serr)
+			res.stopped = true
+			exit()
+			return res, fmt.Errorf("placer: conjugate gradients: %w", serr)
 		}
 		rn := dot(r, r, workers)
 		if math.Sqrt(rn) <= tol*bnorm {
-			rel = math.Sqrt(rn) / bnorm
-			converged = true
-			return true, nil
+			res.rel = math.Sqrt(rn) / bnorm
+			res.converged = true
+			return res, nil
 		}
-		s.mulvec(p, ap, workers)
+		a.mulvec(p, ap, workers)
 		pap := dot(p, ap, workers)
 		if pap <= 0 {
-			// Numerical breakdown; current x is best effort. Converged only
-			// if the residual already meets the tolerance.
-			rcur := math.Sqrt(dot(r, r, workers))
-			rel = rcur / bnorm
-			converged = rcur <= tol*bnorm
-			return converged, nil
+			exit() // numerical breakdown; x is best effort
+			return res, nil
 		}
 		alpha := rz / pap
 		par.Chunks(workers, n, vecGrain, func(lo, hi int) {
@@ -747,7 +729,7 @@ func (s *System) cg(x, b []float64, tol float64, maxIter, workers int, ws *cgScr
 		rzNew := par.MapReduce(workers, n, vecGrain, func(lo, hi int) float64 {
 			acc := 0.0
 			for i := lo; i < hi; i++ {
-				z[i] = r[i] / s.diag[i]
+				z[i] = r[i] / a.diag[i]
 				acc += r[i] * z[i]
 			}
 			return acc
@@ -759,13 +741,9 @@ func (s *System) cg(x, b []float64, tol float64, maxIter, workers int, ws *cgScr
 				p[i] = z[i] + beta*p[i]
 			}
 		})
-		iters++
 	}
-	// Iteration budget exhausted: residual stagnated above tolerance.
-	rcur := math.Sqrt(dot(r, r, workers))
-	rel = rcur / bnorm
-	converged = rcur <= tol*bnorm
-	return converged, nil
+	exit() // iteration budget exhausted
+	return res, nil
 }
 
 // SolveQP runs one pure quadratic solve of the system — prepare with the

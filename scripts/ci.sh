@@ -32,11 +32,14 @@
 #                         default 10m), plus the tiny sweep-point unit test;
 #                         the full geometric sweep is `make scaling`
 #                         (cmd/rotaryscale -> BENCH_scaling.json)
-#   scripts/ci.sh eco     ECO smoke: 20 random single-delta edits at 20k
-#                         cells through the incremental path, every edit
-#                         proven equivalent to the from-scratch arm, mean
-#                         edit latency at least 5x faster than a full
-#                         re-run (ECO_TIMEOUT, default 15m); the 50k
+#   scripts/ci.sh eco     ECO gate: the CG kernel's stagnation test, the
+#                         dirty-region solve against the reference serial
+#                         CG, the in-component CG cancel tests (placer and
+#                         eco.Apply), then the smoke: 20 random single-delta
+#                         edits at 20k cells through the incremental path,
+#                         every edit proven equivalent to the from-scratch
+#                         arm, mean edit latency at least 5x faster than a
+#                         full re-run (ECO_TIMEOUT, default 15m); the 50k
 #                         headline row is `make eco-bench`
 #   scripts/ci.sh ml      multilevel placement smoke: the V-cycle identity
 #                         and property tests (off path bit-identical at 1 and
@@ -255,6 +258,8 @@ scaling)
     ;;
 eco)
     timeout="${ECO_TIMEOUT:-15m}"
+    go test ./internal/placer/ -run '^(TestCGKernelReportsStagnation|TestSolveDirtyMatchesReference|TestSolveDirtyCGCancel)$' -count=1 -v
+    go test ./internal/eco/ -run '^TestApplyDegradedOnDirtyCGCancel$' -count=1 -v
     go test ./internal/bench/ -run '^TestECOBenchPoint$' -count=1
     ROTARY_ECO_SMOKE=1 go test -timeout "$timeout" \
         -run '^TestECOSmoke20k$' -count=1 -v ./internal/bench/
