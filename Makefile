@@ -67,15 +67,18 @@ timing:
 
 # Skew kernel gate: kernel-vs-reference differential and early-exit tests,
 # the max-slack cycle iteration tests (known graphs, vs LP, vs Karp, linear
-# memory), the max-slack and min-Delta oracle negative tests, and the golden
-# tables.
+# memory), the weighted-sum schedule recovery vs the reference residual
+# Bellman-Ford, the max-slack and min-Delta oracle negative tests, and the
+# golden tables.
 skew:
 	sh scripts/ci.sh skew
 
-# Stage-3 flow gate: preload-vs-reference differential, dual feasibility,
-# canceler early-exit tests, ECO patch tests, candidate-row reuse against
-# cold solves (bit-equal, across worker counts), the assignment and ECO
-# oracle negative tests, and the golden tables.
+# Stage-3 flow gate: preload-vs-reference differential, the priced
+# preload's dual feasibility, ECO patch tests (any prices cost-equal to a
+# cold solve, a chained patch sequence), candidate-row reuse against cold
+# solves (bit-equal, across worker counts), the mcmf seeded-start,
+# negative-cost rejection and Push tests, the assignment and ECO oracle
+# negative tests, and the golden tables.
 assign:
 	sh scripts/ci.sh assign
 

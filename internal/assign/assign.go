@@ -112,8 +112,10 @@ type Assignment struct {
 // rows depend on. A row is a pure function of the ring array, the
 // flip-flop's position and target, its pinned ring, and the normalized K,
 // TapFallback and MaxStub, so PatchMinCost reuses a previous assignment's
-// row wherever those inputs are bit-equal. A matrix is never written after
-// the solve that built it, so concurrent patches may share one.
+// row wherever those inputs are bit-equal. A flow solve also leaves its
+// ring prices, the start of the next patch over the same array (DESIGN.md
+// section 23). A matrix is never written after the solve that built it, so
+// concurrent patches may share one.
 type matrix struct {
 	array    *rotary.Array
 	k        int
@@ -122,6 +124,7 @@ type matrix struct {
 	ffs      []FF  // per flip-flop: cell, position, target
 	pin      []int // Problem.Pin as solved (nil: nothing pinned)
 	rows     [][]candidate
+	price    []float64 // per ring: the flow solve's final price (nil: not a flow solve)
 }
 
 // pinOf is flip-flop i's pinned ring under pin, -1 when it is free.
@@ -310,8 +313,9 @@ func (p *Problem) fallbackCandidate(j int, pos geom.Point) (candidate, bool) {
 }
 
 // finish assembles an Assignment from per-FF choices and keeps the
-// candidate matrix they were chosen from.
-func (p *Problem) finish(cands [][]candidate, choice []candidate) *Assignment {
+// candidate matrix they were chosen from, with the flow solve's ring prices
+// (nil for the other assigners).
+func (p *Problem) finish(cands [][]candidate, choice []candidate, price []float64) *Assignment {
 	a := &Assignment{
 		Ring:  make([]int, len(choice)),
 		Taps:  make([]rotary.Tap, len(choice)),
@@ -324,6 +328,7 @@ func (p *Problem) finish(cands [][]candidate, choice []candidate) *Assignment {
 			ffs:      append([]FF(nil), p.FFs...),
 			pin:      append([]int(nil), p.Pin...),
 			rows:     cands,
+			price:    price,
 		},
 	}
 	for i, c := range choice {
@@ -356,10 +361,10 @@ func (p *Problem) finish(cands [][]candidate, choice []candidate) *Assignment {
 // flip-flop, in index order, is preloaded on its cheapest candidate while
 // that ring has capacity left, with the closed-form duals of that flow as
 // potentials, and only the flip-flops left over are routed by successive
-// shortest paths (DESIGN.md section 19). The counters
-// assign.mincost.preloaded and assign.mincost.deficit record the split.
-// When optima tie, the ring chosen may differ from a zero-start solve's;
-// the total does not.
+// shortest paths (DESIGN.md section 19). It is solveFlow with no ring
+// prices. The counters assign.mincost.preloaded and assign.mincost.deficit
+// record the split. When optima tie, the ring chosen may differ from a
+// zero-start solve's; the total does not.
 func MinCost(p *Problem) (*Assignment, error) {
 	if err := faultinject.Hook(faultinject.SiteAssignMinCost); err != nil {
 		return nil, err
@@ -372,15 +377,15 @@ func MinCost(p *Problem) (*Assignment, error) {
 		return nil, err
 	}
 	p.obsReg.Add("assign.mincost.calls", 1)
-	choice, err := p.solveFlow(cands, p.preloadCheapest)
+	choice, price, err := p.solveFlow(cands, nil)
 	if err != nil {
 		return nil, err
 	}
-	return p.finish(cands, choice), nil
+	return p.finish(cands, choice, price), nil
 }
 
-// network is the Fig. 4 flow network of one MinCost or PatchMinCost solve,
-// with the arc IDs that preloads push on and the choice is read back from.
+// network is the Fig. 4 flow network of one solveFlow call, with the arc
+// IDs the preload pushes on and the choice is read back from.
 type network struct {
 	g         *mcmf.Graph
 	cands     [][]candidate
@@ -388,33 +393,14 @@ type network struct {
 	arcs      [][]mcmf.ArcID // per FF, parallel to its candidate row
 	sink      []mcmf.ArcID   // per ring: ring -> target
 	capacity  []int
-	used      []int // per ring: units preloaded
 	preloaded int
 }
 
 // Node numbering of the network: source, target, flip-flops, rings.
 const srcNode, sinkNode, ffBase = 0, 1, 2
 
-// route preloads flip-flop i along its k-th candidate if that ring has
-// capacity left.
-func (n *network) route(i, k int) {
-	j := n.cands[i][k].ring
-	if n.used[j] >= n.capacity[j] {
-		return
-	}
-	n.g.Push(n.src[i], 1)
-	n.g.Push(n.arcs[i][k], 1)
-	n.g.Push(n.sink[j], 1)
-	n.used[j]++
-	n.preloaded++
-}
-
-// solveFlow is the one Fig. 4 solver behind MinCost and PatchMinCost: it
-// builds the network over cands, lets preload route a first flow and return
-// potentials feasible for it (nil: mcmf computes Bellman-Ford ones), routes
-// the remaining flip-flops along successive shortest paths, and reads back
-// each flip-flop's candidate. Errors from preload pass through unwrapped.
-func (p *Problem) solveFlow(cands [][]candidate, preload func(*network) ([]float64, error)) ([]candidate, error) {
+// newNetwork builds the Fig. 4 network over cands, carrying no flow.
+func (p *Problem) newNetwork(cands [][]candidate) *network {
 	nFF, nR := len(cands), len(p.Array.Rings)
 	g := mcmf.NewGraph(ffBase + nFF + nR)
 	g.Obs = p.obsReg
@@ -426,7 +412,6 @@ func (p *Problem) solveFlow(cands [][]candidate, preload func(*network) ([]float
 		arcs:     make([][]mcmf.ArcID, nFF),
 		sink:     make([]mcmf.ArcID, nR),
 		capacity: p.Capacity,
-		used:     make([]int, nR),
 	}
 	for i := range cands {
 		n.src[i] = g.AddArc(srcNode, ffBase+i, 1, 0)
@@ -440,56 +425,112 @@ func (p *Problem) solveFlow(cands [][]candidate, preload func(*network) ([]float
 	for j := range n.sink {
 		n.sink[j] = g.AddArc(ffBase+nFF+j, sinkNode, p.Capacity[j], 0)
 	}
-	pot, err := preload(n)
+	return n
+}
+
+// solveFlow is the one Fig. 4 solver behind MinCost and PatchMinCost: it
+// builds the network over cands, preloads it under the ring prices price
+// (nil: none), routes the remaining flip-flops along successive shortest
+// paths, and reads back each flip-flop's candidate. It also returns the
+// prices p_j = max(0, pot[t] - pot[ring_j]) of its final potentials, the
+// start of a later patch (DESIGN.md section 23).
+func (p *Problem) solveFlow(cands [][]candidate, price []float64) ([]candidate, []float64, error) {
+	n := p.newNetwork(cands)
+	pot := p.preloadPriced(n, price)
+	deficit := len(cands) - n.preloaded
+	flow, _, err := n.g.MinCostFlowFrom(srcNode, sinkNode, deficit, pot)
 	if err != nil {
-		return nil, err
-	}
-	deficit := nFF - n.preloaded
-	var flow int
-	if pot != nil {
-		flow, _, err = g.MinCostFlowFrom(srcNode, sinkNode, deficit, pot)
-	} else {
-		flow, _, err = g.MinCostFlow(srcNode, sinkNode, deficit)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("assign: flow solve: %w", err)
+		return nil, nil, fmt.Errorf("assign: flow solve: %w", err)
 	}
 	if flow < deficit {
-		return nil, fmt.Errorf("assign: only %d of %d flip-flops assignable under capacities (increase K or capacity): %w", n.preloaded+flow, nFF, ErrInfeasible)
+		return nil, nil, fmt.Errorf("assign: only %d of %d flip-flops assignable under capacities (increase K or capacity): %w", n.preloaded+flow, len(cands), ErrInfeasible)
 	}
-	choice := make([]candidate, nFF)
+	choice := make([]candidate, len(cands))
 	for i, cs := range cands {
 		found := false
 		for k := range cs {
-			if g.Flow(n.arcs[i][k]) > 0 {
+			if n.g.Flow(n.arcs[i][k]) > 0 {
 				choice[i] = cs[k]
 				found = true
 				break
 			}
 		}
 		if !found {
-			return nil, fmt.Errorf("assign: internal: flip-flop %d carries no flow", i)
+			return nil, nil, fmt.Errorf("assign: internal: flip-flop %d carries no flow", i)
 		}
 	}
-	return choice, nil
+	final := make([]float64, len(n.sink))
+	for j := range final {
+		final[j] = max(0, pot[sinkNode]-pot[ffBase+len(cands)+j])
+	}
+	return choice, final, nil
 }
 
-// preloadCheapest is MinCost's preload: every flip-flop, in index order, on
-// its cheapest candidate (rows are sorted by cost) while that ring has
-// capacity left. Its potentials are pot[FF_i] = -c_min(i) and 0 at the
-// source, target and rings, under which every residual arc except the
-// reverse arcs into the source has a non-negative reduced cost: unused
-// FF->ring arcs c_ij - c_min(i), reverses of used ones 0, ring<->target
-// arcs 0, open source arcs c_min(i).
-func (p *Problem) preloadCheapest(n *network) ([]float64, error) {
+// preloadPriced is solveFlow's preload. Under ring prices p_j >= 0 (nil:
+// all zero), every flip-flop, in index order, goes on the candidate that
+// minimizes c_ij + p_j, the first such in its cost-sorted row, while that
+// ring has capacity left. A priced ring left with room loses its price and
+// the preload reruns, so at most rings+1 passes run; assign.preload.repairs
+// counts the prices dropped. The potentials are pot[FF_i] =
+// -min_j(c_ij + p_j), pot[ring_j] = -p_j and 0 at the source and target,
+// under which every residual arc except the reverse arcs into the source
+// has a non-negative reduced cost: unused FF->ring arcs c_ij + p_j -
+// min(...), reverses of used ones 0, open ring->target arcs 0 (their ring
+// is unpriced), target->ring reverses p_j, open source arcs min(...).
+// With no prices this is the cheapest-ring preload of DESIGN.md section
+// 19.1, bit for bit: pot[ring_j] is written only when p_j > 0.
+func (p *Problem) preloadPriced(n *network, price []float64) []float64 {
+	nFF, nR := len(n.cands), len(n.sink)
+	pr := make([]float64, nR) // a copy: price may belong to a shared matrix
+	copy(pr, price)
+	best := make([]int, nFF) // per FF: preloaded candidate, -1 if its ring was full
 	pot := make([]float64, n.g.NumNodes())
-	for i, cs := range n.cands {
-		pot[ffBase+i] = -cs[0].cost
-		n.route(i, 0)
+	used := make([]int, nR)
+	for {
+		clear(used)
+		for i, cs := range n.cands {
+			k := 0
+			for kk := 1; kk < len(cs); kk++ {
+				if cs[kk].cost+pr[cs[kk].ring] < cs[k].cost+pr[cs[k].ring] {
+					k = kk
+				}
+			}
+			pot[ffBase+i] = -(cs[k].cost + pr[cs[k].ring])
+			best[i] = -1
+			if j := cs[k].ring; used[j] < n.capacity[j] {
+				used[j]++
+				best[i] = k
+			}
+		}
+		repairs := 0
+		for j, q := range pr {
+			if q > 0 && used[j] < n.capacity[j] {
+				pr[j] = 0
+				repairs++
+			}
+		}
+		if repairs == 0 {
+			break
+		}
+		p.obsReg.Add("assign.preload.repairs", int64(repairs))
+	}
+	for j, q := range pr {
+		if q > 0 {
+			pot[ffBase+nFF+j] = -q
+		}
+	}
+	for i, k := range best {
+		if k < 0 {
+			continue
+		}
+		n.g.Push(n.src[i], 1)
+		n.g.Push(n.arcs[i][k], 1)
+		n.g.Push(n.sink[n.cands[i][k].ring], 1)
+		n.preloaded++
 	}
 	p.obsReg.Add("assign.mincost.preloaded", int64(n.preloaded))
-	p.obsReg.Add("assign.mincost.deficit", int64(len(n.cands)-n.preloaded))
-	return pot, nil
+	p.obsReg.Add("assign.mincost.deficit", int64(nFF-n.preloaded))
+	return pot
 }
 
 // Relax is the LP-relaxation result backing Table I.
@@ -525,7 +566,7 @@ func MinMaxCap(p *Problem) (*Assignment, *Relax, error) {
 		}
 		return nil, nil, fmt.Errorf("assign: LP relaxation %v", res.Status)
 	}
-	a := p.finish(cands, greedyRound(cands, res.X))
+	a := p.finish(cands, greedyRound(cands, res.X), nil)
 	rel := &Relax{LPOpt: res.Z, Solution: a.MaxCap, LPIters: res.Pivots}
 	if rel.LPOpt > 0 {
 		rel.IG = rel.Solution / rel.LPOpt
@@ -638,7 +679,7 @@ func MinMaxCapILP(p *Problem, opts lp.ILPOptions) (*Assignment, lp.ILPSolution, 
 		return nil, sol, nil
 	}
 	choice := greedyRound(cands, perFFValues(cands, vars, sol.X)) // integral X: picks the 1s
-	return p.finish(cands, choice), sol, nil
+	return p.finish(cands, choice, nil), sol, nil
 }
 
 // NearestOnly is the naive baseline: every flip-flop taps its nearest ring,
@@ -661,7 +702,7 @@ func NearestOnly(p *Problem) (*Assignment, error) {
 		}
 		choice[i] = cs[best]
 	}
-	return p.finish(cands, choice), nil
+	return p.finish(cands, choice, nil), nil
 }
 
 // FirstFitDecreasing is an alternative rounding-free heuristic for the
@@ -704,5 +745,5 @@ func FirstFitDecreasing(p *Problem) (*Assignment, error) {
 		choice[i] = cands[i][best]
 		loads[choice[i].ring] += choice[i].cap
 	}
-	return p.finish(cands, choice), nil
+	return p.finish(cands, choice, nil), nil
 }

@@ -58,7 +58,7 @@ func referenceMinCost(p *Problem, cands [][]candidate) (*Assignment, error) {
 			return nil, fmt.Errorf("assign: internal: flip-flop %d carries no flow", i)
 		}
 	}
-	return p.finish(cands, choice), nil
+	return p.finish(cands, choice, nil), nil
 }
 
 // preparedCands normalizes p and builds its candidate matrix, the common
@@ -82,9 +82,9 @@ func solveBoth(t *testing.T, p *Problem, cands [][]candidate, reg *obs.Registry)
 	p.obsReg = nil
 	want, wantErr = referenceMinCost(p, cands)
 	p.obsReg = reg
-	choice, gotErr := p.solveFlow(cands, p.preloadCheapest)
+	choice, price, gotErr := p.solveFlow(cands, nil)
 	if gotErr == nil {
-		got = p.finish(cands, choice)
+		got = p.finish(cands, choice, price)
 	}
 	return got, want, gotErr, wantErr
 }
@@ -260,9 +260,14 @@ func TestMinCostMatchesReferenceIntegerTies(t *testing.T) {
 	}
 }
 
-// TestPreloadDualFeasible checks the cheapest-ring start's closed-form
-// duals on the preloaded network itself: every residual arc that does not
-// enter the source has a non-negative reduced cost.
+// TestPreloadDualFeasible checks the priced preload's closed-form duals on
+// the preloaded network itself, before any augmenting path: every residual
+// arc that does not enter the source has a non-negative reduced cost, up to
+// the float slack Dijkstra's clamp absorbs (1e-9 relative to the largest
+// potential). It runs with no prices (the cheapest-ring start), random
+// prices, huge prices (1e4 times the largest cost) and stale prices taken
+// from the final solve of another instance; every priced ring left with
+// room must have lost its price.
 func TestPreloadDualFeasible(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for trial := 0; trial < 20; trial++ {
@@ -277,42 +282,73 @@ func TestPreloadDualFeasible(t *testing.T) {
 			p.K = len(p.Array.Rings)
 		}
 		cands := preparedCands(t, p)
-		var pot []float64
-		var net *network
-		// Stop before augmenting: the check is on the preloaded state.
-		var preloadErr error
-		_, err := p.solveFlow(cands, func(n *network) ([]float64, error) {
-			net = n
-			pot, preloadErr = p.preloadCheapest(n)
-			return nil, errStopAfterPreload
-		})
-		if preloadErr != nil || err != errStopAfterPreload {
-			t.Fatalf("trial %d: preload: %v, solve: %v", trial, preloadErr, err)
+		nR := len(p.Array.Rings)
+		maxCost := 0.0
+		for _, cs := range cands {
+			maxCost = math.Max(maxCost, cs[len(cs)-1].cost)
 		}
-		ringNode := func(j int) int { return ffBase + nFF + j }
-		check := func(a mcmf.ArcID, u, v int) {
-			g := net.g
-			rc := g.Cost(a) + pot[u] - pot[v]
-			if g.Flow(a) < g.Capacity(a) && v != srcNode && rc < 0 {
-				t.Fatalf("trial %d: forward arc %d->%d has reduced cost %v", trial, u, v, rc)
-			}
-			if g.Flow(a) > 0 && u != srcNode && -rc < 0 {
-				t.Fatalf("trial %d: reverse arc %d->%d has reduced cost %v", trial, v, u, -rc)
+		other := testProblem(t, 30+rng.Intn(40), rng.Int63())
+		if trial%2 == 1 {
+			other.Capacity = make([]int, nR)
+			for j := range other.Capacity {
+				other.Capacity[j] = len(other.FFs)/nR + 1
 			}
 		}
-		for i, cs := range cands {
-			check(net.src[i], srcNode, ffBase+i)
-			for k, c := range cs {
-				check(net.arcs[i][k], ffBase+i, ringNode(c.ring))
+		_, stale, err := other.solveFlow(preparedCands(t, other), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		random, huge := make([]float64, nR), make([]float64, nR)
+		for j := 0; j < nR; j++ {
+			if rng.Intn(3) > 0 {
+				random[j] = rng.Float64() * maxCost
 			}
+			huge[j] = 1e4 * maxCost * (1 + rng.Float64())
 		}
-		for j, a := range net.sink {
-			check(a, ringNode(j), sinkNode)
-		}
-		if net.preloaded == 0 || (trial%2 == 1 && net.preloaded == nFF) {
-			t.Fatalf("trial %d: %d of %d flip-flops preloaded", trial, net.preloaded, nFF)
+		for _, tc := range []struct {
+			name  string
+			price []float64
+		}{{"none", nil}, {"random", random}, {"huge", huge}, {"stale", stale}} {
+			name, price := tc.name, tc.price
+			reg := obs.NewRegistry()
+			p.obsReg = reg
+			n := p.newNetwork(cands)
+			pot := p.preloadPriced(n, price)
+			tol := 0.0
+			for _, v := range pot {
+				tol = math.Max(tol, 1e-9*math.Abs(v))
+			}
+			ringNode := func(j int) int { return ffBase + nFF + j }
+			check := func(a mcmf.ArcID, u, v int) {
+				g := n.g
+				rc := g.Cost(a) + pot[u] - pot[v]
+				if g.Flow(a) < g.Capacity(a) && v != srcNode && rc < -tol {
+					t.Fatalf("trial %d, %s prices: forward arc %d->%d has reduced cost %v", trial, name, u, v, rc)
+				}
+				if g.Flow(a) > 0 && u != srcNode && -rc < -tol {
+					t.Fatalf("trial %d, %s prices: reverse arc %d->%d has reduced cost %v", trial, name, v, u, -rc)
+				}
+			}
+			for i, cs := range cands {
+				check(n.src[i], srcNode, ffBase+i)
+				for k, c := range cs {
+					check(n.arcs[i][k], ffBase+i, ringNode(c.ring))
+				}
+			}
+			used := 0
+			for j, a := range n.sink {
+				check(a, ringNode(j), sinkNode)
+				used += n.g.Flow(a)
+			}
+			if used != n.preloaded || n.preloaded == 0 || (trial%2 == 1 && n.preloaded == nFF) {
+				t.Fatalf("trial %d, %s prices: %d of %d flip-flops preloaded, %d on rings", trial, name, n.preloaded, nFF, used)
+			}
+			if name == "none" && reg.Counter("assign.preload.repairs") != 0 {
+				t.Fatalf("trial %d: repaired prices that were never set", trial)
+			}
+			if name == "huge" && reg.Counter("assign.preload.repairs") == 0 && n.preloaded < nFF {
+				t.Fatalf("trial %d: huge prices on every ring, some left with room, none dropped", trial)
+			}
 		}
 	}
 }
-
-var errStopAfterPreload = errors.New("stop after preload")

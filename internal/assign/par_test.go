@@ -69,12 +69,10 @@ func TestAssignDeterministicAcrossWorkerCounts(t *testing.T) {
 		p := parProblem(t, 150, 42)
 		p.Array = base.Array
 		p.Parallelism = workers
-		var dirty []int
 		for i := 0; i < len(p.FFs); i += 7 {
 			p.FFs[i].Pos = geom.Pt(p.FFs[i].Pos.X+25, p.FFs[i].Pos.Y)
-			dirty = append(dirty, i)
 		}
-		a, err := PatchMinCost(p, prev, dirty)
+		a, err := PatchMinCost(p, prev)
 		if err != nil {
 			t.Fatal(err)
 		}

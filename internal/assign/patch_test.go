@@ -3,6 +3,7 @@ package assign
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 	"time"
@@ -23,15 +24,16 @@ func TestPatchMinCostMatchesScratch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Edit: move 3 flip-flops across the die and mark them dirty.
+	// Edit: move 3 flip-flops across the die.
 	edited := testProblem(t, 60, 11)
-	dirty := []int{5, 17, 42}
-	for _, i := range dirty {
+	edited.Array = p.Array
+	moved := []int{5, 17, 42}
+	for _, i := range moved {
 		edited.FFs[i].Pos = geom.Pt(4000-edited.FFs[i].Pos.X, 4000-edited.FFs[i].Pos.Y)
 	}
 
 	scratchP := testProblem(t, 60, 11)
-	for _, i := range dirty {
+	for _, i := range moved {
 		scratchP.FFs[i].Pos = edited.FFs[i].Pos
 	}
 	want, err := MinCost(scratchP)
@@ -39,7 +41,7 @@ func TestPatchMinCostMatchesScratch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, err := PatchMinCost(edited, base, dirty)
+	got, err := PatchMinCost(edited, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,8 +51,8 @@ func TestPatchMinCostMatchesScratch(t *testing.T) {
 	checkAssignment(t, edited, got)
 }
 
-// TestPatchMinCostAllClean: no dirty flip-flops and an unchanged instance is
-// pure preload — zero augmentations, and the exact previous totals.
+// TestPatchMinCostAllClean: an unchanged instance patched from its own
+// optimum reaches the same total, and the preload split adds up.
 func TestPatchMinCostAllClean(t *testing.T) {
 	p := testProblem(t, 40, 23)
 	base, err := MinCost(p)
@@ -59,24 +61,23 @@ func TestPatchMinCostAllClean(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	p2 := testProblem(t, 40, 23)
-	p2.Obs = reg
-	got, err := PatchMinCost(p2, base, nil)
+	p2.Array, p2.Obs = p.Array, reg
+	got, err := PatchMinCost(p2, base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(got.Total-base.Total) > 1e-9 {
 		t.Fatalf("clean patch total %v != base %v", got.Total, base.Total)
 	}
-	if n := reg.Counter("assign.patch.preloaded"); n != 40 {
-		t.Errorf("preloaded = %d, want 40", n)
-	}
-	if n := reg.Counter("assign.patch.dirty"); n != 0 {
-		t.Errorf("dirty = %d, want 0", n)
+	pre, deficit := reg.Counter("assign.mincost.preloaded"), reg.Counter("assign.mincost.deficit")
+	if pre+deficit != 40 || reg.Counter("mcmf.paths") != deficit {
+		t.Errorf("preloaded %d + deficit %d != 40, or %d paths for the deficit", pre, deficit, reg.Counter("mcmf.paths"))
 	}
 }
 
-// TestPatchMinCostStalePrior: a clean flip-flop whose previous ring is no
-// longer among its candidates (or out of range) silently demotes to dirty.
+// TestPatchMinCostStalePrior: the patch starts from prev's candidate rows
+// and ring prices, not from its rings, so rings that are no longer
+// candidates (or out of range) change nothing.
 func TestPatchMinCostStalePrior(t *testing.T) {
 	p := testProblem(t, 30, 31)
 	base, err := MinCost(p)
@@ -93,21 +94,21 @@ func TestPatchMinCostStalePrior(t *testing.T) {
 	prev.Ring[1] = 9999 // out of range
 	p2 := testProblem(t, 30, 31)
 	reg := obs.NewRegistry()
-	p2.Obs = reg
-	got, err := PatchMinCost(p2, &prev, nil)
+	p2.Array, p2.Obs = p.Array, reg
+	got, err := PatchMinCost(p2, &prev)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(got.Total-want.Total) > 1e-6 {
 		t.Fatalf("total %v != scratch %v", got.Total, want.Total)
 	}
-	if n := reg.Counter("assign.patch.dirty"); n != 2 {
-		t.Errorf("dirty = %d, want 2", n)
+	if n := reg.Counter("assign.patch.reused"); n != 30 {
+		t.Errorf("reused %d rows, want 30", n)
 	}
 }
 
-// TestPatchMinCostRespectsPin: pinning a flip-flop to a new ring and marking
-// it dirty re-routes it there, and the patched cost matches a scratch solve
+// TestPatchMinCostRespectsPin: pinning a flip-flop to a new ring re-routes
+// it there, and the patched cost matches a scratch solve
 // with the same pin.
 func TestPatchMinCostRespectsPin(t *testing.T) {
 	p := testProblem(t, 25, 7)
@@ -132,9 +133,10 @@ func TestPatchMinCostRespectsPin(t *testing.T) {
 	}
 
 	p2 := testProblem(t, 25, 7)
+	p2.Array = p.Array
 	p2.Pin = pin
 	p2.TapFallback = true
-	got, err := PatchMinCost(p2, base, []int{3})
+	got, err := PatchMinCost(p2, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +161,7 @@ func TestPatchMinCostCorruptionSite(t *testing.T) {
 		Site: faultinject.SiteAssignPatch, Err: errors.New("corrupt"),
 	})()
 	p2 := testProblem(t, 30, 47)
-	got, err := PatchMinCost(p2, base, nil)
+	got, err := PatchMinCost(p2, base)
 	if err != nil {
 		t.Fatalf("corruption must be silent, got error %v", err)
 	}
@@ -178,16 +180,18 @@ func TestPatchMinCostInfeasibleAndStop(t *testing.T) {
 	}
 
 	bad := testProblem(t, 20, 3)
+	bad.Array = p.Array
 	bad.Capacity = make([]int, 9)
-	if _, err := PatchMinCost(bad, base, nil); !errors.Is(err, ErrInfeasible) {
+	if _, err := PatchMinCost(bad, base); !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("zero capacity: err = %v, want ErrInfeasible", err)
 	}
 
 	stopped := testProblem(t, 20, 3)
+	stopped.Array = p.Array
 	tok, cancel := stop.WithTimeout(-time.Second)
 	defer cancel()
 	stopped.Stop = tok
-	if _, err := PatchMinCost(stopped, base, nil); !stop.IsStop(err) {
+	if _, err := PatchMinCost(stopped, base); !stop.IsStop(err) {
 		t.Fatalf("expired token: err = %v, want stop error", err)
 	}
 }
@@ -202,27 +206,26 @@ func TestPatchMinCostPrevRingLengthMismatch(t *testing.T) {
 	}
 	stale := *base
 	stale.Ring = stale.Ring[:3]
-	if _, err := PatchMinCost(testProblem(t, 10, 5), &stale, nil); err == nil {
+	if _, err := PatchMinCost(testProblem(t, 10, 5), &stale); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
 	reg := obs.NewRegistry()
 	p := testProblem(t, 10, 5)
 	p.Obs = reg
-	got, err := PatchMinCost(p, nil, nil)
+	got, err := PatchMinCost(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(got.Total-base.Total) > 1e-6 {
-		t.Fatalf("patch with no prior: total %v != scratch %v", got.Total, base.Total)
-	}
-	if n := reg.Counter("assign.patch.preloaded"); n != 0 {
-		t.Errorf("preloaded = %d with no prior, want 0", n)
+	assertBitEqual(t, got, base)
+	if n := reg.Counter("assign.patch.reused"); n != 0 {
+		t.Errorf("reused %d rows with no prior, want 0", n)
 	}
 }
 
 // TestPatchReusesUnchangedRows: patching an unchanged instance reuses every
-// row, solves no tapping query and returns the previous assignment; moving
-// one flip-flop re-solves only that flip-flop's row, at most K queries.
+// row, solves no tapping query and returns the previous assignment (its
+// exported fields and rows; the ring prices may differ); moving one
+// flip-flop re-solves only that flip-flop's row, at most K queries.
 func TestPatchReusesUnchangedRows(t *testing.T) {
 	p := parProblem(t, 80, 7)
 	prev, err := MinCost(p)
@@ -235,7 +238,7 @@ func TestPatchReusesUnchangedRows(t *testing.T) {
 		q := parProblem(t, 80, 7)
 		q.Array, q.Obs = p.Array, reg
 		edit(q)
-		a, err := PatchMinCost(q, prev, nil)
+		a, err := PatchMinCost(q, prev)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,7 +252,7 @@ func TestPatchReusesUnchangedRows(t *testing.T) {
 	if n := reg.Counter("assign.patch.reused"); n != 80 {
 		t.Errorf("unchanged instance reused %d rows, want 80", n)
 	}
-	if !reflect.DeepEqual(same, prev) {
+	if !reflect.DeepEqual(exported(same), exported(prev)) || !reflect.DeepEqual(same.m.rows, prev.m.rows) {
 		t.Error("patch of an unchanged instance differs from the previous assignment")
 	}
 
@@ -260,6 +263,13 @@ func TestPatchReusesUnchangedRows(t *testing.T) {
 	if n := reg.Counter("assign.patch.reused"); n != 79 {
 		t.Errorf("moving one flip-flop reused %d rows, want 79", n)
 	}
+}
+
+// exported is a's exported fields, without its candidate matrix and prices.
+func exported(a *Assignment) Assignment {
+	c := *a
+	c.m = nil
+	return c
 }
 
 // TestPatchReuseNeedsSameInputs: a row is reused only when every input it
@@ -293,7 +303,7 @@ func TestPatchReuseNeedsSameInputs(t *testing.T) {
 		q := parProblem(t, 40, 9)
 		q.Array, q.Obs = p.Array, reg
 		tc.edit(q)
-		got, err := PatchMinCost(q, prev, nil)
+		got, err := PatchMinCost(q, prev)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -342,4 +352,167 @@ func TestPinnedCandidatesRestrict(t *testing.T) {
 	if _, err := MinCost(p3); err == nil {
 		t.Fatal("out-of-range pin accepted")
 	}
+}
+
+// TestPatchAnyPricesMatchesScratch is the price contract of the one Fig. 4
+// solver: whatever ring prices it starts from — random, sparse, huge (1e4
+// times the largest cost) or stale ones from another instance's solve — the
+// answer is cost-equal to the unpriced solve MinCost runs, and with
+// distinct float costs (a unique optimum) it puts every flip-flop on the
+// same ring.
+func TestPatchAnyPricesMatchesScratch(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for trial := 0; trial < 30; trial++ {
+		nFF := 15 + rng.Intn(70)
+		p := testProblem(t, nFF, rng.Int63())
+		nR := len(p.Array.Rings)
+		if trial%3 > 0 {
+			p.Capacity = make([]int, nR)
+			for j := range p.Capacity {
+				p.Capacity[j] = nFF/nR + trial%3
+			}
+			p.K = 3 + rng.Intn(nR-2)
+		}
+		cands := preparedCands(t, p)
+		want, _, err := p.solveFlow(cands, nil)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		other := testProblem(t, 20+rng.Intn(60), rng.Int63())
+		_, stale, err := other.solveFlow(preparedCands(t, other), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		random, sparse, huge := make([]float64, nR), make([]float64, nR), make([]float64, nR)
+		for j := 0; j < nR; j++ {
+			random[j] = rng.Float64() * 2000
+			if rng.Intn(4) == 0 {
+				sparse[j] = rng.Float64() * 500
+			}
+			huge[j] = 1e4 * 4000 * rng.Float64()
+		}
+		for _, tc := range []struct {
+			name  string
+			price []float64
+		}{{"random", random}, {"sparse", sparse}, {"huge", huge}, {"stale", stale}} {
+			name, price := tc.name, tc.price
+			got, _, err := p.solveFlow(cands, price)
+			if err != nil {
+				t.Fatalf("trial %d, %s prices: %v", trial, name, err)
+			}
+			gotTotal, wantTotal := 0.0, 0.0
+			for i := range got {
+				gotTotal += got[i].cost
+				wantTotal += want[i].cost
+			}
+			if !relClose(gotTotal, wantTotal) {
+				t.Fatalf("trial %d, %s prices: total %v != unpriced %v", trial, name, gotTotal, wantTotal)
+			}
+			for i := range got {
+				if got[i].ring != want[i].ring {
+					t.Fatalf("trial %d, %s prices: flip-flop %d on ring %d, unpriced %d", trial, name, i, got[i].ring, want[i].ring)
+				}
+			}
+		}
+	}
+}
+
+// TestPatchChainMatchesScratch chains 200 patches, each from the previous
+// patch's answer and prices, through moves, retargets, pins and unpins,
+// capacity changes and added and removed flip-flops, and checks every step
+// against a cold MinCost of the same instance: the same feasibility, and
+// totals within 1e-9 relative.
+func TestPatchChainMatchesScratch(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	base := testProblem(t, 50, 43)
+	arr, nR := base.Array, len(base.Array.Rings)
+	ffs := base.FFs
+	pins := map[int]int{} // cell -> pinned ring
+	var capacity []int
+	nextCell := len(ffs)
+	mk := func() *Problem {
+		q := &Problem{Array: arr, FFs: append([]FF(nil), ffs...), TapFallback: true, Parallelism: 1}
+		q.Capacity = append([]int(nil), capacity...)
+		if len(pins) > 0 {
+			q.Pin = make([]int, len(ffs))
+			for i, ff := range ffs {
+				q.Pin[i] = -1
+				if r, ok := pins[ff.Cell]; ok {
+					q.Pin[i] = r
+				}
+			}
+		}
+		return q
+	}
+	prev, err := MinCost(mk())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var paths, deficits int64
+	for step := 0; step < 200; step++ {
+		i := rng.Intn(len(ffs))
+		switch op := rng.Intn(7); op {
+		case 0, 1:
+			ffs[i].Pos = geom.Pt(rng.Float64()*4000, rng.Float64()*4000)
+		case 2:
+			ffs[i].Target = rng.Float64() * arr.Params.Period
+		case 3:
+			if _, ok := pins[ffs[i].Cell]; ok || len(pins) > 4 {
+				delete(pins, ffs[i].Cell)
+			} else {
+				pins[ffs[i].Cell] = rng.Intn(nR)
+			}
+		case 4:
+			capacity = nil
+			if rng.Intn(3) > 0 {
+				capacity = make([]int, nR)
+				for j := range capacity {
+					capacity[j] = len(ffs)/nR + 1 + rng.Intn(3)
+				}
+			}
+		case 5:
+			ffs = append(ffs, FF{Cell: nextCell, Pos: geom.Pt(rng.Float64()*4000, rng.Float64()*4000), Target: rng.Float64() * arr.Params.Period})
+			nextCell++
+		case 6:
+			delete(pins, ffs[i].Cell)
+			ffs = append(ffs[:i:i], ffs[i+1:]...)
+		}
+		if capacity != nil {
+			for sum(capacity) < len(ffs) {
+				capacity[rng.Intn(nR)]++
+			}
+		}
+		cold, coldErr := MinCost(mk())
+		reg := obs.NewRegistry()
+		q := mk()
+		q.Obs = reg
+		warm, warmErr := PatchMinCost(q, prev)
+		if (coldErr != nil) != (warmErr != nil) {
+			t.Fatalf("step %d: patch error %v, cold error %v", step, warmErr, coldErr)
+		}
+		if coldErr != nil {
+			if !errors.Is(coldErr, ErrInfeasible) || !errors.Is(warmErr, ErrInfeasible) {
+				t.Fatalf("step %d: errors not both infeasible: %v / %v", step, warmErr, coldErr)
+			}
+			continue
+		}
+		if !relClose(warm.Total, cold.Total) {
+			t.Fatalf("step %d: patched total %v != cold %v", step, warm.Total, cold.Total)
+		}
+		checkAssignment(t, q, warm)
+		paths += reg.Counter("mcmf.paths")
+		deficits += reg.Counter("assign.mincost.deficit")
+		prev = warm
+	}
+	if paths != deficits {
+		t.Errorf("%d augmenting paths for a total deficit of %d", paths, deficits)
+	}
+}
+
+func sum(xs []int) int {
+	s := 0
+	for _, x := range xs {
+		s += x
+	}
+	return s
 }

@@ -18,11 +18,11 @@ import (
 
 // Apply absorbs a batch of deltas into the state with bounded recompute:
 // netlist edits (rebuilding the quadratic system after a net edit), a
-// dirty-region placement solve, a warm-started schedule re-check, and a
-// residual-flow assignment patch. On success the circuit and state hold the
-// new optimum; on failure both roll back to their pre-call values — strict
-// mode then returns the error, non-strict returns a Degraded outcome
-// describing the restored state.
+// dirty-region placement solve, a warm-started schedule re-check, and an
+// assignment patch started from the previous solve's ring prices. On
+// success the circuit and state hold the new optimum; on failure both roll
+// back to their pre-call values — strict mode then returns the error,
+// non-strict returns a Degraded outcome describing the restored state.
 //
 // Deltas apply in order, each seeing its predecessors' effects. Invalid
 // deltas (unknown cells, class violations, out-of-range rings) are input
@@ -235,20 +235,21 @@ func Apply(st *State, deltas []Delta, opt Options) (*Outcome, error) {
 
 	// Phase 4: assignment patch. Dirty flip-flops are the edited ones plus
 	// any whose schedule entry the repair moved (bit-compare against the
-	// old schedule); everything else preloads its previous ring. The patch
-	// re-solves the tapping rows of flip-flops whose position, target or pin
-	// changed, and copies the rest from st.Assign.
+	// old schedule); they are counted, not passed on. The patch re-solves
+	// the tapping rows of flip-flops whose position, target or pin changed,
+	// copies the rest from st.Assign, and starts the flow from its ring
+	// prices.
 	asgSp := span.Child("eco.assign")
-	var dirtyIdx []int
+	dirtyFFs := 0
 	for i, id := range ffCells {
 		old, had := oldSched[id]
 		schedChanged := !had || math.Float64bits(old) != math.Float64bits(sched[i])
 		if allFFsDirty || dirtyFFSet[id] || schedChanged {
-			dirtyIdx = append(dirtyIdx, i)
+			dirtyFFs++
 		}
 	}
-	out.DirtyFFs = len(dirtyIdx)
-	reg.Add("eco.dirty.ffs", int64(len(dirtyIdx)))
+	out.DirtyFFs = dirtyFFs
+	reg.Add("eco.dirty.ffs", int64(dirtyFFs))
 
 	var pin []int
 	if len(pinned) > 0 {
@@ -284,7 +285,7 @@ func Apply(st *State, deltas []Delta, opt Options) (*Outcome, error) {
 	if opt.Scratch {
 		asg, err = assign.MinCost(mkProblem(first))
 	} else {
-		asg, err = assign.PatchMinCost(mkProblem(first), st.Assign, dirtyIdx)
+		asg, err = assign.PatchMinCost(mkProblem(first), st.Assign)
 	}
 	if err != nil && errors.Is(err, assign.ErrInfeasible) && !opt.Strict {
 		// The flow's stage-3 relaxation ladder: wider candidate sets, looser

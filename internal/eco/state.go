@@ -11,9 +11,9 @@
 //  2. warm-started skew scheduling — the previous schedule seeds a
 //     Bellman-Ford repair (skew.WarmStart) that re-checks every constraint
 //     in one O(m) round and moves only the entries the edit forces;
-//  3. assignment patching — the previous flip-flop-to-ring flow is
-//     preloaded onto the residual network, stale routing is canceled away,
-//     and only edited flip-flops re-route (assign.PatchMinCost).
+//  3. assignment patching — the min-cost flow starts from the previous
+//     solve's ring prices and candidate rows, so only the flip-flops those
+//     prices do not settle re-route (assign.PatchMinCost).
 //
 // Every layer is exact, not approximate: the warm-started schedule is the
 // same fixpoint a batch solve reaches, and the patched assignment is

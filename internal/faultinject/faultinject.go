@@ -43,10 +43,10 @@ const (
 	SiteLPSolve           = "lp.Solve"
 	SiteLPSolveILP        = "lp.SolveILP"
 	SiteRotarySolveTap    = "rotary.SolveTap"
-	// SiteAssignPatch corrupts (not errors) the residual-flow assignment
-	// patch: with a rule armed, PatchMinCost silently returns each
-	// flip-flop's most expensive candidate instead of optimizing — the
-	// wrong-answer failure mode the ECO-vs-scratch oracle must catch.
+	// SiteAssignPatch corrupts (not errors) the ECO assignment patch: with
+	// a rule armed, PatchMinCost silently returns each flip-flop's most
+	// expensive candidate instead of optimizing — the wrong-answer failure
+	// mode the ECO-vs-scratch oracle must catch.
 	SiteAssignPatch = "assign.patch"
 	// SitePlacerReweight corrupts (not errors) the net-weight overlay: with
 	// a rule armed, applyNetWeights perturbs every scale slightly, breaking
@@ -68,7 +68,7 @@ const (
 	SitePlacerCGCancel    = "placer.cg.cancel"         // per CG iteration (both axes, dirty components too)
 	SiteLPPivotCancel     = "lp.pivot.cancel"          // per simplex pivot (dense + assignment LP)
 	SiteLPNodeCancel      = "lp.bb.cancel"             // per branch-and-bound node
-	SiteMcmfPathCancel    = "mcmf.path.cancel"         // per augmenting path / reroute
+	SiteMcmfPathCancel    = "mcmf.path.cancel"         // per augmenting path
 	SiteAssignCandCancel  = "assign.candidates.cancel" // per flip-flop candidate row
 	SiteSkewIterCancel    = "skew.iter.cancel"         // per Bellman-Ford / Karp DP round
 	SiteEcoApplyCancel    = "eco.apply.cancel"         // per ECO stage boundary

@@ -5,20 +5,20 @@
 // of Section VII through linear programming duality.
 //
 // Every solve runs one augmenting loop, MinCostFlowFrom, which takes its
-// starting potentials as an argument: MinCostFlow computes zero or
-// Bellman-Ford ones, while a caller that preloads a near-optimal flow with
-// Push passes closed-form duals and augments only the remainder. The
-// potential initialization and CancelNegativeCycles share one residual
-// Bellman-Ford loop that stops at the first negative cycle its predecessor
-// walk proves, instead of after n rounds.
+// starting potentials as an argument: MinCostFlow starts from zero ones,
+// while a caller that preloads a near-optimal flow with Push passes
+// closed-form duals and augments only the remainder. The package has no
+// Bellman-Ford: MinCostFlow rejects a negative-cost residual arc, and
+// negative costs enter only through MinCostCirculation, which saturates
+// them before it routes anything.
 //
 // Error discipline: solve methods return errors for conditions determined by
-// the caller-supplied graph (a negative cycle makes the min-cost objective
-// unbounded; a circulation whose saturated excess cannot be rerouted is not
-// a circulation instance). Panics are reserved for API misuse that is a bug
+// the caller-supplied graph (a negative-cost arc handed to MinCostFlow; a
+// circulation whose saturated excess cannot be rerouted is not a
+// circulation instance). Panics are reserved for API misuse that is a bug
 // in the calling code regardless of data — AddArc with out-of-range nodes or
-// negative capacity — and for violations of the solver's own potential
-// invariant.
+// negative capacity, Push beyond an arc's residual capacity — and for
+// violations of the solver's own potential invariant.
 package mcmf
 
 import (
@@ -32,9 +32,10 @@ import (
 	"rotaryclk/internal/stop"
 )
 
-// ErrNegativeCycle reports that the input graph contains a reachable
-// negative-cost cycle, making the min-cost objective unbounded.
-var ErrNegativeCycle = errors.New("mcmf: negative-cost cycle in input graph")
+// ErrNegativeCost reports a residual arc of negative cost handed to
+// MinCostFlow, whose zero starting potentials need every cost
+// non-negative. Negative costs belong in MinCostCirculation.
+var ErrNegativeCost = errors.New("mcmf: negative-cost residual arc")
 
 // ErrExcessStranded reports that a MinCostCirculation instance saturated
 // negative arcs whose excess could not be rerouted; the input was not a
@@ -64,10 +65,10 @@ type Graph struct {
 	Obs *obs.Registry
 
 	// Stop is the cooperative cancellation token, checked once per
-	// augmenting path and once per Bellman-Ford potential round. Nil never
-	// stops. A fired token aborts the solve with an error wrapping the stop
-	// sentinel; the flow routed so far stays on the arcs (it is a valid
-	// partial flow, just not maximal or cost-optimal).
+	// augmenting path. Nil never stops. A fired token aborts the solve with
+	// an error wrapping the stop sentinel; the flow routed so far stays on
+	// the arcs (it is a valid partial flow, just not maximal or
+	// cost-optimal).
 	Stop *stop.Token
 }
 
@@ -183,36 +184,16 @@ func (g *Graph) dijkstra(s int, pot []float64) (dist []float64, prev []int32, re
 }
 
 // MinCostFlow pushes up to maxFlow units from s to t along successive
-// shortest paths, returning the flow achieved and its total cost. Pass
-// maxFlow < 0 for max flow. The starting potentials are zero when no
-// residual arc has a negative cost, and otherwise the Bellman-Ford
-// distances of the residual graph from a zero start (the loop shared with
-// CancelNegativeCycles); a negative residual cycle returns
-// ErrNegativeCycle, as soon as the predecessor walk proves one.
+// shortest paths from zero potentials, returning the flow achieved and its
+// total cost. Pass maxFlow < 0 for max flow. A residual arc of negative
+// cost returns an error wrapping ErrNegativeCost before anything is routed.
 func (g *Graph) MinCostFlow(s, t, maxFlow int) (flow int, cost float64, err error) {
-	hasNeg := false
-	for i := range g.arcs {
-		if g.arcs[i].cap > 0 && g.arcs[i].cost < 0 {
-			hasNeg = true
-			break
+	for ai, a := range g.arcs {
+		if a.cap > 0 && a.cost < 0 {
+			return 0, 0, fmt.Errorf("mcmf: arc %d->%d costs %v: %w", g.arcs[ai^1].to, a.to, a.cost, ErrNegativeCost)
 		}
 	}
-	pot := make([]float64, g.n)
-	if hasNeg {
-		b := g.newBellmanFord()
-		cycle, berr := b.run(g)
-		if reg := obs.Resolve(g.Obs); reg != nil {
-			reg.Add("mcmf.relaxations", int64(b.relaxed))
-		}
-		if berr != nil {
-			return 0, 0, fmt.Errorf("mcmf: potential initialization: %w", berr)
-		}
-		if cycle >= 0 {
-			return 0, 0, ErrNegativeCycle
-		}
-		pot = b.dist
-	}
-	return g.MinCostFlowFrom(s, t, maxFlow, pot)
+	return g.MinCostFlowFrom(s, t, maxFlow, make([]float64, g.n))
 }
 
 // MinCostFlowFrom is MinCostFlow started from the caller's potentials pot,
@@ -336,41 +317,39 @@ func (g *Graph) MinCostCirculation() (float64, error) {
 	return cost + c2, nil
 }
 
-// ResidualDistances returns Bellman-Ford shortest-path distances from src
-// over the residual graph of the current flow. At a min-cost optimum the
-// residual graph has no negative cycles, so the distances are well-defined;
-// they are the LP dual potentials used to recover primal variables in
-// dual-of-min-cost-flow problems (see the skew package). Unreachable nodes
-// get +Inf. It returns ok=false if a negative residual cycle is detected
-// (the flow was not optimal).
-func (g *Graph) ResidualDistances(src int) (dist []float64, ok bool) {
-	dist = make([]float64, g.n)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-	}
-	dist[src] = 0
-	for iter := 0; iter <= g.n; iter++ {
-		changed := false
-		for u := 0; u < g.n; u++ {
-			if math.IsInf(dist[u], 1) {
-				continue
-			}
-			for _, ai := range g.adj[u] {
-				a := &g.arcs[ai]
-				if a.cap <= 0 {
-					continue
-				}
-				if nd := dist[u] + a.cost; nd < dist[a.to]-1e-9 {
-					dist[a.to] = nd
-					changed = true
-				}
+// ResidualArcs calls fn for every residual arc of the current flow (an arc
+// or twin with capacity left): nodes in index order, each node's arcs in
+// insertion order.
+func (g *Graph) ResidualArcs(fn func(from, to int, cost float64)) {
+	for u, out := range g.adj {
+		for _, ai := range out {
+			if a := g.arcs[ai]; a.cap > 0 {
+				fn(u, a.to, a.cost)
 			}
 		}
-		if !changed {
-			return dist, true
-		}
 	}
-	return dist, false
+}
+
+// Push preloads units of flow onto arc a, debiting its residual capacity and
+// crediting its twin. It is the primitive for warm-starting a solve: the
+// caller routes a known flow arc by arc and passes MinCostFlowFrom
+// potentials that are feasible for it. The caller is responsible for
+// conservation (pushing whole source-to-sink paths); Push itself only moves
+// capacity. Out-of-range arcs, negative units, and units exceeding the
+// arc's residual capacity panic — all three are caller bugs, not instance
+// properties.
+func (g *Graph) Push(a ArcID, units int) {
+	if int(a) < 0 || int(a) >= len(g.arcs) {
+		panic(fmt.Sprintf("mcmf: push on arc %d out of range (%d arcs)", a, len(g.arcs)))
+	}
+	if units < 0 {
+		panic("mcmf: push of negative units")
+	}
+	if units > g.arcs[a].cap {
+		panic(fmt.Sprintf("mcmf: push of %d units exceeds residual capacity %d on arc %d", units, g.arcs[a].cap, a))
+	}
+	g.arcs[a].cap -= units
+	g.arcs[int(a)^1].cap += units
 }
 
 // TotalCost returns the cost of the current flow (sum over forward arcs).

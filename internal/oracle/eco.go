@@ -1,13 +1,13 @@
 package oracle
 
 // The ECO-vs-scratch differential oracle: the incremental re-optimization
-// path (internal/eco) claims its three layers — CSR patching + dirty-region
-// placement, warm-started scheduling, residual-flow assignment patching —
-// are exact, not approximate. This oracle holds it to that claim by running
-// the same delta sequence through the incremental arm and through a
-// from-scratch arm (Options.Scratch: same orchestration, full recompute) on
-// independent clones of one placed circuit, comparing positions, schedules,
-// totals and failure behavior after every delta.
+// path (internal/eco) claims its three layers — dirty-region placement,
+// warm-started scheduling, price-started assignment patching — are exact,
+// not approximate. This oracle holds it to that claim by running the same
+// delta sequence through the incremental arm and through a from-scratch arm
+// (Options.Scratch: same orchestration, full recompute) on independent
+// clones of one placed circuit, comparing positions, schedules, totals and
+// failure behavior after every delta.
 
 import (
 	"fmt"

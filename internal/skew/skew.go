@@ -352,10 +352,12 @@ func bestShift(t []float64, anchors []Anchor) float64 {
 // The LP dual is a min-cost circulation: each difference constraint
 // t_U - t_V <= b becomes an infinite-capacity arc U->V of cost b, and each
 // flip-flop exchanges up to w_i units with a ground node at cost +-target_i.
-// Optimal node potentials of the residual network recover the schedule. The
-// optional stop token is threaded into the base feasibility probe and the
-// min-cost circulation, and both record their skew.* and mcmf.* counters
-// into reg (resolved through obs.Resolve).
+// Optimal node potentials of the residual network recover the schedule:
+// relax, the package's one difference-constraint kernel, computes them as
+// shortest distances from ground. The optional stop token is threaded into
+// the base feasibility probe, the min-cost circulation and that recovery
+// probe, and all three record their skew.* and mcmf.* counters into reg
+// (resolved through obs.Resolve).
 func WeightedSum(tok *stop.Token, reg *obs.Registry, n int, cons []DiffConstraint, targets []float64, weights []float64) (float64, []float64, error) {
 	if err := faultinject.Hook(faultinject.SiteSkewWeightedSum); err != nil {
 		return 0, nil, err
@@ -369,44 +371,13 @@ func WeightedSum(tok *stop.Token, reg *obs.Registry, n int, cons []DiffConstrain
 	} else if !ok {
 		return 0, nil, fmt.Errorf("skew: difference constraints: %w", ErrInfeasible)
 	}
-	g := mcmf.NewGraph(n + 1)
-	g.Stop = tok
-	g.Obs = reg
-	ground := n
-	wi := make([]int, n)
-	total := 0
-	for i, w := range weights {
-		wi[i] = int(math.Round(w))
-		if wi[i] < 1 {
-			wi[i] = 1
-		}
-		total += wi[i]
+	g, err := weightedSumCirculation(tok, reg, n, cons, targets, weights)
+	if err != nil {
+		return 0, nil, err
 	}
-	infCap := total + 1
-	for _, c := range cons {
-		if c.U == c.V {
-			if c.Bound < 0 {
-				return 0, nil, fmt.Errorf("skew: negative self-loop constraint %+v", c)
-			}
-			continue
-		}
-		g.AddArc(c.U, c.V, infCap, c.Bound)
-	}
-	type pair struct{ toG, fromG mcmf.ArcID }
-	arcs := make([]pair, n)
-	for i := 0; i < n; i++ {
-		arcs[i] = pair{
-			toG:   g.AddArc(i, ground, wi[i], targets[i]),
-			fromG: g.AddArc(ground, i, wi[i], -targets[i]),
-		}
-	}
-	if _, err := g.MinCostCirculation(); err != nil {
-		return 0, nil, fmt.Errorf("skew: weighted-sum circulation: %w", err)
-	}
-
-	dist, ok := g.ResidualDistances(ground)
-	if !ok {
-		return 0, nil, fmt.Errorf("skew: residual network has a negative cycle (circulation not optimal)")
+	dist, err := distancesFrom(tok, reg, g, n)
+	if err != nil {
+		return 0, nil, err
 	}
 	t := make([]float64, n)
 	for i := 0; i < n; i++ {
@@ -428,6 +399,66 @@ func WeightedSum(tok *stop.Token, reg *obs.Registry, n int, cons []DiffConstrain
 		trueObj += weights[i] * math.Abs(t[i]-targets[i])
 	}
 	return trueObj, t, nil
+}
+
+// weightedSumCirculation builds WeightedSum's dual network, ground at node
+// n, and leaves its min-cost circulation on the arcs.
+func weightedSumCirculation(tok *stop.Token, reg *obs.Registry, n int, cons []DiffConstraint, targets []float64, weights []float64) (*mcmf.Graph, error) {
+	g := mcmf.NewGraph(n + 1)
+	g.Stop = tok
+	g.Obs = reg
+	ground := n
+	wi := make([]int, n)
+	total := 0
+	for i, w := range weights {
+		wi[i] = int(math.Round(w))
+		if wi[i] < 1 {
+			wi[i] = 1
+		}
+		total += wi[i]
+	}
+	infCap := total + 1
+	for _, c := range cons {
+		if c.U == c.V {
+			if c.Bound < 0 {
+				return nil, fmt.Errorf("skew: negative self-loop constraint %+v", c)
+			}
+			continue
+		}
+		g.AddArc(c.U, c.V, infCap, c.Bound)
+	}
+	for i := 0; i < n; i++ {
+		g.AddArc(i, ground, wi[i], targets[i])
+		g.AddArc(ground, i, wi[i], -targets[i])
+	}
+	if _, err := g.MinCostCirculation(); err != nil {
+		return nil, fmt.Errorf("skew: weighted-sum circulation: %w", err)
+	}
+	return g, nil
+}
+
+// distancesFrom returns the shortest-path distance from src to every
+// node over g's residual network (+Inf where unreachable): relax from +Inf
+// everywhere but src, each residual arc u->v of cost c the constraint
+// dist[v] <= dist[u] + c, in ResidualArcs order.
+func distancesFrom(tok *stop.Token, reg *obs.Registry, g *mcmf.Graph, src int) ([]float64, error) {
+	var res []DiffConstraint
+	g.ResidualArcs(func(from, to int, cost float64) {
+		res = append(res, DiffConstraint{U: to, V: from, Bound: cost})
+	})
+	dist := make([]float64, g.NumNodes())
+	for i := range dist {
+		dist[i] = math.Inf(1)
+	}
+	dist[src] = 0
+	_, ok, _, err := relax(tok, reg, len(dist), res, dist)
+	if err != nil {
+		return nil, fmt.Errorf("skew: weighted-sum schedule: %w", err)
+	}
+	if !ok {
+		return nil, fmt.Errorf("skew: residual network has a negative cycle (circulation not optimal)")
+	}
+	return dist, nil
 }
 
 // Verify checks a schedule against the difference constraints, returning
