@@ -1,12 +1,13 @@
 # Tier-1 gate, race gate, fuzz smoke, benchmark baseline, placer perf
-# comparison, differential-oracle campaign, ECO smoke, golden tables, skew
-# kernel gate, stage-3 flow gate, benchmark-harness gate, and coverage gate.
+# comparison, differential-oracle campaign, ECO smoke, detailed placement
+# gate, golden tables, skew kernel gate, stage-3 flow gate,
+# benchmark-harness gate, and coverage gate.
 # See scripts/ci.sh. `make ci` chains the deterministic gates.
 
 SEEDS ?= 25
 BASE ?= HEAD~1
 
-.PHONY: test race fuzz serve bench benchcmp scaling scaling-smoke eco eco-bench oracle ml timing skew assign benchmark golden cover loc ci
+.PHONY: test race fuzz serve bench benchcmp scaling scaling-smoke eco eco-bench oracle ml place timing skew assign benchmark golden cover loc ci
 
 test:
 	sh scripts/ci.sh test
@@ -62,6 +63,12 @@ oracle:
 ml:
 	sh scripts/ci.sh ml
 
+# Detailed placement gate: the ^TestDetailed tests under -race (swap loop
+# bit-identical to the reference loop), then the 50k-cell core.Run + Audit
+# smoke under PLACE_TIMEOUT (default 120s).
+place:
+	sh scripts/ci.sh place
+
 timing:
 	sh scripts/ci.sh timing
 
@@ -97,4 +104,4 @@ cover:
 loc:
 	BASE=$(BASE) sh scripts/ci.sh loc
 
-ci: test race golden oracle serve eco ml timing skew assign benchmark cover
+ci: test race golden oracle serve eco ml place timing skew assign benchmark cover

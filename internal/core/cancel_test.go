@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"rotaryclk/internal/faultinject"
+	"rotaryclk/internal/placer"
 	"rotaryclk/internal/stop"
 )
 
@@ -37,6 +38,7 @@ var cancelSites = []struct {
 	{"mcmf-path", faultinject.SiteMcmfPathCancel, cancelConfig},
 	{"assign-candidates", faultinject.SiteAssignCandCancel, cancelConfig},
 	{"skew-iter", faultinject.SiteSkewIterCancel, cancelConfig},
+	{"placer-detailed", faultinject.SitePlacerDetailedCancel, cancelConfig},
 }
 
 // cancelConfig pins Parallelism to 1 so injection call counts are
@@ -220,5 +222,62 @@ func TestCancelMidLoopKeepsBestSnapshot(t *testing.T) {
 	}
 	if err := Audit(c2, cfg, res); err != nil {
 		t.Errorf("snapshot failed audit: %v", err)
+	}
+}
+
+// TestCancelDetailedMidPass fires the deadline inside the detailed swap
+// loop, mid-sweep, on a 5k-cell run: once in stage 1 (the fifth check of
+// the first sweep) and once in the last stage-6 call (three checks before
+// its end, located by a count-only dry run). Non-strict runs degrade at the
+// stage boundary with the stop recorded and a legal placement; strict runs
+// return the typed StageError of that stage.
+func TestCancelDetailedMidPass(t *testing.T) {
+	const site = faultinject.SitePlacerDetailedCancel
+	cfg := Config{NumRings: 16, MaxIters: 2, Parallelism: 1}
+	restore := faultinject.Enable() // count-only: no rules
+	if _, err := Run(genCircuit(t, 5000, 50, 3), cfg); err != nil {
+		restore()
+		t.Fatal(err)
+	}
+	total := faultinject.Calls(site)
+	restore()
+	if total < 60 {
+		t.Fatalf("only %d detailed stop checks; cannot target both stages mid-sweep", total)
+	}
+	for _, tc := range []struct {
+		stage, call int
+	}{{1, 5}, {6, total - 3}} {
+		for _, strict := range []bool{false, true} {
+			restore := faultinject.Enable(faultinject.Rule{Site: site, Call: tc.call, Err: stop.ErrDeadlineExceeded})
+			c := genCircuit(t, 5000, 50, 3)
+			cfg := cfg
+			cfg.Strict = strict
+			res, err := Run(c, cfg)
+			fired := len(faultinject.Firings())
+			restore()
+			if fired != 1 {
+				t.Fatalf("stage %d: the fault fired %d times", tc.stage, fired)
+			}
+			if strict {
+				var se *StageError
+				if !errors.As(err, &se) || se.Stage != tc.stage || se.Kind != DeadlineExceeded {
+					t.Errorf("stage %d strict: err = %v, want a deadline StageError of that stage", tc.stage, err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("stage %d: non-strict cancellation must degrade, not error: %v", tc.stage, err)
+			}
+			ev := stopKindEvent(res.Events)
+			if !res.Degraded || ev == nil || ev.Stage != tc.stage || ev.Kind != DeadlineExceeded {
+				t.Fatalf("stage %d: degraded %v, events %v", tc.stage, res.Degraded, res.Events)
+			}
+			if ov := placer.MaxOverlap(c); ov != 0 {
+				t.Errorf("stage %d: stopped placement overlaps by %v", tc.stage, ov)
+			}
+			if err := Audit(c, cfg, res); err != nil {
+				t.Errorf("stage %d: degraded result failed audit: %v", tc.stage, err)
+			}
+		}
 	}
 }

@@ -367,9 +367,11 @@ func Run(c *netlist.Circuit, cfg Config) (*Result, error) {
 			reg.Add("core.ml.runs", 1)
 			s1.span.Set(obs.S("multilevel", "on"))
 		}
+		sp := s1.span.Child("stage1.global")
 		err := f.retryCG(1, 0, "global placement", func(cgTol float64) error {
 			return f.psys.Global(placer.Options{Parallelism: cfg.Parallelism, CGTol: cgTol, Obs: reg, Stop: cfg.Stop, Multilevel: cfg.Multilevel})
 		})
+		sp.End()
 		if err != nil {
 			if stop.IsStop(err) {
 				s1.end()
@@ -377,14 +379,25 @@ func Run(c *netlist.Circuit, cfg Config) (*Result, error) {
 			}
 			return nil, stageErr(1, 0, fmt.Errorf("global placement: %w", err))
 		}
-		if err := placer.Legalize(c); err != nil {
+		sp = s1.span.Child("stage1.legalize")
+		err = placer.Legalize(c)
+		sp.End()
+		if err != nil {
 			return nil, stageErr(1, 0, fmt.Errorf("legalization: %w", err))
 		}
-		// Detailed refinement only on the initial placement: inside the
-		// loop, swap-based refinement would pull flip-flops off the tapping
-		// points the pseudo-nets just placed them at.
-		if _, err := placer.Detailed(c, 2); err != nil {
-			return nil, stageErr(1, 0, fmt.Errorf("detailed placement: %w", err))
+		// Full detailed refinement on the initial placement; inside the
+		// loop (stage 6) the flip-flops stay pinned to their tapping points.
+		sp = s1.span.Child("stage1.detailed")
+		_, err = placer.Detailed(c, 2, nil, reg, cfg.Stop)
+		sp.End()
+		if err != nil {
+			if stop.IsStop(err) {
+				// Every swap keeps the placement legal, so the stop
+				// degrades at the stage boundary like a stopped solve.
+				s1.end()
+				return degradeEarly(1, err)
+			}
+			return nil, stageErr(1, 0, err)
 		}
 	}
 	s1.end()
@@ -529,18 +542,28 @@ func (f *flow) iterate(iter int) (converged bool, stage int, err error) {
 			Weight: cfg.PseudoWeight * float64(iter),
 		})
 	}
-	if err := f.retryCG(6, iter, "incremental placement", func(cgTol float64) error {
+	sp := sp6.span.Child("stage6.incremental")
+	err = f.retryCG(6, iter, "incremental placement", func(cgTol float64) error {
 		return f.psys.Incremental(placer.Options{PseudoNets: pn, NetWeights: f.netScale, Parallelism: cfg.Parallelism, CGTol: cgTol, Obs: reg, Stop: cfg.Stop})
-	}); err != nil {
+	})
+	sp.End()
+	if err != nil {
 		return false, 6, fmt.Errorf("incremental placement: %w", err)
 	}
-	if err := placer.Legalize(c); err != nil {
+	sp = sp6.span.Child("stage6.legalize")
+	err = placer.Legalize(c)
+	sp.End()
+	if err != nil {
 		return false, 6, fmt.Errorf("legalization: %w", err)
 	}
 	// Recover signal wirelength disturbed by the pull + legalization,
-	// holding the flip-flops where the pseudo-nets put them.
-	if _, err := placer.DetailedExcluding(c, 1, res.FFCells); err != nil {
-		return false, 6, fmt.Errorf("detailed placement: %w", err)
+	// holding the flip-flops where the pseudo-nets put them. A stop here
+	// leaves a legal placement and ends the loop on the best snapshot.
+	sp = sp6.span.Child("stage6.detailed")
+	_, err = placer.Detailed(c, 1, res.FFCells, reg, cfg.Stop)
+	sp.End()
+	if err != nil {
+		return false, 6, err
 	}
 	sp6.end()
 

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 
 	"rotaryclk/internal/assign"
@@ -46,6 +47,7 @@ func TestMetricsCleanRun(t *testing.T) {
 		"placer.cg.solves", "placer.cg.iters",
 		"assign.mincost.calls", "assign.tap.queries",
 		"mcmf.solves", "mcmf.paths",
+		"placer.detailed.tried", "placer.detailed.accepted",
 	} {
 		if res.Metrics.Counter(name) == 0 {
 			t.Errorf("counter %s = 0 on a clean run", name)
@@ -60,10 +62,39 @@ func TestMetricsCleanRun(t *testing.T) {
 	for _, name := range []string{
 		"stage1.place", "stage2.maxslack", "stage3.assign",
 		"flow.iter", "stage5.evaluate", "stage6.place",
+		"stage1.global", "stage1.legalize", "stage1.detailed",
+		"stage6.incremental", "stage6.legalize", "stage6.detailed",
 	} {
 		if res.Metrics.SpanSeconds(name) <= 0 {
 			t.Errorf("span %s missing from clean-run trace", name)
 		}
+	}
+}
+
+// TestMetricsTracedRunMatchesUntraced: recording counters and spans,
+// the placer's included, changes no answer: every position and the final
+// metrics are bit-identical with and without a registry.
+func TestMetricsTracedRunMatchesUntraced(t *testing.T) {
+	plain := genCircuit(t, 600, 30, 18)
+	traced := plain.Clone()
+	want, err := Run(plain, recoveryConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := recoveryConfig()
+	cfg.Obs = obs.NewRegistry()
+	got, err := Run(traced, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, cell := range plain.Cells {
+		p, q := cell.Pos, traced.Cells[id].Pos
+		if math.Float64bits(p.X) != math.Float64bits(q.X) || math.Float64bits(p.Y) != math.Float64bits(q.Y) {
+			t.Fatalf("cell %d at %v traced, %v untraced", id, q, p)
+		}
+	}
+	if got.Final != want.Final || got.Base != want.Base {
+		t.Errorf("traced metrics %+v / %+v, untraced %+v / %+v", got.Base, got.Final, want.Base, want.Final)
 	}
 }
 

@@ -65,15 +65,16 @@ const (
 	// stop.ErrCanceled) simulates a deadline firing at an exact iteration of
 	// that loop, which is how the recovery-matrix tests prove every loop
 	// degrades instead of hanging or corrupting state.
-	SitePlacerCGCancel    = "placer.cg.cancel"         // per CG iteration (both axes, dirty components too)
-	SiteLPPivotCancel     = "lp.pivot.cancel"          // per simplex pivot (dense + assignment LP)
-	SiteLPNodeCancel      = "lp.bb.cancel"             // per branch-and-bound node
-	SiteMcmfPathCancel    = "mcmf.path.cancel"         // per augmenting path
-	SiteAssignCandCancel  = "assign.candidates.cancel" // per flip-flop candidate row
-	SiteSkewIterCancel    = "skew.iter.cancel"         // per Bellman-Ford / Karp DP round
-	SiteEcoApplyCancel    = "eco.apply.cancel"         // per ECO stage boundary
-	SitePlacerDirtyCancel = "placer.dirty.cancel"      // per dirty-region component solve
-	SitePlacerMLCancel    = "placer.ml.cancel"         // per V-cycle level boundary
+	SitePlacerCGCancel       = "placer.cg.cancel"         // per CG iteration (both axes, dirty components too)
+	SiteLPPivotCancel        = "lp.pivot.cancel"          // per simplex pivot (dense + assignment LP)
+	SiteLPNodeCancel         = "lp.bb.cancel"             // per branch-and-bound node
+	SiteMcmfPathCancel       = "mcmf.path.cancel"         // per augmenting path
+	SiteAssignCandCancel     = "assign.candidates.cancel" // per flip-flop candidate row
+	SiteSkewIterCancel       = "skew.iter.cancel"         // per Bellman-Ford / Karp DP round
+	SiteEcoApplyCancel       = "eco.apply.cancel"         // per ECO stage boundary
+	SitePlacerDirtyCancel    = "placer.dirty.cancel"      // per dirty-region component solve
+	SitePlacerMLCancel       = "placer.ml.cancel"         // per V-cycle level boundary
+	SitePlacerDetailedCancel = "placer.detailed.cancel"   // per 256 cells of a detailed-placement sweep
 )
 
 // Rule injects Err at one site. Call selects which call (1-based, counted

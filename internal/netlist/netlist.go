@@ -232,18 +232,6 @@ func (c *Circuit) SignalWL() float64 {
 	return total
 }
 
-// NetHPWL returns the half-perimeter wirelength of one net.
-func (c *Circuit) NetHPWL(n *Net) float64 {
-	if len(n.Pins) < 2 {
-		return 0
-	}
-	pts := make([]geom.Point, 0, len(n.Pins))
-	for _, id := range n.Pins {
-		pts = append(pts, c.Cells[id].Pos)
-	}
-	return geom.HPWL(pts)
-}
-
 // Positions returns a copy of all cell positions indexed by cell ID.
 func (c *Circuit) Positions() []geom.Point {
 	pos := make([]geom.Point, len(c.Cells))

@@ -304,13 +304,6 @@ func TestAccessorsAndStrings(t *testing.T) {
 	if !c.Cells[2].IsSink() || c.Cells[1].IsSink() {
 		t.Error("IsSink wrong")
 	}
-	if got := c.NetHPWL(c.Nets[1]); got != 0 {
-		t.Errorf("NetHPWL of co-located pins = %v", got)
-	}
-	c.Cells[1].Pos = geom.Pt(3, 4)
-	if got := c.NetHPWL(c.Nets[1]); got != 7 {
-		t.Errorf("NetHPWL = %v, want 7", got)
-	}
 	names := c.SortedCellNames()
 	if len(names) != 6 || names[0] > names[len(names)-1] {
 		t.Errorf("SortedCellNames = %v", names)

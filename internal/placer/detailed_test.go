@@ -1,6 +1,7 @@
 package placer
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -17,7 +18,7 @@ func TestDetailedImprovesWL(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := c.SignalWL()
-	gain, err := Detailed(c, 3)
+	gain, err := Detailed(c, 3, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,11 +46,11 @@ func TestDetailedIdempotentAtFixpoint(t *testing.T) {
 	if err := Legalize(c); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Detailed(c, 10); err != nil {
+	if _, err := Detailed(c, 10, nil, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	// A second run from the fixpoint finds nothing.
-	gain, err := Detailed(c, 10)
+	gain, err := Detailed(c, 10, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestDetailedKnownSwap(t *testing.T) {
 	c.AddNet("na", pa.ID, a.ID)
 	c.AddNet("nb", pb.ID, b.ID)
 	before := c.SignalWL()
-	gain, err := Detailed(c, 2)
+	gain, err := Detailed(c, 2, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,11 +90,11 @@ func TestDetailedKnownSwap(t *testing.T) {
 func TestDetailedEmptyAndErrors(t *testing.T) {
 	c := netlist.New("tiny")
 	c.Die = geom.NewRect(geom.Pt(0, 0), geom.Pt(10, 10))
-	if _, err := Detailed(c, 1); err != nil {
+	if _, err := Detailed(c, 1, nil, nil, nil); err != nil {
 		t.Fatalf("empty circuit should be a no-op: %v", err)
 	}
 	bad := netlist.New("bad")
-	if _, err := Detailed(bad, 1); err == nil {
+	if _, err := Detailed(bad, 1, nil, nil, nil); err == nil {
 		t.Error("empty die accepted")
 	}
 }
@@ -111,7 +112,7 @@ func TestDetailedExcludingPinsCells(t *testing.T) {
 	for _, id := range ffs {
 		before[id] = c.Cells[id].Pos
 	}
-	if _, err := DetailedExcluding(c, 3, ffs); err != nil {
+	if _, err := Detailed(c, 3, ffs, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, id := range ffs {
@@ -121,5 +122,26 @@ func TestDetailedExcludingPinsCells(t *testing.T) {
 	}
 	if ov := MaxOverlap(c); ov > 1e-9 {
 		t.Errorf("overlap %v after excluding swaps", ov)
+	}
+}
+
+// BenchmarkDetailed times the flow's stage-1 call (two passes, nothing
+// pinned) on a legalized circuit with 1% flip-flops, cloned outside the
+// timer for every iteration.
+func BenchmarkDetailed(b *testing.B) {
+	for _, cells := range []int{5000, 20000} {
+		b.Run(fmt.Sprintf("cells=%d", cells), func(b *testing.B) {
+			c := legalCircuit(b, cells, cells/100, 1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				d := c.Clone()
+				b.StartTimer()
+				if _, err := Detailed(d, 2, nil, nil, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

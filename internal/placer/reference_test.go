@@ -2,6 +2,7 @@ package placer
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -638,4 +639,408 @@ func TestSolveDirtyMatchesReference(t *testing.T) {
 		}
 	}
 	t.Logf("largest drift from the reference: %.3g of the die span", worst)
+}
+
+// refDetailed is a verbatim copy of the former swap loop, which scored every
+// candidate by rescanning each net of both cells (refNetHPWL, a copy of the
+// deleted Circuit.NetHPWL). Only the excluding variant is kept; a nil
+// exclude is the plain Detailed call.
+func refDetailed(c *netlist.Circuit, passes int, exclude []int) (float64, error) {
+	if err := validate(c); err != nil {
+		return 0, err
+	}
+	if passes <= 0 {
+		passes = 3
+	}
+	excluded := make(map[int]bool, len(exclude))
+	for _, id := range exclude {
+		excluded[id] = true
+	}
+	// Precompute, per movable cell, the nets it pins.
+	type cellNets struct {
+		id   int
+		nets []int
+	}
+	var cells []cellNets
+	cellPos := map[int]int{} // cell ID -> index in cells
+	for _, cell := range c.Cells {
+		if cell.Fixed || cell.W <= 0 || excluded[cell.ID] {
+			continue
+		}
+		cellPos[cell.ID] = len(cells)
+		cells = append(cells, cellNets{id: cell.ID})
+	}
+	if len(cells) < 2 {
+		return 0, nil
+	}
+	for _, n := range c.Nets {
+		if len(n.Pins) < 2 {
+			continue
+		}
+		for _, id := range n.Pins {
+			if k, ok := cellPos[id]; ok {
+				cells[k].nets = append(cells[k].nets, n.ID)
+			}
+		}
+	}
+
+	// netHPWL of the subset of nets, at current positions.
+	netsWL := func(nets []int) float64 {
+		wl := 0.0
+		for _, nid := range nets {
+			wl += refNetHPWL(c, c.Nets[nid])
+		}
+		return wl
+	}
+	// union of two cells' nets without duplicates (both small).
+	union := func(a, b []int) []int {
+		out := append([]int(nil), a...)
+		for _, n := range b {
+			dup := false
+			for _, m := range a {
+				if m == n {
+					dup = true
+					break
+				}
+			}
+			if !dup {
+				out = append(out, n)
+			}
+		}
+		return out
+	}
+
+	total := 0.0
+	order := make([]int, len(cells))
+	for i := range order {
+		order[i] = i
+	}
+	for pass := 0; pass < passes; pass++ {
+		// Deterministic sweep in x-major order of current positions.
+		sort.SliceStable(order, func(a, b int) bool {
+			pa := c.Cells[cells[order[a]].id].Pos
+			pb := c.Cells[cells[order[b]].id].Pos
+			if pa.X != pb.X {
+				return pa.X < pb.X
+			}
+			if pa.Y != pb.Y {
+				return pa.Y < pb.Y
+			}
+			return cells[order[a]].id < cells[order[b]].id
+		})
+		improved := 0.0
+		for oi := 0; oi < len(order); oi++ {
+			i := order[oi]
+			ci := c.Cells[cells[i].id]
+			// Candidate partners: the next few cells in sweep order (their
+			// positions neighbor ci's after sorting).
+			for w := 1; w <= 6 && oi+w < len(order); w++ {
+				j := order[oi+w]
+				cj := c.Cells[cells[j].id]
+				if ci.W != cj.W || ci.H != cj.H {
+					continue // swap would break legality
+				}
+				nets := union(cells[i].nets, cells[j].nets)
+				before := netsWL(nets)
+				ci.Pos, cj.Pos = cj.Pos, ci.Pos
+				after := netsWL(nets)
+				if after < before-1e-9 {
+					improved += before - after
+				} else {
+					ci.Pos, cj.Pos = cj.Pos, ci.Pos // revert
+				}
+			}
+		}
+		total += improved
+		if improved < 1e-9 {
+			break
+		}
+	}
+	return total, nil
+}
+
+// refNetHPWL returns the half-perimeter wirelength of one net.
+func refNetHPWL(c *netlist.Circuit, n *netlist.Net) float64 {
+	if len(n.Pins) < 2 {
+		return 0
+	}
+	pts := make([]geom.Point, 0, len(n.Pins))
+	for _, id := range n.Pins {
+		pts = append(pts, c.Cells[id].Pos)
+	}
+	return geom.HPWL(pts)
+}
+
+// detailedMatches runs Detailed and refDetailed on two clones of c and
+// fails unless every position and the returned gain agree bit for bit. It
+// returns Detailed's clone and its registry for further checks.
+func detailedMatches(t *testing.T, label string, c *netlist.Circuit, passes int, exclude []int) (*netlist.Circuit, *obs.Registry) {
+	t.Helper()
+	want := c.Clone()
+	wGain, err := refDetailed(want, passes, exclude)
+	if err != nil {
+		t.Fatalf("%s: reference: %v", label, err)
+	}
+	got := c.Clone()
+	return got, detailedEquals(t, label, got, passes, exclude, want, wGain)
+}
+
+// detailedEquals runs Detailed on got and fails unless it returns wantGain
+// and leaves every cell where want has it, compared with Float64bits.
+func detailedEquals(t *testing.T, label string, got *netlist.Circuit, passes int, exclude []int, want *netlist.Circuit, wantGain float64) *obs.Registry {
+	t.Helper()
+	reg := obs.NewRegistry()
+	gain, err := Detailed(got, passes, exclude, reg, nil)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if math.Float64bits(gain) != math.Float64bits(wantGain) {
+		t.Fatalf("%s: gain %v, reference %v", label, gain, wantGain)
+	}
+	for id := range want.Cells {
+		g, w := got.Cells[id].Pos, want.Cells[id].Pos
+		if math.Float64bits(g.X) != math.Float64bits(w.X) || math.Float64bits(g.Y) != math.Float64bits(w.Y) {
+			t.Fatalf("%s: cell %d at %v, reference %v", label, id, g, w)
+		}
+	}
+	if tried, acc := reg.Counter("placer.detailed.tried"), reg.Counter("placer.detailed.accepted"); acc > tried {
+		t.Fatalf("%s: %d swaps accepted of %d tried", label, acc, tried)
+	}
+	return reg
+}
+
+// legalCircuit generates a circuit and runs global placement and
+// legalization on it, the input detailed placement gets in the flow.
+func legalCircuit(t testing.TB, cells, ffs int, seed int64) *netlist.Circuit {
+	t.Helper()
+	c := detCircuit(t, cells, ffs, seed)
+	if err := Global(c, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := Legalize(c); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestDetailedMatchesReference: the cached-box swap loop returns the former
+// loop's gain and leaves every cell where it did, bit for bit, on generated
+// circuits at 300, 2k and 5k cells for 1, 2, 3 and 10 passes, with and
+// without the flip-flops pinned, and for the flow's sequence: a stage-1
+// call, then a stage-6-style call with the flip-flops pinned.
+//
+// The reference arm chains one-pass calls. That is the reference's own
+// multi-pass answer: each sweep's order is the one sort of the current
+// positions, a pass that accepts no swap changes nothing (so every later
+// pass finds nothing either), and 0 + g == g keeps the gain sum's bits. One
+// chain then serves every pass count at the cost of the longest.
+func TestDetailedMatchesReference(t *testing.T) {
+	for _, sz := range []struct {
+		cells, ffs int
+		seed       int64
+	}{{300, 40, 41}, {2000, 60, 42}, {5000, 50, 43}} {
+		c := legalCircuit(t, sz.cells, sz.ffs, sz.seed)
+		ffs := c.FlipFlops()
+		for _, ex := range [][]int{nil, ffs} {
+			t.Run(fmt.Sprintf("%d cells, %d pinned", sz.cells, len(ex)), func(t *testing.T) {
+				t.Parallel()
+				matchReferenceChain(t, c, ex, ffs)
+			})
+		}
+	}
+}
+
+// matchReferenceChain holds Detailed to the chained reference on c for
+// 1, 2, 3 and 10 passes with exclude pinned; with nothing pinned it also
+// checks the flow's stage-1-then-stage-6 sequence, pinning ffs.
+func matchReferenceChain(t *testing.T, c *netlist.Circuit, ex, ffs []int) {
+	ref, gain, fixpoint := c.Clone(), 0.0, false
+	for passes := 1; passes <= 10; passes++ {
+		if !fixpoint {
+			g, err := refDetailed(ref, 1, ex)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gain += g
+			fixpoint = g == 0
+		}
+		label := fmt.Sprintf("%d passes", passes)
+		if passes <= 3 || passes == 10 {
+			detailedEquals(t, label, c.Clone(), passes, ex, ref, gain)
+		}
+		if passes == 2 && ex == nil {
+			// The flow's sequence from the stage-1 answer.
+			label := "stage 1 then stage 6"
+			want := ref.Clone()
+			wGain, err := refDetailed(want, 1, ffs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := c.Clone()
+			if _, err := Detailed(got, 2, nil, nil, nil); err != nil {
+				t.Fatal(err)
+			}
+			detailedEquals(t, label, got, 1, ffs, want, wGain)
+		}
+	}
+}
+
+// handCircuit places 4x4 gates at the given points on a 100x100 die.
+func handCircuit(pts ...geom.Point) *netlist.Circuit {
+	c := netlist.New("hand")
+	c.Die = geom.NewRect(geom.Pt(0, 0), geom.Pt(100, 100))
+	for i, p := range pts {
+		cell := c.AddCell(&netlist.Cell{Name: fmt.Sprintf("g%d", i), Kind: netlist.Gate, W: 4, H: 4})
+		cell.Pos = p
+	}
+	return c
+}
+
+// addPad adds a fixed input pad at p and returns its ID.
+func addPad(c *netlist.Circuit, p geom.Point) int {
+	pad := c.AddCell(&netlist.Cell{Name: fmt.Sprintf("pad%d", len(c.Cells)), Kind: netlist.Input, Fixed: true})
+	pad.Pos = p
+	return pad.ID
+}
+
+// TestDetailedSelfLoopNet: a cell that pins one net twice (as G1 = DFF(G1)
+// parses) lists the net twice, and the swap moves both pins.
+func TestDetailedSelfLoopNet(t *testing.T) {
+	c := handCircuit(geom.Pt(70, 50), geom.Pt(30, 50), geom.Pt(50, 50))
+	p := addPad(c, geom.Pt(0, 50))
+	q := addPad(c, geom.Pt(100, 50))
+	c.AddNet("loop", 0, 0, p)
+	c.AddNet("n1", 1, q)
+	c.AddNet("n2", 2, 0, 1)
+	got, _ := detailedMatches(t, "self loop", c, 3, nil)
+	if got.Cells[0].Pos.X > got.Cells[1].Pos.X {
+		t.Errorf("the self-loop cell did not move toward its pad: %v", got.Cells[0].Pos)
+	}
+}
+
+// TestDetailedColocatedEdgePins: several pins share a box edge, so a swap
+// that moves one of them off the edge leaves the edge in place.
+func TestDetailedColocatedEdgePins(t *testing.T) {
+	c := handCircuit(geom.Pt(10, 10), geom.Pt(10, 90), geom.Pt(90, 10), geom.Pt(90, 90), geom.Pt(50, 50))
+	p := addPad(c, geom.Pt(10, 10))
+	q := addPad(c, geom.Pt(90, 90))
+	c.AddNet("corner", p, 0, 2, 4)
+	c.AddNet("far", q, 1, 3)
+	c.AddNet("mid", 4, 1)
+	detailedMatches(t, "co-located", c, 3, nil)
+}
+
+// TestDetailedSolePinInward: the only pin on an edge moves inward, so the
+// box cannot be updated in O(1) and the net is rescanned.
+func TestDetailedSolePinInward(t *testing.T) {
+	// Cell 0 alone spans the wide net's right edge; swapping it with cell 1
+	// pulls that edge in, which shortens the wide net more than it
+	// lengthens cell 1's.
+	c := handCircuit(geom.Pt(90, 50), geom.Pt(40, 50))
+	pads := []int{addPad(c, geom.Pt(10, 50)), addPad(c, geom.Pt(20, 50)), addPad(c, geom.Pt(30, 50))}
+	c.AddNet("wide", append(pads, 0)...)
+	c.AddNet("short", 1, addPad(c, geom.Pt(60, 50)))
+	_, reg := detailedMatches(t, "sole pin inward", c, 2, nil)
+	if reg.Counter("placer.detailed.accepted") == 0 {
+		t.Fatal("the inward swap was not taken")
+	}
+	if reg.Counter("placer.detailed.rescans") == 0 {
+		t.Error("moving an edge's sole pin inward did not rescan the net")
+	}
+}
+
+// TestDetailedSharedNet: two cells on one shared net swap; that net's box
+// is unchanged and only their private nets change the score.
+func TestDetailedSharedNet(t *testing.T) {
+	c := handCircuit(geom.Pt(60, 50), geom.Pt(40, 50))
+	c.AddNet("shared", 0, 1, addPad(c, geom.Pt(50, 0)))
+	c.AddNet("na", 0, addPad(c, geom.Pt(0, 50)))
+	c.AddNet("nb", 1, addPad(c, geom.Pt(100, 50)))
+	got, _ := detailedMatches(t, "shared net", c, 2, nil)
+	if got.Cells[0].Pos.X != 40 || got.Cells[1].Pos.X != 60 {
+		t.Errorf("cells not swapped: %v %v", got.Cells[0].Pos, got.Cells[1].Pos)
+	}
+	// The private nets shrink by 20 each; the shared net keeps its box.
+	if d := c.SignalWL() - got.SignalWL(); d != 40 {
+		t.Errorf("signal WL fell by %v, want 40", d)
+	}
+}
+
+// TestDetailedNetBoxScan: the box scan's half-perimeter of co-located pins
+// is 0, and 7 for pins at (0,0) and (3,4); its edge counts count the pins
+// on each edge.
+func TestDetailedNetBoxScan(t *testing.T) {
+	c := handCircuit(geom.Pt(0, 0), geom.Pt(0, 0))
+	if b := scanBox(c, []int{0, 1}); b.wl != 0 || b.nLoX != 2 || b.nHiY != 2 {
+		t.Errorf("box of co-located pins = %+v", b)
+	}
+	c.Cells[1].Pos = geom.Pt(3, 4)
+	if b := scanBox(c, []int{0, 1}); b.wl != 7 || b.nLoX != 1 || b.nHiX != 1 {
+		t.Errorf("box = %+v, want half-perimeter 7", b)
+	}
+}
+
+// TestDetailedNetBoxMoves: random cell moves on random nets (grid points,
+// so pins often share an edge; duplicate pins included) keep every net's
+// box, updated by move or rescanned when move refuses, equal to a full scan
+// after every move.
+func TestDetailedNetBoxMoves(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	grid := func() geom.Point { return geom.Pt(float64(rng.Intn(6)), float64(rng.Intn(6))) }
+	const cells = 30
+	pts := make([]geom.Point, cells)
+	for i := range pts {
+		pts[i] = grid()
+	}
+	c := handCircuit(pts...)
+	for n := 0; n < 40; n++ {
+		pins := make([]int, 2+rng.Intn(6))
+		for k := range pins {
+			pins[k] = rng.Intn(cells)
+		}
+		c.AddNet(fmt.Sprintf("n%d", n), pins...)
+	}
+	boxes := make([]netBox, len(c.Nets))
+	for i, n := range c.Nets {
+		boxes[i] = scanBox(c, n.Pins)
+	}
+	rescans := 0
+	for step := 0; step < 5000; step++ {
+		id := rng.Intn(cells)
+		from, to := c.Cells[id].Pos, grid()
+		c.Cells[id].Pos = to
+		for i, n := range c.Nets {
+			k := 0
+			for _, p := range n.Pins {
+				if p == id {
+					k++
+				}
+			}
+			if k == 0 {
+				continue
+			}
+			b, ok := boxes[i].move(from, to, k)
+			if !ok {
+				b = scanBox(c, n.Pins)
+				rescans++
+			}
+			boxes[i] = b
+		}
+		for i, n := range c.Nets {
+			want := scanBox(c, n.Pins)
+			if boxes[i] != want {
+				t.Fatalf("step %d net %d: box %+v, full scan %+v", step, i, boxes[i], want)
+			}
+			pp := make([]geom.Point, len(n.Pins))
+			for k, p := range n.Pins {
+				pp[k] = c.Cells[p].Pos
+			}
+			if math.Float64bits(want.wl) != math.Float64bits(geom.HPWL(pp)) {
+				t.Fatalf("step %d net %d: wl %v, HPWL %v", step, i, want.wl, geom.HPWL(pp))
+			}
+		}
+	}
+	if rescans == 0 {
+		t.Error("no move emptied an edge; the rescan path went untested")
+	}
 }

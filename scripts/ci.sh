@@ -49,6 +49,13 @@
 #                         flat-vs-V-cycle sweep point with a 5% wirelength
 #                         bound (ML_TIMEOUT, default 15m); the full sweep arm
 #                         is `make scaling` (cmd/rotaryscale -ml)
+#   scripts/ci.sh place   detailed placement gate: every ^TestDetailed test
+#                         under -race (the cached-box swap loop against the
+#                         verbatim reference loop, bit for bit; the box
+#                         bookkeeping cases), then a non-race 50k-cell
+#                         core.Run + Audit smoke under a wall-clock budget
+#                         (PLACE_TIMEOUT, default 120s); the swap loop's own
+#                         number is `go test -bench Detailed ./internal/placer/`
 #   scripts/ci.sh timing  timing-driven placement smoke: the STA
 #                         propagation differential tests (Analyze and
 #                         ExtractCritical bit-identical to their
@@ -276,6 +283,12 @@ ml)
     ROTARY_ML_SMOKE=1 go test -race -timeout "$timeout" \
         -run '^TestScalingML50k$' -count=1 -v ./internal/bench/
     ;;
+place)
+    timeout="${PLACE_TIMEOUT:-120s}"
+    go test -race ./internal/placer/ -run '^TestDetailed' -count=1
+    ROTARY_PLACE_SMOKE=1 go test -timeout "$timeout" \
+        -run '^TestPlaceSmoke50k$' -count=1 -v ./internal/core/
+    ;;
 timing)
     go test ./internal/timing/ -run '^(TestAnalyzeMatchesReference|TestExtractCriticalMatchesReference)$' -count=1 -v
     go test ./internal/core/ -run '^(TestTiming|TestWorstSlack)' -count=1
@@ -340,7 +353,7 @@ loc)
         END { printf "non-test Go lines vs %s: +%d -%d, net %+d\n", base, added, removed, added - removed }'
     ;;
 *)
-    echo "usage: scripts/ci.sh {test|race|fuzz|serve|bench|benchcmp|scaling|eco|oracle|ml|timing|skew|assign|benchmark|golden|cover|loc}" >&2
+    echo "usage: scripts/ci.sh {test|race|fuzz|serve|bench|benchcmp|scaling|eco|oracle|ml|place|timing|skew|assign|benchmark|golden|cover|loc}" >&2
     exit 2
     ;;
 esac
