@@ -1,5 +1,5 @@
 # Tier-1 gate, race gate, fuzz smoke, benchmark baseline, placer perf
-# comparison, differential-oracle campaign, ECO smoke, detailed placement
+# comparison, differential-oracle campaign, ECO smoke, placement
 # gate, golden tables, skew kernel gate, stage-3 flow gate,
 # benchmark-harness gate, and coverage gate.
 # See scripts/ci.sh. `make ci` chains the deterministic gates.
@@ -7,7 +7,7 @@
 SEEDS ?= 25
 BASE ?= HEAD~1
 
-.PHONY: test race fuzz serve bench benchcmp scaling scaling-smoke eco eco-bench oracle ml place timing skew assign benchmark golden cover loc ci
+.PHONY: test race fuzz serve bench benchcmp scaling scaling-smoke eco eco-bench oracle place timing skew assign benchmark golden cover loc ci
 
 test:
 	sh scripts/ci.sh test
@@ -29,14 +29,13 @@ bench:
 benchcmp:
 	sh scripts/ci.sh benchcmp
 
-# Full geometric size sweep (1k..512k cells) -> BENCH_scaling.json, flat
-# points plus the multilevel V-cycle arm (the ml section). Both arms run the
+# Full geometric size sweep (1k..512k cells) -> BENCH_scaling.json, with the
 # production 24-round spreading schedule so the rows measure the placement
-# the flow actually ships (the abbreviated -spread 8 schedule understates
+# the flow actually ships: flat at or below the V-cycle's 2500-movable-cell
+# floor, multilevel above it (the abbreviated -spread 8 schedule understates
 # the V-cycle, whose cost is nearly schedule-independent).
 scaling:
 	go run ./cmd/rotaryscale -spread 24 -out BENCH_scaling.json
-	go run ./cmd/rotaryscale -ml -spread 24 -out BENCH_scaling.json
 
 # Race-enabled 50k-cell smoke (the CI gate; minutes, not the full sweep).
 scaling-smoke:
@@ -58,14 +57,11 @@ eco-bench:
 oracle:
 	SEEDS=$(SEEDS) sh scripts/ci.sh oracle
 
-# Multilevel placement smoke: V-cycle identity/property tests, the
-# corrupt-site oracle negative, and the race-enabled 50k flat-vs-ml point.
-ml:
-	sh scripts/ci.sh ml
-
-# Detailed placement gate: the ^TestDetailed tests under -race (swap loop
-# bit-identical to the reference loop), then the 50k-cell core.Run + Audit
-# smoke under PLACE_TIMEOUT (default 120s).
+# Placement gate: the ^TestDetailed tests under -race (swap loop
+# bit-identical to the reference loop), the V-cycle tests and the
+# corrupt-site oracle negative, then the 50k-cell core.Run + Audit smoke,
+# which must run stage 1 through the V-cycle, under PLACE_TIMEOUT (default
+# 120s).
 place:
 	sh scripts/ci.sh place
 
@@ -104,4 +100,4 @@ cover:
 loc:
 	BASE=$(BASE) sh scripts/ci.sh loc
 
-ci: test race golden oracle serve eco ml place timing skew assign benchmark cover
+ci: test race golden oracle serve eco place timing skew assign benchmark cover

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	rotaryflow -circuit s9234 [-scale 0.25] [-assigner flow|ilp] [-objective delta|sum] [-timing] [-ml] [-j 4]
+//	rotaryflow -circuit s9234 [-scale 0.25] [-assigner flow|ilp] [-objective delta|sum] [-timing] [-j 4]
 //	rotaryflow -bench path/to/circuit.bench -rings 16
 //	rotaryflow -circuit s9234 -metrics metrics.json -trace trace.txt -cpuprofile cpu.pprof
 //
@@ -80,7 +80,6 @@ func run() int {
 		svgOut    = flag.String("svg", "", "write the final placement + rings + taps as SVG to this file")
 		jobs      = flag.Int("j", 0, "parallel workers for the flow kernels (0 = all cores, 1 = serial; results identical)")
 		timing    = flag.Bool("timing", false, "timing-driven mode: reweight critical-path nets in the re-optimization loop")
-		ml        = flag.Bool("ml", false, "multilevel mode: run stage-1 global placement through the clustered V-cycle")
 		strict    = flag.Bool("strict", false, "fail on the first stage error instead of recovering/degrading")
 		deadline  = flag.Duration("deadline", 0, "wall-clock budget for the flow; past it the run degrades to its best snapshot (0 = none)")
 		metrics   = flag.String("metrics", "", "write the metrics snapshot (solver counters + span tree) as JSON to this file (\"-\" = stdout)")
@@ -127,7 +126,6 @@ func run() int {
 	cfg.MaxIters = *iters
 	cfg.Parallelism = *jobs
 	cfg.TimingDriven = *timing
-	cfg.Multilevel = *ml
 	cfg.Strict = *strict
 	if *deadline > 0 {
 		tok, release := stop.WithTimeout(*deadline)

@@ -10,16 +10,10 @@
 // from-scratch re-run — and merges the row into the report's eco section,
 // leaving the sweep points untouched.
 //
-// With -ml it runs the same sweep through the multilevel V-cycle placer and
-// merges the rows into the report's ml section, leaving the flat points and
-// the eco rows untouched; per-point place-stage speedups against the matching
-// flat rows are printed when available.
-//
 // Usage:
 //
 //	rotaryscale [-sizes 1024,4096,...] [-out BENCH_scaling.json] [-seed 1]
 //	            [-spread 8] [-p 0]
-//	rotaryscale -ml [same sweep flags]
 //	rotaryscale -eco [-eco-cells 50000] [-eco-edits 20] [-eco-deltas 1]
 //	            [-eco-min-speedup 0] [-out BENCH_scaling.json]
 package main
@@ -44,8 +38,6 @@ func main() {
 		spread = flag.Int("spread", 8, "global-placement spreading rounds per point")
 		par    = flag.Int("p", 0, "parallelism (0 = GOMAXPROCS)")
 
-		mlMode = flag.Bool("ml", false, "run the sweep through the multilevel V-cycle placer (merged into the report's ml section)")
-
 		ecoMode    = flag.Bool("eco", false, "run the ECO edit-latency benchmark instead of the sweep")
 		ecoCells   = flag.Int("eco-cells", 50000, "circuit size for the ECO benchmark")
 		ecoEdits   = flag.Int("eco-edits", 20, "sequential edit batches to apply")
@@ -62,7 +54,6 @@ func main() {
 		Seed:        *seed,
 		SpreadIters: *spread,
 		Parallelism: *par,
-		Multilevel:  *mlMode,
 		Log: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		},
@@ -84,56 +75,18 @@ func main() {
 		os.Exit(1)
 	}
 
-	if *mlMode {
-		os.Exit(mergeML(*out, swept))
-	}
-
-	// The flat sweep replaces the recorded points but keeps the eco and ml
-	// sections of an existing report.
+	// The sweep replaces the recorded points but keeps the eco section of an
+	// existing report.
 	rep := swept
 	var prior bench.ScalingReport
 	if data, err := os.ReadFile(*out); err == nil && json.Unmarshal(data, &prior) == nil {
 		rep.ECO = prior.ECO
-		rep.ML = prior.ML
 	}
 	if err := rep.WriteJSON(*out); err != nil {
 		fmt.Fprintln(os.Stderr, "rotaryscale:", err)
 		os.Exit(1)
 	}
 	fmt.Printf("wrote %s (%d points)\n", *out, len(rep.Points))
-}
-
-// mergeML folds a multilevel sweep into the report at path, preserving the
-// flat points and eco rows, and prints place-stage speedups against any
-// matching flat rows.
-func mergeML(path string, swept *bench.ScalingReport) int {
-	rep := &bench.ScalingReport{Schema: swept.Schema, Seed: swept.Seed,
-		SpreadIters: swept.SpreadIters, GoMaxProcs: swept.GoMaxProcs}
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, rep); err != nil {
-			fmt.Fprintf(os.Stderr, "rotaryscale: existing %s does not parse: %v\n", path, err)
-			return 1
-		}
-	}
-	flat := make(map[int]bench.ScalePoint, len(rep.Points))
-	for _, pt := range rep.Points {
-		flat[pt.Cells] = pt
-	}
-	for _, pt := range swept.Points {
-		rep.SetMLPoint(pt)
-		if fp, ok := flat[pt.Cells]; ok && pt.PlaceNS > 0 {
-			fmt.Printf("ml @ %8d cells: place %.2fx (%.0f ms vs flat %.0f ms), wl %+.2f%%, wcp %+.2f%%\n",
-				pt.Cells, float64(fp.PlaceNS)/float64(pt.PlaceNS),
-				float64(pt.PlaceNS)/1e6, float64(fp.PlaceNS)/1e6,
-				100*(pt.SignalWL/fp.SignalWL-1), 100*(pt.WCP/fp.WCP-1))
-		}
-	}
-	if err := rep.WriteJSON(path); err != nil {
-		fmt.Fprintln(os.Stderr, "rotaryscale:", err)
-		return 1
-	}
-	fmt.Printf("merged %d ml points into %s\n", len(swept.Points), path)
-	return 0
 }
 
 // runECO executes the edit-latency benchmark and merges the row into the

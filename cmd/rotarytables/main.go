@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	rotarytables [-scale 0.2] [-ilp-budget 10s] [-circuits s9234,s5378] [-tables I,III,IV] [-timing] [-ml] [-j 4]
+//	rotarytables [-scale 0.2] [-ilp-budget 10s] [-circuits s9234,s5378] [-tables I,III,IV] [-timing] [-j 4]
 //	rotarytables -metrics metrics.json -trace trace.txt -cpuprofile cpu.pprof
 //
 // Scale 1 runs the paper-size circuits (several minutes); the default scale
@@ -42,7 +42,6 @@ func run() int {
 		tables   = flag.String("tables", "I,II,III,IV,V,VI,VII,VIII,Fig2,Var,Trees,Rings", "comma-separated tables to regenerate (VIII/Var/Trees/Rings are the extension studies)")
 		jobs     = flag.Int("j", 0, "parallel workers across circuits and kernels (0 = all cores, 1 = serial; identical tables either way)")
 		timing   = flag.Bool("timing", false, "run the suite flows timing-driven (Tables II-VII report the reweighted placements; Table VIII always compares both modes)")
-		ml       = flag.Bool("ml", false, "run every suite flow's stage-1 global placement through the clustered multilevel V-cycle")
 		strict   = flag.Bool("strict", false, "fail on the first flow stage error instead of recovering/degrading")
 		deadline = flag.Duration("deadline", 0, "wall-clock budget for the whole run; past it flows degrade to their best snapshots (0 = none)")
 		metrics  = flag.String("metrics", "", "write per-circuit metrics snapshots (solver counters + span tree) as JSON to this file")
@@ -84,8 +83,7 @@ func run() int {
 	opt := exp.Options{
 		Scale: *scale, ILPBudget: *budget, ILPNodes: *ilpNodes,
 		Parallelism: *jobs, Strict: *strict, TimingDriven: *timing,
-		Multilevel: *ml,
-		Metrics:    *metrics != "" || *trace != "",
+		Metrics: *metrics != "" || *trace != "",
 	}
 	if *deadline > 0 {
 		tok, release := stop.WithTimeout(*deadline)

@@ -36,10 +36,6 @@ type ScalingOptions struct {
 	// Parallelism bounds workers in the placer and candidate builder
 	// (0 = GOMAXPROCS).
 	Parallelism int
-	// Multilevel runs the placement stage through the V-cycle
-	// (placer.Options.Multilevel) instead of the flat schedule; points land
-	// in the report's ml section via cmd/rotaryscale -ml.
-	Multilevel bool
 	// Log, when non-nil, receives one progress line per completed point.
 	Log func(format string, args ...any)
 }
@@ -83,12 +79,9 @@ type ScalePoint struct {
 	// Quality metrics, measured outside the timed stages: signal wirelength
 	// after legalization (um) and its wirelength-capacitance product
 	// SignalWL*MaxCap/1000 (um*pF, the sweep's Table VII analog). They make
-	// flat-vs-multilevel rows comparable on result quality, not just speed.
+	// rows comparable on result quality, not just speed.
 	SignalWL float64 `json:"signal_wl"`
 	WCP      float64 `json:"wcp"`
-
-	// Multilevel records whether the placement stage ran the V-cycle.
-	Multilevel bool `json:"multilevel,omitempty"`
 }
 
 // ScalingReport is the JSON document written to BENCH_scaling.json.
@@ -103,10 +96,6 @@ type ScalingReport struct {
 	// recorded alongside the sweep: incremental re-optimization vs a full
 	// re-run at the same size.
 	ECO []ECOPoint `json:"eco,omitempty"`
-
-	// ML holds the multilevel arm (cmd/rotaryscale -ml): the same sweep
-	// points with the V-cycle placer, comparable row-for-row against Points.
-	ML []ScalePoint `json:"ml,omitempty"`
 }
 
 // SetECOPoint merges one edit-latency row into the report, replacing any
@@ -119,18 +108,6 @@ func (r *ScalingReport) SetECOPoint(pt ECOPoint) {
 		}
 	}
 	r.ECO = append(r.ECO, pt)
-}
-
-// SetMLPoint merges one multilevel-arm row into the report, replacing any
-// prior row at the same cell count so re-runs update in place.
-func (r *ScalingReport) SetMLPoint(pt ScalePoint) {
-	for i := range r.ML {
-		if r.ML[i].Cells == pt.Cells {
-			r.ML[i] = pt
-			return
-		}
-	}
-	r.ML = append(r.ML, pt)
 }
 
 // ringsFor picks the rotary array size for a sweep point: ring counts grow
@@ -203,7 +180,6 @@ func runScalePoint(cells int, opt *ScalingOptions) (ScalePoint, error) {
 	err = sys.Global(placer.Options{
 		SpreadIters: opt.SpreadIters,
 		Parallelism: opt.Parallelism,
-		Multilevel:  opt.Multilevel,
 	})
 	if err != nil {
 		return ScalePoint{}, err
@@ -254,7 +230,6 @@ func runScalePoint(cells int, opt *ScalingOptions) (ScalePoint, error) {
 		MaxCap:        a.MaxCap,
 		SignalWL:      signalWL,
 		WCP:           signalWL * a.MaxCap / 1000,
-		Multilevel:    opt.Multilevel,
 	}, nil
 }
 

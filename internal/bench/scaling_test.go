@@ -4,7 +4,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 )
 
 // TestScalingPoint runs one small sweep point end to end and sanity-checks
@@ -32,9 +31,6 @@ func TestScalingPoint(t *testing.T) {
 	}
 	if pt.SignalWL <= 0 || pt.WCP <= 0 {
 		t.Errorf("quality metrics not recorded: signal_wl %v, wcp %v", pt.SignalWL, pt.WCP)
-	}
-	if pt.Multilevel {
-		t.Error("flat sweep point marked multilevel")
 	}
 	path := filepath.Join(t.TempDir(), "scaling.json")
 	if err := rep.WriteJSON(path); err != nil {
@@ -80,33 +76,4 @@ func TestScaling50k(t *testing.T) {
 	if pt.LPZ <= 0 {
 		t.Fatalf("LP optimum %v, want > 0", pt.LPZ)
 	}
-}
-
-// TestScalingML50k is the multilevel half of the CI scaling smoke
-// (`scripts/ci.sh ml`): the same 50k point through the V-cycle, race-clean,
-// with legalized wirelength within 5% of the flat arm. Gated behind an env
-// var so tier-1 `go test` stays fast.
-func TestScalingML50k(t *testing.T) {
-	if os.Getenv("ROTARY_ML_SMOKE") == "" {
-		t.Skip("set ROTARY_ML_SMOKE=1 to run the 50k multilevel scaling smoke")
-	}
-	flat, err := RunScaling(ScalingOptions{Sizes: []int{50_000}, Seed: 1, Log: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ml, err := RunScaling(ScalingOptions{Sizes: []int{50_000}, Seed: 1, Multilevel: true, Log: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp, mp := flat.Points[0], ml.Points[0]
-	if !mp.Multilevel {
-		t.Error("ml sweep point not marked multilevel")
-	}
-	if mp.SignalWL > fp.SignalWL*1.05 {
-		t.Errorf("multilevel legalized WL %v vs flat %v (+%.1f%%), want within 5%%",
-			mp.SignalWL, fp.SignalWL, 100*(mp.SignalWL/fp.SignalWL-1))
-	}
-	t.Logf("50k place: flat %v, multilevel %v (%.2fx), wl %+.2f%%",
-		time.Duration(fp.PlaceNS), time.Duration(mp.PlaceNS),
-		float64(fp.PlaceNS)/float64(mp.PlaceNS), 100*(mp.SignalWL/fp.SignalWL-1))
 }

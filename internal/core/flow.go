@@ -87,17 +87,6 @@ type Config struct {
 	// default flow.
 	TimingBoost float64
 
-	// Multilevel switches stage-1 global placement to the mPL-style
-	// V-cycle (placer.Options.Multilevel): coarsen the circuit into a
-	// cluster hierarchy, place the coarsest fully, interpolate back down
-	// with bounded refinement per level. Default off and bit-free — with
-	// it off the flow is bit-identical to earlier releases; with it on,
-	// only stage 1 changes (stage-6 incremental re-places and ECO dirty
-	// solves always stay flat, their warm starts make a V-cycle pure
-	// overhead). Circuits too small to coarsen silently fall back to the
-	// flat path.
-	Multilevel bool
-
 	// Strict disables every recovery policy and the degraded-result path:
 	// the first stage failure returns immediately as a *StageError. With
 	// Strict off (the default) Run relaxes infeasible subproblems along
@@ -361,15 +350,15 @@ func Run(c *netlist.Circuit, cfg Config) (*Result, error) {
 
 	// Stage 1: initial placement. Conjugate-gradients stagnation is the one
 	// recoverable failure here (see retryCG); anything else is a hard error.
+	// placer.Global picks its path from the movable count alone: above
+	// placer.Options.MLCoarsest it runs the multilevel V-cycle, at or below
+	// it the flat loop. The placer.ml.vcycles, placer.ml.levels and
+	// placer.ml.fallback counters in the trace say which one ran.
 	s1 := startStage(root, &res.PlaceSeconds, "stage1.place")
 	if !cfg.SkipInitialPlace {
-		if cfg.Multilevel {
-			reg.Add("core.ml.runs", 1)
-			s1.span.Set(obs.S("multilevel", "on"))
-		}
 		sp := s1.span.Child("stage1.global")
 		err := f.retryCG(1, 0, "global placement", func(cgTol float64) error {
-			return f.psys.Global(placer.Options{Parallelism: cfg.Parallelism, CGTol: cgTol, Obs: reg, Stop: cfg.Stop, Multilevel: cfg.Multilevel})
+			return f.psys.Global(placer.Options{Parallelism: cfg.Parallelism, CGTol: cgTol, Obs: reg, Stop: cfg.Stop})
 		})
 		sp.End()
 		if err != nil {

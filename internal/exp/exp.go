@@ -66,9 +66,6 @@ type Options struct {
 	// report the timing-driven placements. Table VIII ignores it: that
 	// table always runs both arms to measure the mode itself.
 	TimingDriven bool
-	// Multilevel runs every suite flow's stage-1 global placement through
-	// the clustered V-cycle (core.Config.Multilevel).
-	Multilevel bool
 }
 
 func (o *Options) normalize() {
@@ -133,7 +130,6 @@ func runCircuit(b bench.Circuit, opt Options) (*CircuitRun, error) {
 	cfg.Strict = opt.Strict
 	cfg.Stop = opt.Stop
 	cfg.TimingDriven = opt.TimingDriven
-	cfg.Multilevel = opt.Multilevel
 	cfgILP := cfg
 	cfgILP.Assigner = core.ILP
 	if opt.Metrics {

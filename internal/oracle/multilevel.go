@@ -26,9 +26,11 @@ func mlCoarsestFor(c *netlist.Circuit) int {
 	return 50
 }
 
-// CheckMultilevel is the standing-campaign oracle of the multilevel V-cycle
-// (placer.Options.Multilevel). It places the same generated circuit twice —
-// flat reference and V-cycle — and asserts three contracts:
+// CheckMultilevel is the standing-campaign oracle of the multilevel V-cycle.
+// It places the same generated circuit twice — a flat reference, whose
+// coarsening floor (placer.Options.MLCoarsest) is at or above the circuit's
+// movable count, and a V-cycle with the floor lowered by mlCoarsestFor — and
+// asserts three contracts:
 //
 //  1. Quality: after legalization, the V-cycle's signal wirelength is within
 //     mlWLBound of the flat reference. Legalized, not raw: an interpolation
@@ -51,13 +53,13 @@ func CheckMultilevel(spec netlist.GenSpec, seed int64) []Violation {
 	if vs != nil {
 		return vs
 	}
-	flatErr := placer.Global(flat, placer.Options{Parallelism: 1})
+	flatErr := placer.Global(flat, placer.Options{MLCoarsest: flat.NumMovable(), Parallelism: 1})
 
 	ml, vs := gen()
 	if vs != nil {
 		return vs
 	}
-	mlOpt := placer.Options{Multilevel: true, MLCoarsest: mlCoarsestFor(ml), Parallelism: 1}
+	mlOpt := placer.Options{MLCoarsest: mlCoarsestFor(ml), Parallelism: 1}
 	mlErr := placer.Global(ml, mlOpt)
 	if (flatErr == nil) != (mlErr == nil) {
 		return violationf(name, seed, "feasibility depends on the V-cycle: flat err=%v, multilevel err=%v", flatErr, mlErr)

@@ -89,17 +89,15 @@ type Options struct {
 	// back to the circuit (same state contract as ErrNonConverged).
 	Stop *stop.Token
 
-	// Multilevel switches Global to the mPL-style V-cycle (see vcycle.go):
-	// the circuit is clustered into a hierarchy of coarser circuits, fully
-	// placed at the coarsest level, then interpolated down with mlRefine
-	// bounded refinement rounds per level. Default off; the off path is
-	// structurally unchanged (bit-identical, locked by TestMultilevelOff-
-	// Identity). Instances too small or too connected to coarsen fall back
-	// to the flat path (placer.ml.fallback counter). Incremental and ECO
-	// dirty-region solves never enter the V-cycle.
-	Multilevel bool
-	// MLCoarsest is the movable-cell count at which coarsening stops and
-	// the full spreading schedule runs (default 2500).
+	// MLCoarsest is the coarsening floor of Global (default 2500): a
+	// circuit with at most this many movable cells is placed flat, a larger
+	// one runs the mPL-style V-cycle (see vcycle.go), which clusters it
+	// down to this size, places the coarsest level with the full spreading
+	// schedule, and interpolates back with mlRefine bounded rounds per
+	// level. The placer.ml.vcycles, placer.ml.levels and placer.ml.fallback
+	// counters say which path ran; fallback counts every flat Global, the
+	// normal outcome below the floor. Incremental and ECO dirty-region
+	// solves never enter the V-cycle.
 	MLCoarsest int
 
 	// bins is the spreading grid resolution per axis, derived from the

@@ -14,7 +14,9 @@ import (
 // Global runs global placement: an initial quadratic solve followed by
 // SpreadIters rounds of FastPlace-style density equalization re-anchored
 // into the quadratic system, leaving cells spread over the die with low
-// quadratic wirelength. Positions are written onto the circuit. The
+// quadratic wirelength. Circuits with more than Options.MLCoarsest movable
+// cells run that schedule on a clustered hierarchy instead (the multilevel
+// V-cycle, vcycle.go). Positions are written onto the circuit. The
 // quadratic system is assembled once and reused across every round; callers
 // that already hold a System for the circuit should use System.Global.
 func Global(c *netlist.Circuit, opt Options) error {
@@ -42,22 +44,20 @@ func (s *System) Global(opt Options) error {
 	s.obs = obs.Resolve(opt.Obs)
 	s.obs.Add("placer.global.calls", 1)
 	workers := par.Workers(opt.Parallelism)
-	if opt.Multilevel {
-		handled, err := s.vcycle(opt, workers)
-		if handled || err != nil {
-			return err
-		}
-		// Degenerate for clustering (too small, all-fixed, or connectivity
-		// that refuses to shrink): fall back to the flat path below.
-		s.obs.Add("placer.ml.fallback", 1)
+	handled, err := s.vcycle(opt, workers)
+	if handled || err != nil {
+		return err
 	}
+	// At or below the MLCoarsest floor, or connectivity that refuses to
+	// shrink: the flat path below is the whole placement.
+	s.obs.Add("placer.ml.fallback", 1)
 	return s.globalLoop(opt, workers)
 }
 
 // globalLoop is the flat global-placement body shared by the direct path and
 // the per-level solves of the multilevel V-cycle: one initial quadratic solve
 // followed by opt.SpreadIters equalize+re-solve rounds. opt must already be
-// normalized; the caller owns validation, the ML dispatch, and the
+// normalized; the caller owns validation, the path choice, and the
 // placer.global.calls counter.
 func (s *System) globalLoop(opt Options, workers int) error {
 	c := s.c

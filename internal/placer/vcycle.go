@@ -7,13 +7,17 @@
 // interpolated near-solution, so iteration counts stay bounded as the cell
 // count grows instead of tracking the flat system's condition number.
 //
-// The V-cycle is opt-in (Options.Multilevel) and structurally bit-free when
-// off: Global's flat path does not change, ECO dirty-region solves
-// (SolveDirty) never enter it, and SolveQP — the oracle's reference surface —
-// is untouched. Cancellation is cooperative at every level boundary
-// (placer.ml.cancel) on top of the per-CG-iteration checks inside each level
-// solve; a stopped or stagnated coarse solve degrades to best-effort
-// positions projected down to the real circuit, honoring Global's contract.
+// Global always enters the V-cycle; its size floor (Options.MLCoarsest) is
+// the one place the placer picks between the flat and multilevel paths. At
+// or below the floor the V-cycle hands back unhandled and Global runs the
+// flat globalLoop unchanged (placer.ml.fallback), so small circuits place
+// bit-identically to a direct flat solve. ECO dirty-region solves
+// (SolveDirty) and Incremental never enter it, and SolveQP — the oracle's
+// reference surface — is untouched. Cancellation is cooperative at every
+// level boundary (placer.ml.cancel) on top of the per-CG-iteration checks
+// inside each level solve; a stopped or stagnated coarse solve degrades to
+// best-effort positions projected down to the real circuit, honoring
+// Global's contract.
 package placer
 
 import (
@@ -139,7 +143,6 @@ func (s *System) vcycle(opt Options, workers int) (handled bool, err error) {
 func (s *System) mlSolveLevel(levels []*mlLevel, l int, opt Options, rounds int, workers int) error {
 	lv := levels[l]
 	lopt := opt
-	lopt.Multilevel = false
 	if l > 0 {
 		lopt.bins = 0 // re-derive the grid for this level's movable count
 	}
