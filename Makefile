@@ -42,9 +42,12 @@ scaling-smoke:
 	sh scripts/ci.sh scaling
 
 # ECO gate: the CG kernel's stagnation test, the dirty-region solve against
-# the reference serial CG, the in-component CG cancel tests, and the smoke:
-# 20 random edits at 20k cells, each proven equivalent to the from-scratch
-# arm, mean edit latency >= 5x a full re-run.
+# the reference serial CG, the in-component CG cancel tests, the scoped-STA
+# tests (cache bit-equal to a full Analyze after random edits, ErrCycle,
+# Apply's cache contract), the timing.sta.scope oracle negative, the
+# shared-base /v1/eco test under -race, and the smoke: 20 random edits at
+# 20k cells, each proven equivalent to the from-scratch arm, mean edit
+# latency >= 5x a full re-run, STA sources <= a quarter of FFs x edits.
 eco:
 	sh scripts/ci.sh eco
 
@@ -65,6 +68,9 @@ oracle:
 place:
 	sh scripts/ci.sh place
 
+# Timing gate: Analyze and ExtractCritical against their reference copies,
+# the scoped-STA cache against a full Analyze after random edits, the
+# critical-path reweighting identity tests and the Table VIII acceptance run.
 timing:
 	sh scripts/ci.sh timing
 

@@ -16,6 +16,7 @@ import (
 	"rotaryclk/internal/core"
 	"rotaryclk/internal/eco"
 	"rotaryclk/internal/netlist"
+	"rotaryclk/internal/obs"
 )
 
 // ECOOptions configures one edit-latency measurement.
@@ -82,6 +83,11 @@ type ECOPoint struct {
 	// ran (and, since a violation is an error, passed). RunECOBench always
 	// runs it; older reports may hold rows recorded without it.
 	Checked bool `json:"checked"`
+	// STASources totals the flip-flop sources the incremental arm's timing
+	// re-propagated over all edits (counter eco.sta.sources), the first
+	// edit's full build included; a scoped update keeps it far below
+	// FFs x Edits.
+	STASources int64 `json:"sta_sources,omitempty"`
 }
 
 // RunECOBench measures ECO edit latency at one size. It also runs a
@@ -133,10 +139,11 @@ func RunECOBench(opt ECOOptions) (*ECOPoint, error) {
 	}
 	var ecoTotal, ecoMax int64
 	var dirtyFrac float64
+	reg := obs.NewRegistry()
 	for e := 0; e < opt.Edits; e++ {
 		deltas := eco.RandomDeltas(rng, st.Circuit, pt.Rings, opt.DeltasPerEdit)
 		t0 = time.Now()
-		out, err := core.ApplyECO(st, deltas, cfg, eco.Options{})
+		out, err := core.ApplyECO(st, deltas, cfg, eco.Options{Obs: reg})
 		d := time.Since(t0).Nanoseconds()
 		if err != nil {
 			return nil, fmt.Errorf("edit %d: %w", e, err)
@@ -165,6 +172,7 @@ func RunECOBench(opt ECOOptions) (*ECOPoint, error) {
 				e, float64(d)/1e6, out.Outcome.DirtyCells)
 		}
 	}
+	pt.STASources = reg.Counter("eco.sta.sources")
 	pt.DirtyCellFrac = dirtyFrac / float64(opt.Edits)
 	pt.EcoMeanNS = ecoTotal / int64(opt.Edits)
 	pt.EcoMaxNS = ecoMax

@@ -45,7 +45,8 @@ func TestSetECOPoint(t *testing.T) {
 
 // TestECOSmoke20k is the CI eco smoke (`scripts/ci.sh eco`): 20 random
 // single-delta edits at 20k cells, every edit proven equivalent to the
-// scratch arm, and the mean edit at least 5x faster than a full re-run.
+// scratch arm, the mean edit at least 5x faster than a full re-run, and the
+// scoped timing re-propagating at most a quarter of FFs x edits sources.
 // Gated behind an env var so tier-1 `go test` stays fast.
 func TestECOSmoke20k(t *testing.T) {
 	if os.Getenv("ROTARY_ECO_SMOKE") == "" {
@@ -61,5 +62,14 @@ func TestECOSmoke20k(t *testing.T) {
 	}
 	if pt.DirtyCellFrac > 0.01 {
 		t.Errorf("dirty fraction %.3f%% exceeds the 1%% bound", 100*pt.DirtyCellFrac)
+	}
+	// Scoped timing: the first edit builds the STA cache (FFs sources),
+	// every later one re-propagates only its dirty sources. A silent fall
+	// back to full passes would re-propagate FFs x Edits.
+	full := int64(pt.FFs) * int64(pt.Edits)
+	t.Logf("eco.sta.sources = %d of %d flip-flops x edits", pt.STASources, full)
+	if pt.STASources == 0 || 4*pt.STASources > full {
+		t.Errorf("eco.sta.sources = %d over %d edits of %d flip-flops, want at most a quarter of %d",
+			pt.STASources, pt.Edits, pt.FFs, full)
 	}
 }

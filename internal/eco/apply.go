@@ -158,10 +158,11 @@ func Apply(st *State, deltas []Delta, opt Options) (*Outcome, error) {
 		return fail("dirty-region placement", err)
 	}
 
-	// Phase 3: warm-started schedule re-check. Any moved cell changes wire
-	// delays somewhere, so the sequential-pair extraction re-runs in full;
-	// the schedule repair, seeded from the previous schedule, is the
-	// bounded part — one O(m) verification round when nothing regressed.
+	// Phase 3: scoped timing analysis and warm-started schedule re-check.
+	// The STA cache re-propagates only the flip-flop sources whose cone the
+	// edit touched (built in full on first use); the schedule repair,
+	// seeded from the previous schedule, is one O(m) verification round
+	// when nothing regressed.
 	schedSp := span.Child("eco.sched")
 	ffCells := c.FlipFlops()
 	n := len(ffCells)
@@ -173,7 +174,7 @@ func Apply(st *State, deltas []Delta, opt Options) (*Outcome, error) {
 	for i, id := range ffCells {
 		ffIdx[id] = i
 	}
-	pairs, err := timing.SeqPairs(c, st.TModel, ffIdx)
+	sta, pairs, err := analyze(st, ffIdx, opt.Scratch, reg)
 	if err != nil {
 		schedSp.End()
 		return fail("timing analysis", err)
@@ -309,6 +310,7 @@ func Apply(st *State, deltas []Delta, opt Options) (*Outcome, error) {
 
 	// Commit.
 	st.Sys = sys
+	st.STA = sta
 	st.FFCells = ffCells
 	st.Sched = sched
 	st.Assign = asg
@@ -319,6 +321,36 @@ func Apply(st *State, deltas []Delta, opt Options) (*Outcome, error) {
 	out.Assign = asg
 	out.Total = asg.Total
 	return out, nil
+}
+
+// analyze returns the sequential pairs of the edited circuit and the STA
+// cache to commit with them. The incremental path updates st.STA (building
+// it on first use) and records its work; Scratch runs a full
+// timing.SeqPairs and keeps st.STA as it is.
+func analyze(st *State, ffIdx map[int]int, scratch bool, reg *obs.Registry) (*timing.STA, []skew.SeqPair, error) {
+	c := st.Circuit
+	if scratch {
+		pairs, err := timing.SeqPairs(c, st.TModel, ffIdx)
+		return st.STA, pairs, err
+	}
+	var sta *timing.STA
+	var err error
+	if st.STA == nil {
+		sta, err = timing.NewSTA(c, st.TModel)
+	} else {
+		sta, err = st.STA.Update(c)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	w := sta.Work()
+	reg.Add("eco.sta.sources", int64(w.Sources))
+	reg.Add("eco.sta.reused", int64(w.Reused))
+	if w.Full {
+		reg.Add("eco.sta.full", 1)
+	}
+	pairs, err := sta.Pairs(ffIdx)
+	return sta, pairs, err
 }
 
 func mode(opt Options) string {

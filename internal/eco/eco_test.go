@@ -16,6 +16,7 @@ import (
 	"rotaryclk/internal/netlist"
 	"rotaryclk/internal/obs"
 	"rotaryclk/internal/stop"
+	"rotaryclk/internal/timing"
 )
 
 // chainCircuit builds two structurally independent pipelines on one die:
@@ -659,4 +660,96 @@ func TestApplyReusesTapRows(t *testing.T) {
 	if math.Abs(outP.Total-outS.Total) > 1e-6*math.Max(1, math.Abs(outS.Total)) {
 		t.Fatalf("patch total %v != scratch total %v", outP.Total, outS.Total)
 	}
+}
+
+// sameCachedPairs requires the state's STA cache to be Float64bits-equal to
+// a full timing.SeqPairs of its circuit, in order.
+func sameCachedPairs(t *testing.T, label string, st *eco.State) {
+	t.Helper()
+	ffIdx := map[int]int{}
+	for i, id := range st.FFCells {
+		ffIdx[id] = i
+	}
+	got, err := st.STA.Pairs(ffIdx)
+	if err != nil {
+		t.Fatalf("%s: cached pairs: %v", label, err)
+	}
+	want, err := timing.SeqPairs(st.Circuit, st.TModel, ffIdx)
+	if err != nil {
+		t.Fatalf("%s: SeqPairs: %v", label, err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d cached pairs, full analysis %d", label, len(got), len(want))
+	}
+	for i := range got {
+		g, w := got[i], want[i]
+		if g.U != w.U || g.V != w.V || math.Float64bits(g.DMax) != math.Float64bits(w.DMax) ||
+			math.Float64bits(g.DMin) != math.Float64bits(w.DMin) {
+			t.Fatalf("%s: pair %d = %+v, full analysis %+v", label, i, g, w)
+		}
+	}
+}
+
+// TestApplySTACache: the first incremental Apply builds the STA cache in
+// full and later ones re-propagate only a few sources; a Degraded Apply
+// (stop fired at the stage boundary after timing) keeps the pre-edit cache,
+// and the next edit still matches a full analysis. Scratch never touches
+// the cache.
+func TestApplySTACache(t *testing.T) {
+	c := genCircuit(t, 300, 40, 5)
+	st, _ := baseState(t, c)
+	ffs := c.FlipFlops()
+	die := c.Die
+	move := func(i int, fx, fy float64) []eco.Delta {
+		return []eco.Delta{{Op: eco.OpMoveFF, Cell: ffs[i], X: die.Lo.X + fx*die.W(), Y: die.Lo.Y + fy*die.H()}}
+	}
+
+	reg := obs.NewRegistry()
+	if _, err := eco.Apply(st, move(0, 0.2, 0.3), eco.Options{Obs: reg}); err != nil {
+		t.Fatal(err)
+	}
+	if reg.Counter("eco.sta.full") != 1 || reg.Counter("eco.sta.sources") != int64(len(ffs)) {
+		t.Fatalf("first apply: full %d, sources %d; want one full build of %d sources",
+			reg.Counter("eco.sta.full"), reg.Counter("eco.sta.sources"), len(ffs))
+	}
+	sameCachedPairs(t, "first apply", st)
+
+	reg = obs.NewRegistry()
+	if _, err := eco.Apply(st, move(1, 0.7, 0.6), eco.Options{Obs: reg}); err != nil {
+		t.Fatal(err)
+	}
+	src, reused := reg.Counter("eco.sta.sources"), reg.Counter("eco.sta.reused")
+	if reg.Counter("eco.sta.full") != 0 || src == 0 || src+reused != int64(len(ffs)) || src >= reused {
+		t.Fatalf("scoped apply: full %d, sources %d, reused %d of %d flip-flops",
+			reg.Counter("eco.sta.full"), src, reused, len(ffs))
+	}
+	sameCachedPairs(t, "scoped apply", st)
+
+	pre := st.STA
+	restore := faultinject.Enable(faultinject.Rule{
+		Site: faultinject.SiteEcoApplyCancel, Call: 3, Err: stop.ErrCanceled,
+	})
+	out, err := eco.Apply(st, move(2, 0.9, 0.1), eco.Options{})
+	restore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !out.Degraded || !strings.Contains(out.Events[len(out.Events)-1], "schedule re-check") {
+		t.Fatalf("stop after timing: degraded %v, events %v", out.Degraded, out.Events)
+	}
+	if st.STA != pre {
+		t.Fatal("degraded apply replaced the STA cache")
+	}
+	sameCachedPairs(t, "degraded apply", st)
+
+	if _, err := eco.Apply(st, move(3, 0.4, 0.8), eco.Options{Scratch: true}); err != nil {
+		t.Fatal(err)
+	}
+	if st.STA != pre {
+		t.Fatal("scratch apply replaced the STA cache")
+	}
+	if _, err := eco.Apply(st, move(2, 0.9, 0.1), eco.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	sameCachedPairs(t, "apply after degraded and scratch", st)
 }

@@ -1,23 +1,27 @@
 // Package eco implements incremental engineering-change-order (ECO)
 // re-optimization: after a completed placement-and-skew flow, small netlist
 // deltas (moved or added flip-flops, ring retargets, net edits) are absorbed
-// with bounded recompute instead of a full re-run. Three incremental layers
+// with bounded recompute instead of a full re-run. Four incremental layers
 // do the work:
 //
 //  1. dirty-region placement — only the cells whose connectivity or
 //     neighborhood changed re-solve (placer.System.SolveDirty); a net edit
 //     first rebuilds the quadratic system (placer.NewSystem), the one
 //     builder of it;
-//  2. warm-started skew scheduling — the previous schedule seeds a
+//  2. scoped timing analysis — the per-source STA cache (timing.STA)
+//     re-propagates only the flip-flop sources whose cone the edit touched
+//     and copies every other row of sequential pairs;
+//  3. warm-started skew scheduling — the previous schedule seeds a
 //     Bellman-Ford repair (skew.WarmStart) that re-checks every constraint
 //     in one O(m) round and moves only the entries the edit forces;
-//  3. assignment patching — the min-cost flow starts from the previous
+//  4. assignment patching — the min-cost flow starts from the previous
 //     solve's ring prices and candidate rows, so only the flip-flops those
 //     prices do not settle re-route (assign.PatchMinCost).
 //
-// Every layer is exact, not approximate: the warm-started schedule is the
-// same fixpoint a batch solve reaches, and the patched assignment is
-// cost-equal to a scratch solve. Options.Scratch switches the layers to
+// Every layer is exact, not approximate: the cached pairs are bit-equal to
+// a full analysis, the warm-started schedule is the same fixpoint a batch
+// solve reaches, and the patched assignment is cost-equal to a scratch
+// solve. Options.Scratch switches the layers to
 // their from-scratch counterparts on the same orchestration, which is what
 // the ECO-vs-scratch differential oracle (internal/oracle.CheckECO)
 // compares against.
@@ -57,6 +61,14 @@ type State struct {
 	// Pinned accumulates RetargetRing deltas: cell ID -> forced ring.
 	Pinned map[int]int
 
+	// STA is the timing cache built with TModel, nil until the first
+	// incremental Apply builds it. Apply derives the edited circuit's cache
+	// from it copy-on-write and commits the new value only with the rest
+	// of the state, so a rolled-back Apply keeps the cache of the restored
+	// circuit. Any cache of this circuit is valid input — Update diffs
+	// against its own snapshot — so states may share one base cache.
+	STA *timing.STA
+
 	Params      rotary.Params
 	TModel      timing.Model
 	Parallelism int
@@ -72,7 +84,9 @@ type Options struct {
 	// rebuilds even when no net was edited, the schedule still warm-starts
 	// from the same seed (the seed is semantics, not machinery), and the
 	// assignment solves cold, every tapping row included. Same
-	// orchestration, full recompute — the oracle's reference arm.
+	// orchestration, full recompute — the oracle's reference arm. Its
+	// timing is a full timing.SeqPairs; State.STA is neither read nor
+	// written.
 	Scratch bool
 	Stop    *stop.Token
 	Obs     *obs.Registry

@@ -59,6 +59,11 @@ const (
 	// inheriting cluster positions — the silent quality-destroying failure
 	// mode the placer/multilevel oracle must catch.
 	SitePlacerMLCorrupt = "placer.ml.corrupt"
+	// SiteTimingSTAScope corrupts (not errors) the scoped STA update: with
+	// a rule armed, timing.STA.Update skips re-propagating its first dirty
+	// source and keeps that source's stale row — the silent scoping bug the
+	// ECO oracle's cached-pair check must catch.
+	SiteTimingSTAScope = "timing.sta.scope"
 
 	// Cancellation-path sites: one per long solver loop, checked every
 	// iteration via stop.Check. Arming one with stop.ErrDeadlineExceeded (or

@@ -16,6 +16,7 @@ import (
 	"rotaryclk/internal/core"
 	"rotaryclk/internal/eco"
 	"rotaryclk/internal/netlist"
+	"rotaryclk/internal/timing"
 )
 
 // ECOSpec is the generated-circuit + delta-sequence configuration of one
@@ -32,8 +33,10 @@ func (s *ECOSpec) clone() *ECOSpec {
 // CheckECO generates the circuit, runs the base flow once, then applies the
 // delta sequence one delta at a time through the incremental arm and the
 // scratch arm. After every delta both arms must agree on feasibility and
-// degradation, commit positions and schedules within 1e-9, and totals within
-// 1e-6 relative (the patched assignment is cost-equal, not tie-equal). A
+// degradation, the incremental arm's cached timing pairs must be bit-equal
+// to a full analysis of its committed circuit, both arms must commit
+// positions and schedules within 1e-9, and totals within 1e-6 relative
+// (the patched assignment is cost-equal, not tie-equal). A
 // base flow that fails or degrades yields no comparison. The check returns
 // at the first divergence: past it the arms optimize different states and
 // later differences are noise.
@@ -67,6 +70,9 @@ func CheckECO(s *ECOSpec, cfg core.Config, seed int64) []Violation {
 			return violationf(name, seed,
 				"delta %d %s: degradation differs: eco=%v, scratch=%v", di, d, o1.Degraded, o2.Degraded)
 		}
+		if msg := checkCachedPairs(st1); msg != "" {
+			return violationf(name, seed, "delta %d %s: %s", di, d, msg)
+		}
 		if !closeRel(o1.Total, o2.Total, 1e-6, 1e-6) {
 			return violationf(name, seed,
 				"delta %d %s: tapping total differs: eco %.9g vs scratch %.9g", di, d, o1.Total, o2.Total)
@@ -76,6 +82,38 @@ func CheckECO(s *ECOSpec, cfg core.Config, seed int64) []Violation {
 		}
 	}
 	return nil
+}
+
+// checkCachedPairs holds the incremental arm's STA cache to a full
+// timing.SeqPairs of the committed circuit: same pairs in the same order,
+// Float64bits-equal delays. A state whose cache is not built yet passes.
+func checkCachedPairs(st *eco.State) string {
+	if st.STA == nil {
+		return ""
+	}
+	ffIdx := make(map[int]int, len(st.FFCells))
+	for i, id := range st.FFCells {
+		ffIdx[id] = i
+	}
+	got, err := st.STA.Pairs(ffIdx)
+	if err != nil {
+		return fmt.Sprintf("cached pairs: %v", err)
+	}
+	want, err := timing.SeqPairs(st.Circuit, st.TModel, ffIdx)
+	if err != nil {
+		return fmt.Sprintf("full analysis of the committed circuit: %v", err)
+	}
+	if len(got) != len(want) {
+		return fmt.Sprintf("%d cached pairs vs %d from a full analysis", len(got), len(want))
+	}
+	for i, g := range got {
+		w := want[i]
+		if g.U != w.U || g.V != w.V || math.Float64bits(g.DMax) != math.Float64bits(w.DMax) ||
+			math.Float64bits(g.DMin) != math.Float64bits(w.DMin) {
+			return fmt.Sprintf("cached pair %d = %+v vs %+v from a full analysis", i, g, w)
+		}
+	}
+	return ""
 }
 
 // compareState checks committed positions and schedules of the two arms.

@@ -158,6 +158,42 @@ func TestFaultECODetected(t *testing.T) {
 	}
 }
 
+// TestFaultSTAScopeDetected: skipping one dirty source in the scoped STA
+// update (silently — the stale row still looks like timing) must fire the
+// ECO-vs-scratch check's cached-pair comparison, and the repro must shrink
+// to a short delta sequence.
+func TestFaultSTAScopeDetected(t *testing.T) {
+	rep, dir := runFaultCampaign(t, faultinject.SiteTimingSTAScope)
+	assertDetected(t, rep, dir, "eco/scratch")
+	paired := 0
+	for _, v := range rep.Violations {
+		if strings.HasPrefix(v.Oracle, "eco/scratch") && strings.Contains(v.Detail, "cached pair") {
+			paired++
+		}
+	}
+	if paired == 0 {
+		t.Errorf("no violation from the cached-pair check: %v", rep.Violations)
+	}
+	for _, path := range rep.Repros {
+		var r Repro
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(data, &r); err != nil {
+			t.Fatal(err)
+		}
+		if r.Oracle == "eco/scratch" {
+			if r.ECO == nil {
+				t.Fatalf("repro %s missing ECO payload", path)
+			}
+			if len(r.ECO.Deltas) > 2 {
+				t.Errorf("repro %s not shrunk: %d deltas", path, len(r.ECO.Deltas))
+			}
+		}
+	}
+}
+
 // TestFaultReweightDetected: silently perturbing the placer's net-weight
 // overlay (the Options.NetWeights bit-identity contract) must fire the
 // timing-identity oracle, and the same instance must pass clean code.

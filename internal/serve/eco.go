@@ -10,6 +10,7 @@ import (
 	"rotaryclk/internal/core"
 	"rotaryclk/internal/eco"
 	"rotaryclk/internal/netlist"
+	"rotaryclk/internal/timing"
 )
 
 // maxECODeltas caps the delta batch one request may carry. ECO is for small
@@ -120,20 +121,23 @@ type ECOResponse struct {
 
 // ecoBase is the per-spec state every ECO request against the same base
 // placement shares: the placed circuit (cloned per request — requests mutate
-// their clone) and the completed result that seeds each request's ECO state.
-// The result's assignment carries the candidate matrix the base run solved
-// over; requests only read it, so each one re-solves just the tapping rows
-// its edit touches.
+// their clone), the completed result that seeds each request's ECO state,
+// and the base circuit's STA cache. The result's assignment carries the
+// candidate matrix the base run solved over and the cache one row of pairs
+// per flip-flop; requests only read them, so each one re-solves just the
+// tapping rows and re-propagates just the timing sources its edit touches.
 type ecoBase struct {
 	circuit *netlist.Circuit
 	res     *core.Result
+	sta     *timing.STA
 }
 
 // applyECO is /v1/eco's own step: fork the spec's template, pick up (or
 // build) the shared base placement for the request's rings and iterations,
-// clone it, seed a fresh ECO state over the clone, and absorb the delta
-// batch. The clone means a failed or degraded apply never poisons the
-// shared base.
+// clone it, seed a fresh ECO state over the clone with the base's STA cache,
+// and absorb the delta batch. The clone means a failed or degraded apply
+// never poisons the shared base; the cache is immutable, so every request
+// updates it copy-on-write.
 func (s *Server) applyECO(req *ECORequest, cfg core.Config) (*answer, error) {
 	tmpl, _, err := s.template(req.Circuit)
 	if err != nil {
@@ -156,7 +160,13 @@ func (s *Server) applyECO(req *ECORequest, cfg core.Config) (*answer, error) {
 		if res == nil || res.Degraded || res.Assign == nil {
 			return nil, fmt.Errorf("base flow yielded no clean state to edit")
 		}
-		return &ecoBase{circuit: c, res: res}, nil
+		// Neither the base flow nor any request's state sets a timing
+		// model, so both run on the default one.
+		sta, err := timing.NewSTA(c, timing.DefaultModel())
+		if err != nil {
+			return nil, err
+		}
+		return &ecoBase{circuit: c, res: res, sta: sta}, nil
 	})
 	if err != nil {
 		return nil, &statusError{http.StatusInternalServerError, fmt.Errorf("building ECO base placement: %w", err)}
@@ -172,6 +182,7 @@ func (s *Server) applyECO(req *ECORequest, cfg core.Config) (*answer, error) {
 	if err != nil {
 		return nil, &statusError{http.StatusInternalServerError, fmt.Errorf("seeding ECO state: %w", err)}
 	}
+	st.STA = base.sta
 	res, err := s.runECO(st, req.Deltas, cfg, eco.Options{Strict: cfg.Strict})
 	if err != nil {
 		return nil, err

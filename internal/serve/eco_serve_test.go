@@ -375,9 +375,10 @@ func TestECOBaseKeyNormalizesIters(t *testing.T) {
 }
 
 // TestECOConcurrentSharedBase: concurrent /v1/eco requests patch from the
-// one shared base assignment and its candidate rows. Run under -race this
-// is the check that requests only read those rows; every answer must also
-// equal the same request's answer on a fresh server.
+// one shared base assignment and its candidate rows, and update the one
+// shared base STA cache. Run under -race this is the check that requests
+// only read those rows and that cache; every answer must also equal the
+// same request's answer on a fresh server.
 func TestECOConcurrentSharedBase(t *testing.T) {
 	cfg := testConfig()
 	cfg.Workers, cfg.QueueDepth = 4, 16
@@ -385,7 +386,7 @@ func TestECOConcurrentSharedBase(t *testing.T) {
 	bodies := make([]string, 4)
 	for k := range bodies {
 		bodies[k] = fmt.Sprintf(
-			`{"circuit":{"cells":60,"flipflops":8,"seed":1},"rings":4,"iters":2,"deltas":[{"op":"move_ff","cell":%d,"x":%.4f,"y":%.4f}]}`,
+			`{"circuit":{"cells":60,"flipflops":8,"seed":1},"rings":4,"iters":2,"telemetry":true,"deltas":[{"op":"move_ff","cell":%d,"x":%.4f,"y":%.4f}]}`,
 			ff, x+float64(10*k), y-float64(5*k))
 	}
 	decode := func(rr *httptest.ResponseRecorder) ECOResponse {
@@ -399,6 +400,15 @@ func TestECOConcurrentSharedBase(t *testing.T) {
 		}
 		if resp.Degraded {
 			t.Fatalf("degraded: %v", resp.Events)
+		}
+		// Every request updates the base's STA cache: no full build, and
+		// fewer sources re-propagated than the base has flip-flops.
+		var counters map[string]int64
+		if err := json.Unmarshal(resp.Counters, &counters); err != nil {
+			t.Fatalf("counters: %v", err)
+		}
+		if full, src := counters["eco.sta.full"], counters["eco.sta.sources"]; full != 0 || src == 0 || src >= 8 {
+			t.Fatalf("STA work: full %d, sources %d of 8 flip-flops", full, src)
 		}
 		return resp
 	}

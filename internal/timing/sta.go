@@ -1,0 +1,284 @@
+package timing
+
+import (
+	"slices"
+
+	"rotaryclk/internal/faultinject"
+	"rotaryclk/internal/geom"
+	"rotaryclk/internal/netlist"
+	"rotaryclk/internal/skew"
+)
+
+// STA is an immutable static-timing cache of one placed circuit: its timing
+// graph, the per-cell and per-net inputs the arcs were built from, and one
+// row of sequential pairs per flip-flop source. Update derives the cache of
+// an edited circuit by re-running the per-source kernel only for the
+// sources whose cone the edit touched and copying every other row, so an
+// edit costs O(diff + dirty cones) instead of a full analysis.
+//
+// An STA holds no pointer into the circuit and no kernel scratch; every
+// slice it holds is read-only once built. Concurrent readers, and
+// concurrent Updates from one shared base, are safe.
+type STA struct {
+	m      Model
+	g      graph
+	fn     []netlist.Func
+	pos    []geom.Point
+	pins   [][]int  // per net: a private copy of its pin list
+	drives [][]int  // per cell: the nets it drives, in net-index order
+	ffs    []int    // flip-flop cell IDs, in cell-ID order
+	rows   [][]Pair // per cell ID: the pairs that flip-flop launches
+	work   Work
+}
+
+// Work describes the pass that produced an STA value.
+type Work struct {
+	Sources int  // flip-flop sources the kernel ran for
+	Reused  int  // rows copied unchanged from the previous cache
+	Full    bool // the value came from a full build
+}
+
+// NewSTA runs a full analysis of the placed circuit and keeps it as a
+// cache. Its rows concatenate to Analyze's pairs. It errors on a
+// combinational cycle.
+func NewSTA(c *netlist.Circuit, m Model) (*STA, error) {
+	g, err := newGraph(c, m)
+	if err != nil {
+		return nil, err
+	}
+	n := len(c.Cells)
+	s := &STA{
+		m:      m,
+		g:      *g,
+		fn:     make([]netlist.Func, n),
+		pos:    make([]geom.Point, n),
+		pins:   make([][]int, len(c.Nets)),
+		drives: drivenNets(c.Nets, n),
+		ffs:    c.FlipFlops(),
+		rows:   make([][]Pair, n),
+	}
+	for i, cell := range c.Cells {
+		s.fn[i], s.pos[i] = cell.Fn, cell.Pos
+	}
+	for ni, net := range c.Nets {
+		s.pins[ni] = slices.Clone(net.Pins)
+	}
+	s.run(s.ffs)
+	s.work = Work{Sources: len(s.ffs), Full: true}
+	return s, nil
+}
+
+// drivenNets maps each of n cells to the nets it drives, in net-index
+// order: the order buildArcs appends a driver's arcs in.
+func drivenNets(nets []*netlist.Net, n int) [][]int {
+	drives := make([][]int, n)
+	for ni, net := range nets {
+		if d := net.Driver(); d >= 0 {
+			drives[d] = append(drives[d], ni)
+		}
+	}
+	return drives
+}
+
+// driver returns a pin list's driving cell, or -1 for an empty list.
+func driver(pins []int) int {
+	if len(pins) == 0 {
+		return -1
+	}
+	return pins[0]
+}
+
+// Work reports what the pass that built s did.
+func (s *STA) Work() Work { return s.work }
+
+// Pairs concatenates the rows in flip-flop ID order and maps them onto
+// schedule indices, exactly as SeqPairs does for a full analysis.
+func (s *STA) Pairs(ffIdx map[int]int) ([]skew.SeqPair, error) {
+	total := 0
+	for _, f := range s.ffs {
+		total += len(s.rows[f])
+	}
+	out := make([]skew.SeqPair, 0, total)
+	var err error
+	for _, f := range s.ffs {
+		if out, err = appendSeqPairs(out, s.rows[f], ffIdx); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// run re-propagates the given sources on s's graph and stores their rows.
+func (s *STA) run(srcs []int) {
+	if len(srcs) == 0 {
+		return
+	}
+	w := newScratch(len(s.g.kind))
+	var row []Pair
+	capture := func(_ *cone, src, v int, dMax, dMin float64) {
+		row = append(row, Pair{From: src, To: v, DMax: dMax, DMin: dMin})
+	}
+	for _, src := range srcs {
+		row = nil
+		s.g.source(w, src, capture)
+		s.rows[src] = row
+	}
+}
+
+// Update returns the cache of c, which must be the circuit s was built
+// from after in-place edits (moves, kind and function changes, sink pins
+// added or removed). s is not modified; the result shares every slice the
+// edit left unchanged. Cell.Fanin must list every net a cell sinks, as
+// AddNet and every ECO delta keep it. A change in the cell or net count, or
+// in a net's driver, falls back to a full build. Like Analyze it errors on
+// a combinational cycle.
+//
+// The scope: the changed nets are those touching a cell whose position,
+// kind or function changed, plus those whose pin list changed. Their
+// drivers' arcs are rebuilt with the one per-net builder. Every cell whose
+// arc list or kind changed seeds a backward walk through Cell.Fanin
+// drivers that continues through gates and stops at flip-flops; the
+// flip-flops it reaches, new ones included, are the dirty sources, and
+// only they re-run the kernel. DESIGN.md section 25 argues why every other
+// row is exact.
+func (s *STA) Update(c *netlist.Circuit) (*STA, error) {
+	n := len(c.Cells)
+	if n != len(s.g.kind) || len(c.Nets) != len(s.pins) {
+		return NewSTA(c, s.m)
+	}
+	ns := *s
+
+	var changed, kindChanged []int // cells whose position, kind or function changed
+	for id, cell := range c.Cells {
+		if cell.Pos != s.pos[id] || cell.Fn != s.fn[id] || cell.Kind != s.g.kind[id] {
+			changed = append(changed, id)
+			if cell.Kind != s.g.kind[id] {
+				kindChanged = append(kindChanged, id)
+			}
+		}
+	}
+	var pinNets []int // nets whose pin list changed
+	for ni, net := range c.Nets {
+		if slices.Equal(net.Pins, s.pins[ni]) {
+			continue
+		}
+		if driver(net.Pins) != driver(s.pins[ni]) {
+			return NewSTA(c, s.m)
+		}
+		if len(pinNets) == 0 {
+			ns.pins = slices.Clone(s.pins)
+		}
+		pinNets = append(pinNets, ni)
+		ns.pins[ni] = slices.Clone(net.Pins)
+	}
+	if len(changed) > 0 {
+		ns.pos, ns.fn = slices.Clone(s.pos), slices.Clone(s.fn)
+		for _, id := range changed {
+			ns.pos[id], ns.fn[id] = c.Cells[id].Pos, c.Cells[id].Fn
+		}
+	}
+	if len(kindChanged) > 0 {
+		ns.g.kind = slices.Clone(s.g.kind)
+		for _, id := range kindChanged {
+			ns.g.kind[id] = c.Cells[id].Kind
+		}
+		ns.ffs = c.FlipFlops()
+	}
+
+	// Rebuild the arcs of every changed net's driver, from every net it
+	// drives.
+	seen := make([]bool, n)
+	var drivers []int
+	addDriver := func(pins []int) {
+		if d := driver(pins); d >= 0 && !seen[d] {
+			seen[d] = true
+			drivers = append(drivers, d)
+		}
+	}
+	for _, ni := range pinNets {
+		addDriver(ns.pins[ni])
+	}
+	for _, id := range changed {
+		for _, ni := range c.Cells[id].Fanin {
+			addDriver(ns.pins[ni])
+		}
+		for _, ni := range ns.drives[id] {
+			addDriver(ns.pins[ni])
+		}
+	}
+	clear(seen)
+	var seeds []int
+	addSeed := func(u int) {
+		if !seen[u] {
+			seen[u] = true
+			seeds = append(seeds, u)
+		}
+	}
+	if len(drivers) > 0 {
+		ns.g.adj = slices.Clone(s.g.adj)
+	}
+	for _, u := range drivers {
+		var arcs []edge
+		for _, ni := range ns.drives[u] {
+			arcs = netArcs(arcs, c, s.m, ni)
+		}
+		if !slices.Equal(arcs, s.g.adj[u]) {
+			ns.g.adj[u] = arcs
+			addSeed(u)
+		}
+	}
+	for _, id := range kindChanged {
+		addSeed(id)
+	}
+	if len(kindChanged) > 0 || len(pinNets) > 0 {
+		topoIdx, err := topoOrder(c, ns.g.adj)
+		if err != nil {
+			return nil, err
+		}
+		ns.g.topoIdx = topoIdx
+	}
+
+	// Walk backward from the seeds: each seed's fanin drivers, then on
+	// through gates, stopping at flip-flops. The flip-flops reached (seeds
+	// included) are the dirty sources.
+	var dirty, stack []int
+	expand := func(u int) {
+		for _, ni := range c.Cells[u].Fanin {
+			if d := driver(ns.pins[ni]); d >= 0 && !seen[d] {
+				seen[d] = true
+				stack = append(stack, d)
+			}
+		}
+	}
+	for _, u := range seeds {
+		if ns.g.kind[u] == netlist.FF {
+			dirty = append(dirty, u)
+		}
+		expand(u)
+	}
+	for len(stack) > 0 {
+		u := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if ns.g.kind[u] == netlist.FF {
+			dirty = append(dirty, u)
+			continue
+		}
+		expand(u)
+	}
+	slices.Sort(dirty)
+
+	ns.rows = slices.Clone(s.rows)
+	for _, id := range kindChanged {
+		if ns.g.kind[id] != netlist.FF {
+			ns.rows[id] = nil
+		}
+	}
+	// An armed SiteTimingSTAScope silently skips one dirty source, keeping
+	// its stale row: the scoping bug the ECO oracle's pair check must catch.
+	if len(dirty) > 0 && faultinject.Hook(faultinject.SiteTimingSTAScope) != nil {
+		dirty = dirty[1:]
+	}
+	ns.run(dirty)
+	ns.work = Work{Sources: len(dirty), Reused: len(ns.ffs) - len(dirty)}
+	return &ns, nil
+}

@@ -9,10 +9,11 @@
 package timing
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"rotaryclk/internal/netlist"
 	"rotaryclk/internal/skew"
@@ -127,40 +128,51 @@ type edge struct {
 	delay float64
 }
 
-// buildArcs constructs the timing arcs of the placed circuit. Delay from
-// driver u to sink v over u's fanout net is
-//
-//	intrinsic(u) + DriveRes * C_net + r L (c L / 2 + CPin)
-//
-// with C_net the total capacitance the driver sees (Elmore star model).
+// buildArcs constructs the timing arcs of the placed circuit: the arcs of
+// every net, appended to its driver's list in net-index order.
 func buildArcs(c *netlist.Circuit, m Model) [][]edge {
 	adj := make([][]edge, len(c.Cells))
 	for ni, net := range c.Nets {
-		drv := net.Driver()
-		if drv < 0 || len(net.Pins) < 2 {
-			continue
-		}
-		du := c.Cells[drv]
-		if du.Kind == netlist.Output {
-			continue
-		}
-		cTotal := 0.0
-		for _, sv := range net.Sinks() {
-			L := du.Pos.Manhattan(c.Cells[sv].Pos)
-			cTotal += m.CWire*L + m.CPin
-		}
-		intr, ok := m.Intrinsic[du.Fn]
-		if !ok {
-			intr = m.Intrinsic[netlist.FuncNone]
-		}
-		load := m.driverLoad(cTotal)
-		for _, sv := range net.Sinks() {
-			L := du.Pos.Manhattan(c.Cells[sv].Pos)
-			d := intr + m.DriveRes*load + m.wireDelay(L)
-			adj[drv] = append(adj[drv], edge{to: sv, net: int32(ni), delay: d})
+		if drv := net.Driver(); drv >= 0 {
+			adj[drv] = netArcs(adj[drv], c, m, ni)
 		}
 	}
 	return adj
+}
+
+// netArcs appends the arcs of net ni, one per sink, to dst. Delay from
+// driver u to sink v is
+//
+//	intrinsic(u) + DriveRes * C_net + r L (c L / 2 + CPin)
+//
+// with C_net the total capacitance the driver sees (Elmore star model). A
+// net with fewer than two pins, or driven by an output pad, has no arcs.
+func netArcs(dst []edge, c *netlist.Circuit, m Model, ni int) []edge {
+	net := c.Nets[ni]
+	drv := net.Driver()
+	if drv < 0 || len(net.Pins) < 2 {
+		return dst
+	}
+	du := c.Cells[drv]
+	if du.Kind == netlist.Output {
+		return dst
+	}
+	cTotal := 0.0
+	for _, sv := range net.Sinks() {
+		L := du.Pos.Manhattan(c.Cells[sv].Pos)
+		cTotal += m.CWire*L + m.CPin
+	}
+	intr, ok := m.Intrinsic[du.Fn]
+	if !ok {
+		intr = m.Intrinsic[netlist.FuncNone]
+	}
+	load := m.driverLoad(cTotal)
+	for _, sv := range net.Sinks() {
+		L := du.Pos.Manhattan(c.Cells[sv].Pos)
+		d := intr + m.DriveRes*load + m.wireDelay(L)
+		dst = append(dst, edge{to: sv, net: int32(ni), delay: d})
+	}
+	return dst
 }
 
 // topoOrder returns a topological index per cell for combinational
@@ -215,16 +227,20 @@ func SeqPairs(c *netlist.Circuit, m Model, ffIdx map[int]int) ([]skew.SeqPair, e
 	if err != nil {
 		return nil, err
 	}
-	pairs := make([]skew.SeqPair, len(sta.Pairs))
-	for i, p := range sta.Pairs {
+	return appendSeqPairs(make([]skew.SeqPair, 0, len(sta.Pairs)), sta.Pairs, ffIdx)
+}
+
+// appendSeqPairs maps pairs onto schedule indices and appends them to dst.
+func appendSeqPairs(dst []skew.SeqPair, pairs []Pair, ffIdx map[int]int) ([]skew.SeqPair, error) {
+	for _, p := range pairs {
 		u, okU := ffIdx[p.From]
 		v, okV := ffIdx[p.To]
 		if !okU || !okV {
 			return nil, fmt.Errorf("timing: pair %d -> %d: flip-flop without a schedule index", p.From, p.To)
 		}
-		pairs[i] = skew.SeqPair{U: u, V: v, DMax: p.DMax, DMin: p.DMin}
+		dst = append(dst, skew.SeqPair{U: u, V: v, DMax: p.DMax, DMin: p.DMin})
 	}
-	return pairs, nil
+	return dst, nil
 }
 
 // Analyze runs block-based STA over the placed circuit and returns the
@@ -243,6 +259,30 @@ func Analyze(c *netlist.Circuit, m Model) (*Result, error) {
 	return res, nil
 }
 
+// graph is what the per-source kernel reads: the timing arcs, the
+// topological index and the kind of every cell. It holds no pointer into
+// the circuit, so an STA cache can keep and share it.
+type graph struct {
+	adj     [][]edge
+	topoIdx []int
+	kind    []netlist.Kind
+}
+
+// newGraph builds the timing graph of the placed circuit. It errors on a
+// combinational cycle.
+func newGraph(c *netlist.Circuit, m Model) (*graph, error) {
+	adj := buildArcs(c, m)
+	topoIdx, err := topoOrder(c, adj)
+	if err != nil {
+		return nil, err
+	}
+	kind := make([]netlist.Kind, len(c.Cells))
+	for i, cell := range c.Cells {
+		kind[i] = cell.Kind
+	}
+	return &graph{adj: adj, topoIdx: topoIdx, kind: kind}, nil
+}
+
 // cone is the D_max predecessor state of the current flip-flop source: the
 // arc realizing each reached cell's D_max, and the last arc of the
 // self-loop path back into the source. Its arrays are reused across
@@ -253,92 +293,115 @@ type cone struct {
 	selfU, selfNet int32
 }
 
-// propagate is the STA kernel. For each flip-flop source in cell-ID order
-// it discovers the source's combinational cone (stopping at flip-flops),
-// orders it topologically and relaxes D_max/D_min with the D_max
-// predecessor arc, then calls capture once per sequential pair the source
-// launches: the self-loop (v == src) first, then each reached flip-flop in
-// topological order. It errors on a combinational cycle.
+// scratch is the kernel's working memory for one pass over n cells,
+// reused across the sources of that pass.
+type scratch struct {
+	cone
+	dmax, dmin []float64
+	stamp      []int
+	epoch      int
+	reach      []int
+}
+
+func newScratch(n int) *scratch {
+	return &scratch{
+		cone:  cone{predU: make([]int32, n), predNet: make([]int32, n)},
+		dmax:  make([]float64, n),
+		dmin:  make([]float64, n),
+		stamp: make([]int, n),
+		reach: make([]int, 0, n),
+	}
+}
+
+// propagate is the full STA pass: it builds the graph and runs the
+// per-source kernel for each flip-flop source in cell-ID order. It errors
+// on a combinational cycle.
 func propagate(c *netlist.Circuit, m Model, capture func(k *cone, src, v int, dMax, dMin float64)) error {
-	n := len(c.Cells)
-	adj := buildArcs(c, m)
-	topoIdx, err := topoOrder(c, adj)
+	g, err := newGraph(c, m)
 	if err != nil {
 		return err
 	}
-
-	dmax := make([]float64, n)
-	dmin := make([]float64, n)
-	k := &cone{predU: make([]int32, n), predNet: make([]int32, n)}
-	stamp := make([]int, n)
-	epoch := 0
-	reach := make([]int, 0, n)
-
+	w := newScratch(len(c.Cells))
 	for _, src := range c.FlipFlops() {
-		k.src = src
-		epoch++
-		// Discover the combinational cone of src (stop at flip-flops).
-		reach = reach[:0]
-		stamp[src] = epoch
-		reach = append(reach, src)
-		for qi := 0; qi < len(reach); qi++ {
-			u := reach[qi]
-			if u != src && c.Cells[u].Kind == netlist.FF {
-				continue
-			}
-			for _, e := range adj[u] {
-				if stamp[e.to] != epoch {
-					stamp[e.to] = epoch
-					reach = append(reach, e.to)
-				}
-			}
-		}
-		// Relax in topological order.
-		sort.Slice(reach, func(a, b int) bool { return topoIdx[reach[a]] < topoIdx[reach[b]] })
-		for _, u := range reach {
-			dmax[u], dmin[u] = math.Inf(-1), math.Inf(1)
-			k.predU[u], k.predNet[u] = -1, -1
-		}
-		dmax[src], dmin[src] = 0, 0
-		// Self-loop paths (src back to its own D input) are tracked
-		// separately so they cannot corrupt the source seed.
-		selfMax, selfMin := math.Inf(-1), math.Inf(1)
-		k.selfU, k.selfNet = -1, -1
-		for _, u := range reach {
-			if (u != src && c.Cells[u].Kind == netlist.FF) || math.IsInf(dmax[u], -1) {
-				continue
-			}
-			for _, e := range adj[u] {
-				v := e.to
-				if stamp[v] != epoch {
-					continue
-				}
-				if v == src {
-					if d := dmax[u] + e.delay; d > selfMax {
-						selfMax, k.selfU, k.selfNet = d, int32(u), e.net
-					}
-					selfMin = math.Min(selfMin, dmin[u]+e.delay)
-					continue
-				}
-				if d := dmax[u] + e.delay; d > dmax[v] {
-					dmax[v] = d
-					k.predU[v], k.predNet[v] = int32(u), e.net
-				}
-				if d := dmin[u] + e.delay; d < dmin[v] {
-					dmin[v] = d
-				}
-			}
-		}
-		// Report the flip-flop capture points, the self-loop first.
-		if !math.IsInf(selfMax, -1) {
-			capture(k, src, src, selfMax, selfMin)
-		}
-		for _, v := range reach {
-			if v == src || c.Cells[v].Kind != netlist.FF || math.IsInf(dmax[v], -1) {
-				continue
-			}
-			capture(k, src, v, dmax[v], dmin[v])
-		}
+		g.source(w, src, capture)
 	}
 	return nil
+}
+
+// source is the STA kernel for one flip-flop source. It discovers the
+// source's combinational cone (stopping at flip-flops), orders it
+// topologically and relaxes D_max/D_min with the D_max predecessor arc,
+// then calls capture once per sequential pair the source launches: the
+// self-loop (v == src) first, then each reached flip-flop in topological
+// order.
+func (g *graph) source(w *scratch, src int, capture func(k *cone, src, v int, dMax, dMin float64)) {
+	k, dmax, dmin, stamp := &w.cone, w.dmax, w.dmin, w.stamp
+	k.src = src
+	w.epoch++
+	epoch := w.epoch
+	// Discover the combinational cone of src (stop at flip-flops).
+	reach := w.reach[:0]
+	stamp[src] = epoch
+	reach = append(reach, src)
+	for qi := 0; qi < len(reach); qi++ {
+		u := reach[qi]
+		if u != src && g.kind[u] == netlist.FF {
+			continue
+		}
+		for _, e := range g.adj[u] {
+			if stamp[e.to] != epoch {
+				stamp[e.to] = epoch
+				reach = append(reach, e.to)
+			}
+		}
+	}
+	w.reach = reach
+	// Relax in topological order. topoIdx is a permutation, so the order
+	// is unique.
+	topoIdx := g.topoIdx
+	slices.SortFunc(reach, func(a, b int) int { return cmp.Compare(topoIdx[a], topoIdx[b]) })
+	for _, u := range reach {
+		dmax[u], dmin[u] = math.Inf(-1), math.Inf(1)
+		k.predU[u], k.predNet[u] = -1, -1
+	}
+	dmax[src], dmin[src] = 0, 0
+	// Self-loop paths (src back to its own D input) are tracked
+	// separately so they cannot corrupt the source seed.
+	selfMax, selfMin := math.Inf(-1), math.Inf(1)
+	k.selfU, k.selfNet = -1, -1
+	for _, u := range reach {
+		if (u != src && g.kind[u] == netlist.FF) || math.IsInf(dmax[u], -1) {
+			continue
+		}
+		for _, e := range g.adj[u] {
+			v := e.to
+			if stamp[v] != epoch {
+				continue
+			}
+			if v == src {
+				if d := dmax[u] + e.delay; d > selfMax {
+					selfMax, k.selfU, k.selfNet = d, int32(u), e.net
+				}
+				selfMin = math.Min(selfMin, dmin[u]+e.delay)
+				continue
+			}
+			if d := dmax[u] + e.delay; d > dmax[v] {
+				dmax[v] = d
+				k.predU[v], k.predNet[v] = int32(u), e.net
+			}
+			if d := dmin[u] + e.delay; d < dmin[v] {
+				dmin[v] = d
+			}
+		}
+	}
+	// Report the flip-flop capture points, the self-loop first.
+	if !math.IsInf(selfMax, -1) {
+		capture(k, src, src, selfMax, selfMin)
+	}
+	for _, v := range reach {
+		if v == src || g.kind[v] != netlist.FF || math.IsInf(dmax[v], -1) {
+			continue
+		}
+		capture(k, src, v, dmax[v], dmin[v])
+	}
 }

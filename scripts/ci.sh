@@ -35,12 +35,21 @@
 #   scripts/ci.sh eco     ECO gate: the CG kernel's stagnation test, the
 #                         dirty-region solve against the reference serial
 #                         CG, the in-component CG cancel tests (placer and
-#                         eco.Apply), then the smoke: 20 random single-delta
-#                         edits at 20k cells through the incremental path,
-#                         every edit proven equivalent to the from-scratch
-#                         arm, mean edit latency at least 5x faster than a
-#                         full re-run (ECO_TIMEOUT, default 15m); the 50k
-#                         headline row is `make eco-bench`
+#                         eco.Apply), the scoped-STA tests (updated cache
+#                         bit-equal to a full Analyze after random edits
+#                         and kind-only flips, ErrCycle on a loop-closing
+#                         edit, Apply's
+#                         build/update/degraded/scratch cache contract),
+#                         the timing.sta.scope oracle negative test, the
+#                         shared-base /v1/eco concurrency test under -race,
+#                         then the smoke: 20 random single-delta edits at
+#                         20k cells through the incremental path, every
+#                         edit proven equivalent to the from-scratch arm,
+#                         mean edit latency at least 5x faster than a full
+#                         re-run, STA sources re-propagated at most a
+#                         quarter of flip-flops x edits (ECO_TIMEOUT,
+#                         default 15m); the 50k headline row is
+#                         `make eco-bench`
 #   scripts/ci.sh place   placement gate: every ^TestDetailed test under
 #                         -race (the cached-box swap loop against the
 #                         verbatim reference loop, bit for bit; the box
@@ -58,10 +67,14 @@
 #                         propagation differential tests (Analyze and
 #                         ExtractCritical bit-identical to their
 #                         pre-refactor copies on 24 generated circuits,
-#                         self-loops included), the critical-path
-#                         reweighting identity tests (feature off or boost
-#                         disabled must be bit-identical to the base flow,
-#                         at 1 and 8 workers), the swallowed-STA-error
+#                         self-loops included), the scoped-STA tests (the
+#                         cache after random edits and kind-only flips
+#                         bit-equal to a full Analyze on the same corpus,
+#                         ErrCycle on a loop-closing edit), the
+#                         critical-path reweighting identity tests
+#                         (feature off or boost disabled must be
+#                         bit-identical to the base flow, at 1 and 8
+#                         workers), the swallowed-STA-error
 #                         surface test, and the Table VIII worst-slack
 #                         acceptance run (improvement on >= 2 circuits)
 #   scripts/ci.sh skew    difference-constraint kernel gate: the kernel vs
@@ -269,7 +282,10 @@ scaling)
 eco)
     timeout="${ECO_TIMEOUT:-15m}"
     go test ./internal/placer/ -run '^(TestCGKernelReportsStagnation|TestSolveDirtyMatchesReference|TestSolveDirtyCGCancel)$' -count=1 -v
-    go test ./internal/eco/ -run '^TestApplyDegradedOnDirtyCGCancel$' -count=1 -v
+    go test ./internal/timing/ -run '^TestSTAUpdate' -count=1 -v
+    go test ./internal/eco/ -run '^(TestApplyDegradedOnDirtyCGCancel|TestApplySTACache)$' -count=1 -v
+    go test ./internal/oracle/ -run '^TestFaultSTAScopeDetected$' -count=1 -v
+    go test -race ./internal/serve/ -run '^TestECOConcurrentSharedBase$' -count=1
     go test ./internal/bench/ -run '^TestECOBenchPoint$' -count=1
     ROTARY_ECO_SMOKE=1 go test -timeout "$timeout" \
         -run '^TestECOSmoke20k$' -count=1 -v ./internal/bench/
@@ -283,7 +299,7 @@ place)
         -run '^TestPlaceSmoke50k$' -count=1 -v ./internal/core/
     ;;
 timing)
-    go test ./internal/timing/ -run '^(TestAnalyzeMatchesReference|TestExtractCriticalMatchesReference)$' -count=1 -v
+    go test ./internal/timing/ -run '^(TestAnalyzeMatchesReference|TestExtractCriticalMatchesReference|TestSTAUpdate.*)$' -count=1 -v
     go test ./internal/core/ -run '^(TestTiming|TestWorstSlack)' -count=1
     go test ./internal/placer/ -run '^TestNetWeight' -count=1
     go test ./internal/oracle/ -run '^TestFaultReweightDetected$' -count=1
