@@ -44,7 +44,8 @@ scaling-smoke:
 # ECO gate: the CG kernel's stagnation test, the dirty-region solve against
 # the reference serial CG, the in-component CG cancel tests, the scoped-STA
 # tests (cache bit-equal to a full Analyze after random edits, ErrCycle,
-# Apply's cache contract), the timing.sta.scope oracle negative, the
+# Apply's cache contract), the signal-wirelength cache test, the
+# timing.sta.scope and eco.signalwl.scope oracle negatives, the
 # shared-base /v1/eco test under -race, and the smoke: 20 random edits at
 # 20k cells, each proven equivalent to the from-scratch arm, mean edit
 # latency >= 5x a full re-run, STA sources <= a quarter of FFs x edits.
@@ -61,8 +62,9 @@ oracle:
 	SEEDS=$(SEEDS) sh scripts/ci.sh oracle
 
 # Placement gate: the ^TestDetailed tests under -race (swap loop
-# bit-identical to the reference loop), the V-cycle tests and the
-# corrupt-site oracle negative, then the 50k-cell core.Run + Audit smoke,
+# bit-identical to the reference loop), the V-cycle tests, the binned
+# MaxOverlap against the all-pairs reference and the corrupt-site oracle
+# negative, then the 50k-cell core.Run + Audit smoke,
 # which must run stage 1 through the V-cycle, under PLACE_TIMEOUT (default
 # 120s).
 place:
@@ -82,8 +84,10 @@ timing:
 skew:
 	sh scripts/ci.sh skew
 
-# Stage-3 flow gate: preload-vs-reference differential, the priced
-# preload's dual feasibility, ECO patch tests (any prices cost-equal to a
+# Stage-3 flow gate: the solver against its verbatim pre-CSR copy (flows,
+# costs and potentials bit-equal), the typed heap against container/heap,
+# allocation-free augmenting paths, the preload-vs-reference differential,
+# the priced preload's dual feasibility, ECO patch tests (any prices cost-equal to a
 # cold solve, a chained patch sequence), candidate-row reuse against cold
 # solves (bit-equal, across worker counts), the mcmf seeded-start,
 # negative-cost rejection and Push tests, the assignment and ECO oracle

@@ -405,6 +405,11 @@ func (p *Problem) newNetwork(cands [][]candidate) *network {
 	g := mcmf.NewGraph(ffBase + nFF + nR)
 	g.Obs = p.obsReg
 	g.Stop = p.Stop
+	ffArcs := 0
+	for _, cs := range cands {
+		ffArcs += len(cs)
+	}
+	g.Reserve(nFF + ffArcs + nR)
 	n := &network{
 		g:        g,
 		cands:    cands,
@@ -416,11 +421,12 @@ func (p *Problem) newNetwork(cands [][]candidate) *network {
 	for i := range cands {
 		n.src[i] = g.AddArc(srcNode, ffBase+i, 1, 0)
 	}
+	ids := make([]mcmf.ArcID, 0, ffArcs) // one backing array for every row
 	for i, cs := range cands {
-		n.arcs[i] = make([]mcmf.ArcID, len(cs))
-		for k, c := range cs {
-			n.arcs[i][k] = g.AddArc(ffBase+i, ffBase+nFF+c.ring, 1, c.cost)
+		for _, c := range cs {
+			ids = append(ids, g.AddArc(ffBase+i, ffBase+nFF+c.ring, 1, c.cost))
 		}
+		n.arcs[i] = ids[len(ids)-len(cs):]
 	}
 	for j := range n.sink {
 		n.sink[j] = g.AddArc(ffBase+nFF+j, sinkNode, p.Capacity[j], 0)

@@ -53,7 +53,9 @@ func NewECOState(c *netlist.Circuit, cfg Config, res *Result) (*eco.State, error
 
 // ApplyECO absorbs a batch of netlist deltas into the state with bounded
 // recompute (see eco.Apply for the delta semantics, rollback guarantees and
-// the strict/degraded split) and re-measures the design. When opt.Stop or
+// the strict/degraded split) and re-measures the design, taking the signal
+// wirelength from the outcome (eco.State's cache, bit-equal to a full
+// measurement) instead of walking every net again. When opt.Stop or
 // opt.Obs are nil they inherit cfg's, so serving-layer deadlines and
 // telemetry thread through unchanged.
 func ApplyECO(st *eco.State, deltas []eco.Delta, cfg Config, opt eco.Options) (*ECOResult, error) {
@@ -74,7 +76,7 @@ func ApplyECO(st *eco.State, deltas []eco.Delta, cfg Config, opt eco.Options) (*
 	}
 	r := &ECOResult{Outcome: out}
 	if asg != nil {
-		r.Final = measure(st.Circuit, cfg, asg, len(out.FFCells))
+		r.Final = measure(st.Circuit, cfg, asg, len(out.FFCells), out.SignalWL)
 	}
 	return r, nil
 }

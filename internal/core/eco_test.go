@@ -1,11 +1,13 @@
 package core
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
 	"rotaryclk/internal/eco"
 	"rotaryclk/internal/geom"
+	"rotaryclk/internal/netlist"
 )
 
 // TestApplyECORoundTrip captures a completed run as ECO state, absorbs one
@@ -78,5 +80,39 @@ func TestNewECOStateRejectsIncomplete(t *testing.T) {
 	if _, err := NewECOState(c, cfg, &skewed); err == nil ||
 		!strings.Contains(err.Error(), "out of step") {
 		t.Errorf("truncated schedule: err = %v", err)
+	}
+}
+
+// BenchmarkApplyECO times single-delta core.ApplyECO edits on a placed
+// 3,000-cell / 300-flip-flop base with 16 rings, the design the end-to-end
+// eco benchmark edits. Each sequence of 100 edits starts from a fresh clone
+// of the base, and drawing the deltas is outside the timer, so ns/op and
+// allocs/op are those of one edit.
+func BenchmarkApplyECO(b *testing.B) {
+	c, err := netlist.Generate(netlist.GenSpec{Name: "eco-base", Cells: 3000, FlipFlops: 300, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := Config{NumRings: 16, MaxIters: 2}
+	res, err := Run(c, cfg)
+	if err != nil || res.Degraded {
+		b.Fatalf("base flow: %v", err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	var st *eco.State
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if i%100 == 0 {
+			if st, err = NewECOState(c.Clone(), cfg, res); err != nil {
+				b.Fatal(err)
+			}
+		}
+		ds := eco.RandomDeltas(rng, st.Circuit, len(st.Array.Rings), 1)
+		b.StartTimer()
+		if _, err := ApplyECO(st, ds, cfg, eco.Options{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -322,7 +322,7 @@ func Run(c *netlist.Circuit, cfg Config) (*Result, error) {
 		if res.Schedule == nil {
 			res.Schedule = []float64{}
 		}
-		res.Base = measure(c, cfg, res.Assign, n)
+		res.Base = measure(c, cfg, res.Assign, n, c.SignalWL())
 		res.Final = res.Base
 		res.PerIter = append(res.PerIter, res.Base)
 		return finish()
@@ -442,7 +442,7 @@ func Run(c *netlist.Circuit, cfg Config) (*Result, error) {
 	}
 	s3.end()
 	res.Assign = asg
-	res.Base = measure(c, cfg, asg, n)
+	res.Base = measure(c, cfg, asg, n, c.SignalWL())
 	res.Final = res.Base
 	res.PerIter = append(res.PerIter, res.Base)
 
@@ -601,7 +601,7 @@ func (f *flow) iterate(iter int) (converged bool, stage int, err error) {
 	// iteration is tolerated (the pseudo-net ramp often recovers it); two
 	// in a row end the loop.
 	sp5 := itSp.Child("stage5.evaluate")
-	m := measure(c, *cfg, f.asg, n)
+	m := measure(c, *cfg, f.asg, n, c.SignalWL())
 	res.PerIter = append(res.PerIter, m)
 	res.Iterations = iter
 	cost := overallCost(cfg.Assigner, m)
@@ -832,17 +832,19 @@ func (f *flow) costDriven(cons []skew.DiffConstraint) ([]float64, error) {
 	return t, err
 }
 
-// measure collects the paper's metrics for the current placement+assignment.
-func measure(c *netlist.Circuit, cfg Config, asg *assign.Assignment, numFF int) Metrics {
+// measure collects the paper's metrics for the current placement+assignment,
+// given the circuit's signal wirelength (c.SignalWL(), or a cache bit-equal
+// to it).
+func measure(c *netlist.Circuit, cfg Config, asg *assign.Assignment, numFF int, signalWL float64) Metrics {
 	m := Metrics{
 		AFD:      asg.AvgDist,
 		TapWL:    asg.Total,
-		SignalWL: c.SignalWL(),
+		SignalWL: signalWL,
 		MaxCap:   asg.MaxCap,
 	}
 	m.TotalWL = m.TapWL + m.SignalWL
 	m.ClockPower = cfg.PowerPar.Clock(m.TapWL, numFF)
-	m.SignalPower = cfg.PowerPar.Signal(c).Power
+	m.SignalPower = cfg.PowerPar.SignalFromWL(c, signalWL).Power
 	m.TotalPower = m.ClockPower + m.SignalPower
 	st := c.Stats()
 	m.LeakPower = cfg.PowerPar.Leakage(st.Cells-st.FlipFlops, st.FlipFlops)

@@ -70,6 +70,7 @@ func Apply(st *State, deltas []Delta, opt Options) (*Outcome, error) {
 			out.Total = st.Assign.Total
 		}
 		out.WorkSlack = st.WorkSlack
+		_, out.SignalWL = signalWL(st, opt.Scratch)
 		return out, nil
 	}
 
@@ -118,6 +119,7 @@ func Apply(st *State, deltas []Delta, opt Options) (*Outcome, error) {
 			out.Total = st.Assign.Total
 		}
 		out.WorkSlack = st.WorkSlack
+		_, out.SignalWL = signalWL(st, opt.Scratch)
 		return out, nil
 	}
 	if needRebuild {
@@ -307,10 +309,15 @@ func Apply(st *State, deltas []Delta, opt Options) (*Outcome, error) {
 		return fail("assignment patch", err)
 	}
 	asgSp.End()
+	wl, total := signalWL(st, opt.Scratch)
+	if !opt.Scratch {
+		reg.Add("eco.wl.nets", int64(wl.Nets()))
+	}
 
 	// Commit.
 	st.Sys = sys
 	st.STA = sta
+	st.SignalWL = wl
 	st.FFCells = ffCells
 	st.Sched = sched
 	st.Assign = asg
@@ -320,7 +327,25 @@ func Apply(st *State, deltas []Delta, opt Options) (*Outcome, error) {
 	out.Sched = append([]float64(nil), sched...)
 	out.Assign = asg
 	out.Total = asg.Total
+	out.SignalWL = total
 	return out, nil
+}
+
+// signalWL returns the signal wirelength of the state's circuit as it
+// stands and the cache to commit with it. The incremental path updates
+// st.SignalWL (building it on first use); Scratch measures every net and
+// keeps st.SignalWL as it is.
+func signalWL(st *State, scratch bool) (*SignalWL, float64) {
+	if scratch {
+		return st.SignalWL, st.Circuit.SignalWL()
+	}
+	var w *SignalWL
+	if st.SignalWL == nil {
+		w = NewSignalWL(st.Circuit)
+	} else {
+		w = st.SignalWL.Update(st.Circuit)
+	}
+	return w, w.Total()
 }
 
 // analyze returns the sequential pairs of the edited circuit and the STA

@@ -3,7 +3,9 @@ package eco_test
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -752,4 +754,175 @@ func TestApplySTACache(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameCachedPairs(t, "apply after degraded and scratch", st)
+}
+
+// sameWL requires the state's signal-wirelength cache, and the wirelength
+// the outcome reported, to be bit-equal to a full Circuit.SignalWL.
+func sameWL(t *testing.T, label string, st *eco.State, out *eco.Outcome) {
+	t.Helper()
+	want := math.Float64bits(st.Circuit.SignalWL())
+	if st.SignalWL == nil || math.Float64bits(st.SignalWL.Total()) != want {
+		t.Fatalf("%s: cached signal WL out of step with the circuit", label)
+	}
+	if out != nil && math.Float64bits(out.SignalWL) != want {
+		t.Fatalf("%s: outcome signal WL %v, circuit %v", label, out.SignalWL, st.Circuit.SignalWL())
+	}
+}
+
+// TestApplySignalWLCache: the first incremental Apply measures every net
+// and later ones only the touched nets, a net edit included; a rolled-back
+// and a Degraded Apply keep the pre-edit cache; a Scratch Apply leaves it
+// alone, and the next incremental Apply still catches up with the scratch
+// edit. Two states forked from one base cache update it copy-on-write
+// without disturbing each other or the base.
+func TestApplySignalWLCache(t *testing.T) {
+	c, ids := chainCircuit(t)
+	st, res := baseState(t, c)
+	base := c.Clone()
+
+	reg := obs.NewRegistry()
+	out, err := eco.Apply(st, []eco.Delta{{Op: eco.OpMoveFF, Cell: ids[0].f1, X: 300, Y: 250}}, eco.Options{Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := reg.Counter("eco.wl.nets"); n != int64(len(c.Nets)) {
+		t.Fatalf("first apply measured %d nets, want all %d", n, len(c.Nets))
+	}
+	sameWL(t, "first apply", st, out)
+
+	reg = obs.NewRegistry()
+	out, err = eco.Apply(st, []eco.Delta{{Op: eco.OpEditNet, Net: 3, Cell: ids[0].tp, Add: true}}, eco.Options{Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := reg.Counter("eco.wl.nets"); n == 0 || n >= int64(len(c.Nets)) {
+		t.Fatalf("net edit measured %d of %d nets", n, len(c.Nets))
+	}
+	sameWL(t, "net edit", st, out)
+
+	pre := st.SignalWL
+	batch := []eco.Delta{
+		{Op: eco.OpMoveFF, Cell: ids[1].f2, X: 900, Y: 900},
+		{Op: eco.OpEditNet, Net: 999, Cell: ids[0].g1}, // invalid: rolls the batch back
+	}
+	if _, err := eco.Apply(st, batch, eco.Options{}); err == nil {
+		t.Fatal("invalid batch accepted")
+	}
+	if st.SignalWL != pre {
+		t.Fatal("rolled-back apply replaced the cache")
+	}
+	sameWL(t, "rollback", st, nil)
+
+	restore := faultinject.Enable(faultinject.Rule{
+		Site: faultinject.SiteEcoApplyCancel, Call: 3, Err: stop.ErrCanceled,
+	})
+	out, err = eco.Apply(st, []eco.Delta{{Op: eco.OpMoveFF, Cell: ids[1].f1, X: 500, Y: 400}}, eco.Options{})
+	restore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !out.Degraded || st.SignalWL != pre {
+		t.Fatalf("stop after timing: degraded %v, cache replaced %v", out.Degraded, st.SignalWL != pre)
+	}
+	sameWL(t, "degraded apply", st, out)
+
+	out, err = eco.Apply(st, []eco.Delta{{Op: eco.OpMoveFF, Cell: ids[1].f2, X: 800, Y: 300}}, eco.Options{Scratch: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.SignalWL != pre {
+		t.Fatal("scratch apply replaced the cache")
+	}
+	if math.Float64bits(out.SignalWL) != math.Float64bits(c.SignalWL()) {
+		t.Fatalf("scratch outcome signal WL %v, circuit %v", out.SignalWL, c.SignalWL())
+	}
+	out, err = eco.Apply(st, []eco.Delta{{Op: eco.OpMoveFF, Cell: ids[0].f2, X: 150, Y: 600}}, eco.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameWL(t, "apply after scratch", st, out)
+
+	shared := eco.NewSignalWL(base)
+	want := math.Float64bits(shared.Total())
+	var forks [2]*eco.State
+	for i := range forks {
+		fork, err := core.NewECOState(base.Clone(), testConfig(), res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fork.SignalWL = shared
+		forks[i] = fork
+	}
+	for i, d := range []eco.Delta{
+		{Op: eco.OpMoveFF, Cell: ids[0].f1, X: 700, Y: 100},
+		{Op: eco.OpEditNet, Net: 3, Cell: ids[0].tp, Add: true},
+	} {
+		out, err := eco.Apply(forks[i], []eco.Delta{d}, eco.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameWL(t, fmt.Sprintf("fork %d", i), forks[i], out)
+	}
+	if math.Float64bits(shared.Total()) != want || math.Float64bits(base.SignalWL()) != want {
+		t.Fatal("forked applies disturbed the shared base cache")
+	}
+	if forks[0].SignalWL.Total() == forks[1].SignalWL.Total() {
+		t.Fatal("forks with different edits report one wirelength")
+	}
+}
+
+// TestSignalWLUpdate drives the cache directly through random cell moves
+// (cells on no net included), pin-only sink additions and removals, and a
+// net-count change. Every update is bit-equal to Circuit.SignalWL, leaves
+// the cache it came from unchanged, and takes a snapshot: updating it again
+// against the same circuit measures no net.
+func TestSignalWLUpdate(t *testing.T) {
+	c := genCircuit(t, 300, 30, 3)
+	rng := rand.New(rand.NewSource(5))
+	die := c.Die
+	randPos := func() geom.Point {
+		return geom.Pt(die.Lo.X+rng.Float64()*die.W(), die.Lo.Y+rng.Float64()*die.H())
+	}
+	for _, cell := range c.Cells {
+		cell.Pos = randPos()
+	}
+	check := func(step int, w *eco.SignalWL) {
+		t.Helper()
+		if math.Float64bits(w.Total()) != math.Float64bits(c.SignalWL()) {
+			t.Fatalf("step %d: cached %v, SignalWL %v", step, w.Total(), c.SignalWL())
+		}
+	}
+	w := eco.NewSignalWL(c)
+	check(-1, w)
+	for step := 0; step < 300; step++ {
+		net := c.Nets[rng.Intn(len(c.Nets))]
+		switch rng.Intn(3) {
+		case 0:
+			c.Cells[rng.Intn(len(c.Cells))].Pos = randPos()
+		case 1:
+			if id := rng.Intn(len(c.Cells)); !slices.Contains(net.Pins, id) {
+				net.Pins = append(net.Pins, id)
+			}
+		case 2:
+			if len(net.Pins) > 2 {
+				k := 1 + rng.Intn(len(net.Pins)-1)
+				net.Pins = slices.Delete(slices.Clone(net.Pins), k, k+1)
+			}
+		}
+		prev, prevTotal := w, math.Float64bits(w.Total())
+		w = prev.Update(c)
+		check(step, w)
+		if math.Float64bits(prev.Total()) != prevTotal {
+			t.Fatalf("step %d: Update changed the cache it came from", step)
+		}
+		if again := w.Update(c); again.Nets() != 0 || math.Float64bits(again.Total()) != math.Float64bits(w.Total()) {
+			t.Fatalf("step %d: re-update measured %d nets", step, again.Nets())
+		}
+	}
+	c.AddNet("extra", 0, 1, 2)
+	w = w.Update(c)
+	check(300, w)
+	if w.Nets() != len(c.Nets) {
+		t.Fatalf("net-count change measured %d of %d nets", w.Nets(), len(c.Nets))
+	}
 }

@@ -1,7 +1,7 @@
 // Package eco implements incremental engineering-change-order (ECO)
 // re-optimization: after a completed placement-and-skew flow, small netlist
 // deltas (moved or added flip-flops, ring retargets, net edits) are absorbed
-// with bounded recompute instead of a full re-run. Four incremental layers
+// with bounded recompute instead of a full re-run. Five incremental layers
 // do the work:
 //
 //  1. dirty-region placement — only the cells whose connectivity or
@@ -16,12 +16,15 @@
 //     in one O(m) round and moves only the entries the edit forces;
 //  4. assignment patching — the min-cost flow starts from the previous
 //     solve's ring prices and candidate rows, so only the flip-flops those
-//     prices do not settle re-route (assign.PatchMinCost).
+//     prices do not settle re-route (assign.PatchMinCost);
+//  5. cached signal wirelength — the per-net HPWL cache (SignalWL)
+//     re-measures only the nets the edit touched and re-sums them in net
+//     order for the outcome's metrics.
 //
 // Every layer is exact, not approximate: the cached pairs are bit-equal to
 // a full analysis, the warm-started schedule is the same fixpoint a batch
-// solve reaches, and the patched assignment is cost-equal to a scratch
-// solve. Options.Scratch switches the layers to
+// solve reaches, the patched assignment is cost-equal to a scratch solve,
+// and the cached wirelength is bit-equal to Circuit.SignalWL. Options.Scratch switches the layers to
 // their from-scratch counterparts on the same orchestration, which is what
 // the ECO-vs-scratch differential oracle (internal/oracle.CheckECO)
 // compares against.
@@ -68,6 +71,11 @@ type State struct {
 	// circuit. Any cache of this circuit is valid input — Update diffs
 	// against its own snapshot — so states may share one base cache.
 	STA *timing.STA
+	// SignalWL is the per-net wirelength cache, nil until the first
+	// incremental Apply builds it. Like STA it is derived copy-on-write,
+	// committed only with the rest of the state, and diffs against its own
+	// snapshot, so states may share one base cache.
+	SignalWL *SignalWL
 
 	Params      rotary.Params
 	TModel      timing.Model
@@ -85,7 +93,8 @@ type Options struct {
 	// from the same seed (the seed is semantics, not machinery), and the
 	// assignment solves cold, every tapping row included. Same
 	// orchestration, full recompute — the oracle's reference arm. Its
-	// timing is a full timing.SeqPairs; State.STA is neither read nor
+	// timing is a full timing.SeqPairs and its wirelength a full
+	// Circuit.SignalWL; State.STA and State.SignalWL are neither read nor
 	// written.
 	Scratch bool
 	Stop    *stop.Token
@@ -119,6 +128,10 @@ type Outcome struct {
 	Sched   []float64
 	Assign  *assign.Assignment
 	Total   float64 // total tapping wirelength of the committed assignment
+
+	// SignalWL is the signal wirelength of the committed (or, when
+	// Degraded, the restored) circuit, bit-equal to Circuit.SignalWL.
+	SignalWL float64
 }
 
 // clonePinned copies the pin map (nil stays nil until a retarget lands).

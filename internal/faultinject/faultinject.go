@@ -64,6 +64,11 @@ const (
 	// source and keeps that source's stale row — the silent scoping bug the
 	// ECO oracle's cached-pair check must catch.
 	SiteTimingSTAScope = "timing.sta.scope"
+	// SiteEcoSignalWLScope corrupts (not errors) the ECO signal-wirelength
+	// cache: with a rule armed, eco.SignalWL.Update skips re-measuring its
+	// first touched net and keeps that net's stale HPWL — the silent
+	// scoping bug the ECO oracle's signal-WL check must catch.
+	SiteEcoSignalWLScope = "eco.signalwl.scope"
 
 	// Cancellation-path sites: one per long solver loop, checked every
 	// iteration via stop.Check. Arming one with stop.ErrDeadlineExceeded (or

@@ -128,20 +128,27 @@ func BoundingBox(pts []Point) (Rect, error) {
 	}
 	r := Rect{pts[0], pts[0]}
 	for _, p := range pts[1:] {
-		if p.X < r.Lo.X {
-			r.Lo.X = p.X
-		}
-		if p.Y < r.Lo.Y {
-			r.Lo.Y = p.Y
-		}
-		if p.X > r.Hi.X {
-			r.Hi.X = p.X
-		}
-		if p.Y > r.Hi.Y {
-			r.Hi.Y = p.Y
-		}
+		r = r.Extend(p)
 	}
 	return r, nil
+}
+
+// Extend returns r grown just enough to contain p, the step BoundingBox
+// takes per point.
+func (r Rect) Extend(p Point) Rect {
+	if p.X < r.Lo.X {
+		r.Lo.X = p.X
+	}
+	if p.Y < r.Lo.Y {
+		r.Lo.Y = p.Y
+	}
+	if p.X > r.Hi.X {
+		r.Hi.X = p.X
+	}
+	if p.Y > r.Hi.Y {
+		r.Hi.Y = p.Y
+	}
+	return r
 }
 
 // HPWL returns the half-perimeter wirelength of the point set, the standard

@@ -22,10 +22,10 @@
 package mcmf
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"rotaryclk/internal/faultinject"
 	"rotaryclk/internal/obs"
@@ -53,11 +53,26 @@ type arc struct {
 
 // Graph is a directed flow network with integer capacities and float costs.
 // Arcs are stored with their residual twins at index ^1.
+//
+// The adjacency is a compressed sparse row (CSR) index, rebuilt lazily by
+// the first solve after a node or arc was added: out[start[u]:start[u+1]]
+// lists u's residual arcs in insertion order, the order a per-node append
+// list would hold them in. The shortest-path search keeps its scratch on
+// the Graph, so augmenting paths after the first allocate nothing; a Graph
+// is therefore not safe for concurrent solves (a solve mutates it anyway).
 type Graph struct {
-	n    int
-	arcs []arc
-	adj  [][]int32 // node -> arc indices
-	orig []int     // original capacity per forward arc (even indices)
+	n     int
+	arcs  []arc
+	orig  []int   // original capacity per forward arc (even indices)
+	start []int32 // CSR row offsets, n+1 of them once built
+	out   []int32 // CSR arc indices
+	built int     // len(arcs) the CSR was built for
+
+	// Dijkstra scratch, grown to n by the first search that needs it.
+	dist []float64
+	prev []int32
+	done []bool
+	heap pq
 
 	// Obs receives solver telemetry (augmenting paths, shortest-path edge
 	// relaxations, units pushed). Nil falls back to the armed global
@@ -74,12 +89,18 @@ type Graph struct {
 
 // NewGraph returns a graph with n nodes (0..n-1).
 func NewGraph(n int) *Graph {
-	return &Graph{n: n, adj: make([][]int32, n)}
+	return &Graph{n: n}
+}
+
+// Reserve grows the arc storage to hold arcs more AddArc calls without
+// reallocating. It changes no answer.
+func (g *Graph) Reserve(arcs int) {
+	g.arcs = slices.Grow(g.arcs, 2*arcs)
+	g.orig = slices.Grow(g.orig, arcs)
 }
 
 // AddNode appends a node and returns its index.
 func (g *Graph) AddNode() int {
-	g.adj = append(g.adj, nil)
 	g.n++
 	return g.n - 1
 }
@@ -97,10 +118,7 @@ func (g *Graph) AddArc(u, v, capacity int, cost float64) ArcID {
 		panic("mcmf: negative capacity")
 	}
 	id := len(g.arcs)
-	g.arcs = append(g.arcs, arc{to: v, cap: capacity, cost: cost})
-	g.arcs = append(g.arcs, arc{to: u, cap: 0, cost: -cost})
-	g.adj[u] = append(g.adj[u], int32(id))
-	g.adj[v] = append(g.adj[v], int32(id+1))
+	g.arcs = append(g.arcs, arc{to: v, cap: capacity, cost: cost}, arc{to: u, cap: 0, cost: -cost})
 	g.orig = append(g.orig, capacity)
 	return ArcID(id)
 }
@@ -116,22 +134,80 @@ func (g *Graph) Cost(a ArcID) float64 { return g.arcs[a].cost }
 // Capacity returns the original capacity of arc a.
 func (g *Graph) Capacity(a ArcID) int { return g.orig[int(a)/2] }
 
+// adj returns the CSR index, rebuilding it if a node or arc was added since
+// it was built. Arc a leaves node arcs[a^1].to; filling the rows in arc
+// index order keeps each row in insertion order.
+func (g *Graph) adj() (start, out []int32) {
+	if g.built == len(g.arcs) && len(g.start) == g.n+1 {
+		return g.start, g.out
+	}
+	g.start = slices.Grow(g.start[:0], g.n+1)[:g.n+1]
+	clear(g.start)
+	for ai := range g.arcs {
+		g.start[g.arcs[ai^1].to+1]++
+	}
+	for u := 0; u < g.n; u++ {
+		g.start[u+1] += g.start[u]
+	}
+	g.out = slices.Grow(g.out[:0], len(g.arcs))[:len(g.arcs)]
+	// Each row's head advances to its end while it fills; shift the heads
+	// back one row afterwards.
+	for ai := range g.arcs {
+		u := g.arcs[ai^1].to
+		g.out[g.start[u]] = int32(ai)
+		g.start[u]++
+	}
+	copy(g.start[1:], g.start[:g.n])
+	g.start[0] = 0
+	g.built = len(g.arcs)
+	return g.start, g.out
+}
+
 type pqItem struct {
 	node int
 	dist float64
 }
 
+// pq is a binary min-heap on dist. push and pop sift exactly as
+// container/heap's Push and Pop do with Less(i, j) = dist[i] < dist[j], so
+// ties pop in the same order; the typed slice just avoids boxing every item
+// into an interface.
 type pq []pqItem
 
-func (p pq) Len() int            { return len(p) }
-func (p pq) Less(i, j int) bool  { return p[i].dist < p[j].dist }
-func (p pq) Swap(i, j int)       { p[i], p[j] = p[j], p[i] }
-func (p *pq) Push(x interface{}) { *p = append(*p, x.(pqItem)) }
-func (p *pq) Pop() interface{} {
-	old := *p
-	n := len(old)
-	it := old[n-1]
-	*p = old[:n-1]
+func (h *pq) push(it pqItem) {
+	*h = append(*h, it)
+	p := *h
+	for j := len(p) - 1; ; {
+		i := (j - 1) / 2 // parent
+		if i == j || !(p[j].dist < p[i].dist) {
+			break
+		}
+		p[i], p[j] = p[j], p[i]
+		j = i
+	}
+}
+
+func (h *pq) pop() pqItem {
+	p := *h
+	n := len(p) - 1
+	p[0], p[n] = p[n], p[0]
+	for i := 0; ; {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 {
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && p[j2].dist < p[j1].dist {
+			j = j2 // right child
+		}
+		if !(p[j].dist < p[i].dist) {
+			break
+		}
+		p[i], p[j] = p[j], p[i]
+		i = j
+	}
+	it := p[n]
+	*h = p[:n]
 	return it
 }
 
@@ -140,25 +216,28 @@ func (p *pq) Pop() interface{} {
 // (the caller's potential invariant); arcs into an already settled node are
 // never relaxed, so s, settled first, may have residual arcs of any reduced
 // cost entering it. It returns dist and the predecessor arc per node (-1 if
-// unreached).
+// unreached), both the Graph's scratch, valid until the next search.
 func (g *Graph) dijkstra(s int, pot []float64) (dist []float64, prev []int32, relaxed int) {
-	dist = make([]float64, g.n)
-	prev = make([]int32, g.n)
-	done := make([]bool, g.n)
+	start, out := g.adj()
+	if len(g.dist) < g.n {
+		g.dist, g.prev, g.done = make([]float64, g.n), make([]int32, g.n), make([]bool, g.n)
+	}
+	dist, prev, done := g.dist[:g.n], g.prev[:g.n], g.done[:g.n]
 	for i := range dist {
 		dist[i] = math.Inf(1)
 		prev[i] = -1
 	}
+	clear(done)
 	dist[s] = 0
-	h := &pq{{node: s}}
-	for h.Len() > 0 {
-		it := heap.Pop(h).(pqItem)
+	h := append(g.heap[:0], pqItem{node: s})
+	for len(h) > 0 {
+		it := h.pop()
 		u := it.node
 		if done[u] {
 			continue
 		}
 		done[u] = true
-		for _, ai := range g.adj[u] {
+		for _, ai := range out[start[u]:start[u+1]] {
 			a := &g.arcs[ai]
 			if a.cap <= 0 || done[a.to] {
 				continue
@@ -176,10 +255,11 @@ func (g *Graph) dijkstra(s int, pot []float64) (dist []float64, prev []int32, re
 				dist[a.to] = nd
 				prev[a.to] = ai
 				relaxed++
-				heap.Push(h, pqItem{node: a.to, dist: nd})
+				h.push(pqItem{node: a.to, dist: nd})
 			}
 		}
 	}
+	g.heap = h
 	return dist, prev, relaxed
 }
 
@@ -321,8 +401,9 @@ func (g *Graph) MinCostCirculation() (float64, error) {
 // or twin with capacity left): nodes in index order, each node's arcs in
 // insertion order.
 func (g *Graph) ResidualArcs(fn func(from, to int, cost float64)) {
-	for u, out := range g.adj {
-		for _, ai := range out {
+	start, out := g.adj()
+	for u := 0; u < g.n; u++ {
+		for _, ai := range out[start[u]:start[u+1]] {
 			if a := g.arcs[ai]; a.cap > 0 {
 				fn(u, a.to, a.cost)
 			}

@@ -218,18 +218,25 @@ func (c *Circuit) NumMovable() int {
 // least two pins, the placement-quality metric used throughout the paper.
 func (c *Circuit) SignalWL() float64 {
 	total := 0.0
-	pts := make([]geom.Point, 0, 8)
 	for _, n := range c.Nets {
-		if len(n.Pins) < 2 {
-			continue
-		}
-		pts = pts[:0]
-		for _, id := range n.Pins {
-			pts = append(pts, c.Cells[id].Pos)
-		}
-		total += geom.HPWL(pts)
+		total += c.NetWL(n.Pins)
 	}
 	return total
+}
+
+// NetWL returns the HPWL of the cells on pins at their current positions,
+// the bounding box geom.HPWL takes: the term SignalWL adds per net, 0 for
+// fewer than two pins.
+func (c *Circuit) NetWL(pins []int) float64 {
+	if len(pins) < 2 {
+		return 0
+	}
+	p := c.Cells[pins[0]].Pos
+	r := geom.Rect{Lo: p, Hi: p}
+	for _, id := range pins[1:] {
+		r = r.Extend(c.Cells[id].Pos)
+	}
+	return r.HalfPerimeter()
 }
 
 // Positions returns a copy of all cell positions indexed by cell ID.

@@ -34,7 +34,8 @@ func (s *ECOSpec) clone() *ECOSpec {
 // delta sequence one delta at a time through the incremental arm and the
 // scratch arm. After every delta both arms must agree on feasibility and
 // degradation, the incremental arm's cached timing pairs must be bit-equal
-// to a full analysis of its committed circuit, both arms must commit
+// to a full analysis of its committed circuit and its cached signal
+// wirelength bit-equal to a full Circuit.SignalWL, both arms must commit
 // positions and schedules within 1e-9, and totals within 1e-6 relative
 // (the patched assignment is cost-equal, not tie-equal). A
 // base flow that fails or degrades yields no comparison. The check returns
@@ -71,6 +72,9 @@ func CheckECO(s *ECOSpec, cfg core.Config, seed int64) []Violation {
 				"delta %d %s: degradation differs: eco=%v, scratch=%v", di, d, o1.Degraded, o2.Degraded)
 		}
 		if msg := checkCachedPairs(st1); msg != "" {
+			return violationf(name, seed, "delta %d %s: %s", di, d, msg)
+		}
+		if msg := checkCachedWL(st1, o1); msg != "" {
 			return violationf(name, seed, "delta %d %s: %s", di, d, msg)
 		}
 		if !closeRel(o1.Total, o2.Total, 1e-6, 1e-6) {
@@ -112,6 +116,25 @@ func checkCachedPairs(st *eco.State) string {
 			math.Float64bits(g.DMin) != math.Float64bits(w.DMin) {
 			return fmt.Sprintf("cached pair %d = %+v vs %+v from a full analysis", i, g, w)
 		}
+	}
+	return ""
+}
+
+// checkCachedWL holds the incremental arm's signal-wirelength cache, and
+// the wirelength its outcome reports, to a full Circuit.SignalWL of the
+// committed circuit, Float64bits-equal. A state whose cache is not built
+// yet passes.
+func checkCachedWL(st *eco.State, out *eco.Outcome) string {
+	if st.SignalWL == nil {
+		return ""
+	}
+	want := st.Circuit.SignalWL()
+	bits := math.Float64bits
+	if got := st.SignalWL.Total(); bits(got) != bits(want) {
+		return fmt.Sprintf("cached signal WL %.17g vs %.17g from a full measurement", got, want)
+	}
+	if bits(out.SignalWL) != bits(want) {
+		return fmt.Sprintf("reported signal WL %.17g vs %.17g from a full measurement", out.SignalWL, want)
 	}
 	return ""
 }

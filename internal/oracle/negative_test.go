@@ -194,6 +194,21 @@ func TestFaultSTAScopeDetected(t *testing.T) {
 	}
 }
 
+// TestFaultECOSignalWLDetected: skipping one touched net in the ECO
+// signal-wirelength cache (silently — the stale HPWL still sums to a
+// plausible total) must fire the ECO-vs-scratch check's cached signal-WL
+// comparison.
+func TestFaultECOSignalWLDetected(t *testing.T) {
+	rep, dir := runFaultCampaign(t, faultinject.SiteEcoSignalWLScope)
+	assertDetected(t, rep, dir, "eco/scratch")
+	for _, v := range rep.Violations {
+		if strings.HasPrefix(v.Oracle, "eco/scratch") && strings.Contains(v.Detail, "cached signal WL") {
+			return
+		}
+	}
+	t.Errorf("no violation from the cached signal-WL check: %v", rep.Violations)
+}
+
 // TestFaultReweightDetected: silently perturbing the placer's net-weight
 // overlay (the Options.NetWeights bit-identity contract) must fire the
 // timing-identity oracle, and the same instance must pass clean code.

@@ -3,6 +3,7 @@ package placer
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"rotaryclk/internal/geom"
@@ -117,27 +118,109 @@ func Legalize(c *netlist.Circuit) error {
 }
 
 // MaxOverlap returns the largest pairwise overlap area among movable cells,
-// a legality metric for tests (0 means overlap-free). It is O(n^2) on bins,
-// intended for validation, not production loops.
+// a legality metric for audits and tests (0 means overlap-free). A pair
+// counts when both overlap extents exceed 1e-9.
+//
+// Cells are binned on a uniform grid whose bins are at least the widest
+// and tallest cell, so a cell spans at most 2x2 bins, and only pairs
+// sharing a bin are measured. Two overlapping cells share the bin of their
+// overlap's low corner, a point inside both. The cost is O(n + pairs
+// sharing a bin) instead of all pairs; the rare cell with an infinite edge
+// is measured against every cell. The answer is the brute-force one bit
+// for bit: every overlapping pair is measured with the same expression,
+// and the maximum of a set does not depend on the order it is taken in or
+// on repeats.
 func MaxOverlap(c *netlist.Circuit) float64 {
-	var cells []*netlist.Cell
+	var grid, wide []cellBox
 	for _, cell := range c.Cells {
-		if !cell.Fixed && cell.W > 0 {
-			cells = append(cells, cell)
+		if cell.Fixed || !(cell.W > 0) {
+			continue
+		}
+		b := cellBox{cell.Pos.X - cell.W/2, cell.Pos.X + cell.W/2, cell.Pos.Y - cell.H/2, cell.Pos.Y + cell.H/2}
+		switch {
+		case !(b.hx > b.lx && b.hy > b.ly):
+			// Empty or NaN extent: every overlap with it is <= 0 or NaN.
+		case math.IsInf(b.lx, 0) || math.IsInf(b.hx, 0) || math.IsInf(b.ly, 0) || math.IsInf(b.hy, 0):
+			wide = append(wide, b)
+		default:
+			grid = append(grid, b)
 		}
 	}
 	worst := 0.0
-	for i := 0; i < len(cells); i++ {
-		for j := i + 1; j < len(cells); j++ {
-			a, b := cells[i], cells[j]
-			ox := math.Min(a.Pos.X+a.W/2, b.Pos.X+b.W/2) - math.Max(a.Pos.X-a.W/2, b.Pos.X-b.W/2)
-			oy := math.Min(a.Pos.Y+a.H/2, b.Pos.Y+b.H/2) - math.Max(a.Pos.Y-a.H/2, b.Pos.Y-b.H/2)
-			if ox > 1e-9 && oy > 1e-9 {
-				worst = math.Max(worst, ox*oy)
+	for i, a := range wide {
+		for _, b := range grid {
+			worst = math.Max(worst, a.overlap(b))
+		}
+		for _, b := range wide[i+1:] {
+			worst = math.Max(worst, a.overlap(b))
+		}
+	}
+	if len(grid) < 2 {
+		return worst
+	}
+	x0, x1, y0, y1 := grid[0].lx, grid[0].hx, grid[0].ly, grid[0].hy
+	maxW, maxH := 0.0, 0.0
+	for _, b := range grid {
+		x0, x1, y0, y1 = math.Min(x0, b.lx), math.Max(x1, b.hx), math.Min(y0, b.ly), math.Max(y1, b.hy)
+		maxW, maxH = math.Max(maxW, b.hx-b.lx), math.Max(maxH, b.hy-b.ly)
+	}
+	// About sqrt(n) bins a side, never narrower than the largest cell.
+	k := math.Ceil(math.Sqrt(float64(len(grid))))
+	bw, bh := math.Max(maxW, (x1-x0)/k), math.Max(maxH, (y1-y0)/k)
+	nx, ny := int(k)+1, int(k)+1
+	bin := func(v, v0, w float64, n int) int {
+		f := math.Floor((v - v0) / w)
+		if !(f >= 0) { // NaN from an overflowed span lands in bin 0 too
+			return 0
+		}
+		return int(min(f, float64(n-1)))
+	}
+	// Bucket the cells (CSR: count, prefix, fill).
+	start := make([]int32, nx*ny+1)
+	each := func(b cellBox, fn func(bi int)) {
+		for by := bin(b.ly, y0, bh, ny); by <= bin(b.hy, y0, bh, ny); by++ {
+			for bx := bin(b.lx, x0, bw, nx); bx <= bin(b.hx, x0, bw, nx); bx++ {
+				fn(by*nx + bx)
+			}
+		}
+	}
+	for _, b := range grid {
+		each(b, func(bi int) { start[bi+1]++ })
+	}
+	for i := 1; i < len(start); i++ {
+		start[i] += start[i-1]
+	}
+	items := make([]int32, start[len(start)-1])
+	fill := slices.Clone(start[:nx*ny])
+	for i, b := range grid {
+		each(b, func(bi int) { items[fill[bi]] = int32(i); fill[bi]++ })
+	}
+	// A pair sharing two or four bins is measured in each: the maximum is
+	// the same.
+	for bi := 0; bi < nx*ny; bi++ {
+		in := items[start[bi]:start[bi+1]]
+		for p, i := range in {
+			a := grid[i]
+			for _, j := range in[p+1:] {
+				worst = math.Max(worst, a.overlap(grid[j]))
 			}
 		}
 	}
 	return worst
+}
+
+// cellBox is a cell's extent: left, right, bottom and top edge.
+type cellBox struct{ lx, hx, ly, hy float64 }
+
+// overlap returns the overlap area of a and b when both extents exceed
+// 1e-9, else 0.
+func (a cellBox) overlap(b cellBox) float64 {
+	ox := math.Min(a.hx, b.hx) - math.Max(a.lx, b.lx)
+	oy := math.Min(a.hy, b.hy) - math.Max(a.ly, b.ly)
+	if ox > 1e-9 && oy > 1e-9 {
+		return ox * oy
+	}
+	return 0
 }
 
 // Density reports the utilization of the worst bin on a grid x grid

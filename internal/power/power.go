@@ -76,7 +76,13 @@ type SignalBreakdown struct {
 // every connected sink, and the buffers inserted on long wires (estimated as
 // one per BufEvery um of wirelength, the floorplan-level estimate of [31]).
 func (p Params) Signal(c *netlist.Circuit) SignalBreakdown {
-	wl := c.SignalWL()
+	return p.SignalFromWL(c, c.SignalWL())
+}
+
+// SignalFromWL is Signal for a caller that already holds the circuit's
+// total HPWL wl (c.SignalWL(), or a cache bit-equal to it), so the nets
+// are not measured twice.
+func (p Params) SignalFromWL(c *netlist.Circuit, wl float64) SignalBreakdown {
 	pins := 0
 	for _, n := range c.Nets {
 		if len(n.Pins) >= 2 {

@@ -122,22 +122,25 @@ type ECOResponse struct {
 // ecoBase is the per-spec state every ECO request against the same base
 // placement shares: the placed circuit (cloned per request — requests mutate
 // their clone), the completed result that seeds each request's ECO state,
-// and the base circuit's STA cache. The result's assignment carries the
-// candidate matrix the base run solved over and the cache one row of pairs
-// per flip-flop; requests only read them, so each one re-solves just the
-// tapping rows and re-propagates just the timing sources its edit touches.
+// and the base circuit's STA and signal-wirelength caches. The result's
+// assignment carries the candidate matrix the base run solved over, the STA
+// cache one row of pairs per flip-flop and the wirelength cache one HPWL
+// per net; requests only read them, so each one re-solves just the tapping
+// rows, re-propagates just the timing sources and re-measures just the nets
+// its edit touches.
 type ecoBase struct {
 	circuit *netlist.Circuit
 	res     *core.Result
 	sta     *timing.STA
+	wl      *eco.SignalWL
 }
 
 // applyECO is /v1/eco's own step: fork the spec's template, pick up (or
 // build) the shared base placement for the request's rings and iterations,
-// clone it, seed a fresh ECO state over the clone with the base's STA cache,
+// clone it, seed a fresh ECO state over the clone with the base's caches,
 // and absorb the delta batch. The clone means a failed or degraded apply
-// never poisons the shared base; the cache is immutable, so every request
-// updates it copy-on-write.
+// never poisons the shared base; the caches are immutable, so every request
+// updates them copy-on-write.
 func (s *Server) applyECO(req *ECORequest, cfg core.Config) (*answer, error) {
 	tmpl, _, err := s.template(req.Circuit)
 	if err != nil {
@@ -166,7 +169,7 @@ func (s *Server) applyECO(req *ECORequest, cfg core.Config) (*answer, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &ecoBase{circuit: c, res: res, sta: sta}, nil
+		return &ecoBase{circuit: c, res: res, sta: sta, wl: eco.NewSignalWL(c)}, nil
 	})
 	if err != nil {
 		return nil, &statusError{http.StatusInternalServerError, fmt.Errorf("building ECO base placement: %w", err)}
@@ -182,7 +185,7 @@ func (s *Server) applyECO(req *ECORequest, cfg core.Config) (*answer, error) {
 	if err != nil {
 		return nil, &statusError{http.StatusInternalServerError, fmt.Errorf("seeding ECO state: %w", err)}
 	}
-	st.STA = base.sta
+	st.STA, st.SignalWL = base.sta, base.wl
 	res, err := s.runECO(st, req.Deltas, cfg, eco.Options{Strict: cfg.Strict})
 	if err != nil {
 		return nil, err

@@ -2,6 +2,7 @@ package timing
 
 import (
 	"slices"
+	"sync"
 
 	"rotaryclk/internal/faultinject"
 	"rotaryclk/internal/geom"
@@ -108,12 +109,22 @@ func (s *STA) Pairs(ffIdx map[int]int) ([]skew.SeqPair, error) {
 	return out, nil
 }
 
+// scratchPool recycles kernel scratch across runs. A pooled scratch may be
+// larger than the circuit at hand: the kernel touches only the cells of the
+// cone it is sourcing, re-initializes every one of them, and its epoch only
+// grows, so no leftover value is ever read.
+var scratchPool sync.Pool
+
 // run re-propagates the given sources on s's graph and stores their rows.
 func (s *STA) run(srcs []int) {
 	if len(srcs) == 0 {
 		return
 	}
-	w := newScratch(len(s.g.kind))
+	w, _ := scratchPool.Get().(*scratch)
+	if w == nil || len(w.stamp) < len(s.g.kind) {
+		w = newScratch(len(s.g.kind))
+	}
+	defer scratchPool.Put(w)
 	var row []Pair
 	capture := func(_ *cone, src, v int, dMax, dMin float64) {
 		row = append(row, Pair{From: src, To: v, DMax: dMax, DMin: dMin})

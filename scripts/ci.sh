@@ -40,8 +40,14 @@
 #                         and kind-only flips, ErrCycle on a loop-closing
 #                         edit, Apply's
 #                         build/update/degraded/scratch cache contract),
-#                         the timing.sta.scope oracle negative test, the
-#                         shared-base /v1/eco concurrency test under -race,
+#                         the signal-wirelength cache tests (random moves
+#                         and pin edits; Apply's measured nets, net edit,
+#                         rollback, degraded, scratch and forked states;
+#                         every total bit-equal to SignalWL), the
+#                         timing.sta.scope and eco.signalwl.scope oracle
+#                         negative tests, the shared-base /v1/eco
+#                         concurrency test under -race (it also shares the
+#                         pooled STA kernel scratch across goroutines),
 #                         then the smoke: 20 random single-delta edits at
 #                         20k cells through the incremental path, every
 #                         edit proven equivalent to the from-scratch arm,
@@ -56,7 +62,10 @@
 #                         bookkeeping cases), the V-cycle tests (below-floor
 #                         Global bit-identical to the flat loop at 1 and 8
 #                         workers, coarsening invariants, cancellation and
-#                         degenerate fallbacks), the corrupt-site oracle
+#                         degenerate fallbacks), the binned MaxOverlap
+#                         against the all-pairs reference loop (bit-equal
+#                         on overlapping, legal and degenerate placements),
+#                         the corrupt-site oracle
 #                         negative test, then a non-race 50k-cell core.Run +
 #                         Audit smoke that must run stage 1 through the
 #                         V-cycle (placer.ml.vcycles == 1), under a
@@ -87,7 +96,12 @@
 #                         residual Bellman-Ford (bit-identical distances),
 #                         the max-slack and min-Delta oracle negative tests,
 #                         and the golden tables
-#   scripts/ci.sh assign  stage-3 min-cost flow gate: the cheapest-ring
+#   scripts/ci.sh assign  stage-3 min-cost flow gate: the solver against
+#                         its verbatim pre-CSR container/heap copy (random
+#                         tied, preloaded and circulation graphs; flows,
+#                         costs and potentials bit-equal), the typed heap's
+#                         pop order against container/heap, the
+#                         allocation-free augmenting paths, the cheapest-ring
 #                         preload vs the zero-start reference solve (loose,
 #                         tight, pinned, pruned, fallback, ladder and tied
 #                         instances), the priced preload's dual feasibility
@@ -283,8 +297,8 @@ eco)
     timeout="${ECO_TIMEOUT:-15m}"
     go test ./internal/placer/ -run '^(TestCGKernelReportsStagnation|TestSolveDirtyMatchesReference|TestSolveDirtyCGCancel)$' -count=1 -v
     go test ./internal/timing/ -run '^TestSTAUpdate' -count=1 -v
-    go test ./internal/eco/ -run '^(TestApplyDegradedOnDirtyCGCancel|TestApplySTACache)$' -count=1 -v
-    go test ./internal/oracle/ -run '^TestFaultSTAScopeDetected$' -count=1 -v
+    go test ./internal/eco/ -run '^(TestApplyDegradedOnDirtyCGCancel|TestApplySTACache|TestApplySignalWLCache|TestSignalWLUpdate)$' -count=1 -v
+    go test ./internal/oracle/ -run '^(TestFaultSTAScopeDetected|TestFaultECOSignalWLDetected)$' -count=1 -v
     go test -race ./internal/serve/ -run '^TestECOConcurrentSharedBase$' -count=1
     go test ./internal/bench/ -run '^TestECOBenchPoint$' -count=1
     ROTARY_ECO_SMOKE=1 go test -timeout "$timeout" \
@@ -293,7 +307,7 @@ eco)
 place)
     timeout="${PLACE_TIMEOUT:-120s}"
     go test -race ./internal/placer/ -run '^TestDetailed' -count=1
-    go test ./internal/placer/ -run '^(TestMultilevel|TestVCycle|TestCoarsen|TestProjectOverlays|TestInterpolate)' -count=1
+    go test ./internal/placer/ -run '^(TestMultilevel|TestVCycle|TestCoarsen|TestProjectOverlays|TestInterpolate|TestMaxOverlapMatchesReference$)' -count=1
     go test ./internal/oracle/ -run '^TestFaultMLCorruptDetected$' -count=1
     ROTARY_PLACE_SMOKE=1 go test -timeout "$timeout" \
         -run '^TestPlaceSmoke50k$' -count=1 -v ./internal/core/
@@ -312,7 +326,7 @@ skew)
     ;;
 assign)
     go test ./internal/assign/ -run '^(TestMinCostMatchesReference|TestPreloadDualFeasible|TestPatch|TestMinCostRowReuseBitEquality|TestMinMaxCapRowReuseBitEquality|TestAssignDeterministicAcrossWorkerCounts)' -count=1 -v
-    go test ./internal/mcmf/ -run '^(TestMinCostFlowFromSeedPotentials|TestMinCostFlowRejectsNegativeCost|TestNegativeCostFlowViaBellmanFord|TestNegativeCycleIsError|TestPushMovesCapacity|TestPushMisusePanics|TestResidualArcs)$' -count=1 -v
+    go test ./internal/mcmf/ -run '^(TestMinCostFlowMatchesReference|TestHeapMatchesContainerHeap|TestAugmentingPathsAllocateNothing|TestMinCostFlowFromSeedPotentials|TestMinCostFlowRejectsNegativeCost|TestNegativeCostFlowViaBellmanFord|TestNegativeCycleIsError|TestPushMovesCapacity|TestPushMisusePanics|TestResidualArcs)$' -count=1 -v
     go test ./internal/oracle/ -run '^(TestFaultMcmfDetected|TestFaultECODetected)$' -count=1
     go test ./internal/exp -run '^TestGolden' -count=1
     ;;
