@@ -1,13 +1,13 @@
-# Tier-1 gate, race gate, fuzz smoke, benchmark baseline, placer perf
-# comparison, differential-oracle campaign, ECO smoke, placement
-# gate, golden tables, skew kernel gate, stage-3 flow gate,
-# benchmark-harness gate, and coverage gate.
+# Tier-1 gate, race gate, fuzz smoke, differential-oracle campaign, ECO
+# smoke, placement gate, golden tables, skew kernel gate, stage-3 flow
+# gate, benchmark-harness gate, and coverage gate; `make scaling` writes
+# BENCH_scaling.json.
 # See scripts/ci.sh. `make ci` chains the deterministic gates.
 
 SEEDS ?= 25
 BASE ?= HEAD~1
 
-.PHONY: test race fuzz serve bench benchcmp scaling scaling-smoke eco eco-bench oracle place timing skew assign benchmark golden cover loc ci
+.PHONY: test race fuzz serve scaling scaling-smoke eco oracle place timing skew assign benchmark golden cover loc ci
 
 test:
 	sh scripts/ci.sh test
@@ -23,19 +23,13 @@ fuzz:
 serve:
 	sh scripts/ci.sh serve
 
-bench:
-	sh scripts/ci.sh bench
-
-benchcmp:
-	sh scripts/ci.sh benchcmp
-
-# Full geometric size sweep (1k..512k cells) -> BENCH_scaling.json, with the
-# production 24-round spreading schedule so the rows measure the placement
-# the flow actually ships: flat at or below the V-cycle's 2500-movable-cell
-# floor, multilevel above it (the abbreviated -spread 8 schedule understates
-# the V-cycle, whose cost is nearly schedule-independent).
+# The one writer of BENCH_scaling.json: the size sweep (1k..128k cells,
+# doubling; each size one audited core.Run at Parallelism 1 and at
+# GOMAXPROCS, times from the run's spans) plus the 50k-cell, 20-edit ECO
+# row, which must be >= 10x faster per edit than a full re-run. Nothing is
+# written unless every row passes.
 scaling:
-	go run ./cmd/rotaryscale -spread 24 -out BENCH_scaling.json
+	go run ./cmd/rotaryscale -out BENCH_scaling.json
 
 # Race-enabled 50k-cell smoke (the CI gate; minutes, not the full sweep).
 scaling-smoke:
@@ -51,12 +45,6 @@ scaling-smoke:
 # latency >= 5x a full re-run, STA sources <= a quarter of FFs x edits.
 eco:
 	sh scripts/ci.sh eco
-
-# ECO headline row: 50k cells, 20 edits, >= 10x -> BENCH_scaling.json eco
-# section.
-eco-bench:
-	go run ./cmd/rotaryscale -eco -eco-cells 50000 -eco-edits 20 \
-		-eco-min-speedup 10 -out BENCH_scaling.json
 
 oracle:
 	SEEDS=$(SEEDS) sh scripts/ci.sh oracle

@@ -1,63 +1,47 @@
-// Command rotaryscale runs the solver-core size sweep: synthetic circuits at
-// geometric cell counts through generate -> quadratic-system build -> global
-// place -> min-max-capacitance assignment, recording ns/cell and allocs/cell
-// per stage to a JSON report (BENCH_scaling.json by convention; rendered by
-// `scripts/ci.sh benchcmp`).
+// Command rotaryscale writes the scaling report (BENCH_scaling.json by
+// convention) in one invocation:
 //
-// With -eco it instead runs the ECO edit-latency benchmark — a base flow at
-// -eco-cells, then -eco-edits random edit batches through core.ApplyECO,
-// each checked against a from-scratch arm and timed against a full
-// from-scratch re-run — and merges the row into the report's eco section,
-// leaving the sweep points untouched.
+//   - the size sweep: one audited core.Run of the Fig. 3 flow per size and
+//     worker count (Parallelism 1 and GOMAXPROCS), every time read from the
+//     run's spans (internal/bench.RunScaling);
+//   - the ECO row: a 50k-cell base flow, then 20 random single-delta edits
+//     through core.ApplyECO, each checked against a from-scratch arm and
+//     timed against a full re-run (internal/bench.RunECOBench), which must
+//     be at least 10x faster per edit.
+//
+// Nothing is written unless every row passes.
 //
 // Usage:
 //
-//	rotaryscale [-sizes 1024,4096,...] [-out BENCH_scaling.json] [-seed 1]
-//	            [-spread 8] [-p 0]
-//	rotaryscale -eco [-eco-cells 50000] [-eco-edits 20] [-eco-deltas 1]
-//	            [-eco-min-speedup 0] [-out BENCH_scaling.json]
+//	rotaryscale [-sizes 1024,2048,...] [-out BENCH_scaling.json] [-seed 1]
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 
 	"rotaryclk/internal/bench"
 )
 
+// ecoMinSpeedup is the required speedup of the mean ECO edit over a full
+// re-run, for the default 50k-cell, 20-edit row.
+const ecoMinSpeedup = 10
+
 func main() {
 	var (
-		sizes  = flag.String("sizes", "", "comma-separated cell counts (default geometric 1k..512k)")
-		out    = flag.String("out", "BENCH_scaling.json", "output JSON path")
-		seed   = flag.Int64("seed", 1, "generator seed")
-		spread = flag.Int("spread", 8, "global-placement spreading rounds per point")
-		par    = flag.Int("p", 0, "parallelism (0 = GOMAXPROCS)")
-
-		ecoMode    = flag.Bool("eco", false, "run the ECO edit-latency benchmark instead of the sweep")
-		ecoCells   = flag.Int("eco-cells", 50000, "circuit size for the ECO benchmark")
-		ecoEdits   = flag.Int("eco-edits", 20, "sequential edit batches to apply")
-		ecoDeltas  = flag.Int("eco-deltas", 1, "deltas per edit batch")
-		ecoSpeedup = flag.Float64("eco-min-speedup", 0, "exit nonzero if the eco-vs-rerun speedup falls below this (0 = no bound)")
+		sizes = flag.String("sizes", "", "comma-separated cell counts (default geometric 1k..128k)")
+		out   = flag.String("out", "BENCH_scaling.json", "output JSON path")
+		seed  = flag.Int64("seed", 1, "generator seed")
 	)
 	flag.Parse()
 
-	if *ecoMode {
-		os.Exit(runECO(*out, *seed, *par, *ecoCells, *ecoEdits, *ecoDeltas, *ecoSpeedup))
+	logf := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, format+"\n", args...)
 	}
-
-	opt := bench.ScalingOptions{
-		Seed:        *seed,
-		SpreadIters: *spread,
-		Parallelism: *par,
-		Log: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		},
-	}
+	opt := bench.ScalingOptions{Seed: *seed, Log: logf}
 	if *sizes != "" {
 		for _, f := range strings.Split(*sizes, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(f))
@@ -69,62 +53,27 @@ func main() {
 		}
 	}
 
-	swept, err := bench.RunScaling(opt)
+	rep, err := bench.RunScaling(opt)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "rotaryscale:", err)
-		os.Exit(1)
+		fatal(err)
 	}
-
-	// The sweep replaces the recorded points but keeps the eco section of an
-	// existing report.
-	rep := swept
-	var prior bench.ScalingReport
-	if data, err := os.ReadFile(*out); err == nil && json.Unmarshal(data, &prior) == nil {
-		rep.ECO = prior.ECO
+	pt, err := bench.RunECOBench(bench.ECOOptions{Seed: *seed, Log: logf})
+	if err != nil {
+		fatal(err)
 	}
+	fmt.Printf("eco @ %d cells: %.1fx speedup (eco mean %.2f ms vs full re-run %.0f ms, %.2f%% dirty, checked)\n",
+		pt.Cells, pt.Speedup, float64(pt.EcoMeanNS)/1e6, float64(pt.FullNS)/1e6, 100*pt.DirtyCellFrac)
+	if pt.Speedup < ecoMinSpeedup {
+		fatal(fmt.Errorf("eco speedup %.1fx below the required %dx", pt.Speedup, ecoMinSpeedup))
+	}
+	rep.ECO = []bench.ECOPoint{*pt}
 	if err := rep.WriteJSON(*out); err != nil {
-		fmt.Fprintln(os.Stderr, "rotaryscale:", err)
-		os.Exit(1)
+		fatal(err)
 	}
-	fmt.Printf("wrote %s (%d points)\n", *out, len(rep.Points))
+	fmt.Printf("wrote %s (%d sweep rows, 1 eco row)\n", *out, len(rep.Points))
 }
 
-// runECO executes the edit-latency benchmark and merges the row into the
-// report at path, preserving any recorded sweep points.
-func runECO(path string, seed int64, par, cells, edits, deltas int, minSpeedup float64) int {
-	pt, err := bench.RunECOBench(bench.ECOOptions{
-		Cells:         cells,
-		Edits:         edits,
-		DeltasPerEdit: deltas,
-		Seed:          seed,
-		Parallelism:   par,
-		Log: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		},
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rotaryscale:", err)
-		return 1
-	}
-
-	rep := &bench.ScalingReport{Schema: "rotaryclk-scaling/v1", Seed: seed, GoMaxProcs: runtime.GOMAXPROCS(0)}
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, rep); err != nil {
-			fmt.Fprintf(os.Stderr, "rotaryscale: existing %s does not parse: %v\n", path, err)
-			return 1
-		}
-	}
-	rep.SetECOPoint(*pt)
-	if err := rep.WriteJSON(path); err != nil {
-		fmt.Fprintln(os.Stderr, "rotaryscale:", err)
-		return 1
-	}
-	fmt.Printf("eco @ %d cells: %.1fx speedup (eco mean %.2f ms vs full re-run %.0f ms, %.2f%% dirty, checked); merged into %s\n",
-		pt.Cells, pt.Speedup, float64(pt.EcoMeanNS)/1e6, float64(pt.FullNS)/1e6,
-		100*pt.DirtyCellFrac, path)
-	if minSpeedup > 0 && pt.Speedup < minSpeedup {
-		fmt.Fprintf(os.Stderr, "rotaryscale: speedup %.1fx below the required %.1fx\n", pt.Speedup, minSpeedup)
-		return 1
-	}
-	return 0
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "rotaryscale:", err)
+	os.Exit(1)
 }

@@ -1,10 +1,10 @@
 // ECO edit-latency harness: the headline benchmark of the incremental
 // re-optimization path (internal/eco). One base flow runs at the requested
-// size, then a stream of small random edit batches is absorbed through
+// size, then a stream of single-delta random edits is absorbed through
 // core.ApplyECO, timing each apply; the claim under test is edit latency vs
 // a full from-scratch re-run of the flow on the same edited netlist (target
-// >=10x at 50k cells for <=1% dirty cells). Results land in the eco section
-// of BENCH_scaling.json via cmd/rotaryscale -eco.
+// >=10x at 50k cells for <=1% dirty cells). cmd/rotaryscale records the 50k
+// row in the eco section of BENCH_scaling.json beside the size sweep.
 package bench
 
 import (
@@ -23,22 +23,23 @@ import (
 type ECOOptions struct {
 	// Cells sizes the synthetic circuit (default 50000).
 	Cells int
-	// Edits is the number of sequential edit batches applied to the live
-	// state (default 20).
+	// Edits is the number of sequential single-delta edits applied to the
+	// live state (default 20).
 	Edits int
-	// DeltasPerEdit is the batch size of each edit (default 1 — the
-	// single-edit latency the ECO mode exists for).
-	DeltasPerEdit int
-	// Iters bounds the flow iterations of the base run and the scratch
-	// re-run (default 2, the benchmark/serving convention).
-	Iters int
 	// Seed feeds the generator and the delta stream.
 	Seed int64
-	// Parallelism bounds solver workers (0 = GOMAXPROCS).
-	Parallelism int
 	// Log, when non-nil, receives one progress line per edit.
 	Log func(format string, args ...any)
 }
+
+const (
+	// ecoDeltasPerEdit is the batch size of each edit: the single-edit
+	// latency the ECO mode exists for.
+	ecoDeltasPerEdit = 1
+	// ecoIters bounds the flow iterations of the base run and the scratch
+	// re-run (the benchmark/serving convention).
+	ecoIters = 2
+)
 
 func (o *ECOOptions) normalize() {
 	if o.Cells <= 0 {
@@ -46,12 +47,6 @@ func (o *ECOOptions) normalize() {
 	}
 	if o.Edits <= 0 {
 		o.Edits = 20
-	}
-	if o.DeltasPerEdit <= 0 {
-		o.DeltasPerEdit = 1
-	}
-	if o.Iters <= 0 {
-		o.Iters = 2
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
@@ -81,7 +76,7 @@ type ECOPoint struct {
 	Speedup float64 `json:"speedup"`
 	// Checked records that the inline patch-vs-scratch equivalence check
 	// ran (and, since a violation is an error, passed). RunECOBench always
-	// runs it; older reports may hold rows recorded without it.
+	// runs it.
 	Checked bool `json:"checked"`
 	// STASources totals the flip-flop sources the incremental arm's timing
 	// re-propagated over all edits (counter eco.sta.sources), the first
@@ -107,11 +102,7 @@ func RunECOBench(opt ECOOptions) (*ECOPoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := core.Config{
-		NumRings:    ringsFor(opt.Cells),
-		MaxIters:    opt.Iters,
-		Parallelism: opt.Parallelism,
-	}
+	cfg := core.Config{NumRings: ringsFor(opt.Cells), MaxIters: ecoIters}
 
 	t0 := time.Now()
 	res, err := core.Run(c, cfg)
@@ -134,14 +125,14 @@ func RunECOBench(opt ECOOptions) (*ECOPoint, error) {
 	rng := rand.New(rand.NewSource(opt.Seed + 31*int64(opt.Cells)))
 	pt := &ECOPoint{
 		Cells: opt.Cells, FFs: len(st.FFCells), Rings: len(st.Array.Rings),
-		Edits: opt.Edits, DeltasPerEdit: opt.DeltasPerEdit,
+		Edits: opt.Edits, DeltasPerEdit: ecoDeltasPerEdit,
 		BaseNS: baseNS, Checked: true,
 	}
 	var ecoTotal, ecoMax int64
 	var dirtyFrac float64
 	reg := obs.NewRegistry()
 	for e := 0; e < opt.Edits; e++ {
-		deltas := eco.RandomDeltas(rng, st.Circuit, pt.Rings, opt.DeltasPerEdit)
+		deltas := eco.RandomDeltas(rng, st.Circuit, pt.Rings, ecoDeltasPerEdit)
 		t0 = time.Now()
 		out, err := core.ApplyECO(st, deltas, cfg, eco.Options{Obs: reg})
 		d := time.Since(t0).Nanoseconds()

@@ -28,21 +28,6 @@ func TestECOBenchPoint(t *testing.T) {
 	}
 }
 
-// TestSetECOPoint pins the merge-in-place semantics of the report's eco
-// section.
-func TestSetECOPoint(t *testing.T) {
-	var rep ScalingReport
-	rep.SetECOPoint(ECOPoint{Cells: 2000, Speedup: 3})
-	rep.SetECOPoint(ECOPoint{Cells: 50000, Speedup: 12})
-	rep.SetECOPoint(ECOPoint{Cells: 2000, Speedup: 5})
-	if len(rep.ECO) != 2 {
-		t.Fatalf("eco rows %d, want 2", len(rep.ECO))
-	}
-	if rep.ECO[0].Speedup != 5 || rep.ECO[1].Speedup != 12 {
-		t.Errorf("merge did not replace in place: %+v", rep.ECO)
-	}
-}
-
 // TestECOSmoke20k is the CI eco smoke (`scripts/ci.sh eco`): 20 random
 // single-delta edits at 20k cells, every edit proven equivalent to the
 // scratch arm, the mean edit at least 5x faster than a full re-run, and the

@@ -13,9 +13,9 @@
 // injector exactly like they share any other process-global resource).
 //
 // The injector is intentionally not keyed off build tags: the hooks compile
-// into production binaries, and the zero-overhead claim is enforced by
-// benchmark (BenchmarkRunAllSuite vs BENCH_baseline.json) rather than by
-// conditional compilation, so the tested binary is the shipped binary.
+// into production binaries, so the tested binary is the shipped binary. The
+// zero-overhead claim is measured by BenchmarkRunAllSuite
+// (`go test -bench RunAllSuite ./internal/exp/`); no gate enforces it.
 package faultinject
 
 import (

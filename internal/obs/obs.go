@@ -5,9 +5,9 @@
 // disarmed fast path is one atomic pointer load (Resolve(nil) == nil) and
 // every Registry/Span method is a no-op on a nil receiver, so instrumented
 // code never branches on "is observability on" — it just calls through.
-// The zero-overhead claim is enforced by benchmark (BenchmarkRunAllSuite vs
-// BENCH_baseline.json) rather than by build tags, so the measured binary is
-// the shipped binary.
+// No build tags switch it off, so the measured binary is the shipped binary.
+// The zero-overhead claim is measured by BenchmarkRunAllSuite
+// (`go test -bench RunAllSuite ./internal/exp/`); no gate enforces it.
 //
 // Two ways to obtain a registry:
 //

@@ -1,5 +1,5 @@
 #!/bin/sh
-# CI entry points for the repo: test, race, bench.
+# CI entry points for the repo, one subcommand per gate (usage below).
 #
 #   scripts/ci.sh test    go build + gofmt -l + go vet + go test over every
 #                         package (tier-1 gate)
@@ -11,27 +11,19 @@
 #                         /v1/eco requests, zero failures), a deadline-bound
 #                         oversized job that must degrade within its budget,
 #                         and SIGTERM -> graceful drain -> exit 0
-#   scripts/ci.sh bench   run the benchmark suite with -benchmem and record
-#                         it as BENCH_baseline.json so future PRs have a
-#                         perf trajectory to compare against
-#   scripts/ci.sh benchcmp
-#                         run the placer hot-path benchmarks
-#                         (BenchmarkGlobalPlace, BenchmarkSystemBuildVsReuse,
-#                         BenchmarkCGSolve) and diff ns/op and allocs/op
-#                         against the recorded BENCH_baseline.json, so the
-#                         build-once reuse perf claim is reproducible in one
-#                         command; the baseline file is NOT rewritten
 #   scripts/ci.sh oracle  run the differential-testing campaign
 #                         (cmd/rotaryoracle): SEEDS random instances through
 #                         every reference solver and metamorphic oracle,
 #                         failing with minimized repros under
 #                         testdata/repros/ on any violation (default 25
 #                         seeds; SEEDS=200 is the acceptance depth)
-#   scripts/ci.sh scaling race-enabled 50k-cell generate + place + assign
-#                         smoke under a wall-clock budget (SCALING_TIMEOUT,
-#                         default 10m), plus the tiny sweep-point unit test;
-#                         the full geometric sweep is `make scaling`
-#                         (cmd/rotaryscale -> BENCH_scaling.json)
+#   scripts/ci.sh scaling race-enabled 50k-cell sweep size (an audited
+#                         core.Run at Parallelism 1 and GOMAXPROCS, final
+#                         quality bit-equal) under a wall-clock budget
+#                         (SCALING_TIMEOUT, default 10m), plus the small
+#                         sweep-size and degraded-run-refusal unit tests;
+#                         `make scaling` (cmd/rotaryscale) is the one
+#                         writer of BENCH_scaling.json rows
 #   scripts/ci.sh eco     ECO gate: the CG kernel's stagnation test, the
 #                         dirty-region solve against the reference serial
 #                         CG, the in-component CG cancel tests (placer and
@@ -54,8 +46,8 @@
 #                         mean edit latency at least 5x faster than a full
 #                         re-run, STA sources re-propagated at most a
 #                         quarter of flip-flops x edits (ECO_TIMEOUT,
-#                         default 15m); the 50k headline row is
-#                         `make eco-bench`
+#                         default 15m); the 50k headline row is written
+#                         by `make scaling`
 #   scripts/ci.sh place   placement gate: every ^TestDetailed test under
 #                         -race (the cached-box swap loop against the
 #                         verbatim reference loop, bit for bit; the box
@@ -132,10 +124,6 @@
 #                         working tree against BASE (default HEAD~1), the
 #                         delta each change reports in CHANGES.md; files new
 #                         since BASE count once staged with git add
-#
-# BENCHTIME overrides the bench sampling (default 1x: one timed iteration
-# per benchmark keeps the whole suite under a couple of minutes; use e.g.
-# BENCHTIME=2s for publication-grade numbers).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -199,97 +187,9 @@ oracle)
     seeds="${SEEDS:-25}"
     go run ./cmd/rotaryoracle -seeds "$seeds" -v
     ;;
-bench)
-    benchtime="${BENCHTIME:-1x}"
-    out="${BENCH_OUT:-BENCH_baseline.json}"
-    raw="$(mktemp)"
-    trap 'rm -f "$raw"' EXIT
-    go test -run='^$' -bench . -benchmem -benchtime "$benchtime" ./... | tee "$raw"
-    # Convert `go test -bench` lines into a JSON array so the baseline is
-    # machine-readable: one object per benchmark with ns/op, B/op,
-    # allocs/op, and any custom metrics.
-    awk -v benchtime="$benchtime" '
-        BEGIN { print "[" }
-        /^Benchmark/ {
-            name = $1; iters = $2
-            line = sep "  {\"name\": \"" name "\", \"iterations\": " iters
-            for (i = 3; i < NF; i += 2) {
-                unit = $(i + 1)
-                gsub(/"/, "", unit)
-                line = line ", \"" unit "\": " $i
-            }
-            print line "}"
-            sep = ","
-        }
-        END { print "]" }
-    ' "$raw" > "$out"
-    echo "wrote $out (benchtime $benchtime)"
-    ;;
-benchcmp)
-    benchtime="${BENCHTIME:-1x}"
-    baseline="${BENCH_BASELINE:-BENCH_baseline.json}"
-    raw="$(mktemp)"
-    trap 'rm -f "$raw"' EXIT
-    go test -run '^$' \
-        -bench '^(BenchmarkGlobalPlace|BenchmarkSystemBuildVsReuse|BenchmarkCGSolve)$' \
-        -benchmem -benchtime "$benchtime" ./internal/placer/ | tee "$raw"
-    echo
-    echo "=== comparison against $baseline (ns/op, allocs/op) ==="
-    awk -v baseline="$baseline" '
-        BEGIN {
-            # Index the baseline: one JSON object per line, machine-written
-            # by `scripts/ci.sh bench` (name, ns/op, allocs/op fields).
-            while ((getline line < baseline) > 0) {
-                if (match(line, /"name": "[^"]*"/)) {
-                    name = substr(line, RSTART + 9, RLENGTH - 10)
-                    ns = ""; al = ""
-                    if (match(line, /"ns\/op": [0-9.e+]*/))
-                        ns = substr(line, RSTART + 9, RLENGTH - 9)
-                    if (match(line, /"allocs\/op": [0-9.e+]*/))
-                        al = substr(line, RSTART + 13, RLENGTH - 13)
-                    baseNs[name] = ns; baseAl[name] = al
-                }
-            }
-            printf "%-42s %14s %14s %9s %9s\n", "benchmark", "ns/op", "base-ns/op", "ns-ratio", "allocs-x"
-        }
-        /^Benchmark/ {
-            name = $1
-            sub(/-[0-9]+$/, "", name) # strip the GOMAXPROCS suffix
-            ns = $3
-            al = ""
-            for (i = 4; i < NF; i++)
-                if ($(i + 1) == "allocs/op") al = $i
-            if (!(name in baseNs)) {
-                printf "%-42s %14s %14s %9s %9s\n", name, ns, "(new)", "-", "-"
-                next
-            }
-            nsr = (baseNs[name] > 0) ? ns / baseNs[name] : 0
-            alr = (baseAl[name] != "" && baseAl[name] > 0 && al != "") ? baseAl[name] / al : 0
-            printf "%-42s %14s %14s %8.2fx %8.2fx\n", name, ns, baseNs[name], nsr, alr
-        }
-    ' "$raw"
-    echo "(ns-ratio < 1 is faster than baseline; allocs-x is the allocation reduction factor)"
-    scaling="${BENCH_SCALING:-BENCH_scaling.json}"
-    if [ -f "$scaling" ]; then
-        echo
-        echo "=== size sweep ($scaling, read-only) ==="
-        awk '
-            BEGIN { printf "%10s %8s %7s %12s %14s %10s\n", "cells", "ffs", "rings", "ns/cell", "allocs/cell", "total-ms" }
-            /"cells":/      { gsub(/[^0-9]/, "", $2); cells = $2 }
-            /"ffs":/        { gsub(/[^0-9]/, "", $2); ffs = $2 }
-            /"rings":/      { gsub(/[^0-9]/, "", $2); rings = $2 }
-            /"total_ns":/   { gsub(/[^0-9]/, "", $2); total = $2 }
-            /"ns_per_cell":/    { gsub(/[^0-9.]/, "", $2); nspc = $2 }
-            /"allocs_per_cell":/ {
-                gsub(/[^0-9.]/, "", $2)
-                printf "%10d %8d %7d %12.0f %14.1f %10.0f\n", cells, ffs, rings, nspc, $2, total / 1e6
-            }
-        ' "$scaling"
-    fi
-    ;;
 scaling)
     timeout="${SCALING_TIMEOUT:-10m}"
-    go test ./internal/bench/ -run '^TestScalingPoint$' -count=1
+    go test ./internal/bench/ -run '^(TestScalingPoint|TestScalingRefusesDegradedRun)$' -count=1
     ROTARY_SCALING_SMOKE=1 go test -race -timeout "$timeout" \
         -run '^TestScaling50k$' -count=1 -v ./internal/bench/
     ;;
@@ -376,7 +276,7 @@ loc)
         END { printf "non-test Go lines vs %s: +%d -%d, net %+d\n", base, added, removed, added - removed }'
     ;;
 *)
-    echo "usage: scripts/ci.sh {test|race|fuzz|serve|bench|benchcmp|scaling|eco|oracle|place|timing|skew|assign|benchmark|golden|cover|loc}" >&2
+    echo "usage: scripts/ci.sh {test|race|fuzz|serve|scaling|eco|oracle|place|timing|skew|assign|benchmark|golden|cover|loc}" >&2
     exit 2
     ;;
 esac
