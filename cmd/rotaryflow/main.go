@@ -8,10 +8,11 @@
 //	rotaryflow -bench path/to/circuit.bench -rings 16
 //	rotaryflow -circuit s9234 -metrics metrics.json -trace trace.txt -cpuprofile cpu.pprof
 //
-// -metrics / -trace arm the observability layer: the flow records solver
-// counters and a per-stage span tree, written as JSON (-metrics) or indented
-// text (-trace); "-" writes to stdout. The snapshots are written even when
-// the flow degrades or fails, so a stuck run can be diagnosed from its spans.
+// The flow always records solver counters and a per-stage span tree; the
+// span tree is the source of the printed CPU split. -metrics / -trace write
+// that snapshot as JSON (-metrics) or indented text (-trace); "-" writes to
+// stdout. The snapshots are written even when the flow degrades or fails,
+// so a stuck run can be diagnosed from its spans.
 package main
 
 import (
@@ -148,8 +149,8 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "rotaryflow: unknown objective %q\n", *objective)
 		return 2
 	}
+	cfg.Obs = obs.NewRegistry()
 	if *metrics != "" || *trace != "" {
-		cfg.Obs = obs.NewRegistry()
 		// The registry snapshot (not Result.Metrics) backs the export so the
 		// spans are written even on error exits; the deferred root End in
 		// core.Run guarantees they are closed.
@@ -229,7 +230,8 @@ func run() int {
 	if res.Base.TotalWL > 0 {
 		fmt.Printf("total WL improvement:   %s\n", report.Percent((res.Base.TotalWL-res.Final.TotalWL)/res.Base.TotalWL))
 	}
-	fmt.Printf("CPU: placement %.2fs, optimization %.2fs\n", res.PlaceSeconds, res.OptSeconds)
+	place, opt := res.CPUSeconds()
+	fmt.Printf("CPU: placement %.2fs, optimization %.2fs\n", place, opt)
 	return 0
 }
 

@@ -8,10 +8,10 @@
 //	rotarytables -metrics metrics.json -trace trace.txt -cpuprofile cpu.pprof
 //
 // Scale 1 runs the paper-size circuits (several minutes); the default scale
-// runs the whole matrix in about a minute. -metrics / -trace arm per-flow
-// observability: each circuit's two flow runs record solver counters and a
-// span tree, a telemetry table is printed, and the per-circuit snapshots are
-// written as JSON (-metrics) or indented text (-trace).
+// runs the whole matrix in about a minute. Every flow run records solver
+// counters and a span tree (the source of the CPU columns); -metrics /
+// -trace print a telemetry table and write the per-circuit snapshots as
+// JSON (-metrics) or indented text (-trace).
 package main
 
 import (
@@ -83,8 +83,8 @@ func run() int {
 	opt := exp.Options{
 		Scale: *scale, ILPBudget: *budget, ILPNodes: *ilpNodes,
 		Parallelism: *jobs, Strict: *strict, TimingDriven: *timing,
-		Metrics: *metrics != "" || *trace != "",
 	}
+	telemetry := *metrics != "" || *trace != ""
 	if *deadline > 0 {
 		tok, release := stop.WithTimeout(*deadline)
 		defer release()
@@ -99,7 +99,7 @@ func run() int {
 	}
 
 	needRuns := want["II"] || want["III"] || want["IV"] || want["V"] || want["VI"] || want["VII"] ||
-		want["VAR"] || want["TREES"] || opt.Metrics
+		want["VAR"] || want["TREES"] || telemetry
 	var runs []*exp.CircuitRun
 	if needRuns {
 		var err error
@@ -182,7 +182,7 @@ func run() int {
 		fmt.Println(exp.RenderFig2(f))
 	}
 
-	if opt.Metrics {
+	if telemetry {
 		fmt.Println(exp.RenderTelemetry(exp.TelemetryTable(runs)))
 		if err := writeSnapshots(*metrics, *trace, runs); err != nil {
 			fmt.Fprintln(os.Stderr, "rotarytables:", err)

@@ -81,16 +81,13 @@ type Problem struct {
 	// Obs receives assignment telemetry: tapping-query case distribution
 	// counters, deterministic because the query set depends only on the
 	// instance (and, for PatchMinCost, on the previous assignment). Nil
-	// falls back to the armed global registry; disarmed costs one atomic
-	// load per solve.
+	// records nothing.
 	Obs *obs.Registry
 	// Stop is the cooperative cancellation token, checked once per flip-flop
 	// candidate row and threaded into the downstream flow/LP solvers. Nil
 	// never stops. A fired token aborts the solve with an error wrapping the
 	// stop sentinel (no partial Assignment is returned).
 	Stop *stop.Token
-
-	obsReg *obs.Registry // resolved once in normalize
 }
 
 // Assignment is the result of any of the assigners.
@@ -136,7 +133,6 @@ func pinOf(pin []int, i int) int {
 }
 
 func (p *Problem) normalize() error {
-	p.obsReg = obs.Resolve(p.Obs)
 	if p.Array == nil || len(p.Array.Rings) == 0 {
 		return fmt.Errorf("assign: no rotary rings")
 	}
@@ -196,7 +192,7 @@ type candidate struct {
 func (p *Problem) solveTap(ring int, pos geom.Point, target float64) (rotary.Tap, bool) {
 	tap, err := rotary.SolveTap(p.Array.Rings[ring], p.Array.Params, pos, target)
 	ok := err == nil
-	if reg := p.obsReg; reg != nil {
+	if reg := p.Obs; reg != nil {
 		reg.Add("assign.tap.queries", 1)
 		switch {
 		case !ok:
@@ -347,7 +343,7 @@ func (p *Problem) finish(cands [][]candidate, choice []candidate, price []float6
 	}
 	a.AvgDist = a.Total / float64(len(choice))
 	if len(a.Fallbacks) > 0 {
-		p.obsReg.Add("assign.tap.fallbacks", int64(len(a.Fallbacks)))
+		p.Obs.Add("assign.tap.fallbacks", int64(len(a.Fallbacks)))
 	}
 	return a
 }
@@ -376,7 +372,7 @@ func MinCost(p *Problem) (*Assignment, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.obsReg.Add("assign.mincost.calls", 1)
+	p.Obs.Add("assign.mincost.calls", 1)
 	choice, price, err := p.solveFlow(cands, nil)
 	if err != nil {
 		return nil, err
@@ -403,7 +399,7 @@ const srcNode, sinkNode, ffBase = 0, 1, 2
 func (p *Problem) newNetwork(cands [][]candidate) *network {
 	nFF, nR := len(cands), len(p.Array.Rings)
 	g := mcmf.NewGraph(ffBase + nFF + nR)
-	g.Obs = p.obsReg
+	g.Obs = p.Obs
 	g.Stop = p.Stop
 	ffArcs := 0
 	for _, cs := range cands {
@@ -518,7 +514,7 @@ func (p *Problem) preloadPriced(n *network, price []float64) []float64 {
 		if repairs == 0 {
 			break
 		}
-		p.obsReg.Add("assign.preload.repairs", int64(repairs))
+		p.Obs.Add("assign.preload.repairs", int64(repairs))
 	}
 	for j, q := range pr {
 		if q > 0 {
@@ -534,8 +530,8 @@ func (p *Problem) preloadPriced(n *network, price []float64) []float64 {
 		n.g.Push(n.sink[n.cands[i][k].ring], 1)
 		n.preloaded++
 	}
-	p.obsReg.Add("assign.mincost.preloaded", int64(n.preloaded))
-	p.obsReg.Add("assign.mincost.deficit", int64(nFF-n.preloaded))
+	p.Obs.Add("assign.mincost.preloaded", int64(n.preloaded))
+	p.Obs.Add("assign.mincost.deficit", int64(nFF-n.preloaded))
 	return pot
 }
 
@@ -561,8 +557,8 @@ func MinMaxCap(p *Problem) (*Assignment, *Relax, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	p.obsReg.Add("assign.minmaxcap.calls", 1)
-	res, err := lp.SolveAssignLP(sparseArcs(cands), len(p.Array.Rings), lp.Options{Obs: p.obsReg, Stop: p.Stop})
+	p.Obs.Add("assign.minmaxcap.calls", 1)
+	res, err := lp.SolveAssignLP(sparseArcs(cands), len(p.Array.Rings), lp.Options{Obs: p.Obs, Stop: p.Stop})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -672,7 +668,7 @@ func MinMaxCapILP(p *Problem, opts lp.ILPOptions) (*Assignment, lp.ILPSolution, 
 	}
 	prob, vars, _ := buildMinMaxLP(p, cands)
 	if opts.Obs == nil {
-		opts.Obs = p.obsReg
+		opts.Obs = p.Obs
 	}
 	if opts.Stop == nil {
 		opts.Stop = p.Stop

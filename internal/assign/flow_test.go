@@ -19,7 +19,7 @@ import (
 func referenceMinCost(p *Problem, cands [][]candidate) (*Assignment, error) {
 	nFF, nR := len(p.FFs), len(p.Array.Rings)
 	g := mcmf.NewGraph(2 + nFF + nR)
-	g.Obs = p.obsReg
+	g.Obs = p.Obs
 	g.Stop = p.Stop
 	s, t := 0, 1
 	ffNode := func(i int) int { return 2 + i }
@@ -79,9 +79,9 @@ func preparedCands(t *testing.T, p *Problem) [][]candidate {
 // candidate matrix; the preloaded side records into reg.
 func solveBoth(t *testing.T, p *Problem, cands [][]candidate, reg *obs.Registry) (got, want *Assignment, gotErr, wantErr error) {
 	t.Helper()
-	p.obsReg = nil
+	p.Obs = nil
 	want, wantErr = referenceMinCost(p, cands)
-	p.obsReg = reg
+	p.Obs = reg
 	choice, price, gotErr := p.solveFlow(cands, nil)
 	if gotErr == nil {
 		got = p.finish(cands, choice, price)
@@ -311,7 +311,7 @@ func TestPreloadDualFeasible(t *testing.T) {
 		}{{"none", nil}, {"random", random}, {"huge", huge}, {"stale", stale}} {
 			name, price := tc.name, tc.price
 			reg := obs.NewRegistry()
-			p.obsReg = reg
+			p.Obs = reg
 			n := p.newNetwork(cands)
 			pot := p.preloadPriced(n, price)
 			tol := 0.0

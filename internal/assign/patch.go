@@ -43,7 +43,7 @@ func PatchMinCost(p *Problem, prev *Assignment) (*Assignment, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.obsReg.Add("assign.patch.calls", 1)
+	p.Obs.Add("assign.patch.calls", 1)
 
 	if faultinject.Hook(faultinject.SiteAssignPatch) != nil {
 		// Injected corruption: return each flip-flop's most expensive
@@ -101,6 +101,6 @@ func (p *Problem) fromPrevious(prev *Assignment) (reuse [][]candidate, price []f
 			}
 		}
 	}
-	p.obsReg.Add("assign.patch.reused", int64(kept))
+	p.Obs.Add("assign.patch.reused", int64(kept))
 	return reuse, m.price, nil
 }

@@ -5,7 +5,6 @@ import (
 
 	"rotaryclk/internal/eco"
 	"rotaryclk/internal/netlist"
-	"rotaryclk/internal/obs"
 )
 
 // ECOResult is the outcome of one ApplyECO call plus the full quality
@@ -33,7 +32,7 @@ func NewECOState(c *netlist.Circuit, cfg Config, res *Result) (*eco.State, error
 	if len(res.Schedule) != len(res.FFCells) || len(res.Assign.Ring) != len(res.FFCells) {
 		return nil, fmt.Errorf("core: result schedule/assignment out of step with its flip-flop list")
 	}
-	sys, se := placementState(c, cfg, obs.Resolve(cfg.Obs))
+	sys, se := placementState(c, cfg, cfg.Obs)
 	if se != nil {
 		return nil, fmt.Errorf("core: ECO state: %w", se.Err)
 	}

@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
 	"rotaryclk/internal/assign"
 	"rotaryclk/internal/geom"
@@ -104,9 +103,9 @@ type Config struct {
 	// Obs receives the flow's telemetry: hierarchical spans around the six
 	// stages and each re-optimization iteration, plus the solver counters
 	// of every stage, flushed to Result.Metrics on exit (including
-	// Degraded exits). Nil falls back to the armed global registry (see
-	// internal/obs); fully disarmed, instrumentation costs one atomic
-	// load per solver entry and Result.Metrics stays nil.
+	// Degraded exits). The stage spans are the run's only stage clock
+	// (Result.CPUSeconds). Nil disarms telemetry: instrumentation is a
+	// nil-receiver no-op and Result.Metrics stays nil.
 	Obs *obs.Registry
 
 	// Stop is an optional cooperative-cancellation token. Run checks it at
@@ -194,15 +193,32 @@ type Result struct {
 	// slack refresh). Empty on a clean run.
 	Events []StageEvent
 
-	PlaceSeconds float64 // CPU in placement stages (1 and 6)
-	OptSeconds   float64 // CPU in stages 2-5
-
 	// Metrics is the observability snapshot of the run — per-stage and
 	// per-iteration spans plus every solver counter — taken at exit with
 	// all spans closed. It is populated on successful AND Degraded exits
-	// whenever a registry is in effect (Config.Obs set or the global
-	// registry armed), and nil when observability is disarmed.
+	// whenever Config.Obs is set, and nil when observability is disarmed.
 	Metrics *obs.Snapshot
+}
+
+// Stage spans charged to the paper's CPU columns (Tables III and IV):
+// placement is stages 1 and 6, optimization stages 2-5.
+var (
+	placeStages = []string{"stage1.place", "stage6.place"}
+	optStages   = []string{"stage2.maxslack", "stage3.assign", "stage4.slack-refresh", "stage4.skew", "stage5.evaluate"}
+)
+
+// CPUSeconds splits the run's stage wall time into placement and
+// optimization seconds, summed from the span tree in Metrics — the only
+// stage clock. Both are 0 when the run was not traced; a registry shared by
+// several runs gives their sum.
+func (r *Result) CPUSeconds() (place, opt float64) {
+	for _, name := range placeStages {
+		place += r.Metrics.SpanSeconds(name)
+	}
+	for _, name := range optStages {
+		opt += r.Metrics.SpanSeconds(name)
+	}
+	return place, opt
 }
 
 // event appends a recovery/degradation record to the result log.
@@ -263,7 +279,7 @@ func Run(c *netlist.Circuit, cfg Config) (*Result, error) {
 	// End recursively closes open children. The snapshot flushed into
 	// Result.Metrics is taken after an explicit End in finish, so recorded
 	// durations are final.
-	reg := obs.Resolve(cfg.Obs)
+	reg := cfg.Obs
 	reg.Add("core.runs", 1)
 	root := reg.StartSpan("core.Run",
 		obs.S("circuit", c.Name),
@@ -354,21 +370,21 @@ func Run(c *netlist.Circuit, cfg Config) (*Result, error) {
 	// placer.Options.MLCoarsest it runs the multilevel V-cycle, at or below
 	// it the flat loop. The placer.ml.vcycles, placer.ml.levels and
 	// placer.ml.fallback counters in the trace say which one ran.
-	s1 := startStage(root, &res.PlaceSeconds, "stage1.place")
+	s1 := root.Child("stage1.place")
 	if !cfg.SkipInitialPlace {
-		sp := s1.span.Child("stage1.global")
+		sp := s1.Child("stage1.global")
 		err := f.retryCG(1, 0, "global placement", func(cgTol float64) error {
 			return f.psys.Global(placer.Options{Parallelism: cfg.Parallelism, CGTol: cgTol, Obs: reg, Stop: cfg.Stop})
 		})
 		sp.End()
 		if err != nil {
 			if stop.IsStop(err) {
-				s1.end()
+				s1.End()
 				return degradeEarly(1, fmt.Errorf("global placement: %w", err))
 			}
 			return nil, stageErr(1, 0, fmt.Errorf("global placement: %w", err))
 		}
-		sp = s1.span.Child("stage1.legalize")
+		sp = s1.Child("stage1.legalize")
 		err = placer.Legalize(c)
 		sp.End()
 		if err != nil {
@@ -376,20 +392,20 @@ func Run(c *netlist.Circuit, cfg Config) (*Result, error) {
 		}
 		// Full detailed refinement on the initial placement; inside the
 		// loop (stage 6) the flip-flops stay pinned to their tapping points.
-		sp = s1.span.Child("stage1.detailed")
+		sp = s1.Child("stage1.detailed")
 		_, err = placer.Detailed(c, 2, nil, reg, cfg.Stop)
 		sp.End()
 		if err != nil {
 			if stop.IsStop(err) {
 				// Every swap keeps the placement legal, so the stop
 				// degrades at the stage boundary like a stopped solve.
-				s1.end()
+				s1.End()
 				return degradeEarly(1, err)
 			}
 			return nil, stageErr(1, 0, err)
 		}
 	}
-	s1.end()
+	s1.End()
 	if serr := cfg.Stop.Err(); serr != nil {
 		// Placement is complete and legal; the run stops at the stage
 		// boundary with a placement-only result.
@@ -412,7 +428,7 @@ func Run(c *netlist.Circuit, cfg Config) (*Result, error) {
 	// Stage 2: max-slack skew optimization. No recovery ladder exists here:
 	// with nothing assigned yet there is no weaker schedule to fall back to,
 	// so an unsatisfiable constraint system is a hard (typed) failure.
-	s2 := startStage(root, &res.OptSeconds, "stage2.maxslack")
+	s2 := root.Child("stage2.maxslack")
 	pairs, err := seqPairs(c, cfg.TModel, f.ffIdx)
 	if err != nil {
 		return nil, stageErr(2, 0, err)
@@ -420,27 +436,27 @@ func Run(c *netlist.Circuit, cfg Config) (*Result, error) {
 	M, sched, err := skew.MaxSlack(cfg.Stop, reg, n, pairs, cfg.Params.Period, cfg.TModel.TSetup, cfg.TModel.THold)
 	if err != nil {
 		if stop.IsStop(err) {
-			s2.end()
+			s2.End()
 			return degradeEarly(2, fmt.Errorf("max-slack skew optimization: %w", err))
 		}
 		return nil, stageErr(2, 0, fmt.Errorf("max-slack skew optimization: %w", err))
 	}
 	res.MaxSlack = M
 	res.Schedule = sched
-	s2.span.Set(obs.I("pairs", len(pairs)), obs.F("max_slack_ps", M))
-	s2.end()
+	s2.Set(obs.I("pairs", len(pairs)), obs.F("max_slack_ps", M))
+	s2.End()
 
 	// Stage 3: initial assignment -> base case metrics.
-	s3 := startStage(root, &res.OptSeconds, "stage3.assign")
+	s3 := root.Child("stage3.assign")
 	asg, err := f.assignRecover(sched, 0)
 	if err != nil {
 		if stop.IsStop(err) {
-			s3.end()
+			s3.End()
 			return degradeEarly(3, fmt.Errorf("assignment: %w", err))
 		}
 		return nil, stageErr(3, 0, err)
 	}
-	s3.end()
+	s3.End()
 	res.Assign = asg
 	res.Base = measure(c, cfg, asg, n, c.SignalWL())
 	res.Final = res.Base
@@ -522,7 +538,7 @@ func (f *flow) iterate(iter int) (converged bool, stage int, err error) {
 
 	// Stage 6: pseudo-net incremental placement toward the current
 	// assignment's tapping points.
-	sp6 := startStage(itSp, &res.PlaceSeconds, "stage6.place")
+	sp6 := itSp.Child("stage6.place")
 	pn := make([]placer.PseudoNet, 0, n)
 	for i, id := range res.FFCells {
 		pn = append(pn, placer.PseudoNet{
@@ -531,7 +547,7 @@ func (f *flow) iterate(iter int) (converged bool, stage int, err error) {
 			Weight: cfg.PseudoWeight * float64(iter),
 		})
 	}
-	sp := sp6.span.Child("stage6.incremental")
+	sp := sp6.Child("stage6.incremental")
 	err = f.retryCG(6, iter, "incremental placement", func(cgTol float64) error {
 		return f.psys.Incremental(placer.Options{PseudoNets: pn, NetWeights: f.netScale, Parallelism: cfg.Parallelism, CGTol: cgTol, Obs: reg, Stop: cfg.Stop})
 	})
@@ -539,7 +555,7 @@ func (f *flow) iterate(iter int) (converged bool, stage int, err error) {
 	if err != nil {
 		return false, 6, fmt.Errorf("incremental placement: %w", err)
 	}
-	sp = sp6.span.Child("stage6.legalize")
+	sp = sp6.Child("stage6.legalize")
 	err = placer.Legalize(c)
 	sp.End()
 	if err != nil {
@@ -548,17 +564,17 @@ func (f *flow) iterate(iter int) (converged bool, stage int, err error) {
 	// Recover signal wirelength disturbed by the pull + legalization,
 	// holding the flip-flops where the pseudo-nets put them. A stop here
 	// leaves a legal placement and ends the loop on the best snapshot.
-	sp = sp6.span.Child("stage6.detailed")
+	sp = sp6.Child("stage6.detailed")
 	_, err = placer.Detailed(c, 1, res.FFCells, reg, cfg.Stop)
 	sp.End()
 	if err != nil {
 		return false, 6, err
 	}
-	sp6.end()
+	sp6.End()
 
 	// Stage 4 on the new placement: re-derive the working slack and the
 	// cost-driven schedule.
-	sp4 := startStage(itSp, &res.OptSeconds, "stage4.slack-refresh")
+	sp4 := itSp.Child("stage4.slack-refresh")
 	pairs, err := seqPairs(c, cfg.TModel, f.ffIdx)
 	if err != nil {
 		return false, 4, err
@@ -579,21 +595,21 @@ func (f *flow) iterate(iter int) (converged bool, stage int, err error) {
 		// pretending the refresh happened.
 		res.event(2, iter, classify(err), "in-loop slack refresh failed; reusing previous working slack", err)
 	}
-	sp4.end()
+	sp4.End()
 	// Inner fixed point of stages 4 and 3: the schedule chases the nearest
 	// ring phases and the assignment chases the schedule; two rounds settle
 	// the pair for the current placement.
 	for inner := 0; inner < 2; inner++ {
-		c4 := startStage(itSp, &res.OptSeconds, "stage4.skew", obs.I("round", inner))
+		c4 := itSp.Child("stage4.skew", obs.I("round", inner))
 		if f.sched, mWork, err = f.costDrivenRecover(pairs, mWork, msSched, iter); err != nil {
 			return false, 4, fmt.Errorf("cost-driven skew: %w", err)
 		}
-		c4.end()
-		c3 := startStage(itSp, &res.OptSeconds, "stage3.assign", obs.I("round", inner))
+		c4.End()
+		c3 := itSp.Child("stage3.assign", obs.I("round", inner))
 		if f.asg, err = f.assignRecover(f.sched, iter); err != nil {
 			return false, 3, fmt.Errorf("assignment: %w", err)
 		}
-		c3.end()
+		c3.End()
 	}
 
 	// Stage 5: convergence on the overall cost, the paper's weighted sum of
@@ -636,26 +652,6 @@ func overallCost(a Assigner, m Metrics) float64 {
 		return m.WCP
 	}
 	return tapWeight*m.TapWL + m.SignalWL
-}
-
-// stageClock times one stage region once: it opens the stage's span and,
-// when the region ends, adds its wall time to a Result field (PlaceSeconds
-// or OptSeconds), so the trace and the CPU columns time the same region.
-// The clock runs even with observability disarmed, when the span is nil.
-type stageClock struct {
-	span  *obs.Span
-	acc   *float64
-	start time.Time
-}
-
-func startStage(parent *obs.Span, acc *float64, name string, attrs ...obs.Attr) stageClock {
-	return stageClock{span: parent.Child(name, attrs...), acc: acc, start: time.Now()}
-}
-
-// end closes the span and charges the elapsed time.
-func (s stageClock) end() {
-	s.span.End()
-	*s.acc += time.Since(s.start).Seconds()
 }
 
 // placementState forks cfg.System (a template built for a structurally

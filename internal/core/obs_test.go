@@ -264,17 +264,53 @@ func TestSpansClosedOnErrorExits(t *testing.T) {
 	}
 }
 
-// The global registry path: Enable arms the default registry and Run picks it
-// up with a nil Config.Obs.
-func TestMetricsViaGlobalRegistry(t *testing.T) {
-	reg := obs.Enable()
-	defer obs.Disable()
-	res, err := Run(genCircuit(t, 200, 24, 17), recoveryConfig())
+// CPUSeconds reads the Table III/IV split from the span tree: both halves
+// are positive on a traced run and together fit inside the core.Run span
+// (the stage spans never overlap); a degraded run still gives a finite
+// split over a closed tree; an untraced run gives zeros.
+func TestCPUSecondsFromSpans(t *testing.T) {
+	cfg := recoveryConfig()
+	cfg.Obs = obs.NewRegistry()
+	res, err := Run(genCircuit(t, 200, 24, 17), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireClosedSpans(t, res.Metrics)
-	if reg.Counter("core.runs") != 1 {
-		t.Errorf("global registry core.runs = %d, want 1", reg.Counter("core.runs"))
+	place, opt := res.CPUSeconds()
+	run := res.Metrics.SpanSeconds("core.Run")
+	if place <= 0 || opt <= 0 {
+		t.Errorf("CPUSeconds = %g, %g; want both > 0", place, opt)
 	}
+	// The tolerance only absorbs float rounding of the millisecond sums.
+	if place+opt > run*(1+1e-12) {
+		t.Errorf("place %g + opt %g exceeds the core.Run span %g", place, opt, run)
+	}
+
+	t.Run("degraded", func(t *testing.T) {
+		defer faultinject.Enable(faultinject.Rule{
+			Site: faultinject.SitePlacerIncremental, Call: 1,
+			Err: errors.New("injected internal failure"),
+		})()
+		cfg := recoveryConfig()
+		cfg.Obs = obs.NewRegistry()
+		res, err := Run(genCircuit(t, 200, 24, 15), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Degraded {
+			t.Fatal("expected a degraded result")
+		}
+		requireClosedSpans(t, res.Metrics)
+		place, opt := res.CPUSeconds()
+		for _, v := range []float64{place, opt} {
+			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+				t.Errorf("degraded CPUSeconds = %g, %g; want finite and >= 0", place, opt)
+			}
+		}
+	})
+
+	t.Run("untraced", func(t *testing.T) {
+		if place, opt := (&Result{}).CPUSeconds(); place != 0 || opt != 0 {
+			t.Errorf("nil Metrics CPUSeconds = %g, %g; want 0, 0", place, opt)
+		}
+	})
 }

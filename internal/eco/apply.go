@@ -28,7 +28,7 @@ import (
 // deltas (unknown cells, class violations, out-of-range rings) are input
 // errors in both modes and never degrade.
 func Apply(st *State, deltas []Delta, opt Options) (*Outcome, error) {
-	reg := obs.Resolve(opt.Obs)
+	reg := opt.Obs
 	reg.Add("eco.applies", 1)
 	span := reg.StartSpan("eco.apply", obs.I("deltas", len(deltas)), obs.S("mode", mode(opt)))
 	defer span.End()

@@ -45,11 +45,6 @@ type Options struct {
 	// Strict makes every flow run fail on the first stage error instead of
 	// running the recovery policies (core.Config.Strict).
 	Strict bool
-	// Metrics arms a fresh obs.Registry per flow run, so each CircuitRun's
-	// Flow.Metrics / ILPFlow.Metrics carries that run's counters and span
-	// tree (the TelemetryTable input). Off by default: disarmed runs cost
-	// one atomic load per solver entry and carry no metrics.
-	Metrics bool
 	// ILPNodes replaces the wall-clock ILPBudget of Table I with a
 	// branch-and-bound node budget when positive. Node budgets make the ILP
 	// columns deterministic (wall-clock budgets are not), which is what the
@@ -132,12 +127,11 @@ func runCircuit(b bench.Circuit, opt Options) (*CircuitRun, error) {
 	cfg.TimingDriven = opt.TimingDriven
 	cfgILP := cfg
 	cfgILP.Assigner = core.ILP
-	if opt.Metrics {
-		// One registry per flow: the two runs race on wall-clock but not on
-		// each other's counters, and each Result.Metrics is self-contained.
-		cfg.Obs = obs.NewRegistry()
-		cfgILP.Obs = obs.NewRegistry()
-	}
+	// One registry per flow: the two runs race on wall-clock but not on
+	// each other's counters, and each Result.Metrics is self-contained —
+	// the span tree behind the CPU columns and the TelemetryTable input.
+	cfg.Obs = obs.NewRegistry()
+	cfgILP.Obs = obs.NewRegistry()
 
 	var flowErr, ilpErr error
 	par.Do(par.Workers(parallelism),
@@ -381,12 +375,13 @@ func TableIII(runs []*CircuitRun) []RowIII {
 	var rows []RowIII
 	for _, cr := range runs {
 		m := cr.Flow.Base
+		place, opt := cr.Flow.CPUSeconds()
 		rows = append(rows, RowIII{
 			Name: cr.Bench.Name, AFD: m.AFD, TapWL: m.TapWL,
 			SignalWL: m.SignalWL, TotalWL: m.TotalWL,
 			ClockPower: m.ClockPower, SignalPower: m.SignalPower,
 			TotalPower: m.TotalPower,
-			CPU:        cr.Flow.PlaceSeconds + cr.Flow.OptSeconds,
+			CPU:        place + opt,
 		})
 	}
 	return rows
@@ -413,6 +408,7 @@ func TableIV(runs []*CircuitRun) []RowIV {
 	var rows []RowIV
 	for _, cr := range runs {
 		b, f := cr.Flow.Base, cr.Flow.Final
+		place, opt := cr.Flow.CPUSeconds()
 		rows = append(rows, RowIV{
 			Name:      cr.Bench.Name,
 			AFD:       f.AFD,
@@ -422,8 +418,8 @@ func TableIV(runs []*CircuitRun) []RowIV {
 			SignalImp: imp(b.SignalWL, f.SignalWL),
 			TotalWL:   f.TotalWL,
 			TotalImp:  imp(b.TotalWL, f.TotalWL),
-			OptCPU:    cr.Flow.OptSeconds,
-			PlaceCPU:  cr.Flow.PlaceSeconds,
+			OptCPU:    opt,
+			PlaceCPU:  place,
 			Iters:     cr.Flow.Iterations,
 		})
 	}

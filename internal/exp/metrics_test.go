@@ -8,13 +8,13 @@ import (
 // TestMetricsCountersDeterministicAcrossWorkerCounts extends the determinism
 // gate to the observability layer: the counter section of each flow's metrics
 // snapshot must be bit-identical whether the suite ran serially or on 8
-// workers. Gauges (last-write-wins) and stats (worker utilization) are legitimately scheduling-dependent and are excluded — that
-// three-way split is the metric-class contract of internal/obs.
+// workers. Gauges (last-write-wins) and stats (budget stops) are
+// legitimately scheduling-dependent and are excluded — that three-way split
+// is the metric-class contract of internal/obs. Every flow is traced; no
+// option arms it.
 func TestMetricsCountersDeterministicAcrossWorkerCounts(t *testing.T) {
 	runMetrics := func(workers int) []*CircuitRun {
-		opt := detOpt(workers)
-		opt.Metrics = true
-		runs, err := RunAll(opt)
+		runs, err := RunAll(detOpt(workers))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,6 +48,28 @@ func TestMetricsCountersDeterministicAcrossWorkerCounts(t *testing.T) {
 		if got, want := p.ILPFlow.Metrics.CountersJSON(), s.ILPFlow.Metrics.CountersJSON(); !bytes.Equal(got, want) {
 			t.Errorf("%s: ILP counters differ across worker counts\nserial:   %s\nparallel: %s",
 				s.Bench.Name, want, got)
+		}
+	}
+}
+
+// TestTelemetryTableWithoutOptIn: every flow run carries its own registry,
+// so the telemetry table has one populated row per circuit with no option
+// set.
+func TestTelemetryTableWithoutOptIn(t *testing.T) {
+	runs, err := RunAll(Options{Scale: 0.08, Circuits: []string{"s9234", "s5378"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := TelemetryTable(runs)
+	if len(rows) != len(runs) || len(rows) != 2 {
+		t.Fatalf("%d telemetry rows for %d circuits, want 2", len(rows), len(runs))
+	}
+	for i, r := range rows {
+		if r.Name != runs[i].Bench.Name {
+			t.Errorf("row %d is %s, want %s", i, r.Name, runs[i].Bench.Name)
+		}
+		if r.CGSolves <= 0 || r.TapQueries <= 0 || r.FlowSec <= 0 || r.ILPSec <= 0 {
+			t.Errorf("%s: empty telemetry row %+v", r.Name, r)
 		}
 	}
 }

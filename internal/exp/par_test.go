@@ -18,12 +18,13 @@ func detOpt(workers int) Options {
 	}
 }
 
-// stripCPU zeroes the wall-clock fields, the only values allowed to differ
-// between worker counts.
+// stripCPU drops the metrics snapshots, whose span trees are wall clock and
+// so the only values allowed to differ between worker counts. Their
+// counters are compared separately by
+// TestMetricsCountersDeterministicAcrossWorkerCounts.
 func stripCPU(runs []*CircuitRun) {
 	for _, cr := range runs {
-		cr.Flow.PlaceSeconds, cr.Flow.OptSeconds = 0, 0
-		cr.ILPFlow.PlaceSeconds, cr.ILPFlow.OptSeconds = 0, 0
+		cr.Flow.Metrics, cr.ILPFlow.Metrics = nil, nil
 	}
 }
 

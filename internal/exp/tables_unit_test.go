@@ -7,18 +7,36 @@ import (
 	"rotaryclk/internal/bench"
 	"rotaryclk/internal/core"
 	"rotaryclk/internal/netlist"
+	"rotaryclk/internal/obs"
 )
 
 // fakeRun builds a CircuitRun with hand-set metrics so the table arithmetic
-// can be verified exactly without running the flow.
+// can be verified exactly without running the flow. Its span tree charges
+// 1.5 s to placement (stages 1 and 6) and 0.5 s to optimization (stages
+// 2-5, stage 5 included); the sub-stage and flow.iter spans must not be
+// charged twice.
 func fakeRun(name string, base, final, ilpFinal core.Metrics) *CircuitRun {
+	span := func(name string, ms float64, children ...*obs.SpanData) *obs.SpanData {
+		return &obs.SpanData{Name: name, Ms: ms, Children: children}
+	}
+	trace := &obs.Snapshot{Spans: []*obs.SpanData{span("core.Run", 2500,
+		span("stage1.place", 1000, span("stage1.global", 900)),
+		span("stage2.maxslack", 100),
+		span("stage3.assign", 50),
+		span("flow.iter", 900,
+			span("stage6.place", 500, span("stage6.incremental", 400)),
+			span("stage4.slack-refresh", 50),
+			span("stage4.skew", 50),
+			span("stage3.assign", 50),
+			span("stage5.evaluate", 200)),
+	)}}
 	return &CircuitRun{
 		Bench:  bench.Circuit{Name: name, Rings: 9, PaperPL: 2471},
 		Stats:  netlist.Stats{Cells: 100, FlipFlops: 10, Nets: 95},
 		TreePL: 1234,
 		Flow: &core.Result{
 			Base: base, Final: final, Iterations: 3,
-			PlaceSeconds: 1.5, OptSeconds: 0.5,
+			Metrics: trace,
 		},
 		ILPFlow: &core.Result{Base: base, Final: ilpFinal},
 	}
@@ -54,8 +72,14 @@ func TestTableIVArithmetic(t *testing.T) {
 	if math.Abs(r.TotalImp-(11000-11000)/11000.0) > 1e-12 {
 		t.Errorf("TotalImp = %v, want 0", r.TotalImp)
 	}
-	if r.Iters != 3 || r.PlaceCPU != 1.5 || r.OptCPU != 0.5 {
+	if r.Iters != 3 || math.Abs(r.PlaceCPU-1.5) > 1e-12 || math.Abs(r.OptCPU-0.5) > 1e-12 {
 		t.Errorf("row bookkeeping: %+v", r)
+	}
+}
+
+func TestTableIIICPUFromSpans(t *testing.T) {
+	if r := TableIII(fakeRuns())[0]; math.Abs(r.CPU-2) > 1e-12 {
+		t.Errorf("CPU = %v, want 2 (placement 1.5 + optimization 0.5)", r.CPU)
 	}
 }
 

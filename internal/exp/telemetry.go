@@ -1,7 +1,7 @@
 package exp
 
 // RowT is one row of the per-circuit telemetry table: solver effort counters
-// read from the flows' metrics snapshots (Options.Metrics must be on). The
+// read from the flows' metrics snapshots (every flow run is traced). The
 // counter columns are deterministic across worker counts; the seconds are
 // wall-clock and are not compared by the determinism harness.
 type RowT struct {
@@ -17,29 +17,22 @@ type RowT struct {
 }
 
 // TelemetryTable derives solver-effort rows from each circuit's metrics
-// snapshots. Circuits whose runs carried no metrics (Options.Metrics off)
-// are skipped; a fully disarmed run yields no rows.
+// snapshots, one row per circuit.
 func TelemetryTable(runs []*CircuitRun) []RowT {
 	var rows []RowT
 	for _, cr := range runs {
-		fm := cr.Flow.Metrics
-		if fm == nil {
-			continue
-		}
-		row := RowT{
+		fm, im := cr.Flow.Metrics, cr.ILPFlow.Metrics
+		rows = append(rows, RowT{
 			Name:       cr.Bench.Name,
 			CGSolves:   fm.Counter("placer.cg.solves"),
 			CGIters:    fm.Counter("placer.cg.iters"),
 			MCMFPaths:  fm.Counter("mcmf.paths"),
 			TapQueries: fm.Counter("assign.tap.queries"),
+			Pivots:     im.Counter("lp.simplex.pivots"),
+			BBNodes:    im.Counter("lp.bb.nodes"),
 			FlowSec:    fm.SpanSeconds("core.Run"),
-		}
-		if im := cr.ILPFlow.Metrics; im != nil {
-			row.Pivots = im.Counter("lp.simplex.pivots")
-			row.BBNodes = im.Counter("lp.bb.nodes")
-			row.ILPSec = im.SpanSeconds("core.Run")
-		}
-		rows = append(rows, row)
+			ILPSec:     im.SpanSeconds("core.Run"),
+		})
 	}
 	return rows
 }

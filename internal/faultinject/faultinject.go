@@ -15,7 +15,8 @@
 // The injector is intentionally not keyed off build tags: the hooks compile
 // into production binaries, so the tested binary is the shipped binary. The
 // zero-overhead claim is measured by BenchmarkRunAllSuite
-// (`go test -bench RunAllSuite ./internal/exp/`); no gate enforces it.
+// (`go test -bench RunAllSuite ./internal/exp/`), whose hooks stay
+// disarmed; no gate enforces it.
 package faultinject
 
 import (

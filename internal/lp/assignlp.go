@@ -36,7 +36,6 @@ import (
 	"sort"
 
 	"rotaryclk/internal/faultinject"
-	"rotaryclk/internal/obs"
 	"rotaryclk/internal/stop"
 )
 
@@ -92,7 +91,7 @@ func SolveAssignLP(arcs [][]AssignArc, nBins int, opts Options) (AssignLPResult,
 	opts.normalize(len(arcs)+nBins, nnz+nBins+1)
 	s := newAssignSimplex(arcs, nBins, nnz, opts.Tol)
 	res, err := s.solve(opts.MaxIters, opts.Stop)
-	if reg := obs.Resolve(opts.Obs); reg != nil {
+	if reg := opts.Obs; reg != nil {
 		reg.Add("lp.assignlp.solves", 1)
 		reg.Add("lp.assignlp.pivots", int64(s.pivots))
 		reg.Add("lp.assignlp.refactors", int64(s.refactors))

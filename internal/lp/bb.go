@@ -95,7 +95,7 @@ func (p *Problem) SolveILP(opts ILPOptions) (ILPSolution, error) {
 	if opts.LP.Stop == nil {
 		opts.LP.Stop = opts.Stop
 	}
-	reg := obs.Resolve(opts.Obs)
+	reg := opts.Obs
 	incumbents := int64(0)
 	deadline := time.Time{}
 	if opts.TimeLimit > 0 {

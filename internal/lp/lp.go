@@ -189,9 +189,8 @@ func (p *Problem) Solve() (Solution, error) {
 type Options struct {
 	MaxIters int     // 0 means automatic (50*(m+n)+10000)
 	Tol      float64 // feasibility/optimality tolerance; 0 means 1e-9
-	// Obs receives solver telemetry (solve and pivot counters). Nil falls
-	// back to the armed global registry; disarmed costs one atomic load
-	// per solve (see internal/obs).
+	// Obs receives solver telemetry (solve and pivot counters). Nil records
+	// nothing.
 	Obs *obs.Registry
 	// Stop is the cooperative cancellation token, checked once per simplex
 	// pivot. Nil never stops. A fired token ends the solve like an
@@ -226,7 +225,7 @@ func (p *Problem) SolveOpts(opts Options) (Solution, error) {
 	sol, err := s.solve(opts)
 	// One record per solve: pivots accumulate in Solution.Iters, so the
 	// simplex loop itself stays untouched (and lock-free).
-	if reg := obs.Resolve(opts.Obs); reg != nil {
+	if reg := opts.Obs; reg != nil {
 		reg.Add("lp.simplex.solves", 1)
 		reg.Add("lp.simplex.pivots", int64(sol.Iters))
 		if sol.Status == IterLimit {

@@ -75,8 +75,7 @@ type Graph struct {
 	heap pq
 
 	// Obs receives solver telemetry (augmenting paths, shortest-path edge
-	// relaxations, units pushed). Nil falls back to the armed global
-	// registry; disarmed costs one atomic load per MinCostFlow call.
+	// relaxations, units pushed). Nil records nothing.
 	Obs *obs.Registry
 
 	// Stop is the cooperative cancellation token, checked once per
@@ -300,7 +299,7 @@ func (g *Graph) MinCostFlowFrom(s, t, maxFlow int, pot []float64) (flow int, cos
 	// Telemetry accumulates locally and records once at exit; the search
 	// loops stay lock-free.
 	paths, relaxed := 0, 0
-	if reg := obs.Resolve(g.Obs); reg != nil {
+	if reg := g.Obs; reg != nil {
 		defer func() {
 			reg.Add("mcmf.solves", 1)
 			reg.Add("mcmf.paths", int64(paths))

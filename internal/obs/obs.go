@@ -1,23 +1,15 @@
 // Package obs is the flow's observability layer: named counters, gauges,
 // hierarchical wall-clock spans, and a registry that exports them as
-// deterministic JSON or human-readable text. It follows the same
-// zero-overhead-when-disarmed discipline as internal/faultinject: the
-// disarmed fast path is one atomic pointer load (Resolve(nil) == nil) and
-// every Registry/Span method is a no-op on a nil receiver, so instrumented
-// code never branches on "is observability on" — it just calls through.
-// No build tags switch it off, so the measured binary is the shipped binary.
-// The zero-overhead claim is measured by BenchmarkRunAllSuite
-// (`go test -bench RunAllSuite ./internal/exp/`); no gate enforces it.
-//
-// Two ways to obtain a registry:
-//
-//   - Explicit: construct with NewRegistry and thread it through the solver
-//     option structs (core.Config.Obs, placer.Options.Obs, lp.Options.Obs,
-//     assign.Problem.Obs, mcmf.Graph.Obs). internal/exp uses this to give
-//     every circuit run its own registry.
-//   - Global: Enable() installs a process-wide default that Resolve(nil)
-//     returns; packages with no natural options struct on the hot path
-//     (par) record there. The CLIs arm it for -metrics/-trace.
+// deterministic JSON or human-readable text. Telemetry is on exactly when a
+// caller constructs a registry with NewRegistry and threads it through the
+// solver option structs (core.Config.Obs, placer.Options.Obs,
+// lp.Options.Obs, assign.Problem.Obs, mcmf.Graph.Obs, eco.Options.Obs).
+// A nil *Registry is the disarmed case: every Registry/Span method is a
+// no-op on a nil receiver, so instrumented code never branches on "is
+// observability on" — it just calls through. No build tags switch it off,
+// so the measured binary is the shipped binary. The untraced benchmark/
+// runs pass nil registries; the traced ones measure the armed cost as
+// trace.overhead_frac.
 //
 // Metric classes and the determinism contract (DESIGN.md section 9):
 //
@@ -29,48 +21,14 @@
 //     residual). Concurrent axis solves race on the "last" write, so gauges
 //     are excluded from cross-worker-count comparison.
 //   - Stats (Stat) are int64 tallies that legitimately depend on scheduling
-//     (par worker utilization, branch-and-bound budget stops under time
-//     limits). They are reported but never compared across -j values.
+//     (branch-and-bound budget stops under time limits). They are reported
+//     but never compared across -j values.
 package obs
 
 import (
 	"strconv"
 	"sync"
-	"sync/atomic"
 )
-
-// def is the armed global default registry; nil when disarmed. The disarmed
-// fast path everywhere is the single atomic load inside Resolve.
-var def atomic.Pointer[Registry]
-
-// Enable installs a fresh global default registry and returns it. Subsequent
-// Resolve(nil) calls return it until Disable (or another Enable). Typical
-// CLI use: reg := obs.Enable(); defer writeMetrics(reg.Snapshot()).
-func Enable() *Registry {
-	r := NewRegistry()
-	def.Store(r)
-	return r
-}
-
-// Disable disarms the global default registry.
-func Disable() { def.Store(nil) }
-
-// Armed reports whether a global default registry is installed.
-func Armed() bool { return def.Load() != nil }
-
-// Default returns the global default registry, or nil when disarmed.
-func Default() *Registry { return def.Load() }
-
-// Resolve returns the explicit registry when non-nil, otherwise the global
-// default (nil when disarmed). This is the instrumentation entry point:
-// resolve once at solver entry, then record through the (possibly nil)
-// result — every recording method is a no-op on nil.
-func Resolve(r *Registry) *Registry {
-	if r != nil {
-		return r
-	}
-	return def.Load()
-}
 
 // Registry collects counters, gauges, stats, and span trees. The zero value
 // is not usable; construct with NewRegistry. All methods are safe for

@@ -44,31 +44,6 @@ func TestNilSafety(t *testing.T) {
 	}
 }
 
-func TestResolveAndGlobal(t *testing.T) {
-	Disable()
-	if Armed() {
-		t.Fatal("Armed after Disable")
-	}
-	if got := Resolve(nil); got != nil {
-		t.Fatalf("disarmed Resolve(nil) = %v, want nil", got)
-	}
-	explicit := NewRegistry()
-	if got := Resolve(explicit); got != explicit {
-		t.Fatal("Resolve must pass an explicit registry through")
-	}
-	reg := Enable()
-	defer Disable()
-	if !Armed() || Default() != reg {
-		t.Fatal("Enable did not install the default")
-	}
-	if got := Resolve(nil); got != reg {
-		t.Fatal("armed Resolve(nil) must return the default")
-	}
-	if got := Resolve(explicit); got != explicit {
-		t.Fatal("explicit registry must win over the armed default")
-	}
-}
-
 func TestCountersGaugesStats(t *testing.T) {
 	r := NewRegistry()
 	r.Add("a.b", 2)
@@ -220,11 +195,10 @@ func TestConcurrentRecording(t *testing.T) {
 }
 
 // BenchmarkDisarmedHook measures the disarmed fast path instrumented code
-// pays everywhere: one atomic load in Resolve plus nil-receiver no-ops.
+// pays everywhere: a nil-receiver no-op on a nil *Registry.
 func BenchmarkDisarmedHook(b *testing.B) {
-	Disable()
+	var reg *Registry
 	for i := 0; i < b.N; i++ {
-		reg := Resolve(nil)
 		reg.Add("x", 1)
 	}
 }

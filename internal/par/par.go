@@ -19,8 +19,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"rotaryclk/internal/obs"
 )
 
 // Workers resolves a parallelism knob to a concrete worker count: any value
@@ -49,17 +47,7 @@ func Chunks(workers, n, grain int, fn func(lo, hi int)) {
 	if workers > nChunks {
 		workers = nChunks
 	}
-	// Dispatch telemetry: calls and chunk totals are deterministic (they
-	// depend only on n and grain); how chunks split between the inline and
-	// pooled paths — and how they spread over workers — depends on the
-	// worker count, so those are stats. Disarmed cost: one atomic load.
-	reg := obs.Resolve(nil)
-	if reg != nil {
-		reg.Add("par.chunks.calls", 1)
-		reg.Add("par.chunks.total", int64(nChunks))
-	}
 	if workers <= 1 {
-		reg.Stat("par.chunks.inline", int64(nChunks))
 		for c := 0; c < nChunks; c++ {
 			lo := c * grain
 			hi := lo + grain
@@ -69,10 +57,6 @@ func Chunks(workers, n, grain int, fn func(lo, hi int)) {
 			fn(lo, hi)
 		}
 		return
-	}
-	if reg != nil {
-		reg.Stat("par.chunks.pooled", int64(nChunks))
-		reg.Stat("par.workers.spawned", int64(workers))
 	}
 	var (
 		next    atomic.Int64
@@ -93,7 +77,6 @@ func Chunks(workers, n, grain int, fn func(lo, hi int)) {
 					panicMu.Unlock()
 				}
 			}()
-			mine := 0
 			for {
 				c := int(next.Add(1)) - 1
 				if c >= nChunks {
@@ -105,12 +88,6 @@ func Chunks(workers, n, grain int, fn func(lo, hi int)) {
 					hi = n
 				}
 				fn(lo, hi)
-				mine++
-			}
-			// Utilization: a spawned worker that won at least one chunk is
-			// "active"; active/spawned is the pool's utilization ratio.
-			if reg != nil && mine > 0 {
-				reg.Stat("par.workers.active", 1)
 			}
 		}()
 	}
@@ -167,16 +144,12 @@ func MapReduce[T any](workers, n, grain int, mapFn func(lo, hi int) T, reduce fu
 // they run sequentially in argument order. The first panic (lowest argument
 // index) is re-raised on the caller.
 func Do(workers int, fns ...func()) {
-	reg := obs.Resolve(nil)
-	reg.Add("par.do.calls", 1)
 	if Workers(workers) <= 1 || len(fns) <= 1 {
-		reg.Stat("par.do.inline", int64(len(fns)))
 		for _, fn := range fns {
 			fn()
 		}
 		return
 	}
-	reg.Stat("par.do.spawned", int64(len(fns)))
 	panics := make([]any, len(fns))
 	var wg sync.WaitGroup
 	for i, fn := range fns {

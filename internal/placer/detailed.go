@@ -83,7 +83,6 @@ func Detailed(c *netlist.Circuit, passes int, exclude []int, reg *obs.Registry, 
 	delta := make([]int32, len(c.Nets))
 
 	var tried, accepted, rescans int64
-	reg = obs.Resolve(reg)
 	defer func() {
 		reg.Add("placer.detailed.tried", tried)
 		reg.Add("placer.detailed.accepted", accepted)

@@ -79,9 +79,7 @@ type Options struct {
 	// boundaries and reduction order are fixed (see internal/par).
 	Parallelism int
 	// Obs receives solver telemetry (CG solves/iterations counters, exit
-	// residual gauge, system build/reuse counters). Nil falls back to the
-	// armed global registry; fully disarmed costs one atomic load per solve
-	// (see internal/obs).
+	// residual gauge, system build/reuse counters). Nil records nothing.
 	Obs *obs.Registry
 	// Stop is the cooperative cancellation token, checked once per CG
 	// iteration. Nil never stops. A fired token aborts the solve with an
@@ -195,8 +193,8 @@ func (s *System) anchor(i int, p geom.Point, w float64) {
 
 // NewSystem assembles the immutable connectivity part of the circuit's
 // quadratic system: movable cells come first, then one star node per net
-// with 3+ pins. The registry (nil falls back to the armed global one)
-// receives the placer.system.builds counter.
+// with 3+ pins. The registry (nil records nothing) receives the
+// placer.system.builds counter.
 func NewSystem(c *netlist.Circuit, reg *obs.Registry) (*System, error) {
 	if err := validate(c); err != nil {
 		return nil, err
@@ -235,7 +233,7 @@ func NewSystem(c *netlist.Circuit, reg *obs.Registry) (*System, error) {
 		by:       make([]float64, n),
 		posX:     make([]float64, n),
 		posY:     make([]float64, n),
-		obs:      obs.Resolve(reg),
+		obs:      reg,
 	}
 	for i := range s.cells {
 		s.cells[i] = -1
@@ -759,7 +757,7 @@ func (s *System) SolveQP(opt Options) error {
 	if s.nMov == 0 {
 		return nil
 	}
-	s.obs = obs.Resolve(opt.Obs)
+	s.obs = opt.Obs
 	workers := par.Workers(opt.Parallelism)
 	ws := wsPool.Get().(*solveWS)
 	defer wsPool.Put(ws)

@@ -7,7 +7,6 @@ import (
 	"rotaryclk/internal/faultinject"
 	"rotaryclk/internal/geom"
 	"rotaryclk/internal/netlist"
-	"rotaryclk/internal/obs"
 	"rotaryclk/internal/par"
 )
 
@@ -41,7 +40,7 @@ func (s *System) Global(opt Options) error {
 	if c.NumMovable() == 0 {
 		return nil
 	}
-	s.obs = obs.Resolve(opt.Obs)
+	s.obs = opt.Obs
 	s.obs.Add("placer.global.calls", 1)
 	workers := par.Workers(opt.Parallelism)
 	handled, err := s.vcycle(opt, workers)
@@ -61,7 +60,7 @@ func (s *System) Global(opt Options) error {
 // placer.global.calls counter.
 func (s *System) globalLoop(opt Options, workers int) error {
 	c := s.c
-	s.obs = obs.Resolve(opt.Obs)
+	s.obs = opt.Obs
 	ws := wsPool.Get().(*solveWS)
 	defer wsPool.Put(ws)
 	converged, err := s.solveRound(&opt, nil, 0, workers, ws)
@@ -118,7 +117,7 @@ func (s *System) Incremental(opt Options) error {
 		return nil
 	}
 	opt.anchorWeight = stabilityAnchor
-	s.obs = obs.Resolve(opt.Obs)
+	s.obs = opt.Obs
 	s.obs.Add("placer.incremental.calls", 1)
 	workers := par.Workers(opt.Parallelism)
 	ws := wsPool.Get().(*solveWS)

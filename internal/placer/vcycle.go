@@ -27,7 +27,6 @@ import (
 	"rotaryclk/internal/faultinject"
 	"rotaryclk/internal/geom"
 	"rotaryclk/internal/netlist"
-	"rotaryclk/internal/obs"
 	"rotaryclk/internal/stop"
 )
 
@@ -190,7 +189,7 @@ func (s *System) mlSolveLevel(levels []*mlLevel, l int, opt Options, rounds int,
 // diagonally dominant and therefore cheap. opt must already be normalized.
 func (s *System) refineLoop(opt Options, workers int, rounds int) error {
 	c := s.c
-	s.obs = obs.Resolve(opt.Obs)
+	s.obs = opt.Obs
 	ws := wsPool.Get().(*solveWS)
 	defer wsPool.Put(ws)
 	final := spreadAlpha * float64(opt.SpreadIters)

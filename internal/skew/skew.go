@@ -170,13 +170,12 @@ func normalize(t []float64) {
 // probe. A fired token aborts with an error wrapping the stop sentinel; no
 // partial schedule is returned (the caller keeps its previous schedule as
 // the best-so-far). The probes' skew.* counters and one
-// skew.maxslack.cycles count per witness cycle are recorded into reg
-// (resolved through obs.Resolve). Both may be nil.
+// skew.maxslack.cycles count per witness cycle are recorded into reg.
+// Both may be nil.
 func MaxSlack(tok *stop.Token, reg *obs.Registry, n int, pairs []SeqPair, T, setup, hold float64) (float64, []float64, error) {
 	if err := faultinject.Hook(faultinject.SiteSkewMaxSlack); err != nil {
 		return 0, nil, err
 	}
-	reg = obs.Resolve(reg)
 	base := Constraints(pairs, T, 0, setup, hold)
 	cons := make([]DiffConstraint, len(base))
 	dist := make([]float64, n)
@@ -225,8 +224,8 @@ type Anchor struct {
 // potentials, so an infeasible Delta is rejected at its first negative
 // anchor cycle and a feasible one costs the same rounds as a lone Feasible
 // call on that system. The optional stop token is threaded into every probe
-// and the probes' skew.* counters are recorded into reg (resolved through
-// obs.Resolve).
+// and the probes' skew.* counters are recorded into reg (nil records
+// nothing).
 func MinDelta(tok *stop.Token, reg *obs.Registry, n int, cons []DiffConstraint, anchors []Anchor, tol float64) (float64, []float64, error) {
 	if err := faultinject.Hook(faultinject.SiteSkewMinDelta); err != nil {
 		return 0, nil, err
@@ -237,7 +236,6 @@ func MinDelta(tok *stop.Token, reg *obs.Registry, n int, cons []DiffConstraint, 
 	if tol <= 0 {
 		tol = 1e-3
 	}
-	reg = obs.Resolve(reg)
 	// Base feasibility (Delta = inf) and an initial schedule to bound Delta.
 	t0, ok, err := feasible(tok, reg, n, cons)
 	if err != nil {
@@ -357,7 +355,7 @@ func bestShift(t []float64, anchors []Anchor) float64 {
 // shortest distances from ground. The optional stop token is threaded into
 // the base feasibility probe, the min-cost circulation and that recovery
 // probe, and all three record their skew.* and mcmf.* counters into reg
-// (resolved through obs.Resolve).
+// (nil records nothing).
 func WeightedSum(tok *stop.Token, reg *obs.Registry, n int, cons []DiffConstraint, targets []float64, weights []float64) (float64, []float64, error) {
 	if err := faultinject.Hook(faultinject.SiteSkewWeightedSum); err != nil {
 		return 0, nil, err
@@ -365,7 +363,6 @@ func WeightedSum(tok *stop.Token, reg *obs.Registry, n int, cons []DiffConstrain
 	if len(targets) != n || len(weights) != n {
 		return 0, nil, fmt.Errorf("skew: targets/weights length mismatch")
 	}
-	reg = obs.Resolve(reg)
 	if _, ok, err := feasible(tok, reg, n, cons); err != nil {
 		return 0, nil, err
 	} else if !ok {

@@ -27,8 +27,8 @@ import (
 // outside [0,n) panics, matching Feasible.
 //
 // The optional stop token is checked once per relaxation round and the
-// kernel's skew.* counters are recorded into reg (resolved through
-// obs.Resolve). A fired token abandons the repair and reports the stop
+// kernel's skew.* counters are recorded into reg (nil records nothing).
+// A fired token abandons the repair and reports the stop
 // error; the partial vector is not a certificate and is discarded.
 func WarmStart(tok *stop.Token, reg *obs.Registry, n int, cons []DiffConstraint, seed []float64) ([]float64, int, bool, error) {
 	if len(seed) != n {
@@ -36,7 +36,7 @@ func WarmStart(tok *stop.Token, reg *obs.Registry, n int, cons []DiffConstraint,
 	}
 	dist := make([]float64, n)
 	copy(dist, seed)
-	rounds, ok, _, err := relax(tok, obs.Resolve(reg), n, cons, dist)
+	rounds, ok, _, err := relax(tok, reg, n, cons, dist)
 	if err != nil {
 		return nil, rounds, false, fmt.Errorf("skew: warm-start repair: %w", err)
 	}
