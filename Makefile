@@ -50,7 +50,9 @@ oracle:
 	SEEDS=$(SEEDS) sh scripts/ci.sh oracle
 
 # Placement gate: the ^TestDetailed tests under -race (swap loop
-# bit-identical to the reference loop), the V-cycle tests, the binned
+# bit-identical to the reference loop), the Global/Incremental worker-count
+# determinism tests under -race (the x/y axis solves, the placer's only
+# concurrent path), the V-cycle tests, the binned
 # MaxOverlap against the all-pairs reference and the corrupt-site oracle
 # negative, then the 50k-cell core.Run + Audit smoke,
 # which must run stage 1 through the V-cycle, under PLACE_TIMEOUT (default

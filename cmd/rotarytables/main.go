@@ -40,7 +40,7 @@ func run() int {
 		ilpNodes = flag.Int("ilp-nodes", 0, "B&B node budget for the Table I ILP baseline (replaces -ilp-budget; deterministic)")
 		subset   = flag.String("circuits", "", "comma-separated circuit subset (default: all five)")
 		tables   = flag.String("tables", "I,II,III,IV,V,VI,VII,VIII,Fig2,Var,Trees,Rings", "comma-separated tables to regenerate (VIII/Var/Trees/Rings are the extension studies)")
-		jobs     = flag.Int("j", 0, "parallel workers across circuits and kernels (0 = all cores, 1 = serial; identical tables either way)")
+		jobs     = flag.Int("j", 0, "parallel workers for paired flows, Table I circuits and flow kernels (0 = all cores, 1 = serial; identical tables either way)")
 		timing   = flag.Bool("timing", false, "run the suite flows timing-driven (Tables II-VII report the reweighted placements; Table VIII always compares both modes)")
 		strict   = flag.Bool("strict", false, "fail on the first flow stage error instead of recovering/degrading")
 		deadline = flag.Duration("deadline", 0, "wall-clock budget for the whole run; past it flows degrade to their best snapshots (0 = none)")

@@ -1,22 +1,22 @@
 // ECO edit-latency harness: the headline benchmark of the incremental
 // re-optimization path (internal/eco). One base flow runs at the requested
 // size, then a stream of single-delta random edits is absorbed through
-// core.ApplyECO, timing each apply; the claim under test is edit latency vs
-// a full from-scratch re-run of the flow on the same edited netlist (target
-// >=10x at 50k cells for <=1% dirty cells). cmd/rotaryscale records the 50k
-// row in the eco section of BENCH_scaling.json beside the size sweep.
+// core.ApplyECO, each timed by its span; the claim under test is edit
+// latency vs a full from-scratch re-run of the flow on the same edited
+// netlist (target >=10x at 50k cells for <=1% dirty cells). cmd/rotaryscale
+// records the 50k row in the eco section of BENCH_scaling.json beside the
+// size sweep.
 package bench
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
-	"time"
 
 	"rotaryclk/internal/core"
 	"rotaryclk/internal/eco"
 	"rotaryclk/internal/netlist"
 	"rotaryclk/internal/obs"
+	"rotaryclk/internal/oracle"
 )
 
 // ECOOptions configures one edit-latency measurement.
@@ -67,6 +67,8 @@ type ECOPoint struct {
 	// re-placed per edit — the "<=1% dirty" side of the headline claim.
 	DirtyCellFrac float64 `json:"dirty_cell_frac"`
 
+	// Times come from spans: the core.Run span of the base flow and of the
+	// scratch flow on the edited netlist, and each edit's core.ApplyECO span.
 	BaseNS    int64 `json:"base_flow_ns"`  // one-time base flow
 	FullNS    int64 `json:"full_rerun_ns"` // scratch flow on the edited netlist
 	EcoMeanNS int64 `json:"eco_mean_ns"`   // mean per-edit apply
@@ -74,9 +76,9 @@ type ECOPoint struct {
 
 	// Speedup is FullNS / EcoMeanNS — the headline ratio.
 	Speedup float64 `json:"speedup"`
-	// Checked records that the inline patch-vs-scratch equivalence check
-	// ran (and, since a violation is an error, passed). RunECOBench always
-	// runs it.
+	// Checked records that oracle.CompareECOArms held every edit to the
+	// from-scratch arm (a violation is an error). RunECOBench always runs
+	// it.
 	Checked bool `json:"checked"`
 	// STASources totals the flip-flop sources the incremental arm's timing
 	// re-propagated over all edits (counter eco.sta.sources), the first
@@ -87,10 +89,9 @@ type ECOPoint struct {
 
 // RunECOBench measures ECO edit latency at one size. It also runs a
 // from-scratch arm (eco.Options.Scratch) beside the incremental arm on a
-// cloned state and verifies after every edit that positions and schedules
-// agree within 1e-9 and tapping totals within 1e-6 relative — the
-// differential-oracle contract, enforced inline at benchmark scale — so the
-// speedup number can never come from skipped work.
+// cloned state and holds every edit to oracle.CompareECOArms, the
+// differential oracle's full equivalence contract, outside the timed spans,
+// so the speedup number can never come from skipped work.
 func RunECOBench(opt ECOOptions) (*ECOPoint, error) {
 	opt.normalize()
 	c, err := netlist.Generate(netlist.GenSpec{
@@ -104,12 +105,10 @@ func RunECOBench(opt ECOOptions) (*ECOPoint, error) {
 	}
 	cfg := core.Config{NumRings: ringsFor(opt.Cells), MaxIters: ecoIters}
 
-	t0 := time.Now()
-	res, err := core.Run(c, cfg)
+	res, baseNS, err := timedRun(c, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("base flow: %w", err)
 	}
-	baseNS := time.Since(t0).Nanoseconds()
 	if res.Degraded {
 		return nil, fmt.Errorf("base flow degraded; no clean state to edit")
 	}
@@ -130,32 +129,28 @@ func RunECOBench(opt ECOOptions) (*ECOPoint, error) {
 	}
 	var ecoTotal, ecoMax int64
 	var dirtyFrac float64
-	reg := obs.NewRegistry()
 	for e := 0; e < opt.Edits; e++ {
 		deltas := eco.RandomDeltas(rng, st.Circuit, pt.Rings, ecoDeltasPerEdit)
-		t0 = time.Now()
+		reg := obs.NewRegistry()
 		out, err := core.ApplyECO(st, deltas, cfg, eco.Options{Obs: reg})
-		d := time.Since(t0).Nanoseconds()
 		if err != nil {
 			return nil, fmt.Errorf("edit %d: %w", e, err)
 		}
 		if out.Outcome.Degraded {
 			return nil, fmt.Errorf("edit %d degraded: %v", e, out.Outcome.Events)
 		}
+		snap := reg.Snapshot()
+		d := spanNS(snap, "core.ApplyECO")
 		ecoTotal += d
-		if d > ecoMax {
-			ecoMax = d
-		}
+		ecoMax = max(ecoMax, d)
+		pt.STASources += snap.Counter("eco.sta.sources")
 		pt.NoOps += out.Outcome.NoOps
 		dirtyFrac += float64(out.Outcome.DirtyCells) / float64(len(st.Circuit.Cells))
 		out2, err := core.ApplyECO(stScratch, deltas, cfg, eco.Options{Scratch: true})
 		if err != nil {
 			return nil, fmt.Errorf("edit %d scratch arm: %w", e, err)
 		}
-		if out2.Outcome.Degraded {
-			return nil, fmt.Errorf("edit %d scratch arm degraded: %v", e, out2.Outcome.Events)
-		}
-		if err := compareArms(st, stScratch, out.Outcome.Total, out2.Outcome.Total); err != nil {
+		if err := oracle.CompareECOArms(st, stScratch, out.Outcome, out2.Outcome); err != nil {
 			return nil, fmt.Errorf("edit %d: eco/scratch divergence: %w", e, err)
 		}
 		if opt.Log != nil {
@@ -163,54 +158,33 @@ func RunECOBench(opt ECOOptions) (*ECOPoint, error) {
 				e, float64(d)/1e6, out.Outcome.DirtyCells)
 		}
 	}
-	pt.STASources = reg.Counter("eco.sta.sources")
 	pt.DirtyCellFrac = dirtyFrac / float64(opt.Edits)
 	pt.EcoMeanNS = ecoTotal / int64(opt.Edits)
 	pt.EcoMaxNS = ecoMax
 
 	// The comparison target: what absorbing the edits would have cost
 	// without the ECO path — a full flow re-run on the edited netlist.
-	t0 = time.Now()
-	if _, err := core.Run(st.Circuit.Clone(), cfg); err != nil {
+	if _, pt.FullNS, err = timedRun(st.Circuit.Clone(), cfg); err != nil {
 		return nil, fmt.Errorf("scratch re-run: %w", err)
 	}
-	pt.FullNS = time.Since(t0).Nanoseconds()
 	if pt.EcoMeanNS > 0 {
 		pt.Speedup = float64(pt.FullNS) / float64(pt.EcoMeanNS)
 	}
 	return pt, nil
 }
 
-// compareArms enforces the equivalence contract between the incremental and
-// scratch arms: positions and schedules within 1e-9, totals within 1e-6
-// relative (the patched assignment is cost-equal, not tie-equal).
-func compareArms(st1, st2 *eco.State, total1, total2 float64) error {
-	if !closeRel(total1, total2, 1e-6) {
-		return fmt.Errorf("tapping total %.9g vs %.9g", total1, total2)
+// timedRun runs the flow on c under a fresh registry and returns the result
+// with the duration of its core.Run span.
+func timedRun(c *netlist.Circuit, cfg core.Config) (*core.Result, int64, error) {
+	cfg.Obs = obs.NewRegistry()
+	res, err := core.Run(c, cfg)
+	if err != nil {
+		return nil, 0, err
 	}
-	c1, c2 := st1.Circuit, st2.Circuit
-	if len(c1.Cells) != len(c2.Cells) {
-		return fmt.Errorf("cell count %d vs %d", len(c1.Cells), len(c2.Cells))
-	}
-	for i := range c1.Cells {
-		p1, p2 := c1.Cells[i].Pos, c2.Cells[i].Pos
-		if !closeRel(p1.X, p2.X, 1e-9) || !closeRel(p1.Y, p2.Y, 1e-9) {
-			return fmt.Errorf("cell %d at %v vs %v", i, p1, p2)
-		}
-	}
-	if len(st1.Sched) != len(st2.Sched) {
-		return fmt.Errorf("schedule length %d vs %d", len(st1.Sched), len(st2.Sched))
-	}
-	for i := range st1.Sched {
-		if !closeRel(st1.Sched[i], st2.Sched[i], 1e-9) {
-			return fmt.Errorf("schedule[%d] %.12g vs %.12g", i, st1.Sched[i], st2.Sched[i])
-		}
-	}
-	return nil
+	return res, spanNS(res.Metrics, "core.Run"), nil
 }
 
-// closeRel reports |a-b| <= tol * max(1, |a|, |b|).
-func closeRel(a, b, tol float64) bool {
-	scale := math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
-	return math.Abs(a-b) <= tol*scale
+// spanNS is the summed duration of the spans named name, in nanoseconds.
+func spanNS(s *obs.Snapshot, name string) int64 {
+	return int64(s.SpanSeconds(name) * 1e9)
 }

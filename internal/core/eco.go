@@ -5,6 +5,7 @@ import (
 
 	"rotaryclk/internal/eco"
 	"rotaryclk/internal/netlist"
+	"rotaryclk/internal/obs"
 )
 
 // ECOResult is the outcome of one ApplyECO call plus the full quality
@@ -56,12 +57,15 @@ func NewECOState(c *netlist.Circuit, cfg Config, res *Result) (*eco.State, error
 // wirelength from the outcome (eco.State's cache, bit-equal to a full
 // measurement) instead of walking every net again. When opt.Stop or
 // opt.Obs are nil they inherit cfg's, so serving-layer deadlines and
-// telemetry thread through unchanged.
+// telemetry thread through unchanged. One core.ApplyECO span covers the
+// whole call, the measurement included.
 func ApplyECO(st *eco.State, deltas []eco.Delta, cfg Config, opt eco.Options) (*ECOResult, error) {
-	cfg.normalize()
 	if opt.Obs == nil {
 		opt.Obs = cfg.Obs
 	}
+	span := opt.Obs.StartSpan("core.ApplyECO", obs.I("deltas", len(deltas)))
+	defer span.End()
+	cfg.normalize()
 	if opt.Stop == nil {
 		opt.Stop = cfg.Stop
 	}

@@ -95,9 +95,10 @@ type Config struct {
 	// recorded in Result.Events.
 	Strict bool
 
-	// Parallelism bounds the worker count of the parallel kernels (placer
-	// CG, assignment candidate matrix): 0 = GOMAXPROCS, 1 = serial. Every
-	// value produces bit-identical results (see internal/par).
+	// Parallelism bounds the workers of the flow's two parallel sites (the
+	// placer's x/y axis solves and the assignment candidate matrix rows):
+	// 0 = GOMAXPROCS, 1 = serial. Every value produces bit-identical
+	// results (see internal/par).
 	Parallelism int
 
 	// Obs receives the flow's telemetry: hierarchical spans around the six

@@ -38,8 +38,9 @@ type Options struct {
 	ILPBudget time.Duration
 	// Circuits restricts the run to a subset of suite names (empty = all).
 	Circuits []string
-	// Parallelism bounds the workers running suite circuits (and, plumbed
-	// down, the per-flow kernels): 0 = GOMAXPROCS, 1 = serial. All results
+	// Parallelism bounds the workers of each circuit's paired flows
+	// (RunAll, Table VIII), of Table I's circuits and, plumbed down, of the
+	// per-flow parallel sites: 0 = GOMAXPROCS, 1 = serial. All results
 	// except the reported CPU seconds are identical for every value.
 	Parallelism int
 	// Strict makes every flow run fail on the first stage error instead of
@@ -134,7 +135,7 @@ func runCircuit(b bench.Circuit, opt Options) (*CircuitRun, error) {
 	cfgILP.Obs = obs.NewRegistry()
 
 	var flowErr, ilpErr error
-	par.Do(par.Workers(parallelism),
+	par.Do(parallelism,
 		func() {
 			c1, err := b.Generate()
 			if err != nil {
@@ -207,21 +208,19 @@ func varPairs(c *netlist.Circuit, ffIdx map[int]int, flow *core.Result) []variat
 	return out
 }
 
-// RunAll executes both flows on the whole (scaled) suite, circuits in
-// parallel. The output order (and every result value) matches the serial
-// run; on error, the error of the earliest failing circuit is returned.
+// RunAll executes both flows on the whole (scaled) suite, circuit by
+// circuit; each circuit's two flows run concurrently (runCircuit). On
+// error, the error of the earliest failing circuit is returned.
 func RunAll(opt Options) ([]*CircuitRun, error) {
 	opt.normalize()
 	suite := opt.suite()
 	out := make([]*CircuitRun, len(suite))
-	errs := make([]error, len(suite))
-	par.For(opt.Parallelism, len(suite), func(i int) {
-		out[i], errs[i] = runCircuit(suite[i], opt)
-	})
-	for _, err := range errs {
+	for i, b := range suite {
+		cr, err := runCircuit(b, opt)
 		if err != nil {
 			return nil, err
 		}
+		out[i] = cr
 	}
 	return out, nil
 }
@@ -532,15 +531,14 @@ type RowVIII struct {
 
 // TableVIII runs each circuit twice — the default flow and the timing-driven
 // mode — and reports the worst-slack gain bought and the wirelength paid.
-// The two arms run on independently generated copies of the netlist, so with
-// more than one worker they run concurrently; every column is deterministic.
+// Circuits run in turn; the two arms of each run on independently generated
+// copies of the netlist, so with more than one worker they run
+// concurrently. Every column is deterministic.
 func TableVIII(opt Options) ([]RowVIII, error) {
 	opt.normalize()
 	suite := opt.suite()
 	rows := make([]RowVIII, len(suite))
-	errs := make([]error, len(suite))
-	par.For(opt.Parallelism, len(suite), func(i int) {
-		b := suite[i]
+	for i, b := range suite {
 		arm := func(timingDriven bool) (float64, core.Metrics, error) {
 			c, err := b.Generate()
 			if err != nil {
@@ -564,27 +562,20 @@ func TableVIII(opt Options) ([]RowVIII, error) {
 		var baseWS, tdWS float64
 		var baseM, tdM core.Metrics
 		var baseErr, tdErr error
-		par.Do(par.Workers(opt.Parallelism),
+		par.Do(opt.Parallelism,
 			func() { baseWS, baseM, baseErr = arm(false) },
 			func() { tdWS, tdM, tdErr = arm(true) })
 		if baseErr != nil {
-			errs[i] = fmt.Errorf("exp: %s baseline run: %w", b.Name, baseErr)
-			return
+			return nil, fmt.Errorf("exp: %s baseline run: %w", b.Name, baseErr)
 		}
 		if tdErr != nil {
-			errs[i] = fmt.Errorf("exp: %s timing-driven run: %w", b.Name, tdErr)
-			return
+			return nil, fmt.Errorf("exp: %s timing-driven run: %w", b.Name, tdErr)
 		}
 		rows[i] = RowVIII{
 			Name:   b.Name,
 			BaseWS: baseWS, TDWS: tdWS, WSGain: tdWS - baseWS,
 			BaseWCP: baseM.WCP, TDWCP: tdM.WCP, WCPImp: imp(baseM.WCP, tdM.WCP),
 			BaseWL: baseM.TotalWL, TDWL: tdM.TotalWL, WLCost: imp(baseM.TotalWL, tdM.TotalWL),
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
 		}
 	}
 	return rows, nil

@@ -97,7 +97,7 @@ func TestRunAllDeterministicAcrossWorkerCounts(t *testing.T) {
 
 // TestConcurrentRunCircuitRaceStress drives independent RunCircuit calls
 // from multiple goroutines; under `go test -race` this sweeps the parallel
-// kernels (CG chunks, candidate matrix, workspace pool) for data
+// sites (x/y axis solves, candidate matrix, workspace pool) for data
 // races while they also run their own internal workers.
 func TestConcurrentRunCircuitRaceStress(t *testing.T) {
 	circuits := []bench.Circuit{

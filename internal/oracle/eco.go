@@ -33,12 +33,8 @@ func (s *ECOSpec) clone() *ECOSpec {
 // CheckECO generates the circuit, runs the base flow once, then applies the
 // delta sequence one delta at a time through the incremental arm and the
 // scratch arm. After every delta both arms must agree on feasibility and
-// degradation, the incremental arm's cached timing pairs must be bit-equal
-// to a full analysis of its committed circuit and its cached signal
-// wirelength bit-equal to a full Circuit.SignalWL, both arms must commit
-// positions and schedules within 1e-9, and totals within 1e-6 relative
-// (the patched assignment is cost-equal, not tie-equal). A
-// base flow that fails or degrades yields no comparison. The check returns
+// then pass CompareECOArms. A base flow that fails or degrades yields no
+// comparison. The check returns
 // at the first divergence: past it the arms optimize different states and
 // later differences are noise.
 func CheckECO(s *ECOSpec, cfg core.Config, seed int64) []Violation {
@@ -67,33 +63,43 @@ func CheckECO(s *ECOSpec, cfg core.Config, seed int64) []Violation {
 		if e1 != nil {
 			continue // consistently rejected delta
 		}
-		if o1.Degraded != o2.Degraded {
-			return violationf(name, seed,
-				"delta %d %s: degradation differs: eco=%v, scratch=%v", di, d, o1.Degraded, o2.Degraded)
-		}
-		if msg := checkCachedPairs(st1); msg != "" {
-			return violationf(name, seed, "delta %d %s: %s", di, d, msg)
-		}
-		if msg := checkCachedWL(st1, o1); msg != "" {
-			return violationf(name, seed, "delta %d %s: %s", di, d, msg)
-		}
-		if !closeRel(o1.Total, o2.Total, 1e-6, 1e-6) {
-			return violationf(name, seed,
-				"delta %d %s: tapping total differs: eco %.9g vs scratch %.9g", di, d, o1.Total, o2.Total)
-		}
-		if msg := compareState(c1, c2, st1, st2); msg != "" {
-			return violationf(name, seed, "delta %d %s: %s", di, d, msg)
+		if err := CompareECOArms(st1, st2, o1, o2); err != nil {
+			return violationf(name, seed, "delta %d %s: %v", di, d, err)
 		}
 	}
 	return nil
 }
 
+// CompareECOArms is the ECO equivalence contract for one applied edit: the
+// incremental arm (st1, with outcome o1) against the scratch arm (st2, o2)
+// that applied the same deltas to an equal state. Both arms must agree on
+// degradation; the incremental arm's cached timing pairs must be bit-equal
+// to a full analysis of its committed circuit and its cached signal
+// wirelength bit-equal to a full Circuit.SignalWL; totals must agree within
+// 1e-6 relative (the patched assignment is cost-equal, not tie-equal), and
+// positions and schedules within 1e-9. It returns nil when they agree.
+func CompareECOArms(st1, st2 *eco.State, o1, o2 *eco.Outcome) error {
+	if o1.Degraded != o2.Degraded {
+		return fmt.Errorf("degradation differs: eco=%v, scratch=%v", o1.Degraded, o2.Degraded)
+	}
+	if err := checkCachedPairs(st1); err != nil {
+		return err
+	}
+	if err := checkCachedWL(st1, o1); err != nil {
+		return err
+	}
+	if !closeRel(o1.Total, o2.Total, 1e-6, 1e-6) {
+		return fmt.Errorf("tapping total differs: eco %.9g vs scratch %.9g", o1.Total, o2.Total)
+	}
+	return compareState(st1, st2)
+}
+
 // checkCachedPairs holds the incremental arm's STA cache to a full
 // timing.SeqPairs of the committed circuit: same pairs in the same order,
 // Float64bits-equal delays. A state whose cache is not built yet passes.
-func checkCachedPairs(st *eco.State) string {
+func checkCachedPairs(st *eco.State) error {
 	if st.STA == nil {
-		return ""
+		return nil
 	}
 	ffIdx := make(map[int]int, len(st.FFCells))
 	for i, id := range st.FFCells {
@@ -101,62 +107,66 @@ func checkCachedPairs(st *eco.State) string {
 	}
 	got, err := st.STA.Pairs(ffIdx)
 	if err != nil {
-		return fmt.Sprintf("cached pairs: %v", err)
+		return fmt.Errorf("cached pairs: %v", err)
 	}
 	want, err := timing.SeqPairs(st.Circuit, st.TModel, ffIdx)
 	if err != nil {
-		return fmt.Sprintf("full analysis of the committed circuit: %v", err)
+		return fmt.Errorf("full analysis of the committed circuit: %v", err)
 	}
 	if len(got) != len(want) {
-		return fmt.Sprintf("%d cached pairs vs %d from a full analysis", len(got), len(want))
+		return fmt.Errorf("%d cached pairs vs %d from a full analysis", len(got), len(want))
 	}
 	for i, g := range got {
 		w := want[i]
 		if g.U != w.U || g.V != w.V || math.Float64bits(g.DMax) != math.Float64bits(w.DMax) ||
 			math.Float64bits(g.DMin) != math.Float64bits(w.DMin) {
-			return fmt.Sprintf("cached pair %d = %+v vs %+v from a full analysis", i, g, w)
+			return fmt.Errorf("cached pair %d = %+v vs %+v from a full analysis", i, g, w)
 		}
 	}
-	return ""
+	return nil
 }
 
 // checkCachedWL holds the incremental arm's signal-wirelength cache, and
 // the wirelength its outcome reports, to a full Circuit.SignalWL of the
 // committed circuit, Float64bits-equal. A state whose cache is not built
 // yet passes.
-func checkCachedWL(st *eco.State, out *eco.Outcome) string {
+func checkCachedWL(st *eco.State, out *eco.Outcome) error {
 	if st.SignalWL == nil {
-		return ""
+		return nil
 	}
 	want := st.Circuit.SignalWL()
 	bits := math.Float64bits
 	if got := st.SignalWL.Total(); bits(got) != bits(want) {
-		return fmt.Sprintf("cached signal WL %.17g vs %.17g from a full measurement", got, want)
+		return fmt.Errorf("cached signal WL %.17g vs %.17g from a full measurement", got, want)
 	}
 	if bits(out.SignalWL) != bits(want) {
-		return fmt.Sprintf("reported signal WL %.17g vs %.17g from a full measurement", out.SignalWL, want)
+		return fmt.Errorf("reported signal WL %.17g vs %.17g from a full measurement", out.SignalWL, want)
 	}
-	return ""
+	return nil
 }
 
 // compareState checks committed positions and schedules of the two arms.
-func compareState(c1, c2 *netlist.Circuit, st1, st2 *eco.State) string {
+func compareState(st1, st2 *eco.State) error {
+	c1, c2 := st1.Circuit, st2.Circuit
+	if len(c1.Cells) != len(c2.Cells) {
+		return fmt.Errorf("%d cells (eco) vs %d (scratch)", len(c1.Cells), len(c2.Cells))
+	}
 	for i := range c1.Cells {
 		p1, p2 := c1.Cells[i].Pos, c2.Cells[i].Pos
 		if !closeRel(p1.X, p2.X, 1e-9, 1e-9) || !closeRel(p1.Y, p2.Y, 1e-9, 1e-9) {
-			return fmt.Sprintf("cell %d placed at %v (eco) vs %v (scratch)", i, p1, p2)
+			return fmt.Errorf("cell %d placed at %v (eco) vs %v (scratch)", i, p1, p2)
 		}
 	}
 	if len(st1.Sched) != len(st2.Sched) {
-		return fmt.Sprintf("schedule length %d (eco) vs %d (scratch)", len(st1.Sched), len(st2.Sched))
+		return fmt.Errorf("schedule length %d (eco) vs %d (scratch)", len(st1.Sched), len(st2.Sched))
 	}
 	for i := range st1.Sched {
 		if !closeRel(st1.Sched[i], st2.Sched[i], 1e-9, 1e-9) {
-			return fmt.Sprintf("schedule[%d] = %.12g (eco) vs %.12g (scratch), diff %.3g",
+			return fmt.Errorf("schedule[%d] = %.12g (eco) vs %.12g (scratch), diff %.3g",
 				i, st1.Sched[i], st2.Sched[i], math.Abs(st1.Sched[i]-st2.Sched[i]))
 		}
 	}
-	return ""
+	return nil
 }
 
 // shrinkECO minimizes a failing ECO spec by greedily dropping deltas while

@@ -1,18 +1,18 @@
-// Package par provides the deterministic parallel primitives the flow's
-// compute kernels are built on: a bounded worker pool over fixed-size chunks
-// of an index range, an ordered map-reduce, and a small fork-join helper.
+// Package par provides the two parallel primitives the flow uses: For, a
+// bounded worker pool over the indices of a range, and Do, a fork-join over
+// a few independent functions.
 //
-// Determinism contract: chunk boundaries depend only on the problem size and
-// the grain, never on the worker count, and MapReduce merges partial results
-// in chunk order. A kernel whose chunk bodies write disjoint output slots (or
-// whose partial results are merged through MapReduce) therefore produces
-// bit-identical results for every worker count, including 1. The worker
-// count only decides how many goroutines pull chunks off a shared counter.
+// Determinism contract: bodies write disjoint output slots and read only
+// shared state nobody writes while they run, so the result is bit-identical
+// for every worker count, including 1. The worker count only decides how
+// many goroutines pull indices off a shared counter. Floating-point
+// reductions never cross a par call: each kernel that sums runs serially in
+// one fixed order (the placer's CG solves each axis on one goroutine).
 //
-// Every entry point takes the same `workers` knob: <= 0 means GOMAXPROCS,
+// Both entry points take the same `workers` knob: <= 0 means GOMAXPROCS,
 // 1 means run inline on the calling goroutine (no goroutines are spawned),
-// and anything larger bounds the pool. Panics inside chunk bodies are
-// captured and re-raised on the calling goroutine.
+// and anything larger bounds the pool. Panics inside bodies are captured and
+// re-raised on the calling goroutine.
 package par
 
 import (
@@ -30,31 +30,18 @@ func Workers(n int) int {
 	return n
 }
 
-// Chunks partitions [0, n) into fixed chunks of `grain` indices (the last
-// chunk may be short) and calls fn(lo, hi) once per chunk, spread over at
-// most `workers` goroutines. The partition depends only on n and grain, so
-// kernels writing disjoint slots are deterministic for every worker count.
-// With one worker (or a single chunk) everything runs inline on the caller.
-func Chunks(workers, n, grain int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if grain <= 0 {
-		grain = 1
-	}
-	nChunks := (n + grain - 1) / grain
-	workers = Workers(workers)
-	if workers > nChunks {
-		workers = nChunks
-	}
+// For calls fn(i) for every i in [0, n), spread over at most `workers`
+// goroutines that each take the next unclaimed index (one index per
+// dispatch, right for coarse bodies). With one worker (or n <= 1)
+// everything runs inline on the caller in index order. Bodies must write
+// disjoint state; under that contract the result is identical for every
+// worker count. The first panic recovered is re-raised on the caller after
+// every worker has stopped.
+func For(workers, n int, fn func(i int)) {
+	workers = min(Workers(workers), n)
 	if workers <= 1 {
-		for c := 0; c < nChunks; c++ {
-			lo := c * grain
-			hi := lo + grain
-			if hi > n {
-				hi = n
-			}
-			fn(lo, hi)
+		for i := 0; i < n; i++ {
+			fn(i)
 		}
 		return
 	}
@@ -78,16 +65,11 @@ func Chunks(workers, n, grain int, fn func(lo, hi int)) {
 				}
 			}()
 			for {
-				c := int(next.Add(1)) - 1
-				if c >= nChunks {
-					break
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
 				}
-				lo := c * grain
-				hi := lo + grain
-				if hi > n {
-					hi = n
-				}
-				fn(lo, hi)
+				fn(i)
 			}
 		}()
 	}
@@ -95,48 +77,6 @@ func Chunks(workers, n, grain int, fn func(lo, hi int)) {
 	if panicky != nil {
 		panic(panicky)
 	}
-}
-
-// For calls fn(i) for every i in [0, n), spread over at most `workers`
-// goroutines (grain 1: one index per dispatch, right for coarse bodies).
-// Bodies must write disjoint state; under that contract the result is
-// identical for every worker count.
-func For(workers, n int, fn func(i int)) {
-	Chunks(workers, n, 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			fn(i)
-		}
-	})
-}
-
-// MapReduce maps fixed chunks of [0, n) through mapFn and folds the partial
-// results left-to-right in chunk order. Because both the chunk boundaries
-// and the merge order are independent of the worker count, the result is
-// bit-identical for every worker count — including non-associative merges
-// such as floating-point addition. Returns the zero T when n <= 0.
-func MapReduce[T any](workers, n, grain int, mapFn func(lo, hi int) T, reduce func(a, b T) T) T {
-	var zero T
-	if n <= 0 {
-		return zero
-	}
-	if grain <= 0 {
-		grain = 1
-	}
-	nChunks := (n + grain - 1) / grain
-	if nChunks == 1 {
-		// Fast path: no partial-result slice, no closure escape. Same
-		// reduction order as the general path (a single chunk).
-		return mapFn(0, n)
-	}
-	parts := make([]T, nChunks)
-	Chunks(workers, n, grain, func(lo, hi int) {
-		parts[lo/grain] = mapFn(lo, hi)
-	})
-	acc := parts[0]
-	for _, p := range parts[1:] {
-		acc = reduce(acc, p)
-	}
-	return acc
 }
 
 // Do runs the given functions, concurrently when workers > 1 (one goroutine

@@ -1,7 +1,6 @@
 package par
 
 import (
-	"math/rand"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -32,75 +31,6 @@ func TestForCoversEveryIndexOnce(t *testing.T) {
 	}
 }
 
-func TestChunksFixedBoundaries(t *testing.T) {
-	// The set of (lo, hi) chunks must depend only on (n, grain), never on
-	// the worker count.
-	collect := func(workers, n, grain int) map[[2]int]bool {
-		got := make([][2]int, 0)
-		lock := make(chan struct{}, 1)
-		lock <- struct{}{}
-		Chunks(workers, n, grain, func(lo, hi int) {
-			<-lock
-			got = append(got, [2]int{lo, hi})
-			lock <- struct{}{}
-		})
-		set := make(map[[2]int]bool, len(got))
-		for _, c := range got {
-			if set[c] {
-				t.Fatalf("duplicate chunk %v", c)
-			}
-			set[c] = true
-		}
-		return set
-	}
-	ref := collect(1, 103, 10)
-	for _, w := range []int{2, 4, 16} {
-		got := collect(w, 103, 10)
-		if len(got) != len(ref) {
-			t.Fatalf("workers=%d: %d chunks, want %d", w, len(got), len(ref))
-		}
-		for c := range ref {
-			if !got[c] {
-				t.Fatalf("workers=%d: missing chunk %v", w, c)
-			}
-		}
-	}
-}
-
-func TestMapReduceBitIdenticalAcrossWorkerCounts(t *testing.T) {
-	// Floating-point sums are not associative, so bit-identity across worker
-	// counts is only possible because chunking and merge order are fixed.
-	rng := rand.New(rand.NewSource(42))
-	n := 10000
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = rng.NormFloat64() * float64(i%17)
-	}
-	sum := func(workers int) float64 {
-		return MapReduce(workers, n, 64, func(lo, hi int) float64 {
-			acc := 0.0
-			for i := lo; i < hi; i++ {
-				acc += v[i]
-			}
-			return acc
-		}, func(a, b float64) float64 { return a + b })
-	}
-	ref := sum(1)
-	for _, w := range []int{2, 3, 8, 33} {
-		if got := sum(w); got != ref {
-			t.Errorf("workers=%d: sum %.17g != serial %.17g", w, got, ref)
-		}
-	}
-}
-
-func TestMapReduceEmpty(t *testing.T) {
-	got := MapReduce(4, 0, 8, func(lo, hi int) int { return 1 },
-		func(a, b int) int { return a + b })
-	if got != 0 {
-		t.Errorf("empty MapReduce = %d", got)
-	}
-}
-
 func TestDoRunsAll(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		var a, b, c atomic.Int32
@@ -123,9 +53,9 @@ func TestPanicPropagation(t *testing.T) {
 		}()
 		f()
 	}
-	check("Chunks", func() {
-		Chunks(4, 100, 5, func(lo, hi int) {
-			if lo == 50 {
+	check("For", func() {
+		For(4, 100, func(i int) {
+			if i == 50 {
 				panic("boom")
 			}
 		})
@@ -133,7 +63,7 @@ func TestPanicPropagation(t *testing.T) {
 	check("Do", func() {
 		Do(4, func() {}, func() { panic("boom") })
 	})
-	check("Chunks-inline", func() {
-		Chunks(1, 10, 5, func(lo, hi int) { panic("boom") })
+	check("For-inline", func() {
+		For(1, 10, func(i int) { panic("boom") })
 	})
 }

@@ -153,7 +153,7 @@ func (s *System) solveComponent(comp []int, cs *cgScratch, tok *stop.Token) (int
 		}
 	}
 	solve := func(v, b []float64) error {
-		res, err := a.cg(v, b, 1e-6, cgMaxIter, 1, cs, tok)
+		res, err := a.cg(v, b, 1e-6, cgMaxIter, cs, tok)
 		s.obs.Add("placer.dirty.cg.iters", int64(res.iters))
 		if !res.converged && !res.stopped {
 			s.obs.Add("placer.dirty.cg.stagnated", 1)

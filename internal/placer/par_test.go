@@ -1,6 +1,7 @@
 package placer
 
 import (
+	"math"
 	"testing"
 
 	"rotaryclk/internal/geom"
@@ -17,9 +18,9 @@ func detCircuit(t testing.TB, cells, ffs int, seed int64) *netlist.Circuit {
 }
 
 // TestGlobalDeterministicAcrossWorkerCounts is the placer half of the
-// determinism contract: the parallel CG kernels must produce bit-identical
-// placements for every worker count, because chunk boundaries and reduction
-// order never depend on it.
+// determinism contract: placements must be bit-identical for every worker
+// count, because the worker count only decides whether the two serial axis
+// solves run concurrently.
 func TestGlobalDeterministicAcrossWorkerCounts(t *testing.T) {
 	ref := detCircuit(t, 600, 80, 17)
 	if err := Global(ref, Options{Parallelism: 1}); err != nil {
@@ -68,9 +69,10 @@ func TestIncrementalDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// BenchmarkCGSolve measures the CG kernel serial vs parallel on one fixed
-// system (the placer's dominant cost). Compare the sub-benchmarks to read
-// off the parallel speedup on this machine.
+// BenchmarkCGSolve measures one two-axis solve on a fixed system (the
+// placer's dominant cost), the axes in turn ("serial") and concurrently
+// ("parallel"). Compare the sub-benchmarks to read off what the axis split
+// buys on this machine.
 func BenchmarkCGSolve(b *testing.B) {
 	c := detCircuit(b, 4000, 400, 31)
 	run := func(workers int) func(*testing.B) {
@@ -95,9 +97,11 @@ func BenchmarkCGSolve(b *testing.B) {
 	b.Run("parallel", run(0))
 }
 
-// BenchmarkCGScratchReuse isolates the scratch-vector reuse: repeated cg
-// calls through the pool must not allocate per solve (allocs/op ~ 0 after
-// the first iteration warms the pool).
+// BenchmarkCGScratchReuse times repeated cg solves on one warm workspace,
+// each from a zero start (solving in place from the last solution would
+// converge in 0 iterations from the third op on): the kernel is serial and
+// its scratch vectors are reused, so allocs/op is 0 (TestCGAllocationFree
+// holds it there).
 func BenchmarkCGScratchReuse(b *testing.B) {
 	c := detCircuit(b, 2000, 200, 7)
 	opt := Options{}
@@ -110,10 +114,13 @@ func BenchmarkCGScratchReuse(b *testing.B) {
 	a := spd{diag: sys.diag, rowStart: sys.rowStart, cols: sys.cols, w: sys.wcur}
 	ws := wsPool.Get().(*solveWS)
 	defer wsPool.Put(ws)
+	x := make([]float64, len(sys.diag))
+	a.cg(x, sys.bx, opt.CGTol, 40, &ws.x, nil) // warm the workspace
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a.cg(sys.posX, sys.bx, opt.CGTol, 40, 1, &ws.x, nil)
+		clear(x)
+		a.cg(x, sys.bx, opt.CGTol, 40, &ws.x, nil)
 	}
 }
 
@@ -135,5 +142,63 @@ func BenchmarkGlobalPlace(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestCGAllocationFree: a cg solve on a warm workspace allocates nothing —
+// the kernel is plain loops over the reused scratch vectors.
+func TestCGAllocationFree(t *testing.T) {
+	c := detCircuit(t, 2000, 200, 7)
+	opt := Options{}
+	opt.normalize(c.NumMovable())
+	sys, err := NewSystem(c, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.prepare(&opt, nil, 0)
+	a := spd{diag: sys.diag, rowStart: sys.rowStart, cols: sys.cols, w: sys.wcur}
+	var ws cgScratch
+	x := make([]float64, len(sys.diag))
+	a.cg(x, sys.bx, opt.CGTol, 40, &ws, nil) // warm the workspace
+	allocs := testing.AllocsPerRun(5, func() {
+		clear(x)
+		a.cg(x, sys.bx, opt.CGTol, 40, &ws, nil)
+	})
+	if allocs != 0 {
+		t.Errorf("cg on a warm workspace: %v allocations per solve, want 0", allocs)
+	}
+}
+
+// TestDotBlockOrder pins dot's summation order: blocks of dotBlock products
+// summed from zero, the block sums added in order. The values make a plain
+// left-to-right sum differ in the last bits, so a kernel that changed the
+// order (and with it every solved position) fails here.
+func TestDotBlockOrder(t *testing.T) {
+	n := 2*dotBlock + 3
+	a := make([]float64, n)
+	b := make([]float64, n)
+	for i := range a {
+		a[i] = 1 + float64(i%7)*1e-3
+		b[i] = 0.1 * float64(1+i%5)
+	}
+	a[0], b[0] = 1e16, 1 // a large first term absorbs small ones differently per order
+	a[dotBlock], b[dotBlock] = -1e16, 1
+	want := 0.0
+	for lo := 0; lo < n; lo += dotBlock {
+		acc := 0.0
+		for i := lo; i < min(lo+dotBlock, n); i++ {
+			acc += a[i] * b[i]
+		}
+		want += acc
+	}
+	naive := 0.0
+	for i := range a {
+		naive += a[i] * b[i]
+	}
+	if math.Float64bits(naive) == math.Float64bits(want) {
+		t.Fatalf("test values do not separate the orders: both sum to %.17g", want)
+	}
+	if got := dot(a, b); math.Float64bits(got) != math.Float64bits(want) {
+		t.Errorf("dot = %.17g, blocked sum %.17g (left-to-right %.17g)", got, want, naive)
 	}
 }

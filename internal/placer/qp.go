@@ -73,10 +73,10 @@ type Options struct {
 	// CGTol is the linear solver's relative residual tolerance (default
 	// 1e-6); each solve stops after cgMaxIter iterations either way.
 	CGTol float64
-	// Parallelism bounds the worker count of the CG kernels and the
-	// concurrent x/y-axis solves: 0 = GOMAXPROCS, 1 = serial (no
-	// goroutines). Results are bit-identical for every value — chunk
-	// boundaries and reduction order are fixed (see internal/par).
+	// Parallelism is the worker count of the x/y axis solves: 0 =
+	// GOMAXPROCS; two or more solve the axes concurrently, 1 solves them in
+	// turn on the caller (no goroutines). Each axis solve is serial, so
+	// results are bit-identical for every value.
 	Parallelism int
 	// Obs receives solver telemetry (CG solves/iterations counters, exit
 	// residual gauge, system build/reuse counters). Nil records nothing.
@@ -510,7 +510,7 @@ func (s *System) fill(scale func(net int) float64, cols []int32, w, diag, bx, by
 // solveRound runs one prepare+solve+writeBack round and reports convergence.
 // Under opt.rebuildEachSolve (test-only) it assembles a fresh System first,
 // reproducing the historical rebuild-every-time path.
-func (s *System) solveRound(opt *Options, extra []PseudoNet, extraScale float64, workers int, ws *solveWS) (bool, error) {
+func (s *System) solveRound(opt *Options, extra []PseudoNet, extraScale float64, ws *solveWS) (bool, error) {
 	sys := s
 	if opt.rebuildEachSolve {
 		fresh, err := NewSystem(s.c, opt.Obs)
@@ -520,22 +520,19 @@ func (s *System) solveRound(opt *Options, extra []PseudoNet, extraScale float64,
 		sys = fresh
 	}
 	sys.prepare(opt, extra, extraScale)
-	converged, serr := sys.solve(opt.CGTol, cgMaxIter, workers, ws, opt.Stop)
+	converged, serr := sys.solve(opt.CGTol, cgMaxIter, opt.Parallelism, ws, opt.Stop)
 	// Best-effort positions reach the circuit even on cancellation, so the
 	// caller's snapshot/degrade path always sees a consistent placement.
 	sys.writeBack(s.c)
 	return converged, serr
 }
 
-// Kernel grains: chunk sizes of the parallel CG primitives. They are fixed
-// constants (never derived from the worker count) so that the floating-point
-// reduction order — and therefore every solved position — is bit-identical
-// no matter how many workers run the chunks. Systems smaller than one grain
-// reduce in exactly the seed's serial order.
-const (
-	mulGrain = 256  // matrix rows per mulvec chunk
-	vecGrain = 4096 // elements per vector-op / dot-product chunk
-)
+// dotBlock is the summation block of every CG inner product: each run of
+// dotBlock consecutive products is summed left to right from zero, and the
+// block sums are added in order. Floating-point addition is not
+// associative, so this order is part of every solved position: changing it
+// moves placements and the golden tables.
+const dotBlock = 4096
 
 // cgScratch holds the four CG work vectors of one axis, reused across solves
 // (and, via wsPool, across Global/Incremental calls) instead of being
@@ -568,16 +565,16 @@ var wsPool = sync.Pool{New: func() any { return new(solveWS) }}
 // solve runs the CG kernel for both dimensions on the working system,
 // starting from the current positions, and leaves the solutions in
 // posX/posY. The x and y systems share the (read-only) matrix but nothing
-// else, so with more than one worker they solve concurrently, splitting the
-// worker budget. It reports whether both axes converged (posX/posY hold the
-// best-effort iterates either way).
+// else, so with more than one worker they solve concurrently, one goroutine
+// per axis; each axis solve is serial. It reports whether both axes
+// converged (posX/posY hold the best-effort iterates either way).
 func (s *System) solve(tol float64, maxIter, workers int, ws *solveWS, tok *stop.Token) (bool, error) {
 	if faultinject.Hook(faultinject.SitePlacerCG) != nil {
 		return false, nil // injected stagnation: exercise the retry path
 	}
 	a := spd{diag: s.diag, rowStart: s.rowStart, cols: s.cols, w: s.wcur}
-	axis := func(x, b []float64, workers int, cs *cgScratch) (bool, error) {
-		res, err := a.cg(x, b, tol, maxIter, workers, cs, tok)
+	axis := func(x, b []float64, cs *cgScratch) (bool, error) {
+		res, err := a.cg(x, b, tol, maxIter, cs, tok)
 		// Counters (solves, iterations) are deterministic; the exit residual
 		// is a last-write gauge because the two axis solves race on it.
 		s.obs.Add("placer.cg.solves", 1)
@@ -593,15 +590,9 @@ func (s *System) solve(tol float64, maxIter, workers int, ws *solveWS, tok *stop
 	}
 	var okX, okY bool
 	var errX, errY error
-	if workers > 1 {
-		half := workers / 2
-		par.Do(workers,
-			func() { okX, errX = axis(s.posX, s.bx, half, &ws.x) },
-			func() { okY, errY = axis(s.posY, s.by, workers-half, &ws.y) })
-	} else {
-		okX, errX = axis(s.posX, s.bx, 1, &ws.x)
-		okY, errY = axis(s.posY, s.by, 1, &ws.y)
-	}
+	par.Do(workers,
+		func() { okX, errX = axis(s.posX, s.bx, &ws.x) },
+		func() { okY, errY = axis(s.posY, s.by, &ws.y) })
 	if errX != nil {
 		return okX && okY, errX // x before y: deterministic error choice
 	}
@@ -620,34 +611,47 @@ type spd struct {
 }
 
 // mulvec computes out = A*v. The CSR row walk is over contiguous cols/w
-// memory, in the per-row neighbor order the fill recorded. Rows are
-// independent, so chunked execution is deterministic for any worker count.
-func (a spd) mulvec(v, out []float64, workers int) {
-	par.Chunks(workers, len(a.diag), mulGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			acc := a.diag[i] * v[i]
-			cols := a.cols[a.rowStart[i]:a.rowStart[i+1]]
-			wts := a.w[a.rowStart[i]:a.rowStart[i+1]]
-			for k, j := range cols {
-				acc -= wts[k] * v[j]
-			}
-			out[i] = acc
+// memory, in the per-row neighbor order the fill recorded.
+func (a spd) mulvec(v, out []float64) {
+	for i := range a.diag {
+		acc := a.diag[i] * v[i]
+		cols := a.cols[a.rowStart[i]:a.rowStart[i+1]]
+		wts := a.w[a.rowStart[i]:a.rowStart[i+1]]
+		for k, j := range cols {
+			acc -= wts[k] * v[j]
 		}
-	})
+		out[i] = acc
+	}
 }
 
-func addF(a, b float64) float64 { return a + b }
-
-// dot is the fixed-chunk parallel dot product: partial sums per vecGrain
-// chunk, merged in chunk order (bit-identical for every worker count).
-func dot(a, b []float64, workers int) float64 {
-	return par.MapReduce(workers, len(a), vecGrain, func(lo, hi int) float64 {
+// dot is the inner product of a and b in dotBlock summation order.
+func dot(a, b []float64) float64 {
+	sum := 0.0
+	for lo := 0; lo < len(a); lo += dotBlock {
+		hi := min(lo+dotBlock, len(a))
 		acc := 0.0
 		for i := lo; i < hi; i++ {
 			acc += a[i] * b[i]
 		}
-		return acc
-	}, addF)
+		sum += acc
+	}
+	return sum
+}
+
+// precondition applies the Jacobi preconditioner, z = r/diag, and returns
+// r·z in dotBlock summation order.
+func (a spd) precondition(r, z []float64) float64 {
+	sum := 0.0
+	for lo := 0; lo < len(r); lo += dotBlock {
+		hi := min(lo+dotBlock, len(r))
+		acc := 0.0
+		for i := lo; i < hi; i++ {
+			z[i] = r[i] / a.diag[i]
+			acc += r[i] * z[i]
+		}
+		sum += acc
+	}
+	return sum
 }
 
 // cgResult is the outcome of one kernel solve: the iterations run, whether
@@ -666,77 +670,57 @@ type cgResult struct {
 // result is unconverged (budget exhausted, numerical breakdown, or a fired
 // token) x holds the best iterate reached; a fired token additionally
 // returns an error wrapping the stop sentinel. The caller records counters.
-func (a spd) cg(x, b []float64, tol float64, maxIter, workers int, ws *cgScratch, tok *stop.Token) (cgResult, error) {
+func (a spd) cg(x, b []float64, tol float64, maxIter int, ws *cgScratch, tok *stop.Token) (cgResult, error) {
 	n := len(a.diag)
 	res := cgResult{rel: math.Inf(1)}
 	ws.ensure(n)
 	r, z, p, ap := ws.r, ws.z, ws.p, ws.ap
-	a.mulvec(x, r, workers)
-	par.Chunks(workers, n, vecGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			r[i] = b[i] - r[i]
-		}
-	})
-	bnorm := math.Sqrt(dot(b, b, workers))
+	a.mulvec(x, r)
+	for i := range r {
+		r[i] = b[i] - r[i]
+	}
+	bnorm := math.Sqrt(dot(b, b))
 	if bnorm == 0 {
 		bnorm = 1
 	}
 	// exit records the residual at an unconverged-looking exit: converged
 	// only if it already meets the tolerance.
 	exit := func() {
-		rcur := math.Sqrt(dot(r, r, workers))
+		rcur := math.Sqrt(dot(r, r))
 		res.rel = rcur / bnorm
 		res.converged = rcur <= tol*bnorm
 	}
-	rz := par.MapReduce(workers, n, vecGrain, func(lo, hi int) float64 {
-		acc := 0.0
-		for i := lo; i < hi; i++ {
-			z[i] = r[i] / a.diag[i]
-			p[i] = z[i]
-			acc += r[i] * z[i]
-		}
-		return acc
-	}, addF)
+	rz := a.precondition(r, z)
+	copy(p, z)
 	for ; res.iters < maxIter; res.iters++ {
 		if serr := stop.Check(tok, faultinject.SitePlacerCGCancel); serr != nil {
 			res.stopped = true
 			exit()
 			return res, fmt.Errorf("placer: conjugate gradients: %w", serr)
 		}
-		rn := dot(r, r, workers)
+		rn := dot(r, r)
 		if math.Sqrt(rn) <= tol*bnorm {
 			res.rel = math.Sqrt(rn) / bnorm
 			res.converged = true
 			return res, nil
 		}
-		a.mulvec(p, ap, workers)
-		pap := dot(p, ap, workers)
+		a.mulvec(p, ap)
+		pap := dot(p, ap)
 		if pap <= 0 {
 			exit() // numerical breakdown; x is best effort
 			return res, nil
 		}
 		alpha := rz / pap
-		par.Chunks(workers, n, vecGrain, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				x[i] += alpha * p[i]
-				r[i] -= alpha * ap[i]
-			}
-		})
-		rzNew := par.MapReduce(workers, n, vecGrain, func(lo, hi int) float64 {
-			acc := 0.0
-			for i := lo; i < hi; i++ {
-				z[i] = r[i] / a.diag[i]
-				acc += r[i] * z[i]
-			}
-			return acc
-		}, addF)
+		for i := range r {
+			x[i] += alpha * p[i]
+			r[i] -= alpha * ap[i]
+		}
+		rzNew := a.precondition(r, z)
 		beta := rzNew / rz
 		rz = rzNew
-		par.Chunks(workers, n, vecGrain, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				p[i] = z[i] + beta*p[i]
-			}
-		})
+		for i := range p {
+			p[i] = z[i] + beta*p[i]
+		}
 	}
 	exit() // iteration budget exhausted
 	return res, nil
@@ -758,10 +742,9 @@ func (s *System) SolveQP(opt Options) error {
 		return nil
 	}
 	s.obs = opt.Obs
-	workers := par.Workers(opt.Parallelism)
 	ws := wsPool.Get().(*solveWS)
 	defer wsPool.Put(ws)
-	converged, err := s.solveRound(&opt, nil, 0, workers, ws)
+	converged, err := s.solveRound(&opt, nil, 0, ws)
 	if err != nil {
 		return err
 	}

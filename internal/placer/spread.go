@@ -7,7 +7,6 @@ import (
 	"rotaryclk/internal/faultinject"
 	"rotaryclk/internal/geom"
 	"rotaryclk/internal/netlist"
-	"rotaryclk/internal/par"
 )
 
 // Global runs global placement: an initial quadratic solve followed by
@@ -42,15 +41,14 @@ func (s *System) Global(opt Options) error {
 	}
 	s.obs = opt.Obs
 	s.obs.Add("placer.global.calls", 1)
-	workers := par.Workers(opt.Parallelism)
-	handled, err := s.vcycle(opt, workers)
+	handled, err := s.vcycle(opt)
 	if handled || err != nil {
 		return err
 	}
 	// At or below the MLCoarsest floor, or connectivity that refuses to
 	// shrink: the flat path below is the whole placement.
 	s.obs.Add("placer.ml.fallback", 1)
-	return s.globalLoop(opt, workers)
+	return s.globalLoop(opt)
 }
 
 // globalLoop is the flat global-placement body shared by the direct path and
@@ -58,12 +56,12 @@ func (s *System) Global(opt Options) error {
 // followed by opt.SpreadIters equalize+re-solve rounds. opt must already be
 // normalized; the caller owns validation, the path choice, and the
 // placer.global.calls counter.
-func (s *System) globalLoop(opt Options, workers int) error {
+func (s *System) globalLoop(opt Options) error {
 	c := s.c
 	s.obs = opt.Obs
 	ws := wsPool.Get().(*solveWS)
 	defer wsPool.Put(ws)
-	converged, err := s.solveRound(&opt, nil, 0, workers, ws)
+	converged, err := s.solveRound(&opt, nil, 0, ws)
 	if err != nil {
 		return err
 	}
@@ -74,7 +72,7 @@ func (s *System) globalLoop(opt Options, workers int) error {
 		// strength ramps so early rounds preserve connectivity structure
 		// and late rounds enforce density.
 		w := spreadAlpha * float64(iter)
-		converged, err = s.solveRound(&opt, targets, w, workers, ws)
+		converged, err = s.solveRound(&opt, targets, w, ws)
 		if err != nil {
 			return err
 		}
@@ -119,10 +117,9 @@ func (s *System) Incremental(opt Options) error {
 	opt.anchorWeight = stabilityAnchor
 	s.obs = opt.Obs
 	s.obs.Add("placer.incremental.calls", 1)
-	workers := par.Workers(opt.Parallelism)
 	ws := wsPool.Get().(*solveWS)
 	defer wsPool.Put(ws)
-	converged, err := s.solveRound(&opt, nil, 0, workers, ws)
+	converged, err := s.solveRound(&opt, nil, 0, ws)
 	if err != nil {
 		return err
 	}
@@ -147,7 +144,7 @@ func (s *System) Incremental(opt Options) error {
 			filtered = append(filtered, tg)
 		}
 	}
-	converged, err = s.solveRound(&opt, filtered, 0.1, workers, ws)
+	converged, err = s.solveRound(&opt, filtered, 0.1, ws)
 	if err != nil {
 		return err
 	}

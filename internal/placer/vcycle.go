@@ -53,7 +53,7 @@ type mlLevel struct {
 // circuit writes) when the instance is degenerate for clustering — too small,
 // all fixed, or connectivity that refuses to shrink — in which case the
 // caller falls back to the flat path. opt must already be normalized.
-func (s *System) vcycle(opt Options, workers int) (handled bool, err error) {
+func (s *System) vcycle(opt Options) (handled bool, err error) {
 	// Build the hierarchy bottom-up. Coarsening stops at MLCoarsest movable
 	// cells or when a level shrinks by less than 20% — matching saturates on
 	// dense cluster connectivity, and levels that barely shrink cost more in
@@ -90,7 +90,7 @@ func (s *System) vcycle(opt Options, workers int) (handled bool, err error) {
 	// Coarsest level: full global placement over the clusters (initial solve
 	// plus the configured spreading schedule, at cluster scale).
 	top := len(levels) - 1
-	if err := s.mlSolveLevel(levels, top, opt, opt.SpreadIters, workers); err != nil {
+	if err := s.mlSolveLevel(levels, top, opt, opt.SpreadIters); err != nil {
 		return true, err
 	}
 
@@ -119,7 +119,7 @@ func (s *System) vcycle(opt Options, workers int) (handled bool, err error) {
 		// peak live heap off the fine-level solves, which at 512k cells is
 		// worth more than a full refinement round.
 		levels[l+1] = nil
-		if err := s.mlSolveLevel(levels, l, opt, mlRefine, workers); err != nil {
+		if err := s.mlSolveLevel(levels, l, opt, mlRefine); err != nil {
 			return true, err
 		}
 	}
@@ -139,7 +139,7 @@ func (s *System) vcycle(opt Options, workers int) (handled bool, err error) {
 // solve is exactly what must NOT run there — its solution is independent of
 // the starting iterate, so it would discard the interpolated coarse result
 // and degenerate the V-cycle into an expensive flat run.
-func (s *System) mlSolveLevel(levels []*mlLevel, l int, opt Options, rounds int, workers int) error {
+func (s *System) mlSolveLevel(levels []*mlLevel, l int, opt Options, rounds int) error {
 	lv := levels[l]
 	lopt := opt
 	if l > 0 {
@@ -158,9 +158,9 @@ func (s *System) mlSolveLevel(levels []*mlLevel, l int, opt Options, rounds int,
 		if lopt.CGTol < 1e-3 {
 			lopt.CGTol = 1e-3
 		}
-		err = lv.sys.globalLoop(lopt, workers)
+		err = lv.sys.globalLoop(lopt)
 	} else {
-		err = lv.sys.refineLoop(lopt, workers, rounds)
+		err = lv.sys.refineLoop(lopt, rounds)
 	}
 	if err == nil {
 		return nil
@@ -187,7 +187,7 @@ func (s *System) mlSolveLevel(levels []*mlLevel, l int, opt Options, rounds int,
 // interpolated coarse placement, not a fresh unanchored QP solution, is the
 // structure being refined — which also keeps every CG solve strongly
 // diagonally dominant and therefore cheap. opt must already be normalized.
-func (s *System) refineLoop(opt Options, workers int, rounds int) error {
+func (s *System) refineLoop(opt Options, rounds int) error {
 	c := s.c
 	s.obs = opt.Obs
 	ws := wsPool.Get().(*solveWS)
@@ -198,7 +198,7 @@ func (s *System) refineLoop(opt Options, workers int, rounds int) error {
 		targets := equalize(c, opt.bins)
 		w := final * float64(iter) / float64(rounds)
 		var err error
-		converged, err = s.solveRound(&opt, targets, w, workers, ws)
+		converged, err = s.solveRound(&opt, targets, w, ws)
 		if err != nil {
 			return err
 		}

@@ -43,7 +43,7 @@ func TestMultilevelOffIdentity(t *testing.T) {
 	}
 	refOpt := Options{MLCoarsest: ref.NumMovable(), Parallelism: 1}
 	refOpt.normalize(ref.NumMovable())
-	if err := sys.globalLoop(refOpt, 1); err != nil {
+	if err := sys.globalLoop(refOpt); err != nil {
 		t.Fatal(err)
 	}
 	want := ref.Positions()
@@ -68,8 +68,8 @@ func TestMultilevelOffIdentity(t *testing.T) {
 
 // TestVCycleDeterministicAcrossWorkerCounts: the V-cycle inherits the
 // placer's determinism contract — coarsening is ID-ordered, every level
-// solve runs on fixed chunk grains — so 1 and 8 workers must produce
-// bit-equal placements.
+// solve runs each axis serially in a fixed summation order — so 1 and 8
+// workers must produce bit-equal placements.
 func TestVCycleDeterministicAcrossWorkerCounts(t *testing.T) {
 	ref := mlCircuit(t, 73)
 	reg := obs.NewRegistry()
@@ -150,7 +150,7 @@ func TestVCycleFallback(t *testing.T) {
 	}
 	refOpt := Options{Parallelism: 1}
 	refOpt.normalize(refC.NumMovable())
-	if err := sys.globalLoop(refOpt, 1); err != nil {
+	if err := sys.globalLoop(refOpt); err != nil {
 		t.Fatal(err)
 	}
 	want := refC.Positions()

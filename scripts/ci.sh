@@ -3,7 +3,9 @@
 #
 #   scripts/ci.sh test    go build + gofmt -l + go vet + go test over every
 #                         package (tier-1 gate)
-#   scripts/ci.sh race    go test -race over every package (parallel kernels)
+#   scripts/ci.sh race    go test -race over every package (the par.For and
+#                         par.Do sites: x/y axis solves, candidate rows,
+#                         suite circuits and flow arms)
 #   scripts/ci.sh fuzz    smoke-fuzz every Fuzz target (10s each) on top of
 #                         the checked-in corpora under testdata/fuzz/
 #   scripts/ci.sh serve   end-to-end daemon smoke over both endpoints:
@@ -51,7 +53,10 @@
 #   scripts/ci.sh place   placement gate: every ^TestDetailed test under
 #                         -race (the cached-box swap loop against the
 #                         verbatim reference loop, bit for bit; the box
-#                         bookkeeping cases), the V-cycle tests (below-floor
+#                         bookkeeping cases) and the Global/Incremental
+#                         worker-count determinism tests under -race (the
+#                         concurrent x/y axis solves are the placer's only
+#                         concurrent path), the V-cycle tests (below-floor
 #                         Global bit-identical to the flat loop at 1 and 8
 #                         workers, coarsening invariants, cancellation and
 #                         degenerate fallbacks), the binned MaxOverlap
@@ -206,7 +211,7 @@ eco)
     ;;
 place)
     timeout="${PLACE_TIMEOUT:-120s}"
-    go test -race ./internal/placer/ -run '^TestDetailed' -count=1
+    go test -race ./internal/placer/ -run '^(TestDetailed|Test(Global|Incremental)DeterministicAcrossWorkerCounts$)' -count=1
     go test ./internal/placer/ -run '^(TestMultilevel|TestVCycle|TestCoarsen|TestProjectOverlays|TestInterpolate|TestMaxOverlapMatchesReference$)' -count=1
     go test ./internal/oracle/ -run '^TestFaultMLCorruptDetected$' -count=1
     ROTARY_PLACE_SMOKE=1 go test -timeout "$timeout" \
