@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"rotaryclk/internal/assign"
 	"rotaryclk/internal/faultinject"
@@ -63,25 +63,20 @@ func Apply(st *State, deltas []Delta, opt Options) (*Outcome, error) {
 		out.Events = append(out.Events, fmt.Sprintf("%s failed; rolled back to pre-edit state: %v", phase, err))
 		out.Degraded = true
 		reg.Add("eco.degraded", 1)
-		out.FFCells = append([]int(nil), st.FFCells...)
-		out.Sched = append([]float64(nil), st.Sched...)
-		out.Assign = st.Assign
-		if st.Assign != nil {
-			out.Total = st.Assign.Total
-		}
-		out.WorkSlack = st.WorkSlack
-		_, out.SignalWL = signalWL(st, opt.Scratch)
+		out.echo(st, opt.Scratch)
 		return out, nil
 	}
 
 	// Phase 1: netlist edits. A net edit changes the connectivity, so the
 	// quadratic system rebuilds from the edited circuit once the whole
-	// batch has applied.
+	// batch has applied. The edit's scope is every edited cell and net
+	// plus the dirty region phase 2 may move: the only cells and nets the
+	// STA and wirelength caches re-read.
 	nlSp := span.Child("eco.netlist")
 	sys := st.Sys
 	needRebuild := opt.Scratch
-	dirtyCellSet := map[int]bool{}
 	dirtyFFSet := map[int]bool{}
+	var dirtyCells, scopeCells, scopeNets []int
 	for i, d := range deltas {
 		ap, err := applyDelta(st, pinned, i, d)
 		if err != nil {
@@ -98,13 +93,13 @@ func Apply(st *State, deltas []Delta, opt Options) (*Outcome, error) {
 		}
 		out.Deltas++
 		reg.Add("eco.deltas", 1)
-		for _, id := range ap.dirtyCells {
-			dirtyCellSet[id] = true
-		}
+		scopeCells = append(scopeCells, d.Cell)
+		dirtyCells = append(dirtyCells, ap.dirtyCells...)
 		if ap.dirtyFF >= 0 {
 			dirtyFFSet[ap.dirtyFF] = true
 		}
 		if ap.editedNet >= 0 {
+			scopeNets = append(scopeNets, ap.editedNet)
 			needRebuild = true
 		}
 	}
@@ -112,16 +107,12 @@ func Apply(st *State, deltas []Delta, opt Options) (*Outcome, error) {
 	if out.Deltas == 0 {
 		// Every delta was a no-op: nothing re-solves, nothing is dirty, and
 		// the outcome echoes the unchanged state.
-		out.FFCells = append([]int(nil), st.FFCells...)
-		out.Sched = append([]float64(nil), st.Sched...)
-		out.Assign = st.Assign
-		if st.Assign != nil {
-			out.Total = st.Assign.Total
-		}
-		out.WorkSlack = st.WorkSlack
-		_, out.SignalWL = signalWL(st, opt.Scratch)
+		out.echo(st, opt.Scratch)
 		return out, nil
 	}
+	dirtyCells = sortedSet(dirtyCells)
+	scopeCells = sortedSet(append(scopeCells, dirtyCells...))
+	scopeNets = sortedSet(scopeNets)
 	if needRebuild {
 		ns, err := placer.NewSystem(c, reg)
 		if err != nil {
@@ -140,11 +131,6 @@ func Apply(st *State, deltas []Delta, opt Options) (*Outcome, error) {
 	// hold their (user-chosen) positions; their movable neighbors re-settle
 	// against the rest of the placement as a boundary condition.
 	plSp := span.Child("eco.place")
-	dirtyCells := make([]int, 0, len(dirtyCellSet))
-	for id := range dirtyCellSet {
-		dirtyCells = append(dirtyCells, id)
-	}
-	sort.Ints(dirtyCells)
 	if len(dirtyCells) > 0 {
 		moved, err := sys.SolveDirty(dirtyCells, tok)
 		if err != nil {
@@ -162,9 +148,9 @@ func Apply(st *State, deltas []Delta, opt Options) (*Outcome, error) {
 
 	// Phase 3: scoped timing analysis and warm-started schedule re-check.
 	// The STA cache re-propagates only the flip-flop sources whose cone the
-	// edit touched (built in full on first use); the schedule repair,
-	// seeded from the previous schedule, is one O(m) verification round
-	// when nothing regressed.
+	// edit touched (built in full when the state has none); the schedule
+	// repair, seeded from the previous schedule, is one O(m) verification
+	// round when nothing regressed.
 	schedSp := span.Child("eco.sched")
 	ffCells := c.FlipFlops()
 	n := len(ffCells)
@@ -176,7 +162,7 @@ func Apply(st *State, deltas []Delta, opt Options) (*Outcome, error) {
 	for i, id := range ffCells {
 		ffIdx[id] = i
 	}
-	sta, pairs, err := analyze(st, ffIdx, opt.Scratch, reg)
+	sta, pairs, err := analyze(st, ffIdx, scopeCells, scopeNets, opt.Scratch, reg)
 	if err != nil {
 		schedSp.End()
 		return fail("timing analysis", err)
@@ -309,10 +295,7 @@ func Apply(st *State, deltas []Delta, opt Options) (*Outcome, error) {
 		return fail("assignment patch", err)
 	}
 	asgSp.End()
-	wl, total := signalWL(st, opt.Scratch)
-	if !opt.Scratch {
-		reg.Add("eco.wl.nets", int64(wl.Nets()))
-	}
+	wl, total := signalWL(st, scopeCells, scopeNets, opt.Scratch, reg)
 
 	// Commit.
 	st.Sys = sys
@@ -331,39 +314,60 @@ func Apply(st *State, deltas []Delta, opt Options) (*Outcome, error) {
 	return out, nil
 }
 
-// signalWL returns the signal wirelength of the state's circuit as it
-// stands and the cache to commit with it. The incremental path updates
-// st.SignalWL (building it on first use); Scratch measures every net and
-// keeps st.SignalWL as it is.
-func signalWL(st *State, scratch bool) (*SignalWL, float64) {
+// echo fills out with the state as last committed, which both a rolled-back
+// Apply and a batch of no-ops leave in place. Its wirelength is the
+// committed cache's total, or under Scratch or with no cache a full
+// Circuit.SignalWL.
+func (out *Outcome) echo(st *State, scratch bool) {
+	out.FFCells = append([]int(nil), st.FFCells...)
+	out.Sched = append([]float64(nil), st.Sched...)
+	out.Assign = st.Assign
+	if st.Assign != nil {
+		out.Total = st.Assign.Total
+	}
+	out.WorkSlack = st.WorkSlack
+	if st.SignalWL != nil && !scratch {
+		out.SignalWL = st.SignalWL.Total()
+	} else {
+		out.SignalWL = st.Circuit.SignalWL()
+	}
+}
+
+// signalWL returns the signal wirelength of the edited circuit and the
+// cache to commit with it. The incremental path updates st.SignalWL over
+// the edit's scope (building it in full when the state has none) and
+// records the nets it measured; Scratch measures every net and commits no
+// cache.
+func signalWL(st *State, cells, nets []int, scratch bool, reg *obs.Registry) (*SignalWL, float64) {
 	if scratch {
-		return st.SignalWL, st.Circuit.SignalWL()
+		return nil, st.Circuit.SignalWL()
 	}
 	var w *SignalWL
 	if st.SignalWL == nil {
 		w = NewSignalWL(st.Circuit)
 	} else {
-		w = st.SignalWL.Update(st.Circuit)
+		w = st.SignalWL.Update(st.Circuit, cells, nets)
 	}
+	reg.Add("eco.wl.nets", int64(w.Nets()))
 	return w, w.Total()
 }
 
 // analyze returns the sequential pairs of the edited circuit and the STA
-// cache to commit with them. The incremental path updates st.STA (building
-// it on first use) and records its work; Scratch runs a full
-// timing.SeqPairs and keeps st.STA as it is.
-func analyze(st *State, ffIdx map[int]int, scratch bool, reg *obs.Registry) (*timing.STA, []skew.SeqPair, error) {
+// cache to commit with them. The incremental path updates st.STA over the
+// edit's scope (building it in full when the state has none) and records
+// its work; Scratch runs a full timing.SeqPairs and commits no cache.
+func analyze(st *State, ffIdx map[int]int, cells, nets []int, scratch bool, reg *obs.Registry) (*timing.STA, []skew.SeqPair, error) {
 	c := st.Circuit
 	if scratch {
 		pairs, err := timing.SeqPairs(c, st.TModel, ffIdx)
-		return st.STA, pairs, err
+		return nil, pairs, err
 	}
 	var sta *timing.STA
 	var err error
 	if st.STA == nil {
 		sta, err = timing.NewSTA(c, st.TModel)
 	} else {
-		sta, err = st.STA.Update(c)
+		sta, err = st.STA.Update(c, cells, nets)
 	}
 	if err != nil {
 		return nil, nil, err
@@ -376,6 +380,12 @@ func analyze(st *State, ffIdx map[int]int, scratch bool, reg *obs.Registry) (*ti
 	}
 	pairs, err := sta.Pairs(ffIdx)
 	return sta, pairs, err
+}
+
+// sortedSet sorts xs in place and drops its duplicates.
+func sortedSet(xs []int) []int {
+	slices.Sort(xs)
+	return slices.Compact(xs)
 }
 
 func mode(opt Options) string {

@@ -692,11 +692,49 @@ func sameCachedPairs(t *testing.T, label string, st *eco.State) {
 	}
 }
 
+// scratchThenRebuild applies a Scratch edit and then two incremental
+// ones. The Scratch apply must commit no caches, the next incremental
+// apply must build both caches in full, and the one after it must be
+// scoped again. check runs after each incremental apply.
+func scratchThenRebuild(t *testing.T, st *eco.State, scratch, rebuild, scoped eco.Delta, check func(label string, out *eco.Outcome)) {
+	t.Helper()
+	out, err := eco.Apply(st, []eco.Delta{scratch}, eco.Options{Scratch: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.STA != nil || st.SignalWL != nil {
+		t.Fatalf("scratch apply committed caches: STA %v, signal WL %v", st.STA != nil, st.SignalWL != nil)
+	}
+	if math.Float64bits(out.SignalWL) != math.Float64bits(st.Circuit.SignalWL()) {
+		t.Fatalf("scratch outcome signal WL %v, circuit %v", out.SignalWL, st.Circuit.SignalWL())
+	}
+	nets := int64(len(st.Circuit.Nets))
+	reg := obs.NewRegistry()
+	if out, err = eco.Apply(st, []eco.Delta{rebuild}, eco.Options{Obs: reg}); err != nil {
+		t.Fatal(err)
+	}
+	if reg.Counter("eco.sta.full") != 1 || reg.Counter("eco.wl.nets") != nets {
+		t.Fatalf("apply after scratch: sta.full %d, wl.nets %d; want 1 and all %d nets",
+			reg.Counter("eco.sta.full"), reg.Counter("eco.wl.nets"), nets)
+	}
+	check("apply after scratch", out)
+	reg = obs.NewRegistry()
+	if out, err = eco.Apply(st, []eco.Delta{scoped}, eco.Options{Obs: reg}); err != nil {
+		t.Fatal(err)
+	}
+	if n := reg.Counter("eco.wl.nets"); reg.Counter("eco.sta.full") != 0 || reg.Counter("eco.sta.reused") == 0 || n == 0 || n >= nets {
+		t.Fatalf("apply after rebuild: sta.full %d, sta.reused %d, wl.nets %d of %d; want scoped updates",
+			reg.Counter("eco.sta.full"), reg.Counter("eco.sta.reused"), n, nets)
+	}
+	check("apply after rebuild", out)
+}
+
 // TestApplySTACache: the first incremental Apply builds the STA cache in
 // full and later ones re-propagate only a few sources; a Degraded Apply
 // (stop fired at the stage boundary after timing) keeps the pre-edit cache,
-// and the next edit still matches a full analysis. Scratch never touches
-// the cache.
+// and the next edit still matches a full analysis. A Scratch Apply commits
+// no cache; the next incremental Apply builds it in full and the one after
+// is scoped again.
 func TestApplySTACache(t *testing.T) {
 	c := genCircuit(t, 300, 40, 5)
 	st, _ := baseState(t, c)
@@ -744,16 +782,8 @@ func TestApplySTACache(t *testing.T) {
 	}
 	sameCachedPairs(t, "degraded apply", st)
 
-	if _, err := eco.Apply(st, move(3, 0.4, 0.8), eco.Options{Scratch: true}); err != nil {
-		t.Fatal(err)
-	}
-	if st.STA != pre {
-		t.Fatal("scratch apply replaced the STA cache")
-	}
-	if _, err := eco.Apply(st, move(2, 0.9, 0.1), eco.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	sameCachedPairs(t, "apply after degraded and scratch", st)
+	scratchThenRebuild(t, st, move(3, 0.4, 0.8)[0], move(2, 0.9, 0.1)[0], move(0, 0.6, 0.4)[0],
+		func(label string, _ *eco.Outcome) { sameCachedPairs(t, label, st) })
 }
 
 // sameWL requires the state's signal-wirelength cache, and the wirelength
@@ -771,10 +801,10 @@ func sameWL(t *testing.T, label string, st *eco.State, out *eco.Outcome) {
 
 // TestApplySignalWLCache: the first incremental Apply measures every net
 // and later ones only the touched nets, a net edit included; a rolled-back
-// and a Degraded Apply keep the pre-edit cache; a Scratch Apply leaves it
-// alone, and the next incremental Apply still catches up with the scratch
-// edit. Two states forked from one base cache update it copy-on-write
-// without disturbing each other or the base.
+// and a Degraded Apply keep the pre-edit cache; a Scratch Apply commits no
+// cache, the next incremental Apply measures every net again and the one
+// after is scoped again. Two states forked from one base cache update it
+// copy-on-write without disturbing each other or the base.
 func TestApplySignalWLCache(t *testing.T) {
 	c, ids := chainCircuit(t)
 	st, res := baseState(t, c)
@@ -826,21 +856,11 @@ func TestApplySignalWLCache(t *testing.T) {
 	}
 	sameWL(t, "degraded apply", st, out)
 
-	out, err = eco.Apply(st, []eco.Delta{{Op: eco.OpMoveFF, Cell: ids[1].f2, X: 800, Y: 300}}, eco.Options{Scratch: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.SignalWL != pre {
-		t.Fatal("scratch apply replaced the cache")
-	}
-	if math.Float64bits(out.SignalWL) != math.Float64bits(c.SignalWL()) {
-		t.Fatalf("scratch outcome signal WL %v, circuit %v", out.SignalWL, c.SignalWL())
-	}
-	out, err = eco.Apply(st, []eco.Delta{{Op: eco.OpMoveFF, Cell: ids[0].f2, X: 150, Y: 600}}, eco.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameWL(t, "apply after scratch", st, out)
+	scratchThenRebuild(t, st,
+		eco.Delta{Op: eco.OpMoveFF, Cell: ids[1].f2, X: 800, Y: 300},
+		eco.Delta{Op: eco.OpMoveFF, Cell: ids[0].f2, X: 150, Y: 600},
+		eco.Delta{Op: eco.OpMoveFF, Cell: ids[1].f1, X: 650, Y: 750},
+		func(label string, out *eco.Outcome) { sameWL(t, label, st, out) })
 
 	shared := eco.NewSignalWL(base)
 	want := math.Float64bits(shared.Total())
@@ -872,10 +892,11 @@ func TestApplySignalWLCache(t *testing.T) {
 }
 
 // TestSignalWLUpdate drives the cache directly through random cell moves
-// (cells on no net included), pin-only sink additions and removals, and a
-// net-count change. Every update is bit-equal to Circuit.SignalWL, leaves
-// the cache it came from unchanged, and takes a snapshot: updating it again
-// against the same circuit measures no net.
+// (cells on no net included) and pin-only sink additions and removals,
+// each kept in step with the sink's Fanin and passed to Update as its
+// scope. Every update is bit-equal to Circuit.SignalWL, leaves the cache
+// it came from unchanged, and updating the new cache again over the same
+// scope measures the same total.
 func TestSignalWLUpdate(t *testing.T) {
 	c := genCircuit(t, 300, 30, 3)
 	rng := rand.New(rand.NewSource(5))
@@ -895,34 +916,38 @@ func TestSignalWLUpdate(t *testing.T) {
 	w := eco.NewSignalWL(c)
 	check(-1, w)
 	for step := 0; step < 300; step++ {
-		net := c.Nets[rng.Intn(len(c.Nets))]
+		ni := rng.Intn(len(c.Nets))
+		net := c.Nets[ni]
+		var cells, nets []int
 		switch rng.Intn(3) {
 		case 0:
-			c.Cells[rng.Intn(len(c.Cells))].Pos = randPos()
+			id := rng.Intn(len(c.Cells))
+			c.Cells[id].Pos = randPos()
+			cells = []int{id}
 		case 1:
 			if id := rng.Intn(len(c.Cells)); !slices.Contains(net.Pins, id) {
 				net.Pins = append(net.Pins, id)
+				c.Cells[id].Fanin = append(c.Cells[id].Fanin, ni)
+				nets = []int{ni}
 			}
 		case 2:
 			if len(net.Pins) > 2 {
 				k := 1 + rng.Intn(len(net.Pins)-1)
-				net.Pins = slices.Delete(slices.Clone(net.Pins), k, k+1)
+				sink := c.Cells[net.Pins[k]]
+				net.Pins = slices.Delete(net.Pins, k, k+1)
+				fi := slices.Index(sink.Fanin, ni)
+				sink.Fanin = slices.Delete(sink.Fanin, fi, fi+1)
+				nets = []int{ni}
 			}
 		}
 		prev, prevTotal := w, math.Float64bits(w.Total())
-		w = prev.Update(c)
+		w = prev.Update(c, cells, nets)
 		check(step, w)
 		if math.Float64bits(prev.Total()) != prevTotal {
 			t.Fatalf("step %d: Update changed the cache it came from", step)
 		}
-		if again := w.Update(c); again.Nets() != 0 || math.Float64bits(again.Total()) != math.Float64bits(w.Total()) {
-			t.Fatalf("step %d: re-update measured %d nets", step, again.Nets())
+		if again := w.Update(c, cells, nets); math.Float64bits(again.Total()) != math.Float64bits(w.Total()) {
+			t.Fatalf("step %d: re-update over the same scope moved the total", step)
 		}
-	}
-	c.AddNet("extra", 0, 1, 2)
-	w = w.Update(c)
-	check(300, w)
-	if w.Nets() != len(c.Nets) {
-		t.Fatalf("net-count change measured %d of %d nets", w.Nets(), len(c.Nets))
 	}
 }

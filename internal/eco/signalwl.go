@@ -4,24 +4,20 @@ import (
 	"slices"
 
 	"rotaryclk/internal/faultinject"
-	"rotaryclk/internal/geom"
 	"rotaryclk/internal/netlist"
 )
 
 // SignalWL is an immutable cache of a placed circuit's signal wirelength:
-// the HPWL of every net and the cell positions and pin lists it was
-// measured at. Update derives the cache of an edited circuit by
-// re-measuring only the nets the edit touched and re-summing every net in
-// net order, so Total is bit-equal to Circuit.SignalWL.
+// the HPWL of every net and their total. Update derives the cache of an
+// edited circuit from the edit's scope by re-measuring only the nets the
+// edit touched and re-summing every net in net order, so Total is
+// bit-equal to Circuit.SignalWL.
 //
 // Like timing.STA, a SignalWL holds no pointer into the circuit and every
 // slice it holds is read-only once built, so concurrent readers, and
 // concurrent Updates from one shared base, are safe.
 type SignalWL struct {
-	pos   []geom.Point // per cell
-	start []int        // per net: its pins are pins[start[ni]:start[ni+1]]
-	pins  []int        // every net's pin list, concatenated in net order
-	net   []float64    // per net: its HPWL
+	net   []float64 // per net: its HPWL
 	total float64
 	nets  int // nets the pass that built the cache measured
 }
@@ -29,26 +25,12 @@ type SignalWL struct {
 // NewSignalWL measures every net of the placed circuit and keeps the
 // result as a cache.
 func NewSignalWL(c *netlist.Circuit) *SignalWL {
-	w := &SignalWL{pos: c.Positions(), net: make([]float64, len(c.Nets)), nets: len(c.Nets)}
-	w.start, w.pins = flatPins(c.Nets)
+	w := &SignalWL{net: make([]float64, len(c.Nets)), nets: len(c.Nets)}
 	for ni, n := range c.Nets {
 		w.net[ni] = c.NetWL(n.Pins)
 	}
 	w.sum()
 	return w
-}
-
-// flatPins concatenates the nets' pin lists.
-func flatPins(nets []*netlist.Net) (start, pins []int) {
-	start = make([]int, len(nets)+1)
-	for ni, n := range nets {
-		start[ni+1] = start[ni] + len(n.Pins)
-	}
-	pins = make([]int, 0, start[len(nets)])
-	for _, n := range nets {
-		pins = append(pins, n.Pins...)
-	}
-	return start, pins
 }
 
 // sum totals the per-net HPWLs in net order, the order SignalWL adds them.
@@ -67,48 +49,26 @@ func (w *SignalWL) Total() float64 { return w.total }
 // NewSignalWL, the touched ones for Update.
 func (w *SignalWL) Nets() int { return w.nets }
 
-// Update returns the cache of c, which must be the circuit w was built
-// from after in-place edits (moves, sink pins added or removed). w is not
-// modified; the result shares every slice the edit left unchanged. A
-// change in the cell or net count falls back to a full build.
+// Update returns the cache of c, which must be the circuit w describes
+// after in-place edits within the given scope: cells lists every cell that
+// moved and nets every net whose pins changed. Extra entries cost work,
+// never exactness. No edit may change the net count, and Cell.Fanin and
+// Cell.Fanout must list every net a cell is on, as AddNet and every ECO
+// delta keep them. w is not modified.
 //
-// The touched nets are those whose pin list changed or that hold a cell
-// whose position changed; only they are re-measured.
-func (w *SignalWL) Update(c *netlist.Circuit) *SignalWL {
-	if len(c.Cells) != len(w.pos) || len(c.Nets) != len(w.net) {
-		return NewSignalWL(c)
-	}
-	var pos []geom.Point // the new snapshot, cloned at the first moved cell
-	for id, cell := range c.Cells {
-		if cell.Pos != w.pos[id] {
-			if pos == nil {
-				pos = slices.Clone(w.pos)
-			}
-			pos[id] = cell.Pos
+// The touched nets are the scope nets plus every scope cell's Fanin and
+// Fanout nets; only they are re-measured.
+func (w *SignalWL) Update(c *netlist.Circuit, cells, nets []int) *SignalWL {
+	touched := slices.Clone(nets)
+	for _, id := range cells {
+		cell := c.Cells[id]
+		touched = append(touched, cell.Fanin...)
+		if cell.Fanout >= 0 {
+			touched = append(touched, cell.Fanout)
 		}
 	}
-	var touched []int
-	pinsChanged := false
-	for ni, n := range c.Nets {
-		if !slices.Equal(n.Pins, w.pins[w.start[ni]:w.start[ni+1]]) {
-			touched = append(touched, ni)
-			pinsChanged = true
-			continue
-		}
-		for _, id := range n.Pins {
-			if pos != nil && pos[id] != w.pos[id] {
-				touched = append(touched, ni)
-				break
-			}
-		}
-	}
-	nw := &SignalWL{pos: w.pos, start: w.start, pins: w.pins, net: slices.Clone(w.net)}
-	if pos != nil {
-		nw.pos = pos
-	}
-	if pinsChanged {
-		nw.start, nw.pins = flatPins(c.Nets)
-	}
+	touched = sortedSet(touched)
+	nw := &SignalWL{net: slices.Clone(w.net)}
 	// An armed SiteEcoSignalWLScope silently skips one touched net, keeping
 	// its stale HPWL: the scoping bug the ECO oracle's signal-WL check must
 	// catch.

@@ -21,13 +21,17 @@
 //     re-measures only the nets the edit touched and re-sums them in net
 //     order for the outcome's metrics.
 //
+// Apply is the one owner of an edit's scope: the cells the deltas edited,
+// the dirty region the placement may move, and the edited nets. It hands
+// that scope to both caches, which keep no copy of the circuit.
+//
 // Every layer is exact, not approximate: the cached pairs are bit-equal to
 // a full analysis, the warm-started schedule is the same fixpoint a batch
 // solve reaches, the patched assignment is cost-equal to a scratch solve,
-// and the cached wirelength is bit-equal to Circuit.SignalWL. Options.Scratch switches the layers to
-// their from-scratch counterparts on the same orchestration, which is what
-// the ECO-vs-scratch differential oracle (internal/oracle.CheckECO)
-// compares against.
+// and the cached wirelength is bit-equal to Circuit.SignalWL.
+// Options.Scratch switches the layers to their from-scratch counterparts
+// on the same orchestration, which is what the ECO-vs-scratch differential
+// oracle (internal/oracle.CheckECO) compares against.
 package eco
 
 import (
@@ -64,17 +68,16 @@ type State struct {
 	// Pinned accumulates RetargetRing deltas: cell ID -> forced ring.
 	Pinned map[int]int
 
-	// STA is the timing cache built with TModel, nil until the first
-	// incremental Apply builds it. Apply derives the edited circuit's cache
-	// from it copy-on-write and commits the new value only with the rest
-	// of the state, so a rolled-back Apply keeps the cache of the restored
-	// circuit. Any cache of this circuit is valid input — Update diffs
-	// against its own snapshot — so states may share one base cache.
+	// STA is the timing cache of Circuit as last committed, built with
+	// TModel; nil until an incremental Apply builds it, and a Scratch Apply
+	// commits nil. Apply updates it over the edit's scope copy-on-write and
+	// commits the new value only with the rest of the state, so a
+	// rolled-back Apply keeps the cache of the restored circuit. A cache
+	// must describe this state's committed circuit; states over clones of
+	// one circuit may share one base cache.
 	STA *timing.STA
-	// SignalWL is the per-net wirelength cache, nil until the first
-	// incremental Apply builds it. Like STA it is derived copy-on-write,
-	// committed only with the rest of the state, and diffs against its own
-	// snapshot, so states may share one base cache.
+	// SignalWL is the per-net wirelength cache of Circuit as last
+	// committed. It is built, updated, committed and shared like STA.
 	SignalWL *SignalWL
 
 	Params      rotary.Params
@@ -94,8 +97,9 @@ type Options struct {
 	// assignment solves cold, every tapping row included. Same
 	// orchestration, full recompute — the oracle's reference arm. Its
 	// timing is a full timing.SeqPairs and its wirelength a full
-	// Circuit.SignalWL; State.STA and State.SignalWL are neither read nor
-	// written.
+	// Circuit.SignalWL; it reads neither State.STA nor State.SignalWL and
+	// commits both as nil, so the next incremental Apply builds them in
+	// full.
 	Scratch bool
 	Stop    *stop.Token
 	Obs     *obs.Registry

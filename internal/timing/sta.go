@@ -5,17 +5,17 @@ import (
 	"sync"
 
 	"rotaryclk/internal/faultinject"
-	"rotaryclk/internal/geom"
 	"rotaryclk/internal/netlist"
 	"rotaryclk/internal/skew"
 )
 
 // STA is an immutable static-timing cache of one placed circuit: its timing
-// graph, the per-cell and per-net inputs the arcs were built from, and one
-// row of sequential pairs per flip-flop source. Update derives the cache of
-// an edited circuit by re-running the per-source kernel only for the
-// sources whose cone the edit touched and copying every other row, so an
-// edit costs O(diff + dirty cones) instead of a full analysis.
+// graph, the nets each cell drives, and one row of sequential pairs per
+// flip-flop source. Update derives the cache of an edited circuit from the
+// edit's scope, the cells and nets the caller changed, by re-running the
+// per-source kernel only for the sources whose cone the edit touched and
+// copying every other row, so an edit costs O(scope + dirty cones) instead
+// of a full analysis.
 //
 // An STA holds no pointer into the circuit and no kernel scratch; every
 // slice it holds is read-only once built. Concurrent readers, and
@@ -23,9 +23,6 @@ import (
 type STA struct {
 	m      Model
 	g      graph
-	fn     []netlist.Func
-	pos    []geom.Point
-	pins   [][]int  // per net: a private copy of its pin list
 	drives [][]int  // per cell: the nets it drives, in net-index order
 	ffs    []int    // flip-flop cell IDs, in cell-ID order
 	rows   [][]Pair // per cell ID: the pairs that flip-flop launches
@@ -51,18 +48,9 @@ func NewSTA(c *netlist.Circuit, m Model) (*STA, error) {
 	s := &STA{
 		m:      m,
 		g:      *g,
-		fn:     make([]netlist.Func, n),
-		pos:    make([]geom.Point, n),
-		pins:   make([][]int, len(c.Nets)),
 		drives: drivenNets(c.Nets, n),
 		ffs:    c.FlipFlops(),
 		rows:   make([][]Pair, n),
-	}
-	for i, cell := range c.Cells {
-		s.fn[i], s.pos[i] = cell.Fn, cell.Pos
-	}
-	for ni, net := range c.Nets {
-		s.pins[ni] = slices.Clone(net.Pins)
 	}
 	s.run(s.ffs)
 	s.work = Work{Sources: len(s.ffs), Full: true}
@@ -79,14 +67,6 @@ func drivenNets(nets []*netlist.Net, n int) [][]int {
 		}
 	}
 	return drives
-}
-
-// driver returns a pin list's driving cell, or -1 for an empty list.
-func driver(pins []int) int {
-	if len(pins) == 0 {
-		return -1
-	}
-	return pins[0]
 }
 
 // Work reports what the pass that built s did.
@@ -136,56 +116,29 @@ func (s *STA) run(srcs []int) {
 	}
 }
 
-// Update returns the cache of c, which must be the circuit s was built
-// from after in-place edits (moves, kind and function changes, sink pins
-// added or removed). s is not modified; the result shares every slice the
-// edit left unchanged. Cell.Fanin must list every net a cell sinks, as
-// AddNet and every ECO delta keep it. A change in the cell or net count, or
-// in a net's driver, falls back to a full build. Like Analyze it errors on
-// a combinational cycle.
+// Update returns the cache of c, which must be the circuit s describes
+// after in-place edits within the given scope: cells lists every cell whose
+// position, kind or function changed, and nets every net whose sink pins
+// changed. Extra entries cost work, never exactness; a changed cell or net
+// left out leaves stale rows. No edit may change the cell or net count or a
+// net's driver, and no ECO delta does. s is not modified; the result shares
+// every slice the edit left unchanged. Cell.Fanin must list every net a
+// cell sinks, as AddNet and every ECO delta keep it. Like Analyze it errors
+// on a combinational cycle.
 //
-// The scope: the changed nets are those touching a cell whose position,
-// kind or function changed, plus those whose pin list changed. Their
-// drivers' arcs are rebuilt with the one per-net builder. Every cell whose
-// arc list or kind changed seeds a backward walk through Cell.Fanin
-// drivers that continues through gates and stops at flip-flops; the
-// flip-flops it reaches, new ones included, are the dirty sources, and
-// only they re-run the kernel. DESIGN.md section 25 argues why every other
-// row is exact.
-func (s *STA) Update(c *netlist.Circuit) (*STA, error) {
-	n := len(c.Cells)
-	if n != len(s.g.kind) || len(c.Nets) != len(s.pins) {
-		return NewSTA(c, s.m)
-	}
+// The changed nets are the scope nets plus the nets touching a scope cell
+// (its Fanin nets and the nets it drives). Their drivers' arcs are rebuilt
+// with the one per-net builder. Every cell whose arc list or kind changed
+// seeds a backward walk through Cell.Fanin drivers that continues through
+// gates and stops at flip-flops; the flip-flops it reaches, new ones
+// included, are the dirty sources, and only they re-run the kernel.
+// DESIGN.md section 25 argues why every other row is exact.
+func (s *STA) Update(c *netlist.Circuit, cells, nets []int) (*STA, error) {
 	ns := *s
-
-	var changed, kindChanged []int // cells whose position, kind or function changed
-	for id, cell := range c.Cells {
-		if cell.Pos != s.pos[id] || cell.Fn != s.fn[id] || cell.Kind != s.g.kind[id] {
-			changed = append(changed, id)
-			if cell.Kind != s.g.kind[id] {
-				kindChanged = append(kindChanged, id)
-			}
-		}
-	}
-	var pinNets []int // nets whose pin list changed
-	for ni, net := range c.Nets {
-		if slices.Equal(net.Pins, s.pins[ni]) {
-			continue
-		}
-		if driver(net.Pins) != driver(s.pins[ni]) {
-			return NewSTA(c, s.m)
-		}
-		if len(pinNets) == 0 {
-			ns.pins = slices.Clone(s.pins)
-		}
-		pinNets = append(pinNets, ni)
-		ns.pins[ni] = slices.Clone(net.Pins)
-	}
-	if len(changed) > 0 {
-		ns.pos, ns.fn = slices.Clone(s.pos), slices.Clone(s.fn)
-		for _, id := range changed {
-			ns.pos[id], ns.fn[id] = c.Cells[id].Pos, c.Cells[id].Fn
+	var kindChanged []int
+	for _, id := range cells {
+		if c.Cells[id].Kind != s.g.kind[id] {
+			kindChanged = append(kindChanged, id)
 		}
 	}
 	if len(kindChanged) > 0 {
@@ -198,23 +151,23 @@ func (s *STA) Update(c *netlist.Circuit) (*STA, error) {
 
 	// Rebuild the arcs of every changed net's driver, from every net it
 	// drives.
-	seen := make([]bool, n)
+	seen := make([]bool, len(s.g.kind))
 	var drivers []int
-	addDriver := func(pins []int) {
-		if d := driver(pins); d >= 0 && !seen[d] {
+	addDriver := func(ni int) {
+		if d := c.Nets[ni].Driver(); d >= 0 && !seen[d] {
 			seen[d] = true
 			drivers = append(drivers, d)
 		}
 	}
-	for _, ni := range pinNets {
-		addDriver(ns.pins[ni])
+	for _, ni := range nets {
+		addDriver(ni)
 	}
-	for _, id := range changed {
+	for _, id := range cells {
 		for _, ni := range c.Cells[id].Fanin {
-			addDriver(ns.pins[ni])
+			addDriver(ni)
 		}
-		for _, ni := range ns.drives[id] {
-			addDriver(ns.pins[ni])
+		for _, ni := range s.drives[id] {
+			addDriver(ni)
 		}
 	}
 	clear(seen)
@@ -241,7 +194,7 @@ func (s *STA) Update(c *netlist.Circuit) (*STA, error) {
 	for _, id := range kindChanged {
 		addSeed(id)
 	}
-	if len(kindChanged) > 0 || len(pinNets) > 0 {
+	if len(kindChanged) > 0 || len(nets) > 0 {
 		topoIdx, err := topoOrder(c, ns.g.adj)
 		if err != nil {
 			return nil, err
@@ -255,7 +208,7 @@ func (s *STA) Update(c *netlist.Circuit) (*STA, error) {
 	var dirty, stack []int
 	expand := func(u int) {
 		for _, ni := range c.Cells[u].Fanin {
-			if d := driver(ns.pins[ni]); d >= 0 && !seen[d] {
+			if d := c.Nets[ni].Driver(); d >= 0 && !seen[d] {
 				seen[d] = true
 				stack = append(stack, d)
 			}

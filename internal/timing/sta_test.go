@@ -14,9 +14,15 @@ import (
 
 // applyNetlist applies one delta's netlist effect to c, as eco.Apply's
 // delta step does: positions, kinds and functions, and sink pins with the
-// matching Fanin entries. retarget_ring changes no netlist state.
-func applyNetlist(t *testing.T, c *netlist.Circuit, d eco.Delta) {
+// matching Fanin entries. retarget_ring changes no netlist state. It adds
+// the delta's scope to cells and nets, as eco.Apply does: the delta's cell
+// and, for a net edit, its net.
+func applyNetlist(t *testing.T, c *netlist.Circuit, d eco.Delta, cells, nets *[]int) {
 	t.Helper()
+	*cells = append(*cells, d.Cell)
+	if d.Op == eco.OpEditNet {
+		*nets = append(*nets, d.Net)
+	}
 	cell := c.Cells[d.Cell]
 	switch d.Op {
 	case eco.OpMoveFF:
@@ -82,9 +88,9 @@ func sameAsAnalyze(t *testing.T, label string, sta *timing.STA, c *netlist.Circu
 // TestSTAUpdateMatchesAnalyze: on the 24-circuit differential corpus
 // (self-loops spliced in, positions collapsed onto a 4x4 grid), random
 // sequences of all five delta kinds, applied one at a time and in batches
-// of up to three, leave the updated cache bit-equal to a full Analyze
-// after every update, and the previous cache still bit-equal to the
-// circuit it was built from (copy-on-write).
+// of up to three and passed to Update with their scope, leave the updated
+// cache bit-equal to a full Analyze after every update, and the previous
+// cache still bit-equal to the circuit it was built from (copy-on-write).
 func TestSTAUpdateMatchesAnalyze(t *testing.T) {
 	m := timing.DefaultModel()
 	ops := map[string]int{}
@@ -106,12 +112,13 @@ func TestSTAUpdateMatchesAnalyze(t *testing.T) {
 			if step%2 == 1 {
 				batch += rng.Intn(3)
 			}
+			var cells, nets []int
 			for ; batch > 0 && i < len(ds); batch-- {
-				applyNetlist(t, c, ds[i])
+				applyNetlist(t, c, ds[i], &cells, &nets)
 				ops[ds[i].Op]++
 				i++
 			}
-			next, err := sta.Update(c)
+			next, err := sta.Update(c, cells, nets)
 			if err != nil {
 				t.Fatalf("circuit %d step %d: %v", ci, step, err)
 			}
@@ -155,15 +162,15 @@ func TestSTAUpdateCycle(t *testing.T) {
 	if _, err := timing.Analyze(c, m); !errors.Is(err, timing.ErrCycle) {
 		t.Fatalf("Analyze: err = %v, want ErrCycle", err)
 	}
-	if next, err := sta.Update(c); !errors.Is(err, timing.ErrCycle) || next != nil {
+	if next, err := sta.Update(c, []int{1}, []int{2}); !errors.Is(err, timing.ErrCycle) || next != nil {
 		t.Fatalf("Update: (%v, %v), want ErrCycle", next, err)
 	}
 	sameAsAnalyze(t, "previous cache", sta, prev, m)
 }
 
 // TestSTAUpdateKindOnly: flipping a cell between gate and flip-flop while
-// its function (and so every arc) stays the same must still re-propagate
-// the sources that reach it; a flip that exposes a combinational loop
+// its function (and so every arc) stays the same, with that cell as the
+// scope, must still re-propagate the sources that reach it; a flip that exposes a combinational loop
 // fails with ErrCycle in both Update and Analyze.
 func TestSTAUpdateKindOnly(t *testing.T) {
 	m := timing.DefaultModel()
@@ -175,7 +182,8 @@ func TestSTAUpdateKindOnly(t *testing.T) {
 		}
 		rng := rand.New(rand.NewSource(int64(ci) + 7))
 		for step := 0; step < 12; step++ {
-			cell := c.Cells[rng.Intn(len(c.Cells))]
+			id := rng.Intn(len(c.Cells))
+			cell := c.Cells[id]
 			if cell.Kind != netlist.Gate && cell.Kind != netlist.FF {
 				continue
 			}
@@ -185,7 +193,7 @@ func TestSTAUpdateKindOnly(t *testing.T) {
 			} else {
 				cell.Kind = netlist.FF
 			}
-			next, err := sta.Update(c)
+			next, err := sta.Update(c, []int{id}, nil)
 			if _, aerr := timing.Analyze(c, m); aerr != nil {
 				if !errors.Is(err, timing.ErrCycle) || !errors.Is(aerr, timing.ErrCycle) {
 					t.Fatalf("circuit %d step %d: Update err %v, Analyze err %v", ci, step, err, aerr)

@@ -29,17 +29,22 @@
 #   scripts/ci.sh eco     ECO gate: the CG kernel's stagnation test, the
 #                         dirty-region solve against the reference serial
 #                         CG, the in-component CG cancel tests (placer and
-#                         eco.Apply), the scoped-STA tests (updated cache
-#                         bit-equal to a full Analyze after random edits
-#                         and kind-only flips, ErrCycle on a loop-closing
-#                         edit, Apply's
-#                         build/update/degraded/scratch cache contract),
-#                         the signal-wirelength cache tests (random moves
-#                         and pin edits; Apply's measured nets, net edit,
+#                         eco.Apply), the scoped-STA tests (a cache
+#                         updated over each edit's scope of cells and nets,
+#                         which eco.Apply hands it, is bit-equal to a full
+#                         Analyze after random edits and kind-only flips;
+#                         ErrCycle on a loop-closing edit; Apply's
+#                         build/update/degraded cache contract, and a
+#                         scratch apply that commits no cache, so the next
+#                         edit rebuilds it in full), the signal-wirelength
+#                         cache tests (random moves and pin edits over
+#                         their scope; Apply's measured nets, net edit,
 #                         rollback, degraded, scratch and forked states;
 #                         every total bit-equal to SignalWL), the
 #                         timing.sta.scope and eco.signalwl.scope oracle
-#                         negative tests, the shared-base /v1/eco
+#                         negative tests, the clean oracle campaign (its
+#                         ECO-vs-scratch checks fail on an incomplete
+#                         scope), the shared-base /v1/eco
 #                         concurrency test under -race (it also shares the
 #                         pooled STA kernel scratch across goroutines),
 #                         then the smoke: 20 random single-delta edits at
@@ -203,7 +208,7 @@ eco)
     go test ./internal/placer/ -run '^(TestCGKernelReportsStagnation|TestSolveDirtyMatchesReference|TestSolveDirtyCGCancel)$' -count=1 -v
     go test ./internal/timing/ -run '^TestSTAUpdate' -count=1 -v
     go test ./internal/eco/ -run '^(TestApplyDegradedOnDirtyCGCancel|TestApplySTACache|TestApplySignalWLCache|TestSignalWLUpdate)$' -count=1 -v
-    go test ./internal/oracle/ -run '^(TestFaultSTAScopeDetected|TestFaultECOSignalWLDetected)$' -count=1 -v
+    go test ./internal/oracle/ -run '^(TestFaultSTAScopeDetected|TestFaultECOSignalWLDetected|TestCampaignClean)$' -count=1 -v
     go test -race ./internal/serve/ -run '^TestECOConcurrentSharedBase$' -count=1
     go test ./internal/bench/ -run '^TestECOBenchPoint$' -count=1
     ROTARY_ECO_SMOKE=1 go test -timeout "$timeout" \
