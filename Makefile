@@ -75,9 +75,12 @@ timing:
 skew:
 	sh scripts/ci.sh skew
 
-# Stage-3 flow gate: the solver against its verbatim pre-CSR copy (flows,
-# costs and potentials bit-equal), the typed heap against container/heap,
-# allocation-free augmenting paths, the preload-vs-reference differential,
+# Stage-3 flow gate: the early-exit solver against its verbatim pre-CSR
+# full-search copy (flows, cost bits and path counts equal, no more
+# relaxations; a feasible flow and dual-feasible potentials on tied graphs,
+# bit-equal residuals on untied ones), the sink exit itself, the typed heap
+# against container/heap, allocation-free augmenting paths, the
+# preload-vs-reference differential,
 # the priced preload's dual feasibility, ECO patch tests (any prices cost-equal to a
 # cold solve, a chained patch sequence), candidate-row reuse against cold
 # solves (bit-equal, across worker counts), the mcmf seeded-start,

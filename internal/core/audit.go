@@ -7,6 +7,7 @@ import (
 	"rotaryclk/internal/netlist"
 	"rotaryclk/internal/placer"
 	"rotaryclk/internal/skew"
+	"rotaryclk/internal/timing"
 )
 
 // Audit verifies every contract a completed flow result promises, end to
@@ -79,11 +80,7 @@ func Audit(c *netlist.Circuit, cfg Config, res *Result) error {
 	}
 
 	// 3. Timing constraints of the final placement at the working slack.
-	ffIdx := make(map[int]int, n)
-	for i, id := range res.FFCells {
-		ffIdx[id] = i
-	}
-	pairs, err := seqPairs(c, cfg.TModel, ffIdx)
+	pairs, err := seqPairs(c, cfg.TModel, timing.FFIndex(len(c.Cells), res.FFCells))
 	if err != nil {
 		return fmt.Errorf("core: audit: %w", err)
 	}

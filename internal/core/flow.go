@@ -239,7 +239,7 @@ type flow struct {
 	res   *Result
 	reg   *obs.Registry
 	root  *obs.Span
-	ffIdx map[int]int
+	ffIdx []int // timing.FFIndex of res.FFCells
 	psys  *placer.System
 	arr   *rotary.Array
 
@@ -268,10 +268,7 @@ func Run(c *netlist.Circuit, cfg Config) (*Result, error) {
 		// exit after stage 1 and the ring array.
 		return nil, &StageError{Stage: 1, Kind: InvalidInput, Err: fmt.Errorf("circuit %q has no flip-flops", c.Name)}
 	}
-	f := &flow{c: c, cfg: cfg, res: res, ffIdx: make(map[int]int, n)}
-	for i, id := range res.FFCells {
-		f.ffIdx[id] = i
-	}
+	f := &flow{c: c, cfg: cfg, res: res, ffIdx: timing.FFIndex(len(c.Cells), res.FFCells)}
 
 	// Observability: one root span for the run, a child per stage, and a
 	// child per re-optimization iteration. The deferred End is the
@@ -703,7 +700,7 @@ type snapshot struct {
 }
 
 // seqPairs runs STA and maps cell IDs to flip-flop indices.
-func seqPairs(c *netlist.Circuit, m timing.Model, ffIdx map[int]int) ([]skew.SeqPair, error) {
+func seqPairs(c *netlist.Circuit, m timing.Model, ffIdx []int) ([]skew.SeqPair, error) {
 	pairs, err := timing.SeqPairs(c, m, ffIdx)
 	if err != nil {
 		return nil, fmt.Errorf("core: timing analysis: %w", err)

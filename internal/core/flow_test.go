@@ -63,12 +63,8 @@ func TestRunScheduleMeetsConstraints(t *testing.T) {
 	}
 	// The final schedule must satisfy the timing constraints at the working
 	// slack (skew.WorkSlack of MaxSlack) on the final placement.
-	ffIdx := map[int]int{}
-	for i, id := range res.FFCells {
-		ffIdx[id] = i
-	}
 	model := timing.DefaultModel()
-	pairs, err := timing.SeqPairs(c, model, ffIdx)
+	pairs, err := timing.SeqPairs(c, model, timing.FFIndex(len(c.Cells), res.FFCells))
 	if err != nil {
 		t.Fatal(err)
 	}

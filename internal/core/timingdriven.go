@@ -22,7 +22,7 @@ import (
 //
 // The three constants were picked once by a small sweep on the Table VIII
 // circuits (DESIGN.md section 15.2).
-func timingReweight(c *netlist.Circuit, cfg *Config, res *Result, ffIdx map[int]int, sched, scale []float64, iter int, reg *obs.Registry) {
+func timingReweight(c *netlist.Circuit, cfg *Config, res *Result, ffIdx []int, sched, scale []float64, iter int, reg *obs.Registry) {
 	slackOf := func(p timing.Pair) float64 {
 		x := sched[ffIdx[p.From]] - sched[ffIdx[p.To]]
 		return cfg.TModel.SlackUnder(p, x, cfg.Params.Period)
@@ -77,15 +77,11 @@ func WorstSlack(c *netlist.Circuit, cfg Config, res *Result) (float64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("core: worst slack: %w", err)
 	}
-	ffIdx := make(map[int]int, len(res.FFCells))
-	for i, id := range res.FFCells {
-		ffIdx[id] = i
-	}
+	ffIdx := timing.FFIndex(len(c.Cells), res.FFCells)
 	worst := math.Inf(1)
 	for _, p := range sta.Pairs {
-		i, okI := ffIdx[p.From]
-		j, okJ := ffIdx[p.To]
-		if !okI || !okJ || i >= len(res.Schedule) || j >= len(res.Schedule) {
+		i, j := ffIdx[p.From], ffIdx[p.To]
+		if i < 0 || j < 0 || i >= len(res.Schedule) || j >= len(res.Schedule) {
 			return 0, fmt.Errorf("core: worst slack: schedule does not cover pair %d->%d", p.From, p.To)
 		}
 		x := res.Schedule[i] - res.Schedule[j]

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rotaryclk/internal/obs"
+	"rotaryclk/internal/timing"
 )
 
 // TestTimingIdentityScaleOne is the tentpole's identity contract at the flow
@@ -164,10 +165,7 @@ func TestTimingConfigDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.normalize()
-	ffIdx := make(map[int]int, len(res.FFCells))
-	for i, id := range res.FFCells {
-		ffIdx[id] = i
-	}
+	ffIdx := timing.FFIndex(len(c.Cells), res.FFCells)
 	scale := make([]float64, len(c.Nets))
 	for i := range scale {
 		scale[i] = 1

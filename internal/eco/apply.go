@@ -158,11 +158,7 @@ func Apply(st *State, deltas []Delta, opt Options) (*Outcome, error) {
 		rollback()
 		return nil, errors.New("eco: no flip-flops to optimize")
 	}
-	ffIdx := make(map[int]int, n)
-	for i, id := range ffCells {
-		ffIdx[id] = i
-	}
-	sta, pairs, err := analyze(st, ffIdx, scopeCells, scopeNets, opt.Scratch, reg)
+	sta, pairs, err := analyze(st, timing.FFIndex(len(c.Cells), ffCells), scopeCells, scopeNets, opt.Scratch, reg)
 	if err != nil {
 		schedSp.End()
 		return fail("timing analysis", err)
@@ -356,7 +352,7 @@ func signalWL(st *State, cells, nets []int, scratch bool, reg *obs.Registry) (*S
 // cache to commit with them. The incremental path updates st.STA over the
 // edit's scope (building it in full when the state has none) and records
 // its work; Scratch runs a full timing.SeqPairs and commits no cache.
-func analyze(st *State, ffIdx map[int]int, cells, nets []int, scratch bool, reg *obs.Registry) (*timing.STA, []skew.SeqPair, error) {
+func analyze(st *State, ffIdx []int, cells, nets []int, scratch bool, reg *obs.Registry) (*timing.STA, []skew.SeqPair, error) {
 	c := st.Circuit
 	if scratch {
 		pairs, err := timing.SeqPairs(c, st.TModel, ffIdx)

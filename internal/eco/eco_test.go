@@ -668,10 +668,7 @@ func TestApplyReusesTapRows(t *testing.T) {
 // a full timing.SeqPairs of its circuit, in order.
 func sameCachedPairs(t *testing.T, label string, st *eco.State) {
 	t.Helper()
-	ffIdx := map[int]int{}
-	for i, id := range st.FFCells {
-		ffIdx[id] = i
-	}
+	ffIdx := timing.FFIndex(len(st.Circuit.Cells), st.FFCells)
 	got, err := st.STA.Pairs(ffIdx)
 	if err != nil {
 		t.Fatalf("%s: cached pairs: %v", label, err)

@@ -151,16 +151,14 @@ func runCircuit(b bench.Circuit, opt Options) (*CircuitRun, error) {
 			// Conventional clock-tree reference over the placed flip-flops,
 			// and the state the extension studies (variation, local trees)
 			// need.
-			ffIdx := make(map[int]int, len(cr.Flow.FFCells))
-			for i, id := range cr.Flow.FFCells {
+			for _, id := range cr.Flow.FFCells {
 				cr.FFPos = append(cr.FFPos, c1.Cells[id].Pos)
-				ffIdx[id] = i
 			}
 			// PL reference: the exact zero-skew DME tree (the construction
 			// style of the paper's [5]/[7]); in a zero-skew tree every
 			// source-sink path has the same length.
 			cr.TreePL = clocktree.ZSAvgSourceSinkPath(clocktree.BuildDME(cr.FFPos))
-			cr.VarPairs = varPairs(c1, ffIdx, cr.Flow)
+			cr.VarPairs = varPairs(c1, timing.FFIndex(len(c1.Cells), cr.Flow.FFCells), cr.Flow)
 		},
 		func() {
 			c2, err := b.Generate()
@@ -188,7 +186,7 @@ func runCircuit(b bench.Circuit, opt Options) (*CircuitRun, error) {
 // signal-only flow accepted — is surfaced as a flow event (the same
 // discipline as the in-loop slack-refresh warning) instead of being
 // silently swallowed into an empty pair list that quietly studies nothing.
-func varPairs(c *netlist.Circuit, ffIdx map[int]int, flow *core.Result) []variation.Pair {
+func varPairs(c *netlist.Circuit, ffIdx []int, flow *core.Result) []variation.Pair {
 	sta, err := timing.Analyze(c, timing.DefaultModel())
 	if err != nil {
 		flow.Events = append(flow.Events, core.StageEvent{

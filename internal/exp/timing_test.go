@@ -25,7 +25,7 @@ func TestVarPairsSurfacesAnalysisError(t *testing.T) {
 	}
 
 	flow := &core.Result{}
-	pairs := varPairs(c, map[int]int{}, flow)
+	pairs := varPairs(c, timing.FFIndex(len(c.Cells), nil), flow)
 	if pairs != nil {
 		t.Fatalf("pairs = %v, want nil on analysis failure", pairs)
 	}
@@ -48,7 +48,7 @@ func TestVarPairsSurfacesAnalysisError(t *testing.T) {
 	ok.AddNet("i", in.ID, f0.ID)
 	ok.AddNet("q", f0.ID, f1.ID)
 	clean := &core.Result{}
-	got := varPairs(ok, map[int]int{f0.ID: 0, f1.ID: 1}, clean)
+	got := varPairs(ok, timing.FFIndex(len(ok.Cells), []int{f0.ID, f1.ID}), clean)
 	if len(clean.Events) != 0 {
 		t.Errorf("healthy analysis appended events: %v", clean.Events)
 	}

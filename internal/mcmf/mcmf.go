@@ -7,10 +7,13 @@
 // Every solve runs one augmenting loop, MinCostFlowFrom, which takes its
 // starting potentials as an argument: MinCostFlow starts from zero ones,
 // while a caller that preloads a near-optimal flow with Push passes
-// closed-form duals and augments only the remainder. The package has no
-// Bellman-Ford: MinCostFlow rejects a negative-cost residual arc, and
-// negative costs enter only through MinCostCirculation, which saturates
-// them before it routes anything.
+// closed-form duals and augments only the remainder. Each augmenting search
+// is a Dijkstra over reduced costs that stops once it settles the sink;
+// the potential update that follows keeps every residual reduced cost
+// non-negative (DESIGN.md section 27). The package has no Bellman-Ford:
+// MinCostFlow rejects a negative-cost residual arc, and negative costs
+// enter only through MinCostCirculation, which saturates them before it
+// routes anything.
 //
 // Error discipline: solve methods return errors for conditions determined by
 // the caller-supplied graph (a negative-cost arc handed to MinCostFlow; a
@@ -75,7 +78,7 @@ type Graph struct {
 	heap pq
 
 	// Obs receives solver telemetry (augmenting paths, shortest-path edge
-	// relaxations, units pushed). Nil records nothing.
+	// relaxations, nodes settled, units pushed). Nil records nothing.
 	Obs *obs.Registry
 
 	// Stop is the cooperative cancellation token, checked once per
@@ -210,18 +213,24 @@ func (h *pq) pop() pqItem {
 	return it
 }
 
-// dijkstra computes shortest reduced-cost distances from s under the
-// potentials pot. Reduced costs of the arcs it relaxes must be non-negative
-// (the caller's potential invariant); arcs into an already settled node are
-// never relaxed, so s, settled first, may have residual arcs of any reduced
-// cost entering it. It returns dist and the predecessor arc per node (-1 if
-// unreached), both the Graph's scratch, valid until the next search.
-func (g *Graph) dijkstra(s int, pot []float64) (dist []float64, prev []int32, relaxed int) {
+// dijkstra searches shortest reduced-cost distances from s under the
+// potentials pot and stops once it settles t. Reduced costs of the arcs it
+// relaxes must be non-negative (the caller's potential invariant); arcs
+// into an already settled node are never relaxed, so s, settled first, may
+// have residual arcs of any reduced cost entering it. It returns dist, the
+// predecessor arc per node (-1 if unreached) and done, the settled set,
+// all three the Graph's scratch and valid until the next search, plus the
+// relaxation and settled-node counts. dist is final for settled nodes and
+// tentative for the rest: an upper bound, +Inf if unreached. prev of a
+// settled node never changes once it is settled, so the path back from t
+// is the one a search run to exhaustion would return. If t is
+// unreachable, every reachable node is settled.
+func (g *Graph) dijkstra(s, t int, pot []float64) (dist []float64, prev []int32, done []bool, relaxed, settled int) {
 	start, out := g.adj()
 	if len(g.dist) < g.n {
 		g.dist, g.prev, g.done = make([]float64, g.n), make([]int32, g.n), make([]bool, g.n)
 	}
-	dist, prev, done := g.dist[:g.n], g.prev[:g.n], g.done[:g.n]
+	dist, prev, done = g.dist[:g.n], g.prev[:g.n], g.done[:g.n]
 	for i := range dist {
 		dist[i] = math.Inf(1)
 		prev[i] = -1
@@ -236,6 +245,10 @@ func (g *Graph) dijkstra(s int, pot []float64) (dist []float64, prev []int32, re
 			continue
 		}
 		done[u] = true
+		settled++
+		if u == t {
+			break
+		}
 		for _, ai := range out[start[u]:start[u+1]] {
 			a := &g.arcs[ai]
 			if a.cap <= 0 || done[a.to] {
@@ -259,7 +272,7 @@ func (g *Graph) dijkstra(s int, pot []float64) (dist []float64, prev []int32, re
 		}
 	}
 	g.heap = h
-	return dist, prev, relaxed
+	return dist, prev, done, relaxed, settled
 }
 
 // MinCostFlow pushes up to maxFlow units from s to t along successive
@@ -298,12 +311,13 @@ func (g *Graph) MinCostFlowFrom(s, t, maxFlow int, pot []float64) (flow int, cos
 	}
 	// Telemetry accumulates locally and records once at exit; the search
 	// loops stay lock-free.
-	paths, relaxed := 0, 0
+	paths, relaxed, settled := 0, 0, 0
 	if reg := g.Obs; reg != nil {
 		defer func() {
 			reg.Add("mcmf.solves", 1)
 			reg.Add("mcmf.paths", int64(paths))
 			reg.Add("mcmf.relaxations", int64(relaxed))
+			reg.Add("mcmf.settled", int64(settled))
 			reg.Add("mcmf.flow", int64(flow))
 		}()
 	}
@@ -311,8 +325,9 @@ func (g *Graph) MinCostFlowFrom(s, t, maxFlow int, pot []float64) (flow int, cos
 		if cerr := stop.Check(g.Stop, faultinject.SiteMcmfPathCancel); cerr != nil {
 			return flow, cost, fmt.Errorf("mcmf: augmenting-path search: %w", cerr)
 		}
-		dist, prev, r := g.dijkstra(s, pot)
+		dist, prev, done, r, k := g.dijkstra(s, t, pot)
 		relaxed += r
+		settled += k
 		if prev[t] < 0 {
 			break
 		}
@@ -334,10 +349,15 @@ func (g *Graph) MinCostFlowFrom(s, t, maxFlow int, pot []float64) (flow int, cos
 		}
 		flow += push
 		paths++
-		// Update potentials; unreachable nodes keep their old potential.
+		// Update potentials: a settled node rises by its distance, every
+		// other node by dist[t], a lower bound on its own distance. Both
+		// keep every residual reduced cost non-negative.
+		dt := dist[t]
 		for v := 0; v < g.n; v++ {
-			if !math.IsInf(dist[v], 1) {
+			if done[v] {
 				pot[v] += dist[v]
+			} else {
+				pot[v] += dt
 			}
 		}
 	}

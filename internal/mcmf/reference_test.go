@@ -180,15 +180,26 @@ func (g *refGraph) MinCostCirculation() (float64, error) {
 // tiedNetwork draws a random network whose costs come from a handful of
 // values, so shortest paths tie often and the pop order decides them.
 func tiedNetwork(rng *rand.Rand, negative bool) (int, []arcSpec) {
+	return drawNetwork(rng, negative, func() float64 { return float64(rng.Intn(4)) * 0.5 })
+}
+
+// untiedNetwork draws a random network whose costs are distinct generic
+// values (2^20 dyadic steps), so every shortest path and the optimal flow
+// are unique.
+func untiedNetwork(rng *rand.Rand, negative bool) (int, []arcSpec) {
+	return drawNetwork(rng, negative, func() float64 { return float64(1+rng.Intn(1<<20)) / (1 << 16) })
+}
+
+func drawNetwork(rng *rand.Rand, negative bool, cost func() float64) (int, []arcSpec) {
 	n := 4 + rng.Intn(24)
 	var arcs []arcSpec
 	for k := rng.Intn(5 * n); k >= 0; k-- {
 		u, v := rng.Intn(n), rng.Intn(n)
-		cost := float64(rng.Intn(4)) * 0.5
+		c := cost()
 		if negative && rng.Intn(4) == 0 {
-			cost = -cost
+			c = -c
 		}
-		arcs = append(arcs, arcSpec{u: u, v: v, cap: 1 + rng.Intn(3), cost: cost})
+		arcs = append(arcs, arcSpec{u: u, v: v, cap: 1 + rng.Intn(3), cost: c})
 	}
 	return n, arcs
 }
@@ -202,9 +213,8 @@ func buildBoth(n int, specs []arcSpec) (*Graph, *refGraph) {
 	return g, r
 }
 
-// sameState requires bit-equal residual capacities (hence per-arc flows)
-// and potentials.
-func sameState(t *testing.T, tag string, g *Graph, r *refGraph, pot, rpot []float64) {
+// sameArcs requires bit-equal residual capacities (hence per-arc flows).
+func sameArcs(t *testing.T, tag string, g *Graph, r *refGraph) {
 	t.Helper()
 	if len(g.arcs) != len(r.arcs) {
 		t.Fatalf("%s: %d arcs vs %d in the reference", tag, len(g.arcs), len(r.arcs))
@@ -214,24 +224,146 @@ func sameState(t *testing.T, tag string, g *Graph, r *refGraph, pot, rpot []floa
 			t.Fatalf("%s: arc %d = %+v vs %+v in the reference", tag, ai, g.arcs[ai], r.arcs[ai])
 		}
 	}
-	for v := range pot {
-		if math.Float64bits(pot[v]) != math.Float64bits(rpot[v]) {
-			t.Fatalf("%s: potential of node %d = %v vs %v in the reference", tag, v, pot[v], rpot[v])
+}
+
+// validFlow requires a feasible flow: every arc's flow within
+// [0, capacity], and conservation over the first m arcs at every node
+// except s and t (pass -1 to exempt none).
+func validFlow(t *testing.T, tag string, g *Graph, m, s, tt int) {
+	t.Helper()
+	net := make([]int, g.n)
+	for ai := 0; ai < len(g.arcs); ai += 2 {
+		res, f := g.arcs[ai].cap, g.arcs[ai^1].cap
+		if res < 0 || f < 0 || res+f != g.orig[ai/2] {
+			t.Fatalf("%s: arc %d residual %d, flow %d, capacity %d", tag, ai, res, f, g.orig[ai/2])
+		}
+		if ai/2 < m {
+			net[g.arcs[ai^1].to] -= f
+			net[g.arcs[ai].to] += f
+		}
+	}
+	for v, x := range net {
+		if x != 0 && v != s && v != tt {
+			t.Fatalf("%s: node %d has net inflow %d", tag, v, x)
+		}
+	}
+}
+
+// dualFeasible requires every residual arc that does not enter s to have a
+// reduced cost cost + pot[u] - pot[v] of at least -1e-6, the bound the
+// search panics below. With reachable set, only arcs whose tail the
+// residual graph reaches from s are held to it: the arcs a later search
+// can relax.
+func dualFeasible(t *testing.T, tag string, g *Graph, s int, pot []float64, reachable bool) {
+	t.Helper()
+	seen := make([]bool, g.n)
+	seen[s] = true
+	for grew := true; grew && reachable; {
+		grew = false
+		g.ResidualArcs(func(u, v int, _ float64) {
+			if seen[u] && !seen[v] {
+				seen[v], grew = true, true
+			}
+		})
+	}
+	g.ResidualArcs(func(u, v int, cost float64) {
+		if rc := cost + pot[u] - pot[v]; v != s && rc < -1e-6 && (seen[u] || !reachable) {
+			t.Fatalf("%s: residual arc %d->%d has reduced cost %v", tag, u, v, rc)
+		}
+	})
+}
+
+// noNegativeCycle requires the residual graph to hold no cycle cheaper
+// than -1e-9, the optimality condition of a circulation: Bellman-Ford from
+// every node at once must settle within n rounds.
+func noNegativeCycle(t *testing.T, tag string, g *Graph) {
+	t.Helper()
+	dist := make([]float64, g.n)
+	for round := 0; ; round++ {
+		changed := false
+		g.ResidualArcs(func(u, v int, cost float64) {
+			if d := dist[u] + cost; d < dist[v]-1e-9 {
+				dist[v], changed = d, true
+			}
+		})
+		if !changed {
+			return
+		}
+		if round == g.n {
+			t.Fatalf("%s: the residual graph has a negative cycle", tag)
 		}
 	}
 }
 
 // TestMinCostFlowMatchesReference holds MinCostFlowFrom and
-// MinCostCirculation to the verbatim pre-CSR solver: on random graphs with
-// tied costs, from zero potentials, after growing a solved graph, from
-// seeded potentials over a preloaded flow, and through the circulation's
-// added nodes and arcs, the flow, the
-// Float64bits of the cost, every arc's residual capacity, the final
-// potentials and the path and relaxation counts must all agree.
+// MinCostCirculation to the verbatim pre-CSR solver, which searches every
+// reachable node on every path, on random graphs with tied costs: from
+// zero potentials, after growing a solved graph, from seeded potentials
+// over a preloaded flow, and through the circulation's added nodes and
+// arcs. The flow, the Float64bits of the cost and the path count must
+// agree, and the early-exit search may relax no more arcs than the full
+// one (strictly fewer on some trial). Ties may route differently, so each
+// arc's residual and each potential is held to a contract instead of to
+// the reference: a feasible flow (validFlow) and, for the flow solves,
+// dual-feasible potentials (dualFeasible); the circulation's residual
+// graph has no negative cycle.
 func TestMinCostFlowMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(25))
+	fewer, solves := matchReference(t, rand.New(rand.NewSource(25)), tiedNetwork, false)
+	if fewer == 0 {
+		t.Fatal("the early exit relaxed as many arcs as the full search on every trial")
+	}
+	t.Logf("%d of %d flow solves relaxed fewer arcs than the reference", fewer, solves)
+}
+
+// TestMinCostFlowMatchesReferenceUntied is TestMinCostFlowMatchesReference
+// on generic distinct costs, where every shortest path and the optimal flow
+// are unique: every arc's residual must then also be bit-equal to the
+// reference's.
+func TestMinCostFlowMatchesReferenceUntied(t *testing.T) {
+	fewer, solves := matchReference(t, rand.New(rand.NewSource(26)), untiedNetwork, true)
+	if fewer == 0 {
+		t.Fatal("the early exit relaxed as many arcs as the full search on every trial")
+	}
+	t.Logf("%d of %d flow solves relaxed fewer arcs than the reference", fewer, solves)
+}
+
+// matchReference runs the reference differential over 400 random networks
+// from draw and returns how many of its flow solves relaxed strictly fewer
+// arcs than the reference. sameResiduals also requires bit-equal residuals.
+func matchReference(t *testing.T, rng *rand.Rand, draw func(*rand.Rand, bool) (int, []arcSpec), sameResiduals bool) (fewer, solves int) {
+	t.Helper()
+	// solve runs both solvers from their potentials and checks the shared
+	// contract.
+	solve := func(tag string, g *Graph, r *refGraph, s, tt, limit int, pot, rpot []float64, reachable bool) {
+		t.Helper()
+		reg := obs.NewRegistry()
+		g.Obs = reg
+		flow, cost, err := g.MinCostFlowFrom(s, tt, limit, pot)
+		if err != nil {
+			t.Fatalf("%s: %v", tag, err)
+		}
+		rflow, rcost, paths, relaxed := r.MinCostFlowFrom(s, tt, limit, rpot)
+		if flow != rflow || math.Float64bits(cost) != math.Float64bits(rcost) {
+			t.Fatalf("%s: flow %d cost %v vs %d %v in the reference", tag, flow, cost, rflow, rcost)
+		}
+		if got := reg.Counter("mcmf.paths"); got != int64(paths) {
+			t.Fatalf("%s: %d paths vs %d in the reference", tag, got, paths)
+		}
+		solves++
+		switch got := reg.Counter("mcmf.relaxations"); {
+		case got > int64(relaxed):
+			t.Fatalf("%s: %d relaxations vs %d in the reference", tag, got, relaxed)
+		case got < int64(relaxed):
+			fewer++
+		}
+		validFlow(t, tag, g, len(g.orig), s, tt)
+		dualFeasible(t, tag, g, s, pot, reachable)
+		if sameResiduals {
+			sameArcs(t, tag, g, r)
+		}
+	}
 	for trial := 0; trial < 400; trial++ {
-		n, specs := tiedNetwork(rng, false)
+		n, specs := draw(rng, false)
 		s, tt := rng.Intn(n), rng.Intn(n)
 		limit := -1
 		if rng.Intn(2) == 0 {
@@ -241,22 +373,8 @@ func TestMinCostFlowMatchesReference(t *testing.T) {
 
 		// From zero potentials.
 		g, r := buildBoth(n, specs)
-		reg := obs.NewRegistry()
-		g.Obs = reg
 		pot, rpot := make([]float64, n), make([]float64, n)
-		flow, cost, err := g.MinCostFlowFrom(s, tt, limit, pot)
-		if err != nil {
-			t.Fatalf("%s: %v", tag, err)
-		}
-		rflow, rcost, paths, relaxed := r.MinCostFlowFrom(s, tt, limit, rpot)
-		if flow != rflow || math.Float64bits(cost) != math.Float64bits(rcost) {
-			t.Fatalf("%s: flow %d cost %v vs %d %v in the reference", tag, flow, cost, rflow, rcost)
-		}
-		if reg.Counter("mcmf.paths") != int64(paths) || reg.Counter("mcmf.relaxations") != int64(relaxed) {
-			t.Fatalf("%s: %d paths %d relaxations vs %d %d in the reference", tag,
-				reg.Counter("mcmf.paths"), reg.Counter("mcmf.relaxations"), paths, relaxed)
-		}
-		sameState(t, tag, g, r, pot, rpot)
+		solve(tag, g, r, s, tt, limit, pot, rpot, false)
 
 		// Grown after a solve: a new node on a fresh source-to-target path,
 		// priced so every reduced cost stays non-negative, must appear in
@@ -272,18 +390,11 @@ func TestMinCostFlowMatchesReference(t *testing.T) {
 				x.AddArc(w, tt, 2, math.Max(0, pot[tt]-(pot[s]+c1)))
 			}
 			pot, rpot = append(pot, pot[s]+c1), append(rpot, rpot[s]+c1)
-			flow, cost, err = g.MinCostFlowFrom(s, tt, -1, pot)
-			if err != nil {
-				t.Fatalf("%s grown: %v", tag, err)
+			before := g.arcs[len(g.arcs)-1].cap
+			solve(tag+" grown", g, r, s, tt, -1, pot, rpot, false)
+			if got := g.arcs[len(g.arcs)-1].cap - before; got < 2 {
+				t.Fatalf("%s grown: the new path carried %d units, want 2", tag, got)
 			}
-			rflow, rcost, _, _ = r.MinCostFlowFrom(s, tt, -1, rpot)
-			if flow != rflow || math.Float64bits(cost) != math.Float64bits(rcost) {
-				t.Fatalf("%s grown: flow %d cost %v vs %d %v in the reference", tag, flow, cost, rflow, rcost)
-			}
-			if flow < 2 {
-				t.Fatalf("%s grown: the new path carried %d units, want 2", tag, flow)
-			}
-			sameState(t, tag+" grown", g, r, pot, rpot)
 		}
 
 		// Preloaded: replay a partial reference solve's flow with Push onto
@@ -309,25 +420,62 @@ func TestMinCostFlowMatchesReference(t *testing.T) {
 		r.AddArc(w, tt, 1, 1)
 		seed = append(seed, 0)
 		pot, rpot = append([]float64(nil), seed...), append([]float64(nil), seed...)
-		flow, cost, err = g.MinCostFlowFrom(s, tt, -1, pot)
-		if err != nil {
-			t.Fatalf("%s preloaded: %v", tag, err)
-		}
-		rflow, rcost, _, _ = r.MinCostFlowFrom(s, tt, -1, rpot)
-		if flow != rflow || math.Float64bits(cost) != math.Float64bits(rcost) {
-			t.Fatalf("%s preloaded: flow %d cost %v vs %d %v in the reference", tag, flow, cost, rflow, rcost)
-		}
-		sameState(t, tag+" preloaded", g, r, pot, rpot)
+		// The seed holds the reference's potentials, which leave every node
+		// the partial solve did not reach at 0, so arcs out of such nodes may
+		// start with negative reduced costs no search ever relaxes; only the
+		// arcs a search reaches are held to dual feasibility.
+		solve(tag+" preloaded", g, r, s, tt, -1, pot, rpot, true)
 
 		// Circulation, negative costs included.
-		n, specs = tiedNetwork(rng, true)
+		n, specs = draw(rng, true)
 		g, r = buildBoth(n, specs)
 		got, err := g.MinCostCirculation()
 		want, rerr := r.MinCostCirculation()
 		if err != rerr || math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("%s circulation: cost %v (%v) vs %v (%v) in the reference", tag, got, err, want, rerr)
 		}
-		sameState(t, tag+" circulation", g, r, nil, nil)
+		if err == nil {
+			// The arcs the solve added at its own source and sink carry the
+			// saturated excess; the input's arcs alone must circulate.
+			validFlow(t, tag+" circulation", g, len(specs), -1, -1)
+			noNegativeCycle(t, tag+" circulation", g)
+		}
+		if sameResiduals {
+			sameArcs(t, tag+" circulation", g, r)
+		}
+	}
+	return fewer, solves
+}
+
+// TestSearchStopsAtSink: with the sink one zero-cost hop from the source
+// (units parallel unit arcs, one per path) and every other node a costlier
+// hop away, each augmenting search settles the source and the sink and
+// nothing else, so mcmf.settled stays below nodes x paths, the count a
+// search settling every reachable node reaches.
+func TestSearchStopsAtSink(t *testing.T) {
+	const fan, units = 50, 5
+	g := NewGraph(fan + 2)
+	for k := 0; k < units; k++ {
+		g.AddArc(0, 1, 1, 0)
+	}
+	for i := 0; i < fan; i++ {
+		g.AddArc(0, 2+i, 1, 1)
+		g.AddArc(2+i, 1, 1, 1)
+	}
+	reg := obs.NewRegistry()
+	g.Obs = reg
+	if flow, cost, err := g.MinCostFlow(0, 1, units); err != nil || flow != units || cost != 0 {
+		t.Fatalf("flow %d cost %v err %v, want %d units at cost 0", flow, cost, err, units)
+	}
+	paths, settled := reg.Counter("mcmf.paths"), reg.Counter("mcmf.settled")
+	if paths != units {
+		t.Fatalf("%d augmenting paths, want %d", paths, units)
+	}
+	if n := int64(g.NumNodes()); settled >= n*paths {
+		t.Fatalf("mcmf.settled = %d, not below nodes x paths = %d", settled, n*paths)
+	}
+	if settled != 2*paths {
+		t.Fatalf("mcmf.settled = %d, want source and sink only (%d)", settled, 2*paths)
 	}
 }
 

@@ -101,10 +101,7 @@ func checkCachedPairs(st *eco.State) error {
 	if st.STA == nil {
 		return nil
 	}
-	ffIdx := make(map[int]int, len(st.FFCells))
-	for i, id := range st.FFCells {
-		ffIdx[id] = i
-	}
+	ffIdx := timing.FFIndex(len(st.Circuit.Cells), st.FFCells)
 	got, err := st.STA.Pairs(ffIdx)
 	if err != nil {
 		return fmt.Errorf("cached pairs: %v", err)

@@ -73,8 +73,9 @@ func drivenNets(nets []*netlist.Net, n int) [][]int {
 func (s *STA) Work() Work { return s.work }
 
 // Pairs concatenates the rows in flip-flop ID order and maps them onto
-// schedule indices, exactly as SeqPairs does for a full analysis.
-func (s *STA) Pairs(ffIdx map[int]int) ([]skew.SeqPair, error) {
+// schedule indices through the dense index ffIdx (FFIndex), exactly as
+// SeqPairs does for a full analysis.
+func (s *STA) Pairs(ffIdx []int) ([]skew.SeqPair, error) {
 	total := 0
 	for _, f := range s.ffs {
 		total += len(s.rows[f])

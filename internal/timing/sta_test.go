@@ -64,7 +64,7 @@ func sameAsAnalyze(t *testing.T, label string, sta *timing.STA, c *netlist.Circu
 	if err != nil {
 		t.Fatalf("%s: Analyze: %v", label, err)
 	}
-	ident := map[int]int{}
+	ident := timing.FFIndex(len(c.Cells), nil)
 	for _, f := range c.FlipFlops() {
 		ident[f] = f
 	}

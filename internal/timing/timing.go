@@ -218,11 +218,25 @@ func topoOrder(c *netlist.Circuit, adj [][]edge) ([]int, error) {
 	return idx, nil
 }
 
+// FFIndex is the dense flip-flop index of a circuit with n cells: entry id
+// holds the schedule index of cell id, its position in ffs, and -1 for a
+// cell without one. SeqPairs and STA.Pairs map pairs through it.
+func FFIndex(n int, ffs []int) []int {
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = -1
+	}
+	for i, id := range ffs {
+		idx[id] = i
+	}
+	return idx
+}
+
 // SeqPairs runs Analyze and maps its pairs onto the skew solver's flip-flop
-// indices (ffIdx maps a flip-flop's cell ID to its schedule index). The
-// analysis error is returned unwrapped; a pair whose flip-flop has no
-// schedule index is an error naming the pair.
-func SeqPairs(c *netlist.Circuit, m Model, ffIdx map[int]int) ([]skew.SeqPair, error) {
+// indices through ffIdx, a dense index from FFIndex. The analysis error is
+// returned unwrapped; a pair whose flip-flop has no schedule index is an
+// error naming the pair.
+func SeqPairs(c *netlist.Circuit, m Model, ffIdx []int) ([]skew.SeqPair, error) {
 	sta, err := Analyze(c, m)
 	if err != nil {
 		return nil, err
@@ -231,11 +245,13 @@ func SeqPairs(c *netlist.Circuit, m Model, ffIdx map[int]int) ([]skew.SeqPair, e
 }
 
 // appendSeqPairs maps pairs onto schedule indices and appends them to dst.
-func appendSeqPairs(dst []skew.SeqPair, pairs []Pair, ffIdx map[int]int) ([]skew.SeqPair, error) {
+func appendSeqPairs(dst []skew.SeqPair, pairs []Pair, ffIdx []int) ([]skew.SeqPair, error) {
 	for _, p := range pairs {
-		u, okU := ffIdx[p.From]
-		v, okV := ffIdx[p.To]
-		if !okU || !okV {
+		u, v := -1, -1
+		if p.From < len(ffIdx) && p.To < len(ffIdx) {
+			u, v = ffIdx[p.From], ffIdx[p.To]
+		}
+		if u < 0 || v < 0 {
 			return nil, fmt.Errorf("timing: pair %d -> %d: flip-flop without a schedule index", p.From, p.To)
 		}
 		dst = append(dst, skew.SeqPair{U: u, V: v, DMax: p.DMax, DMin: p.DMin})

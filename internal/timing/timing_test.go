@@ -2,6 +2,8 @@ package timing
 
 import (
 	"math"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"rotaryclk/internal/geom"
@@ -291,5 +293,68 @@ func TestWireDelayPiecewise(t *testing.T) {
 	d2 := m.wireDelay(m.LBuf+1500) - m.wireDelay(m.LBuf+1000)
 	if math.Abs(d1-d2) > 1e-9 {
 		t.Errorf("beyond-LBuf delay not linear: %v vs %v", d1, d2)
+	}
+}
+
+// TestPairsDenseIndex: on the differential corpus, with the flip-flops given
+// schedule indices in a shuffled order, STA.Pairs over the dense FFIndex is
+// element-for-element equal to SeqPairs, and each pair maps onto the
+// schedule index a map from cell ID would give. A launching flip-flop whose
+// entry is -1, or whose ID lies past the end of the index, yields the
+// "flip-flop without a schedule index" error from both.
+func TestPairsDenseIndex(t *testing.T) {
+	m := DefaultModel()
+	for ci, c := range diffCircuits(t) {
+		rng := rand.New(rand.NewSource(int64(ci) + 7))
+		ffs := c.FlipFlops()
+		rng.Shuffle(len(ffs), func(i, j int) { ffs[i], ffs[j] = ffs[j], ffs[i] })
+		byID := make(map[int]int, len(ffs))
+		for i, id := range ffs {
+			byID[id] = i
+		}
+		idx := FFIndex(len(c.Cells), ffs)
+		sta, err := NewSTA(c, m)
+		if err != nil {
+			t.Fatalf("circuit %d: %v", ci, err)
+		}
+		got, err := sta.Pairs(idx)
+		if err != nil {
+			t.Fatalf("circuit %d: Pairs: %v", ci, err)
+		}
+		want, err := SeqPairs(c, m, idx)
+		if err != nil {
+			t.Fatalf("circuit %d: SeqPairs: %v", ci, err)
+		}
+		full, err := Analyze(c, m)
+		if err != nil {
+			t.Fatalf("circuit %d: Analyze: %v", ci, err)
+		}
+		if len(got) != len(want) || len(got) != len(full.Pairs) {
+			t.Fatalf("circuit %d: %d pairs, SeqPairs %d, Analyze %d", ci, len(got), len(want), len(full.Pairs))
+		}
+		for i, g := range got {
+			if g != want[i] {
+				t.Fatalf("circuit %d: pair %d = %+v, SeqPairs %+v", ci, i, g, want[i])
+			}
+			if p := full.Pairs[i]; g.U != byID[p.From] || g.V != byID[p.To] {
+				t.Fatalf("circuit %d: pair %d maps %d -> %d onto %d -> %d, want %d -> %d",
+					ci, i, p.From, p.To, g.U, g.V, byID[p.From], byID[p.To])
+			}
+		}
+		if len(full.Pairs) == 0 {
+			continue
+		}
+		from := full.Pairs[rng.Intn(len(full.Pairs))].From
+		for _, short := range [][]int{
+			func() []int { x := append([]int(nil), idx...); x[from] = -1; return x }(),
+			idx[:from],
+		} {
+			if _, err := sta.Pairs(short); err == nil || !strings.Contains(err.Error(), "flip-flop without a schedule index") {
+				t.Fatalf("circuit %d: Pairs with flip-flop %d unmapped: err %v", ci, from, err)
+			}
+			if _, err := SeqPairs(c, m, short); err == nil || !strings.Contains(err.Error(), "flip-flop without a schedule index") {
+				t.Fatalf("circuit %d: SeqPairs with flip-flop %d unmapped: err %v", ci, from, err)
+			}
+		}
 	}
 }

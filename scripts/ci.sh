@@ -98,10 +98,14 @@
 #                         residual Bellman-Ford (bit-identical distances),
 #                         the max-slack and min-Delta oracle negative tests,
 #                         and the golden tables
-#   scripts/ci.sh assign  stage-3 min-cost flow gate: the solver against
-#                         its verbatim pre-CSR container/heap copy (random
-#                         tied, preloaded and circulation graphs; flows,
-#                         costs and potentials bit-equal), the typed heap's
+#   scripts/ci.sh assign  stage-3 min-cost flow gate: the early-exit
+#                         solver against its verbatim pre-CSR full-search
+#                         container/heap copy (random tied, preloaded and
+#                         circulation graphs; flows, cost bits and path
+#                         counts equal, no more relaxations, a feasible
+#                         flow with dual-feasible potentials; on untied
+#                         graphs every residual bit-equal too), the search's
+#                         exit at the sink (mcmf.settled), the typed heap's
 #                         pop order against container/heap, the
 #                         allocation-free augmenting paths, the cheapest-ring
 #                         preload vs the zero-start reference solve (loose,
@@ -236,7 +240,7 @@ skew)
     ;;
 assign)
     go test ./internal/assign/ -run '^(TestMinCostMatchesReference|TestPreloadDualFeasible|TestPatch|TestMinCostRowReuseBitEquality|TestMinMaxCapRowReuseBitEquality|TestAssignDeterministicAcrossWorkerCounts)' -count=1 -v
-    go test ./internal/mcmf/ -run '^(TestMinCostFlowMatchesReference|TestHeapMatchesContainerHeap|TestAugmentingPathsAllocateNothing|TestMinCostFlowFromSeedPotentials|TestMinCostFlowRejectsNegativeCost|TestNegativeCostFlowViaBellmanFord|TestNegativeCycleIsError|TestPushMovesCapacity|TestPushMisusePanics|TestResidualArcs)$' -count=1 -v
+    go test ./internal/mcmf/ -run '^(TestMinCostFlowMatchesReference|TestMinCostFlowMatchesReferenceUntied|TestSearchStopsAtSink|TestHeapMatchesContainerHeap|TestAugmentingPathsAllocateNothing|TestMinCostFlowFromSeedPotentials|TestMinCostFlowRejectsNegativeCost|TestNegativeCostFlowViaBellmanFord|TestNegativeCycleIsError|TestPushMovesCapacity|TestPushMisusePanics|TestResidualArcs)$' -count=1 -v
     go test ./internal/oracle/ -run '^(TestFaultMcmfDetected|TestFaultECODetected)$' -count=1
     go test ./internal/exp -run '^TestGolden' -count=1
     ;;
