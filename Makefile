@@ -40,7 +40,9 @@ scaling-smoke:
 # tests (a cache updated over each edit's scope bit-equal to a full Analyze
 # after random edits, ErrCycle, Apply's cache contract), the
 # signal-wirelength cache test, the timing.sta.scope and eco.signalwl.scope
-# oracle negatives, the clean oracle campaign, the shared-base /v1/eco
+# oracle negatives, the RandomDeltas tests (sequences pinned by digest,
+# validity, the caller's circuit restored even on a panic), the clean
+# oracle campaign, the shared-base /v1/eco
 # test under -race, and the smoke: 20 random edits at
 # 20k cells, each proven equivalent to the from-scratch arm, mean edit
 # latency >= 5x a full re-run, STA sources <= a quarter of FFs x edits.

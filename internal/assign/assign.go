@@ -56,10 +56,6 @@ type Problem struct {
 	// Capacity is the per-ring flip-flop limit U_j for MinCost. Empty means
 	// a uniform default of ceil(1.25 * len(FFs) / numRings).
 	Capacity []int
-	// MaxStub, when positive, prunes candidate arcs whose tapping stub
-	// exceeds it (Section III's stub-length limit), always keeping each
-	// flip-flop's three cheapest arcs so the assignment stays feasible.
-	MaxStub float64
 	// Pin, when non-empty, pins flip-flop i to ring Pin[i]; an entry of -1
 	// leaves that flip-flop free. A pinned flip-flop's candidate row is
 	// restricted to the pinned ring (its tapping solve must still succeed,
@@ -108,7 +104,7 @@ type Assignment struct {
 // matrix is the candidate matrix of one solve together with every input its
 // rows depend on. A row is a pure function of the ring array, the
 // flip-flop's position and target, its pinned ring, and the normalized K,
-// TapFallback and MaxStub, so PatchMinCost reuses a previous assignment's
+// TapFallback, so PatchMinCost reuses a previous assignment's
 // row wherever those inputs are bit-equal. A flow solve also leaves its
 // ring prices, the start of the next patch over the same array (DESIGN.md
 // section 23). A matrix is never written after the solve that built it, so
@@ -117,7 +113,6 @@ type matrix struct {
 	array    *rotary.Array
 	k        int
 	fallback bool
-	maxStub  float64
 	ffs      []FF  // per flip-flop: cell, position, target
 	pin      []int // Problem.Pin as solved (nil: nothing pinned)
 	rows     [][]candidate
@@ -272,19 +267,7 @@ func (p *Problem) candidates(reuse [][]candidate) ([][]candidate, error) {
 			errs[i] = fmt.Errorf("assign: flip-flop %d (cell %d) has no feasible ring: %w", i, p.FFs[i].Cell, ErrInfeasible)
 			return
 		}
-		// Stubs beyond MaxStub defeat rotary clocking's variability
-		// advantage (Section III); prune them from the arc set, but keep the
-		// three cheapest arcs regardless so capacitated assignment stays
-		// feasible on dense clusters.
-		const minArcs = 3
-		cut := len(row)
-		for k := minArcs; k < len(row); k++ {
-			if p.MaxStub > 0 && row[k].cost > p.MaxStub {
-				cut = k // sorted: everything after also exceeds the limit
-				break
-			}
-		}
-		out[i] = row[:cut:cut]
+		out[i] = row[:len(row):len(row)]
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -320,7 +303,6 @@ func (p *Problem) finish(cands [][]candidate, choice []candidate, price []float6
 			array:    p.Array,
 			k:        p.K,
 			fallback: p.TapFallback,
-			maxStub:  p.MaxStub,
 			ffs:      append([]FF(nil), p.FFs...),
 			pin:      append([]int(nil), p.Pin...),
 			rows:     cands,

@@ -297,48 +297,6 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-func TestMaxStubPruning(t *testing.T) {
-	p := testProblem(t, 30, 12)
-	// With a generous stub limit all candidates survive; with a tiny limit
-	// every flip-flop still keeps at least its best arc.
-	tight := testProblem(t, 30, 12)
-	tight.MaxStub = 1 // um: everything exceeds this
-	aTight, err := MinCost(tight)
-	if err != nil {
-		t.Fatalf("pruned problem became infeasible: %v", err)
-	}
-	aLoose, err := MinCost(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The tight problem restricts each FF to its single cheapest arc, so
-	// its total cost can only match or exceed the loose optimum.
-	if aTight.Total < aLoose.Total-1e-6 {
-		t.Errorf("pruned assignment cheaper (%v) than unpruned optimum (%v)?", aTight.Total, aLoose.Total)
-	}
-}
-
-func TestMaxStubKeepsCandidatesUnderLimit(t *testing.T) {
-	p := testProblem(t, 30, 13)
-	p.MaxStub = 400
-	if err := p.normalize(); err != nil {
-		t.Fatal(err)
-	}
-	cands, err := p.candidates(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, cs := range cands {
-		for k, c := range cs {
-			// The three cheapest arcs are kept unconditionally; anything
-			// beyond them must respect the limit.
-			if k >= 3 && c.cost > 400+1e-9 {
-				t.Fatalf("ff %d keeps arc %d with stub %v beyond the 400 um limit", i, k, c.cost)
-			}
-		}
-	}
-}
-
 // TestMinMaxCapBruteForce checks the LP+rounding heuristic against complete
 // enumeration on instances small enough to enumerate: the heuristic may be
 // suboptimal (it is a heuristic) but must stay within its own reported IG of

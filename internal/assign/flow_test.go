@@ -94,8 +94,8 @@ func relClose(a, b float64) bool {
 }
 
 // TestMinCostMatchesReference is the differential test of the cheapest-ring
-// start: on random instances — loose and tight capacities, pins, MaxStub
-// pruning, fallback rows and the recovery ladder's capacities — the
+// start: on random instances — loose and tight capacities, pins, fallback
+// rows and the recovery ladder's capacities — the
 // preloaded solve must reach the reference's total, and with distinct float
 // costs (a unique optimum) the very same rings.
 func TestMinCostMatchesReference(t *testing.T) {
@@ -129,10 +129,6 @@ func TestMinCostMatchesReference(t *testing.T) {
 			for j := range p.Capacity {
 				p.Capacity[j] = len(p.FFs)/4 + 2
 			}
-		}},
-		{"maxstub", func(p *Problem, _ *rand.Rand) {
-			p.MaxStub = 900
-			p.K = len(p.Array.Rings)
 		}},
 		{"ladder", func(p *Problem, rng *rand.Rand) {
 			rung := Ladder(len(p.FFs), len(p.Array.Rings))[rng.Intn(3)]

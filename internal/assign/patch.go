@@ -20,7 +20,7 @@ import (
 // previous solution prev, whose flip-flops are matched to p's by cell (nil:
 // no prior, a cold solve). A matched flip-flop keeps its candidate row from
 // prev when the row's inputs are bit-equal: position, target and pinned
-// ring, and the problem's ring array, K, TapFallback and MaxStub. Only the
+// ring, and the problem's ring array, K and TapFallback. Only the
 // other rows are solved, and a reused row is identical to a fresh solve.
 //
 // It runs MinCost's Fig. 4 solver from prev's ring prices when prev was a
@@ -82,7 +82,7 @@ func (p *Problem) fromPrevious(prev *Assignment) (reuse [][]candidate, price []f
 	}
 	bits := math.Float64bits
 	kept := 0
-	if m.k == p.K && m.fallback == p.TapFallback && bits(m.maxStub) == bits(p.MaxStub) {
+	if m.k == p.K && m.fallback == p.TapFallback {
 		byCell := make(map[int]int, len(m.ffs))
 		for j, ff := range m.ffs {
 			byCell[ff.Cell] = j

@@ -274,7 +274,7 @@ func exported(a *Assignment) Assignment {
 
 // TestPatchReuseNeedsSameInputs: a row is reused only when every input it
 // depends on is unchanged. A new pin re-solves that flip-flop's row; a
-// different K, TapFallback, MaxStub or ring array re-solves every row.
+// different K, TapFallback or ring array re-solves every row.
 func TestPatchReuseNeedsSameInputs(t *testing.T) {
 	p := parProblem(t, 40, 9)
 	prev, err := MinCost(p)
@@ -296,7 +296,6 @@ func TestPatchReuseNeedsSameInputs(t *testing.T) {
 		}, 39},
 		{"K", func(q *Problem) { q.K = 5 }, 0},
 		{"TapFallback", func(q *Problem) { q.TapFallback = true }, 0},
-		{"MaxStub", func(q *Problem) { q.MaxStub = 1e6 }, 0},
 		{"array", func(q *Problem) { q.Array = parProblem(t, 1, 1).Array }, 0},
 	} {
 		reg := obs.NewRegistry()

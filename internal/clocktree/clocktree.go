@@ -23,55 +23,58 @@ type Node struct {
 }
 
 // Build constructs a clock tree over the sinks by bottom-up nearest-neighbor
-// pairing: each level greedily matches the two closest subtree roots and
-// places their parent at the merged midpoint, halving the node count per
-// level until one root remains. It returns nil for an empty sink set.
+// pairing (pairUp), placing each parent at its children's midpoint. It
+// returns nil for an empty sink set.
 func Build(sinks []geom.Point) *Node {
 	if len(sinks) == 0 {
 		return nil
 	}
-	level := make([]*Node, len(sinks))
+	leaves := make([]*Node, len(sinks))
 	for i, p := range sinks {
-		level[i] = &Node{Pos: p, Sink: i}
+		leaves[i] = &Node{Pos: p, Sink: i}
 	}
-	for len(level) > 1 {
-		level = mergeLevel(level)
-	}
-	return level[0]
+	return pairUp(leaves,
+		func(a, b *Node) float64 { return a.Pos.Manhattan(b.Pos) },
+		func(a, b *Node) *Node {
+			mid := geom.Pt((a.Pos.X+b.Pos.X)/2, (a.Pos.Y+b.Pos.Y)/2)
+			return &Node{Pos: mid, Sink: -1, Children: []*Node{a, b}}
+		})
 }
 
-// mergeLevel pairs up nodes greedily by Manhattan proximity (deterministic:
-// scan order breaks ties) and returns the parent level.
-func mergeLevel(nodes []*Node) []*Node {
-	used := make([]bool, len(nodes))
-	var next []*Node
-	for i := range nodes {
-		if used[i] {
-			continue
-		}
-		used[i] = true
-		best, bestD := -1, math.Inf(1)
-		for j := i + 1; j < len(nodes); j++ {
-			if used[j] {
+// pairUp merges the non-empty leaves into one root, level by level: each
+// level greedily matches every unmatched node, in scan order, with its
+// closest later unmatched node under dist (scan order breaks ties), merges
+// the pair, and promotes an odd one out unchanged, halving the node count
+// until one root remains. Every tree builder of this package shares it.
+func pairUp[T any](leaves []T, dist func(a, b T) float64, merge func(a, b T) T) T {
+	level := leaves
+	for len(level) > 1 {
+		used := make([]bool, len(level))
+		var next []T
+		for i := range level {
+			if used[i] {
 				continue
 			}
-			if d := nodes[i].Pos.Manhattan(nodes[j].Pos); d < bestD {
-				best, bestD = j, d
+			used[i] = true
+			best, bestD := -1, math.Inf(1)
+			for j := i + 1; j < len(level); j++ {
+				if used[j] {
+					continue
+				}
+				if d := dist(level[i], level[j]); d < bestD {
+					best, bestD = j, d
+				}
 			}
+			if best < 0 {
+				next = append(next, level[i])
+				continue
+			}
+			used[best] = true
+			next = append(next, merge(level[i], level[best]))
 		}
-		if best < 0 {
-			// Odd one out: promote unchanged.
-			next = append(next, nodes[i])
-			continue
-		}
-		used[best] = true
-		mid := geom.Pt(
-			(nodes[i].Pos.X+nodes[best].Pos.X)/2,
-			(nodes[i].Pos.Y+nodes[best].Pos.Y)/2,
-		)
-		next = append(next, &Node{Pos: mid, Sink: -1, Children: []*Node{nodes[i], nodes[best]}})
+		level = next
 	}
-	return next
+	return level[0]
 }
 
 // AvgSourceSinkPath returns the mean, over all sinks, of the wirelength of

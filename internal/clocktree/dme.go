@@ -94,47 +94,16 @@ func BuildDME(sinks []geom.Point) *ZSNode {
 		return nil
 	}
 	// Bottom-up: merge by proximity of regions.
-	level := make([]*dmeNode, len(sinks))
+	leaves := make([]*dmeNode, len(sinks))
 	for i, p := range sinks {
-		level[i] = &dmeNode{region: uvFromPoint(p), sink: i}
+		leaves[i] = &dmeNode{region: uvFromPoint(p), sink: i}
 	}
-	for len(level) > 1 {
-		level = mergeDMELevel(level)
-	}
-	root := level[0]
+	root := pairUp(leaves, func(a, b *dmeNode) float64 { return a.region.dist(b.region) }, mergeDME)
 
 	// Top-down: embed the root at its region's representative point, then
 	// every child at the point of its merge region nearest to its parent
 	// (snaking absorbs any slack up to the budgeted edge length).
-	out := embedDME(root, root.region.point())
-	return out
-}
-
-func mergeDMELevel(nodes []*dmeNode) []*dmeNode {
-	used := make([]bool, len(nodes))
-	var next []*dmeNode
-	for i := range nodes {
-		if used[i] {
-			continue
-		}
-		used[i] = true
-		best, bestD := -1, math.Inf(1)
-		for j := i + 1; j < len(nodes); j++ {
-			if used[j] {
-				continue
-			}
-			if d := nodes[i].region.dist(nodes[j].region); d < bestD {
-				best, bestD = j, d
-			}
-		}
-		if best < 0 {
-			next = append(next, nodes[i])
-			continue
-		}
-		used[best] = true
-		next = append(next, mergeDME(nodes[i], nodes[best]))
-	}
-	return next
+	return embedDME(root, root.region.point())
 }
 
 // mergeDME builds the parent of a and b: split the region distance d so the

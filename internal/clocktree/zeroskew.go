@@ -32,42 +32,11 @@ func BuildZeroSkew(sinks []geom.Point) *ZSNode {
 	if len(sinks) == 0 {
 		return nil
 	}
-	level := make([]*ZSNode, len(sinks))
+	leaves := make([]*ZSNode, len(sinks))
 	for i, p := range sinks {
-		level[i] = &ZSNode{Pos: p, Sink: i}
+		leaves[i] = &ZSNode{Pos: p, Sink: i}
 	}
-	for len(level) > 1 {
-		level = mergeZSLevel(level)
-	}
-	return level[0]
-}
-
-// mergeZSLevel pairs nodes greedily by proximity and balances each pair.
-func mergeZSLevel(nodes []*ZSNode) []*ZSNode {
-	used := make([]bool, len(nodes))
-	var next []*ZSNode
-	for i := range nodes {
-		if used[i] {
-			continue
-		}
-		used[i] = true
-		best, bestD := -1, math.Inf(1)
-		for j := i + 1; j < len(nodes); j++ {
-			if used[j] {
-				continue
-			}
-			if d := nodes[i].Pos.Manhattan(nodes[j].Pos); d < bestD {
-				best, bestD = j, d
-			}
-		}
-		if best < 0 {
-			next = append(next, nodes[i])
-			continue
-		}
-		used[best] = true
-		next = append(next, mergeZS(nodes[i], nodes[best]))
-	}
-	return next
+	return pairUp(leaves, func(a, b *ZSNode) float64 { return a.Pos.Manhattan(b.Pos) }, mergeZS)
 }
 
 // mergeZS embeds the parent of a and b at the delay balance point. Under the

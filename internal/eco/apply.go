@@ -78,7 +78,7 @@ func Apply(st *State, deltas []Delta, opt Options) (*Outcome, error) {
 	dirtyFFSet := map[int]bool{}
 	var dirtyCells, scopeCells, scopeNets []int
 	for i, d := range deltas {
-		ap, err := applyDelta(st, pinned, i, d)
+		ap, err := applyDelta(st.Circuit, len(st.Array.Rings), pinned, i, d)
 		if err != nil {
 			rollback()
 			return nil, err

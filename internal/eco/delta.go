@@ -67,12 +67,11 @@ type applied struct {
 	undo      func()
 }
 
-// applyDelta validates d against the current circuit/state and mutates the
-// netlist (sequence semantics: each delta sees its predecessors' effects).
-// pinned is the working copy of the retarget map. Validation failures leave
-// the circuit untouched and return an error.
-func applyDelta(st *State, pinned map[int]int, i int, d Delta) (applied, error) {
-	c := st.Circuit
+// applyDelta validates d against circuit c with numRings rings and edits c
+// (sequence semantics: each delta sees its predecessors' effects). pinned is
+// the working copy of the retarget map. Validation failures leave the
+// circuit untouched and return an error naming delta i.
+func applyDelta(c *netlist.Circuit, numRings int, pinned map[int]int, i int, d Delta) (applied, error) {
 	none := applied{dirtyFF: -1, editedNet: -1}
 	if d.Cell < 0 || d.Cell >= len(c.Cells) {
 		return none, deltaErr(i, d, "cell out of range (%d cells)", len(c.Cells))
@@ -94,8 +93,15 @@ func applyDelta(st *State, pinned map[int]int, i int, d Delta) (applied, error) 
 		cell.Pos = p
 		// The moved flip-flop is held where the user put it; its movable
 		// non-FF net neighbors re-settle around it.
+		var nets [][]int
+		for _, e := range cell.Fanin {
+			nets = append(nets, c.Nets[e].Pins)
+		}
+		if cell.Fanout >= 0 {
+			nets = append(nets, c.Nets[cell.Fanout].Pins)
+		}
 		return applied{
-			dirtyCells: neighborCells(c, d.Cell),
+			dirtyCells: movableCells(c, nets...),
 			dirtyFF:    d.Cell,
 			editedNet:  -1,
 			undo:       func() { cell.Pos = old },
@@ -136,8 +142,8 @@ func applyDelta(st *State, pinned map[int]int, i int, d Delta) (applied, error) 
 		if cell.Kind != netlist.FF {
 			return none, deltaErr(i, d, "cell is a %v, not a flip-flop", cell.Kind)
 		}
-		if d.Ring < 0 || d.Ring >= len(st.Array.Rings) {
-			return none, deltaErr(i, d, "ring out of range (%d rings)", len(st.Array.Rings))
+		if d.Ring < 0 || d.Ring >= numRings {
+			return none, deltaErr(i, d, "ring out of range (%d rings)", numRings)
 		}
 		if r, ok := pinned[d.Cell]; ok && r == d.Ring {
 			return applied{noop: true, dirtyFF: -1, editedNet: -1}, nil
@@ -163,7 +169,7 @@ func applyDelta(st *State, pinned map[int]int, i int, d Delta) (applied, error) 
 			net.Pins = append(net.Pins, d.Cell)
 			cell.Fanin = append(cell.Fanin, d.Net)
 			return applied{
-				dirtyCells: movablePins(c, oldPins, net.Pins),
+				dirtyCells: movableCells(c, oldPins, net.Pins),
 				dirtyFF:    -1,
 				editedNet:  d.Net,
 				undo: func() {
@@ -204,7 +210,7 @@ func applyDelta(st *State, pinned map[int]int, i int, d Delta) (applied, error) 
 		net.Pins = append(net.Pins[:pinAt], net.Pins[pinAt+1:]...)
 		cell.Fanin = append(cell.Fanin[:faninAt], cell.Fanin[faninAt+1:]...)
 		return applied{
-			dirtyCells: movablePins(c, oldPins, net.Pins),
+			dirtyCells: movableCells(c, oldPins, net.Pins),
 			dirtyFF:    -1,
 			editedNet:  d.Net,
 			undo: func() {
@@ -216,37 +222,13 @@ func applyDelta(st *State, pinned map[int]int, i int, d Delta) (applied, error) 
 	return none, deltaErr(i, d, "unknown op")
 }
 
-// neighborCells returns the movable non-flip-flop cells sharing a net with
-// cell id — the dirty region of a flip-flop move.
-func neighborCells(c *netlist.Circuit, id int) []int {
-	cell := c.Cells[id]
-	nets := append([]int(nil), cell.Fanin...)
-	if cell.Fanout >= 0 {
-		nets = append(nets, cell.Fanout)
-	}
-	seen := map[int]bool{id: true}
-	var out []int
-	for _, e := range nets {
-		for _, p := range c.Nets[e].Pins {
-			if seen[p] {
-				continue
-			}
-			seen[p] = true
-			n := c.Cells[p]
-			if !n.Fixed && n.Kind != netlist.FF {
-				out = append(out, p)
-			}
-		}
-	}
-	return out
-}
-
-// movablePins returns the movable non-flip-flop cells on either pin list —
-// the dirty region of a net edit.
-func movablePins(c *netlist.Circuit, a, b []int) []int {
+// movableCells returns the movable non-flip-flop cells on the pin lists,
+// each once, in scan order: the dirty region of a flip-flop move (the pins
+// of its nets) or of a net edit (the net's pins before and after).
+func movableCells(c *netlist.Circuit, pinLists ...[]int) []int {
 	seen := map[int]bool{}
 	var out []int
-	for _, pins := range [][]int{a, b} {
+	for _, pins := range pinLists {
 		for _, p := range pins {
 			if seen[p] {
 				continue

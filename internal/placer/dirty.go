@@ -37,7 +37,7 @@ func (s *System) SolveDirty(dirtyCells []int, tok *stop.Token) (int, error) {
 	}
 	sub := map[int]bool{}
 	for _, id := range dirtyCells {
-		if i, ok := s.idx[id]; ok {
+		if i, ok := s.unknown(id); ok {
 			sub[i] = true
 		}
 	}

@@ -164,7 +164,7 @@ type System struct {
 	starRow  []int32 // star index -> offset into starPin, len nStar+1
 	starPin  []int32 // pin cell IDs per star net, in net order
 	cells    []int   // unknown index -> cell ID (star nodes: -1)
-	idx      map[int]int
+	idx      []int32 // cell ID -> unknown index (fixed cells: -1)
 
 	// Mutable per-solve state, reset by prepare.
 	diag []float64
@@ -191,6 +191,15 @@ func (s *System) anchor(i int, p geom.Point, w float64) {
 	s.by[i] += w * p.Y
 }
 
+// unknown returns the unknown index of cell id, and false for a fixed cell or
+// an ID outside the circuit.
+func (s *System) unknown(id int) (int, bool) {
+	if id < 0 || id >= len(s.idx) || s.idx[id] < 0 {
+		return 0, false
+	}
+	return int(s.idx[id]), true
+}
+
 // NewSystem assembles the immutable connectivity part of the circuit's
 // quadratic system: movable cells come first, then one star node per net
 // with 3+ pins. The registry (nil records nothing) receives the
@@ -199,11 +208,12 @@ func NewSystem(c *netlist.Circuit, reg *obs.Registry) (*System, error) {
 	if err := validate(c); err != nil {
 		return nil, err
 	}
-	idx := map[int]int{} // cell ID -> unknown index
+	idx := make([]int32, len(c.Cells))
 	var cells []int
 	for _, cell := range c.Cells {
+		idx[cell.ID] = -1
 		if !cell.Fixed {
-			idx[cell.ID] = len(cells)
+			idx[cell.ID] = int32(len(cells))
 			cells = append(cells, cell.ID)
 		}
 	}
@@ -251,8 +261,8 @@ func NewSystem(c *netlist.Circuit, reg *obs.Registry) (*System, error) {
 			continue
 		}
 		if k == 2 {
-			ia, aOK := idx[net.Pins[0]]
-			ib, bOK := idx[net.Pins[1]]
+			ia, aOK := s.unknown(net.Pins[0])
+			ib, bOK := s.unknown(net.Pins[1])
 			if aOK && bOK {
 				deg[ia]++
 				deg[ib]++
@@ -261,7 +271,7 @@ func NewSystem(c *netlist.Circuit, reg *obs.Registry) (*System, error) {
 		}
 		for _, pid := range net.Pins {
 			s.starPin = append(s.starPin, int32(pid))
-			if ip, ok := idx[pid]; ok {
+			if ip, ok := s.unknown(pid); ok {
 				deg[ip]++
 				deg[star]++
 			}
@@ -369,12 +379,12 @@ func (s *System) prepare(opt *Options, extra []PseudoNet, extraScale float64) {
 
 	// Pseudo-nets and stability anchors.
 	for _, pn := range opt.PseudoNets {
-		if i, ok := s.idx[pn.Cell]; ok && pn.Weight > 0 {
+		if i, ok := s.unknown(pn.Cell); ok && pn.Weight > 0 {
 			s.anchor(i, pn.Target, pn.Weight)
 		}
 	}
 	for _, pn := range extra {
-		if i, ok := s.idx[pn.Cell]; ok {
+		if i, ok := s.unknown(pn.Cell); ok {
 			if w := pn.Weight * extraScale; w > 0 {
 				s.anchor(i, pn.Target, w)
 			}
@@ -483,8 +493,8 @@ func (s *System) fill(scale func(net int) float64, cols []int32, w, diag, bx, by
 		}
 		if k == 2 {
 			a, b := net.Pins[0], net.Pins[1]
-			ia, aOK := s.idx[a]
-			ib, bOK := s.idx[b]
+			ia, aOK := s.unknown(a)
+			ib, bOK := s.unknown(b)
 			switch {
 			case aOK && bOK:
 				addEdge(ia, ib, 1*f)
@@ -497,7 +507,7 @@ func (s *System) fill(scale func(net int) float64, cols []int32, w, diag, bx, by
 		}
 		wt := float64(k) / float64(k-1) / 2 * f
 		for _, pid := range net.Pins {
-			if ip, ok := s.idx[pid]; ok {
+			if ip, ok := s.unknown(pid); ok {
 				addEdge(ip, star, wt)
 			} else {
 				addAnchor(star, c.Cells[pid].Pos, wt)

@@ -255,7 +255,7 @@ type refComponent struct {
 func refSolveDirty(s *System, dirtyCells []int) []refComponent {
 	sub := map[int]bool{}
 	for _, id := range dirtyCells {
-		if i, ok := s.idx[id]; ok {
+		if i, ok := s.unknown(id); ok {
 			sub[i] = true
 		}
 	}

@@ -42,7 +42,11 @@
 #                         rollback, degraded, scratch and forked states;
 #                         every total bit-equal to SignalWL), the
 #                         timing.sta.scope and eco.signalwl.scope oracle
-#                         negative tests, the clean oracle campaign (its
+#                         negative tests, the RandomDeltas tests (drawn
+#                         sequences pinned by SHA-256 digests, every
+#                         delta legal given its predecessors, the caller's
+#                         circuit restored after a draw, a panicking one
+#                         included), the clean oracle campaign (its
 #                         ECO-vs-scratch checks fail on an incomplete
 #                         scope), the shared-base /v1/eco
 #                         concurrency test under -race (it also shares the
@@ -109,7 +113,7 @@
 #                         pop order against container/heap, the
 #                         allocation-free augmenting paths, the cheapest-ring
 #                         preload vs the zero-start reference solve (loose,
-#                         tight, pinned, pruned, fallback, ladder and tied
+#                         tight, pinned, fallback, ladder and tied
 #                         instances), the priced preload's dual feasibility
 #                         under no, random, huge and stale prices, the ECO
 #                         patch tests (any prices cost-equal to a cold
@@ -211,7 +215,7 @@ eco)
     timeout="${ECO_TIMEOUT:-15m}"
     go test ./internal/placer/ -run '^(TestCGKernelReportsStagnation|TestSolveDirtyMatchesReference|TestSolveDirtyCGCancel)$' -count=1 -v
     go test ./internal/timing/ -run '^TestSTAUpdate' -count=1 -v
-    go test ./internal/eco/ -run '^(TestApplyDegradedOnDirtyCGCancel|TestApplySTACache|TestApplySignalWLCache|TestSignalWLUpdate)$' -count=1 -v
+    go test ./internal/eco/ -run '^(TestApplyDegradedOnDirtyCGCancel|TestApplySTACache|TestApplySignalWLCache|TestSignalWLUpdate|TestRandomDeltas.*|TestCombReaches)$' -count=1 -v
     go test ./internal/oracle/ -run '^(TestFaultSTAScopeDetected|TestFaultECOSignalWLDetected|TestCampaignClean)$' -count=1 -v
     go test -race ./internal/serve/ -run '^TestECOConcurrentSharedBase$' -count=1
     go test ./internal/bench/ -run '^TestECOBenchPoint$' -count=1
