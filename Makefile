@@ -57,7 +57,9 @@ oracle:
 # determinism tests under -race (the x/y axis solves, the placer's only
 # concurrent path), the V-cycle tests, the binned
 # MaxOverlap against the all-pairs reference and the corrupt-site oracle
-# negative, then the 50k-cell core.Run + Audit smoke,
+# negative, one iteration of BenchmarkDetailed (so the benchmark that reports
+# the swap loop's rescans/op and pruned/op keeps running), then the
+# 50k-cell core.Run + Audit smoke,
 # which must run stage 1 through the V-cycle, under PLACE_TIMEOUT (default
 # 120s).
 place:

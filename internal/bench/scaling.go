@@ -63,6 +63,11 @@ type ScalePoint struct {
 	StageS  map[string]float64 `json:"stage_s"`
 	AuditS  float64            `json:"audit_s"` // the core.Audit span
 	Audited bool               `json:"audited"`
+	// DetailedS sums every stage1.detailed and stage6.detailed span in
+	// the run's tree: the swap loop's share of RunS.
+	DetailedS float64 `json:"detailed_s"`
+	// Counters are the run's work counters (Result.Metrics.Counters).
+	Counters map[string]int64 `json:"counters"`
 
 	// Final quality, Float64bits-equal across the two parallelism rows of
 	// one size.
@@ -118,8 +123,8 @@ func RunScaling(opt ScalingOptions) (*ScalingReport, error) {
 			}
 			rows[i] = pt
 			if opt.Log != nil {
-				opt.Log("%8d cells -j %d: core.Run %.2f s (%.0f ns/cell), audit %.3f s",
-					pt.Cells, par, pt.RunS, pt.NSPerCell, pt.AuditS)
+				opt.Log("%8d cells -j %d: core.Run %.2f s (%.0f ns/cell), detailed %.2f s, audit %.3f s",
+					pt.Cells, par, pt.RunS, pt.NSPerCell, pt.DetailedS, pt.AuditS)
 			}
 		}
 		if !sameQuality(rows[0], rows[1]) {
@@ -185,6 +190,8 @@ func runScalePoint(cells int, seed int64, par int) (ScalePoint, error) {
 		StageS:     stages,
 		AuditS:     reg.Snapshot().SpanSeconds("core.Audit"),
 		Audited:    true,
+		DetailedS:  res.Metrics.SpanSeconds("stage1.detailed") + res.Metrics.SpanSeconds("stage6.detailed"),
+		Counters:   res.Metrics.Counters,
 		TotalWL:    res.Final.TotalWL,
 		TotalPower: res.Final.TotalPower,
 		MaxCap:     res.Final.MaxCap,

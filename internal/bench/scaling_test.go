@@ -15,8 +15,10 @@ import (
 
 // TestScalingPoint runs one small sweep size end to end and checks the
 // recorded rows plus the JSON round trip: one row per worker count, each
-// audited, its direct-child stage spans within the core.Run span, and the
-// final quality bit-equal across the two rows.
+// audited, its direct-child stage spans and its detailed-placement spans
+// within the core.Run span, its work counters recorded with the swap
+// loop's equal across the two rows, and the final quality bit-equal across
+// the two rows.
 func TestScalingPoint(t *testing.T) {
 	rep, err := RunScaling(ScalingOptions{Sizes: []int{2000}, Seed: 7})
 	if err != nil {
@@ -53,6 +55,12 @@ func TestScalingPoint(t *testing.T) {
 		if sum > pt.RunS {
 			t.Errorf("row %d: stage seconds sum %v exceeds run_s %v", i, sum, pt.RunS)
 		}
+		if pt.DetailedS <= 0 || pt.DetailedS > pt.RunS {
+			t.Errorf("row %d: detailed_s %v outside (0, run_s %v]", i, pt.DetailedS, pt.RunS)
+		}
+		if pt.Counters["placer.detailed.tried"] <= 0 {
+			t.Errorf("row %d: no detailed swaps counted: %v", i, pt.Counters)
+		}
 		if pt.TotalWL <= 0 || pt.TotalPower <= 0 || pt.MaxCap <= 0 || pt.WCP <= 0 {
 			t.Errorf("row %d: quality not recorded: %+v", i, pt)
 		}
@@ -61,6 +69,14 @@ func TestScalingPoint(t *testing.T) {
 		math.Float64bits(a.TotalPower) != math.Float64bits(b.TotalPower) ||
 		math.Float64bits(a.MaxCap) != math.Float64bits(b.MaxCap) {
 		t.Errorf("quality differs across worker counts: %+v vs %+v", a, b)
+	}
+	a, b := rep.Points[0].Counters, rep.Points[1].Counters
+	for _, m := range []map[string]int64{a, b} {
+		for name := range m {
+			if strings.HasPrefix(name, "placer.detailed.") && a[name] != b[name] {
+				t.Errorf("%s: %d at parallelism 1, %d at %d", name, a[name], b[name], rep.GoMaxProcs)
+			}
+		}
 	}
 	path := filepath.Join(t.TempDir(), "scaling.json")
 	if err := rep.WriteJSON(path); err != nil {

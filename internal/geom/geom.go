@@ -61,11 +61,14 @@ func NewRect(a, b Point) Rect {
 	}
 }
 
-// W returns the rectangle width (zero for empty rectangles).
-func (r Rect) W() float64 { return math.Max(0, r.Hi.X-r.Lo.X) }
+// W returns the rectangle width (zero for empty rectangles). W and H clamp
+// with the builtin max, which gives math.Max's value on every input (±0 and
+// ±Inf included; NaN for NaN) but compiles inline, so HalfPerimeter inlines
+// too.
+func (r Rect) W() float64 { return max(0, r.Hi.X-r.Lo.X) }
 
 // H returns the rectangle height (zero for empty rectangles).
-func (r Rect) H() float64 { return math.Max(0, r.Hi.Y-r.Lo.Y) }
+func (r Rect) H() float64 { return max(0, r.Hi.Y-r.Lo.Y) }
 
 // Area returns the rectangle area.
 func (r Rect) Area() float64 { return r.W() * r.H() }

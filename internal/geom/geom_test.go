@@ -55,6 +55,26 @@ func TestRectBasics(t *testing.T) {
 	}
 }
 
+// TestRectWidthMatchesMathMax: W and H clamp as math.Max(0, d) does, bit
+// for bit on signed zeros, infinities and ordinary spans, and NaN where it
+// gives NaN (NaN payloads may differ).
+func TestRectWidthMatchesMathMax(t *testing.T) {
+	same := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
+	}
+	negZero := math.Copysign(0, -1)
+	vals := []float64{0, negZero, 1, -1, 3.5, -2.25, 1e-300, -1e-300, math.Inf(1), math.Inf(-1), math.NaN()}
+	for _, lo := range vals {
+		for _, hi := range vals {
+			r := Rect{Lo: Pt(lo, lo), Hi: Pt(hi, hi)}
+			want := math.Max(0, hi-lo)
+			if !same(r.W(), want) || !same(r.H(), want) {
+				t.Errorf("W/H of [%v, %v] = %v/%v, math.Max gives %v", lo, hi, r.W(), r.H(), want)
+			}
+		}
+	}
+}
+
 func TestRectContainsClamp(t *testing.T) {
 	r := NewRect(Pt(0, 0), Pt(10, 10))
 	cases := []struct {

@@ -31,7 +31,9 @@ const stopEvery = 256
 //
 // Every net keeps a cached bounding box with pin counts on its edges
 // (netBox), so scoring a swap costs O(1) per net of the two cells instead of
-// a scan of the net's pins.
+// a scan of the net's pins. Where an edge loses its last pin, the score is a
+// lower bound (netBox.score); a net is rescanned only when the bounded sum
+// does not already reject the swap, or when an accepted swap commits it.
 func Detailed(c *netlist.Circuit, passes int, exclude []int, reg *obs.Registry, tok *stop.Token) (float64, error) {
 	if err := validate(c); err != nil {
 		return 0, err
@@ -59,9 +61,10 @@ func Detailed(c *netlist.Circuit, passes int, exclude []int, reg *obs.Registry, 
 	if len(ids) < 2 {
 		return 0, nil
 	}
-	// Per movable cell, the nets it pins, in net order with one entry per
-	// pin (a cell pinned twice lists the net twice); per net, its box.
-	cellNets := make([][]int32, len(ids))
+	// Per movable cell k, the nets it pins are netList[netStart[k]:
+	// netStart[k+1]], in net order with one entry per pin (a cell pinned
+	// twice lists the net twice); per net, its box.
+	netStart := make([]int32, len(ids)+1)
 	boxes := make([]netBox, len(c.Nets))
 	for ni, n := range c.Nets {
 		if len(n.Pins) < 2 {
@@ -70,23 +73,38 @@ func Detailed(c *netlist.Circuit, passes int, exclude []int, reg *obs.Registry, 
 		boxes[ni] = scanBox(c, n.Pins)
 		for _, id := range n.Pins {
 			if k := slot[id]; k >= 0 {
-				cellNets[k] = append(cellNets[k], int32(ni))
+				netStart[k+1]++
+			}
+		}
+	}
+	for k := range ids {
+		netStart[k+1] += netStart[k]
+	}
+	netList := make([]int32, netStart[len(ids)])
+	next := slices.Clone(netStart[:len(ids)])
+	for ni, n := range c.Nets {
+		if len(n.Pins) < 2 {
+			continue
+		}
+		for _, id := range n.Pins {
+			if k := slot[id]; k >= 0 {
+				netList[next[k]] = int32(ni)
+				next[k]++
 			}
 		}
 	}
 
-	// Scratch reused by every candidate: the union of the two cells' nets,
-	// the per-net pin-count difference between them, and the union's boxes
-	// after the swap.
+	// Scratch reused by every candidate: the union of the two cells' nets
+	// and the per-net pin-count difference between them.
 	var union []int32
-	var trial []netBox
 	delta := make([]int32, len(c.Nets))
 
-	var tried, accepted, rescans int64
+	var tried, accepted, rescans, pruned int64
 	defer func() {
 		reg.Add("placer.detailed.tried", tried)
 		reg.Add("placer.detailed.accepted", accepted)
 		reg.Add("placer.detailed.rescans", rescans)
+		reg.Add("placer.detailed.pruned", pruned)
 	}()
 
 	total := 0.0
@@ -124,14 +142,8 @@ func Detailed(c *netlist.Circuit, passes int, exclude []int, reg *obs.Registry, 
 					continue // swap would break legality
 				}
 				tried++
-				na, nb := cellNets[i], cellNets[j]
+				na, nb := netList[netStart[i]:netStart[i+1]], netList[netStart[j]:netStart[j+1]]
 				union = appendUnion(union[:0], na, nb)
-				before := 0.0
-				for _, n := range union {
-					before += boxes[n].wl
-				}
-				pa, pb := ci.Pos, cj.Pos
-				ci.Pos, cj.Pos = pb, pa
 				// The swap moves delta[n] = (pins of a) - (pins of b) pins
 				// of net n from pa to pb (a negative count the other way).
 				for _, n := range na {
@@ -140,38 +152,54 @@ func Detailed(c *netlist.Circuit, passes int, exclude []int, reg *obs.Registry, 
 				for _, n := range nb {
 					delta[n]--
 				}
-				trial = trial[:0]
-				after := 0.0
+				// Score from the cached boxes: exact where move would
+				// update a box, a lower bound where it would refuse one. A
+				// swap the bound already rejects needs no rescan.
+				pa, pb := ci.Pos, cj.Pos
+				before, after, exact := 0.0, 0.0, true
 				for _, n := range union {
-					b := boxes[n]
-					if d := delta[n]; d != 0 {
-						from, to := pa, pb
-						if d < 0 {
-							from, to, d = pb, pa, -d
+					wl, ok := boxes[n].score(delta[n], pa, pb)
+					before += boxes[n].wl
+					after += wl
+					exact = exact && ok
+				}
+				if !exact && after >= before-1e-9 {
+					pruned++
+				} else if !exact {
+					// Rescan the refused nets and sum exactly, in union
+					// order.
+					ci.Pos, cj.Pos = pb, pa
+					after = 0
+					for _, n := range union {
+						wl, ok := boxes[n].score(delta[n], pa, pb)
+						if !ok {
+							wl = scanBox(c, c.Nets[n].Pins).wl
+							rescans++
 						}
-						var ok bool
-						if b, ok = b.move(from, to, int(d)); !ok {
+						after += wl
+					}
+					ci.Pos, cj.Pos = pa, pb
+				}
+				if after < before-1e-9 {
+					improved += before - after
+					accepted++
+					ci.Pos, cj.Pos = pb, pa
+					// Clearing delta as each net commits keeps a net
+					// listed twice from moving twice.
+					for _, n := range union {
+						b, ok := boxes[n].move(delta[n], pa, pb)
+						if !ok {
 							b = scanBox(c, c.Nets[n].Pins)
 							rescans++
 						}
+						boxes[n], delta[n] = b, 0
 					}
-					trial = append(trial, b)
-					after += b.wl
 				}
 				for _, n := range na {
 					delta[n] = 0
 				}
 				for _, n := range nb {
 					delta[n] = 0
-				}
-				if after < before-1e-9 {
-					improved += before - after
-					accepted++
-					for k, n := range union {
-						boxes[n] = trial[k]
-					}
-				} else {
-					ci.Pos, cj.Pos = pa, pb // revert
 				}
 			}
 		}
@@ -212,58 +240,87 @@ func scanBox(c *netlist.Circuit, pins []int) netBox {
 	p := c.Cells[pins[0]].Pos
 	b := netBox{bb: geom.Rect{Lo: p, Hi: p}}
 	for _, id := range pins {
-		b.add(c.Cells[id].Pos, 1)
+		p := c.Cells[id].Pos
+		b.bb.Lo.X, b.nLoX = addEdge(b.bb.Lo.X, b.nLoX, p.X, 1, p.X < b.bb.Lo.X)
+		b.bb.Hi.X, b.nHiX = addEdge(b.bb.Hi.X, b.nHiX, p.X, 1, p.X > b.bb.Hi.X)
+		b.bb.Lo.Y, b.nLoY = addEdge(b.bb.Lo.Y, b.nLoY, p.Y, 1, p.Y < b.bb.Lo.Y)
+		b.bb.Hi.Y, b.nHiY = addEdge(b.bb.Hi.Y, b.nHiY, p.Y, 1, p.Y > b.bb.Hi.Y)
 	}
 	b.wl = b.bb.HalfPerimeter()
 	return b
 }
 
-// add records k pins at p, widening the box or adding to an edge's count.
-func (b *netBox) add(p geom.Point, k int) {
-	addLo(&b.bb.Lo.X, &b.nLoX, p.X, k)
-	addHi(&b.bb.Hi.X, &b.nHiX, p.X, k)
-	addLo(&b.bb.Lo.Y, &b.nLoY, p.Y, k)
-	addHi(&b.bb.Hi.Y, &b.nHiY, p.Y, k)
+// addEdge returns a box edge at e with n pins on it after k pins are added
+// at v, on the edge's axis; out reports that v lies strictly outside the
+// edge, which then moves to v.
+func addEdge(e float64, n int, v float64, k int, out bool) (float64, int) {
+	if out {
+		return v, k
+	}
+	if v == e {
+		n += k
+	}
+	return e, n
 }
 
-func addLo(lo *float64, n *int, v float64, k int) {
-	if v < *lo {
-		*lo, *n = v, k
-	} else if v == *lo {
-		*n += k
+// shift returns a box edge at e with n pins on it after k pins moved from f
+// to t on the edge's axis; out reports that t lies strictly outside the
+// edge. The pins are added at t first, so a pin that stays on an edge never
+// empties it, and an edge that moved out to t lies strictly outside f, so
+// only an old edge loses pins. An edge left with no pin is pulled in to t:
+// the net's pins now include the moved ones at t, so its true edge lies at t
+// or beyond, and the span between the two edges is a lower bound.
+func shift(e float64, n int, f, t float64, k int, out bool) (float64, int) {
+	e, n = addEdge(e, n, t, k, out)
+	if f == e {
+		n -= k
 	}
+	if n == 0 {
+		e = t
+	}
+	return e, n
 }
 
-func addHi(hi *float64, n *int, v float64, k int) {
-	if v > *hi {
-		*hi, *n = v, k
-	} else if v == *hi {
-		*n += k
+// orient returns where a swap moves d of a net's pins: from pa to pb, or -d
+// from pb to pa when d < 0.
+func orient(d int32, pa, pb geom.Point) (from, to geom.Point, k int) {
+	if d < 0 {
+		return pb, pa, int(-d)
 	}
+	return pa, pb, int(d)
 }
 
-// move returns the box after k of the net's pins moved from from to to. It
-// reports false when an edge lost its last pin (the pins moved inward from
-// it): that edge's new position is unknown without a rescan.
-func (b netBox) move(from, to geom.Point, k int) (netBox, bool) {
-	b.add(to, k)
-	// Added first, so a pin that stays on an edge never empties it; a new
-	// edge at to lies strictly outside from, so only old edges lose pins.
-	if from.X == b.bb.Lo.X {
-		b.nLoX -= k
+// move returns the box after a swap moved d of the net's pins (see orient);
+// d == 0 returns b. It reports false when an edge lost its last pin (the
+// pins moved inward from it): that edge's new position is unknown without
+// a rescan.
+func (b netBox) move(d int32, pa, pb geom.Point) (netBox, bool) {
+	if d == 0 {
+		return b, true
 	}
-	if from.X == b.bb.Hi.X {
-		b.nHiX -= k
-	}
-	if from.Y == b.bb.Lo.Y {
-		b.nLoY -= k
-	}
-	if from.Y == b.bb.Hi.Y {
-		b.nHiY -= k
-	}
-	if b.nLoX == 0 || b.nHiX == 0 || b.nLoY == 0 || b.nHiY == 0 {
-		return b, false
-	}
+	from, to, k := orient(d, pa, pb)
+	b.bb.Lo.X, b.nLoX = shift(b.bb.Lo.X, b.nLoX, from.X, to.X, k, to.X < b.bb.Lo.X)
+	b.bb.Hi.X, b.nHiX = shift(b.bb.Hi.X, b.nHiX, from.X, to.X, k, to.X > b.bb.Hi.X)
+	b.bb.Lo.Y, b.nLoY = shift(b.bb.Lo.Y, b.nLoY, from.Y, to.Y, k, to.Y < b.bb.Lo.Y)
+	b.bb.Hi.Y, b.nHiY = shift(b.bb.Hi.Y, b.nHiY, from.Y, to.Y, k, to.Y > b.bb.Hi.Y)
 	b.wl = b.bb.HalfPerimeter()
-	return b, true
+	return b, b.nLoX != 0 && b.nHiX != 0 && b.nLoY != 0 && b.nHiY != 0
+}
+
+// score returns the net's HPWL after a swap moved d of its pins (see
+// orient), computed like move's wl without building the box, and whether it
+// is exact. Where move refuses, the score is that of move's box with each
+// emptied edge pulled in to the pins' new position (see shift): a lower
+// bound on the HPWL a rescan finds.
+func (b *netBox) score(d int32, pa, pb geom.Point) (float64, bool) {
+	if d == 0 {
+		return b.wl, true
+	}
+	from, to, k := orient(d, pa, pb)
+	loX, nLoX := shift(b.bb.Lo.X, b.nLoX, from.X, to.X, k, to.X < b.bb.Lo.X)
+	hiX, nHiX := shift(b.bb.Hi.X, b.nHiX, from.X, to.X, k, to.X > b.bb.Hi.X)
+	loY, nLoY := shift(b.bb.Lo.Y, b.nLoY, from.Y, to.Y, k, to.Y < b.bb.Lo.Y)
+	hiY, nHiY := shift(b.bb.Hi.Y, b.nHiY, from.Y, to.Y, k, to.Y > b.bb.Hi.Y)
+	bb := geom.Rect{Lo: geom.Point{X: loX, Y: loY}, Hi: geom.Point{X: hiX, Y: hiY}}
+	return bb.HalfPerimeter(), nLoX != 0 && nHiX != 0 && nLoY != 0 && nHiY != 0
 }

@@ -7,6 +7,7 @@ import (
 
 	"rotaryclk/internal/geom"
 	"rotaryclk/internal/netlist"
+	"rotaryclk/internal/obs"
 )
 
 func TestDetailedImprovesWL(t *testing.T) {
@@ -127,21 +128,26 @@ func TestDetailedExcludingPinsCells(t *testing.T) {
 
 // BenchmarkDetailed times the flow's stage-1 call (two passes, nothing
 // pinned) on a legalized circuit with 1% flip-flops, cloned outside the
-// timer for every iteration.
+// timer for every iteration, and reports the net rescans and the swaps the
+// lower bound rejected per call.
 func BenchmarkDetailed(b *testing.B) {
 	for _, cells := range []int{5000, 20000} {
 		b.Run(fmt.Sprintf("cells=%d", cells), func(b *testing.B) {
 			c := legalCircuit(b, cells, cells/100, 1)
+			reg := obs.NewRegistry()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				d := c.Clone()
 				b.StartTimer()
-				if _, err := Detailed(d, 2, nil, nil, nil); err != nil {
+				if _, err := Detailed(d, 2, nil, reg, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
+			n := float64(b.N)
+			b.ReportMetric(float64(reg.Counter("placer.detailed.rescans"))/n, "rescans/op")
+			b.ReportMetric(float64(reg.Counter("placer.detailed.pruned"))/n, "pruned/op")
 		})
 	}
 }

@@ -949,6 +949,26 @@ func TestDetailedSolePinInward(t *testing.T) {
 	}
 }
 
+// TestDetailedBoundRejects: a swap that empties an edge but whose lower
+// bound already shows no gain is rejected without a rescan. Cell 0 alone
+// spans the wide net's right edge at 90; swapping it to 40 leaves the edge
+// at the pad at 60, which the bound pulls in to 40 (wide: 80 -> 50, bound
+// 30), while cell 1's net grows from 40 to 90. The bounded after, 30 + 90,
+// already equals before, 80 + 40.
+func TestDetailedBoundRejects(t *testing.T) {
+	c := handCircuit(geom.Pt(90, 50), geom.Pt(40, 50))
+	pads := []int{addPad(c, geom.Pt(10, 50)), addPad(c, geom.Pt(20, 50)), addPad(c, geom.Pt(60, 50))}
+	c.AddNet("wide", append(pads, 0)...)
+	c.AddNet("short", 1, addPad(c, geom.Pt(0, 50)))
+	_, reg := detailedMatches(t, "bound rejects", c, 2, nil)
+	if got := reg.Counter("placer.detailed.pruned"); got < 1 {
+		t.Errorf("pruned = %d, want >= 1", got)
+	}
+	if got := reg.Counter("placer.detailed.rescans"); got != 0 {
+		t.Errorf("rescans = %d, want 0", got)
+	}
+}
+
 // TestDetailedSharedNet: two cells on one shared net swap; that net's box
 // is unchanged and only their private nets change the score.
 func TestDetailedSharedNet(t *testing.T) {
@@ -983,7 +1003,9 @@ func TestDetailedNetBoxScan(t *testing.T) {
 // TestDetailedNetBoxMoves: random cell moves on random nets (grid points,
 // so pins often share an edge; duplicate pins included) keep every net's
 // box, updated by move or rescanned when move refuses, equal to a full scan
-// after every move.
+// after every move. The swap loop's score of each move agrees with move:
+// the same report, and move's wl bit for bit when move succeeds, a value
+// no greater than the full scan's wl when it refuses.
 func TestDetailedNetBoxMoves(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	grid := func() geom.Point { return geom.Pt(float64(rng.Intn(6)), float64(rng.Intn(6))) }
@@ -1019,10 +1041,20 @@ func TestDetailedNetBoxMoves(t *testing.T) {
 			if k == 0 {
 				continue
 			}
-			b, ok := boxes[i].move(from, to, k)
+			score, exact := boxes[i].score(int32(k), from, to)
+			b, ok := boxes[i].move(int32(k), from, to)
+			if exact != ok {
+				t.Fatalf("step %d net %d: score exact %v, move %v", step, i, exact, ok)
+			}
+			if ok && math.Float64bits(score) != math.Float64bits(b.wl) {
+				t.Fatalf("step %d net %d: score %v, move's wl %v", step, i, score, b.wl)
+			}
 			if !ok {
 				b = scanBox(c, n.Pins)
 				rescans++
+				if score > b.wl {
+					t.Fatalf("step %d net %d: bound %v above the scan's wl %v", step, i, score, b.wl)
+				}
 			}
 			boxes[i] = b
 		}

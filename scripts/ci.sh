@@ -71,13 +71,14 @@
 #                         degenerate fallbacks), the binned MaxOverlap
 #                         against the all-pairs reference loop (bit-equal
 #                         on overlapping, legal and degenerate placements),
-#                         the corrupt-site oracle
-#                         negative test, then a non-race 50k-cell core.Run +
-#                         Audit smoke that must run stage 1 through the
-#                         V-cycle (placer.ml.vcycles == 1), under a
-#                         wall-clock budget (PLACE_TIMEOUT, default 120s);
-#                         the swap loop's own number is
-#                         `go test -bench Detailed ./internal/placer/`
+#                         the corrupt-site oracle negative test, one
+#                         iteration of BenchmarkDetailed (the swap loop's
+#                         ns/op, rescans/op and pruned/op; run it with a
+#                         larger -benchtime for a number), then a non-race
+#                         50k-cell core.Run + Audit smoke that must run
+#                         stage 1 through the V-cycle
+#                         (placer.ml.vcycles == 1), under a wall-clock
+#                         budget (PLACE_TIMEOUT, default 120s)
 #   scripts/ci.sh timing  timing-driven placement smoke: the STA
 #                         propagation differential tests (Analyze and
 #                         ExtractCritical bit-identical to their
@@ -227,6 +228,7 @@ place)
     go test -race ./internal/placer/ -run '^(TestDetailed|Test(Global|Incremental)DeterministicAcrossWorkerCounts$)' -count=1
     go test ./internal/placer/ -run '^(TestMultilevel|TestVCycle|TestCoarsen|TestProjectOverlays|TestInterpolate|TestMaxOverlapMatchesReference$)' -count=1
     go test ./internal/oracle/ -run '^TestFaultMLCorruptDetected$' -count=1
+    go test -run '^$' -bench '^BenchmarkDetailed$' -benchtime 1x ./internal/placer/
     ROTARY_PLACE_SMOKE=1 go test -timeout "$timeout" \
         -run '^TestPlaceSmoke50k$' -count=1 -v ./internal/core/
     ;;
