@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"rotaryclk/internal/faultinject"
 	"rotaryclk/internal/geom"
@@ -108,7 +109,8 @@ type Assignment struct {
 // row wherever those inputs are bit-equal. A flow solve also leaves its
 // ring prices, the start of the next patch over the same array (DESIGN.md
 // section 23). A matrix is never written after the solve that built it, so
-// concurrent patches may share one.
+// concurrent patches may share one, and a patch's matrix shares every row
+// it reused.
 type matrix struct {
 	array    *rotary.Array
 	k        int
@@ -119,12 +121,13 @@ type matrix struct {
 	price    []float64 // per ring: the flow solve's final price (nil: not a flow solve)
 }
 
-// pinOf is flip-flop i's pinned ring under pin, -1 when it is free.
-func pinOf(pin []int, i int) int {
-	if len(pin) == 0 {
+// ringAt is flip-flop i's entry in a per-flip-flop ring list such as
+// Problem.Pin, -1 when the list is empty.
+func ringAt(rings []int, i int) int {
+	if len(rings) == 0 {
 		return -1
 	}
-	return pin[i]
+	return rings[i]
 }
 
 func (p *Problem) normalize() error {
@@ -206,9 +209,10 @@ func (p *Problem) solveTap(ring int, pos geom.Point, target float64) (rotary.Tap
 // candidates computes the pruned arc set: for each flip-flop, the K nearest
 // rings with their solved taps. Every flip-flop keeps at least one arc.
 // A non-nil reuse[i] is flip-flop i's row from an earlier solve of the same
-// inputs (see matrix); it is copied instead of solved. Flip-flops are
-// independent, so the matrix builds in parallel (each worker writes only
-// its own rows); the output is identical for every worker count.
+// inputs (see matrix); the new matrix shares it instead of solving it.
+// Flip-flops are independent, so the matrix builds in parallel (each
+// worker writes only its own rows); the output is identical for every
+// worker count.
 func (p *Problem) candidates(reuse [][]candidate) ([][]candidate, error) {
 	if err := faultinject.Hook(faultinject.SiteAssignCandidates); err != nil {
 		return nil, err
@@ -216,27 +220,36 @@ func (p *Problem) candidates(reuse [][]candidate) ([][]candidate, error) {
 	out := make([][]candidate, len(p.FFs))
 	errs := make([]error, len(p.FFs))
 	params := p.Array.Params
-	// One arena holds every candidate row at a fixed stride of K (normalize
-	// clamps K to the ring count), so the hot loop never grows a slice:
-	// each worker fills only its own K-capacity window and publishes a
-	// capacity-clipped prefix of it. Reused rows are copied in too, so an
-	// assignment never keeps an earlier one's arena alive.
-	arena := make([]candidate, len(p.FFs)*p.K)
+	// A cold solve holds every candidate row in one arena at a fixed stride
+	// of K (normalize clamps K to the ring count), so the hot loop never
+	// grows a slice: each worker fills only its own K-capacity window and
+	// publishes a capacity-clipped prefix of it. A patch gives each row it
+	// solves an allocation of its own, so a chain of patches keeps alive
+	// only the rows still in use (DESIGN.md section 21.1).
+	var arena []candidate
+	if reuse == nil {
+		arena = make([]candidate, len(p.FFs)*p.K)
+	}
 	par.For(p.Parallelism, len(p.FFs), func(i int) {
 		if err := stop.Check(p.Stop, faultinject.SiteAssignCandCancel); err != nil {
 			errs[i] = fmt.Errorf("assign: candidate construction: %w", err)
 			return
 		}
 		if i < len(reuse) && reuse[i] != nil {
-			out[i] = append(arena[i*p.K:i*p.K:i*p.K+len(reuse[i])], reuse[i]...)
+			out[i] = reuse[i]
 			return
 		}
 		ff := p.FFs[i]
 		rings := p.Array.NearestRings(ff.Pos, p.K)
-		if pin := pinOf(p.Pin, i); pin >= 0 {
+		if pin := ringAt(p.Pin, i); pin >= 0 {
 			rings = []int{pin}
 		}
-		row := arena[i*p.K : i*p.K : (i+1)*p.K]
+		var row []candidate
+		if arena != nil {
+			row = arena[i*p.K : i*p.K : (i+1)*p.K]
+		} else {
+			row = make([]candidate, 0, p.K)
+		}
 		for _, j := range rings {
 			tap, ok := p.solveTap(j, ff.Pos, ff.Target)
 			if !ok {
@@ -355,7 +368,7 @@ func MinCost(p *Problem) (*Assignment, error) {
 		return nil, err
 	}
 	p.Obs.Add("assign.mincost.calls", 1)
-	choice, price, err := p.solveFlow(cands, nil)
+	choice, price, err := p.solveFlow(cands, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -414,13 +427,14 @@ func (p *Problem) newNetwork(cands [][]candidate) *network {
 
 // solveFlow is the one Fig. 4 solver behind MinCost and PatchMinCost: it
 // builds the network over cands, preloads it under the ring prices price
-// (nil: none), routes the remaining flip-flops along successive shortest
-// paths, and reads back each flip-flop's candidate. It also returns the
-// prices p_j = max(0, pot[t] - pot[ring_j]) of its final potentials, the
-// start of a later patch (DESIGN.md section 23).
-func (p *Problem) solveFlow(cands [][]candidate, price []float64) ([]candidate, []float64, error) {
+// and the previous rings prev (nil: none), routes the remaining flip-flops
+// along successive shortest paths, and reads back each flip-flop's
+// candidate. It also returns the prices p_j = max(0, pot[t] - pot[ring_j])
+// of its final potentials, the start of a later patch (DESIGN.md section
+// 23).
+func (p *Problem) solveFlow(cands [][]candidate, price []float64, prev []int) ([]candidate, []float64, error) {
 	n := p.newNetwork(cands)
-	pot := p.preloadPriced(n, price)
+	pot := p.preloadPriced(n, price, prev)
 	deficit := len(cands) - n.preloaded
 	flow, _, err := n.g.MinCostFlowFrom(srcNode, sinkNode, deficit, pot)
 	if err != nil {
@@ -450,20 +464,32 @@ func (p *Problem) solveFlow(cands [][]candidate, price []float64) ([]candidate, 
 	return choice, final, nil
 }
 
+// keepTol is how far above its row's priced minimum a previous ring may
+// price and still be kept by the preload: it absorbs the rounding of the
+// stored prices (far below a micrometre, and three orders below the -1e-6
+// reduced cost mcmf treats as a broken invariant). DESIGN.md section 23.1
+// bounds the reduced costs it leaves by -keepTol.
+const keepTol = 1e-9
+
 // preloadPriced is solveFlow's preload. Under ring prices p_j >= 0 (nil:
-// all zero), every flip-flop, in index order, goes on the candidate that
+// all zero), every flip-flop, in index order, goes on the candidate k that
 // minimizes c_ij + p_j, the first such in its cost-sorted row, while that
-// ring has capacity left. A priced ring left with room loses its price and
-// the preload reruns, so at most rings+1 passes run; assign.preload.repairs
-// counts the prices dropped. The potentials are pot[FF_i] =
-// -min_j(c_ij + p_j), pot[ring_j] = -p_j and 0 at the source and target,
+// ring has capacity left; a flip-flop with a previous ring prev[i] >= 0
+// (nil: none) goes there instead when that ring prices within keepTol of
+// the minimum. A priced ring left with room loses its price and the
+// preload reruns, so at most rings+1 passes run; assign.preload.repairs
+// counts the prices dropped and assign.preload.kept the flip-flops left on
+// their previous ring. The potentials are pot[FF_i] = -(c_ik + p_k) of the
+// chosen candidate, pot[ring_j] = -p_j and 0 at the source and target,
 // under which every residual arc except the reverse arcs into the source
-// has a non-negative reduced cost: unused FF->ring arcs c_ij + p_j -
-// min(...), reverses of used ones 0, open ring->target arcs 0 (their ring
-// is unpriced), target->ring reverses p_j, open source arcs min(...).
-// With no prices this is the cheapest-ring preload of DESIGN.md section
-// 19.1, bit for bit: pot[ring_j] is written only when p_j > 0.
-func (p *Problem) preloadPriced(n *network, price []float64) []float64 {
+// has a reduced cost of at least -keepTol: unused FF->ring arcs
+// c_ij + p_j - (c_ik + p_k), reverses of used ones 0, open ring->target
+// arcs 0 (their ring is unpriced), target->ring reverses p_j, open source
+// arcs c_ik + p_k.
+// With no prices and no previous rings this is the cheapest-ring preload
+// of DESIGN.md section 19.1, bit for bit: pot[ring_j] is written only when
+// p_j > 0.
+func (p *Problem) preloadPriced(n *network, price []float64, prev []int) []float64 {
 	nFF, nR := len(n.cands), len(n.sink)
 	pr := make([]float64, nR) // a copy: price may belong to a shared matrix
 	copy(pr, price)
@@ -476,6 +502,12 @@ func (p *Problem) preloadPriced(n *network, price []float64) []float64 {
 			k := 0
 			for kk := 1; kk < len(cs); kk++ {
 				if cs[kk].cost+pr[cs[kk].ring] < cs[k].cost+pr[cs[k].ring] {
+					k = kk
+				}
+			}
+			if r := ringAt(prev, i); r >= 0 && r != cs[k].ring {
+				if kk := slices.IndexFunc(cs, func(c candidate) bool { return c.ring == r }); kk >= 0 &&
+					cs[kk].cost+pr[r] <= cs[k].cost+pr[cs[k].ring]+keepTol {
 					k = kk
 				}
 			}
@@ -503,14 +535,22 @@ func (p *Problem) preloadPriced(n *network, price []float64) []float64 {
 			pot[ffBase+nFF+j] = -q
 		}
 	}
+	kept := 0
 	for i, k := range best {
 		if k < 0 {
 			continue
 		}
+		j := n.cands[i][k].ring
 		n.g.Push(n.src[i], 1)
 		n.g.Push(n.arcs[i][k], 1)
-		n.g.Push(n.sink[n.cands[i][k].ring], 1)
+		n.g.Push(n.sink[j], 1)
 		n.preloaded++
+		if j == ringAt(prev, i) {
+			kept++
+		}
+	}
+	if prev != nil {
+		p.Obs.Add("assign.preload.kept", int64(kept))
 	}
 	p.Obs.Add("assign.mincost.preloaded", int64(n.preloaded))
 	p.Obs.Add("assign.mincost.deficit", int64(nFF-n.preloaded))

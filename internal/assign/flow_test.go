@@ -82,7 +82,7 @@ func solveBoth(t *testing.T, p *Problem, cands [][]candidate, reg *obs.Registry)
 	p.Obs = nil
 	want, wantErr = referenceMinCost(p, cands)
 	p.Obs = reg
-	choice, price, gotErr := p.solveFlow(cands, nil)
+	choice, price, gotErr := p.solveFlow(cands, nil, nil)
 	if gotErr == nil {
 		got = p.finish(cands, choice, price)
 	}
@@ -260,10 +260,12 @@ func TestMinCostMatchesReferenceIntegerTies(t *testing.T) {
 // the preloaded network itself, before any augmenting path: every residual
 // arc that does not enter the source has a non-negative reduced cost, up to
 // the float slack Dijkstra's clamp absorbs (1e-9 relative to the largest
-// potential). It runs with no prices (the cheapest-ring start), random
-// prices, huge prices (1e4 times the largest cost) and stale prices taken
-// from the final solve of another instance; every priced ring left with
-// room must have lost its price.
+// potential, which also covers keepTol). It runs with no prices (the
+// cheapest-ring start), random prices, huge prices (1e4 times the largest
+// cost), stale prices taken from the final solve of another instance, and
+// the instance's own optimum: its final prices and rings, with a few rings
+// moved to another candidate that the preload must refuse unless it ties;
+// every priced ring left with room must have lost its price.
 func TestPreloadDualFeasible(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for trial := 0; trial < 20; trial++ {
@@ -290,9 +292,20 @@ func TestPreloadDualFeasible(t *testing.T) {
 				other.Capacity[j] = len(other.FFs)/nR + 1
 			}
 		}
-		_, stale, err := other.solveFlow(preparedCands(t, other), nil)
+		_, stale, err := other.solveFlow(preparedCands(t, other), nil, nil)
 		if err != nil {
 			t.Fatal(err)
+		}
+		own, final, err := p.solveFlow(cands, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prev := make([]int, nFF)
+		for i, c := range own {
+			prev[i] = c.ring
+			if rng.Intn(8) == 0 {
+				prev[i] = cands[i][rng.Intn(len(cands[i]))].ring
+			}
 		}
 		random, huge := make([]float64, nR), make([]float64, nR)
 		for j := 0; j < nR; j++ {
@@ -304,12 +317,13 @@ func TestPreloadDualFeasible(t *testing.T) {
 		for _, tc := range []struct {
 			name  string
 			price []float64
-		}{{"none", nil}, {"random", random}, {"huge", huge}, {"stale", stale}} {
+			prev  []int
+		}{{"none", nil, nil}, {"random", random, nil}, {"huge", huge, nil}, {"stale", stale, nil}, {"previous", final, prev}} {
 			name, price := tc.name, tc.price
 			reg := obs.NewRegistry()
 			p.Obs = reg
 			n := p.newNetwork(cands)
-			pot := p.preloadPriced(n, price)
+			pot := p.preloadPriced(n, price, tc.prev)
 			tol := 0.0
 			for _, v := range pot {
 				tol = math.Max(tol, 1e-9*math.Abs(v))
@@ -336,8 +350,11 @@ func TestPreloadDualFeasible(t *testing.T) {
 				check(a, ringNode(j), sinkNode)
 				used += n.g.Flow(a)
 			}
-			if used != n.preloaded || n.preloaded == 0 || (trial%2 == 1 && n.preloaded == nFF) {
+			if used != n.preloaded || n.preloaded == 0 || (trial%2 == 1 && n.preloaded == nFF && tc.prev == nil) {
 				t.Fatalf("trial %d, %s prices: %d of %d flip-flops preloaded, %d on rings", trial, name, n.preloaded, nFF, used)
+			}
+			if name == "previous" && reg.Counter("assign.preload.kept") == 0 {
+				t.Fatalf("trial %d: no flip-flop kept on its previous ring", trial)
 			}
 			if name == "none" && reg.Counter("assign.preload.repairs") != 0 {
 				t.Fatalf("trial %d: repaired prices that were never set", trial)

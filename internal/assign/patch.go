@@ -1,12 +1,13 @@
 // Incremental re-assignment for the ECO flow: instead of solving the Fig. 4
 // min-cost flow cold after a small edit, the patch starts MinCost's solver
-// from the previous solve's ring prices, so the preload already reflects
-// which rings the last optimum filled, and only the flip-flops the prices
-// do not settle are routed by successive shortest paths. Any prices are a
-// valid start, so the patched assignment reaches the same optimum a scratch
-// solve does — the property the ECO-vs-scratch oracle checks to 1e-6. The
-// previous assignment also carries the candidate matrix it was solved over,
-// so only the flip-flops whose tapping inputs changed are re-solved.
+// from the previous optimum, its ring prices and its rings, so a flip-flop
+// the edit left alone is preloaded where it was, and only the flip-flops
+// that start does not settle are routed by successive shortest paths. Any
+// prices are a valid start, so the patched assignment reaches the same
+// optimum a scratch solve does — the property the ECO-vs-scratch oracle
+// checks to 1e-6. The previous assignment also carries the candidate
+// matrix it was solved over, so only the flip-flops whose tapping inputs
+// changed are re-solved.
 package assign
 
 import (
@@ -25,17 +26,18 @@ import (
 //
 // It runs MinCost's Fig. 4 solver from prev's ring prices when prev was a
 // flow solve over the same ring array (DESIGN.md section 23): the preload
-// puts each flip-flop on its cheapest ring under those prices, and the
-// closed-form duals of that preload let successive shortest paths finish
-// the rest. Nothing about the edit is needed — a moved, retargeted, pinned
-// or new flip-flop simply has a new row. The result is cost-equal to
-// MinCost on the same Problem (the assignment itself may differ when
-// optima tie).
+// keeps each flip-flop with a reused row on its previous ring when that
+// ring is still its cheapest under those prices, puts every other one on
+// its cheapest ring, and the closed-form duals of that preload let
+// successive shortest paths finish the rest. Nothing about the edit is
+// needed — a moved, retargeted, pinned or new flip-flop simply has a new
+// row. The result is cost-equal to MinCost on the same Problem (the
+// assignment itself may differ when optima tie).
 func PatchMinCost(p *Problem, prev *Assignment) (*Assignment, error) {
 	if err := p.normalize(); err != nil {
 		return nil, err
 	}
-	reuse, price, err := p.fromPrevious(prev)
+	reuse, price, rings, err := p.fromPrevious(prev)
 	if err != nil {
 		return nil, err
 	}
@@ -57,7 +59,7 @@ func PatchMinCost(p *Problem, prev *Assignment) (*Assignment, error) {
 		return p.finish(cands, choice, nil), nil
 	}
 
-	choice, final, err := p.solveFlow(cands, price)
+	choice, final, err := p.solveFlow(cands, price, rings)
 	if err != nil {
 		return nil, fmt.Errorf("assign: patch: %w", err)
 	}
@@ -67,18 +69,19 @@ func PatchMinCost(p *Problem, prev *Assignment) (*Assignment, error) {
 // fromPrevious matches p's flip-flops to prev's by cell. When prev was
 // solved over p's ring array, it returns prev's ring prices (nil for an
 // assigner other than the flow) and, per flip-flop, prev's candidate row
-// where every input of that row is unchanged (nil: solve it); otherwise
-// neither. The assign.patch.reused counter records how many rows were kept.
-func (p *Problem) fromPrevious(prev *Assignment) (reuse [][]candidate, price []float64, err error) {
+// and ring where every input of that row is unchanged (nil and -1: solve
+// it); otherwise none of them. The assign.patch.reused counter records how
+// many rows were kept.
+func (p *Problem) fromPrevious(prev *Assignment) (reuse [][]candidate, price []float64, rings []int, err error) {
 	if prev == nil || prev.m == nil {
-		return nil, nil, nil
+		return nil, nil, nil, nil
 	}
 	m := prev.m
 	if len(prev.Ring) != len(m.ffs) {
-		return nil, nil, fmt.Errorf("assign: patch: %d previous rings for %d flip-flops", len(prev.Ring), len(m.ffs))
+		return nil, nil, nil, fmt.Errorf("assign: patch: %d previous rings for %d flip-flops", len(prev.Ring), len(m.ffs))
 	}
 	if m.array != p.Array {
-		return nil, nil, nil
+		return nil, nil, nil, nil
 	}
 	bits := math.Float64bits
 	kept := 0
@@ -88,19 +91,22 @@ func (p *Problem) fromPrevious(prev *Assignment) (reuse [][]candidate, price []f
 			byCell[ff.Cell] = j
 		}
 		reuse = make([][]candidate, len(p.FFs))
+		rings = make([]int, len(p.FFs))
 		for i, ff := range p.FFs {
+			rings[i] = -1
 			j, ok := byCell[ff.Cell]
 			if !ok {
 				continue
 			}
 			old := m.ffs[j]
 			if bits(ff.Pos.X) == bits(old.Pos.X) && bits(ff.Pos.Y) == bits(old.Pos.Y) &&
-				bits(ff.Target) == bits(old.Target) && pinOf(p.Pin, i) == pinOf(m.pin, j) {
+				bits(ff.Target) == bits(old.Target) && ringAt(p.Pin, i) == ringAt(m.pin, j) {
 				reuse[i] = m.rows[j]
+				rings[i] = prev.Ring[j]
 				kept++
 			}
 		}
 	}
 	p.Obs.Add("assign.patch.reused", int64(kept))
-	return reuse, m.price, nil
+	return reuse, m.price, rings, nil
 }

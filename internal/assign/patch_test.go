@@ -5,12 +5,14 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
 	"rotaryclk/internal/faultinject"
 	"rotaryclk/internal/geom"
 	"rotaryclk/internal/obs"
+	"rotaryclk/internal/rotary"
 	"rotaryclk/internal/stop"
 )
 
@@ -52,26 +54,31 @@ func TestPatchMinCostMatchesScratch(t *testing.T) {
 }
 
 // TestPatchMinCostAllClean: an unchanged instance patched from its own
-// optimum reaches the same total, and the preload split adds up.
+// optimum keeps every flip-flop on its previous ring, so the preload
+// leaves no deficit and no augmenting path runs.
 func TestPatchMinCostAllClean(t *testing.T) {
-	p := testProblem(t, 40, 23)
-	base, err := MinCost(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := obs.NewRegistry()
-	p2 := testProblem(t, 40, 23)
-	p2.Array, p2.Obs = p.Array, reg
-	got, err := PatchMinCost(p2, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got.Total-base.Total) > 1e-9 {
-		t.Fatalf("clean patch total %v != base %v", got.Total, base.Total)
-	}
-	pre, deficit := reg.Counter("assign.mincost.preloaded"), reg.Counter("assign.mincost.deficit")
-	if pre+deficit != 40 || reg.Counter("mcmf.paths") != deficit {
-		t.Errorf("preloaded %d + deficit %d != 40, or %d paths for the deficit", pre, deficit, reg.Counter("mcmf.paths"))
+	for seed := int64(23); seed < 29; seed++ {
+		p := testProblem(t, 200, seed)
+		base, err := MinCost(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := obs.NewRegistry()
+		p2 := testProblem(t, 200, seed)
+		p2.Array, p2.Obs = p.Array, reg
+		got, err := PatchMinCost(p2, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Total != base.Total || !reflect.DeepEqual(got.Ring, base.Ring) {
+			t.Fatalf("seed %d: clean patch total %v, rings %v; base %v, %v", seed, got.Total, got.Ring, base.Total, base.Ring)
+		}
+		if d, paths := reg.Counter("assign.mincost.deficit"), reg.Counter("mcmf.paths"); d != 0 || paths != 0 {
+			t.Errorf("seed %d: clean patch left deficit %d and ran %d paths, want 0 and 0", seed, d, paths)
+		}
+		if kept := reg.Counter("assign.preload.kept"); kept != 200 {
+			t.Errorf("seed %d: %d of 200 flip-flops kept on their previous ring", seed, kept)
+		}
 	}
 }
 
@@ -373,12 +380,12 @@ func TestPatchAnyPricesMatchesScratch(t *testing.T) {
 			p.K = 3 + rng.Intn(nR-2)
 		}
 		cands := preparedCands(t, p)
-		want, _, err := p.solveFlow(cands, nil)
+		want, _, err := p.solveFlow(cands, nil, nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		other := testProblem(t, 20+rng.Intn(60), rng.Int63())
-		_, stale, err := other.solveFlow(preparedCands(t, other), nil)
+		_, stale, err := other.solveFlow(preparedCands(t, other), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -395,7 +402,7 @@ func TestPatchAnyPricesMatchesScratch(t *testing.T) {
 			price []float64
 		}{{"random", random}, {"sparse", sparse}, {"huge", huge}, {"stale", stale}} {
 			name, price := tc.name, tc.price
-			got, _, err := p.solveFlow(cands, price)
+			got, _, err := p.solveFlow(cands, price, nil)
 			if err != nil {
 				t.Fatalf("trial %d, %s prices: %v", trial, name, err)
 			}
@@ -514,4 +521,57 @@ func sum(xs []int) int {
 		s += x
 	}
 	return s
+}
+
+// TestPatchChainRetention chains 200 patches of moves and retargets and
+// checks the retention bound of DESIGN.md section 21.1: every unchanged
+// row is shared with the previous matrix, not copied, and the last
+// assignment keeps alive at most the base's arena plus its own re-solved
+// rows, two candidate matrices. Re-solved rows held in one arena per patch
+// would keep alive every patch that still owns a live row.
+func TestPatchChainRetention(t *testing.T) {
+	const nFF = 200
+	p := testProblem(t, nFF, 47)
+	prev, err := MinCost(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arr, ffs := p.Array, append([]FF(nil), p.FFs...)
+	rng := rand.New(rand.NewSource(53))
+	for step := 0; step < 200; step++ {
+		i := rng.Intn(nFF)
+		if rng.Intn(2) == 0 {
+			ffs[i].Pos = geom.Pt(rng.Float64()*4000, rng.Float64()*4000)
+		} else {
+			ffs[i].Target = rng.Float64() * arr.Params.Period
+		}
+		next, err := PatchMinCost(&Problem{Array: arr, FFs: append([]FF(nil), ffs...)}, prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r, row := range next.m.rows {
+			if r != i && &row[0] != &prev.m.rows[r][0] {
+				t.Fatalf("step %d: unchanged row %d was copied", step, r)
+			}
+		}
+		prev = next
+	}
+	last := prev
+	prev, p = nil, nil
+	var with, without runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&with)
+	k := last.m.k
+	runtime.KeepAlive(last)
+	last = nil
+	runtime.GC()
+	runtime.ReadMemStats(&without)
+	// Two matrices, a size-class rounding of at most 1/8 on each re-solved
+	// row, and the assignment's own per-flip-flop slices.
+	matrix := nFF * k * int(reflect.TypeOf(candidate{}).Size())
+	perFF := reflect.TypeOf(rotary.Tap{}).Size() + reflect.TypeOf(FF{}).Size() + 8 + 24
+	bound := matrix + matrix*9/8 + nFF*int(perFF) + 4096
+	if got := int(with.HeapAlloc) - int(without.HeapAlloc); got > bound {
+		t.Errorf("the last of 200 chained patches keeps %d bytes alive, bound %d (one matrix is %d)", got, bound, matrix)
+	}
 }

@@ -63,8 +63,12 @@ type ScalePoint struct {
 	StageS  map[string]float64 `json:"stage_s"`
 	AuditS  float64            `json:"audit_s"` // the core.Audit span
 	Audited bool               `json:"audited"`
-	// DetailedS sums every stage1.detailed and stage6.detailed span in
-	// the run's tree: the swap loop's share of RunS.
+	// TreeS sums every span of the run's tree by name (SpanTotals), so a
+	// stage run inside the stage 3-6 loop is timed by name and not only
+	// as part of flow.iter.
+	TreeS map[string]float64 `json:"tree_s"`
+	// DetailedS is TreeS's stage1.detailed plus stage6.detailed: the swap
+	// loop's share of RunS.
 	DetailedS float64 `json:"detailed_s"`
 	// Counters are the run's work counters (Result.Metrics.Counters).
 	Counters map[string]int64 `json:"counters"`
@@ -182,6 +186,7 @@ func runScalePoint(cells int, seed int64, par int) (ScalePoint, error) {
 		stages[ch.Name] += ch.Ms / 1000
 	}
 	stats := c.Stats()
+	tree := res.Metrics.SpanTotals()
 	return ScalePoint{
 		Cells: stats.Cells, FFs: stats.FlipFlops, Nets: stats.Nets,
 		Rings: len(res.Array.Rings), Parallelism: par, Iterations: res.Iterations,
@@ -190,7 +195,8 @@ func runScalePoint(cells int, seed int64, par int) (ScalePoint, error) {
 		StageS:     stages,
 		AuditS:     reg.Snapshot().SpanSeconds("core.Audit"),
 		Audited:    true,
-		DetailedS:  res.Metrics.SpanSeconds("stage1.detailed") + res.Metrics.SpanSeconds("stage6.detailed"),
+		TreeS:      tree,
+		DetailedS:  tree["stage1.detailed"] + tree["stage6.detailed"],
 		Counters:   res.Metrics.Counters,
 		TotalWL:    res.Final.TotalWL,
 		TotalPower: res.Final.TotalPower,

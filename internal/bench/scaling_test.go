@@ -15,10 +15,10 @@ import (
 
 // TestScalingPoint runs one small sweep size end to end and checks the
 // recorded rows plus the JSON round trip: one row per worker count, each
-// audited, its direct-child stage spans and its detailed-placement spans
-// within the core.Run span, its work counters recorded with the swap
-// loop's equal across the two rows, and the final quality bit-equal across
-// the two rows.
+// audited, its direct-child stage spans, its whole-tree stage3.assign sum
+// and its detailed-placement spans within the core.Run span, its work
+// counters recorded with the swap loop's equal across the two rows, and
+// the final quality bit-equal across the two rows.
 func TestScalingPoint(t *testing.T) {
 	rep, err := RunScaling(ScalingOptions{Sizes: []int{2000}, Seed: 7})
 	if err != nil {
@@ -54,6 +54,9 @@ func TestScalingPoint(t *testing.T) {
 		}
 		if sum > pt.RunS {
 			t.Errorf("row %d: stage seconds sum %v exceeds run_s %v", i, sum, pt.RunS)
+		}
+		if a := pt.TreeS["stage3.assign"]; a <= 0 || a > pt.RunS {
+			t.Errorf("row %d: tree_s stage3.assign %v outside (0, run_s %v]", i, a, pt.RunS)
 		}
 		if pt.DetailedS <= 0 || pt.DetailedS > pt.RunS {
 			t.Errorf("row %d: detailed_s %v outside (0, run_s %v]", i, pt.DetailedS, pt.RunS)

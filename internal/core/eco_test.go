@@ -8,6 +8,7 @@ import (
 	"rotaryclk/internal/eco"
 	"rotaryclk/internal/geom"
 	"rotaryclk/internal/netlist"
+	"rotaryclk/internal/obs"
 )
 
 // TestApplyECORoundTrip captures a completed run as ECO state, absorbs one
@@ -83,36 +84,61 @@ func TestNewECOStateRejectsIncomplete(t *testing.T) {
 	}
 }
 
-// BenchmarkApplyECO times single-delta core.ApplyECO edits on a placed
-// 3,000-cell / 300-flip-flop base with 16 rings, the design the end-to-end
-// eco benchmark edits. Each sequence of 100 edits starts from a fresh clone
-// of the base, and drawing the deltas is outside the timer, so ns/op and
-// allocs/op are those of one edit.
+// BenchmarkApplyECO times single-delta core.ApplyECO edits on a placed base
+// with 10% flip-flops: 3k is the 3,000-cell / 16-ring design the end-to-end
+// eco benchmark edits, 20k a 20,000-cell / 36-ring one, so the two ns/op
+// show how an edit's cost grows with the design. Each sequence of 100 edits
+// starts from a fresh clone of the base with one untimed edit, which builds
+// the STA and wirelength caches in full; drawing the deltas is outside the
+// timer too, so ns/op and allocs/op are those of one incremental edit, and
+// paths/op its augmenting paths in the Fig. 4 patch (mcmf.paths).
 func BenchmarkApplyECO(b *testing.B) {
-	c, err := netlist.Generate(netlist.GenSpec{Name: "eco-base", Cells: 3000, FlipFlops: 300, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := Config{NumRings: 16, MaxIters: 2}
-	res, err := Run(c, cfg)
-	if err != nil || res.Degraded {
-		b.Fatalf("base flow: %v", err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	var st *eco.State
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		if i%100 == 0 {
-			if st, err = NewECOState(c.Clone(), cfg, res); err != nil {
-				b.Fatal(err)
+	for _, size := range []struct {
+		name         string
+		cells, rings int
+	}{{"3k", 3000, 16}, {"20k", 20000, 36}} {
+		var c *netlist.Circuit
+		var res *Result
+		cfg := Config{NumRings: size.rings, MaxIters: 2}
+		b.Run(size.name, func(b *testing.B) {
+			if res == nil {
+				var err error
+				c, err = netlist.Generate(netlist.GenSpec{Name: "eco-base", Cells: size.cells, FlipFlops: size.cells / 10, Seed: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res, err = Run(c, cfg); err != nil || res.Degraded {
+					b.Fatalf("base flow: %v", err)
+				}
 			}
-		}
-		ds := eco.RandomDeltas(rng, st.Circuit, len(st.Array.Rings), 1)
-		b.StartTimer()
-		if _, err := ApplyECO(st, ds, cfg, eco.Options{}); err != nil {
-			b.Fatal(err)
-		}
+			rng := rand.New(rand.NewSource(1))
+			var st *eco.State
+			var reg *obs.Registry
+			var paths int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				if i%100 == 0 {
+					var err error
+					if st, err = NewECOState(c.Clone(), cfg, res); err != nil {
+						b.Fatal(err)
+					}
+					if _, err := ApplyECO(st, eco.RandomDeltas(rng, st.Circuit, len(st.Array.Rings), 1), cfg, eco.Options{}); err != nil {
+						b.Fatal(err)
+					}
+					paths += reg.Counter("mcmf.paths")
+					reg = obs.NewRegistry()
+				}
+				ds := eco.RandomDeltas(rng, st.Circuit, len(st.Array.Rings), 1)
+				b.StartTimer()
+				if _, err := ApplyECO(st, ds, cfg, eco.Options{Obs: reg}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			paths += reg.Counter("mcmf.paths")
+			b.ReportMetric(float64(paths)/float64(b.N), "paths/op")
+		})
 	}
 }

@@ -90,15 +90,19 @@ func (s *Snapshot) Counter(name string) int64 {
 // SpanSeconds sums the durations of every span named name in the trees.
 // Handy for telemetry tables ("seconds in stage6.place across iterations").
 func (s *Snapshot) SpanSeconds(name string) float64 {
+	return s.SpanTotals()[name]
+}
+
+// SpanTotals sums the span durations in the trees by span name, in
+// seconds: SpanSeconds of every name at once. Nil-safe (returns nil).
+func (s *Snapshot) SpanTotals() map[string]float64 {
 	if s == nil {
-		return 0
+		return nil
 	}
-	var ms float64
+	ms := map[string]float64{}
 	var walk func(d *SpanData)
 	walk = func(d *SpanData) {
-		if d.Name == name {
-			ms += d.Ms
-		}
+		ms[d.Name] += d.Ms
 		for _, c := range d.Children {
 			walk(c)
 		}
@@ -106,7 +110,10 @@ func (s *Snapshot) SpanSeconds(name string) float64 {
 	for _, d := range s.Spans {
 		walk(d)
 	}
-	return ms / 1000
+	for name, v := range ms {
+		ms[name] = v / 1000
+	}
+	return ms
 }
 
 // OpenSpans returns the names of spans that were still open at snapshot

@@ -98,6 +98,13 @@ func Detailed(c *netlist.Circuit, passes int, exclude []int, reg *obs.Registry, 
 	// and the per-net pin-count difference between them.
 	var union []int32
 	delta := make([]int32, len(c.Nets))
+	// The boxes the exact re-sum rescanned, which a commit at the same
+	// positions takes instead of rescanning again.
+	type scanned struct {
+		n int32
+		b netBox
+	}
+	var fresh []scanned
 
 	var tried, accepted, rescans, pruned int64
 	defer func() {
@@ -170,11 +177,17 @@ func Detailed(c *netlist.Circuit, passes int, exclude []int, reg *obs.Registry, 
 					// order.
 					ci.Pos, cj.Pos = pb, pa
 					after = 0
+					fresh = fresh[:0]
 					for _, n := range union {
 						wl, ok := boxes[n].score(delta[n], pa, pb)
 						if !ok {
-							wl = scanBox(c, c.Nets[n].Pins).wl
-							rescans++
+							k := slices.IndexFunc(fresh, func(s scanned) bool { return s.n == n })
+							if k < 0 {
+								k = len(fresh)
+								fresh = append(fresh, scanned{n, scanBox(c, c.Nets[n].Pins)})
+								rescans++
+							}
+							wl = fresh[k].b.wl
 						}
 						after += wl
 					}
@@ -185,12 +198,13 @@ func Detailed(c *netlist.Circuit, passes int, exclude []int, reg *obs.Registry, 
 					accepted++
 					ci.Pos, cj.Pos = pb, pa
 					// Clearing delta as each net commits keeps a net
-					// listed twice from moving twice.
+					// listed twice from moving twice. move refuses exactly
+					// where score did, so every refused net was rescanned
+					// by the exact re-sum at these positions.
 					for _, n := range union {
 						b, ok := boxes[n].move(delta[n], pa, pb)
 						if !ok {
-							b = scanBox(c, c.Nets[n].Pins)
-							rescans++
+							b = fresh[slices.IndexFunc(fresh, func(s scanned) bool { return s.n == n })].b
 						}
 						boxes[n], delta[n] = b, 0
 					}

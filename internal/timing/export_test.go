@@ -7,3 +7,7 @@ var (
 	DiffCircuits = diffCircuits
 	Chain        = chain
 )
+
+// ChunkLen is the number of cells that share one copy-on-write chunk of an
+// STA's per-cell slices.
+const ChunkLen = chunkMask + 1

@@ -14,7 +14,7 @@ import (
 // flip-flop source. Update derives the cache of an edited circuit from the
 // edit's scope, the cells and nets the caller changed, by re-running the
 // per-source kernel only for the sources whose cone the edit touched and
-// copying every other row, so an edit costs O(scope + dirty cones) instead
+// sharing every other row, so an edit costs O(scope + dirty cones) instead
 // of a full analysis.
 //
 // An STA holds no pointer into the circuit and no kernel scratch; every
@@ -23,16 +23,16 @@ import (
 type STA struct {
 	m      Model
 	g      graph
-	drives [][]int  // per cell: the nets it drives, in net-index order
-	ffs    []int    // flip-flop cell IDs, in cell-ID order
-	rows   [][]Pair // per cell ID: the pairs that flip-flop launches
+	drives [][]int         // per cell: the nets it drives, in net-index order
+	ffs    []int           // flip-flop cell IDs, in cell-ID order
+	rows   chunked[[]Pair] // per cell ID: the pairs that flip-flop launches
 	work   Work
 }
 
 // Work describes the pass that produced an STA value.
 type Work struct {
 	Sources int  // flip-flop sources the kernel ran for
-	Reused  int  // rows copied unchanged from the previous cache
+	Reused  int  // rows kept unchanged from the previous cache
 	Full    bool // the value came from a full build
 }
 
@@ -50,9 +50,10 @@ func NewSTA(c *netlist.Circuit, m Model) (*STA, error) {
 		g:      *g,
 		drives: drivenNets(c.Nets, n),
 		ffs:    c.FlipFlops(),
-		rows:   make([][]Pair, n),
 	}
-	s.run(s.ffs)
+	rows := make([][]Pair, n)
+	s.run(s.ffs, func(src int, row []Pair) { rows[src] = row })
+	s.rows = chunk(rows)
 	s.work = Work{Sources: len(s.ffs), Full: true}
 	return s, nil
 }
@@ -78,12 +79,12 @@ func (s *STA) Work() Work { return s.work }
 func (s *STA) Pairs(ffIdx []int) ([]skew.SeqPair, error) {
 	total := 0
 	for _, f := range s.ffs {
-		total += len(s.rows[f])
+		total += len(s.rows.at(f))
 	}
 	out := make([]skew.SeqPair, 0, total)
 	var err error
 	for _, f := range s.ffs {
-		if out, err = appendSeqPairs(out, s.rows[f], ffIdx); err != nil {
+		if out, err = appendSeqPairs(out, s.rows.at(f), ffIdx); err != nil {
 			return nil, err
 		}
 	}
@@ -96,8 +97,9 @@ func (s *STA) Pairs(ffIdx []int) ([]skew.SeqPair, error) {
 // grows, so no leftover value is ever read.
 var scratchPool sync.Pool
 
-// run re-propagates the given sources on s's graph and stores their rows.
-func (s *STA) run(srcs []int) {
+// run re-propagates the given sources on s's graph and hands each one's
+// row to put.
+func (s *STA) run(srcs []int, put func(src int, row []Pair)) {
 	if len(srcs) == 0 {
 		return
 	}
@@ -113,7 +115,7 @@ func (s *STA) run(srcs []int) {
 	for _, src := range srcs {
 		row = nil
 		s.g.source(w, src, capture)
-		s.rows[src] = row
+		put(src, row)
 	}
 }
 
@@ -179,19 +181,18 @@ func (s *STA) Update(c *netlist.Circuit, cells, nets []int) (*STA, error) {
 			seeds = append(seeds, u)
 		}
 	}
-	if len(drivers) > 0 {
-		ns.g.adj = slices.Clone(s.g.adj)
-	}
+	adj := cow[[]edge]{c: s.g.adj}
 	for _, u := range drivers {
 		var arcs []edge
 		for _, ni := range ns.drives[u] {
 			arcs = netArcs(arcs, c, s.m, ni)
 		}
-		if !slices.Equal(arcs, s.g.adj[u]) {
-			ns.g.adj[u] = arcs
+		if !slices.Equal(arcs, s.g.adj.at(u)) {
+			adj.set(u, arcs)
 			addSeed(u)
 		}
 	}
+	ns.g.adj = adj.c
 	for _, id := range kindChanged {
 		addSeed(id)
 	}
@@ -232,10 +233,10 @@ func (s *STA) Update(c *netlist.Circuit, cells, nets []int) (*STA, error) {
 	}
 	slices.Sort(dirty)
 
-	ns.rows = slices.Clone(s.rows)
+	rows := cow[[]Pair]{c: s.rows}
 	for _, id := range kindChanged {
 		if ns.g.kind[id] != netlist.FF {
-			ns.rows[id] = nil
+			rows.set(id, nil)
 		}
 	}
 	// An armed SiteTimingSTAScope silently skips one dirty source, keeping
@@ -243,7 +244,8 @@ func (s *STA) Update(c *netlist.Circuit, cells, nets []int) (*STA, error) {
 	if len(dirty) > 0 && faultinject.Hook(faultinject.SiteTimingSTAScope) != nil {
 		dirty = dirty[1:]
 	}
-	ns.run(dirty)
+	ns.run(dirty, rows.set)
+	ns.rows = rows.c
 	ns.work = Work{Sources: len(dirty), Reused: len(ns.ffs) - len(dirty)}
 	return &ns, nil
 }

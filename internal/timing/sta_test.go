@@ -4,11 +4,13 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"rotaryclk/internal/eco"
 	"rotaryclk/internal/geom"
 	"rotaryclk/internal/netlist"
+	"rotaryclk/internal/skew"
 	"rotaryclk/internal/timing"
 )
 
@@ -211,5 +213,70 @@ func TestSTAUpdateKindOnly(t *testing.T) {
 	}
 	if cycles == 0 {
 		t.Fatal("no flip exposed a combinational loop")
+	}
+}
+
+// TestSTAUpdateLeavesBaseUnchanged edits the cells at the edges of the
+// copy-on-write chunks (0, ChunkLen-1, ChunkLen, n-1): each is moved, and
+// turned into a flip-flop where it is a gate, so Update writes its arcs
+// and rows into the first and last slot of a chunk. Every update, from the
+// shared base and chained, is bit-equal to a full Analyze, and the base
+// and every earlier cache keep the pairs they had.
+func TestSTAUpdateLeavesBaseUnchanged(t *testing.T) {
+	m := timing.DefaultModel()
+	c, err := netlist.Generate(netlist.GenSpec{Name: "chunks", Cells: 3*timing.ChunkLen + 17, FlipFlops: 40, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := timing.NewSTA(c, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(c.Cells)
+	pairsOf := func(s *timing.STA, c *netlist.Circuit) []skew.SeqPair {
+		ident := timing.FFIndex(len(c.Cells), nil)
+		for id := range ident {
+			ident[id] = id
+		}
+		ps, err := s.Pairs(ident)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ps
+	}
+	edit := func(c *netlist.Circuit, id int) {
+		cell := c.Cells[id]
+		cell.Pos = geom.Pt(cell.Pos.X+37, cell.Pos.Y-11)
+		if cell.Kind == netlist.Gate {
+			cell.Kind, cell.Fn = netlist.FF, netlist.FuncDFF
+		}
+	}
+	want := pairsOf(base, c)
+	chained, cur := c.Clone(), base
+	var prev []*timing.STA
+	var prevWant [][]skew.SeqPair
+	for _, id := range []int{0, timing.ChunkLen - 1, timing.ChunkLen, n - 1} {
+		one := c.Clone()
+		edit(one, id)
+		next, err := base.Update(one, []int{id}, nil)
+		if err != nil {
+			t.Fatalf("cell %d: %v", id, err)
+		}
+		sameAsAnalyze(t, "update from the base", next, one, m)
+		if !reflect.DeepEqual(pairsOf(base, c), want) {
+			t.Fatalf("cell %d: the update changed the base's pairs", id)
+		}
+
+		prev, prevWant = append(prev, cur), append(prevWant, pairsOf(cur, c))
+		edit(chained, id)
+		if cur, err = cur.Update(chained, []int{id}, nil); err != nil {
+			t.Fatalf("chained cell %d: %v", id, err)
+		}
+		sameAsAnalyze(t, "chained update", cur, chained, m)
+		for k, s := range prev {
+			if !reflect.DeepEqual(pairsOf(s, c), prevWant[k]) {
+				t.Fatalf("chained cell %d: the update changed cache %d's pairs", id, k)
+			}
+		}
 	}
 }

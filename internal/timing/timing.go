@@ -9,7 +9,6 @@
 package timing
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -179,13 +178,15 @@ func netArcs(dst []edge, c *netlist.Circuit, m Model, ni int) []edge {
 // propagation (flip-flops act as sources; arcs into flip-flops are capture
 // points and carry no ordering constraint). It errors on a combinational
 // cycle.
-func topoOrder(c *netlist.Circuit, adj [][]edge) ([]int, error) {
+func topoOrder(c *netlist.Circuit, adj chunked[[]edge]) ([]int, error) {
 	n := len(c.Cells)
 	indeg := make([]int, n)
-	for u := range adj {
-		for _, e := range adj[u] {
-			if c.Cells[e.to].Kind != netlist.FF {
-				indeg[e.to]++
+	for _, ch := range adj {
+		for _, arcs := range ch {
+			for _, e := range arcs {
+				if c.Cells[e.to].Kind != netlist.FF {
+					indeg[e.to]++
+				}
 			}
 		}
 	}
@@ -202,7 +203,7 @@ func topoOrder(c *netlist.Circuit, adj [][]edge) ([]int, error) {
 		queue = queue[1:]
 		idx[v] = seen
 		seen++
-		for _, e := range adj[v] {
+		for _, e := range adj.at(v) {
 			if c.Cells[e.to].Kind == netlist.FF {
 				continue
 			}
@@ -279,15 +280,19 @@ func Analyze(c *netlist.Circuit, m Model) (*Result, error) {
 // topological index and the kind of every cell. It holds no pointer into
 // the circuit, so an STA cache can keep and share it.
 type graph struct {
-	adj     [][]edge
+	adj     chunked[[]edge]
 	topoIdx []int
 	kind    []netlist.Kind
 }
 
 // newGraph builds the timing graph of the placed circuit. It errors on a
-// combinational cycle.
+// combinational cycle, and on 2^31 cells or more, which the kernel's
+// int32 predecessors and packed sort keys cannot index.
 func newGraph(c *netlist.Circuit, m Model) (*graph, error) {
-	adj := buildArcs(c, m)
+	if len(c.Cells) > math.MaxInt32 {
+		return nil, fmt.Errorf("timing: %d cells exceed the kernel's 2^31 limit", len(c.Cells))
+	}
+	adj := chunk(buildArcs(c, m))
 	topoIdx, err := topoOrder(c, adj)
 	if err != nil {
 		return nil, err
@@ -317,6 +322,7 @@ type scratch struct {
 	stamp      []int
 	epoch      int
 	reach      []int
+	keys       []uint64 // the cone's sort keys, topoIdx<<32 | cell
 }
 
 func newScratch(n int) *scratch {
@@ -326,6 +332,7 @@ func newScratch(n int) *scratch {
 		dmin:  make([]float64, n),
 		stamp: make([]int, n),
 		reach: make([]int, 0, n),
+		keys:  make([]uint64, 0, n),
 	}
 }
 
@@ -364,7 +371,7 @@ func (g *graph) source(w *scratch, src int, capture func(k *cone, src, v int, dM
 		if u != src && g.kind[u] == netlist.FF {
 			continue
 		}
-		for _, e := range g.adj[u] {
+		for _, e := range g.adj.at(u) {
 			if stamp[e.to] != epoch {
 				stamp[e.to] = epoch
 				reach = append(reach, e.to)
@@ -373,9 +380,17 @@ func (g *graph) source(w *scratch, src int, capture func(k *cone, src, v int, dM
 	}
 	w.reach = reach
 	// Relax in topological order. topoIdx is a permutation, so the order
-	// is unique.
-	topoIdx := g.topoIdx
-	slices.SortFunc(reach, func(a, b int) int { return cmp.Compare(topoIdx[a], topoIdx[b]) })
+	// is unique, and sorting the packed keys topoIdx<<32 | cell (newGraph
+	// caps the cell count at 2^31) gives it without a comparison closure.
+	keys := w.keys[:0]
+	for _, u := range reach {
+		keys = append(keys, uint64(g.topoIdx[u])<<32|uint64(u))
+	}
+	slices.Sort(keys)
+	for i, key := range keys {
+		reach[i] = int(uint32(key))
+	}
+	w.keys = keys
 	for _, u := range reach {
 		dmax[u], dmin[u] = math.Inf(-1), math.Inf(1)
 		k.predU[u], k.predNet[u] = -1, -1
@@ -389,7 +404,7 @@ func (g *graph) source(w *scratch, src int, capture func(k *cone, src, v int, dM
 		if (u != src && g.kind[u] == netlist.FF) || math.IsInf(dmax[u], -1) {
 			continue
 		}
-		for _, e := range g.adj[u] {
+		for _, e := range g.adj.at(u) {
 			v := e.to
 			if stamp[v] != epoch {
 				continue

@@ -51,7 +51,10 @@
 #                         scope), the shared-base /v1/eco
 #                         concurrency test under -race (it also shares the
 #                         pooled STA kernel scratch across goroutines),
-#                         then the smoke: 20 random single-delta edits at
+#                         one iteration of BenchmarkApplyECO/3k (an edit's
+#                         ns/op, allocs/op and paths/op; run it with a
+#                         larger -benchtime for a number), then the
+#                         smoke: 20 random single-delta edits at
 #                         20k cells through the incremental path, every
 #                         edit proven equivalent to the from-scratch arm,
 #                         mean edit latency at least 5x faster than a full
@@ -219,6 +222,7 @@ eco)
     go test ./internal/eco/ -run '^(TestApplyDegradedOnDirtyCGCancel|TestApplySTACache|TestApplySignalWLCache|TestSignalWLUpdate|TestRandomDeltas.*|TestCombReaches)$' -count=1 -v
     go test ./internal/oracle/ -run '^(TestFaultSTAScopeDetected|TestFaultECOSignalWLDetected|TestCampaignClean)$' -count=1 -v
     go test -race ./internal/serve/ -run '^TestECOConcurrentSharedBase$' -count=1
+    go test -run '^$' -bench 'BenchmarkApplyECO/3k' -benchtime 1x ./internal/core/
     go test ./internal/bench/ -run '^TestECOBenchPoint$' -count=1
     ROTARY_ECO_SMOKE=1 go test -timeout "$timeout" \
         -run '^TestECOSmoke20k$' -count=1 -v ./internal/bench/
