@@ -80,8 +80,8 @@ timing:
 skew:
 	sh scripts/ci.sh skew
 
-# Stage-3 flow gate: the early-exit solver against its verbatim pre-CSR
-# full-search copy (flows, cost bits and path counts equal, no more
+# Stage-3 assignment gate: the early-exit flow solver against its verbatim
+# pre-CSR full-search copy (flows, cost bits and path counts equal, no more
 # relaxations; a feasible flow and dual-feasible potentials on tied graphs,
 # bit-equal residuals on untied ones), the sink exit itself, the typed heap
 # against container/heap, allocation-free augmenting paths, the
@@ -90,7 +90,10 @@ skew:
 # cold solve, a chained patch sequence), candidate-row reuse against cold
 # solves (bit-equal, across worker counts), the mcmf seeded-start,
 # negative-cost rejection and Push tests, the assignment and ECO oracle
-# negative tests, and the golden tables.
+# negative tests, the Section VI assignment LP (against the dense simplex,
+# bit-equal to its verbatim pre-refactor copy), the dense simplex's random
+# optimality certificates, the LP oracle check and its negative test, and
+# the golden tables.
 assign:
 	sh scripts/ci.sh assign
 

@@ -731,8 +731,9 @@ func NearestOnly(p *Problem) (*Assignment, error) {
 
 // FirstFitDecreasing is an alternative rounding-free heuristic for the
 // min-max-capacitance objective (an LPT-style ablation against greedy
-// rounding): flip-flops in decreasing order of their lightest load, each
-// assigned to the ring whose resulting load is smallest.
+// rounding): lp.FirstFitDecreasing over the candidate matrix, flip-flops in
+// decreasing order of their lightest load, each assigned to the ring whose
+// resulting load is smallest.
 func FirstFitDecreasing(p *Problem) (*Assignment, error) {
 	if err := p.normalize(); err != nil {
 		return nil, err
@@ -741,33 +742,10 @@ func FirstFitDecreasing(p *Problem) (*Assignment, error) {
 	if err != nil {
 		return nil, err
 	}
-	order := make([]int, len(cands))
-	key := make([]float64, len(cands))
-	for i, cs := range cands {
-		order[i] = i
-		k := math.Inf(1)
-		for _, c := range cs {
-			k = math.Min(k, c.cap)
-		}
-		key[i] = k
-	}
-	// Insertion sort descending by key (stable, deterministic).
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0 && key[order[j]] > key[order[j-1]]; j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
-	loads := make([]float64, len(p.Array.Rings))
+	first, _ := lp.FirstFitDecreasing(sparseArcs(cands), len(p.Array.Rings))
 	choice := make([]candidate, len(cands))
-	for _, i := range order {
-		best, bestLoad := -1, math.Inf(1)
-		for k, c := range cands[i] {
-			if l := loads[c.ring] + c.cap; l < bestLoad {
-				best, bestLoad = k, l
-			}
-		}
-		choice[i] = cands[i][best]
-		loads[choice[i].ring] += choice[i].cap
+	for i, k := range first {
+		choice[i] = cands[i][k]
 	}
 	return p.finish(cands, choice, nil), nil
 }

@@ -1,6 +1,8 @@
 package assign
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -248,6 +250,33 @@ func TestFirstFitDecreasing(t *testing.T) {
 	}
 	if ffd.MaxCap > nearest.MaxCap+1e-9 {
 		t.Errorf("FFD max cap %v worse than nearest-only %v", ffd.MaxCap, nearest.MaxCap)
+	}
+}
+
+// TestFirstFitDecreasingFingerprint pins the rings FirstFitDecreasing
+// picks on a generic instance and on one whose flip-flops share six
+// positions each, so that the lightest-load order's ties fall to the
+// index tie-break.
+func TestFirstFitDecreasingFingerprint(t *testing.T) {
+	tied := testProblem(t, 300, 72)
+	for i := range tied.FFs {
+		tied.FFs[i].Pos, tied.FFs[i].Target = tied.FFs[i%50].Pos, tied.FFs[i%50].Target
+	}
+	for _, tc := range []struct {
+		name string
+		p    *Problem
+		want string
+	}{
+		{"generic", testProblem(t, 400, 71), "430e5ecbbca709edacb941250f25bbda0040b46f5fec0dfcf7ecccbd76783220"},
+		{"tied", tied, "1cfeb7a679024d14886369bf789189c5898f37500a57811644d44be81440ffa5"},
+	} {
+		a, err := FirstFitDecreasing(tc.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprint(a.Ring)))); got != tc.want {
+			t.Errorf("%s: ring digest %s, want %s", tc.name, got, tc.want)
+		}
 	}
 }
 

@@ -173,38 +173,13 @@ func newAssignSimplex(arcs [][]AssignArc, nBins, nnz int, tol float64) *assignSi
 		s.arcWPos[k] = -1
 	}
 
-	// First-fit-decreasing warm start: items in decreasing order of their
-	// lightest load, each assigned to the bin whose resulting load is
-	// smallest. Always primal feasible (every item gets one arc, slacks pad
-	// the bin rows up to z = max load), so the simplex needs no Phase 1.
-	minLoad := make([]float64, m)
-	order := make([]int, m)
-	for i := 0; i < m; i++ {
-		order[i] = i
-		ml := math.Inf(1)
-		for a := s.ffStart[i]; a < s.ffStart[i+1]; a++ {
-			ml = math.Min(ml, s.load[a])
-		}
-		minLoad[i] = ml
-	}
-	sort.Slice(order, func(a, b int) bool {
-		ia, ib := order[a], order[b]
-		if minLoad[ia] != minLoad[ib] {
-			return minLoad[ia] > minLoad[ib]
-		}
-		return ia < ib
-	})
-	loads := make([]float64, r)
-	for _, i := range order {
-		best, bestLoad := int32(-1), math.Inf(1)
-		for a := s.ffStart[i]; a < s.ffStart[i+1]; a++ {
-			if l := loads[s.binOf[a]] + s.load[a]; l < bestLoad {
-				best, bestLoad = a, l
-			}
-		}
-		s.key[i] = best
+	// First-fit-decreasing warm start: always primal feasible (every item
+	// gets one arc, slacks pad the bin rows up to z = max load), so the
+	// simplex needs no Phase 1.
+	first, loads := FirstFitDecreasing(arcs, r)
+	for i, k := range first {
+		s.key[i] = s.ffStart[i] + int32(k)
 		s.xKey[i] = 1
-		loads[s.binOf[best]] += s.load[best]
 	}
 	jmax := 0
 	for j := 1; j < r; j++ {
@@ -220,20 +195,55 @@ func newAssignSimplex(arcs [][]AssignArc, nBins, nnz int, tol float64) *assignSi
 	}
 	k := 1
 	for j := 0; j < r; j++ {
-		if j == jmax {
-			continue
+		if j != jmax {
+			s.setWorking(k, wkSlack, int32(j), 0)
+			k++
 		}
-		s.wkKind[k] = wkSlack
-		s.wkID[k] = int32(j)
-		s.slackWPos[j] = int32(k)
-		k++
 	}
 	return s
 }
 
+// FirstFitDecreasing assigns every item to one of its arcs: items go in
+// decreasing order of their lightest load, ties by index, and each takes
+// its first arc that minimizes the resulting bin load. It returns the arc
+// index chosen in each item's list and the bin loads. Every item needs at
+// least one arc.
+func FirstFitDecreasing(arcs [][]AssignArc, nBins int) (arc []int, loads []float64) {
+	minLoad := make([]float64, len(arcs))
+	order := make([]int, len(arcs))
+	for i, row := range arcs {
+		order[i] = i
+		ml := math.Inf(1)
+		for _, a := range row {
+			ml = math.Min(ml, a.Load)
+		}
+		minLoad[i] = ml
+	}
+	sort.Slice(order, func(a, b int) bool {
+		ia, ib := order[a], order[b]
+		if minLoad[ia] != minLoad[ib] {
+			return minLoad[ia] > minLoad[ib]
+		}
+		return ia < ib
+	})
+	arc = make([]int, len(arcs))
+	loads = make([]float64, nBins)
+	for _, i := range order {
+		best, bestLoad := -1, math.Inf(1)
+		for k, a := range arcs[i] {
+			if l := loads[a.Bin] + a.Load; l < bestLoad {
+				best, bestLoad = k, l
+			}
+		}
+		arc[i] = best
+		loads[arcs[i][best].Bin] += arcs[i][best].Load
+	}
+	return arc, loads
+}
+
 // refactor rebuilds the working matrix from the current basis labels and
 // inverts it from scratch (Gauss-Jordan with partial pivoting). Used at
-// start, after key replacements that are not rank-one, and periodically to
+// start, when an incremental update is ill-conditioned, and periodically to
 // shed accumulated floating-point drift.
 func (s *assignSimplex) refactor() error {
 	s.refactors++
@@ -251,9 +261,10 @@ func (s *assignSimplex) refactor() error {
 			s.wmat[int(s.wkID[k])*r+k] = 1
 		case wkArc:
 			f := s.wkID[k]
-			kf := s.key[s.ffOf[f]]
-			s.wmat[int(s.binOf[f])*r+k] += s.load[f]
-			s.wmat[int(s.binOf[kf])*r+k] -= s.load[kf]
+			c := s.arcCol(f, s.key[s.ffOf[f]])
+			for i := 0; i < c.n; i++ {
+				s.wmat[c.idx[i]*r+k] += c.val[i]
+			}
 		}
 	}
 	if !invertDense(s.wmat, s.winv, s.gauss, r) {
@@ -364,13 +375,143 @@ func (s *assignSimplex) arcRC(f int32, y []float64) float64 {
 	return s.load[k]*y[s.binOf[k]] - s.load[f]*y[s.binOf[f]]
 }
 
+// binCol is a bin-space column with at most two nonzeros.
+type binCol struct {
+	n   int
+	idx [2]int
+	val [2]float64
+}
+
+// arcCol returns arc f's working column against key arc k of the same item,
+// C_f·e_bin(f) − C_k·e_bin(k), merged into one entry when both arcs load
+// the same bin.
+func (s *assignSimplex) arcCol(f, k int32) binCol {
+	c := binCol{n: 1, idx: [2]int{int(s.binOf[f])}, val: [2]float64{s.load[f]}}
+	if s.binOf[k] == s.binOf[f] {
+		c.val[0] -= s.load[k]
+	} else {
+		c.idx[1], c.val[1], c.n = int(s.binOf[k]), -s.load[k], 2
+	}
+	return c
+}
+
+// times sets out = W⁻¹·c.
+func (s *assignSimplex) times(out []float64, c binCol) {
+	r := s.nBins
+	for k := range out {
+		v := 0.0
+		row := s.winv[k*r : k*r+r]
+		for i := 0; i < c.n; i++ {
+			v += c.val[i] * row[c.idx[i]]
+		}
+		out[k] = v
+	}
+}
+
+// eta is the rank-one inverse update for replacing working column p by the
+// column whose W⁻¹-image is w, pivoting on w[p]. It returns false, with W⁻¹
+// untouched, when the pivot is too small to trust.
+func (s *assignSimplex) eta(p int, w []float64) bool {
+	piv := w[p]
+	if math.Abs(piv) < 1e-11 {
+		return false
+	}
+	r := s.nBins
+	rp := s.winv[p*r : p*r+r]
+	inv := 1 / piv
+	for j := range rp {
+		rp[j] *= inv
+	}
+	for k, f := range w {
+		if k == p || f == 0 {
+			continue
+		}
+		rk := s.winv[k*r : k*r+r]
+		for j := range rk {
+			rk[j] -= f * rp[j]
+		}
+	}
+	return true
+}
+
+// shiftKey updates W⁻¹ for item's key moving from arc from to arc to. Every
+// working arc of the item is defined against its key, so W shifts by the
+// rank-one v·gᵀ with v = arcCol(from, to) and g the indicator of those
+// columns (Sherman–Morrison). It returns false when the update is
+// ill-conditioned; W⁻¹ is then untouched.
+func (s *assignSimplex) shiftKey(item, from, to int32) bool {
+	r := s.nBins
+	s.gidx = s.gidx[:0]
+	for k := 1; k < r; k++ {
+		if s.wkKind[k] == wkArc && s.ffOf[s.wkID[k]] == item {
+			s.gidx = append(s.gidx, k)
+		}
+	}
+	if len(s.gidx) == 0 {
+		return true
+	}
+	s.times(s.u, s.arcCol(from, to))
+	denom := 1.0
+	for _, k := range s.gidx {
+		denom += s.u[k]
+	}
+	if math.Abs(denom) < 1e-8 {
+		return false
+	}
+	for j := range s.gw {
+		s.gw[j] = 0
+	}
+	for _, k := range s.gidx {
+		for j, v := range s.winv[k*r : k*r+r] {
+			s.gw[j] += v
+		}
+	}
+	scale := 1 / denom
+	for k, uk := range s.u {
+		f := uk * scale
+		if f == 0 {
+			continue
+		}
+		rk := s.winv[k*r : k*r+r]
+		for j := range rk {
+			rk[j] -= f * s.gw[j]
+		}
+	}
+	return true
+}
+
+// setWorking puts column (kind, id) with value x into working slot p and
+// takes the column it displaces out of the position maps.
+func (s *assignSimplex) setWorking(p int, kind int8, id int32, x float64) {
+	switch s.wkKind[p] {
+	case wkSlack:
+		s.slackWPos[s.wkID[p]] = -1
+	case wkArc:
+		s.arcWPos[s.wkID[p]] = -1
+	}
+	s.wkKind[p], s.wkID[p], s.xW[p] = kind, id, x
+	if kind == wkSlack {
+		s.slackWPos[id] = int32(p)
+	} else {
+		s.arcWPos[id] = int32(p)
+	}
+}
+
+// blocked is the step at which a basic variable of value x, falling at rate
+// d > 0, reaches zero; a slightly negative x counts as zero.
+func blocked(x, d float64) float64 {
+	if x < 0 {
+		x = 0
+	}
+	return x / d
+}
+
 func (s *assignSimplex) solve(maxIters int, tok *stop.Token) (AssignLPResult, error) {
 	if err := s.refactor(); err != nil {
 		return AssignLPResult{Status: Infeasible}, err
 	}
 	s.recomputeValues()
 	r := s.nBins
-	const refactEvr = 512
 	stall, stallLim := 0, 2*(r+64)
 	bland := false
 	bestZ := math.Inf(1)
@@ -441,34 +582,14 @@ func (s *assignSimplex) solve(maxIters int, tok *stop.Token) (AssignLPResult, er
 		s.pivots++
 
 		// Entering column, reduced to bin space by subtracting the entering
-		// item's key column: at most two nonzeros.
-		var cIdx [2]int
-		var cVal [2]float64
-		nc := 0
+		// item's key column, and its image w = W⁻¹·c.
+		c := binCol{n: 1, idx: [2]int{int(entID)}, val: [2]float64{1}}
 		entFF := int32(-1)
 		if entKind == wkArc {
 			entFF = s.ffOf[entID]
-			kf := s.key[entFF]
-			cIdx[0], cVal[0] = int(s.binOf[entID]), s.load[entID]
-			nc = 1
-			if s.binOf[kf] == s.binOf[entID] {
-				cVal[0] -= s.load[kf]
-			} else {
-				cIdx[1], cVal[1] = int(s.binOf[kf]), -s.load[kf]
-				nc = 2
-			}
-		} else {
-			cIdx[0], cVal[0] = int(entID), 1
-			nc = 1
+			c = s.arcCol(entID, s.key[entFF])
 		}
-		for k := 0; k < r; k++ {
-			v := 0.0
-			row := s.winv[k*r : k*r+r]
-			for c := 0; c < nc; c++ {
-				v += cVal[c] * row[cIdx[c]]
-			}
-			s.w[k] = v
-		}
+		s.times(s.w, c)
 
 		// Key-arc movement rates: as the entering variable grows by t, item
 		// i's key changes by −t·d_i with d_i = [entering ∈ i] − Σ w over i's
@@ -496,26 +617,19 @@ func (s *assignSimplex) solve(maxIters int, tok *stop.Token) (AssignLPResult, er
 
 		// Ratio test, two passes: find the minimum ratio, then among
 		// near-ties take the largest pivot magnitude (deterministic, and far
-		// kinder numerically than first-hit).
+		// kinder numerically than first-hit). The leaving variable is the
+		// working column at leavePos or the key of item leaveFF.
 		minT := math.Inf(1)
 		for k := 1; k < r; k++ {
 			if s.w[k] > s.tol {
-				x := s.xW[k]
-				if x < 0 {
-					x = 0
-				}
-				if t := x / s.w[k]; t < minT {
+				if t := blocked(s.xW[k], s.w[k]); t < minT {
 					minT = t
 				}
 			}
 		}
 		for p, i := range s.ffdIdx {
 			if d := s.ffdVal[p]; d > s.tol {
-				x := s.xKey[i]
-				if x < 0 {
-					x = 0
-				}
-				if t := x / d; t < minT {
+				if t := blocked(s.xKey[i], d); t < minT {
 					minT = t
 				}
 			}
@@ -524,29 +638,16 @@ func (s *assignSimplex) solve(maxIters int, tok *stop.Token) (AssignLPResult, er
 			return AssignLPResult{Status: Infeasible}, fmt.Errorf("lp: assignment LP ratio test found no blocking variable (internal)")
 		}
 		thresh := minT*(1+1e-9) + 1e-12
-		leaveKind := int8(-1) // wkArc here means "a working column", by position
 		leavePos, leaveFF := -1, int32(-1)
 		bestPiv := 0.0
 		for k := 1; k < r; k++ {
-			if s.w[k] > s.tol {
-				x := s.xW[k]
-				if x < 0 {
-					x = 0
-				}
-				if x/s.w[k] <= thresh && s.w[k] > bestPiv {
-					bestPiv, leaveKind, leavePos = s.w[k], 0, k
-				}
+			if w := s.w[k]; w > s.tol && blocked(s.xW[k], w) <= thresh && w > bestPiv {
+				bestPiv, leavePos = w, k
 			}
 		}
 		for p, i := range s.ffdIdx {
-			if d := s.ffdVal[p]; d > s.tol {
-				x := s.xKey[i]
-				if x < 0 {
-					x = 0
-				}
-				if x/d <= thresh && d > bestPiv {
-					bestPiv, leaveKind, leaveFF = d, 1, i
-				}
+			if d := s.ffdVal[p]; d > s.tol && blocked(s.xKey[i], d) <= thresh && d > bestPiv {
+				bestPiv, leavePos, leaveFF = d, -1, i
 			}
 		}
 		t := minT
@@ -565,254 +666,50 @@ func (s *assignSimplex) solve(maxIters int, tok *stop.Token) (AssignLPResult, er
 			}
 		}
 
-		needRefactor := false
-		if leaveKind == 0 {
-			// A working column leaves: plain column swap, rank-one inverse
-			// update with pivot w[p].
-			p := leavePos
-			switch s.wkKind[p] {
-			case wkSlack:
-				s.slackWPos[s.wkID[p]] = -1
-			case wkArc:
-				s.arcWPos[s.wkID[p]] = -1
-			}
-			s.wkKind[p], s.wkID[p] = entKind, entID
-			if entKind == wkSlack {
-				s.slackWPos[entID] = int32(p)
-			} else {
-				s.arcWPos[entID] = int32(p)
-			}
-			s.xW[p] = t
-			piv := s.w[p]
-			if math.Abs(piv) < 1e-11 {
-				needRefactor = true
-			} else {
-				rp := s.winv[p*r : p*r+r]
-				inv := 1 / piv
-				for j := range rp {
-					rp[j] *= inv
-				}
-				for k := 0; k < r; k++ {
-					if k == p {
-						continue
-					}
-					f := s.w[k]
-					if f == 0 {
-						continue
-					}
-					rk := s.winv[k*r : k*r+r]
-					for j := range rk {
-						rk[j] -= f * rp[j]
-					}
+		// The basis change and its O(r²) inverse update. A false ok means the
+		// update was ill-conditioned and W⁻¹ is refactored from scratch.
+		var ok bool
+		switch {
+		case leavePos >= 0:
+			// A working column leaves: the entering column takes its slot.
+			s.setWorking(leavePos, entKind, entID, t)
+			ok = s.eta(leavePos, s.w)
+		case entFF == leaveFF:
+			// The item's key leaves and its entering arc becomes the new
+			// key; the working set is unchanged.
+			oldKey := s.key[leaveFF]
+			s.key[leaveFF], s.xKey[leaveFF] = entID, t
+			ok = s.shiftKey(leaveFF, oldKey, entID)
+		default:
+			// The key leaves but the entering column belongs elsewhere:
+			// promote one of the item's non-key working arcs to key (the
+			// ratio test guarantees one exists — d_i ≠ 0 needs working arcs
+			// when the entering arc is not the item's own) and put the
+			// entering column in its slot. W changes in two rank-one steps:
+			// the key shift moves the item's other working columns, then
+			// the promoted slot is replaced by the entering column, whose
+			// bin-space form c is unchanged because its own item's key did
+			// not move. A full refactor here instead is correct but O(r³),
+			// and this case is frequent enough that it dominated solve time
+			// on sweep-scale instances.
+			pstar := -1
+			for k := 1; k < r && pstar < 0; k++ {
+				if s.wkKind[k] == wkArc && s.ffOf[s.wkID[k]] == leaveFF {
+					pstar = k
 				}
 			}
-		} else {
-			// The key arc of item leaveFF hits zero and leaves the basis.
-			fLeave := leaveFF
-			oldKey := s.key[fLeave]
-			if entFF == fLeave {
-				// Same item: the entering arc becomes the new key. The
-				// working set is unchanged, but every working column owned by
-				// this item is defined relative to the key, so W shifts by
-				// the rank-one v·gᵀ with v = C_old e_{bin(old)} − C_new
-				// e_{bin(new)} and g the indicator of those columns
-				// (Sherman-Morrison; exact refactor if ill-conditioned).
-				s.key[fLeave] = entID
-				s.xKey[fLeave] = t
-				s.gidx = s.gidx[:0]
-				for k := 1; k < r; k++ {
-					if s.wkKind[k] == wkArc && s.ffOf[s.wkID[k]] == fLeave {
-						s.gidx = append(s.gidx, k)
-					}
-				}
-				if len(s.gidx) > 0 {
-					var vIdx [2]int
-					var vVal [2]float64
-					vIdx[0], vVal[0] = int(s.binOf[oldKey]), s.load[oldKey]
-					nv := 1
-					if s.binOf[entID] == s.binOf[oldKey] {
-						vVal[0] -= s.load[entID]
-					} else {
-						vIdx[1], vVal[1] = int(s.binOf[entID]), -s.load[entID]
-						nv = 2
-					}
-					for k := 0; k < r; k++ {
-						v := 0.0
-						row := s.winv[k*r : k*r+r]
-						for c := 0; c < nv; c++ {
-							v += vVal[c] * row[vIdx[c]]
-						}
-						s.u[k] = v
-					}
-					denom := 1.0
-					for _, k := range s.gidx {
-						denom += s.u[k]
-					}
-					if math.Abs(denom) < 1e-8 {
-						needRefactor = true
-					} else {
-						for j := 0; j < r; j++ {
-							s.gw[j] = 0
-						}
-						for _, k := range s.gidx {
-							row := s.winv[k*r : k*r+r]
-							for j := 0; j < r; j++ {
-								s.gw[j] += row[j]
-							}
-						}
-						scale := 1 / denom
-						for k := 0; k < r; k++ {
-							f := s.u[k] * scale
-							if f == 0 {
-								continue
-							}
-							rk := s.winv[k*r : k*r+r]
-							for j := 0; j < r; j++ {
-								rk[j] -= f * s.gw[j]
-							}
-						}
-					}
-				}
-			} else {
-				// The entering column belongs elsewhere: promote one of the
-				// item's non-key working arcs to key (the ratio test
-				// guarantees one exists — d_i ≠ 0 needs working arcs when the
-				// entering arc is not the item's own) and put the entering
-				// column in its working slot. W changes in two rank-one steps:
-				// the key shift old→promoted moves every *other* working
-				// column of the item by v·gᵀ (Sherman–Morrison, as in the
-				// same-item case), and the promoted slot is replaced wholesale
-				// by the entering column (eta update — the entering item's own
-				// key is untouched, so the bin-space column cIdx/cVal computed
-				// at pivot start is still the right one). Refactoring here
-				// instead is correct but O(r³), and this case is frequent
-				// enough that it dominated solve time on sweep-scale
-				// instances; the full refactor remains only as the
-				// ill-conditioned fallback.
-				pstar := -1
-				for k := 1; k < r; k++ {
-					if s.wkKind[k] == wkArc && s.ffOf[s.wkID[k]] == fLeave {
-						pstar = k
-						break
-					}
-				}
-				if pstar < 0 {
-					return AssignLPResult{Status: Infeasible}, fmt.Errorf("lp: assignment LP key of item %d left without a replacement arc (internal)", fLeave)
-				}
-				promoted := s.wkID[pstar]
-				s.key[fLeave] = promoted
-				s.xKey[fLeave] = s.xW[pstar]
-				s.arcWPos[promoted] = -1
-				s.wkKind[pstar], s.wkID[pstar] = entKind, entID
-				if entKind == wkSlack {
-					s.slackWPos[entID] = int32(pstar)
-				} else {
-					s.arcWPos[entID] = int32(pstar)
-				}
-				s.xW[pstar] = t
-
-				// (a) Key shift on the item's remaining working columns:
-				// W += v·gᵀ with v = C_old e_{bin(old)} − C_prom e_{bin(prom)}
-				// and g the indicator of those columns (pstar excluded — it is
-				// replaced outright in step (b)).
-				s.gidx = s.gidx[:0]
-				for k := 1; k < r; k++ {
-					if k != pstar && s.wkKind[k] == wkArc && s.ffOf[s.wkID[k]] == fLeave {
-						s.gidx = append(s.gidx, k)
-					}
-				}
-				ok := true
-				if len(s.gidx) > 0 {
-					var vIdx [2]int
-					var vVal [2]float64
-					vIdx[0], vVal[0] = int(s.binOf[oldKey]), s.load[oldKey]
-					nv := 1
-					if s.binOf[promoted] == s.binOf[oldKey] {
-						vVal[0] -= s.load[promoted]
-					} else {
-						vIdx[1], vVal[1] = int(s.binOf[promoted]), -s.load[promoted]
-						nv = 2
-					}
-					for k := 0; k < r; k++ {
-						v := 0.0
-						row := s.winv[k*r : k*r+r]
-						for c := 0; c < nv; c++ {
-							v += vVal[c] * row[vIdx[c]]
-						}
-						s.u[k] = v
-					}
-					denom := 1.0
-					for _, k := range s.gidx {
-						denom += s.u[k]
-					}
-					if math.Abs(denom) < 1e-8 {
-						ok = false
-					} else {
-						for j := 0; j < r; j++ {
-							s.gw[j] = 0
-						}
-						for _, k := range s.gidx {
-							row := s.winv[k*r : k*r+r]
-							for j := 0; j < r; j++ {
-								s.gw[j] += row[j]
-							}
-						}
-						scale := 1 / denom
-						for k := 0; k < r; k++ {
-							f := s.u[k] * scale
-							if f == 0 {
-								continue
-							}
-							rk := s.winv[k*r : k*r+r]
-							for j := 0; j < r; j++ {
-								rk[j] -= f * s.gw[j]
-							}
-						}
-					}
-				}
-				// (b) Column replacement at pstar: w' = W_mid⁻¹·c_ent (≤ 2
-				// nonzeros in c_ent), then the usual eta update with pivot
-				// w'_pstar.
-				if ok {
-					for k := 0; k < r; k++ {
-						v := 0.0
-						row := s.winv[k*r : k*r+r]
-						for c := 0; c < nc; c++ {
-							v += cVal[c] * row[cIdx[c]]
-						}
-						s.u[k] = v
-					}
-					piv := s.u[pstar]
-					if math.Abs(piv) < 1e-11 {
-						ok = false
-					} else {
-						rp := s.winv[pstar*r : pstar*r+r]
-						inv := 1 / piv
-						for j := range rp {
-							rp[j] *= inv
-						}
-						for k := 0; k < r; k++ {
-							if k == pstar {
-								continue
-							}
-							f := s.u[k]
-							if f == 0 {
-								continue
-							}
-							rk := s.winv[k*r : k*r+r]
-							for j := range rk {
-								rk[j] -= f * rp[j]
-							}
-						}
-					}
-				}
-				if !ok {
-					needRefactor = true
-				}
+			if pstar < 0 {
+				return AssignLPResult{Status: Infeasible}, fmt.Errorf("lp: assignment LP key of item %d left without a replacement arc (internal)", leaveFF)
+			}
+			oldKey, promoted := s.key[leaveFF], s.wkID[pstar]
+			s.key[leaveFF], s.xKey[leaveFF] = promoted, s.xW[pstar]
+			s.setWorking(pstar, entKind, entID, t)
+			if ok = s.shiftKey(leaveFF, oldKey, promoted); ok {
+				s.times(s.u, c)
+				ok = s.eta(pstar, s.u)
 			}
 		}
-
-		if needRefactor || s.pivots%refactEvr == 0 {
+		if !ok || s.pivots%refactEvr == 0 {
 			if err := s.refactor(); err != nil {
 				return AssignLPResult{Status: Infeasible}, err
 			}

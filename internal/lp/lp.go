@@ -80,18 +80,11 @@ type Problem struct {
 	lo, hi   []float64
 	integer  []bool
 	cons     []constraint
-	names    []string
 	buildErr error // first model-building error; reported at solve time
 }
 
 // NewProblem returns an empty minimization problem.
 func NewProblem() *Problem { return &Problem{} }
-
-// NumVars returns the number of variables added so far.
-func (p *Problem) NumVars() int { return len(p.obj) }
-
-// NumConstraints returns the number of constraint rows.
-func (p *Problem) NumConstraints() int { return len(p.cons) }
 
 // AddVar adds a continuous variable with objective coefficient obj and
 // bounds [lo, hi], returning its index. Use -Inf/+Inf for free bounds.
@@ -107,7 +100,6 @@ func (p *Problem) AddVar(name string, obj, lo, hi float64) int {
 	p.lo = append(p.lo, lo)
 	p.hi = append(p.hi, hi)
 	p.integer = append(p.integer, false)
-	p.names = append(p.names, name)
 	return len(p.obj) - 1
 }
 
@@ -118,9 +110,6 @@ func (p *Problem) AddIntVar(name string, obj, lo, hi float64) int {
 	p.integer[v] = true
 	return v
 }
-
-// SetObj overwrites the objective coefficient of variable v.
-func (p *Problem) SetObj(v int, c float64) { p.obj[v] = c }
 
 // AddConstraint adds the row sum(coefs) sense rhs. Coefficients referencing
 // the same variable twice are summed. A coefficient referencing an unknown
@@ -138,10 +127,6 @@ func (p *Problem) AddConstraint(sense Sense, rhs float64, coefs ...Coef) int {
 	p.cons = append(p.cons, constraint{coefs: coefs, sense: sense, rhs: rhs})
 	return len(p.cons) - 1
 }
-
-// BuildErr returns the first model-building error recorded on the problem,
-// or nil. Solves return it too; this accessor lets builders check early.
-func (p *Problem) BuildErr() error { return p.buildErr }
 
 // Status reports the outcome of a solve.
 type Status int

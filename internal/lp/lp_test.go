@@ -406,21 +406,10 @@ func TestFeasibleChecker(t *testing.T) {
 
 func TestValueAndAccessors(t *testing.T) {
 	p := NewProblem()
-	x := p.AddVar("x", 2, 0, 1)
-	y := p.AddVar("y", -1, 0, 1)
-	if p.NumVars() != 2 {
-		t.Errorf("NumVars = %d", p.NumVars())
-	}
-	p.AddConstraint(LE, 1, Coef{x, 1}, Coef{y, 1})
-	if p.NumConstraints() != 1 {
-		t.Errorf("NumConstraints = %d", p.NumConstraints())
-	}
+	p.AddVar("x", 2, 0, 1)
+	p.AddVar("y", -1, 0, 1)
 	if v := p.Value([]float64{1, 1}); v != 1 {
 		t.Errorf("Value = %v", v)
-	}
-	p.SetObj(y, 5)
-	if v := p.Value([]float64{0, 1}); v != 5 {
-		t.Errorf("Value after SetObj = %v", v)
 	}
 }
 

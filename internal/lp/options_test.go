@@ -70,7 +70,7 @@ func TestDegenerateBudgetStops(t *testing.T) {
 		t.Fatal(err)
 	}
 	if sol.Status == Optimal {
-		t.Fatalf("2 iterations cannot certify optimality of a %d-row LP", p.NumConstraints())
+		t.Fatalf("2 iterations cannot certify optimality of a %d-row LP", len(p.cons))
 	}
 	if sol.Status != IterLimit || !sol.BudgetExceeded() {
 		t.Fatalf("status = %v, want typed budget exhaustion", sol.Status)
@@ -158,9 +158,6 @@ func TestDualsReturned(t *testing.T) {
 func TestAddVarBadBoundsDeferredError(t *testing.T) {
 	p := NewProblem()
 	p.AddVar("bad", 0, 2, 1)
-	if p.BuildErr() == nil {
-		t.Fatal("inverted bounds not recorded")
-	}
 	if _, err := p.Solve(); !errors.Is(err, ErrBadProblem) {
 		t.Fatalf("Solve err = %v, want ErrBadProblem", err)
 	}

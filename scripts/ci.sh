@@ -106,7 +106,7 @@
 #                         residual Bellman-Ford (bit-identical distances),
 #                         the max-slack and min-Delta oracle negative tests,
 #                         and the golden tables
-#   scripts/ci.sh assign  stage-3 min-cost flow gate: the early-exit
+#   scripts/ci.sh assign  stage-3 assignment gate: the early-exit flow
 #                         solver against its verbatim pre-CSR full-search
 #                         container/heap copy (random tied, preloaded and
 #                         circulation graphs; flows, cost bits and path
@@ -125,8 +125,12 @@
 #                         candidate-row reuse (bit-equal to cold solves,
 #                         identical across worker counts), the mcmf seeded
 #                         start, negative-cost rejection and Push tests, the
-#                         assignment and ECO oracle negative tests, and the
-#                         golden tables
+#                         assignment and ECO oracle negative tests, the
+#                         Section VI assignment LP (against the dense
+#                         simplex, bit-equal to its verbatim pre-refactor
+#                         copy), the dense simplex's random optimality
+#                         certificates, the LP oracle check and its
+#                         negative test, and the golden tables
 #   scripts/ci.sh benchmark
 #                         go vet + go test of the benchmark harness, a
 #                         separate module (benchmark/go.mod) that root
@@ -252,6 +256,8 @@ assign)
     go test ./internal/assign/ -run '^(TestMinCostMatchesReference|TestPreloadDualFeasible|TestPatch|TestMinCostRowReuseBitEquality|TestMinMaxCapRowReuseBitEquality|TestAssignDeterministicAcrossWorkerCounts)' -count=1 -v
     go test ./internal/mcmf/ -run '^(TestMinCostFlowMatchesReference|TestMinCostFlowMatchesReferenceUntied|TestSearchStopsAtSink|TestHeapMatchesContainerHeap|TestAugmentingPathsAllocateNothing|TestMinCostFlowFromSeedPotentials|TestMinCostFlowRejectsNegativeCost|TestNegativeCostFlowViaBellmanFord|TestNegativeCycleIsError|TestPushMovesCapacity|TestPushMisusePanics|TestResidualArcs)$' -count=1 -v
     go test ./internal/oracle/ -run '^(TestFaultMcmfDetected|TestFaultECODetected)$' -count=1
+    go test ./internal/lp/ -run '^(TestAssignLP|TestQuickLP)' -count=1
+    go test ./internal/oracle/ -run '^(TestCheckAssignLPClean|TestFaultLPDetected)$' -count=1
     go test ./internal/exp -run '^TestGolden' -count=1
     ;;
 benchmark)
