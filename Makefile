@@ -39,7 +39,8 @@ scaling-smoke:
 # the reference serial CG, the in-component CG cancel tests, the scoped-STA
 # tests (a cache updated over each edit's scope bit-equal to a full Analyze
 # after random edits, ErrCycle, Apply's cache contract), the
-# signal-wirelength cache test, the timing.sta.scope and eco.signalwl.scope
+# signal-wirelength cache test, the state-fork test (forks of one base
+# state leave it untouched), the timing.sta.scope and eco.signalwl.scope
 # oracle negatives, the RandomDeltas tests (sequences pinned by digest,
 # validity, the caller's circuit restored even on a panic), the clean
 # oracle campaign, the shared-base /v1/eco

@@ -15,7 +15,6 @@ package assign
 import (
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 
 	"rotaryclk/internal/faultinject"
@@ -293,15 +292,11 @@ func (p *Problem) candidates(reuse [][]candidate) ([][]candidate, error) {
 // fallbackCandidate taps the nearest point of ring j with a direct stub; the
 // realized delay is whatever the ring provides there, not the skew target.
 func (p *Problem) fallbackCandidate(j int, pos geom.Point) (candidate, bool) {
-	r := p.Array.Rings[j]
-	s, pt, dist := r.Nearest(pos)
-	if math.IsNaN(dist) || math.IsInf(dist, 0) {
+	tap, ok := rotary.NearestTap(p.Array.Rings[j], p.Array.Params, pos)
+	if !ok {
 		return candidate{}, false
 	}
-	prm := p.Array.Params
-	d := math.Mod(r.DelayAt(s, prm.Period)+prm.StubDelay(dist), prm.Period)
-	tap := rotary.Tap{Ring: j, Point: pt, WireLen: dist, Delay: d}
-	return candidate{ring: j, tap: tap, cost: dist, cap: prm.StubCap(dist), fallback: true}, true
+	return candidate{ring: j, tap: tap, cost: tap.WireLen, cap: p.Array.Params.StubCap(tap.WireLen), fallback: true}, true
 }
 
 // finish assembles an Assignment from per-FF choices and keeps the

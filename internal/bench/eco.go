@@ -81,9 +81,9 @@ type ECOPoint struct {
 	// it.
 	Checked bool `json:"checked"`
 	// STASources totals the flip-flop sources the incremental arm's timing
-	// re-propagated over all edits (counter eco.sta.sources), the first
-	// edit's full build included; a scoped update keeps it far below
-	// FFs x Edits.
+	// re-propagated over all edits (counter eco.sta.sources). The state
+	// starts with its cache built, so every edit is a scoped update and
+	// keeps it far below FFs x Edits.
 	STASources int64 `json:"sta_sources,omitempty"`
 }
 

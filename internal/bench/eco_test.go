@@ -48,9 +48,9 @@ func TestECOSmoke20k(t *testing.T) {
 	if pt.DirtyCellFrac > 0.01 {
 		t.Errorf("dirty fraction %.3f%% exceeds the 1%% bound", 100*pt.DirtyCellFrac)
 	}
-	// Scoped timing: the first edit builds the STA cache (FFs sources),
-	// every later one re-propagates only its dirty sources. A silent fall
-	// back to full passes would re-propagate FFs x Edits.
+	// Scoped timing: the state starts with its STA cache built, so every
+	// edit re-propagates only its dirty sources. A silent fall back to full
+	// passes would re-propagate FFs x Edits.
 	full := int64(pt.FFs) * int64(pt.Edits)
 	t.Logf("eco.sta.sources = %d of %d flip-flops x edits", pt.STASources, full)
 	if pt.STASources == 0 || 4*pt.STASources > full {

@@ -139,12 +139,11 @@ func TestAuditRejectsUnscheduledFlipFlop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := ApplyECO(st, []eco.Delta{{Op: eco.OpAddFF, Cell: gate}}, cfg, eco.Options{Strict: true})
-	if err != nil {
+	if _, err := ApplyECO(st, []eco.Delta{{Op: eco.OpAddFF, Cell: gate}}, cfg, eco.Options{Strict: true}); err != nil {
 		t.Fatal(err)
 	}
-	if len(out.Outcome.FFCells) != len(res.FFCells)+1 {
-		t.Fatalf("add_ff left %d flip-flops, want %d", len(out.Outcome.FFCells), len(res.FFCells)+1)
+	if len(st.FFCells) != len(res.FFCells)+1 {
+		t.Fatalf("add_ff left %d flip-flops, want %d", len(st.FFCells), len(res.FFCells)+1)
 	}
 	if err := Audit(c, cfg, res); err == nil || !strings.Contains(err.Error(), "schedule index") {
 		t.Fatalf("audit of the pre-edit result on the edited circuit: %v, want a missing schedule index", err)

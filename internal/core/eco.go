@@ -6,6 +6,7 @@ import (
 	"rotaryclk/internal/eco"
 	"rotaryclk/internal/netlist"
 	"rotaryclk/internal/obs"
+	"rotaryclk/internal/timing"
 )
 
 // ECOResult is the outcome of one ApplyECO call plus the full quality
@@ -23,8 +24,11 @@ type ECOResult struct {
 // timing constants and Parallelism carry over so edits re-solve the same
 // problem the flow solved. As in Run, cfg.System may supply a prebuilt
 // template system to fork instead of assembling the connectivity from
-// scratch. The first edit re-solves only the tapping rows its changes
-// touch: res.Assign carries the candidate matrix the run solved over.
+// scratch. The state starts with both ECO caches built in full, the timing
+// cache with cfg.TModel and the signal-wirelength cache, so the first edit
+// is scoped like every later one: it re-propagates only the timing sources,
+// re-measures only the nets and re-solves only the tapping rows its changes
+// touch (res.Assign carries the candidate matrix the run solved over).
 func NewECOState(c *netlist.Circuit, cfg Config, res *Result) (*eco.State, error) {
 	cfg.normalize()
 	if res == nil || res.Assign == nil || res.Array == nil || len(res.FFCells) == 0 {
@@ -37,6 +41,10 @@ func NewECOState(c *netlist.Circuit, cfg Config, res *Result) (*eco.State, error
 	if se != nil {
 		return nil, fmt.Errorf("core: ECO state: %w", se.Err)
 	}
+	sta, err := timing.NewSTA(c, cfg.TModel)
+	if err != nil {
+		return nil, fmt.Errorf("core: ECO state: %w", err)
+	}
 	return &eco.State{
 		Circuit:     c,
 		Sys:         sys,
@@ -45,6 +53,8 @@ func NewECOState(c *netlist.Circuit, cfg Config, res *Result) (*eco.State, error
 		Sched:       append([]float64(nil), res.Schedule...),
 		Assign:      res.Assign,
 		WorkSlack:   res.WorkSlack,
+		STA:         sta,
+		SignalWL:    eco.NewSignalWL(c),
 		Params:      cfg.Params,
 		TModel:      cfg.TModel,
 		Parallelism: cfg.Parallelism,
@@ -53,12 +63,12 @@ func NewECOState(c *netlist.Circuit, cfg Config, res *Result) (*eco.State, error
 
 // ApplyECO absorbs a batch of netlist deltas into the state with bounded
 // recompute (see eco.Apply for the delta semantics, rollback guarantees and
-// the strict/degraded split) and re-measures the design, taking the signal
-// wirelength from the outcome (eco.State's cache, bit-equal to a full
-// measurement) instead of walking every net again. When opt.Stop or
-// opt.Obs are nil they inherit cfg's, so serving-layer deadlines and
-// telemetry thread through unchanged. One core.ApplyECO span covers the
-// whole call, the measurement included.
+// the strict/degraded split) and re-measures the committed (or restored)
+// state, taking the signal wirelength from the outcome (eco.State's cache,
+// bit-equal to a full measurement) instead of walking every net again.
+// When opt.Stop or opt.Obs are nil they inherit cfg's, so serving-layer
+// deadlines and telemetry thread through unchanged. One core.ApplyECO span
+// covers the whole call, the measurement included.
 func ApplyECO(st *eco.State, deltas []eco.Delta, cfg Config, opt eco.Options) (*ECOResult, error) {
 	if opt.Obs == nil {
 		opt.Obs = cfg.Obs
@@ -73,13 +83,5 @@ func ApplyECO(st *eco.State, deltas []eco.Delta, cfg Config, opt eco.Options) (*
 	if err != nil {
 		return nil, err
 	}
-	asg := out.Assign
-	if asg == nil {
-		asg = st.Assign
-	}
-	r := &ECOResult{Outcome: out}
-	if asg != nil {
-		r.Final = measure(st.Circuit, cfg, asg, len(out.FFCells), out.SignalWL)
-	}
-	return r, nil
+	return &ECOResult{Outcome: out, Final: measure(st.Circuit, cfg, st.Assign, len(st.FFCells), out.SignalWL)}, nil
 }

@@ -11,6 +11,7 @@ import (
 	"rotaryclk/internal/geom"
 	"rotaryclk/internal/obs"
 	"rotaryclk/internal/placer"
+	"rotaryclk/internal/rotary"
 	"rotaryclk/internal/skew"
 	"rotaryclk/internal/stop"
 	"rotaryclk/internal/timing"
@@ -63,7 +64,7 @@ func Apply(st *State, deltas []Delta, opt Options) (*Outcome, error) {
 		out.Events = append(out.Events, fmt.Sprintf("%s failed; rolled back to pre-edit state: %v", phase, err))
 		out.Degraded = true
 		reg.Add("eco.degraded", 1)
-		out.echo(st, opt.Scratch)
+		out.report(st)
 		return out, nil
 	}
 
@@ -106,8 +107,8 @@ func Apply(st *State, deltas []Delta, opt Options) (*Outcome, error) {
 	nlSp.End()
 	if out.Deltas == 0 {
 		// Every delta was a no-op: nothing re-solves, nothing is dirty, and
-		// the outcome echoes the unchanged state.
-		out.echo(st, opt.Scratch)
+		// the outcome reports the unchanged state.
+		out.report(st)
 		return out, nil
 	}
 	dirtyCells = sortedSet(dirtyCells)
@@ -148,9 +149,8 @@ func Apply(st *State, deltas []Delta, opt Options) (*Outcome, error) {
 
 	// Phase 3: scoped timing analysis and warm-started schedule re-check.
 	// The STA cache re-propagates only the flip-flop sources whose cone the
-	// edit touched (built in full when the state has none); the schedule
-	// repair, seeded from the previous schedule, is one O(m) verification
-	// round when nothing regressed.
+	// edit touched; the schedule repair, seeded from the previous schedule,
+	// is one O(m) verification round when nothing regressed.
 	schedSp := span.Child("eco.sched")
 	ffCells := c.FlipFlops()
 	n := len(ffCells)
@@ -212,7 +212,6 @@ func Apply(st *State, deltas []Delta, opt Options) (*Outcome, error) {
 		out.Events = append(out.Events, "warm start infeasible at every margin; fell back to a fresh max-slack schedule")
 		reg.Add("eco.recover.sched", 1)
 	}
-	out.WorkSlack = margin
 	schedSp.End()
 	if err := stop.Check(tok, faultinject.SiteEcoApplyCancel); err != nil {
 		return fail("schedule re-check", err)
@@ -291,7 +290,7 @@ func Apply(st *State, deltas []Delta, opt Options) (*Outcome, error) {
 		return fail("assignment patch", err)
 	}
 	asgSp.End()
-	wl, total := signalWL(st, scopeCells, scopeNets, opt.Scratch, reg)
+	wl := signalWL(st, scopeCells, scopeNets, opt.Scratch, reg)
 
 	// Commit.
 	st.Sys = sys
@@ -302,68 +301,42 @@ func Apply(st *State, deltas []Delta, opt Options) (*Outcome, error) {
 	st.Assign = asg
 	st.WorkSlack = margin
 	st.Pinned = pinned
-	out.FFCells = append([]int(nil), ffCells...)
-	out.Sched = append([]float64(nil), sched...)
-	out.Assign = asg
-	out.Total = asg.Total
-	out.SignalWL = total
+	out.report(st)
 	return out, nil
 }
 
-// echo fills out with the state as last committed, which both a rolled-back
-// Apply and a batch of no-ops leave in place. Its wirelength is the
-// committed cache's total, or under Scratch or with no cache a full
-// Circuit.SignalWL.
-func (out *Outcome) echo(st *State, scratch bool) {
-	out.FFCells = append([]int(nil), st.FFCells...)
-	out.Sched = append([]float64(nil), st.Sched...)
-	out.Assign = st.Assign
-	if st.Assign != nil {
-		out.Total = st.Assign.Total
-	}
+// report fills out with the state as last committed: the new state after a
+// commit, the pre-edit state after a rollback or a batch of no-ops.
+func (out *Outcome) report(st *State) {
+	out.Total = st.Assign.Total
 	out.WorkSlack = st.WorkSlack
-	if st.SignalWL != nil && !scratch {
-		out.SignalWL = st.SignalWL.Total()
-	} else {
-		out.SignalWL = st.Circuit.SignalWL()
-	}
+	out.SignalWL = st.SignalWL.Total()
 }
 
-// signalWL returns the signal wirelength of the edited circuit and the
-// cache to commit with it. The incremental path updates st.SignalWL over
-// the edit's scope (building it in full when the state has none) and
-// records the nets it measured; Scratch measures every net and commits no
-// cache.
-func signalWL(st *State, cells, nets []int, scratch bool, reg *obs.Registry) (*SignalWL, float64) {
-	if scratch {
-		return nil, st.Circuit.SignalWL()
-	}
+// signalWL returns the signal-wirelength cache of the edited circuit:
+// st.SignalWL updated over the edit's scope, or under Scratch a full
+// NewSignalWL that reads no cache. It records the nets it measured.
+func signalWL(st *State, cells, nets []int, scratch bool, reg *obs.Registry) *SignalWL {
 	var w *SignalWL
-	if st.SignalWL == nil {
+	if scratch {
 		w = NewSignalWL(st.Circuit)
 	} else {
 		w = st.SignalWL.Update(st.Circuit, cells, nets)
 	}
 	reg.Add("eco.wl.nets", int64(w.Nets()))
-	return w, w.Total()
+	return w
 }
 
-// analyze returns the sequential pairs of the edited circuit and the STA
-// cache to commit with them. The incremental path updates st.STA over the
-// edit's scope (building it in full when the state has none) and records
-// its work; Scratch runs a full timing.SeqPairs and commits no cache.
+// analyze returns the STA cache of the edited circuit and its sequential
+// pairs: st.STA updated over the edit's scope, or under Scratch a full
+// timing.NewSTA that reads no cache. It records the cache's work.
 func analyze(st *State, ffIdx []int, cells, nets []int, scratch bool, reg *obs.Registry) (*timing.STA, []skew.SeqPair, error) {
-	c := st.Circuit
-	if scratch {
-		pairs, err := timing.SeqPairs(c, st.TModel, ffIdx)
-		return nil, pairs, err
-	}
 	var sta *timing.STA
 	var err error
-	if st.STA == nil {
-		sta, err = timing.NewSTA(c, st.TModel)
+	if scratch {
+		sta, err = timing.NewSTA(st.Circuit, st.TModel)
 	} else {
-		sta, err = st.STA.Update(c, cells, nets)
+		sta, err = st.STA.Update(st.Circuit, cells, nets)
 	}
 	if err != nil {
 		return nil, nil, err
@@ -392,14 +365,13 @@ func mode(opt Options) string {
 }
 
 // ringPhaseSeed seeds a brand-new flip-flop's delay target at the phase its
-// nearest ring offers at the nearest tapping point — the same quantity the
-// nearest-point fallback tap realizes.
+// nearest ring offers at the nearest tapping point: the delay of the
+// nearest-point fallback tap.
 func ringPhaseSeed(st *State, pos geom.Point) float64 {
 	js := st.Array.NearestRings(pos, 1)
 	if len(js) == 0 {
 		return 0
 	}
-	r := st.Array.Rings[js[0]]
-	s, _, dist := r.Nearest(pos)
-	return math.Mod(r.DelayAt(s, st.Params.Period)+st.Params.StubDelay(dist), st.Params.Period)
+	tap, _ := rotary.NearestTap(st.Array.Rings[js[0]], st.Params, pos)
+	return tap.Delay
 }

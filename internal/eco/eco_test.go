@@ -2,11 +2,13 @@ package eco_test
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -689,49 +691,41 @@ func sameCachedPairs(t *testing.T, label string, st *eco.State) {
 	}
 }
 
-// scratchThenRebuild applies a Scratch edit and then two incremental
-// ones. The Scratch apply must commit no caches, the next incremental
-// apply must build both caches in full, and the one after it must be
-// scoped again. check runs after each incremental apply.
-func scratchThenRebuild(t *testing.T, st *eco.State, scratch, rebuild, scoped eco.Delta, check func(label string, out *eco.Outcome)) {
+// scratchThenScoped applies a Scratch edit and then an incremental one.
+// The Scratch apply must commit caches built in full, bit-equal to a full
+// build of the committed circuit, and the incremental apply after it must
+// be scoped. check runs after each apply.
+func scratchThenScoped(t *testing.T, st *eco.State, scratch, scoped eco.Delta, check func(label string, out *eco.Outcome)) {
 	t.Helper()
-	out, err := eco.Apply(st, []eco.Delta{scratch}, eco.Options{Scratch: true})
+	nets := int64(len(st.Circuit.Nets))
+	reg := obs.NewRegistry()
+	out, err := eco.Apply(st, []eco.Delta{scratch}, eco.Options{Scratch: true, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.STA != nil || st.SignalWL != nil {
-		t.Fatalf("scratch apply committed caches: STA %v, signal WL %v", st.STA != nil, st.SignalWL != nil)
+	if w := st.STA.Work(); reg.Counter("eco.sta.full") != 1 || !w.Full || w.Sources != len(st.FFCells) ||
+		st.SignalWL.Nets() != len(st.Circuit.Nets) || reg.Counter("eco.wl.nets") != nets {
+		t.Fatalf("scratch apply: sta.full %d over %d sources, wl.nets %d; want full builds of %d flip-flops and %d nets",
+			reg.Counter("eco.sta.full"), w.Sources, reg.Counter("eco.wl.nets"), len(st.FFCells), nets)
 	}
-	if math.Float64bits(out.SignalWL) != math.Float64bits(st.Circuit.SignalWL()) {
-		t.Fatalf("scratch outcome signal WL %v, circuit %v", out.SignalWL, st.Circuit.SignalWL())
-	}
-	nets := int64(len(st.Circuit.Nets))
-	reg := obs.NewRegistry()
-	if out, err = eco.Apply(st, []eco.Delta{rebuild}, eco.Options{Obs: reg}); err != nil {
-		t.Fatal(err)
-	}
-	if reg.Counter("eco.sta.full") != 1 || reg.Counter("eco.wl.nets") != nets {
-		t.Fatalf("apply after scratch: sta.full %d, wl.nets %d; want 1 and all %d nets",
-			reg.Counter("eco.sta.full"), reg.Counter("eco.wl.nets"), nets)
-	}
-	check("apply after scratch", out)
+	check("scratch apply", out)
 	reg = obs.NewRegistry()
 	if out, err = eco.Apply(st, []eco.Delta{scoped}, eco.Options{Obs: reg}); err != nil {
 		t.Fatal(err)
 	}
 	if n := reg.Counter("eco.wl.nets"); reg.Counter("eco.sta.full") != 0 || reg.Counter("eco.sta.reused") == 0 || n == 0 || n >= nets {
-		t.Fatalf("apply after rebuild: sta.full %d, sta.reused %d, wl.nets %d of %d; want scoped updates",
+		t.Fatalf("apply after scratch: sta.full %d, sta.reused %d, wl.nets %d of %d; want scoped updates",
 			reg.Counter("eco.sta.full"), reg.Counter("eco.sta.reused"), n, nets)
 	}
-	check("apply after rebuild", out)
+	check("apply after scratch", out)
 }
 
-// TestApplySTACache: the first incremental Apply builds the STA cache in
-// full and later ones re-propagate only a few sources; a Degraded Apply
-// (stop fired at the stage boundary after timing) keeps the pre-edit cache,
-// and the next edit still matches a full analysis. A Scratch Apply commits
-// no cache; the next incremental Apply builds it in full and the one after
-// is scoped again.
+// TestApplySTACache: a fresh state's cache matches a full analysis, and its
+// first Apply, like every later one, re-propagates only a few sources; a
+// Degraded Apply (stop fired at the stage boundary after timing) keeps the
+// pre-edit cache, and the next edit still matches a full analysis. A
+// Scratch Apply commits a full build, and the next incremental Apply is
+// scoped again.
 func TestApplySTACache(t *testing.T) {
 	c := genCircuit(t, 300, 40, 5)
 	st, _ := baseState(t, c)
@@ -740,27 +734,20 @@ func TestApplySTACache(t *testing.T) {
 	move := func(i int, fx, fy float64) []eco.Delta {
 		return []eco.Delta{{Op: eco.OpMoveFF, Cell: ffs[i], X: die.Lo.X + fx*die.W(), Y: die.Lo.Y + fy*die.H()}}
 	}
+	sameCachedPairs(t, "fresh state", st)
 
-	reg := obs.NewRegistry()
-	if _, err := eco.Apply(st, move(0, 0.2, 0.3), eco.Options{Obs: reg}); err != nil {
-		t.Fatal(err)
+	for i, ds := range [][]eco.Delta{move(0, 0.2, 0.3), move(1, 0.7, 0.6)} {
+		reg := obs.NewRegistry()
+		if _, err := eco.Apply(st, ds, eco.Options{Obs: reg}); err != nil {
+			t.Fatal(err)
+		}
+		src, reused := reg.Counter("eco.sta.sources"), reg.Counter("eco.sta.reused")
+		if reg.Counter("eco.sta.full") != 0 || src == 0 || src+reused != int64(len(ffs)) || src >= reused {
+			t.Fatalf("apply %d: full %d, sources %d, reused %d of %d flip-flops",
+				i, reg.Counter("eco.sta.full"), src, reused, len(ffs))
+		}
+		sameCachedPairs(t, fmt.Sprintf("apply %d", i), st)
 	}
-	if reg.Counter("eco.sta.full") != 1 || reg.Counter("eco.sta.sources") != int64(len(ffs)) {
-		t.Fatalf("first apply: full %d, sources %d; want one full build of %d sources",
-			reg.Counter("eco.sta.full"), reg.Counter("eco.sta.sources"), len(ffs))
-	}
-	sameCachedPairs(t, "first apply", st)
-
-	reg = obs.NewRegistry()
-	if _, err := eco.Apply(st, move(1, 0.7, 0.6), eco.Options{Obs: reg}); err != nil {
-		t.Fatal(err)
-	}
-	src, reused := reg.Counter("eco.sta.sources"), reg.Counter("eco.sta.reused")
-	if reg.Counter("eco.sta.full") != 0 || src == 0 || src+reused != int64(len(ffs)) || src >= reused {
-		t.Fatalf("scoped apply: full %d, sources %d, reused %d of %d flip-flops",
-			reg.Counter("eco.sta.full"), src, reused, len(ffs))
-	}
-	sameCachedPairs(t, "scoped apply", st)
 
 	pre := st.STA
 	restore := faultinject.Enable(faultinject.Rule{
@@ -779,7 +766,7 @@ func TestApplySTACache(t *testing.T) {
 	}
 	sameCachedPairs(t, "degraded apply", st)
 
-	scratchThenRebuild(t, st, move(3, 0.4, 0.8)[0], move(2, 0.9, 0.1)[0], move(0, 0.6, 0.4)[0],
+	scratchThenScoped(t, st, move(3, 0.4, 0.8)[0], move(2, 0.9, 0.1)[0],
 		func(label string, _ *eco.Outcome) { sameCachedPairs(t, label, st) })
 }
 
@@ -788,7 +775,7 @@ func TestApplySTACache(t *testing.T) {
 func sameWL(t *testing.T, label string, st *eco.State, out *eco.Outcome) {
 	t.Helper()
 	want := math.Float64bits(st.Circuit.SignalWL())
-	if st.SignalWL == nil || math.Float64bits(st.SignalWL.Total()) != want {
+	if math.Float64bits(st.SignalWL.Total()) != want {
 		t.Fatalf("%s: cached signal WL out of step with the circuit", label)
 	}
 	if out != nil && math.Float64bits(out.SignalWL) != want {
@@ -796,12 +783,12 @@ func sameWL(t *testing.T, label string, st *eco.State, out *eco.Outcome) {
 	}
 }
 
-// TestApplySignalWLCache: the first incremental Apply measures every net
-// and later ones only the touched nets, a net edit included; a rolled-back
-// and a Degraded Apply keep the pre-edit cache; a Scratch Apply commits no
-// cache, the next incremental Apply measures every net again and the one
-// after is scoped again. Two states forked from one base cache update it
-// copy-on-write without disturbing each other or the base.
+// TestApplySignalWLCache: a fresh state's first Apply, like every later
+// one, measures only the touched nets, a net edit included; a rolled-back
+// and a Degraded Apply keep the pre-edit cache; a Scratch Apply commits a
+// full build and the next incremental Apply is scoped again. Two forks of
+// one base state update its cache copy-on-write without disturbing each
+// other or the base.
 func TestApplySignalWLCache(t *testing.T) {
 	c, ids := chainCircuit(t)
 	st, res := baseState(t, c)
@@ -812,8 +799,8 @@ func TestApplySignalWLCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := reg.Counter("eco.wl.nets"); n != int64(len(c.Nets)) {
-		t.Fatalf("first apply measured %d nets, want all %d", n, len(c.Nets))
+	if n := reg.Counter("eco.wl.nets"); n == 0 || n >= int64(len(c.Nets)) {
+		t.Fatalf("first apply measured %d of %d nets", n, len(c.Nets))
 	}
 	sameWL(t, "first apply", st, out)
 
@@ -853,22 +840,22 @@ func TestApplySignalWLCache(t *testing.T) {
 	}
 	sameWL(t, "degraded apply", st, out)
 
-	scratchThenRebuild(t, st,
+	scratchThenScoped(t, st,
 		eco.Delta{Op: eco.OpMoveFF, Cell: ids[1].f2, X: 800, Y: 300},
-		eco.Delta{Op: eco.OpMoveFF, Cell: ids[0].f2, X: 150, Y: 600},
 		eco.Delta{Op: eco.OpMoveFF, Cell: ids[1].f1, X: 650, Y: 750},
 		func(label string, out *eco.Outcome) { sameWL(t, label, st, out) })
 
-	shared := eco.NewSignalWL(base)
+	root, err := core.NewECOState(base, testConfig(), res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := root.SignalWL
 	want := math.Float64bits(shared.Total())
 	var forks [2]*eco.State
 	for i := range forks {
-		fork, err := core.NewECOState(base.Clone(), testConfig(), res)
-		if err != nil {
+		if forks[i], err = root.Fork(base.Clone(), nil); err != nil {
 			t.Fatal(err)
 		}
-		fork.SignalWL = shared
-		forks[i] = fork
 	}
 	for i, d := range []eco.Delta{
 		{Op: eco.OpMoveFF, Cell: ids[0].f1, X: 700, Y: 100},
@@ -880,11 +867,96 @@ func TestApplySignalWLCache(t *testing.T) {
 		}
 		sameWL(t, fmt.Sprintf("fork %d", i), forks[i], out)
 	}
-	if math.Float64bits(shared.Total()) != want || math.Float64bits(base.SignalWL()) != want {
-		t.Fatal("forked applies disturbed the shared base cache")
+	if root.SignalWL != shared || math.Float64bits(shared.Total()) != want || math.Float64bits(base.SignalWL()) != want {
+		t.Fatal("forked applies disturbed the base state's cache")
 	}
 	if forks[0].SignalWL.Total() == forks[1].SignalWL.Total() {
 		t.Fatal("forks with different edits report one wirelength")
+	}
+}
+
+// TestStateFork: two forks of one base state apply different deltas
+// concurrently, one of them a ring retarget that writes Pinned, which the
+// forks share with the base until Apply clones it. The base keeps its
+// positions, Pinned and both caches, and each fork commits, bit for bit,
+// what a state built by core.NewECOState commits for the same deltas.
+func TestStateFork(t *testing.T) {
+	c := genCircuit(t, 300, 40, 5)
+	root, res := baseState(t, c)
+	orig := c.Clone()
+	ffs := c.FlipFlops()
+	nRings := len(root.Array.Rings)
+	die := c.Die
+	pin := eco.Delta{Op: eco.OpRetargetRing, Cell: ffs[0], Ring: (root.Assign.Ring[0] + 1) % nRings}
+	if _, err := eco.Apply(root, []eco.Delta{pin}, eco.Options{Strict: true}); err != nil {
+		t.Fatal(err)
+	}
+	snap, pinned := c.Clone(), maps.Clone(root.Pinned)
+	sta, wl := root.STA, root.SignalWL
+	wlBits := math.Float64bits(wl.Total())
+
+	edits := [][]eco.Delta{
+		{{Op: eco.OpMoveFF, Cell: ffs[1], X: die.Lo.X + 0.3*die.W(), Y: die.Lo.Y + 0.6*die.H()}},
+		{{Op: eco.OpRetargetRing, Cell: ffs[2], Ring: (root.Assign.Ring[2] + 1) % nRings}},
+	}
+	var forks [2]*eco.State
+	for i := range forks {
+		var err error
+		if forks[i], err = root.Fork(c.Clone(), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, len(forks))
+	for i := range forks {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = eco.Apply(forks[i], edits[i], eco.Options{Strict: true})
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("fork %d: %v", i, err)
+		}
+	}
+
+	samePositions(t, "base after forked applies", c, snap)
+	if !maps.Equal(root.Pinned, pinned) {
+		t.Fatalf("base Pinned %v after forked applies, want %v", root.Pinned, pinned)
+	}
+	if root.STA != sta || root.SignalWL != wl || math.Float64bits(wl.Total()) != wlBits {
+		t.Fatal("forked applies replaced or changed the base caches")
+	}
+	sameCachedPairs(t, "base after forked applies", root)
+	sameWL(t, "base after forked applies", root, nil)
+
+	for i, f := range forks {
+		label := fmt.Sprintf("fork %d", i)
+		ref, err := core.NewECOState(orig.Clone(), testConfig(), res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ds := range [][]eco.Delta{{pin}, edits[i]} {
+			if _, err := eco.Apply(ref, ds, eco.Options{Strict: true}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		samePositions(t, label, f.Circuit, ref.Circuit)
+		sameSched(t, label, f.Sched, ref.Sched)
+		if !slices.Equal(f.FFCells, ref.FFCells) || !slices.Equal(f.Assign.Ring, ref.Assign.Ring) ||
+			math.Float64bits(f.Assign.Total) != math.Float64bits(ref.Assign.Total) {
+			t.Fatalf("%s: assignment differs from a fresh state's", label)
+		}
+		if !maps.Equal(f.Pinned, ref.Pinned) || math.Float64bits(f.WorkSlack) != math.Float64bits(ref.WorkSlack) {
+			t.Fatalf("%s: Pinned %v, work slack %v; fresh state %v, %v", label, f.Pinned, f.WorkSlack, ref.Pinned, ref.WorkSlack)
+		}
+		sameCachedPairs(t, label, f)
+		sameWL(t, label, f, nil)
+		if math.Float64bits(f.SignalWL.Total()) != math.Float64bits(ref.SignalWL.Total()) {
+			t.Fatalf("%s: signal WL %v, fresh state %v", label, f.SignalWL.Total(), ref.SignalWL.Total())
+		}
 	}
 }
 

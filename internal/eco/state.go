@@ -47,8 +47,9 @@ import (
 // State is the live optimization state ECO deltas apply to: the placed
 // circuit, its reusable solver structures, and the schedule/assignment pair
 // the last flow run (or the last Apply) committed. Build one from a
-// completed core.Result via core.NewECOState. Apply mutates the circuit and,
-// on success, the state; a failed or degraded Apply rolls both back.
+// completed core.Result via core.NewECOState, or Fork one. Either way it
+// holds both caches from the start. Apply mutates the circuit and, on
+// success, the state; a failed or degraded Apply rolls both back.
 type State struct {
 	Circuit *netlist.Circuit
 	Sys     *placer.System // quadratic system bound to Circuit
@@ -69,12 +70,11 @@ type State struct {
 	Pinned map[int]int
 
 	// STA is the timing cache of Circuit as last committed, built with
-	// TModel; nil until an incremental Apply builds it, and a Scratch Apply
-	// commits nil. Apply updates it over the edit's scope copy-on-write and
+	// TModel. core.NewECOState builds it in full; Apply updates it over the
+	// edit's scope copy-on-write (Scratch builds it in full again) and
 	// commits the new value only with the rest of the state, so a
 	// rolled-back Apply keeps the cache of the restored circuit. A cache
-	// must describe this state's committed circuit; states over clones of
-	// one circuit may share one base cache.
+	// must describe this state's committed circuit; forks share it.
 	STA *timing.STA
 	// SignalWL is the per-net wirelength cache of Circuit as last
 	// committed. It is built, updated, committed and shared like STA.
@@ -96,10 +96,9 @@ type Options struct {
 	// from the same seed (the seed is semantics, not machinery), and the
 	// assignment solves cold, every tapping row included. Same
 	// orchestration, full recompute — the oracle's reference arm. Its
-	// timing is a full timing.SeqPairs and its wirelength a full
-	// Circuit.SignalWL; it reads neither State.STA nor State.SignalWL and
-	// commits both as nil, so the next incremental Apply builds them in
-	// full.
+	// timing and wirelength are full builds (timing.NewSTA, NewSignalWL):
+	// it reads neither State.STA nor State.SignalWL and commits the full
+	// builds, bit-equal to what an incremental Apply would commit.
 	Scratch bool
 	Stop    *stop.Token
 	Obs     *obs.Registry
@@ -128,14 +127,29 @@ type Outcome struct {
 	Degraded bool
 	Events   []string
 
-	FFCells []int
-	Sched   []float64
-	Assign  *assign.Assignment
-	Total   float64 // total tapping wirelength of the committed assignment
+	Total float64 // total tapping wirelength of the committed assignment
 
 	// SignalWL is the signal wirelength of the committed (or, when
 	// Degraded, the restored) circuit, bit-equal to Circuit.SignalWL.
 	SignalWL float64
+}
+
+// Fork returns a state over c, a clone of st.Circuit as last committed,
+// that applies edits independently of st. Its quadratic system is st.Sys
+// forked onto c, with telemetry bound to reg (nil inherits st.Sys's). It
+// shares everything else with st: the array, the flip-flop list, the
+// schedule, the assignment with its candidate rows, Pinned, and both
+// caches. Sharing is safe because Apply writes none of them in place: it
+// commits fresh values, and it clones Pinned before a retarget writes it.
+// So forks of one state may Apply concurrently.
+func (st *State) Fork(c *netlist.Circuit, reg *obs.Registry) (*State, error) {
+	sys, err := st.Sys.Fork(c, reg)
+	if err != nil {
+		return nil, err
+	}
+	f := *st
+	f.Circuit, f.Sys = c, sys
+	return &f, nil
 }
 
 // clonePinned copies the pin map (nil stays nil until a retarget lands).

@@ -192,7 +192,7 @@ func buildTree(arr *rotary.Array, ring *rotary.Ring, cluster []int, ffPos []geom
 		// a virtual sink at the junction carrying the downstream load).
 		tJunction := math.Inf(1)
 		for k, i := range cluster {
-			need := targets[i] - branchDelay(params, direct[k])
+			need := targets[i] - params.StubDelay(direct[k])
 			if need < tJunction {
 				tJunction = need
 			}
@@ -220,7 +220,7 @@ func buildTree(arr *rotary.Array, ring *rotary.Ring, cluster []int, ffPos []geom
 				break
 			}
 			newBranches[k] = b
-			delays[k] = dj + branchDelay(params, b)
+			delays[k] = dj + params.StubDelay(b)
 		}
 		if !ok {
 			return nil, false
@@ -248,13 +248,8 @@ func buildTree(arr *rotary.Array, ring *rotary.Ring, cluster []int, ffPos []geom
 	return tree, tree != nil
 }
 
-// branchDelay is the Elmore delay of one branch of length b driving a
-// flip-flop clock pin.
-func branchDelay(p rotary.Params, b float64) float64 {
-	return 0.5*p.RWire*p.CWire*b*b + p.RWire*p.CFF*b
-}
-
-// invertBranchDelay solves branchDelay(b) = target for b >= 0.
+// invertBranchDelay solves p.StubDelay(b) = target for b >= 0: the length
+// of a branch whose Elmore delay into a flip-flop clock pin is target.
 func invertBranchDelay(p rotary.Params, target float64) (float64, bool) {
 	if target < 0 {
 		return 0, false

@@ -169,10 +169,10 @@ func TestBuildInputValidation(t *testing.T) {
 func TestInvertBranchDelay(t *testing.T) {
 	p := rotary.DefaultParams()
 	for _, b := range []float64{0, 25, 333, 900} {
-		target := branchDelay(p, b)
+		target := p.StubDelay(b)
 		got, ok := invertBranchDelay(p, target)
 		if !ok || math.Abs(got-b) > 1e-6 {
-			t.Errorf("invertBranchDelay(branchDelay(%v)) = %v, %v", b, got, ok)
+			t.Errorf("invertBranchDelay(StubDelay(%v)) = %v, %v", b, got, ok)
 		}
 	}
 	if _, ok := invertBranchDelay(p, -5); ok {

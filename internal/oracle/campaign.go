@@ -73,44 +73,22 @@ func (o *Options) normalize() {
 // 4-9 rings with random phases and rotation directions, 4-9 flip-flops
 // scattered over the array, delay targets uniform over the period.
 func genAssign(rng *rand.Rand) *AssignInstance {
-	params := rotary.DefaultParams()
-	nRings := 4 + rng.Intn(6)
-	nFF := 4 + rng.Intn(6)
-	in := &AssignInstance{Params: params, K: 3 + rng.Intn(2)}
-	nx := int(math.Ceil(math.Sqrt(float64(nRings))))
-	const tile = 700.0
-	for j := 0; j < nRings; j++ {
-		cx := float64(j%nx)*tile + tile/2 + (rng.Float64()-0.5)*100
-		cy := float64(j/nx)*tile + tile/2 + (rng.Float64()-0.5)*100
-		dir := 1
-		if rng.Intn(2) == 1 {
-			dir = -1
-		}
-		in.Rings = append(in.Rings, RingSpec{
-			Center: geom.Pt(cx, cy),
-			Side:   300 + rng.Float64()*250,
-			Dir:    dir,
-			T0:     rng.Float64() * params.Period,
-		})
-	}
-	span := float64(nx) * tile
-	for i := 0; i < nFF; i++ {
-		in.FFs = append(in.FFs, FFSpec{
-			Pos:    geom.Pt(rng.Float64()*span, rng.Float64()*span),
-			Target: rng.Float64() * params.Period,
-		})
-	}
-	return in
+	return genAssignSized(rng, 4+rng.Intn(6), 4+rng.Intn(6), 3+rng.Intn(2))
 }
 
 // genAssignLarge draws a large sparse assignment instance — 9-16 rings,
 // 40-120 flip-flops — beyond the brute-force checks' reach but exactly the
 // shape CheckAssignLP's sparse-vs-dense LP comparison scales to.
 func genAssignLarge(rng *rand.Rand) *AssignInstance {
+	return genAssignSized(rng, 9+rng.Intn(8), 40+rng.Intn(81), 4+rng.Intn(3))
+}
+
+// genAssignSized draws an assignment instance of nRings rings on a jittered
+// 700 um grid and nFF flip-flops uniform over it, with candidate width k.
+// The callers draw the three sizes first, in argument order.
+func genAssignSized(rng *rand.Rand, nRings, nFF, k int) *AssignInstance {
 	params := rotary.DefaultParams()
-	nRings := 9 + rng.Intn(8)
-	nFF := 40 + rng.Intn(81)
-	in := &AssignInstance{Params: params, K: 4 + rng.Intn(3)}
+	in := &AssignInstance{Params: params, K: k}
 	nx := int(math.Ceil(math.Sqrt(float64(nRings))))
 	const tile = 700.0
 	for j := 0; j < nRings; j++ {

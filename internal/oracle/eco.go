@@ -96,11 +96,8 @@ func CompareECOArms(st1, st2 *eco.State, o1, o2 *eco.Outcome) error {
 
 // checkCachedPairs holds the incremental arm's STA cache to a full
 // timing.SeqPairs of the committed circuit: same pairs in the same order,
-// Float64bits-equal delays. A state whose cache is not built yet passes.
+// Float64bits-equal delays.
 func checkCachedPairs(st *eco.State) error {
-	if st.STA == nil {
-		return nil
-	}
 	ffIdx := timing.FFIndex(len(st.Circuit.Cells), st.FFCells)
 	got, err := st.STA.Pairs(ffIdx)
 	if err != nil {
@@ -125,12 +122,8 @@ func checkCachedPairs(st *eco.State) error {
 
 // checkCachedWL holds the incremental arm's signal-wirelength cache, and
 // the wirelength its outcome reports, to a full Circuit.SignalWL of the
-// committed circuit, Float64bits-equal. A state whose cache is not built
-// yet passes.
+// committed circuit, Float64bits-equal.
 func checkCachedWL(st *eco.State, out *eco.Outcome) error {
-	if st.SignalWL == nil {
-		return nil
-	}
 	want := st.Circuit.SignalWL()
 	bits := math.Float64bits
 	if got := st.SignalWL.Total(); bits(got) != bits(want) {

@@ -109,7 +109,6 @@ func (p Params) SignalFromWL(c *netlist.Circuit, wl float64) SignalBreakdown {
 // (HPWL underestimates nets with 4+ pins). Used by the wire-model ablation.
 func (p Params) SignalSteiner(c *netlist.Circuit) SignalBreakdown {
 	wl := 0.0
-	pins := 0
 	pts := make([]geom.Point, 0, 16)
 	for _, n := range c.Nets {
 		if len(n.Pins) < 2 {
@@ -120,21 +119,8 @@ func (p Params) SignalSteiner(c *netlist.Circuit) SignalBreakdown {
 			pts = append(pts, c.Cells[id].Pos)
 		}
 		wl += steiner.NetLength(pts)
-		pins += len(n.Pins) - 1
 	}
-	nBufs := 0
-	if p.BufEvery > 0 {
-		nBufs = int(wl / p.BufEvery)
-	}
-	b := SignalBreakdown{
-		WireCap: p.CWire * wl,
-		PinCap:  p.CPin * float64(pins),
-		BufCap:  p.BufCin * float64(nBufs),
-		NumBufs: nBufs,
-	}
-	b.TotalCap = b.WireCap + b.PinCap + b.BufCap
-	b.Power = p.Dynamic(p.AlphaSignal, b.TotalCap)
-	return b
+	return p.SignalFromWL(c, wl)
 }
 
 // Leakage returns the static power (mW) per eq. (9):

@@ -135,13 +135,21 @@ func TestSignalSteinerVsHPWL(t *testing.T) {
 
 func TestSignalSteinerTwoPinMatchesHPWL(t *testing.T) {
 	c := netlist.New("st2")
-	c.Die = geom.NewRect(geom.Pt(0, 0), geom.Pt(100, 100))
+	c.Die = geom.NewRect(geom.Pt(0, 0), geom.Pt(1000, 1000))
 	a := c.AddCell(&netlist.Cell{Name: "a", Kind: netlist.Gate})
 	b := c.AddCell(&netlist.Cell{Name: "b", Kind: netlist.Gate})
+	d := c.AddCell(&netlist.Cell{Name: "d", Kind: netlist.Gate})
 	b.Pos = geom.Pt(30, 40)
+	d.Pos = geom.Pt(700, 600) // long enough for signal buffers
 	c.AddNet("n", a.ID, b.ID)
+	c.AddNet("m", b.ID, d.ID)
+	c.AddNet("lone", d.ID) // a one-pin net counts no pin in either model
 	p := DefaultParams()
-	if hp, st := p.Signal(c), p.SignalSteiner(c); hp.WireCap != st.WireCap {
-		t.Errorf("2-pin nets must agree: %v vs %v", hp.WireCap, st.WireCap)
+	hp, st := p.Signal(c), p.SignalSteiner(c)
+	if hp.NumBufs == 0 {
+		t.Fatalf("no buffers in %+v; the check needs some", hp)
+	}
+	if hp != st {
+		t.Errorf("2-pin nets must agree on the whole breakdown: %+v vs %+v", hp, st)
 	}
 }

@@ -88,6 +88,19 @@ func SolveTapBuffered(r *Ring, params Params, ff geom.Point, tHat, bufDelay floa
 	return tap, nil
 }
 
+// NearestTap taps ring r at its point nearest ff with a direct stub, the
+// nearest-point fallback tap: its delay is the ring's delay there plus the
+// stub's, modulo the period. It reports false when the distance is not
+// finite.
+func NearestTap(r *Ring, params Params, ff geom.Point) (Tap, bool) {
+	s, pt, dist := r.Nearest(ff)
+	if math.IsNaN(dist) || math.IsInf(dist, 0) {
+		return Tap{}, false
+	}
+	d := math.Mod(r.DelayAt(s, params.Period)+params.StubDelay(dist), params.Period)
+	return Tap{Ring: r.ID, Point: pt, WireLen: dist, Delay: d}, true
+}
+
 // TapCost returns just the stub wirelength of the best tap, the c_{i,j}
 // assignment cost of Section V. It returns +Inf if no solution exists.
 func TapCost(r *Ring, params Params, ff geom.Point, tHat float64) float64 {

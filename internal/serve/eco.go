@@ -10,7 +10,6 @@ import (
 	"rotaryclk/internal/core"
 	"rotaryclk/internal/eco"
 	"rotaryclk/internal/netlist"
-	"rotaryclk/internal/timing"
 )
 
 // maxECODeltas caps the delta batch one request may carry. ECO is for small
@@ -119,28 +118,16 @@ type ECOResponse struct {
 	Trace    string          `json:"trace,omitempty"`
 }
 
-// ecoBase is the per-spec state every ECO request against the same base
-// placement shares: the placed circuit (cloned per request — requests mutate
-// their clone), the completed result that seeds each request's ECO state,
-// and the base circuit's STA and signal-wirelength caches. The result's
-// assignment carries the candidate matrix the base run solved over, the STA
-// cache one row of pairs per flip-flop and the wirelength cache one HPWL
-// per net; requests only read them, so each one re-solves just the tapping
-// rows, re-propagates just the timing sources and re-measures just the nets
-// its edit touches.
-type ecoBase struct {
-	circuit *netlist.Circuit
-	res     *core.Result
-	sta     *timing.STA
-	wl      *eco.SignalWL
-}
-
 // applyECO is /v1/eco's own step: fork the spec's template, pick up (or
-// build) the shared base placement for the request's rings and iterations,
-// clone it, seed a fresh ECO state over the clone with the base's caches,
-// and absorb the delta batch. The clone means a failed or degraded apply
-// never poisons the shared base; the caches are immutable, so every request
-// updates them copy-on-write.
+// build) the shared base ECO state for the request's rings and iterations,
+// fork it onto a clone of its circuit, and absorb the delta batch. The base
+// state is built once per key by core.NewECOState from the base flow, so it
+// holds the placed circuit, the result's schedule and assignment (whose
+// candidate matrix the base run solved over), and the base circuit's STA
+// and signal-wirelength caches. Requests only read what the fork shares, so
+// each one re-solves just the tapping rows, re-propagates just the timing
+// sources and re-measures just the nets its edit touches. The clone means a
+// failed or degraded apply never poisons the shared base.
 func (s *Server) applyECO(req *ECORequest, cfg core.Config) (*answer, error) {
 	tmpl, _, err := s.template(req.Circuit)
 	if err != nil {
@@ -148,7 +135,7 @@ func (s *Server) applyECO(req *ECORequest, cfg core.Config) (*answer, error) {
 	}
 	cfg.System = tmpl
 	key := fmt.Sprintf("%s-r%d-i%d", req.Circuit.key(), cfg.NumRings, cfg.MaxIters)
-	base, hit, err := s.ecoBases.get(key, func() (*ecoBase, error) {
+	base, hit, err := s.ecoBases.get(key, func() (*eco.State, error) {
 		// Like template builds, the base run carries no deadline and no
 		// registry — it is a shared cost no single request should account
 		// for or be able to truncate for everyone else.
@@ -156,20 +143,15 @@ func (s *Server) applyECO(req *ECORequest, cfg core.Config) (*answer, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := s.runFlow(c, core.Config{NumRings: cfg.NumRings, MaxIters: cfg.MaxIters, Parallelism: cfg.Parallelism, System: tmpl})
+		baseCfg := core.Config{NumRings: cfg.NumRings, MaxIters: cfg.MaxIters, Parallelism: cfg.Parallelism, System: tmpl}
+		res, err := s.runFlow(c, baseCfg)
 		if err != nil {
 			return nil, err
 		}
 		if res == nil || res.Degraded || res.Assign == nil {
 			return nil, fmt.Errorf("base flow yielded no clean state to edit")
 		}
-		// Neither the base flow nor any request's state sets a timing
-		// model, so both run on the default one.
-		sta, err := timing.NewSTA(c, timing.DefaultModel())
-		if err != nil {
-			return nil, err
-		}
-		return &ecoBase{circuit: c, res: res, sta: sta, wl: eco.NewSignalWL(c)}, nil
+		return core.NewECOState(c, baseCfg, res)
 	})
 	if err != nil {
 		return nil, &statusError{http.StatusInternalServerError, fmt.Errorf("building ECO base placement: %w", err)}
@@ -180,12 +162,11 @@ func (s *Server) applyECO(req *ECORequest, cfg core.Config) (*answer, error) {
 		s.stats.add(&s.stats.ecoBaseBuilds, 1)
 	}
 
-	clone := base.circuit.Clone()
-	st, err := core.NewECOState(clone, cfg, base.res)
+	clone := base.Circuit.Clone()
+	st, err := base.Fork(clone, cfg.Obs)
 	if err != nil {
 		return nil, &statusError{http.StatusInternalServerError, fmt.Errorf("seeding ECO state: %w", err)}
 	}
-	st.STA, st.SignalWL = base.sta, base.wl
 	res, err := s.runECO(st, req.Deltas, cfg, eco.Options{Strict: cfg.Strict})
 	if err != nil {
 		return nil, err

@@ -140,7 +140,7 @@ type Server struct {
 	workers sync.WaitGroup
 
 	templates cache[*placer.System] // per circuit spec, forked per request
-	ecoBases  cache[*ecoBase]
+	ecoBases  cache[*eco.State]     // per spec, rings and iterations, forked per request
 	stats     stats
 
 	// runFlow and runECO are the solver entry points; tests replace them to

@@ -6,9 +6,10 @@
 // A Token is a cheap atomic flag, not a context.Context: the solver loops
 // are pure compute with no I/O to unblock, so all they need is a load-and-
 // branch per iteration — Check on a nil token with fault injection disarmed
-// costs two atomic loads. Tokens are fired either explicitly (Cancel), by a
-// wall-clock deadline (WithTimeout), or by a context (WithContext, which the
-// serving layer uses to map HTTP request lifecycles onto solver loops).
+// costs two atomic loads. Tokens are fired either explicitly (Cancel) or by
+// a wall-clock deadline (WithTimeout). The serving layer arms a WithTimeout
+// token when it admits a request, so queue wait counts against the
+// deadline; it does not watch the HTTP request's context.
 //
 // Error discipline: a fired token surfaces as an error wrapping ErrCanceled
 // or ErrDeadlineExceeded from the solver entry point that observed it. The
@@ -19,7 +20,6 @@
 package stop
 
 import (
-	"context"
 	"errors"
 	"sync/atomic"
 	"time"
@@ -100,35 +100,6 @@ func WithTimeout(d time.Duration) (*Token, func()) {
 	}
 	timer := time.AfterFunc(d, t.expire)
 	return t, func() { timer.Stop() }
-}
-
-// WithContext returns a token that fires when ctx is done — as
-// ErrDeadlineExceeded when the context's deadline fired, ErrCanceled
-// otherwise — and a release function that must be called when the work
-// finishes to reclaim the watcher goroutine.
-func WithContext(ctx context.Context) (*Token, func()) {
-	t := New()
-	if ctx.Done() == nil {
-		return t, func() {}
-	}
-	stopCh := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-				t.expire()
-			} else {
-				t.Cancel()
-			}
-		case <-stopCh:
-		}
-	}()
-	var once atomic.Bool
-	return t, func() {
-		if once.CompareAndSwap(false, true) {
-			close(stopCh)
-		}
-	}
 }
 
 // IsStop reports whether err wraps either stop sentinel — the test callers

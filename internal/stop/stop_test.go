@@ -1,7 +1,6 @@
 package stop
 
 import (
-	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -123,51 +122,6 @@ func TestWithTimeoutRelease(t *testing.T) {
 	release2()
 	if !tok2.Stopped() {
 		t.Error("release un-fired a stopped token")
-	}
-}
-
-func TestWithContextCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	tok, release := WithContext(ctx)
-	defer release()
-	cancel()
-	deadline := time.Now().Add(2 * time.Second)
-	for !tok.Stopped() {
-		if time.Now().After(deadline) {
-			t.Fatal("token never observed the context cancel")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if err := tok.Err(); !errors.Is(err, ErrCanceled) {
-		t.Errorf("Err = %v, want ErrCanceled", err)
-	}
-}
-
-func TestWithContextDeadline(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
-	defer cancel()
-	tok, release := WithContext(ctx)
-	defer release()
-	deadline := time.Now().Add(2 * time.Second)
-	for !tok.Stopped() {
-		if time.Now().After(deadline) {
-			t.Fatal("token never observed the context deadline")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if err := tok.Err(); !errors.Is(err, ErrDeadlineExceeded) {
-		t.Errorf("Err = %v, want ErrDeadlineExceeded", err)
-	}
-}
-
-func TestWithContextBackground(t *testing.T) {
-	// A context with no Done channel needs no watcher goroutine; the token
-	// simply never fires and release is a no-op (callable twice).
-	tok, release := WithContext(context.Background())
-	release()
-	release()
-	if tok.Stopped() {
-		t.Error("background-context token fired")
 	}
 }
 

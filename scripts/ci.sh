@@ -34,13 +34,17 @@
 #                         which eco.Apply hands it, is bit-equal to a full
 #                         Analyze after random edits and kind-only flips;
 #                         ErrCycle on a loop-closing edit; Apply's
-#                         build/update/degraded cache contract, and a
-#                         scratch apply that commits no cache, so the next
-#                         edit rebuilds it in full), the signal-wirelength
-#                         cache tests (random moves and pin edits over
-#                         their scope; Apply's measured nets, net edit,
-#                         rollback, degraded, scratch and forked states;
-#                         every total bit-equal to SignalWL), the
+#                         scoped-from-the-first-edit and degraded cache
+#                         contract, and a scratch apply that commits a
+#                         full build, after which the next edit is scoped
+#                         again), the signal-wirelength cache tests
+#                         (random moves and pin edits over their scope;
+#                         Apply's measured nets, net edit, rollback,
+#                         degraded, scratch and forked states; every
+#                         total bit-equal to SignalWL), the state-fork
+#                         test (two concurrent forks of one base state
+#                         leave the base's positions, pins and caches
+#                         alone and match fresh states), the
 #                         timing.sta.scope and eco.signalwl.scope oracle
 #                         negative tests, the RandomDeltas tests (drawn
 #                         sequences pinned by SHA-256 digests, every
@@ -223,7 +227,7 @@ eco)
     timeout="${ECO_TIMEOUT:-15m}"
     go test ./internal/placer/ -run '^(TestCGKernelReportsStagnation|TestSolveDirtyMatchesReference|TestSolveDirtyCGCancel)$' -count=1 -v
     go test ./internal/timing/ -run '^TestSTAUpdate' -count=1 -v
-    go test ./internal/eco/ -run '^(TestApplyDegradedOnDirtyCGCancel|TestApplySTACache|TestApplySignalWLCache|TestSignalWLUpdate|TestRandomDeltas.*|TestCombReaches)$' -count=1 -v
+    go test ./internal/eco/ -run '^(TestApplyDegradedOnDirtyCGCancel|TestApplySTACache|TestApplySignalWLCache|TestStateFork|TestSignalWLUpdate|TestRandomDeltas.*|TestCombReaches)$' -count=1 -v
     go test ./internal/oracle/ -run '^(TestFaultSTAScopeDetected|TestFaultECOSignalWLDetected|TestCampaignClean)$' -count=1 -v
     go test -race ./internal/serve/ -run '^TestECOConcurrentSharedBase$' -count=1
     go test -run '^$' -bench 'BenchmarkApplyECO/3k' -benchtime 1x ./internal/core/
