@@ -44,10 +44,12 @@ scaling-smoke:
 # oracle negatives, the RandomDeltas tests (sequences pinned by digest,
 # validity, the caller's circuit restored even on a panic), the clean
 # oracle campaign, the shared-base /v1/eco
-# test under -race, one iteration of BenchmarkApplyECO/3k (so the benchmark
-# that reports an edit's paths/op keeps running), and the smoke: 20 random
-# edits at 20k cells, each proven equivalent to the from-scratch arm, mean
-# edit latency >= 5x a full re-run, STA sources <= a quarter of FFs x edits.
+# test under -race, the allocation budget of an edit (TestApplyECOAllocBudget),
+# one iteration of BenchmarkApplyECO/3k with -benchmem (so the benchmark
+# that reports an edit's B/op and paths/op keeps running), and the smoke: 20
+# random edits at 20k cells, each proven equivalent to the from-scratch arm,
+# mean edit latency >= 5x a full re-run, STA sources over all edits <= half
+# of one full rebuild.
 eco:
 	sh scripts/ci.sh eco
 

@@ -363,7 +363,7 @@ func MinCost(p *Problem) (*Assignment, error) {
 		return nil, err
 	}
 	p.Obs.Add("assign.mincost.calls", 1)
-	choice, price, err := p.solveFlow(cands, nil, nil)
+	choice, price, err := p.solveFlow(nil, cands, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -377,18 +377,48 @@ type network struct {
 	cands     [][]candidate
 	src       []mcmf.ArcID   // per FF: source -> FF
 	arcs      [][]mcmf.ArcID // per FF, parallel to its candidate row
+	ids       []mcmf.ArcID   // the one backing array of every arcs row
 	sink      []mcmf.ArcID   // per ring: ring -> target
 	capacity  []int
 	preloaded int
 }
 
+// Workspace is the storage of one Fig. 4 solve: the flow network, whose
+// graph keeps its arc, CSR and search storage across solves
+// (mcmf.Graph.Reset), the patch's match against the previous solve, and
+// the preload's and read-back's per-flip-flop and per-ring buffers. A
+// solve writes every entry it reads before reading it, so nothing an
+// earlier solve left behind is read, and no answer depends on the
+// Workspace. The zero value is ready; a Workspace serves one solve at a
+// time.
+type Workspace struct {
+	net        network
+	byCell     map[int]int   // a previous flip-flop's index, by cell
+	reuse      [][]candidate // per flip-flop: its previous row, or nil
+	rings      []int         // per flip-flop: its previous ring, or -1
+	choice     []candidate
+	pr, pot    []float64
+	best, used []int
+}
+
 // Node numbering of the network: source, target, flip-flops, rings.
 const srcNode, sinkNode, ffBase = 0, 1, 2
 
-// newNetwork builds the Fig. 4 network over cands, carrying no flow.
-func (p *Problem) newNetwork(cands [][]candidate) *network {
+// resize returns xs resized to n entries, reusing its storage when it has
+// room. The entries' values are unspecified.
+func resize[T any](xs []T, n int) []T {
+	return slices.Grow(xs[:0], n)[:n]
+}
+
+// newNetwork fills n with the Fig. 4 network over cands, carrying no flow,
+// in the storage n kept from its previous fill.
+func (p *Problem) newNetwork(n *network, cands [][]candidate) {
 	nFF, nR := len(cands), len(p.Array.Rings)
-	g := mcmf.NewGraph(ffBase + nFF + nR)
+	if n.g == nil {
+		n.g = mcmf.NewGraph(0)
+	}
+	g := n.g
+	g.Reset(ffBase + nFF + nR)
 	g.Obs = p.Obs
 	g.Stop = p.Stop
 	ffArcs := 0
@@ -396,40 +426,40 @@ func (p *Problem) newNetwork(cands [][]candidate) *network {
 		ffArcs += len(cs)
 	}
 	g.Reserve(nFF + ffArcs + nR)
-	n := &network{
-		g:        g,
-		cands:    cands,
-		src:      make([]mcmf.ArcID, nFF),
-		arcs:     make([][]mcmf.ArcID, nFF),
-		sink:     make([]mcmf.ArcID, nR),
-		capacity: p.Capacity,
-	}
+	n.cands, n.capacity, n.preloaded = cands, p.Capacity, 0
+	n.src = resize(n.src, nFF)
+	n.arcs = resize(n.arcs, nFF)
+	n.sink = resize(n.sink, nR)
 	for i := range cands {
 		n.src[i] = g.AddArc(srcNode, ffBase+i, 1, 0)
 	}
-	ids := make([]mcmf.ArcID, 0, ffArcs) // one backing array for every row
+	ids := resize(n.ids, ffArcs)[:0] // room for every row: append never moves it
 	for i, cs := range cands {
 		for _, c := range cs {
 			ids = append(ids, g.AddArc(ffBase+i, ffBase+nFF+c.ring, 1, c.cost))
 		}
 		n.arcs[i] = ids[len(ids)-len(cs):]
 	}
+	n.ids = ids
 	for j := range n.sink {
 		n.sink[j] = g.AddArc(ffBase+nFF+j, sinkNode, p.Capacity[j], 0)
 	}
-	return n
 }
 
 // solveFlow is the one Fig. 4 solver behind MinCost and PatchMinCost: it
-// builds the network over cands, preloads it under the ring prices price
-// and the previous rings prev (nil: none), routes the remaining flip-flops
-// along successive shortest paths, and reads back each flip-flop's
-// candidate. It also returns the prices p_j = max(0, pot[t] - pot[ring_j])
-// of its final potentials, the start of a later patch (DESIGN.md section
-// 23).
-func (p *Problem) solveFlow(cands [][]candidate, price []float64, prev []int) ([]candidate, []float64, error) {
-	n := p.newNetwork(cands)
-	pot := p.preloadPriced(n, price, prev)
+// builds the network over cands in ws (nil: a fresh one), preloads it
+// under the ring prices price and the previous rings prev (nil: none),
+// routes the remaining flip-flops along successive shortest paths, and
+// reads back each flip-flop's candidate into ws. It also returns the
+// prices p_j = max(0, pot[t] - pot[ring_j]) of its final potentials, the
+// start of a later patch (DESIGN.md section 23).
+func (p *Problem) solveFlow(ws *Workspace, cands [][]candidate, price []float64, prev []int) ([]candidate, []float64, error) {
+	if ws == nil {
+		ws = &Workspace{}
+	}
+	n := &ws.net
+	p.newNetwork(n, cands)
+	pot := p.preloadPriced(ws, price, prev)
 	deficit := len(cands) - n.preloaded
 	flow, _, err := n.g.MinCostFlowFrom(srcNode, sinkNode, deficit, pot)
 	if err != nil {
@@ -438,7 +468,8 @@ func (p *Problem) solveFlow(cands [][]candidate, price []float64, prev []int) ([
 	if flow < deficit {
 		return nil, nil, fmt.Errorf("assign: only %d of %d flip-flops assignable under capacities (increase K or capacity): %w", n.preloaded+flow, len(cands), ErrInfeasible)
 	}
-	choice := make([]candidate, len(cands))
+	choice := resize(ws.choice, len(cands))
+	ws.choice = choice
 	for i, cs := range cands {
 		found := false
 		for k := range cs {
@@ -466,15 +497,15 @@ func (p *Problem) solveFlow(cands [][]candidate, price []float64, prev []int) ([
 // bounds the reduced costs it leaves by -keepTol.
 const keepTol = 1e-9
 
-// preloadPriced is solveFlow's preload. Under ring prices p_j >= 0 (nil:
-// all zero), every flip-flop, in index order, goes on the candidate k that
-// minimizes c_ij + p_j, the first such in its cost-sorted row, while that
-// ring has capacity left; a flip-flop with a previous ring prev[i] >= 0
-// (nil: none) goes there instead when that ring prices within keepTol of
-// the minimum. A priced ring left with room loses its price and the
-// preload reruns, so at most rings+1 passes run; assign.preload.repairs
-// counts the prices dropped and assign.preload.kept the flip-flops left on
-// their previous ring. The potentials are pot[FF_i] = -(c_ik + p_k) of the
+// preloadPriced is solveFlow's preload, on the network in ws. Under ring
+// prices p_j >= 0 (nil: all zero), every flip-flop, in index order, goes
+// on the candidate k that minimizes c_ij + p_j, the first such in its
+// cost-sorted row, while that ring has capacity left; a flip-flop with a
+// previous ring prev[i] >= 0 (nil: none) goes there instead when that ring
+// prices within keepTol of the minimum. A priced ring left with room loses
+// its price and the preload reruns, so at most rings+1 passes run;
+// assign.preload.repairs counts the prices dropped and assign.preload.kept
+// the flip-flops left on their previous ring. The potentials are pot[FF_i] = -(c_ik + p_k) of the
 // chosen candidate, pot[ring_j] = -p_j and 0 at the source and target,
 // under which every residual arc except the reverse arcs into the source
 // has a reduced cost of at least -keepTol: unused FF->ring arcs
@@ -484,13 +515,17 @@ const keepTol = 1e-9
 // With no prices and no previous rings this is the cheapest-ring preload
 // of DESIGN.md section 19.1, bit for bit: pot[ring_j] is written only when
 // p_j > 0.
-func (p *Problem) preloadPriced(n *network, price []float64, prev []int) []float64 {
+func (p *Problem) preloadPriced(ws *Workspace, price []float64, prev []int) []float64 {
+	n := &ws.net
 	nFF, nR := len(n.cands), len(n.sink)
-	pr := make([]float64, nR) // a copy: price may belong to a shared matrix
+	pr := resize(ws.pr, nR) // a copy: price may belong to a shared matrix
+	clear(pr)
 	copy(pr, price)
-	best := make([]int, nFF) // per FF: preloaded candidate, -1 if its ring was full
-	pot := make([]float64, n.g.NumNodes())
-	used := make([]int, nR)
+	best := resize(ws.best, nFF) // per FF: preloaded candidate, -1 if its ring was full
+	pot := resize(ws.pot, n.g.NumNodes())
+	clear(pot)
+	used := resize(ws.used, nR)
+	ws.pr, ws.best, ws.pot, ws.used = pr, best, pot, used
 	for {
 		clear(used)
 		for i, cs := range n.cands {

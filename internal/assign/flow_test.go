@@ -82,7 +82,7 @@ func solveBoth(t *testing.T, p *Problem, cands [][]candidate, reg *obs.Registry)
 	p.Obs = nil
 	want, wantErr = referenceMinCost(p, cands)
 	p.Obs = reg
-	choice, price, gotErr := p.solveFlow(cands, nil, nil)
+	choice, price, gotErr := p.solveFlow(nil, cands, nil, nil)
 	if gotErr == nil {
 		got = p.finish(cands, choice, price)
 	}
@@ -292,11 +292,11 @@ func TestPreloadDualFeasible(t *testing.T) {
 				other.Capacity[j] = len(other.FFs)/nR + 1
 			}
 		}
-		_, stale, err := other.solveFlow(preparedCands(t, other), nil, nil)
+		_, stale, err := other.solveFlow(nil, preparedCands(t, other), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		own, final, err := p.solveFlow(cands, nil, nil)
+		own, final, err := p.solveFlow(nil, cands, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -314,6 +314,7 @@ func TestPreloadDualFeasible(t *testing.T) {
 			}
 			huge[j] = 1e4 * maxCost * (1 + rng.Float64())
 		}
+		ws := &Workspace{} // refilled by every case
 		for _, tc := range []struct {
 			name  string
 			price []float64
@@ -322,8 +323,9 @@ func TestPreloadDualFeasible(t *testing.T) {
 			name, price := tc.name, tc.price
 			reg := obs.NewRegistry()
 			p.Obs = reg
-			n := p.newNetwork(cands)
-			pot := p.preloadPriced(n, price, tc.prev)
+			n := &ws.net
+			p.newNetwork(n, cands)
+			pot := p.preloadPriced(ws, price, tc.prev)
 			tol := 0.0
 			for _, v := range pot {
 				tol = math.Max(tol, 1e-9*math.Abs(v))

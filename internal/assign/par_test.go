@@ -72,7 +72,7 @@ func TestAssignDeterministicAcrossWorkerCounts(t *testing.T) {
 		for i := 0; i < len(p.FFs); i += 7 {
 			p.FFs[i].Pos = geom.Pt(p.FFs[i].Pos.X+25, p.FFs[i].Pos.Y)
 		}
-		a, err := PatchMinCost(p, prev)
+		a, err := PatchMinCost(p, prev, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

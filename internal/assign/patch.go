@@ -33,11 +33,19 @@ import (
 // needed — a moved, retargeted, pinned or new flip-flop simply has a new
 // row. The result is cost-equal to MinCost on the same Problem (the
 // assignment itself may differ when optima tie).
-func PatchMinCost(p *Problem, prev *Assignment) (*Assignment, error) {
+//
+// ws, when non-nil, lends the solve its flow network and buffers, so a
+// caller that patches one solve after another, such as an ECO state,
+// allocates them once; nil allocates fresh ones. The answer never depends
+// on ws, and the returned Assignment holds none of it.
+func PatchMinCost(p *Problem, prev *Assignment, ws *Workspace) (*Assignment, error) {
 	if err := p.normalize(); err != nil {
 		return nil, err
 	}
-	reuse, price, rings, err := p.fromPrevious(prev)
+	if ws == nil {
+		ws = &Workspace{}
+	}
+	reuse, price, rings, err := p.fromPrevious(prev, ws)
 	if err != nil {
 		return nil, err
 	}
@@ -59,7 +67,7 @@ func PatchMinCost(p *Problem, prev *Assignment) (*Assignment, error) {
 		return p.finish(cands, choice, nil), nil
 	}
 
-	choice, final, err := p.solveFlow(cands, price, rings)
+	choice, final, err := p.solveFlow(ws, cands, price, rings)
 	if err != nil {
 		return nil, fmt.Errorf("assign: patch: %w", err)
 	}
@@ -70,9 +78,9 @@ func PatchMinCost(p *Problem, prev *Assignment) (*Assignment, error) {
 // solved over p's ring array, it returns prev's ring prices (nil for an
 // assigner other than the flow) and, per flip-flop, prev's candidate row
 // and ring where every input of that row is unchanged (nil and -1: solve
-// it); otherwise none of them. The assign.patch.reused counter records how
-// many rows were kept.
-func (p *Problem) fromPrevious(prev *Assignment) (reuse [][]candidate, price []float64, rings []int, err error) {
+// it); otherwise none of them. The per-flip-flop lists are ws's storage.
+// The assign.patch.reused counter records how many rows were kept.
+func (p *Problem) fromPrevious(prev *Assignment, ws *Workspace) (reuse [][]candidate, price []float64, rings []int, err error) {
 	if prev == nil || prev.m == nil {
 		return nil, nil, nil, nil
 	}
@@ -86,14 +94,18 @@ func (p *Problem) fromPrevious(prev *Assignment) (reuse [][]candidate, price []f
 	bits := math.Float64bits
 	kept := 0
 	if m.k == p.K && m.fallback == p.TapFallback {
-		byCell := make(map[int]int, len(m.ffs))
+		if ws.byCell == nil {
+			ws.byCell = make(map[int]int, len(m.ffs))
+		}
+		byCell := ws.byCell
+		clear(byCell)
 		for j, ff := range m.ffs {
 			byCell[ff.Cell] = j
 		}
-		reuse = make([][]candidate, len(p.FFs))
-		rings = make([]int, len(p.FFs))
+		reuse, rings = resize(ws.reuse, len(p.FFs)), resize(ws.rings, len(p.FFs))
+		ws.reuse, ws.rings = reuse, rings
 		for i, ff := range p.FFs {
-			rings[i] = -1
+			reuse[i], rings[i] = nil, -1
 			j, ok := byCell[ff.Cell]
 			if !ok {
 				continue

@@ -2,10 +2,12 @@ package assign
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -43,7 +45,7 @@ func TestPatchMinCostMatchesScratch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, err := PatchMinCost(edited, base)
+	got, err := PatchMinCost(edited, base, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +68,7 @@ func TestPatchMinCostAllClean(t *testing.T) {
 		reg := obs.NewRegistry()
 		p2 := testProblem(t, 200, seed)
 		p2.Array, p2.Obs = p.Array, reg
-		got, err := PatchMinCost(p2, base)
+		got, err := PatchMinCost(p2, base, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +104,7 @@ func TestPatchMinCostStalePrior(t *testing.T) {
 	p2 := testProblem(t, 30, 31)
 	reg := obs.NewRegistry()
 	p2.Array, p2.Obs = p.Array, reg
-	got, err := PatchMinCost(p2, &prev)
+	got, err := PatchMinCost(p2, &prev, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +145,7 @@ func TestPatchMinCostRespectsPin(t *testing.T) {
 	p2.Array = p.Array
 	p2.Pin = pin
 	p2.TapFallback = true
-	got, err := PatchMinCost(p2, base)
+	got, err := PatchMinCost(p2, base, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +170,7 @@ func TestPatchMinCostCorruptionSite(t *testing.T) {
 		Site: faultinject.SiteAssignPatch, Err: errors.New("corrupt"),
 	})()
 	p2 := testProblem(t, 30, 47)
-	got, err := PatchMinCost(p2, base)
+	got, err := PatchMinCost(p2, base, nil)
 	if err != nil {
 		t.Fatalf("corruption must be silent, got error %v", err)
 	}
@@ -189,7 +191,7 @@ func TestPatchMinCostInfeasibleAndStop(t *testing.T) {
 	bad := testProblem(t, 20, 3)
 	bad.Array = p.Array
 	bad.Capacity = make([]int, 9)
-	if _, err := PatchMinCost(bad, base); !errors.Is(err, ErrInfeasible) {
+	if _, err := PatchMinCost(bad, base, nil); !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("zero capacity: err = %v, want ErrInfeasible", err)
 	}
 
@@ -198,7 +200,7 @@ func TestPatchMinCostInfeasibleAndStop(t *testing.T) {
 	tok, cancel := stop.WithTimeout(-time.Second)
 	defer cancel()
 	stopped.Stop = tok
-	if _, err := PatchMinCost(stopped, base); !stop.IsStop(err) {
+	if _, err := PatchMinCost(stopped, base, nil); !stop.IsStop(err) {
 		t.Fatalf("expired token: err = %v, want stop error", err)
 	}
 }
@@ -213,13 +215,13 @@ func TestPatchMinCostPrevRingLengthMismatch(t *testing.T) {
 	}
 	stale := *base
 	stale.Ring = stale.Ring[:3]
-	if _, err := PatchMinCost(testProblem(t, 10, 5), &stale); err == nil {
+	if _, err := PatchMinCost(testProblem(t, 10, 5), &stale, nil); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
 	reg := obs.NewRegistry()
 	p := testProblem(t, 10, 5)
 	p.Obs = reg
-	got, err := PatchMinCost(p, nil)
+	got, err := PatchMinCost(p, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +247,7 @@ func TestPatchReusesUnchangedRows(t *testing.T) {
 		q := parProblem(t, 80, 7)
 		q.Array, q.Obs = p.Array, reg
 		edit(q)
-		a, err := PatchMinCost(q, prev)
+		a, err := PatchMinCost(q, prev, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -309,7 +311,7 @@ func TestPatchReuseNeedsSameInputs(t *testing.T) {
 		q := parProblem(t, 40, 9)
 		q.Array, q.Obs = p.Array, reg
 		tc.edit(q)
-		got, err := PatchMinCost(q, prev)
+		got, err := PatchMinCost(q, prev, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -380,12 +382,12 @@ func TestPatchAnyPricesMatchesScratch(t *testing.T) {
 			p.K = 3 + rng.Intn(nR-2)
 		}
 		cands := preparedCands(t, p)
-		want, _, err := p.solveFlow(cands, nil, nil)
+		want, _, err := p.solveFlow(nil, cands, nil, nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		other := testProblem(t, 20+rng.Intn(60), rng.Int63())
-		_, stale, err := other.solveFlow(preparedCands(t, other), nil, nil)
+		_, stale, err := other.solveFlow(nil, preparedCands(t, other), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -402,7 +404,7 @@ func TestPatchAnyPricesMatchesScratch(t *testing.T) {
 			price []float64
 		}{{"random", random}, {"sparse", sparse}, {"huge", huge}, {"stale", stale}} {
 			name, price := tc.name, tc.price
-			got, _, err := p.solveFlow(cands, price, nil)
+			got, _, err := p.solveFlow(nil, cands, price, nil)
 			if err != nil {
 				t.Fatalf("trial %d, %s prices: %v", trial, name, err)
 			}
@@ -427,7 +429,9 @@ func TestPatchAnyPricesMatchesScratch(t *testing.T) {
 // patch's answer and prices, through moves, retargets, pins and unpins,
 // capacity changes and added and removed flip-flops, and checks every step
 // against a cold MinCost of the same instance: the same feasibility, and
-// totals within 1e-9 relative.
+// totals within 1e-9 relative. Every patch runs again in one Workspace
+// shared by the whole chain, failed solves included, and must match the
+// patch without one bit for bit, ring prices included.
 func TestPatchChainMatchesScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	base := testProblem(t, 50, 43)
@@ -455,6 +459,7 @@ func TestPatchChainMatchesScratch(t *testing.T) {
 		t.Fatal(err)
 	}
 	var paths, deficits int64
+	ws := &Workspace{}
 	for step := 0; step < 200; step++ {
 		i := rng.Intn(len(ffs))
 		switch op := rng.Intn(7); op {
@@ -492,9 +497,19 @@ func TestPatchChainMatchesScratch(t *testing.T) {
 		reg := obs.NewRegistry()
 		q := mk()
 		q.Obs = reg
-		warm, warmErr := PatchMinCost(q, prev)
+		warm, warmErr := PatchMinCost(q, prev, nil)
 		if (coldErr != nil) != (warmErr != nil) {
 			t.Fatalf("step %d: patch error %v, cold error %v", step, warmErr, coldErr)
+		}
+		lent, lentErr := PatchMinCost(mk(), prev, ws)
+		if fmt.Sprint(lentErr) != fmt.Sprint(warmErr) {
+			t.Fatalf("step %d: error %v with a workspace, %v without", step, lentErr, warmErr)
+		}
+		if warmErr == nil {
+			assertBitEqual(t, lent, warm)
+			if !slices.Equal(lent.m.price, warm.m.price) {
+				t.Fatalf("step %d: prices %v with a workspace, %v without", step, lent.m.price, warm.m.price)
+			}
 		}
 		if coldErr != nil {
 			if !errors.Is(coldErr, ErrInfeasible) || !errors.Is(warmErr, ErrInfeasible) {
@@ -545,7 +560,7 @@ func TestPatchChainRetention(t *testing.T) {
 		} else {
 			ffs[i].Target = rng.Float64() * arr.Params.Period
 		}
-		next, err := PatchMinCost(&Problem{Array: arr, FFs: append([]FF(nil), ffs...)}, prev)
+		next, err := PatchMinCost(&Problem{Array: arr, FFs: append([]FF(nil), ffs...)}, prev, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

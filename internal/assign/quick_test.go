@@ -77,7 +77,7 @@ func TestMinCostRowReuseBitEquality(t *testing.T) {
 		reg := obs.NewRegistry()
 		q := edit()
 		q.Obs = reg
-		warm, err := PatchMinCost(q, prev)
+		warm, err := PatchMinCost(q, prev, nil)
 		if err != nil {
 			t.Fatalf("seed %d patch: %v", seed, err)
 		}
@@ -110,7 +110,7 @@ func TestMinMaxCapRowReuseBitEquality(t *testing.T) {
 		reg := obs.NewRegistry()
 		q := sameArray(p)
 		q.Obs = reg
-		warm, err := PatchMinCost(q, prev)
+		warm, err := PatchMinCost(q, prev, nil)
 		if err != nil {
 			t.Fatalf("seed %d patch: %v", seed, err)
 		}

@@ -31,7 +31,8 @@ func TestECOBenchPoint(t *testing.T) {
 // TestECOSmoke20k is the CI eco smoke (`scripts/ci.sh eco`): 20 random
 // single-delta edits at 20k cells, every edit proven equivalent to the
 // scratch arm, the mean edit at least 5x faster than a full re-run, and the
-// scoped timing re-propagating at most a quarter of FFs x edits sources.
+// scoped timing re-propagating fewer sources over all the edits than half
+// of one full rebuild.
 // Gated behind an env var so tier-1 `go test` stays fast.
 func TestECOSmoke20k(t *testing.T) {
 	if os.Getenv("ROTARY_ECO_SMOKE") == "" {
@@ -49,12 +50,13 @@ func TestECOSmoke20k(t *testing.T) {
 		t.Errorf("dirty fraction %.3f%% exceeds the 1%% bound", 100*pt.DirtyCellFrac)
 	}
 	// Scoped timing: the state starts with its STA cache built, so every
-	// edit re-propagates only its dirty sources. A silent fall back to full
-	// passes would re-propagate FFs x Edits.
-	full := int64(pt.FFs) * int64(pt.Edits)
-	t.Logf("eco.sta.sources = %d of %d flip-flops x edits", pt.STASources, full)
-	if pt.STASources == 0 || 4*pt.STASources > full {
-		t.Errorf("eco.sta.sources = %d over %d edits of %d flip-flops, want at most a quarter of %d",
-			pt.STASources, pt.Edits, pt.FFs, full)
+	// edit re-propagates only its dirty sources: 449 over the 20 edits of
+	// seed 1. The bound, half the flip-flop count (1,000 sources), is about
+	// twice that, and one edit that rebuilt the cache in full would
+	// re-propagate every flip-flop on its own.
+	t.Logf("eco.sta.sources = %d over %d edits of %d flip-flops", pt.STASources, pt.Edits, pt.FFs)
+	if pt.STASources == 0 || 2*pt.STASources > int64(pt.FFs) {
+		t.Errorf("eco.sta.sources = %d over %d edits, want at most half of one full rebuild (%d flip-flops)",
+			pt.STASources, pt.Edits, pt.FFs)
 	}
 }

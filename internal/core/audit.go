@@ -84,7 +84,7 @@ func Audit(c *netlist.Circuit, cfg Config, res *Result) error {
 	if err != nil {
 		return fmt.Errorf("core: audit: %w", err)
 	}
-	cons := skew.Constraints(pairs, T, res.WorkSlack, cfg.TModel.TSetup, cfg.TModel.THold)
+	cons := skew.Constraints(nil, pairs, T, res.WorkSlack, cfg.TModel.TSetup, cfg.TModel.THold)
 	if v := skew.Verify(res.Schedule, cons); v > 1e-6 {
 		return fmt.Errorf("core: audit: schedule violates timing constraints by %v ps at slack %v",
 			v, res.WorkSlack)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -81,6 +82,52 @@ func TestNewECOStateRejectsIncomplete(t *testing.T) {
 	if _, err := NewECOState(c, cfg, &skewed); err == nil ||
 		!strings.Contains(err.Error(), "out of step") {
 		t.Errorf("truncated schedule: err = %v", err)
+	}
+}
+
+// TestApplyECOAllocBudget bounds what one incremental edit allocates: the
+// mean of runtime.MemStats.TotalAlloc over 100 single-delta ApplyECO edits
+// on the 3k base of BenchmarkApplyECO, drawn as it draws them, the first
+// edit (which fills the state's workspace) included and the draws outside
+// the measurement. Measured at 205 KiB per edit (2-core x86, Go 1.24); the
+// bound is 300 KiB. An edit that rebuilt a design-sized buffer, such as the
+// Fig. 4 network (about 100 KB here), the sequential pairs or their
+// constraints, would cross it.
+func TestApplyECOAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race changes what an edit allocates")
+	}
+	const edits, bound = 100, 300 << 10
+	c, err := netlist.Generate(netlist.GenSpec{Name: "eco-base", Cells: 3000, FlipFlops: 300, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{NumRings: 16, MaxIters: 2}
+	res, err := Run(c, cfg)
+	if err != nil || res.Degraded {
+		t.Fatalf("base flow: %v", err)
+	}
+	st, err := NewECOState(c.Clone(), cfg, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	var before, after runtime.MemStats
+	total := uint64(0)
+	for e := 0; e < edits; e++ {
+		ds := eco.RandomDeltas(rng, st.Circuit, len(st.Array.Rings), 1)
+		runtime.ReadMemStats(&before)
+		out, err := ApplyECO(st, ds, cfg, eco.Options{})
+		runtime.ReadMemStats(&after)
+		if err != nil || out.Outcome.Degraded {
+			t.Fatalf("edit %d %v: %v", e, ds, err)
+		}
+		total += after.TotalAlloc - before.TotalAlloc
+	}
+	mean := total / edits
+	t.Logf("%d bytes per edit over %d edits, bound %d", mean, edits, bound)
+	if mean > bound {
+		t.Errorf("an edit allocates %d bytes on average, bound %d", mean, bound)
 	}
 }
 

@@ -773,7 +773,7 @@ func (f *flow) costDrivenRecover(pairs []skew.SeqPair, mWork float64, msSched []
 	var err error
 	for li, m := range ladder {
 		var t []float64
-		if t, err = f.costDriven(skew.Constraints(pairs, cfg.Params.Period, m, cfg.TModel.TSetup, cfg.TModel.THold)); err == nil {
+		if t, err = f.costDriven(skew.Constraints(nil, pairs, cfg.Params.Period, m, cfg.TModel.TSetup, cfg.TModel.THold)); err == nil {
 			return t, m, nil
 		}
 		if cfg.Strict || !errors.Is(err, skew.ErrInfeasible) {

@@ -70,7 +70,7 @@ func TestRunScheduleMeetsConstraints(t *testing.T) {
 	}
 	// The flow reports the slack margin the final schedule is feasible at
 	// (recomputed for the final placement's timing).
-	cons := skew.Constraints(pairs, 1000, res.WorkSlack, model.TSetup, model.THold)
+	cons := skew.Constraints(nil, pairs, 1000, res.WorkSlack, model.TSetup, model.THold)
 	if v := skew.Verify(res.Schedule, cons); v > 1e-6 {
 		t.Errorf("final schedule violates constraints by %v ps", v)
 	}

@@ -37,21 +37,27 @@ func Apply(st *State, deltas []Delta, opt Options) (*Outcome, error) {
 	c := st.Circuit
 	tok := opt.Stop
 	out := &Outcome{}
+	if st.ws == nil {
+		st.ws = &workspace{}
+	}
+	w := st.ws
 
-	prevPos := c.Positions()
 	pinned := clonePinned(st.Pinned)
 	if pinned == nil {
 		pinned = map[int]int{}
 	}
 	var undos []func()
+	// Phase 2 moves only the dirty cells; placed and placedAt record them
+	// and their positions from before it. Every delta's undo restores the
+	// cells that delta edited.
+	var placed []int
+	var placedAt []geom.Point
 	rollback := func() {
+		for i, id := range placed {
+			c.Cells[id].Pos = placedAt[i]
+		}
 		for i := len(undos) - 1; i >= 0; i-- {
 			undos[i]()
-		}
-		if err := c.SetPositions(prevPos); err != nil {
-			// The snapshot came from this circuit; a mismatch is impossible
-			// unless a delta resized it, which no delta does.
-			panic(fmt.Sprintf("eco: rollback: %v", err))
 		}
 	}
 	// fail finishes a failed solver phase: roll back, then either raise
@@ -133,6 +139,11 @@ func Apply(st *State, deltas []Delta, opt Options) (*Outcome, error) {
 	// against the rest of the placement as a boundary condition.
 	plSp := span.Child("eco.place")
 	if len(dirtyCells) > 0 {
+		placed, placedAt = dirtyCells, slices.Grow(w.placedAt[:0], len(dirtyCells))[:len(dirtyCells)]
+		for i, id := range placed {
+			placedAt[i] = c.Cells[id].Pos
+		}
+		w.placedAt = placedAt
 		moved, err := sys.SolveDirty(dirtyCells, tok)
 		if err != nil {
 			plSp.End()
@@ -152,27 +163,38 @@ func Apply(st *State, deltas []Delta, opt Options) (*Outcome, error) {
 	// edit touched; the schedule repair, seeded from the previous schedule,
 	// is one O(m) verification round when nothing regressed.
 	schedSp := span.Child("eco.sched")
-	ffCells := c.FlipFlops()
-	n := len(ffCells)
-	if n == 0 {
-		rollback()
-		return nil, errors.New("eco: no flip-flops to optimize")
-	}
-	sta, pairs, err := analyze(st, timing.FFIndex(len(c.Cells), ffCells), scopeCells, scopeNets, opt.Scratch, reg)
+	sta, err := analyze(st, w, scopeCells, scopeNets, opt.Scratch, reg)
 	if err != nil {
 		schedSp.End()
 		return fail("timing analysis", err)
 	}
-	oldSched := make(map[int]float64, len(st.FFCells))
-	for i, id := range st.FFCells {
-		if i < len(st.Sched) {
-			oldSched[id] = st.Sched[i]
-		}
+	ffCells := sta.FlipFlops()
+	n := len(ffCells)
+	if n == 0 {
+		schedSp.End()
+		rollback()
+		return nil, errors.New("eco: no flip-flops to optimize")
 	}
-	seed := make([]float64, n)
+	pairs, err := sta.Pairs(w.pairs[:0], w.ffIndex(len(c.Cells), ffCells))
+	if err != nil {
+		schedSp.End()
+		return fail("timing analysis", err)
+	}
+	w.pairs = pairs
+	// oldAt[i] is flip-flop i's index in the committed schedule, -1 for a
+	// new flip-flop: both lists are in cell-ID order, so one merge finds it.
+	oldAt := slices.Grow(w.oldAt[:0], n)[:n]
+	seed := slices.Grow(w.seed[:0], n)[:n]
+	w.oldAt, w.seed = oldAt, seed
+	j := 0
 	for i, id := range ffCells {
-		if s, ok := oldSched[id]; ok {
-			seed[i] = s
+		for j < len(st.FFCells) && st.FFCells[j] < id {
+			j++
+		}
+		oldAt[i] = -1
+		if j < len(st.FFCells) && st.FFCells[j] == id && j < len(st.Sched) {
+			oldAt[i] = j
+			seed[i] = st.Sched[j]
 		} else {
 			seed[i] = ringPhaseSeed(st, c.Cells[id].Pos)
 		}
@@ -182,7 +204,8 @@ func Apply(st *State, deltas []Delta, opt Options) (*Outcome, error) {
 	var sched []float64
 	margin, schedOK, allFFsDirty := 0.0, false, false
 	for li, m := range ladder {
-		cons := skew.Constraints(pairs, T, m, st.TModel.TSetup, st.TModel.THold)
+		cons := skew.Constraints(w.cons[:0], pairs, T, m, st.TModel.TSetup, st.TModel.THold)
+		w.cons = cons
 		t, rounds, feasible, werr := skew.WarmStart(tok, reg, n, cons, seed)
 		if werr != nil {
 			schedSp.End()
@@ -226,8 +249,8 @@ func Apply(st *State, deltas []Delta, opt Options) (*Outcome, error) {
 	asgSp := span.Child("eco.assign")
 	dirtyFFs := 0
 	for i, id := range ffCells {
-		old, had := oldSched[id]
-		schedChanged := !had || math.Float64bits(old) != math.Float64bits(sched[i])
+		j := oldAt[i]
+		schedChanged := j < 0 || math.Float64bits(st.Sched[j]) != math.Float64bits(sched[i])
 		if allFFsDirty || dirtyFFSet[id] || schedChanged {
 			dirtyFFs++
 		}
@@ -235,20 +258,22 @@ func Apply(st *State, deltas []Delta, opt Options) (*Outcome, error) {
 	out.DirtyFFs = dirtyFFs
 	reg.Add("eco.dirty.ffs", int64(dirtyFFs))
 
+	// The problem's flip-flops and pins are workspace buffers: the
+	// assignment keeps copies of both.
 	var pin []int
 	if len(pinned) > 0 {
-		pin = make([]int, n)
-		for i := range pin {
-			pin[i] = -1
-		}
+		pin = slices.Grow(w.pin[:0], n)[:n]
+		w.pin = pin
 		for i, id := range ffCells {
+			pin[i] = -1
 			if r, ok := pinned[id]; ok {
 				pin[i] = r
 			}
 		}
 	}
 	mkProblem := func(r assign.Relaxation) *assign.Problem {
-		ffs := make([]assign.FF, n)
+		ffs := slices.Grow(w.ffs[:0], n)[:n]
+		w.ffs = ffs
 		for i, id := range ffCells {
 			ffs[i] = assign.FF{Cell: id, Pos: c.Cells[id].Pos, Target: sched[i]}
 		}
@@ -269,7 +294,7 @@ func Apply(st *State, deltas []Delta, opt Options) (*Outcome, error) {
 	if opt.Scratch {
 		asg, err = assign.MinCost(mkProblem(first))
 	} else {
-		asg, err = assign.PatchMinCost(mkProblem(first), st.Assign)
+		asg, err = assign.PatchMinCost(mkProblem(first), st.Assign, &w.asg)
 	}
 	if err != nil && errors.Is(err, assign.ErrInfeasible) && !opt.Strict {
 		// The flow's stage-3 relaxation ladder: wider candidate sets, looser
@@ -327,28 +352,27 @@ func signalWL(st *State, cells, nets []int, scratch bool, reg *obs.Registry) *Si
 	return w
 }
 
-// analyze returns the STA cache of the edited circuit and its sequential
-// pairs: st.STA updated over the edit's scope, or under Scratch a full
-// timing.NewSTA that reads no cache. It records the cache's work.
-func analyze(st *State, ffIdx []int, cells, nets []int, scratch bool, reg *obs.Registry) (*timing.STA, []skew.SeqPair, error) {
+// analyze returns the STA cache of the edited circuit: st.STA updated over
+// the edit's scope in w, or under Scratch a full timing.NewSTA that reads
+// no cache. It records the cache's work.
+func analyze(st *State, w *workspace, cells, nets []int, scratch bool, reg *obs.Registry) (*timing.STA, error) {
 	var sta *timing.STA
 	var err error
 	if scratch {
 		sta, err = timing.NewSTA(st.Circuit, st.TModel)
 	} else {
-		sta, err = st.STA.Update(st.Circuit, cells, nets)
+		sta, err = st.STA.Update(st.Circuit, cells, nets, &w.sta)
 	}
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	w := sta.Work()
-	reg.Add("eco.sta.sources", int64(w.Sources))
-	reg.Add("eco.sta.reused", int64(w.Reused))
-	if w.Full {
+	wk := sta.Work()
+	reg.Add("eco.sta.sources", int64(wk.Sources))
+	reg.Add("eco.sta.reused", int64(wk.Reused))
+	if wk.Full {
 		reg.Add("eco.sta.full", 1)
 	}
-	pairs, err := sta.Pairs(ffIdx)
-	return sta, pairs, err
+	return sta, nil
 }
 
 // sortedSet sorts xs in place and drops its duplicates.

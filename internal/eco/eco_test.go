@@ -1,6 +1,7 @@
 package eco_test
 
 import (
+	"errors"
 	"fmt"
 	"maps"
 	"math"
@@ -671,7 +672,7 @@ func TestApplyReusesTapRows(t *testing.T) {
 func sameCachedPairs(t *testing.T, label string, st *eco.State) {
 	t.Helper()
 	ffIdx := timing.FFIndex(len(st.Circuit.Cells), st.FFCells)
-	got, err := st.STA.Pairs(ffIdx)
+	got, err := st.STA.Pairs(nil, ffIdx)
 	if err != nil {
 		t.Fatalf("%s: cached pairs: %v", label, err)
 	}
@@ -956,6 +957,57 @@ func TestStateFork(t *testing.T) {
 		sameWL(t, label, f, nil)
 		if math.Float64bits(f.SignalWL.Total()) != math.Float64bits(ref.SignalWL.Total()) {
 			t.Fatalf("%s: signal WL %v, fresh state %v", label, f.SignalWL.Total(), ref.SignalWL.Total())
+		}
+	}
+}
+
+// TestApplyWorkspaceReuse: a state that applies 60 random batches of one
+// to three deltas in the workspace it keeps from edit to edit, every fifth
+// batch failing strictly inside the Fig. 4 solve after the workspace was
+// filled, agrees bit for bit after every batch with a twin that applies
+// each batch in a fresh fork, whose workspace starts empty: positions,
+// flip-flops, schedule, assignment, work slack, signal wirelength and
+// cached pairs.
+func TestApplyWorkspaceReuse(t *testing.T) {
+	c := genCircuit(t, 300, 40, 11)
+	reused, _ := baseState(t, c)
+	fresh, err := reused.Fork(c.Clone(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(13))
+	for batch := 0; batch < 60; batch++ {
+		ds := eco.RandomDeltas(rng, reused.Circuit, len(reused.Array.Rings), 1+rng.Intn(3))
+		if fresh, err = fresh.Fork(fresh.Circuit.Clone(), nil); err != nil {
+			t.Fatal(err)
+		}
+		fails := batch%5 == 4
+		for _, st := range []*eco.State{reused, fresh} {
+			restore := func() {}
+			if fails {
+				restore = faultinject.Enable(faultinject.Rule{Site: faultinject.SiteMcmfMinCostFlow, Call: 1, Err: errors.New("injected")})
+			}
+			_, err := eco.Apply(st, ds, eco.Options{Strict: true})
+			restore()
+			if (err != nil) != fails {
+				t.Fatalf("batch %d %v: err %v, want failure %v", batch, ds, err, fails)
+			}
+		}
+		label := fmt.Sprintf("batch %d", batch)
+		samePositions(t, label, reused.Circuit, fresh.Circuit)
+		sameSched(t, label, reused.Sched, fresh.Sched)
+		a, b := reused.Assign, fresh.Assign
+		if !slices.Equal(reused.FFCells, fresh.FFCells) || !slices.Equal(a.Ring, b.Ring) || !reflect.DeepEqual(a.Taps, b.Taps) ||
+			math.Float64bits(a.Total) != math.Float64bits(b.Total) ||
+			math.Float64bits(reused.WorkSlack) != math.Float64bits(fresh.WorkSlack) ||
+			math.Float64bits(reused.SignalWL.Total()) != math.Float64bits(fresh.SignalWL.Total()) {
+			t.Fatalf("%s: the reused workspace's state differs from a fresh one's", label)
+		}
+		idx := timing.FFIndex(len(c.Cells), reused.FFCells)
+		pa, errA := reused.STA.Pairs(nil, idx)
+		pb, errB := fresh.STA.Pairs(nil, idx)
+		if errA != nil || errB != nil || !slices.Equal(pa, pb) {
+			t.Fatalf("%s: cached pairs differ (%v, %v)", label, errA, errB)
 		}
 	}
 }

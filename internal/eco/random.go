@@ -2,6 +2,7 @@ package eco
 
 import (
 	"math/rand"
+	"slices"
 
 	"rotaryclk/internal/netlist"
 )
@@ -18,7 +19,11 @@ import (
 // of legal edits of the drawn kinds.
 //
 // c must validate. It is edited during the call and restored before it
-// returns, panics included, so it must not be read concurrently.
+// returns, panics included, so it must not be read concurrently. The call
+// lists c's flip-flops and single-fanin gates at most once each, when a
+// draw first needs them, and keeps both lists in step with the deltas it
+// applies; its reachability probes share one scratch. So a long sequence
+// does no O(cells) work per draw.
 func RandomDeltas(rng *rand.Rand, c *netlist.Circuit, numRings, n int) []Delta {
 	var undos []func()
 	defer func() {
@@ -28,51 +33,48 @@ func RandomDeltas(rng *rand.Rand, c *netlist.Circuit, numRings, n int) []Delta {
 	}()
 	pinned := map[int]int{}
 	die := c.Die
+	ffs, single := cellSet{c: c}, cellSet{c: c, single: true}
+	var r reach
 	var ds []Delta
 	for attempts := 0; len(ds) < n && attempts < 60*n+120; attempts++ {
 		var d Delta
 		switch rng.Intn(6) {
 		case 0, 1: // move_ff — the common ECO, drawn twice as often
-			ffs := c.FlipFlops()
-			if len(ffs) == 0 {
+			ids := ffs.list()
+			if len(ids) == 0 {
 				continue
 			}
-			id := ffs[rng.Intn(len(ffs))]
+			id := ids[rng.Intn(len(ids))]
 			x := die.Lo.X + rng.Float64()*die.W()
 			y := die.Lo.Y + rng.Float64()*die.H()
 			d = Delta{Op: OpMoveFF, Cell: id, X: x, Y: y}
 
 		case 2: // add_ff: any single-fanin gate
-			var cands []int
-			for _, cell := range c.Cells {
-				if cell.Kind == netlist.Gate && len(cell.Fanin) == 1 {
-					cands = append(cands, cell.ID)
-				}
-			}
-			if len(cands) == 0 {
+			ids := single.list()
+			if len(ids) == 0 {
 				continue
 			}
-			d = Delta{Op: OpAddFF, Cell: cands[rng.Intn(len(cands))]}
+			d = Delta{Op: OpAddFF, Cell: ids[rng.Intn(len(ids))]}
 
 		case 3: // remove_ff: keep at least one flip-flop
-			ffs := c.FlipFlops()
-			if len(ffs) <= 1 {
+			ids := ffs.list()
+			if len(ids) <= 1 {
 				continue
 			}
-			id := ffs[rng.Intn(len(ffs))]
+			id := ids[rng.Intn(len(ids))]
 			// Demoting a flip-flop to a gate removes a sequential break; skip
 			// candidates sitting on an otherwise-combinational loop.
-			if combReaches(c, id, id) {
+			if r.combReaches(c, id, id) {
 				continue
 			}
 			d = Delta{Op: OpRemoveFF, Cell: id}
 
 		case 4: // retarget_ring
-			ffs := c.FlipFlops()
-			if len(ffs) == 0 || numRings <= 0 {
+			ids := ffs.list()
+			if len(ids) == 0 || numRings <= 0 {
 				continue
 			}
-			id := ffs[rng.Intn(len(ffs))]
+			id := ids[rng.Intn(len(ids))]
 			d = Delta{Op: OpRetargetRing, Cell: id, Ring: rng.Intn(numRings)}
 
 		case 5: // edit_net
@@ -87,7 +89,7 @@ func RandomDeltas(rng *rand.Rand, c *netlist.Circuit, numRings, n int) []Delta {
 				// id's combinational cone already reaches the (non-FF)
 				// driver, that edge would close a combinational cycle.
 				id := rng.Intn(len(c.Cells))
-				if drv := net.Pins[0]; c.Cells[drv].Kind != netlist.FF && combReaches(c, id, drv) {
+				if drv := net.Pins[0]; c.Cells[drv].Kind != netlist.FF && r.combReaches(c, id, drv) {
 					continue
 				}
 				d = Delta{Op: OpEditNet, Net: e, Cell: id, Add: true}
@@ -116,23 +118,85 @@ func RandomDeltas(rng *rand.Rand, c *netlist.Circuit, numRings, n int) []Delta {
 		if ap.undo != nil {
 			undos = append(undos, ap.undo)
 		}
+		// A delta changes the kind or fanin of its own cell only.
+		ffs.update(c.Cells[d.Cell])
+		single.update(c.Cells[d.Cell])
 		ds = append(ds, d)
 	}
 	return ds
+}
+
+// cellSet lists the flip-flops of circuit c, under edit, or with single
+// set its single-fanin gates, in cell-ID order, as a scan of c would list
+// them.
+type cellSet struct {
+	c      *netlist.Circuit
+	single bool
+	ids    []int
+	built  bool
+}
+
+// in reports whether cell belongs to the set.
+func (s *cellSet) in(cell *netlist.Cell) bool {
+	if s.single {
+		return cell.Kind == netlist.Gate && len(cell.Fanin) == 1
+	}
+	return cell.Kind == netlist.FF
+}
+
+// list returns the cells, scanning c on the first call.
+func (s *cellSet) list() []int {
+	if !s.built {
+		for _, cell := range s.c.Cells {
+			if s.in(cell) {
+				s.ids = append(s.ids, cell.ID)
+			}
+		}
+		s.built = true
+	}
+	return s.ids
+}
+
+// update re-tests cell after an edit that changed no other cell's
+// membership. Before the first list there is nothing to update.
+func (s *cellSet) update(cell *netlist.Cell) {
+	if !s.built {
+		return
+	}
+	i, found := slices.BinarySearch(s.ids, cell.ID)
+	switch in := s.in(cell); {
+	case in && !found:
+		s.ids = slices.Insert(s.ids, i, cell.ID)
+	case !in && found:
+		s.ids = slices.Delete(s.ids, i, i+1)
+	}
+}
+
+// reach is the scratch of combReaches, reused across the probes of one
+// RandomDeltas call. Each probe clears only the marks it set.
+type reach struct {
+	seen   []bool
+	marked []int // the probe's search queue: every cell it marked seen
 }
 
 // combReaches reports whether a signal leaving cell from can reach cell to
 // through combinational (non-FF) cells of c. from is expanded regardless of
 // its recorded kind, so from == to probes whether demoting a flip-flop would
 // sit on a combinational loop.
-func combReaches(c *netlist.Circuit, from, to int) bool {
-	seen := make([]bool, len(c.Cells))
-	stack := []int{from}
-	seen[from] = true
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		e := c.Cells[u].Fanout
+func (r *reach) combReaches(c *netlist.Circuit, from, to int) bool {
+	if len(r.seen) != len(c.Cells) {
+		r.seen = make([]bool, len(c.Cells))
+	}
+	marked := append(r.marked[:0], from)
+	r.seen[from] = true
+	defer func() {
+		for _, u := range marked {
+			r.seen[u] = false
+		}
+		r.marked = marked
+	}()
+	for qi := 0; qi < len(marked); qi++ {
+		e := c.Cells[marked[qi]].Fanout
 		if e < 0 {
 			continue
 		}
@@ -140,11 +204,11 @@ func combReaches(c *netlist.Circuit, from, to int) bool {
 			if s == to {
 				return true
 			}
-			if seen[s] || c.Cells[s].Kind == netlist.FF {
+			if r.seen[s] || c.Cells[s].Kind == netlist.FF {
 				continue
 			}
-			seen[s] = true
-			stack = append(stack, s)
+			r.seen[s] = true
+			marked = append(marked, s)
 		}
 	}
 	return false

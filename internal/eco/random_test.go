@@ -149,16 +149,17 @@ func TestCombReaches(t *testing.T) {
 	c.AddNet("f-d", f, d) // f -> d
 	c.AddNet("d-a", d, a) // d -> a: a loop, broken only by f
 
-	if !combReaches(c, a, b) {
+	var r reach // shared by every probe, as RandomDeltas shares it
+	if !r.combReaches(c, a, b) {
 		t.Error("a should reach its direct sink b")
 	}
-	if combReaches(c, a, d) {
+	if r.combReaches(c, a, d) {
 		t.Error("a must not reach d: the only path crosses flip-flop f")
 	}
-	if !combReaches(c, f, f) {
+	if !r.combReaches(c, f, f) {
 		t.Error("demotion probe: f sits on a loop that is combinational without it")
 	}
-	if combReaches(c, b, b) {
+	if r.combReaches(c, b, b) {
 		t.Error("b does not drive a path back to itself that avoids f")
 	}
 }

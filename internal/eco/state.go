@@ -25,6 +25,18 @@
 // the dirty region the placement may move, and the edited nets. It hands
 // that scope to both caches, which keep no copy of the circuit.
 //
+// What an edit needs at the size of the design but never commits — the
+// Fig. 4 network, the sequential pairs and their constraints, the
+// flip-flop index, the rollback snapshot of the dirty cells and the STA
+// update's working memory — lives in a workspace the State owns and Apply
+// reuses from edit to edit; a Fork starts with none. An edit still spends
+// O(design) time, without allocating for it, in copying the pairs into
+// constraints, the schedule re-check's one round over every constraint,
+// the timing graph's re-level after a kind change or net edit, and the
+// Fig. 4 network's refill, one AddArc per candidate; and, allocating, in
+// the wirelength cache's copy and re-sum over every net and the
+// quadratic-system rebuild after a net edit (DESIGN.md section 28).
+//
 // Every layer is exact, not approximate: the cached pairs are bit-equal to
 // a full analysis, the warm-started schedule is the same fixpoint a batch
 // solve reaches, the patched assignment is cost-equal to a scratch solve,
@@ -36,10 +48,12 @@ package eco
 
 import (
 	"rotaryclk/internal/assign"
+	"rotaryclk/internal/geom"
 	"rotaryclk/internal/netlist"
 	"rotaryclk/internal/obs"
 	"rotaryclk/internal/placer"
 	"rotaryclk/internal/rotary"
+	"rotaryclk/internal/skew"
 	"rotaryclk/internal/stop"
 	"rotaryclk/internal/timing"
 )
@@ -83,6 +97,48 @@ type State struct {
 	Params      rotary.Params
 	TModel      timing.Model
 	Parallelism int
+
+	ws *workspace // Apply's reusable buffers; nil until the first Apply
+}
+
+// workspace holds what an edit needs at the size of the design but never
+// commits: the STA update's and the Fig. 4 solve's working memory, the
+// sequential pairs and their difference constraints, the flip-flop index,
+// the rollback snapshot of the dirty cells and the assignment problem's
+// flip-flops. Apply reuses it from edit to edit, and every buffer is
+// rewritten before it is read, so an edit reads nothing an earlier edit,
+// failed or committed, left there (DESIGN.md section 28). A State owns its
+// workspace alone; a Fork starts with none.
+type workspace struct {
+	sta   timing.Workspace
+	asg   assign.Workspace
+	pairs []skew.SeqPair
+	cons  []skew.DiffConstraint
+	// ffIdx is timing.FFIndex of the flip-flop list ffIdxOf, updated in
+	// O(flip-flops) per edit (ffIndex).
+	ffIdx, ffIdxOf []int
+	placedAt       []geom.Point // per dirty cell: its position before phase 2
+	oldAt          []int        // per flip-flop: its committed schedule index
+	seed           []float64
+	ffs            []assign.FF
+	pin            []int
+}
+
+// ffIndex returns the dense index timing.FFIndex(n, ffs) in w's storage,
+// resetting only the entries of the list it indexed last.
+func (w *workspace) ffIndex(n int, ffs []int) []int {
+	if len(w.ffIdx) != n {
+		w.ffIdx = timing.FFIndex(n, ffs)
+	} else {
+		for _, id := range w.ffIdxOf {
+			w.ffIdx[id] = -1
+		}
+		for i, id := range ffs {
+			w.ffIdx[id] = i
+		}
+	}
+	w.ffIdxOf = ffs
+	return w.ffIdx
 }
 
 // Options tunes one Apply call.
@@ -141,14 +197,16 @@ type Outcome struct {
 // schedule, the assignment with its candidate rows, Pinned, and both
 // caches. Sharing is safe because Apply writes none of them in place: it
 // commits fresh values, and it clones Pinned before a retarget writes it.
-// So forks of one state may Apply concurrently.
+// The one thing Apply does write in place, its workspace, is never
+// shared: the fork starts without one. So forks of one state may Apply
+// concurrently.
 func (st *State) Fork(c *netlist.Circuit, reg *obs.Registry) (*State, error) {
 	sys, err := st.Sys.Fork(c, reg)
 	if err != nil {
 		return nil, err
 	}
 	f := *st
-	f.Circuit, f.Sys = c, sys
+	f.Circuit, f.Sys, f.ws = c, sys, nil
 	return &f, nil
 }
 

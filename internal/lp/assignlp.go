@@ -515,6 +515,8 @@ func (s *assignSimplex) solve(maxIters int, tok *stop.Token) (AssignLPResult, er
 	stall, stallLim := 0, 2*(r+64)
 	bland := false
 	bestZ := math.Inf(1)
+	// pivTol is the smallest pivot the ratio test admits.
+	pivTol := s.tol
 	window := s.nnz / 16
 	if window < 1024 {
 		window = s.nnz
@@ -621,14 +623,14 @@ func (s *assignSimplex) solve(maxIters int, tok *stop.Token) (AssignLPResult, er
 		// working column at leavePos or the key of item leaveFF.
 		minT := math.Inf(1)
 		for k := 1; k < r; k++ {
-			if s.w[k] > s.tol {
+			if s.w[k] > pivTol {
 				if t := blocked(s.xW[k], s.w[k]); t < minT {
 					minT = t
 				}
 			}
 		}
 		for p, i := range s.ffdIdx {
-			if d := s.ffdVal[p]; d > s.tol {
+			if d := s.ffdVal[p]; d > pivTol {
 				if t := blocked(s.xKey[i], d); t < minT {
 					minT = t
 				}
@@ -641,12 +643,12 @@ func (s *assignSimplex) solve(maxIters int, tok *stop.Token) (AssignLPResult, er
 		leavePos, leaveFF := -1, int32(-1)
 		bestPiv := 0.0
 		for k := 1; k < r; k++ {
-			if w := s.w[k]; w > s.tol && blocked(s.xW[k], w) <= thresh && w > bestPiv {
+			if w := s.w[k]; w > pivTol && blocked(s.xW[k], w) <= thresh && w > bestPiv {
 				bestPiv, leavePos = w, k
 			}
 		}
 		for p, i := range s.ffdIdx {
-			if d := s.ffdVal[p]; d > s.tol && blocked(s.xKey[i], d) <= thresh && d > bestPiv {
+			if d := s.ffdVal[p]; d > pivTol && blocked(s.xKey[i], d) <= thresh && d > bestPiv {
 				bestPiv, leavePos, leaveFF = d, -1, i
 			}
 		}
@@ -667,18 +669,23 @@ func (s *assignSimplex) solve(maxIters int, tok *stop.Token) (AssignLPResult, er
 		}
 
 		// The basis change and its O(r²) inverse update. A false ok means the
-		// update was ill-conditioned and W⁻¹ is refactored from scratch.
+		// update was ill-conditioned and W⁻¹ is refactored from scratch;
+		// undo relabels the basis the change started from.
 		var ok bool
+		var undo func()
 		switch {
 		case leavePos >= 0:
 			// A working column leaves: the entering column takes its slot.
+			oldKind, oldID := s.wkKind[leavePos], s.wkID[leavePos]
 			s.setWorking(leavePos, entKind, entID, t)
+			undo = func() { s.setWorking(leavePos, oldKind, oldID, 0) }
 			ok = s.eta(leavePos, s.w)
 		case entFF == leaveFF:
 			// The item's key leaves and its entering arc becomes the new
 			// key; the working set is unchanged.
 			oldKey := s.key[leaveFF]
 			s.key[leaveFF], s.xKey[leaveFF] = entID, t
+			undo = func() { s.key[leaveFF] = oldKey }
 			ok = s.shiftKey(leaveFF, oldKey, entID)
 		default:
 			// The key leaves but the entering column belongs elsewhere:
@@ -704,14 +711,27 @@ func (s *assignSimplex) solve(maxIters int, tok *stop.Token) (AssignLPResult, er
 			oldKey, promoted := s.key[leaveFF], s.wkID[pstar]
 			s.key[leaveFF], s.xKey[leaveFF] = promoted, s.xW[pstar]
 			s.setWorking(pstar, entKind, entID, t)
+			undo = func() {
+				s.setWorking(pstar, wkArc, promoted, 0)
+				s.key[leaveFF] = oldKey
+			}
 			if ok = s.shiftKey(leaveFF, oldKey, promoted); ok {
 				s.times(s.u, c)
 				ok = s.eta(pstar, s.u)
 			}
 		}
 		if !ok || s.pivots%refactEvr == 0 {
-			if err := s.refactor(); err != nil {
-				return AssignLPResult{Status: Infeasible}, err
+			if s.refactor() != nil {
+				// The ratio test let a rounding-noise pivot through (only a
+				// Tol far below the default admits one) and the new basis is
+				// singular. Go back to the basis before it, which factored,
+				// and admit no pivot below the default tolerance from here
+				// on, as a default solve never does.
+				undo()
+				pivTol = max(s.tol, defaultTol)
+				if err := s.refactor(); err != nil {
+					return AssignLPResult{Status: Infeasible}, err
+				}
 			}
 			s.recomputeValues()
 		}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"rotaryclk/internal/obs"
@@ -921,8 +922,8 @@ func TestAssignLPMatchesReference(t *testing.T) {
 // branches fired at the default tolerance on about 27,000 instances of
 // nine shapes; a tolerance far below rounding noise lets near-zero
 // ratio-test entries through, and an instrumented copy of the solver found
-// these seeds. The ill-conditioned fallbacks end in a refactor that finds
-// W singular, an error both solvers must return alike.
+// these seeds. The ill-conditioned fallbacks are
+// TestAssignLPSurvivesSingularBasis's.
 func TestAssignLPMatchesReferenceRareBranches(t *testing.T) {
 	for _, tc := range []struct {
 		seed   int64
@@ -932,14 +933,49 @@ func TestAssignLPMatchesReferenceRareBranches(t *testing.T) {
 		{9, 1e-16, "a slack enters the basis"},
 		{297, 1e-16, "Bland pricing picks an arc"},
 		{16873, 1e-18, "Bland pricing picks a slack"},
-		{566, 1e-16, "a working column leaves with |pivot| < 1e-11"},
-		{384, 1e-16, "a promoted key's column replacement has |pivot| < 1e-11"},
-		{5587, 1e-18, "a same-item key shift has |denom| < 1e-8"},
 	} {
 		arcs, nBins := tiedAssignInstance(rand.New(rand.NewSource(tc.seed)))
 		for _, maxIters := range []int{0, 37} {
 			tag := fmt.Sprintf("seed %d (%s)/max=%d", tc.seed, tc.branch, maxIters)
 			sameAssignLP(t, tag, arcs, nBins, Options{Tol: tc.tol, MaxIters: maxIters})
+		}
+	}
+}
+
+// TestAssignLPSurvivesSingularBasis pins what a tolerance far below
+// rounding noise does on the tied instances whose ill-conditioned fallback
+// refactors a singular W: the reference solver gives up there with an
+// error, and SolveAssignLP goes back to the last basis that factored,
+// admits no pivot below the default tolerance from then on, and solves the
+// instance to the dense simplex's optimum.
+func TestAssignLPSurvivesSingularBasis(t *testing.T) {
+	for _, tc := range []struct {
+		seed   int64
+		tol    float64
+		branch string
+	}{
+		{566, 1e-16, "a working column leaves with |pivot| < 1e-11"},
+		{384, 1e-16, "a promoted key's column replacement has |pivot| < 1e-11"},
+		{5587, 1e-18, "a same-item key shift has |denom| < 1e-8"},
+	} {
+		tag := fmt.Sprintf("seed %d (%s)", tc.seed, tc.branch)
+		arcs, nBins := tiedAssignInstance(rand.New(rand.NewSource(tc.seed)))
+		opts := Options{Tol: tc.tol}
+		if _, _, err := refSolveAssignLP(arcs, nBins, opts); err == nil || !strings.Contains(err.Error(), "singular") {
+			t.Fatalf("%s: reference error %v, want a singular working basis", tag, err)
+		}
+		res, err := SolveAssignLP(arcs, nBins, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", tag, err)
+		}
+		checkAssignLPResult(t, arcs, nBins, res)
+		prob, _, _ := denseAssignLP(arcs, nBins)
+		sol, err := prob.Solve()
+		if err != nil || sol.Status != Optimal {
+			t.Fatalf("%s: dense solve %v status %v", tag, err, sol.Status)
+		}
+		if diff := math.Abs(res.Z - sol.Obj); diff > 1e-9*math.Max(1, math.Abs(sol.Obj)) {
+			t.Fatalf("%s: Z %.12g, dense %.12g", tag, res.Z, sol.Obj)
 		}
 	}
 }

@@ -162,6 +162,9 @@ type Solution struct {
 	Iters  int
 }
 
+// defaultTol is the feasibility/optimality tolerance of a zero Options.Tol.
+const defaultTol = 1e-9
+
 // ErrBadProblem is returned for structurally invalid problems.
 var ErrBadProblem = errors.New("lp: invalid problem")
 
@@ -187,7 +190,7 @@ type Options struct {
 
 func (o *Options) normalize(m, n int) {
 	if o.Tol <= 0 {
-		o.Tol = 1e-9
+		o.Tol = defaultTol
 	}
 	if o.MaxIters <= 0 {
 		o.MaxIters = 50*(m+n) + 10000

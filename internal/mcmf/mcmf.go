@@ -69,7 +69,7 @@ type Graph struct {
 	orig  []int   // original capacity per forward arc (even indices)
 	start []int32 // CSR row offsets, n+1 of them once built
 	out   []int32 // CSR arc indices
-	built int     // len(arcs) the CSR was built for
+	built int     // len(arcs) the CSR was built for, -1 after a Reset
 
 	// Dijkstra scratch, grown to n by the first search that needs it.
 	dist []float64
@@ -92,6 +92,16 @@ type Graph struct {
 // NewGraph returns a graph with n nodes (0..n-1).
 func NewGraph(n int) *Graph {
 	return &Graph{n: n}
+}
+
+// Reset empties g to n nodes and no arcs, as NewGraph(n) would, but keeps
+// the storage of its arcs, CSR index and search scratch for the arcs the
+// caller adds next. Obs and Stop are kept too. The answers of the refilled
+// graph are those of a fresh one.
+func (g *Graph) Reset(n int) {
+	g.n = n
+	g.arcs, g.orig = g.arcs[:0], g.orig[:0]
+	g.built = -1
 }
 
 // Reserve grows the arc storage to hold arcs more AddArc calls without

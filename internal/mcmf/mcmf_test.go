@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -328,6 +329,54 @@ func TestRandomFlowOptimalitySpotCheck(t *testing.T) {
 		}
 		if c2 < cost-1e-9 {
 			t.Fatalf("trial %d: second solve cheaper (%v < %v)", trial, c2, cost)
+		}
+	}
+}
+
+// TestResetMatchesFresh refills one graph through Reset and holds every
+// solve to a fresh NewGraph of the same arcs, bit for bit: flow, cost and
+// the flow on each arc. Every other refill repeats the previous arc count
+// with the arcs in reverse order, so a CSR index that survived the Reset
+// would route along the previous graph's rows.
+func TestResetMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	reused := NewGraph(0)
+	var arcs []arcSpec
+	for trial := 0; trial < 300; trial++ {
+		n := 0
+		if trial%2 == 1 {
+			n = reused.NumNodes()
+			for i, j := 0, len(arcs)-1; i < j; i, j = i+1, j-1 {
+				arcs[i], arcs[j] = arcs[j], arcs[i]
+			}
+		} else {
+			n, arcs = randomNetwork(rng)
+		}
+		fresh := NewGraph(n)
+		reused.Reset(n)
+		var ids []ArcID
+		for _, a := range arcs {
+			id := fresh.AddArc(a.u, a.v, a.cap, a.cost)
+			if rid := reused.AddArc(a.u, a.v, a.cap, a.cost); rid != id {
+				t.Fatalf("trial %d: arc id %d after Reset, fresh %d", trial, rid, id)
+			}
+			ids = append(ids, id)
+		}
+		var want, got []arcSpec
+		fresh.ResidualArcs(func(u, v int, c float64) { want = append(want, arcSpec{u, v, 0, c}) })
+		reused.ResidualArcs(func(u, v int, c float64) { got = append(got, arcSpec{u, v, 0, c}) })
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: residual arcs after Reset %v, fresh %v", trial, got, want)
+		}
+		ff, fc := maxFlow(t, fresh, 0, n-1)
+		rf, rc := maxFlow(t, reused, 0, n-1)
+		if rf != ff || math.Float64bits(rc) != math.Float64bits(fc) {
+			t.Fatalf("trial %d: flow %d cost %v after Reset, fresh %d %v", trial, rf, rc, ff, fc)
+		}
+		for _, id := range ids {
+			if reused.Flow(id) != fresh.Flow(id) {
+				t.Fatalf("trial %d: arc %d carries %d after Reset, fresh %d", trial, id, reused.Flow(id), fresh.Flow(id))
+			}
 		}
 	}
 }

@@ -99,7 +99,7 @@ func CompareECOArms(st1, st2 *eco.State, o1, o2 *eco.Outcome) error {
 // Float64bits-equal delays.
 func checkCachedPairs(st *eco.State) error {
 	ffIdx := timing.FFIndex(len(st.Circuit.Cells), st.FFCells)
-	got, err := st.STA.Pairs(ffIdx)
+	got, err := st.STA.Pairs(nil, ffIdx)
 	if err != nil {
 		return fmt.Errorf("cached pairs: %v", err)
 	}

@@ -41,7 +41,7 @@ func refFeasible(n int, cons []skew.DiffConstraint) ([]float64, bool) {
 // when no feasible M was bracketed.
 func refMaxSlack(in *SkewInstance, tol float64) (m float64, ok bool) {
 	feas := func(M float64) bool {
-		_, f := refFeasible(in.N, skew.Constraints(in.Pairs, in.T, M, in.Setup, in.Hold))
+		_, f := refFeasible(in.N, skew.Constraints(nil, in.Pairs, in.T, M, in.Setup, in.Hold))
 		return f
 	}
 	if feas(in.T) {
@@ -118,7 +118,7 @@ func refMinCycleMean(n int, cons []skew.DiffConstraint) float64 {
 // satisfy its constraint system at the claimed slack itself to within Eps.
 func CheckSkew(in *SkewInstance, seed int64) []Violation {
 	const name = "skew/maxslack"
-	refM := math.Min(in.T, refMinCycleMean(in.N, skew.Constraints(in.Pairs, in.T, 0, in.Setup, in.Hold)))
+	refM := math.Min(in.T, refMinCycleMean(in.N, skew.Constraints(nil, in.Pairs, in.T, 0, in.Setup, in.Hold)))
 	m, sched, err := skew.MaxSlack(nil, nil, in.N, in.Pairs, in.T, in.Setup, in.Hold)
 	if err != nil {
 		return violationf(name, seed, "solver failed (%v) but Karp's minimum cycle mean gives slack %.6g ps", err, refM)
@@ -132,7 +132,7 @@ func CheckSkew(in *SkewInstance, seed int64) []Violation {
 		return append(out, Violation{Oracle: name, Seed: seed,
 			Detail: fmt.Sprintf("schedule has %d entries for %d flip-flops", len(sched), in.N)})
 	}
-	if v := skew.Verify(sched, skew.Constraints(in.Pairs, in.T, m, in.Setup, in.Hold)); v > skew.Eps {
+	if v := skew.Verify(sched, skew.Constraints(nil, in.Pairs, in.T, m, in.Setup, in.Hold)); v > skew.Eps {
 		out = append(out, Violation{Oracle: name, Seed: seed,
 			Detail: fmt.Sprintf("schedule violates its own constraints by %.3g ps at slack %.12g", v, m)})
 	}
@@ -150,7 +150,7 @@ const minDeltaTol = 1e-4
 // feasible Delta was bracketed.
 func refMinDelta(in *SkewInstance, tol float64) (delta float64, ok bool) {
 	n := in.N
-	cons := skew.Constraints(in.Pairs, in.T, in.Slack, in.Setup, in.Hold)
+	cons := skew.Constraints(nil, in.Pairs, in.T, in.Slack, in.Setup, in.Hold)
 	if _, ok := refFeasible(n, cons); !ok {
 		return 0, false
 	}
@@ -195,7 +195,7 @@ func refMinDelta(in *SkewInstance, tol float64) (delta float64, ok bool) {
 func CheckMinDelta(in *SkewInstance, seed int64) []Violation {
 	const name = "skew/mindelta"
 	refD, refOK := refMinDelta(in, minDeltaTol)
-	cons := skew.Constraints(in.Pairs, in.T, in.Slack, in.Setup, in.Hold)
+	cons := skew.Constraints(nil, in.Pairs, in.T, in.Slack, in.Setup, in.Hold)
 	d, sched, err := skew.MinDelta(nil, nil, in.N, cons, in.Anchors, minDeltaTol)
 	if err != nil {
 		if refOK {

@@ -38,7 +38,7 @@ func TestMaxSlackKnownGraphs(t *testing.T) {
 		if M != tc.want {
 			t.Errorf("%s: M = %v, want %v", tc.name, M, tc.want)
 		}
-		if v := Verify(sched, Constraints(tc.pairs, T, M, setup, hold)); len(sched) != tc.n || v > Eps {
+		if v := Verify(sched, Constraints(nil, tc.pairs, T, M, setup, hold)); len(sched) != tc.n || v > Eps {
 			t.Errorf("%s: schedule %v violates its constraints by %v", tc.name, sched, v)
 		}
 		if got := reg.Counter("skew.maxslack.cycles"); got != tc.cycles {
@@ -78,7 +78,7 @@ func TestMaxSlackLinearMemory(t *testing.T) {
 	if alloc >= 64<<20 {
 		t.Errorf("max-slack solve allocated %d MB, want < 64 MB", alloc>>20)
 	}
-	if v := Verify(sched, Constraints(pairs, 1000, M, 30, 15)); v > Eps {
+	if v := Verify(sched, Constraints(nil, pairs, 1000, M, 30, 15)); v > Eps {
 		t.Errorf("schedule violates its constraints at M=%v by %v", M, v)
 	}
 }

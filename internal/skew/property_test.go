@@ -53,7 +53,7 @@ func TestPropertyFeasibleCertificatesVerifyWithinEps(t *testing.T) {
 			// Self pairs expand to self-loop constraints.
 			pairs = append(pairs, SeqPair{U: rng.Intn(n), V: rng.Intn(n), DMax: 400, DMin: 100})
 			m := (rng.Float64() - 0.5) * propT
-			cons = Constraints(pairs, propT, m, propSetup, propHold)
+			cons = Constraints(nil, pairs, propT, m, propSetup, propHold)
 		}
 		tt, ok := Feasible(n, cons)
 		if !ok {
@@ -131,7 +131,7 @@ func TestPropertyMaxSlackAchievesItsSlack(t *testing.T) {
 		}
 		// And M is maximal: the exact optimum leaves no uniform slack
 		// M + 1e-6 feasible.
-		if _, ok := Feasible(n, Constraints(pairs, propT, M+1e-6, propSetup, propHold)); ok {
+		if _, ok := Feasible(n, Constraints(nil, pairs, propT, M+1e-6, propSetup, propHold)); ok {
 			t.Fatalf("trial %d: M=%v is not maximal", trials, M)
 		}
 	}
@@ -167,7 +167,7 @@ func TestPropertyMinDeltaKeepsWorkingSlack(t *testing.T) {
 		trials++
 		// Work at half the max slack, the flow's own convention.
 		work := M / 2
-		cons := Constraints(pairs, propT, work, propSetup, propHold)
+		cons := Constraints(nil, pairs, propT, work, propSetup, propHold)
 		delta, dt, err := MinDelta(nil, nil, n, cons, randomAnchors(rng, sched), propTol)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trials, err)
@@ -203,7 +203,7 @@ func TestPropertyWeightedSumKeepsWorkingSlack(t *testing.T) {
 		}
 		trials++
 		work := M / 2
-		cons := Constraints(pairs, propT, work, propSetup, propHold)
+		cons := Constraints(nil, pairs, propT, work, propSetup, propHold)
 		targets := make([]float64, n)
 		weights := make([]float64, n)
 		for i := range targets {

@@ -144,7 +144,7 @@ func randomSystem(rng *rand.Rand, fishburn bool) (int, []DiffConstraint) {
 	if fishburn {
 		pairs := buildRandomPairs(rng, n)
 		pairs = append(pairs, SeqPair{U: rng.Intn(n), V: rng.Intn(n), DMax: 400, DMin: 100})
-		return n, Constraints(pairs, propT, (rng.Float64()-0.5)*propT, propSetup, propHold)
+		return n, Constraints(nil, pairs, propT, (rng.Float64()-0.5)*propT, propSetup, propHold)
 	}
 	var cons []DiffConstraint
 	for e := 0; e < 1+rng.Intn(3*n); e++ {
@@ -266,7 +266,7 @@ func TestMinDeltaMatchesReferenceLoop(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		n := 2 + rng.Intn(10)
 		pairs := buildRandomPairs(rng, n)
-		cons := Constraints(pairs, propT, rng.Float64()*100, propSetup, propHold)
+		cons := Constraints(nil, pairs, propT, rng.Float64()*100, propSetup, propHold)
 		anchors := make([]Anchor, n)
 		for i := range anchors {
 			anchors[i] = Anchor{A: rng.Float64() * propT, TCI: rng.Float64() * 40}

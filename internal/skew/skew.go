@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"rotaryclk/internal/faultinject"
 	"rotaryclk/internal/mcmf"
@@ -84,9 +85,11 @@ func SlackLadder(m float64) []float64 {
 //	t_V - t_U <= DMin - hold - M           (short path)
 //
 // Self pairs (U == V) become self-loop constraints 0 <= Bound, which the
-// feasibility check handles naturally.
-func Constraints(pairs []SeqPair, T, M, setup, hold float64) []DiffConstraint {
-	cons := make([]DiffConstraint, 0, 2*len(pairs))
+// feasibility check handles naturally. The constraints are appended to dst,
+// two per pair in pair order; pass nil for a fresh slice, or an earlier
+// result's storage as dst[:0] to reuse it.
+func Constraints(dst []DiffConstraint, pairs []SeqPair, T, M, setup, hold float64) []DiffConstraint {
+	cons := slices.Grow(dst, 2*len(pairs))
 	for _, p := range pairs {
 		cons = append(cons,
 			DiffConstraint{U: p.U, V: p.V, Bound: T - p.DMax - setup - M},
@@ -176,11 +179,11 @@ func MaxSlack(tok *stop.Token, reg *obs.Registry, n int, pairs []SeqPair, T, set
 	if err := faultinject.Hook(faultinject.SiteSkewMaxSlack); err != nil {
 		return 0, nil, err
 	}
-	base := Constraints(pairs, T, 0, setup, hold)
+	base := Constraints(nil, pairs, T, 0, setup, hold)
 	cons := make([]DiffConstraint, len(base))
 	dist := make([]float64, n)
 	for m := T; ; {
-		// Bound_0 - m is bit-identical to Constraints(pairs, T, m, ...).
+		// Bound_0 - m is bit-identical to Constraints(nil, pairs, T, m, ...).
 		for i, c := range base {
 			cons[i] = DiffConstraint{U: c.U, V: c.V, Bound: c.Bound - m}
 		}

@@ -11,7 +11,7 @@ import (
 
 func TestConstraintsExpansion(t *testing.T) {
 	pairs := []SeqPair{{U: 0, V: 1, DMax: 400, DMin: 100}}
-	cons := Constraints(pairs, 1000, 10, 30, 15)
+	cons := Constraints(nil, pairs, 1000, 10, 30, 15)
 	if len(cons) != 2 {
 		t.Fatalf("cons = %+v", cons)
 	}
@@ -105,7 +105,7 @@ func TestMaxSlackVsLP(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		// Schedule must satisfy constraints at slack M itself.
-		if v := Verify(sched, Constraints(pairs, T, M, setup, hold)); v > Eps {
+		if v := Verify(sched, Constraints(nil, pairs, T, M, setup, hold)); v > Eps {
 			t.Fatalf("trial %d: schedule violates constraints by %v", trial, v)
 		}
 		// LP: maximize M.

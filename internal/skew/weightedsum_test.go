@@ -76,7 +76,7 @@ func TestWeightedSumMatchesResidualDistances(t *testing.T) {
 				}
 			}
 		} else {
-			cons = Constraints(buildRandomPairs(rng, n), propT, rng.Float64()*100, propSetup, propHold)
+			cons = Constraints(nil, buildRandomPairs(rng, n), propT, rng.Float64()*100, propSetup, propHold)
 		}
 		if _, ok := Feasible(n, cons); !ok {
 			continue

@@ -146,7 +146,7 @@ func TestExtractCriticalMatchesReference(t *testing.T) {
 func refAnalyze(c *netlist.Circuit, m Model) (*Result, error) {
 	n := len(c.Cells)
 	adj := buildArcs(c, m)
-	topoIdx, err := topoOrder(c, chunk(adj))
+	topoIdx, err := topoOrder(chunk(adj), kinds(c), &Workspace{})
 	if err != nil {
 		return nil, err
 	}
@@ -244,7 +244,7 @@ func refExtractCritical(c *netlist.Circuit, m Model, slackOf func(Pair) float64,
 	}
 	n := len(c.Cells)
 	adj := buildArcs(c, m)
-	topoIdx, err := topoOrder(c, chunk(adj))
+	topoIdx, err := topoOrder(chunk(adj), kinds(c), &Workspace{})
 	if err != nil {
 		return nil, err
 	}

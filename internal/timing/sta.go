@@ -2,7 +2,6 @@ package timing
 
 import (
 	"slices"
-	"sync"
 
 	"rotaryclk/internal/faultinject"
 	"rotaryclk/internal/netlist"
@@ -19,7 +18,8 @@ import (
 //
 // An STA holds no pointer into the circuit and no kernel scratch; every
 // slice it holds is read-only once built. Concurrent readers, and
-// concurrent Updates from one shared base, are safe.
+// concurrent Updates from one shared base each with its own Workspace, are
+// safe.
 type STA struct {
 	m      Model
 	g      graph
@@ -52,7 +52,7 @@ func NewSTA(c *netlist.Circuit, m Model) (*STA, error) {
 		ffs:    c.FlipFlops(),
 	}
 	rows := make([][]Pair, n)
-	s.run(s.ffs, func(src int, row []Pair) { rows[src] = row })
+	s.run(newScratch(n), s.ffs, func(src int, row []Pair) { rows[src] = row })
 	s.rows = chunk(rows)
 	s.work = Work{Sources: len(s.ffs), Full: true}
 	return s, nil
@@ -73,15 +73,21 @@ func drivenNets(nets []*netlist.Net, n int) [][]int {
 // Work reports what the pass that built s did.
 func (s *STA) Work() Work { return s.work }
 
-// Pairs concatenates the rows in flip-flop ID order and maps them onto
+// FlipFlops returns the flip-flop cell IDs of the analyzed circuit, in
+// cell-ID order: the sources the rows belong to. The slice is shared with
+// every cache derived from s and must not be written.
+func (s *STA) FlipFlops() []int { return s.ffs }
+
+// Pairs appends the rows to dst in flip-flop ID order and maps them onto
 // schedule indices through the dense index ffIdx (FFIndex), exactly as
-// SeqPairs does for a full analysis.
-func (s *STA) Pairs(ffIdx []int) ([]skew.SeqPair, error) {
+// SeqPairs does for a full analysis. A caller that analyzes edit after edit
+// passes the previous result's storage as dst[:0].
+func (s *STA) Pairs(dst []skew.SeqPair, ffIdx []int) ([]skew.SeqPair, error) {
 	total := 0
 	for _, f := range s.ffs {
 		total += len(s.rows.at(f))
 	}
-	out := make([]skew.SeqPair, 0, total)
+	out := slices.Grow(dst, total)
 	var err error
 	for _, f := range s.ffs {
 		if out, err = appendSeqPairs(out, s.rows.at(f), ffIdx); err != nil {
@@ -91,30 +97,36 @@ func (s *STA) Pairs(ffIdx []int) ([]skew.SeqPair, error) {
 	return out, nil
 }
 
-// scratchPool recycles kernel scratch across runs. A pooled scratch may be
-// larger than the circuit at hand: the kernel touches only the cells of the
-// cone it is sourcing, re-initializes every one of them, and its epoch only
-// grows, so no leftover value is ever read.
-var scratchPool sync.Pool
+// Workspace is the working memory of STA.Update: the per-source kernel's
+// per-cell arrays, the in-degrees and queue of the re-level, and the
+// lists of the backward walk. Update writes every entry it reads first,
+// and its marks are kernel stamps of an epoch that only grows, so nothing
+// an earlier Update left behind is read. No STA holds any part of it. The
+// zero value is ready; a Workspace serves one Update at a time.
+type Workspace struct {
+	kernel                                *scratch
+	indeg, queue                          []int32
+	changed, drivers, seeds, dirty, stack []int
+}
 
-// run re-propagates the given sources on s's graph and hands each one's
-// row to put.
-func (s *STA) run(srcs []int, put func(src int, row []Pair)) {
-	if len(srcs) == 0 {
-		return
+// scratch returns w's kernel scratch, grown to n cells.
+func (w *Workspace) scratch(n int) *scratch {
+	if w.kernel == nil || len(w.kernel.stamp) < n {
+		w.kernel = newScratch(n)
 	}
-	w, _ := scratchPool.Get().(*scratch)
-	if w == nil || len(w.stamp) < len(s.g.kind) {
-		w = newScratch(len(s.g.kind))
-	}
-	defer scratchPool.Put(w)
+	return w.kernel
+}
+
+// run re-propagates the given sources on s's graph with the kernel scratch
+// k and hands each one's row to put.
+func (s *STA) run(k *scratch, srcs []int, put func(src int, row []Pair)) {
 	var row []Pair
 	capture := func(_ *cone, src, v int, dMax, dMin float64) {
 		row = append(row, Pair{From: src, To: v, DMax: dMax, DMin: dMin})
 	}
 	for _, src := range srcs {
 		row = nil
-		s.g.source(w, src, capture)
+		s.g.source(k, src, capture)
 		put(src, row)
 	}
 }
@@ -127,7 +139,8 @@ func (s *STA) run(srcs []int, put func(src int, row []Pair)) {
 // net's driver, and no ECO delta does. s is not modified; the result shares
 // every slice the edit left unchanged. Cell.Fanin must list every net a
 // cell sinks, as AddNet and every ECO delta keep it. Like Analyze it errors
-// on a combinational cycle.
+// on a combinational cycle. w lends the pass its working memory (nil: a
+// fresh one); the result does not depend on it.
 //
 // The changed nets are the scope nets plus the nets touching a scope cell
 // (its Fanin nets and the nets it drives). Their drivers' arcs are rebuilt
@@ -136,29 +149,37 @@ func (s *STA) run(srcs []int, put func(src int, row []Pair)) {
 // gates and stops at flip-flops; the flip-flops it reaches, new ones
 // included, are the dirty sources, and only they re-run the kernel.
 // DESIGN.md section 25 argues why every other row is exact.
-func (s *STA) Update(c *netlist.Circuit, cells, nets []int) (*STA, error) {
+func (s *STA) Update(c *netlist.Circuit, cells, nets []int, w *Workspace) (*STA, error) {
+	if w == nil {
+		w = &Workspace{}
+	}
 	ns := *s
-	var kindChanged []int
+	changed := w.changed[:0]
 	for _, id := range cells {
 		if c.Cells[id].Kind != s.g.kind[id] {
-			kindChanged = append(kindChanged, id)
+			changed = append(changed, id)
 		}
 	}
-	if len(kindChanged) > 0 {
+	slices.Sort(changed)
+	changed = slices.Compact(changed)
+	w.changed = changed
+	if len(changed) > 0 {
 		ns.g.kind = slices.Clone(s.g.kind)
-		for _, id := range kindChanged {
+		for _, id := range changed {
 			ns.g.kind[id] = c.Cells[id].Kind
 		}
-		ns.ffs = c.FlipFlops()
+		ns.ffs = mergeFFs(s.ffs, changed, ns.g.kind)
 	}
 
 	// Rebuild the arcs of every changed net's driver, from every net it
-	// drives.
-	seen := make([]bool, len(s.g.kind))
-	var drivers []int
+	// drives. The kernel's stamps mark the cells seen, one epoch per walk.
+	k := w.scratch(len(s.g.kind))
+	k.epoch++
+	epoch := k.epoch
+	drivers := w.drivers[:0]
 	addDriver := func(ni int) {
-		if d := c.Nets[ni].Driver(); d >= 0 && !seen[d] {
-			seen[d] = true
+		if d := c.Nets[ni].Driver(); d >= 0 && k.stamp[d] != epoch {
+			k.stamp[d] = epoch
 			drivers = append(drivers, d)
 		}
 	}
@@ -173,11 +194,13 @@ func (s *STA) Update(c *netlist.Circuit, cells, nets []int) (*STA, error) {
 			addDriver(ni)
 		}
 	}
-	clear(seen)
-	var seeds []int
+	w.drivers = drivers
+	k.epoch++
+	epoch = k.epoch
+	seeds := w.seeds[:0]
 	addSeed := func(u int) {
-		if !seen[u] {
-			seen[u] = true
+		if k.stamp[u] != epoch {
+			k.stamp[u] = epoch
 			seeds = append(seeds, u)
 		}
 	}
@@ -193,11 +216,12 @@ func (s *STA) Update(c *netlist.Circuit, cells, nets []int) (*STA, error) {
 		}
 	}
 	ns.g.adj = adj.c
-	for _, id := range kindChanged {
+	for _, id := range changed {
 		addSeed(id)
 	}
-	if len(kindChanged) > 0 || len(nets) > 0 {
-		topoIdx, err := topoOrder(c, ns.g.adj)
+	w.seeds = seeds
+	if len(changed) > 0 || len(nets) > 0 {
+		topoIdx, err := topoOrder(ns.g.adj, ns.g.kind, w)
 		if err != nil {
 			return nil, err
 		}
@@ -207,11 +231,11 @@ func (s *STA) Update(c *netlist.Circuit, cells, nets []int) (*STA, error) {
 	// Walk backward from the seeds: each seed's fanin drivers, then on
 	// through gates, stopping at flip-flops. The flip-flops reached (seeds
 	// included) are the dirty sources.
-	var dirty, stack []int
+	dirty, stack := w.dirty[:0], w.stack[:0]
 	expand := func(u int) {
 		for _, ni := range c.Cells[u].Fanin {
-			if d := c.Nets[ni].Driver(); d >= 0 && !seen[d] {
-				seen[d] = true
+			if d := c.Nets[ni].Driver(); d >= 0 && k.stamp[d] != epoch {
+				k.stamp[d] = epoch
 				stack = append(stack, d)
 			}
 		}
@@ -232,9 +256,10 @@ func (s *STA) Update(c *netlist.Circuit, cells, nets []int) (*STA, error) {
 		expand(u)
 	}
 	slices.Sort(dirty)
+	w.dirty, w.stack = dirty, stack
 
 	rows := cow[[]Pair]{c: s.rows}
-	for _, id := range kindChanged {
+	for _, id := range changed {
 		if ns.g.kind[id] != netlist.FF {
 			rows.set(id, nil)
 		}
@@ -244,8 +269,30 @@ func (s *STA) Update(c *netlist.Circuit, cells, nets []int) (*STA, error) {
 	if len(dirty) > 0 && faultinject.Hook(faultinject.SiteTimingSTAScope) != nil {
 		dirty = dirty[1:]
 	}
-	ns.run(dirty, rows.set)
+	ns.run(k, dirty, rows.set)
 	ns.rows = rows.c
 	ns.work = Work{Sources: len(dirty), Reused: len(ns.ffs) - len(dirty)}
 	return &ns, nil
+}
+
+// mergeFFs returns the flip-flop list ffs after the kind changes of the
+// cells in changed (sorted, distinct): each of them is a flip-flop after
+// the edit exactly when kind says so. The result is in cell-ID order, like
+// ffs, and ffs is not written.
+func mergeFFs(ffs, changed []int, kind []netlist.Kind) []int {
+	out := make([]int, 0, len(ffs)+len(changed))
+	i := 0
+	for _, id := range changed {
+		for i < len(ffs) && ffs[i] < id {
+			out = append(out, ffs[i])
+			i++
+		}
+		if i < len(ffs) && ffs[i] == id {
+			i++
+		}
+		if kind[id] == netlist.FF {
+			out = append(out, id)
+		}
+	}
+	return append(out, ffs[i:]...)
 }

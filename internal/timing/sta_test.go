@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"rotaryclk/internal/eco"
@@ -70,9 +71,12 @@ func sameAsAnalyze(t *testing.T, label string, sta *timing.STA, c *netlist.Circu
 	for _, f := range c.FlipFlops() {
 		ident[f] = f
 	}
-	got, err := sta.Pairs(ident)
+	got, err := sta.Pairs(nil, ident)
 	if err != nil {
 		t.Fatalf("%s: Pairs: %v", label, err)
+	}
+	if !slices.Equal(sta.FlipFlops(), c.FlipFlops()) {
+		t.Fatalf("%s: flip-flops %v, circuit %v", label, sta.FlipFlops(), c.FlipFlops())
 	}
 	if len(got) != len(want.Pairs) {
 		t.Fatalf("%s: %d pairs, full analysis %d", label, len(got), len(want.Pairs))
@@ -93,10 +97,12 @@ func sameAsAnalyze(t *testing.T, label string, sta *timing.STA, c *netlist.Circu
 // of up to three and passed to Update with their scope, leave the updated
 // cache bit-equal to a full Analyze after every update, and the previous
 // cache still bit-equal to the circuit it was built from (copy-on-write).
+// Every update runs in one Workspace shared by all circuits.
 func TestSTAUpdateMatchesAnalyze(t *testing.T) {
 	m := timing.DefaultModel()
 	ops := map[string]int{}
 	scoped := 0
+	ws := &timing.Workspace{}
 	for ci, c := range timing.DiffCircuits(t) {
 		sta, err := timing.NewSTA(c, m)
 		if err != nil {
@@ -120,7 +126,7 @@ func TestSTAUpdateMatchesAnalyze(t *testing.T) {
 				ops[ds[i].Op]++
 				i++
 			}
-			next, err := sta.Update(c, cells, nets)
+			next, err := sta.Update(c, cells, nets, ws)
 			if err != nil {
 				t.Fatalf("circuit %d step %d: %v", ci, step, err)
 			}
@@ -164,7 +170,7 @@ func TestSTAUpdateCycle(t *testing.T) {
 	if _, err := timing.Analyze(c, m); !errors.Is(err, timing.ErrCycle) {
 		t.Fatalf("Analyze: err = %v, want ErrCycle", err)
 	}
-	if next, err := sta.Update(c, []int{1}, []int{2}); !errors.Is(err, timing.ErrCycle) || next != nil {
+	if next, err := sta.Update(c, []int{1}, []int{2}, nil); !errors.Is(err, timing.ErrCycle) || next != nil {
 		t.Fatalf("Update: (%v, %v), want ErrCycle", next, err)
 	}
 	sameAsAnalyze(t, "previous cache", sta, prev, m)
@@ -177,6 +183,7 @@ func TestSTAUpdateCycle(t *testing.T) {
 func TestSTAUpdateKindOnly(t *testing.T) {
 	m := timing.DefaultModel()
 	cycles := 0
+	ws := &timing.Workspace{} // shared by every update, failed ones too
 	for ci, c := range timing.DiffCircuits(t)[:8] {
 		sta, err := timing.NewSTA(c, m)
 		if err != nil {
@@ -195,7 +202,7 @@ func TestSTAUpdateKindOnly(t *testing.T) {
 			} else {
 				cell.Kind = netlist.FF
 			}
-			next, err := sta.Update(c, []int{id}, nil)
+			next, err := sta.Update(c, []int{id}, nil, ws)
 			if _, aerr := timing.Analyze(c, m); aerr != nil {
 				if !errors.Is(err, timing.ErrCycle) || !errors.Is(aerr, timing.ErrCycle) {
 					t.Fatalf("circuit %d step %d: Update err %v, Analyze err %v", ci, step, err, aerr)
@@ -238,7 +245,7 @@ func TestSTAUpdateLeavesBaseUnchanged(t *testing.T) {
 		for id := range ident {
 			ident[id] = id
 		}
-		ps, err := s.Pairs(ident)
+		ps, err := s.Pairs(nil, ident)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -258,7 +265,7 @@ func TestSTAUpdateLeavesBaseUnchanged(t *testing.T) {
 	for _, id := range []int{0, timing.ChunkLen - 1, timing.ChunkLen, n - 1} {
 		one := c.Clone()
 		edit(one, id)
-		next, err := base.Update(one, []int{id}, nil)
+		next, err := base.Update(one, []int{id}, nil, nil)
 		if err != nil {
 			t.Fatalf("cell %d: %v", id, err)
 		}
@@ -269,7 +276,7 @@ func TestSTAUpdateLeavesBaseUnchanged(t *testing.T) {
 
 		prev, prevWant = append(prev, cur), append(prevWant, pairsOf(cur, c))
 		edit(chained, id)
-		if cur, err = cur.Update(chained, []int{id}, nil); err != nil {
+		if cur, err = cur.Update(chained, []int{id}, nil, nil); err != nil {
 			t.Fatalf("chained cell %d: %v", id, err)
 		}
 		sameAsAnalyze(t, "chained update", cur, chained, m)

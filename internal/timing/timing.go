@@ -175,46 +175,46 @@ func netArcs(dst []edge, c *netlist.Circuit, m Model, ni int) []edge {
 }
 
 // topoOrder returns a topological index per cell for combinational
-// propagation (flip-flops act as sources; arcs into flip-flops are capture
-// points and carry no ordering constraint). It errors on a combinational
-// cycle.
-func topoOrder(c *netlist.Circuit, adj chunked[[]edge]) ([]int, error) {
-	n := len(c.Cells)
-	indeg := make([]int, n)
+// propagation (flip-flops, kind FF, act as sources; arcs into flip-flops
+// are capture points and carry no ordering constraint): Kahn's order with
+// a FIFO queue seeded in cell order. It keeps its in-degrees and queue in
+// w, and errors on a combinational cycle.
+func topoOrder(adj chunked[[]edge], kind []netlist.Kind, w *Workspace) ([]int32, error) {
+	n := len(kind)
+	indeg := slices.Grow(w.indeg[:0], n)[:n]
+	clear(indeg)
 	for _, ch := range adj {
 		for _, arcs := range ch {
 			for _, e := range arcs {
-				if c.Cells[e.to].Kind != netlist.FF {
+				if kind[e.to] != netlist.FF {
 					indeg[e.to]++
 				}
 			}
 		}
 	}
-	queue := make([]int, 0, n)
-	for v := 0; v < n; v++ {
-		if indeg[v] == 0 {
-			queue = append(queue, v)
+	queue := slices.Grow(w.queue[:0], n)
+	for v, d := range indeg {
+		if d == 0 {
+			queue = append(queue, int32(v))
 		}
 	}
-	idx := make([]int, n)
-	seen := 0
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		idx[v] = seen
-		seen++
-		for _, e := range adj.at(v) {
-			if c.Cells[e.to].Kind == netlist.FF {
+	idx := make([]int32, n)
+	for head := 0; head < len(queue); head++ {
+		v := queue[head]
+		idx[v] = int32(head)
+		for _, e := range adj.at(int(v)) {
+			if kind[e.to] == netlist.FF {
 				continue
 			}
 			indeg[e.to]--
 			if indeg[e.to] == 0 {
-				queue = append(queue, e.to)
+				queue = append(queue, int32(e.to))
 			}
 		}
 	}
-	if seen != n {
-		return nil, fmt.Errorf("%w (%d of %d cells ordered)", ErrCycle, seen, n)
+	w.indeg, w.queue = indeg, queue
+	if len(queue) != n {
+		return nil, fmt.Errorf("%w (%d of %d cells ordered)", ErrCycle, len(queue), n)
 	}
 	return idx, nil
 }
@@ -281,7 +281,7 @@ func Analyze(c *netlist.Circuit, m Model) (*Result, error) {
 // the circuit, so an STA cache can keep and share it.
 type graph struct {
 	adj     chunked[[]edge]
-	topoIdx []int
+	topoIdx []int32
 	kind    []netlist.Kind
 }
 
@@ -293,15 +293,21 @@ func newGraph(c *netlist.Circuit, m Model) (*graph, error) {
 		return nil, fmt.Errorf("timing: %d cells exceed the kernel's 2^31 limit", len(c.Cells))
 	}
 	adj := chunk(buildArcs(c, m))
-	topoIdx, err := topoOrder(c, adj)
+	kind := kinds(c)
+	topoIdx, err := topoOrder(adj, kind, &Workspace{})
 	if err != nil {
 		return nil, err
 	}
+	return &graph{adj: adj, topoIdx: topoIdx, kind: kind}, nil
+}
+
+// kinds returns the kind of every cell, in cell order.
+func kinds(c *netlist.Circuit) []netlist.Kind {
 	kind := make([]netlist.Kind, len(c.Cells))
 	for i, cell := range c.Cells {
 		kind[i] = cell.Kind
 	}
-	return &graph{adj: adj, topoIdx: topoIdx, kind: kind}, nil
+	return kind
 }
 
 // cone is the D_max predecessor state of the current flip-flop source: the

@@ -317,7 +317,7 @@ func TestPairsDenseIndex(t *testing.T) {
 		if err != nil {
 			t.Fatalf("circuit %d: %v", ci, err)
 		}
-		got, err := sta.Pairs(idx)
+		got, err := sta.Pairs(nil, idx)
 		if err != nil {
 			t.Fatalf("circuit %d: Pairs: %v", ci, err)
 		}
@@ -349,7 +349,7 @@ func TestPairsDenseIndex(t *testing.T) {
 			func() []int { x := append([]int(nil), idx...); x[from] = -1; return x }(),
 			idx[:from],
 		} {
-			if _, err := sta.Pairs(short); err == nil || !strings.Contains(err.Error(), "flip-flop without a schedule index") {
+			if _, err := sta.Pairs(nil, short); err == nil || !strings.Contains(err.Error(), "flip-flop without a schedule index") {
 				t.Fatalf("circuit %d: Pairs with flip-flop %d unmapped: err %v", ci, from, err)
 			}
 			if _, err := SeqPairs(c, m, short); err == nil || !strings.Contains(err.Error(), "flip-flop without a schedule index") {

@@ -53,17 +53,19 @@
 #                         included), the clean oracle campaign (its
 #                         ECO-vs-scratch checks fail on an incomplete
 #                         scope), the shared-base /v1/eco
-#                         concurrency test under -race (it also shares the
-#                         pooled STA kernel scratch across goroutines),
-#                         one iteration of BenchmarkApplyECO/3k (an edit's
-#                         ns/op, allocs/op and paths/op; run it with a
-#                         larger -benchtime for a number), then the
+#                         concurrency test under -race (each forked state
+#                         applies its edit in a workspace of its own), the
+#                         allocation budget (mean bytes per edit over 100
+#                         edits at 3k cells), one iteration of
+#                         BenchmarkApplyECO/3k with -benchmem (an edit's
+#                         ns/op, B/op, allocs/op and paths/op; run it with
+#                         a larger -benchtime for a number), then the
 #                         smoke: 20 random single-delta edits at
 #                         20k cells through the incremental path, every
 #                         edit proven equivalent to the from-scratch arm,
 #                         mean edit latency at least 5x faster than a full
-#                         re-run, STA sources re-propagated at most a
-#                         quarter of flip-flops x edits (ECO_TIMEOUT,
+#                         re-run, STA sources re-propagated over all edits
+#                         at most half of one full rebuild (ECO_TIMEOUT,
 #                         default 15m); the 50k headline row is written
 #                         by `make scaling`
 #   scripts/ci.sh place   placement gate: every ^TestDetailed test under
@@ -230,7 +232,8 @@ eco)
     go test ./internal/eco/ -run '^(TestApplyDegradedOnDirtyCGCancel|TestApplySTACache|TestApplySignalWLCache|TestStateFork|TestSignalWLUpdate|TestRandomDeltas.*|TestCombReaches)$' -count=1 -v
     go test ./internal/oracle/ -run '^(TestFaultSTAScopeDetected|TestFaultECOSignalWLDetected|TestCampaignClean)$' -count=1 -v
     go test -race ./internal/serve/ -run '^TestECOConcurrentSharedBase$' -count=1
-    go test -run '^$' -bench 'BenchmarkApplyECO/3k' -benchtime 1x ./internal/core/
+    go test ./internal/core/ -run '^TestApplyECOAllocBudget$' -count=1 -v
+    go test -run '^$' -bench 'BenchmarkApplyECO/3k' -benchtime 1x -benchmem ./internal/core/
     go test ./internal/bench/ -run '^TestECOBenchPoint$' -count=1
     ROTARY_ECO_SMOKE=1 go test -timeout "$timeout" \
         -run '^TestECOSmoke20k$' -count=1 -v ./internal/bench/
