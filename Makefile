@@ -77,9 +77,11 @@ timing:
 
 # Skew kernel gate: kernel-vs-reference differential and early-exit tests,
 # the max-slack cycle iteration tests (known graphs, vs LP, vs Karp, linear
-# memory), the weighted-sum schedule recovery vs the reference residual
-# Bellman-Ford, the max-slack and min-Delta oracle negative tests, and the
-# golden tables.
+# memory, bit-identical to its verbatim pre-refactor copy), every min-Delta
+# test (exact Delta at anchors, under constraints and vs LP, minimal to
+# 1e-6, within [ref - 1e-3, ref + Eps] of the bisection reference), the
+# weighted-sum schedule recovery vs the reference residual Bellman-Ford, the
+# max-slack and min-Delta oracle negative tests, and the golden tables.
 skew:
 	sh scripts/ci.sh skew
 

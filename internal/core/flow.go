@@ -822,7 +822,7 @@ func (f *flow) costDriven(cons []skew.DiffConstraint) ([]float64, error) {
 		_, t, err := skew.WeightedSum(f.cfg.Stop, f.reg, n, cons, targets, weights)
 		return t, err
 	}
-	_, t, err := skew.MinDelta(f.cfg.Stop, f.reg, n, cons, anchors, 0)
+	_, t, err := skew.MinDelta(f.cfg.Stop, f.reg, n, cons, anchors)
 	return t, err
 }
 

@@ -30,11 +30,12 @@ func TestMetricsCountersDeterministicAcrossWorkerCounts(t *testing.T) {
 		if s.Flow.Metrics == nil || s.ILPFlow.Metrics == nil {
 			t.Fatalf("%s: serial run carries no metrics", s.Bench.Name)
 		}
-		// The skew kernel's work counters, the max-slack witness cycles and
-		// the assignment's preload split ride in the compared payload; they
-		// must actually be recorded for the comparison to cover them.
+		// The skew kernel's work counters, the max-slack and min-Delta
+		// witness cycles and the assignment's preload split ride in the
+		// compared payload; they must actually be recorded for the
+		// comparison to cover them.
 		for _, name := range []string{
-			"skew.probes", "skew.rounds", "skew.edge_visits", "skew.maxslack.cycles",
+			"skew.probes", "skew.rounds", "skew.edge_visits", "skew.maxslack.cycles", "skew.mindelta.cycles",
 			"assign.mincost.preloaded", "assign.mincost.deficit",
 		} {
 			if s.Flow.Metrics.Counter(name) <= 0 {

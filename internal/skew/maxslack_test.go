@@ -1,12 +1,90 @@
 package skew
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
 
+	"rotaryclk/internal/faultinject"
 	"rotaryclk/internal/obs"
+	"rotaryclk/internal/stop"
 )
+
+// refLoopMaxSlack is a verbatim copy of MaxSlack's own cycle iteration from
+// before it was factored into parametric, the reference that keeps MaxSlack
+// bit-identical.
+func refLoopMaxSlack(tok *stop.Token, reg *obs.Registry, n int, pairs []SeqPair, T, setup, hold float64) (float64, []float64, error) {
+	if err := faultinject.Hook(faultinject.SiteSkewMaxSlack); err != nil {
+		return 0, nil, err
+	}
+	base := Constraints(nil, pairs, T, 0, setup, hold)
+	cons := make([]DiffConstraint, len(base))
+	dist := make([]float64, n)
+	for m := T; ; {
+		// Bound_0 - m is bit-identical to Constraints(nil, pairs, T, m, ...).
+		for i, c := range base {
+			cons[i] = DiffConstraint{U: c.U, V: c.V, Bound: c.Bound - m}
+		}
+		clear(dist)
+		_, ok, cycle, err := relax(tok, reg, n, cons, dist)
+		if err != nil {
+			return 0, nil, fmt.Errorf("skew: max-slack probe: %w", err)
+		}
+		if ok {
+			normalize(dist)
+			return m, dist, nil
+		}
+		if cycle == nil {
+			return 0, nil, fmt.Errorf("skew: max-slack probe at slack %v hit the round cap without a witness cycle: %w", m, ErrInfeasible)
+		}
+		reg.Add("skew.maxslack.cycles", 1)
+		w := 0.0
+		for _, i := range cycle {
+			w += base[i].Bound
+		}
+		m = w / float64(len(cycle))
+	}
+}
+
+// TestMaxSlackMatchesReferenceLoop: on random sparse and dense instances
+// MaxSlack returns the reference's M and schedule bit for bit, after the
+// same number of witness cycles, and fails where it fails.
+func TestMaxSlackMatchesReferenceLoop(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewSource(47))
+	cycles := int64(0)
+	for trial := 0; trial < 300; trial++ {
+		var n int
+		var pairs []SeqPair
+		if trial%2 == 0 {
+			n = 2 + rng.Intn(60)
+			pairs = sparsePairs(rng, n, 1+rng.Intn(4))
+		} else {
+			n = 2 + rng.Intn(14)
+			pairs = buildRandomPairs(rng, n)
+		}
+		T := 500 + rng.Float64()*1000
+		regGot, regWant := obs.NewRegistry(), obs.NewRegistry()
+		gotM, got, gotErr := MaxSlack(nil, regGot, n, pairs, T, propSetup, propHold)
+		wantM, want, wantErr := refLoopMaxSlack(nil, regWant, n, pairs, T, propSetup, propHold)
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("trial %d: err %v, reference err %v", trial, gotErr, wantErr)
+		}
+		if math.Float64bits(gotM) != math.Float64bits(wantM) || !sameBits(got, want) {
+			t.Fatalf("trial %d: M %v vs reference %v, schedules equal=%v", trial, gotM, wantM, sameBits(got, want))
+		}
+		g, w := regGot.Counter("skew.maxslack.cycles"), regWant.Counter("skew.maxslack.cycles")
+		if g != w {
+			t.Fatalf("trial %d: %d witness cycles, reference %d", trial, g, w)
+		}
+		cycles += g
+	}
+	if cycles < 300 {
+		t.Fatalf("only %d witness cycles over all trials", cycles)
+	}
+}
 
 // TestMaxSlackKnownGraphs: on hand-solvable systems the cycle iteration
 // lands exactly on the critical cycle's mean, counting one witness cycle per

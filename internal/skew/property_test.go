@@ -18,9 +18,8 @@ const (
 	propT     = 1000.0
 	propSetup = 30.0
 	propHold  = 15.0
-	propTol   = 1e-4
-	// slackEps absorbs the Delta search tolerance and Bellman-Ford's Eps
-	// relaxation slop.
+	// slackEps absorbs Bellman-Ford's Eps relaxation slop and the rounding
+	// of the rebased and recovered schedules.
 	slackEps = 1e-3
 )
 
@@ -168,7 +167,7 @@ func TestPropertyMinDeltaKeepsWorkingSlack(t *testing.T) {
 		// Work at half the max slack, the flow's own convention.
 		work := M / 2
 		cons := Constraints(nil, pairs, propT, work, propSetup, propHold)
-		delta, dt, err := MinDelta(nil, nil, n, cons, randomAnchors(rng, sched), propTol)
+		delta, dt, err := MinDelta(nil, nil, n, cons, randomAnchors(rng, sched))
 		if err != nil {
 			t.Fatalf("trial %d: %v", trials, err)
 		}

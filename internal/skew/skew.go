@@ -6,7 +6,8 @@
 //     the constraint graph by cycle iteration on the Bellman-Ford kernel.
 //   - MinDelta: the cost-driven variant that pulls every flip-flop's delay
 //     target toward the phase available at the nearest point of its rotary
-//     ring, minimizing the maximum mismatch Delta.
+//     ring, minimizing the maximum mismatch Delta exactly by the same cycle
+//     iteration.
 //   - WeightedSum: the alternative cost-driven objective minimizing
 //     sum w_i |t_i - target_i|, solved exactly through the LP dual, which is
 //     a min-cost circulation.
@@ -156,18 +157,11 @@ func normalize(t []float64) {
 
 // MaxSlack computes Fishburn's maximum slack M* — the largest M at which the
 // constraint system (5)-(7) of the pairs is feasible — together with a
-// schedule achieving it, by cycle iteration on the relax kernel. Every
-// constraint bound shrinks by exactly one unit per unit of M, so M* is the
-// minimum cycle mean of the M=0 constraint graph. The iteration starts at
-// M = T (the cap of an acyclic graph) and probes from zero potentials; a
-// feasible probe returns M and its normalized potentials, and an infeasible
-// one hands back a witness cycle C, after which M becomes C's mean
-// sum(Bound_0)/|C| under the M=0 bounds. relax only reports cycles with
-// W < -2(|C|+1)*Eps, so every step lowers M by more than 2*Eps to the mean of
-// a different simple cycle, and the loop ends after finitely many probes
-// (DESIGN.md section 20). A probe that hits the round cap without a witness
-// (a cycle inside the guard band) is reported as an error wrapping
-// ErrInfeasible.
+// schedule achieving it. Every constraint bound shrinks by exactly one unit
+// per unit of M, so M* is the minimum cycle mean of the M=0 constraint graph,
+// which parametric finds with slope -1 on every constraint, starting at
+// M = T (the cap of an acyclic graph): each witness cycle C moves M down to
+// its mean sum(Bound_0)/|C| under the M=0 bounds (DESIGN.md section 20).
 //
 // The optional stop token is checked once per Bellman-Ford round of every
 // probe. A fired token aborts with an error wrapping the stop sentinel; no
@@ -179,32 +173,63 @@ func MaxSlack(tok *stop.Token, reg *obs.Registry, n int, pairs []SeqPair, T, set
 	if err := faultinject.Hook(faultinject.SiteSkewMaxSlack); err != nil {
 		return 0, nil, err
 	}
+	// Bound_0 + (-1)*m is bit-identical to Bound_0 - m, and so to
+	// Constraints(nil, pairs, T, m, ...); -W_0/(-k) is bit-identical to W_0/k.
 	base := Constraints(nil, pairs, T, 0, setup, hold)
-	cons := make([]DiffConstraint, len(base))
+	slope := make([]float64, len(base))
+	for i := range slope {
+		slope[i] = -1
+	}
+	return parametric(tok, reg, "maxslack", n, base, slope, T)
+}
+
+// parametric solves the one-parameter difference-constraint system
+//
+//	t[U_i] - t[V_i] <= Bound_i(x) = base_i.Bound + slope_i*x
+//
+// over n variables by cycle iteration on the relax kernel, starting at x.
+// Each probe relaxes from zero potentials. A feasible probe returns x and
+// its normalized potentials. An infeasible one hands back a witness cycle C,
+// which weighs W_0(C) + S(C)*x with W_0 its base bound sum and S its slope
+// sum, and x moves to -W_0(C)/S(C), where that cycle is tight. relax reports
+// only k-cycles with weight below -2(k+1)*Eps, so with every slope of one
+// sign each step moves x by more than 2(k+1)*Eps/|S(C)| in one direction,
+// to the root of a different simple cycle, and the loop ends after finitely
+// many probes (DESIGN.md section 20). A witness with S(C) = 0 is negative
+// at every x, so the x-free constraints themselves are infeasible; that, and
+// a probe that hits the round cap without a witness (a cycle inside the
+// guard band), are errors wrapping ErrInfeasible. One skew.<what>.cycles
+// count per witness is recorded into reg.
+func parametric(tok *stop.Token, reg *obs.Registry, what string, n int, base []DiffConstraint, slope []float64, x float64) (float64, []float64, error) {
+	counter := "skew." + what + ".cycles"
+	cons := slices.Clone(base)
 	dist := make([]float64, n)
-	for m := T; ; {
-		// Bound_0 - m is bit-identical to Constraints(nil, pairs, T, m, ...).
+	for {
 		for i, c := range base {
-			cons[i] = DiffConstraint{U: c.U, V: c.V, Bound: c.Bound - m}
+			cons[i].Bound = c.Bound + slope[i]*x
 		}
 		clear(dist)
 		_, ok, cycle, err := relax(tok, reg, n, cons, dist)
 		if err != nil {
-			return 0, nil, fmt.Errorf("skew: max-slack probe: %w", err)
+			return 0, nil, fmt.Errorf("skew: %s probe: %w", what, err)
 		}
 		if ok {
 			normalize(dist)
-			return m, dist, nil
+			return x, dist, nil
 		}
 		if cycle == nil {
-			return 0, nil, fmt.Errorf("skew: max-slack probe at slack %v hit the round cap without a witness cycle: %w", m, ErrInfeasible)
+			return 0, nil, fmt.Errorf("skew: %s probe at %v hit the round cap without a witness cycle: %w", what, x, ErrInfeasible)
 		}
-		reg.Add("skew.maxslack.cycles", 1)
-		w := 0.0
+		reg.Add(counter, 1)
+		w, s := 0.0, 0.0
 		for _, i := range cycle {
 			w += base[i].Bound
+			s += slope[i]
 		}
-		m = w / float64(len(cycle))
+		if s == 0 {
+			return 0, nil, fmt.Errorf("skew: difference constraints: %w", ErrInfeasible)
+		}
+		x = -w / s
 	}
 }
 
@@ -222,96 +247,42 @@ type Anchor struct {
 //
 //	A_i + 2 TCI_i - t_i <= Delta   and   t_i - A_i <= Delta.
 //
-// It binary-searches Delta, checking feasibility of the extended constraint
-// graph (a ground node pins the absolute values). Each probe runs from zero
-// potentials, so an infeasible Delta is rejected at its first negative
-// anchor cycle and a feasible one costs the same rounds as a lone Feasible
-// call on that system. The optional stop token is threaded into every probe
-// and the probes' skew.* counters are recorded into reg (nil records
-// nothing).
-func MinDelta(tok *stop.Token, reg *obs.Registry, n int, cons []DiffConstraint, anchors []Anchor, tol float64) (float64, []float64, error) {
+// The extended system is cons followed by these two anchor arcs per
+// flip-flop through a ground node n, which pins the absolute values. Delta
+// enters only the anchor arcs, with slope +1, and a simple cycle passes the
+// ground node at most once, so every cycle weighs either W_0 or W_0 + 2 Delta.
+// parametric starts at Delta = max TCI_i, the bound each flip-flop's own two
+// arcs impose; each witness cycle through ground raises Delta to -W_0/2, the
+// least Delta that cycle allows, and the first feasible probe returns the
+// exact minimum (DESIGN.md section 20.6). A witness that avoids ground is a
+// negative cycle of cons itself, returned as an error wrapping ErrInfeasible.
+// The optional stop token is threaded into every probe, and the probes'
+// skew.* counters and one skew.mindelta.cycles count per witness are
+// recorded into reg (nil records nothing).
+func MinDelta(tok *stop.Token, reg *obs.Registry, n int, cons []DiffConstraint, anchors []Anchor) (float64, []float64, error) {
 	if err := faultinject.Hook(faultinject.SiteSkewMinDelta); err != nil {
 		return 0, nil, err
 	}
 	if len(anchors) != n {
 		return 0, nil, fmt.Errorf("skew: %d anchors for %d flip-flops", len(anchors), n)
 	}
-	if tol <= 0 {
-		tol = 1e-3
+	ext := make([]DiffConstraint, len(cons), len(cons)+2*n)
+	copy(ext, cons)
+	slope := make([]float64, len(cons), len(cons)+2*n)
+	lo := 0.0
+	for i, a := range anchors {
+		ext = append(ext,
+			DiffConstraint{U: i, V: n, Bound: a.A},            // t_i - t_g <= A_i + Delta
+			DiffConstraint{U: n, V: i, Bound: -a.A - 2*a.TCI}, // t_g - t_i <= Delta - A_i - 2 TCI_i
+		)
+		slope = append(slope, 1, 1)
+		lo = max(lo, a.TCI)
 	}
-	// Base feasibility (Delta = inf) and an initial schedule to bound Delta.
-	t0, ok, err := feasible(tok, reg, n, cons)
+	delta, t, err := parametric(tok, reg, "mindelta", n+1, ext, slope, lo)
 	if err != nil {
 		return 0, nil, err
 	}
-	if !ok {
-		return 0, nil, fmt.Errorf("skew: difference constraints: %w", ErrInfeasible)
-	}
-	// The extended system is cons followed by two anchor arcs per flip-flop
-	// through a ground node n (t[n] = 0 by convention: it only enters via the
-	// anchor arcs, which force consistency with the absolute anchors). It is
-	// built once; a probe rewrites only the anchor bounds.
-	ext := make([]DiffConstraint, len(cons), len(cons)+2*n)
-	copy(ext, cons)
-	for i := range anchors {
-		ext = append(ext, DiffConstraint{U: i, V: n}, DiffConstraint{U: n, V: i})
-	}
-	arcs := ext[len(cons):]
-	probe, best := make([]float64, n+1), make([]float64, n+1)
-	feasibleAt := func(delta float64) (bool, error) {
-		for i, a := range anchors {
-			arcs[2*i].Bound = a.A + delta             // t_i - t_g <= A_i + Delta
-			arcs[2*i+1].Bound = delta - a.A - 2*a.TCI // t_g - t_i <= -(A_i + 2 TCI_i - Delta)
-		}
-		clear(probe)
-		_, ok, _, err := relax(tok, reg, n+1, ext, probe)
-		if err != nil {
-			return false, fmt.Errorf("skew: feasibility check: %w", err)
-		}
-		return ok, nil
-	}
-	// Lower bound: Delta >= max TCI_i (adding the two per-FF constraints).
-	lo := 0.0
-	for _, a := range anchors {
-		if a.TCI > lo {
-			lo = a.TCI
-		}
-	}
-	// Upper bound from the unconstrained-anchor schedule t0, shifted to
-	// minimize its own mismatch.
-	hi := lo
-	shift := bestShift(t0, anchors)
-	for i, a := range anchors {
-		ti := t0[i] + shift
-		hi = math.Max(hi, math.Max(a.A+2*a.TCI-ti, ti-a.A))
-	}
-	hi += 1 // strictly feasible margin
-	found := false
-	for hi-lo > tol {
-		mid := (lo + hi) / 2
-		ok, err := feasibleAt(mid)
-		if err != nil {
-			return 0, nil, err
-		}
-		if ok {
-			hi, found = mid, true
-			probe, best = best, probe
-		} else {
-			lo = mid
-		}
-	}
-	if !found {
-		ok, err := feasibleAt(hi)
-		if err != nil {
-			return 0, nil, err
-		}
-		if !ok {
-			return 0, nil, fmt.Errorf("skew: internal: upper bound infeasible")
-		}
-		best = probe
-	}
-	normalize(best)
-	return hi, rebase(best), nil
+	return delta, rebase(t), nil
 }
 
 // rebase shifts a schedule with ground node at index n so the ground sits at
@@ -324,24 +295,6 @@ func rebase(t []float64) []float64 {
 		out[i] = t[i] - g
 	}
 	return out
-}
-
-// bestShift returns the scalar shift minimizing the maximum mismatch of
-// schedule t against the anchors (difference constraints are shift
-// invariant, so this is free).
-func bestShift(t []float64, anchors []Anchor) float64 {
-	// Minimize max_i max(A_i + 2TCI_i - t_i - s, t_i + s - A_i): the upper
-	// envelope is piecewise linear in s; optimum at the midpoint of the
-	// extreme residuals.
-	loNeed, hiNeed := math.Inf(-1), math.Inf(1)
-	for i, a := range anchors {
-		loNeed = math.Max(loNeed, a.A+2*a.TCI-t[i]) // wants s >= this - Delta
-		hiNeed = math.Min(hiNeed, a.A-t[i])         // wants s <= this + Delta
-	}
-	if math.IsInf(loNeed, -1) {
-		return 0
-	}
-	return (loNeed + hiNeed) / 2
 }
 
 // WeightedSum solves the weighted-sum cost-driven formulation: minimize

@@ -155,11 +155,11 @@ func TestMinDeltaPinsToAnchors(t *testing.T) {
 	// No difference constraints: Delta should reach max TCI and every t_i
 	// should land inside [A_i + 2 TCI_i - Delta, A_i + Delta].
 	anchors := []Anchor{{A: 100, TCI: 5}, {A: 400, TCI: 20}, {A: 900, TCI: 1}}
-	delta, tt, err := MinDelta(nil, nil, 3, nil, anchors, 1e-4)
+	delta, tt, err := MinDelta(nil, nil, 3, nil, anchors)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(delta-20) > 1e-2 {
+	if math.Abs(delta-20) > 1e-9 {
 		t.Errorf("delta = %v, want 20 (max TCI)", delta)
 	}
 	for i, a := range anchors {
@@ -175,14 +175,14 @@ func TestMinDeltaRespectsConstraints(t *testing.T) {
 	// between the two flip-flops.
 	anchors := []Anchor{{A: 0, TCI: 0}, {A: 500, TCI: 0}}
 	cons := []DiffConstraint{{U: 1, V: 0, Bound: 100}}
-	delta, tt, err := MinDelta(nil, nil, 2, cons, anchors, 1e-4)
+	delta, tt, err := MinDelta(nil, nil, 2, cons, anchors)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v := Verify(tt, cons); v > 1e-6 {
 		t.Fatalf("violation %v", v)
 	}
-	if math.Abs(delta-200) > 1e-2 {
+	if math.Abs(delta-200) > 1e-9 {
 		t.Errorf("delta = %v, want 200", delta)
 	}
 }
@@ -204,7 +204,7 @@ func TestMinDeltaVsLP(t *testing.T) {
 		for i := range anchors {
 			anchors[i] = Anchor{A: rng.Float64() * 1000, TCI: rng.Float64() * 50}
 		}
-		delta, tt, err := MinDelta(nil, nil, n, cons, anchors, 1e-5)
+		delta, tt, err := MinDelta(nil, nil, n, cons, anchors)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -229,7 +229,7 @@ func TestMinDeltaVsLP(t *testing.T) {
 		if err != nil || sol.Status != lp.Optimal {
 			t.Fatalf("trial %d: LP %v %v", trial, sol.Status, err)
 		}
-		if math.Abs(sol.Obj-delta) > 1e-2 {
+		if math.Abs(sol.Obj-delta) > 1e-7*(1+math.Abs(sol.Obj)) {
 			t.Fatalf("trial %d: graph delta=%v, LP delta=%v", trial, delta, sol.Obj)
 		}
 	}

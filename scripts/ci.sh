@@ -255,7 +255,7 @@ timing)
     go test -timeout 20m ./internal/exp/ -run '^(TestTimingSmoke|TestVarPairsSurfacesAnalysisError)$' -count=1 -v
     ;;
 skew)
-    go test ./internal/skew/ -run '^(TestRelax|TestMinDeltaMatchesReferenceLoop|TestWarmStart|TestMaxSlack|TestWeightedSumMatchesResidualDistances$)' -count=1 -v
+    go test ./internal/skew/ -run '^(TestRelax|TestMinDelta|TestWarmStart|TestMaxSlack|TestWeightedSumMatchesResidualDistances$)' -count=1 -v
     go test ./internal/oracle/ -run '^(TestMinCycleMean|TestMaxSlackMatchesKarp|TestFaultSkewDetected$|TestFaultSkewMinDeltaDetected$)' -count=1
     go test ./internal/exp -run '^TestGolden' -count=1
     ;;
