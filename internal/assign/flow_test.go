@@ -331,9 +331,9 @@ func TestPreloadDualFeasible(t *testing.T) {
 				tol = math.Max(tol, 1e-9*math.Abs(v))
 			}
 			ringNode := func(j int) int { return ffBase + nFF + j }
-			check := func(a mcmf.ArcID, u, v int) {
+			check := func(a mcmf.ArcID, u, v int, cost float64) {
 				g := n.g
-				rc := g.Cost(a) + pot[u] - pot[v]
+				rc := cost + pot[u] - pot[v]
 				if g.Flow(a) < g.Capacity(a) && v != srcNode && rc < -tol {
 					t.Fatalf("trial %d, %s prices: forward arc %d->%d has reduced cost %v", trial, name, u, v, rc)
 				}
@@ -342,14 +342,14 @@ func TestPreloadDualFeasible(t *testing.T) {
 				}
 			}
 			for i, cs := range cands {
-				check(n.src[i], srcNode, ffBase+i)
+				check(n.src[i], srcNode, ffBase+i, 0)
 				for k, c := range cs {
-					check(n.arcs[i][k], ffBase+i, ringNode(c.ring))
+					check(n.arcs[i][k], ffBase+i, ringNode(c.ring), c.cost)
 				}
 			}
 			used := 0
 			for j, a := range n.sink {
-				check(a, ringNode(j), sinkNode)
+				check(a, ringNode(j), sinkNode, 0)
 				used += n.g.Flow(a)
 			}
 			if used != n.preloaded || n.preloaded == 0 || (trial%2 == 1 && n.preloaded == nFF && tc.prev == nil) {

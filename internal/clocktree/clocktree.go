@@ -117,35 +117,3 @@ func TotalWL(root *Node) float64 {
 	}
 	return total
 }
-
-// CountSinks returns the number of sink leaves under root.
-func CountSinks(root *Node) int {
-	if root == nil {
-		return 0
-	}
-	if len(root.Children) == 0 {
-		if root.Sink >= 0 {
-			return 1
-		}
-		return 0
-	}
-	n := 0
-	for _, ch := range root.Children {
-		n += CountSinks(ch)
-	}
-	return n
-}
-
-// Depth returns the number of edges on the longest root-to-leaf path.
-func Depth(root *Node) int {
-	if root == nil || len(root.Children) == 0 {
-		return 0
-	}
-	d := 0
-	for _, ch := range root.Children {
-		if cd := Depth(ch); cd > d {
-			d = cd
-		}
-	}
-	return d + 1
-}

@@ -8,11 +8,31 @@ import (
 	"rotaryclk/internal/geom"
 )
 
+// treeShape returns the number of sink leaves under root and the number of
+// edges on its longest root-to-leaf path.
+func treeShape(root *Node) (sinks, depth int) {
+	if root == nil {
+		return 0, 0
+	}
+	if len(root.Children) == 0 {
+		if root.Sink >= 0 {
+			return 1, 0
+		}
+		return 0, 0
+	}
+	for _, ch := range root.Children {
+		s, d := treeShape(ch)
+		sinks += s
+		depth = max(depth, d+1)
+	}
+	return sinks, depth
+}
+
 func TestBuildEmpty(t *testing.T) {
 	if Build(nil) != nil {
 		t.Fatal("empty sink set should give nil tree")
 	}
-	if AvgSourceSinkPath(nil) != 0 || TotalWL(nil) != 0 || CountSinks(nil) != 0 || Depth(nil) != 0 {
+	if AvgSourceSinkPath(nil) != 0 || TotalWL(nil) != 0 {
 		t.Fatal("nil tree metrics should be zero")
 	}
 }
@@ -25,15 +45,16 @@ func TestBuildSingle(t *testing.T) {
 	if AvgSourceSinkPath(root) != 0 {
 		t.Errorf("single sink path length should be 0")
 	}
-	if CountSinks(root) != 1 {
-		t.Errorf("CountSinks = %d", CountSinks(root))
+	if sinks, _ := treeShape(root); sinks != 1 {
+		t.Errorf("sinks = %d", sinks)
 	}
 }
 
 func TestBuildPair(t *testing.T) {
 	root := Build([]geom.Point{geom.Pt(0, 0), geom.Pt(10, 0)})
-	if CountSinks(root) != 2 {
-		t.Fatalf("sinks = %d", CountSinks(root))
+	sinks, depth := treeShape(root)
+	if sinks != 2 {
+		t.Fatalf("sinks = %d", sinks)
 	}
 	// Root at the midpoint: each sink path is 5, total WL 10.
 	if math.Abs(AvgSourceSinkPath(root)-5) > 1e-9 {
@@ -42,8 +63,8 @@ func TestBuildPair(t *testing.T) {
 	if math.Abs(TotalWL(root)-10) > 1e-9 {
 		t.Errorf("TotalWL = %v, want 10", TotalWL(root))
 	}
-	if Depth(root) != 1 {
-		t.Errorf("Depth = %d", Depth(root))
+	if depth != 1 {
+		t.Errorf("depth = %d", depth)
 	}
 }
 
@@ -54,13 +75,13 @@ func TestBuildCoversAllSinks(t *testing.T) {
 		for i := range sinks {
 			sinks[i] = geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
 		}
-		root := Build(sinks)
-		if got := CountSinks(root); got != n {
-			t.Fatalf("n=%d: CountSinks = %d", n, got)
+		got, d := treeShape(Build(sinks))
+		if got != n {
+			t.Fatalf("n=%d: %d sinks", n, got)
 		}
-		// Depth of a pairing tree is ~log2(n).
+		// The depth of a pairing tree is ~log2(n).
 		want := int(math.Ceil(math.Log2(float64(n))))
-		if d := Depth(root); d < want || d > want+2 {
+		if d < want || d > want+2 {
 			t.Errorf("n=%d: depth %d, want about %d", n, d, want)
 		}
 	}
@@ -95,8 +116,8 @@ func TestDeterministic(t *testing.T) {
 func TestOddCountPromotion(t *testing.T) {
 	// Three sinks: one gets promoted unpaired at the first level.
 	root := Build([]geom.Point{geom.Pt(0, 0), geom.Pt(2, 0), geom.Pt(100, 100)})
-	if CountSinks(root) != 3 {
-		t.Fatalf("sinks = %d", CountSinks(root))
+	if sinks, _ := treeShape(root); sinks != 3 {
+		t.Fatalf("sinks = %d", sinks)
 	}
 	// The two nearby sinks must have merged first: their common parent sits
 	// at (1,0) and the far sink joins at the root.

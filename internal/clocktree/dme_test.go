@@ -23,8 +23,8 @@ func TestDMEPair(t *testing.T) {
 	if math.Abs(root.Delay-5) > 1e-9 {
 		t.Errorf("delay = %v, want 5", root.Delay)
 	}
-	paths := ZSSinkPathLengths(root, 2)
-	if math.Abs(paths[0]-paths[1]) > 1e-9 {
+	paths := zsSinkPaths(root)
+	if len(paths) != 2 || math.Abs(paths[0]-paths[1]) > 1e-9 {
 		t.Errorf("unbalanced: %v", paths)
 	}
 	if wl := ZSTotalWL(root); math.Abs(wl-10) > 1e-9 {
@@ -40,10 +40,11 @@ func TestDMEZeroSkewProperty(t *testing.T) {
 			sinks[i] = geom.Pt(rng.Float64()*5000, rng.Float64()*5000)
 		}
 		root := BuildDME(sinks)
-		if got := ZSCountSinks(root); got != n {
-			t.Fatalf("n=%d: %d sinks", n, got)
+		paths := zsSinkPaths(root)
+		if len(paths) != n {
+			t.Fatalf("n=%d: %d sinks", n, len(paths))
 		}
-		for i, p := range ZSSinkPathLengths(root, n) {
+		for i, p := range paths {
 			if math.Abs(p-root.Delay) > 1e-6*(1+root.Delay) {
 				t.Fatalf("n=%d: sink %d path %v != %v", n, i, p, root.Delay)
 			}

@@ -113,44 +113,3 @@ func ZSAvgSourceSinkPath(root *ZSNode) float64 {
 	}
 	return root.Delay
 }
-
-// ZSSinkPathLengths returns the root-to-sink wirelength per sink index,
-// used to verify the zero-skew property.
-func ZSSinkPathLengths(root *ZSNode, numSinks int) []float64 {
-	out := make([]float64, numSinks)
-	if root == nil {
-		return out
-	}
-	var walk func(n *ZSNode, acc float64)
-	walk = func(n *ZSNode, acc float64) {
-		if len(n.Children) == 0 {
-			if n.Sink >= 0 && n.Sink < numSinks {
-				out[n.Sink] = acc
-			}
-			return
-		}
-		for i, ch := range n.Children {
-			walk(ch, acc+n.EdgeLen[i])
-		}
-	}
-	walk(root, 0)
-	return out
-}
-
-// ZSCountSinks returns the number of sink leaves of the zero-skew tree.
-func ZSCountSinks(root *ZSNode) int {
-	if root == nil {
-		return 0
-	}
-	if len(root.Children) == 0 {
-		if root.Sink >= 0 {
-			return 1
-		}
-		return 0
-	}
-	n := 0
-	for _, ch := range root.Children {
-		n += ZSCountSinks(ch)
-	}
-	return n
-}

@@ -9,12 +9,31 @@ import (
 	"rotaryclk/internal/geom"
 )
 
+// zsSinkPaths returns the root-to-sink wirelength of every sink leaf of a
+// zero-skew tree, keyed by sink index.
+func zsSinkPaths(root *ZSNode) map[int]float64 {
+	paths := map[int]float64{}
+	var walk func(n *ZSNode, acc float64)
+	walk = func(n *ZSNode, acc float64) {
+		if len(n.Children) == 0 && n.Sink >= 0 {
+			paths[n.Sink] = acc
+		}
+		for i, ch := range n.Children {
+			walk(ch, acc+n.EdgeLen[i])
+		}
+	}
+	if root != nil {
+		walk(root, 0)
+	}
+	return paths
+}
+
 func TestZeroSkewEmptyAndSingle(t *testing.T) {
 	if BuildZeroSkew(nil) != nil {
 		t.Fatal("empty sink set should give nil")
 	}
 	root := BuildZeroSkew([]geom.Point{geom.Pt(3, 4)})
-	if root == nil || root.Delay != 0 || ZSCountSinks(root) != 1 {
+	if root == nil || root.Delay != 0 || len(zsSinkPaths(root)) != 1 {
 		t.Fatalf("single sink tree = %+v", root)
 	}
 	if ZSTotalWL(root) != 0 {
@@ -27,8 +46,8 @@ func TestZeroSkewPair(t *testing.T) {
 	if math.Abs(root.Delay-5) > 1e-9 {
 		t.Errorf("Delay = %v, want 5", root.Delay)
 	}
-	paths := ZSSinkPathLengths(root, 2)
-	if math.Abs(paths[0]-paths[1]) > 1e-9 {
+	paths := zsSinkPaths(root)
+	if len(paths) != 2 || math.Abs(paths[0]-paths[1]) > 1e-9 {
 		t.Errorf("paths unbalanced: %v", paths)
 	}
 	if math.Abs(ZSTotalWL(root)-10) > 1e-9 {
@@ -46,10 +65,10 @@ func TestZeroSkewExactBalance(t *testing.T) {
 			sinks[i] = geom.Pt(rng.Float64()*5000, rng.Float64()*5000)
 		}
 		root := BuildZeroSkew(sinks)
-		if ZSCountSinks(root) != n {
-			t.Fatalf("n=%d: %d sinks in tree", n, ZSCountSinks(root))
+		paths := zsSinkPaths(root)
+		if len(paths) != n {
+			t.Fatalf("n=%d: %d sinks in tree", n, len(paths))
 		}
-		paths := ZSSinkPathLengths(root, n)
 		for i, p := range paths {
 			if math.Abs(p-root.Delay) > 1e-6 {
 				t.Fatalf("n=%d: sink %d path %v != delay %v", n, i, p, root.Delay)
@@ -64,7 +83,10 @@ func TestZeroSkewDetourCase(t *testing.T) {
 	// shallow). The balance must still be exact.
 	sinks := []geom.Point{geom.Pt(0, 0), geom.Pt(2, 0), geom.Pt(3, 0)}
 	root := BuildZeroSkew(sinks)
-	paths := ZSSinkPathLengths(root, 3)
+	paths := zsSinkPaths(root)
+	if len(paths) != 3 {
+		t.Fatalf("%d sinks in tree", len(paths))
+	}
 	for i, p := range paths {
 		if math.Abs(p-root.Delay) > 1e-9 {
 			t.Fatalf("sink %d path %v != %v", i, p, root.Delay)
@@ -119,7 +141,10 @@ func TestZeroSkewQuickProperty(t *testing.T) {
 			}
 		}
 		root := BuildZeroSkew(sinks)
-		paths := ZSSinkPathLengths(root, n)
+		paths := zsSinkPaths(root)
+		if len(paths) != n {
+			return false
+		}
 		for _, p := range paths {
 			if math.Abs(p-root.Delay) > 1e-6*(1+root.Delay) {
 				return false

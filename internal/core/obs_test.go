@@ -19,6 +19,24 @@ import (
 // via the deferred root End. These tests share the process-global injector
 // with the recovery matrix and must not run in parallel.
 
+// openSpans returns the names of the spans in s still open at snapshot time.
+func openSpans(s *obs.Snapshot) []string {
+	var open []string
+	var walk func(d *obs.SpanData)
+	walk = func(d *obs.SpanData) {
+		if d.Open {
+			open = append(open, d.Name)
+		}
+		for _, c := range d.Children {
+			walk(c)
+		}
+	}
+	for _, d := range s.Spans {
+		walk(d)
+	}
+	return open
+}
+
 // requireClosedSpans asserts the snapshot exists and its span tree is fully
 // ended, with the root core.Run span present.
 func requireClosedSpans(t *testing.T, snap *obs.Snapshot) {
@@ -26,7 +44,7 @@ func requireClosedSpans(t *testing.T, snap *obs.Snapshot) {
 	if snap == nil {
 		t.Fatal("nil snapshot: metrics were not flushed")
 	}
-	if open := snap.OpenSpans(); len(open) != 0 {
+	if open := openSpans(snap); len(open) != 0 {
 		t.Fatalf("open spans after Run: %v", open)
 	}
 	if snap.SpanSeconds("core.Run") <= 0 {
@@ -254,7 +272,7 @@ func TestSpansClosedOnErrorExits(t *testing.T) {
 				t.Fatalf("err = %v, want *StageError", err)
 			}
 			snap := cfg.Obs.Snapshot()
-			if open := snap.OpenSpans(); len(open) != 0 {
+			if open := openSpans(snap); len(open) != 0 {
 				t.Errorf("open spans after error exit: %v", open)
 			}
 			if snap.Counter("core.runs") != 1 {

@@ -204,30 +204,44 @@ func TestStrictSkipsAssignLadder(t *testing.T) {
 }
 
 // Kind: Infeasible, stage 4. Two infeasible cost-driven solves walk the
-// slack ladder (half margin, then none); the third attempt succeeds.
+// slack ladder (half margin, then none) under either objective; the third
+// attempt succeeds.
 func TestRecoverySlackLadder(t *testing.T) {
-	defer faultinject.Enable(faultinject.Rule{
-		Site: faultinject.SiteSkewMinDelta, Count: 2,
-		Err: fmt.Errorf("injected: %w", skew.ErrInfeasible),
-	})()
-	res, err := Run(genCircuit(t, 200, 24, 13), recoveryConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Degraded {
-		t.Error("a recovered slack ladder must not degrade the result")
-	}
-	relaxed := 0
-	for _, ev := range res.Events {
-		if strings.Contains(ev.Action, "relaxing working slack") {
-			relaxed++
-			if ev.Stage != 4 || ev.Kind != Infeasible {
-				t.Errorf("slack event = %+v, want stage 4 infeasible", ev)
+	for _, tc := range []struct {
+		name      string
+		objective SkewObjective
+		site      string
+	}{
+		{"min-delta", MinDelta, faultinject.SiteSkewMinDelta},
+		{"weighted-sum", WeightedSum, faultinject.SiteSkewWeightedSum},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer faultinject.Enable(faultinject.Rule{
+				Site: tc.site, Count: 2,
+				Err: fmt.Errorf("injected: %w", skew.ErrInfeasible),
+			})()
+			cfg := recoveryConfig()
+			cfg.Objective = tc.objective
+			res, err := Run(genCircuit(t, 200, 24, 13), cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	if relaxed != 2 {
-		t.Errorf("%d slack-relaxation events, want 2; events: %v", relaxed, res.Events)
+			if res.Degraded {
+				t.Error("a recovered slack ladder must not degrade the result")
+			}
+			relaxed := 0
+			for _, ev := range res.Events {
+				if strings.Contains(ev.Action, "relaxing working slack") {
+					relaxed++
+					if ev.Stage != 4 || ev.Kind != Infeasible {
+						t.Errorf("slack event = %+v, want stage 4 infeasible", ev)
+					}
+				}
+			}
+			if relaxed != 2 {
+				t.Errorf("%d slack-relaxation events, want 2; events: %v", relaxed, res.Events)
+			}
+		})
 	}
 }
 

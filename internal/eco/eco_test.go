@@ -401,39 +401,41 @@ func TestApplyDegradedOnStop(t *testing.T) {
 }
 
 // TestApplyDegradedOnDirtyCGCancel: a stop that fires inside the
-// dirty-region CG iterations (not between components) fails the placement
-// phase. Non-strict, the outcome is Degraded with every position
-// Float64bits-equal to the pre-edit snapshot; strict, Apply returns the stop
-// error.
+// dirty-region CG iterations, or between the dirty-region components, fails
+// the placement phase. Non-strict, the outcome is Degraded with every
+// position Float64bits-equal to the pre-edit snapshot; strict, Apply returns
+// the stop error.
 func TestApplyDegradedOnDirtyCGCancel(t *testing.T) {
-	c, ids := chainCircuit(t)
-	st, _ := baseState(t, c)
-	snap := c.Clone()
-	move := eco.Delta{Op: eco.OpMoveFF, Cell: ids[0].f1, X: 400, Y: 400}
-	arm := func() func() {
-		return faultinject.Enable(faultinject.Rule{
-			Site: faultinject.SitePlacerCGCancel, Call: 1, Err: stop.ErrCanceled,
+	for _, site := range []string{faultinject.SitePlacerCGCancel, faultinject.SitePlacerDirtyCancel} {
+		t.Run(site, func(t *testing.T) {
+			c, ids := chainCircuit(t)
+			st, _ := baseState(t, c)
+			snap := c.Clone()
+			move := eco.Delta{Op: eco.OpMoveFF, Cell: ids[0].f1, X: 400, Y: 400}
+			arm := func() func() {
+				return faultinject.Enable(faultinject.Rule{Site: site, Call: 1, Err: stop.ErrCanceled})
+			}
+
+			restore := arm()
+			out, err := eco.Apply(st, []eco.Delta{move}, eco.Options{})
+			restore()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !out.Degraded {
+				t.Fatal("cancel inside the dirty solve did not degrade")
+			}
+			samePositions(t, "degraded apply", c, snap)
+
+			restore = arm()
+			_, err = eco.Apply(st, []eco.Delta{move}, eco.Options{Strict: true})
+			restore()
+			if !stop.IsStop(err) {
+				t.Fatalf("strict: err = %v, want stop error", err)
+			}
+			samePositions(t, "strict apply", c, snap)
 		})
 	}
-
-	restore := arm()
-	out, err := eco.Apply(st, []eco.Delta{move}, eco.Options{})
-	restore()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.Degraded {
-		t.Fatal("CG cancel inside the dirty solve did not degrade")
-	}
-	samePositions(t, "degraded apply", c, snap)
-
-	restore = arm()
-	_, err = eco.Apply(st, []eco.Delta{move}, eco.Options{Strict: true})
-	restore()
-	if !stop.IsStop(err) {
-		t.Fatalf("strict: err = %v, want stop error", err)
-	}
-	samePositions(t, "strict apply", c, snap)
 }
 
 // TestApplyInvalidDeltaErrors: malformed deltas are input errors in BOTH

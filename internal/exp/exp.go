@@ -110,11 +110,6 @@ type CircuitRun struct {
 	VarPairs []variation.Pair
 }
 
-// RunCircuit executes both flows on one benchmark circuit, using all cores.
-func RunCircuit(b bench.Circuit) (*CircuitRun, error) {
-	return runCircuit(b, Options{})
-}
-
 // runCircuit executes the network-flow and ILP flows on one benchmark
 // circuit. The two flows operate on independently generated copies of the
 // netlist, so with more than one worker they run concurrently.

@@ -1,9 +1,13 @@
 package exp
 
 import (
+	"errors"
 	"math"
+	"strings"
 	"testing"
 	"time"
+
+	"rotaryclk/internal/faultinject"
 )
 
 // smallOpt keeps experiment tests fast: two smallest circuits, tiny scale.
@@ -126,6 +130,16 @@ func TestTableI(t *testing.T) {
 	// the generic ILP path (which may also fail to finish).
 	if !r.ILPNoSol && r.ILPIG < 1-1e-6 {
 		t.Errorf("ILP IG %v < 1", r.ILPIG)
+	}
+
+	// A failing branch and bound fails the table with the circuit and the
+	// ILP baseline named, the solver's error wrapped.
+	errILP := errors.New("injected ILP failure")
+	restore := faultinject.Enable(faultinject.Rule{Site: faultinject.SiteLPSolveILP, Err: errILP})
+	rows, err = TableI(opt)
+	restore()
+	if !errors.Is(err, errILP) || !strings.Contains(err.Error(), "s9234 ILP baseline") || rows != nil {
+		t.Fatalf("ILP fault: rows %v, err %v, want the wrapped ILP baseline error", rows, err)
 	}
 }
 

@@ -69,7 +69,7 @@ func TestTelemetryTableWithoutOptIn(t *testing.T) {
 		if r.Name != runs[i].Bench.Name {
 			t.Errorf("row %d is %s, want %s", i, r.Name, runs[i].Bench.Name)
 		}
-		if r.CGSolves <= 0 || r.TapQueries <= 0 || r.FlowSec <= 0 || r.ILPSec <= 0 {
+		if r.CGSolves <= 0 || r.TapQueries <= 0 || r.Pivots <= 0 || r.FlowSec <= 0 || r.ILPSec <= 0 {
 			t.Errorf("%s: empty telemetry row %+v", r.Name, r)
 		}
 	}

@@ -95,7 +95,7 @@ func TestRunAllDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestConcurrentRunCircuitRaceStress drives independent RunCircuit calls
+// TestConcurrentRunCircuitRaceStress drives independent runCircuit calls
 // from multiple goroutines; under `go test -race` this sweeps the parallel
 // sites (x/y axis solves, candidate matrix, workspace pool) for data
 // races while they also run their own internal workers.
@@ -111,7 +111,7 @@ func TestConcurrentRunCircuitRaceStress(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, errs[i] = RunCircuit(b)
+			_, errs[i] = runCircuit(b, Options{})
 		}()
 	}
 	wg.Wait()

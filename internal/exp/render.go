@@ -163,10 +163,9 @@ func RenderFig2(f *Fig2) string {
 // RenderTelemetry renders the per-circuit solver-effort table.
 func RenderTelemetry(rows []RowT) string {
 	t := report.New("Telemetry: solver effort per circuit (seconds are nondeterministic)",
-		"circuit", "CG solves", "CG iters", "MCMF paths", "tap queries", "ILP pivots", "B&B nodes", "flow s", "ILP s")
+		"circuit", "CG solves", "CG iters", "MCMF paths", "tap queries", "ILP pivots", "flow s", "ILP s")
 	for _, r := range rows {
-		t.Row(r.Name, r.CGSolves, r.CGIters, r.MCMFPaths, r.TapQueries,
-			r.Pivots, r.BBNodes,
+		t.Row(r.Name, r.CGSolves, r.CGIters, r.MCMFPaths, r.TapQueries, r.Pivots,
 			fmt.Sprintf("%.2f", r.FlowSec), fmt.Sprintf("%.2f", r.ILPSec))
 	}
 	return t.String()

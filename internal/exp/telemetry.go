@@ -10,8 +10,7 @@ type RowT struct {
 	CGIters    int64   // total CG iterations, network-flow run
 	MCMFPaths  int64   // augmenting paths, network-flow run
 	TapQueries int64   // tapping-point queries, network-flow run
-	Pivots     int64   // simplex pivots, ILP run
-	BBNodes    int64   // branch-and-bound nodes, ILP run
+	Pivots     int64   // assignment-LP pivots, ILP run
 	FlowSec    float64 // core.Run span seconds, network-flow run
 	ILPSec     float64 // core.Run span seconds, ILP run
 }
@@ -28,8 +27,7 @@ func TelemetryTable(runs []*CircuitRun) []RowT {
 			CGIters:    fm.Counter("placer.cg.iters"),
 			MCMFPaths:  fm.Counter("mcmf.paths"),
 			TapQueries: fm.Counter("assign.tap.queries"),
-			Pivots:     im.Counter("lp.simplex.pivots"),
-			BBNodes:    im.Counter("lp.bb.nodes"),
+			Pivots:     im.Counter("lp.assignlp.pivots"),
 			FlowSec:    fm.SpanSeconds("core.Run"),
 			ILPSec:     im.SpanSeconds("core.Run"),
 		})

@@ -27,9 +27,6 @@ func Pt(x, y float64) Point { return Point{X: x, Y: y} }
 // Add returns p + q componentwise.
 func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
 
-// Sub returns p - q componentwise.
-func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
-
 // Scale returns p scaled by s.
 func (p Point) Scale(s float64) Point { return Point{p.X * s, p.Y * s} }
 
@@ -97,25 +94,6 @@ func (r Rect) Clamp(p Point) Point {
 // Expand grows the rectangle by d on all four sides.
 func (r Rect) Expand(d float64) Rect {
 	return Rect{Point{r.Lo.X - d, r.Lo.Y - d}, Point{r.Hi.X + d, r.Hi.Y + d}}
-}
-
-// Union returns the smallest rectangle containing both r and q.
-func (r Rect) Union(q Rect) Rect {
-	return Rect{
-		Lo: Point{math.Min(r.Lo.X, q.Lo.X), math.Min(r.Lo.Y, q.Lo.Y)},
-		Hi: Point{math.Max(r.Hi.X, q.Hi.X), math.Max(r.Hi.Y, q.Hi.Y)},
-	}
-}
-
-// Intersects reports whether r and q share any point.
-func (r Rect) Intersects(q Rect) bool {
-	return r.Lo.X <= q.Hi.X && q.Lo.X <= r.Hi.X && r.Lo.Y <= q.Hi.Y && q.Lo.Y <= r.Hi.Y
-}
-
-// DistManhattan returns the minimum L1 distance from p to any point of r
-// (zero if p is inside r).
-func (r Rect) DistManhattan(p Point) float64 {
-	return p.Manhattan(r.Clamp(p))
 }
 
 func (r Rect) String() string {

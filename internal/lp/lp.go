@@ -223,19 +223,6 @@ func (p *Problem) SolveOpts(opts Options) (Solution, error) {
 	return sol, err
 }
 
-// BudgetExceeded reports whether the solve stopped on its iteration budget
-// instead of reaching a mathematical outcome.
-func (s Solution) BudgetExceeded() bool { return s.Status == IterLimit }
-
-// Value evaluates the objective at x.
-func (p *Problem) Value(x []float64) float64 {
-	v := 0.0
-	for i, c := range p.obj {
-		v += c * x[i]
-	}
-	return v
-}
-
 // Feasible reports whether x satisfies all constraints and bounds within tol.
 func (p *Problem) Feasible(x []float64, tol float64) error {
 	if len(x) != len(p.obj) {

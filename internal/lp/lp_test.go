@@ -404,15 +404,6 @@ func TestFeasibleChecker(t *testing.T) {
 	}
 }
 
-func TestValueAndAccessors(t *testing.T) {
-	p := NewProblem()
-	p.AddVar("x", 2, 0, 1)
-	p.AddVar("y", -1, 0, 1)
-	if v := p.Value([]float64{1, 1}); v != 1 {
-		t.Errorf("Value = %v", v)
-	}
-}
-
 func TestSenseStrings(t *testing.T) {
 	if LE.String() != "<=" || GE.String() != ">=" || EQ.String() != "=" {
 		t.Error("sense strings wrong")

@@ -177,7 +177,11 @@ func TestQuickEqualityLPs(t *testing.T) {
 		if p.Feasible(sol.X, 1e-6) != nil {
 			return false
 		}
-		return sol.Obj <= p.Value(x0)+1e-6
+		x0Obj := 0.0
+		for i, c := range p.obj {
+			x0Obj += c * x0[i]
+		}
+		return sol.Obj <= x0Obj+1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)

@@ -140,9 +140,6 @@ func (g *Graph) Flow(a ArcID) int {
 	return g.arcs[int(a)^1].cap
 }
 
-// Cost returns the per-unit cost of arc a.
-func (g *Graph) Cost(a ArcID) float64 { return g.arcs[a].cost }
-
 // Capacity returns the original capacity of arc a.
 func (g *Graph) Capacity(a ArcID) int { return g.orig[int(a)/2] }
 
@@ -460,16 +457,4 @@ func (g *Graph) Push(a ArcID, units int) {
 	}
 	g.arcs[a].cap -= units
 	g.arcs[int(a)^1].cap += units
-}
-
-// TotalCost returns the cost of the current flow (sum over forward arcs).
-func (g *Graph) TotalCost() float64 {
-	c := 0.0
-	for ai := 0; ai < len(g.arcs); ai += 2 {
-		f := g.arcs[ai^1].cap // flow = reverse residual, valid for arcs added via AddArc
-		if f > 0 {
-			c += float64(f) * g.arcs[ai].cost
-		}
-	}
-	return c
 }

@@ -43,7 +43,7 @@ func TestPushMovesCapacity(t *testing.T) {
 	if got := g.Capacity(a); got != 3 {
 		t.Fatalf("original capacity changed to %d", got)
 	}
-	if got := g.TotalCost(); got != 5 {
+	if got := totalCost(g); got != 5 {
 		t.Fatalf("total cost = %v, want 5", got)
 	}
 	g.Push(a, 1)
@@ -120,7 +120,7 @@ func TestMinCostFlowFromSeedPotentials(t *testing.T) {
 	if err != nil || flow != nFF-preloaded {
 		t.Fatalf("augment: flow %d err %v", flow, err)
 	}
-	if got := g.TotalCost(); math.Abs(got-want) > 1e-9 {
+	if got := totalCost(g); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("seeded total %v != zero-start total %v", got, want)
 	}
 	if p := reg.Counter("mcmf.paths"); p != int64(nFF-preloaded) {

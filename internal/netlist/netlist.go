@@ -14,7 +14,6 @@ package netlist
 
 import (
 	"fmt"
-	"sort"
 
 	"rotaryclk/internal/geom"
 )
@@ -92,9 +91,6 @@ type Cell struct {
 	Fanin  []int
 	Fanout int
 }
-
-// IsSink reports whether the cell is a clock sink (a flip-flop).
-func (c *Cell) IsSink() bool { return c.Kind == FF }
 
 // Net is a signal net: one driver pin plus one or more sink pins. Pins[0] is
 // always the driver cell ID.
@@ -345,26 +341,4 @@ func (c *Circuit) Stats() Stats {
 	}
 	s.Nets = len(c.Nets)
 	return s
-}
-
-// CellByName returns the cell with the given name, or nil. It is O(n); use
-// it in tests and tools, not inner loops.
-func (c *Circuit) CellByName(name string) *Cell {
-	for _, cell := range c.Cells {
-		if cell.Name == name {
-			return cell
-		}
-	}
-	return nil
-}
-
-// SortedCellNames returns all cell names sorted, handy for deterministic
-// iteration in reports.
-func (c *Circuit) SortedCellNames() []string {
-	names := make([]string, len(c.Cells))
-	for i, cell := range c.Cells {
-		names[i] = cell.Name
-	}
-	sort.Strings(names)
-	return names
 }

@@ -129,14 +129,24 @@ func TestParseBench(t *testing.T) {
 	if st.Inputs != 2 || st.Outputs != 1 || st.FlipFlops != 1 || st.Cells != 3 {
 		t.Errorf("Stats = %+v", st)
 	}
-	s := c.CellByName("s")
+	s := cellByName(c, "s")
 	if s == nil || s.Kind != FF {
 		t.Fatalf("cell s = %+v", s)
 	}
-	d := c.CellByName("d")
+	d := cellByName(c, "d")
 	if d == nil || d.Fn != FuncNand || len(d.Fanin) != 2 {
 		t.Fatalf("cell d = %+v", d)
 	}
+}
+
+// cellByName returns the cell of c with the given name, or nil.
+func cellByName(c *Circuit, name string) *Cell {
+	for _, cell := range c.Cells {
+		if cell.Name == name {
+			return cell
+		}
+	}
+	return nil
 }
 
 func TestParseBenchErrors(t *testing.T) {
@@ -300,14 +310,6 @@ func TestPerimeterPoint(t *testing.T) {
 }
 
 func TestAccessorsAndStrings(t *testing.T) {
-	c := tiny(t)
-	if !c.Cells[2].IsSink() || c.Cells[1].IsSink() {
-		t.Error("IsSink wrong")
-	}
-	names := c.SortedCellNames()
-	if len(names) != 6 || names[0] > names[len(names)-1] {
-		t.Errorf("SortedCellNames = %v", names)
-	}
 	for _, k := range []Kind{Gate, FF, Input, Output, Kind(99)} {
 		if k.String() == "" {
 			t.Error("empty Kind string")

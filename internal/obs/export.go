@@ -116,28 +116,6 @@ func (s *Snapshot) SpanTotals() map[string]float64 {
 	return ms
 }
 
-// OpenSpans returns the names of spans that were still open at snapshot
-// time. The recovery tests assert this is empty on every Run exit path.
-func (s *Snapshot) OpenSpans() []string {
-	if s == nil {
-		return nil
-	}
-	var open []string
-	var walk func(d *SpanData)
-	walk = func(d *SpanData) {
-		if d.Open {
-			open = append(open, d.Name)
-		}
-		for _, c := range d.Children {
-			walk(c)
-		}
-	}
-	for _, d := range s.Spans {
-		walk(d)
-	}
-	return open
-}
-
 // Text renders the snapshot human-readably: sorted counters, gauges and
 // stats, then the span trees indented with per-span milliseconds.
 func (s *Snapshot) Text() string {

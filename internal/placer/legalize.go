@@ -222,39 +222,3 @@ func (a cellBox) overlap(b cellBox) float64 {
 	}
 	return 0
 }
-
-// Density reports the utilization of the worst bin on a grid x grid
-// overlay, a spreading-quality metric for tests.
-func Density(c *netlist.Circuit, grid int) float64 {
-	if grid <= 0 {
-		grid = 10
-	}
-	bins := make([]float64, grid*grid)
-	bw, bh := c.Die.W()/float64(grid), c.Die.H()/float64(grid)
-	for _, cell := range c.Cells {
-		if cell.Fixed {
-			continue
-		}
-		ix := int((cell.Pos.X - c.Die.Lo.X) / bw)
-		iy := int((cell.Pos.Y - c.Die.Lo.Y) / bh)
-		if ix < 0 {
-			ix = 0
-		}
-		if ix >= grid {
-			ix = grid - 1
-		}
-		if iy < 0 {
-			iy = 0
-		}
-		if iy >= grid {
-			iy = grid - 1
-		}
-		bins[iy*grid+ix] += cell.W * cell.H
-	}
-	worst := 0.0
-	binArea := bw * bh
-	for _, a := range bins {
-		worst = math.Max(worst, a/binArea)
-	}
-	return worst
-}

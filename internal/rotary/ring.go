@@ -236,19 +236,3 @@ func (a *Array) FOsc(r *Ring, loadCap float64) float64 {
 	sec := 2 * math.Sqrt(L*C*1e-27)
 	return 1 / sec / 1e9
 }
-
-// MinFOsc returns the lowest ring frequency across the array given per-ring
-// load capacitances (the array must run at the slowest ring's speed).
-func (a *Array) MinFOsc(loads []float64) float64 {
-	f := math.Inf(1)
-	for i, r := range a.Rings {
-		l := 0.0
-		if i < len(loads) {
-			l = loads[i]
-		}
-		if g := a.FOsc(r, l); g < f {
-			f = g
-		}
-	}
-	return f
-}

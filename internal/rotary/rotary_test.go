@@ -120,6 +120,10 @@ func TestDefaultParamsValid(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("negative period accepted")
 	}
+	bad.Period = 0
+	if _, err := SolveTap(testRing(), bad, geom.Pt(0, 0), 100); err == nil {
+		t.Error("SolveTap accepted a zero period")
+	}
 	bad = DefaultParams()
 	bad.RWire = 0
 	if err := bad.Validate(); err == nil {
@@ -293,15 +297,6 @@ func TestSolveTapSnakingCase(t *testing.T) {
 	}
 }
 
-func TestTapCostInfinityOnBadParams(t *testing.T) {
-	r := testRing()
-	bad := DefaultParams()
-	bad.Period = 0
-	if c := TapCost(r, bad, geom.Pt(0, 0), 100); !math.IsInf(c, 1) {
-		t.Errorf("TapCost with bad params = %v, want +Inf", c)
-	}
-}
-
 func TestTappingCurveShape(t *testing.T) {
 	r := testRing()
 	p := DefaultParams()
@@ -417,41 +412,6 @@ func TestFOsc(t *testing.T) {
 	}
 	if f0 < 0.2 || f0 > 10 {
 		t.Errorf("unloaded f = %v GHz, out of plausible range", f0)
-	}
-	loads := make([]float64, len(a.Rings))
-	loads[3] = 2000
-	if got := a.MinFOsc(loads); math.Abs(got-a.FOsc(a.Rings[3], 2000)) > 1e-12 {
-		t.Errorf("MinFOsc = %v", got)
-	}
-}
-
-func TestSolveTapBuffered(t *testing.T) {
-	r := testRing()
-	p := DefaultParams()
-	ff := geom.Pt(600, 200)
-	const buf = 40.0 // ps buffer delay at the tap
-	tap, err := SolveTapBuffered(r, p, ff, 333, buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Realized delay including the buffer matches the target modulo T.
-	if modDiff(tap.Delay, 333, p.Period) > 1e-6 {
-		t.Errorf("buffered delay %v does not realize 333", tap.Delay)
-	}
-	// Zero buffer delay degenerates to the plain solver.
-	plain, err := SolveTap(r, p, ff, 333)
-	if err != nil {
-		t.Fatal(err)
-	}
-	zero, err := SolveTapBuffered(r, p, ff, 333, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if zero.WireLen != plain.WireLen || zero.Point != plain.Point {
-		t.Errorf("zero-buffer solve differs from plain solve")
-	}
-	if _, err := SolveTapBuffered(r, p, ff, 333, -1); err == nil {
-		t.Error("negative buffer delay accepted")
 	}
 }
 

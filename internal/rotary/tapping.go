@@ -70,24 +70,6 @@ func SolveTap(r *Ring, params Params, ff geom.Point, tHat float64) (Tap, error) 
 	return best, nil
 }
 
-// SolveTapBuffered is SolveTap with a buffer deployed at the tapping point
-// to drive the flip-flop, as Section III suggests for longer stubs: "(1) can
-// be easily modified to take care of the buffer delay". The buffer delay
-// shifts the realizable delay band uniformly, so the solve reduces to
-// SolveTap against the target minus the buffer delay; the realized Delay
-// reported includes the buffer again.
-func SolveTapBuffered(r *Ring, params Params, ff geom.Point, tHat, bufDelay float64) (Tap, error) {
-	if bufDelay < 0 {
-		return Tap{}, fmt.Errorf("rotary: negative buffer delay %v", bufDelay)
-	}
-	tap, err := SolveTap(r, params, ff, tHat-bufDelay)
-	if err != nil {
-		return Tap{}, err
-	}
-	tap.Delay += bufDelay
-	return tap, nil
-}
-
 // NearestTap taps ring r at its point nearest ff with a direct stub, the
 // nearest-point fallback tap: its delay is the ring's delay there plus the
 // stub's, modulo the period. It reports false when the distance is not
@@ -99,16 +81,6 @@ func NearestTap(r *Ring, params Params, ff geom.Point) (Tap, bool) {
 	}
 	d := math.Mod(r.DelayAt(s, params.Period)+params.StubDelay(dist), params.Period)
 	return Tap{Ring: r.ID, Point: pt, WireLen: dist, Delay: d}, true
-}
-
-// TapCost returns just the stub wirelength of the best tap, the c_{i,j}
-// assignment cost of Section V. It returns +Inf if no solution exists.
-func TapCost(r *Ring, params Params, ff geom.Point, tHat float64) float64 {
-	tap, err := SolveTap(r, params, ff, tHat)
-	if err != nil {
-		return math.Inf(1)
-	}
-	return tap.WireLen
 }
 
 // solveSegment solves equation (1) on a single segment. The segment is
