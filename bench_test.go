@@ -314,7 +314,7 @@ func BenchmarkAblationWireModel(b *testing.B) {
 	b.Run("hpwl", func(b *testing.B) {
 		var p float64
 		for i := 0; i < b.N; i++ {
-			p = pp.Signal(c).Power
+			p = pp.SignalFromWL(c, c.SignalWL()).Power
 		}
 		b.ReportMetric(p, "signalP-mW")
 	})
@@ -338,7 +338,7 @@ func BenchmarkZeroSkewTree(b *testing.B) {
 	var overhead float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		zs := clocktree.ZSTotalWL(clocktree.BuildZeroSkew(sinks))
+		zs := clocktree.ZSTotalWL(clocktree.BuildDME(sinks))
 		plain := clocktree.TotalWL(clocktree.Build(sinks))
 		overhead = (zs/plain - 1) * 100
 	}

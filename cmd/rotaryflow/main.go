@@ -40,7 +40,7 @@ func writeSVG(path string, c *netlist.Circuit, res *core.Result) error {
 		return err
 	}
 	defer f.Close()
-	s := viz.NewScene(c.Die, viz.Options{ShowCells: true})
+	s := viz.NewScene(c.Die)
 	s.AddCircuit(c)
 	s.AddArray(res.Array)
 	ffPos := make([]geom.Point, len(res.FFCells))

@@ -45,14 +45,13 @@ func main() {
 		}
 	}
 
-	opt := rotaryclk.VarOptions{Seed: 1}
 	params := rotaryclk.DefaultParams()
-	rot, err := rotaryclk.RotarySkewVariation(params, res.Assign, pairs, opt)
+	rot, err := rotaryclk.RotarySkewVariation(params, res.Assign, pairs, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
 	root := rotaryclk.BuildClockTree(ffPos)
-	tree, err := rotaryclk.TreeSkewVariation(params, root, len(ffPos), pairs, opt)
+	tree, err := rotaryclk.TreeSkewVariation(params, root, len(ffPos), pairs, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -105,7 +105,7 @@ func TestFacadeExtensions(t *testing.T) {
 		t.Error("zero-skew tree empty")
 	}
 	// Variation.
-	st, err := RotarySkewVariation(DefaultParams(), res.Assign, []VarPair{{A: 0, B: 1}}, VarOptions{Seed: 1})
+	st, err := RotarySkewVariation(DefaultParams(), res.Assign, []VarPair{{A: 0, B: 1}}, 1)
 	if err != nil || st.Sigma <= 0 {
 		t.Errorf("variation: %v %v", st, err)
 	}

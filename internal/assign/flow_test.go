@@ -163,11 +163,11 @@ func TestMinCostMatchesReference(t *testing.T) {
 					t.Fatalf("%s: flip-flop %d on ring %d, reference %d (distinct costs: unique optimum)", name, i, got.Ring[i], want.Ring[i])
 				}
 			}
-			paths, deficit := reg.Counter("mcmf.paths"), reg.Counter("assign.mincost.deficit")
+			paths, deficit := reg.Snapshot().Counter("mcmf.paths"), reg.Snapshot().Counter("assign.mincost.deficit")
 			if paths != deficit {
 				t.Errorf("%s: %d augmenting paths for a deficit of %d", name, paths, deficit)
 			}
-			if pre := reg.Counter("assign.mincost.preloaded"); pre+deficit != int64(nFF) {
+			if pre := reg.Snapshot().Counter("assign.mincost.preloaded"); pre+deficit != int64(nFF) {
 				t.Errorf("%s: preloaded %d + deficit %d != %d flip-flops", name, pre, deficit, nFF)
 			}
 			if v.name == "loose" && deficit >= int64(nFF) {
@@ -355,13 +355,13 @@ func TestPreloadDualFeasible(t *testing.T) {
 			if used != n.preloaded || n.preloaded == 0 || (trial%2 == 1 && n.preloaded == nFF && tc.prev == nil) {
 				t.Fatalf("trial %d, %s prices: %d of %d flip-flops preloaded, %d on rings", trial, name, n.preloaded, nFF, used)
 			}
-			if name == "previous" && reg.Counter("assign.preload.kept") == 0 {
+			if name == "previous" && reg.Snapshot().Counter("assign.preload.kept") == 0 {
 				t.Fatalf("trial %d: no flip-flop kept on its previous ring", trial)
 			}
-			if name == "none" && reg.Counter("assign.preload.repairs") != 0 {
+			if name == "none" && reg.Snapshot().Counter("assign.preload.repairs") != 0 {
 				t.Fatalf("trial %d: repaired prices that were never set", trial)
 			}
-			if name == "huge" && reg.Counter("assign.preload.repairs") == 0 && n.preloaded < nFF {
+			if name == "huge" && reg.Snapshot().Counter("assign.preload.repairs") == 0 && n.preloaded < nFF {
 				t.Fatalf("trial %d: huge prices on every ring, some left with room, none dropped", trial)
 			}
 		}

@@ -75,10 +75,10 @@ func TestPatchMinCostAllClean(t *testing.T) {
 		if got.Total != base.Total || !reflect.DeepEqual(got.Ring, base.Ring) {
 			t.Fatalf("seed %d: clean patch total %v, rings %v; base %v, %v", seed, got.Total, got.Ring, base.Total, base.Ring)
 		}
-		if d, paths := reg.Counter("assign.mincost.deficit"), reg.Counter("mcmf.paths"); d != 0 || paths != 0 {
+		if d, paths := reg.Snapshot().Counter("assign.mincost.deficit"), reg.Snapshot().Counter("mcmf.paths"); d != 0 || paths != 0 {
 			t.Errorf("seed %d: clean patch left deficit %d and ran %d paths, want 0 and 0", seed, d, paths)
 		}
-		if kept := reg.Counter("assign.preload.kept"); kept != 200 {
+		if kept := reg.Snapshot().Counter("assign.preload.kept"); kept != 200 {
 			t.Errorf("seed %d: %d of 200 flip-flops kept on their previous ring", seed, kept)
 		}
 	}
@@ -111,7 +111,7 @@ func TestPatchMinCostStalePrior(t *testing.T) {
 	if math.Abs(got.Total-want.Total) > 1e-6 {
 		t.Fatalf("total %v != scratch %v", got.Total, want.Total)
 	}
-	if n := reg.Counter("assign.patch.reused"); n != 30 {
+	if n := reg.Snapshot().Counter("assign.patch.reused"); n != 30 {
 		t.Errorf("reused %d rows, want 30", n)
 	}
 }
@@ -226,7 +226,7 @@ func TestPatchMinCostPrevRingLengthMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertBitEqual(t, got, base)
-	if n := reg.Counter("assign.patch.reused"); n != 0 {
+	if n := reg.Snapshot().Counter("assign.patch.reused"); n != 0 {
 		t.Errorf("reused %d rows with no prior, want 0", n)
 	}
 }
@@ -255,10 +255,10 @@ func TestPatchReusesUnchangedRows(t *testing.T) {
 	}
 
 	same, reg := patch(func(*Problem) {})
-	if n := reg.Counter("assign.tap.queries"); n != 0 {
+	if n := reg.Snapshot().Counter("assign.tap.queries"); n != 0 {
 		t.Errorf("unchanged instance solved %d tap queries, want 0", n)
 	}
-	if n := reg.Counter("assign.patch.reused"); n != 80 {
+	if n := reg.Snapshot().Counter("assign.patch.reused"); n != 80 {
 		t.Errorf("unchanged instance reused %d rows, want 80", n)
 	}
 	if !reflect.DeepEqual(exported(same), exported(prev)) || !reflect.DeepEqual(same.m.rows, prev.m.rows) {
@@ -266,10 +266,10 @@ func TestPatchReusesUnchangedRows(t *testing.T) {
 	}
 
 	_, reg = patch(func(q *Problem) { q.FFs[0].Pos = geom.Pt(q.FFs[0].Pos.X+10, q.FFs[0].Pos.Y) })
-	if n := reg.Counter("assign.tap.queries"); n < 1 || n > int64(p.K) {
+	if n := reg.Snapshot().Counter("assign.tap.queries"); n < 1 || n > int64(p.K) {
 		t.Errorf("moving one flip-flop solved %d tap queries, want 1..%d", n, p.K)
 	}
-	if n := reg.Counter("assign.patch.reused"); n != 79 {
+	if n := reg.Snapshot().Counter("assign.patch.reused"); n != 79 {
 		t.Errorf("moving one flip-flop reused %d rows, want 79", n)
 	}
 }
@@ -315,7 +315,7 @@ func TestPatchReuseNeedsSameInputs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if n := reg.Counter("assign.patch.reused"); n != tc.reused {
+		if n := reg.Snapshot().Counter("assign.patch.reused"); n != tc.reused {
 			t.Errorf("%s: reused %d rows, want %d", tc.name, n, tc.reused)
 		}
 		cold := *q // the edited instance, normalized by the patch
@@ -521,8 +521,8 @@ func TestPatchChainMatchesScratch(t *testing.T) {
 			t.Fatalf("step %d: patched total %v != cold %v", step, warm.Total, cold.Total)
 		}
 		checkAssignment(t, q, warm)
-		paths += reg.Counter("mcmf.paths")
-		deficits += reg.Counter("assign.mincost.deficit")
+		paths += reg.Snapshot().Counter("mcmf.paths")
+		deficits += reg.Snapshot().Counter("assign.mincost.deficit")
 		prev = warm
 	}
 	if paths != deficits {

@@ -82,10 +82,10 @@ func TestMinCostRowReuseBitEquality(t *testing.T) {
 			t.Fatalf("seed %d patch: %v", seed, err)
 		}
 		assertBitEqual(t, cold, warm)
-		if n := reg.Counter("assign.patch.reused"); n != 12 {
+		if n := reg.Snapshot().Counter("assign.patch.reused"); n != 12 {
 			t.Fatalf("seed %d: reused %d rows, want 12", seed, n)
 		}
-		if n := reg.Counter("assign.tap.queries"); n < 1 || n > 2*int64(q.K) {
+		if n := reg.Snapshot().Counter("assign.tap.queries"); n < 1 || n > 2*int64(q.K) {
 			t.Fatalf("seed %d: %d tap queries for 2 edited flip-flops, want 1..%d", seed, n, 2*q.K)
 		}
 	}
@@ -115,7 +115,7 @@ func TestMinMaxCapRowReuseBitEquality(t *testing.T) {
 			t.Fatalf("seed %d patch: %v", seed, err)
 		}
 		assertBitEqual(t, cold, warm)
-		if n := reg.Counter("assign.tap.queries"); n != 0 {
+		if n := reg.Snapshot().Counter("assign.tap.queries"); n != 0 {
 			t.Fatalf("seed %d: %d tap queries on an unchanged instance, want 0", seed, n)
 		}
 	}

@@ -83,12 +83,23 @@ type dmeNode struct {
 	edge     [2]float64 // wirelength budgeted to each child (detours included)
 }
 
+// ZSNode is one vertex of a zero-skew clock tree: like Node, but carrying
+// the wirelength of the edge to each child (EdgeLen, which may exceed the
+// geometric distance when balancing requires a wire detour, the "snaking"
+// of exact zero-skew routing) and the downstream delay Delay.
+type ZSNode struct {
+	Pos      geom.Point
+	Sink     int
+	Children []*ZSNode
+	EdgeLen  []float64 // wirelength to each child (>= Manhattan distance)
+	Delay    float64   // delay from this node to every sink below it
+}
+
 // BuildDME constructs a zero-skew clock tree with the DME algorithm over the
-// nearest-neighbor pairing topology, under the linear delay model. It
-// returns a ZSNode tree (same shape as BuildZeroSkew) whose root-to-sink
-// path lengths are all exactly equal, with total wirelength no worse — and
-// typically better — than the immediate-embedding construction, because the
-// merge regions defer placement decisions until the top-down pass.
+// nearest-neighbor pairing topology, under the linear delay model (delay
+// proportional to wirelength). Every root-to-sink path length equals
+// root.Delay exactly (verified by the test suite); total wirelength is the
+// sum of EdgeLen. It returns nil for an empty sink set.
 func BuildDME(sinks []geom.Point) *ZSNode {
 	if len(sinks) == 0 {
 		return nil
@@ -154,4 +165,28 @@ func embedDME(n *dmeNode, at geom.Point) *ZSNode {
 		out.EdgeLen = append(out.EdgeLen, n.edge[k])
 	}
 	return out
+}
+
+// ZSTotalWL returns the total wirelength of the zero-skew tree (sum of edge
+// lengths including detours).
+func ZSTotalWL(root *ZSNode) float64 {
+	if root == nil {
+		return 0
+	}
+	total := 0.0
+	for i, ch := range root.Children {
+		total += root.EdgeLen[i] + ZSTotalWL(ch)
+	}
+	return total
+}
+
+// ZSAvgSourceSinkPath returns the average root-to-sink wirelength of the
+// zero-skew tree. Every path has the same length, root.Delay, so it returns
+// that (a function for symmetry with AvgSourceSinkPath, validated by the
+// tests).
+func ZSAvgSourceSinkPath(root *ZSNode) float64 {
+	if root == nil {
+		return 0
+	}
+	return root.Delay
 }

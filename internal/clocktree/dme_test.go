@@ -63,33 +63,6 @@ func TestDMEZeroSkewProperty(t *testing.T) {
 	}
 }
 
-// TestDMEBeatsImmediateEmbedding is the point of DME: deferring the
-// embedding never costs wirelength versus placing each merge point
-// immediately, and usually saves some.
-func TestDMEBeatsImmediateEmbedding(t *testing.T) {
-	rng := rand.New(rand.NewSource(62))
-	wins, total := 0, 0
-	for trial := 0; trial < 12; trial++ {
-		n := 16 + rng.Intn(80)
-		sinks := make([]geom.Point, n)
-		for i := range sinks {
-			sinks[i] = geom.Pt(rng.Float64()*4000, rng.Float64()*4000)
-		}
-		dme := ZSTotalWL(BuildDME(sinks))
-		imm := ZSTotalWL(BuildZeroSkew(sinks))
-		if dme > imm*1.02 {
-			t.Errorf("trial %d: DME WL %v clearly worse than immediate %v", trial, dme, imm)
-		}
-		if dme < imm-1e-9 {
-			wins++
-		}
-		total++
-	}
-	if wins < total/2 {
-		t.Errorf("DME only won %d of %d trials; expected it to usually save wire", wins, total)
-	}
-}
-
 func TestDMEKnownThreeSink(t *testing.T) {
 	// Two coincident sinks plus one distant: the pair merges with zero
 	// wire, then one edge of length d/2 each side reaches the far sink.
@@ -136,13 +109,6 @@ func BenchmarkTreeBuilders(b *testing.B) {
 		var wl float64
 		for i := 0; i < b.N; i++ {
 			wl = TotalWL(Build(sinks))
-		}
-		b.ReportMetric(wl/1000, "WL-mm")
-	})
-	b.Run("zeroskew-immediate", func(b *testing.B) {
-		var wl float64
-		for i := 0; i < b.N; i++ {
-			wl = ZSTotalWL(BuildZeroSkew(sinks))
 		}
 		b.ReportMetric(wl/1000, "WL-mm")
 	})

@@ -171,7 +171,7 @@ func BenchmarkApplyECO(b *testing.B) {
 					if st, err = NewECOState(c.Clone(), cfg, res); err != nil {
 						b.Fatal(err)
 					}
-					paths += reg.Counter("mcmf.paths")
+					paths += reg.Snapshot().Counter("mcmf.paths")
 					reg = obs.NewRegistry()
 				}
 				ds := eco.RandomDeltas(rng, st.Circuit, len(st.Array.Rings), 1)
@@ -181,7 +181,7 @@ func BenchmarkApplyECO(b *testing.B) {
 				}
 			}
 			b.StopTimer()
-			paths += reg.Counter("mcmf.paths")
+			paths += reg.Snapshot().Counter("mcmf.paths")
 			b.ReportMetric(float64(paths)/float64(b.N), "paths/op")
 		})
 	}

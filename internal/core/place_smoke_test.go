@@ -30,9 +30,9 @@ func TestPlaceSmoke50k(t *testing.T) {
 	if res.Degraded {
 		t.Fatalf("undisturbed run degraded: %v", res.Events)
 	}
-	if v := reg.Counter("placer.ml.vcycles"); v != 1 {
+	if v := reg.Snapshot().Counter("placer.ml.vcycles"); v != 1 {
 		t.Fatalf("placer.ml.vcycles = %d, want 1 (fallbacks %d): stage 1 did not run the V-cycle",
-			v, reg.Counter("placer.ml.fallback"))
+			v, reg.Snapshot().Counter("placer.ml.fallback"))
 	}
 	start = time.Now()
 	if err := Audit(c, cfg, res); err != nil {

@@ -77,13 +77,13 @@ func TestTimingDrivenRunsClean(t *testing.T) {
 	if res.Degraded {
 		t.Fatalf("timing-driven run degraded: %v", res.Events)
 	}
-	if got := reg.Counter("core.timing.extracts"); got == 0 {
+	if got := reg.Snapshot().Counter("core.timing.extracts"); got == 0 {
 		t.Error("no core.timing.extracts recorded")
 	}
-	if got := reg.Counter("core.timing.boosts"); got == 0 {
+	if got := reg.Snapshot().Counter("core.timing.boosts"); got == 0 {
 		t.Error("no core.timing.boosts recorded")
 	}
-	if got := reg.Counter("placer.system.reweights"); got == 0 {
+	if got := reg.Snapshot().Counter("placer.system.reweights"); got == 0 {
 		t.Error("no placer.system.reweights recorded")
 	}
 	bp, cp := base.Positions(), c.Positions()
@@ -172,7 +172,7 @@ func TestTimingConfigDefaults(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	timingReweight(c, &cfg, res, ffIdx, res.Schedule, scale, 1, reg)
-	if k := reg.Counter("core.timing.paths"); k < 1 || k > 8 {
+	if k := reg.Snapshot().Counter("core.timing.paths"); k < 1 || k > 8 {
 		t.Fatalf("core.timing.paths = %d, want 1..8", k)
 	}
 	capped := 0

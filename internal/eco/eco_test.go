@@ -189,11 +189,11 @@ func TestApplyMoveFFNoop(t *testing.T) {
 	if out.DirtyCells != 0 || out.DirtyFFs != 0 || out.MovedCells != 0 {
 		t.Fatalf("no-op dirtied something: %+v", out)
 	}
-	if n := reg.Counter("eco.noops"); n != 1 {
+	if n := reg.Snapshot().Counter("eco.noops"); n != 1 {
 		t.Errorf("eco.noops = %d, want 1", n)
 	}
 	for _, counter := range []string{"eco.dirty.cells", "eco.dirty.ffs", "eco.deltas", "placer.dirty.solves", "assign.patch.calls"} {
-		if n := reg.Counter(counter); n != 0 {
+		if n := reg.Snapshot().Counter(counter); n != 0 {
 			t.Errorf("%s = %d, want 0", counter, n)
 		}
 	}
@@ -650,18 +650,18 @@ func TestApplyReusesTapRows(t *testing.T) {
 	// testConfig's 4 rings clamp K to 4, so every row is 4 queries.
 	const k = 4
 	outS, regS, n := apply(true)
-	if got := regS.Counter("assign.patch.reused"); got != 0 {
+	if got := regS.Snapshot().Counter("assign.patch.reused"); got != 0 {
 		t.Errorf("scratch reused %d rows, want 0", got)
 	}
-	if got := regS.Counter("assign.tap.queries"); got != n*k {
+	if got := regS.Snapshot().Counter("assign.tap.queries"); got != n*k {
 		t.Errorf("scratch solved %d tap queries, want %d", got, n*k)
 	}
 	outP, regP, _ := apply(false)
-	reused := regP.Counter("assign.patch.reused")
+	reused := regP.Snapshot().Counter("assign.patch.reused")
 	if reused == 0 || reused >= n {
 		t.Fatalf("patch reused %d of %d rows, want some but not all", reused, n)
 	}
-	if got := regP.Counter("assign.tap.queries"); got != (n-reused)*k {
+	if got := regP.Snapshot().Counter("assign.tap.queries"); got != (n-reused)*k {
 		t.Errorf("patch solved %d tap queries, want %d for %d fresh rows", got, (n-reused)*k, n-reused)
 	}
 	if math.Abs(outP.Total-outS.Total) > 1e-6*math.Max(1, math.Abs(outS.Total)) {
@@ -706,19 +706,19 @@ func scratchThenScoped(t *testing.T, st *eco.State, scratch, scoped eco.Delta, c
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w := st.STA.Work(); reg.Counter("eco.sta.full") != 1 || !w.Full || w.Sources != len(st.FFCells) ||
-		st.SignalWL.Nets() != len(st.Circuit.Nets) || reg.Counter("eco.wl.nets") != nets {
+	if w := st.STA.Work(); reg.Snapshot().Counter("eco.sta.full") != 1 || !w.Full || w.Sources != len(st.FFCells) ||
+		st.SignalWL.Nets() != len(st.Circuit.Nets) || reg.Snapshot().Counter("eco.wl.nets") != nets {
 		t.Fatalf("scratch apply: sta.full %d over %d sources, wl.nets %d; want full builds of %d flip-flops and %d nets",
-			reg.Counter("eco.sta.full"), w.Sources, reg.Counter("eco.wl.nets"), len(st.FFCells), nets)
+			reg.Snapshot().Counter("eco.sta.full"), w.Sources, reg.Snapshot().Counter("eco.wl.nets"), len(st.FFCells), nets)
 	}
 	check("scratch apply", out)
 	reg = obs.NewRegistry()
 	if out, err = eco.Apply(st, []eco.Delta{scoped}, eco.Options{Obs: reg}); err != nil {
 		t.Fatal(err)
 	}
-	if n := reg.Counter("eco.wl.nets"); reg.Counter("eco.sta.full") != 0 || reg.Counter("eco.sta.reused") == 0 || n == 0 || n >= nets {
+	if n := reg.Snapshot().Counter("eco.wl.nets"); reg.Snapshot().Counter("eco.sta.full") != 0 || reg.Snapshot().Counter("eco.sta.reused") == 0 || n == 0 || n >= nets {
 		t.Fatalf("apply after scratch: sta.full %d, sta.reused %d, wl.nets %d of %d; want scoped updates",
-			reg.Counter("eco.sta.full"), reg.Counter("eco.sta.reused"), n, nets)
+			reg.Snapshot().Counter("eco.sta.full"), reg.Snapshot().Counter("eco.sta.reused"), n, nets)
 	}
 	check("apply after scratch", out)
 }
@@ -744,10 +744,10 @@ func TestApplySTACache(t *testing.T) {
 		if _, err := eco.Apply(st, ds, eco.Options{Obs: reg}); err != nil {
 			t.Fatal(err)
 		}
-		src, reused := reg.Counter("eco.sta.sources"), reg.Counter("eco.sta.reused")
-		if reg.Counter("eco.sta.full") != 0 || src == 0 || src+reused != int64(len(ffs)) || src >= reused {
+		src, reused := reg.Snapshot().Counter("eco.sta.sources"), reg.Snapshot().Counter("eco.sta.reused")
+		if reg.Snapshot().Counter("eco.sta.full") != 0 || src == 0 || src+reused != int64(len(ffs)) || src >= reused {
 			t.Fatalf("apply %d: full %d, sources %d, reused %d of %d flip-flops",
-				i, reg.Counter("eco.sta.full"), src, reused, len(ffs))
+				i, reg.Snapshot().Counter("eco.sta.full"), src, reused, len(ffs))
 		}
 		sameCachedPairs(t, fmt.Sprintf("apply %d", i), st)
 	}
@@ -802,7 +802,7 @@ func TestApplySignalWLCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := reg.Counter("eco.wl.nets"); n == 0 || n >= int64(len(c.Nets)) {
+	if n := reg.Snapshot().Counter("eco.wl.nets"); n == 0 || n >= int64(len(c.Nets)) {
 		t.Fatalf("first apply measured %d of %d nets", n, len(c.Nets))
 	}
 	sameWL(t, "first apply", st, out)
@@ -812,7 +812,7 @@ func TestApplySignalWLCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := reg.Counter("eco.wl.nets"); n == 0 || n >= int64(len(c.Nets)) {
+	if n := reg.Snapshot().Counter("eco.wl.nets"); n == 0 || n >= int64(len(c.Nets)) {
 		t.Fatalf("net edit measured %d of %d nets", n, len(c.Nets))
 	}
 	sameWL(t, "net edit", st, out)

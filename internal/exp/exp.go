@@ -254,13 +254,16 @@ func TableI(opt Options) ([]RowI, error) {
 			return
 		}
 		prob.Stop = opt.Stop
-		t0 := time.Now()
+		// Both arms are timed as spans on a per-circuit registry and read
+		// back with SpanSeconds, the clock of every other stage time.
+		reg := obs.NewRegistry()
+		sp := reg.StartSpan("tableI.greedy")
 		_, rel, err := assign.MinMaxCap(prob)
+		sp.End()
 		if err != nil {
 			errs[i] = fmt.Errorf("exp: %s greedy rounding: %w", b.Name, err)
 			return
 		}
-		greedyCPU := time.Since(t0).Seconds()
 
 		ilpOpt := lp.ILPOptions{TimeLimit: opt.ILPBudget, Stop: opt.Stop}
 		if opt.ILPNodes > 0 {
@@ -268,18 +271,19 @@ func TableI(opt Options) ([]RowI, error) {
 			// not; the golden harness runs Table I this way.
 			ilpOpt = lp.ILPOptions{MaxNodes: opt.ILPNodes, Stop: opt.Stop}
 		}
-		t0 = time.Now()
+		sp = reg.StartSpan("tableI.ilp")
 		ilpA, ilpSol, err := assign.MinMaxCapILP(prob, ilpOpt)
+		sp.End()
 		if err != nil {
 			errs[i] = fmt.Errorf("exp: %s ILP baseline: %w", b.Name, err)
 			return
 		}
-		ilpCPU := time.Since(t0).Seconds()
+		snap := reg.Snapshot()
 		row := RowI{
 			Name:      b.Name,
 			GreedyIG:  rel.IG,
-			GreedyCPU: greedyCPU,
-			ILPCPU:    ilpCPU,
+			GreedyCPU: snap.SpanSeconds("tableI.greedy"),
+			ILPCPU:    snap.SpanSeconds("tableI.ilp"),
 			ILPStatus: ilpSol.Status.String(),
 			LPOptimum: rel.LPOpt,
 		}

@@ -131,6 +131,10 @@ func TestTableI(t *testing.T) {
 	if !r.ILPNoSol && r.ILPIG < 1-1e-6 {
 		t.Errorf("ILP IG %v < 1", r.ILPIG)
 	}
+	// Both arms are timed, from their spans.
+	if r.GreedyCPU <= 0 || r.ILPCPU <= 0 {
+		t.Errorf("CPU columns greedy %v, ILP %v: both arms must be timed", r.GreedyCPU, r.ILPCPU)
+	}
 
 	// A failing branch and bound fails the table with the circuit and the
 	// ILP baseline named, the solver's error wrapped.

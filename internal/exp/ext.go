@@ -32,13 +32,12 @@ func VariationStudy(runs []*CircuitRun) ([]RowVar, error) {
 		if len(cr.FFPos) == 0 {
 			return nil, fmt.Errorf("exp: run %s carries no flip-flop positions", cr.Bench.Name)
 		}
-		opt := variation.Options{Seed: cr.Bench.Seed}
-		rot, err := variation.RotarySkew(cr.Flow.Array.Params, cr.Flow.Assign, cr.VarPairs, opt)
+		rot, err := variation.RotarySkew(cr.Flow.Array.Params, cr.Flow.Assign, cr.VarPairs, cr.Bench.Seed)
 		if err != nil {
 			return nil, err
 		}
 		root := clocktree.Build(cr.FFPos)
-		tree, err := variation.TreeSkew(cr.Flow.Array.Params, root, len(cr.FFPos), cr.VarPairs, opt)
+		tree, err := variation.TreeSkew(cr.Flow.Array.Params, root, len(cr.FFPos), cr.VarPairs, cr.Bench.Seed)
 		if err != nil {
 			return nil, err
 		}

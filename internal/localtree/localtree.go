@@ -55,11 +55,14 @@ type Options struct {
 	// Radius is the maximum distance between a flip-flop and a cluster's
 	// junction for it to join (um). Default: a quarter of the ring side.
 	Radius float64
-	// MinSize is the minimum cluster size worth a shared trunk (default 2).
-	MinSize int
-	// Tol is the delay-realization tolerance (ps, default 1e-6).
-	Tol float64
 }
+
+// Fixed clustering constants: minSize is the smallest cluster worth a
+// shared trunk, tol the delay-realization tolerance (ps).
+const (
+	minSize = 2
+	tol     = 1e-6
+)
 
 // Build constructs local trees for an assignment. ffPos and targets are
 // indexed like the assignment's FFs. Clusters that do not strictly reduce
@@ -68,12 +71,6 @@ func Build(arr *rotary.Array, asg *assign.Assignment, ffPos []geom.Point, target
 	n := len(asg.Ring)
 	if len(ffPos) != n || len(targets) != n {
 		return nil, fmt.Errorf("localtree: got %d positions, %d targets for %d flip-flops", len(ffPos), len(targets), n)
-	}
-	if opt.MinSize < 2 {
-		opt.MinSize = 2
-	}
-	if opt.Tol <= 0 {
-		opt.Tol = 1e-6
 	}
 	res := &Result{}
 	for i := 0; i < n; i++ {
@@ -88,7 +85,7 @@ func Build(arr *rotary.Array, asg *assign.Assignment, ffPos []geom.Point, target
 	claimed := make([]bool, n)
 	for ringID := 0; ringID < len(arr.Rings); ringID++ {
 		members := byRing[ringID]
-		if len(members) < opt.MinSize {
+		if len(members) < minSize {
 			continue
 		}
 		ring := arr.Rings[ringID]
@@ -123,12 +120,12 @@ func Build(arr *rotary.Array, asg *assign.Assignment, ffPos []geom.Point, target
 					centroid = meanPoint(ffPos, cluster)
 				}
 			}
-			if len(cluster) < opt.MinSize {
+			if len(cluster) < minSize {
 				claimed[seed] = true
 				res.Single = append(res.Single, seed)
 				continue
 			}
-			tree, ok := buildTree(arr, ring, cluster, ffPos, targets, opt.Tol)
+			tree, ok := buildTree(arr, ring, cluster, ffPos, targets)
 			baseWL := 0.0
 			for _, i := range cluster {
 				baseWL += asg.Taps[i].WireLen
@@ -167,7 +164,7 @@ func Build(arr *rotary.Array, asg *assign.Assignment, ffPos []geom.Point, target
 // cluster centroid, then branches sized so each flip-flop receives its
 // scheduled delay. The trunk's Elmore delay sees all downstream capacitance;
 // branch lengths and downstream load are settled by fixed-point iteration.
-func buildTree(arr *rotary.Array, ring *rotary.Ring, cluster []int, ffPos []geom.Point, targets []float64, tol float64) (*Tree, bool) {
+func buildTree(arr *rotary.Array, ring *rotary.Ring, cluster []int, ffPos []geom.Point, targets []float64) (*Tree, bool) {
 	params := arr.Params
 	j := meanPoint(ffPos, cluster)
 
@@ -214,7 +211,7 @@ func buildTree(arr *rotary.Array, ring *rotary.Ring, cluster []int, ffPos []geom
 			for need < -tol {
 				need += params.Period
 			}
-			b, found := invertBranchDelay(params, need)
+			b, found := params.StubLength(need)
 			if !found || b < direct[k]-tol {
 				ok = false
 				break
@@ -246,24 +243,6 @@ func buildTree(arr *rotary.Array, ring *rotary.Ring, cluster []int, ffPos []geom
 		}
 	}
 	return tree, tree != nil
-}
-
-// invertBranchDelay solves p.StubDelay(b) = target for b >= 0: the length
-// of a branch whose Elmore delay into a flip-flop clock pin is target.
-func invertBranchDelay(p rotary.Params, target float64) (float64, bool) {
-	if target < 0 {
-		return 0, false
-	}
-	a := 0.5 * p.RWire * p.CWire
-	bq := p.RWire * p.CFF
-	disc := bq*bq + 4*a*target
-	if a == 0 {
-		if bq == 0 {
-			return 0, target == 0
-		}
-		return target / bq, true
-	}
-	return (-bq + math.Sqrt(disc)) / (2 * a), true
 }
 
 // solveLoadedTap finds the ring tapping point for a trunk to a junction that

@@ -166,16 +166,19 @@ func TestBuildInputValidation(t *testing.T) {
 	}
 }
 
+// TestInvertBranchDelay: the branch lengths Build sizes come from
+// Params.StubLength, which must invert StubDelay on branch-scale lengths
+// and refuse a target no wire can realize.
 func TestInvertBranchDelay(t *testing.T) {
 	p := rotary.DefaultParams()
 	for _, b := range []float64{0, 25, 333, 900} {
 		target := p.StubDelay(b)
-		got, ok := invertBranchDelay(p, target)
+		got, ok := p.StubLength(target)
 		if !ok || math.Abs(got-b) > 1e-6 {
-			t.Errorf("invertBranchDelay(StubDelay(%v)) = %v, %v", b, got, ok)
+			t.Errorf("StubLength(StubDelay(%v)) = %v, %v", b, got, ok)
 		}
 	}
-	if _, ok := invertBranchDelay(p, -5); ok {
+	if _, ok := p.StubLength(-5); ok {
 		t.Error("negative target inverted")
 	}
 }

@@ -64,6 +64,13 @@ type AssignLPResult struct {
 // infeasible (Status Infeasible, nil error); malformed arcs (bin out of
 // range, negative or non-finite load) wrap ErrBadProblem.
 func SolveAssignLP(arcs [][]AssignArc, nBins int, opts Options) (AssignLPResult, error) {
+	return solveAssignLP(arcs, nBins, opts, defaultTol, 0)
+}
+
+// solveAssignLP is SolveAssignLP at tolerance tol under a pivot budget;
+// maxIters <= 0 means iterBudget. Tests reach the solver's rare branches
+// and its singular-basis recovery through a tol far below defaultTol.
+func solveAssignLP(arcs [][]AssignArc, nBins int, opts Options, tol float64, maxIters int) (AssignLPResult, error) {
 	if err := faultinject.Hook(faultinject.SiteLPSolve); err != nil {
 		return AssignLPResult{Status: Infeasible}, err
 	}
@@ -88,9 +95,11 @@ func SolveAssignLP(arcs [][]AssignArc, nBins int, opts Options) (AssignLPResult,
 		}
 		nnz += len(row)
 	}
-	opts.normalize(len(arcs)+nBins, nnz+nBins+1)
-	s := newAssignSimplex(arcs, nBins, nnz, opts.Tol)
-	res, err := s.solve(opts.MaxIters, opts.Stop)
+	if maxIters <= 0 {
+		maxIters = iterBudget(len(arcs)+nBins, nnz+nBins+1)
+	}
+	s := newAssignSimplex(arcs, nBins, nnz, tol)
+	res, err := s.solve(maxIters, opts.Stop)
 	if reg := opts.Obs; reg != nil {
 		reg.Add("lp.assignlp.solves", 1)
 		reg.Add("lp.assignlp.pivots", int64(s.pivots))
@@ -723,7 +732,7 @@ func (s *assignSimplex) solve(maxIters int, tok *stop.Token) (AssignLPResult, er
 		if !ok || s.pivots%refactEvr == 0 {
 			if s.refactor() != nil {
 				// The ratio test let a rounding-noise pivot through (only a
-				// Tol far below the default admits one) and the new basis is
+				// tolerance far below defaultTol admits one) and the new basis is
 				// singular. Go back to the basis before it, which factored,
 				// and admit no pivot below the default tolerance from here
 				// on, as a default solve never does.

@@ -11,17 +11,19 @@ import (
 	"rotaryclk/internal/obs"
 )
 
-// refSolveAssignLP is SolveAssignLP on the reference solver, which it
+// refSolveAssignLP is solveAssignLP on the reference solver, which it
 // returns for its refactor count. The instances it is given are valid, so
 // it skips the input checks.
-func refSolveAssignLP(arcs [][]AssignArc, nBins int, opts Options) (AssignLPResult, *refAssignSimplex, error) {
+func refSolveAssignLP(arcs [][]AssignArc, nBins int, tol float64, maxIters int) (AssignLPResult, *refAssignSimplex, error) {
 	nnz := 0
 	for _, row := range arcs {
 		nnz += len(row)
 	}
-	opts.normalize(len(arcs)+nBins, nnz+nBins+1)
-	s := newRefAssignSimplex(arcs, nBins, nnz, opts.Tol)
-	res, err := s.solve(opts.MaxIters)
+	if maxIters <= 0 {
+		maxIters = iterBudget(len(arcs)+nBins, nnz+nBins+1)
+	}
+	s := newRefAssignSimplex(arcs, nBins, nnz, tol)
+	res, err := s.solve(maxIters)
 	return res, s, err
 }
 
@@ -848,22 +850,22 @@ func flowAssignInstance(rng *rand.Rand) ([][]AssignArc, int) {
 	return arcs, nBins
 }
 
-// sameAssignLP fails unless SolveAssignLP and the reference agree bit for
-// bit on arcs: status, error, pivot and refactor counts, Z, every X and
-// every dual. It returns the pivot count.
-func sameAssignLP(t *testing.T, tag string, arcs [][]AssignArc, nBins int, opts Options) int {
+// sameAssignLP fails unless solveAssignLP and the reference agree bit for
+// bit on arcs at tolerance tol and pivot budget maxIters (0: automatic):
+// status, error, pivot and refactor counts, Z, every X and every dual. It
+// returns the pivot count.
+func sameAssignLP(t *testing.T, tag string, arcs [][]AssignArc, nBins int, tol float64, maxIters int) int {
 	t.Helper()
 	reg := obs.NewRegistry()
-	opts.Obs = reg
-	got, err := SolveAssignLP(arcs, nBins, opts)
-	want, ref, refErr := refSolveAssignLP(arcs, nBins, opts)
+	got, err := solveAssignLP(arcs, nBins, Options{Obs: reg}, tol, maxIters)
+	want, ref, refErr := refSolveAssignLP(arcs, nBins, tol, maxIters)
 	if fmt.Sprint(err) != fmt.Sprint(refErr) {
 		t.Fatalf("%s: error %v, reference %v", tag, err, refErr)
 	}
 	if got.Status != want.Status || got.Pivots != want.Pivots {
 		t.Fatalf("%s: %v after %d pivots, reference %v after %d", tag, got.Status, got.Pivots, want.Status, want.Pivots)
 	}
-	if p, n := reg.Counter("lp.assignlp.pivots"), reg.Counter("lp.assignlp.refactors"); p != int64(ref.pivots) || n != int64(ref.refactors) {
+	if p, n := reg.Snapshot().Counter("lp.assignlp.pivots"), reg.Snapshot().Counter("lp.assignlp.refactors"); p != int64(ref.pivots) || n != int64(ref.refactors) {
 		t.Fatalf("%s: %d pivots and %d refactors, reference %d and %d", tag, p, n, ref.pivots, ref.refactors)
 	}
 	if math.Float64bits(got.Z) != math.Float64bits(want.Z) {
@@ -910,7 +912,7 @@ func TestAssignLPMatchesReference(t *testing.T) {
 			arcs, nBins := fam.draw(rng)
 			for _, maxIters := range []int{0, 37} {
 				tag := fmt.Sprintf("%s/%d/max=%d", fam.name, trial, maxIters)
-				pivots += sameAssignLP(t, tag, arcs, nBins, Options{MaxIters: maxIters})
+				pivots += sameAssignLP(t, tag, arcs, nBins, defaultTol, maxIters)
 			}
 		}
 	}
@@ -937,7 +939,7 @@ func TestAssignLPMatchesReferenceRareBranches(t *testing.T) {
 		arcs, nBins := tiedAssignInstance(rand.New(rand.NewSource(tc.seed)))
 		for _, maxIters := range []int{0, 37} {
 			tag := fmt.Sprintf("seed %d (%s)/max=%d", tc.seed, tc.branch, maxIters)
-			sameAssignLP(t, tag, arcs, nBins, Options{Tol: tc.tol, MaxIters: maxIters})
+			sameAssignLP(t, tag, arcs, nBins, tc.tol, maxIters)
 		}
 	}
 }
@@ -960,11 +962,10 @@ func TestAssignLPSurvivesSingularBasis(t *testing.T) {
 	} {
 		tag := fmt.Sprintf("seed %d (%s)", tc.seed, tc.branch)
 		arcs, nBins := tiedAssignInstance(rand.New(rand.NewSource(tc.seed)))
-		opts := Options{Tol: tc.tol}
-		if _, _, err := refSolveAssignLP(arcs, nBins, opts); err == nil || !strings.Contains(err.Error(), "singular") {
+		if _, _, err := refSolveAssignLP(arcs, nBins, tc.tol, 0); err == nil || !strings.Contains(err.Error(), "singular") {
 			t.Fatalf("%s: reference error %v, want a singular working basis", tag, err)
 		}
-		res, err := SolveAssignLP(arcs, nBins, opts)
+		res, err := solveAssignLP(arcs, nBins, Options{}, tc.tol, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", tag, err)
 		}
@@ -976,6 +977,30 @@ func TestAssignLPSurvivesSingularBasis(t *testing.T) {
 		}
 		if diff := math.Abs(res.Z - sol.Obj); diff > 1e-9*math.Max(1, math.Abs(sol.Obj)) {
 			t.Fatalf("%s: Z %.12g, dense %.12g", tag, res.Z, sol.Obj)
+		}
+	}
+}
+
+// TestAssignLPTinyTolSeedsAtDefault: the tied instances on which a
+// tolerance far below defaultTol ends in a singular working basis (566, 384,
+// 5587), an iteration limit (627, 1650, 1660, 3099, 4138) or a rare branch
+// (9, 297, 16873) solve to the dense simplex's optimum through the public
+// SolveAssignLP, which always runs at defaultTol.
+func TestAssignLPTinyTolSeedsAtDefault(t *testing.T) {
+	for _, seed := range []int64{566, 384, 5587, 627, 1650, 1660, 3099, 4138, 9, 297, 16873} {
+		arcs, nBins := tiedAssignInstance(rand.New(rand.NewSource(seed)))
+		res, err := SolveAssignLP(arcs, nBins, Options{})
+		if err != nil || res.Status != Optimal {
+			t.Fatalf("seed %d: status %v, error %v", seed, res.Status, err)
+		}
+		checkAssignLPResult(t, arcs, nBins, res)
+		prob, _, _ := denseAssignLP(arcs, nBins)
+		sol, err := prob.Solve()
+		if err != nil || sol.Status != Optimal {
+			t.Fatalf("seed %d: dense solve %v status %v", seed, err, sol.Status)
+		}
+		if diff := math.Abs(res.Z - sol.Obj); diff > 1e-9*math.Max(1, math.Abs(sol.Obj)) {
+			t.Fatalf("seed %d: Z %.12g, dense %.12g", seed, res.Z, sol.Obj)
 		}
 	}
 }

@@ -20,15 +20,14 @@ import (
 type ILPOptions struct {
 	TimeLimit time.Duration // 0 = no limit
 	MaxNodes  int           // 0 = DefaultMaxNodes when TimeLimit is also 0; < 0 = no limit
-	LP        Options       // per-node LP options
-	// Obs receives search telemetry (node/incumbent counters) and is also
-	// installed as the per-node LP registry when LP.Obs is nil.
+	// Obs receives search telemetry (node/incumbent counters) and the
+	// per-node LP counters.
 	Obs *obs.Registry
 	// Stop is the cooperative cancellation token, checked once per node and
-	// (via LP.Stop, installed when that is nil) once per pivot of every
-	// per-node LP. A fired token stops the search with BudgetHit set and the
-	// incumbent intact, and returns an error wrapping the stop sentinel so
-	// cancellation is distinguishable from an exhausted node budget.
+	// once per pivot of every per-node LP. A fired token stops the search
+	// with BudgetHit set and the incumbent intact, and returns an error
+	// wrapping the stop sentinel so cancellation is distinguishable from an
+	// exhausted node budget.
 	Stop *stop.Token
 }
 
@@ -89,12 +88,7 @@ func (p *Problem) SolveILP(opts ILPOptions) (ILPSolution, error) {
 	if opts.MaxNodes == 0 && opts.TimeLimit <= 0 {
 		opts.MaxNodes = DefaultMaxNodes
 	}
-	if opts.LP.Obs == nil {
-		opts.LP.Obs = opts.Obs
-	}
-	if opts.LP.Stop == nil {
-		opts.LP.Stop = opts.Stop
-	}
+	nodeLP := Options{Obs: opts.Obs, Stop: opts.Stop}
 	reg := opts.Obs
 	incumbents := int64(0)
 	deadline := time.Time{}
@@ -144,7 +138,7 @@ func (p *Problem) SolveILP(opts ILPOptions) (ILPSolution, error) {
 		stack = stack[:len(stack)-1]
 		res.Nodes++
 
-		sol, err := p.solveWithBounds(nd.lo, nd.hi, opts.LP)
+		sol, err := p.solveWithBounds(nd.lo, nd.hi, nodeLP)
 		if err != nil {
 			if stop.IsStop(err) {
 				// Cancellation surfaced inside a per-node LP: keep the

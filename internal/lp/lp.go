@@ -162,8 +162,13 @@ type Solution struct {
 	Iters  int
 }
 
-// defaultTol is the feasibility/optimality tolerance of a zero Options.Tol.
+// defaultTol is the feasibility/optimality tolerance of both simplex
+// solvers. The assignment LP's tests reach smaller ones through
+// solveAssignLP.
 const defaultTol = 1e-9
+
+// iterBudget is the pivot budget of a solve over m rows and n columns.
+func iterBudget(m, n int) int { return 50*(m+n) + 10000 }
 
 // ErrBadProblem is returned for structurally invalid problems.
 var ErrBadProblem = errors.New("lp: invalid problem")
@@ -173,10 +178,9 @@ func (p *Problem) Solve() (Solution, error) {
 	return p.SolveOpts(Options{})
 }
 
-// Options tunes the simplex.
+// Options carries a solve's telemetry and cancellation; the tolerance is
+// defaultTol and the pivot budget iterBudget.
 type Options struct {
-	MaxIters int     // 0 means automatic (50*(m+n)+10000)
-	Tol      float64 // feasibility/optimality tolerance; 0 means 1e-9
 	// Obs receives solver telemetry (solve and pivot counters). Nil records
 	// nothing.
 	Obs *obs.Registry
@@ -188,17 +192,14 @@ type Options struct {
 	Stop *stop.Token
 }
 
-func (o *Options) normalize(m, n int) {
-	if o.Tol <= 0 {
-		o.Tol = defaultTol
-	}
-	if o.MaxIters <= 0 {
-		o.MaxIters = 50*(m+n) + 10000
-	}
-}
-
 // SolveOpts is Solve with explicit options.
 func (p *Problem) SolveOpts(opts Options) (Solution, error) {
+	return p.solveBudget(opts, 0)
+}
+
+// solveBudget is SolveOpts under a pivot budget; maxIters <= 0 means
+// iterBudget. Tests stop a solve early through it.
+func (p *Problem) solveBudget(opts Options, maxIters int) (Solution, error) {
 	if err := faultinject.Hook(faultinject.SiteLPSolve); err != nil {
 		return Solution{Status: Infeasible}, err
 	}
@@ -209,8 +210,10 @@ func (p *Problem) SolveOpts(opts Options) (Solution, error) {
 	if err != nil {
 		return Solution{Status: Infeasible}, err
 	}
-	opts.normalize(s.m, s.n)
-	sol, err := s.solve(opts)
+	if maxIters <= 0 {
+		maxIters = iterBudget(s.m, s.n)
+	}
+	sol, err := s.solve(opts.Stop, maxIters)
 	// One record per solve: pivots accumulate in Solution.Iters, so the
 	// simplex loop itself stays untouched (and lock-free).
 	if reg := opts.Obs; reg != nil {

@@ -8,7 +8,7 @@ import (
 )
 
 func TestIterLimitStatus(t *testing.T) {
-	// A nontrivial LP with MaxIters=1 cannot reach optimality in one pivot;
+	// A nontrivial LP with a budget of one pivot cannot reach optimality;
 	// the solver must report the limit instead of a wrong optimum claim.
 	rng := rand.New(rand.NewSource(3))
 	p := NewProblem()
@@ -24,7 +24,7 @@ func TestIterLimitStatus(t *testing.T) {
 		}
 		p.AddConstraint(LE, 2, coefs...)
 	}
-	sol, err := p.SolveOpts(Options{MaxIters: 1})
+	sol, err := p.solveBudget(Options{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestDegenerateBudgetStops(t *testing.T) {
 		coefs[i] = Coef{vars[i], 1}
 	}
 	p.AddConstraint(LE, float64(n), coefs...)
-	sol, err := p.SolveOpts(Options{MaxIters: 2})
+	sol, err := p.solveBudget(Options{}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,19 +119,14 @@ func TestILPNodeBudgetTyped(t *testing.T) {
 	}
 }
 
+// TestOptionsNormalization pins the fixed tolerance and the automatic
+// pivot budget that every solve runs under.
 func TestOptionsNormalization(t *testing.T) {
-	o := Options{}
-	o.normalize(10, 20)
-	if o.Tol != 1e-9 {
-		t.Errorf("Tol = %v", o.Tol)
+	if defaultTol != 1e-9 {
+		t.Errorf("defaultTol = %v", defaultTol)
 	}
-	if o.MaxIters != 50*30+10000 {
-		t.Errorf("MaxIters = %v", o.MaxIters)
-	}
-	o2 := Options{Tol: 1e-6, MaxIters: 7}
-	o2.normalize(10, 20)
-	if o2.Tol != 1e-6 || o2.MaxIters != 7 {
-		t.Errorf("explicit options overridden: %+v", o2)
+	if got := iterBudget(10, 20); got != 50*30+10000 {
+		t.Errorf("iterBudget(10, 20) = %v", got)
 	}
 }
 

@@ -454,9 +454,9 @@ func (s *simplex) step(j int, dir float64) (progress float64, ok bool) {
 
 // iterate runs the simplex loop under the given cost vector until optimal,
 // unbounded, or the iteration budget is exhausted.
-func (s *simplex) iterate(cost []float64, opts Options, itersUsed *int) Status {
+func (s *simplex) iterate(cost []float64, maxIters int, itersUsed *int) Status {
 	stall := 0
-	for *itersUsed < opts.MaxIters {
+	for *itersUsed < maxIters {
 		if err := stop.Check(s.tok, faultinject.SiteLPPivotCancel); err != nil {
 			// Cancellation rides the IterLimit path so the caller still gets
 			// the best-effort iterate state; stopErr distinguishes it.
@@ -465,7 +465,7 @@ func (s *simplex) iterate(cost []float64, opts Options, itersUsed *int) Status {
 		}
 		bland := stall > 2*(s.m+64)
 		s.computeDuals(cost)
-		j, dir := s.price(cost, opts.Tol, bland)
+		j, dir := s.price(cost, defaultTol, bland)
 		if j < 0 {
 			return Optimal
 		}
@@ -476,7 +476,7 @@ func (s *simplex) iterate(cost []float64, opts Options, itersUsed *int) Status {
 			}
 			s.computeDuals(cost)
 			// Re-check eligibility after refactorization.
-			if d := s.reducedCost(cost, j); (dir > 0 && d >= -opts.Tol) || (dir < 0 && d <= opts.Tol) {
+			if d := s.reducedCost(cost, j); (dir > 0 && d >= -defaultTol) || (dir < 0 && d <= defaultTol) {
 				continue
 			}
 		}
@@ -484,7 +484,7 @@ func (s *simplex) iterate(cost []float64, opts Options, itersUsed *int) Status {
 		if !ok {
 			return Unbounded
 		}
-		if t <= opts.Tol {
+		if t <= defaultTol {
 			stall++
 		} else {
 			stall = 0
@@ -503,9 +503,9 @@ func (s *simplex) objective(cost []float64) float64 {
 	return v
 }
 
-func (s *simplex) solve(opts Options) (Solution, error) {
+func (s *simplex) solve(tok *stop.Token, maxIters int) (Solution, error) {
 	s.setup()
-	s.tok = opts.Stop
+	s.tok = tok
 	iters := 0
 
 	if s.nArt > 0 {
@@ -514,7 +514,7 @@ func (s *simplex) solve(opts Options) (Solution, error) {
 		for len(s.cost1) < s.n {
 			s.cost1 = append(s.cost1, 0)
 		}
-		st := s.iterate(s.cost1, opts, &iters)
+		st := s.iterate(s.cost1, maxIters, &iters)
 		if st == IterLimit {
 			if s.stopErr != nil {
 				return Solution{Status: IterLimit, Iters: iters}, fmt.Errorf("lp: simplex phase 1: %w", s.stopErr)
@@ -537,7 +537,7 @@ func (s *simplex) solve(opts Options) (Solution, error) {
 		}
 	}
 
-	st := s.iterate(s.cost, opts, &iters)
+	st := s.iterate(s.cost, maxIters, &iters)
 	sol := Solution{Status: st, Iters: iters}
 	if st == Optimal || st == IterLimit {
 		if err := s.refactorize(); err == nil {

@@ -123,7 +123,7 @@ func TestMinCostFlowFromSeedPotentials(t *testing.T) {
 	if got := totalCost(g); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("seeded total %v != zero-start total %v", got, want)
 	}
-	if p := reg.Counter("mcmf.paths"); p != int64(nFF-preloaded) {
+	if p := reg.Snapshot().Counter("mcmf.paths"); p != int64(nFF-preloaded) {
 		t.Fatalf("%d augmenting paths for %d remaining units", p, nFF-preloaded)
 	}
 }

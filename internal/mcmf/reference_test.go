@@ -346,11 +346,11 @@ func matchReference(t *testing.T, rng *rand.Rand, draw func(*rand.Rand, bool) (i
 		if flow != rflow || math.Float64bits(cost) != math.Float64bits(rcost) {
 			t.Fatalf("%s: flow %d cost %v vs %d %v in the reference", tag, flow, cost, rflow, rcost)
 		}
-		if got := reg.Counter("mcmf.paths"); got != int64(paths) {
+		if got := reg.Snapshot().Counter("mcmf.paths"); got != int64(paths) {
 			t.Fatalf("%s: %d paths vs %d in the reference", tag, got, paths)
 		}
 		solves++
-		switch got := reg.Counter("mcmf.relaxations"); {
+		switch got := reg.Snapshot().Counter("mcmf.relaxations"); {
 		case got > int64(relaxed):
 			t.Fatalf("%s: %d relaxations vs %d in the reference", tag, got, relaxed)
 		case got < int64(relaxed):
@@ -467,7 +467,7 @@ func TestSearchStopsAtSink(t *testing.T) {
 	if flow, cost, err := g.MinCostFlow(0, 1, units); err != nil || flow != units || cost != 0 {
 		t.Fatalf("flow %d cost %v err %v, want %d units at cost 0", flow, cost, err, units)
 	}
-	paths, settled := reg.Counter("mcmf.paths"), reg.Counter("mcmf.settled")
+	paths, settled := reg.Snapshot().Counter("mcmf.paths"), reg.Snapshot().Counter("mcmf.settled")
 	if paths != units {
 		t.Fatalf("%d augmenting paths, want %d", paths, units)
 	}

@@ -82,16 +82,6 @@ func (r *Registry) Stat(name string, n int64) {
 	r.mu.Unlock()
 }
 
-// Counter returns the current value of a counter (0 if absent or nil).
-func (r *Registry) Counter(name string) int64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.counters[name]
-}
-
 // StartSpan opens a root span. Returns nil (a no-op span) on a nil registry,
 // so callers never check.
 func (r *Registry) StartSpan(name string, attrs ...Attr) *Span {

@@ -13,7 +13,7 @@ func TestNilSafety(t *testing.T) {
 	r.Add("x", 1)
 	r.Gauge("g", 2.5)
 	r.Stat("s", 3)
-	if got := r.Counter("x"); got != 0 {
+	if got := r.Snapshot().Counter("x"); got != 0 {
 		t.Fatalf("nil Counter = %d, want 0", got)
 	}
 	sp := r.StartSpan("root")
@@ -51,7 +51,7 @@ func TestCountersGaugesStats(t *testing.T) {
 	r.Gauge("g", 1.5)
 	r.Gauge("g", 2.5)
 	r.Stat("s", 7)
-	if got := r.Counter("a.b"); got != 5 {
+	if got := r.Snapshot().Counter("a.b"); got != 5 {
 		t.Fatalf("Counter = %d, want 5", got)
 	}
 	snap := r.Snapshot()

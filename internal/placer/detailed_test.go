@@ -146,8 +146,8 @@ func BenchmarkDetailed(b *testing.B) {
 				}
 			}
 			n := float64(b.N)
-			b.ReportMetric(float64(reg.Counter("placer.detailed.rescans"))/n, "rescans/op")
-			b.ReportMetric(float64(reg.Counter("placer.detailed.pruned"))/n, "pruned/op")
+			b.ReportMetric(float64(reg.Snapshot().Counter("placer.detailed.rescans"))/n, "rescans/op")
+			b.ReportMetric(float64(reg.Snapshot().Counter("placer.detailed.pruned"))/n, "pruned/op")
 		})
 	}
 }

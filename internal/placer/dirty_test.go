@@ -95,14 +95,14 @@ func TestSolveDirtyPullsTowardConnectivity(t *testing.T) {
 		}
 	}
 	_ = bCells
-	if got := reg.Counter("placer.dirty.solves"); got != 1 {
+	if got := reg.Snapshot().Counter("placer.dirty.solves"); got != 1 {
 		t.Errorf("placer.dirty.solves = %d, want 1", got)
 	}
-	if got := reg.Counter("placer.dirty.components"); got != 1 {
+	if got := reg.Snapshot().Counter("placer.dirty.components"); got != 1 {
 		t.Errorf("placer.dirty.components = %d, want 1", got)
 	}
 	// Dirty cell + its star node.
-	if got := reg.Counter("placer.dirty.cells"); got != 2 {
+	if got := reg.Snapshot().Counter("placer.dirty.cells"); got != 2 {
 		t.Errorf("placer.dirty.cells = %d, want 2", got)
 	}
 }
@@ -121,7 +121,7 @@ func TestSolveDirtyCGCounters(t *testing.T) {
 		if _, err := sys.SolveDirty(append(aCells, bCells...), nil); err != nil {
 			t.Fatal(err)
 		}
-		return reg.Counter("placer.dirty.cg.iters"), reg.Counter("placer.dirty.cg.stagnated")
+		return reg.Snapshot().Counter("placer.dirty.cg.iters"), reg.Snapshot().Counter("placer.dirty.cg.stagnated")
 	}
 	i1, s1 := run()
 	i2, s2 := run()

@@ -55,7 +55,7 @@ func TestIncrementalDeterministicAcrossWorkerCounts(t *testing.T) {
 		for i, id := range ffs {
 			pn[i] = PseudoNet{Cell: id, Target: c.Die.Center(), Weight: 4}
 		}
-		if err := Incremental(c, Options{PseudoNets: pn, Parallelism: workers}); err != nil {
+		if err := incremental(c, Options{PseudoNets: pn, Parallelism: workers}); err != nil {
 			t.Fatal(err)
 		}
 		return c.Positions()

@@ -18,6 +18,15 @@ func genCircuit(t *testing.T, cells, ffs int, seed int64) *netlist.Circuit {
 	return c
 }
 
+// incremental is one stage-6 placement of c on a freshly built System.
+func incremental(c *netlist.Circuit, opt Options) error {
+	sys, err := NewSystem(c, opt.Obs)
+	if err != nil {
+		return err
+	}
+	return sys.Incremental(opt)
+}
+
 func TestGlobalReducesWirelength(t *testing.T) {
 	c := genCircuit(t, 600, 80, 1)
 	before := c.SignalWL()
@@ -106,7 +115,7 @@ func TestPseudoNetPullsCell(t *testing.T) {
 	ff := c.FlipFlops()[0]
 	target := geom.Pt(c.Die.Hi.X*0.9, c.Die.Hi.Y*0.9)
 	before := c.Cells[ff].Pos.Manhattan(target)
-	err := Incremental(c, Options{
+	err := incremental(c, Options{
 		PseudoNets: []PseudoNet{{Cell: ff, Target: target, Weight: 30}},
 	})
 	if err != nil {
@@ -126,7 +135,7 @@ func TestIncrementalStability(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := c.Positions()
-	if err := Incremental(c, Options{}); err != nil {
+	if err := incremental(c, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	moved, worst := 0.0, 0.0
@@ -157,7 +166,7 @@ func TestIncrementalKeepsWirelengthReasonable(t *testing.T) {
 	for _, ff := range c.FlipFlops() {
 		pn = append(pn, PseudoNet{Cell: ff, Target: c.Die.Center(), Weight: 2})
 	}
-	if err := Incremental(c, Options{PseudoNets: pn}); err != nil {
+	if err := incremental(c, Options{PseudoNets: pn}); err != nil {
 		t.Fatal(err)
 	}
 	after := c.SignalWL()

@@ -58,9 +58,6 @@ type PseudoNet struct {
 
 // Options tunes the placer.
 type Options struct {
-	// SpreadIters is the number of density-equalization + re-solve rounds
-	// of global placement (default 24, locked by TestOptionsDefaults).
-	SpreadIters int
 	// PseudoNets are the flip-flop anchor nets.
 	PseudoNets []PseudoNet
 	// NetWeights, when non-empty, scales every term net i contributes to the
@@ -98,6 +95,10 @@ type Options struct {
 	// solves never enter the V-cycle.
 	MLCoarsest int
 
+	// spreadIters is the number of density-equalization + re-solve rounds
+	// of global placement (24, locked by TestOptionsDefaults); the V-cycle
+	// sets its per-level round counts here, and tests shorten the schedule.
+	spreadIters int
 	// bins is the spreading grid resolution per axis, derived from the
 	// movable cell count by normalize (each V-cycle level re-derives it).
 	bins int
@@ -123,8 +124,8 @@ const (
 )
 
 func (o *Options) normalize(movable int) {
-	if o.SpreadIters <= 0 {
-		o.SpreadIters = 24
+	if o.spreadIters <= 0 {
+		o.spreadIters = 24
 	}
 	if o.bins <= 0 {
 		o.bins = int(math.Max(4, math.Sqrt(float64(movable)/4)))
@@ -291,10 +292,6 @@ func NewSystem(c *netlist.Circuit, reg *obs.Registry) (*System, error) {
 	s.obs.Add("placer.system.builds", 1)
 	return s, nil
 }
-
-// Circuit returns the circuit this system solves for (the one it was built
-// from, or the one it was forked onto).
-func (s *System) Circuit() *netlist.Circuit { return s.c }
 
 // Fork returns a System bound to circuit c that shares this System's
 // immutable connectivity arrays (CSR Laplacian, base diagonal and right-hand

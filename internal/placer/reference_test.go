@@ -564,7 +564,7 @@ var errInjected = errors.New("injected")
 func TestSolveDirtyMatchesReference(t *testing.T) {
 	worst := 0.0
 	for ci, base := range diffCircuits(t) {
-		if err := Global(base, Options{SpreadIters: 4}); err != nil {
+		if err := Global(base, Options{spreadIters: 4}); err != nil {
 			t.Fatal(err)
 		}
 		movable := []int{}
@@ -623,7 +623,7 @@ func TestSolveDirtyMatchesReference(t *testing.T) {
 			if moved != refMoved {
 				t.Fatalf("circuit %d, %d dirty: moved %d, reference %d", ci, k, moved, refMoved)
 			}
-			if got := reg.Counter("placer.dirty.components"); got != int64(len(comps)) {
+			if got := reg.Snapshot().Counter("placer.dirty.components"); got != int64(len(comps)) {
 				t.Fatalf("circuit %d, %d dirty: %d components, reference %d", ci, k, got, len(comps))
 			}
 			for _, got := range [][]geom.Point{c.Positions(), cComp.Positions()} {
@@ -803,7 +803,7 @@ func detailedEquals(t *testing.T, label string, got *netlist.Circuit, passes int
 			t.Fatalf("%s: cell %d at %v, reference %v", label, id, g, w)
 		}
 	}
-	if tried, acc := reg.Counter("placer.detailed.tried"), reg.Counter("placer.detailed.accepted"); acc > tried {
+	if tried, acc := reg.Snapshot().Counter("placer.detailed.tried"), reg.Snapshot().Counter("placer.detailed.accepted"); acc > tried {
 		t.Fatalf("%s: %d swaps accepted of %d tried", label, acc, tried)
 	}
 	return reg
@@ -941,10 +941,10 @@ func TestDetailedSolePinInward(t *testing.T) {
 	c.AddNet("wide", append(pads, 0)...)
 	c.AddNet("short", 1, addPad(c, geom.Pt(60, 50)))
 	_, reg := detailedMatches(t, "sole pin inward", c, 2, nil)
-	if reg.Counter("placer.detailed.accepted") == 0 {
+	if reg.Snapshot().Counter("placer.detailed.accepted") == 0 {
 		t.Fatal("the inward swap was not taken")
 	}
-	if reg.Counter("placer.detailed.rescans") == 0 {
+	if reg.Snapshot().Counter("placer.detailed.rescans") == 0 {
 		t.Error("moving an edge's sole pin inward did not rescan the net")
 	}
 }
@@ -961,10 +961,10 @@ func TestDetailedBoundRejects(t *testing.T) {
 	c.AddNet("wide", append(pads, 0)...)
 	c.AddNet("short", 1, addPad(c, geom.Pt(0, 50)))
 	_, reg := detailedMatches(t, "bound rejects", c, 2, nil)
-	if got := reg.Counter("placer.detailed.pruned"); got < 1 {
+	if got := reg.Snapshot().Counter("placer.detailed.pruned"); got < 1 {
 		t.Errorf("pruned = %d, want >= 1", got)
 	}
-	if got := reg.Counter("placer.detailed.rescans"); got != 0 {
+	if got := reg.Snapshot().Counter("placer.detailed.rescans"); got != 0 {
 		t.Errorf("rescans = %d, want 0", got)
 	}
 }

@@ -33,7 +33,7 @@ func TestNetWeightIdentity(t *testing.T) {
 			pn = append(pn, PseudoNet{Cell: ff, Target: c.Die.Center(), Weight: 4})
 		}
 		opt.PseudoNets = pn
-		if err := Incremental(c, opt); err != nil {
+		if err := incremental(c, opt); err != nil {
 			t.Fatal(err)
 		}
 		return c.Positions()
@@ -131,20 +131,20 @@ func TestNetWeightCounter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Global(Options{SpreadIters: 3, Obs: reg}); err != nil {
+	if err := sys.Global(Options{spreadIters: 3, Obs: reg}); err != nil {
 		t.Fatal(err)
 	}
-	if got := reg.Counter("placer.system.reweights"); got != 0 {
+	if got := reg.Snapshot().Counter("placer.system.reweights"); got != 0 {
 		t.Errorf("untouched path recorded %d reweights", got)
 	}
-	if err := sys.Global(Options{SpreadIters: 3, Obs: reg, NetWeights: ones(len(c.Nets))}); err != nil {
+	if err := sys.Global(Options{spreadIters: 3, Obs: reg, NetWeights: ones(len(c.Nets))}); err != nil {
 		t.Fatal(err)
 	}
-	reweights := reg.Counter("placer.system.reweights")
+	reweights := reg.Snapshot().Counter("placer.system.reweights")
 	if reweights == 0 {
 		t.Error("overlay path recorded no reweights")
 	}
-	if reuses := reg.Counter("placer.system.reuses"); reweights > reuses {
+	if reuses := reg.Snapshot().Counter("placer.system.reuses"); reweights > reuses {
 		t.Errorf("reweights %d exceeds reuses %d", reweights, reuses)
 	}
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // Global runs global placement: an initial quadratic solve followed by
-// SpreadIters rounds of FastPlace-style density equalization re-anchored
+// spreadIters rounds of FastPlace-style density equalization re-anchored
 // into the quadratic system, leaving cells spread over the die with low
 // quadratic wirelength. Circuits with more than Options.MLCoarsest movable
 // cells run that schedule on a clustered hierarchy instead (the multilevel
@@ -53,7 +53,7 @@ func (s *System) Global(opt Options) error {
 
 // globalLoop is the flat global-placement body shared by the direct path and
 // the per-level solves of the multilevel V-cycle: one initial quadratic solve
-// followed by opt.SpreadIters equalize+re-solve rounds. opt must already be
+// followed by opt.spreadIters equalize+re-solve rounds. opt must already be
 // normalized; the caller owns validation, the path choice, and the
 // placer.global.calls counter.
 func (s *System) globalLoop(opt Options) error {
@@ -66,7 +66,7 @@ func (s *System) globalLoop(opt Options) error {
 		return err
 	}
 
-	for iter := 1; iter <= opt.SpreadIters; iter++ {
+	for iter := 1; iter <= opt.spreadIters; iter++ {
 		targets := equalize(c, opt.bins)
 		// Re-solve with anchors toward the shifted positions; the anchor
 		// strength ramps so early rounds preserve connectivity structure
@@ -85,23 +85,13 @@ func (s *System) globalLoop(opt Options) error {
 	return nil
 }
 
-// Incremental re-places the circuit starting from its current positions,
-// holding cells near where they are (stability anchors) while the
-// pseudo-nets pull flip-flops toward their rings. This is the stage-6
+// Incremental re-places the system's circuit starting from its current
+// positions, holding cells near where they are (stability anchors) while
+// the pseudo-nets pull flip-flops toward their rings. This is the stage-6
 // incremental placement of the flow; it is "stable" in the paper's sense:
-// with no pseudo-nets it reproduces the input placement. Callers that
-// re-place the same circuit repeatedly (the flow loop) should hold one
-// System and use System.Incremental so the connectivity build is paid once.
-func Incremental(c *netlist.Circuit, opt Options) error {
-	sys, err := NewSystem(c, opt.Obs)
-	if err != nil {
-		return err
-	}
-	return sys.Incremental(opt)
-}
-
-// Incremental runs incremental placement on the system's circuit, reusing
-// the already-built connectivity for both of its solves.
+// with no pseudo-nets it reproduces the input placement. Both of its solves
+// reuse the system's connectivity, so a caller that re-places the same
+// circuit repeatedly (the flow loop) pays the build once.
 func (s *System) Incremental(opt Options) error {
 	if err := faultinject.Hook(faultinject.SitePlacerIncremental); err != nil {
 		return err

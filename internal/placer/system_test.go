@@ -12,12 +12,12 @@ import (
 
 // TestOptionsDefaults locks every normalized default so the doc comments on
 // Options and the behavior of normalize cannot drift apart again (the
-// SpreadIters comment once said 6 while normalize set 24).
+// spreadIters comment once said 6 while normalize set 24).
 func TestOptionsDefaults(t *testing.T) {
 	var opt Options
 	opt.normalize(100)
-	if opt.SpreadIters != 24 {
-		t.Errorf("SpreadIters default = %d, want 24", opt.SpreadIters)
+	if opt.spreadIters != 24 {
+		t.Errorf("spreadIters default = %d, want 24", opt.spreadIters)
 	}
 	if want := int(math.Max(4, math.Sqrt(100.0/4))); opt.bins != want {
 		t.Errorf("bins = %d, want %d for 100 movable cells", opt.bins, want)
@@ -36,9 +36,9 @@ func TestOptionsDefaults(t *testing.T) {
 	}
 	// Explicit settings survive normalization untouched, and a grid already
 	// derived (a V-cycle level's) is not re-derived.
-	set := Options{SpreadIters: 3, CGTol: 1e-4, MLCoarsest: 200, bins: 7}
+	set := Options{spreadIters: 3, CGTol: 1e-4, MLCoarsest: 200, bins: 7}
 	set.normalize(100)
-	if set.SpreadIters != 3 || set.CGTol != 1e-4 || set.MLCoarsest != 200 || set.bins != 7 {
+	if set.spreadIters != 3 || set.CGTol != 1e-4 || set.MLCoarsest != 200 || set.bins != 7 {
 		t.Errorf("normalize overwrote explicit options: %+v", set)
 	}
 }
@@ -93,7 +93,7 @@ func TestIncrementalBuildOnceMatchesRebuild(t *testing.T) {
 		}
 		opt := Options{Parallelism: workers, PseudoNets: pn}
 		opt.rebuildEachSolve = rebuild
-		if err := Incremental(c, opt); err != nil {
+		if err := incremental(c, opt); err != nil {
 			t.Fatal(err)
 		}
 		return c.Positions()
@@ -122,7 +122,7 @@ func TestSystemReusedAcrossCalls(t *testing.T) {
 		t.Fatal(err)
 	}
 	for iter := 1; iter <= 3; iter++ {
-		if err := Incremental(want, Options{PseudoNets: pulls(want, float64(iter))}); err != nil {
+		if err := incremental(want, Options{PseudoNets: pulls(want, float64(iter))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -153,7 +153,7 @@ func TestSystemObsCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Global(Options{SpreadIters: 3, Obs: reg}); err != nil {
+	if err := sys.Global(Options{spreadIters: 3, Obs: reg}); err != nil {
 		t.Fatal(err)
 	}
 	var pn []PseudoNet
@@ -163,23 +163,23 @@ func TestSystemObsCounters(t *testing.T) {
 	if err := sys.Incremental(Options{PseudoNets: pn, Obs: reg}); err != nil {
 		t.Fatal(err)
 	}
-	if got := reg.Counter("placer.system.builds"); got != 1 {
+	if got := reg.Snapshot().Counter("placer.system.builds"); got != 1 {
 		t.Errorf("placer.system.builds = %d, want 1", got)
 	}
-	if got := reg.Counter("placer.system.reuses"); got != 6 {
+	if got := reg.Snapshot().Counter("placer.system.reuses"); got != 6 {
 		t.Errorf("placer.system.reuses = %d, want 6 (4 global + 2 incremental)", got)
 	}
 
 	// The package-level wrappers build a fresh system per call.
 	reg2 := obs.NewRegistry()
 	c2 := detCircuit(t, 200, 30, 53)
-	if err := Global(c2, Options{SpreadIters: 3, Obs: reg2}); err != nil {
+	if err := Global(c2, Options{spreadIters: 3, Obs: reg2}); err != nil {
 		t.Fatal(err)
 	}
-	if err := Incremental(c2, Options{PseudoNets: pn, Obs: reg2}); err != nil {
+	if err := incremental(c2, Options{PseudoNets: pn, Obs: reg2}); err != nil {
 		t.Fatal(err)
 	}
-	if got := reg2.Counter("placer.system.builds"); got != 2 {
+	if got := reg2.Snapshot().Counter("placer.system.builds"); got != 2 {
 		t.Errorf("wrapper placer.system.builds = %d, want 2", got)
 	}
 }
@@ -231,7 +231,7 @@ func BenchmarkSystemBuildVsReuse(b *testing.B) {
 func TestForkConcurrentIncremental(t *testing.T) {
 	const cells, ffs, seed = 400, 50, 59
 	placed := detCircuit(t, cells, ffs, seed)
-	if err := Global(placed, Options{SpreadIters: 4}); err != nil {
+	if err := Global(placed, Options{spreadIters: 4}); err != nil {
 		t.Fatal(err)
 	}
 	circuit := func() *netlist.Circuit {
@@ -279,7 +279,7 @@ func TestForkConcurrentIncremental(t *testing.T) {
 			t.Fatalf("fork %d: %v", i, errs[i])
 		}
 		fresh := circuit()
-		if err := Incremental(fresh, opt); err != nil {
+		if err := incremental(fresh, opt); err != nil {
 			t.Fatal(err)
 		}
 		samePositions(t, "fork vs fresh", forked[i].Positions(), fresh.Positions())

@@ -90,7 +90,7 @@ func (s *System) vcycle(opt Options) (handled bool, err error) {
 	// Coarsest level: full global placement over the clusters (initial solve
 	// plus the configured spreading schedule, at cluster scale).
 	top := len(levels) - 1
-	if err := s.mlSolveLevel(levels, top, opt, opt.SpreadIters); err != nil {
+	if err := s.mlSolveLevel(levels, top, opt, opt.spreadIters); err != nil {
 		return true, err
 	}
 
@@ -134,7 +134,7 @@ func (s *System) vcycle(opt Options) (handled bool, err error) {
 // stagnation keeps the flat path's contract and propagates.
 //
 // The coarsest level runs the full flat schedule (globalLoop: unanchored
-// initial solve + SpreadIters equalize rounds) at cluster scale, where it is
+// initial solve + spreadIters equalize rounds) at cluster scale, where it is
 // cheap. Every finer level runs refineLoop instead: the unanchored initial
 // solve is exactly what must NOT run there — its solution is independent of
 // the starting iterate, so it would discard the interpolated coarse result
@@ -150,7 +150,7 @@ func (s *System) mlSolveLevel(levels []*mlLevel, l int, opt Options, rounds int)
 	lopt.normalize(lv.sys.c.NumMovable())
 	var err error
 	if l == len(levels)-1 {
-		lopt.SpreadIters = rounds
+		lopt.spreadIters = rounds
 		// The coarsest solution is only a starting structure — every finer
 		// level re-solves on top of it — so the flat path's tight CG
 		// tolerance buys nothing here, it only burns iterations on the
@@ -183,7 +183,7 @@ func (s *System) mlSolveLevel(levels []*mlLevel, l int, opt Options, rounds int)
 // refineLoop is the per-level refinement of the V-cycle descent: rounds of
 // density equalization re-anchored into the quadratic system, with the anchor
 // weight ramping up to the flat schedule's final strength
-// (spreadAlpha*SpreadIters). Anchors are present from the first solve — the
+// (spreadAlpha*spreadIters). Anchors are present from the first solve — the
 // interpolated coarse placement, not a fresh unanchored QP solution, is the
 // structure being refined — which also keeps every CG solve strongly
 // diagonally dominant and therefore cheap. opt must already be normalized.
@@ -192,7 +192,7 @@ func (s *System) refineLoop(opt Options, rounds int) error {
 	s.obs = opt.Obs
 	ws := wsPool.Get().(*solveWS)
 	defer wsPool.Put(ws)
-	final := spreadAlpha * float64(opt.SpreadIters)
+	final := spreadAlpha * float64(opt.spreadIters)
 	converged := true
 	for iter := 1; iter <= rounds; iter++ {
 		targets := equalize(c, opt.bins)

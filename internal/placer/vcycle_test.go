@@ -53,9 +53,9 @@ func TestMultilevelOffIdentity(t *testing.T) {
 		if err := Global(c, Options{MLCoarsest: c.NumMovable(), Obs: reg, Parallelism: workers}); err != nil {
 			t.Fatal(err)
 		}
-		if reg.Counter("placer.ml.vcycles") != 0 {
+		if reg.Snapshot().Counter("placer.ml.vcycles") != 0 {
 			t.Fatalf("workers=%d: floor at the movable count still ran %d V-cycles",
-				workers, reg.Counter("placer.ml.vcycles"))
+				workers, reg.Snapshot().Counter("placer.ml.vcycles"))
 		}
 		for i, p := range c.Positions() {
 			if math.Float64bits(p.X) != math.Float64bits(want[i].X) ||
@@ -76,9 +76,9 @@ func TestVCycleDeterministicAcrossWorkerCounts(t *testing.T) {
 	if err := Global(ref, func() Options { o := mlOptions(1); o.Obs = reg; return o }()); err != nil {
 		t.Fatal(err)
 	}
-	if reg.Counter("placer.ml.vcycles") != 1 {
+	if reg.Snapshot().Counter("placer.ml.vcycles") != 1 {
 		t.Fatalf("V-cycle did not run: %d vcycles, %d fallbacks",
-			reg.Counter("placer.ml.vcycles"), reg.Counter("placer.ml.fallback"))
+			reg.Snapshot().Counter("placer.ml.vcycles"), reg.Snapshot().Counter("placer.ml.fallback"))
 	}
 	want := ref.Positions()
 	c := mlCircuit(t, 73)
@@ -138,9 +138,9 @@ func TestVCycleFallback(t *testing.T) {
 	if err := Global(small, Options{Obs: reg, Parallelism: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if reg.Counter("placer.ml.fallback") != 1 || reg.Counter("placer.ml.vcycles") != 0 {
+	if reg.Snapshot().Counter("placer.ml.fallback") != 1 || reg.Snapshot().Counter("placer.ml.vcycles") != 0 {
 		t.Fatalf("small circuit: fallback=%d vcycles=%d, want 1/0",
-			reg.Counter("placer.ml.fallback"), reg.Counter("placer.ml.vcycles"))
+			reg.Snapshot().Counter("placer.ml.fallback"), reg.Snapshot().Counter("placer.ml.vcycles"))
 	}
 
 	refC := genCircuit(t, 300, 40, 83)
@@ -201,9 +201,9 @@ func TestVCycleDegenerateInputs(t *testing.T) {
 	if err := Global(loose, Options{MLCoarsest: 2, Obs: reg, Parallelism: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if reg.Counter("placer.ml.fallback") != 1 {
+	if reg.Snapshot().Counter("placer.ml.fallback") != 1 {
 		t.Fatalf("netless circuit should fall back, counters: fallback=%d vcycles=%d",
-			reg.Counter("placer.ml.fallback"), reg.Counter("placer.ml.vcycles"))
+			reg.Snapshot().Counter("placer.ml.fallback"), reg.Snapshot().Counter("placer.ml.vcycles"))
 	}
 }
 
@@ -224,7 +224,7 @@ func TestVCycleCancelMidDescent(t *testing.T) {
 	if err == nil || !stop.IsStop(err) {
 		t.Fatalf("want a stop-classified error, got %v", err)
 	}
-	if reg.Counter("placer.ml.canceled") == 0 {
+	if reg.Snapshot().Counter("placer.ml.canceled") == 0 {
 		t.Fatal("placer.ml.canceled not recorded")
 	}
 	for _, cell := range c.Cells {

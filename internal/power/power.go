@@ -71,17 +71,11 @@ type SignalBreakdown struct {
 	Power    float64 // mW
 }
 
-// Signal estimates the signal-net dynamic power (mW) of a placed circuit:
-// interconnect capacitance from the total HPWL, input pin capacitance of
+// SignalFromWL estimates the signal-net dynamic power (mW) of a placed
+// circuit whose total HPWL is wl (c.SignalWL(), or a cache bit-equal to
+// it): interconnect capacitance from the HPWL, input pin capacitance of
 // every connected sink, and the buffers inserted on long wires (estimated as
 // one per BufEvery um of wirelength, the floorplan-level estimate of [31]).
-func (p Params) Signal(c *netlist.Circuit) SignalBreakdown {
-	return p.SignalFromWL(c, c.SignalWL())
-}
-
-// SignalFromWL is Signal for a caller that already holds the circuit's
-// total HPWL wl (c.SignalWL(), or a cache bit-equal to it), so the nets
-// are not measured twice.
 func (p Params) SignalFromWL(c *netlist.Circuit, wl float64) SignalBreakdown {
 	pins := 0
 	for _, n := range c.Nets {

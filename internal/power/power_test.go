@@ -45,7 +45,7 @@ func TestSignalPower(t *testing.T) {
 	d.Pos = geom.Pt(900, 100)
 	c.AddNet("n", a.ID, b.ID, d.ID) // HPWL = 1000
 	p := DefaultParams()
-	br := p.Signal(c)
+	br := p.SignalFromWL(c, c.SignalWL())
 	if math.Abs(br.WireCap-0.2*1000) > 1e-9 {
 		t.Errorf("WireCap = %v", br.WireCap)
 	}
@@ -73,7 +73,7 @@ func TestSignalPowerGrowsWithWL(t *testing.T) {
 		a.Pos = geom.Pt(0, 0)
 		b.Pos = geom.Pt(dist, 0)
 		c.AddNet("n", a.ID, b.ID)
-		return DefaultParams().Signal(c).Power
+		return DefaultParams().SignalFromWL(c, c.SignalWL()).Power
 	}
 	if mk(2000) <= mk(100) {
 		t.Error("signal power must grow with wirelength")
@@ -102,7 +102,7 @@ func TestZeroBufEvery(t *testing.T) {
 	b := c.AddCell(&netlist.Cell{Name: "b", Kind: netlist.Gate})
 	b.Pos = geom.Pt(50, 0)
 	c.AddNet("n", a.ID, b.ID)
-	if br := p.Signal(c); br.NumBufs != 0 {
+	if br := p.SignalFromWL(c, c.SignalWL()); br.NumBufs != 0 {
 		t.Errorf("NumBufs = %d with buffering disabled", br.NumBufs)
 	}
 }
@@ -122,7 +122,7 @@ func TestSignalSteinerVsHPWL(t *testing.T) {
 	}
 	c.AddNet("n", ids...)
 	p := DefaultParams()
-	hp := p.Signal(c)
+	hp := p.SignalFromWL(c, c.SignalWL())
 	st := p.SignalSteiner(c)
 	// Four corners: HPWL = 200, RSMT = 300 -> Steiner model sees more wire.
 	if st.WireCap <= hp.WireCap {
@@ -145,7 +145,7 @@ func TestSignalSteinerTwoPinMatchesHPWL(t *testing.T) {
 	c.AddNet("m", b.ID, d.ID)
 	c.AddNet("lone", d.ID) // a one-pin net counts no pin in either model
 	p := DefaultParams()
-	hp, st := p.Signal(c), p.SignalSteiner(c)
+	hp, st := p.SignalFromWL(c, c.SignalWL()), p.SignalSteiner(c)
 	if hp.NumBufs == 0 {
 		t.Fatalf("no buffers in %+v; the check needs some", hp)
 	}

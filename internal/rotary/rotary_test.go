@@ -146,17 +146,21 @@ func TestStubDelayMonotone(t *testing.T) {
 	}
 }
 
+// TestInvertStubDelay: StubLength inverts StubDelay on stub lengths and on
+// the local-tree branch lengths it also sizes.
 func TestInvertStubDelay(t *testing.T) {
 	p := DefaultParams()
-	for _, l := range []float64{0, 10, 123.4, 800} {
+	for _, l := range []float64{0, 10, 25, 123.4, 333, 800, 900} {
 		target := p.StubDelay(l)
-		got, ok := invertStubDelay(p, target)
+		got, ok := p.StubLength(target)
 		if !ok || math.Abs(got-l) > 1e-6 {
-			t.Errorf("invertStubDelay(StubDelay(%v)) = %v, %v", l, got, ok)
+			t.Errorf("StubLength(StubDelay(%v)) = %v, %v", l, got, ok)
 		}
 	}
-	if _, ok := invertStubDelay(p, -1); ok {
-		t.Error("negative target inverted")
+	for _, target := range []float64{-1, -5} {
+		if _, ok := p.StubLength(target); ok {
+			t.Errorf("negative target %v inverted", target)
+		}
 	}
 }
 

@@ -178,7 +178,7 @@ func solveSegment(seg TapSegment, rho float64, params Params, ff geom.Point, tHa
 	for tries := 0; tries < 4; tries++ {
 		tau := tHat + float64(kSnake+tries)*T
 		need := tau - endDelay
-		l, ok := invertStubDelay(params, need)
+		l, ok := params.StubLength(need)
 		if ok && l >= direct-1e-9 {
 			return Tap{
 				Point:      seg.Seg.B,
@@ -262,13 +262,15 @@ func quadRoots(a, b, c float64) (roots [2]float64, n int) {
 	return roots, 2
 }
 
-// invertStubDelay solves StubDelay(l) = target for l >= 0.
-func invertStubDelay(params Params, target float64) (float64, bool) {
+// StubLength inverts StubDelay: it returns the length l >= 0 of a stub
+// whose Elmore delay into a flip-flop clock pin is target, and false for a
+// negative target. The root comes from quadRoots' cancellation-free form.
+func (p Params) StubLength(target float64) (float64, bool) {
 	if target < 0 {
 		return 0, false
 	}
-	rc := params.RWire * params.CWire
-	rcf := params.RWire * params.CFF
+	rc := p.RWire * p.CWire
+	rcf := p.RWire * p.CFF
 	ls, n := quadRoots(0.5*rc, rcf, -target)
 	for _, l := range ls[:n] {
 		if l >= 0 {

@@ -75,7 +75,7 @@ func TestMaxSlackMatchesReferenceLoop(t *testing.T) {
 		if math.Float64bits(gotM) != math.Float64bits(wantM) || !sameBits(got, want) {
 			t.Fatalf("trial %d: M %v vs reference %v, schedules equal=%v", trial, gotM, wantM, sameBits(got, want))
 		}
-		g, w := regGot.Counter("skew.maxslack.cycles"), regWant.Counter("skew.maxslack.cycles")
+		g, w := regGot.Snapshot().Counter("skew.maxslack.cycles"), regWant.Snapshot().Counter("skew.maxslack.cycles")
 		if g != w {
 			t.Fatalf("trial %d: %d witness cycles, reference %d", trial, g, w)
 		}
@@ -119,7 +119,7 @@ func TestMaxSlackKnownGraphs(t *testing.T) {
 		if v := Verify(sched, Constraints(nil, tc.pairs, T, M, setup, hold)); len(sched) != tc.n || v > Eps {
 			t.Errorf("%s: schedule %v violates its constraints by %v", tc.name, sched, v)
 		}
-		if got := reg.Counter("skew.maxslack.cycles"); got != tc.cycles {
+		if got := reg.Snapshot().Counter("skew.maxslack.cycles"); got != tc.cycles {
 			t.Errorf("%s: skew.maxslack.cycles = %d, want %d", tc.name, got, tc.cycles)
 		}
 	}

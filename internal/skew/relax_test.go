@@ -388,10 +388,10 @@ func TestRelaxRejectsNegativeCycleEarly(t *testing.T) {
 	if _, refRounds, refOK, _ := refLoopWarmStart(nil, n, cons, make([]float64, n)); refOK || refRounds != n+1 {
 		t.Fatalf("reference loop: ok %v after %d rounds, want infeasible after %d", refOK, refRounds, n+1)
 	}
-	if got := reg.Counter("skew.negcycle.early"); got != 1 {
+	if got := reg.Snapshot().Counter("skew.negcycle.early"); got != 1 {
 		t.Errorf("skew.negcycle.early = %d, want 1", got)
 	}
-	if got := reg.Counter("skew.rounds"); got != int64(rounds) {
+	if got := reg.Snapshot().Counter("skew.rounds"); got != int64(rounds) {
 		t.Errorf("skew.rounds = %d, want %d", got, rounds)
 	}
 }
@@ -407,7 +407,7 @@ func TestRelaxCounters(t *testing.T) {
 	for name, want := range map[string]int64{
 		"skew.probes": 1, "skew.rounds": 2, "skew.edge_visits": 4, "skew.negcycle.early": 0,
 	} {
-		if got := reg.Counter(name); got != want {
+		if got := reg.Snapshot().Counter(name); got != want {
 			t.Errorf("%s = %d, want %d", name, got, want)
 		}
 	}

@@ -344,7 +344,7 @@ func TestWeightedSumRecordsIntoRegistry(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"skew.probes", "mcmf.solves"} {
-		if reg.Counter(name) == 0 {
+		if reg.Snapshot().Counter(name) == 0 {
 			t.Errorf("%s not recorded into the caller's registry", name)
 		}
 	}

@@ -108,7 +108,7 @@ func TestWeightedSumMatchesResidualDistances(t *testing.T) {
 				t.Fatalf("instance %d: node %d distance %v, reference %v", k, v, got[v], want[v])
 			}
 		}
-		if p := reg.Counter("skew.probes"); p != 1 {
+		if p := reg.Snapshot().Counter("skew.probes"); p != 1 {
 			t.Fatalf("instance %d: %d probes recorded, want 1", k, p)
 		}
 	}
@@ -117,7 +117,7 @@ func TestWeightedSumMatchesResidualDistances(t *testing.T) {
 	if _, _, err := WeightedSum(nil, reg, in.n, in.cons, in.targets, in.weights); err != nil {
 		t.Fatal(err)
 	}
-	if p := reg.Counter("skew.probes"); p != 2 {
+	if p := reg.Snapshot().Counter("skew.probes"); p != 2 {
 		t.Errorf("WeightedSum recorded %d skew probes, want 2 (feasibility and recovery)", p)
 	}
 }

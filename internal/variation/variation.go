@@ -24,37 +24,15 @@ import (
 	"rotaryclk/internal/rotary"
 )
 
-// Options configures the Monte Carlo run.
-type Options struct {
-	SigmaWire float64 // relative sigma of per-segment wire R and C (default 0.10)
-	SigmaBuf  float64 // relative sigma of per-buffer delay (default 0.08)
-	RingJit   float64 // residual rotary ring jitter sigma, ps (default 1.5)
-	BufDelay  float64 // nominal buffer delay in the tree, ps (default 35)
-	BufEvery  float64 // one tree buffer per this much wirelength, um (default 450)
-	Samples   int     // Monte Carlo samples (default 500)
-	Seed      int64
-}
-
-func (o *Options) normalize() {
-	if o.SigmaWire <= 0 {
-		o.SigmaWire = 0.10
-	}
-	if o.SigmaBuf <= 0 {
-		o.SigmaBuf = 0.08
-	}
-	if o.RingJit <= 0 {
-		o.RingJit = 1.5
-	}
-	if o.BufDelay <= 0 {
-		o.BufDelay = 35
-	}
-	if o.BufEvery <= 0 {
-		o.BufEvery = 450
-	}
-	if o.Samples <= 0 {
-		o.Samples = 500
-	}
-}
+// The Monte Carlo model.
+const (
+	sigmaWire = 0.10 // relative sigma of per-segment wire R and C
+	sigmaBuf  = 0.08 // relative sigma of per-buffer delay
+	ringJit   = 1.5  // residual rotary ring jitter sigma, ps
+	bufDelay  = 35   // nominal buffer delay in the tree, ps
+	bufEvery  = 450  // one tree buffer per this much wirelength, um
+	samples   = 500  // Monte Carlo samples
+)
 
 // Stats summarizes skew deviations (sampled skew minus nominal skew) over
 // all pairs and samples.
@@ -72,54 +50,58 @@ type Pair struct{ A, B int }
 
 // RotarySkew samples the skew deviation of a rotary assignment: each
 // flip-flop's delay is its (locked) ring phase plus the Elmore delay of its
-// stub under sampled R/C multipliers, plus residual ring jitter.
-func RotarySkew(params rotary.Params, asg *assign.Assignment, pairs []Pair, opt Options) (Stats, error) {
-	opt.normalize()
+// stub under sampled R/C multipliers, plus residual ring jitter. seed
+// seeds the sampler.
+func RotarySkew(params rotary.Params, asg *assign.Assignment, pairs []Pair, seed int64) (Stats, error) {
+	return rotarySkew(params, asg, pairs, seed, sigmaWire)
+}
+
+// rotarySkew is RotarySkew with wire sigma sigma.
+func rotarySkew(params rotary.Params, asg *assign.Assignment, pairs []Pair, seed int64, sigma float64) (Stats, error) {
 	n := len(asg.Taps)
 	for _, p := range pairs {
 		if p.A < 0 || p.A >= n || p.B < 0 || p.B >= n {
 			return Stats{}, fmt.Errorf("variation: pair %+v out of range (%d taps)", p, n)
 		}
 	}
-	rng := rand.New(rand.NewSource(opt.Seed))
+	rng := rand.New(rand.NewSource(seed))
 	nominal := make([]float64, n)
 	for i, tap := range asg.Taps {
 		nominal[i] = params.StubDelay(tap.WireLen)
 	}
 	dev := newAccum()
 	delays := make([]float64, n)
-	for s := 0; s < opt.Samples; s++ {
+	for s := 0; s < samples; s++ {
 		for i, tap := range asg.Taps {
-			rMul := 1 + rng.NormFloat64()*opt.SigmaWire
-			cMul := 1 + rng.NormFloat64()*opt.SigmaWire
+			rMul := 1 + rng.NormFloat64()*sigma
+			cMul := 1 + rng.NormFloat64()*sigma
 			l := tap.WireLen
 			d := 0.5*params.RWire*rMul*params.CWire*cMul*l*l + params.RWire*rMul*params.CFF*l
-			d += rng.NormFloat64() * opt.RingJit
+			d += rng.NormFloat64() * ringJit
 			delays[i] = d - nominal[i]
 		}
 		for _, p := range pairs {
 			dev.add(delays[p.A] - delays[p.B])
 		}
 	}
-	return dev.stats(len(pairs), opt.Samples), nil
+	return dev.stats(len(pairs), samples), nil
 }
 
 // TreeSkew samples the skew deviation of a conventional buffered clock tree
 // over the given sinks: per-edge wire delay (Elmore with sampled R/C) plus
 // sampled buffer delays, accumulated root-to-leaf; deviations on shared
 // segments cancel between sinks with a common ancestor path, exactly as in a
-// real tree.
-func TreeSkew(params rotary.Params, root *clocktree.Node, numSinks int, pairs []Pair, opt Options) (Stats, error) {
-	opt.normalize()
+// real tree. seed seeds the sampler.
+func TreeSkew(params rotary.Params, root *clocktree.Node, numSinks int, pairs []Pair, seed int64) (Stats, error) {
 	for _, p := range pairs {
 		if p.A < 0 || p.A >= numSinks || p.B < 0 || p.B >= numSinks {
 			return Stats{}, fmt.Errorf("variation: pair %+v out of range (%d sinks)", p, numSinks)
 		}
 	}
-	rng := rand.New(rand.NewSource(opt.Seed))
+	rng := rand.New(rand.NewSource(seed))
 	dev := newAccum()
 	arrival := make([]float64, numSinks)
-	for s := 0; s < opt.Samples; s++ {
+	for s := 0; s < samples; s++ {
 		var walk func(n *clocktree.Node, acc float64)
 		walk = func(n *clocktree.Node, acc float64) {
 			if len(n.Children) == 0 {
@@ -130,15 +112,15 @@ func TreeSkew(params rotary.Params, root *clocktree.Node, numSinks int, pairs []
 			}
 			for _, ch := range n.Children {
 				l := n.Pos.Manhattan(ch.Pos)
-				rMul := 1 + rng.NormFloat64()*opt.SigmaWire
-				cMul := 1 + rng.NormFloat64()*opt.SigmaWire
+				rMul := 1 + rng.NormFloat64()*sigmaWire
+				cMul := 1 + rng.NormFloat64()*sigmaWire
 				wire := 0.5 * params.RWire * rMul * params.CWire * cMul * l * l
 				nomWire := 0.5 * params.RWire * params.CWire * l * l
-				nBuf := 1 + int(l/opt.BufEvery)
+				nBuf := 1 + int(l/bufEvery)
 				var buf, nomBuf float64
 				for b := 0; b < nBuf; b++ {
-					buf += opt.BufDelay * (1 + rng.NormFloat64()*opt.SigmaBuf)
-					nomBuf += opt.BufDelay
+					buf += bufDelay * (1 + rng.NormFloat64()*sigmaBuf)
+					nomBuf += bufDelay
 				}
 				walk(ch, acc+(wire-nomWire)+(buf-nomBuf))
 			}
@@ -148,7 +130,7 @@ func TreeSkew(params rotary.Params, root *clocktree.Node, numSinks int, pairs []
 			dev.add(arrival[p.A] - arrival[p.B])
 		}
 	}
-	return dev.stats(len(pairs), opt.Samples), nil
+	return dev.stats(len(pairs), samples), nil
 }
 
 // accum is a running deviation accumulator.

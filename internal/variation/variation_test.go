@@ -38,7 +38,7 @@ func setup(t *testing.T) (rotary.Params, *assign.Assignment, []geom.Point, []Pai
 
 func TestRotarySkewSmall(t *testing.T) {
 	params, asg, _, pairs := setup(t)
-	st, err := RotarySkew(params, asg, pairs, Options{Seed: 1})
+	st, err := RotarySkew(params, asg, pairs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,12 +56,12 @@ func TestRotarySkewSmall(t *testing.T) {
 
 func TestTreeSkewLargerThanRotary(t *testing.T) {
 	params, asg, pos, pairs := setup(t)
-	rot, err := RotarySkew(params, asg, pairs, Options{Seed: 2})
+	rot, err := RotarySkew(params, asg, pairs, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	root := clocktree.Build(pos)
-	tree, err := TreeSkew(params, root, len(pos), pairs, Options{Seed: 2})
+	tree, err := TreeSkew(params, root, len(pos), pairs, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,18 +75,18 @@ func TestTreeSkewLargerThanRotary(t *testing.T) {
 
 func TestSkewDeterministicBySeed(t *testing.T) {
 	params, asg, _, pairs := setup(t)
-	a, err := RotarySkew(params, asg, pairs, Options{Seed: 3})
+	a, err := RotarySkew(params, asg, pairs, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RotarySkew(params, asg, pairs, Options{Seed: 3})
+	b, err := RotarySkew(params, asg, pairs, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
 		t.Errorf("same seed gave different stats: %+v vs %+v", a, b)
 	}
-	c, err := RotarySkew(params, asg, pairs, Options{Seed: 4})
+	c, err := RotarySkew(params, asg, pairs, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,18 +97,18 @@ func TestSkewDeterministicBySeed(t *testing.T) {
 
 func TestPairValidation(t *testing.T) {
 	params, asg, pos, _ := setup(t)
-	if _, err := RotarySkew(params, asg, []Pair{{A: 0, B: 999}}, Options{}); err == nil {
+	if _, err := RotarySkew(params, asg, []Pair{{A: 0, B: 999}}, 0); err == nil {
 		t.Error("out-of-range pair accepted")
 	}
 	root := clocktree.Build(pos)
-	if _, err := TreeSkew(params, root, len(pos), []Pair{{A: -1, B: 0}}, Options{}); err == nil {
+	if _, err := TreeSkew(params, root, len(pos), []Pair{{A: -1, B: 0}}, 0); err == nil {
 		t.Error("negative pair accepted")
 	}
 }
 
 func TestEmptyPairs(t *testing.T) {
 	params, asg, _, _ := setup(t)
-	st, err := RotarySkew(params, asg, nil, Options{Seed: 5})
+	st, err := RotarySkew(params, asg, nil, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,11 +119,11 @@ func TestEmptyPairs(t *testing.T) {
 
 func TestVariationScalesWithSigma(t *testing.T) {
 	params, asg, _, pairs := setup(t)
-	lo, err := RotarySkew(params, asg, pairs, Options{Seed: 6, SigmaWire: 0.05})
+	lo, err := rotarySkew(params, asg, pairs, 6, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hi, err := RotarySkew(params, asg, pairs, Options{Seed: 6, SigmaWire: 0.30})
+	hi, err := rotarySkew(params, asg, pairs, 6, 0.30)
 	if err != nil {
 		t.Fatal(err)
 	}

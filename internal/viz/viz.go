@@ -16,35 +16,24 @@ import (
 	"rotaryclk/internal/rotary"
 )
 
-// Options controls rendering.
-type Options struct {
-	Width     float64 // output width in px (default 900; height follows aspect)
-	ShowCells bool    // draw non-flip-flop cells (default true via New)
-	ShowNets  bool    // draw signal nets as thin lines (off by default: dense)
-}
+// width is the output width in px; the height follows the die's aspect.
+const width = 900.0
 
 // Scene accumulates layers and writes one SVG.
 type Scene struct {
 	die  geom.Rect
-	opt  Options
 	body strings.Builder
 }
 
 // NewScene starts a scene over the given die outline.
-func NewScene(die geom.Rect, opt Options) *Scene {
-	if opt.Width <= 0 {
-		opt.Width = 900
-	}
-	s := &Scene{die: die, opt: opt}
-	return s
-}
+func NewScene(die geom.Rect) *Scene { return &Scene{die: die} }
 
 // scale maps die coordinates to pixel coordinates (SVG y grows downward).
 func (s *Scene) scale() float64 {
 	if s.die.W() <= 0 {
 		return 1
 	}
-	return s.opt.Width / s.die.W()
+	return width / s.die.W()
 }
 
 func (s *Scene) px(p geom.Point) (float64, float64) {
@@ -53,23 +42,9 @@ func (s *Scene) px(p geom.Point) (float64, float64) {
 }
 
 // AddCircuit draws the circuit's cells: gates light grey, flip-flops blue,
-// pads dark ticks on the boundary.
+// pads dark ticks on the boundary. Nets are not drawn (too dense to read).
 func (s *Scene) AddCircuit(c *netlist.Circuit) {
 	k := s.scale()
-	if s.opt.ShowNets {
-		for _, n := range c.Nets {
-			if len(n.Pins) < 2 {
-				continue
-			}
-			dx, dy := s.px(c.Cells[n.Pins[0]].Pos)
-			for _, sv := range n.Sinks() {
-				x, y := s.px(c.Cells[sv].Pos)
-				fmt.Fprintf(&s.body,
-					`<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="#ccc" stroke-width="0.4"/>`+"\n",
-					dx, dy, x, y)
-			}
-		}
-	}
 	for _, cell := range c.Cells {
 		x, y := s.px(cell.Pos)
 		w, h := cell.W*k, cell.H*k
@@ -81,7 +56,7 @@ func (s *Scene) AddCircuit(c *netlist.Circuit) {
 		case cell.Fixed:
 			fmt.Fprintf(&s.body,
 				`<rect x="%.1f" y="%.1f" width="4" height="4" fill="#333"/>`+"\n", x-2, y-2)
-		case s.opt.ShowCells:
+		default:
 			fmt.Fprintf(&s.body,
 				`<rect x="%.1f" y="%.1f" width="%.1f" height="%.1f" fill="#bbb" opacity="0.6"/>`+"\n",
 				x-w/2, y-h/2, maxf(w, 2), maxf(h, 2))
@@ -133,9 +108,7 @@ func (s *Scene) AddTaps(asg *assign.Assignment, ffPos []geom.Point) {
 
 // WriteTo writes the assembled SVG document.
 func (s *Scene) WriteTo(w io.Writer) (int64, error) {
-	k := s.scale()
-	width := s.opt.Width
-	height := s.die.H() * k
+	height := s.die.H() * s.scale()
 	var doc strings.Builder
 	fmt.Fprintf(&doc, `<svg xmlns="http://www.w3.org/2000/svg" width="%.0f" height="%.0f" viewBox="0 0 %.0f %.0f">`+"\n",
 		width, height, width, height)

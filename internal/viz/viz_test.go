@@ -11,7 +11,7 @@ import (
 	"rotaryclk/internal/rotary"
 )
 
-func renderFlow(t *testing.T, opt Options) string {
+func renderFlow(t *testing.T) string {
 	t.Helper()
 	c, err := netlist.Generate(netlist.GenSpec{Name: "viz", Cells: 200, FlipFlops: 24, Seed: 5})
 	if err != nil {
@@ -21,7 +21,7 @@ func renderFlow(t *testing.T, opt Options) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewScene(c.Die, opt)
+	s := NewScene(c.Die)
 	s.AddCircuit(c)
 	s.AddArray(res.Array)
 	var ffPos []geom.Point
@@ -37,7 +37,7 @@ func renderFlow(t *testing.T, opt Options) string {
 }
 
 func TestSceneProducesValidSVG(t *testing.T) {
-	svg := renderFlow(t, Options{ShowCells: true})
+	svg := renderFlow(t)
 	if !strings.HasPrefix(svg, "<svg xmlns=") {
 		t.Fatalf("not an SVG document:\n%.80s", svg)
 	}
@@ -61,34 +61,37 @@ func TestSceneProducesValidSVG(t *testing.T) {
 	}
 }
 
+// TestSceneOptions pins the scene's fixed rendering choices: 900 px wide,
+// every gate drawn, no net lines.
 func TestSceneOptions(t *testing.T) {
-	withCells := renderFlow(t, Options{ShowCells: true})
-	withoutCells := renderFlow(t, Options{})
-	if strings.Count(withCells, `fill="#bbb"`) <= strings.Count(withoutCells, `fill="#bbb"`) {
-		t.Error("ShowCells had no effect")
+	svg := renderFlow(t)
+	if !strings.Contains(svg, `<svg xmlns="http://www.w3.org/2000/svg" width="900" `) {
+		t.Errorf("scene is not 900 px wide:\n%.120s", svg)
 	}
-	withNets := renderFlow(t, Options{ShowNets: true})
-	if strings.Count(withNets, `stroke="#ccc"`) == 0 {
-		t.Error("ShowNets drew no nets")
+	if n := strings.Count(svg, `fill="#bbb"`); n == 0 {
+		t.Error("no gates drawn")
+	}
+	if strings.Contains(svg, `stroke="#ccc"`) {
+		t.Error("net lines drawn")
 	}
 }
 
 func TestSceneCoordinateMapping(t *testing.T) {
 	die := geom.NewRect(geom.Pt(0, 0), geom.Pt(100, 50))
-	s := NewScene(die, Options{Width: 200}) // scale 2, height 100
+	s := NewScene(die) // scale 9, height 450
 	x, y := s.px(geom.Pt(0, 0))
-	if x != 0 || y != 100 {
-		t.Errorf("origin maps to (%v,%v), want (0,100): SVG y is flipped", x, y)
+	if x != 0 || y != 450 {
+		t.Errorf("origin maps to (%v,%v), want (0,450): SVG y is flipped", x, y)
 	}
 	x, y = s.px(geom.Pt(100, 50))
-	if x != 200 || y != 0 {
-		t.Errorf("top-right maps to (%v,%v), want (200,0)", x, y)
+	if x != 900 || y != 0 {
+		t.Errorf("top-right maps to (%v,%v), want (900,0)", x, y)
 	}
 }
 
 func TestSceneEmptyLayers(t *testing.T) {
 	die := geom.NewRect(geom.Pt(0, 0), geom.Pt(10, 10))
-	s := NewScene(die, Options{})
+	s := NewScene(die)
 	s.AddTaps(&assign.Assignment{}, nil)
 	s.AddArray(&rotary.Array{Params: rotary.DefaultParams()})
 	var sb strings.Builder
@@ -102,7 +105,7 @@ func TestSceneEmptyLayers(t *testing.T) {
 
 func TestTapPolarityColors(t *testing.T) {
 	die := geom.NewRect(geom.Pt(0, 0), geom.Pt(100, 100))
-	s := NewScene(die, Options{})
+	s := NewScene(die)
 	asg := &assign.Assignment{
 		Taps: []rotary.Tap{
 			{Point: geom.Pt(10, 10), Complement: false},
