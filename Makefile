@@ -59,10 +59,13 @@ oracle:
 # Placement gate: the ^TestDetailed tests under -race (swap loop
 # bit-identical to the reference loop), the Global/Incremental worker-count
 # determinism tests under -race (the x/y axis solves, the placer's only
-# concurrent path), the V-cycle tests, the binned
+# concurrent path), the CG kernel and the spreading pass against their
+# verbatim former copies and the CG cancellation tests under -race, the
+# V-cycle tests, the binned
 # MaxOverlap against the all-pairs reference and the corrupt-site oracle
 # negative, one iteration of BenchmarkDetailed (so the benchmark that reports
-# the swap loop's rescans/op and pruned/op keeps running), then the
+# the swap loop's rescans/op and pruned/op keeps running) and one each of
+# BenchmarkCGSolve and BenchmarkGlobalPlace with -benchmem, then the
 # 50k-cell core.Run + Audit smoke,
 # which must run stage 1 through the V-cycle, under PLACE_TIMEOUT (default
 # 120s).

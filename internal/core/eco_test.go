@@ -97,16 +97,8 @@ func TestApplyECOAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("-race changes what an edit allocates")
 	}
-	const edits, bound = 100, 300 << 10
-	c, err := netlist.Generate(netlist.GenSpec{Name: "eco-base", Cells: 3000, FlipFlops: 300, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{NumRings: 16, MaxIters: 2}
-	res, err := Run(c, cfg)
-	if err != nil || res.Degraded {
-		t.Fatalf("base flow: %v", err)
-	}
+	const edits = 100
+	c, cfg, res := allocBase(t)
 	st, err := NewECOState(c.Clone(), cfg, res)
 	if err != nil {
 		t.Fatal(err)
@@ -125,9 +117,74 @@ func TestApplyECOAllocBudget(t *testing.T) {
 		total += after.TotalAlloc - before.TotalAlloc
 	}
 	mean := total / edits
-	t.Logf("%d bytes per edit over %d edits, bound %d", mean, edits, bound)
-	if mean > bound {
-		t.Errorf("an edit allocates %d bytes on average, bound %d", mean, bound)
+	t.Logf("%d bytes per edit over %d edits, bound %d", mean, edits, editAllocBound)
+	if mean > editAllocBound {
+		t.Errorf("an edit allocates %d bytes on average, bound %d", mean, editAllocBound)
+	}
+}
+
+// editAllocBound is the mean bytes a warm incremental edit may allocate on
+// allocBase's design.
+const editAllocBound = 300 << 10
+
+// allocBase is the placed 3k base of BenchmarkApplyECO and the allocation
+// budget tests.
+func allocBase(t *testing.T) (*netlist.Circuit, Config, *Result) {
+	t.Helper()
+	c, err := netlist.Generate(netlist.GenSpec{Name: "eco-base", Cells: 3000, FlipFlops: 300, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{NumRings: 16, MaxIters: 2}
+	res, err := Run(c, cfg)
+	if err != nil || res.Degraded {
+		t.Fatalf("base flow: %v", err)
+	}
+	return c, cfg, res
+}
+
+// TestForkWorkspaceAllocBudget: a fork made after an earlier fork of the
+// same base state was released borrows that fork's workspace, so its first
+// edit allocates like a warm edit, the serving path of every /v1/eco
+// request. Twenty forks in turn each take one RandomDeltas edit and are
+// released; the first fills a workspace, and the mean over the other
+// nineteen first edits must stay within TestApplyECOAllocBudget's bound.
+func TestForkWorkspaceAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race changes what an edit allocates")
+	}
+	const forks = 20
+	c, cfg, res := allocBase(t)
+	base, err := NewECOState(c, cfg, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(2))
+	var before, after runtime.MemStats
+	var first, total uint64
+	for i := 0; i < forks; i++ {
+		f, err := base.Fork(base.Circuit.Clone(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds := eco.RandomDeltas(rng, f.Circuit, len(f.Array.Rings), 1)
+		runtime.ReadMemStats(&before)
+		out, err := ApplyECO(f, ds, cfg, eco.Options{})
+		runtime.ReadMemStats(&after)
+		if err != nil || out.Outcome.Degraded {
+			t.Fatalf("fork %d, edit %v: %v", i, ds, err)
+		}
+		if i == 0 {
+			first = after.TotalAlloc - before.TotalAlloc
+		} else {
+			total += after.TotalAlloc - before.TotalAlloc
+		}
+		f.Release()
+	}
+	mean := total / (forks - 1)
+	t.Logf("first edit of a fork: %d bytes with a fresh workspace, %d on average with a released one; bound %d", first, mean, editAllocBound)
+	if mean > editAllocBound {
+		t.Errorf("a fork's first edit allocates %d bytes on average, bound %d", mean, editAllocBound)
 	}
 }
 

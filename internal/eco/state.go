@@ -28,8 +28,9 @@
 // What an edit needs at the size of the design but never commits — the
 // Fig. 4 network, the sequential pairs and their constraints, the
 // flip-flop index, the rollback snapshot of the dirty cells and the STA
-// update's working memory — lives in a workspace the State owns and Apply
-// reuses from edit to edit; a Fork starts with none. An edit still spends
+// update's working memory — lives in a workspace the State holds and Apply
+// reuses from edit to edit; a Fork borrows one from a pool its base shares
+// with all of its forks, and Release returns it. An edit still spends
 // O(design) time, without allocating for it, in copying the pairs into
 // constraints, the schedule re-check's one round over every constraint,
 // the timing graph's re-level after a kind change or net edit, and the
@@ -47,6 +48,8 @@
 package eco
 
 import (
+	"sync"
+
 	"rotaryclk/internal/assign"
 	"rotaryclk/internal/geom"
 	"rotaryclk/internal/netlist"
@@ -98,7 +101,32 @@ type State struct {
 	TModel      timing.Model
 	Parallelism int
 
-	ws *workspace // Apply's reusable buffers; nil until the first Apply
+	ws   *workspace  // Apply's reusable buffers; nil until the first Apply
+	pool *workspaces // shared by a state and all of its forks; see Fork
+}
+
+// workspaces is the free list a state and all of its forks borrow their
+// workspaces from: Fork takes one, Release gives it back. A workspace is
+// on the list or held by one state, never both, so two live states never
+// hold the same workspace.
+type workspaces struct {
+	mu   sync.Mutex
+	free []*workspace
+}
+
+// poolInit guards the lazy creation of a state's pool: forks of one base
+// may be made concurrently.
+var poolInit sync.Mutex
+
+// workspacePool returns the pool st shares with its forks, creating it on
+// first use.
+func (st *State) workspacePool() *workspaces {
+	poolInit.Lock()
+	defer poolInit.Unlock()
+	if st.pool == nil {
+		st.pool = &workspaces{}
+	}
+	return st.pool
 }
 
 // workspace holds what an edit needs at the size of the design but never
@@ -107,8 +135,9 @@ type State struct {
 // the rollback snapshot of the dirty cells and the assignment problem's
 // flip-flops. Apply reuses it from edit to edit, and every buffer is
 // rewritten before it is read, so an edit reads nothing an earlier edit,
-// failed or committed, left there (DESIGN.md section 28). A State owns its
-// workspace alone; a Fork starts with none.
+// failed or committed, on this state or another, left there (DESIGN.md
+// section 28). A State holds its workspace alone; a Fork borrows one its
+// base's forks have released, if there is one.
 type workspace struct {
 	sta   timing.Workspace
 	asg   assign.Workspace
@@ -198,16 +227,39 @@ type Outcome struct {
 // caches. Sharing is safe because Apply writes none of them in place: it
 // commits fresh values, and it clones Pinned before a retarget writes it.
 // The one thing Apply does write in place, its workspace, is never
-// shared: the fork starts without one. So forks of one state may Apply
-// concurrently.
+// shared: the fork borrows a workspace of its own from the pool st shares
+// with all of its forks (none when every pooled one is held, and Apply
+// then makes one), and Release returns it. So forks of one state may Apply
+// concurrently, and a fork made after another was released starts warm.
 func (st *State) Fork(c *netlist.Circuit, reg *obs.Registry) (*State, error) {
 	sys, err := st.Sys.Fork(c, reg)
 	if err != nil {
 		return nil, err
 	}
+	pool := st.workspacePool()
 	f := *st
 	f.Circuit, f.Sys, f.ws = c, sys, nil
+	pool.mu.Lock()
+	if k := len(pool.free); k > 0 {
+		f.ws, pool.free = pool.free[k-1], pool.free[:k-1]
+	}
+	pool.mu.Unlock()
 	return &f, nil
+}
+
+// Release hands the state's workspace back to the pool it shares with its
+// base and the base's other forks, for the next Fork to borrow. Call it
+// when a fork's last Apply has returned; the state stays usable, and an
+// Apply after Release makes a new workspace.
+func (st *State) Release() {
+	if st.ws == nil {
+		return
+	}
+	pool := st.workspacePool()
+	pool.mu.Lock()
+	pool.free = append(pool.free, st.ws)
+	pool.mu.Unlock()
+	st.ws = nil
 }
 
 // clonePinned copies the pin map (nil stays nil until a retarget lands).

@@ -76,7 +76,16 @@ const (
 	// stop.ErrCanceled) simulates a deadline firing at an exact iteration of
 	// that loop, which is how the recovery-matrix tests prove every loop
 	// degrades instead of hanging or corrupting state.
-	SitePlacerCGCancel       = "placer.cg.cancel"         // per CG iteration (both axes, dirty components too)
+	//
+	// SitePlacerCGCancel is entered once per CG iteration per axis, dirty
+	// components included. A walk that advances both axes together (one
+	// placer worker, and every dirty component) checks x then y each
+	// iteration: while both run, call 2k+1 is x's iteration k and call
+	// 2k+2 is y's, so call 1 is x's first iteration; once one axis stops,
+	// the other's calls follow one per iteration. With two or more workers
+	// each axis walks on its own goroutine and their calls interleave as
+	// the goroutines run.
+	SitePlacerCGCancel       = "placer.cg.cancel"
 	SiteLPPivotCancel        = "lp.pivot.cancel"          // per simplex pivot (dense + assignment LP)
 	SiteLPNodeCancel         = "lp.bb.cancel"             // per branch-and-bound node
 	SiteMcmfPathCancel       = "mcmf.path.cancel"         // per augmenting path

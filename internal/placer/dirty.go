@@ -91,7 +91,7 @@ func (s *System) SolveDirty(dirtyCells []int, tok *stop.Token) (int, error) {
 			}
 		}
 		sort.Ints(comp)
-		m, err := s.solveComponent(comp, &ws.x, tok)
+		m, err := s.solveComponent(comp, &ws.cg, tok)
 		if err != nil {
 			return moved, fmt.Errorf("placer: dirty-region solve: %w", err)
 		}
@@ -103,7 +103,8 @@ func (s *System) SolveDirty(dirtyCells []int, tok *stop.Token) (int, error) {
 
 // solveComponent solves one connected dirty component: the component's
 // local SPD system, with clean neighbors folded into the right-hand side at
-// their current positions, through the CG kernel at the default tolerance.
+// their current positions, through the CG kernel at the default tolerance,
+// one walk advancing both axes.
 func (s *System) solveComponent(comp []int, cs *cgScratch, tok *stop.Token) (int, error) {
 	c := s.c
 	m := len(comp)
@@ -152,18 +153,17 @@ func (s *System) solveComponent(comp []int, cs *cgScratch, tok *stop.Token) (int
 			by[li] = 1e-3 * center.Y
 		}
 	}
-	solve := func(v, b []float64) error {
-		res, err := a.cg(v, b, 1e-6, cgMaxIter, cs, tok)
+	cs.bind(0, x, bx)
+	cs.bind(1, y, by)
+	err := a.cg(cs.lanes[:2], 1e-6, cgMaxIter, tok)
+	for i := range cs.lanes {
+		res := cs.lanes[i].res
 		s.obs.Add("placer.dirty.cg.iters", int64(res.iters))
 		if !res.converged && !res.stopped {
 			s.obs.Add("placer.dirty.cg.stagnated", 1)
 		}
-		return err
 	}
-	if err := solve(x, bx); err != nil {
-		return 0, err
-	}
-	if err := solve(y, by); err != nil {
+	if err != nil {
 		return 0, err
 	}
 	moved := 0

@@ -159,7 +159,7 @@ func TestCGKernelReportsStagnation(t *testing.T) {
 	}
 	path.diag[0] += 1e-8
 	var ws cgScratch
-	res, err := path.cg(make([]float64, n), b, 1e-6, cgMaxIter, &ws, nil)
+	res, err := ws.solve1(path, make([]float64, n), b, 1e-6, cgMaxIter, nil)
 	if err != nil || res.converged || res.stopped || res.iters != cgMaxIter {
 		t.Errorf("ill-conditioned: %+v err=%v, want %d iterations, unconverged", res, err, cgMaxIter)
 	}
@@ -167,7 +167,7 @@ func TestCGKernelReportsStagnation(t *testing.T) {
 	for i := range ident.diag {
 		ident.diag[i] = 1
 	}
-	res, err = ident.cg(make([]float64, n), b, 1e-6, cgMaxIter, &ws, nil)
+	res, err = ws.solve1(ident, make([]float64, n), b, 1e-6, cgMaxIter, nil)
 	if err != nil || !res.converged || res.iters != 1 {
 		t.Errorf("identity: %+v err=%v, want 1 iteration, converged", res, err)
 	}

@@ -2,6 +2,7 @@ package placer
 
 import (
 	"math"
+	"runtime/debug"
 	"testing"
 
 	"rotaryclk/internal/geom"
@@ -97,11 +98,11 @@ func BenchmarkCGSolve(b *testing.B) {
 	b.Run("parallel", run(0))
 }
 
-// BenchmarkCGScratchReuse times repeated cg solves on one warm workspace,
-// each from a zero start (solving in place from the last solution would
-// converge in 0 iterations from the third op on): the kernel is serial and
-// its scratch vectors are reused, so allocs/op is 0 (TestCGAllocationFree
-// holds it there).
+// BenchmarkCGScratchReuse times repeated one-lane cg solves on one warm
+// workspace, each from a zero start (solving in place from the last
+// solution would converge in 0 iterations from the third op on): the kernel
+// is serial and its scratch vectors are reused, so allocs/op is 0
+// (TestCGAllocationFree holds it there).
 func BenchmarkCGScratchReuse(b *testing.B) {
 	c := detCircuit(b, 2000, 200, 7)
 	opt := Options{}
@@ -115,12 +116,12 @@ func BenchmarkCGScratchReuse(b *testing.B) {
 	ws := wsPool.Get().(*solveWS)
 	defer wsPool.Put(ws)
 	x := make([]float64, len(sys.diag))
-	a.cg(x, sys.bx, opt.CGTol, 40, &ws.x, nil) // warm the workspace
+	ws.cg.solve1(a, x, sys.bx, opt.CGTol, 40, nil) // warm the workspace
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		clear(x)
-		a.cg(x, sys.bx, opt.CGTol, 40, &ws.x, nil)
+		ws.cg.solve1(a, x, sys.bx, opt.CGTol, 40, nil)
 	}
 }
 
@@ -145,8 +146,9 @@ func BenchmarkGlobalPlace(b *testing.B) {
 	}
 }
 
-// TestCGAllocationFree: a cg solve on a warm workspace allocates nothing —
-// the kernel is plain loops over the reused scratch vectors.
+// TestCGAllocationFree: a cg walk on a warm workspace allocates nothing,
+// over one lane and over two — the kernel is plain loops over the reused
+// scratch vectors.
 func TestCGAllocationFree(t *testing.T) {
 	c := detCircuit(t, 2000, 200, 7)
 	opt := Options{}
@@ -159,13 +161,53 @@ func TestCGAllocationFree(t *testing.T) {
 	a := spd{diag: sys.diag, rowStart: sys.rowStart, cols: sys.cols, w: sys.wcur}
 	var ws cgScratch
 	x := make([]float64, len(sys.diag))
-	a.cg(x, sys.bx, opt.CGTol, 40, &ws, nil) // warm the workspace
-	allocs := testing.AllocsPerRun(5, func() {
+	y := make([]float64, len(sys.diag))
+	one := func() {
 		clear(x)
-		a.cg(x, sys.bx, opt.CGTol, 40, &ws, nil)
-	})
-	if allocs != 0 {
-		t.Errorf("cg on a warm workspace: %v allocations per solve, want 0", allocs)
+		ws.solve1(a, x, sys.bx, opt.CGTol, 40, nil)
+	}
+	two := func() {
+		clear(x)
+		clear(y)
+		ws.bind(0, x, sys.bx)
+		ws.bind(1, y, sys.by)
+		a.cg(ws.lanes[:2], opt.CGTol, 40, nil)
+	}
+	for _, walk := range []struct {
+		name string
+		run  func()
+	}{{"one lane", one}, {"two lanes", two}} {
+		walk.run() // warm the workspace
+		if allocs := testing.AllocsPerRun(5, walk.run); allocs != 0 {
+			t.Errorf("cg over %s on a warm workspace: %v allocations per solve, want 0", walk.name, allocs)
+		}
+	}
+}
+
+// TestGlobalSpreadRoundsAllocateNothing: Global on a warm workspace
+// allocates the same at 4 spreading rounds as at 24, so a round (equalize
+// plus re-solve) allocates nothing. The collector is off while it counts,
+// so the pooled workspace cannot be dropped between runs.
+func TestGlobalSpreadRoundsAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race changes what a call allocates")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	base := detCircuit(t, 1500, 150, 3)
+	allocs := func(rounds int) float64 {
+		c := base.Clone()
+		run := func() {
+			if err := Global(c, Options{Parallelism: 1, spreadIters: rounds}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // warm the pooled workspace
+		return testing.AllocsPerRun(3, run)
+	}
+	short, long := allocs(4), allocs(24)
+	t.Logf("Global allocations: %v at 4 rounds, %v at 24", short, long)
+	if long != short {
+		t.Errorf("Global allocates %v times at 24 spreading rounds and %v at 4, want the same", long, short)
 	}
 }
 

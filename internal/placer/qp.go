@@ -71,9 +71,10 @@ type Options struct {
 	// 1e-6); each solve stops after cgMaxIter iterations either way.
 	CGTol float64
 	// Parallelism is the worker count of the x/y axis solves: 0 =
-	// GOMAXPROCS; two or more solve the axes concurrently, 1 solves them in
-	// turn on the caller (no goroutines). Each axis solve is serial, so
-	// results are bit-identical for every value.
+	// GOMAXPROCS; 1 advances both axes in one CG walk on the caller (no
+	// goroutines), reading each matrix row once for the two; two or more
+	// solve each axis on its own goroutine. Each axis's arithmetic is the
+	// same in both shapes, so results are bit-identical for every value.
 	Parallelism int
 	// Obs receives solver telemetry (CG solves/iterations counters, exit
 	// residual gauge, system build/reuse counters). Nil records nothing.
@@ -541,27 +542,53 @@ func (s *System) solveRound(opt *Options, extra []PseudoNet, extraScale float64,
 // moves placements and the golden tables.
 const dotBlock = 4096
 
-// cgScratch holds the four CG work vectors of one axis, reused across solves
-// (and, via wsPool, across Global/Incremental calls) instead of being
-// reallocated per solve.
-type cgScratch struct {
+// cgLane is one axis of a CG walk: the iterate x (updated in place), the
+// right-hand side b, the four work vectors and the state one iteration
+// hands to the next. The work vectors are reused across solves (and, via
+// wsPool, across Global/Incremental calls); every element is written
+// before it is read, so reuse cannot leak state between solves.
+type cgLane struct {
+	x, b        []float64
 	r, z, p, ap []float64
+
+	res   cgResult
+	err   error   // the stop error that ended the lane, if any
+	bnorm float64 // |b|, or 1 for a zero right-hand side
+	rz    float64 // r·z of the current residual
+	rr    float64 // r·r of the current residual: the convergence test
+	pap   float64 // p·Ap of the last walk
+	live  bool
 }
 
-func (w *cgScratch) ensure(n int) {
-	if cap(w.r) < n {
-		w.r = make([]float64, n)
-		w.z = make([]float64, n)
-		w.p = make([]float64, n)
-		w.ap = make([]float64, n)
+// cgScratch is the workspace of CG walks: one lane per axis. A walk over
+// both lanes advances the two axes together; a walk over a one-lane slice
+// of it runs one axis, and two such walks may run concurrently because the
+// lanes share no memory.
+type cgScratch struct {
+	lanes [2]cgLane
+}
+
+// bind readies lane i for a solve of A*x = b, sizing its work vectors to
+// len(b).
+func (w *cgScratch) bind(i int, x, b []float64) {
+	l := &w.lanes[i]
+	n := len(b)
+	if cap(l.r) < n {
+		l.r = make([]float64, n)
+		l.z = make([]float64, n)
+		l.p = make([]float64, n)
+		l.ap = make([]float64, n)
 	}
-	w.r, w.z, w.p, w.ap = w.r[:n], w.z[:n], w.p[:n], w.ap[:n]
+	l.r, l.z, l.p, l.ap = l.r[:n], l.z[:n], l.p[:n], l.ap[:n]
+	l.x, l.b = x, b
 }
 
-// solveWS is the per-solve workspace: one CG scratch per axis, because the
-// two axes may run concurrently.
+// solveWS is the per-call workspace of Global, Incremental and SolveDirty:
+// the CG lanes of the x and y solves and the spreading buffers, held across
+// every round of the call.
 type solveWS struct {
-	x, y cgScratch
+	cg     cgScratch
+	spread spreadWS
 }
 
 // wsPool recycles solve workspaces across Global/Incremental calls. Every
@@ -572,18 +599,29 @@ var wsPool = sync.Pool{New: func() any { return new(solveWS) }}
 // solve runs the CG kernel for both dimensions on the working system,
 // starting from the current positions, and leaves the solutions in
 // posX/posY. The x and y systems share the (read-only) matrix but nothing
-// else, so with more than one worker they solve concurrently, one goroutine
-// per axis; each axis solve is serial. It reports whether both axes
-// converged (posX/posY hold the best-effort iterates either way).
+// else: with one worker one walk advances both axes, reading each matrix
+// row once for the two of them; with more, each axis walks on its own
+// goroutine. Either way each axis's iterates are the same bits. It reports
+// whether both axes converged (posX/posY hold the best-effort iterates
+// either way).
 func (s *System) solve(tol float64, maxIter, workers int, ws *solveWS, tok *stop.Token) (bool, error) {
 	if faultinject.Hook(faultinject.SitePlacerCG) != nil {
 		return false, nil // injected stagnation: exercise the retry path
 	}
 	a := spd{diag: s.diag, rowStart: s.rowStart, cols: s.cols, w: s.wcur}
-	axis := func(x, b []float64, cs *cgScratch) (bool, error) {
-		res, err := a.cg(x, b, tol, maxIter, cs, tok)
-		// Counters (solves, iterations) are deterministic; the exit residual
-		// is a last-write gauge because the two axis solves race on it.
+	w := &ws.cg
+	w.bind(0, s.posX, s.bx)
+	w.bind(1, s.posY, s.by)
+	var err error
+	if par.Workers(workers) <= 1 {
+		err = a.cg(w.lanes[:2], tol, maxIter, tok)
+	} else {
+		err = a.cgAxes(w, workers, tol, maxIter, tok)
+	}
+	// Recorded after both axes, in axis order, so the exit-residual gauge
+	// (last write wins) is y's for every worker count.
+	for i := range w.lanes {
+		res := w.lanes[i].res
 		s.obs.Add("placer.cg.solves", 1)
 		s.obs.Add("placer.cg.iters", int64(res.iters))
 		switch {
@@ -593,17 +631,23 @@ func (s *System) solve(tol float64, maxIter, workers int, ws *solveWS, tok *stop
 			s.obs.Add("placer.cg.stagnated", 1)
 		}
 		s.obs.Gauge("placer.cg.residual", res.rel)
-		return res.converged, err
 	}
-	var okX, okY bool
+	return w.lanes[0].res.converged && w.lanes[1].res.converged, err
+}
+
+// cgAxes runs the two bound lanes of w as one-lane walks on their own
+// goroutines and returns the x lane's error, else the y lane's: the same
+// choice a two-lane walk makes. (Its own function, so the goroutines'
+// captures escape only on this path.)
+func (a spd) cgAxes(w *cgScratch, workers int, tol float64, maxIter int, tok *stop.Token) error {
 	var errX, errY error
 	par.Do(workers,
-		func() { okX, errX = axis(s.posX, s.bx, &ws.x) },
-		func() { okY, errY = axis(s.posY, s.by, &ws.y) })
+		func() { errX = a.cg(w.lanes[:1], tol, maxIter, tok) },
+		func() { errY = a.cg(w.lanes[1:], tol, maxIter, tok) })
 	if errX != nil {
-		return okX && okY, errX // x before y: deterministic error choice
+		return errX
 	}
-	return okX && okY, errY
+	return errY
 }
 
 // spd is a sparse symmetric positive-definite system in CSR form: row i is
@@ -617,51 +661,60 @@ type spd struct {
 	w        []float64
 }
 
-// mulvec computes out = A*v. The CSR row walk is over contiguous cols/w
-// memory, in the per-row neighbor order the fill recorded.
-func (a spd) mulvec(v, out []float64) {
-	for i := range a.diag {
-		acc := a.diag[i] * v[i]
-		cols := a.cols[a.rowStart[i]:a.rowStart[i+1]]
-		wts := a.w[a.rowStart[i]:a.rowStart[i+1]]
-		for k, j := range cols {
-			acc -= wts[k] * v[j]
-		}
-		out[i] = acc
-	}
-}
-
-// dot is the inner product of a and b in dotBlock summation order.
-func dot(a, b []float64) float64 {
+// mul computes out = A*v in one walk of the CSR rows, in the per-row
+// neighbor order the fill recorded, and returns v·out in dotBlock summation
+// order.
+func (a spd) mul(v, out []float64) float64 {
+	n := len(a.diag)
 	sum := 0.0
-	for lo := 0; lo < len(a); lo += dotBlock {
-		hi := min(lo+dotBlock, len(a))
+	for lo := 0; lo < n; lo += dotBlock {
+		hi := min(lo+dotBlock, n)
 		acc := 0.0
 		for i := lo; i < hi; i++ {
-			acc += a[i] * b[i]
+			cols := a.cols[a.rowStart[i]:a.rowStart[i+1]]
+			wts := a.w[a.rowStart[i]:a.rowStart[i+1]]
+			s := a.diag[i] * v[i]
+			for k, j := range cols {
+				s -= wts[k] * v[j]
+			}
+			out[i] = s
+			acc += v[i] * s
 		}
 		sum += acc
 	}
 	return sum
 }
 
-// precondition applies the Jacobi preconditioner, z = r/diag, and returns
-// r·z in dotBlock summation order.
-func (a spd) precondition(r, z []float64) float64 {
-	sum := 0.0
-	for lo := 0; lo < len(r); lo += dotBlock {
-		hi := min(lo+dotBlock, len(r))
-		acc := 0.0
+// mul2 is mul for two vectors at once, reading each row's columns and
+// weights once for both: each output and each product sum is computed in
+// exactly mul's order.
+func (a spd) mul2(u, outU, v, outV []float64) (float64, float64) {
+	n := len(a.diag)
+	sumU, sumV := 0.0, 0.0
+	for lo := 0; lo < n; lo += dotBlock {
+		hi := min(lo+dotBlock, n)
+		accU, accV := 0.0, 0.0
 		for i := lo; i < hi; i++ {
-			z[i] = r[i] / a.diag[i]
-			acc += r[i] * z[i]
+			cols := a.cols[a.rowStart[i]:a.rowStart[i+1]]
+			wts := a.w[a.rowStart[i]:a.rowStart[i+1]]
+			d := a.diag[i]
+			su, sv := d*u[i], d*v[i]
+			for k, j := range cols {
+				wk := wts[k]
+				su -= wk * u[j]
+				sv -= wk * v[j]
+			}
+			outU[i], outV[i] = su, sv
+			accU += u[i] * su
+			accV += v[i] * sv
 		}
-		sum += acc
+		sumU += accU
+		sumV += accV
 	}
-	return sum
+	return sumU, sumV
 }
 
-// cgResult is the outcome of one kernel solve: the iterations run, whether
+// cgResult is the outcome of one lane's solve: the iterations run, whether
 // the residual met the tolerance, whether a fired stop token ended the
 // solve, and the exit residual relative to |b|.
 type cgResult struct {
@@ -672,65 +725,152 @@ type cgResult struct {
 }
 
 // cg is the placer's one conjugate-gradients kernel: Jacobi-preconditioned
-// CG on A*x = b, warm-started from x, stopping when |r| <= tol*|b| or after
-// maxIter iterations. The stop token is checked once per iteration. When the
+// CG on A*x = b for each bound lane (one or two), warm-started from x,
+// stopping a lane when |r| <= tol*|b| or after maxIter iterations. Each
+// iteration walks the matrix once for every live lane; a lane that
+// converges, exhausts its budget or breaks down (p·Ap <= 0) drops out and
+// the other goes on alone. Every lane's iterates are bit-identical to a
+// one-lane walk: the lanes share only the reads of the matrix (DESIGN.md
+// section 10).
+//
+// Each iteration checks the stop token once per live lane, in lane order
+// (one placer.cg.cancel call each). A fired token ends the lane with
+// res.stopped set and an error wrapping the stop sentinel. When a lane's
 // result is unconverged (budget exhausted, numerical breakdown, or a fired
-// token) x holds the best iterate reached; a fired token additionally
-// returns an error wrapping the stop sentinel. The caller records counters.
-func (a spd) cg(x, b []float64, tol float64, maxIter int, ws *cgScratch, tok *stop.Token) (cgResult, error) {
-	n := len(a.diag)
-	res := cgResult{rel: math.Inf(1)}
-	ws.ensure(n)
-	r, z, p, ap := ws.r, ws.z, ws.p, ws.ap
-	a.mulvec(x, r)
-	for i := range r {
-		r[i] = b[i] - r[i]
+// token) x holds the best iterate reached. cg returns the first lane's
+// error, else the second's; the caller reads each lane's res and records
+// counters.
+func (a spd) cg(ls []cgLane, tol float64, maxIter int, tok *stop.Token) error {
+	if len(ls) == 2 {
+		a.mul2(ls[0].x, ls[0].r, ls[1].x, ls[1].r)
+	} else {
+		a.mul(ls[0].x, ls[0].r)
 	}
-	bnorm := math.Sqrt(dot(b, b))
-	if bnorm == 0 {
-		bnorm = 1
+	for i := range ls {
+		ls[i].start(a.diag)
 	}
-	// exit records the residual at an unconverged-looking exit: converged
-	// only if it already meets the tolerance.
-	exit := func() {
-		rcur := math.Sqrt(dot(r, r))
-		res.rel = rcur / bnorm
-		res.converged = rcur <= tol*bnorm
+	for {
+		var walk [2]*cgLane
+		k := 0
+		for i := range ls {
+			if l := &ls[i]; l.live && l.proceed(tol, maxIter, tok) {
+				walk[k] = l
+				k++
+			}
+		}
+		switch k {
+		case 0:
+			var err error
+			for i := range ls {
+				if err == nil {
+					err = ls[i].err
+				}
+				ls[i].x, ls[i].b = nil, nil
+			}
+			return err
+		case 1:
+			walk[0].pap = a.mul(walk[0].p, walk[0].ap)
+		case 2:
+			walk[0].pap, walk[1].pap = a.mul2(walk[0].p, walk[0].ap, walk[1].p, walk[1].ap)
+		}
+		for _, l := range walk[:k] {
+			l.step(a.diag, tol)
+		}
 	}
-	rz := a.precondition(r, z)
-	copy(p, z)
-	for ; res.iters < maxIter; res.iters++ {
-		if serr := stop.Check(tok, faultinject.SitePlacerCGCancel); serr != nil {
-			res.stopped = true
-			exit()
-			return res, fmt.Errorf("placer: conjugate gradients: %w", serr)
+}
+
+// start sets up a lane from r = A*x: r becomes b - A*x, z and p the
+// preconditioned residual, and |b|, r·z and r·r are summed in the same pass
+// (three separate dotBlock sums).
+func (l *cgLane) start(diag []float64) {
+	l.res, l.err, l.live = cgResult{rel: math.Inf(1)}, nil, true
+	b, r, z, p := l.b, l.r, l.z, l.p
+	bb, rz, rr := 0.0, 0.0, 0.0
+	for lo := 0; lo < len(b); lo += dotBlock {
+		hi := min(lo+dotBlock, len(b))
+		accB, accZ, accR := 0.0, 0.0, 0.0
+		for i := lo; i < hi; i++ {
+			ri := b[i] - r[i]
+			zi := ri / diag[i]
+			r[i], z[i], p[i] = ri, zi, zi
+			accB += b[i] * b[i]
+			accZ += ri * zi
+			accR += ri * ri
 		}
-		rn := dot(r, r)
-		if math.Sqrt(rn) <= tol*bnorm {
-			res.rel = math.Sqrt(rn) / bnorm
-			res.converged = true
-			return res, nil
-		}
-		a.mulvec(p, ap)
-		pap := dot(p, ap)
-		if pap <= 0 {
-			exit() // numerical breakdown; x is best effort
-			return res, nil
-		}
-		alpha := rz / pap
-		for i := range r {
+		bb += accB
+		rz += accZ
+		rr += accR
+	}
+	l.bnorm = math.Sqrt(bb)
+	if l.bnorm == 0 {
+		l.bnorm = 1
+	}
+	l.rz, l.rr = rz, rr
+}
+
+// proceed runs a live lane's checks at the top of an iteration — the
+// budget, the stop token, then convergence on r·r — and reports whether the
+// lane takes another step.
+func (l *cgLane) proceed(tol float64, maxIter int, tok *stop.Token) bool {
+	if l.res.iters >= maxIter {
+		l.exit(tol) // iteration budget exhausted
+		return false
+	}
+	if serr := stop.Check(tok, faultinject.SitePlacerCGCancel); serr != nil {
+		l.res.stopped = true
+		l.exit(tol)
+		l.err = fmt.Errorf("placer: conjugate gradients: %w", serr)
+		return false
+	}
+	if rn := math.Sqrt(l.rr); rn <= tol*l.bnorm {
+		l.res.rel = rn / l.bnorm
+		l.res.converged = true
+		l.live = false
+		return false
+	}
+	return true
+}
+
+// exit ends a lane at an unconverged-looking exit, recording its residual:
+// converged only if it already meets the tolerance.
+func (l *cgLane) exit(tol float64) {
+	rcur := math.Sqrt(l.rr)
+	l.res.rel = rcur / l.bnorm
+	l.res.converged = rcur <= tol*l.bnorm
+	l.live = false
+}
+
+// step finishes a lane's iteration after the walk produced Ap and p·Ap: one
+// pass updates x and r, preconditions z = r/diag and sums r·z and r·r (two
+// separate dotBlock sums), then a second pass updates p.
+func (l *cgLane) step(diag []float64, tol float64) {
+	if l.pap <= 0 {
+		l.exit(tol) // numerical breakdown; x is best effort
+		return
+	}
+	alpha := l.rz / l.pap
+	x, r, z, p, ap := l.x, l.r, l.z, l.p, l.ap
+	rz, rr := 0.0, 0.0
+	for lo := 0; lo < len(r); lo += dotBlock {
+		hi := min(lo+dotBlock, len(r))
+		accZ, accR := 0.0, 0.0
+		for i := lo; i < hi; i++ {
 			x[i] += alpha * p[i]
-			r[i] -= alpha * ap[i]
+			ri := r[i] - alpha*ap[i]
+			zi := ri / diag[i]
+			r[i], z[i] = ri, zi
+			accZ += ri * zi
+			accR += ri * ri
 		}
-		rzNew := a.precondition(r, z)
-		beta := rzNew / rz
-		rz = rzNew
-		for i := range p {
-			p[i] = z[i] + beta*p[i]
-		}
+		rz += accZ
+		rr += accR
 	}
-	exit() // iteration budget exhausted
-	return res, nil
+	beta := rz / l.rz
+	l.rz, l.rr = rz, rr
+	for i := range p {
+		p[i] = z[i] + beta*p[i]
+	}
+	l.res.iters++
 }
 
 // SolveQP runs one pure quadratic solve of the system — prepare with the

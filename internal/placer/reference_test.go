@@ -12,6 +12,7 @@ import (
 	"rotaryclk/internal/geom"
 	"rotaryclk/internal/netlist"
 	"rotaryclk/internal/obs"
+	"rotaryclk/internal/stop"
 )
 
 // The reference arms below are verbatim copies of the quadratic system's
@@ -439,6 +440,276 @@ func refCGSerial(mul func(v, out []float64), x, b []float64) (iters int, converg
 		}
 	}
 	return iters, rr <= tol2
+}
+
+// refCGScratch and the spd methods refCG, mulvec and precondition, with
+// dot, are a verbatim copy of the former one-axis CG kernel (spd.cg, its
+// cgScratch and its passes); only the kernel and scratch names are changed.
+// It made six passes over the vectors per iteration and walked the matrix
+// once per axis. TestCGMatchesReference holds the fused kernel, over one lane
+// and over two, to it bit for bit.
+type refCGScratch struct {
+	r, z, p, ap []float64
+}
+
+func (w *refCGScratch) ensure(n int) {
+	if cap(w.r) < n {
+		w.r = make([]float64, n)
+		w.z = make([]float64, n)
+		w.p = make([]float64, n)
+		w.ap = make([]float64, n)
+	}
+	w.r, w.z, w.p, w.ap = w.r[:n], w.z[:n], w.p[:n], w.ap[:n]
+}
+
+// mulvec computes out = A*v. The CSR row walk is over contiguous cols/w
+// memory, in the per-row neighbor order the fill recorded.
+func (a spd) mulvec(v, out []float64) {
+	for i := range a.diag {
+		acc := a.diag[i] * v[i]
+		cols := a.cols[a.rowStart[i]:a.rowStart[i+1]]
+		wts := a.w[a.rowStart[i]:a.rowStart[i+1]]
+		for k, j := range cols {
+			acc -= wts[k] * v[j]
+		}
+		out[i] = acc
+	}
+}
+
+// dot is the inner product of a and b in dotBlock summation order.
+func dot(a, b []float64) float64 {
+	sum := 0.0
+	for lo := 0; lo < len(a); lo += dotBlock {
+		hi := min(lo+dotBlock, len(a))
+		acc := 0.0
+		for i := lo; i < hi; i++ {
+			acc += a[i] * b[i]
+		}
+		sum += acc
+	}
+	return sum
+}
+
+// precondition applies the Jacobi preconditioner, z = r/diag, and returns
+// r·z in dotBlock summation order.
+func (a spd) precondition(r, z []float64) float64 {
+	sum := 0.0
+	for lo := 0; lo < len(r); lo += dotBlock {
+		hi := min(lo+dotBlock, len(r))
+		acc := 0.0
+		for i := lo; i < hi; i++ {
+			z[i] = r[i] / a.diag[i]
+			acc += r[i] * z[i]
+		}
+		sum += acc
+	}
+	return sum
+}
+
+// refCG is the placer's one conjugate-gradients kernel: Jacobi-preconditioned
+// CG on A*x = b, warm-started from x, stopping when |r| <= tol*|b| or after
+// maxIter iterations. The stop token is checked once per iteration. When the
+// result is unconverged (budget exhausted, numerical breakdown, or a fired
+// token) x holds the best iterate reached; a fired token additionally
+// returns an error wrapping the stop sentinel. The caller records counters.
+func (a spd) refCG(x, b []float64, tol float64, maxIter int, ws *refCGScratch, tok *stop.Token) (cgResult, error) {
+	n := len(a.diag)
+	res := cgResult{rel: math.Inf(1)}
+	ws.ensure(n)
+	r, z, p, ap := ws.r, ws.z, ws.p, ws.ap
+	a.mulvec(x, r)
+	for i := range r {
+		r[i] = b[i] - r[i]
+	}
+	bnorm := math.Sqrt(dot(b, b))
+	if bnorm == 0 {
+		bnorm = 1
+	}
+	// exit records the residual at an unconverged-looking exit: converged
+	// only if it already meets the tolerance.
+	exit := func() {
+		rcur := math.Sqrt(dot(r, r))
+		res.rel = rcur / bnorm
+		res.converged = rcur <= tol*bnorm
+	}
+	rz := a.precondition(r, z)
+	copy(p, z)
+	for ; res.iters < maxIter; res.iters++ {
+		if serr := stop.Check(tok, faultinject.SitePlacerCGCancel); serr != nil {
+			res.stopped = true
+			exit()
+			return res, fmt.Errorf("placer: conjugate gradients: %w", serr)
+		}
+		rn := dot(r, r)
+		if math.Sqrt(rn) <= tol*bnorm {
+			res.rel = math.Sqrt(rn) / bnorm
+			res.converged = true
+			return res, nil
+		}
+		a.mulvec(p, ap)
+		pap := dot(p, ap)
+		if pap <= 0 {
+			exit() // numerical breakdown; x is best effort
+			return res, nil
+		}
+		alpha := rz / pap
+		for i := range r {
+			x[i] += alpha * p[i]
+			r[i] -= alpha * ap[i]
+		}
+		rzNew := a.precondition(r, z)
+		beta := rzNew / rz
+		rz = rzNew
+		for i := range p {
+			p[i] = z[i] + beta*p[i]
+		}
+	}
+	exit() // iteration budget exhausted
+	return res, nil
+}
+
+// solve1 runs the kernel over lane 0 alone, the shape each axis takes when
+// the axes solve on their own goroutines, and returns the lane's result.
+func (w *cgScratch) solve1(a spd, x, b []float64, tol float64, maxIter int, tok *stop.Token) (cgResult, error) {
+	w.bind(0, x, b)
+	err := a.cg(w.lanes[:1], tol, maxIter, tok)
+	return w.lanes[0].res, err
+}
+
+// refEqualize and refShiftAxis are a verbatim copy of the former spreading
+// pass, which bucketed stripes with append and allocated its maps every
+// round; only the names are changed. TestEqualizeMatchesReference holds the
+// workspace pass to it.
+// refEqualize computes per-cell spreading targets by FastPlace-style cell
+// shifting: the die is overlaid with a bins x bins grid, and within each
+// horizontal stripe the x coordinates are remapped through the stripe's
+// cumulative utilization (piecewise linear over bin boundaries), flattening
+// the stripe's density while preserving cell order; the same is applied to
+// y within vertical stripes. The maps are local to a stripe, so clusters
+// relax into neighboring bins instead of scattering across the die.
+func refEqualize(c *netlist.Circuit, bins int) []PseudoNet {
+	var ids []int
+	for _, cell := range c.Cells {
+		if !cell.Fixed {
+			ids = append(ids, cell.ID)
+		}
+	}
+	if len(ids) == 0 {
+		return nil
+	}
+	xs := refShiftAxis(ids, c, bins, true)
+	ys := refShiftAxis(ids, c, bins, false)
+	out := make([]PseudoNet, len(ids))
+	for i, id := range ids {
+		out[i] = PseudoNet{Cell: id, Target: geom.Pt(xs[id], ys[id]), Weight: 1}
+	}
+	return out
+}
+
+// refShiftAxis remaps the primary coordinate of every cell through its
+// stripe's cumulative-utilization map. xAxis selects remapping x within
+// horizontal stripes (stripes indexed by y). The result is a dense slice
+// indexed by cell ID (entries of cells not in ids keep the sentinel NaN):
+// a map here would invite nondeterministic ranging, which the parallel
+// determinism guarantees forbid.
+func refShiftAxis(ids []int, c *netlist.Circuit, bins int, xAxis bool) []float64 {
+	die := c.Die
+	priLo, priHi := die.Lo.X, die.Hi.X
+	secLo, secHi := die.Lo.Y, die.Hi.Y
+	if !xAxis {
+		priLo, priHi = die.Lo.Y, die.Hi.Y
+		secLo, secHi = die.Lo.X, die.Hi.X
+	}
+	priSpan, secSpan := priHi-priLo, secHi-secLo
+	pri := func(id int) float64 {
+		if xAxis {
+			return c.Cells[id].Pos.X
+		}
+		return c.Cells[id].Pos.Y
+	}
+	sec := func(id int) float64 {
+		if xAxis {
+			return c.Cells[id].Pos.Y
+		}
+		return c.Cells[id].Pos.X
+	}
+
+	// Bucket cells into stripes along the secondary axis.
+	stripes := make([][]int, bins)
+	for _, id := range ids {
+		s := int((sec(id) - secLo) / secSpan * float64(bins))
+		if s < 0 {
+			s = 0
+		}
+		if s >= bins {
+			s = bins - 1
+		}
+		stripes[s] = append(stripes[s], id)
+	}
+
+	out := make([]float64, len(c.Cells))
+	for i := range out {
+		out[i] = math.NaN()
+	}
+	binW := priSpan / float64(bins)
+	// Partial equalization: new = blend*mapped + (1-blend)*old.
+	const blend = 0.8
+	margin := math.Min(priSpan*0.01, 8.0)
+	for _, stripe := range stripes {
+		if len(stripe) == 0 {
+			continue
+		}
+		// Utilization per bin along the primary axis (cell areas).
+		util := make([]float64, bins)
+		for _, id := range stripe {
+			b := int((pri(id) - priLo) / binW)
+			if b < 0 {
+				b = 0
+			}
+			if b >= bins {
+				b = bins - 1
+			}
+			util[b] += c.Cells[id].W * c.Cells[id].H
+		}
+		// Cumulative map: old bin boundary k maps to a new position
+		// proportional to the cumulative utilization, blended with the
+		// identity so one round only partially flattens the stripe.
+		total := 0.0
+		for _, u := range util {
+			total += u
+		}
+		if total == 0 {
+			continue
+		}
+		newBound := make([]float64, bins+1)
+		cum := 0.0
+		newBound[0] = priLo + margin
+		usable := priSpan - 2*margin
+		for k := 0; k < bins; k++ {
+			cum += util[k]
+			newBound[k+1] = priLo + margin + usable*cum/total
+		}
+		for _, id := range stripe {
+			old := pri(id)
+			b := int((old - priLo) / binW)
+			if b < 0 {
+				b = 0
+			}
+			if b >= bins {
+				b = bins - 1
+			}
+			frac := (old - (priLo + float64(b)*binW)) / binW
+			mapped := newBound[b] + frac*(newBound[b+1]-newBound[b])
+			out[id] = blend*mapped + (1-blend)*old
+		}
+	}
+	// Cells whose stripe carried zero utilization keep their position.
+	for _, id := range ids {
+		if math.IsNaN(out[id]) {
+			out[id] = pri(id)
+		}
+	}
+	return out
 }
 
 // sameBits fails the test unless a and b are Float64bits-equal.

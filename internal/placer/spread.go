@@ -67,7 +67,7 @@ func (s *System) globalLoop(opt Options) error {
 	}
 
 	for iter := 1; iter <= opt.spreadIters; iter++ {
-		targets := equalize(c, opt.bins)
+		targets := equalize(c, opt.bins, &ws.spread)
 		// Re-solve with anchors toward the shifted positions; the anchor
 		// strength ramps so early rounds preserve connectivity structure
 		// and late rounds enforce density.
@@ -123,17 +123,7 @@ func (s *System) Incremental(opt Options) error {
 	// Only the pulled cells (the pseudo-net targets, i.e. the flip-flops)
 	// get equalization anchors: the rest of the placement should stay put,
 	// which is what bounds the signal-wirelength penalty per iteration.
-	pulled := map[int]bool{}
-	for _, pn := range opt.PseudoNets {
-		pulled[pn.Cell] = true
-	}
-	targets := equalize(c, opt.bins)
-	filtered := targets[:0]
-	for _, tg := range targets {
-		if pulled[tg.Cell] {
-			filtered = append(filtered, tg)
-		}
-	}
+	filtered := ws.spread.pulledTargets(c, opt.bins, opt.PseudoNets)
 	converged, err = s.solveRound(&opt, filtered, 0.1, ws)
 	if err != nil {
 		return err
@@ -144,39 +134,95 @@ func (s *System) Incremental(opt Options) error {
 	return nil
 }
 
+// spreadWS holds the buffers of the density-equalization passes, reused by
+// every round of a Global, refineLoop or Incremental call. Every buffer but
+// pulled is rewritten before it is read; pulled is all false between
+// calls.
+type spreadWS struct {
+	ids     []int       // movable cell IDs, in cell order
+	targets []PseudoNet // one per ids entry
+	coord   []float64   // per ids entry: the remapped coordinate of the pass
+	stripe  []int32     // per ids entry: its stripe
+	start   []int       // stripe s holds order[start[s]:start[s+1]]
+	order   []int32     // ids indices, stably sorted by stripe
+	util    []float64   // per bin of the stripe in hand
+	bound   []float64   // new bin boundaries of the stripe in hand
+	pulled  []bool      // by cell ID: Incremental's pseudo-net cells
+}
+
+// grow returns buf resized to n, reallocating only when its capacity is
+// short.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// pulledTargets is equalize's targets of the cells the pseudo-nets pull,
+// in cell order. The marks it sets in ws.pulled are cleared again before it
+// returns.
+func (ws *spreadWS) pulledTargets(c *netlist.Circuit, bins int, pns []PseudoNet) []PseudoNet {
+	pulled := grow(ws.pulled, len(c.Cells))
+	ws.pulled = pulled
+	for _, pn := range pns {
+		if pn.Cell >= 0 && pn.Cell < len(pulled) {
+			pulled[pn.Cell] = true
+		}
+	}
+	targets := equalize(c, bins, ws)
+	filtered := targets[:0]
+	for _, tg := range targets {
+		if pulled[tg.Cell] {
+			filtered = append(filtered, tg)
+		}
+	}
+	for _, pn := range pns {
+		if pn.Cell >= 0 && pn.Cell < len(pulled) {
+			pulled[pn.Cell] = false
+		}
+	}
+	return filtered
+}
+
 // equalize computes per-cell spreading targets by FastPlace-style cell
 // shifting: the die is overlaid with a bins x bins grid, and within each
 // horizontal stripe the x coordinates are remapped through the stripe's
 // cumulative utilization (piecewise linear over bin boundaries), flattening
 // the stripe's density while preserving cell order; the same is applied to
 // y within vertical stripes. The maps are local to a stripe, so clusters
-// relax into neighboring bins instead of scattering across the die.
-func equalize(c *netlist.Circuit, bins int) []PseudoNet {
-	var ids []int
+// relax into neighboring bins instead of scattering across the die. The
+// targets live in ws and stay valid until its next pass.
+func equalize(c *netlist.Circuit, bins int, ws *spreadWS) []PseudoNet {
+	ids := ws.ids[:0]
 	for _, cell := range c.Cells {
 		if !cell.Fixed {
 			ids = append(ids, cell.ID)
 		}
 	}
+	ws.ids = ids
 	if len(ids) == 0 {
 		return nil
 	}
-	xs := shiftAxis(ids, c, bins, true)
-	ys := shiftAxis(ids, c, bins, false)
-	out := make([]PseudoNet, len(ids))
+	ws.targets = grow(ws.targets, len(ids))
+	ws.coord = grow(ws.coord, len(ids))
+	shiftAxis(ws, c, bins, true)
 	for i, id := range ids {
-		out[i] = PseudoNet{Cell: id, Target: geom.Pt(xs[id], ys[id]), Weight: 1}
+		ws.targets[i] = PseudoNet{Cell: id, Target: geom.Pt(ws.coord[i], 0), Weight: 1}
 	}
-	return out
+	shiftAxis(ws, c, bins, false)
+	for i := range ids {
+		ws.targets[i].Target.Y = ws.coord[i]
+	}
+	return ws.targets
 }
 
-// shiftAxis remaps the primary coordinate of every cell through its
-// stripe's cumulative-utilization map. xAxis selects remapping x within
-// horizontal stripes (stripes indexed by y). The result is a dense slice
-// indexed by cell ID (entries of cells not in ids keep the sentinel NaN):
-// a map here would invite nondeterministic ranging, which the parallel
-// determinism guarantees forbid.
-func shiftAxis(ids []int, c *netlist.Circuit, bins int, xAxis bool) []float64 {
+// shiftAxis remaps the primary coordinate of every cell of ws.ids through
+// its stripe's cumulative-utilization map into ws.coord. xAxis selects
+// remapping x within horizontal stripes (stripes indexed by y). A stable
+// counting sort buckets the cells, so each stripe lists its cells in cell
+// order.
+func shiftAxis(ws *spreadWS, c *netlist.Circuit, bins int, xAxis bool) {
 	die := c.Die
 	priLo, priHi := die.Lo.X, die.Hi.X
 	secLo, secHi := die.Lo.Y, die.Hi.Y
@@ -199,8 +245,11 @@ func shiftAxis(ids []int, c *netlist.Circuit, bins int, xAxis bool) []float64 {
 	}
 
 	// Bucket cells into stripes along the secondary axis.
-	stripes := make([][]int, bins)
-	for _, id := range ids {
+	ids := ws.ids
+	ws.stripe = grow(ws.stripe, len(ids))
+	ws.start = grow(ws.start, bins+1)
+	clear(ws.start)
+	for i, id := range ids {
 		s := int((sec(id) - secLo) / secSpan * float64(bins))
 		if s < 0 {
 			s = 0
@@ -208,24 +257,39 @@ func shiftAxis(ids []int, c *netlist.Circuit, bins int, xAxis bool) []float64 {
 		if s >= bins {
 			s = bins - 1
 		}
-		stripes[s] = append(stripes[s], id)
+		ws.stripe[i] = int32(s)
+		ws.start[s+1]++
 	}
+	for s := 0; s < bins; s++ {
+		ws.start[s+1] += ws.start[s]
+	}
+	ws.order = grow(ws.order, len(ids))
+	for i := range ids {
+		s := ws.stripe[i]
+		ws.order[ws.start[s]] = int32(i)
+		ws.start[s]++
+	}
+	// The placement pass advanced each start to its stripe's end; shift
+	// them back.
+	copy(ws.start[1:], ws.start[:bins])
+	ws.start[0] = 0
 
-	out := make([]float64, len(c.Cells))
-	for i := range out {
-		out[i] = math.NaN()
-	}
 	binW := priSpan / float64(bins)
 	// Partial equalization: new = blend*mapped + (1-blend)*old.
 	const blend = 0.8
 	margin := math.Min(priSpan*0.01, 8.0)
-	for _, stripe := range stripes {
+	util := grow(ws.util, bins)
+	newBound := grow(ws.bound, bins+1)
+	ws.util, ws.bound = util, newBound
+	for s := 0; s < bins; s++ {
+		stripe := ws.order[ws.start[s]:ws.start[s+1]]
 		if len(stripe) == 0 {
 			continue
 		}
 		// Utilization per bin along the primary axis (cell areas).
-		util := make([]float64, bins)
-		for _, id := range stripe {
+		clear(util)
+		for _, i := range stripe {
+			id := ids[i]
 			b := int((pri(id) - priLo) / binW)
 			if b < 0 {
 				b = 0
@@ -243,9 +307,12 @@ func shiftAxis(ids []int, c *netlist.Circuit, bins int, xAxis bool) []float64 {
 			total += u
 		}
 		if total == 0 {
+			// A stripe carrying zero utilization keeps its cells in place.
+			for _, i := range stripe {
+				ws.coord[i] = pri(ids[i])
+			}
 			continue
 		}
-		newBound := make([]float64, bins+1)
 		cum := 0.0
 		newBound[0] = priLo + margin
 		usable := priSpan - 2*margin
@@ -253,8 +320,8 @@ func shiftAxis(ids []int, c *netlist.Circuit, bins int, xAxis bool) []float64 {
 			cum += util[k]
 			newBound[k+1] = priLo + margin + usable*cum/total
 		}
-		for _, id := range stripe {
-			old := pri(id)
+		for _, i := range stripe {
+			old := pri(ids[i])
 			b := int((old - priLo) / binW)
 			if b < 0 {
 				b = 0
@@ -264,14 +331,11 @@ func shiftAxis(ids []int, c *netlist.Circuit, bins int, xAxis bool) []float64 {
 			}
 			frac := (old - (priLo + float64(b)*binW)) / binW
 			mapped := newBound[b] + frac*(newBound[b+1]-newBound[b])
-			out[id] = blend*mapped + (1-blend)*old
+			v := blend*mapped + (1-blend)*old
+			if math.IsNaN(v) {
+				v = old // no usable map: the cell keeps its position
+			}
+			ws.coord[i] = v
 		}
 	}
-	// Cells whose stripe carried zero utilization keep their position.
-	for _, id := range ids {
-		if math.IsNaN(out[id]) {
-			out[id] = pri(id)
-		}
-	}
-	return out
 }

@@ -195,7 +195,7 @@ func (s *System) refineLoop(opt Options, rounds int) error {
 	final := spreadAlpha * float64(opt.spreadIters)
 	converged := true
 	for iter := 1; iter <= rounds; iter++ {
-		targets := equalize(c, opt.bins)
+		targets := equalize(c, opt.bins, &ws.spread)
 		w := final * float64(iter) / float64(rounds)
 		var err error
 		converged, err = s.solveRound(&opt, targets, w, ws)

@@ -124,10 +124,11 @@ type ECOResponse struct {
 // state is built once per key by core.NewECOState from the base flow, so it
 // holds the placed circuit, the result's schedule and assignment (whose
 // candidate matrix the base run solved over), and the base circuit's STA
-// and signal-wirelength caches. Requests only read what the fork shares, so
-// each one re-solves just the tapping rows, re-propagates just the timing
-// sources and re-measures just the nets its edit touches. The clone means a
-// failed or degraded apply never poisons the shared base.
+// and signal-wirelength caches, and lends each fork a workspace from its
+// pool. Requests only read what the fork shares, so each one re-solves just
+// the tapping rows, re-propagates just the timing sources and re-measures
+// just the nets its edit touches. The clone means a failed or degraded
+// apply never poisons the shared base.
 func (s *Server) applyECO(req *ECORequest, cfg core.Config) (*answer, error) {
 	tmpl, _, err := s.template(req.Circuit)
 	if err != nil {
@@ -167,6 +168,9 @@ func (s *Server) applyECO(req *ECORequest, cfg core.Config) (*answer, error) {
 	if err != nil {
 		return nil, &statusError{http.StatusInternalServerError, fmt.Errorf("seeding ECO state: %w", err)}
 	}
+	// The fork's workspace goes back to the base's pool when the request
+	// ends, so the next request's fork starts with warm buffers.
+	defer st.Release()
 	res, err := s.runECO(st, req.Deltas, cfg, eco.Options{Strict: cfg.Strict})
 	if err != nil {
 		return nil, err

@@ -74,7 +74,11 @@
 #                         bookkeeping cases) and the Global/Incremental
 #                         worker-count determinism tests under -race (the
 #                         concurrent x/y axis solves are the placer's only
-#                         concurrent path), the V-cycle tests (below-floor
+#                         concurrent path), the CG kernel over one lane and
+#                         two against its verbatim former copy, the CG
+#                         cancellation tests and the spreading pass
+#                         against its former copy, all under -race, the
+#                         V-cycle tests (below-floor
 #                         Global bit-identical to the flat loop at 1 and 8
 #                         workers, coarsening invariants, cancellation and
 #                         degenerate fallbacks), the binned MaxOverlap
@@ -83,7 +87,9 @@
 #                         the corrupt-site oracle negative test, one
 #                         iteration of BenchmarkDetailed (the swap loop's
 #                         ns/op, rescans/op and pruned/op; run it with a
-#                         larger -benchtime for a number), then a non-race
+#                         larger -benchtime for a number), one iteration
+#                         each of BenchmarkCGSolve and BenchmarkGlobalPlace
+#                         with -benchmem, then a non-race
 #                         50k-cell core.Run + Audit smoke that must run
 #                         stage 1 through the V-cycle
 #                         (placer.ml.vcycles == 1), under a wall-clock
@@ -240,10 +246,11 @@ eco)
     ;;
 place)
     timeout="${PLACE_TIMEOUT:-120s}"
-    go test -race ./internal/placer/ -run '^(TestDetailed|Test(Global|Incremental)DeterministicAcrossWorkerCounts$)' -count=1
+    go test -race ./internal/placer/ -run '^(TestDetailed|Test(Global|Incremental)DeterministicAcrossWorkerCounts$|TestCGMatchesReference$|TestCGCancel|TestEqualizeMatchesReference$)' -count=1
     go test ./internal/placer/ -run '^(TestMultilevel|TestVCycle|TestCoarsen|TestProjectOverlays|TestInterpolate|TestMaxOverlapMatchesReference$)' -count=1
     go test ./internal/oracle/ -run '^TestFaultMLCorruptDetected$' -count=1
     go test -run '^$' -bench '^BenchmarkDetailed$' -benchtime 1x ./internal/placer/
+    go test -run '^$' -bench '^(BenchmarkCGSolve|BenchmarkGlobalPlace)$' -benchtime 1x -benchmem ./internal/placer/
     ROTARY_PLACE_SMOKE=1 go test -timeout "$timeout" \
         -run '^TestPlaceSmoke50k$' -count=1 -v ./internal/core/
     ;;
