@@ -18,8 +18,10 @@ race:
 fuzz:
 	sh scripts/ci.sh fuzz
 
-# End-to-end daemon smoke: rotaryd under job and ECO load, deadline
-# degradation, drain.
+# Daemon gate: the stage-1 placement reuse tests under -race, then the
+# end-to-end smoke: rotaryd under job load (twice over the same specs, the
+# second pass on published placements) and ECO load, deadline degradation,
+# drain.
 serve:
 	sh scripts/ci.sh serve
 

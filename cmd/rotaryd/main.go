@@ -1,7 +1,8 @@
 // Command rotaryd serves the integrated placement and skew optimization
 // flow over HTTP (see internal/serve for the protocol and the robustness
 // model: bounded admission queue, per-job deadlines with degraded results,
-// panic isolation, cross-request template reuse).
+// panic isolation, cross-request reuse of each circuit spec's placement
+// system and stage-1 placement).
 //
 // Usage:
 //
@@ -11,7 +12,8 @@
 //
 //	POST /v1/jobs   run one placement job (JSON in, JSON out; synchronous)
 //	POST /v1/eco    re-optimize a cached base placement after netlist deltas
-//	GET  /metrics   operational snapshot (counters, queue, p50/p90/p99)
+//	GET  /metrics   operational snapshot (counters, queue, and p50/p90/p99
+//	                latency per endpoint: latency.jobs and latency.eco)
 //	GET  /healthz   liveness ("ok" or "draining")
 //
 // SIGTERM or SIGINT starts a graceful drain: new jobs are rejected with

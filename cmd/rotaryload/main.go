@@ -15,6 +15,9 @@
 // every request targets the same circuit spec (seed alone), so the server
 // builds the base state once and serves the rest from its warm cache, and
 // request i carries a deterministic random delta batch drawn from seed+i.
+// A job run also reports how many answers started from their spec's
+// published stage-1 placement (placement_hit), so a second run over the
+// same seeds shows the reuse.
 // With -rps 0 (default) the driver runs closed-loop at -c concurrent
 // requests; with -rps > 0 it launches open-loop at that rate. 429 (shed)
 // responses count as shed, not failures: shedding under overload is the
@@ -45,6 +48,7 @@ type jobResult struct {
 	status   int
 	latency  time.Duration
 	degraded bool
+	placed   bool // the job started from its spec's published stage-1 placement
 	err      error
 }
 
@@ -129,7 +133,8 @@ func run() int {
 		}
 		defer resp.Body.Close()
 		var out struct {
-			Degraded bool `json:"degraded"`
+			Degraded     bool `json:"degraded"`
+			PlacementHit bool `json:"placement_hit"`
 		}
 		data, _ := io.ReadAll(resp.Body)
 		if resp.StatusCode == 200 {
@@ -138,7 +143,7 @@ func run() int {
 				return
 			}
 		}
-		results[i] = jobResult{status: resp.StatusCode, degraded: out.Degraded, latency: time.Since(start)}
+		results[i] = jobResult{status: resp.StatusCode, degraded: out.Degraded, placed: out.PlacementHit, latency: time.Since(start)}
 	}
 
 	wall := time.Now()
@@ -167,7 +172,7 @@ func run() int {
 	wg.Wait()
 	elapsed := time.Since(wall)
 
-	var ok, degraded, shed, rejected, failed int
+	var ok, degraded, placed, shed, rejected, failed int
 	var transport []error
 	var lats []float64
 	for _, r := range results {
@@ -179,6 +184,9 @@ func run() int {
 			ok++
 			if r.degraded {
 				degraded++
+			}
+			if r.placed {
+				placed++
 			}
 			lats = append(lats, float64(r.latency)/float64(time.Millisecond))
 		case r.status == 429:
@@ -193,6 +201,9 @@ func run() int {
 
 	fmt.Printf("rotaryload: %d jobs in %.2fs (%.1f jobs/s)\n", *n, elapsed.Seconds(), float64(*n)/elapsed.Seconds())
 	fmt.Printf("  ok %d (degraded %d)  shed %d  rejected-draining %d  failed %d\n", ok, degraded, shed, rejected, failed)
+	if !*ecoMode {
+		fmt.Printf("  placement hits %d of %d\n", placed, ok)
+	}
 	p99 := 0.0
 	if len(lats) > 0 {
 		sort.Float64s(lats)

@@ -69,7 +69,12 @@ type Config struct {
 	MaxIters     int     // stage 3-6 iterations (default 5, as in the paper)
 	PseudoWeight float64 // pseudo-net pull weight, ramped by iteration (default 4)
 
-	SkipInitialPlace bool // reuse the circuit's existing placement
+	// SkipInitialPlace skips stage 1 and starts stage 2 from the circuit's
+	// existing placement; its stage1.place span then carries skipped=1.
+	// Stage 1 depends on the netlist alone, so a circuit set to another
+	// run's Result.Placed (SetPositions) on an identical netlist runs the
+	// rest of the flow bit for bit as that run did.
+	SkipInitialPlace bool
 
 	// TimingDriven enables critical-path net reweighting inside the
 	// re-optimization loop (ROADMAP item 3): before each stage-6 re-place,
@@ -183,6 +188,13 @@ type Result struct {
 	Array    *rotary.Array
 
 	WorkSlack float64 // slack margin the final schedule is feasible at, ps
+
+	// Placed is the placement stage 1 left on the circuit, by cell ID. It
+	// is set only when stage 1 ran (not SkipInitialPlace), finished without
+	// a stop and recorded no event, and is nil otherwise: a run that
+	// starts from it with SkipInitialPlace on a netlist identical to this
+	// one gives this run's answer, events included.
+	Placed []geom.Point
 
 	// Degraded reports that the re-optimization loop stopped on an
 	// unrecoverable failure after the base case; the result then carries
@@ -402,6 +414,11 @@ func Run(c *netlist.Circuit, cfg Config) (*Result, error) {
 			}
 			return nil, stageErr(1, 0, err)
 		}
+	}
+	if cfg.SkipInitialPlace {
+		s1.Set(obs.I("skipped", 1))
+	} else if len(res.Events) == 0 {
+		res.Placed = c.Positions()
 	}
 	s1.End()
 	if serr := cfg.Stop.Err(); serr != nil {

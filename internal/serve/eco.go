@@ -118,13 +118,14 @@ type ECOResponse struct {
 	Trace    string          `json:"trace,omitempty"`
 }
 
-// applyECO is /v1/eco's own step: fork the spec's template, pick up (or
-// build) the shared base ECO state for the request's rings and iterations,
-// fork it onto a clone of its circuit, and absorb the delta batch. The base
-// state is built once per key by core.NewECOState from the base flow, so it
-// holds the placed circuit, the result's schedule and assignment (whose
-// candidate matrix the base run solved over), and the base circuit's STA
-// and signal-wirelength caches, and lends each fork a workspace from its
+// applyECO is /v1/eco's own step: pick up (or build) the shared base ECO
+// state for the request's rings and iterations, fork it onto a clone of its
+// circuit, and absorb the delta batch. The base flow runs on the spec's
+// template like a job, from the spec's published stage-1 placement when it
+// has one (see flow). Its state is built once per key by core.NewECOState,
+// so it holds the placed circuit, the result's schedule and assignment
+// (whose candidate matrix the base run solved over), and the base circuit's
+// STA and signal-wirelength caches, and lends each fork a workspace from its
 // pool. Requests only read what the fork shares, so each one re-solves just
 // the tapping rows, re-propagates just the timing sources and re-measures
 // just the nets its edit touches. The clone means a failed or degraded
@@ -134,7 +135,6 @@ func (s *Server) applyECO(req *ECORequest, cfg core.Config) (*answer, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg.System = tmpl
 	key := fmt.Sprintf("%s-r%d-i%d", req.Circuit.key(), cfg.NumRings, cfg.MaxIters)
 	base, hit, err := s.ecoBases.get(key, func() (*eco.State, error) {
 		// Like template builds, the base run carries no deadline and no
@@ -144,8 +144,8 @@ func (s *Server) applyECO(req *ECORequest, cfg core.Config) (*answer, error) {
 		if err != nil {
 			return nil, err
 		}
-		baseCfg := core.Config{NumRings: cfg.NumRings, MaxIters: cfg.MaxIters, Parallelism: cfg.Parallelism, System: tmpl}
-		res, err := s.runFlow(c, baseCfg)
+		baseCfg := core.Config{NumRings: cfg.NumRings, MaxIters: cfg.MaxIters, Parallelism: cfg.Parallelism, System: tmpl.sys}
+		res, _, err := s.flow(tmpl, c, baseCfg)
 		if err != nil {
 			return nil, err
 		}

@@ -195,7 +195,8 @@ func TestECOCleanAnswerPastDeadline(t *testing.T) {
 
 // TestTemplateSharedAcrossEndpoints: a job and an ECO request on one spec
 // build the spec's placement template once — the ECO request and its base
-// flow fork the system the job built — and each answer equals the one a
+// flow fork the system the job built, and the base flow starts from the
+// stage-1 placement the job published — and each answer equals the one a
 // fresh server gives that request alone.
 func TestTemplateSharedAcrossEndpoints(t *testing.T) {
 	ff, x, y := ecoProbe(t, 60, 8, 9)
@@ -221,6 +222,12 @@ func TestTemplateSharedAcrossEndpoints(t *testing.T) {
 	decode(postECO(s, ecoBody), &edit)
 	if b, h := s.stats.templateBuilds.Load(), s.stats.templateHits.Load(); b != 1 || h != 1 {
 		t.Errorf("template builds/hits = %d/%d, want 1/1", b, h)
+	}
+	if job.PlacementHit {
+		t.Error("the spec's first job claims a placement hit")
+	}
+	if p, h := s.stats.placementPublishes.Load(), s.stats.placementHits.Load(); p != 1 || h != 1 {
+		t.Errorf("placement publishes/hits = %d/%d, want 1/1 (the job publishes, the ECO base build reuses)", p, h)
 	}
 
 	freshJobs, freshECO := New(testConfig()), New(testConfig())
@@ -342,6 +349,17 @@ func TestECOMetricsSnapshot(t *testing.T) {
 	}
 	if snap.Admitted != 1 || snap.Completed != 1 {
 		t.Errorf("admitted/completed = %d/%d, want 1/1", snap.Admitted, snap.Completed)
+	}
+	// The base flow ran stage 1 and published its placement.
+	if snap.PlacementPublishes != 1 || snap.PlacementHits != 0 {
+		t.Errorf("placement publishes/hits = %d/%d, want 1/0", snap.PlacementPublishes, snap.PlacementHits)
+	}
+	// The edit lands in the ECO latency window only.
+	if snap.Latency.ECO.Count != 1 || snap.Latency.Jobs.Count != 0 {
+		t.Errorf("latency counts eco/jobs = %d/%d, want 1/0", snap.Latency.ECO.Count, snap.Latency.Jobs.Count)
+	}
+	if snap.Latency.ECO.P50MS <= 0 {
+		t.Errorf("eco latency summary %+v", snap.Latency.ECO)
 	}
 }
 

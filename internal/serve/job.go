@@ -192,16 +192,20 @@ type JobResponse struct {
 
 	ElapsedMS   float64 `json:"elapsed_ms"`
 	TemplateHit bool    `json:"template_hit"`
+	// PlacementHit reports that the job started from the spec's published
+	// stage-1 placement instead of running stage 1 itself; the answer is
+	// the same either way, only the work and its telemetry differ.
+	PlacementHit bool `json:"placement_hit"`
 
 	// Telemetry payload, present when the request asked for it: the job's
-	// deterministic counters (bit-identical for identical jobs) and its
-	// span trace (wall-clock, scheduling-dependent).
+	// deterministic counters (bit-identical for identical jobs with equal
+	// placement_hit) and its span trace (wall-clock, scheduling-dependent).
 	Counters json.RawMessage `json:"counters,omitempty"`
 	Trace    string          `json:"trace,omitempty"`
 }
 
-// placeJob is /v1/jobs' own step: generate the circuit, fork the spec's
-// template, and run the flow.
+// placeJob is /v1/jobs' own step: generate the circuit and run the flow on
+// the spec's template, from its published stage-1 placement when it has one.
 func (s *Server) placeJob(req *JobRequest, cfg core.Config) (*answer, error) {
 	c, err := netlist.Generate(req.Circuit.genSpec("job"))
 	if err != nil {
@@ -211,26 +215,26 @@ func (s *Server) placeJob(req *JobRequest, cfg core.Config) (*answer, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg.System = tmpl
 	if req.Assigner == "ilp" {
 		cfg.Assigner = core.ILP
 	}
 	if req.Objective == "sum" {
 		cfg.Objective = core.WeightedSum
 	}
-	res, err := s.runFlow(c, cfg)
+	res, placed, err := s.flow(tmpl, c, cfg)
 	if err != nil {
 		return nil, err
 	}
 
 	resp := &JobResponse{
-		Circuit:     c.Name,
-		Degraded:    res.Degraded,
-		Iterations:  res.Iterations,
-		MaxSlackPS:  sanitize(res.MaxSlack),
-		Base:        sanitizeMetrics(res.Base),
-		Final:       sanitizeMetrics(res.Final),
-		TemplateHit: hit,
+		Circuit:      c.Name,
+		Degraded:     res.Degraded,
+		Iterations:   res.Iterations,
+		MaxSlackPS:   sanitize(res.MaxSlack),
+		Base:         sanitizeMetrics(res.Base),
+		Final:        sanitizeMetrics(res.Final),
+		TemplateHit:  hit,
+		PlacementHit: placed,
 	}
 	a := &answer{degraded: res.Degraded}
 	for _, ev := range res.Events {

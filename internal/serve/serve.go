@@ -17,10 +17,14 @@
 //   - Isolation: each job gets its own obs.Registry (no cross-job counter
 //     talk), its own forked placer.System, and a panic guard that converts
 //     a crashing job into a 500 response without taking the daemon down.
-//   - Amortization: the expensive immutable state — the quadratic placement
-//     system's CSR connectivity — is built once per circuit spec behind a
-//     singleflight guard and forked by every request with that spec, on
-//     either endpoint (see cache.go).
+//   - Amortization: what the netlist alone decides is computed once per
+//     circuit spec and shared by every request with that spec, on either
+//     endpoint. The quadratic placement system's CSR connectivity is built
+//     behind a singleflight guard (see cache.go) and forked per request.
+//     The stage-1 placement is published by the first request whose
+//     stage 1 ran clean, and later requests start from it instead of
+//     placing again (see Server.flow); until then each request runs its
+//     own stage 1 under its own deadline.
 //
 // The server is an http.Handler; cmd/rotaryd wires it to a listener and the
 // process lifecycle (SIGTERM -> Drain -> exit 0).
@@ -36,10 +40,12 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"rotaryclk/internal/core"
 	"rotaryclk/internal/eco"
+	"rotaryclk/internal/geom"
 	"rotaryclk/internal/netlist"
 	"rotaryclk/internal/obs"
 	"rotaryclk/internal/placer"
@@ -93,6 +99,7 @@ type job struct {
 	// solve is the endpoint's own step: fetch its cached state, run its
 	// solver under cfg, and shape the answer.
 	solve    func(cfg core.Config) (*answer, error)
+	lat      *latRing // the endpoint's completion-latency window
 	tok      *stop.Token
 	release  func()
 	admitted time.Time
@@ -139,8 +146,8 @@ type Server struct {
 
 	workers sync.WaitGroup
 
-	templates cache[*placer.System] // per circuit spec, forked per request
-	ecoBases  cache[*eco.State]     // per spec, rings and iterations, forked per request
+	templates cache[*template]  // per circuit spec, shared by both endpoints
+	ecoBases  cache[*eco.State] // per spec, rings and iterations, forked per request
 	stats     stats
 
 	// runFlow and runECO are the solver entry points; tests replace them to
@@ -168,7 +175,7 @@ func New(cfg Config) *Server {
 		if err != nil {
 			return nil, err
 		}
-		return &job{params: req.params(s.cfg.DefaultDeadline), solve: func(cfg core.Config) (*answer, error) {
+		return &job{params: req.params(s.cfg.DefaultDeadline), lat: &s.stats.jobLat, solve: func(cfg core.Config) (*answer, error) {
 			return s.placeJob(req, cfg)
 		}}, nil
 	}))
@@ -177,7 +184,7 @@ func New(cfg Config) *Server {
 		if err != nil {
 			return nil, err
 		}
-		return &job{params: req.params(s.cfg.DefaultDeadline), solve: func(cfg core.Config) (*answer, error) {
+		return &job{params: req.params(s.cfg.DefaultDeadline), lat: &s.stats.ecoLat, solve: func(cfg core.Config) (*answer, error) {
 			return s.applyECO(req, cfg)
 		}}, nil
 	}))
@@ -382,20 +389,34 @@ func (s *Server) execute(j *job) {
 	if a.deadlined {
 		s.stats.add(&s.stats.deadlined, 1)
 	}
-	s.stats.observe(elapsed)
+	j.lat.observe(elapsed)
 }
 
-// template returns the spec's shared placement system, building it on first
-// use, and counts the build or hit. The system is built over a template-owned
-// circuit that requests fork and never solve on; its registry is nil on
-// purpose — builds are a shared cost no single request should account for.
-func (s *Server) template(spec CircuitSpec) (*placer.System, bool, error) {
-	tmpl, hit, err := s.templates.get(spec.key(), func() (*placer.System, error) {
+// template is one circuit spec's shared state: the placement system every
+// request on the spec forks, and the spec's stage-1 placement once a
+// request has published one (see flow). A published slice is never
+// written.
+type template struct {
+	sys    *placer.System
+	placed atomic.Pointer[[]geom.Point]
+}
+
+// template returns the spec's shared template, building its system on first
+// use, and counts the build or hit. The system is built over a
+// template-owned circuit that requests fork and never solve on; its registry
+// is nil on purpose — builds are a shared cost no single request should
+// account for.
+func (s *Server) template(spec CircuitSpec) (*template, bool, error) {
+	tmpl, hit, err := s.templates.get(spec.key(), func() (*template, error) {
 		tc, err := netlist.Generate(spec.genSpec("template"))
 		if err != nil {
 			return nil, err
 		}
-		return placer.NewSystem(tc, nil)
+		sys, err := placer.NewSystem(tc, nil)
+		if err != nil {
+			return nil, err
+		}
+		return &template{sys: sys}, nil
 	})
 	if err != nil {
 		return nil, false, &statusError{http.StatusInternalServerError, fmt.Errorf("building placement template: %w", err)}
@@ -406,6 +427,33 @@ func (s *Server) template(spec CircuitSpec) (*placer.System, bool, error) {
 		s.stats.add(&s.stats.templateBuilds, 1)
 	}
 	return tmpl, hit, nil
+}
+
+// flow runs core.Run on c, a circuit freshly generated from t's spec, over
+// t's system. Stage 1 depends on the netlist alone, so once a request has
+// published the spec's stage-1 placement the run starts from it with
+// SkipInitialPlace and still gives a from-scratch run's answer; hit reports
+// that it did. Otherwise stage 1 runs here, inside this request and under
+// its deadline — no request ever waits on another's stage 1 — and the run
+// publishes the clean placement it leaves (Result.Placed). The first
+// publisher wins; every candidate carries the same bits, since results do
+// not depend on Parallelism.
+func (s *Server) flow(t *template, c *netlist.Circuit, cfg core.Config) (res *core.Result, hit bool, err error) {
+	cfg.System = t.sys
+	if p := t.placed.Load(); p != nil {
+		if err := c.SetPositions(*p); err != nil {
+			return nil, false, &statusError{http.StatusInternalServerError, fmt.Errorf("seeding the published placement: %w", err)}
+		}
+		cfg.SkipInitialPlace = true
+		s.stats.add(&s.stats.placementHits, 1)
+		res, err = s.runFlow(c, cfg)
+		return res, true, err
+	}
+	res, err = s.runFlow(c, cfg)
+	if err == nil && res.Placed != nil && t.placed.CompareAndSwap(nil, &res.Placed) {
+		s.stats.add(&s.stats.placementPublishes, 1)
+	}
+	return res, false, err
 }
 
 // handleMetrics serves the operational snapshot.

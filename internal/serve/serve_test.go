@@ -332,7 +332,10 @@ func TestRealDeadlineDegrades(t *testing.T) {
 
 // TestConcurrentDeterminism: two identical jobs racing on the same template
 // must report bit-identical deterministic counters — per-job registry
-// isolation guarantees it regardless of scheduling.
+// isolation guarantees it regardless of scheduling. Counters are equal for
+// identical jobs with equal placement_hit (a job that runs stage 1 counts
+// its work), so one request warms the spec first and both racing jobs
+// start from its published placement.
 func TestConcurrentDeterminism(t *testing.T) {
 	cfg := testConfig()
 	cfg.Workers = 2
@@ -340,6 +343,9 @@ func TestConcurrentDeterminism(t *testing.T) {
 	defer drainNow(t, s)
 
 	body := `{"circuit":{"cells":240,"flipflops":24,"seed":5},"rings":4,"iters":2,"telemetry":true}`
+	if rr := post(s, body); rr.Code != http.StatusOK {
+		t.Fatalf("warm-up job: status %d body %s", rr.Code, rr.Body)
+	}
 	var wg sync.WaitGroup
 	resps := make([]*httptest.ResponseRecorder, 2)
 	for i := range resps {
@@ -363,17 +369,21 @@ func TestConcurrentDeterminism(t *testing.T) {
 		if len(resp.Counters) == 0 {
 			t.Fatalf("job %d: telemetry requested but no counters", i)
 		}
+		if !resp.TemplateHit || !resp.PlacementHit {
+			t.Errorf("job %d: template_hit/placement_hit = %v/%v after the warm-up", i, resp.TemplateHit, resp.PlacementHit)
+		}
 		counters[i] = resp.Counters
 	}
 	if !bytes.Equal(counters[0], counters[1]) {
 		t.Errorf("concurrent identical jobs diverged:\n%s\nvs\n%s", counters[0], counters[1])
 	}
-	// Exactly one of the two built the template; the other hit it.
-	if b := s.stats.templateBuilds.Load(); b != 1 {
-		t.Errorf("templateBuilds = %d, want 1", b)
+	// The warm-up built the template and published the placement; both
+	// racing jobs hit them.
+	if b, h := s.stats.templateBuilds.Load(), s.stats.templateHits.Load(); b != 1 || h != 2 {
+		t.Errorf("template builds/hits = %d/%d, want 1/2", b, h)
 	}
-	if h := s.stats.templateHits.Load(); h != 1 {
-		t.Errorf("templateHits = %d, want 1", h)
+	if p, h := s.stats.placementPublishes.Load(), s.stats.placementHits.Load(); p != 1 || h != 2 {
+		t.Errorf("placement publishes/hits = %d/%d, want 1/2", p, h)
 	}
 }
 
@@ -437,8 +447,12 @@ func TestMetricsEndpoint(t *testing.T) {
 	if snap.Admitted != 1 || snap.Completed != 1 {
 		t.Errorf("admitted/completed = %d/%d, want 1/1", snap.Admitted, snap.Completed)
 	}
-	if snap.Latency.Count != 1 {
-		t.Errorf("latency count = %d, want 1", snap.Latency.Count)
+	// Each endpoint keeps its own latency window.
+	if snap.Latency.Jobs.Count != 1 || snap.Latency.ECO.Count != 0 {
+		t.Errorf("latency counts jobs/eco = %d/%d, want 1/0", snap.Latency.Jobs.Count, snap.Latency.ECO.Count)
+	}
+	if snap.Latency.Jobs.P50MS <= 0 || snap.Latency.Jobs.MaxMS < snap.Latency.Jobs.P99MS {
+		t.Errorf("job latency summary %+v", snap.Latency.Jobs)
 	}
 
 	rr = httptest.NewRecorder()

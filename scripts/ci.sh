@@ -8,8 +8,11 @@
 #                         suite circuits and flow arms)
 #   scripts/ci.sh fuzz    smoke-fuzz every Fuzz target (10s each) on top of
 #                         the checked-in corpora under testdata/fuzz/
-#   scripts/ci.sh serve   end-to-end daemon smoke over both endpoints:
-#                         rotaryd under rotaryload (concurrent /v1/jobs and
+#   scripts/ci.sh serve   the stage-1 placement reuse tests under -race,
+#                         then an end-to-end daemon smoke over both
+#                         endpoints: rotaryd under rotaryload (concurrent
+#                         /v1/jobs requests twice over the same specs, the
+#                         second pass on published stage-1 placements, and
 #                         /v1/eco requests, zero failures), a deadline-bound
 #                         oversized job that must degrade within its budget,
 #                         and SIGTERM -> graceful drain -> exit 0
@@ -192,11 +195,19 @@ fuzz)
     go test ./internal/serve/ -fuzz '^FuzzParseECORequest$' -fuzztime "$fuzztime"
     ;;
 serve)
+    # The stage-1 placement reuse tests under -race: jobs and ECO base
+    # builds that start from a spec's published placement answer exactly
+    # as from scratch, unclean stage-1 runs publish nothing, racing cold
+    # jobs publish once, and racing identical jobs on a warm spec report
+    # equal counters.
+    go test -race ./internal/serve/ -run '^(TestPlacementReuse|TestPlacementNotPublishedFromUncleanStage1|TestPlacementConcurrentPublish|TestConcurrentDeterminism|TestTemplateSharedAcrossEndpoints)$' -count=1
     # End-to-end daemon smoke: build rotaryd + rotaryload, drive a small
     # concurrent load through each endpoint of the one request path —
-    # placement jobs, then ECO edits against a warm base (zero failures
-    # tolerated) — prove a deadline-bound big job degrades instead of
-    # stalling, then SIGTERM mid-life and require a clean drain (exit 0).
+    # placement jobs twice over the same specs (the second pass starts
+    # each from its spec's published stage-1 placement), then ECO edits
+    # against a warm base (zero failures tolerated) — prove a
+    # deadline-bound big job degrades instead of stalling, then SIGTERM
+    # mid-life and require a clean drain (exit 0).
     bin="$(mktemp -d)"
     trap 'rm -rf "$bin"' EXIT
     go build -o "$bin/rotaryd" ./cmd/rotaryd
@@ -214,6 +225,9 @@ serve)
         sleep 0.1
     done
     addr="$(cat "$bin/addr")"
+    "$bin/rotaryload" -addr "$addr" -n 12 -c 8 -cells 800 -iters 2 -seed 1
+    # The same specs again: each job now starts from the stage-1 placement
+    # the first pass published for its spec.
     "$bin/rotaryload" -addr "$addr" -n 12 -c 8 -cells 800 -iters 2 -seed 1
     "$bin/rotaryload" -addr "$addr" -eco -n 12 -c 4 -cells 800 -iters 2 -seed 1
     "$bin/rotaryload" -addr "$addr" -n 2 -c 2 -cells 20000 -iters 2 -deadline-ms 200 -max-p99-ms 5000 -seed 99
