@@ -18,7 +18,9 @@ race:
 fuzz:
 	sh scripts/ci.sh fuzz
 
-# Daemon gate: the stage-1 placement reuse tests under -race, then the
+# Daemon gate: the stage-1 placement reuse tests and the ECO fork-ownership
+# tests (panic after a committed edit, concurrent requests on the workers'
+# own forks, identical requests' counters) under -race, then the
 # end-to-end smoke: rotaryd under job load (twice over the same specs, the
 # second pass on published placements) and ECO load, deadline degradation,
 # drain.
@@ -42,11 +44,15 @@ scaling-smoke:
 # tests (a cache updated over each edit's scope bit-equal to a full Analyze
 # after random edits, ErrCycle, Apply's cache contract), the
 # signal-wirelength cache test, the state-fork test (forks of one base
-# state leave it untouched), the timing.sta.scope and eco.signalwl.scope
+# state leave it untouched) and the revert tests (a long-lived fork that
+# applies and reverts 200 random batches answers like a fresh fork and
+# returns to its base bit for bit; a stale Revert panics) under -race
+# -count=3, the timing.sta.scope and eco.signalwl.scope
 # oracle negatives, the RandomDeltas tests (sequences pinned by digest,
 # validity, the caller's circuit restored even on a panic), the clean
 # oracle campaign, the shared-base /v1/eco
-# test under -race, the allocation budget of an edit (TestApplyECOAllocBudget),
+# test under -race, the allocation budgets of an edit (TestApplyECOAllocBudget)
+# and of a request on an owned fork (TestOwnedForkRequestAllocBudget),
 # one iteration of BenchmarkApplyECO/3k with -benchmem (so the benchmark
 # that reports an edit's B/op and paths/op keeps running), and the smoke: 20
 # random edits at 20k cells, each proven equivalent to the from-scratch arm,

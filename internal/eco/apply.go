@@ -37,6 +37,7 @@ func Apply(st *State, deltas []Delta, opt Options) (*Outcome, error) {
 	c := st.Circuit
 	tok := opt.Stop
 	out := &Outcome{}
+	st.applies++
 	if st.ws == nil {
 		st.ws = &workspace{}
 	}
@@ -144,7 +145,7 @@ func Apply(st *State, deltas []Delta, opt Options) (*Outcome, error) {
 			placedAt[i] = c.Cells[id].Pos
 		}
 		w.placedAt = placedAt
-		moved, err := sys.SolveDirty(dirtyCells, tok)
+		moved, err := sys.SolveDirty(dirtyCells, tok, reg)
 		if err != nil {
 			plSp.End()
 			return fail("dirty-region placement", err)
@@ -317,7 +318,15 @@ func Apply(st *State, deltas []Delta, opt Options) (*Outcome, error) {
 	asgSp.End()
 	wl := signalWL(st, scopeCells, scopeNets, opt.Scratch, reg)
 
-	// Commit.
+	// Commit, keeping the pre-commit state for Revert.
+	prev := *st
+	out.revert = func() {
+		if st.applies != prev.applies {
+			panic("eco: Revert after a later Apply on the same state")
+		}
+		rollback()
+		*st = prev
+	}
 	st.Sys = sys
 	st.STA = sta
 	st.SignalWL = wl

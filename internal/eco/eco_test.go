@@ -1047,79 +1047,6 @@ func stateDiff(a, b *eco.State) error {
 	return nil
 }
 
-// TestForkWorkspacePool: forks of one base state borrow workspaces from
-// the pool the base shares with its forks, and Release returns them.
-// Goroutines fork, edit and release concurrently, so each workspace passes
-// between forks whose circuits differ (cells added or removed, nets
-// edited, failed edits rolled back); every fork must commit, bit for bit,
-// what a fork with a fresh workspace committed for the same batch. Under
-// -race, two live forks holding one workspace would also be a race.
-func TestForkWorkspacePool(t *testing.T) {
-	c := genCircuit(t, 300, 40, 19)
-	base, _ := baseState(t, c)
-	const workers, rounds = 3, 8
-	rng := rand.New(rand.NewSource(23))
-	batches := make([][]eco.Delta, workers*rounds)
-	for i := range batches {
-		batches[i] = eco.RandomDeltas(rng, base.Circuit, len(base.Array.Rings), 1+rng.Intn(3))
-	}
-	apply := func(i int) (*eco.State, *eco.Outcome, error) {
-		f, err := base.Fork(base.Circuit.Clone(), nil)
-		if err != nil {
-			return nil, nil, err
-		}
-		out, err := eco.Apply(f, batches[i], eco.Options{})
-		return f, out, err
-	}
-	// The reference forks are made before any fork is released, so each
-	// one starts with a fresh workspace.
-	want := make([]*eco.State, len(batches))
-	wantOut := make([]*eco.Outcome, len(batches))
-	for i := range batches {
-		var err error
-		if want[i], wantOut[i], err = apply(i); err != nil {
-			t.Fatalf("batch %d: %v", i, err)
-		}
-	}
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for r := 0; r < rounds; r++ {
-				i := w*rounds + r
-				f, out, err := apply(i)
-				if err == nil {
-					err = stateDiff(f, want[i])
-				}
-				if err == nil && (out.Degraded != wantOut[i].Degraded || out.MovedCells != wantOut[i].MovedCells ||
-					out.DirtyFFs != wantOut[i].DirtyFFs || math.Float64bits(out.Total) != math.Float64bits(wantOut[i].Total)) {
-					err = fmt.Errorf("outcome %+v, fresh workspace %+v", out, wantOut[i])
-				}
-				if err != nil {
-					errs[w] = fmt.Errorf("batch %d %v: %w", i, batches[i], err)
-					return
-				}
-				f.Release()
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	degraded := 0
-	for _, out := range wantOut {
-		if out.Degraded {
-			degraded++
-		}
-	}
-	t.Logf("%d batches, %d degraded", len(batches), degraded)
-}
-
 // TestSignalWLUpdate drives the cache directly through random cell moves
 // (cells on no net included) and pin-only sink additions and removals,
 // each kept in step with the sink's Fanin and passed to Update as its

@@ -28,15 +28,18 @@
 // What an edit needs at the size of the design but never commits — the
 // Fig. 4 network, the sequential pairs and their constraints, the
 // flip-flop index, the rollback snapshot of the dirty cells and the STA
-// update's working memory — lives in a workspace the State holds and Apply
-// reuses from edit to edit; a Fork borrows one from a pool its base shares
-// with all of its forks, and Release returns it. An edit still spends
-// O(design) time, without allocating for it, in copying the pairs into
-// constraints, the schedule re-check's one round over every constraint,
-// the timing graph's re-level after a kind change or net edit, and the
-// Fig. 4 network's refill, one AddArc per candidate; and, allocating, in
-// the wirelength cache's copy and re-sum over every net and the
-// quadratic-system rebuild after a net edit (DESIGN.md section 28).
+// update's working memory — lives in a workspace the State owns for life
+// and Apply reuses from edit to edit; a Fork starts with none, and its
+// first Apply makes one. An edit still spends O(design) time, without
+// allocating for it, in copying the pairs into constraints, the schedule
+// re-check's one round over every constraint, the timing graph's re-level
+// after a kind change or net edit, and the Fig. 4 network's refill, one
+// AddArc per candidate; and, allocating, in the wirelength cache's copy
+// and re-sum over every net and the quadratic-system rebuild after a net
+// edit (DESIGN.md section 28).
+//
+// Outcome.Revert undoes a committed edit through the rollback a failed
+// Apply runs, so a long-lived fork can apply an edit and return to its base.
 //
 // Every layer is exact, not approximate: the cached pairs are bit-equal to
 // a full analysis, the warm-started schedule is the same fixpoint a batch
@@ -48,8 +51,6 @@
 package eco
 
 import (
-	"sync"
-
 	"rotaryclk/internal/assign"
 	"rotaryclk/internal/geom"
 	"rotaryclk/internal/netlist"
@@ -101,32 +102,8 @@ type State struct {
 	TModel      timing.Model
 	Parallelism int
 
-	ws   *workspace  // Apply's reusable buffers; nil until the first Apply
-	pool *workspaces // shared by a state and all of its forks; see Fork
-}
-
-// workspaces is the free list a state and all of its forks borrow their
-// workspaces from: Fork takes one, Release gives it back. A workspace is
-// on the list or held by one state, never both, so two live states never
-// hold the same workspace.
-type workspaces struct {
-	mu   sync.Mutex
-	free []*workspace
-}
-
-// poolInit guards the lazy creation of a state's pool: forks of one base
-// may be made concurrently.
-var poolInit sync.Mutex
-
-// workspacePool returns the pool st shares with its forks, creating it on
-// first use.
-func (st *State) workspacePool() *workspaces {
-	poolInit.Lock()
-	defer poolInit.Unlock()
-	if st.pool == nil {
-		st.pool = &workspaces{}
-	}
-	return st.pool
+	ws      *workspace // Apply's reusable buffers; nil until the first Apply
+	applies uint64     // Apply calls, so a stale Revert can tell
 }
 
 // workspace holds what an edit needs at the size of the design but never
@@ -135,9 +112,8 @@ func (st *State) workspacePool() *workspaces {
 // the rollback snapshot of the dirty cells and the assignment problem's
 // flip-flops. Apply reuses it from edit to edit, and every buffer is
 // rewritten before it is read, so an edit reads nothing an earlier edit,
-// failed or committed, on this state or another, left there (DESIGN.md
-// section 28). A State holds its workspace alone; a Fork borrows one its
-// base's forks have released, if there is one.
+// failed or committed, left there (DESIGN.md section 28). A State owns its
+// workspace alone, for life.
 type workspace struct {
 	sta   timing.Workspace
 	asg   assign.Workspace
@@ -217,6 +193,23 @@ type Outcome struct {
 	// SignalWL is the signal wirelength of the committed (or, when
 	// Degraded, the restored) circuit, bit-equal to Circuit.SignalWL.
 	SignalWL float64
+
+	// revert undoes the commit; nil when Apply committed nothing.
+	revert func()
+}
+
+// Revert undoes the edit out committed: it runs the rollback a failed
+// Apply runs and restores the state's pre-commit fields (Sys, STA,
+// SignalWL, FFCells, Sched, Assign, WorkSlack, Pinned), which Apply
+// replaced but never wrote in place, so the state and its circuit are
+// bit-equal to what they were before. It does nothing on a Degraded or
+// all-no-op outcome, or when called again. It panics if another Apply ran
+// on the state in between, because that Apply reused what it restores.
+func (out *Outcome) Revert() {
+	if out.revert != nil {
+		out.revert()
+		out.revert = nil
+	}
 }
 
 // Fork returns a state over c, a clone of st.Circuit as last committed,
@@ -227,39 +220,16 @@ type Outcome struct {
 // caches. Sharing is safe because Apply writes none of them in place: it
 // commits fresh values, and it clones Pinned before a retarget writes it.
 // The one thing Apply does write in place, its workspace, is never
-// shared: the fork borrows a workspace of its own from the pool st shares
-// with all of its forks (none when every pooled one is held, and Apply
-// then makes one), and Release returns it. So forks of one state may Apply
-// concurrently, and a fork made after another was released starts warm.
+// shared: the fork starts with none, and its first Apply makes its own.
+// So forks of one state may Apply concurrently, one goroutine per fork.
 func (st *State) Fork(c *netlist.Circuit, reg *obs.Registry) (*State, error) {
 	sys, err := st.Sys.Fork(c, reg)
 	if err != nil {
 		return nil, err
 	}
-	pool := st.workspacePool()
 	f := *st
 	f.Circuit, f.Sys, f.ws = c, sys, nil
-	pool.mu.Lock()
-	if k := len(pool.free); k > 0 {
-		f.ws, pool.free = pool.free[k-1], pool.free[:k-1]
-	}
-	pool.mu.Unlock()
 	return &f, nil
-}
-
-// Release hands the state's workspace back to the pool it shares with its
-// base and the base's other forks, for the next Fork to borrow. Call it
-// when a fork's last Apply has returned; the state stays usable, and an
-// Apply after Release makes a new workspace.
-func (st *State) Release() {
-	if st.ws == nil {
-		return
-	}
-	pool := st.workspacePool()
-	pool.mu.Lock()
-	pool.free = append(pool.free, st.ws)
-	pool.mu.Unlock()
-	st.ws = nil
 }
 
 // clonePinned copies the pin map (nil stays nil until a retarget lands).

@@ -10,6 +10,7 @@ import (
 
 	"rotaryclk/internal/faultinject"
 	"rotaryclk/internal/geom"
+	"rotaryclk/internal/obs"
 	"rotaryclk/internal/stop"
 )
 
@@ -26,11 +27,12 @@ import (
 // A component whose CG solve runs out of iterations keeps its best-effort
 // iterate, as a stagnated Incremental does; the counters
 // placer.dirty.cg.iters and placer.dirty.cg.stagnated (one per axis solve)
-// record the work and any such solve. The stop token is checked between
+// record the work and any such solve; every counter goes to reg, the
+// caller's registry, not the system's. The stop token is checked between
 // components and once per CG iteration; a fired token returns an error
 // wrapping the stop sentinel, with the interrupted component's cells left
 // where they were.
-func (s *System) SolveDirty(dirtyCells []int, tok *stop.Token) (int, error) {
+func (s *System) SolveDirty(dirtyCells []int, tok *stop.Token, reg *obs.Registry) (int, error) {
 	c := s.c
 	if err := validate(c); err != nil {
 		return 0, err
@@ -63,8 +65,8 @@ func (s *System) SolveDirty(dirtyCells []int, tok *stop.Token) (int, error) {
 	}
 	sort.Ints(order)
 
-	s.obs.Add("placer.dirty.solves", 1)
-	s.obs.Add("placer.dirty.cells", int64(len(order)))
+	reg.Add("placer.dirty.solves", 1)
+	reg.Add("placer.dirty.cells", int64(len(order)))
 
 	ws := wsPool.Get().(*solveWS)
 	defer wsPool.Put(ws)
@@ -91,12 +93,12 @@ func (s *System) SolveDirty(dirtyCells []int, tok *stop.Token) (int, error) {
 			}
 		}
 		sort.Ints(comp)
-		m, err := s.solveComponent(comp, &ws.cg, tok)
+		m, err := s.solveComponent(comp, &ws.cg, tok, reg)
 		if err != nil {
 			return moved, fmt.Errorf("placer: dirty-region solve: %w", err)
 		}
 		moved += m
-		s.obs.Add("placer.dirty.components", 1)
+		reg.Add("placer.dirty.components", 1)
 	}
 	return moved, nil
 }
@@ -105,7 +107,7 @@ func (s *System) SolveDirty(dirtyCells []int, tok *stop.Token) (int, error) {
 // local SPD system, with clean neighbors folded into the right-hand side at
 // their current positions, through the CG kernel at the default tolerance,
 // one walk advancing both axes.
-func (s *System) solveComponent(comp []int, cs *cgScratch, tok *stop.Token) (int, error) {
+func (s *System) solveComponent(comp []int, cs *cgScratch, tok *stop.Token, reg *obs.Registry) (int, error) {
 	c := s.c
 	m := len(comp)
 	local := make(map[int]int, m)
@@ -158,9 +160,9 @@ func (s *System) solveComponent(comp []int, cs *cgScratch, tok *stop.Token) (int
 	err := a.cg(cs.lanes[:2], 1e-6, cgMaxIter, tok)
 	for i := range cs.lanes {
 		res := cs.lanes[i].res
-		s.obs.Add("placer.dirty.cg.iters", int64(res.iters))
+		reg.Add("placer.dirty.cg.iters", int64(res.iters))
 		if !res.converged && !res.stopped {
-			s.obs.Add("placer.dirty.cg.stagnated", 1)
+			reg.Add("placer.dirty.cg.stagnated", 1)
 		}
 	}
 	if err != nil {

@@ -45,7 +45,7 @@ func TestSolveDirtyBatchMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sysB.SolveDirty(append(append([]int{}, aCells...), bCells...), nil); err != nil {
+	if _, err := sysB.SolveDirty(append(append([]int{}, aCells...), bCells...), nil, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -54,10 +54,10 @@ func TestSolveDirtyBatchMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sysS.SolveDirty(aCells2, nil); err != nil {
+	if _, err := sysS.SolveDirty(aCells2, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sysS.SolveDirty(bCells2, nil); err != nil {
+	if _, err := sysS.SolveDirty(bCells2, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	samePositions(t, "batch vs sequential", cb.Positions(), cs.Positions())
@@ -74,7 +74,7 @@ func TestSolveDirtyPullsTowardConnectivity(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := c.Positions()
-	moved, err := sys.SolveDirty(aCells[:1], nil)
+	moved, err := sys.SolveDirty(aCells[:1], nil, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestSolveDirtyCGCounters(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sys.SolveDirty(append(aCells, bCells...), nil); err != nil {
+		if _, err := sys.SolveDirty(append(aCells, bCells...), nil, reg); err != nil {
 			t.Fatal(err)
 		}
 		return reg.Snapshot().Counter("placer.dirty.cg.iters"), reg.Snapshot().Counter("placer.dirty.cg.stagnated")
@@ -182,11 +182,11 @@ func TestSolveDirtyEmptyAndUnknown(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := c.Positions()
-	moved, err := sys.SolveDirty(nil, nil)
+	moved, err := sys.SolveDirty(nil, nil, nil)
 	if err != nil || moved != 0 {
 		t.Fatalf("empty dirty set: moved=%d err=%v", moved, err)
 	}
-	moved, err = sys.SolveDirty([]int{0, 9999}, nil) // fixed pad + unknown ID
+	moved, err = sys.SolveDirty([]int{0, 9999}, nil, nil) // fixed pad + unknown ID
 	if err != nil || moved != 0 {
 		t.Fatalf("fixed/unknown dirty set: moved=%d err=%v", moved, err)
 	}
@@ -202,7 +202,7 @@ func TestSolveDirtyStops(t *testing.T) {
 	}
 	tok, cancel := stop.WithTimeout(-time.Second)
 	defer cancel()
-	if _, err := sys.SolveDirty(aCells, tok); !stop.IsStop(err) {
+	if _, err := sys.SolveDirty(aCells, tok, nil); !stop.IsStop(err) {
 		t.Fatalf("err = %v, want a stop error", err)
 	}
 }
@@ -221,7 +221,7 @@ func TestSolveDirtyCGCancel(t *testing.T) {
 	defer faultinject.Enable(faultinject.Rule{
 		Site: faultinject.SitePlacerCGCancel, Call: 1, Err: stop.ErrCanceled,
 	})()
-	if _, err := sys.SolveDirty(aCells, nil); !stop.IsStop(err) {
+	if _, err := sys.SolveDirty(aCells, nil, nil); !stop.IsStop(err) {
 		t.Fatalf("err = %v, want a stop error", err)
 	}
 	samePositions(t, "canceled dirty solve", c.Positions(), before)

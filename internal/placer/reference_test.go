@@ -872,7 +872,7 @@ func TestSolveDirtyMatchesReference(t *testing.T) {
 			}
 			var cs cgScratch
 			for i, rc := range comps {
-				moved, err := sysComp.solveComponent(rc.comp, &cs, nil)
+				moved, err := sysComp.solveComponent(rc.comp, &cs, nil, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -887,7 +887,7 @@ func TestSolveDirtyMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			moved, err := sys.SolveDirty(dirty, nil)
+			moved, err := sys.SolveDirty(dirty, nil, reg)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -119,18 +119,18 @@ type ECOResponse struct {
 }
 
 // applyECO is /v1/eco's own step: pick up (or build) the shared base ECO
-// state for the request's rings and iterations, fork it onto a clone of its
-// circuit, and absorb the delta batch. The base flow runs on the spec's
-// template like a job, from the spec's published stage-1 placement when it
-// has one (see flow). Its state is built once per key by core.NewECOState,
-// so it holds the placed circuit, the result's schedule and assignment
-// (whose candidate matrix the base run solved over), and the base circuit's
-// STA and signal-wirelength caches, and lends each fork a workspace from its
-// pool. Requests only read what the fork shares, so each one re-solves just
-// the tapping rows, re-propagates just the timing sources and re-measures
-// just the nets its edit touches. The clone means a failed or degraded
-// apply never poisons the shared base.
-func (s *Server) applyECO(req *ECORequest, cfg core.Config) (*answer, error) {
+// state for the request's rings and iterations, absorb the delta batch on
+// the worker's own fork of it, answer, and revert. The base flow runs on
+// the spec's template like a job, from the spec's published stage-1
+// placement when it has one (see flow). Its state is built once per key by
+// core.NewECOState, so it holds the placed circuit, the result's schedule
+// and assignment (whose candidate matrix the base run solved over), and
+// the base circuit's STA and signal-wirelength caches. A worker forks it
+// on its first request for the key, and Revert (or a failed apply's
+// rollback) returns the fork to the base. So a request copies nothing of
+// the base and re-solves just the tapping rows, re-propagates just the
+// timing sources and re-measures just the nets its edit touches.
+func (s *Server) applyECO(req *ECORequest, cfg core.Config, forks map[string]*eco.State) (*answer, error) {
 	tmpl, _, err := s.template(req.Circuit)
 	if err != nil {
 		return nil, err
@@ -163,14 +163,14 @@ func (s *Server) applyECO(req *ECORequest, cfg core.Config) (*answer, error) {
 		s.stats.add(&s.stats.ecoBaseBuilds, 1)
 	}
 
-	clone := base.Circuit.Clone()
-	st, err := base.Fork(clone, cfg.Obs)
-	if err != nil {
-		return nil, &statusError{http.StatusInternalServerError, fmt.Errorf("seeding ECO state: %w", err)}
+	st := forks[key]
+	if st == nil {
+		// The fork outlives the request, so it reports to no registry.
+		if st, err = base.Fork(base.Circuit.Clone(), nil); err != nil {
+			return nil, &statusError{http.StatusInternalServerError, fmt.Errorf("seeding ECO state: %w", err)}
+		}
+		forks[key] = st
 	}
-	// The fork's workspace goes back to the base's pool when the request
-	// ends, so the next request's fork starts with warm buffers.
-	defer st.Release()
 	res, err := s.runECO(st, req.Deltas, cfg, eco.Options{Strict: cfg.Strict})
 	if err != nil {
 		return nil, err
@@ -178,7 +178,7 @@ func (s *Server) applyECO(req *ECORequest, cfg core.Config) (*answer, error) {
 
 	out := res.Outcome
 	resp := &ECOResponse{
-		Circuit:       clone.Name,
+		Circuit:       st.Circuit.Name,
 		Degraded:      out.Degraded,
 		Events:        out.Events,
 		Applied:       out.Deltas,
@@ -193,6 +193,7 @@ func (s *Server) applyECO(req *ECORequest, cfg core.Config) (*answer, error) {
 		Final:         sanitizeMetrics(res.Final),
 		BaseHit:       hit,
 	}
+	out.Revert() // resp holds copies of what it reports
 	return &answer{
 		degraded: out.Degraded,
 		// A token that fires after a clean apply degraded nothing.

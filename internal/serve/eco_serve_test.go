@@ -1,11 +1,14 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -56,14 +59,16 @@ func ecoProbe(t *testing.T, cells, ffs int, seed int64) (ffCell int, x, y float6
 
 // TestECOWarmBaseHit: the first ECO request for a spec builds the base
 // placement; the second reuses it (base_hit true, one build + one hit in the
-// stats) and absorbs a real move without a system rebuild.
+// stats) and absorbs a real move without a system rebuild. The first runs
+// on the worker's new fork, the second on the same fork after the first's
+// revert, and the two identical requests report byte-equal counters.
 func TestECOWarmBaseHit(t *testing.T) {
 	s := New(testConfig())
 	defer drainNow(t, s)
 
 	ff, x, y := ecoProbe(t, 60, 8, 1)
 	body := fmt.Sprintf(
-		`{"circuit":{"cells":60,"flipflops":8,"seed":1},"rings":4,"iters":2,"deltas":[{"op":"move_ff","cell":%d,"x":%.4f,"y":%.4f}]}`,
+		`{"circuit":{"cells":60,"flipflops":8,"seed":1},"rings":4,"iters":2,"telemetry":true,"deltas":[{"op":"move_ff","cell":%d,"x":%.4f,"y":%.4f}]}`,
 		ff, x, y)
 
 	var resps [2]ECOResponse
@@ -78,6 +83,12 @@ func TestECOWarmBaseHit(t *testing.T) {
 	}
 	if resps[0].BaseHit {
 		t.Error("first request claims a base hit")
+	}
+	if len(resps[0].Counters) == 0 || !bytes.Equal(resps[0].Counters, resps[1].Counters) {
+		t.Errorf("identical requests report different counters:\n%s\nvs\n%s", resps[0].Counters, resps[1].Counters)
+	}
+	if resps[0].Final != resps[1].Final {
+		t.Errorf("identical requests answer %+v and %+v", resps[0].Final, resps[1].Final)
 	}
 	if !resps[1].BaseHit {
 		t.Error("second request missed the warm base")
@@ -392,22 +403,47 @@ func TestECOBaseKeyNormalizesIters(t *testing.T) {
 	}
 }
 
-// TestECOConcurrentSharedBase: concurrent /v1/eco requests patch from the
-// one shared base assignment and its candidate rows, and update the one
-// shared base STA cache. Run under -race this is the check that requests
-// only read those rows and that cache; every answer must also equal the
-// same request's answer on a fresh server.
+// TestECOConcurrentSharedBase: 96 concurrent /v1/eco requests on four
+// workers, each worker applying on its own fork of the one shared base and
+// reverting, patch from the base assignment and its candidate rows and
+// update the base STA cache. The eight request bodies are four flip-flop
+// moves and four RandomDeltas batches, a net edit (a system rebuild) among
+// them. Run under -race this is the check that requests only read the base
+// and that no two workers share a fork; every answer, its telemetry
+// counters byte for byte included, must also equal the same request's
+// answer on a fresh server.
 func TestECOConcurrentSharedBase(t *testing.T) {
+	const workers, perWorker = 4, 24
 	cfg := testConfig()
-	cfg.Workers, cfg.QueueDepth = 4, 16
+	cfg.Workers, cfg.QueueDepth = workers, workers*perWorker
 	ff, x, y := ecoProbe(t, 60, 8, 1)
-	bodies := make([]string, 4)
-	for k := range bodies {
-		bodies[k] = fmt.Sprintf(
-			`{"circuit":{"cells":60,"flipflops":8,"seed":1},"rings":4,"iters":2,"telemetry":true,"deltas":[{"op":"move_ff","cell":%d,"x":%.4f,"y":%.4f}]}`,
-			ff, x+float64(10*k), y-float64(5*k))
+	body := func(deltas []eco.Delta) string {
+		ds, err := json.Marshal(deltas)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf(`{"circuit":{"cells":60,"flipflops":8,"seed":1},"rings":4,"iters":2,"telemetry":true,"deltas":%s}`, ds)
 	}
-	decode := func(rr *httptest.ResponseRecorder) ECOResponse {
+	var bodies []string
+	for k := 0; k < 4; k++ {
+		bodies = append(bodies, body([]eco.Delta{{Op: eco.OpMoveFF, Cell: ff, X: x + float64(10*k), Y: y - float64(5*k)}}))
+	}
+	c, err := netlist.Generate(netlist.GenSpec{Name: "probe", Cells: 60, FlipFlops: 8, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	netEdit := false
+	for len(bodies) < 8 || !netEdit {
+		ds := eco.RandomDeltas(rng, c, 4, 1+rng.Intn(2))
+		edits := slices.ContainsFunc(ds, func(d eco.Delta) bool { return d.Op == eco.OpEditNet })
+		if len(bodies) == 7 && !netEdit && !edits {
+			continue
+		}
+		netEdit = netEdit || edits
+		bodies = append(bodies, body(ds))
+	}
+	decode := func(rr *httptest.ResponseRecorder, move bool) ECOResponse {
 		t.Helper()
 		if rr.Code != http.StatusOK {
 			t.Fatalf("status %d body %s", rr.Code, rr.Body)
@@ -419,13 +455,15 @@ func TestECOConcurrentSharedBase(t *testing.T) {
 		if resp.Degraded {
 			t.Fatalf("degraded: %v", resp.Events)
 		}
-		// Every request updates the base's STA cache: no full build, and
-		// fewer sources re-propagated than the base has flip-flops.
+		// Every request updates the base's STA cache: no full build, and a
+		// move re-propagates fewer sources than the base has flip-flops
+		// (a retarget alone re-propagates none).
 		var counters map[string]int64
 		if err := json.Unmarshal(resp.Counters, &counters); err != nil {
 			t.Fatalf("counters: %v", err)
 		}
-		if full, src := counters["eco.sta.full"], counters["eco.sta.sources"]; full != 0 || src == 0 || src >= 8 {
+		full, src := counters["eco.sta.full"], counters["eco.sta.sources"]
+		if full != 0 || move && (src == 0 || src >= 8) {
 			t.Fatalf("STA work: full %d, sources %d of 8 flip-flops", full, src)
 		}
 		return resp
@@ -433,27 +471,36 @@ func TestECOConcurrentSharedBase(t *testing.T) {
 
 	s := New(cfg)
 	defer drainNow(t, s)
-	chs := make([]<-chan *httptest.ResponseRecorder, 2*len(bodies))
+	chs := make([]<-chan *httptest.ResponseRecorder, workers*perWorker)
 	for i := range chs {
 		chs[i] = postECOAsync(s, bodies[i%len(bodies)])
 	}
 	got := make([]ECOResponse, len(chs))
 	for i, ch := range chs {
-		got[i] = decode(<-ch)
+		got[i] = decode(<-ch, i%len(bodies) < 4)
 	}
 	if b := s.stats.ecoBaseBuilds.Load(); b != 1 {
 		t.Errorf("ecoBaseBuilds = %d, want 1", b)
 	}
 
-	fresh := New(cfg)
-	defer drainNow(t, fresh)
+	rebuilt := false
 	for k, body := range bodies {
-		want := decode(postECO(fresh, body))
+		fresh := New(cfg)
+		want := decode(postECO(fresh, body), k < 4)
+		drainNow(t, fresh)
+		rebuilt = rebuilt || want.SystemRebuilt
 		for i := k; i < len(got); i += len(bodies) {
-			if got[i].TapTotalUM != want.TapTotalUM || got[i].Final != want.Final || got[i].DirtyFFs != want.DirtyFFs {
+			if got[i].TapTotalUM != want.TapTotalUM || got[i].Final != want.Final || got[i].DirtyFFs != want.DirtyFFs ||
+				got[i].SystemRebuilt != want.SystemRebuilt {
 				t.Errorf("request %d: concurrent answer (tap %v, dirty %d) differs from a fresh server's (tap %v, dirty %d)",
 					i, got[i].TapTotalUM, got[i].DirtyFFs, want.TapTotalUM, want.DirtyFFs)
 			}
+			if !bytes.Equal(got[i].Counters, want.Counters) {
+				t.Errorf("request %d: counters differ from a fresh server's:\n%s\nvs\n%s", i, got[i].Counters, want.Counters)
+			}
 		}
+	}
+	if !rebuilt {
+		t.Error("no request rebuilt the quadratic system")
 	}
 }

@@ -15,16 +15,17 @@
 //     200), not an error — the caller gets the best placement the budget
 //     bought.
 //   - Isolation: each job gets its own obs.Registry (no cross-job counter
-//     talk), its own forked placer.System, and a panic guard that converts
-//     a crashing job into a 500 response without taking the daemon down.
+//     talk), its own forked placer.System (an ECO request edits and reverts
+//     its worker's fork), and a panic guard that converts a crashing job
+//     into a 500 response without taking the daemon down.
 //   - Amortization: what the netlist alone decides is computed once per
 //     circuit spec and shared by every request with that spec, on either
 //     endpoint. The quadratic placement system's CSR connectivity is built
-//     behind a singleflight guard (see cache.go) and forked per request.
+//     behind a singleflight guard (see cache.go) and forked per job.
 //     The stage-1 placement is published by the first request whose
 //     stage 1 ran clean, and later requests start from it instead of
 //     placing again (see Server.flow); until then each request runs its
-//     own stage 1 under its own deadline.
+//     own stage 1 under its own deadline. ECO bases are forked per worker.
 //
 // The server is an http.Handler; cmd/rotaryd wires it to a listener and the
 // process lifecycle (SIGTERM -> Drain -> exit 0).
@@ -97,8 +98,8 @@ func (c *Config) normalize() {
 type job struct {
 	params
 	// solve is the endpoint's own step: fetch its cached state, run its
-	// solver under cfg, and shape the answer.
-	solve    func(cfg core.Config) (*answer, error)
+	// solver under cfg (on the worker's ECO forks), and shape the answer.
+	solve    func(cfg core.Config, forks map[string]*eco.State) (*answer, error)
 	lat      *latRing // the endpoint's completion-latency window
 	tok      *stop.Token
 	release  func()
@@ -147,7 +148,7 @@ type Server struct {
 	workers sync.WaitGroup
 
 	templates cache[*template]  // per circuit spec, shared by both endpoints
-	ecoBases  cache[*eco.State] // per spec, rings and iterations, forked per request
+	ecoBases  cache[*eco.State] // per spec, rings and iterations, forked once per worker
 	stats     stats
 
 	// runFlow and runECO are the solver entry points; tests replace them to
@@ -175,7 +176,7 @@ func New(cfg Config) *Server {
 		if err != nil {
 			return nil, err
 		}
-		return &job{params: req.params(s.cfg.DefaultDeadline), lat: &s.stats.jobLat, solve: func(cfg core.Config) (*answer, error) {
+		return &job{params: req.params(s.cfg.DefaultDeadline), lat: &s.stats.jobLat, solve: func(cfg core.Config, _ map[string]*eco.State) (*answer, error) {
 			return s.placeJob(req, cfg)
 		}}, nil
 	}))
@@ -184,8 +185,8 @@ func New(cfg Config) *Server {
 		if err != nil {
 			return nil, err
 		}
-		return &job{params: req.params(s.cfg.DefaultDeadline), lat: &s.stats.ecoLat, solve: func(cfg core.Config) (*answer, error) {
-			return s.applyECO(req, cfg)
+		return &job{params: req.params(s.cfg.DefaultDeadline), lat: &s.stats.ecoLat, solve: func(cfg core.Config, forks map[string]*eco.State) (*answer, error) {
+			return s.applyECO(req, cfg, forks)
 		}}, nil
 	}))
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
@@ -200,11 +201,13 @@ func New(cfg Config) *Server {
 // ServeHTTP makes the server an http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// worker executes queued jobs until the queue is closed and drained.
+// worker executes queued jobs until the queue is closed and drained. No
+// other goroutine touches its ECO forks, one per base key (see applyECO).
 func (s *Server) worker() {
 	defer s.workers.Done()
+	forks := map[string]*eco.State{}
 	for j := range s.queue {
-		s.execute(j)
+		s.execute(j, forks)
 	}
 }
 
@@ -329,7 +332,7 @@ func (s *Server) awaitAndReply(w http.ResponseWriter, j *job) {
 // execute runs one admitted job through the path every endpoint shares: a
 // per-job registry and base config, the endpoint's step under the panic
 // guard, and the accounting every answer gets.
-func (s *Server) execute(j *job) {
+func (s *Server) execute(j *job, forks map[string]*eco.State) {
 	defer func() {
 		s.mu.Lock()
 		delete(s.active, j)
@@ -341,6 +344,7 @@ func (s *Server) execute(j *job) {
 	// is confined to its job instead of taking the worker down.
 	defer func() {
 		if r := recover(); r != nil {
+			clear(forks) // the panic may have left one half-edited
 			s.stats.add(&s.stats.panics, 1)
 			j.status, j.resp, j.errMsg = http.StatusInternalServerError, nil, fmt.Sprintf("job panicked: %v", r)
 		}
@@ -356,7 +360,7 @@ func (s *Server) execute(j *job) {
 		Obs:         reg,
 		Stop:        j.tok,
 	}
-	a, err := j.solve(cfg)
+	a, err := j.solve(cfg, forks)
 	// Latency counts from admission, like the deadline does: queue wait is
 	// time the caller spent waiting, so p99 must include it.
 	elapsed := time.Since(j.admitted)

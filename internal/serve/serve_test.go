@@ -186,14 +186,22 @@ func TestQueueFullShed(t *testing.T) {
 // TestFailureIsolation: on either endpoint, a request whose solver panics
 // answers 500 and one whose strict solve fails answers 422, each counted once
 // under its own counter, and the daemon keeps serving — the next request on
-// the same worker succeeds. The hooked solver fails on its first call only
-// and runs the real one after. A panic in the shared ECO base flow must not
-// poison the base cache either: the next request builds it again.
+// the same worker answers as a fresh server does. The hooked solver fails
+// on its first call only and runs the real one after. A panic in the shared
+// ECO base flow must not poison the base cache either: the next request
+// builds it again. Nor may a panic after an edit was committed on the
+// worker's ECO fork, before the revert, poison that fork.
 func TestFailureIsolation(t *testing.T) {
 	ff, x, y := ecoProbe(t, 60, 8, 1)
-	ecoBody := fmt.Sprintf(
-		`{"circuit":{"cells":60,"flipflops":8,"seed":1},"rings":4,"iters":2,"strict":true,"deltas":[{"op":"move_ff","cell":%d,"x":%.4f,"y":%.4f}]}`,
-		ff, x, y)
+	ecoMove := func(x, y float64) string {
+		return fmt.Sprintf(
+			`{"circuit":{"cells":60,"flipflops":8,"seed":1},"rings":4,"iters":2,"strict":true,"deltas":[{"op":"move_ff","cell":%d,"x":%.4f,"y":%.4f}]}`,
+			ff, x, y)
+	}
+	// The request after the failure moves the flip-flop elsewhere, so a
+	// fork still holding the failed request's committed move answers
+	// differently from a fresh server.
+	ecoBody, ecoNext := ecoMove(x, y), ecoMove(x+10, y-5)
 	jobBody := `{"circuit":{"cells":60,"flipflops":8,"seed":1},"rings":4,"iters":2,"strict":true}`
 	panics := func() error { panic("solver invariant broken") }
 	infeasible := func() error { return fmt.Errorf("infeasible instance") }
@@ -201,15 +209,17 @@ func TestFailureIsolation(t *testing.T) {
 		name          string
 		eco           bool // request /v1/eco instead of /v1/jobs
 		hookECO       bool // fail in core.ApplyECO instead of core.Run
+		afterCommit   bool // fail after the real core.ApplyECO committed
 		fail          func() error
 		status        int
 		panics, fails int64
 	}{
-		{"jobs-panic", false, false, panics, http.StatusInternalServerError, 1, 0},
-		{"jobs-strict", false, false, infeasible, http.StatusUnprocessableEntity, 0, 1},
-		{"eco-panic", true, true, panics, http.StatusInternalServerError, 1, 0},
-		{"eco-strict", true, true, infeasible, http.StatusUnprocessableEntity, 0, 1},
-		{"eco-base-panic", true, false, panics, http.StatusInternalServerError, 1, 0},
+		{"jobs-panic", false, false, false, panics, http.StatusInternalServerError, 1, 0},
+		{"jobs-strict", false, false, false, infeasible, http.StatusUnprocessableEntity, 0, 1},
+		{"eco-panic", true, true, false, panics, http.StatusInternalServerError, 1, 0},
+		{"eco-panic-after-commit", true, true, true, panics, http.StatusInternalServerError, 1, 0},
+		{"eco-strict", true, true, false, infeasible, http.StatusUnprocessableEntity, 0, 1},
+		{"eco-base-panic", true, false, false, panics, http.StatusInternalServerError, 1, 0},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
@@ -224,10 +234,18 @@ func TestFailureIsolation(t *testing.T) {
 			}
 			if tc.hookECO {
 				s.runECO = func(st *eco.State, deltas []eco.Delta, cfg core.Config, opt eco.Options) (*core.ECOResult, error) {
-					if err := failFirst(); err != nil {
-						return nil, err
+					if !tc.afterCommit {
+						if err := failFirst(); err != nil {
+							return nil, err
+						}
 					}
-					return core.ApplyECO(st, deltas, cfg, opt)
+					res, err := core.ApplyECO(st, deltas, cfg, opt)
+					if tc.afterCommit && err == nil {
+						if err := failFirst(); err != nil {
+							return nil, err
+						}
+					}
+					return res, err
 				}
 			} else {
 				s.runFlow = func(c *netlist.Circuit, cfg core.Config) (*core.Result, error) {
@@ -237,9 +255,9 @@ func TestFailureIsolation(t *testing.T) {
 					return core.Run(c, cfg)
 				}
 			}
-			send, body := post, jobBody
+			send, body, next := post, jobBody, jobBody
 			if tc.eco {
-				send, body = postECO, ecoBody
+				send, body, next = postECO, ecoBody, ecoNext
 			}
 
 			rr := send(s, body)
@@ -249,10 +267,26 @@ func TestFailureIsolation(t *testing.T) {
 			if tc.panics > 0 && !strings.Contains(rr.Body.String(), "job panicked") {
 				t.Errorf("panic body: %s", rr.Body)
 			}
-			if rr := send(s, body); rr.Code != http.StatusOK {
-				t.Fatalf("request after the failure: status %d body %s", rr.Code, rr.Body)
+			// The next request answers as a fresh server does.
+			fresh := New(testConfig())
+			var got, want struct{ Final core.Metrics }
+			for _, a := range []struct {
+				s *Server
+				v *struct{ Final core.Metrics }
+			}{{s, &got}, {fresh, &want}} {
+				rr := send(a.s, next)
+				if rr.Code != http.StatusOK {
+					t.Fatalf("request after the failure: status %d body %s", rr.Code, rr.Body)
+				}
+				if err := json.Unmarshal(rr.Body.Bytes(), a.v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got != want {
+				t.Errorf("request after the failure: final %+v, a fresh server's %+v", got.Final, want.Final)
 			}
 			drainNow(t, s)
+			drainNow(t, fresh)
 			if got := s.stats.panics.Load(); got != tc.panics {
 				t.Errorf("panics = %d, want %d", got, tc.panics)
 			}

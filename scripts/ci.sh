@@ -8,8 +8,11 @@
 #                         suite circuits and flow arms)
 #   scripts/ci.sh fuzz    smoke-fuzz every Fuzz target (10s each) on top of
 #                         the checked-in corpora under testdata/fuzz/
-#   scripts/ci.sh serve   the stage-1 placement reuse tests under -race,
-#                         then an end-to-end daemon smoke over both
+#   scripts/ci.sh serve   the stage-1 placement reuse tests and the ECO
+#                         fork-ownership tests (a panic after a committed
+#                         edit, 96 concurrent requests on four workers'
+#                         own forks, identical requests' counters) under
+#                         -race, then an end-to-end daemon smoke over both
 #                         endpoints: rotaryd under rotaryload (concurrent
 #                         /v1/jobs requests twice over the same specs, the
 #                         second pass on published stage-1 placements, and
@@ -47,7 +50,11 @@
 #                         total bit-equal to SignalWL), the state-fork
 #                         test (two concurrent forks of one base state
 #                         leave the base's positions, pins and caches
-#                         alone and match fresh states), the
+#                         alone and match fresh states) and the revert
+#                         tests (200 random batches on one long-lived
+#                         fork, each answer equal to a fresh fork's and
+#                         each Revert restoring the base bit for bit; a
+#                         stale Revert panics), under -race -count=3, the
 #                         timing.sta.scope and eco.signalwl.scope oracle
 #                         negative tests, the RandomDeltas tests (drawn
 #                         sequences pinned by SHA-256 digests, every
@@ -56,10 +63,11 @@
 #                         included), the clean oracle campaign (its
 #                         ECO-vs-scratch checks fail on an incomplete
 #                         scope), the shared-base /v1/eco
-#                         concurrency test under -race (each forked state
-#                         applies its edit in a workspace of its own), the
-#                         allocation budget (mean bytes per edit over 100
-#                         edits at 3k cells), one iteration of
+#                         concurrency test under -race (each worker
+#                         applies and reverts on its own fork), the
+#                         allocation budgets (mean bytes per edit over 100
+#                         edits at 3k cells, and per request, apply plus
+#                         revert, on one owned fork), one iteration of
 #                         BenchmarkApplyECO/3k with -benchmem (an edit's
 #                         ns/op, B/op, allocs/op and paths/op; run it with
 #                         a larger -benchtime for a number), then the
@@ -201,6 +209,11 @@ serve)
     # jobs publish once, and racing identical jobs on a warm spec report
     # equal counters.
     go test -race ./internal/serve/ -run '^(TestPlacementReuse|TestPlacementNotPublishedFromUncleanStage1|TestPlacementConcurrentPublish|TestConcurrentDeterminism|TestTemplateSharedAcrossEndpoints)$' -count=1
+    # The ECO fork-ownership tests under -race: a panic after a committed
+    # edit drops the worker's forks, concurrent requests on four workers'
+    # own forks answer as a fresh server does, and identical requests on a
+    # new and a reverted fork report byte-equal counters.
+    go test -race ./internal/serve/ -run '^(TestFailureIsolation|TestECOConcurrentSharedBase|TestECOWarmBaseHit)$' -count=1
     # End-to-end daemon smoke: build rotaryd + rotaryload, drive a small
     # concurrent load through each endpoint of the one request path —
     # placement jobs twice over the same specs (the second pass starts
@@ -250,9 +263,10 @@ eco)
     go test ./internal/placer/ -run '^(TestCGKernelReportsStagnation|TestSolveDirtyMatchesReference|TestSolveDirtyCGCancel)$' -count=1 -v
     go test ./internal/timing/ -run '^TestSTAUpdate' -count=1 -v
     go test ./internal/eco/ -run '^(TestApplyDegradedOnDirtyCGCancel|TestApplySTACache|TestApplySignalWLCache|TestStateFork|TestSignalWLUpdate|TestRandomDeltas.*|TestCombReaches)$' -count=1 -v
+    go test -race ./internal/eco/ -run '^(TestStateFork|TestRevertRestoresBase|TestRevertStalePanics)$' -count=3 -v
     go test ./internal/oracle/ -run '^(TestFaultSTAScopeDetected|TestFaultECOSignalWLDetected|TestCampaignClean)$' -count=1 -v
     go test -race ./internal/serve/ -run '^TestECOConcurrentSharedBase$' -count=1
-    go test ./internal/core/ -run '^TestApplyECOAllocBudget$' -count=1 -v
+    go test ./internal/core/ -run '^(TestApplyECOAllocBudget|TestOwnedForkRequestAllocBudget)$' -count=1 -v
     go test -run '^$' -bench 'BenchmarkApplyECO/3k' -benchtime 1x -benchmem ./internal/core/
     go test ./internal/bench/ -run '^TestECOBenchPoint$' -count=1
     ROTARY_ECO_SMOKE=1 go test -timeout "$timeout" \
