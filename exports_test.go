@@ -36,7 +36,6 @@ var testOnlyExportsAllowed = map[string]string{
 	"internal/faultinject.Calls":          "fault-injection test API",
 	"internal/faultinject.Firings":        "fault-injection test API",
 	"internal/faultinject.Sites":          "fault-injection test API",
-	"internal/serve.cache.Len":            "test view of the daemon's result-cache size",
 
 	"internal/core.Config.Params":       "the facade's technology calibration (rotary ring constants)",
 	"internal/core.Config.TModel":       "the facade's technology calibration (timing model)",

@@ -6,6 +6,7 @@ import (
 	"rotaryclk/internal/eco"
 	"rotaryclk/internal/netlist"
 	"rotaryclk/internal/obs"
+	"rotaryclk/internal/placer"
 	"rotaryclk/internal/timing"
 )
 
@@ -22,11 +23,11 @@ type ECOResult struct {
 // assignment — a Degraded result that stopped before the base case cannot
 // seed ECO. cfg should be the configuration the run used; its rotary and
 // timing constants and Parallelism carry over so edits re-solve the same
-// problem the flow solved. As in Run, cfg.System may supply a prebuilt
-// template system to fork instead of assembling the connectivity from
-// scratch. The state starts with both ECO caches built in full, the timing
-// cache with cfg.TModel and the signal-wirelength cache, so the first edit
-// is scoped like every later one: it re-propagates only the timing sources,
+// problem the flow solved. The state's quadratic system is built from c
+// (placer.NewSystem, reporting to cfg.Obs), the one circuit it solves. The
+// state starts with both ECO caches built in full, the timing cache with
+// cfg.TModel and the signal-wirelength cache, so the first edit is scoped
+// like every later one: it re-propagates only the timing sources,
 // re-measures only the nets and re-solves only the tapping rows its changes
 // touch (res.Assign carries the candidate matrix the run solved over).
 func NewECOState(c *netlist.Circuit, cfg Config, res *Result) (*eco.State, error) {
@@ -37,9 +38,9 @@ func NewECOState(c *netlist.Circuit, cfg Config, res *Result) (*eco.State, error
 	if len(res.Schedule) != len(res.FFCells) || len(res.Assign.Ring) != len(res.FFCells) {
 		return nil, fmt.Errorf("core: result schedule/assignment out of step with its flip-flop list")
 	}
-	sys, se := placementState(c, cfg, cfg.Obs)
-	if se != nil {
-		return nil, fmt.Errorf("core: ECO state: %w", se.Err)
+	sys, err := placer.NewSystem(c, cfg.Obs)
+	if err != nil {
+		return nil, fmt.Errorf("core: ECO state: placement system: %w", err)
 	}
 	sta, err := timing.NewSTA(c, cfg.TModel)
 	if err != nil {

@@ -147,10 +147,10 @@ func allocBase(t *testing.T) (*netlist.Circuit, Config, *Result) {
 // allocates on the serving path: one fork of the base state, owned for its
 // whole life, takes 20 single-delta RandomDeltas requests, each an
 // ApplyECO and then a Revert that returns the fork to the base. The first
-// request also forks the base onto a clone of its circuit and fills the
-// fork's workspace; the mean over the other nineteen, with no clone, no
-// system fork and no workspace fill in them, must stay within
-// TestApplyECOAllocBudget's bound.
+// request also forks the base (a clone of its circuit and the system
+// built from it) and fills the fork's workspace; the mean over the other
+// nineteen, with no clone, no system build and no workspace fill in
+// them, must stay within TestApplyECOAllocBudget's bound.
 func TestOwnedForkRequestAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("-race changes what an edit allocates")
@@ -169,7 +169,7 @@ func TestOwnedForkRequestAllocBudget(t *testing.T) {
 		ds := eco.RandomDeltas(rng, base.Circuit, len(base.Array.Rings), 1)
 		runtime.ReadMemStats(&before)
 		if f == nil {
-			if f, err = base.Fork(base.Circuit.Clone(), nil); err != nil {
+			if f, err = base.Fork(); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -186,7 +186,7 @@ func TestOwnedForkRequestAllocBudget(t *testing.T) {
 		}
 	}
 	mean := total / (requests - 1)
-	t.Logf("first request (fork, clone and workspace fill included): %d bytes; later requests %d on average; bound %d", first, mean, editAllocBound)
+	t.Logf("first request (fork with its clone and system, and workspace fill included): %d bytes; later requests %d on average; bound %d", first, mean, editAllocBound)
 	if mean > editAllocBound {
 		t.Errorf("a request on an owned fork allocates %d bytes on average, bound %d", mean, editAllocBound)
 	}

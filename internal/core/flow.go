@@ -125,15 +125,6 @@ type Config struct {
 	// event — while strict mode raises the typed *StageError. Nil means
 	// the run cannot be canceled.
 	Stop *stop.Token
-
-	// System optionally supplies a prebuilt quadratic placement system to
-	// fork instead of assembling the CSR connectivity from scratch (see
-	// placer.System.Fork). The serving layer uses this to amortize system
-	// assembly across requests for the same circuit spec. It must have
-	// been built for a circuit structurally identical to c (deterministic
-	// generation guarantees this for equal specs); an obvious mismatch is
-	// rejected as InvalidInput. Nil builds a fresh system.
-	System *placer.System
 }
 
 func (c *Config) normalize() {
@@ -299,14 +290,15 @@ func Run(c *netlist.Circuit, cfg Config) (*Result, error) {
 	defer root.End()
 	f.reg, f.root = reg, root
 
-	// The quadratic placement system is assembled (or forked) once here and
-	// reused by every placer call of the run — the initial global placement
-	// and all stage-6 incremental re-placements — because the net
-	// connectivity it encodes never changes across flow iterations.
-	var se *StageError
-	if f.psys, se = placementState(c, cfg, reg); se != nil {
-		return nil, se
+	// The quadratic placement system is assembled once here and reused by
+	// every placer call of the run — the initial global placement and all
+	// stage-6 incremental re-placements — because the net connectivity it
+	// encodes never changes across flow iterations.
+	psys, err := placer.NewSystem(c, reg)
+	if err != nil {
+		return nil, stageErr(1, 0, fmt.Errorf("placement system: %w", err))
 	}
+	f.psys = psys
 
 	// finish is the one result-returning exit, shared by clean, Degraded
 	// and partial runs: End the root span explicitly (idempotent;
@@ -667,25 +659,6 @@ func overallCost(a Assigner, m Metrics) float64 {
 		return m.WCP
 	}
 	return tapWeight*m.TapWL + m.SignalWL
-}
-
-// placementState forks cfg.System (a template built for a structurally
-// identical circuit) or assembles a fresh quadratic placement system for c.
-// A fork mismatch is an input error; a failed assembly is classified like
-// any stage-1 failure.
-func placementState(c *netlist.Circuit, cfg Config, reg *obs.Registry) (*placer.System, *StageError) {
-	if cfg.System != nil {
-		sys, err := cfg.System.Fork(c, reg)
-		if err != nil {
-			return nil, &StageError{Stage: 1, Kind: InvalidInput, Err: fmt.Errorf("forking placement system: %w", err)}
-		}
-		return sys, nil
-	}
-	sys, err := placer.NewSystem(c, reg)
-	if err != nil {
-		return nil, stageErr(1, 0, fmt.Errorf("placement system: %w", err))
-	}
-	return sys, nil
 }
 
 // retryCG runs one placer solve under the stagnation policy stages 1 and 6

@@ -423,26 +423,18 @@ func TestCleanRunHasNoEvents(t *testing.T) {
 	}
 }
 
-// A zero-flip-flop circuit runs Run's own stage 1, so a caller-supplied
-// template system is forked rather than rebuilt, and the run leaves through
-// the partial-result exit with the "no flip-flops" event, not Degraded.
-func TestZeroFFRunForksTemplateSystem(t *testing.T) {
-	tmpl, err := placer.NewSystem(genCircuit(t, 120, 0, 21), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+// A zero-flip-flop circuit runs Run's own stage 1 on the one placement
+// system the run builds from it, and the run leaves through the
+// partial-result exit with the "no flip-flops" event, not Degraded.
+func TestZeroFFRunPartialResult(t *testing.T) {
 	cfg := recoveryConfig()
-	cfg.System = tmpl
 	cfg.Obs = obs.NewRegistry()
 	res, err := Run(genCircuit(t, 120, 0, 21), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Metrics.Counter("placer.system.forks"); got != 1 {
-		t.Errorf("placer.system.forks = %d, want 1", got)
-	}
-	if got := res.Metrics.Counter("placer.system.builds"); got != 0 {
-		t.Errorf("placer.system.builds = %d, want 0", got)
+	if got := res.Metrics.Counter("placer.system.builds"); got != 1 {
+		t.Errorf("placer.system.builds = %d, want 1", got)
 	}
 	if res.Degraded {
 		t.Error("zero-FF run marked Degraded")

@@ -9,6 +9,7 @@ import (
 	"rotaryclk/internal/assign"
 	"rotaryclk/internal/faultinject"
 	"rotaryclk/internal/geom"
+	"rotaryclk/internal/netlist"
 	"rotaryclk/internal/obs"
 	"rotaryclk/internal/placer"
 	"rotaryclk/internal/rotary"
@@ -47,24 +48,11 @@ func Apply(st *State, deltas []Delta, opt Options) (*Outcome, error) {
 	if pinned == nil {
 		pinned = map[int]int{}
 	}
-	var undos []func()
-	// Phase 2 moves only the dirty cells; placed and placedAt record them
-	// and their positions from before it. Every delta's undo restores the
-	// cells that delta edited.
-	var placed []int
-	var placedAt []geom.Point
-	rollback := func() {
-		for i, id := range placed {
-			c.Cells[id].Pos = placedAt[i]
-		}
-		for i := len(undos) - 1; i >= 0; i-- {
-			undos[i]()
-		}
-	}
+	rb := &out.rb
 	// fail finishes a failed solver phase: roll back, then either raise
 	// (strict) or report the restored state as Degraded (non-strict).
 	fail := func(phase string, err error) (*Outcome, error) {
-		rollback()
+		rb.run(c)
 		if opt.Strict {
 			return nil, fmt.Errorf("eco: %s: %w", phase, err)
 		}
@@ -88,7 +76,7 @@ func Apply(st *State, deltas []Delta, opt Options) (*Outcome, error) {
 	for i, d := range deltas {
 		ap, err := applyDelta(st.Circuit, len(st.Array.Rings), pinned, i, d)
 		if err != nil {
-			rollback()
+			rb.run(c)
 			return nil, err
 		}
 		if ap.noop {
@@ -97,7 +85,7 @@ func Apply(st *State, deltas []Delta, opt Options) (*Outcome, error) {
 			continue
 		}
 		if ap.undo != nil {
-			undos = append(undos, ap.undo)
+			rb.undos = append(rb.undos, ap.undo)
 		}
 		out.Deltas++
 		reg.Add("eco.deltas", 1)
@@ -124,7 +112,7 @@ func Apply(st *State, deltas []Delta, opt Options) (*Outcome, error) {
 	if needRebuild {
 		ns, err := placer.NewSystem(c, reg)
 		if err != nil {
-			rollback()
+			rb.run(c)
 			return nil, fmt.Errorf("eco: system rebuild: %w", err)
 		}
 		sys = ns
@@ -140,11 +128,12 @@ func Apply(st *State, deltas []Delta, opt Options) (*Outcome, error) {
 	// against the rest of the placement as a boundary condition.
 	plSp := span.Child("eco.place")
 	if len(dirtyCells) > 0 {
-		placed, placedAt = dirtyCells, slices.Grow(w.placedAt[:0], len(dirtyCells))[:len(dirtyCells)]
-		for i, id := range placed {
+		placedAt := slices.Grow(w.placedAt[:0], len(dirtyCells))[:len(dirtyCells)]
+		for i, id := range dirtyCells {
 			placedAt[i] = c.Cells[id].Pos
 		}
 		w.placedAt = placedAt
+		rb.placed, rb.placedAt = dirtyCells, placedAt
 		moved, err := sys.SolveDirty(dirtyCells, tok, reg)
 		if err != nil {
 			plSp.End()
@@ -173,7 +162,7 @@ func Apply(st *State, deltas []Delta, opt Options) (*Outcome, error) {
 	n := len(ffCells)
 	if n == 0 {
 		schedSp.End()
-		rollback()
+		rb.run(c)
 		return nil, errors.New("eco: no flip-flops to optimize")
 	}
 	pairs, err := sta.Pairs(w.pairs[:0], w.ffIndex(len(c.Cells), ffCells))
@@ -319,14 +308,7 @@ func Apply(st *State, deltas []Delta, opt Options) (*Outcome, error) {
 	wl := signalWL(st, scopeCells, scopeNets, opt.Scratch, reg)
 
 	// Commit, keeping the pre-commit state for Revert.
-	prev := *st
-	out.revert = func() {
-		if st.applies != prev.applies {
-			panic("eco: Revert after a later Apply on the same state")
-		}
-		rollback()
-		*st = prev
-	}
+	out.st, out.prev = st, *st
 	st.Sys = sys
 	st.STA = sta
 	st.SignalWL = wl
@@ -337,6 +319,27 @@ func Apply(st *State, deltas []Delta, opt Options) (*Outcome, error) {
 	st.Pinned = pinned
 	out.report(st)
 	return out, nil
+}
+
+// rollback is an edit's undo record. Phase 2 moves only the dirty cells:
+// placed lists them and placedAt holds their positions from before it.
+// Every delta's undo restores the cells that delta edited.
+type rollback struct {
+	placed   []int
+	placedAt []geom.Point
+	undos    []func()
+}
+
+// run restores c to its pre-edit positions and netlist: the dirty cells'
+// positions first, then each delta's undo, newest first. It is the one
+// rollback path, run by a failed Apply and by Revert.
+func (rb *rollback) run(c *netlist.Circuit) {
+	for i, id := range rb.placed {
+		c.Cells[id].Pos = rb.placedAt[i]
+	}
+	for i := len(rb.undos) - 1; i >= 0; i-- {
+		rb.undos[i]()
+	}
 }
 
 // report fills out with the state as last committed: the new state after a

@@ -856,7 +856,7 @@ func TestApplySignalWLCache(t *testing.T) {
 	want := math.Float64bits(shared.Total())
 	var forks [2]*eco.State
 	for i := range forks {
-		if forks[i], err = root.Fork(base.Clone(), nil); err != nil {
+		if forks[i], err = root.Fork(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -905,7 +905,7 @@ func TestStateFork(t *testing.T) {
 	var forks [2]*eco.State
 	for i := range forks {
 		var err error
-		if forks[i], err = root.Fork(c.Clone(), nil); err != nil {
+		if forks[i], err = root.Fork(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -973,14 +973,14 @@ func TestStateFork(t *testing.T) {
 func TestApplyWorkspaceReuse(t *testing.T) {
 	c := genCircuit(t, 300, 40, 11)
 	reused, _ := baseState(t, c)
-	fresh, err := reused.Fork(c.Clone(), nil)
+	fresh, err := reused.Fork()
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(13))
 	for batch := 0; batch < 60; batch++ {
 		ds := eco.RandomDeltas(rng, reused.Circuit, len(reused.Array.Rings), 1+rng.Intn(3))
-		if fresh, err = fresh.Fork(fresh.Circuit.Clone(), nil); err != nil {
+		if fresh, err = fresh.Fork(); err != nil {
 			t.Fatal(err)
 		}
 		fails := batch%5 == 4

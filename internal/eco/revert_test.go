@@ -147,7 +147,7 @@ func TestRevertRestoresBase(t *testing.T) {
 	}
 	baseShape, baseFields := structureOf(base.Circuit), committedOf(base)
 
-	fork, err := base.Fork(base.Circuit.Clone(), nil)
+	fork, err := base.Fork()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestRevertRestoresBase(t *testing.T) {
 			}
 		}
 
-		ref, err := base.Fork(base.Circuit.Clone(), nil)
+		ref, err := base.Fork()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -269,7 +269,7 @@ func TestRevertStalePanics(t *testing.T) {
 		{"no-op", []eco.Delta{{Op: eco.OpMoveFF, Cell: ffs[3], X: c.Cells[ffs[3]].Pos.X, Y: c.Cells[ffs[3]].Pos.Y}}, eco.Options{}},
 	} {
 		t.Run(later.name, func(t *testing.T) {
-			f, err := base.Fork(base.Circuit.Clone(), nil)
+			f, err := base.Fork()
 			if err != nil {
 				t.Fatal(err)
 			}

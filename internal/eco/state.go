@@ -194,8 +194,12 @@ type Outcome struct {
 	// Degraded, the restored) circuit, bit-equal to Circuit.SignalWL.
 	SignalWL float64
 
-	// revert undoes the commit; nil when Apply committed nothing.
-	revert func()
+	// The commit's undo record: st is the state Apply committed to (nil
+	// when it committed nothing, or once reverted), prev its value before
+	// the commit, and rb the rollback of its circuit.
+	st   *State
+	prev State
+	rb   rollback
 }
 
 // Revert undoes the edit out committed: it runs the rollback a failed
@@ -206,24 +210,32 @@ type Outcome struct {
 // all-no-op outcome, or when called again. It panics if another Apply ran
 // on the state in between, because that Apply reused what it restores.
 func (out *Outcome) Revert() {
-	if out.revert != nil {
-		out.revert()
-		out.revert = nil
+	st := out.st
+	if st == nil {
+		return
 	}
+	if st.applies != out.prev.applies {
+		panic("eco: Revert after a later Apply on the same state")
+	}
+	out.rb.run(st.Circuit)
+	*st = out.prev
+	out.st = nil
 }
 
-// Fork returns a state over c, a clone of st.Circuit as last committed,
-// that applies edits independently of st. Its quadratic system is st.Sys
-// forked onto c, with telemetry bound to reg (nil inherits st.Sys's). It
-// shares everything else with st: the array, the flip-flop list, the
-// schedule, the assignment with its candidate rows, Pinned, and both
-// caches. Sharing is safe because Apply writes none of them in place: it
-// commits fresh values, and it clones Pinned before a retarget writes it.
-// The one thing Apply does write in place, its workspace, is never
-// shared: the fork starts with none, and its first Apply makes its own.
-// So forks of one state may Apply concurrently, one goroutine per fork.
-func (st *State) Fork(c *netlist.Circuit, reg *obs.Registry) (*State, error) {
-	sys, err := st.Sys.Fork(c, reg)
+// Fork returns a state over a clone of st.Circuit as last committed that
+// applies edits independently of st. Its quadratic system is built from
+// that clone (placer.NewSystem, reporting to no registry), so the fork owns
+// its circuit and its system alone. It shares everything else with st: the
+// array, the flip-flop list, the schedule, the assignment with its
+// candidate rows, Pinned, and both caches. Sharing is safe because Apply
+// writes none of them in place: it commits fresh values, and it clones
+// Pinned before a retarget writes it. The one thing Apply does write in
+// place, its workspace, is never shared: the fork starts with none, and its
+// first Apply makes its own. So forks of one state may Apply concurrently,
+// one goroutine per fork.
+func (st *State) Fork() (*State, error) {
+	c := st.Circuit.Clone()
+	sys, err := placer.NewSystem(c, nil)
 	if err != nil {
 		return nil, err
 	}

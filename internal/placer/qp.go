@@ -14,10 +14,13 @@
 // right-hand sides contributed by fixed cells, assembled once per circuit by
 // NewSystem) and a mutable anchor overlay (pseudo-nets, stability anchors,
 // spread targets, disconnected-node regularization) that is reset and
-// reapplied per re-solve. Callers that re-solve the same netlist repeatedly
-// (the spread loop, the flow's stage-6 iterations) hold one System and pay
-// only the overlay cost per solve; see DESIGN.md section 10 for the
-// bit-identity argument.
+// reapplied per re-solve. NewSystem is the one way to get a System, and it
+// binds the System to the circuit it was built from: every solve reads and
+// writes that circuit, and nothing else shares its arrays. Callers that
+// re-solve the same netlist repeatedly (the spread loop, the flow's stage-6
+// iterations, an ECO state's edits) hold one System and pay only the
+// overlay cost per solve; see DESIGN.md section 10 for the bit-identity
+// argument.
 //
 // Error discipline: invalid circuits (empty die) return errors, and a
 // conjugate-gradient solve that exhausts its iteration budget with the
@@ -294,58 +297,6 @@ func NewSystem(c *netlist.Circuit, reg *obs.Registry) (*System, error) {
 	return s, nil
 }
 
-// Fork returns a System bound to circuit c that shares this System's
-// immutable connectivity arrays (CSR Laplacian, base diagonal and right-hand
-// sides, star pin lists) but carries fresh mutable per-solve state, so the
-// fork and the original can solve concurrently on different goroutines.
-//
-// Caller contract: c must have connectivity identical to the template's
-// circuit — same cells in the same order with the same Fixed flags and
-// fixed-cell positions, and the same nets. The serving layer guarantees this
-// by keying templates on the full generator spec (deterministic generation:
-// same spec, same circuit); Fork itself only performs cheap structural
-// checks and returns an error on an obvious mismatch.
-//
-// reg rebinds the fork's telemetry to its own registry — a serving layer
-// gives each job a private one so concurrent jobs never share counters — and
-// nil inherits the template's.
-func (s *System) Fork(c *netlist.Circuit, reg *obs.Registry) (*System, error) {
-	if err := validate(c); err != nil {
-		return nil, err
-	}
-	if len(c.Cells) != len(s.c.Cells) || len(c.Nets) != len(s.c.Nets) {
-		return nil, fmt.Errorf("placer: fork: circuit %q (%d cells, %d nets) does not match template %q (%d cells, %d nets)",
-			c.Name, len(c.Cells), len(c.Nets), s.c.Name, len(s.c.Cells), len(s.c.Nets))
-	}
-	ns := &System{
-		c:        c,
-		n:        s.n,
-		nMov:     s.nMov,
-		rowStart: s.rowStart,
-		cols:     s.cols,
-		w:        s.w,
-		baseDiag: s.baseDiag,
-		baseBx:   s.baseBx,
-		baseBy:   s.baseBy,
-		starRow:  s.starRow,
-		starPin:  s.starPin,
-		cells:    s.cells,
-		idx:      s.idx,
-		diag:     make([]float64, s.n),
-		bx:       make([]float64, s.n),
-		by:       make([]float64, s.n),
-		posX:     make([]float64, s.n),
-		posY:     make([]float64, s.n),
-		obs:      s.obs,
-	}
-	ns.wcur = ns.w
-	if reg != nil {
-		ns.obs = reg
-	}
-	ns.obs.Add("placer.system.forks", 1)
-	return ns, nil
-}
-
 // prepare resets the working system to the immutable base and reapplies the
 // per-solve anchor overlay in the same accumulation order the historical
 // per-solve build used: positions and star seeds from the circuit, then
@@ -456,7 +407,7 @@ func (s *System) applyNetWeights(scale []float64) {
 // scale multiplies by 1, which leaves each term bit-unchanged. diag, bx and
 // by must be zero on entry; next is an n-length cursor scratch. cols
 // receives each slot's neighbor index when non-nil — only the build passes
-// it, so the overlay writes nothing a Fork shares. The traversal fixes
+// it, so the overlay never rewrites the CSR. The traversal fixes
 // per-row neighbor order and the accumulation order of every sum, which is
 // the bit-identity contract of DESIGN.md section 10.
 func (s *System) fill(scale func(net int) float64, cols []int32, w, diag, bx, by []float64, next []int32) {

@@ -2,7 +2,6 @@ package placer
 
 import (
 	"math"
-	"sync"
 	"testing"
 
 	"rotaryclk/internal/geom"
@@ -221,67 +220,4 @@ func BenchmarkSystemBuildVsReuse(b *testing.B) {
 			sys.prepare(&opt, nil, 0)
 		}
 	})
-}
-
-// TestForkConcurrentIncremental: two forks of one System run Incremental at
-// the same time, one under a net-weight overlay and one without, and each
-// lands bit-for-bit where the same solve on a fresh NewSystem does. Run
-// under -race it guards the rule that the overlay's fill writes only the
-// fork's own arrays, never the connectivity the forks share.
-func TestForkConcurrentIncremental(t *testing.T) {
-	const cells, ffs, seed = 400, 50, 59
-	placed := detCircuit(t, cells, ffs, seed)
-	if err := Global(placed, Options{spreadIters: 4}); err != nil {
-		t.Fatal(err)
-	}
-	circuit := func() *netlist.Circuit {
-		c := detCircuit(t, cells, ffs, seed)
-		if err := c.SetPositions(placed.Positions()); err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
-	weights := make([]float64, len(placed.Nets))
-	for i := range weights {
-		weights[i] = 1 + float64(i%5)
-	}
-	var pn []PseudoNet
-	for _, ff := range placed.FlipFlops() {
-		pn = append(pn, PseudoNet{Cell: ff, Target: placed.Die.Center(), Weight: 4})
-	}
-	opts := []Options{
-		{PseudoNets: pn, NetWeights: weights, Parallelism: 2},
-		{PseudoNets: pn, Parallelism: 2},
-	}
-
-	tmpl, err := NewSystem(circuit(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	forked := make([]*netlist.Circuit, len(opts))
-	errs := make([]error, len(opts))
-	var wg sync.WaitGroup
-	for i := range opts {
-		forked[i] = circuit()
-		fork, err := tmpl.Fork(forked[i], obs.NewRegistry())
-		if err != nil {
-			t.Fatal(err)
-		}
-		wg.Add(1)
-		go func(i int, fork *System) {
-			defer wg.Done()
-			errs[i] = fork.Incremental(opts[i])
-		}(i, fork)
-	}
-	wg.Wait()
-	for i, opt := range opts {
-		if errs[i] != nil {
-			t.Fatalf("fork %d: %v", i, errs[i])
-		}
-		fresh := circuit()
-		if err := incremental(fresh, opt); err != nil {
-			t.Fatal(err)
-		}
-		samePositions(t, "fork vs fresh", forked[i].Positions(), fresh.Positions())
-	}
 }

@@ -5,8 +5,8 @@ import (
 	"sync"
 )
 
-// cache is a keyed singleflight, used for placement templates and ECO base
-// placements alike: the first request for a key builds the value while
+// cache is a keyed singleflight, used for per-spec templates and ECO base
+// states alike: the first request for a key builds the value while
 // every concurrent request for the same key waits on the entry's ready
 // channel, so an expensive build happens exactly once per key no matter how
 // many identical requests arrive together. Failed builds, panicked ones
@@ -58,11 +58,4 @@ func (c *cache[V]) get(key string, build func() (V, error)) (v V, hit bool, err 
 	}()
 	e.v, e.err = build()
 	return e.v, false, e.err
-}
-
-// Len reports the number of cached values (testing hook).
-func (c *cache[V]) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
 }

@@ -22,8 +22,8 @@ const maxECODeltas = 64
 const maxDeltaIndex = 1 << 31
 
 // ECORequest is the wire format of one incremental re-optimization job: a
-// circuit spec identifying the base placement (built once per spec and
-// cached, exactly like job templates) plus the delta batch to absorb.
+// circuit spec identifying the base placement (built once per spec, rings
+// and iterations, and cached) plus the delta batch to absorb.
 type ECORequest struct {
 	Circuit CircuitSpec `json:"circuit"`
 	Rings   int         `json:"rings,omitempty"` // default 16
@@ -120,9 +120,9 @@ type ECOResponse struct {
 
 // applyECO is /v1/eco's own step: pick up (or build) the shared base ECO
 // state for the request's rings and iterations, absorb the delta batch on
-// the worker's own fork of it, answer, and revert. The base flow runs on
-// the spec's template like a job, from the spec's published stage-1
-// placement when it has one (see flow). Its state is built once per key by
+// the worker's own fork of it, answer, and revert. The base flow runs like
+// a job, from the spec's published stage-1 placement when it has one (see
+// flow). Its state is built once per key by
 // core.NewECOState, so it holds the placed circuit, the result's schedule
 // and assignment (whose candidate matrix the base run solved over), and
 // the base circuit's STA and signal-wirelength caches. A worker forks it
@@ -131,20 +131,17 @@ type ECOResponse struct {
 // the base and re-solves just the tapping rows, re-propagates just the
 // timing sources and re-measures just the nets its edit touches.
 func (s *Server) applyECO(req *ECORequest, cfg core.Config, forks map[string]*eco.State) (*answer, error) {
-	tmpl, _, err := s.template(req.Circuit)
-	if err != nil {
-		return nil, err
-	}
+	tmpl, _ := s.template(req.Circuit)
 	key := fmt.Sprintf("%s-r%d-i%d", req.Circuit.key(), cfg.NumRings, cfg.MaxIters)
 	base, hit, err := s.ecoBases.get(key, func() (*eco.State, error) {
-		// Like template builds, the base run carries no deadline and no
-		// registry — it is a shared cost no single request should account
-		// for or be able to truncate for everyone else.
+		// The base run carries no deadline and no registry — it is a
+		// shared cost no single request should account for or be able
+		// to truncate for everyone else.
 		c, err := netlist.Generate(req.Circuit.genSpec("eco"))
 		if err != nil {
 			return nil, err
 		}
-		baseCfg := core.Config{NumRings: cfg.NumRings, MaxIters: cfg.MaxIters, Parallelism: cfg.Parallelism, System: tmpl.sys}
+		baseCfg := core.Config{NumRings: cfg.NumRings, MaxIters: cfg.MaxIters, Parallelism: cfg.Parallelism}
 		res, _, err := s.flow(tmpl, c, baseCfg)
 		if err != nil {
 			return nil, err
@@ -166,7 +163,7 @@ func (s *Server) applyECO(req *ECORequest, cfg core.Config, forks map[string]*ec
 	st := forks[key]
 	if st == nil {
 		// The fork outlives the request, so it reports to no registry.
-		if st, err = base.Fork(base.Circuit.Clone(), nil); err != nil {
+		if st, err = base.Fork(); err != nil {
 			return nil, &statusError{http.StatusInternalServerError, fmt.Errorf("seeding ECO state: %w", err)}
 		}
 		forks[key] = st

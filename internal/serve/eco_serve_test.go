@@ -113,8 +113,8 @@ func TestECOWarmBaseHit(t *testing.T) {
 	if h := s.stats.ecoBaseHits.Load(); h != 1 {
 		t.Errorf("ecoBaseHits = %d, want 1", h)
 	}
-	if s.ecoBases.Len() != 1 {
-		t.Errorf("base cache len %d, want 1", s.ecoBases.Len())
+	if n := cacheLen(&s.ecoBases); n != 1 {
+		t.Errorf("base cache len %d, want 1", n)
 	}
 }
 
@@ -205,8 +205,7 @@ func TestECOCleanAnswerPastDeadline(t *testing.T) {
 }
 
 // TestTemplateSharedAcrossEndpoints: a job and an ECO request on one spec
-// build the spec's placement template once — the ECO request and its base
-// flow fork the system the job built, and the base flow starts from the
+// share the spec's template — the ECO request's base flow starts from the
 // stage-1 placement the job published — and each answer equals the one a
 // fresh server gives that request alone.
 func TestTemplateSharedAcrossEndpoints(t *testing.T) {

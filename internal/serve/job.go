@@ -158,8 +158,8 @@ func (r *JobRequest) params(defDeadline time.Duration) params {
 	return newParams(r.Rings, r.Iters, r.DeadlineMS, r.Strict, r.Telemetry, defDeadline)
 }
 
-// key identifies the spec's circuit, and so the placement template every
-// request with this spec shares: the system depends on the spec alone.
+// key identifies the spec's circuit, and so the template every request with
+// this spec shares: its stage-1 placement depends on the spec alone.
 func (c CircuitSpec) key() string {
 	return fmt.Sprintf("c%d-f%d-s%d", c.Cells, c.FlipFlops, c.Seed)
 }
@@ -204,17 +204,14 @@ type JobResponse struct {
 	Trace    string          `json:"trace,omitempty"`
 }
 
-// placeJob is /v1/jobs' own step: generate the circuit and run the flow on
-// the spec's template, from its published stage-1 placement when it has one.
+// placeJob is /v1/jobs' own step: generate the circuit and run the flow,
+// from the spec's published stage-1 placement when it has one.
 func (s *Server) placeJob(req *JobRequest, cfg core.Config) (*answer, error) {
 	c, err := netlist.Generate(req.Circuit.genSpec("job"))
 	if err != nil {
 		return nil, &statusError{http.StatusBadRequest, fmt.Errorf("generating circuit: %w", err)}
 	}
-	tmpl, hit, err := s.template(req.Circuit)
-	if err != nil {
-		return nil, err
-	}
+	tmpl, hit := s.template(req.Circuit)
 	if req.Assigner == "ilp" {
 		cfg.Assigner = core.ILP
 	}

@@ -15,17 +15,18 @@
 //     200), not an error — the caller gets the best placement the budget
 //     bought.
 //   - Isolation: each job gets its own obs.Registry (no cross-job counter
-//     talk), its own forked placer.System (an ECO request edits and reverts
-//     its worker's fork), and a panic guard that converts a crashing job
-//     into a 500 response without taking the daemon down.
+//     talk), its own circuit with the placer.System built from it (an ECO
+//     request edits and reverts its worker's own fork of the base), and a
+//     panic guard that converts a crashing job into a 500 response without
+//     taking the daemon down.
 //   - Amortization: what the netlist alone decides is computed once per
 //     circuit spec and shared by every request with that spec, on either
-//     endpoint. The quadratic placement system's CSR connectivity is built
-//     behind a singleflight guard (see cache.go) and forked per job.
-//     The stage-1 placement is published by the first request whose
-//     stage 1 ran clean, and later requests start from it instead of
+//     endpoint. The stage-1 placement is published by the first request
+//     whose stage 1 ran clean, and later requests start from it instead of
 //     placing again (see Server.flow); until then each request runs its
-//     own stage 1 under its own deadline. ECO bases are forked per worker.
+//     own stage 1 under its own deadline. ECO bases are built once per key
+//     behind a singleflight guard (see cache.go) and forked once per
+//     worker.
 //
 // The server is an http.Handler; cmd/rotaryd wires it to a listener and the
 // process lifecycle (SIGTERM -> Drain -> exit 0).
@@ -49,7 +50,6 @@ import (
 	"rotaryclk/internal/geom"
 	"rotaryclk/internal/netlist"
 	"rotaryclk/internal/obs"
-	"rotaryclk/internal/placer"
 	"rotaryclk/internal/stop"
 )
 
@@ -396,54 +396,38 @@ func (s *Server) execute(j *job, forks map[string]*eco.State) {
 	j.lat.observe(elapsed)
 }
 
-// template is one circuit spec's shared state: the placement system every
-// request on the spec forks, and the spec's stage-1 placement once a
-// request has published one (see flow). A published slice is never
-// written.
+// template is one circuit spec's shared state: the spec's stage-1
+// placement once a request has published one (see flow). A published
+// slice is never written.
 type template struct {
-	sys    *placer.System
 	placed atomic.Pointer[[]geom.Point]
 }
 
-// template returns the spec's shared template, building its system on first
-// use, and counts the build or hit. The system is built over a
-// template-owned circuit that requests fork and never solve on; its registry
-// is nil on purpose — builds are a shared cost no single request should
-// account for.
-func (s *Server) template(spec CircuitSpec) (*template, bool, error) {
-	tmpl, hit, err := s.templates.get(spec.key(), func() (*template, error) {
-		tc, err := netlist.Generate(spec.genSpec("template"))
-		if err != nil {
-			return nil, err
-		}
-		sys, err := placer.NewSystem(tc, nil)
-		if err != nil {
-			return nil, err
-		}
-		return &template{sys: sys}, nil
+// template returns the spec's shared template, making an empty one on
+// first use, and counts the first use or hit.
+func (s *Server) template(spec CircuitSpec) (*template, bool) {
+	// The build cannot fail, so get's error is always nil.
+	tmpl, hit, _ := s.templates.get(spec.key(), func() (*template, error) {
+		return new(template), nil
 	})
-	if err != nil {
-		return nil, false, &statusError{http.StatusInternalServerError, fmt.Errorf("building placement template: %w", err)}
-	}
 	if hit {
 		s.stats.add(&s.stats.templateHits, 1)
 	} else {
 		s.stats.add(&s.stats.templateBuilds, 1)
 	}
-	return tmpl, hit, nil
+	return tmpl, hit
 }
 
-// flow runs core.Run on c, a circuit freshly generated from t's spec, over
-// t's system. Stage 1 depends on the netlist alone, so once a request has
-// published the spec's stage-1 placement the run starts from it with
-// SkipInitialPlace and still gives a from-scratch run's answer; hit reports
-// that it did. Otherwise stage 1 runs here, inside this request and under
-// its deadline — no request ever waits on another's stage 1 — and the run
-// publishes the clean placement it leaves (Result.Placed). The first
-// publisher wins; every candidate carries the same bits, since results do
-// not depend on Parallelism.
+// flow runs core.Run on c, a circuit freshly generated from t's spec; the
+// run builds c's own placement system. Stage 1 depends on the netlist
+// alone, so once a request has published the spec's stage-1 placement the
+// run starts from it with SkipInitialPlace and still gives a from-scratch
+// run's answer; hit reports that it did. Otherwise stage 1 runs here,
+// inside this request and under its deadline — no request ever waits on
+// another's stage 1 — and the run publishes the clean placement it leaves
+// (Result.Placed). The first publisher wins; every candidate carries the
+// same bits, since results do not depend on Parallelism.
 func (s *Server) flow(t *template, c *netlist.Circuit, cfg core.Config) (res *core.Result, hit bool, err error) {
-	cfg.System = t.sys
 	if p := t.placed.Load(); p != nil {
 		if err := c.SetPositions(*p); err != nil {
 			return nil, false, &statusError{http.StatusInternalServerError, fmt.Errorf("seeding the published placement: %w", err)}

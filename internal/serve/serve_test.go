@@ -23,7 +23,7 @@ func testConfig() Config {
 	return Config{QueueDepth: 4, Workers: 1, Parallelism: 1}
 }
 
-// smallJob is a circuit spec small enough that template builds are instant.
+// smallJob is a circuit spec small enough that its jobs are instant.
 const smallJob = `{"circuit":{"cells":60,"flipflops":8,"seed":1}}`
 
 // post runs one request through the server synchronously.
@@ -58,6 +58,13 @@ func drainNow(t *testing.T, s *Server) {
 	if err := s.Drain(context.Background()); err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
+}
+
+// cacheLen reads the number of c's entries under its lock.
+func cacheLen[V any](c *cache[V]) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.m)
 }
 
 // TestGracefulDrain: Drain lets the in-flight job finish and answer its
@@ -442,8 +449,8 @@ func TestTemplateSingleflight(t *testing.T) {
 	if got := builds.load(); got != 1 {
 		t.Errorf("builder ran %d times, want 1", got)
 	}
-	if c.Len() != 1 {
-		t.Errorf("cache len %d, want 1", c.Len())
+	if n := cacheLen(&c); n != 1 {
+		t.Errorf("cache len %d, want 1", n)
 	}
 
 	if _, _, err := c.get("bad", func() (*int, error) {
@@ -451,8 +458,8 @@ func TestTemplateSingleflight(t *testing.T) {
 	}); err == nil {
 		t.Fatal("failed build reported no error")
 	}
-	if c.Len() != 1 {
-		t.Errorf("failed build not evicted: len %d", c.Len())
+	if n := cacheLen(&c); n != 1 {
+		t.Errorf("failed build not evicted: len %d", n)
 	}
 	if _, _, err := c.get("bad", func() (*int, error) {
 		return new(int), nil

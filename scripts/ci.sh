@@ -1,5 +1,14 @@
 #!/bin/sh
-# CI entry points for the repo, one subcommand per gate (usage below).
+# CI entry points for the repo, one subcommand per gate (usage below). This
+# header is the one description of every gate; the Makefile targets point
+# here.
+#
+# Every enumerated `go test -run` list in the serve, scaling, eco, place,
+# timing, skew and assign gates goes through gotest below, which first
+# checks that each alternative of the list (each name or prefix between
+# the top-level |s) matches a test, benchmark or fuzz target of its
+# package (`go test -list`). A list naming a deleted or renamed test then
+# fails its gate instead of running fewer tests in silence.
 #
 #   scripts/ci.sh test    go build + gofmt -l + go vet + go test over every
 #                         package (tier-1 gate)
@@ -8,11 +17,20 @@
 #                         suite circuits and flow arms)
 #   scripts/ci.sh fuzz    smoke-fuzz every Fuzz target (10s each) on top of
 #                         the checked-in corpora under testdata/fuzz/
-#   scripts/ci.sh serve   the stage-1 placement reuse tests and the ECO
-#                         fork-ownership tests (a panic after a committed
-#                         edit, 96 concurrent requests on four workers'
-#                         own forks, identical requests' counters) under
-#                         -race, then an end-to-end daemon smoke over both
+#   scripts/ci.sh serve   the stage-1 placement reuse tests under -race
+#                         (jobs and ECO base builds that start from a
+#                         spec's published placement answer exactly as
+#                         from scratch, unclean stage-1 runs publish
+#                         nothing, racing cold jobs publish once, racing
+#                         identical jobs on a warm spec report equal
+#                         counters, a job and an ECO request share one
+#                         spec's template) and the ECO fork-ownership
+#                         tests under -race (a panic after a committed
+#                         edit drops the worker's forks, 96 concurrent
+#                         requests on four workers' own forks answer as a
+#                         fresh server does, identical requests on a new
+#                         and a reverted fork report byte-equal counters),
+#                         then an end-to-end daemon smoke over both
 #                         endpoints: rotaryd under rotaryload (concurrent
 #                         /v1/jobs requests twice over the same specs, the
 #                         second pass on published stage-1 placements, and
@@ -25,11 +43,17 @@
 #                         failing with minimized repros under
 #                         testdata/repros/ on any violation (default 25
 #                         seeds; SEEDS=200 is the acceptance depth)
-#   scripts/ci.sh scaling race-enabled 50k-cell sweep size (an audited
+#   scripts/ci.sh scaling the small sweep-size and degraded-run-refusal
+#                         unit tests, the work gate (the sweep's spec at
+#                         8k and 32k cells, -j 1: placer.cg.iters,
+#                         placer.detailed.tried and skew.edge_visits per
+#                         cell, assign.tap.queries and mcmf.settled per
+#                         flip-flop, each at 32k within the factor of its
+#                         8k value that TestWorkScaling states), then the
+#                         race-enabled 50k-cell sweep size (an audited
 #                         core.Run at Parallelism 1 and GOMAXPROCS, final
 #                         quality bit-equal) under a wall-clock budget
-#                         (SCALING_TIMEOUT, default 10m), plus the small
-#                         sweep-size and degraded-run-refusal unit tests;
+#                         (SCALING_TIMEOUT, default 10m);
 #                         `make scaling` (cmd/rotaryscale) is the one
 #                         writer of BENCH_scaling.json rows
 #   scripts/ci.sh eco     ECO gate: the CG kernel's stagnation test, the
@@ -48,7 +72,8 @@
 #                         Apply's measured nets, net edit, rollback,
 #                         degraded, scratch and forked states; every
 #                         total bit-equal to SignalWL), the state-fork
-#                         test (two concurrent forks of one base state
+#                         test (two concurrent forks of one base state,
+#                         each over its own circuit clone and system,
 #                         leave the base's positions, pins and caches
 #                         alone and match fresh states) and the revert
 #                         tests (200 random batches on one long-lived
@@ -177,6 +202,62 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# listed PKG PATTERN fails unless each alternative of PATTERN's top-level
+# alternation matches a name `go test -list` reports for PKG. A leading ^,
+# a trailing $ and one pair of enclosing parentheses apply to every
+# alternative; ^$ (run no tests) lists nothing and passes.
+listed() {
+    names="$(go test -list . "$1")"
+    printf '%s\n' "$2" | awk '
+        function encloses(r,    i, c, d) {
+            d = 0
+            for (i = 1; i <= length(r); i++) {
+                c = substr(r, i, 1)
+                if (c == "(") d++
+                else if (c == ")" && --d == 0 && i < length(r)) return 0
+            }
+            return 1
+        }
+        {
+            r = $0
+            if (r == "^$") exit
+            pre = ""; suf = ""
+            if (substr(r, 1, 1) == "^") { pre = "^"; r = substr(r, 2) }
+            if (substr(r, length(r)) == "$") { suf = "$"; r = substr(r, 1, length(r) - 1) }
+            if (substr(r, 1, 1) == "(" && substr(r, length(r)) == ")" && encloses(r)) r = substr(r, 2, length(r) - 2)
+            d = 0; from = 1
+            for (i = 1; i <= length(r); i++) {
+                c = substr(r, i, 1)
+                if (c == "(") d++
+                else if (c == ")") d--
+                else if (c == "|" && d == 0) { print pre "(" substr(r, from, i - from) ")" suf; from = i + 1 }
+            }
+            print pre "(" substr(r, from) ")" suf
+        }' | while IFS= read -r alt; do
+        if ! printf '%s\n' "$names" | grep -Eq "$alt"; then
+            echo "ci.sh: -run '$2' in $1: $alt matches no test" >&2
+            exit 1
+        fi
+    done
+}
+
+# gotest ARGS... runs go test ARGS after listed checks the -run pattern in
+# ARGS against the ./-prefixed package in ARGS.
+gotest() {
+    pkg="" pattern="" prev=""
+    for a in "$@"; do
+        case "$a" in ./*) pkg="$a" ;; esac
+        if [ "$prev" = "-run" ]; then
+            pattern="$a"
+        fi
+        prev="$a"
+    done
+    if [ -n "$pkg" ] && [ -n "$pattern" ]; then
+        listed "$pkg" "$pattern"
+    fi
+    go test "$@"
+}
+
 cmd="${1:-test}"
 
 case "$cmd" in
@@ -203,24 +284,8 @@ fuzz)
     go test ./internal/serve/ -fuzz '^FuzzParseECORequest$' -fuzztime "$fuzztime"
     ;;
 serve)
-    # The stage-1 placement reuse tests under -race: jobs and ECO base
-    # builds that start from a spec's published placement answer exactly
-    # as from scratch, unclean stage-1 runs publish nothing, racing cold
-    # jobs publish once, and racing identical jobs on a warm spec report
-    # equal counters.
-    go test -race ./internal/serve/ -run '^(TestPlacementReuse|TestPlacementNotPublishedFromUncleanStage1|TestPlacementConcurrentPublish|TestConcurrentDeterminism|TestTemplateSharedAcrossEndpoints)$' -count=1
-    # The ECO fork-ownership tests under -race: a panic after a committed
-    # edit drops the worker's forks, concurrent requests on four workers'
-    # own forks answer as a fresh server does, and identical requests on a
-    # new and a reverted fork report byte-equal counters.
-    go test -race ./internal/serve/ -run '^(TestFailureIsolation|TestECOConcurrentSharedBase|TestECOWarmBaseHit)$' -count=1
-    # End-to-end daemon smoke: build rotaryd + rotaryload, drive a small
-    # concurrent load through each endpoint of the one request path —
-    # placement jobs twice over the same specs (the second pass starts
-    # each from its spec's published stage-1 placement), then ECO edits
-    # against a warm base (zero failures tolerated) — prove a
-    # deadline-bound big job degrades instead of stalling, then SIGTERM
-    # mid-life and require a clean drain (exit 0).
+    gotest -race ./internal/serve/ -run '^(TestPlacementReuse|TestPlacementNotPublishedFromUncleanStage1|TestPlacementConcurrentPublish|TestConcurrentDeterminism|TestTemplateSharedAcrossEndpoints)$' -count=1
+    gotest -race ./internal/serve/ -run '^(TestFailureIsolation|TestECOConcurrentSharedBase|TestECOWarmBaseHit)$' -count=1
     bin="$(mktemp -d)"
     trap 'rm -rf "$bin"' EXIT
     go build -o "$bin/rotaryd" ./cmd/rotaryd
@@ -254,53 +319,56 @@ oracle)
     ;;
 scaling)
     timeout="${SCALING_TIMEOUT:-10m}"
-    go test ./internal/bench/ -run '^(TestScalingPoint|TestScalingRefusesDegradedRun)$' -count=1
-    ROTARY_SCALING_SMOKE=1 go test -race -timeout "$timeout" \
+    gotest ./internal/bench/ -run '^(TestScalingPoint|TestScalingRefusesDegradedRun|TestWorkScaling)$' -count=1
+    export ROTARY_SCALING_SMOKE=1
+    gotest -race -timeout "$timeout" \
         -run '^TestScaling50k$' -count=1 -v ./internal/bench/
     ;;
 eco)
     timeout="${ECO_TIMEOUT:-15m}"
-    go test ./internal/placer/ -run '^(TestCGKernelReportsStagnation|TestSolveDirtyMatchesReference|TestSolveDirtyCGCancel)$' -count=1 -v
-    go test ./internal/timing/ -run '^TestSTAUpdate' -count=1 -v
-    go test ./internal/eco/ -run '^(TestApplyDegradedOnDirtyCGCancel|TestApplySTACache|TestApplySignalWLCache|TestStateFork|TestSignalWLUpdate|TestRandomDeltas.*|TestCombReaches)$' -count=1 -v
-    go test -race ./internal/eco/ -run '^(TestStateFork|TestRevertRestoresBase|TestRevertStalePanics)$' -count=3 -v
-    go test ./internal/oracle/ -run '^(TestFaultSTAScopeDetected|TestFaultECOSignalWLDetected|TestCampaignClean)$' -count=1 -v
-    go test -race ./internal/serve/ -run '^TestECOConcurrentSharedBase$' -count=1
-    go test ./internal/core/ -run '^(TestApplyECOAllocBudget|TestOwnedForkRequestAllocBudget)$' -count=1 -v
-    go test -run '^$' -bench 'BenchmarkApplyECO/3k' -benchtime 1x -benchmem ./internal/core/
-    go test ./internal/bench/ -run '^TestECOBenchPoint$' -count=1
-    ROTARY_ECO_SMOKE=1 go test -timeout "$timeout" \
+    gotest ./internal/placer/ -run '^(TestCGKernelReportsStagnation|TestSolveDirtyMatchesReference|TestSolveDirtyCGCancel)$' -count=1 -v
+    gotest ./internal/timing/ -run '^TestSTAUpdate' -count=1 -v
+    gotest ./internal/eco/ -run '^(TestApplyDegradedOnDirtyCGCancel|TestApplySTACache|TestApplySignalWLCache|TestStateFork|TestSignalWLUpdate|TestRandomDeltas.*|TestCombReaches)$' -count=1 -v
+    gotest -race ./internal/eco/ -run '^(TestStateFork|TestRevertRestoresBase|TestRevertStalePanics)$' -count=3 -v
+    gotest ./internal/oracle/ -run '^(TestFaultSTAScopeDetected|TestFaultECOSignalWLDetected|TestCampaignClean)$' -count=1 -v
+    gotest -race ./internal/serve/ -run '^TestECOConcurrentSharedBase$' -count=1
+    gotest ./internal/core/ -run '^(TestApplyECOAllocBudget|TestOwnedForkRequestAllocBudget)$' -count=1 -v
+    gotest -run '^$' -bench 'BenchmarkApplyECO/3k' -benchtime 1x -benchmem ./internal/core/
+    gotest ./internal/bench/ -run '^TestECOBenchPoint$' -count=1
+    export ROTARY_ECO_SMOKE=1
+    gotest -timeout "$timeout" \
         -run '^TestECOSmoke20k$' -count=1 -v ./internal/bench/
     ;;
 place)
     timeout="${PLACE_TIMEOUT:-120s}"
-    go test -race ./internal/placer/ -run '^(TestDetailed|Test(Global|Incremental)DeterministicAcrossWorkerCounts$|TestCGMatchesReference$|TestCGCancel|TestEqualizeMatchesReference$)' -count=1
-    go test ./internal/placer/ -run '^(TestMultilevel|TestVCycle|TestCoarsen|TestProjectOverlays|TestInterpolate|TestMaxOverlapMatchesReference$)' -count=1
-    go test ./internal/oracle/ -run '^TestFaultMLCorruptDetected$' -count=1
-    go test -run '^$' -bench '^BenchmarkDetailed$' -benchtime 1x ./internal/placer/
-    go test -run '^$' -bench '^(BenchmarkCGSolve|BenchmarkGlobalPlace)$' -benchtime 1x -benchmem ./internal/placer/
-    ROTARY_PLACE_SMOKE=1 go test -timeout "$timeout" \
+    gotest -race ./internal/placer/ -run '^(TestDetailed|Test(Global|Incremental)DeterministicAcrossWorkerCounts$|TestCGMatchesReference$|TestCGCancel|TestEqualizeMatchesReference$)' -count=1
+    gotest ./internal/placer/ -run '^(TestMultilevel|TestVCycle|TestCoarsen|TestProjectOverlays|TestInterpolate|TestMaxOverlapMatchesReference$)' -count=1
+    gotest ./internal/oracle/ -run '^TestFaultMLCorruptDetected$' -count=1
+    gotest -run '^$' -bench '^BenchmarkDetailed$' -benchtime 1x ./internal/placer/
+    gotest -run '^$' -bench '^(BenchmarkCGSolve|BenchmarkGlobalPlace)$' -benchtime 1x -benchmem ./internal/placer/
+    export ROTARY_PLACE_SMOKE=1
+    gotest -timeout "$timeout" \
         -run '^TestPlaceSmoke50k$' -count=1 -v ./internal/core/
     ;;
 timing)
-    go test ./internal/timing/ -run '^(TestAnalyzeMatchesReference|TestExtractCriticalMatchesReference|TestSTAUpdate.*)$' -count=1 -v
-    go test ./internal/core/ -run '^(TestTiming|TestWorstSlack)' -count=1
-    go test ./internal/placer/ -run '^TestNetWeight' -count=1
-    go test ./internal/oracle/ -run '^TestFaultReweightDetected$' -count=1
-    go test -timeout 20m ./internal/exp/ -run '^(TestTimingSmoke|TestVarPairsSurfacesAnalysisError)$' -count=1 -v
+    gotest ./internal/timing/ -run '^(TestAnalyzeMatchesReference|TestExtractCriticalMatchesReference|TestSTAUpdate.*)$' -count=1 -v
+    gotest ./internal/core/ -run '^(TestTiming|TestWorstSlack)' -count=1
+    gotest ./internal/placer/ -run '^TestNetWeight' -count=1
+    gotest ./internal/oracle/ -run '^TestFaultReweightDetected$' -count=1
+    gotest -timeout 20m ./internal/exp/ -run '^(TestTimingSmoke|TestVarPairsSurfacesAnalysisError)$' -count=1 -v
     ;;
 skew)
-    go test ./internal/skew/ -run '^(TestRelax|TestMinDelta|TestWarmStart|TestMaxSlack|TestWeightedSumMatchesResidualDistances$)' -count=1 -v
-    go test ./internal/oracle/ -run '^(TestMinCycleMean|TestMaxSlackMatchesKarp|TestFaultSkewDetected$|TestFaultSkewMinDeltaDetected$)' -count=1
-    go test ./internal/exp -run '^TestGolden' -count=1
+    gotest ./internal/skew/ -run '^(TestRelax|TestMinDelta|TestWarmStart|TestMaxSlack|TestWeightedSumMatchesResidualDistances$)' -count=1 -v
+    gotest ./internal/oracle/ -run '^(TestMinCycleMean|TestMaxSlackMatchesKarp|TestFaultSkewDetected$|TestFaultSkewMinDeltaDetected$)' -count=1
+    gotest ./internal/exp -run '^TestGolden' -count=1
     ;;
 assign)
-    go test ./internal/assign/ -run '^(TestMinCostMatchesReference|TestPreloadDualFeasible|TestPatch|TestMinCostRowReuseBitEquality|TestMinMaxCapRowReuseBitEquality|TestAssignDeterministicAcrossWorkerCounts)' -count=1 -v
-    go test ./internal/mcmf/ -run '^(TestMinCostFlowMatchesReference|TestMinCostFlowMatchesReferenceUntied|TestSearchStopsAtSink|TestHeapMatchesContainerHeap|TestAugmentingPathsAllocateNothing|TestMinCostFlowFromSeedPotentials|TestMinCostFlowRejectsNegativeCost|TestNegativeCostFlowViaBellmanFord|TestNegativeCycleIsError|TestPushMovesCapacity|TestPushMisusePanics|TestResidualArcs)$' -count=1 -v
-    go test ./internal/oracle/ -run '^(TestFaultMcmfDetected|TestFaultECODetected)$' -count=1
-    go test ./internal/lp/ -run '^(TestAssignLP|TestQuickLP)' -count=1
-    go test ./internal/oracle/ -run '^(TestCheckAssignLPClean|TestFaultLPDetected)$' -count=1
-    go test ./internal/exp -run '^TestGolden' -count=1
+    gotest ./internal/assign/ -run '^(TestMinCostMatchesReference|TestPreloadDualFeasible|TestPatch|TestMinCostRowReuseBitEquality|TestMinMaxCapRowReuseBitEquality|TestAssignDeterministicAcrossWorkerCounts)' -count=1 -v
+    gotest ./internal/mcmf/ -run '^(TestMinCostFlowMatchesReference|TestMinCostFlowMatchesReferenceUntied|TestSearchStopsAtSink|TestHeapMatchesContainerHeap|TestAugmentingPathsAllocateNothing|TestMinCostFlowFromSeedPotentials|TestMinCostFlowRejectsNegativeCost|TestNegativeCostFlowViaBellmanFord|TestNegativeCycleIsError|TestPushMovesCapacity|TestPushMisusePanics|TestResidualArcs)$' -count=1 -v
+    gotest ./internal/oracle/ -run '^(TestFaultMcmfDetected|TestFaultECODetected)$' -count=1
+    gotest ./internal/lp/ -run '^(TestAssignLP|TestQuickLP)' -count=1
+    gotest ./internal/oracle/ -run '^(TestCheckAssignLPClean|TestFaultLPDetected)$' -count=1
+    gotest ./internal/exp -run '^TestGolden' -count=1
     ;;
 benchmark)
     out="$(pwd)/.bench_build"
