@@ -84,6 +84,13 @@ type Problem struct {
 	// never stops. A fired token aborts the solve with an error wrapping the
 	// stop sentinel (no partial Assignment is returned).
 	Stop *stop.Token
+	// Prev is the assignment this solve replaces (nil: none). A cold
+	// solve, any assigner but PatchMinCost, takes over each flip-flop's
+	// candidate row from it where every input of the row is bit-equal, and
+	// the ring list the row was solved over where the position, pin and K
+	// are (DESIGN.md section 30.2). The solve stays cold, so the answer is
+	// the one a solve without Prev gives, bit for bit.
+	Prev *Assignment
 }
 
 // Assignment is the result of any of the assigners.
@@ -104,12 +111,13 @@ type Assignment struct {
 // matrix is the candidate matrix of one solve together with every input its
 // rows depend on. A row is a pure function of the ring array, the
 // flip-flop's position and target, its pinned ring, and the normalized K,
-// TapFallback, so PatchMinCost reuses a previous assignment's
-// row wherever those inputs are bit-equal. A flow solve also leaves its
-// ring prices, the start of the next patch over the same array (DESIGN.md
-// section 23). A matrix is never written after the solve that built it, so
-// concurrent patches may share one, and a patch's matrix shares every row
-// it reused.
+// TapFallback, so a later solve reuses a previous assignment's row wherever
+// those inputs are bit-equal (reusable); the ring list a row was solved
+// over depends on them all but the target and TapFallback. A flow solve
+// also leaves its ring prices, the start of the next patch over the same
+// array (DESIGN.md section 23). A matrix is never written after the solve
+// that built it, so concurrent patches may share one, and a patch's matrix
+// shares every row it reused.
 type matrix struct {
 	array    *rotary.Array
 	k        int
@@ -117,6 +125,7 @@ type matrix struct {
 	ffs      []FF  // per flip-flop: cell, position, target
 	pin      []int // Problem.Pin as solved (nil: nothing pinned)
 	rows     [][]candidate
+	near     [][]int   // per flip-flop: the rings its row was solved over, nearest first
 	price    []float64 // per ring: the flow solve's final price (nil: not a flow solve)
 }
 
@@ -187,10 +196,11 @@ type candidate struct {
 // telemetry point for the four-case distribution: the query set is a pure
 // function of the instance, so per-query counters stay deterministic.
 func (p *Problem) solveTap(ring int, pos geom.Point, target float64) (rotary.Tap, bool) {
-	tap, err := rotary.SolveTap(p.Array.Rings[ring], p.Array.Params, pos, target)
+	tap, segs, err := rotary.SolveTapCounted(p.Array.Rings[ring], p.Array.Params, pos, target)
 	ok := err == nil
 	if reg := p.Obs; reg != nil {
 		reg.Add("assign.tap.queries", 1)
+		reg.Add("rotary.tap.segments", int64(segs))
 		switch {
 		case !ok:
 			reg.Add("assign.tap.infeasible", 1)
@@ -208,25 +218,30 @@ func (p *Problem) solveTap(ring int, pos geom.Point, target float64) (rotary.Tap
 // candidates computes the pruned arc set: for each flip-flop, the K nearest
 // rings with their solved taps. Every flip-flop keeps at least one arc.
 // A non-nil reuse[i] is flip-flop i's row from an earlier solve of the same
-// inputs (see matrix); the new matrix shares it instead of solving it.
+// inputs (see matrix), and a non-nil near[i] its candidate ring list: the
+// new matrix takes them over instead of solving them. It returns the rows
+// and the candidate ring list of each.
 // Flip-flops are independent, so the matrix builds in parallel (each
 // worker writes only its own rows); the output is identical for every
 // worker count.
-func (p *Problem) candidates(reuse [][]candidate) ([][]candidate, error) {
+func (p *Problem) candidates(reuse [][]candidate, near [][]int, share bool) ([][]candidate, [][]int, error) {
 	if err := faultinject.Hook(faultinject.SiteAssignCandidates); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	out := make([][]candidate, len(p.FFs))
+	outNear := make([][]int, len(p.FFs))
 	errs := make([]error, len(p.FFs))
 	params := p.Array.Params
 	// A cold solve holds every candidate row in one arena at a fixed stride
 	// of K (normalize clamps K to the ring count), so the hot loop never
 	// grows a slice: each worker fills only its own K-capacity window and
-	// publishes a capacity-clipped prefix of it. A patch gives each row it
-	// solves an allocation of its own, so a chain of patches keeps alive
-	// only the rows still in use (DESIGN.md section 21.1).
+	// publishes a capacity-clipped prefix of it; a row it reuses is copied
+	// in, so no matrix keeps an earlier one's arena alive. A patch (share)
+	// shares every row it reuses and gives each row it solves an
+	// allocation of its own, so a chain of patches keeps alive only the
+	// rows still in use (DESIGN.md section 21.1).
 	var arena []candidate
-	if reuse == nil {
+	if !share || len(reuse) == 0 {
 		arena = make([]candidate, len(p.FFs)*p.K)
 	}
 	par.For(p.Parallelism, len(p.FFs), func(i int) {
@@ -235,14 +250,23 @@ func (p *Problem) candidates(reuse [][]candidate) ([][]candidate, error) {
 			return
 		}
 		if i < len(reuse) && reuse[i] != nil {
-			out[i] = reuse[i]
+			out[i], outNear[i] = reuse[i], near[i]
+			if arena != nil {
+				out[i] = slices.Clip(append(arena[i*p.K:i*p.K], reuse[i]...))
+			}
 			return
 		}
 		ff := p.FFs[i]
-		rings := p.Array.NearestRings(ff.Pos, p.K)
-		if pin := ringAt(p.Pin, i); pin >= 0 {
+		var rings []int
+		switch pin := ringAt(p.Pin, i); {
+		case i < len(near) && near[i] != nil:
+			rings = near[i]
+		case pin >= 0:
 			rings = []int{pin}
+		default:
+			rings = p.Array.NearestRings(ff.Pos, p.K)
 		}
+		outNear[i] = rings
 		var row []candidate
 		if arena != nil {
 			row = arena[i*p.K : i*p.K : (i+1)*p.K]
@@ -283,10 +307,21 @@ func (p *Problem) candidates(reuse [][]candidate) ([][]candidate, error) {
 	})
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	return out, nil
+	return out, outNear, nil
+}
+
+// coldCandidates is the candidate matrix of a cold solve: Problem.Prev's
+// rows and ring lists wherever their inputs are bit-equal
+// (assign.rows.reused counts the rows), the rest solved.
+func (p *Problem) coldCandidates() ([][]candidate, [][]int, error) {
+	var ws Workspace
+	if _, err := p.fromPrevious(p.Prev, &ws, "assign.rows.reused"); err != nil {
+		return nil, nil, err
+	}
+	return p.candidates(ws.reuse, ws.near, false)
 }
 
 // fallbackCandidate taps the nearest point of ring j with a direct stub; the
@@ -302,7 +337,7 @@ func (p *Problem) fallbackCandidate(j int, pos geom.Point) (candidate, bool) {
 // finish assembles an Assignment from per-FF choices and keeps the
 // candidate matrix they were chosen from, with the flow solve's ring prices
 // (nil for the other assigners).
-func (p *Problem) finish(cands [][]candidate, choice []candidate, price []float64) *Assignment {
+func (p *Problem) finish(cands [][]candidate, near [][]int, choice []candidate, price []float64) *Assignment {
 	a := &Assignment{
 		Ring:  make([]int, len(choice)),
 		Taps:  make([]rotary.Tap, len(choice)),
@@ -314,6 +349,7 @@ func (p *Problem) finish(cands [][]candidate, choice []candidate, price []float6
 			ffs:      append([]FF(nil), p.FFs...),
 			pin:      append([]int(nil), p.Pin...),
 			rows:     cands,
+			near:     near,
 			price:    price,
 		},
 	}
@@ -358,7 +394,7 @@ func MinCost(p *Problem) (*Assignment, error) {
 	if err := p.normalize(); err != nil {
 		return nil, err
 	}
-	cands, err := p.candidates(nil)
+	cands, near, err := p.coldCandidates()
 	if err != nil {
 		return nil, err
 	}
@@ -367,7 +403,7 @@ func MinCost(p *Problem) (*Assignment, error) {
 	if err != nil {
 		return nil, err
 	}
-	return p.finish(cands, choice, price), nil
+	return p.finish(cands, near, choice, price), nil
 }
 
 // network is the Fig. 4 flow network of one solveFlow call, with the arc
@@ -395,6 +431,7 @@ type Workspace struct {
 	net        network
 	byCell     map[int]int   // a previous flip-flop's index, by cell
 	reuse      [][]candidate // per flip-flop: its previous row, or nil
+	near       [][]int       // per flip-flop: its previous ring list, or nil
 	rings      []int         // per flip-flop: its previous ring, or -1
 	choice     []candidate
 	pr, pot    []float64
@@ -448,7 +485,7 @@ func (p *Problem) newNetwork(n *network, cands [][]candidate) {
 
 // solveFlow is the one Fig. 4 solver behind MinCost and PatchMinCost: it
 // builds the network over cands in ws (nil: a fresh one), preloads it
-// under the ring prices price and the previous rings prev (nil: none),
+// under the ring prices price and the previous rings prev (empty: none),
 // routes the remaining flip-flops along successive shortest paths, and
 // reads back each flip-flop's candidate into ws. It also returns the
 // prices p_j = max(0, pot[t] - pot[ring_j]) of its final potentials, the
@@ -501,7 +538,7 @@ const keepTol = 1e-9
 // prices p_j >= 0 (nil: all zero), every flip-flop, in index order, goes
 // on the candidate k that minimizes c_ij + p_j, the first such in its
 // cost-sorted row, while that ring has capacity left; a flip-flop with a
-// previous ring prev[i] >= 0 (nil: none) goes there instead when that ring
+// previous ring prev[i] >= 0 (empty: none) goes there instead when that ring
 // prices within keepTol of the minimum. A priced ring left with room loses
 // its price and the preload reruns, so at most rings+1 passes run;
 // assign.preload.repairs counts the prices dropped and assign.preload.kept
@@ -579,7 +616,7 @@ func (p *Problem) preloadPriced(ws *Workspace, price []float64, prev []int) []fl
 			kept++
 		}
 	}
-	if prev != nil {
+	if len(prev) > 0 {
 		p.Obs.Add("assign.preload.kept", int64(kept))
 	}
 	p.Obs.Add("assign.mincost.preloaded", int64(n.preloaded))
@@ -605,7 +642,7 @@ func MinMaxCap(p *Problem) (*Assignment, *Relax, error) {
 	if err := p.normalize(); err != nil {
 		return nil, nil, err
 	}
-	cands, err := p.candidates(nil)
+	cands, near, err := p.coldCandidates()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -620,7 +657,7 @@ func MinMaxCap(p *Problem) (*Assignment, *Relax, error) {
 		}
 		return nil, nil, fmt.Errorf("assign: LP relaxation %v", res.Status)
 	}
-	a := p.finish(cands, greedyRound(cands, res.X), nil)
+	a := p.finish(cands, near, greedyRound(cands, res.X), nil)
 	rel := &Relax{LPOpt: res.Z, Solution: a.MaxCap, LPIters: res.Pivots}
 	if rel.LPOpt > 0 {
 		rel.IG = rel.Solution / rel.LPOpt
@@ -714,7 +751,7 @@ func MinMaxCapILP(p *Problem, opts lp.ILPOptions) (*Assignment, lp.ILPSolution, 
 	if err := p.normalize(); err != nil {
 		return nil, lp.ILPSolution{}, err
 	}
-	cands, err := p.candidates(nil)
+	cands, near, err := p.coldCandidates()
 	if err != nil {
 		return nil, lp.ILPSolution{}, err
 	}
@@ -733,7 +770,7 @@ func MinMaxCapILP(p *Problem, opts lp.ILPOptions) (*Assignment, lp.ILPSolution, 
 		return nil, sol, nil
 	}
 	choice := greedyRound(cands, perFFValues(cands, vars, sol.X)) // integral X: picks the 1s
-	return p.finish(cands, choice, nil), sol, nil
+	return p.finish(cands, near, choice, nil), sol, nil
 }
 
 // NearestOnly is the naive baseline: every flip-flop taps its nearest ring,
@@ -742,7 +779,7 @@ func NearestOnly(p *Problem) (*Assignment, error) {
 	if err := p.normalize(); err != nil {
 		return nil, err
 	}
-	cands, err := p.candidates(nil)
+	cands, near, err := p.coldCandidates()
 	if err != nil {
 		return nil, err
 	}
@@ -756,7 +793,7 @@ func NearestOnly(p *Problem) (*Assignment, error) {
 		}
 		choice[i] = cs[best]
 	}
-	return p.finish(cands, choice, nil), nil
+	return p.finish(cands, near, choice, nil), nil
 }
 
 // FirstFitDecreasing is an alternative rounding-free heuristic for the
@@ -768,7 +805,7 @@ func FirstFitDecreasing(p *Problem) (*Assignment, error) {
 	if err := p.normalize(); err != nil {
 		return nil, err
 	}
-	cands, err := p.candidates(nil)
+	cands, near, err := p.coldCandidates()
 	if err != nil {
 		return nil, err
 	}
@@ -777,5 +814,5 @@ func FirstFitDecreasing(p *Problem) (*Assignment, error) {
 	for i, k := range first {
 		choice[i] = cands[i][k]
 	}
-	return p.finish(cands, choice, nil), nil
+	return p.finish(cands, near, choice, nil), nil
 }

@@ -127,7 +127,7 @@ func TestMinCostOptimalSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cands, err := p.candidates(nil)
+	cands, _, err := p.candidates(nil, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +338,7 @@ func TestMinMaxCapBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cands, err := p.candidates(nil)
+		cands, _, err := p.candidates(nil, nil, false)
 		if err != nil {
 			t.Fatal(err)
 		}

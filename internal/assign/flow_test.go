@@ -58,7 +58,7 @@ func referenceMinCost(p *Problem, cands [][]candidate) (*Assignment, error) {
 			return nil, fmt.Errorf("assign: internal: flip-flop %d carries no flow", i)
 		}
 	}
-	return p.finish(cands, choice, nil), nil
+	return p.finish(cands, nil, choice, nil), nil
 }
 
 // preparedCands normalizes p and builds its candidate matrix, the common
@@ -68,7 +68,7 @@ func preparedCands(t *testing.T, p *Problem) [][]candidate {
 	if err := p.normalize(); err != nil {
 		t.Fatal(err)
 	}
-	cands, err := p.candidates(nil)
+	cands, _, err := p.candidates(nil, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func solveBoth(t *testing.T, p *Problem, cands [][]candidate, reg *obs.Registry)
 	p.Obs = reg
 	choice, price, gotErr := p.solveFlow(nil, cands, nil, nil)
 	if gotErr == nil {
-		got = p.finish(cands, choice, price)
+		got = p.finish(cands, nil, choice, price)
 	}
 	return got, want, gotErr, wantErr
 }

@@ -100,14 +100,14 @@ func BenchmarkCandidates(b *testing.B) {
 			var reuse [][]candidate
 			if reused {
 				var err error
-				if reuse, err = p.candidates(nil); err != nil {
+				if reuse, _, err = p.candidates(nil, nil, false); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := p.candidates(reuse); err != nil {
+				if _, _, err := p.candidates(reuse, nil, true); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -45,11 +45,11 @@ func PatchMinCost(p *Problem, prev *Assignment, ws *Workspace) (*Assignment, err
 	if ws == nil {
 		ws = &Workspace{}
 	}
-	reuse, price, rings, err := p.fromPrevious(prev, ws)
+	price, err := p.fromPrevious(prev, ws, "assign.patch.reused")
 	if err != nil {
 		return nil, err
 	}
-	cands, err := p.candidates(reuse)
+	cands, near, err := p.candidates(ws.reuse, ws.near, true)
 	if err != nil {
 		return nil, err
 	}
@@ -64,61 +64,89 @@ func PatchMinCost(p *Problem, prev *Assignment, ws *Workspace) (*Assignment, err
 		for i, cs := range cands {
 			choice[i] = cs[len(cs)-1]
 		}
-		return p.finish(cands, choice, nil), nil
+		return p.finish(cands, near, choice, nil), nil
 	}
 
-	choice, final, err := p.solveFlow(ws, cands, price, rings)
+	choice, final, err := p.solveFlow(ws, cands, price, ws.rings)
 	if err != nil {
 		return nil, fmt.Errorf("assign: patch: %w", err)
 	}
-	return p.finish(cands, choice, final), nil
+	return p.finish(cands, near, choice, final), nil
 }
 
 // fromPrevious matches p's flip-flops to prev's by cell. When prev was
-// solved over p's ring array, it returns prev's ring prices (nil for an
-// assigner other than the flow) and, per flip-flop, prev's candidate row
-// and ring where every input of that row is unchanged (nil and -1: solve
-// it); otherwise none of them. The per-flip-flop lists are ws's storage.
-// The assign.patch.reused counter records how many rows were kept.
-func (p *Problem) fromPrevious(prev *Assignment, ws *Workspace) (reuse [][]candidate, price []float64, rings []int, err error) {
+// solved over p's ring array it returns prev's ring prices (nil for an
+// assigner other than the flow) and fills ws's per-flip-flop lists from
+// reusable: prev's candidate row and ring where every input of that row is
+// unchanged (else nil and -1), and its candidate ring list where the
+// position, pin and K are (else nil). Otherwise it leaves the lists empty.
+// counter records how many rows were kept.
+func (p *Problem) fromPrevious(prev *Assignment, ws *Workspace, counter string) (price []float64, err error) {
+	ws.reuse, ws.near, ws.rings = ws.reuse[:0], ws.near[:0], ws.rings[:0]
 	if prev == nil || prev.m == nil {
-		return nil, nil, nil, nil
+		return nil, nil
 	}
 	m := prev.m
 	if len(prev.Ring) != len(m.ffs) {
-		return nil, nil, nil, fmt.Errorf("assign: patch: %d previous rings for %d flip-flops", len(prev.Ring), len(m.ffs))
+		return nil, fmt.Errorf("assign: previous assignment has %d rings for %d flip-flops", len(prev.Ring), len(m.ffs))
 	}
 	if m.array != p.Array {
-		return nil, nil, nil, nil
+		return nil, nil
 	}
-	bits := math.Float64bits
 	kept := 0
-	if m.k == p.K && m.fallback == p.TapFallback {
-		if ws.byCell == nil {
-			ws.byCell = make(map[int]int, len(m.ffs))
-		}
-		byCell := ws.byCell
-		clear(byCell)
-		for j, ff := range m.ffs {
-			byCell[ff.Cell] = j
-		}
-		reuse, rings = resize(ws.reuse, len(p.FFs)), resize(ws.rings, len(p.FFs))
-		ws.reuse, ws.rings = reuse, rings
+	if m.k == p.K {
+		mapped := false
+		ws.reuse = resize(ws.reuse, len(p.FFs))
+		ws.near = resize(ws.near, len(p.FFs))
+		ws.rings = resize(ws.rings, len(p.FFs))
 		for i, ff := range p.FFs {
-			reuse[i], rings[i] = nil, -1
-			j, ok := byCell[ff.Cell]
+			ws.reuse[i], ws.near[i], ws.rings[i] = nil, nil, -1
+			// The flow keeps its flip-flops in one order, so the same
+			// index usually holds the same cell; the map is built only
+			// when it does not.
+			j, ok := i, i < len(m.ffs) && m.ffs[i].Cell == ff.Cell
 			if !ok {
-				continue
+				if !mapped {
+					if ws.byCell == nil {
+						ws.byCell = make(map[int]int, len(m.ffs))
+					}
+					clear(ws.byCell)
+					for j, ff := range m.ffs {
+						ws.byCell[ff.Cell] = j
+					}
+					mapped = true
+				}
+				if j, ok = ws.byCell[ff.Cell]; !ok {
+					continue
+				}
 			}
-			old := m.ffs[j]
-			if bits(ff.Pos.X) == bits(old.Pos.X) && bits(ff.Pos.Y) == bits(old.Pos.Y) &&
-				bits(ff.Target) == bits(old.Target) && ringAt(p.Pin, i) == ringAt(m.pin, j) {
-				reuse[i] = m.rows[j]
-				rings[i] = prev.Ring[j]
+			near, row := p.reusable(m, i, j)
+			if near && m.near != nil {
+				ws.near[i] = m.near[j]
+			}
+			if row {
+				ws.reuse[i] = m.rows[j]
+				ws.rings[i] = prev.Ring[j]
 				kept++
 			}
 		}
 	}
-	p.Obs.Add("assign.patch.reused", int64(kept))
-	return reuse, m.price, rings, nil
+	if m.fallback != p.TapFallback {
+		ws.rings = ws.rings[:0] // no row was kept, so no previous ring either
+	}
+	p.Obs.Add(counter, int64(kept))
+	return m.price, nil
+}
+
+// reusable is the one rule for what flip-flop i of p may take over from
+// flip-flop j of the previous matrix m, built over p's ring array at p's K:
+// its candidate ring list when the position and pin are bit-equal, and its
+// whole row when the target and TapFallback are too.
+func (p *Problem) reusable(m *matrix, i, j int) (near, row bool) {
+	bits := math.Float64bits
+	ff, old := p.FFs[i], m.ffs[j]
+	near = bits(ff.Pos.X) == bits(old.Pos.X) && bits(ff.Pos.Y) == bits(old.Pos.Y) &&
+		ringAt(p.Pin, i) == ringAt(m.pin, j)
+	row = near && bits(ff.Target) == bits(old.Target) && m.fallback == p.TapFallback
+	return near, row
 }

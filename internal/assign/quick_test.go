@@ -10,6 +10,8 @@ package assign
 import (
 	"errors"
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 
 	"rotaryclk/internal/faultinject"
@@ -186,6 +188,95 @@ func TestFallbackOnTotalSolverFailure(t *testing.T) {
 		}
 		if math.Abs(a.Taps[i].WireLen-dist) > 1e-9 {
 			t.Errorf("ff %d fallback stub %v != nearest distance %v", i, a.Taps[i].WireLen, dist)
+		}
+	}
+}
+
+// TestColdSolveWithPrevBitEquality: a cold MinCost or MinMaxCap given the
+// assignment it replaces (Problem.Prev) answers bit for bit as one given
+// none, matrix included, whatever changed: nothing, a moved, retargeted or
+// newly pinned flip-flop, the flip-flop order, TapFallback, or K, from a
+// default solve to the first ladder rung and back. It takes over exactly
+// the rows whose inputs are unchanged (assign.rows.reused), and the
+// nearest-ring list of a flip-flop that kept its position, pin and K.
+func TestColdSolveWithPrevBitEquality(t *testing.T) {
+	const n = 20
+	rung := Ladder(n, 9)[0]
+	solvers := []struct {
+		name  string
+		solve func(*Problem) (*Assignment, error)
+	}{
+		{"mincost", MinCost},
+		{"minmaxcap", func(p *Problem) (*Assignment, error) {
+			a, _, err := MinMaxCap(p)
+			return a, err
+		}},
+	}
+	for seed := int64(1); seed <= 6; seed++ {
+		base := testProblem(t, n, seed)
+		base.Parallelism = 1
+		prev, err := MinCost(base)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		atRung, err := MinCost(&Problem{Array: base.Array, FFs: append([]FF(nil), base.FFs...), K: rung.K, Capacity: rung.Capacity, Prev: prev})
+		if err != nil {
+			t.Fatalf("seed %d rung: %v", seed, err)
+		}
+		for _, tc := range []struct {
+			name       string
+			prev       *Assignment
+			edit       func(*Problem)
+			reused     int64
+			nearShared []int // flip-flops whose nearest-ring list is prev's
+		}{
+			{"unchanged", prev, func(*Problem) {}, n, []int{0, 7, 19}},
+			{"moved", prev, func(q *Problem) { q.FFs[3].Pos.X += 40 }, n - 1, []int{2, 4}},
+			{"retargeted", prev, func(q *Problem) { q.FFs[9].Target += 37 }, n - 1, []int{9}},
+			{"pinned", prev, func(q *Problem) {
+				q.Pin = make([]int, n)
+				for i := range q.Pin {
+					q.Pin[i] = -1
+				}
+				q.Pin[5] = (prev.Ring[5] + 1) % 9
+			}, n - 1, []int{4}},
+			{"reordered", prev, func(q *Problem) { slices.Reverse(q.FFs) }, n, []int{0, 19}},
+			{"fallback", prev, func(q *Problem) { q.TapFallback = true }, 0, []int{0, 19}},
+			{"to-rung", prev, func(q *Problem) { q.K, q.Capacity = rung.K, rung.Capacity }, 0, nil},
+			{"from-rung", atRung, func(*Problem) {}, 0, nil},
+			{"rung-to-rung", atRung, func(q *Problem) { q.K, q.Capacity = rung.K, rung.Capacity }, n, []int{0, 19}},
+		} {
+			for _, s := range solvers {
+				edited := func() *Problem {
+					q := sameArray(base)
+					tc.edit(q)
+					return q
+				}
+				cold, err := s.solve(edited())
+				if err != nil {
+					t.Fatalf("seed %d %s %s cold: %v", seed, tc.name, s.name, err)
+				}
+				reg := obs.NewRegistry()
+				q := edited()
+				q.Prev, q.Obs = tc.prev, reg
+				warm, err := s.solve(q)
+				if err != nil {
+					t.Fatalf("seed %d %s %s warm: %v", seed, tc.name, s.name, err)
+				}
+				assertBitEqual(t, cold, warm)
+				if !reflect.DeepEqual(exported(cold), exported(warm)) || !reflect.DeepEqual(cold.m.rows, warm.m.rows) || !reflect.DeepEqual(cold.m.near, warm.m.near) {
+					t.Fatalf("seed %d %s %s: the solve given Prev differs from the one without", seed, tc.name, s.name)
+				}
+				if got := reg.Snapshot().Counter("assign.rows.reused"); got != tc.reused {
+					t.Errorf("seed %d %s %s: reused %d rows, want %d", seed, tc.name, s.name, got, tc.reused)
+				}
+				for _, i := range tc.nearShared {
+					j := slices.IndexFunc(tc.prev.m.ffs, func(ff FF) bool { return ff.Cell == q.FFs[i].Cell })
+					if &warm.m.near[i][0] != &tc.prev.m.near[j][0] {
+						t.Errorf("seed %d %s %s: flip-flop %d solved its nearest rings again", seed, tc.name, s.name, i)
+					}
+				}
+			}
 		}
 	}
 }

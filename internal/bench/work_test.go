@@ -18,7 +18,8 @@ var workGrowth = []struct {
 }{
 	{"placer.cg.iters", "cells", 0.269, 1},
 	{"placer.detailed.tried", "cells", 0.585, 1},
-	{"assign.tap.queries", "ffs", 0.682, 1},
+	{"assign.tap.queries", "ffs", 0.818, 1},
+	{"rotary.tap.segments", "ffs", 0.838, 1},
 	{"skew.edge_visits", "cells", 0.509, 1},
 	// The augmenting search's settled nodes per flip-flop do grow with
 	// the design; this bound holds today's growth until that is fixed.

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"rotaryclk/internal/assign"
 	"rotaryclk/internal/geom"
@@ -605,18 +606,29 @@ func (f *flow) iterate(iter int) (converged bool, stage int, err error) {
 	sp4.End()
 	// Inner fixed point of stages 4 and 3: the schedule chases the nearest
 	// ring phases and the assignment chases the schedule; two rounds settle
-	// the pair for the current placement.
+	// the pair for the current placement. When round 1's schedule is
+	// bit-equal to round 0's, its stage 3 would solve round 0's instance
+	// again; if that solve recorded no event, its assignment is the answer
+	// and nothing is solved (DESIGN.md section 30.3).
+	var sched0 []float64
+	clean0 := false
 	for inner := 0; inner < 2; inner++ {
 		c4 := itSp.Child("stage4.skew", obs.I("round", inner))
 		if f.sched, mWork, err = f.costDrivenRecover(pairs, mWork, msSched, iter); err != nil {
 			return false, 4, fmt.Errorf("cost-driven skew: %w", err)
 		}
 		c4.End()
+		if clean0 && bitEqual(f.sched, sched0) {
+			reg.Add("core.stage3.fixedpoint", 1)
+			continue
+		}
+		events := len(res.Events)
 		c3 := itSp.Child("stage3.assign", obs.I("round", inner))
 		if f.asg, err = f.assignRecover(f.sched, iter); err != nil {
 			return false, 3, fmt.Errorf("assignment: %w", err)
 		}
 		c3.End()
+		sched0, clean0 = f.sched, len(res.Events) == events
 	}
 
 	// Stage 5: convergence on the overall cost, the paper's weighted sum of
@@ -644,6 +656,12 @@ func (f *flow) iterate(iter int) (converged bool, stage int, err error) {
 	sp5.End()
 	itSp.End()
 	return converged, 0, nil
+}
+
+// bitEqual reports whether two schedules hold the same float64s, bit for
+// bit.
+func bitEqual(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
 // tapWeight weighs tapping wirelength against signal wirelength in the
@@ -699,7 +717,8 @@ func seqPairs(c *netlist.Circuit, m timing.Model, ffIdx []int) ([]skew.SeqPair, 
 }
 
 // solveAssign builds and solves one stage-3 instance of the schedule at the
-// rung's relaxation knobs with the configured formulation.
+// rung's relaxation knobs with the configured formulation, taking over the
+// unchanged candidate rows of the assignment it replaces.
 func (f *flow) solveAssign(sched []float64, r assign.Relaxation) (*assign.Assignment, error) {
 	ffs := make([]assign.FF, len(f.res.FFCells))
 	for i, id := range f.res.FFCells {
@@ -714,6 +733,7 @@ func (f *flow) solveAssign(sched []float64, r assign.Relaxation) (*assign.Assign
 		TapFallback: r.Fallback,
 		Obs:         f.reg,
 		Stop:        f.cfg.Stop,
+		Prev:        f.asg,
 	}
 	if f.cfg.Assigner == ILP {
 		a, _, err := assign.MinMaxCap(p)

@@ -38,36 +38,69 @@ type Tap struct {
 //
 // Case 1 (target below the segment's reachable band) shifts the target by
 // whole periods; Cases 2-3 solve the two-parabola equation directly; Case 4
-// (target above the band) taps the segment end and snakes the stub.
+// (target above the band) taps the segment end and snakes the stub. Of
+// equally short stubs it returns the one on the lowest-indexed segment of
+// Ring.Segments.
 func SolveTap(r *Ring, params Params, ff geom.Point, tHat float64) (Tap, error) {
+	tap, _, err := SolveTapCounted(r, params, ff, tHat)
+	return tap, err
+}
+
+// SolveTapCounted is SolveTap that also reports how many of the ring's
+// eight segments it solved. A segment's stub can be no shorter than the
+// flip-flop's Manhattan distance to it, so the segments are visited in
+// order of that bound and the search stops at the first one whose bound
+// exceeds the shortest stub found (DESIGN.md section 30.1); the answer is
+// that of solving all eight.
+func SolveTapCounted(r *Ring, params Params, ff geom.Point, tHat float64) (Tap, int, error) {
 	if err := faultinject.Hook(faultinject.SiteRotarySolveTap); err != nil {
-		return Tap{}, err
+		return Tap{}, 0, err
 	}
 	if err := params.Validate(); err != nil {
-		return Tap{}, err
+		return Tap{}, 0, err
 	}
 	// Non-finite queries have no answer, and NaN in particular would defeat
 	// the period-shifting loop's termination test below; reject them here.
 	if math.IsNaN(ff.X+ff.Y+tHat) || math.IsInf(ff.X, 0) || math.IsInf(ff.Y, 0) || math.IsInf(tHat, 0) {
-		return Tap{}, fmt.Errorf("rotary: non-finite tapping query (ff %v, target %v)", ff, tHat)
+		return Tap{}, 0, fmt.Errorf("rotary: non-finite tapping query (ff %v, target %v)", ff, tHat)
 	}
 	if r.Side <= 0 || math.IsNaN(r.Side) || math.IsInf(r.Side, 0) {
-		return Tap{}, fmt.Errorf("rotary: ring %d has invalid side %v", r.ID, r.Side)
+		return Tap{}, 0, fmt.Errorf("rotary: ring %d has invalid side %v", r.ID, r.Side)
 	}
 	T := params.Period
 	rho := r.Rho(T)
-	best := Tap{WireLen: math.Inf(1)}
-	for _, seg := range r.Segments(T) {
-		tap, ok := solveSegment(seg, rho, params, ff, tHat)
-		if ok && tap.WireLen < best.WireLen {
-			tap.Ring = r.ID
-			best = tap
+	segs := r.Segments(T)
+	// Segments 2i and 2i+1 share side i, so they share its frame and bound;
+	// visiting the sides by (bound, i) visits the segments by (bound,
+	// index).
+	var fr [4]frame
+	var order [4]int
+	for i := range fr {
+		fr[i] = newFrame(segs[2*i].Seg, ff)
+		k := i
+		for ; k > 0 && fr[i].lo < fr[order[k-1]].lo; k-- {
+			order[k] = order[k-1]
+		}
+		order[k] = i
+	}
+	best, bestSeg, solved := Tap{WireLen: math.Inf(1)}, -1, 0
+	for _, side := range order {
+		if fr[side].lo-1e-9 > best.WireLen {
+			break
+		}
+		for seg := 2 * side; seg <= 2*side+1; seg++ {
+			solved++
+			tap, ok := solveSegment(segs[seg], fr[side], rho, params, tHat)
+			if ok && (tap.WireLen < best.WireLen || tap.WireLen == best.WireLen && seg < bestSeg) {
+				tap.Ring = r.ID
+				best, bestSeg = tap, seg
+			}
 		}
 	}
-	if math.IsInf(best.WireLen, 1) {
-		return Tap{}, fmt.Errorf("ring %d, target %v: %w", r.ID, tHat, ErrNoTap)
+	if bestSeg < 0 {
+		return Tap{}, solved, fmt.Errorf("ring %d, target %v: %w", r.ID, tHat, ErrNoTap)
 	}
-	return best, nil
+	return best, solved, nil
 }
 
 // NearestTap taps ring r at its point nearest ff with a direct stub, the
@@ -83,24 +116,39 @@ func NearestTap(r *Ring, params Params, ff geom.Point) (Tap, bool) {
 	return Tap{Ring: r.ID, Point: pt, WireLen: dist, Delay: d}, true
 }
 
-// solveSegment solves equation (1) on a single segment. The segment is
-// parameterized by distance s in [0, b] from Seg.A (the travel-direction
-// start), so the on-ring delay at s is seg.T0 + rho*s.
-func solveSegment(seg TapSegment, rho float64, params Params, ff geom.Point, tHat float64) (Tap, bool) {
-	b := seg.Seg.Length()
+// frame places a flip-flop against one side of a ring: the side's length
+// b, the flip-flop's coordinate sFF along the side from Seg.A (it may fall
+// outside [0, b]) and its perpendicular offset d, so that the Manhattan
+// stub to the tap at s is l(s) = |s - sFF| + d. lo is the least l over
+// [0, b], +Inf when not finite: every tap solveSegment returns on the side
+// has WireLen >= lo - 1e-9 (DESIGN.md section 30.1).
+type frame struct {
+	b, sFF, d, lo float64
+}
+
+func newFrame(seg geom.Segment, ff geom.Point) frame {
+	b := seg.Length()
+	ux := (seg.B.X - seg.A.X) / b
+	uy := (seg.B.Y - seg.A.Y) / b
+	relX, relY := ff.X-seg.A.X, ff.Y-seg.A.Y
+	sFF := relX*ux + relY*uy
+	d := math.Abs(relX*(-uy) + relY*ux)
+	lo := math.Abs(math.Min(b, math.Max(0, sFF))-sFF) + d
+	if b <= 0 || math.IsNaN(lo) {
+		lo = math.Inf(1) // no tap: solveSegment rejects the side
+	}
+	return frame{b: b, sFF: sFF, d: d, lo: lo}
+}
+
+// solveSegment solves equation (1) on a single segment, whose side fr
+// frames the flip-flop. The segment is parameterized by distance s in
+// [0, b] from Seg.A (the travel-direction start), so the on-ring delay at s
+// is seg.T0 + rho*s.
+func solveSegment(seg TapSegment, fr frame, rho float64, params Params, tHat float64) (Tap, bool) {
+	b, sFF, d := fr.b, fr.sFF, fr.d
 	if b <= 0 {
 		return Tap{}, false
 	}
-	// Decompose the flip-flop position into the coordinate along the
-	// segment axis (sFF, relative to Seg.A, may fall outside [0,b]) and the
-	// perpendicular offset d, so that the Manhattan stub length at tap
-	// position s is l(s) = |s - sFF| + d.
-	ux := (seg.Seg.B.X - seg.Seg.A.X) / b
-	uy := (seg.Seg.B.Y - seg.Seg.A.Y) / b
-	relX, relY := ff.X-seg.Seg.A.X, ff.Y-seg.Seg.A.Y
-	sFF := relX*ux + relY*uy
-	d := math.Abs(relX*(-uy) + relY*ux)
-
 	T := params.Period
 	f := func(s float64) float64 {
 		return seg.T0 + rho*s + params.StubDelay(math.Abs(s-sFF)+d)
@@ -296,13 +344,9 @@ func TappingCurve(r *Ring, params Params, ff geom.Point, segIndex, n int) []Curv
 		return nil
 	}
 	seg := segs[segIndex]
-	b := seg.Seg.Length()
+	fr := newFrame(seg.Seg, ff)
+	b, sFF, d := fr.b, fr.sFF, fr.d
 	rho := r.Rho(params.Period)
-	ux := (seg.Seg.B.X - seg.Seg.A.X) / b
-	uy := (seg.Seg.B.Y - seg.Seg.A.Y) / b
-	relX, relY := ff.X-seg.Seg.A.X, ff.Y-seg.Seg.A.Y
-	sFF := relX*ux + relY*uy
-	d := math.Abs(relX*(-uy) + relY*ux)
 	pts := make([]CurvePoint, 0, n+1)
 	for i := 0; i <= n; i++ {
 		s := b * float64(i) / float64(n)

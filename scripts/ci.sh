@@ -3,12 +3,13 @@
 # header is the one description of every gate; the Makefile targets point
 # here.
 #
-# Every enumerated `go test -run` list in the serve, scaling, eco, place,
-# timing, skew and assign gates goes through gotest below, which first
-# checks that each alternative of the list (each name or prefix between
-# the top-level |s) matches a test, benchmark or fuzz target of its
-# package (`go test -list`). A list naming a deleted or renamed test then
-# fails its gate instead of running fewer tests in silence.
+# Every enumerated `go test -run` and `-bench` list in the serve, scaling,
+# eco, place, timing, skew and assign gates goes through gotest below,
+# which first checks that each alternative of the list (each name or
+# prefix between the top-level |s) matches a test, benchmark or fuzz
+# target of its package (`go test -list`), and each -bench alternative,
+# cut at its first /, a benchmark. A list naming a deleted or renamed test
+# or benchmark then fails its gate instead of running fewer in silence.
 #
 #   scripts/ci.sh test    go build + gofmt -l + go vet + go test over every
 #                         package (tier-1 gate)
@@ -47,7 +48,8 @@
 #                         unit tests, the work gate (the sweep's spec at
 #                         8k and 32k cells, -j 1: placer.cg.iters,
 #                         placer.detailed.tried and skew.edge_visits per
-#                         cell, assign.tap.queries and mcmf.settled per
+#                         cell, assign.tap.queries, rotary.tap.segments
+#                         and mcmf.settled per
 #                         flip-flop, each at 32k within the factor of its
 #                         8k value that TestWorkScaling states), then the
 #                         race-enabled 50k-cell sweep size (an audited
@@ -154,7 +156,14 @@
 #                         residual Bellman-Ford (bit-identical distances),
 #                         the max-slack and min-Delta oracle negative tests,
 #                         and the golden tables
-#   scripts/ci.sh assign  stage-3 assignment gate: the early-exit flow
+#   scripts/ci.sh assign  stage-3 assignment gate: the bound-pruned
+#                         tapping solve against its verbatim all-segments
+#                         copy (1,000,000 random queries with exact ties,
+#                         on-axis, on-ring and inside flip-flops and
+#                         band-edge targets; every Tap field bit-equal,
+#                         every error of the same class), its allocation
+#                         freedom and forward evaluation, the oracle's
+#                         dense tap scan, the early-exit flow
 #                         solver against its verbatim pre-CSR full-search
 #                         container/heap copy (random tied, preloaded and
 #                         circulation graphs; flows, cost bits and path
@@ -171,7 +180,13 @@
 #                         patch tests (any prices cost-equal to a cold
 #                         solve, a 200-step chained patch sequence),
 #                         candidate-row reuse (bit-equal to cold solves,
-#                         identical across worker counts), the mcmf seeded
+#                         identical across worker counts; a cold solve
+#                         given the assignment it replaces bit-equal to
+#                         one given none after moved, retargeted, pinned
+#                         and reordered flip-flops and K changes), the
+#                         flow's round-1 skip at the inner fixed point (the
+#                         kept assignment equal to a solve of its schedule,
+#                         ladder events unchanged), the mcmf seeded
 #                         start, negative-cost rejection and Push tests, the
 #                         assignment and ECO oracle negative tests, the
 #                         Section VI assignment LP (against the dense
@@ -202,13 +217,20 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-# listed PKG PATTERN fails unless each alternative of PATTERN's top-level
-# alternation matches a name `go test -list` reports for PKG. A leading ^,
-# a trailing $ and one pair of enclosing parentheses apply to every
-# alternative; ^$ (run no tests) lists nothing and passes.
+# listed PKG PATTERN [bench] fails unless each alternative of PATTERN's
+# top-level alternation matches a name `go test -list` reports for PKG. A
+# leading ^, a trailing $ and one pair of enclosing parentheses apply to
+# every alternative; ^$ (run no tests) lists nothing and passes. With
+# bench, PATTERN is a -bench pattern: each alternative is cut at its first
+# / (what follows selects sub-benchmarks, which -list does not report) and
+# must match a benchmark.
 listed() {
-    names="$(go test -list . "$1")"
-    printf '%s\n' "$2" | awk '
+    if [ "${3:-}" = bench ]; then
+        names="$(go test -list '^Benchmark' "$1")" cut=1 what=benchmark flag=-bench
+    else
+        names="$(go test -list . "$1")" cut=0 what=test flag=-run
+    fi
+    printf '%s\n' "$2" | awk -v cut="$cut" '
         function encloses(r,    i, c, d) {
             d = 0
             for (i = 1; i <= length(r); i++) {
@@ -217,6 +239,10 @@ listed() {
                 else if (c == ")" && --d == 0 && i < length(r)) return 0
             }
             return 1
+        }
+        function emit(a) {
+            if (cut) sub(/\/.*/, "", a)
+            print pre "(" a ")" suf
         }
         {
             r = $0
@@ -230,30 +256,34 @@ listed() {
                 c = substr(r, i, 1)
                 if (c == "(") d++
                 else if (c == ")") d--
-                else if (c == "|" && d == 0) { print pre "(" substr(r, from, i - from) ")" suf; from = i + 1 }
+                else if (c == "|" && d == 0) { emit(substr(r, from, i - from)); from = i + 1 }
             }
-            print pre "(" substr(r, from) ")" suf
+            emit(substr(r, from))
         }' | while IFS= read -r alt; do
         if ! printf '%s\n' "$names" | grep -Eq "$alt"; then
-            echo "ci.sh: -run '$2' in $1: $alt matches no test" >&2
+            echo "ci.sh: $flag '$2' in $1: $alt matches no $what" >&2
             exit 1
         fi
     done
 }
 
-# gotest ARGS... runs go test ARGS after listed checks the -run pattern in
-# ARGS against the ./-prefixed package in ARGS.
+# gotest ARGS... runs go test ARGS after listed checks the -run and -bench
+# patterns in ARGS against the ./-prefixed package in ARGS.
 gotest() {
-    pkg="" pattern="" prev=""
+    pkg="" run="" bench="" prev=""
     for a in "$@"; do
         case "$a" in ./*) pkg="$a" ;; esac
-        if [ "$prev" = "-run" ]; then
-            pattern="$a"
-        fi
+        case "$prev" in
+        -run) run="$a" ;;
+        -bench) bench="$a" ;;
+        esac
         prev="$a"
     done
-    if [ -n "$pkg" ] && [ -n "$pattern" ]; then
-        listed "$pkg" "$pattern"
+    if [ -n "$pkg" ] && [ -n "$run" ]; then
+        listed "$pkg" "$run"
+    fi
+    if [ -n "$pkg" ] && [ -n "$bench" ]; then
+        listed "$pkg" "$bench" bench
     fi
     go test "$@"
 }
@@ -363,7 +393,10 @@ skew)
     gotest ./internal/exp -run '^TestGolden' -count=1
     ;;
 assign)
-    gotest ./internal/assign/ -run '^(TestMinCostMatchesReference|TestPreloadDualFeasible|TestPatch|TestMinCostRowReuseBitEquality|TestMinMaxCapRowReuseBitEquality|TestAssignDeterministicAcrossWorkerCounts)' -count=1 -v
+    gotest ./internal/rotary/ -run '^(TestSolveTapMatchesReference|TestSolveTapAllocationFree|TestSolveTapForwardEvaluation)$' -count=1 -v
+    gotest ./internal/oracle/ -run '^TestScanTapAgainstSolver$' -count=1
+    gotest ./internal/assign/ -run '^(TestMinCostMatchesReference|TestPreloadDualFeasible|TestPatch|TestMinCostRowReuseBitEquality|TestMinMaxCapRowReuseBitEquality|TestColdSolveWithPrevBitEquality|TestAssignDeterministicAcrossWorkerCounts)' -count=1 -v
+    gotest ./internal/core/ -run '^(TestFixedPointSkipMatchesSolve|TestFixedPointKeepsLadderEvents)$' -count=1 -v
     gotest ./internal/mcmf/ -run '^(TestMinCostFlowMatchesReference|TestMinCostFlowMatchesReferenceUntied|TestSearchStopsAtSink|TestHeapMatchesContainerHeap|TestAugmentingPathsAllocateNothing|TestMinCostFlowFromSeedPotentials|TestMinCostFlowRejectsNegativeCost|TestNegativeCostFlowViaBellmanFord|TestNegativeCycleIsError|TestPushMovesCapacity|TestPushMisusePanics|TestResidualArcs)$' -count=1 -v
     gotest ./internal/oracle/ -run '^(TestFaultMcmfDetected|TestFaultECODetected)$' -count=1
     gotest ./internal/lp/ -run '^(TestAssignLP|TestQuickLP)' -count=1
