@@ -1,7 +1,6 @@
 # Every target but scaling runs one gate of scripts/ci.sh, whose usage
 # header describes each gate once; `make ci` chains the deterministic gates.
 
-SEEDS ?= 25
 BASE ?= HEAD~1
 
 .PHONY: test race fuzz serve scaling scaling-smoke eco oracle place timing skew assign benchmark golden cover loc ci
@@ -32,7 +31,7 @@ eco:
 	sh scripts/ci.sh eco
 
 oracle:
-	SEEDS=$(SEEDS) sh scripts/ci.sh oracle
+	sh scripts/ci.sh oracle
 
 place:
 	sh scripts/ci.sh place

@@ -270,7 +270,7 @@ func BenchmarkAblationSkewSolver(b *testing.B) {
 				p.AddConstraint(lp.GE, 15-pr.DMin,
 					lp.Coef{Var: vars[pr.U], Val: 1}, lp.Coef{Var: vars[pr.V], Val: -1}, lp.Coef{Var: mv, Val: -1})
 			}
-			sol, err := p.Solve()
+			sol, err := p.SolveOpts(lp.Options{})
 			if err != nil || sol.Status != lp.Optimal {
 				b.Fatalf("%v %v", sol.Status, err)
 			}

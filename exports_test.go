@@ -43,7 +43,7 @@ var testOnlyExportsAllowed = map[string]string{
 	"internal/bench.ECOOptions.Cells":   "size of the make eco smoke run",
 	"internal/bench.ECOOptions.Edits":   "size of the make eco smoke run",
 	"internal/localtree.Options.Radius": "BenchmarkAblationLocalTreeRadius sweeps it",
-	"internal/oracle.Options.MLEvery":   "the fault-injection campaigns switch the multilevel check off",
+	"internal/placer.System.SolveQP":    "the oracle's place arm solves this exact system against its dense Gaussian reference and shrinks through the campaign; moving that arm would duplicate the shrink and repro machinery in placer",
 }
 
 // TestNoTestOnlyExports type-checks every non-test package of the

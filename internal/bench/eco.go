@@ -10,13 +10,14 @@ package bench
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"rotaryclk/internal/core"
 	"rotaryclk/internal/eco"
 	"rotaryclk/internal/netlist"
 	"rotaryclk/internal/obs"
-	"rotaryclk/internal/oracle"
+	"rotaryclk/internal/timing"
 )
 
 // ECOOptions configures one edit-latency measurement.
@@ -76,7 +77,7 @@ type ECOPoint struct {
 
 	// Speedup is FullNS / EcoMeanNS — the headline ratio.
 	Speedup float64 `json:"speedup"`
-	// Checked records that oracle.CompareECOArms held every edit to the
+	// Checked records that CompareECOArms held every edit to the
 	// from-scratch arm (a violation is an error). RunECOBench always runs
 	// it.
 	Checked bool `json:"checked"`
@@ -89,7 +90,7 @@ type ECOPoint struct {
 
 // RunECOBench measures ECO edit latency at one size. It also runs a
 // from-scratch arm (eco.Options.Scratch) beside the incremental arm on a
-// cloned state and holds every edit to oracle.CompareECOArms, the
+// cloned state and holds every edit to CompareECOArms, the
 // differential oracle's full equivalence contract, outside the timed spans,
 // so the speedup number can never come from skipped work.
 func RunECOBench(opt ECOOptions) (*ECOPoint, error) {
@@ -150,7 +151,7 @@ func RunECOBench(opt ECOOptions) (*ECOPoint, error) {
 		if err != nil {
 			return nil, fmt.Errorf("edit %d scratch arm: %w", e, err)
 		}
-		if err := oracle.CompareECOArms(st, stScratch, out.Outcome, out2.Outcome); err != nil {
+		if err := CompareECOArms(st, stScratch, out.Outcome, out2.Outcome); err != nil {
 			return nil, fmt.Errorf("edit %d: eco/scratch divergence: %w", e, err)
 		}
 		if opt.Log != nil {
@@ -187,4 +188,105 @@ func timedRun(c *netlist.Circuit, cfg core.Config) (*core.Result, int64, error) 
 // spanNS is the summed duration of the spans named name, in nanoseconds.
 func spanNS(s *obs.Snapshot, name string) int64 {
 	return int64(s.SpanSeconds(name) * 1e9)
+}
+
+// CompareECOArms is the ECO equivalence contract for one applied edit: the
+// incremental arm (st1, with outcome o1) against the scratch arm (st2, o2)
+// that applied the same deltas to an equal state. Both arms must agree on
+// degradation; the incremental arm's cached timing pairs must be bit-equal
+// to a full analysis of its committed circuit and its cached signal
+// wirelength bit-equal to a full Circuit.SignalWL; totals must agree within
+// 1e-6 relative (the patched assignment is cost-equal, not tie-equal), and
+// positions and schedules within 1e-9. It returns nil when they agree.
+// RunECOBench holds every timed edit to it, and the differential oracle's
+// eco/scratch check every delta of its campaign.
+func CompareECOArms(st1, st2 *eco.State, o1, o2 *eco.Outcome) error {
+	if o1.Degraded != o2.Degraded {
+		return fmt.Errorf("degradation differs: eco=%v, scratch=%v", o1.Degraded, o2.Degraded)
+	}
+	if err := checkCachedPairs(st1); err != nil {
+		return err
+	}
+	if err := checkCachedWL(st1, o1); err != nil {
+		return err
+	}
+	if !closeRel(o1.Total, o2.Total, 1e-6, 1e-6) {
+		return fmt.Errorf("tapping total differs: eco %.9g vs scratch %.9g", o1.Total, o2.Total)
+	}
+	return compareState(st1, st2)
+}
+
+// checkCachedPairs holds the incremental arm's STA cache to a full
+// timing.SeqPairs of the committed circuit: same pairs in the same order,
+// Float64bits-equal delays.
+func checkCachedPairs(st *eco.State) error {
+	ffIdx := timing.FFIndex(len(st.Circuit.Cells), st.FFCells)
+	got, err := st.STA.Pairs(nil, ffIdx)
+	if err != nil {
+		return fmt.Errorf("cached pairs: %v", err)
+	}
+	want, err := timing.SeqPairs(st.Circuit, st.TModel, ffIdx)
+	if err != nil {
+		return fmt.Errorf("full analysis of the committed circuit: %v", err)
+	}
+	if len(got) != len(want) {
+		return fmt.Errorf("%d cached pairs vs %d from a full analysis", len(got), len(want))
+	}
+	for i, g := range got {
+		w := want[i]
+		if g.U != w.U || g.V != w.V || math.Float64bits(g.DMax) != math.Float64bits(w.DMax) ||
+			math.Float64bits(g.DMin) != math.Float64bits(w.DMin) {
+			return fmt.Errorf("cached pair %d = %+v vs %+v from a full analysis", i, g, w)
+		}
+	}
+	return nil
+}
+
+// checkCachedWL holds the incremental arm's signal-wirelength cache, and
+// the wirelength its outcome reports, to a full Circuit.SignalWL of the
+// committed circuit, Float64bits-equal.
+func checkCachedWL(st *eco.State, out *eco.Outcome) error {
+	want := st.Circuit.SignalWL()
+	bits := math.Float64bits
+	if got := st.SignalWL.Total(); bits(got) != bits(want) {
+		return fmt.Errorf("cached signal WL %.17g vs %.17g from a full measurement", got, want)
+	}
+	if bits(out.SignalWL) != bits(want) {
+		return fmt.Errorf("reported signal WL %.17g vs %.17g from a full measurement", out.SignalWL, want)
+	}
+	return nil
+}
+
+// compareState checks committed positions and schedules of the two arms.
+func compareState(st1, st2 *eco.State) error {
+	c1, c2 := st1.Circuit, st2.Circuit
+	if len(c1.Cells) != len(c2.Cells) {
+		return fmt.Errorf("%d cells (eco) vs %d (scratch)", len(c1.Cells), len(c2.Cells))
+	}
+	for i := range c1.Cells {
+		p1, p2 := c1.Cells[i].Pos, c2.Cells[i].Pos
+		if !closeRel(p1.X, p2.X, 1e-9, 1e-9) || !closeRel(p1.Y, p2.Y, 1e-9, 1e-9) {
+			return fmt.Errorf("cell %d placed at %v (eco) vs %v (scratch)", i, p1, p2)
+		}
+	}
+	if len(st1.Sched) != len(st2.Sched) {
+		return fmt.Errorf("schedule length %d (eco) vs %d (scratch)", len(st1.Sched), len(st2.Sched))
+	}
+	for i := range st1.Sched {
+		if !closeRel(st1.Sched[i], st2.Sched[i], 1e-9, 1e-9) {
+			return fmt.Errorf("schedule[%d] = %.12g (eco) vs %.12g (scratch), diff %.3g",
+				i, st1.Sched[i], st2.Sched[i], math.Abs(st1.Sched[i]-st2.Sched[i]))
+		}
+	}
+	return nil
+}
+
+// closeRel reports |a-b| <= absTol + relTol*max(|a|,|b|). NaN on either
+// side never compares close.
+func closeRel(a, b, relTol, absTol float64) bool {
+	if math.IsNaN(a) || math.IsNaN(b) {
+		return false
+	}
+	m := math.Max(math.Abs(a), math.Abs(b))
+	return math.Abs(a-b) <= absTol+relTol*m
 }

@@ -85,12 +85,12 @@ type Config struct {
 	// slow paths shorter (see timingReweight). Default off; with it off the
 	// flow is bit-identical to earlier releases.
 	TimingDriven bool
-	// TimingBoost is the scale increment applied to the most critical
+	// timingBoost is the scale increment applied to the most critical
 	// path's nets, tapering linearly with rank (default 1.0). Negative
 	// means zero boost: the overlay machinery runs but every net scale
-	// stays exactly 1.0 — the identity mode the oracle checks against the
-	// default flow.
-	TimingBoost float64
+	// stays exactly 1.0, the identity mode TestTimingIdentityScaleOne
+	// holds bit-equal to the default flow.
+	timingBoost float64
 
 	// Strict disables every recovery policy and the degraded-result path:
 	// the first stage failure returns immediately as a *StageError. With
@@ -147,8 +147,8 @@ func (c *Config) normalize() {
 	if c.PseudoWeight <= 0 {
 		c.PseudoWeight = 4
 	}
-	if c.TimingBoost == 0 {
-		c.TimingBoost = 1.0
+	if c.timingBoost == 0 {
+		c.timingBoost = 1.0
 	}
 }
 
@@ -370,8 +370,8 @@ func Run(c *netlist.Circuit, cfg Config) (*Result, error) {
 	// Stage 1: initial placement. Conjugate-gradients stagnation is the one
 	// recoverable failure here (see retryCG); anything else is a hard error.
 	// placer.Global picks its path from the movable count alone: above
-	// placer.Options.MLCoarsest it runs the multilevel V-cycle, at or below
-	// it the flat loop. The placer.ml.vcycles, placer.ml.levels and
+	// 2,500 movable cells it runs the multilevel V-cycle, at or below it
+	// the flat loop. The placer.ml.vcycles, placer.ml.levels and
 	// placer.ml.fallback counters in the trace say which one ran.
 	s1 := root.Child("stage1.place")
 	if !cfg.SkipInitialPlace {

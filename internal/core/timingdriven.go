@@ -15,7 +15,7 @@ import (
 // timingReweight updates the per-net criticality scales for one loop
 // iteration: decay every scale toward 1 (exponential history), extract the
 // timingPaths lowest-slack pairs under the current schedule, and boost the
-// nets on their D_max paths by TimingBoost tapered linearly with rank,
+// nets on their D_max paths by cfg.timingBoost tapered linearly with rank,
 // capped at timingMaxW. A failed extraction (combinational cycle — possible
 // only if the circuit changed under us) is recorded as a stage-6 event and
 // leaves the scales at their previous values.
@@ -40,7 +40,7 @@ func timingReweight(c *netlist.Circuit, cfg *Config, res *Result, ffIdx []int, s
 	for i := range scale {
 		scale[i] = 1 + timingDecay*(scale[i]-1)
 	}
-	boost := cfg.TimingBoost
+	boost := cfg.timingBoost
 	if boost < 0 {
 		boost = 0 // identity mode: scales stay exactly 1.0
 	}

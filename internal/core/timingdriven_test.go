@@ -1,62 +1,111 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
+	"rotaryclk/internal/faultinject"
+	"rotaryclk/internal/netlist"
 	"rotaryclk/internal/obs"
 	"rotaryclk/internal/timing"
 )
 
-// TestTimingIdentityScaleOne is the tentpole's identity contract at the flow
-// level: TimingDriven with a negative boost forces every net scale to stay
-// exactly 1.0, and the run must then be bit-identical to the default flow —
-// positions, schedule, and final metrics — at 1 and 8 workers.
+// TestTimingIdentityScaleOne is the identity contract of timing-driven
+// placement at the flow level: TimingDriven with a negative boost forces
+// every net scale to stay exactly 1.0, and the run must then be
+// bit-identical to the default flow. It holds on a 400-cell circuit at 1
+// and 8 workers and on 20 small generated circuits (30-49 cells, 5-8
+// flip-flops, 4 rings, 2 iterations, serial).
 func TestTimingIdentityScaleOne(t *testing.T) {
-	type out struct {
-		pos      []float64
-		sched    []float64
-		tapWL    float64
-		signalWL float64
-	}
-	run := func(workers int, timingOn bool) out {
-		c := genCircuit(t, 400, 60, 7)
-		cfg := Config{NumRings: 9, MaxIters: 3, Parallelism: workers}
-		if timingOn {
-			cfg.TimingDriven = true
-			cfg.TimingBoost = -1
+	for _, workers := range []int{1, 8} {
+		spec := netlist.GenSpec{Name: "flowtest", Cells: 400, FlipFlops: 60, Seed: 7}
+		if d := identityDiff(t, spec, Config{NumRings: 9, MaxIters: 3, Parallelism: workers}); d != "" {
+			t.Errorf("workers=%d: %s", workers, d)
 		}
-		res, err := Run(c, cfg)
+	}
+	rng := rand.New(rand.NewSource(1))
+	held := 0
+	for i := 0; i < 20; i++ {
+		spec := netlist.GenSpec{Cells: 30 + rng.Intn(20), FlipFlops: 5 + rng.Intn(4), Seed: int64(10*i + 1)}
+		if d := identityDiff(t, spec, Config{NumRings: 4, MaxIters: 2, Parallelism: 1}); d != "" {
+			t.Errorf("%+v: %s", spec, d)
+			continue
+		}
+		held++
+	}
+	if held != 20 {
+		t.Errorf("the identity held on %d of the 20 generated circuits", held)
+	}
+}
+
+// TestFaultReweightDetected: silently perturbing the placer's net-weight
+// overlay (the placer.Options.NetWeights bit-identity contract) must break
+// the identity, and the same circuit must keep it on clean code.
+func TestFaultReweightDetected(t *testing.T) {
+	spec := netlist.GenSpec{Cells: 40, FlipFlops: 6, Seed: 7}
+	cfg := Config{NumRings: 4, MaxIters: 2, Parallelism: 1}
+	restore := faultinject.Enable(faultinject.Rule{Site: faultinject.SitePlacerReweight, Err: errors.New("injected")})
+	d := identityDiff(t, spec, cfg)
+	restore()
+	if d == "" {
+		t.Fatal("perturbed net-weight overlay left the identity-mode flow bit-identical")
+	}
+	if d := identityDiff(t, spec, cfg); d != "" {
+		t.Fatalf("identity fails on clean code: %s", d)
+	}
+}
+
+// identityDiff runs the flow on two circuits generated from spec, once
+// with cfg and once timing-driven in the identity mode (negative
+// timingBoost), and describes the first result that is not
+// Float64bits-equal: a cell position, a schedule entry, or the final
+// tapping wirelength, signal wirelength or max ring load. It returns ""
+// when the runs are bit-identical and the timing-driven run extracted
+// critical paths.
+func identityDiff(t *testing.T, spec netlist.GenSpec, cfg Config) string {
+	t.Helper()
+	run := func(cfg Config) (*netlist.Circuit, *Result) {
+		c, err := netlist.Generate(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var pos []float64
-		for _, p := range c.Positions() {
-			pos = append(pos, p.X, p.Y)
+		res, err := Run(c, cfg)
+		if err != nil {
+			t.Fatalf("%+v: %v", spec, err)
 		}
-		return out{pos: pos, sched: res.Schedule, tapWL: res.Final.TapWL, signalWL: res.Final.SignalWL}
+		return c, res
 	}
-	for _, workers := range []int{1, 8} {
-		want := run(workers, false)
-		got := run(workers, true)
-		if len(got.pos) != len(want.pos) {
-			t.Fatalf("workers=%d: position count %d vs %d", workers, len(got.pos), len(want.pos))
-		}
-		for i := range want.pos {
-			if math.Float64bits(got.pos[i]) != math.Float64bits(want.pos[i]) {
-				t.Fatalf("workers=%d: position coord %d differs: %v vs %v", workers, i, got.pos[i], want.pos[i])
-			}
-		}
-		for i := range want.sched {
-			if math.Float64bits(got.sched[i]) != math.Float64bits(want.sched[i]) {
-				t.Fatalf("workers=%d: schedule entry %d differs: %v vs %v", workers, i, got.sched[i], want.sched[i])
-			}
-		}
-		if math.Float64bits(got.tapWL) != math.Float64bits(want.tapWL) ||
-			math.Float64bits(got.signalWL) != math.Float64bits(want.signalWL) {
-			t.Fatalf("workers=%d: metrics differ: %+v vs %+v", workers, got, want)
+	c1, res1 := run(cfg)
+	cfg.TimingDriven = true
+	cfg.timingBoost = -1
+	cfg.Obs = obs.NewRegistry() // to count extractions; traced runs match untraced ones
+	c2, res2 := run(cfg)
+	if res2.Metrics.Counter("core.timing.extracts") == 0 {
+		return "the timing-driven run extracted no critical paths"
+	}
+	bits := math.Float64bits
+	for i := range c1.Cells {
+		p1, p2 := c1.Cells[i].Pos, c2.Cells[i].Pos
+		if bits(p1.X) != bits(p2.X) || bits(p1.Y) != bits(p2.Y) {
+			return fmt.Sprintf("cell %d at %v vs %v", i, p1, p2)
 		}
 	}
+	if len(res1.Schedule) != len(res2.Schedule) {
+		return fmt.Sprintf("schedule sizes %d vs %d", len(res1.Schedule), len(res2.Schedule))
+	}
+	for i := range res1.Schedule {
+		if bits(res1.Schedule[i]) != bits(res2.Schedule[i]) {
+			return fmt.Sprintf("schedule entry %d %v vs %v", i, res1.Schedule[i], res2.Schedule[i])
+		}
+	}
+	f1, f2 := res1.Final, res2.Final
+	if bits(f1.TapWL) != bits(f2.TapWL) || bits(f1.SignalWL) != bits(f2.SignalWL) || bits(f1.MaxCap) != bits(f2.MaxCap) {
+		return fmt.Sprintf("final metrics %+v vs %+v", f1, f2)
+	}
+	return ""
 }
 
 // TestTimingDrivenRunsClean: the mode with its default boost completes the
@@ -149,17 +198,17 @@ func TestWorstSlackSchedulePanicGuard(t *testing.T) {
 func TestTimingConfigDefaults(t *testing.T) {
 	var cfg Config
 	cfg.normalize()
-	if cfg.TimingBoost != 1.0 {
-		t.Errorf("TimingBoost default = %v, want 1.0", cfg.TimingBoost)
+	if cfg.timingBoost != 1.0 {
+		t.Errorf("timingBoost default = %v, want 1.0", cfg.timingBoost)
 	}
-	neg := Config{TimingBoost: -1}
+	neg := Config{timingBoost: -1}
 	neg.normalize()
-	if neg.TimingBoost != -1 {
-		t.Errorf("negative TimingBoost not preserved: %v", neg.TimingBoost)
+	if neg.timingBoost != -1 {
+		t.Errorf("negative timingBoost not preserved: %v", neg.timingBoost)
 	}
 
 	c := genCircuit(t, 200, 30, 3)
-	cfg = Config{NumRings: 4, MaxIters: 1, TimingBoost: 100}
+	cfg = Config{NumRings: 4, MaxIters: 1, timingBoost: 100}
 	res, err := Run(c, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -187,7 +236,7 @@ func TestTimingConfigDefaults(t *testing.T) {
 	if capped == 0 {
 		t.Fatal("a boost of 100 capped no net at 4")
 	}
-	cfg.TimingBoost = -1 // decay only
+	cfg.timingBoost = -1 // decay only
 	prev := append([]float64(nil), scale...)
 	timingReweight(c, &cfg, res, ffIdx, res.Schedule, scale, 2, reg)
 	for i := range scale {

@@ -46,8 +46,8 @@
 // solve reaches, the patched assignment is cost-equal to a scratch solve,
 // and the cached wirelength is bit-equal to Circuit.SignalWL.
 // Options.Scratch switches the layers to their from-scratch counterparts
-// on the same orchestration, which is what the ECO-vs-scratch differential
-// oracle (internal/oracle.CheckECO) compares against.
+// on the same orchestration, which is what bench.CompareECOArms, the
+// ECO-vs-scratch differential check, compares against.
 package eco
 
 import (

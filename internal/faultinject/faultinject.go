@@ -52,13 +52,13 @@ const (
 	// SitePlacerReweight corrupts (not errors) the net-weight overlay: with
 	// a rule armed, applyNetWeights perturbs every scale slightly, breaking
 	// the all-ones bit-identity contract of Options.NetWeights — the silent
-	// divergence the core/timing-identity oracle must catch.
+	// divergence core's TestFaultReweightDetected must catch.
 	SitePlacerReweight = "placer.reweight"
 	// SitePlacerMLCorrupt corrupts (not errors) the multilevel V-cycle: with
 	// a rule armed, every interpolation from a coarse level collapses the
 	// finer level's movable cells into the die's low corner instead of
 	// inheriting cluster positions — the silent quality-destroying failure
-	// mode the placer/multilevel oracle must catch.
+	// mode placer's TestFaultMLCorruptDetected must catch.
 	SitePlacerMLCorrupt = "placer.ml.corrupt"
 	// SiteTimingSTAScope corrupts (not errors) the scoped STA update: with
 	// a rule armed, timing.STA.Update skips re-propagating its first dirty

@@ -8,16 +8,6 @@ import (
 
 func almostEq(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
-func TestPointArithmetic(t *testing.T) {
-	p, q := Pt(1, 2), Pt(3, -4)
-	if got := p.Add(q); got != Pt(4, -2) {
-		t.Errorf("Add = %v", got)
-	}
-	if got := p.Scale(2); got != Pt(2, 4) {
-		t.Errorf("Scale = %v", got)
-	}
-}
-
 func TestManhattan(t *testing.T) {
 	if d := Pt(0, 0).Manhattan(Pt(3, 4)); !almostEq(d, 7) {
 		t.Errorf("Manhattan = %v, want 7", d)

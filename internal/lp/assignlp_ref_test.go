@@ -971,7 +971,7 @@ func TestAssignLPSurvivesSingularBasis(t *testing.T) {
 		}
 		checkAssignLPResult(t, arcs, nBins, res)
 		prob, _, _ := denseAssignLP(arcs, nBins)
-		sol, err := prob.Solve()
+		sol, err := prob.SolveOpts(Options{})
 		if err != nil || sol.Status != Optimal {
 			t.Fatalf("%s: dense solve %v status %v", tag, err, sol.Status)
 		}
@@ -995,7 +995,7 @@ func TestAssignLPTinyTolSeedsAtDefault(t *testing.T) {
 		}
 		checkAssignLPResult(t, arcs, nBins, res)
 		prob, _, _ := denseAssignLP(arcs, nBins)
-		sol, err := prob.Solve()
+		sol, err := prob.SolveOpts(Options{})
 		if err != nil || sol.Status != Optimal {
 			t.Fatalf("seed %d: dense solve %v status %v", seed, err, sol.Status)
 		}

@@ -114,7 +114,7 @@ func TestAssignLPMatchesDense(t *testing.T) {
 		}
 		checkAssignLPResult(t, arcs, nBins, res)
 		prob, _, _ := denseAssignLP(arcs, nBins)
-		sol, err := prob.Solve()
+		sol, err := prob.SolveOpts(Options{})
 		if err != nil || sol.Status != Optimal {
 			t.Fatalf("trial %d: dense solve %v status %v", trial, err, sol.Status)
 		}
@@ -148,7 +148,7 @@ func TestAssignLPMatchesDenseLarge(t *testing.T) {
 		}
 		checkAssignLPResult(t, arcs, nBins, res)
 		prob, _, _ := denseAssignLP(arcs, nBins)
-		sol, err := prob.Solve()
+		sol, err := prob.SolveOpts(Options{})
 		if err != nil || sol.Status != Optimal {
 			t.Fatalf("trial %d: dense solve %v status %v", trial, err, sol.Status)
 		}
@@ -185,7 +185,7 @@ func TestAssignLPParametric(t *testing.T) {
 		} {
 			prob, _, z := denseAssignLP(arcs, nBins)
 			prob.AddConstraint(LE, tc.cap, Coef{Var: z, Val: 1})
-			sol, err := prob.Solve()
+			sol, err := prob.SolveOpts(Options{})
 			if err != nil {
 				t.Fatalf("trial %d cap %v: %v", trial, tc.cap, err)
 			}

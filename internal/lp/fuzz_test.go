@@ -53,7 +53,7 @@ func FuzzILPRound(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		p := buildAssignILP(rng, nFF, nR)
 
-		rel, err := p.Solve()
+		rel, err := p.SolveOpts(Options{})
 		if err != nil || rel.Status != Optimal {
 			return // infeasible/degenerate random instances are not the contract
 		}

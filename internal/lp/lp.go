@@ -12,7 +12,7 @@
 // Error discipline: model-building mistakes (inverted bounds, constraints
 // referencing unknown variables) are caller-data errors. They do not panic;
 // the first one is recorded on the Problem and returned — wrapping
-// ErrBadProblem — by the next Solve/SolveOpts/SolveILP call, so building
+// ErrBadProblem — by the next SolveOpts/SolveILP call, so building
 // code stays free of per-call error plumbing. Budget exhaustion is reported
 // through Solution.Status == IterLimit and ILPSolution.BudgetHit; match
 // ErrBudget to classify it when a caller converts statuses to errors.
@@ -173,11 +173,6 @@ func iterBudget(m, n int) int { return 50*(m+n) + 10000 }
 // ErrBadProblem is returned for structurally invalid problems.
 var ErrBadProblem = errors.New("lp: invalid problem")
 
-// Solve solves the LP relaxation with the two-phase revised simplex.
-func (p *Problem) Solve() (Solution, error) {
-	return p.SolveOpts(Options{})
-}
-
 // Options carries a solve's telemetry and cancellation; the tolerance is
 // defaultTol and the pivot budget iterBudget.
 type Options struct {
@@ -192,7 +187,7 @@ type Options struct {
 	Stop *stop.Token
 }
 
-// SolveOpts is Solve with explicit options.
+// SolveOpts solves the LP relaxation with the two-phase revised simplex.
 func (p *Problem) SolveOpts(opts Options) (Solution, error) {
 	return p.solveBudget(opts, 0)
 }

@@ -8,7 +8,7 @@ import (
 
 func solveOK(t *testing.T, p *Problem) Solution {
 	t.Helper()
-	sol, err := p.Solve()
+	sol, err := p.SolveOpts(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestSimplexInfeasible(t *testing.T) {
 	x := p.AddVar("x", 1, 0, Inf)
 	p.AddConstraint(LE, 1, Coef{x, 1})
 	p.AddConstraint(GE, 2, Coef{x, 1})
-	sol, err := p.Solve()
+	sol, err := p.SolveOpts(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestSimplexUnbounded(t *testing.T) {
 	p := NewProblem()
 	x := p.AddVar("x", -1, 0, Inf)
 	p.AddConstraint(GE, 0, Coef{x, 1})
-	sol, err := p.Solve()
+	sol, err := p.SolveOpts(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestSimplexRandomVsBruteForce(t *testing.T) {
 			rhs[r] = rng.Float64() * float64(n) // always feasible at x=0
 			p.AddConstraint(LE, rhs[r], coefs...)
 		}
-		sol, err := p.Solve()
+		sol, err := p.SolveOpts(Options{})
 		if err != nil || sol.Status != Optimal {
 			t.Fatalf("trial %d: %v %v", trial, sol.Status, err)
 		}

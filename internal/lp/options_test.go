@@ -32,7 +32,7 @@ func TestIterLimitStatus(t *testing.T) {
 		t.Fatalf("status = %v, want iteration-limit", sol.Status)
 	}
 	// With a sane budget the same problem solves.
-	sol, err = p.Solve()
+	sol, err = p.SolveOpts(Options{})
 	if err != nil || sol.Status != Optimal {
 		t.Fatalf("full solve: %v %v", sol.Status, err)
 	}
@@ -73,7 +73,7 @@ func TestDegenerateBudgetStops(t *testing.T) {
 		t.Fatalf("status = %v, want typed budget exhaustion", sol.Status)
 	}
 	// With the automatic budget the same instance solves to optimality.
-	full, err := p.Solve()
+	full, err := p.SolveOpts(Options{})
 	if err != nil || full.Status != Optimal {
 		t.Fatalf("full solve: %v %v", full.Status, err)
 	}
@@ -134,7 +134,7 @@ func TestDualsReturned(t *testing.T) {
 	p := NewProblem()
 	x := p.AddVar("x", -1, 0, Inf)
 	p.AddConstraint(LE, 4, Coef{x, 2})
-	sol, err := p.Solve()
+	sol, err := p.SolveOpts(Options{})
 	if err != nil || sol.Status != Optimal {
 		t.Fatal(err)
 	}
@@ -150,8 +150,8 @@ func TestDualsReturned(t *testing.T) {
 func TestAddVarBadBoundsDeferredError(t *testing.T) {
 	p := NewProblem()
 	p.AddVar("bad", 0, 2, 1)
-	if _, err := p.Solve(); !errors.Is(err, ErrBadProblem) {
-		t.Fatalf("Solve err = %v, want ErrBadProblem", err)
+	if _, err := p.SolveOpts(Options{}); !errors.Is(err, ErrBadProblem) {
+		t.Fatalf("SolveOpts err = %v, want ErrBadProblem", err)
 	}
 	if _, err := p.SolveILP(ILPOptions{}); !errors.Is(err, ErrBadProblem) {
 		t.Fatalf("SolveILP err = %v, want ErrBadProblem", err)
@@ -161,7 +161,7 @@ func TestAddVarBadBoundsDeferredError(t *testing.T) {
 func TestAddConstraintUnknownVarDeferredError(t *testing.T) {
 	p := NewProblem()
 	p.AddConstraint(LE, 1, Coef{Var: 5, Val: 1})
-	if _, err := p.Solve(); !errors.Is(err, ErrBadProblem) {
-		t.Fatalf("Solve err = %v, want ErrBadProblem", err)
+	if _, err := p.SolveOpts(Options{}); !errors.Is(err, ErrBadProblem) {
+		t.Fatalf("SolveOpts err = %v, want ErrBadProblem", err)
 	}
 }

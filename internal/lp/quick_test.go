@@ -40,7 +40,7 @@ func TestQuickLPOptimalityCertificate(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		p, obj, rows, rhs := randomLP(rng)
-		sol, err := p.Solve()
+		sol, err := p.SolveOpts(Options{})
 		if err != nil {
 			return false
 		}
@@ -170,7 +170,7 @@ func TestQuickEqualityLPs(t *testing.T) {
 			}
 			p.AddConstraint(EQ, rhsv, coefs...)
 		}
-		sol, err := p.Solve()
+		sol, err := p.SolveOpts(Options{})
 		if err != nil || sol.Status != Optimal {
 			return false // x0 is feasible, so the LP must be solvable
 		}

@@ -126,7 +126,7 @@ func TestQuickMinCostFlowVsLP(t *testing.T) {
 				p.AddConstraint(lp.EQ, 0, coefs...)
 			}
 		}
-		sol, err := p.Solve()
+		sol, err := p.SolveOpts(lp.Options{})
 		if err != nil || sol.Status != lp.Optimal {
 			return false
 		}
@@ -180,7 +180,7 @@ func TestQuickCirculationVsLP(t *testing.T) {
 				p.AddConstraint(lp.EQ, 0, coefs...)
 			}
 		}
-		sol, err := p.Solve()
+		sol, err := p.SolveOpts(lp.Options{})
 		if err != nil || sol.Status != lp.Optimal {
 			return false
 		}

@@ -1,9 +1,10 @@
 package oracle
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
+	"path/filepath"
+	"testing"
 
 	"rotaryclk/internal/core"
 	"rotaryclk/internal/eco"
@@ -13,60 +14,48 @@ import (
 	"rotaryclk/internal/skew"
 )
 
-// Options tunes a campaign run.
-type Options struct {
-	// Seeds is the number of random instances (default 25). Seed0 is the
-	// first seed (default 1); seed s generates instance s deterministically.
-	Seeds int
-	Seed0 int64
-	// ReproDir receives minimized JSON repros of failing instances
-	// (default "testdata/repros"). Created on first failure.
-	ReproDir string
-	// FullFlowEvery runs the expensive full-flow translation metamorphic
-	// check on every k-th seed (default 10; negative disables).
-	FullFlowEvery int
-	// ECOEvery runs the ECO-vs-scratch differential check — a base flow run
-	// plus a random delta sequence applied through both arms — on every
-	// k-th seed (default 5; negative disables).
-	ECOEvery int
-	// MLEvery runs the multilevel-vs-flat placement check — a circuit big
-	// enough to build a real V-cycle hierarchy, placed both ways and compared
-	// after legalization — on every k-th seed (default 5; negative disables).
-	MLEvery int
-	// Log, when non-nil, receives progress lines.
-	Log func(format string, args ...any)
-}
-
-// Report summarizes a campaign.
-type Report struct {
-	Seeds      int
-	Checks     int         // individual oracle checks run
-	Violations []Violation // every violation observed (pre-shrink)
-	Repros     []string    // paths of written repro files
-}
-
-func (o *Options) normalize() {
-	if o.Seeds <= 0 {
-		o.Seeds = 25
+// TestCampaign is the differential-testing campaign: seeds 1-200 through
+// every reference solver and metamorphic oracle, the full-flow translation
+// check on every 10th seed and the ECO-vs-scratch check on every 5th. Clean
+// production code must come back violation-free, and every oracle must run
+// exactly its count of checks, so a check that stops running fails the
+// test instead of passing in silence. A violation leaves its shrunk repro
+// under testdata/repros/.
+func TestCampaign(t *testing.T) {
+	rep := runCampaign(t, 200, 10, 5, filepath.Join("testdata", "repros"))
+	for _, v := range rep.violations {
+		t.Errorf("violation: %v", &v)
 	}
-	if o.Seed0 == 0 {
-		o.Seed0 = 1
+	want := map[string]int{
+		"assign/mincost":    200,
+		"assign/minmaxcap":  200,
+		"assign/scale":      200,
+		"assign/permute":    200,
+		"assign/tighten":    200,
+		"assign/lp":         240, // every seed, plus the large arm on every 5th
+		"rotary/tapscan":    400, // two queries per seed
+		"skew/maxslack":     200,
+		"skew/mindelta":     200,
+		"placer/densesolve": 200,
+		"core/translate":    20,
+		"eco/scratch":       40,
 	}
-	if o.ReproDir == "" {
-		o.ReproDir = "testdata/repros"
+	total := 0
+	for name, n := range rep.checks {
+		total += n
+		if n != want[name] {
+			t.Errorf("%s ran %d checks, want %d", name, n, want[name])
+		}
 	}
-	if o.FullFlowEvery == 0 {
-		o.FullFlowEvery = 10
+	for name, n := range want {
+		if rep.checks[name] == 0 {
+			t.Errorf("%s ran no checks, want %d", name, n)
+		}
 	}
-	if o.ECOEvery == 0 {
-		o.ECOEvery = 5
+	if total != 2300 {
+		t.Errorf("%d checks, want 2300", total)
 	}
-	if o.MLEvery == 0 {
-		o.MLEvery = 5
-	}
-	if o.Log == nil {
-		o.Log = func(string, ...any) {}
-	}
+	t.Logf("200 seeds, %d checks, %d violations", total, len(rep.violations))
 }
 
 // genAssign draws a small random assignment instance: a jittered grid of
@@ -256,7 +245,7 @@ func anchorFloating(in *PlaceInstance, rng *rand.Rand) {
 	}
 }
 
-// flowSpec is the generated-circuit configuration of one full-flow
+// FlowSpec is the generated-circuit configuration of one full-flow
 // translation check, serialized into its repro.
 type FlowSpec struct {
 	Spec  netlist.GenSpec
@@ -267,54 +256,57 @@ func flowConfig() core.Config {
 	return core.Config{NumRings: 4, MaxIters: 2, Parallelism: 1}
 }
 
-// RunCampaign drives Seeds random instances through every oracle. Each
-// violation is shrunk (while it still reproduces) and written as a JSON
-// repro; the report aggregates everything observed.
-func RunCampaign(o Options) (*Report, error) {
-	o.normalize()
-	rep := &Report{}
-	var firstErr error
+// report summarizes a campaign run.
+type report struct {
+	checks     map[string]int // checks run, by oracle name
+	violations []Violation    // every violation observed (pre-shrink)
+	repros     []string       // paths of written repro files
+}
+
+// runCampaign drives seeds 1..seeds through every oracle, running the
+// full-flow translation check on every fullFlowEvery-th seed and the
+// ECO-vs-scratch check on every ecoEvery-th (0 never). Each violation is
+// shrunk while it still reproduces and written as a JSON repro under dir;
+// t fails at once if a repro cannot be written, and logs each path.
+func runCampaign(t *testing.T, seeds, fullFlowEvery, ecoEvery int, dir string) *report {
+	t.Helper()
+	rep := &report{checks: map[string]int{}}
 	record := func(vs []Violation, r *Repro) {
-		rep.Violations = append(rep.Violations, vs...)
+		rep.violations = append(rep.violations, vs...)
 		if r == nil || len(vs) == 0 {
 			return
 		}
 		r.Oracle = vs[0].Oracle
 		r.Seed = vs[0].Seed
 		r.Detail = vs[0].Detail
-		path, err := WriteRepro(o.ReproDir, r)
+		path, err := WriteRepro(dir, r)
 		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			o.Log("repro write failed: %v", err)
-			return
+			t.Fatalf("%v: %v", vs[0].Error(), err)
 		}
-		rep.Repros = append(rep.Repros, path)
-		o.Log("violation: %s -> %s", vs[0].Error(), path)
+		rep.repros = append(rep.repros, path)
+		t.Logf("%v: repro %s", vs[0].Error(), path)
 	}
-	check := func(vs []Violation) []Violation { rep.Checks++; return vs }
+	check := func(name string, vs []Violation) []Violation { rep.checks[name]++; return vs }
 
-	for i := 0; i < o.Seeds; i++ {
-		seed := o.Seed0 + int64(i)
+	for i := 0; i < seeds; i++ {
+		seed := int64(i + 1)
 		rng := rand.New(rand.NewSource(seed))
-		rep.Seeds++
 
 		ai := genAssign(rng)
-		if vs := check(CheckMinCost(ai, seed)); len(vs) > 0 {
+		if vs := check("assign/mincost", CheckMinCost(ai, seed)); len(vs) > 0 {
 			sh := shrinkAssign(ai, func(c *AssignInstance) bool { return len(CheckMinCost(c, seed)) > 0 })
 			record(vs, &Repro{Assign: sh})
 		}
-		if vs := check(CheckMinMaxCap(ai, seed)); len(vs) > 0 {
+		if vs := check("assign/minmaxcap", CheckMinMaxCap(ai, seed)); len(vs) > 0 {
 			sh := shrinkAssign(ai, func(c *AssignInstance) bool { return len(CheckMinMaxCap(c, seed)) > 0 })
 			record(vs, &Repro{Assign: sh})
 		}
-		if vs := check(CheckScale(ai, seed)); len(vs) > 0 {
+		if vs := check("assign/scale", CheckScale(ai, seed)); len(vs) > 0 {
 			sh := shrinkAssign(ai, func(c *AssignInstance) bool { return len(CheckScale(c, seed)) > 0 })
 			record(vs, &Repro{Assign: sh})
 		}
 		perm := rng.Perm(len(ai.FFs))
-		if vs := check(CheckPermute(ai, perm, seed)); len(vs) > 0 {
+		if vs := check("assign/permute", CheckPermute(ai, perm, seed)); len(vs) > 0 {
 			sh := shrinkAssign(ai, func(c *AssignInstance) bool {
 				rev := make([]int, len(c.FFs))
 				for k := range rev {
@@ -324,11 +316,11 @@ func RunCampaign(o Options) (*Report, error) {
 			})
 			record(vs, &Repro{Assign: sh})
 		}
-		if vs := check(CheckTighten(ai, seed)); len(vs) > 0 {
+		if vs := check("assign/tighten", CheckTighten(ai, seed)); len(vs) > 0 {
 			sh := shrinkAssign(ai, func(c *AssignInstance) bool { return len(CheckTighten(c, seed)) > 0 })
 			record(vs, &Repro{Assign: sh})
 		}
-		if vs := check(CheckAssignLP(ai, seed)); len(vs) > 0 {
+		if vs := check("assign/lp", CheckAssignLP(ai, seed)); len(vs) > 0 {
 			sh := shrinkAssign(ai, func(c *AssignInstance) bool { return len(CheckAssignLP(c, seed)) > 0 })
 			record(vs, &Repro{Assign: sh})
 		}
@@ -336,7 +328,7 @@ func RunCampaign(o Options) (*Report, error) {
 			// Large sparse arm: exercises the GUB simplex on candidate sets
 			// far beyond the brute-force budget.
 			al := genAssignLarge(rng)
-			if vs := check(CheckAssignLP(al, seed)); len(vs) > 0 {
+			if vs := check("assign/lp", CheckAssignLP(al, seed)); len(vs) > 0 {
 				sh := shrinkAssign(al, func(c *AssignInstance) bool { return len(CheckAssignLP(c, seed)) > 0 })
 				record(vs, &Repro{Assign: sh})
 			}
@@ -344,13 +336,13 @@ func RunCampaign(o Options) (*Report, error) {
 
 		for t := 0; t < 2; t++ {
 			ti := genTap(rng)
-			if vs := check(CheckTap(ti, seed)); len(vs) > 0 {
+			if vs := check("rotary/tapscan", CheckTap(ti, seed)); len(vs) > 0 {
 				record(vs, &Repro{Tap: ti}) // a tap instance is already minimal
 			}
 		}
 
 		si := genSkew(rng)
-		if vs := check(CheckSkew(si, seed)); len(vs) > 0 {
+		if vs := check("skew/maxslack", CheckSkew(si, seed)); len(vs) > 0 {
 			sh := shrinkSkew(si, func(c *SkewInstance) bool { return len(CheckSkew(c, seed)) > 0 })
 			record(vs, &Repro{Skew: sh})
 		}
@@ -358,34 +350,31 @@ func RunCampaign(o Options) (*Report, error) {
 		// The min-Delta instance draws from its own stream so the instances
 		// of every other check stay what they were for this seed.
 		if di := genMinDelta(rand.New(rand.NewSource(seed + 1<<32))); di != nil {
-			if vs := check(CheckMinDelta(di, seed)); len(vs) > 0 {
+			if vs := check("skew/mindelta", CheckMinDelta(di, seed)); len(vs) > 0 {
 				sh := shrinkSkew(di, func(c *SkewInstance) bool { return len(CheckMinDelta(c, seed)) > 0 })
 				record(vs, &Repro{Skew: sh})
 			}
 		}
 
 		pi := genPlace(rng)
-		if vs := check(CheckPlace(pi, seed)); len(vs) > 0 {
+		if vs := check("placer/densesolve", CheckPlace(pi, seed)); len(vs) > 0 {
 			sh := shrinkPlace(pi, func(c *PlaceInstance) bool { return len(CheckPlace(c, seed)) > 0 })
 			record(vs, &Repro{Place: sh})
 		}
 
-		if o.FullFlowEvery > 0 && i%o.FullFlowEvery == 0 {
+		if fullFlowEvery > 0 && i%fullFlowEvery == 0 {
 			spec := netlist.GenSpec{
 				Cells:     30 + rng.Intn(20),
 				FlipFlops: 5 + rng.Intn(4),
 				Seed:      seed,
 			}
 			delta := geom.Pt(1000+rng.Float64()*2000, -500-rng.Float64()*1000)
-			if vs := check(CheckTranslate(spec, flowConfig(), delta, seed)); len(vs) > 0 {
+			if vs := check("core/translate", CheckTranslate(spec, flowConfig(), delta, seed)); len(vs) > 0 {
 				record(vs, &Repro{Flow: &FlowSpec{Spec: spec, Delta: delta}})
-			}
-			if vs := check(CheckTimingIdentity(spec, flowConfig(), seed)); len(vs) > 0 {
-				record(vs, &Repro{Flow: &FlowSpec{Spec: spec}})
 			}
 		}
 
-		if o.ECOEvery > 0 && i%o.ECOEvery == 0 {
+		if ecoEvery > 0 && i%ecoEvery == 0 {
 			es := &ECOSpec{Spec: netlist.GenSpec{
 				Cells:     40 + rng.Intn(30),
 				FlipFlops: 6 + rng.Intn(5),
@@ -394,37 +383,11 @@ func RunCampaign(o Options) (*Report, error) {
 			if c, gerr := netlist.Generate(es.Spec); gerr == nil {
 				es.Deltas = eco.RandomDeltas(rng, c, flowConfig().NumRings, 4+rng.Intn(5))
 			}
-			if vs := check(CheckECO(es, flowConfig(), seed)); len(vs) > 0 {
+			if vs := check("eco/scratch", CheckECO(es, flowConfig(), seed)); len(vs) > 0 {
 				sh := shrinkECO(es, func(cand *ECOSpec) bool { return len(CheckECO(cand, flowConfig(), seed)) > 0 })
 				record(vs, &Repro{ECO: sh})
 			}
 		}
-
-		if o.MLEvery > 0 && i%o.MLEvery == 0 {
-			// Multilevel arm: large enough that the V-cycle actually coarsens
-			// (CheckMultilevel lowers the coarsening floor to match). The spec
-			// is the whole instance, so the repro reuses FlowSpec.
-			spec := netlist.GenSpec{
-				Cells:     600 + rng.Intn(400),
-				FlipFlops: 60 + rng.Intn(40),
-				Seed:      seed,
-			}
-			if vs := check(CheckMultilevel(spec, seed)); len(vs) > 0 {
-				record(vs, &Repro{Flow: &FlowSpec{Spec: spec}})
-			}
-		}
-
-		if (i+1)%25 == 0 {
-			o.Log("seed %d/%d: %d checks, %d violations", i+1, o.Seeds, rep.Checks, len(rep.Violations))
-		}
 	}
-	o.Log("campaign done: %d seeds, %d checks, %d violations, %d repros",
-		rep.Seeds, rep.Checks, len(rep.Violations), len(rep.Repros))
-	return rep, firstErr
-}
-
-// Summary renders a one-line human summary.
-func (r *Report) Summary() string {
-	return fmt.Sprintf("%d seeds, %d checks, %d violations, %d repros",
-		r.Seeds, r.Checks, len(r.Violations), len(r.Repros))
+	return rep
 }

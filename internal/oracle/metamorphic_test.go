@@ -3,7 +3,6 @@ package oracle
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"rotaryclk/internal/assign"
 	"rotaryclk/internal/core"
@@ -15,7 +14,7 @@ import (
 // shifted by d. Connectivity, names, sizes, kinds, and IDs are preserved.
 func translateCircuit(c *netlist.Circuit, d geom.Point) *netlist.Circuit {
 	out := netlist.New(c.Name)
-	out.Die = geom.Rect{Lo: c.Die.Lo.Add(d), Hi: c.Die.Hi.Add(d)}
+	out.Die = geom.Rect{Lo: geom.Pt(c.Die.Lo.X+d.X, c.Die.Lo.Y+d.Y), Hi: geom.Pt(c.Die.Hi.X+d.X, c.Die.Hi.Y+d.Y)}
 	for _, cell := range c.Cells {
 		out.AddCell(&netlist.Cell{
 			Name:  cell.Name,
@@ -23,7 +22,7 @@ func translateCircuit(c *netlist.Circuit, d geom.Point) *netlist.Circuit {
 			Fn:    cell.Fn,
 			W:     cell.W,
 			H:     cell.H,
-			Pos:   cell.Pos.Add(d),
+			Pos:   geom.Pt(cell.Pos.X+d.X, cell.Pos.Y+d.Y),
 			Fixed: cell.Fixed,
 		})
 	}
@@ -96,64 +95,6 @@ func CheckTranslate(spec netlist.GenSpec, cfg core.Config, delta geom.Point, see
 	return out
 }
 
-// CheckTimingIdentity runs the full integrated flow twice on the same
-// generated circuit — the default flow, and the timing-driven mode in its
-// identity configuration (negative TimingBoost, so every net-weight scale
-// stays exactly 1.0) — and asserts the outputs are bit-identical: positions,
-// skew schedule, and final metrics. The timing-driven machinery (critical-path
-// extraction, the placer's net-weight overlay, the scale decay) all execute;
-// any numeric divergence means the overlay perturbs arithmetic it promises
-// not to touch (placer.Options.NetWeights contract).
-func CheckTimingIdentity(spec netlist.GenSpec, cfg core.Config, seed int64) []Violation {
-	const name = "core/timing-identity"
-	c1, err := netlist.Generate(spec)
-	if err != nil {
-		return violationf(name, seed, "generator failed: %v", err)
-	}
-	c2, err := netlist.Generate(spec)
-	if err != nil {
-		return violationf(name, seed, "generator failed: %v", err)
-	}
-	cfgTD := cfg
-	cfgTD.TimingDriven = true
-	cfgTD.TimingBoost = -1
-	res1, err1 := core.Run(c1, cfg)
-	res2, err2 := core.Run(c2, cfgTD)
-	if (err1 == nil) != (err2 == nil) {
-		return violationf(name, seed, "flow feasibility depends on identity-mode reweighting: default err=%v, timing err=%v", err1, err2)
-	}
-	if err1 != nil {
-		return nil // consistently failing instance
-	}
-	var out []Violation
-	for i := range c1.Cells {
-		p1, p2 := c1.Cells[i].Pos, c2.Cells[i].Pos
-		if math.Float64bits(p1.X) != math.Float64bits(p2.X) || math.Float64bits(p1.Y) != math.Float64bits(p2.Y) {
-			out = append(out, Violation{Oracle: name, Seed: seed,
-				Detail: fmt.Sprintf("cell %d position diverges under identity-mode reweighting: %v vs %v", i, p1, p2)})
-			break
-		}
-	}
-	if len(res1.Schedule) != len(res2.Schedule) {
-		return append(out, Violation{Oracle: name, Seed: seed,
-			Detail: fmt.Sprintf("schedule sizes differ: %d vs %d", len(res1.Schedule), len(res2.Schedule))})
-	}
-	for i := range res1.Schedule {
-		if math.Float64bits(res1.Schedule[i]) != math.Float64bits(res2.Schedule[i]) {
-			out = append(out, Violation{Oracle: name, Seed: seed,
-				Detail: fmt.Sprintf("schedule entry %d diverges under identity-mode reweighting: %v vs %v", i, res1.Schedule[i], res2.Schedule[i])})
-			break
-		}
-	}
-	if math.Float64bits(res1.Final.TapWL) != math.Float64bits(res2.Final.TapWL) ||
-		math.Float64bits(res1.Final.SignalWL) != math.Float64bits(res2.Final.SignalWL) ||
-		math.Float64bits(res1.Final.MaxCap) != math.Float64bits(res2.Final.MaxCap) {
-		out = append(out, Violation{Oracle: name, Seed: seed,
-			Detail: fmt.Sprintf("final metrics diverge under identity-mode reweighting: %+v vs %+v", res1.Final, res2.Final)})
-	}
-	return out
-}
-
 // scaleInstance returns the instance scaled by an exact factor of two with
 // compensated electrical parameters: lengths double, wire resistance drops
 // 4x, and the flip-flop pin capacitance doubles, so every stub delay,
@@ -167,11 +108,11 @@ func scaleInstance(in *AssignInstance) *AssignInstance {
 	out.Params.CFF = in.Params.CFF * 2
 	out.Params.CRing = in.Params.CRing / 2
 	for i, rs := range out.Rings {
-		out.Rings[i].Center = rs.Center.Scale(2)
+		out.Rings[i].Center = geom.Pt(2*rs.Center.X, 2*rs.Center.Y)
 		out.Rings[i].Side = rs.Side * 2
 	}
 	for i, f := range out.FFs {
-		out.FFs[i].Pos = f.Pos.Scale(2)
+		out.FFs[i].Pos = geom.Pt(2*f.Pos.X, 2*f.Pos.Y)
 	}
 	return out
 }

@@ -276,7 +276,7 @@ func CheckAssignLP(in *AssignInstance, seed int64) []Violation {
 		}
 		prob.AddConstraint(lp.LE, 0, append(coefs, lp.Coef{Var: z, Val: -1})...)
 	}
-	sol, err := prob.Solve()
+	sol, err := prob.SolveOpts(lp.Options{})
 	if err != nil || sol.Status != lp.Optimal {
 		return append(out, Violation{Oracle: name, Seed: seed,
 			Detail: fmt.Sprintf("dense reference solve failed (err %v, status %v) on a feasible instance", err, sol.Status)})

@@ -88,7 +88,8 @@ type Options struct {
 	// back to the circuit (same state contract as ErrNonConverged).
 	Stop *stop.Token
 
-	// MLCoarsest is the coarsening floor of Global (default 2500): a
+	// mlCoarsest is the coarsening floor of Global (2500, locked by
+	// TestOptionsDefaults; tests lower it to coarsen small circuits): a
 	// circuit with at most this many movable cells is placed flat, a larger
 	// one runs the mPL-style V-cycle (see vcycle.go), which clusters it
 	// down to this size, places the coarsest level with the full spreading
@@ -97,8 +98,7 @@ type Options struct {
 	// counters say which path ran; fallback counts every flat Global, the
 	// normal outcome below the floor. Incremental and ECO dirty-region
 	// solves never enter the V-cycle.
-	MLCoarsest int
-
+	mlCoarsest int
 	// spreadIters is the number of density-equalization + re-solve rounds
 	// of global placement (24, locked by TestOptionsDefaults); the V-cycle
 	// sets its per-level round counts here, and tests shorten the schedule.
@@ -137,8 +137,8 @@ func (o *Options) normalize(movable int) {
 	if o.CGTol <= 0 {
 		o.CGTol = 1e-6
 	}
-	if o.MLCoarsest <= 0 {
-		o.MLCoarsest = 2500
+	if o.mlCoarsest <= 0 {
+		o.mlCoarsest = 2500
 	}
 }
 
@@ -385,7 +385,7 @@ func (s *System) applyNetWeights(scale []float64) {
 	}
 	// Armed SitePlacerReweight silently perturbs every scale, breaking the
 	// all-ones bit-identity contract — the wrong-answer failure mode the
-	// core/timing-identity oracle must catch.
+	// core package's TestFaultReweightDetected must catch.
 	perturb := 0.0
 	if faultinject.Hook(faultinject.SitePlacerReweight) != nil {
 		perturb = 1e-3

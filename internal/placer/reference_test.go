@@ -199,7 +199,7 @@ func (s *refSystem) applyNetWeights(scale []float64) {
 	}
 	// Armed SitePlacerReweight silently perturbs every scale, breaking the
 	// all-ones bit-identity contract — the wrong-answer failure mode the
-	// core/timing-identity oracle must catch.
+	// core package's TestFaultReweightDetected must catch.
 	perturb := 0.0
 	if faultinject.Hook(faultinject.SitePlacerReweight) != nil {
 		perturb = 1e-3

@@ -12,7 +12,7 @@ import (
 // Global runs global placement: an initial quadratic solve followed by
 // spreadIters rounds of FastPlace-style density equalization re-anchored
 // into the quadratic system, leaving cells spread over the die with low
-// quadratic wirelength. Circuits with more than Options.MLCoarsest movable
+// quadratic wirelength. Circuits with more than Options.mlCoarsest movable
 // cells run that schedule on a clustered hierarchy instead (the multilevel
 // V-cycle, vcycle.go). Positions are written onto the circuit. The
 // quadratic system is assembled once and reused across every round; callers
@@ -45,7 +45,7 @@ func (s *System) Global(opt Options) error {
 	if handled || err != nil {
 		return err
 	}
-	// At or below the MLCoarsest floor, or connectivity that refuses to
+	// At or below the mlCoarsest floor, or connectivity that refuses to
 	// shrink: the flat path below is the whole placement.
 	s.obs.Add("placer.ml.fallback", 1)
 	return s.globalLoop(opt)

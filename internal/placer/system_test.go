@@ -24,8 +24,8 @@ func TestOptionsDefaults(t *testing.T) {
 	if opt.CGTol != 1e-6 {
 		t.Errorf("CGTol default = %v, want 1e-6", opt.CGTol)
 	}
-	if opt.MLCoarsest != 2500 {
-		t.Errorf("MLCoarsest default = %d, want 2500", opt.MLCoarsest)
+	if opt.mlCoarsest != 2500 {
+		t.Errorf("mlCoarsest default = %d, want 2500", opt.mlCoarsest)
 	}
 	// The bins derivation floors at 4 for tiny circuits.
 	var small Options
@@ -35,9 +35,9 @@ func TestOptionsDefaults(t *testing.T) {
 	}
 	// Explicit settings survive normalization untouched, and a grid already
 	// derived (a V-cycle level's) is not re-derived.
-	set := Options{spreadIters: 3, CGTol: 1e-4, MLCoarsest: 200, bins: 7}
+	set := Options{spreadIters: 3, CGTol: 1e-4, mlCoarsest: 200, bins: 7}
 	set.normalize(100)
-	if set.spreadIters != 3 || set.CGTol != 1e-4 || set.MLCoarsest != 200 || set.bins != 7 {
+	if set.spreadIters != 3 || set.CGTol != 1e-4 || set.mlCoarsest != 200 || set.bins != 7 {
 		t.Errorf("normalize overwrote explicit options: %+v", set)
 	}
 }

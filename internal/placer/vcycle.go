@@ -7,7 +7,7 @@
 // interpolated near-solution, so iteration counts stay bounded as the cell
 // count grows instead of tracking the flat system's condition number.
 //
-// Global always enters the V-cycle; its size floor (Options.MLCoarsest) is
+// Global always enters the V-cycle; its size floor (Options.mlCoarsest) is
 // the one place the placer picks between the flat and multilevel paths. At
 // or below the floor the V-cycle hands back unhandled and Global runs the
 // flat globalLoop unchanged (placer.ml.fallback), so small circuits place
@@ -54,7 +54,7 @@ type mlLevel struct {
 // all fixed, or connectivity that refuses to shrink — in which case the
 // caller falls back to the flat path. opt must already be normalized.
 func (s *System) vcycle(opt Options) (handled bool, err error) {
-	// Build the hierarchy bottom-up. Coarsening stops at MLCoarsest movable
+	// Build the hierarchy bottom-up. Coarsening stops at mlCoarsest movable
 	// cells or when a level shrinks by less than 20% — matching saturates on
 	// dense cluster connectivity, and levels that barely shrink cost more in
 	// coarsening and refinement than they save.
@@ -62,7 +62,7 @@ func (s *System) vcycle(opt Options) (handled bool, err error) {
 	for len(levels) < mlMaxLevels {
 		cur := levels[len(levels)-1]
 		fineMov := cur.sys.c.NumMovable()
-		if fineMov <= opt.MLCoarsest {
+		if fineMov <= opt.mlCoarsest {
 			break
 		}
 		co := coarsen(cur.sys.c)
@@ -107,7 +107,7 @@ func (s *System) vcycle(opt Options) (handled bool, err error) {
 		levels[l+1].co.interpolate()
 		// Armed SitePlacerMLCorrupt silently wrecks the interpolated start
 		// (every movable cell collapses toward the die corner), the
-		// wrong-answer failure mode the placer/multilevel oracle must catch:
+		// wrong-answer failure mode TestFaultMLCorruptDetected must catch:
 		// the bounded refinement cannot re-spread a corrupted start, so the
 		// damage survives into the final placement quality.
 		if faultinject.Hook(faultinject.SitePlacerMLCorrupt) != nil {
@@ -223,7 +223,7 @@ func (s *System) mlProjectDown(levels []*mlLevel, l int) {
 // deterministically jittered so the quadratic system stays solvable but the
 // interpolated start — and with it the bounded refinement's outcome — is
 // garbage. The damage shows up as blown-up legalized wirelength, which is
-// what oracle.CheckMultilevel bounds.
+// what TestVCycleMatchesFlat bounds.
 func mlCorrupt(c *netlist.Circuit) {
 	lo := c.Die.Lo
 	i := 0

@@ -1,7 +1,10 @@
 package placer
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"rotaryclk/internal/faultinject"
@@ -12,7 +15,7 @@ import (
 )
 
 // mlCircuit generates a circuit big enough (relative to the lowered
-// MLCoarsest the tests use) to build a real multilevel hierarchy while
+// mlCoarsest the tests use) to build a real multilevel hierarchy while
 // staying fast.
 func mlCircuit(t testing.TB, seed int64) *netlist.Circuit {
 	t.Helper()
@@ -26,7 +29,7 @@ func mlCircuit(t testing.TB, seed int64) *netlist.Circuit {
 // mlOptions lowers the coarsening floor so a 3000-cell circuit builds
 // several V-cycle levels at test scale.
 func mlOptions(workers int) Options {
-	return Options{MLCoarsest: 200, Parallelism: workers}
+	return Options{mlCoarsest: 200, Parallelism: workers}
 }
 
 // TestMultilevelOffIdentity locks the bit-free contract of the flat path:
@@ -41,7 +44,7 @@ func TestMultilevelOffIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refOpt := Options{MLCoarsest: ref.NumMovable(), Parallelism: 1}
+	refOpt := Options{mlCoarsest: ref.NumMovable(), Parallelism: 1}
 	refOpt.normalize(ref.NumMovable())
 	if err := sys.globalLoop(refOpt); err != nil {
 		t.Fatal(err)
@@ -50,7 +53,7 @@ func TestMultilevelOffIdentity(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		c := mlCircuit(t, 71)
 		reg := obs.NewRegistry()
-		if err := Global(c, Options{MLCoarsest: c.NumMovable(), Obs: reg, Parallelism: workers}); err != nil {
+		if err := Global(c, Options{mlCoarsest: c.NumMovable(), Obs: reg, Parallelism: workers}); err != nil {
 			t.Fatal(err)
 		}
 		if reg.Snapshot().Counter("placer.ml.vcycles") != 0 {
@@ -98,10 +101,10 @@ func TestVCycleDeterministicAcrossWorkerCounts(t *testing.T) {
 // movable count, so it never coarsens) — legalized signal wirelength within 10%
 // (the 512k sweep point tracks ~1%; the slack absorbs small-instance noise).
 // Raw (pre-legalization) wirelength is not comparable: a collapsed placement
-// scores better on it, which is exactly why the oracle legalizes first.
+// scores better on it, which is exactly why multilevelDiff legalizes first.
 func TestVCycleQuality(t *testing.T) {
 	flat := mlCircuit(t, 79)
-	if err := Global(flat, Options{MLCoarsest: flat.NumMovable(), Parallelism: 1}); err != nil {
+	if err := Global(flat, Options{mlCoarsest: flat.NumMovable(), Parallelism: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := Legalize(flat); err != nil {
@@ -127,12 +130,116 @@ func TestVCycleQuality(t *testing.T) {
 	}
 }
 
+// mlWLBound is the acceptance band of TestVCycleMatchesFlat: the V-cycle's
+// legalized signal wirelength may exceed the flat placement's by at most
+// 15%. The production sweep tracks ~1% at the 512k point; the band absorbs
+// small-instance noise while staying far below the blow-up an armed
+// placer.ml.corrupt fault produces (TestFaultMLCorruptDetected locks that
+// gap).
+const mlWLBound = 1.15
+
+// TestVCycleMatchesFlat holds the V-cycle to the flat placement on 40
+// generated circuits of 600-999 cells and 60-99 flip-flops, the floor
+// lowered so each builds a real hierarchy (see multilevelDiff).
+func TestVCycleMatchesFlat(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	held := 0
+	for i := 0; i < 40; i++ {
+		spec := netlist.GenSpec{Cells: 600 + rng.Intn(400), FlipFlops: 60 + rng.Intn(40), Seed: int64(5*i + 1)}
+		if d := multilevelDiff(t, spec); d != "" {
+			t.Errorf("%+v: %s", spec, d)
+			continue
+		}
+		held++
+	}
+	if held != 40 {
+		t.Errorf("the V-cycle matched the flat placement on %d of the 40 generated circuits", held)
+	}
+}
+
+// TestFaultMLCorruptDetected: the placer.ml.corrupt site silently collapses
+// the interpolated positions at every V-cycle level boundary; the placement
+// still "succeeds" and its raw quadratic wirelength even improves, so only
+// the legalized flat-vs-multilevel comparison can see it. multilevelDiff
+// must report the wirelength with the site armed and pass with it
+// disarmed.
+func TestFaultMLCorruptDetected(t *testing.T) {
+	spec := netlist.GenSpec{Cells: 800, FlipFlops: 80, Seed: 11}
+	restore := faultinject.Enable(faultinject.Rule{Site: faultinject.SitePlacerMLCorrupt, Err: errCorrupt})
+	d := multilevelDiff(t, spec)
+	restore()
+	if !strings.Contains(d, "wirelength") {
+		t.Fatalf("corrupted V-cycle interpolation not reported as a legalized-wirelength excess: %q", d)
+	}
+	if d := multilevelDiff(t, spec); d != "" {
+		t.Fatalf("clean V-cycle: %s", d)
+	}
+}
+
+// multilevelDiff places the circuit generated from spec twice, flat (the
+// floor at its movable count) and through the V-cycle (the floor at an
+// eighth of its movable count, at least 50), and describes the first
+// broken contract: the V-cycle fails where the flat placement does not, a
+// cell diverges between the V-cycle at 1 and at 8 workers, the V-cycle's
+// legalized signal wirelength exceeds the flat one's by more than
+// mlWLBound, or a movable cell is legalized outside the die. Legalized,
+// not raw: a collapsed placement scores better on raw quadratic
+// wirelength. It returns "" when every contract holds.
+func multilevelDiff(t *testing.T, spec netlist.GenSpec) string {
+	t.Helper()
+	gen := func() *netlist.Circuit {
+		c, err := netlist.Generate(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	flat := gen()
+	if err := Global(flat, Options{mlCoarsest: flat.NumMovable(), Parallelism: 1}); err != nil {
+		t.Fatalf("%+v: flat placement: %v", spec, err)
+	}
+	ml, ml8 := gen(), gen()
+	opt := Options{mlCoarsest: max(ml.NumMovable()/8, 50), Parallelism: 1}
+	if err := Global(ml, opt); err != nil {
+		return fmt.Sprintf("V-cycle failed where the flat placement did not: %v", err)
+	}
+	opt.Parallelism = 8
+	if err := Global(ml8, opt); err != nil {
+		return fmt.Sprintf("V-cycle failed at 8 workers but not 1: %v", err)
+	}
+	for i := range ml.Cells {
+		p1, p8 := ml.Cells[i].Pos, ml8.Cells[i].Pos
+		if math.Float64bits(p1.X) != math.Float64bits(p8.X) || math.Float64bits(p1.Y) != math.Float64bits(p8.Y) {
+			return fmt.Sprintf("cell %d at %v with 1 worker, %v with 8", i, p1, p8)
+		}
+	}
+	if err := Legalize(flat); err != nil {
+		t.Fatalf("%+v: legalizing the flat placement: %v", spec, err)
+	}
+	if err := Legalize(ml); err != nil {
+		return fmt.Sprintf("legalizing the V-cycle placement: %v", err)
+	}
+	if flatWL, mlWL := flat.SignalWL(), ml.SignalWL(); mlWL > flatWL*mlWLBound {
+		return fmt.Sprintf("legalized wirelength %.6g exceeds the flat %.6g by %.1f%% (bound %.0f%%)",
+			mlWL, flatWL, 100*(mlWL/flatWL-1), 100*(mlWLBound-1))
+	}
+	for _, cell := range ml.Cells {
+		// Fixed pads are generator input, identical in both arms, and sit
+		// exactly on the perimeter, where arclength rounding can land a
+		// hair outside the die.
+		if !cell.Fixed && !ml.Die.Contains(cell.Pos) {
+			return fmt.Sprintf("cell %q legalized outside the die at %v", cell.Name, cell.Pos)
+		}
+	}
+	return ""
+}
+
 // TestVCycleFallback: degenerate instances must fall back to the flat solve
 // without panicking, recording placer.ml.fallback. Below the floor, Global
 // must be the flat loop bit for bit at any worker count: the size floor is
 // the only place the two paths diverge.
 func TestVCycleFallback(t *testing.T) {
-	// Too small to coarsen: movable count is already at or below MLCoarsest.
+	// Too small to coarsen: movable count is already at or below mlCoarsest.
 	small := genCircuit(t, 300, 40, 83)
 	reg := obs.NewRegistry()
 	if err := Global(small, Options{Obs: reg, Parallelism: 1}); err != nil {
@@ -176,14 +283,14 @@ func TestVCycleDegenerateInputs(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		allFixed.AddCell(&netlist.Cell{Kind: netlist.Input, Fixed: true, W: 1, H: 1, Pos: mlDie().Center()})
 	}
-	if err := Global(allFixed, Options{MLCoarsest: 1}); err != nil {
+	if err := Global(allFixed, Options{mlCoarsest: 1}); err != nil {
 		t.Fatal(err)
 	}
 
 	single := netlist.New("single")
 	single.Die = mlDie()
 	single.AddCell(&netlist.Cell{Kind: netlist.Gate, W: 2, H: 1})
-	if err := Global(single, Options{MLCoarsest: 1}); err != nil {
+	if err := Global(single, Options{mlCoarsest: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if !single.Die.Contains(single.Cells[0].Pos) {
@@ -198,7 +305,7 @@ func TestVCycleDegenerateInputs(t *testing.T) {
 		loose.AddCell(&netlist.Cell{Kind: netlist.Gate, W: 1, H: 1})
 	}
 	reg := obs.NewRegistry()
-	if err := Global(loose, Options{MLCoarsest: 2, Obs: reg, Parallelism: 1}); err != nil {
+	if err := Global(loose, Options{mlCoarsest: 2, Obs: reg, Parallelism: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if reg.Snapshot().Counter("placer.ml.fallback") != 1 {
@@ -236,9 +343,9 @@ func TestVCycleCancelMidDescent(t *testing.T) {
 
 // TestVCycleCorruptSiteDegradesQuality proves the placer.ml.corrupt fault is
 // strong enough to be observable: with the site armed the legalized
-// wirelength must blow up past any bound CheckMultilevel would accept, and
-// with it disarmed the same run is clean. This is the placer-level half of
-// the oracle's negative test.
+// wirelength must blow up past any bound multilevelDiff would accept, and
+// with it disarmed the same run is clean, on the 3000-cell circuit the
+// other V-cycle tests place.
 func TestVCycleCorruptSiteDegradesQuality(t *testing.T) {
 	clean := mlCircuit(t, 97)
 	if err := Global(clean, mlOptions(1)); err != nil {

@@ -38,7 +38,7 @@ func TestQuickFeasibleVsLP(t *testing.T) {
 			p.AddConstraint(lp.LE, c.Bound,
 				lp.Coef{Var: vars[c.U], Val: 1}, lp.Coef{Var: vars[c.V], Val: -1})
 		}
-		sol, err := p.Solve()
+		sol, err := p.SolveOpts(lp.Options{})
 		if err != nil {
 			return false
 		}

@@ -123,7 +123,7 @@ func TestMaxSlackVsLP(t *testing.T) {
 			p.AddConstraint(lp.GE, hold-pr.DMin,
 				lp.Coef{Var: vars[pr.U], Val: 1}, lp.Coef{Var: vars[pr.V], Val: -1}, lp.Coef{Var: mv, Val: -1})
 		}
-		sol, err := p.Solve()
+		sol, err := p.SolveOpts(lp.Options{})
 		if err != nil || sol.Status != lp.Optimal {
 			t.Fatalf("trial %d: LP %v %v", trial, sol.Status, err)
 		}
@@ -225,7 +225,7 @@ func TestMinDeltaVsLP(t *testing.T) {
 			p.AddConstraint(lp.LE, -a.A-2*a.TCI, lp.Coef{Var: vars[i], Val: -1}, lp.Coef{Var: dv, Val: -1})
 			p.AddConstraint(lp.LE, a.A, lp.Coef{Var: vars[i], Val: 1}, lp.Coef{Var: dv, Val: -1})
 		}
-		sol, err := p.Solve()
+		sol, err := p.SolveOpts(lp.Options{})
 		if err != nil || sol.Status != lp.Optimal {
 			t.Fatalf("trial %d: LP %v %v", trial, sol.Status, err)
 		}
@@ -314,7 +314,7 @@ func TestWeightedSumVsLP(t *testing.T) {
 			p.AddConstraint(lp.LE, targets[i], lp.Coef{Var: vars[i], Val: 1}, lp.Coef{Var: ds[i], Val: -1})
 			p.AddConstraint(lp.LE, -targets[i], lp.Coef{Var: vars[i], Val: -1}, lp.Coef{Var: ds[i], Val: -1})
 		}
-		sol, err := p.Solve()
+		sol, err := p.SolveOpts(lp.Options{})
 		if err != nil || sol.Status != lp.Optimal {
 			t.Fatalf("trial %d: LP %v %v", trial, sol.Status, err)
 		}

@@ -38,12 +38,14 @@
 #                         /v1/eco requests, zero failures), a deadline-bound
 #                         oversized job that must degrade within its budget,
 #                         and SIGTERM -> graceful drain -> exit 0
-#   scripts/ci.sh oracle  run the differential-testing campaign
-#                         (cmd/rotaryoracle): SEEDS random instances through
-#                         every reference solver and metamorphic oracle,
-#                         failing with minimized repros under
-#                         testdata/repros/ on any violation (default 25
-#                         seeds; SEEDS=200 is the acceptance depth)
+#   scripts/ci.sh oracle  the differential-testing package
+#                         (internal/oracle, test files only): TestCampaign
+#                         runs seeds 1-200 through every reference solver
+#                         and metamorphic oracle (2,300 checks, each
+#                         oracle's count asserted), failing with minimized
+#                         repros under internal/oracle/testdata/repros/ on
+#                         any violation; then the references' own tests,
+#                         the shrinkers and every oracle negative test
 #   scripts/ci.sh scaling the small sweep-size and degraded-run-refusal
 #                         unit tests, the work gate (the sweep's spec at
 #                         8k and 32k cells, -j 1: placer.cg.iters,
@@ -87,7 +89,7 @@
 #                         sequences pinned by SHA-256 digests, every
 #                         delta legal given its predecessors, the caller's
 #                         circuit restored after a draw, a panicking one
-#                         included), the clean oracle campaign (its
+#                         included), the oracle campaign (its 40
 #                         ECO-vs-scratch checks fail on an incomplete
 #                         scope), the shared-base /v1/eco
 #                         concurrency test under -race (each worker
@@ -122,7 +124,10 @@
 #                         degenerate fallbacks), the binned MaxOverlap
 #                         against the all-pairs reference loop (bit-equal
 #                         on overlapping, legal and degenerate placements),
-#                         the corrupt-site oracle negative test, one
+#                         TestVCycleMatchesFlat (the V-cycle against the
+#                         flat placement on 40 generated circuits: bit-equal
+#                         at 1 and 8 workers, legalized wirelength within
+#                         15%) and its corrupt-site negative test, one
 #                         iteration of BenchmarkDetailed (the swap loop's
 #                         ns/op, rescans/op and pruned/op; run it with a
 #                         larger -benchtime for a number), one iteration
@@ -143,9 +148,11 @@
 #                         critical-path reweighting identity tests
 #                         (feature off or boost disabled must be
 #                         bit-identical to the base flow, at 1 and 8
-#                         workers), the swallowed-STA-error
-#                         surface test, and the Table VIII worst-slack
-#                         acceptance run (improvement on >= 2 circuits)
+#                         workers and on 20 small generated circuits) and
+#                         their net-weight negative test, the
+#                         swallowed-STA-error surface test, and the Table
+#                         VIII worst-slack acceptance run (improvement on
+#                         >= 2 circuits)
 #   scripts/ci.sh skew    difference-constraint kernel gate: the kernel vs
 #                         the reference n+1-round loop (random raw, Fishburn
 #                         and guard-band systems, bit-identical potentials),
@@ -279,11 +286,13 @@ gotest() {
         esac
         prev="$a"
     done
+    # || exit 1: set -e does not stop the script when gotest itself runs
+    # inside &&, || or if.
     if [ -n "$pkg" ] && [ -n "$run" ]; then
-        listed "$pkg" "$run"
+        listed "$pkg" "$run" || exit 1
     fi
     if [ -n "$pkg" ] && [ -n "$bench" ]; then
-        listed "$pkg" "$bench" bench
+        listed "$pkg" "$bench" bench || exit 1
     fi
     go test "$@"
 }
@@ -344,8 +353,7 @@ serve)
     echo "serve smoke: job + ECO load + deadline degradation + graceful drain ok"
     ;;
 oracle)
-    seeds="${SEEDS:-25}"
-    go run ./cmd/rotaryoracle -seeds "$seeds" -v
+    gotest ./internal/oracle/ -count=1 -v
     ;;
 scaling)
     timeout="${SCALING_TIMEOUT:-10m}"
@@ -360,7 +368,7 @@ eco)
     gotest ./internal/timing/ -run '^TestSTAUpdate' -count=1 -v
     gotest ./internal/eco/ -run '^(TestApplyDegradedOnDirtyCGCancel|TestApplySTACache|TestApplySignalWLCache|TestStateFork|TestSignalWLUpdate|TestRandomDeltas.*|TestCombReaches)$' -count=1 -v
     gotest -race ./internal/eco/ -run '^(TestStateFork|TestRevertRestoresBase|TestRevertStalePanics)$' -count=3 -v
-    gotest ./internal/oracle/ -run '^(TestFaultSTAScopeDetected|TestFaultECOSignalWLDetected|TestCampaignClean)$' -count=1 -v
+    gotest ./internal/oracle/ -run '^(TestFaultSTAScopeDetected|TestFaultECOSignalWLDetected|TestCampaign)$' -count=1 -v
     gotest -race ./internal/serve/ -run '^TestECOConcurrentSharedBase$' -count=1
     gotest ./internal/core/ -run '^(TestApplyECOAllocBudget|TestOwnedForkRequestAllocBudget)$' -count=1 -v
     gotest -run '^$' -bench 'BenchmarkApplyECO/3k' -benchtime 1x -benchmem ./internal/core/
@@ -372,8 +380,7 @@ eco)
 place)
     timeout="${PLACE_TIMEOUT:-120s}"
     gotest -race ./internal/placer/ -run '^(TestDetailed|Test(Global|Incremental)DeterministicAcrossWorkerCounts$|TestCGMatchesReference$|TestCGCancel|TestEqualizeMatchesReference$)' -count=1
-    gotest ./internal/placer/ -run '^(TestMultilevel|TestVCycle|TestCoarsen|TestProjectOverlays|TestInterpolate|TestMaxOverlapMatchesReference$)' -count=1
-    gotest ./internal/oracle/ -run '^TestFaultMLCorruptDetected$' -count=1
+    gotest ./internal/placer/ -run '^(TestMultilevel|TestVCycle|TestCoarsen|TestProjectOverlays|TestInterpolate|TestMaxOverlapMatchesReference$|TestFaultMLCorruptDetected$)' -count=1
     gotest -run '^$' -bench '^BenchmarkDetailed$' -benchtime 1x ./internal/placer/
     gotest -run '^$' -bench '^(BenchmarkCGSolve|BenchmarkGlobalPlace)$' -benchtime 1x -benchmem ./internal/placer/
     export ROTARY_PLACE_SMOKE=1
@@ -382,9 +389,8 @@ place)
     ;;
 timing)
     gotest ./internal/timing/ -run '^(TestAnalyzeMatchesReference|TestExtractCriticalMatchesReference|TestSTAUpdate.*)$' -count=1 -v
-    gotest ./internal/core/ -run '^(TestTiming|TestWorstSlack)' -count=1
+    gotest ./internal/core/ -run '^(TestTiming|TestWorstSlack|TestFaultReweightDetected$)' -count=1
     gotest ./internal/placer/ -run '^TestNetWeight' -count=1
-    gotest ./internal/oracle/ -run '^TestFaultReweightDetected$' -count=1
     gotest -timeout 20m ./internal/exp/ -run '^(TestTimingSmoke|TestVarPairsSurfacesAnalysisError)$' -count=1 -v
     ;;
 skew)
